@@ -3,7 +3,7 @@
 //! Four measurements:
 //!
 //! 1. **Long scan, streaming vs seed path** — a full scan of the store
-//!    through the cursor stack (`TreeReader::range`, which drains the heap
+//!    through the cursor stack (`ReadView::range`, which drains the heap
 //!    merge) against a faithful reconstruction of the seed's
 //!    materialise-and-resort path (every overlapping table's entries
 //!    collected into vectors, concatenated, re-sorted and deduplicated via

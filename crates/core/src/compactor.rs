@@ -12,7 +12,7 @@
 //!    install the new version with one pointer swap.
 //!
 //! Readers never touch the shard lock at all (they go through
-//! [`lethe_lsm::TreeReader`]); writers share the shard lock with phases 1
+//! a live [`lethe_lsm::ReadView`]); writers share the shard lock with phases 1
 //! and 3 only, so a multi-second merge no longer stalls the shard.
 //!
 //! ## Coordination protocol

@@ -23,7 +23,8 @@ use lethe_lsm::strategy::{DateTieredPolicy, SizeTieredPolicy};
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
 use lethe_lsm::batch::WriteBatch;
 use lethe_lsm::snapshot::SnapshotTracker;
-use lethe_lsm::tree::{LsmTree, MaintenanceMode, RangeIter, TreeReader, TreeSnapshot};
+use lethe_lsm::read::{RangeIter, ReadView};
+use lethe_lsm::tree::{LsmTree, MaintenanceMode};
 use lethe_storage::{
     CacheSnapshot, CachedBackend, DeleteKey, Entry, FailPoint, FileBackend, FileWal,
     InMemoryBackend, IoSnapshot, LogicalClock, Manifest, PageCache, Result, SortKey,
@@ -450,7 +451,7 @@ impl Lethe {
     }
 
     /// Point lookup. Lock-free with respect to background flushes and
-    /// compactions (served through the tree's snapshot read surface).
+    /// compactions (served, like every read, by the tree's live [`ReadView`]).
     pub fn get(&self, key: SortKey) -> Result<Option<Bytes>> {
         self.tree.get(key)
     }
@@ -526,10 +527,10 @@ impl Lethe {
         self.tree.stats()
     }
 
-    /// Returns a cheap-to-clone, `Send + Sync` handle serving lock-free
-    /// snapshot reads (see [`lethe_lsm::TreeReader`]): `get`/`range`/
-    /// secondary scans proceed while this engine flushes or compacts.
-    pub fn reader(&self) -> TreeReader {
+    /// Returns a cheap-to-clone, `Send + Sync` live view serving lock-free
+    /// reads (see [`ReadView`]): `get`/`range`/secondary scans proceed while
+    /// this engine flushes or compacts.
+    pub fn reader(&self) -> ReadView {
         self.tree.reader()
     }
 
@@ -539,16 +540,17 @@ impl Lethe {
         LetheBuilder::new().restore(dir)
     }
 
-    /// Captures a frozen point-in-time view of this engine's tree (see
-    /// [`lethe_lsm::tree::TreeSnapshot`]). The `&mut` receiver is the write
-    /// serialisation the capture requires; the returned view reads without
-    /// any lock. Registering the covering seqnum fence with the
+    /// Captures a frozen point-in-time view of this engine's tree (a pinned
+    /// [`ReadView`]: the same read surface, answering as of now). The `&mut`
+    /// receiver is the write serialisation the capture requires; the
+    /// returned view reads without any lock. Registering the covering seqnum
+    /// fence with the
     /// [`snapshot tracker`](Lethe::snapshot_tracker) — so tombstone GC is
     /// gated while the view is alive — is the caller's responsibility, which
     /// the sharded front-end's
     /// [`ShardedLethe::snapshot`](crate::shard::ShardedLethe::snapshot)
     /// discharges automatically.
-    pub fn capture_snapshot(&mut self) -> TreeSnapshot {
+    pub fn capture_snapshot(&mut self) -> ReadView {
         self.tree.capture_snapshot()
     }
 

@@ -55,7 +55,7 @@ pub mod tuning;
 pub use baseline::{Baseline, BaselineKind};
 pub use compactor::Compactor;
 pub use engine::{Lethe, LetheBuilder};
-pub use shard::{BackpressureStats, ShardedLethe, ShardedLetheBuilder, ShardedRangeIter, Snapshot};
+pub use shard::{BackpressureStats, ShardedLethe, ShardedLetheBuilder, Snapshot};
 pub use fade::{level_ttls, FadePolicy, SaturationSelection};
 pub use kiwi::{
     hash_cost_multiplier, metadata_overhead_bytes, plan_secondary_delete, DropPlan,
@@ -70,7 +70,7 @@ pub use tuning::{
 pub use lethe_lsm::batch::WriteBatch;
 pub use lethe_lsm::config::{CompactionStrategy, LsmConfig, MergePolicy, SecondaryDeleteMode};
 pub use lethe_lsm::strategy::{DateTieredPolicy, SizeTieredPolicy};
-pub use lethe_lsm::tree::RangeIter;
+pub use lethe_lsm::read::{RangeIter, ReadView};
 pub use lethe_lsm::sstable::SecondaryDeleteStats;
 pub use lethe_lsm::stats::{ContentSnapshot, TreeStats};
 pub use lethe_storage::{

@@ -12,10 +12,13 @@
 //! Three kinds of thread touch a shard, and only writers ever lock it:
 //!
 //! * **Readers** (`get`/`range`/`scan_by_delete_key`) go through the
-//!   shard's [`TreeReader`]: they pin the current immutable version (one
+//!   shard's live [`ReadView`]: they pin the current immutable version (one
 //!   `Arc` clone) and read the shared memtables under brief read locks —
 //!   no shard lock, so a reader is *never* blocked by a writer, a flush or
-//!   a compaction, and never observes a half-committed version.
+//!   a compaction, and never observes a half-committed version. A
+//!   [`Snapshot`] reads through pinned views of the same type, and both go
+//!   through one fan-out: route `get` by key hash, heap-merge one stream
+//!   per shard for everything else.
 //! * **Writers** (`put`/`write`/`delete`/`delete_range`) take the shard's
 //!   ranked [`lethe_sync::Mutex`] for the WAL append + memtable insert only. A
 //!   full buffer is *frozen*, not flushed: the writer returns immediately
@@ -127,7 +130,9 @@ use lethe_lsm::config::{LsmConfig, MergePolicy};
 use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::sstable::{SecondaryDeleteStats, SsTable};
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
-use lethe_lsm::tree::{MaintenanceMode, RangeIter, TreeReader, TreeSnapshot};
+use lethe_lsm::cursor::{EntryCursor, MergeIterator, VecCursor};
+use lethe_lsm::read::{RangeIter, ReadView};
+use lethe_lsm::tree::MaintenanceMode;
 use lethe_storage::{
     write_marker, BatchCommitLog, BatchOp, CacheSnapshot, CheckpointMarker,
     DeleteKey, Entry, FileBackend, IoSnapshot, LogicalClock, Manifest, ManifestState, PageCache,
@@ -354,6 +359,7 @@ impl ShardedLetheBuilder {
             shards.push(Shard::spawn(engine, i));
         }
         Ok(ShardedLethe {
+            views: ShardViews(shards.iter().map(|s| s.reader.clone()).collect()),
             shards,
             clock,
             cache,
@@ -437,8 +443,11 @@ impl ShardedLetheBuilder {
         // can acknowledge writes, the recorded count must survive a crash
         let manifest_fsyncs = AtomicU64::new(0);
         write_shard_manifest(dir, self.shards, &manifest_fsyncs)?;
+        let shards: Vec<Shard> =
+            engines.into_iter().enumerate().map(|(i, e)| Shard::spawn(e, i)).collect();
         Ok(ShardedLethe {
-            shards: engines.into_iter().enumerate().map(|(i, e)| Shard::spawn(e, i)).collect(),
+            views: ShardViews(shards.iter().map(|s| s.reader.clone()).collect()),
+            shards,
             clock,
             cache,
             batch_log: Some(batch_log),
@@ -524,7 +533,7 @@ fn validate_shard_manifest(dir: &Path, shards: usize) -> Result<()> {
 /// copied out of the engine's configuration.
 struct Shard {
     engine: Arc<Mutex<Lethe>>,
-    reader: TreeReader,
+    reader: ReadView,
     worker: Compactor,
     /// Group-commit queue: the writer that joins it empty leads, everyone
     /// else follows; see [`CommitQueue`].
@@ -603,11 +612,50 @@ struct PendingWrite {
 }
 
 /// The shard (out of `n`) owning `key`: multiply-shift hash (Fibonacci
-/// hashing), shared by the live store and its snapshot handles so both
-/// route a key to the same captured shard view.
+/// hashing), so dense sequential key ranges spread evenly across shards.
 fn shard_of_key(key: SortKey, n: usize) -> usize {
     let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % n
+}
+
+/// One [`ReadView`] per shard, by shard index — live views for the store
+/// itself, pinned ones behind a [`Snapshot`] — and the one read fan-out both
+/// go through.
+struct ShardViews(Vec<ReadView>);
+
+impl ShardViews {
+    fn get(&self, key: SortKey) -> Result<Option<Bytes>> {
+        self.0[shard_of_key(key, self.0.len())].get(key)
+    }
+
+    /// Heap-merges one sorted stream per shard into global sort-key order.
+    /// Hash partitioning puts every sort key in exactly one shard and each
+    /// stream has already resolved its own versions and tombstones, so the
+    /// merge meets no duplicate key and shadows nothing.
+    fn merged<C: EntryCursor + 'static>(
+        &self,
+        stream: impl Fn(&ReadView) -> Result<C>,
+    ) -> Result<MergeIterator> {
+        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(self.0.len());
+        for view in &self.0 {
+            cursors.push(Box::new(stream(view)?));
+        }
+        MergeIterator::new(cursors, Vec::new(), false)
+    }
+
+    fn iter_range(&self, lo: SortKey, hi: SortKey) -> RangeIter {
+        RangeIter::new(self.merged(|view| view.range_merge(lo, hi)))
+    }
+
+    fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
+        let mut merge = self
+            .merged(|view| Ok(VecCursor::from_sorted(view.scan_by_delete_key(lo, hi)?)))?;
+        let mut out = Vec::new();
+        while let Some(e) = merge.next_merged()? {
+            out.push(e);
+        }
+        Ok(out)
+    }
 }
 
 /// Whether `ops` contains a secondary range delete — the one batch op that
@@ -678,6 +726,8 @@ pub struct BackpressureStats {
 /// every shard's background worker.
 pub struct ShardedLethe {
     shards: Vec<Shard>,
+    /// Every shard's live read view, by shard index.
+    views: ShardViews,
     clock: LogicalClock,
     /// The block cache shared by every shard, if one was configured.
     cache: Option<Arc<PageCache>>,
@@ -727,8 +777,7 @@ impl ShardedLethe {
         self.shards.len()
     }
 
-    /// The shard owning `key`: multiply-shift hash (Fibonacci hashing), so
-    /// dense sequential key ranges spread evenly across shards.
+    /// The shard owning `key`.
     fn shard_of(&self, key: SortKey) -> usize {
         shard_of_key(key, self.shards.len())
     }
@@ -996,7 +1045,7 @@ impl ShardedLethe {
     /// Point lookup — served lock-free from the owning shard's snapshot
     /// read surface; never blocked by writers, flushes or compactions.
     pub fn get(&self, key: SortKey) -> Result<Option<Bytes>> {
-        self.shards[self.shard_of(key)].reader.get(key)
+        self.views.get(key)
     }
 
     /// Point delete on the sort key. Returns `false` if the owning shard
@@ -1046,8 +1095,8 @@ impl ShardedLethe {
         self.iter_range(lo, hi).collect()
     }
 
-    /// Streaming range scan over `[lo, hi)` across every shard: k-way merges
-    /// the per-shard streaming cursors into one iterator of live
+    /// Streaming range scan over `[lo, hi)` across every shard: heap-merges
+    /// the per-shard streaming merges into one iterator of live
     /// `(key, value)` pairs in global sort-key order. Each shard's pages are
     /// decoded lazily as the iterator advances, so callers can page through
     /// arbitrarily large scans (backups, analytics, cursors-over-HTTP)
@@ -1057,34 +1106,18 @@ impl ShardedLethe {
     /// Consistency matches `range`: each shard's snapshot is pinned when
     /// this is called (no shard locks taken), so the scan is unaffected by
     /// concurrent maintenance, but the per-shard snapshots are taken one
-    /// after another — the usual weakly-consistent fan-out contract.
-    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> ShardedRangeIter {
-        let mut heads = Vec::with_capacity(self.shards.len());
-        let mut pending_err = None;
-        for shard in &self.shards {
-            match shard.reader.iter_range(lo, hi) {
-                Ok(iter) => {
-                    let mut head = ShardHead { iter, next: None };
-                    head.pull(&mut pending_err);
-                    heads.push(head);
-                }
-                Err(e) => {
-                    pending_err.get_or_insert(e);
-                }
-            }
-        }
-        ShardedRangeIter { heads, pending_err, done: false }
+    /// after another — the usual weakly-consistent fan-out contract. A
+    /// failure to open any shard's stream is yielded by the first `next()`;
+    /// like any later I/O error, it ends the scan.
+    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> RangeIter {
+        self.views.iter_range(lo, hi)
     }
 
     /// Secondary range lookup: every live entry whose delete key lies in
     /// `[lo, hi)`, across all shards, in sort-key order. Served from the
     /// per-shard snapshot readers without shard locks.
     pub fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            per_shard.push(shard.reader.secondary_range_scan(lo, hi)?);
-        }
-        Ok(merge_sorted_by_key(per_shard, |e: &Entry| e.sort_key))
+        self.views.scan_by_delete_key(lo, hi)
     }
 
     /// Captures a consistent cross-shard point-in-time view of the whole
@@ -1111,11 +1144,11 @@ impl ShardedLethe {
         let guards: Vec<_> = self.shards.iter().map(|s| s.engine.lock()).collect();
         let fence = self.seqnums.load(Ordering::SeqCst);
         self.snapshots.register(fence);
-        let shards: Vec<TreeSnapshot> = guards.iter().map(|g| g.tree().capture_snapshot()).collect();
+        let views = ShardViews(guards.iter().map(|g| g.tree().capture_snapshot()).collect());
         drop(guards);
         let inner = Arc::new(SnapshotInner {
             fence,
-            shards,
+            views,
             tracker: Arc::clone(&self.snapshots),
         });
         let id = self.snapshot_ids.fetch_add(1, Ordering::Relaxed);
@@ -1191,24 +1224,15 @@ impl ShardedLethe {
         }
         let backend: Arc<dyn StorageBackend> = Arc::new(backend);
         let config = self.shards[0].engine.lock().config().clone();
-        // one source stream per shard; hash partitioning puts every sort
-        // key in exactly one shard, so the pick-min merge needs no
-        // cross-shard dedup
-        let mut streams = Vec::with_capacity(inner.shards.len());
-        let mut heads: Vec<Option<Entry>> = Vec::with_capacity(inner.shards.len());
-        for shard in &inner.shards {
-            let mut stream = shard.entry_merge()?;
-            heads.push(stream.next_merged()?);
-            streams.push(stream);
-        }
+        let views = &inner.views.0;
+        let mut stream = inner.views.merged(ReadView::entry_merge)?;
         // range tombstones live outside the page stream; carry every one
         // visible at the fence in the first table's range-tombstone block
         // (their shadowing was already applied to the merged entries, so
         // re-applying it on restore is idempotent)
-        let mut rts: Vec<Entry> = inner.shards.iter().flat_map(|s| s.all_range_tombstones()).collect();
+        let mut rts: Vec<Entry> = views.iter().flat_map(|v| v.all_range_tombstones()).collect();
         rts.sort_by_key(|e| (e.sort_key, e.seqnum));
-        let oldest_tombstone_ts =
-            inner.shards.iter().filter_map(|s| s.oldest_tombstone_ts()).min();
+        let oldest_tombstone_ts = views.iter().filter_map(|v| v.oldest_tombstone_ts()).min();
         let entries_per_file =
             (config.max_pages_per_file.max(1) * config.entries_per_page.max(1)).max(1);
         let created_at = self.clock.now();
@@ -1217,16 +1241,8 @@ impl ShardedLethe {
         loop {
             let mut chunk: Vec<Entry> = Vec::with_capacity(entries_per_file.min(1024));
             while chunk.len() < entries_per_file {
-                let best = heads
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, h)| h.as_ref().map(|e| (i, e.sort_key)))
-                    .min_by_key(|&(_, k)| k);
-                let Some((i, _)) = best else { break };
-                if let Some(e) = heads[i].take() {
-                    chunk.push(e);
-                }
-                heads[i] = streams[i].next_merged()?;
+                let Some(e) = stream.next_merged()? else { break };
+                chunk.push(e);
             }
             let chunk_rts = std::mem::take(&mut rts);
             if chunk.is_empty() && chunk_rts.is_empty() {
@@ -1261,7 +1277,7 @@ impl ShardedLethe {
         }
         manifest.commit(state)?;
         let marker =
-            CheckpointMarker { fence: inner.fence, shards: inner.shards.len() as u32 };
+            CheckpointMarker { fence: inner.fence, shards: views.len() as u32 };
         write_marker(dir, marker, &self.manifest_fsyncs, self.failpoint.as_ref())?;
         Ok(marker)
     }
@@ -1400,72 +1416,6 @@ impl ShardedLethe {
     }
 }
 
-/// One shard's stream inside a [`ShardedRangeIter`]: the shard's pinned
-/// streaming cursor plus its buffered head item.
-struct ShardHead {
-    iter: RangeIter,
-    next: Option<(SortKey, Bytes)>,
-}
-
-impl ShardHead {
-    /// Advances the underlying stream into the head slot; an error parks in
-    /// `pending_err` (first error wins) and leaves the head empty.
-    fn pull(&mut self, pending_err: &mut Option<lethe_storage::StorageError>) {
-        match self.iter.next() {
-            Some(Ok(kv)) => self.next = Some(kv),
-            Some(Err(e)) => {
-                self.next = None;
-                pending_err.get_or_insert(e);
-            }
-            None => self.next = None,
-        }
-    }
-}
-
-/// A streaming cross-shard range scan; obtained from
-/// [`ShardedLethe::iter_range`].
-///
-/// Yields `Result<(key, value)>` in global sort-key order (hash partitioning
-/// puts every key in exactly one shard, so there are no cross-shard ties).
-/// Each shard contributes through its own pinned snapshot cursor; pages are
-/// decoded lazily as the merge advances. If any shard's stream fails, the
-/// error is yielded once (after the items already merged) and the iterator
-/// is fused.
-pub struct ShardedRangeIter {
-    heads: Vec<ShardHead>,
-    pending_err: Option<lethe_storage::StorageError>,
-    done: bool,
-}
-
-impl Iterator for ShardedRangeIter {
-    type Item = Result<(SortKey, Bytes)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        let mut best: Option<(usize, SortKey)> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some((k, _)) = &head.next {
-                if best.is_none_or(|(_, bk)| *k < bk) {
-                    best = Some((i, *k));
-                }
-            }
-        }
-        let Some((i, _)) = best else {
-            self.done = true;
-            return None;
-        };
-        let item = self.heads[i].next.take().expect("best head has an item");
-        self.heads[i].pull(&mut self.pending_err);
-        Some(Ok(item))
-    }
-}
-
 /// The pinned state behind one [`Snapshot`] handle: the per-shard captured
 /// views plus the tracker registration covering them. Lives in the store's
 /// snapshot registry (the only strong `Arc`); dropping it — via handle drop
@@ -1474,7 +1424,7 @@ impl Iterator for ShardedRangeIter {
 /// reclamation resume.
 struct SnapshotInner {
     fence: SeqNum,
-    shards: Vec<TreeSnapshot>,
+    views: ShardViews,
     tracker: Arc<SnapshotTracker>,
 }
 
@@ -1532,54 +1482,28 @@ impl Snapshot {
 
     /// Point lookup at the snapshot: the value of `key` as of the fence.
     pub fn get(&self, key: SortKey) -> Result<Option<Bytes>> {
-        let inner = self.pinned()?;
-        inner.shards[shard_of_key(key, inner.shards.len())].get(key)
+        self.pinned()?.views.get(key)
     }
 
     /// Range lookup over `[lo, hi)` at the snapshot, merged back into
     /// global sort-key order across shards.
     pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        let inner = self.pinned()?;
-        let mut per_shard = Vec::with_capacity(inner.shards.len());
-        for shard in &inner.shards {
-            per_shard.push(shard.range(lo, hi)?);
-        }
-        Ok(merge_sorted_by_key(per_shard, |kv: &(SortKey, Bytes)| kv.0))
+        self.iter_range(lo, hi)?.collect()
     }
 
     /// Streaming range scan over `[lo, hi)` at the snapshot: the frozen
-    /// twin of [`ShardedLethe::iter_range`], k-way merging per-shard
-    /// cursors over the captured state. The returned iterator owns its own
-    /// pins, so it remains valid even if the handle is expired mid-scan.
-    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<ShardedRangeIter> {
-        let inner = self.pinned()?;
-        let mut heads = Vec::with_capacity(inner.shards.len());
-        let mut pending_err = None;
-        for shard in &inner.shards {
-            match shard.iter_range(lo, hi) {
-                Ok(iter) => {
-                    let mut head = ShardHead { iter, next: None };
-                    head.pull(&mut pending_err);
-                    heads.push(head);
-                }
-                Err(e) => {
-                    pending_err.get_or_insert(e);
-                }
-            }
-        }
-        Ok(ShardedRangeIter { heads, pending_err, done: false })
+    /// twin of [`ShardedLethe::iter_range`], over the captured state. The
+    /// returned iterator owns its own pins, so it remains valid even if the
+    /// handle is expired mid-scan.
+    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<RangeIter> {
+        Ok(self.pinned()?.views.iter_range(lo, hi))
     }
 
     /// Secondary range lookup at the snapshot: every entry live at the
     /// fence whose delete key lies in `[lo, hi)`, across all shards, in
     /// sort-key order.
     pub fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
-        let inner = self.pinned()?;
-        let mut per_shard = Vec::with_capacity(inner.shards.len());
-        for shard in &inner.shards {
-            per_shard.push(shard.scan_by_delete_key(lo, hi)?);
-        }
-        Ok(merge_sorted_by_key(per_shard, |e: &Entry| e.sort_key))
+        self.pinned()?.views.scan_by_delete_key(lo, hi)
     }
 }
 
@@ -1590,32 +1514,6 @@ impl Drop for Snapshot {
         let inner = self.registry.lock().remove(&self.id);
         drop(inner);
     }
-}
-
-/// K-way merges per-source vectors that are each already sorted by `key`
-/// into one globally sorted vector. Ties across sources are broken by source
-/// index, which makes fan-out results deterministic.
-fn merge_sorted_by_key<T, K: Ord + Copy>(sources: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    let total: usize = sources.iter().map(Vec::len).sum();
-    let mut heads: Vec<std::iter::Peekable<std::vec::IntoIter<T>>> =
-        sources.into_iter().map(|v| v.into_iter().peekable()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, K)> = None;
-        for (i, head) in heads.iter_mut().enumerate() {
-            if let Some(item) = head.peek() {
-                let k = key(item);
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        match best {
-            Some((i, _)) => out.push(heads[i].next().unwrap()),
-            None => break,
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1933,6 +1831,7 @@ mod tests {
         db.delete_where_delete_key_in(0, 5).unwrap();
         db.maintain().unwrap();
         // the snapshot still answers as of the fence
+        let before = db.stats();
         assert_eq!(snap.get(7).unwrap(), Some(Bytes::from("v7")));
         assert_eq!(snap.get(60).unwrap(), Some(Bytes::from("v60")));
         let frozen = snap.range(0, 300).unwrap();
@@ -1946,6 +1845,11 @@ mod tests {
         assert_eq!(streamed, frozen);
         // secondary scan at the fence still sees delete keys [0, 5)
         assert!(!snap.scan_by_delete_key(0, 5).unwrap().is_empty());
+        // snapshot reads are counted like live ones: two gets, and three
+        // fan-out reads that each count once per shard
+        let after = db.stats();
+        assert_eq!(after.point_lookups - before.point_lookups, 2);
+        assert_eq!(after.range_lookups - before.range_lookups, 3 * 3);
         // the live view moved on
         assert_eq!(db.get(7).unwrap(), None);
         assert_eq!(db.get(60).unwrap(), None);

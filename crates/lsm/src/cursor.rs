@@ -8,7 +8,7 @@
 //! (O(n log n) work and O(n) memory per scan). This module replaces that
 //! with *cursors*:
 //!
-//! * [`EntryCursor`] — a fallible peekable stream of entries sorted on
+//! * [`EntryCursor`] — a fallible stream of entries sorted on
 //!   `(sort key asc, seqnum desc)`.
 //! * [`VecCursor`] / [`SharedSliceCursor`] — in-memory sources (memtable
 //!   snapshots, the frozen flush buffer).
@@ -18,28 +18,28 @@
 //! * [`MergeIterator`] — a binary-heap k-way merge over cursors that yields
 //!   the newest version per key with range-tombstone shadowing applied
 //!   incrementally through a sorted [`TombstoneWindow`] (O(log t) per entry
-//!   instead of a full tombstone-list scan per entry).
+//!   instead of a full tombstone-list scan per entry). A merge is itself an
+//!   [`EntryCursor`], so merges nest: the sharded front-end merges one
+//!   merged stream per shard.
 //!
-//! The consumers are `TreeReader::range`/`iter_range` (version-pinned
-//! streaming scans) and `JobPlan::execute` (compactions and flushes merge
-//! with memory bounded by *output file granularity*, not total input size).
+//! The consumers are `ReadView::iter_range` (streaming scans over pinned
+//! files; `range` collects it), the cross-shard fan-out and checkpoint in
+//! `lethe-core`, and `JobPlan::execute` (compactions and flushes merge with
+//! memory bounded by *output file granularity*, not total input size).
 
 use crate::sstable::SsTable;
 use lethe_storage::{Entry, Result, SeqNum, SortKey, StorageBackend};
 use std::cmp::Ordering as CmpOrdering;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// A fallible stream of entries sorted on `(sort_key asc, seqnum desc)`.
 ///
-/// `peek` exposes the next entry without consuming it; `next_entry` consumes
-/// it. Sources that read from a device (the [`SsTableCursor`]) surface I/O
-/// errors from either call; in-memory sources never fail.
+/// Sources that read from a device (the [`SsTableCursor`]) surface I/O
+/// errors; in-memory sources never fail.
 pub trait EntryCursor: Send {
-    /// The next entry this cursor will yield, without consuming it.
-    fn peek(&mut self) -> Result<Option<&Entry>>;
-
     /// Consumes and returns the next entry.
     fn next_entry(&mut self) -> Result<Option<Entry>>;
 }
@@ -103,7 +103,6 @@ pub fn entry_order(a: &Entry, b: &Entry) -> CmpOrdering {
 #[derive(Debug)]
 pub struct VecCursor {
     iter: std::vec::IntoIter<Entry>,
-    head: Option<Entry>,
 }
 
 impl VecCursor {
@@ -113,9 +112,7 @@ impl VecCursor {
         debug_assert!(entries
             .windows(2)
             .all(|w| entry_order(&w[0], &w[1]) != CmpOrdering::Greater));
-        let mut iter = entries.into_iter();
-        let head = iter.next();
-        VecCursor { iter, head }
+        VecCursor { iter: entries.into_iter() }
     }
 
     /// Builds a cursor over entries in arbitrary order (sorts them first).
@@ -126,12 +123,8 @@ impl VecCursor {
 }
 
 impl EntryCursor for VecCursor {
-    fn peek(&mut self) -> Result<Option<&Entry>> {
-        Ok(self.head.as_ref())
-    }
-
     fn next_entry(&mut self) -> Result<Option<Entry>> {
-        Ok(std::mem::replace(&mut self.head, self.iter.next()))
+        Ok(self.iter.next())
     }
 }
 
@@ -154,14 +147,6 @@ impl<T: AsRef<[Entry]> + Send> SharedSliceCursor<T> {
 }
 
 impl<T: AsRef<[Entry]> + Send> EntryCursor for SharedSliceCursor<T> {
-    fn peek(&mut self) -> Result<Option<&Entry>> {
-        if self.pos < self.end {
-            Ok(self.data.as_ref().get(self.pos))
-        } else {
-            Ok(None)
-        }
-    }
-
     fn next_entry(&mut self) -> Result<Option<Entry>> {
         if self.pos < self.end {
             let e = self.data.as_ref()[self.pos].clone();
@@ -298,11 +283,6 @@ impl SsTableCursor {
 }
 
 impl EntryCursor for SsTableCursor {
-    fn peek(&mut self) -> Result<Option<&Entry>> {
-        self.fill()?;
-        Ok(self.buf.get(self.pos))
-    }
-
     fn next_entry(&mut self) -> Result<Option<Entry>> {
         self.fill()?;
         if self.pos < self.buf.len() {
@@ -474,11 +454,13 @@ impl MergeIterator {
     /// Returns the next surviving entry of the merge, or `None` when every
     /// source is exhausted.
     pub fn next_merged(&mut self) -> Result<Option<Entry>> {
-        while let Some(head) = self.heap.pop() {
-            let HeapHead { entry, src } = head;
-            if let Some(refill) = self.cursors[src].next_entry()? {
-                self.heap.push(HeapHead { entry: refill, src });
-            }
+        while let Some(mut head) = self.heap.peek_mut() {
+            // swap the source's next entry into the top slot (one sift when
+            // `head` drops) instead of a pop followed by a push
+            let entry = match self.cursors[head.src].next_entry()? {
+                Some(refill) => std::mem::replace(&mut head.entry, refill),
+                None => PeekMut::pop(head).entry,
+            };
             if self.last_key == Some(entry.sort_key) {
                 continue; // an older version of a key already decided
             }
@@ -492,6 +474,15 @@ impl MergeIterator {
             return Ok(Some(entry));
         }
         Ok(None)
+    }
+}
+
+/// A merge is a sorted, one-version-per-key stream, hence a valid input to
+/// an outer merge: the cross-shard scan and checkpoint in `lethe-core`
+/// merge one per-shard merged stream per shard.
+impl EntryCursor for MergeIterator {
+    fn next_entry(&mut self) -> Result<Option<Entry>> {
+        self.next_merged()
     }
 }
 
@@ -517,13 +508,11 @@ mod tests {
     #[test]
     fn vec_cursor_streams_in_order() {
         let mut c = VecCursor::from_unsorted(vec![put(3, 1), put(1, 2), put(2, 3)]);
-        assert_eq!(c.peek().unwrap().unwrap().sort_key, 1);
         assert_eq!(c.next_entry().unwrap().unwrap().sort_key, 1);
         assert_eq!(c.next_entry().unwrap().unwrap().sort_key, 2);
-        assert_eq!(c.peek().unwrap().unwrap().sort_key, 3);
         assert_eq!(c.next_entry().unwrap().unwrap().sort_key, 3);
         assert!(c.next_entry().unwrap().is_none());
-        assert!(c.peek().unwrap().is_none());
+        assert!(c.next_entry().unwrap().is_none());
     }
 
     #[test]
@@ -548,6 +537,22 @@ mod tests {
             MergeIterator::new(vec![Box::new(a), Box::new(b)], vec![], false).unwrap(),
         );
         assert_eq!(out, vec![dup]);
+    }
+
+    #[test]
+    fn merges_nest_as_cursors() {
+        // two per-shard streams over disjoint keys, tombstones retained (the
+        // checkpoint shape), merged into global key order
+        let shard = |entries: Vec<Entry>| {
+            let cursor: Box<dyn EntryCursor> = Box::new(VecCursor::from_sorted(entries));
+            MergeIterator::new(vec![cursor], vec![], false).unwrap()
+        };
+        let a = shard(vec![put(1, 4), Entry::point_tombstone(4, 9)]);
+        let b = shard(vec![put(2, 7), put(3, 1)]);
+        let out =
+            collect(MergeIterator::new(vec![Box::new(a), Box::new(b)], vec![], false).unwrap());
+        let got: Vec<(u64, bool)> = out.iter().map(|e| (e.sort_key, e.is_tombstone())).collect();
+        assert_eq!(got, vec![(1, false), (2, false), (3, false), (4, true)]);
     }
 
     #[test]

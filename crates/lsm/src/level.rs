@@ -48,19 +48,9 @@ impl Run {
         self.tables.iter().map(|t| t.meta.num_entries).sum()
     }
 
-    /// The file whose key range may contain `key`, if any.
-    pub fn find(&self, key: SortKey) -> Option<&Arc<SsTable>> {
-        self.tables.iter().find(|t| t.key_in_range(key))
-    }
-
     /// Every file whose key range overlaps `[lo, hi)`.
     pub fn overlapping_range(&self, lo: SortKey, hi: SortKey) -> Vec<Arc<SsTable>> {
         self.tables.iter().filter(|t| t.overlaps_sort_range(lo, hi)).cloned().collect()
-    }
-
-    /// Every file overlapping the key range of `other`.
-    pub fn overlapping_table(&self, other: &SsTable) -> Vec<Arc<SsTable>> {
-        self.tables.iter().filter(|t| t.overlaps_table(other)).cloned().collect()
     }
 
     /// Looks up a file by id.
@@ -179,9 +169,6 @@ mod tests {
         let run = Run::new(vec![table(2, 100, 200, &backend), table(1, 0, 100, &backend)]);
         assert_eq!(run.len(), 2);
         assert_eq!(run.tables()[0].meta.id, 1);
-        assert_eq!(run.find(50).unwrap().meta.id, 1);
-        assert_eq!(run.find(150).unwrap().meta.id, 2);
-        assert!(run.find(500).is_none());
         assert!(run.find_by_id(2).is_some());
         assert!(run.find_by_id(9).is_none());
         assert_eq!(run.total_entries(), 200);
@@ -195,8 +182,6 @@ mod tests {
         assert_eq!(run.overlapping_range(50, 150).len(), 2);
         assert_eq!(run.overlapping_range(0, 50).len(), 1);
         assert_eq!(run.overlapping_range(300, 400).len(), 0);
-        let probe = table(3, 90, 110, &backend);
-        assert_eq!(run.overlapping_table(&probe).len(), 2);
     }
 
     #[test]

@@ -22,10 +22,13 @@
 //!   tombstones, periodic full-tree compaction).
 //! * [`batch`] — [`batch::WriteBatch`], the atomic multi-op unit the
 //!   group-commit write path logs as a single WAL frame.
-//! * [`tree`] — [`tree::LsmTree`], the engine: puts, deletes, range deletes,
-//!   secondary range deletes, lookups, scans, flush and compaction, plus the
-//!   lock-free [`tree::TreeReader`] read surface and the plan/execute/apply
-//!   job cycle a background worker drives.
+//! * [`tree`] — [`tree::LsmTree`], the engine's write surface: puts,
+//!   deletes, range deletes, secondary range deletes, flush and compaction,
+//!   recovery, and the plan/execute/apply job cycle a background worker
+//!   drives.
+//! * [`read`] — [`read::ReadView`], the one read path: point lookups, range
+//!   scans, delete-key scans and the checkpoint stream, served lock-free
+//!   either live (the tree's current state) or pinned (an MVCC capture).
 //! * [`version`] — immutable, `Arc`-shared version sets: snapshot-isolated
 //!   reads and deferred page reclamation.
 //! * [`reclaim`] — the page-retirement choke point every engine-path
@@ -51,6 +54,7 @@ pub mod config;
 pub mod cursor;
 pub mod level;
 pub mod merge;
+pub mod read;
 pub mod reclaim;
 pub mod snapshot;
 pub mod sstable;
@@ -68,12 +72,10 @@ pub use cursor::{EntryCursor, MergeIterator, SsTableCursor, TombstoneWindow, Vec
 pub use config::{CompactionStrategy, LsmConfig, MergePolicy, SecondaryDeleteMode};
 pub use level::{Level, Run};
 pub use merge::{merge_entries, MergeOutput};
+pub use read::{RangeIter, ReadView};
 pub use snapshot::SnapshotTracker;
 pub use sstable::{DeleteTile, PageHandle, SecondaryDeleteStats, SsTable, SsTableMeta};
 pub use stats::{ContentSnapshot, TreeStats};
 pub use strategy::{DateTieredPolicy, SizeTieredPolicy};
-pub use tree::{
-    BuildCtx, JobOutput, JobPlan, LsmTree, MaintenanceMode, RangeIter, RecoveryReport,
-    TreeReader, TreeSnapshot,
-};
+pub use tree::{BuildCtx, JobOutput, JobPlan, LsmTree, MaintenanceMode, RecoveryReport};
 pub use version::{Version, VersionSet};

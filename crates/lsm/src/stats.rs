@@ -53,9 +53,11 @@ pub struct TreeStats {
     pub tombstone_gc_delayed: u64,
     /// Aggregate page-drop outcomes of all secondary range deletes.
     pub secondary_delete: SecondaryDeleteStats,
-    /// Number of point lookups served.
+    /// Number of point lookups served, through live views and through
+    /// pinned snapshot views of this tree alike.
     pub point_lookups: u64,
-    /// Number of range lookups served.
+    /// Number of range lookups served (sort-key ranges, streaming scans and
+    /// delete-key scans), through live and pinned snapshot views alike.
     pub range_lookups: u64,
     /// Bytes of table data written by memtable flushes (the unavoidable
     /// first copy of every ingested byte).

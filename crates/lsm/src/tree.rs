@@ -17,9 +17,10 @@
 //! flushes, compactions — serialised by the owner, e.g. a shard mutex) and a
 //! *read surface* that is lock-free with respect to the writer: disk levels
 //! live in an immutable, `Arc`-shared [`VersionSet`] and the write buffer in
-//! shared `active`/`frozen` memtables, so [`TreeReader`] handles obtained
+//! shared `active`/`frozen` memtables, so [`ReadView`] handles obtained
 //! from [`LsmTree::reader`] serve `get`/`range`/secondary scans from any
-//! thread while flushes and compactions run. Structural work is further
+//! thread while flushes and compactions run (the read path itself lives in
+//! [`crate::read`]). Structural work is further
 //! split into **plan → execute → apply** phases ([`LsmTree::plan_job`],
 //! [`JobPlan::execute`], [`LsmTree::apply_job`]): planning and applying need
 //! the write lock but are cheap pointer work, while the expensive execute
@@ -30,11 +31,10 @@
 
 use crate::compaction::{CompactionPolicy, CompactionTask, TreeView};
 use crate::config::{LsmConfig, MergePolicy, SecondaryDeleteMode};
-use crate::cursor::{
-    probe, EntryCursor, MergeIterator, SharedSliceCursor, SsTableCursor, VecCursor,
-};
+use crate::cursor::{probe, EntryCursor, MergeIterator, SharedSliceCursor, SsTableCursor};
 use crate::level::{Level, Run};
 use crate::merge::merge_entries;
+use crate::read::{FrozenBuffer, FrozenEntries, MemState, ReadView};
 use crate::snapshot::SnapshotTracker;
 use crate::sstable::{SecondaryDeleteStats, SsTable};
 use crate::stats::{ContentSnapshot, TreeStats};
@@ -42,11 +42,10 @@ use crate::version::{Version, VersionSet};
 use bytes::Bytes;
 use crate::batch::WriteBatch;
 use lethe_storage::{
-    BatchOp, DeleteKey, Entry, EntryKind, FailPoint, Histogram, IoSnapshot, LogicalClock,
-    Manifest, ManifestState, MemTable, PageId, Result, SeqNum, SortKey, StorageBackend,
-    StorageError, Timestamp, Wal, WalRecord,
+    BatchOp, DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, LogicalClock,
+    Manifest, ManifestState, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError,
+    Timestamp, Wal, WalRecord,
 };
-use lethe_sync::{LockRank, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,653 +79,6 @@ pub enum MaintenanceMode {
     /// [`JobPlan::execute`] / [`LsmTree::apply_job`], and the writer applies
     /// backpressure via [`LsmTree::write_stalled`].
     Background,
-}
-
-/// Lock-free read-side operation counters (the read surface has no `&mut`
-/// access to [`TreeStats`]); folded into [`LsmTree::stats`] on demand.
-#[derive(Debug, Default)]
-struct ReadCounters {
-    point_lookups: AtomicU64,
-    range_lookups: AtomicU64,
-}
-
-/// An immutable snapshot of a drained write buffer, awaiting its flush.
-///
-/// Readers consult it between the moment the active memtable is frozen and
-/// the moment the flushed version is installed, so no acknowledged write is
-/// ever invisible.
-#[derive(Debug, Clone)]
-struct FrozenBuffer {
-    /// Point entries, sorted on the sort key, one (newest) version per key.
-    entries: Vec<Entry>,
-    /// Range tombstones in insertion order.
-    range_tombstones: Vec<Entry>,
-    /// Insertion time of the oldest tombstone in the buffer.
-    oldest_tombstone_ts: Option<Timestamp>,
-    /// WAL position at freeze time: the flush that persists this buffer may
-    /// discard exactly the first `wal_upto` records, keeping records that
-    /// were appended concurrently with the background flush.
-    wal_upto: u64,
-}
-
-impl FrozenBuffer {
-    fn get(&self, sort_key: SortKey) -> Option<Entry> {
-        let point = self
-            .entries
-            .binary_search_by(|e| e.sort_key.cmp(&sort_key))
-            .ok()
-            .map(|i| self.entries[i].clone());
-        let covering_rt = self
-            .range_tombstones
-            .iter()
-            .filter(|t| t.covers(sort_key))
-            .max_by_key(|t| t.seqnum);
-        Entry::resolve_point_read(sort_key, point, covering_rt)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn purge_by_delete_key(&mut self, lo: DeleteKey, hi: DeleteKey) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| e.is_tombstone() || e.delete_key < lo || e.delete_key >= hi);
-        before - self.entries.len()
-    }
-}
-
-/// Adapter exposing a pinned frozen buffer's point entries as a sorted
-/// slice, so a scan streams them through a [`SharedSliceCursor`] instead of
-/// copying the buffer.
-#[derive(Clone)]
-struct FrozenEntries(Arc<FrozenBuffer>);
-
-impl AsRef<[Entry]> for FrozenEntries {
-    fn as_ref(&self) -> &[Entry] {
-        &self.0.entries
-    }
-}
-
-/// The shared write-buffer state: the active memtable plus at most one
-/// frozen buffer being flushed. Writers mutate `active` under its write
-/// lock; readers take brief read locks in the order the data moves
-/// (active → frozen → version set), so an entry is always visible in at
-/// least one of the three places.
-#[derive(Debug)]
-struct MemState {
-    active: RwLock<MemTable>,
-    /// `Arc` so the flush plan pins the buffer with a pointer clone instead
-    /// of copying it under the shard lock; the rare in-place mutation
-    /// (secondary-delete purge, which runs with the worker paused) goes
-    /// through [`Arc::make_mut`].
-    frozen: RwLock<Option<Arc<FrozenBuffer>>>,
-}
-
-impl Default for MemState {
-    fn default() -> Self {
-        MemState {
-            active: RwLock::new(LockRank::MemtableActive, MemTable::default()),
-            frozen: RwLock::new(LockRank::MemtableFrozen, None),
-        }
-    }
-}
-
-/// A cheap-to-clone, `Send + Sync` handle serving snapshot-isolated reads
-/// without the tree's write lock.
-///
-/// Obtained from [`LsmTree::reader`]. Every operation pins the current
-/// [`Version`] (one `Arc` clone) and reads the shared memtables under brief
-/// read locks, so a reader is never blocked by a running flush or
-/// compaction, and never observes a half-committed version: version
-/// installation is a single pointer swap, and the pages of a pinned version
-/// are not reclaimed until the pin is dropped.
-///
-/// Consistency: point lookups are linearizable with respect to the writer
-/// (a write is visible the moment it is acknowledged). Multi-key operations
-/// (`range`, `scan_by_delete_key`) read the buffer and the version at
-/// slightly different instants and are therefore *weakly* consistent with
-/// concurrent writers — exactly the contract the sharded front-end already
-/// documents for fan-out reads.
-#[derive(Clone)]
-pub struct TreeReader {
-    config: LsmConfig,
-    backend: Arc<dyn StorageBackend>,
-    mem: Arc<MemState>,
-    versions: Arc<VersionSet>,
-    counters: Arc<ReadCounters>,
-}
-
-impl TreeReader {
-    /// Point lookup: returns the current value of `sort_key`, or `None` if
-    /// the key does not exist or has been deleted.
-    pub fn get(&self, sort_key: SortKey) -> Result<Option<Bytes>> {
-        self.counters.point_lookups.fetch_add(1, Ordering::Relaxed);
-        Ok(match self.get_entry(sort_key)? {
-            Some(e) if e.kind == EntryKind::Put => Some(e.value),
-            _ => None,
-        })
-    }
-
-    /// Newest version (possibly a tombstone) of `sort_key`, or `None`.
-    fn get_entry(&self, sort_key: SortKey) -> Result<Option<Entry>> {
-        if let Some(e) = self.mem.active.read().get(sort_key) {
-            return Ok(Some(e));
-        }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            if let Some(e) = f.get(sort_key) {
-                return Ok(Some(e));
-            }
-        }
-        let version = self.versions.current();
-        self.disk_entry(&version, sort_key)
-    }
-
-    /// Newest on-device version of `sort_key` within a pinned version.
-    fn disk_entry(&self, version: &Version, sort_key: SortKey) -> Result<Option<Entry>> {
-        disk_point_lookup(version, self.backend.as_ref(), sort_key)
-    }
-
-    /// Builds the streaming merge a sort-key range scan runs on: one cursor
-    /// per source (active snapshot, pinned frozen buffer, fence-pruned lazy
-    /// file cursors of the pinned version), newest source first, plus every
-    /// source's range tombstones for the shadowing window. The returned
-    /// version pin must be held for as long as the merge is consumed.
-    fn build_range_merge(
-        &self,
-        lo: SortKey,
-        hi: SortKey,
-    ) -> Result<(MergeIterator, Arc<Version>)> {
-        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::new();
-        let mut rts: Vec<Entry> = Vec::new();
-        {
-            // the active memtable is mutable, so its in-range slice is the
-            // one source a streaming scan snapshots eagerly (bounded by the
-            // buffer capacity, not by the scan length)
-            let active = self.mem.active.read();
-            cursors.push(Box::new(VecCursor::from_sorted(active.range(lo, hi))));
-            rts.extend(active.range_tombstones().iter().cloned());
-        }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            let start = f.entries.partition_point(|e| e.sort_key < lo);
-            let end = f.entries.partition_point(|e| e.sort_key < hi);
-            rts.extend(f.range_tombstones.iter().cloned());
-            cursors.push(Box::new(SharedSliceCursor::new(
-                FrozenEntries(Arc::clone(f)),
-                start,
-                end,
-            )));
-        }
-        let version = self.versions.current();
-        for table in version.overlapping_tables(lo, hi) {
-            rts.extend(table.range_tombstones.iter().cloned());
-            cursors.push(Box::new(SsTableCursor::new(
-                table,
-                Arc::clone(&self.backend),
-                lo,
-                hi,
-                false,
-            )));
-        }
-        Ok((MergeIterator::new(cursors, rts, true)?, version))
-    }
-
-    /// Range lookup on the sort key: returns the live `(key, value)` pairs in
-    /// `[lo, hi)`, newest version per key, in key order.
-    ///
-    /// Internally this drains [`TreeReader::iter_range`]'s streaming merge;
-    /// callers that do not need the whole result at once should use the
-    /// iterator directly.
-    pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        self.counters.range_lookups.fetch_add(1, Ordering::Relaxed);
-        if hi <= lo {
-            return Ok(Vec::new());
-        }
-        let (mut merge, _pin) = self.build_range_merge(lo, hi)?;
-        let mut out = Vec::new();
-        while let Some(e) = merge.next_merged()? {
-            out.push((e.sort_key, e.value));
-        }
-        Ok(out)
-    }
-
-    /// Streaming range scan over `[lo, hi)`: yields the live `(key, value)`
-    /// pairs in key order, newest version per key, decoding file pages
-    /// lazily one delete tile at a time as the iterator is advanced — a long
-    /// scan that stops early never reads the tail, and no scan materialises
-    /// the tables it crosses.
-    ///
-    /// The iterator owns a stable snapshot taken at creation: the current
-    /// version is pinned (its pages cannot be reclaimed by concurrent
-    /// flushes, compactions or secondary deletes until the iterator is
-    /// dropped) and the write buffer's in-range slice is captured, so the
-    /// stream is unaffected by concurrent writes and maintenance.
-    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<RangeIter> {
-        self.counters.range_lookups.fetch_add(1, Ordering::Relaxed);
-        if hi <= lo {
-            return Ok(RangeIter { merge: None, _pin: None });
-        }
-        let (merge, pin) = self.build_range_merge(lo, hi)?;
-        Ok(RangeIter { merge: Some(merge), _pin: Some(pin) })
-    }
-
-    /// Secondary range lookup: returns every live entry whose **delete key**
-    /// lies in `[d_lo, d_hi)`.
-    pub fn secondary_range_scan(&self, d_lo: DeleteKey, d_hi: DeleteKey) -> Result<Vec<Entry>> {
-        self.counters.range_lookups.fetch_add(1, Ordering::Relaxed);
-        if d_hi <= d_lo {
-            return Ok(Vec::new());
-        }
-        let qualifies =
-            |e: &Entry| !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi;
-        let mut hits: Vec<Entry> = self.mem.active.read().iter().filter(|e| qualifies(e)).cloned().collect();
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            hits.extend(f.entries.iter().filter(|e| qualifies(e)).cloned());
-        }
-        // the install counter is read BEFORE the version is pinned: an
-        // install racing these two reads then shows up as a counter
-        // mismatch in `verify_newest` (counter already advanced past the
-        // captured generation), forcing the fresh re-pin. Read the other
-        // way around, a racing install could be counted into `generation`
-        // while the pin still holds the pre-install version, and the
-        // short-circuit would validate candidates against a stale snapshot.
-        let generation = self.versions.installs();
-        let version = self.versions.current();
-        for level in &version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    // KiWi fence pruning at file granularity: a file whose
-                    // delete-key bounds cannot intersect the scanned range
-                    // holds no qualifying page, so none of its delete
-                    // fences (let alone pages) need to be consulted
-                    let meta = &table.meta;
-                    if meta.num_entries == 0
-                        || meta.max_delete < d_lo
-                        || meta.min_delete >= d_hi
-                    {
-                        continue;
-                    }
-                    hits.extend(table.secondary_range_scan(d_lo, d_hi, self.backend.as_ref())?);
-                }
-            }
-        }
-        // keep only the globally newest version of each key, and only if that
-        // version is live and still qualifies
-        hits.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then_with(|| b.seqnum.cmp(&a.seqnum)));
-        let mut out: Vec<Entry> = Vec::with_capacity(hits.len());
-        for e in hits {
-            if out.last().map(|p: &Entry| p.sort_key) == Some(e.sort_key) {
-                continue;
-            }
-            // verify this is the newest version tree-wide (it may have been
-            // updated or deleted by a newer entry outside the delete-key
-            // range)
-            if let Some(newest) = self.verify_newest(&version, generation, e.sort_key)? {
-                if newest.seqnum == e.seqnum && newest.kind == EntryKind::Put {
-                    out.push(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The newest tree-wide version of `sort_key`, for re-validating a scan
-    /// candidate collected against `pinned` (taken when the version set's
-    /// install counter read `generation`).
-    ///
-    /// The buffered sources are always consulted live (they mutate without
-    /// version installs). For the disk portion the collection-time pin is
-    /// reused when no version has been installed since — skipping the
-    /// per-candidate re-pin (version lock + `Arc` bump) the seed paid on
-    /// every key — and only a mismatch falls back to a fresh pin.
-    ///
-    /// Safety of the short-circuit against a concurrent flush: `apply_job`
-    /// installs the new version *before* clearing the frozen slot, and the
-    /// frozen slot's lock synchronises this thread with the worker. So if an
-    /// entry has left the buffers by the time they are read here, the
-    /// covering install has already happened, the counter check below
-    /// observes it, and the fresh re-pin finds the entry at its new home. An
-    /// acknowledged write can therefore never be missed by both probes.
-    fn verify_newest(
-        &self,
-        pinned: &Arc<Version>,
-        generation: u64,
-        sort_key: SortKey,
-    ) -> Result<Option<Entry>> {
-        if let Some(e) = self.mem.active.read().get(sort_key) {
-            return Ok(Some(e));
-        }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            if let Some(e) = f.get(sort_key) {
-                return Ok(Some(e));
-            }
-        }
-        if self.versions.installs() == generation {
-            self.disk_entry(pinned, sort_key)
-        } else {
-            let fresh = self.versions.current();
-            self.disk_entry(&fresh, sort_key)
-        }
-    }
-
-    /// Returns `true` if `sort_key` may exist in the tree (memtable check
-    /// plus Bloom probes; no page reads). Used for blind-delete suppression.
-    pub fn key_may_exist(&self, sort_key: SortKey) -> Result<bool> {
-        if self.mem.active.read().get(sort_key).is_some() {
-            return Ok(true);
-        }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            if f.get(sort_key).is_some() || !f.range_tombstones.is_empty() {
-                return Ok(true);
-            }
-        }
-        let stats = self.backend.stats();
-        let version = self.versions.current();
-        for level in &version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    if !table.key_in_range(sort_key) {
-                        continue;
-                    }
-                    if !table.range_tombstones.is_empty() {
-                        return Ok(true);
-                    }
-                    if let Some(tile_idx) = table.tile_fences.locate(sort_key) {
-                        let tile = &table.tiles[tile_idx];
-                        stats.record_bloom_probes(tile.pages.len() as u64);
-                        if tile.pages.iter().any(|p| {
-                            sort_key >= p.min_sort
-                                && sort_key <= p.max_sort
-                                && p.bloom.may_contain(sort_key)
-                        }) {
-                            return Ok(true);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Pins and returns the current version (white-box snapshot access for
-    /// tests and tools).
-    pub fn pin_version(&self) -> Arc<Version> {
-        self.versions.current()
-    }
-
-    /// Number of runs in the first disk level — the write-backpressure
-    /// signal, exposed on the reader so the check needs no shard lock.
-    pub fn l0_run_count(&self) -> usize {
-        self.versions.current().l0_run_count()
-    }
-
-    /// True when the writer should stall (full active buffer behind an
-    /// unflushed frozen one); see [`LsmTree::write_stalled`]. Exposed on the
-    /// reader so backpressure checks need no shard lock.
-    pub fn write_stalled(&self) -> bool {
-        // active before frozen: the `&&` keeps its first operand's guard
-        // alive across the second, so this order must match the lock ranks
-        // (MemtableActive < MemtableFrozen) — the reverse order was a real
-        // rank inversion against the freeze path
-        self.mem.active.read().size_bytes() >= self.config.buffer_capacity_bytes()
-            && self.mem.frozen.read().is_some()
-    }
-}
-
-/// A streaming range scan over a stable snapshot of one tree; obtained from
-/// [`TreeReader::iter_range`] (or `Lethe::iter_range` in `lethe-core`).
-///
-/// Yields `Result<(key, value)>` in ascending key order, newest version per
-/// key, tombstones resolved. Pages are decoded lazily as the iterator is
-/// advanced, so partial consumption (paging, `take(n)`, early break) only
-/// pays for the prefix actually read. The iterator pins the version it was
-/// created against: concurrent flushes and compactions can neither change
-/// its results nor reclaim the pages it still has to visit. After an I/O
-/// error the iterator is fused (yields `None` forever).
-pub struct RangeIter {
-    merge: Option<MergeIterator>,
-    /// Pins the snapshot's disk pages for the lifetime of the scan.
-    _pin: Option<Arc<Version>>,
-}
-
-impl Iterator for RangeIter {
-    type Item = Result<(SortKey, Bytes)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let merge = self.merge.as_mut()?;
-        match merge.next_merged() {
-            Ok(Some(e)) => Some(Ok((e.sort_key, e.value))),
-            Ok(None) => {
-                self.merge = None;
-                None
-            }
-            Err(e) => {
-                self.merge = None;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Newest on-device version of `sort_key` within a pinned version, shared
-/// by the live reader and frozen snapshots.
-fn disk_point_lookup(
-    version: &Version,
-    backend: &dyn StorageBackend,
-    sort_key: SortKey,
-) -> Result<Option<Entry>> {
-    let stats = backend.stats();
-    for level in &version.levels {
-        for run in &level.runs {
-            // a key normally maps to one file, but range tombstones can
-            // stretch a file's range over its neighbours
-            let mut candidate: Option<Entry> = None;
-            for table in run.tables() {
-                if !table.key_in_range(sort_key) {
-                    continue;
-                }
-                if let Some(e) = table.get(sort_key, backend, &stats)? {
-                    candidate = match candidate {
-                        Some(c) if c.seqnum >= e.seqnum => Some(c),
-                        _ => Some(e),
-                    };
-                }
-            }
-            if candidate.is_some() {
-                return Ok(candidate);
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// A frozen point-in-time view of one tree, produced by
-/// [`LsmTree::capture_snapshot`] while the embedding layer holds the tree's
-/// write serialisation (the sharded front-end captures all shards under
-/// their engine locks so one seqnum fence covers the whole store).
-///
-/// The capture is three pointers plus one bounded copy: the active
-/// memtable's entries are cloned (bounded by the buffer capacity), the
-/// frozen buffer — if one is pending flush — is pinned by `Arc` (the rare
-/// in-place mutation goes through `Arc::make_mut`, leaving pinned clones
-/// untouched), and the current [`Version`] is pinned, which defers page
-/// reclamation of its tables for as long as the snapshot lives. Subsequent
-/// writes, flushes, compactions and secondary deletes therefore cannot
-/// change what this view returns.
-#[derive(Clone)]
-pub struct TreeSnapshot {
-    backend: Arc<dyn StorageBackend>,
-    /// The capture-time active buffer, reusing the frozen-buffer shape so
-    /// scans stream it through the same shared-slice cursor.
-    active: Arc<FrozenBuffer>,
-    frozen: Option<Arc<FrozenBuffer>>,
-    version: Arc<Version>,
-}
-
-impl TreeSnapshot {
-    /// Point lookup at the snapshot: the value of `sort_key` as of capture
-    /// time, or `None` if it did not exist or was deleted.
-    pub fn get(&self, sort_key: SortKey) -> Result<Option<Bytes>> {
-        Ok(match self.get_entry(sort_key)? {
-            Some(e) if e.kind == EntryKind::Put => Some(e.value),
-            _ => None,
-        })
-    }
-
-    /// Newest captured version (possibly a tombstone) of `sort_key`.
-    fn get_entry(&self, sort_key: SortKey) -> Result<Option<Entry>> {
-        if let Some(e) = self.active.get(sort_key) {
-            return Ok(Some(e));
-        }
-        if let Some(f) = &self.frozen {
-            if let Some(e) = f.get(sort_key) {
-                return Ok(Some(e));
-            }
-        }
-        disk_point_lookup(&self.version, self.backend.as_ref(), sort_key)
-    }
-
-    /// Builds the k-way merge of the captured sources over `[lo, hi)`,
-    /// newest source first — the frozen twin of
-    /// [`TreeReader::build_range_merge`]. `drop_tombstones` selects between
-    /// the user-facing view (resolved, tombstones consumed) and the
-    /// checkpoint stream (full entries, tombstones retained).
-    fn build_merge(&self, lo: SortKey, hi: SortKey, drop_tombstones: bool) -> Result<MergeIterator> {
-        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::new();
-        let mut rts: Vec<Entry> = Vec::new();
-        for buf in [Some(&self.active), self.frozen.as_ref()].into_iter().flatten() {
-            let start = buf.entries.partition_point(|e| e.sort_key < lo);
-            let end = buf.entries.partition_point(|e| e.sort_key < hi);
-            rts.extend(buf.range_tombstones.iter().cloned());
-            cursors.push(Box::new(SharedSliceCursor::new(FrozenEntries(Arc::clone(buf)), start, end)));
-        }
-        for table in self.version.overlapping_tables(lo, hi) {
-            rts.extend(table.range_tombstones.iter().cloned());
-            cursors.push(Box::new(SsTableCursor::new(
-                table,
-                Arc::clone(&self.backend),
-                lo,
-                hi,
-                false,
-            )));
-        }
-        MergeIterator::new(cursors, rts, drop_tombstones)
-    }
-
-    /// Range lookup at the snapshot: live `(key, value)` pairs in `[lo, hi)`
-    /// as of capture time, newest version per key, in key order.
-    pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        if hi <= lo {
-            return Ok(Vec::new());
-        }
-        let mut merge = self.build_merge(lo, hi, true)?;
-        let mut out = Vec::new();
-        while let Some(e) = merge.next_merged()? {
-            out.push((e.sort_key, e.value));
-        }
-        Ok(out)
-    }
-
-    /// Streaming range scan over `[lo, hi)` at the snapshot: same contract
-    /// as [`TreeReader::iter_range`], but against the captured state.
-    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<RangeIter> {
-        if hi <= lo {
-            return Ok(RangeIter { merge: None, _pin: None });
-        }
-        let merge = self.build_merge(lo, hi, true)?;
-        Ok(RangeIter { merge: Some(merge), _pin: Some(Arc::clone(&self.version)) })
-    }
-
-    /// The checkpoint source stream: every entry of the snapshot in sort-key
-    /// order, newest version per key, **retaining tombstones** and their
-    /// delete keys and seqnums, so a store rebuilt from it is byte-identical
-    /// to the snapshot view (including not resurrecting deleted history a
-    /// restore-side compaction has yet to persist).
-    pub fn entry_merge(&self) -> Result<MergeIterator> {
-        self.build_merge(SortKey::MIN, SortKey::MAX, false)
-    }
-
-    /// Every range tombstone visible in this snapshot, from all captured
-    /// sources (checkpoints persist them alongside the point entries).
-    pub fn all_range_tombstones(&self) -> Vec<Entry> {
-        let mut rts: Vec<Entry> = Vec::new();
-        for buf in [Some(&self.active), self.frozen.as_ref()].into_iter().flatten() {
-            rts.extend(buf.range_tombstones.iter().cloned());
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    rts.extend(table.range_tombstones.iter().cloned());
-                }
-            }
-        }
-        rts.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then(a.seqnum.cmp(&b.seqnum)));
-        rts.dedup_by(|a, b| a.sort_key == b.sort_key && a.seqnum == b.seqnum);
-        rts
-    }
-
-    /// Insertion time of the oldest tombstone visible in the snapshot, for
-    /// the FADE age accounting of files a checkpoint builds from it.
-    pub fn oldest_tombstone_ts(&self) -> Option<Timestamp> {
-        let mut oldest = self.active.oldest_tombstone_ts;
-        if let Some(f) = &self.frozen {
-            oldest = min_opt(oldest, f.oldest_tombstone_ts);
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
-                }
-            }
-        }
-        oldest
-    }
-
-    /// Secondary range scan at the snapshot: every entry live at capture
-    /// time whose **delete key** lies in `[d_lo, d_hi)`.
-    pub fn scan_by_delete_key(&self, d_lo: DeleteKey, d_hi: DeleteKey) -> Result<Vec<Entry>> {
-        if d_hi <= d_lo {
-            return Ok(Vec::new());
-        }
-        let qualifies =
-            |e: &&Entry| !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi;
-        let mut hits: Vec<Entry> = self.active.entries.iter().filter(qualifies).cloned().collect();
-        if let Some(f) = &self.frozen {
-            hits.extend(f.entries.iter().filter(qualifies).cloned());
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    // KiWi fence pruning at file granularity, as in the live
-                    // reader
-                    let meta = &table.meta;
-                    if meta.num_entries == 0 || meta.max_delete < d_lo || meta.min_delete >= d_hi
-                    {
-                        continue;
-                    }
-                    hits.extend(table.secondary_range_scan(d_lo, d_hi, self.backend.as_ref())?);
-                }
-            }
-        }
-        // keep only the snapshot-wide newest version of each key, and only
-        // if that version is live and still qualifies. Unlike the live
-        // reader there is no install race to re-validate against: the
-        // captured sources are immutable, so the snapshot's own point
-        // lookup is the authority.
-        hits.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then_with(|| b.seqnum.cmp(&a.seqnum)));
-        let mut out: Vec<Entry> = Vec::with_capacity(hits.len());
-        for e in hits {
-            if out.last().map(|p: &Entry| p.sort_key) == Some(e.sort_key) {
-                continue;
-            }
-            if let Some(newest) = self.get_entry(e.sort_key)? {
-                if newest.seqnum == e.seqnum && newest.kind == EntryKind::Put {
-                    out.push(e);
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Everything the lock-free execute phase needs to build output files:
@@ -1050,7 +402,7 @@ fn merge_and_build(
     Ok(JobOutput { tables, input_entries })
 }
 
-fn min_opt(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Timestamp> {
+pub(crate) fn min_opt(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Timestamp> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
@@ -1085,8 +437,7 @@ pub struct LsmTree {
     /// tombstone GC in all shards at once.
     snapshots: Arc<SnapshotTracker>,
     stats: TreeStats,
-    counters: Arc<ReadCounters>,
-    reader: TreeReader,
+    reader: ReadView,
     sort_key_histogram: Histogram,
     delete_key_histogram: Histogram,
     wal: Option<Box<dyn Wal>>,
@@ -1109,14 +460,12 @@ impl LsmTree {
         let domain = config.key_domain.max(2);
         let mem = Arc::new(MemState::default());
         let versions = Arc::new(VersionSet::new());
-        let counters = Arc::new(ReadCounters::default());
-        let reader = TreeReader {
-            config: config.clone(),
-            backend: Arc::clone(&backend),
-            mem: Arc::clone(&mem),
-            versions: Arc::clone(&versions),
-            counters: Arc::clone(&counters),
-        };
+        let reader = ReadView::live(
+            Arc::clone(&backend),
+            Arc::clone(&mem),
+            Arc::clone(&versions),
+            config.buffer_capacity_bytes(),
+        );
         Ok(LsmTree {
             sort_key_histogram: Histogram::new(0, domain, config.histogram_buckets),
             delete_key_histogram: Histogram::new(0, domain, config.histogram_buckets),
@@ -1133,7 +482,6 @@ impl LsmTree {
             next_file_id: Arc::new(AtomicU64::new(1)),
             snapshots: Arc::new(SnapshotTracker::new()),
             stats: TreeStats::default(),
-            counters,
             reader,
             wal: None,
             manifest: None,
@@ -1206,27 +554,23 @@ impl LsmTree {
     /// engine lock in the sharded store): under it no write, flush commit
     /// or version install can interleave, so the three captured sources
     /// (active clone, pinned frozen buffer, pinned version) describe one
-    /// instant. The returned [`TreeSnapshot`] is immutable and reads
+    /// instant. The returned pinned [`ReadView`] is immutable and reads
     /// without any tree lock. The caller is responsible for registering
     /// the covering seqnum fence with the [`SnapshotTracker`] so tombstone
     /// GC is gated while the view is alive.
-    pub fn capture_snapshot(&self) -> TreeSnapshot {
+    pub fn capture_snapshot(&self) -> ReadView {
         let (entries, range_tombstones) = {
             let active = self.mem.active.read();
             (active.iter().cloned().collect::<Vec<Entry>>(), active.range_tombstones().to_vec())
         };
         let frozen = self.mem.frozen.read().clone();
-        TreeSnapshot {
-            backend: Arc::clone(&self.backend),
-            active: Arc::new(FrozenBuffer {
-                entries,
-                range_tombstones,
-                oldest_tombstone_ts: self.buffer_oldest_tombstone_ts,
-                wal_upto: 0,
-            }),
-            frozen,
-            version: self.versions.current(),
-        }
+        let active = Arc::new(FrozenBuffer {
+            entries,
+            range_tombstones,
+            oldest_tombstone_ts: self.buffer_oldest_tombstone_ts,
+            wal_upto: 0,
+        });
+        self.reader.pinned(active, frozen, self.versions.current())
     }
 
     /// Provides the set of cross-shard batch ids the batch-commit log proves
@@ -1255,9 +599,9 @@ impl LsmTree {
         self.mode
     }
 
-    /// Returns a cheap-to-clone handle serving lock-free snapshot reads; see
-    /// [`TreeReader`].
-    pub fn reader(&self) -> TreeReader {
+    /// Returns a cheap-to-clone live view serving lock-free reads; see
+    /// [`ReadView`].
+    pub fn reader(&self) -> ReadView {
         self.reader.clone()
     }
 
@@ -1693,7 +1037,7 @@ impl LsmTree {
 
     /// Point lookup: returns the current value of `sort_key`, or `None` if
     /// the key does not exist or has been deleted. Lock-free with respect to
-    /// flushes and compactions (see [`TreeReader`]).
+    /// flushes and compactions (see [`ReadView`]).
     pub fn get(&self, sort_key: SortKey) -> Result<Option<Bytes>> {
         self.reader.get(sort_key)
     }
@@ -1707,7 +1051,7 @@ impl LsmTree {
     /// Secondary range lookup: returns every live entry whose **delete key**
     /// lies in `[d_lo, d_hi)`.
     pub fn secondary_range_scan(&self, d_lo: DeleteKey, d_hi: DeleteKey) -> Result<Vec<Entry>> {
-        self.reader.secondary_range_scan(d_lo, d_hi)
+        self.reader.scan_by_delete_key(d_lo, d_hi)
     }
 
     /// Returns `true` if `sort_key` may exist in the tree (memtable check
@@ -2413,8 +1757,9 @@ impl LsmTree {
     /// read-side lookup counters, folded together).
     pub fn stats(&self) -> TreeStats {
         let mut s = self.stats.clone();
-        s.point_lookups += self.counters.point_lookups.load(Ordering::Relaxed);
-        s.range_lookups += self.counters.range_lookups.load(Ordering::Relaxed);
+        let counters = &self.reader.counters;
+        s.point_lookups += counters.point_lookups.load(Ordering::Relaxed);
+        s.range_lookups += counters.range_lookups.load(Ordering::Relaxed);
         s
     }
 
@@ -2473,7 +1818,7 @@ impl LsmTree {
     /// Number of entries currently buffered in memory (active + frozen).
     pub fn buffered_entries(&self) -> usize {
         self.mem.active.read().len()
-            + self.mem.frozen.read().as_ref().map(|f| f.len()).unwrap_or(0)
+            + self.mem.frozen.read().as_ref().map(|f| f.entries.len()).unwrap_or(0)
     }
 
     /// A copy of the current disk levels (used by policies' tests, KiWi
@@ -3092,8 +2437,7 @@ mod tests {
         }
         t.flush().unwrap();
         t.maintain().unwrap();
-        let reader = t.reader();
-        let pinned = reader.pin_version();
+        let pinned = t.versions().current();
         let files_before: usize = pinned.levels.iter().map(|l| l.file_count()).sum();
         assert!(files_before > 0);
         // rewrite the whole tree under the pin

@@ -4,8 +4,88 @@
 //! delete-persistence guarantee.
 
 use lethe::workload::{BatchWriteOp, Operation, WorkloadGenerator, WorkloadSpec};
-use lethe::{Baseline, BaselineKind, Lethe, LetheBuilder, LsmConfig, ShardedLetheBuilder, WriteBatch};
+use lethe::{
+    Baseline, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
+    ShardedLetheBuilder, Snapshot, WriteBatch,
+};
 use std::collections::BTreeMap;
+
+/// The model store: sort key -> (delete key, value).
+type Oracle = BTreeMap<u64, (u64, Vec<u8>)>;
+
+/// The read surface every engine handle offers — the live engines and their
+/// point-in-time views — behind one signature, so one checker covers all.
+trait ReadSurface {
+    fn get(&self, key: u64) -> Option<Vec<u8>>;
+    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)>;
+    fn iter_range(&self, lo: u64, hi: u64) -> RangeIter;
+    /// `(sort key, delete key)` of every hit.
+    fn scan_by_delete_key(&self, lo: u64, hi: u64) -> Vec<(u64, u64)>;
+}
+
+macro_rules! read_surface {
+    ($ty:ty, |$s:ident, $lo:ident, $hi:ident| $iter:expr) => {
+        impl ReadSurface for $ty {
+            fn get(&self, key: u64) -> Option<Vec<u8>> {
+                <$ty>::get(self, key).unwrap().map(|b| b.to_vec())
+            }
+            fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
+                let rows = <$ty>::range(self, lo, hi).unwrap();
+                rows.into_iter().map(|(k, v)| (k, v.to_vec())).collect()
+            }
+            fn iter_range(&self, $lo: u64, $hi: u64) -> RangeIter {
+                let $s = self;
+                $iter
+            }
+            fn scan_by_delete_key(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+                let hits = <$ty>::scan_by_delete_key(self, lo, hi).unwrap();
+                hits.into_iter().map(|e| (e.sort_key, e.delete_key)).collect()
+            }
+        }
+    };
+}
+read_surface!(Lethe, |s, lo, hi| s.iter_range(lo, hi).unwrap());
+read_surface!(ReadView, |s, lo, hi| s.iter_range(lo, hi).unwrap());
+read_surface!(ShardedLethe, |s, lo, hi| s.iter_range(lo, hi));
+read_surface!(Snapshot, |s, lo, hi| s.iter_range(lo, hi).unwrap());
+
+/// Checks `get`, `range`, `iter_range` (drained and paged) and
+/// `scan_by_delete_key` of `surface` against `oracle` on the given probes.
+fn assert_reads_match(
+    name: &str,
+    surface: &dyn ReadSurface,
+    oracle: &Oracle,
+    keys: &[u64],
+    ranges: &[(u64, u64)],
+    delete_key_ranges: &[(u64, u64)],
+) {
+    for &key in keys {
+        let expected = oracle.get(&key).map(|(_, v)| v.clone());
+        assert_eq!(surface.get(key), expected, "{name}: get({key})");
+    }
+    for &(lo, hi) in ranges {
+        let expected: Vec<(u64, Vec<u8>)> = oracle
+            .iter()
+            .filter(|(k, _)| **k >= lo && **k < hi)
+            .map(|(k, (_, v))| (*k, v.clone()))
+            .collect();
+        assert_eq!(surface.range(lo, hi), expected, "{name}: range({lo}, {hi})");
+        let drained: Vec<(u64, Vec<u8>)> =
+            surface.iter_range(lo, hi).map(|r| r.unwrap()).map(|(k, v)| (k, v.to_vec())).collect();
+        assert_eq!(drained, expected, "{name}: iter_range({lo}, {hi}) drained");
+        let paged: Vec<u64> = surface.iter_range(lo, hi).take(3).map(|r| r.unwrap().0).collect();
+        let first: Vec<u64> = expected.iter().take(3).map(|(k, _)| *k).collect();
+        assert_eq!(paged, first, "{name}: iter_range({lo}, {hi}).take(3)");
+    }
+    for &(lo, hi) in delete_key_ranges {
+        let expected: Vec<(u64, u64)> = oracle
+            .iter()
+            .filter(|(_, (d, _))| *d >= lo && *d < hi)
+            .map(|(k, (d, _))| (*k, *d))
+            .collect();
+        assert_eq!(surface.scan_by_delete_key(lo, hi), expected, "{name}: delete keys [{lo}, {hi})");
+    }
+}
 
 fn small_config() -> LsmConfig {
     LsmConfig {
@@ -38,8 +118,7 @@ fn run_against_oracle(spec: WorkloadSpec, h: usize) {
 
     let mut lethe = lethe_engine(h);
     let mut baseline = Baseline::new(BaselineKind::RocksDbLike, small_config()).unwrap();
-    // oracle: sort key -> (delete key, value)
-    let mut oracle: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
+    let mut oracle = Oracle::new();
 
     for op in &ops {
         match op {
@@ -129,13 +208,17 @@ fn run_against_oracle(spec: WorkloadSpec, h: usize) {
                 baseline.tree_mut().write_batch(baseline_batch).unwrap();
             }
             Operation::SnapshotRead { key } => {
-                // a snapshot taken now must agree with the oracle frozen now
+                // a snapshot taken now must agree with the oracle frozen now,
+                // on the whole read surface around the key
                 let snapshot = lethe.capture_snapshot();
-                let expected = oracle.get(key).map(|(_, v)| v.clone());
-                assert_eq!(
-                    snapshot.get(*key).unwrap().map(|b| b.to_vec()),
-                    expected,
-                    "snapshot read disagrees with oracle on key {key}"
+                let delete_keys = oracle.get(key).map_or((0, 1), |(d, _)| (*d, d + 1));
+                assert_reads_match(
+                    "snapshot",
+                    &snapshot,
+                    &oracle,
+                    &[*key],
+                    &[(key.saturating_sub(20), key.saturating_add(20))],
+                    &[delete_keys],
                 );
             }
             Operation::TimeSeriesAppend { series, start_tick, samples } => {
@@ -392,4 +475,146 @@ fn secondary_range_delete_is_equivalent_to_full_compaction_result() {
     assert!(lethe.stats().secondary_delete.full_page_drops > 0);
     assert_eq!(lethe.stats().full_tree_compactions, 0);
     assert!(baseline.tree().stats().full_tree_compactions >= 1);
+}
+
+/// One step of the conformance history below.
+#[derive(Clone, Copy)]
+enum Step {
+    Put(u64, u64, &'static str),
+    Delete(u64),
+    DeleteRange(u64, u64),
+    Persist,
+    /// Move the active buffer into the frozen slot without flushing it.
+    Freeze,
+}
+use Step::*;
+
+fn apply_to_oracle(oracle: &mut Oracle, steps: &[Step]) {
+    for step in steps {
+        match *step {
+            Put(k, d, v) => {
+                oracle.insert(k, (d, v.as_bytes().to_vec()));
+            }
+            Delete(k) => {
+                oracle.remove(&k);
+            }
+            DeleteRange(lo, hi) => oracle.retain(|k, _| *k < lo || *k >= hi),
+            Persist | Freeze => {}
+        }
+    }
+}
+
+fn apply_to_lethe(db: &mut Lethe, steps: &[Step]) {
+    for step in steps {
+        match *step {
+            Put(k, d, v) => db.put(k, d, v).unwrap(),
+            Delete(k) => {
+                db.delete(k).unwrap();
+            }
+            DeleteRange(lo, hi) => db.delete_range(lo, hi).unwrap(),
+            Persist => db.persist().unwrap(),
+            Freeze => assert!(db.tree_mut().freeze().unwrap()),
+        }
+    }
+}
+
+fn apply_to_sharded(db: &ShardedLethe, steps: &[Step]) {
+    for step in steps {
+        match *step {
+            Put(k, d, v) => db.put(k, d, v).unwrap(),
+            Delete(k) => {
+                db.delete(k).unwrap();
+            }
+            DeleteRange(lo, hi) => db.delete_range(lo, hi).unwrap(),
+            Persist => db.persist().unwrap(),
+            // the shard's worker flushes the frozen buffer as soon as it is
+            // resumed, so how long the buffer stays frozen is up to the
+            // scheduler (the single engine below holds it deterministically)
+            Freeze => {
+                for i in 0..db.shard_count() {
+                    db.with_shard(i, |shard| shard.tree_mut().freeze()).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// Every way of reading a store — `Lethe`, its captured view, `ShardedLethe`
+/// with one and three shards, and a `Snapshot` of each — must give the
+/// oracle's answer for the same history, and the point-in-time views must
+/// keep giving it after the store has moved on.
+#[test]
+fn every_read_surface_agrees_with_the_oracle() {
+    const MAX: u64 = u64::MAX;
+    // layer 1, flushed to disk
+    let mut on_disk: Vec<Step> = (0..40).map(|k| Put(k, k * 10, "disk")).collect();
+    on_disk.extend([Put(MAX, 7, "disk-max"), Persist]);
+    // layer 2, frozen: a newer version of key 5, a point tombstone, and the
+    // history's only range tombstone
+    let frozen =
+        [Put(5, 55, "frozen"), Put(41, 410, "frozen"), Delete(6), DeleteRange(10, 20), Freeze];
+    // layer 3, active: key 5 now lives in all three layers; key 12 is
+    // re-inserted above the frozen range tombstone; key 41 dies again
+    let active = [Put(5, 56, "active"), Put(12, 121, "active"), Delete(41), Put(MAX - 1, 8, "max-1")];
+    // what the stores do after the point-in-time views were taken
+    let later = [Delete(5), Put(100, 57, "later"), DeleteRange(0, 3), Put(MAX, 9, "later"), Persist];
+
+    let keys = [0, 2, 5, 6, 10, 12, 19, 20, 41, 42, 100, MAX - 1, MAX];
+    let ranges = [
+        (0, 50),
+        (5, 6),
+        (8, 25),
+        (10, 20),
+        (0, MAX),
+        (MAX - 1, MAX),
+        (30, 30), // hi == lo
+        (30, 10), // hi < lo
+        (MAX, 0),
+    ];
+    let delete_key_ranges =
+        [(0, 1000), (50, 57), (55, 56), (56, 57), (7, 10), (0, MAX), (100, 100), (200, 100)];
+
+    let mut then = Oracle::new();
+    for layer in [&on_disk[..], &frozen, &active] {
+        apply_to_oracle(&mut then, layer);
+    }
+    let mut now = then.clone();
+    apply_to_oracle(&mut now, &later);
+    let check = |name: &str, surface: &dyn ReadSurface, oracle: &Oracle| {
+        assert_reads_match(name, surface, oracle, &keys, &ranges, &delete_key_ranges);
+    };
+
+    let mut lethe = lethe_engine(2);
+    apply_to_lethe(&mut lethe, &on_disk);
+    apply_to_lethe(&mut lethe, &frozen);
+    let frozen_entries = lethe.tree().buffered_entries();
+    apply_to_lethe(&mut lethe, &active);
+    // the three layers really are three layers
+    assert!(lethe.tree().disk_entries() > 0);
+    assert!(lethe.tree().has_frozen());
+    assert!(lethe.tree().buffered_entries() > frozen_entries);
+    check("Lethe", &lethe, &then);
+    let captured = lethe.capture_snapshot();
+    check("Lethe::capture_snapshot", &captured, &then);
+    apply_to_lethe(&mut lethe, &later);
+    check("Lethe, later", &lethe, &now);
+    check("Lethe::capture_snapshot, later", &captured, &then);
+
+    for shards in [1, 3] {
+        let db = ShardedLetheBuilder::new()
+            .shards(shards)
+            .with_config(small_config())
+            .delete_tile_pages(2)
+            .build()
+            .unwrap();
+        for layer in [&on_disk[..], &frozen, &active] {
+            apply_to_sharded(&db, layer);
+        }
+        check(&format!("ShardedLethe/{shards}"), &db, &then);
+        let snapshot = db.snapshot();
+        check(&format!("Snapshot/{shards}"), &snapshot, &then);
+        apply_to_sharded(&db, &later);
+        check(&format!("ShardedLethe/{shards}, later"), &db, &now);
+        check(&format!("Snapshot/{shards}, later"), &snapshot, &then);
+    }
 }
