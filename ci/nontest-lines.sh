@@ -1,0 +1,34 @@
+#!/bin/sh
+# Non-test lines of the workspace: for every crates/*/src/**/*.rs, the lines
+# before the first `#[cfg(test)]` (the whole file when it has none). This is
+# the number the simplicity PRs report in CHANGES.md. Prints one total per
+# crate, the grand total, and the ten largest files. Takes no arguments.
+set -eu
+cd "$(dirname "$0")/.."
+
+find crates -path '*/src/*' -name '*.rs' | sort | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { per_file[FILENAME]++ }
+    END {
+        for (f in per_file) {
+            split(f, parts, "/")
+            per_crate["crates/" parts[2] "/src"] += per_file[f]
+            total += per_file[f]
+            printf "file %6d %s\n", per_file[f], f
+        }
+        for (c in per_crate) printf "crate %6d %s\n", per_crate[c], c
+        printf "total %6d crates/*/src\n", total
+    }
+' | sort -k1,1 -k2,2nr | awk '
+    $1 == "crate" { crates[++nc] = $0 }
+    $1 == "total" { total = $0 }
+    $1 == "file" && ++nf <= 10 { files[nf] = $0 }
+    END {
+        print "non-test lines per crate (up to the first #[cfg(test)] of each file):"
+        for (i = 1; i <= nc; i++) print "  " substr(crates[i], 7)
+        print "  " substr(total, 7)
+        print "ten largest files:"
+        for (i = 1; i <= nf && i <= 10; i++) print "  " substr(files[i], 6)
+    }
+'

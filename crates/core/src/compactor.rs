@@ -31,7 +31,7 @@
 //!   backpressure.
 //!
 //! A job that fails (I/O error, injected crash) leaves the tree unchanged —
-//! [`lethe_lsm::LsmTree::apply_job`] installs nothing on error and the
+//! `apply_job` (see [`lethe_lsm::jobs`]) installs nothing on error and the
 //! frozen buffer is only cleared by a successful flush — so the in-memory
 //! store stays consistent; the error is recorded and surfaced by the next
 //! [`Compactor::drain`].

@@ -561,8 +561,9 @@ impl Lethe {
     }
 
     /// Selects who runs flushes and compactions: inline (default) or a
-    /// background worker driving [`LsmTree::plan_job`] /
-    /// [`lethe_lsm::JobPlan::execute`] / [`LsmTree::apply_job`]. The sharded
+    /// background worker driving the job cycle of [`lethe_lsm::jobs`]
+    /// ([`LsmTree::plan_job`] / [`lethe_lsm::jobs::JobPlan::execute`] /
+    /// [`LsmTree::apply_job`]). The sharded
     /// front-end switches its shards to background mode and attaches a
     /// [`crate::compactor::Compactor`] to each.
     pub fn set_maintenance_mode(&mut self, mode: MaintenanceMode) {

@@ -69,8 +69,6 @@ pub struct FadePolicy {
     selection: SaturationSelection,
     level_count: usize,
     cumulative_ttls: Vec<Timestamp>,
-    ttl_compactions: u64,
-    saturation_compactions: u64,
 }
 
 impl FadePolicy {
@@ -88,8 +86,6 @@ impl FadePolicy {
             selection,
             level_count: 0,
             cumulative_ttls: Vec::new(),
-            ttl_compactions: 0,
-            saturation_compactions: 0,
         }
     }
 
@@ -101,17 +97,6 @@ impl FadePolicy {
     /// The cumulative per-level TTLs currently in force.
     pub fn cumulative_ttls(&self) -> &[Timestamp] {
         &self.cumulative_ttls
-    }
-
-    /// Number of compactions this policy has triggered because a TTL expired.
-    pub fn ttl_compactions(&self) -> u64 {
-        self.ttl_compactions
-    }
-
-    /// Number of compactions this policy has triggered because a level was
-    /// saturated.
-    pub fn saturation_compactions(&self) -> u64 {
-        self.saturation_compactions
     }
 
     fn recompute_ttls(&mut self, level_count: usize) {
@@ -229,17 +214,18 @@ impl CompactionPolicy for FadePolicy {
             if !has_expired {
                 continue;
             }
-            self.ttl_compactions += 1;
             return match view.config.merge_policy {
                 MergePolicy::Leveling => {
                     let file_ids = self.pick_dd(view, level);
                     if file_ids.is_empty() {
                         None
                     } else {
-                        Some(CompactionTask::LeveledMulti { level, file_ids })
+                        Some(CompactionTask::LeveledMulti { level, file_ids, ttl_expired: true })
                     }
                 }
-                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level }),
+                MergePolicy::Tiering => {
+                    Some(CompactionTask::TieredLevel { level, ttl_expired: true })
+                }
             };
         }
 
@@ -248,12 +234,13 @@ impl CompactionPolicy for FadePolicy {
             if view.levels[level].is_empty() || !view.is_saturated(level) {
                 continue;
             }
-            self.saturation_compactions += 1;
             return match view.config.merge_policy {
-                MergePolicy::Leveling => self
-                    .pick_saturated(view, level)
-                    .map(|file_id| CompactionTask::LeveledPartial { level, file_id }),
-                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level }),
+                MergePolicy::Leveling => self.pick_saturated(view, level).map(|file_id| {
+                    CompactionTask::LeveledMulti { level, file_ids: vec![file_id], ttl_expired: false }
+                }),
+                MergePolicy::Tiering => {
+                    Some(CompactionTask::TieredLevel { level, ttl_expired: false })
+                }
             };
         }
         None
@@ -356,10 +343,8 @@ mod tests {
         let view = make_view(&levels, &cfg, &hist, 2_000_000);
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![1] })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![1], ttl_expired: true })
         );
-        assert_eq!(policy.ttl_compactions(), 1);
-        assert_eq!(policy.saturation_compactions(), 0);
     }
 
     #[test]
@@ -391,7 +376,7 @@ mod tests {
         // oldest tombstone first; the tombstone-free file is left alone
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2, 1] })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2, 1], ttl_expired: true })
         );
     }
 
@@ -412,16 +397,18 @@ mod tests {
         view.capacities = vec![1, u64::MAX]; // force saturation of level 0
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledPartial { level: 0, file_id: 2 })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_expired: false })
         );
-        assert_eq!(policy.saturation_compactions(), 1);
         assert_eq!(policy.name(), "fade/sd+dd");
 
         // the SO variant prefers the file with the smallest overlap instead
         let mut policy = FadePolicy::with_selection(u64::MAX, SaturationSelection::SmallestOverlap);
         let mut view = make_view(&levels, &cfg, &hist, 10);
         view.capacities = vec![1, u64::MAX];
-        assert!(matches!(policy.pick(&view), Some(CompactionTask::LeveledPartial { level: 0, .. })));
+        assert!(matches!(
+            policy.pick(&view),
+            Some(CompactionTask::LeveledMulti { level: 0, ttl_expired: false, .. })
+        ));
         assert_eq!(policy.name(), "fade/so+dd");
     }
 
@@ -435,7 +422,47 @@ mod tests {
         levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 4, 1, 0, &backend)]));
         let mut policy = FadePolicy::new(1_000);
         let view = make_view(&levels, &cfg, &hist, 5_000);
-        assert_eq!(policy.pick(&view), Some(CompactionTask::TieredLevel { level: 0 }));
+        assert_eq!(
+            policy.pick(&view),
+            Some(CompactionTask::TieredLevel { level: 0, ttl_expired: true })
+        );
+    }
+
+    /// Regression: the tree used to guess the trigger (`age >= D_th / 2`,
+    /// below every level's TTL but the last) instead of asking the policy,
+    /// so `ttl_triggered_compactions` read 0 under inline FADE.
+    #[test]
+    fn tree_counts_the_compactions_fades_ttl_trigger_picked() {
+        use lethe_lsm::LsmTree;
+        use lethe_storage::LogicalClock;
+        let dth = 1_000_000;
+        let mut cfg = LsmConfig::small_for_test();
+        cfg.size_ratio = 2;
+        cfg.auto_advance_clock = false;
+        cfg.delete_persistence_threshold = Some(dth);
+        let clock = LogicalClock::new();
+        let mut t = LsmTree::new(
+            cfg,
+            InMemoryBackend::new_shared(),
+            clock.clone(),
+            Box::new(FadePolicy::new(dth)),
+        )
+        .unwrap();
+        for k in 0..400u64 {
+            t.put(k, k, Bytes::from(vec![0u8; 32])).unwrap();
+        }
+        t.delete(7).unwrap();
+        t.flush().unwrap();
+        assert!(t.level_count() >= 2, "levels: {}", t.level_count());
+        assert!(t.levels()[0].all_tables().any(|f| f.has_tombstones()));
+        assert_eq!(t.stats().ttl_triggered_compactions, 0, "nothing has aged yet");
+
+        // past level 0's TTL (at most D_th / 3 with two or more levels),
+        // well short of D_th / 2
+        clock.advance_to(clock.now() + dth * 2 / 5);
+        t.maintain().unwrap();
+        assert!(t.stats().ttl_triggered_compactions > 0);
+        assert!(!t.levels()[0].all_tables().any(|f| f.has_tombstones()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Seeded error-path resource leaks. Never compiled — parsed by the
 //! `leak-paths` analysis in the lint's tests.
-//! Expected: exactly three `leak-paths` findings.
+//! Expected: exactly four `leak-paths` findings.
 
 type Result<T> = std::io::Result<T>;
 
@@ -8,6 +8,7 @@ pub struct Page;
 pub struct Tree;
 pub struct BatchLog;
 pub struct Stamp;
+pub struct Output;
 
 /// Violation 1 — a fallible page-writing loop with no `PageReservation`
 /// in scope: the `?` on a later iteration leaks every page already
@@ -36,4 +37,15 @@ pub fn stage_then_flush(tree: &mut Tree, log: &BatchLog, slice: &[u8], id: u64) 
     tree.flush_wal()?;
     log.commit(id)?;
     Ok(())
+}
+
+/// Violation 4 — a refusal that forgets the built output: the early
+/// return comes before `commit_version` and nothing hands `out` to
+/// `abort_output`, so its pages are referenced by no version.
+pub fn apply_refusing(tree: &mut Tree, out: Output, stale: bool) -> Result<bool> {
+    if stale {
+        return Ok(false);
+    }
+    tree.commit_version(out)?;
+    Ok(true)
 }

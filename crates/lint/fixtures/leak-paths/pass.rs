@@ -8,6 +8,7 @@ pub struct Page;
 pub struct Tree;
 pub struct BatchLog;
 pub struct Stamp;
+pub struct Output;
 
 /// The RAII-covered form of the fallible page-writing loop: a
 /// `PageReservation` opened before the first write retires every
@@ -46,4 +47,18 @@ pub fn write_one(backend: &dyn StorageBackend, page: &Page) -> u64 {
         Ok(id) => id,
         Err(_) => 0,
     }
+}
+
+/// A refusal that releases the built output before returning; returns
+/// after `commit_version` owe nothing (the version owns the pages).
+pub fn apply_refusing(tree: &mut Tree, out: Output, stale: bool) -> Result<bool> {
+    if stale {
+        tree.abort_output(out);
+        return Ok(false);
+    }
+    tree.commit_version(out)?;
+    if tree.is_empty() {
+        return Ok(true);
+    }
+    Ok(true)
 }

@@ -15,9 +15,15 @@
 //!   between stage and commit abandons it (recovery then has to roll it
 //!   back — a path that needs an explicit `lint:allow(leak-paths)` with
 //!   its reason if intentional).
+//! * **Job outputs** — a function that commits freshly built files
+//!   through `commit_version` owns their pages until that call (which
+//!   releases them itself if the manifest edit fails). A `return` before
+//!   it — the stale-plan refusal of `apply_job` — must hand the output to
+//!   `abort_output` first, or its pages stay on the device, referenced by
+//!   no version, until a reopen's unreferenced-page GC.
 //!
-//! The rule is scoped to non-test code; `crates/lsm` for page writes
-//! (the storage backends and cache are the implementation of
+//! The rule is scoped to non-test code; `crates/lsm` for page writes and
+//! job outputs (the storage backends and cache are the implementation of
 //! `write_page`, not callers that own ids).
 
 use std::collections::BTreeSet;
@@ -47,6 +53,12 @@ pub fn check(files: &[&ParsedFile]) -> Vec<Finding> {
             if lsm && has_exit {
                 let mut doms = BTreeSet::new();
                 page_walk(body, &file.rel, &mut doms, &mut findings);
+            }
+            let commits = flat.iter().flat_map(|s| s.events.iter()).any(|p| {
+                matches!(p, Piece::Call(c) if !c.in_closure && c.name() == "commit_version")
+            });
+            if lsm && commits {
+                output_walk(body, &file.rel, false, &mut false, &mut findings);
             }
             stage_checks(&flat, &file.rel, &mut findings);
         }
@@ -95,6 +107,51 @@ fn page_walk(
             }
         }
     }
+}
+
+/// Walk for job outputs: until `commit_version` has been reached, every
+/// `return` must follow an `abort_output` on its own path. Returns whether
+/// the output was aborted by the end of `block` (a `Scope` block's abort
+/// covers what follows it; a `Branch` block's does not).
+fn output_walk(
+    block: &Block,
+    rel: &str,
+    mut aborted: bool,
+    committed: &mut bool,
+    findings: &mut Vec<Finding>,
+) -> bool {
+    for stmt in &block.stmts {
+        for piece in &stmt.pieces {
+            match piece {
+                Piece::Call(c) if !c.in_closure => match c.name() {
+                    "commit_version" => *committed = true,
+                    "abort_output" => aborted = true,
+                    _ => {}
+                },
+                Piece::Return { line, in_closure: false } if !*committed && !aborted => {
+                    findings.push(Finding {
+                        rule: "leak-paths",
+                        file: rel.to_string(),
+                        line: *line as usize,
+                        message: "job output can leak: this return comes before \
+                                  commit_version and no abort_output precedes it on its \
+                                  path, so the freshly built files' pages stay on the \
+                                  device with no version referencing them"
+                            .to_string(),
+                    });
+                }
+                Piece::Nested { block: inner, ctx } => match ctx {
+                    Ctx::Scope => aborted = output_walk(inner, rel, aborted, committed, findings),
+                    Ctx::Branch => {
+                        output_walk(inner, rel, aborted, committed, findings);
+                    }
+                    Ctx::Closure => {}
+                },
+                _ => {}
+            }
+        }
+    }
+    aborted
 }
 
 /// `stage_batch(…, Some(id))` obligations over the flattened statements.

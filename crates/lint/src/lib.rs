@@ -17,7 +17,8 @@
 //! | `durability-order`    | commit dominates WAL truncate; barrier dominates rename publish;     |
 //! |                       | kill points sit adjacent to the durable op they guard                |
 //! | `leak-paths`          | page ids / staged batch ids reach register-or-release on every       |
-//! |                       | `?`/early-return path                                                |
+//! |                       | `?`/early-return path; a job output is aborted before any return     |
+//! |                       | that precedes `commit_version`                                       |
 //! | `stale-allow`         | every `lint:allow` marker names a rule that still exists             |
 //!
 //! A violation is silenced by a marker on the same line or the line above:

@@ -128,14 +128,15 @@ fn leak_paths_fail_fixture_reports_each_seeded_leak() {
     let findings = workspace_rule("crates/lsm/src/fixture.rs", "leak-paths", &src);
     assert_eq!(
         findings.len(),
-        3,
-        "expected the three seeded leaks, got: {findings:#?}"
+        4,
+        "expected the four seeded leaks, got: {findings:#?}"
     );
 
     let with = |needle: &str| findings.iter().filter(|f| f.message.contains(needle)).count();
     assert_eq!(with("page id can leak on an error path"), 1);
     assert_eq!(with("never reaches its"), 1);
     assert_eq!(with("error path abandons a staged batch id"), 1);
+    assert_eq!(with("job output can leak"), 1);
 
     let write_line = nth_line_of(&src, "backend.write_page", 0);
     assert!(findings.iter().any(|f| f.line == write_line));
@@ -147,6 +148,43 @@ fn leak_paths_pass_fixture_is_clean() {
     let findings =
         lethe_lint::check_workspace(&[("crates/lsm/src/fixture.rs".to_string(), src)]);
     assert!(findings.is_empty(), "pass fixture must be clean: {findings:#?}");
+}
+
+// ------------------------------------------- the real job cycle (jobs.rs)
+
+/// `crates/lsm/src/jobs.rs` as checked in, with `from` replaced by `to`
+/// (exactly one occurrence) to seed a protocol violation into `apply_job`.
+fn jobs_rs_with(from: &str, to: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../lsm/src/jobs.rs");
+    let src = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    assert_eq!(src.matches(from).count(), 1, "jobs.rs no longer has exactly one {from:?}");
+    src.replace(from, to)
+}
+
+const JOBS_RS: &str = "crates/lsm/src/jobs.rs";
+
+#[test]
+fn jobs_rs_is_clean_and_a_truncate_before_the_commit_is_flagged() {
+    let commit = "self.commit_version(levels, &new_tables, inputs, placement.is_none())?;";
+    assert!(lethe_lint::check_workspace(&[(JOBS_RS.to_string(), jobs_rs_with(commit, commit))])
+        .is_empty());
+    let seeded = jobs_rs_with(
+        commit,
+        &format!("if let Some(wal) = &self.wal {{ wal.truncate_prefix(0)?; }}\n        {commit}"),
+    );
+    let findings = workspace_rule(JOBS_RS, "durability-order", &seeded);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert!(findings[0].message.contains("truncate_prefix without a dominating manifest-edit"));
+    assert_eq!(findings[0].line, nth_line_of(&seeded, "wal.truncate_prefix(0)", 0));
+}
+
+#[test]
+fn jobs_rs_refusal_that_skips_abort_output_is_flagged() {
+    let refusal = "            return Ok(false);";
+    let seeded = jobs_rs_with(&format!("            self.abort_output(out);\n{refusal}"), refusal);
+    let findings = workspace_rule(JOBS_RS, "leak-paths", &seeded);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert!(findings[0].message.contains("job output can leak"));
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //! live in [`crate::strategy`].
 //!
 //! Policies only *choose* work. Executing a chosen job
-//! ([`crate::tree::JobPlan::execute`]) streams the input files through the
+//! ([`crate::jobs::JobPlan::execute`]) streams the input files through the
 //! lazy cursors and heap merge of [`crate::cursor`], so even a policy that
 //! picks an arbitrarily large merge (e.g. a forced full-tree compaction)
 //! runs in memory bounded by output-file and delete-tile granularity, never
@@ -100,28 +100,26 @@ impl<'a> TreeView<'a> {
 /// A unit of compaction work chosen by a policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompactionTask {
-    /// Merge one file of `level` into `level + 1` (leveling, partial
-    /// compaction).
-    LeveledPartial {
-        /// Source level index.
-        level: usize,
-        /// Id of the file to move down.
-        file_id: u64,
-    },
-    /// Merge several files of `level` into `level + 1` in a single job
-    /// (FADE compacts every TTL-expired file of a level together, paper
-    /// Figure 4: "all files with expired TTL are compacted").
+    /// Merge files of `level` into `level + 1` in a single job (leveling): one
+    /// file for a saturation-driven partial compaction, every TTL-expired
+    /// file of the level for FADE's delete-driven trigger (paper Figure 4:
+    /// "all files with expired TTL are compacted").
     LeveledMulti {
         /// Source level index.
         level: usize,
         /// Ids of the files to move down together.
         file_ids: Vec<u64>,
+        /// The trigger was an expired file TTL, not saturation (counted in
+        /// `TreeStats::ttl_triggered_compactions`).
+        ttl_expired: bool,
     },
     /// Merge every run of `level` into a single run placed in `level + 1`
     /// (tiering).
     TieredLevel {
         /// Source level index.
         level: usize,
+        /// As for [`CompactionTask::LeveledMulti`].
+        ttl_expired: bool,
     },
     /// Merge a *subset* of `level`'s runs — identified by the ids of every
     /// file they contain — into one run that **replaces them in place**. The
@@ -178,8 +176,6 @@ pub enum FileSelection {
     /// The file containing the most tombstones (RocksDB's delete-triggered
     /// selection; ties broken by smallest overlap).
     MostTombstones,
-    /// The oldest file in the level (simple aging heuristic).
-    Oldest,
 }
 
 /// The classic saturation-driven compaction policy used by state-of-the-art
@@ -212,7 +208,6 @@ impl SaturationPolicy {
                     .cmp(&b.tombstone_count())
                     .then_with(|| view.overlap_bytes(level, b).cmp(&view.overlap_bytes(level, a)))
             }),
-            FileSelection::Oldest => tables.iter().min_by_key(|t| t.meta.created_at),
         };
         chosen.map(|t| t.meta.id)
     }
@@ -227,10 +222,12 @@ impl CompactionPolicy for SaturationPolicy {
                 continue;
             }
             return match view.config.merge_policy {
-                MergePolicy::Leveling => self
-                    .select_file(view, level)
-                    .map(|file_id| CompactionTask::LeveledPartial { level, file_id }),
-                MergePolicy::Tiering => Some(CompactionTask::TieredLevel { level }),
+                MergePolicy::Leveling => self.select_file(view, level).map(|file_id| {
+                    CompactionTask::LeveledMulti { level, file_ids: vec![file_id], ttl_expired: false }
+                }),
+                MergePolicy::Tiering => {
+                    Some(CompactionTask::TieredLevel { level, ttl_expired: false })
+                }
             };
         }
         None
@@ -240,7 +237,6 @@ impl CompactionPolicy for SaturationPolicy {
         match self.selection {
             FileSelection::MinOverlap => "saturation/min-overlap",
             FileSelection::MostTombstones => "saturation/most-tombstones",
-            FileSelection::Oldest => "saturation/oldest",
         }
     }
 }
@@ -349,17 +345,14 @@ mod tests {
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledPartial { level: 0, file_id: 2 })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_expired: false })
         );
         // most-tombstones also picks file 2 (it holds the tombstones)
         let mut policy = SaturationPolicy::new(FileSelection::MostTombstones);
         assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledPartial { level: 0, file_id: 2 })
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_expired: false })
         );
-        // oldest picks either (same creation time) — must return some task
-        let mut policy = SaturationPolicy::new(FileSelection::Oldest);
-        assert!(matches!(policy.pick(&view), Some(CompactionTask::LeveledPartial { level: 0, .. })));
     }
 
     #[test]
@@ -382,7 +375,10 @@ mod tests {
             tombstone_gc_gated: false,
         };
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
-        assert_eq!(policy.pick(&view), Some(CompactionTask::TieredLevel { level: 0 }));
+        assert_eq!(
+            policy.pick(&view),
+            Some(CompactionTask::TieredLevel { level: 0, ttl_expired: false })
+        );
     }
 
     #[test]

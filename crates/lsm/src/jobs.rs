@@ -1,0 +1,1138 @@
+//! Maintenance jobs: one shape for every flush and compaction.
+//!
+//! The paper describes compaction as two *decisions* (trigger and file
+//! selection, §4.1.3–4.1.4 — the [`CompactionPolicy`](crate::compaction::CompactionPolicy)
+//! seam) over one *mechanism*: merge the picked files with what they overlap
+//! in the target level and persist tombstones that reach the last level.
+//! [`JobPlan`] is that mechanism's only description: an optional pinned
+//! frozen buffer, the ordered list of files the job reads and retires, a
+//! placement for the run it builds, and the merge parameters. The `plan_*`
+//! functions hold the rules (destination level, contiguity of runs, which
+//! merges may persist tombstones, the snapshot gate) and return the struct;
+//! [`JobPlan::execute`] and [`LsmTree::apply_job`] each have one body.
+//! ARCHITECTURE.md ("One job shape") tabulates what each kind of job reads,
+//! where it places its output and which counters it moves.
+//!
+//! Planning and applying need the tree's write serialisation but are cheap
+//! pointer work; the expensive execute phase runs against pinned immutable
+//! state and needs no lock at all.
+
+use crate::compaction::{CompactionTask, TreeView};
+use crate::config::{LsmConfig, MergePolicy};
+use crate::cursor::{probe, EntryCursor, MergeIterator, SharedSliceCursor, SsTableCursor};
+use crate::level::{Level, Run};
+use crate::read::{FrozenBuffer, FrozenEntries};
+use crate::sstable::SsTable;
+use crate::tree::{min_opt, LsmTree};
+use crate::version::Version;
+use lethe_storage::{DeleteKey, Entry, Result, StorageBackend, Timestamp};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Safety bound on back-to-back compactions triggered by a single flush.
+const MAX_MAINTENANCE_ROUNDS: usize = 10_000;
+
+/// Everything the lock-free execute phase needs to build output files:
+/// captured from the tree at plan time so no lock is held while pages are
+/// read, merged and written.
+#[derive(Clone)]
+pub struct BuildCtx {
+    config: LsmConfig,
+    backend: Arc<dyn StorageBackend>,
+    now: Timestamp,
+    next_file_id: Arc<AtomicU64>,
+}
+
+/// Where the run a job builds enters the tree.
+#[derive(Clone, Copy)]
+enum Placement {
+    /// The output files join run 0 of `level` (created if the level has no
+    /// run left once the inputs are removed).
+    JoinRun { level: usize },
+    /// The output forms a new run inserted at run index `index` of `level`.
+    NewRun { level: usize, index: usize },
+}
+
+/// One unit of maintenance work, decided under the write lock against the
+/// current version. Executing it performs the expensive I/O without any
+/// lock; applying it back under the write lock commits the result atomically
+/// (manifest edit + version install).
+pub struct JobPlan {
+    /// The pinned frozen write buffer a flush persists (shared with the
+    /// frozen slot, so planning is a pointer clone).
+    buffer: Option<Arc<FrozenBuffer>>,
+    /// The files the job reads and retires, newest source first.
+    inputs: Vec<Arc<SsTable>>,
+    /// Where the built run goes. `None` builds nothing: a whole-file drop
+    /// reads and writes zero pages and only retires its inputs.
+    placement: Option<Placement>,
+    drop_tombstones: bool,
+    /// Additionally drops surviving puts whose delete key falls in the range
+    /// (the full-tree secondary-delete baseline).
+    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
+    /// [`VersionSet::installs`](crate::version::VersionSet::installs) when
+    /// the plan was taken; the apply phase refuses the job if it moved.
+    base: u64,
+    /// The policy picked this job because a FADE TTL expired.
+    ttl_expired: bool,
+    /// The job rewrites the entire tree.
+    full_tree: bool,
+}
+
+impl JobPlan {
+    /// True if this plan persists the frozen write buffer.
+    pub fn is_flush(&self) -> bool {
+        self.buffer.is_some()
+    }
+
+    /// The execute phase: reads the input pages, merges, and builds the
+    /// output files on the device. Requires **no** tree lock — all inputs
+    /// are immutable (pinned `Arc<SsTable>`s and the pinned frozen buffer)
+    /// and the device is thread-safe. The output references freshly written
+    /// pages that no version knows about yet; it becomes visible only via
+    /// [`LsmTree::apply_job`].
+    ///
+    /// The merge is *streaming*: input files are read through lazy per-tile
+    /// cursors (cache-bypassing `nofill` reads, like every bulk maintenance
+    /// scan) into a heap merge, and output files are cut as the stream
+    /// passes each file-size boundary. Peak memory is one delete tile per
+    /// input plus one output file's entries — independent of the total
+    /// number of input entries, so arbitrarily large compactions run in
+    /// bounded space.
+    pub fn execute(&self, ctx: &BuildCtx) -> Result<JobOutput> {
+        let Some(placement) = self.placement else {
+            // a whole-file drop reads and writes nothing: the entire effect
+            // is the apply phase's version/manifest edit
+            return Ok(JobOutput { tables: Vec::new() });
+        };
+        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(1 + self.inputs.len());
+        let mut rts = Vec::new();
+        let mut oldest = None;
+        if let Some(buffer) = &self.buffer {
+            if self.inputs.is_empty() && matches!(placement, Placement::NewRun { .. }) {
+                // a buffer that becomes a run of its own has nothing to
+                // merge with: it is written as-is (no dedup — the buffer
+                // already holds one version per key)
+                let mut builder = TableStreamBuilder::new(
+                    ctx,
+                    buffer.range_tombstones.clone(),
+                    buffer.oldest_tombstone_ts,
+                );
+                for e in &buffer.entries {
+                    builder.push(e.clone())?;
+                }
+                return Ok(JobOutput { tables: builder.finish()? });
+            }
+            // the pinned buffer streams without being copied
+            cursors.push(Box::new(SharedSliceCursor::new(
+                FrozenEntries(Arc::clone(buffer)),
+                0,
+                buffer.entries.len(),
+            )));
+            rts = buffer.range_tombstones.clone();
+            oldest = buffer.oldest_tombstone_ts;
+        }
+        for table in &self.inputs {
+            cursors.push(Box::new(SsTableCursor::full(
+                Arc::clone(table),
+                Arc::clone(&ctx.backend),
+                true,
+            )));
+            rts.extend(table.range_tombstones.iter().cloned());
+            oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
+        }
+        let tables = stream_merge_build(
+            ctx,
+            cursors,
+            rts,
+            oldest,
+            self.drop_tombstones,
+            self.delete_key_filter,
+        )?;
+        Ok(JobOutput { tables })
+    }
+}
+
+/// The output of [`JobPlan::execute`]: freshly built files awaiting
+/// [`LsmTree::apply_job`].
+pub struct JobOutput {
+    tables: Vec<Arc<SsTable>>,
+}
+
+/// Streams a merged, sorted entry sequence into successive output files
+/// (each at most `max_pages_per_file` pages) without ever holding more than
+/// one file's entries. File ids come from the shared atomic allocator so
+/// concurrent builders never collide.
+///
+/// Range tombstones (the small, already-in-memory survivors of the merge)
+/// are attached to the output file whose key range their start falls into;
+/// the final file absorbs whatever is left, exactly like the seed's
+/// materialising builder.
+struct TableStreamBuilder<'a> {
+    ctx: &'a BuildCtx,
+    per_file: usize,
+    chunk: Vec<Entry>,
+    /// Surviving range tombstones not yet attached, sorted by start key.
+    rts_remaining: Vec<Entry>,
+    oldest_tombstone_ts: Option<Timestamp>,
+    tables: Vec<Arc<SsTable>>,
+}
+
+impl<'a> TableStreamBuilder<'a> {
+    fn new(
+        ctx: &'a BuildCtx,
+        mut range_tombstones: Vec<Entry>,
+        oldest_tombstone_ts: Option<Timestamp>,
+    ) -> Self {
+        range_tombstones.sort_by_key(|e| e.sort_key);
+        TableStreamBuilder {
+            per_file: ctx.config.entries_per_file().max(1),
+            ctx,
+            chunk: Vec::new(),
+            rts_remaining: range_tombstones,
+            oldest_tombstone_ts,
+            tables: Vec::new(),
+        }
+    }
+
+    /// Appends the next entry of the merged stream (must arrive in sort-key
+    /// order), cutting a file whenever one is full.
+    fn push(&mut self, e: Entry) -> Result<()> {
+        if self.chunk.len() >= self.per_file {
+            self.flush_file(false)?;
+        }
+        probe::add(1);
+        self.chunk.push(e);
+        Ok(())
+    }
+
+    /// Builds one output file from the accumulated chunk. A non-final file
+    /// takes the pending range tombstones starting within its key range; the
+    /// final file absorbs all that remain.
+    fn flush_file(&mut self, last: bool) -> Result<()> {
+        // nothing to build — except a final rts-only file when point entries
+        // ran out but surviving range tombstones remain
+        let rts_only_file = last && !self.rts_remaining.is_empty();
+        if self.chunk.is_empty() && !rts_only_file {
+            return Ok(());
+        }
+        let rts: Vec<Entry> = if last {
+            std::mem::take(&mut self.rts_remaining)
+        } else {
+            let upper = self.chunk.last().map(|e| e.sort_key).unwrap_or(0);
+            let split = self.rts_remaining.partition_point(|rt| rt.sort_key <= upper);
+            let keep = self.rts_remaining.split_off(split);
+            std::mem::replace(&mut self.rts_remaining, keep)
+        };
+        let chunk = std::mem::take(&mut self.chunk);
+        probe::sub(chunk.len() as u64);
+        let has_tombstones = !rts.is_empty() || chunk.iter().any(|e| e.is_tombstone());
+        let id = self.ctx.next_file_id.fetch_add(1, Ordering::Relaxed);
+        let table = SsTable::build(
+            id,
+            chunk,
+            rts,
+            self.ctx.now,
+            if has_tombstones { self.oldest_tombstone_ts } else { None },
+            &self.ctx.config,
+            self.ctx.backend.as_ref(),
+        )?;
+        if table.meta.num_entries > 0 {
+            self.tables.push(Arc::new(table));
+        }
+        Ok(())
+    }
+
+    /// Cuts the final file (which absorbs the remaining range tombstones)
+    /// and returns every file built.
+    fn finish(mut self) -> Result<Vec<Arc<SsTable>>> {
+        self.flush_file(true)?;
+        Ok(self.tables)
+    }
+}
+
+/// Drives `cursors` through a streaming heap merge into a
+/// [`TableStreamBuilder`]. `delete_key_filter` additionally drops surviving
+/// puts whose delete key falls in the range.
+fn stream_merge_build(
+    ctx: &BuildCtx,
+    cursors: Vec<Box<dyn EntryCursor>>,
+    range_tombstones: Vec<Entry>,
+    oldest: Option<Timestamp>,
+    drop_tombstones: bool,
+    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
+) -> Result<Vec<Arc<SsTable>>> {
+    let oldest = if drop_tombstones { None } else { oldest };
+    let surviving_rts = if drop_tombstones { Vec::new() } else { range_tombstones.clone() };
+    let mut merge = MergeIterator::new(cursors, range_tombstones, drop_tombstones)?;
+    let mut builder = TableStreamBuilder::new(ctx, surviving_rts, oldest);
+    while let Some(e) = merge.next_merged()? {
+        if let Some((d_lo, d_hi)) = delete_key_filter {
+            if !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi {
+                continue;
+            }
+        }
+        builder.push(e)?;
+    }
+    builder.finish()
+}
+
+impl LsmTree {
+    /// Flushes the write buffer (frozen remainder first, then the active
+    /// buffer) to the first disk level. A no-op when nothing is buffered.
+    ///
+    /// Durability ordering: the flushed files' pages are synced and a
+    /// manifest edit describing the new tree state is committed **before**
+    /// the WAL records it covers are discarded, so at no instant is an
+    /// acknowledged write covered by neither log.
+    pub fn flush(&mut self) -> Result<()> {
+        if self.has_frozen() {
+            let plan = self.plan_flush();
+            self.run_job(plan)?;
+        }
+        if self.freeze()? {
+            let plan = self.plan_flush();
+            self.run_job(plan)?;
+        }
+        Ok(())
+    }
+
+    /// Runs the compaction loop inline: repeatedly asks the policy for work
+    /// until it reports none is needed.
+    pub fn maintain(&mut self) -> Result<()> {
+        for _ in 0..MAX_MAINTENANCE_ROUNDS {
+            let plan = self.plan_compaction();
+            if !self.run_job(plan)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Forces a full-tree compaction (reads, merges and rewrites every file
+    /// into the last level). This is the operation Lethe is designed to make
+    /// unnecessary; it is exposed for the baselines and experiments.
+    pub fn force_full_compaction(&mut self) -> Result<()> {
+        self.full_tree_compaction_filtered(None)
+    }
+
+    pub(crate) fn full_tree_compaction_filtered(
+        &mut self,
+        delete_key_range: Option<(DeleteKey, DeleteKey)>,
+    ) -> Result<()> {
+        let plan = self.plan_full(delete_key_range);
+        self.run_job(plan)?;
+        Ok(())
+    }
+
+    /// The inline job cycle: execute `plan` and apply it. Returns `false`
+    /// when there was nothing to do or the plan was refused as stale.
+    fn run_job(&mut self, plan: Option<JobPlan>) -> Result<bool> {
+        let Some(plan) = plan else {
+            return Ok(false);
+        };
+        let out = plan.execute(&self.build_ctx())?;
+        self.apply_job(plan, out)
+    }
+
+    /// Captures the context the lock-free execute phase needs.
+    pub fn build_ctx(&self) -> BuildCtx {
+        BuildCtx {
+            config: self.config.clone(),
+            backend: Arc::clone(&self.backend),
+            now: self.clock.now(),
+            next_file_id: Arc::clone(&self.next_file_id),
+        }
+    }
+
+    /// Plans the next unit of maintenance work, flush first: the frozen
+    /// buffer if one is waiting (when `include_flush`), otherwise whatever
+    /// compaction the policy picks. Returns `None` when the tree needs no
+    /// work right now. The plan pins its inputs; execute it without the
+    /// lock via [`JobPlan::execute`] and commit with [`LsmTree::apply_job`].
+    pub fn plan_job(&mut self, include_flush: bool) -> Option<JobPlan> {
+        if include_flush {
+            if let Some(p) = self.plan_flush() {
+                return Some(p);
+            }
+        }
+        self.plan_compaction()
+    }
+
+    /// True while a live snapshot pins history older than the newest write.
+    /// Conservative fence: the current `next_seqnum` — any snapshot taken
+    /// before the latest write blocks drops, and a snapshot with no writes
+    /// after it (which already observes every tombstone) does not.
+    fn tombstone_gc_gated(&self) -> bool {
+        !self.snapshots.may_drop_tombstones(self.next_seqnum.load(Ordering::Relaxed))
+    }
+
+    /// Applies the snapshot gate to a planned job's tombstone-drop decision,
+    /// counting each suppression so the delete-persistence accounting can
+    /// show that `D_th` was deliberately suspended rather than violated.
+    fn gate_tombstone_drop(&mut self, want_drop: bool) -> bool {
+        if want_drop && self.tombstone_gc_gated() {
+            self.stats.tombstone_gc_delayed += 1;
+            return false;
+        }
+        want_drop
+    }
+
+    /// A job over `inputs` planned against the current version; callers set
+    /// what distinguishes their job on top of it.
+    fn new_plan(
+        &self,
+        inputs: Vec<Arc<SsTable>>,
+        placement: Option<Placement>,
+        drop_tombstones: bool,
+    ) -> JobPlan {
+        JobPlan {
+            buffer: None,
+            inputs,
+            placement,
+            drop_tombstones,
+            delete_key_filter: None,
+            base: self.versions.installs(),
+            ttl_expired: false,
+            full_tree: false,
+        }
+    }
+
+    fn plan_flush(&mut self) -> Option<JobPlan> {
+        let buffer = Arc::clone(self.mem.frozen.read().as_ref()?);
+        let version = self.versions.current();
+        let (resident, placement, drop_tombstones) =
+            if self.config.merge_policy == MergePolicy::Tiering {
+                // the flushed buffer becomes a fresh run (newest first)
+                (Vec::new(), Placement::NewRun { level: 0, index: 0 }, false)
+            } else {
+                // greedy sort-merge with the resident run of level 1
+                let resident: Vec<Arc<SsTable>> = version
+                    .levels
+                    .first()
+                    .map(|l| l.all_tables().cloned().collect())
+                    .unwrap_or_default();
+                let drop = version.deepest_nonempty_level().is_none_or(|d| d == 0);
+                (resident, Placement::JoinRun { level: 0 }, drop)
+            };
+        let drop_tombstones = self.gate_tombstone_drop(drop_tombstones);
+        Some(JobPlan {
+            buffer: Some(buffer),
+            ..self.new_plan(resident, Some(placement), drop_tombstones)
+        })
+    }
+
+    fn plan_compaction(&mut self) -> Option<JobPlan> {
+        let version = self.versions.current();
+        self.policy.on_tree_growth(version.levels.len());
+        let task = {
+            let view = TreeView {
+                levels: &version.levels,
+                capacities: (0..version.levels.len())
+                    .map(|i| self.config.level_capacity_bytes(i + 1))
+                    .collect(),
+                now: self.clock.now(),
+                config: &self.config,
+                sort_key_histogram: &self.sort_key_histogram,
+                tombstone_gc_gated: self.tombstone_gc_gated(),
+            };
+            self.policy.pick(&view)?
+        };
+        match task {
+            CompactionTask::LeveledMulti { level, file_ids, ttl_expired } => {
+                let plan = self.plan_files(&version, level, &file_ids)?;
+                Some(JobPlan { ttl_expired, ..plan })
+            }
+            CompactionTask::TieredLevel { level, ttl_expired } => {
+                let victims: Vec<Arc<SsTable>> =
+                    version.levels.get(level)?.all_tables().cloned().collect();
+                if victims.is_empty() {
+                    return None;
+                }
+                // Tiering merges only the source level's runs; runs already
+                // resident in deeper levels are not part of the merge, so
+                // tombstones may only be discarded when *nothing* exists at
+                // the destination level or below — otherwise an older
+                // version they cover could resurface.
+                let deepest_other = (0..version.levels.len())
+                    .rev()
+                    .find(|&i| i != level && !version.levels[i].is_empty());
+                let drop_tombstones =
+                    self.gate_tombstone_drop(deepest_other.is_none_or(|d| d < level + 1));
+                let placement = Placement::NewRun { level: level + 1, index: 0 };
+                Some(JobPlan {
+                    ttl_expired,
+                    ..self.new_plan(victims, Some(placement), drop_tombstones)
+                })
+            }
+            CompactionTask::MergeRuns { level, file_ids } => {
+                self.plan_merge_runs(&version, level, &file_ids)
+            }
+            CompactionTask::DropFiles { file_ids } => self.plan_drop_files(&version, &file_ids),
+            CompactionTask::FullTree => self.plan_full(None),
+        }
+    }
+
+    /// Plans a tiered subset merge: whole runs of `level`, contiguous in its
+    /// run list and jointly holding exactly `file_ids`, merged into one run
+    /// that replaces them in place. Rejects partial runs and non-adjacent
+    /// selections — merging around a surviving run of intermediate recency
+    /// would invert the version order reads depend on.
+    fn plan_merge_runs(
+        &mut self,
+        version: &Version,
+        level: usize,
+        file_ids: &[u64],
+    ) -> Option<JobPlan> {
+        if file_ids.is_empty() {
+            return None;
+        }
+        let l = version.levels.get(level)?;
+        let want: HashSet<u64> = file_ids.iter().copied().collect();
+        let mut picked: Vec<usize> = Vec::new();
+        for (i, run) in l.runs.iter().enumerate() {
+            let selected = run.tables().iter().filter(|t| want.contains(&t.meta.id)).count();
+            if selected == 0 {
+                continue;
+            }
+            if selected != run.len() {
+                return None; // partial run selected
+            }
+            picked.push(i);
+        }
+        let (start, end) = (*picked.first()?, *picked.last()? + 1);
+        if picked.len() != end - start {
+            return None; // non-adjacent runs selected
+        }
+        let covered: usize = picked.iter().map(|&i| l.runs[i].len()).sum();
+        if covered != want.len() {
+            return None; // some wanted id is not in this level
+        }
+        let victims: Vec<Arc<SsTable>> =
+            l.runs[start..end].iter().flat_map(|r| r.tables().iter().cloned()).collect();
+        // The merge may persist tombstones only when it covers the oldest
+        // data of the tree: the segment reaches the level's oldest run and
+        // every deeper level is empty.
+        let oldest = end == l.runs.len()
+            && version.levels.iter().skip(level + 1).all(|deeper| deeper.is_empty());
+        let drop_tombstones = self.gate_tombstone_drop(oldest);
+        // the merged run takes the segment's position, preserving the
+        // level's recency order around it
+        let placement = Placement::NewRun { level, index: start };
+        Some(self.new_plan(victims, Some(placement), drop_tombstones))
+    }
+
+    /// Plans a whole-file drop of `file_ids`, resolved across all levels.
+    /// Routed through the snapshot gate: while a live snapshot pins history
+    /// the plan is refused and the delay is counted in
+    /// `TreeStats::tombstone_gc_delayed` — the expired files stay in place
+    /// (and readable) until the snapshot is released.
+    fn plan_drop_files(&mut self, version: &Version, file_ids: &[u64]) -> Option<JobPlan> {
+        if file_ids.is_empty() {
+            return None;
+        }
+        let victims: Vec<Arc<SsTable>> = file_ids
+            .iter()
+            .filter_map(|id| {
+                version
+                    .levels
+                    .iter()
+                    .find_map(|l| l.runs.iter().find_map(|r| r.find_by_id(*id).map(Arc::clone)))
+            })
+            .collect();
+        if victims.len() != file_ids.len() {
+            return None;
+        }
+        // A drop erases data versions outright, which is only invisible to
+        // readers because the TTL already expired them; a held snapshot must
+        // still see the expired window, so the gate defers the whole job.
+        if !self.gate_tombstone_drop(true) {
+            return None;
+        }
+        Some(self.new_plan(victims, None, false))
+    }
+
+    /// Plans a leveling compaction of `file_ids` out of `level`, mirroring
+    /// FADE's placement rules: TTL-driven jobs on an unsaturated deepest
+    /// level rewrite in place, everything else spills to `level + 1`.
+    fn plan_files(&mut self, version: &Version, level: usize, file_ids: &[u64]) -> Option<JobPlan> {
+        let mut inputs: Vec<Arc<SsTable>> = {
+            let run = version.levels.get(level)?.runs.first()?;
+            file_ids.iter().filter_map(|id| run.find_by_id(*id).map(Arc::clone)).collect()
+        };
+        if inputs.is_empty() {
+            return None;
+        }
+        let deepest = version.deepest_nonempty_level().unwrap_or(level);
+        // Files picked from the deepest level while that level still has
+        // headroom are being compacted only to persist their tombstones (a
+        // TTL-driven compaction): rewrite them in place instead of growing
+        // the tree by a level. A saturated deepest level still spills down.
+        let saturated =
+            version.levels[level].total_bytes() > self.config.level_capacity_bytes(level + 1);
+        let dst_level = if level == deepest && !saturated { level } else { level + 1 };
+
+        if dst_level != level {
+            if let Some(run) = version.levels.get(dst_level).and_then(|l| l.runs.first()) {
+                let overlapping: Vec<Arc<SsTable>> = run
+                    .tables()
+                    .iter()
+                    .filter(|t| inputs.iter().any(|s| t.overlaps_table(s)))
+                    .cloned()
+                    .collect();
+                inputs.extend(overlapping);
+            }
+        }
+
+        let drop_tombstones = self.gate_tombstone_drop(dst_level >= deepest);
+        let placement = Placement::JoinRun { level: dst_level };
+        Some(self.new_plan(inputs, Some(placement), drop_tombstones))
+    }
+
+    fn plan_full(&mut self, delete_key_filter: Option<(DeleteKey, DeleteKey)>) -> Option<JobPlan> {
+        let version = self.versions.current();
+        let deepest = version.deepest_nonempty_level()?;
+        let victims: Vec<Arc<SsTable>> =
+            version.levels.iter().flat_map(|l| l.all_tables().cloned()).collect();
+        let drop_tombstones = self.gate_tombstone_drop(true);
+        let placement = Placement::NewRun { level: deepest, index: 0 };
+        Some(JobPlan {
+            delete_key_filter,
+            full_tree: true,
+            ..self.new_plan(victims, Some(placement), drop_tombstones)
+        })
+    }
+
+    /// Commits an executed job: removes the inputs from a copy of the
+    /// current levels, places the output, commits the manifest edit,
+    /// installs the new version (one atomic pointer swap — readers see the
+    /// old or the new tree, never a mixture), retires the inputs for
+    /// deferred page reclamation, and — for flushes — clears the frozen
+    /// buffer and discards the covered WAL prefix.
+    ///
+    /// Returns `false` (and releases the output's pages) if a version was
+    /// installed since the plan was taken. Versions are only installed here
+    /// and by a secondary range delete, both under `&mut self`, so an
+    /// unchanged install counter proves the current version is the very one
+    /// the plan pinned its inputs from: every input is still in place, *as
+    /// the object the job read* (a secondary range delete replaces a file
+    /// under its old id, which no id comparison could tell apart), and the
+    /// placement indices still mean what they meant. One worker per tree and
+    /// paused workers around foreground structural operations make refusals
+    /// rare; when the discipline slips, the cost is wasted work, never
+    /// resurrected data.
+    pub fn apply_job(&mut self, plan: JobPlan, out: JobOutput) -> Result<bool> {
+        let JobPlan { buffer, inputs, placement, base, ttl_expired, full_tree, .. } = plan;
+        if self.versions.installs() != base || (buffer.is_some() && !self.has_frozen()) {
+            self.abort_output(out);
+            return Ok(false);
+        }
+        // `current` stays pinned until this function returns, so the GC pass
+        // of this commit skips the inputs it still references and the next
+        // pass reclaims them; dropping the pin earlier would reorder page
+        // reuse on the device.
+        let current = self.versions.current();
+        let mut levels = current.levels.clone();
+        let ids: Vec<u64> = inputs.iter().map(|t| t.meta.id).collect();
+        for level in &mut levels {
+            for run in &mut level.runs {
+                run.remove_ids(&ids);
+            }
+            level.prune_empty_runs();
+        }
+        let new_tables = out.tables;
+        if let Some(placement) = placement {
+            let (Placement::JoinRun { level } | Placement::NewRun { level, .. }) = placement;
+            if levels.len() <= level {
+                levels.resize_with(level + 1, Level::new);
+            }
+            let runs = &mut levels[level].runs;
+            match placement {
+                _ if new_tables.is_empty() => {}
+                Placement::NewRun { index, .. } => runs.insert(index, Run::new(new_tables.clone())),
+                Placement::JoinRun { .. } if runs.is_empty() => runs.push(Run::new(new_tables.clone())),
+                Placement::JoinRun { .. } => runs[0].add_tables(new_tables.clone()),
+            }
+        }
+        let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
+        let input_entries: u64 = inputs.iter().map(|t| t.meta.num_entries).sum();
+        let dropped_files = inputs.len() as u64;
+        self.commit_version(levels, &new_tables, inputs, placement.is_none())?;
+        if let Some(buffer) = buffer {
+            *self.mem.frozen.write() = None;
+            self.stats.flushes += 1;
+            self.stats.bytes_flushed += written;
+            if let Some(wal) = &self.wal {
+                wal.truncate_prefix(buffer.wal_upto)?;
+            }
+        } else if placement.is_none() {
+            self.stats.whole_file_drops += dropped_files;
+        } else {
+            self.stats.compactions += 1;
+            self.stats.full_tree_compactions += u64::from(full_tree);
+            self.stats.ttl_triggered_compactions += u64::from(ttl_expired);
+            self.stats.entries_compacted += input_entries;
+            self.stats.bytes_compacted += written;
+        }
+        Ok(true)
+    }
+
+    /// Releases the pages of a job output that will never be installed
+    /// (skipping any page shared with a live, registered table).
+    fn abort_output(&self, out: JobOutput) {
+        for t in out.tables {
+            self.versions.release_unregistered_pages(&t, self.backend.as_ref());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compaction::{CompactionPolicy, FileSelection, SaturationPolicy};
+    use crate::config::SecondaryDeleteMode;
+    use crate::stats::TreeStats;
+    use crate::strategy::{DateTieredPolicy, SizeTieredPolicy};
+    use crate::tree::MaintenanceMode;
+    use bytes::Bytes;
+    use lethe_storage::{InMemoryBackend, LogicalClock, PageId};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    type Oracle = BTreeMap<u64, Bytes>;
+    /// File ids per `(level, run index)`.
+    type Layout = Vec<Vec<BTreeSet<u64>>>;
+
+    const KEYS: u64 = 4096;
+
+    fn value(k: u64) -> Bytes {
+        Bytes::from(format!("value-{k:08}"))
+    }
+
+    /// A tree whose maintenance the test drives job by job: puts only freeze.
+    fn tree(cfg: LsmConfig, policy: Box<dyn CompactionPolicy>) -> LsmTree {
+        let mut t =
+            LsmTree::new(cfg, InMemoryBackend::new_shared(), LogicalClock::new(), policy).unwrap();
+        t.set_maintenance_mode(MaintenanceMode::Background);
+        t
+    }
+
+    fn saturation() -> Box<dyn CompactionPolicy> {
+        Box::new(SaturationPolicy::new(FileSelection::MinOverlap))
+    }
+
+    fn tiering(size_ratio: usize) -> LsmConfig {
+        LsmConfig { merge_policy: MergePolicy::Tiering, size_ratio, ..LsmConfig::small_for_test() }
+    }
+
+    fn layout(t: &LsmTree) -> Layout {
+        let ids = |r: &Run| r.tables().iter().map(|f| f.meta.id).collect();
+        t.versions.current().levels.iter().map(|l| l.runs.iter().map(ids).collect()).collect()
+    }
+
+    fn ids(files: &[Arc<SsTable>]) -> BTreeSet<u64> {
+        files.iter().map(|f| f.meta.id).collect()
+    }
+
+    fn all_ids(l: &[Vec<BTreeSet<u64>>]) -> BTreeSet<u64> {
+        l.iter().flatten().flatten().copied().collect()
+    }
+
+    fn run(t: &mut LsmTree, plan: JobPlan) -> bool {
+        let out = plan.execute(&t.build_ctx()).unwrap();
+        t.apply_job(plan, out).unwrap()
+    }
+
+    fn flush_frozen(t: &mut LsmTree) {
+        let plan = t.plan_job(true).expect("a frozen buffer plans a flush");
+        assert!(plan.is_flush());
+        assert!(run(t, plan));
+    }
+
+    /// Puts `keys` (delete key = `dk(key)`), flushing whenever the buffer
+    /// freezes.
+    fn put_all(
+        t: &mut LsmTree,
+        oracle: &mut Oracle,
+        keys: impl IntoIterator<Item = u64>,
+        dk: impl Fn(u64) -> u64,
+    ) {
+        for k in keys {
+            t.put(k, dk(k), value(k)).unwrap();
+            oracle.insert(k, value(k));
+            if t.has_frozen() {
+                flush_frozen(t);
+            }
+        }
+    }
+
+    /// Freezes and flushes whatever the active buffer holds.
+    fn flush_active(t: &mut LsmTree) {
+        assert!(t.freeze().unwrap());
+        flush_frozen(t);
+    }
+
+    /// Ingests scattered keys, running every compaction the policy asks for,
+    /// until one satisfies `wanted`; returns it unexecuted.
+    fn grow_until(
+        t: &mut LsmTree,
+        oracle: &mut Oracle,
+        wanted: impl Fn(&LsmTree, &JobPlan) -> bool,
+    ) -> JobPlan {
+        for i in 0..20 * KEYS {
+            put_all(t, oracle, [(i * 7919) % KEYS], |k| k);
+            while let Some(plan) = t.plan_job(false) {
+                if wanted(t, &plan) {
+                    return plan;
+                }
+                assert!(run(t, plan));
+            }
+        }
+        panic!("the policy never proposed the wanted job");
+    }
+
+    /// Every `u64` counter of [`TreeStats`] that differs between two reads.
+    fn moved(before: &TreeStats, after: &TreeStats) -> BTreeMap<&'static str, u64> {
+        let fields = |s: &TreeStats| {
+            [
+                ("flushes", s.flushes),
+                ("compactions", s.compactions),
+                ("full_tree_compactions", s.full_tree_compactions),
+                ("ttl_triggered_compactions", s.ttl_triggered_compactions),
+                ("entries_compacted", s.entries_compacted),
+                ("bytes_ingested", s.bytes_ingested),
+                ("entries_ingested", s.entries_ingested),
+                ("point_deletes_issued", s.point_deletes_issued),
+                ("range_deletes_issued", s.range_deletes_issued),
+                ("blind_deletes_suppressed", s.blind_deletes_suppressed),
+                ("secondary_range_deletes", s.secondary_range_deletes),
+                ("tombstone_gc_delayed", s.tombstone_gc_delayed),
+                ("bytes_flushed", s.bytes_flushed),
+                ("bytes_compacted", s.bytes_compacted),
+                ("whole_file_drops", s.whole_file_drops),
+            ]
+        };
+        fields(before)
+            .into_iter()
+            .zip(fields(after))
+            .filter(|((_, b), (_, a))| a != b)
+            .map(|((name, b), (_, a))| (name, a - b))
+            .collect()
+    }
+
+    /// Applies `plan` and checks that exactly what it described was
+    /// committed: inputs gone, output at its placement, everything else in
+    /// place; only the job kind's counters moved; reads match the oracle;
+    /// no page is leaked or lost.
+    fn commits_what_it_planned(name: &str, t: &mut LsmTree, oracle: &Oracle, plan: JobPlan) {
+        let before = layout(t);
+        let stats_before = t.stats();
+        let (flush, placement) = (plan.is_flush(), plan.placement);
+        let (ttl_expired, full_tree) = (plan.ttl_expired, plan.full_tree);
+        let inputs = ids(&plan.inputs);
+        let input_entries: u64 = plan.inputs.iter().map(|f| f.meta.num_entries).sum();
+        assert!(inputs.is_subset(&all_ids(&before)), "{name}: inputs come from the tree");
+        assert!(run(t, plan), "{name}: a fresh plan applies");
+
+        let after = layout(t);
+        let built: BTreeSet<u64> = all_ids(&after).difference(&all_ids(&before)).copied().collect();
+        let mut expected: Layout = before
+            .iter()
+            .map(|l| {
+                l.iter()
+                    .map(|r| r.difference(&inputs).copied().collect::<BTreeSet<u64>>())
+                    .filter(|r| !r.is_empty())
+                    .collect()
+            })
+            .collect();
+        match placement {
+            Some(Placement::JoinRun { level }) => {
+                expected.resize(expected.len().max(level + 1), Vec::new());
+                if expected[level].is_empty() && !built.is_empty() {
+                    expected[level].push(BTreeSet::new());
+                }
+                if let Some(run) = expected[level].first_mut() {
+                    run.extend(&built);
+                }
+            }
+            Some(Placement::NewRun { level, index }) => {
+                expected.resize(expected.len().max(level + 1), Vec::new());
+                if !built.is_empty() {
+                    expected[level].insert(index, built.clone());
+                }
+            }
+            None => assert!(built.is_empty(), "{name}: a job placed nowhere builds nothing"),
+        }
+        assert_eq!(after, expected, "{name}: committed layout");
+
+        let written: u64 = t
+            .versions
+            .current()
+            .levels
+            .iter()
+            .flat_map(|l| l.all_tables())
+            .filter(|f| built.contains(&f.meta.id))
+            .map(|f| f.meta.data_bytes)
+            .sum();
+        let mut counters = if flush {
+            BTreeMap::from([("flushes", 1), ("bytes_flushed", written)])
+        } else if placement.is_none() {
+            BTreeMap::from([("whole_file_drops", inputs.len() as u64)])
+        } else {
+            BTreeMap::from([
+                ("compactions", 1),
+                ("entries_compacted", input_entries),
+                ("bytes_compacted", written),
+                ("ttl_triggered_compactions", u64::from(ttl_expired)),
+                ("full_tree_compactions", u64::from(full_tree)),
+            ])
+        };
+        counters.retain(|_, v| *v != 0);
+        assert_eq!(moved(&stats_before, &t.stats()), counters, "{name}: counters");
+        assert!(!flush || !t.has_frozen(), "{name}: a flush clears the frozen slot");
+
+        for k in 0..KEYS {
+            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "{name}: key {k}");
+        }
+        t.versions.collect_garbage(t.backend.as_ref());
+        let referenced: BTreeSet<PageId> = t
+            .versions
+            .current()
+            .levels
+            .iter()
+            .flat_map(|l| l.all_tables())
+            .flat_map(|f| f.tiles.iter().flat_map(|tile| tile.pages.iter().map(|p| p.id)))
+            .collect();
+        assert_eq!(t.backend.live_pages(), referenced.len(), "{name}: live pages");
+    }
+
+    /// A policy that proposes exactly the tasks it is handed (FADE lives in
+    /// `lethe-core`; the TTL row scripts the task its trigger emits).
+    struct Scripted(Vec<CompactionTask>);
+
+    impl CompactionPolicy for Scripted {
+        fn pick(&mut self, _: &TreeView<'_>) -> Option<CompactionTask> {
+            self.0.pop()
+        }
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
+    #[test]
+    fn every_job_shape_commits_the_layout_it_planned() {
+        type Row = (&'static str, fn() -> (LsmTree, Oracle, JobPlan), fn(&JobPlan, &Layout));
+        let rows: [Row; 8] = [
+            (
+                "flush, leveling",
+                || {
+                    let (mut t, mut o) = (tree(LsmConfig::small_for_test(), saturation()), Oracle::new());
+                    put_all(&mut t, &mut o, 0..64, |k| k);
+                    flush_active(&mut t);
+                    put_all(&mut t, &mut o, 8..16, |k| k);
+                    assert!(t.freeze().unwrap());
+                    let plan = t.plan_job(true).unwrap();
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    assert!(plan.is_flush());
+                    assert!(matches!(plan.placement, Some(Placement::JoinRun { level: 0 })));
+                    assert!(!before[0].is_empty());
+                    assert_eq!(ids(&plan.inputs), all_ids(&before[..1]));
+                },
+            ),
+            (
+                "flush, tiering",
+                || {
+                    let (mut t, mut o) = (tree(tiering(4), saturation()), Oracle::new());
+                    put_all(&mut t, &mut o, 0..64, |k| k);
+                    flush_active(&mut t);
+                    put_all(&mut t, &mut o, 8..16, |k| k);
+                    assert!(t.freeze().unwrap());
+                    let plan = t.plan_job(true).unwrap();
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    assert!(plan.is_flush() && plan.inputs.is_empty());
+                    assert!(matches!(plan.placement, Some(Placement::NewRun { level: 0, index: 0 })));
+                    assert!(!before[0].is_empty(), "the new run goes in front of older ones");
+                },
+            ),
+            (
+                "saturation, files into the next level",
+                || {
+                    let cfg = LsmConfig { size_ratio: 2, ..LsmConfig::small_for_test() };
+                    let (mut t, mut o) = (tree(cfg, saturation()), Oracle::new());
+                    let plan = grow_until(&mut t, &mut o, |t, p| {
+                        p.inputs.len() > 1 && t.level_count() > 1 && !p.full_tree
+                    });
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    let level = before.iter().position(|l| l[0].contains(&plan.inputs[0].meta.id));
+                    let level = level.expect("the source sits in run 0 of its level");
+                    assert!(matches!(plan.placement, Some(Placement::JoinRun { level: d }) if d == level + 1));
+                    let overlapped = ids(&plan.inputs[1..]);
+                    assert!(!overlapped.is_empty() && overlapped.is_subset(&before[level + 1][0]));
+                    assert!(!plan.ttl_expired);
+                },
+            ),
+            (
+                "ttl expiry, rewritten in place on the deepest level",
+                || {
+                    let (mut t, mut o) =
+                        (tree(LsmConfig::small_for_test(), Box::new(Scripted(Vec::new()))), Oracle::new());
+                    put_all(&mut t, &mut o, 0..12, |k| k);
+                    for k in [2, 5] {
+                        t.delete(k).unwrap();
+                        o.remove(&k);
+                    }
+                    // a snapshot held over the flush keeps the tombstones
+                    // in the deepest level, where only their TTL moves them
+                    let held = t.next_seqnum() - 1;
+                    t.snapshot_tracker().register(held);
+                    flush_active(&mut t);
+                    t.snapshot_tracker().release(held);
+                    let file = t.levels()[0].all_tables().find(|f| f.has_tombstones()).unwrap().meta.id;
+                    t.policy = Box::new(Scripted(vec![CompactionTask::LeveledMulti {
+                        level: 0,
+                        file_ids: vec![file],
+                        ttl_expired: true,
+                    }]));
+                    let plan = t.plan_job(true).unwrap();
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    assert_eq!(before.len(), 1, "level 0 is the deepest");
+                    assert!(matches!(plan.placement, Some(Placement::JoinRun { level: 0 })));
+                    assert_eq!(plan.inputs.len(), 1);
+                    assert!(plan.ttl_expired && plan.drop_tombstones);
+                },
+            ),
+            (
+                "tiered level",
+                || {
+                    let (mut t, mut o) = (tree(tiering(2), saturation()), Oracle::new());
+                    let plan = grow_until(&mut t, &mut o, |t, p| {
+                        t.level_count() > 1
+                            && matches!(p.placement, Some(Placement::NewRun { level: 1, index: 0 }))
+                    });
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    assert!(before[0].len() >= 2 && !before[1].is_empty());
+                    assert_eq!(ids(&plan.inputs), all_ids(&before[..1]));
+                },
+            ),
+            (
+                "size-tiered run merge behind a surviving newer run",
+                || {
+                    let (mut t, mut o) =
+                        (tree(tiering(4), Box::new(SizeTieredPolicy::new(3))), Oracle::new());
+                    for small in 0..3u64 {
+                        put_all(&mut t, &mut o, small * 4..small * 4 + 4, |k| k);
+                        flush_active(&mut t);
+                    }
+                    // a full buffer's run lands in the next size class
+                    put_all(&mut t, &mut o, 100..140, |k| k);
+                    assert_eq!(t.levels()[0].run_count(), 4);
+                    let plan = t.plan_job(true).unwrap();
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    assert!(matches!(plan.placement, Some(Placement::NewRun { level: 0, index: 1 })));
+                    let behind: BTreeSet<u64> = before[0][1..].iter().flatten().copied().collect();
+                    assert_eq!(ids(&plan.inputs), behind);
+                },
+            ),
+            (
+                "date-tiered whole-file drop",
+                || {
+                    let policy = DateTieredPolicy::new(100, 4, Some(1_000));
+                    let cfg = LsmConfig { auto_advance_clock: false, ..tiering(4) };
+                    let (mut t, mut o) = (tree(cfg, Box::new(policy)), Oracle::new());
+                    put_all(&mut t, &mut o, 0..8, |k| 100 + k);
+                    flush_active(&mut t);
+                    t.clock().advance_to(1_000_000);
+                    put_all(&mut t, &mut o, 8..16, |k| 999_000 + k);
+                    flush_active(&mut t);
+                    // the window of keys 0..8 ended long before `now - ttl`
+                    o.retain(|k, _| *k >= 8);
+                    let plan = t.plan_job(true).unwrap();
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    assert!(plan.placement.is_none() && !plan.is_flush());
+                    assert_eq!(ids(&plan.inputs), before[0][1], "the older run expires, the newer stays");
+                },
+            ),
+            (
+                "forced full-tree compaction",
+                || {
+                    let cfg = LsmConfig { size_ratio: 2, ..LsmConfig::small_for_test() };
+                    let (mut t, mut o) = (tree(cfg, saturation()), Oracle::new());
+                    grow_until(&mut t, &mut o, |t, _| t.level_count() > 2);
+                    let plan = t.plan_full(None).unwrap();
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    let deepest = before.len() - 1;
+                    assert!(
+                        matches!(plan.placement, Some(Placement::NewRun { level, index: 0 }) if level == deepest)
+                    );
+                    assert_eq!(ids(&plan.inputs), all_ids(before));
+                    assert!(plan.full_tree && plan.drop_tombstones);
+                },
+            ),
+        ];
+        for (name, build, shape) in rows {
+            let (mut t, oracle, plan) = build();
+            shape(&plan, &layout(&t));
+            commits_what_it_planned(name, &mut t, &oracle, plan);
+        }
+    }
+
+    /// Regression: a secondary range delete replaces files under their old
+    /// ids, so a compaction planned before it used to pass the id-based
+    /// staleness check, install output merged from the pre-delete pages and
+    /// bring purged entries back.
+    #[test]
+    fn stale_plan_is_refused_and_leaks_nothing() {
+        let cfg = LsmConfig {
+            size_ratio: 2,
+            pages_per_delete_tile: 4,
+            secondary_delete_mode: SecondaryDeleteMode::KiwiPageDrops,
+            ..LsmConfig::small_for_test()
+        };
+        let dk = |k: u64| (k * 7919) % 10_000;
+        let (mut t, mut oracle) = (tree(cfg, saturation()), Oracle::new());
+        let mut next = 0;
+        let stale = loop {
+            put_all(&mut t, &mut oracle, [next], dk);
+            next += 1;
+            if let Some(plan) = t.plan_job(true) {
+                assert!(!plan.is_flush());
+                break plan;
+            }
+        };
+        let purged = t.secondary_range_delete(0, 5_000).unwrap();
+        assert!(purged.entries_deleted > 0, "the delete must reach the planned files: {purged:?}");
+        oracle.retain(|k, _| dk(*k) >= 5_000);
+
+        let live_before = t.backend.live_pages();
+        let out = stale.execute(&t.build_ctx()).unwrap();
+        assert!(t.backend.live_pages() > live_before, "the stale job built output");
+        assert!(!t.apply_job(stale, out).unwrap(), "a plan older than the installed version is refused");
+        assert_eq!(t.backend.live_pages(), live_before, "the refused output was released");
+        for k in 0..next {
+            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "key {k} (delete key {})", dk(k));
+        }
+
+        // the purge emptied the level below saturation: grow it back
+        let fresh = grow_until(&mut t, &mut oracle, |_, _| true);
+        assert!(run(&mut t, fresh), "a plan taken against the new version applies");
+        for k in 0..next {
+            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "key {k} after the fresh job");
+        }
+    }
+}

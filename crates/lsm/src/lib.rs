@@ -23,9 +23,10 @@
 //! * [`batch`] — [`batch::WriteBatch`], the atomic multi-op unit the
 //!   group-commit write path logs as a single WAL frame.
 //! * [`tree`] — [`tree::LsmTree`], the engine's write surface: puts,
-//!   deletes, range deletes, secondary range deletes, flush and compaction,
-//!   recovery, and the plan/execute/apply job cycle a background worker
-//!   drives.
+//!   deletes, range deletes, secondary range deletes and recovery.
+//! * [`jobs`] — [`jobs::JobPlan`], the one shape of every flush and
+//!   compaction, and the plan/execute/apply cycle the inline paths and a
+//!   background worker drive.
 //! * [`read`] — [`read::ReadView`], the one read path: point lookups, range
 //!   scans, delete-key scans and the checkpoint stream, served lock-free
 //!   either live (the tree's current state) or pinned (an MVCC capture).
@@ -52,6 +53,7 @@ pub mod batch;
 pub mod compaction;
 pub mod config;
 pub mod cursor;
+pub mod jobs;
 pub mod level;
 pub mod merge;
 pub mod read;
@@ -77,5 +79,6 @@ pub use snapshot::SnapshotTracker;
 pub use sstable::{DeleteTile, PageHandle, SecondaryDeleteStats, SsTable, SsTableMeta};
 pub use stats::{ContentSnapshot, TreeStats};
 pub use strategy::{DateTieredPolicy, SizeTieredPolicy};
-pub use tree::{BuildCtx, JobOutput, JobPlan, LsmTree, MaintenanceMode, RecoveryReport};
+pub use jobs::{BuildCtx, JobOutput, JobPlan};
+pub use tree::{LsmTree, MaintenanceMode, RecoveryReport};
 pub use version::{Version, VersionSet};

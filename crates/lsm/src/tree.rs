@@ -22,23 +22,23 @@
 //! thread while flushes and compactions run (the read path itself lives in
 //! [`crate::read`]). Structural work is further
 //! split into **plan → execute → apply** phases ([`LsmTree::plan_job`],
-//! [`JobPlan::execute`], [`LsmTree::apply_job`]): planning and applying need
-//! the write lock but are cheap pointer work, while the expensive execute
-//! phase (page reads, merging, building output files) runs against pinned
-//! immutable state and needs no lock at all. A background worker (see
+//! [`JobPlan::execute`](crate::jobs::JobPlan::execute),
+//! [`LsmTree::apply_job`], all in [`crate::jobs`]): planning and applying
+//! need the write lock but are cheap pointer work, while the expensive
+//! execute phase (page reads, merging, building output files) runs against
+//! pinned immutable state and needs no lock at all. A background worker (see
 //! `lethe-core`) drives exactly this cycle; the inline `flush`/`maintain`
 //! paths drive the same cycle synchronously.
 
-use crate::compaction::{CompactionPolicy, CompactionTask, TreeView};
-use crate::config::{LsmConfig, MergePolicy, SecondaryDeleteMode};
-use crate::cursor::{probe, EntryCursor, MergeIterator, SharedSliceCursor, SsTableCursor};
+use crate::compaction::CompactionPolicy;
+use crate::config::{LsmConfig, SecondaryDeleteMode};
 use crate::level::{Level, Run};
 use crate::merge::merge_entries;
-use crate::read::{FrozenBuffer, FrozenEntries, MemState, ReadView};
+use crate::read::{FrozenBuffer, MemState, ReadView};
 use crate::snapshot::SnapshotTracker;
 use crate::sstable::{SecondaryDeleteStats, SsTable};
 use crate::stats::{ContentSnapshot, TreeStats};
-use crate::version::{Version, VersionSet};
+use crate::version::VersionSet;
 use bytes::Bytes;
 use crate::batch::WriteBatch;
 use lethe_storage::{
@@ -49,9 +49,6 @@ use lethe_storage::{
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Safety bound on back-to-back compactions triggered by a single flush.
-const MAX_MAINTENANCE_ROUNDS: usize = 10_000;
 
 /// What [`LsmTree::recover`] found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,330 +73,10 @@ pub enum MaintenanceMode {
     Inline,
     /// A filled buffer is only *frozen*; a background worker owned by the
     /// embedding layer drains it through [`LsmTree::plan_job`] /
-    /// [`JobPlan::execute`] / [`LsmTree::apply_job`], and the writer applies
+    /// [`JobPlan::execute`](crate::jobs::JobPlan::execute) /
+    /// [`LsmTree::apply_job`], and the writer applies
     /// backpressure via [`LsmTree::write_stalled`].
     Background,
-}
-
-/// Everything the lock-free execute phase needs to build output files:
-/// captured from the tree at plan time so no lock is held while pages are
-/// read, merged and written.
-#[derive(Clone)]
-pub struct BuildCtx {
-    config: LsmConfig,
-    backend: Arc<dyn StorageBackend>,
-    now: Timestamp,
-    next_file_id: Arc<AtomicU64>,
-}
-
-/// The structural decision of one unit of maintenance work, taken under the
-/// write lock against a pinned version. Executing it performs the expensive
-/// I/O without any lock; applying it back under the write lock commits the
-/// result atomically (manifest edit + version install).
-pub struct JobPlan {
-    kind: JobKind,
-    drop_tombstones: bool,
-}
-
-enum JobKind {
-    /// Persist the frozen write buffer into the first disk level.
-    Flush {
-        /// The pinned immutable buffer (shared with the frozen slot, so the
-        /// plan phase is a pointer clone; the entry copy for the merge
-        /// happens in the lock-free execute phase).
-        buffer: Arc<FrozenBuffer>,
-        /// Level-0 tables sort-merged with the buffer (leveling only).
-        resident: Vec<Arc<SsTable>>,
-        tiering: bool,
-    },
-    /// Merge files of `level` into `dst_level` (leveling partial/multi
-    /// compaction; FADE's delete-driven trigger passes every TTL-expired
-    /// file of the level in one job).
-    Files {
-        level: usize,
-        dst_level: usize,
-        sources: Vec<Arc<SsTable>>,
-        overlapping: Vec<Arc<SsTable>>,
-        ttl_trigger: bool,
-    },
-    /// Merge every run of `level` into one run of `level + 1` (tiering).
-    Tier { level: usize, victims: Vec<Arc<SsTable>> },
-    /// Merge the `run_count` adjacent runs of `level` starting at run index
-    /// `start` (pinned as `victims`) into one run that replaces them in
-    /// place (the tiered strategies' subset merge).
-    MergeRuns { level: usize, victims: Vec<Arc<SsTable>>, start: usize, run_count: usize },
-    /// Retire `victims` from every level without reading them (a date-tiered
-    /// whole-window TTL expiry). Executes as a no-op — zero pages read or
-    /// written — and commits as one atomic version install.
-    Drop { victims: Vec<Arc<SsTable>> },
-    /// Read, merge and rewrite the entire tree into its last level.
-    Full {
-        victims: Vec<Arc<SsTable>>,
-        deepest: usize,
-        delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-    },
-}
-
-impl JobPlan {
-    /// Human-readable job kind (worker diagnostics).
-    pub fn describe(&self) -> &'static str {
-        match &self.kind {
-            JobKind::Flush { .. } => "flush",
-            JobKind::Files { .. } => "compact-files",
-            JobKind::Tier { .. } => "compact-tier",
-            JobKind::MergeRuns { .. } => "merge-runs",
-            JobKind::Drop { .. } => "drop-files",
-            JobKind::Full { .. } => "full-tree",
-        }
-    }
-
-    /// True if this plan persists the frozen write buffer.
-    pub fn is_flush(&self) -> bool {
-        matches!(self.kind, JobKind::Flush { .. })
-    }
-
-    /// The execute phase: reads the input pages, merges, and builds the
-    /// output files on the device. Requires **no** tree lock — all inputs
-    /// are immutable (pinned `Arc<SsTable>`s and the pinned frozen buffer)
-    /// and the device is thread-safe. The output references freshly written
-    /// pages that no version knows about yet; it becomes visible only via
-    /// [`LsmTree::apply_job`].
-    ///
-    /// The merge is *streaming*: input files are read through lazy per-tile
-    /// cursors (cache-bypassing `nofill` reads, like every bulk maintenance
-    /// scan) into a heap merge, and output files are cut as the stream
-    /// passes each file-size boundary. Peak memory is one delete tile per
-    /// input plus one output file's entries — independent of the total
-    /// number of input entries, so arbitrarily large compactions run in
-    /// bounded space.
-    pub fn execute(&self, ctx: &BuildCtx) -> Result<JobOutput> {
-        match &self.kind {
-            JobKind::Flush { buffer, resident, tiering } => {
-                if *tiering {
-                    // the flushed buffer becomes a fresh run as-is (no
-                    // merge, no dedup — the buffer already holds one
-                    // version per key)
-                    let mut builder = TableStreamBuilder::new(
-                        ctx,
-                        buffer.range_tombstones.clone(),
-                        buffer.oldest_tombstone_ts,
-                    );
-                    for e in &buffer.entries {
-                        builder.push(e.clone())?;
-                    }
-                    return Ok(JobOutput { tables: builder.finish()?, input_entries: 0 });
-                }
-                // greedy sort-merge with the resident run of level 1; the
-                // pinned buffer streams without being copied
-                let mut cursors: Vec<Box<dyn EntryCursor>> =
-                    Vec::with_capacity(1 + resident.len());
-                cursors.push(Box::new(SharedSliceCursor::new(
-                    FrozenEntries(Arc::clone(buffer)),
-                    0,
-                    buffer.entries.len(),
-                )));
-                let mut all_rts = buffer.range_tombstones.clone();
-                let mut oldest = buffer.oldest_tombstone_ts;
-                for table in resident {
-                    cursors.push(Box::new(SsTableCursor::full(
-                        Arc::clone(table),
-                        Arc::clone(&ctx.backend),
-                        true,
-                    )));
-                    all_rts.extend(table.range_tombstones.iter().cloned());
-                    oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
-                }
-                let tables = stream_merge_build(
-                    ctx,
-                    cursors,
-                    all_rts,
-                    oldest,
-                    self.drop_tombstones,
-                    None,
-                )?;
-                Ok(JobOutput { tables, input_entries: 0 })
-            }
-            JobKind::Files { sources, overlapping, .. } => {
-                let inputs: Vec<&Arc<SsTable>> =
-                    sources.iter().chain(overlapping.iter()).collect();
-                merge_and_build(ctx, &inputs, self.drop_tombstones, None)
-            }
-            JobKind::Tier { victims, .. } => merge_and_build(
-                ctx,
-                &victims.iter().collect::<Vec<_>>(),
-                self.drop_tombstones,
-                None,
-            ),
-            JobKind::MergeRuns { victims, .. } => merge_and_build(
-                ctx,
-                &victims.iter().collect::<Vec<_>>(),
-                self.drop_tombstones,
-                None,
-            ),
-            // a whole-file drop reads and writes nothing: the entire effect
-            // is the apply phase's version/manifest edit
-            JobKind::Drop { .. } => Ok(JobOutput { tables: Vec::new(), input_entries: 0 }),
-            JobKind::Full { victims, delete_key_filter, .. } => merge_and_build(
-                ctx,
-                &victims.iter().collect::<Vec<_>>(),
-                self.drop_tombstones,
-                *delete_key_filter,
-            ),
-        }
-    }
-}
-
-/// The output of [`JobPlan::execute`]: freshly built files awaiting
-/// [`LsmTree::apply_job`].
-pub struct JobOutput {
-    tables: Vec<Arc<SsTable>>,
-    input_entries: u64,
-}
-
-/// Streams a merged, sorted entry sequence into successive output files
-/// (each at most `max_pages_per_file` pages) without ever holding more than
-/// one file's entries. File ids come from the shared atomic allocator so
-/// concurrent builders never collide.
-///
-/// Range tombstones (the small, already-in-memory survivors of the merge)
-/// are attached to the output file whose key range their start falls into;
-/// the final file absorbs whatever is left, exactly like the seed's
-/// materialising builder.
-struct TableStreamBuilder<'a> {
-    ctx: &'a BuildCtx,
-    per_file: usize,
-    chunk: Vec<Entry>,
-    /// Surviving range tombstones not yet attached, sorted by start key.
-    rts_remaining: Vec<Entry>,
-    oldest_tombstone_ts: Option<Timestamp>,
-    tables: Vec<Arc<SsTable>>,
-}
-
-impl<'a> TableStreamBuilder<'a> {
-    fn new(
-        ctx: &'a BuildCtx,
-        mut range_tombstones: Vec<Entry>,
-        oldest_tombstone_ts: Option<Timestamp>,
-    ) -> Self {
-        range_tombstones.sort_by_key(|e| e.sort_key);
-        TableStreamBuilder {
-            per_file: ctx.config.entries_per_file().max(1),
-            ctx,
-            chunk: Vec::new(),
-            rts_remaining: range_tombstones,
-            oldest_tombstone_ts,
-            tables: Vec::new(),
-        }
-    }
-
-    /// Appends the next entry of the merged stream (must arrive in sort-key
-    /// order), cutting a file whenever one is full.
-    fn push(&mut self, e: Entry) -> Result<()> {
-        if self.chunk.len() >= self.per_file {
-            self.flush_file(false)?;
-        }
-        probe::add(1);
-        self.chunk.push(e);
-        Ok(())
-    }
-
-    /// Builds one output file from the accumulated chunk. A non-final file
-    /// takes the pending range tombstones starting within its key range; the
-    /// final file absorbs all that remain.
-    fn flush_file(&mut self, last: bool) -> Result<()> {
-        // nothing to build — except a final rts-only file when point entries
-        // ran out but surviving range tombstones remain
-        let rts_only_file = last && !self.rts_remaining.is_empty();
-        if self.chunk.is_empty() && !rts_only_file {
-            return Ok(());
-        }
-        let rts: Vec<Entry> = if last {
-            std::mem::take(&mut self.rts_remaining)
-        } else {
-            let upper = self.chunk.last().map(|e| e.sort_key).unwrap_or(0);
-            let split = self.rts_remaining.partition_point(|rt| rt.sort_key <= upper);
-            let keep = self.rts_remaining.split_off(split);
-            std::mem::replace(&mut self.rts_remaining, keep)
-        };
-        let chunk = std::mem::take(&mut self.chunk);
-        probe::sub(chunk.len() as u64);
-        let has_tombstones = !rts.is_empty() || chunk.iter().any(|e| e.is_tombstone());
-        let id = self.ctx.next_file_id.fetch_add(1, Ordering::Relaxed);
-        let table = SsTable::build(
-            id,
-            chunk,
-            rts,
-            self.ctx.now,
-            if has_tombstones { self.oldest_tombstone_ts } else { None },
-            &self.ctx.config,
-            self.ctx.backend.as_ref(),
-        )?;
-        if table.meta.num_entries > 0 {
-            self.tables.push(Arc::new(table));
-        }
-        Ok(())
-    }
-
-    /// Cuts the final file (which absorbs the remaining range tombstones)
-    /// and returns every file built.
-    fn finish(mut self) -> Result<Vec<Arc<SsTable>>> {
-        self.flush_file(true)?;
-        Ok(self.tables)
-    }
-}
-
-/// Drives `cursors` through a streaming heap merge into a
-/// [`TableStreamBuilder`]: the shared tail of every execute arm.
-/// `delete_key_filter` additionally drops surviving puts whose delete key
-/// falls in the range (the full-tree secondary-delete baseline).
-fn stream_merge_build(
-    ctx: &BuildCtx,
-    cursors: Vec<Box<dyn EntryCursor>>,
-    range_tombstones: Vec<Entry>,
-    oldest: Option<Timestamp>,
-    drop_tombstones: bool,
-    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-) -> Result<Vec<Arc<SsTable>>> {
-    let oldest = if drop_tombstones { None } else { oldest };
-    let surviving_rts = if drop_tombstones { Vec::new() } else { range_tombstones.clone() };
-    let mut merge = MergeIterator::new(cursors, range_tombstones, drop_tombstones)?;
-    let mut builder = TableStreamBuilder::new(ctx, surviving_rts, oldest);
-    while let Some(e) = merge.next_merged()? {
-        if let Some((d_lo, d_hi)) = delete_key_filter {
-            if !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi {
-                continue;
-            }
-        }
-        builder.push(e)?;
-    }
-    builder.finish()
-}
-
-/// Merges and rebuilds a set of input files through lazy per-tile cursors —
-/// the shared body of the Files, Tier and Full execute arms.
-fn merge_and_build(
-    ctx: &BuildCtx,
-    tables: &[&Arc<SsTable>],
-    drop_tombstones: bool,
-    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-) -> Result<JobOutput> {
-    let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(tables.len());
-    let mut rts = Vec::new();
-    let mut oldest: Option<Timestamp> = None;
-    let mut input_entries = 0u64;
-    for table in tables {
-        cursors.push(Box::new(SsTableCursor::full(
-            Arc::clone(table),
-            Arc::clone(&ctx.backend),
-            true,
-        )));
-        rts.extend(table.range_tombstones.iter().cloned());
-        oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
-        input_entries += table.meta.num_entries;
-    }
-    let tables =
-        stream_merge_build(ctx, cursors, rts, oldest, drop_tombstones, delete_key_filter)?;
-    Ok(JobOutput { tables, input_entries })
 }
 
 pub(crate) fn min_opt(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Timestamp> {
@@ -412,17 +89,17 @@ pub(crate) fn min_opt(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Time
 
 /// A complete LSM storage engine instance.
 pub struct LsmTree {
-    config: LsmConfig,
-    backend: Arc<dyn StorageBackend>,
-    clock: LogicalClock,
-    policy: Box<dyn CompactionPolicy>,
-    mem: Arc<MemState>,
+    pub(crate) config: LsmConfig,
+    pub(crate) backend: Arc<dyn StorageBackend>,
+    pub(crate) clock: LogicalClock,
+    pub(crate) policy: Box<dyn CompactionPolicy>,
+    pub(crate) mem: Arc<MemState>,
     /// Insertion time of the oldest tombstone currently in the active buffer.
     buffer_oldest_tombstone_ts: Option<Timestamp>,
-    versions: Arc<VersionSet>,
+    pub(crate) versions: Arc<VersionSet>,
     /// Sequence-number allocator. Shared across every shard of a sharded
     /// store so one cross-shard batch commits under one seqnum range.
-    next_seqnum: Arc<AtomicU64>,
+    pub(crate) next_seqnum: Arc<AtomicU64>,
     /// Cross-shard batch ids proven committed by the batch-commit log;
     /// replay rolls back any `WalRecord::Batch { id: Some(_), .. }` whose id
     /// is missing here (prepared but never committed).
@@ -431,16 +108,16 @@ pub struct LsmTree {
     /// or rolled back). The sharded front-end unions these across shards to
     /// compact its batch-commit log down to ids some WAL still references.
     replayed_batch_ids: HashSet<u64>,
-    next_file_id: Arc<AtomicU64>,
+    pub(crate) next_file_id: Arc<AtomicU64>,
     /// Live-snapshot registry. Shared across every shard of a sharded store
     /// (like the seqnum allocator) so one cross-shard snapshot gates
     /// tombstone GC in all shards at once.
-    snapshots: Arc<SnapshotTracker>,
-    stats: TreeStats,
+    pub(crate) snapshots: Arc<SnapshotTracker>,
+    pub(crate) stats: TreeStats,
     reader: ReadView,
-    sort_key_histogram: Histogram,
+    pub(crate) sort_key_histogram: Histogram,
     delete_key_histogram: Histogram,
-    wal: Option<Box<dyn Wal>>,
+    pub(crate) wal: Option<Box<dyn Wal>>,
     manifest: Option<Manifest>,
     mode: MaintenanceMode,
     /// Crash-injection hook for the tree's own commit steps (currently the
@@ -988,7 +665,7 @@ impl LsmTree {
             }
             level.prune_empty_runs();
         }
-        self.commit_version(levels, &replacements, retired)?;
+        self.commit_version(levels, &replacements, retired, false)?;
         Ok(total)
     }
 
@@ -1010,27 +687,6 @@ impl LsmTree {
         stats.partial_page_drops =
             after.levels.iter().flat_map(|l| l.all_tables()).map(|t| t.page_count() as u64).sum();
         Ok(stats)
-    }
-
-    /// Forces a full-tree compaction (reads, merges and rewrites every file
-    /// into the last level). This is the operation Lethe is designed to make
-    /// unnecessary; it is exposed for the baselines and experiments.
-    pub fn force_full_compaction(&mut self) -> Result<()> {
-        self.full_tree_compaction_filtered(None)
-    }
-
-    fn full_tree_compaction_filtered(
-        &mut self,
-        delete_key_range: Option<(DeleteKey, DeleteKey)>,
-    ) -> Result<()> {
-        let plan = match self.plan_full(delete_key_range) {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let ctx = self.build_ctx();
-        let out = plan.execute(&ctx)?;
-        self.apply_job(plan, out)?;
-        Ok(())
     }
 
     // ----------------------------------------------------------------- reads
@@ -1170,534 +826,6 @@ impl LsmTree {
         self.reader.l0_run_count()
     }
 
-    /// Flushes the write buffer (frozen remainder first, then the active
-    /// buffer) to the first disk level. A no-op when nothing is buffered.
-    ///
-    /// Durability ordering: the flushed files' pages are synced and a
-    /// manifest edit describing the new tree state is committed **before**
-    /// the WAL records it covers are discarded, so at no instant is an
-    /// acknowledged write covered by neither log.
-    pub fn flush(&mut self) -> Result<()> {
-        if self.has_frozen() {
-            self.flush_frozen()?;
-        }
-        if self.freeze()? {
-            self.flush_frozen()?;
-        }
-        Ok(())
-    }
-
-    /// Plans, executes and applies the flush of the frozen buffer inline.
-    fn flush_frozen(&mut self) -> Result<()> {
-        let plan = match self.plan_flush() {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let ctx = self.build_ctx();
-        let out = plan.execute(&ctx)?;
-        self.apply_job(plan, out)?;
-        Ok(())
-    }
-
-    /// Runs the compaction loop inline: repeatedly asks the policy for work
-    /// until it reports none is needed.
-    pub fn maintain(&mut self) -> Result<()> {
-        for _ in 0..MAX_MAINTENANCE_ROUNDS {
-            let plan = match self.plan_compaction() {
-                Some(p) => p,
-                None => break,
-            };
-            let ctx = self.build_ctx();
-            let out = plan.execute(&ctx)?;
-            if !self.apply_job(plan, out)? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Captures the context the lock-free execute phase needs.
-    pub fn build_ctx(&self) -> BuildCtx {
-        BuildCtx {
-            config: self.config.clone(),
-            backend: Arc::clone(&self.backend),
-            now: self.clock.now(),
-            next_file_id: Arc::clone(&self.next_file_id),
-        }
-    }
-
-    /// Plans the next unit of maintenance work, flush first: the frozen
-    /// buffer if one is waiting (when `include_flush`), otherwise whatever
-    /// compaction the policy picks. Returns `None` when the tree needs no
-    /// work right now. The plan pins its inputs; execute it without the
-    /// lock via [`JobPlan::execute`] and commit with [`LsmTree::apply_job`].
-    pub fn plan_job(&mut self, include_flush: bool) -> Option<JobPlan> {
-        if include_flush {
-            if let Some(p) = self.plan_flush() {
-                return Some(p);
-            }
-        }
-        self.plan_compaction()
-    }
-
-    /// True while a live snapshot pins history older than the newest write.
-    /// Conservative fence: the current `next_seqnum` — any snapshot taken
-    /// before the latest write blocks drops, and a snapshot with no writes
-    /// after it (which already observes every tombstone) does not.
-    fn tombstone_gc_gated(&self) -> bool {
-        !self.snapshots.may_drop_tombstones(self.next_seqnum.load(Ordering::Relaxed))
-    }
-
-    /// Applies the snapshot gate to a planned job's tombstone-drop decision,
-    /// counting each suppression so the delete-persistence accounting can
-    /// show that `D_th` was deliberately suspended rather than violated.
-    fn gate_tombstone_drop(&mut self, want_drop: bool) -> bool {
-        if want_drop && self.tombstone_gc_gated() {
-            self.stats.tombstone_gc_delayed += 1;
-            return false;
-        }
-        want_drop
-    }
-
-    fn plan_flush(&mut self) -> Option<JobPlan> {
-        let buffer = Arc::clone(self.mem.frozen.read().as_ref()?);
-        let tiering = self.config.merge_policy == MergePolicy::Tiering;
-        let version = self.versions.current();
-        let (resident, drop_tombstones) = if tiering {
-            (Vec::new(), false)
-        } else {
-            let resident: Vec<Arc<SsTable>> = version
-                .levels
-                .first()
-                .map(|l| l.all_tables().cloned().collect())
-                .unwrap_or_default();
-            let drop = version.deepest_nonempty_level().is_none_or(|d| d == 0);
-            (resident, drop)
-        };
-        let drop_tombstones = self.gate_tombstone_drop(drop_tombstones);
-        Some(JobPlan { kind: JobKind::Flush { buffer, resident, tiering }, drop_tombstones })
-    }
-
-    fn plan_compaction(&mut self) -> Option<JobPlan> {
-        let version = self.versions.current();
-        self.policy.on_tree_growth(version.levels.len());
-        let task = {
-            let view = TreeView {
-                levels: &version.levels,
-                capacities: (0..version.levels.len())
-                    .map(|i| self.config.level_capacity_bytes(i + 1))
-                    .collect(),
-                now: self.clock.now(),
-                config: &self.config,
-                sort_key_histogram: &self.sort_key_histogram,
-                tombstone_gc_gated: self.tombstone_gc_gated(),
-            };
-            self.policy.pick(&view)?
-        };
-        match task {
-            CompactionTask::LeveledPartial { level, file_id } => {
-                self.plan_files(&version, level, &[file_id])
-            }
-            CompactionTask::LeveledMulti { level, file_ids } => {
-                self.plan_files(&version, level, &file_ids)
-            }
-            CompactionTask::TieredLevel { level } => {
-                let victims: Vec<Arc<SsTable>> =
-                    version.levels.get(level)?.all_tables().cloned().collect();
-                if victims.is_empty() {
-                    return None;
-                }
-                // Tiering merges only the source level's runs; runs already
-                // resident in deeper levels are not part of the merge, so
-                // tombstones may only be discarded when *nothing* exists at
-                // the destination level or below — otherwise an older
-                // version they cover could resurface.
-                let deepest_other = (0..version.levels.len())
-                    .rev()
-                    .find(|&i| i != level && !version.levels[i].is_empty());
-                let drop_tombstones =
-                    self.gate_tombstone_drop(deepest_other.is_none_or(|d| d < level + 1));
-                Some(JobPlan { kind: JobKind::Tier { level, victims }, drop_tombstones })
-            }
-            CompactionTask::MergeRuns { level, file_ids } => {
-                self.plan_merge_runs(&version, level, &file_ids)
-            }
-            CompactionTask::DropFiles { file_ids } => self.plan_drop_files(&version, &file_ids),
-            CompactionTask::FullTree => self.plan_full(None),
-        }
-    }
-
-    /// Plans a tiered subset merge: whole runs of `level`, contiguous in its
-    /// run list and jointly holding exactly `file_ids`, merged into one run
-    /// that replaces them in place. Rejects partial runs and non-adjacent
-    /// selections — merging around a surviving run of intermediate recency
-    /// would invert the version order reads depend on.
-    fn plan_merge_runs(
-        &mut self,
-        version: &Version,
-        level: usize,
-        file_ids: &[u64],
-    ) -> Option<JobPlan> {
-        if file_ids.is_empty() {
-            return None;
-        }
-        let l = version.levels.get(level)?;
-        let want: HashSet<u64> = file_ids.iter().copied().collect();
-        let mut picked: Vec<usize> = Vec::new();
-        for (i, run) in l.runs.iter().enumerate() {
-            let selected = run.tables().iter().filter(|t| want.contains(&t.meta.id)).count();
-            if selected == 0 {
-                continue;
-            }
-            if selected != run.len() {
-                return None; // partial run selected
-            }
-            picked.push(i);
-        }
-        let (start, end) = (*picked.first()?, *picked.last()? + 1);
-        if picked.len() != end - start {
-            return None; // non-adjacent runs selected
-        }
-        let covered: usize = picked.iter().map(|&i| l.runs[i].len()).sum();
-        if covered != want.len() {
-            return None; // some wanted id is not in this level
-        }
-        let run_count = end - start;
-        let victims: Vec<Arc<SsTable>> =
-            l.runs[start..end].iter().flat_map(|r| r.tables().iter().cloned()).collect();
-        // The merge may persist tombstones only when it covers the oldest
-        // data of the tree: the segment reaches the level's oldest run and
-        // every deeper level is empty.
-        let oldest = end == l.runs.len()
-            && version.levels.iter().skip(level + 1).all(|deeper| deeper.is_empty());
-        let drop_tombstones = self.gate_tombstone_drop(oldest);
-        Some(JobPlan {
-            kind: JobKind::MergeRuns { level, victims, start, run_count },
-            drop_tombstones,
-        })
-    }
-
-    /// Plans a whole-file drop of `file_ids`, resolved across all levels.
-    /// Routed through the snapshot gate: while a live snapshot pins history
-    /// the plan is refused and the delay is counted in
-    /// `TreeStats::tombstone_gc_delayed` — the expired files stay in place
-    /// (and readable) until the snapshot is released.
-    fn plan_drop_files(&mut self, version: &Version, file_ids: &[u64]) -> Option<JobPlan> {
-        if file_ids.is_empty() {
-            return None;
-        }
-        let victims: Vec<Arc<SsTable>> = file_ids
-            .iter()
-            .filter_map(|id| {
-                version
-                    .levels
-                    .iter()
-                    .find_map(|l| l.runs.iter().find_map(|r| r.find_by_id(*id).map(Arc::clone)))
-            })
-            .collect();
-        if victims.len() != file_ids.len() {
-            return None;
-        }
-        // A drop erases data versions outright, which is only invisible to
-        // readers because the TTL already expired them; a held snapshot must
-        // still see the expired window, so the gate defers the whole job.
-        if !self.gate_tombstone_drop(true) {
-            return None;
-        }
-        Some(JobPlan { kind: JobKind::Drop { victims }, drop_tombstones: false })
-    }
-
-    /// Plans a leveling compaction of `file_ids` out of `level`, mirroring
-    /// FADE's placement rules: TTL-driven jobs on an unsaturated deepest
-    /// level rewrite in place, everything else spills to `level + 1`.
-    fn plan_files(&mut self, version: &Version, level: usize, file_ids: &[u64]) -> Option<JobPlan> {
-        let sources: Vec<Arc<SsTable>> = {
-            let run = version.levels.get(level)?.runs.first()?;
-            file_ids.iter().filter_map(|id| run.find_by_id(*id).map(Arc::clone)).collect()
-        };
-        if sources.is_empty() {
-            return None;
-        }
-        let now = self.clock.now();
-        let ttl_trigger = self
-            .config
-            .delete_persistence_threshold
-            .map(|dth| {
-                sources.iter().any(|s| s.has_tombstones() && s.tombstone_age(now) >= dth / 2)
-            })
-            .unwrap_or(false);
-
-        let deepest = version.deepest_nonempty_level().unwrap_or(level);
-        // Files picked from the deepest level while that level still has
-        // headroom are being compacted only to persist their tombstones (a
-        // TTL-driven compaction): rewrite them in place instead of growing
-        // the tree by a level. A saturated deepest level still spills down.
-        let saturated =
-            version.levels[level].total_bytes() > self.config.level_capacity_bytes(level + 1);
-        let dst_level = if level == deepest && !saturated { level } else { level + 1 };
-
-        let overlapping: Vec<Arc<SsTable>> = if dst_level == level {
-            Vec::new()
-        } else {
-            version
-                .levels
-                .get(dst_level)
-                .and_then(|l| l.runs.first())
-                .map(|r| {
-                    r.tables()
-                        .iter()
-                        .filter(|t| sources.iter().any(|s| t.overlaps_table(s)))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-
-        let drop_tombstones = self.gate_tombstone_drop(dst_level >= deepest);
-        Some(JobPlan {
-            kind: JobKind::Files { level, dst_level, sources, overlapping, ttl_trigger },
-            drop_tombstones,
-        })
-    }
-
-    fn plan_full(&mut self, delete_key_filter: Option<(DeleteKey, DeleteKey)>) -> Option<JobPlan> {
-        let version = self.versions.current();
-        let deepest = version.deepest_nonempty_level()?;
-        let victims: Vec<Arc<SsTable>> =
-            version.levels.iter().flat_map(|l| l.all_tables().cloned()).collect();
-        let drop_tombstones = self.gate_tombstone_drop(true);
-        Some(JobPlan {
-            kind: JobKind::Full { victims, deepest, delete_key_filter },
-            drop_tombstones,
-        })
-    }
-
-    /// Commits an executed job: splices the output into a copy of the
-    /// current levels, commits the manifest edit, installs the new version
-    /// (one atomic pointer swap — readers see the old or the new tree, never
-    /// a mixture), retires the replaced files for deferred page reclamation,
-    /// and — for flushes — clears the frozen buffer and discards the covered
-    /// WAL prefix.
-    ///
-    /// Returns `false` (and releases the output's pages) if the tree changed
-    /// structurally since the plan was taken and the job no longer applies —
-    /// this cannot happen under the serialisation discipline (one worker per
-    /// tree; foreground structural operations pause the worker) but is
-    /// checked anyway so a discipline bug degrades to wasted work, never to
-    /// resurrected data.
-    pub fn apply_job(&mut self, plan: JobPlan, out: JobOutput) -> Result<bool> {
-        let current = self.versions.current();
-        let mut levels = current.levels.clone();
-        let JobPlan { kind, .. } = plan;
-        match kind {
-            JobKind::Flush { buffer, resident, tiering } => {
-                let wal_upto = buffer.wal_upto;
-                if self.mem.frozen.read().is_none() {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                if levels.is_empty() {
-                    levels.push(Level::new());
-                }
-                let new_tables = out.tables.clone();
-                if tiering {
-                    // the flushed buffer becomes a fresh run (newest first)
-                    if !out.tables.is_empty() {
-                        levels[0].runs.insert(0, Run::new(out.tables));
-                    }
-                } else {
-                    // the merge consumed the resident run: verify it is
-                    // still exactly what the plan pinned
-                    let have: Vec<u64> = levels[0].all_tables().map(|t| t.meta.id).collect();
-                    let planned: Vec<u64> = resident.iter().map(|t| t.meta.id).collect();
-                    if have != planned {
-                        self.abort_output(out);
-                        return Ok(false);
-                    }
-                    levels[0] = Level::new();
-                    if !out.tables.is_empty() {
-                        levels[0].runs.push(Run::new(out.tables));
-                    }
-                }
-                let flushed_bytes: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, resident)?;
-                *self.mem.frozen.write() = None;
-                self.stats.flushes += 1;
-                self.stats.bytes_flushed += flushed_bytes;
-                if let Some(wal) = &self.wal {
-                    wal.truncate_prefix(wal_upto)?;
-                }
-                Ok(true)
-            }
-            JobKind::Files { level, dst_level, sources, overlapping, ttl_trigger } => {
-                let source_ids: Vec<u64> = sources.iter().map(|t| t.meta.id).collect();
-                let overlap_ids: Vec<u64> = overlapping.iter().map(|t| t.meta.id).collect();
-                let ids_present = |run: Option<&Run>, ids: &[u64]| {
-                    ids.iter().all(|id| run.is_some_and(|r| r.find_by_id(*id).is_some()))
-                };
-                if !ids_present(levels.get(level).and_then(|l| l.runs.first()), &source_ids)
-                    || !ids_present(levels.get(dst_level).and_then(|l| l.runs.first()), &overlap_ids)
-                {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                while levels.len() <= dst_level {
-                    levels.push(Level::new());
-                }
-                if let Some(run) = levels[level].runs.first_mut() {
-                    run.remove_ids(&source_ids);
-                }
-                levels[level].prune_empty_runs();
-                if dst_level != level {
-                    if let Some(run) = levels[dst_level].runs.first_mut() {
-                        run.remove_ids(&overlap_ids);
-                    }
-                    levels[dst_level].prune_empty_runs();
-                }
-                let new_tables = out.tables.clone();
-                if !out.tables.is_empty() {
-                    if levels[dst_level].runs.is_empty() {
-                        levels[dst_level].runs.push(Run::default());
-                    }
-                    levels[dst_level].runs[0].add_tables(out.tables);
-                }
-                let retired: Vec<Arc<SsTable>> =
-                    sources.into_iter().chain(overlapping).collect();
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, retired)?;
-                self.stats.compactions += 1;
-                if ttl_trigger {
-                    self.stats.ttl_triggered_compactions += 1;
-                }
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-            JobKind::Tier { level, victims } => {
-                let have: Vec<u64> =
-                    levels.get(level).map(|l| l.all_tables().map(|t| t.meta.id).collect()).unwrap_or_default();
-                let planned: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
-                if have != planned {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                levels[level].runs.clear();
-                while levels.len() <= level + 1 {
-                    levels.push(Level::new());
-                }
-                let new_tables = out.tables.clone();
-                if !out.tables.is_empty() {
-                    levels[level + 1].runs.insert(0, Run::new(out.tables));
-                }
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, victims)?;
-                self.stats.compactions += 1;
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-            JobKind::MergeRuns { level, victims, start, run_count } => {
-                // runs `start..start + run_count` of `level` must still be
-                // exactly the runs the plan pinned
-                let planned: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
-                let have: Vec<u64> = levels
-                    .get(level)
-                    .filter(|l| l.runs.len() >= start + run_count)
-                    .map(|l| {
-                        l.runs[start..start + run_count]
-                            .iter()
-                            .flat_map(|r| r.tables().iter().map(|t| t.meta.id))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if have != planned {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                let new_tables = out.tables.clone();
-                // the merged run takes the segment's position, preserving
-                // the level's recency order around it
-                let replacement =
-                    if out.tables.is_empty() { None } else { Some(Run::new(out.tables)) };
-                levels[level].runs.splice(start..start + run_count, replacement);
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, victims)?;
-                self.stats.compactions += 1;
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-            JobKind::Drop { victims } => {
-                let ids: Vec<u64> = victims.iter().map(|t| t.meta.id).collect();
-                let all_present = ids.iter().all(|id| {
-                    levels.iter().any(|l| l.runs.iter().any(|r| r.find_by_id(*id).is_some()))
-                });
-                if !all_present {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                for l in &mut levels {
-                    for run in &mut l.runs {
-                        run.remove_ids(&ids);
-                    }
-                    l.prune_empty_runs();
-                }
-                // Inlined commit tail (instead of `commit_version`) so crash
-                // injection can land between the two durability steps of a
-                // drop: the manifest edit that forgets the files must be
-                // committed *before* their pages are retired — the reverse
-                // order could reclaim pages a recovered manifest still
-                // references.
-                if let Some(fp) = &self.failpoint {
-                    fp.check("drop.commit")?;
-                }
-                self.commit_or_release(&levels, &[])?;
-                if let Some(fp) = &self.failpoint {
-                    fp.check("drop.retire")?;
-                }
-                self.versions.install(levels);
-                for t in &victims {
-                    self.versions.retire_table(Arc::clone(t));
-                }
-                self.versions.collect_garbage(self.backend.as_ref());
-                self.stats.whole_file_drops += victims.len() as u64;
-                Ok(true)
-            }
-            JobKind::Full { victims, deepest, .. } => {
-                let have: usize = levels.iter().map(|l| l.file_count()).sum();
-                if have != victims.len() {
-                    self.abort_output(out);
-                    return Ok(false);
-                }
-                for level in &mut levels {
-                    *level = Level::new();
-                }
-                while levels.len() <= deepest {
-                    levels.push(Level::new());
-                }
-                let new_tables = out.tables.clone();
-                if !out.tables.is_empty() {
-                    levels[deepest].runs.push(Run::new(out.tables));
-                }
-                let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
-                self.commit_version(levels, &new_tables, victims)?;
-                self.stats.compactions += 1;
-                self.stats.full_tree_compactions += 1;
-                self.stats.entries_compacted += out.input_entries;
-                self.stats.bytes_compacted += written;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Releases the pages of a job output that will never be installed
-    /// (skipping any page shared with a live, registered table).
-    fn abort_output(&self, out: JobOutput) {
-        for t in out.tables {
-            self.versions.release_unregistered_pages(&t, self.backend.as_ref());
-        }
-    }
-
     /// Commits `levels` to the manifest; if the commit fails, the freshly
     /// built `new_tables` are released before the error propagates (the
     /// version is never installed, so nothing references their pages and
@@ -1720,16 +848,31 @@ impl LsmTree {
     /// The shared commit tail of every structural change: manifest edit
     /// (releasing `new_tables` if it fails), page-reference registration,
     /// atomic version install, retirement of the replaced file objects, and
-    /// a garbage-collection pass. Used by every [`LsmTree::apply_job`]
-    /// branch and by the secondary-delete page-drop path, so the commit
-    /// ordering lives in exactly one place.
-    fn commit_version(
+    /// a garbage-collection pass. Used by [`LsmTree::apply_job`] and by the
+    /// secondary-delete page-drop path, so the commit ordering lives in
+    /// exactly one place.
+    ///
+    /// The manifest edit that forgets the retired files is committed
+    /// *before* their pages are retired — the reverse order could reclaim
+    /// pages a recovered manifest still references. A `whole_file_drop`
+    /// (a job that builds nothing) is all commit tail, so crash injection
+    /// lands on either side of that edit: `drop.commit` before it,
+    /// `drop.retire` between it and the retire.
+    pub(crate) fn commit_version(
         &mut self,
         levels: Vec<Level>,
         new_tables: &[Arc<SsTable>],
         retired: Vec<Arc<SsTable>>,
+        whole_file_drop: bool,
     ) -> Result<()> {
+        let drop_fp = if whole_file_drop { self.failpoint.clone() } else { None };
+        if let Some(fp) = &drop_fp {
+            fp.check("drop.commit")?;
+        }
         self.commit_or_release(&levels, new_tables)?;
+        if let Some(fp) = &drop_fp {
+            fp.check("drop.retire")?;
+        }
         for t in new_tables {
             self.versions.register_table(t);
         }
@@ -1911,6 +1054,7 @@ impl LsmTree {
 mod tests {
     use super::*;
     use crate::compaction::{FileSelection, SaturationPolicy};
+    use crate::config::MergePolicy;
 
     fn tree(config: LsmConfig) -> LsmTree {
         let backend = lethe_storage::InMemoryBackend::new_shared();
