@@ -66,6 +66,7 @@ struct Outcome {
     db: Lethe,
     write_amp: f64,
     whole_file_drops: u64,
+    trivial_moves: u64,
     appends_per_sec: f64,
     scans_per_sec: f64,
     /// Full result of one canonical recent-window scan, for the
@@ -141,6 +142,7 @@ fn run(tag: &'static str, strategy: Option<CompactionStrategy>, history: &[Opera
         db,
         write_amp: stats.write_amp(),
         whole_file_drops: stats.whole_file_drops,
+        trivial_moves: stats.trivial_moves,
         appends_per_sec,
         scans_per_sec,
         recent,
@@ -168,8 +170,13 @@ fn bench_compaction_strategies(c: &mut Criterion) {
     for o in [&leveled, &tiered, &dated] {
         println!(
             "compaction_strategies: {:<11} write amp {:>5.2}, {:>2} whole-file drops, \
-             ingest {:>7.0} appends/s, windowed scans {:>6.0}/s",
-            o.tag, o.write_amp, o.whole_file_drops, o.appends_per_sec, o.scans_per_sec
+             {:>3} trivial moves, ingest {:>7.0} appends/s, windowed scans {:>6.0}/s",
+            o.tag,
+            o.write_amp,
+            o.whole_file_drops,
+            o.trivial_moves,
+            o.appends_per_sec,
+            o.scans_per_sec
         );
     }
 

@@ -522,7 +522,10 @@ impl Lethe {
     }
 
     /// Lifetime operation counters (write-side counters folded together
-    /// with the lock-free read-side lookup counters).
+    /// with the lock-free read-side lookup counters). Maintenance shows up
+    /// as `flushes`, `compactions` (of which `trivial_moves` descended by a
+    /// manifest edit alone, carrying `bytes_moved` that `bytes_compacted`
+    /// never saw) and `whole_file_drops`.
     pub fn stats(&self) -> TreeStats {
         self.tree.stats()
     }

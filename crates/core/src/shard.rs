@@ -1343,7 +1343,10 @@ impl ShardedLethe {
     /// executes on every shard and therefore counts `N` times here
     /// (`range_deletes_issued`, `secondary_range_deletes`). Divide by
     /// [`shard_count`](Self::shard_count) — or compare equal shard counts —
-    /// when reading those counters as logical operation totals.
+    /// when reading those counters as logical operation totals. The
+    /// maintenance counters (`compactions`, `trivial_moves`, `bytes_moved`,
+    /// `whole_file_drops`, …) are plain sums: each shard compacts its own
+    /// tree.
     pub fn stats(&self) -> TreeStats {
         let mut total = TreeStats::default();
         for shard in &self.shards {
@@ -1918,6 +1921,32 @@ mod tests {
         restored.put(9999, 1, "fresh").unwrap();
         assert_eq!(restored.get(9999).unwrap(), Some(Bytes::from("fresh")));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: the checkpoint stream scanned the half-open
+    /// `[0, u64::MAX)`, which cannot name the largest key.
+    #[test]
+    fn checkpoint_keeps_the_largest_key() {
+        for flushed in [false, true] {
+            let dir = std::env::temp_dir()
+                .join(format!("lethe-ckpt-max-{flushed}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let db = small().shards(2).build().unwrap();
+            db.put(7, 7, "small").unwrap();
+            db.put(u64::MAX, 1, "largest").unwrap();
+            if flushed {
+                db.persist().unwrap();
+            }
+            db.checkpoint(&dir).unwrap();
+            let restored = Lethe::restore(&dir).unwrap();
+            assert_eq!(restored.get(7).unwrap(), Some(Bytes::from("small")));
+            assert_eq!(
+                restored.get(u64::MAX).unwrap(),
+                Some(Bytes::from("largest")),
+                "key u64::MAX, flushed before the checkpoint: {flushed}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

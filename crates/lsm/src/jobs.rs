@@ -13,6 +13,16 @@
 //! ARCHITECTURE.md ("One job shape") tabulates what each kind of job reads,
 //! where it places its output and which counters it moves.
 //!
+//! Both purposes of the mechanism can be absent. A leveled job bound for the
+//! next level is a **trivial move** when (a) no file of the destination run
+//! overlaps a source file, so there is nothing to reconcile, and (b) arriving
+//! there would not have persisted a tombstone (no source holds one, or the
+//! destination lies above the deepest level), so there is nothing to drop.
+//! A file's level is a manifest attribute, not a property of its bytes: the
+//! plan then has nothing to merge, `execute` hands back the input objects
+//! having read and written no page, and the apply phase re-places them
+//! through the same commit as a structure-only manifest edit.
+//!
 //! Planning and applying need the tree's write serialisation but are cheap
 //! pointer work; the expensive execute phase runs against pinned immutable
 //! state and needs no lock at all.
@@ -78,6 +88,9 @@ pub struct JobPlan {
     ttl_expired: bool,
     /// The job rewrites the entire tree.
     full_tree: bool,
+    /// There is nothing to merge: the output is the inputs themselves,
+    /// re-placed (see [`LsmTree::plan_files`] for the two conditions).
+    trivial_move: bool,
 }
 
 impl JobPlan {
@@ -106,6 +119,9 @@ impl JobPlan {
             // is the apply phase's version/manifest edit
             return Ok(JobOutput { tables: Vec::new() });
         };
+        if self.trivial_move {
+            return Ok(JobOutput { tables: self.inputs.clone() });
+        }
         let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(1 + self.inputs.len());
         let mut rts = Vec::new();
         let mut oldest = None;
@@ -396,6 +412,7 @@ impl LsmTree {
             base: self.versions.installs(),
             ttl_expired: false,
             full_tree: false,
+            trivial_move: false,
         }
     }
 
@@ -556,6 +573,24 @@ impl LsmTree {
     /// Plans a leveling compaction of `file_ids` out of `level`, mirroring
     /// FADE's placement rules: TTL-driven jobs on an unsaturated deepest
     /// level rewrite in place, everything else spills to `level + 1`.
+    ///
+    /// A job bound for `level + 1` is a *trivial move* — same inputs, same
+    /// placement, nothing to merge — when both things a rewrite exists for
+    /// are absent:
+    ///
+    /// * no file of the destination run overlaps a source file (the bounds
+    ///   [`SsTable::overlaps_table`] compares cover range-tombstone spans),
+    ///   so the sources can join the run as they are and no key has two
+    ///   versions to reconcile;
+    /// * arriving would not have persisted a tombstone: no source holds one,
+    ///   or the destination lies above the deepest non-empty level.
+    ///   Otherwise the rewrite is what drops the tombstones, and moving the
+    ///   file would park them in the last level past their `D_th`. The
+    ///   question is asked by position, not through the snapshot gate: a
+    ///   gated rewrite that must keep its tombstones stays a rewrite.
+    ///
+    /// A multi-file pick moves only if every source qualifies; the moved
+    /// files land exactly where the rewrite would have put their entries.
     fn plan_files(&mut self, version: &Version, level: usize, file_ids: &[u64]) -> Option<JobPlan> {
         let mut inputs: Vec<Arc<SsTable>> = {
             let run = version.levels.get(level)?.runs.first()?;
@@ -572,22 +607,26 @@ impl LsmTree {
         let saturated =
             version.levels[level].total_bytes() > self.config.level_capacity_bytes(level + 1);
         let dst_level = if level == deepest && !saturated { level } else { level + 1 };
+        let persists_tombstones = dst_level >= deepest;
 
+        let mut trivial_move = false;
         if dst_level != level {
-            if let Some(run) = version.levels.get(dst_level).and_then(|l| l.runs.first()) {
-                let overlapping: Vec<Arc<SsTable>> = run
-                    .tables()
-                    .iter()
-                    .filter(|t| inputs.iter().any(|s| t.overlaps_table(s)))
-                    .cloned()
-                    .collect();
-                inputs.extend(overlapping);
-            }
+            let run = version.levels.get(dst_level).and_then(|l| l.runs.first());
+            let overlapping: Vec<Arc<SsTable>> = run
+                .into_iter()
+                .flat_map(|run| run.tables())
+                .filter(|t| inputs.iter().any(|s| t.overlaps_table(s)))
+                .cloned()
+                .collect();
+            trivial_move = overlapping.is_empty()
+                && !(persists_tombstones && inputs.iter().any(|s| s.has_tombstones()));
+            inputs.extend(overlapping);
         }
 
-        let drop_tombstones = self.gate_tombstone_drop(dst_level >= deepest);
+        // a move merges nothing, so it neither drops nor delays tombstones
+        let drop_tombstones = !trivial_move && self.gate_tombstone_drop(persists_tombstones);
         let placement = Placement::JoinRun { level: dst_level };
-        Some(self.new_plan(inputs, Some(placement), drop_tombstones))
+        Some(JobPlan { trivial_move, ..self.new_plan(inputs, Some(placement), drop_tombstones) })
     }
 
     fn plan_full(&mut self, delete_key_filter: Option<(DeleteKey, DeleteKey)>) -> Option<JobPlan> {
@@ -609,7 +648,9 @@ impl LsmTree {
     /// installs the new version (one atomic pointer swap — readers see the
     /// old or the new tree, never a mixture), retires the inputs for
     /// deferred page reclamation, and — for flushes — clears the frozen
-    /// buffer and discards the covered WAL prefix.
+    /// buffer and discards the covered WAL prefix. A trivial move takes the
+    /// same steps with the inputs as its output: they leave one run and join
+    /// another, and the commit registers and retires nothing.
     ///
     /// Returns `false` (and releases the output's pages) if a version was
     /// installed since the plan was taken. Versions are only installed here
@@ -623,8 +664,16 @@ impl LsmTree {
     /// rare; when the discipline slips, the cost is wasted work, never
     /// resurrected data.
     pub fn apply_job(&mut self, plan: JobPlan, out: JobOutput) -> Result<bool> {
-        let JobPlan { buffer, inputs, placement, base, ttl_expired, full_tree, .. } = plan;
-        if self.versions.installs() != base || (buffer.is_some() && !self.has_frozen()) {
+        let JobPlan { buffer, inputs, placement, base, ttl_expired, full_tree, trivial_move, .. } =
+            plan;
+        // A flush plan is only current while the frozen slot holds the very
+        // buffer it pinned: a secondary range delete purges the slot through
+        // `Arc::make_mut`, which copies when a plan shares it, and on an
+        // empty tree installs no version for the counter to notice.
+        let buffer_in_place = buffer.as_ref().is_none_or(|planned| {
+            self.mem.frozen.read().as_ref().is_some_and(|held| Arc::ptr_eq(held, planned))
+        });
+        if self.versions.installs() != base || !buffer_in_place {
             self.abort_output(out);
             return Ok(false);
         }
@@ -641,7 +690,7 @@ impl LsmTree {
             }
             level.prune_empty_runs();
         }
-        let new_tables = out.tables;
+        let placed = out.tables;
         if let Some(placement) = placement {
             let (Placement::JoinRun { level } | Placement::NewRun { level, .. }) = placement;
             if levels.len() <= level {
@@ -649,13 +698,19 @@ impl LsmTree {
             }
             let runs = &mut levels[level].runs;
             match placement {
-                _ if new_tables.is_empty() => {}
-                Placement::NewRun { index, .. } => runs.insert(index, Run::new(new_tables.clone())),
-                Placement::JoinRun { .. } if runs.is_empty() => runs.push(Run::new(new_tables.clone())),
-                Placement::JoinRun { .. } => runs[0].add_tables(new_tables.clone()),
+                _ if placed.is_empty() => {}
+                Placement::NewRun { index, .. } => runs.insert(index, Run::new(placed.clone())),
+                Placement::JoinRun { .. } if runs.is_empty() => runs.push(Run::new(placed.clone())),
+                Placement::JoinRun { .. } => runs[0].add_tables(placed.clone()),
             }
         }
-        let written: u64 = new_tables.iter().map(|t| t.meta.data_bytes).sum();
+        // A moved file is the same object in the old version and the new:
+        // the commit has nothing to register and nothing to retire, and its
+        // manifest delta is the level structure alone.
+        let data_bytes = |files: &[Arc<SsTable>]| files.iter().map(|t| t.meta.data_bytes).sum::<u64>();
+        let (new_tables, inputs, bytes_moved) =
+            if trivial_move { (Vec::new(), Vec::new(), data_bytes(&placed)) } else { (placed, inputs, 0) };
+        let written = data_bytes(&new_tables);
         let input_entries: u64 = inputs.iter().map(|t| t.meta.num_entries).sum();
         let dropped_files = inputs.len() as u64;
         self.commit_version(levels, &new_tables, inputs, placement.is_none())?;
@@ -674,12 +729,16 @@ impl LsmTree {
             self.stats.ttl_triggered_compactions += u64::from(ttl_expired);
             self.stats.entries_compacted += input_entries;
             self.stats.bytes_compacted += written;
+            self.stats.trivial_moves += u64::from(trivial_move);
+            self.stats.bytes_moved += bytes_moved;
         }
         Ok(true)
     }
 
     /// Releases the pages of a job output that will never be installed
-    /// (skipping any page shared with a live, registered table).
+    /// (skipping any page shared with a live, registered table — which is
+    /// every page of a refused move's output: the plan still pins its
+    /// inputs, so the version set has not let go of them).
     fn abort_output(&self, out: JobOutput) {
         for t in out.tables {
             self.versions.release_unregistered_pages(&t, self.backend.as_ref());
@@ -791,6 +850,12 @@ mod tests {
         panic!("the policy never proposed the wanted job");
     }
 
+    fn assert_reads(t: &LsmTree, oracle: &Oracle, context: &str) {
+        for k in 0..KEYS {
+            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "{context}: key {k}");
+        }
+    }
+
     /// Every `u64` counter of [`TreeStats`] that differs between two reads.
     fn moved(before: &TreeStats, after: &TreeStats) -> BTreeMap<&'static str, u64> {
         let fields = |s: &TreeStats| {
@@ -810,6 +875,8 @@ mod tests {
                 ("bytes_flushed", s.bytes_flushed),
                 ("bytes_compacted", s.bytes_compacted),
                 ("whole_file_drops", s.whole_file_drops),
+                ("trivial_moves", s.trivial_moves),
+                ("bytes_moved", s.bytes_moved),
             ]
         };
         fields(before)
@@ -823,19 +890,27 @@ mod tests {
     /// Applies `plan` and checks that exactly what it described was
     /// committed: inputs gone, output at its placement, everything else in
     /// place; only the job kind's counters moved; reads match the oracle;
-    /// no page is leaked or lost.
+    /// no page is leaked or lost. A merge that drops tombstones builds files
+    /// without any; a move touches no page and installs the objects it took.
     fn commits_what_it_planned(name: &str, t: &mut LsmTree, oracle: &Oracle, plan: JobPlan) {
+        // earlier jobs' inputs are reclaimed one job late: not this job's I/O
+        t.versions.collect_garbage(t.backend.as_ref());
         let before = layout(t);
         let stats_before = t.stats();
+        let io_before = t.io_snapshot();
         let (flush, placement) = (plan.is_flush(), plan.placement);
         let (ttl_expired, full_tree) = (plan.ttl_expired, plan.full_tree);
-        let inputs = ids(&plan.inputs);
-        let input_entries: u64 = plan.inputs.iter().map(|f| f.meta.num_entries).sum();
+        let (trivial_move, drop_tombstones) = (plan.trivial_move, plan.drop_tombstones);
+        let sources = plan.inputs.clone();
+        let inputs = ids(&sources);
+        let input_entries: u64 = sources.iter().map(|f| f.meta.num_entries).sum();
         assert!(inputs.is_subset(&all_ids(&before)), "{name}: inputs come from the tree");
         assert!(run(t, plan), "{name}: a fresh plan applies");
+        let io = t.io_snapshot().since(&io_before);
 
         let after = layout(t);
         let built: BTreeSet<u64> = all_ids(&after).difference(&all_ids(&before)).copied().collect();
+        let placed = if trivial_move { &inputs } else { &built };
         let mut expected: Layout = before
             .iter()
             .map(|l| {
@@ -848,36 +923,38 @@ mod tests {
         match placement {
             Some(Placement::JoinRun { level }) => {
                 expected.resize(expected.len().max(level + 1), Vec::new());
-                if expected[level].is_empty() && !built.is_empty() {
+                if expected[level].is_empty() && !placed.is_empty() {
                     expected[level].push(BTreeSet::new());
                 }
                 if let Some(run) = expected[level].first_mut() {
-                    run.extend(&built);
+                    run.extend(placed);
                 }
             }
             Some(Placement::NewRun { level, index }) => {
                 expected.resize(expected.len().max(level + 1), Vec::new());
-                if !built.is_empty() {
-                    expected[level].insert(index, built.clone());
+                if !placed.is_empty() {
+                    expected[level].insert(index, placed.clone());
                 }
             }
             None => assert!(built.is_empty(), "{name}: a job placed nowhere builds nothing"),
         }
         assert_eq!(after, expected, "{name}: committed layout");
 
-        let written: u64 = t
-            .versions
-            .current()
-            .levels
-            .iter()
-            .flat_map(|l| l.all_tables())
-            .filter(|f| built.contains(&f.meta.id))
-            .map(|f| f.meta.data_bytes)
-            .sum();
+        let files: Vec<Arc<SsTable>> =
+            t.versions.current().levels.iter().flat_map(|l| l.all_tables().cloned()).collect();
+        let built_files = || files.iter().filter(|f| built.contains(&f.meta.id));
+        let written: u64 = built_files().map(|f| f.meta.data_bytes).sum();
         let mut counters = if flush {
             BTreeMap::from([("flushes", 1), ("bytes_flushed", written)])
         } else if placement.is_none() {
             BTreeMap::from([("whole_file_drops", inputs.len() as u64)])
+        } else if trivial_move {
+            BTreeMap::from([
+                ("compactions", 1),
+                ("trivial_moves", 1),
+                ("bytes_moved", sources.iter().map(|f| f.meta.data_bytes).sum()),
+                ("ttl_triggered_compactions", u64::from(ttl_expired)),
+            ])
         } else {
             BTreeMap::from([
                 ("compactions", 1),
@@ -890,17 +967,30 @@ mod tests {
         counters.retain(|_, v| *v != 0);
         assert_eq!(moved(&stats_before, &t.stats()), counters, "{name}: counters");
         assert!(!flush || !t.has_frozen(), "{name}: a flush clears the frozen slot");
-
-        for k in 0..KEYS {
-            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "{name}: key {k}");
+        if drop_tombstones {
+            assert!(built_files().all(|f| !f.has_tombstones()), "{name}: tombstones persisted");
         }
+        if trivial_move {
+            assert!(built.is_empty(), "{name}: a move builds nothing");
+            assert_eq!(
+                (io.pages_read, io.pages_written, io.pages_dropped),
+                (0, 0, 0),
+                "{name}: a move touches no page"
+            );
+            for source in &sources {
+                assert!(
+                    files.iter().any(|f| Arc::ptr_eq(f, source)),
+                    "{name}: file {} was installed as the object the plan took",
+                    source.meta.id
+                );
+            }
+        }
+
+        assert_reads(t, oracle, name);
+        drop(sources); // the last pins on the retired inputs
         t.versions.collect_garbage(t.backend.as_ref());
-        let referenced: BTreeSet<PageId> = t
-            .versions
-            .current()
-            .levels
+        let referenced: BTreeSet<PageId> = files
             .iter()
-            .flat_map(|l| l.all_tables())
             .flat_map(|f| f.tiles.iter().flat_map(|tile| tile.pages.iter().map(|p| p.id)))
             .collect();
         assert_eq!(t.backend.live_pages(), referenced.len(), "{name}: live pages");
@@ -919,10 +1009,43 @@ mod tests {
         }
     }
 
+    /// A tree holding one block of keys in each of the levels `1..=deepest`
+    /// (each large enough to saturate the level it leaves, so it spills
+    /// instead of being rewritten in place) and, in level 0, a
+    /// tombstone-bearing file that overlaps none of them; returns the plan
+    /// of the TTL task sending that file one level down.
+    fn tombstone_file_over(deepest: usize) -> (LsmTree, Oracle, JobPlan) {
+        let cfg = LsmConfig { size_ratio: 2, ..LsmConfig::small_for_test() };
+        let (mut t, mut o) = (tree(cfg, Box::new(Scripted(Vec::new()))), Oracle::new());
+        let descend = |t: &mut LsmTree, level: usize, ttl_expired: bool| {
+            let file_ids = t.levels()[level].all_tables().map(|f| f.meta.id).collect();
+            let task = CompactionTask::LeveledMulti { level, file_ids, ttl_expired };
+            t.policy = Box::new(Scripted(vec![task]));
+            t.plan_job(true).unwrap()
+        };
+        for (block, depth) in (1..=deepest).rev().enumerate() {
+            let base = 1_000 * block as u64;
+            put_all(&mut t, &mut o, base..base + 256, |k| k);
+            flush_active(&mut t);
+            for level in 0..depth {
+                let plan = descend(&mut t, level, false);
+                assert!(plan.trivial_move && run(&mut t, plan));
+            }
+        }
+        put_all(&mut t, &mut o, 500..512, |k| k);
+        for k in [501, 505] {
+            t.delete(k).unwrap();
+            o.remove(&k);
+        }
+        flush_active(&mut t);
+        let plan = descend(&mut t, 0, true);
+        (t, o, plan)
+    }
+
     #[test]
     fn every_job_shape_commits_the_layout_it_planned() {
         type Row = (&'static str, fn() -> (LsmTree, Oracle, JobPlan), fn(&JobPlan, &Layout));
-        let rows: [Row; 8] = [
+        let rows: [Row; 11] = [
             (
                 "flush, leveling",
                 || {
@@ -975,6 +1098,53 @@ mod tests {
                     let overlapped = ids(&plan.inputs[1..]);
                     assert!(!overlapped.is_empty() && overlapped.is_subset(&before[level + 1][0]));
                     assert!(!plan.ttl_expired);
+                },
+            ),
+            (
+                "trivial move, a file that overlaps nothing in the next level",
+                || {
+                    let cfg = LsmConfig { size_ratio: 2, ..LsmConfig::small_for_test() };
+                    let (mut t, mut o) = (tree(cfg, saturation()), Oracle::new());
+                    // sorted ingest: no file ever overlaps what lies below it
+                    let mut keys = 0..KEYS;
+                    let plan = loop {
+                        put_all(&mut t, &mut o, keys.next(), |k| k);
+                        if let Some(plan) = t.plan_job(false) {
+                            break plan;
+                        }
+                    };
+                    (t, o, plan)
+                },
+                |plan, before| {
+                    let level = before.iter().position(|l| l[0].contains(&plan.inputs[0].meta.id));
+                    let level = level.expect("the source sits in run 0 of its level");
+                    assert!(matches!(plan.placement, Some(Placement::JoinRun { level: d }) if d == level + 1));
+                    assert!(plan.trivial_move && !plan.drop_tombstones && !plan.ttl_expired);
+                    assert_eq!(plan.inputs.len(), 1, "the sources and nothing else");
+                },
+            ),
+            (
+                "tombstones bound for the deepest level are rewritten, not moved",
+                || tombstone_file_over(1),
+                |plan, before| {
+                    assert_eq!(before.len(), 2, "level 1 is the deepest");
+                    assert!(matches!(plan.placement, Some(Placement::JoinRun { level: 1 })));
+                    assert_eq!(plan.inputs.len(), 1, "nothing in level 1 overlaps the file");
+                    assert!(plan.inputs[0].has_tombstones());
+                    assert!(!plan.trivial_move && plan.drop_tombstones && plan.ttl_expired);
+                },
+            ),
+            (
+                "the same file above a deeper level moves and keeps its tombstone age",
+                || tombstone_file_over(2),
+                |plan, before| {
+                    assert_eq!(before.len(), 3, "level 1 lies above the deepest");
+                    assert!(!before[1].is_empty(), "the file joins the resident run");
+                    assert!(matches!(plan.placement, Some(Placement::JoinRun { level: 1 })));
+                    assert_eq!(plan.inputs.len(), 1);
+                    let file = &plan.inputs[0].meta;
+                    assert!(plan.inputs[0].has_tombstones() && file.oldest_tombstone_ts.is_some());
+                    assert!(plan.trivial_move && !plan.drop_tombstones && plan.ttl_expired);
                 },
             ),
             (
@@ -1092,27 +1262,37 @@ mod tests {
         }
     }
 
-    /// Regression: a secondary range delete replaces files under their old
-    /// ids, so a compaction planned before it used to pass the id-based
-    /// staleness check, install output merged from the pre-delete pages and
-    /// bring purged entries back.
-    #[test]
-    fn stale_plan_is_refused_and_leaks_nothing() {
+    /// The stale-plan scenarios: delete keys scattered over `0..10_000`, page
+    /// drops that install a version whatever they hit.
+    fn purgeable() -> (LsmTree, Oracle, fn(u64) -> u64) {
         let cfg = LsmConfig {
             size_ratio: 2,
             pages_per_delete_tile: 4,
             secondary_delete_mode: SecondaryDeleteMode::KiwiPageDrops,
             ..LsmConfig::small_for_test()
         };
-        let dk = |k: u64| (k * 7919) % 10_000;
-        let (mut t, mut oracle) = (tree(cfg, saturation()), Oracle::new());
-        let mut next = 0;
-        let stale = loop {
-            put_all(&mut t, &mut oracle, [next], dk);
-            next += 1;
-            if let Some(plan) = t.plan_job(true) {
+        (tree(cfg, saturation()), Oracle::new(), |k| (k * 7919) % 10_000)
+    }
+
+    /// Regression: a secondary range delete replaces files under their old
+    /// ids, so a compaction planned before it used to pass the id-based
+    /// staleness check, install output merged from the pre-delete pages and
+    /// bring purged entries back.
+    #[test]
+    fn stale_plan_is_refused_and_leaks_nothing() {
+        let (mut t, mut oracle, dk) = purgeable();
+        // scattered keys, so that files overlap the level below them and the
+        // plan is a merge (the first spills find nothing below and move)
+        let mut i = 0;
+        let stale = 'ingest: loop {
+            put_all(&mut t, &mut oracle, [(i * 7919) % KEYS], dk);
+            i += 1;
+            while let Some(plan) = t.plan_job(true) {
                 assert!(!plan.is_flush());
-                break plan;
+                if !plan.trivial_move {
+                    break 'ingest plan;
+                }
+                assert!(run(&mut t, plan));
             }
         };
         let purged = t.secondary_range_delete(0, 5_000).unwrap();
@@ -1124,15 +1304,86 @@ mod tests {
         assert!(t.backend.live_pages() > live_before, "the stale job built output");
         assert!(!t.apply_job(stale, out).unwrap(), "a plan older than the installed version is refused");
         assert_eq!(t.backend.live_pages(), live_before, "the refused output was released");
-        for k in 0..next {
-            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "key {k} (delete key {})", dk(k));
-        }
+        assert_reads(&t, &oracle, "after the refusal");
 
         // the purge emptied the level below saturation: grow it back
         let fresh = grow_until(&mut t, &mut oracle, |_, _| true);
         assert!(run(&mut t, fresh), "a plan taken against the new version applies");
-        for k in 0..next {
-            assert_eq!(t.get(k).unwrap(), oracle.get(&k).cloned(), "key {k} after the fresh job");
+        assert_reads(&t, &oracle, "after the fresh job");
+    }
+
+    /// The mirror case: a stale *move* built nothing, so its refusal has
+    /// nothing to release — and must release nothing, for its "output" is
+    /// files the tree still owns. The file stays at its old level.
+    #[test]
+    fn stale_move_is_refused_and_the_file_stays_put() {
+        let (mut t, mut oracle, dk) = purgeable();
+        let mut keys = 0..KEYS;
+        let stale = loop {
+            put_all(&mut t, &mut oracle, keys.next(), dk);
+            if let Some(plan) = t.plan_job(true) {
+                assert!(plan.trivial_move, "sorted ingest overlaps nothing");
+                break plan;
+            }
+        };
+        let moving = ids(&stale.inputs);
+        let purged = t.secondary_range_delete(0, 5_000).unwrap();
+        assert!(purged.entries_deleted > 0, "{purged:?}");
+        oracle.retain(|k, _| dk(*k) >= 5_000);
+
+        let (placed_before, live_before) = (layout(&t), t.backend.live_pages());
+        let out = stale.execute(&t.build_ctx()).unwrap();
+        assert_eq!(t.backend.live_pages(), live_before, "a move builds nothing");
+        assert!(!t.apply_job(stale, out).unwrap(), "a plan older than the installed version is refused");
+        assert_eq!(t.backend.live_pages(), live_before, "no page of a file still in the tree is released");
+        assert_eq!(layout(&t), placed_before, "nothing changed level");
+        assert!(moving.is_subset(&all_ids(&placed_before[..1])), "the picked file sits in level 0");
+        assert_eq!(t.stats().trivial_moves, 0);
+        assert_reads(&t, &oracle, "after the refusal");
+
+        let fresh = grow_until(&mut t, &mut oracle, |_, _| true);
+        assert!(run(&mut t, fresh), "a plan taken against the new version applies");
+        assert_reads(&t, &oracle, "after the fresh job");
+    }
+
+    /// Regression: the flush half of the staleness rule asked whether *a*
+    /// frozen buffer was present, not whether it was the plan's. On an empty
+    /// disk tree the full-compaction delete mode purges the frozen buffer
+    /// (through a copy, because the plan pins the original) and installs no
+    /// version, so the stale plan went on to persist the pre-purge entries.
+    #[test]
+    fn stale_flush_plan_is_refused_and_leaks_nothing() {
+        let cfg = LsmConfig {
+            secondary_delete_mode: SecondaryDeleteMode::FullTreeCompaction,
+            ..LsmConfig::small_for_test()
+        };
+        let (mut t, mut oracle) = (tree(cfg, saturation()), Oracle::new());
+        let dk = |k: u64| k % 100;
+        for k in 0.. {
+            t.put(k, dk(k), value(k)).unwrap();
+            oracle.insert(k, value(k));
+            if t.has_frozen() {
+                break;
+            }
         }
+        let stale = t.plan_job(true).unwrap();
+        assert!(stale.is_flush());
+        let installs = t.versions.installs();
+        t.secondary_range_delete(0, 50).unwrap();
+        assert_eq!(t.versions.installs(), installs, "nothing on disk, nothing installed");
+        let purged = oracle.len();
+        oracle.retain(|k, _| dk(*k) >= 50);
+        assert!(oracle.len() < purged, "the delete reached the frozen buffer");
+
+        let live_before = t.backend.live_pages();
+        let out = stale.execute(&t.build_ctx()).unwrap();
+        assert!(t.backend.live_pages() > live_before, "the stale flush built output");
+        assert!(!t.apply_job(stale, out).unwrap(), "the slot no longer holds the planned buffer");
+        assert_eq!(t.backend.live_pages(), live_before, "the refused output was released");
+        assert!(t.has_frozen(), "the purged buffer still waits for its flush");
+        assert_reads(&t, &oracle, "after the refusal");
+
+        flush_frozen(&mut t);
+        assert_reads(&t, &oracle, "after the fresh flush");
     }
 }

@@ -70,10 +70,15 @@ impl FrozenBuffer {
     }
 
     /// A streaming cursor over this pinned buffer's point entries in
-    /// `[lo, hi)`.
-    fn range_cursor(self: &Arc<Self>, lo: SortKey, hi: SortKey) -> Box<dyn EntryCursor> {
-        let start = self.entries.partition_point(|e| e.sort_key < lo);
-        let end = self.entries.partition_point(|e| e.sort_key < hi);
+    /// `[lo, hi)`, or over all of them (`None`).
+    fn range_cursor(self: &Arc<Self>, bounds: Option<(SortKey, SortKey)>) -> Box<dyn EntryCursor> {
+        let (start, end) = match bounds {
+            Some((lo, hi)) => (
+                self.entries.partition_point(|e| e.sort_key < lo),
+                self.entries.partition_point(|e| e.sort_key < hi),
+            ),
+            None => (0, self.entries.len()),
+        };
         Box::new(SharedSliceCursor::new(FrozenEntries(Arc::clone(self)), start, end))
     }
 }
@@ -152,12 +157,12 @@ impl Source {
         self.active_get(sort_key).or_else(|| self.with_frozen(|f| f.get(sort_key)).flatten())
     }
 
-    /// Pushes one cursor per write buffer over `[lo, hi)`, newest buffer
-    /// first, and every buffered range tombstone.
+    /// Pushes one cursor per write buffer over `[lo, hi)` (`None`: over
+    /// every buffered entry), newest buffer first, and every buffered range
+    /// tombstone.
     fn push_buffers(
         &self,
-        lo: SortKey,
-        hi: SortKey,
+        bounds: Option<(SortKey, SortKey)>,
         cursors: &mut Vec<Box<dyn EntryCursor>>,
         rts: &mut Vec<Entry>,
     ) {
@@ -167,16 +172,20 @@ impl Source {
                 // the one source a streaming scan snapshots eagerly (bounded
                 // by the buffer capacity, not by the scan length)
                 let active = mem.active.read();
-                cursors.push(Box::new(VecCursor::from_sorted(active.range(lo, hi))));
+                let slice = match bounds {
+                    Some((lo, hi)) => active.range(lo, hi),
+                    None => active.iter().cloned().collect(),
+                };
+                cursors.push(Box::new(VecCursor::from_sorted(slice)));
                 rts.extend(active.range_tombstones().iter().cloned());
             }
             Source::Pinned { active, .. } => {
-                cursors.push(active.range_cursor(lo, hi));
+                cursors.push(active.range_cursor(bounds));
                 rts.extend(active.range_tombstones.iter().cloned());
             }
         }
         self.with_frozen(|f| {
-            cursors.push(f.range_cursor(lo, hi));
+            cursors.push(f.range_cursor(bounds));
             rts.extend(f.range_tombstones.iter().cloned());
         });
     }
@@ -325,28 +334,39 @@ impl ReadView {
         Ok(None)
     }
 
-    /// Builds the streaming merge over `[lo, hi)`: one cursor per source
-    /// (the write buffers, then the fence-pruned lazy file cursors of the
-    /// version), newest source first, plus every source's range tombstones
-    /// for the shadowing window. `drop_tombstones` selects between the
-    /// user-facing view (resolved, tombstones consumed) and the checkpoint
-    /// stream (full entries, tombstones retained). The file cursors hold
-    /// their tables, which defers the reclamation of every page the merge
-    /// may still read for as long as it lives.
-    fn build_merge(&self, lo: SortKey, hi: SortKey, drop_tombstones: bool) -> Result<MergeIterator> {
+    /// Builds the streaming merge over `[lo, hi)` — or, with no bounds, over
+    /// every entry of the view (a half-open range cannot name the key
+    /// `u64::MAX`): one cursor per source (the write buffers, then the
+    /// fence-pruned lazy file cursors of the version), newest source first,
+    /// plus every source's range tombstones for the shadowing window.
+    /// `drop_tombstones` selects between the user-facing view (resolved,
+    /// tombstones consumed) and the checkpoint stream (full entries,
+    /// tombstones retained). The file cursors hold their tables, which
+    /// defers the reclamation of every page the merge may still read for as
+    /// long as it lives.
+    fn build_merge(
+        &self,
+        bounds: Option<(SortKey, SortKey)>,
+        drop_tombstones: bool,
+    ) -> Result<MergeIterator> {
         let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::new();
         let mut rts: Vec<Entry> = Vec::new();
-        if lo < hi {
-            self.source.push_buffers(lo, hi, &mut cursors, &mut rts);
-            for table in self.source.version().overlapping_tables(lo, hi) {
+        if bounds.is_none_or(|(lo, hi)| lo < hi) {
+            self.source.push_buffers(bounds, &mut cursors, &mut rts);
+            let version = self.source.version();
+            // both arms list the files in read precedence order (shallowest
+            // level first, newest run first)
+            let tables = match bounds {
+                Some((lo, hi)) => version.overlapping_tables(lo, hi),
+                None => version.levels.iter().flat_map(|l| l.all_tables().cloned()).collect(),
+            };
+            for table in tables {
                 rts.extend(table.range_tombstones.iter().cloned());
-                cursors.push(Box::new(SsTableCursor::new(
-                    table,
-                    Arc::clone(&self.backend),
-                    lo,
-                    hi,
-                    false,
-                )));
+                let backend = Arc::clone(&self.backend);
+                cursors.push(Box::new(match bounds {
+                    Some((lo, hi)) => SsTableCursor::new(table, backend, lo, hi, false),
+                    None => SsTableCursor::full(table, backend, false),
+                }));
             }
         }
         MergeIterator::new(cursors, rts, drop_tombstones)
@@ -359,7 +379,7 @@ impl ReadView {
     /// [`MergeIterator`]; everyone else wants [`ReadView::iter_range`].
     pub fn range_merge(&self, lo: SortKey, hi: SortKey) -> Result<MergeIterator> {
         self.counters.range_lookups.fetch_add(1, Ordering::Relaxed);
-        self.build_merge(lo, hi, true)
+        self.build_merge(Some((lo, hi)), true)
     }
 
     /// Range lookup on the sort key: returns the live `(key, value)` pairs in
@@ -516,7 +536,7 @@ impl ReadView {
     /// to the view (including not resurrecting deleted history a
     /// restore-side compaction has yet to persist).
     pub fn entry_merge(&self) -> Result<MergeIterator> {
-        self.build_merge(SortKey::MIN, SortKey::MAX, false)
+        self.build_merge(None, false)
     }
 
     /// Every range tombstone visible in this view, from all of its sources
@@ -524,7 +544,7 @@ impl ReadView {
     pub fn all_range_tombstones(&self) -> Vec<Entry> {
         let mut rts: Vec<Entry> = Vec::new();
         // an empty key range selects no point entry, only the tombstones
-        self.source.push_buffers(SortKey::MIN, SortKey::MIN, &mut Vec::new(), &mut rts);
+        self.source.push_buffers(Some((SortKey::MIN, SortKey::MIN)), &mut Vec::new(), &mut rts);
         for table in self.source.version().levels.iter().flat_map(|level| level.all_tables()) {
             rts.extend(table.range_tombstones.iter().cloned());
         }

@@ -64,11 +64,21 @@ pub struct TreeStats {
     pub bytes_flushed: u64,
     /// Bytes of table data rewritten by compactions of any kind — the
     /// numerator of [`TreeStats::write_amp`] beyond the flush copy. Whole-file
-    /// drops add nothing here: retiring a file writes no data.
+    /// drops and trivial moves add nothing here: retiring or re-placing a
+    /// file writes no data.
     pub bytes_compacted: u64,
     /// Files retired by whole-file drops (a date-tiered TTL expiry retires a
     /// wholly-expired time window without reading a single page).
     pub whole_file_drops: u64,
+    /// Compactions that merged nothing: the picked files overlapped no file
+    /// of the next level and carried no tombstone their arrival would have
+    /// persisted, so they descended by a manifest edit alone — zero pages
+    /// read or written. A subset of `compactions` (the policy picked the job
+    /// and the tree installed a version for it).
+    pub trivial_moves: u64,
+    /// Bytes of table data that changed level through trivial moves: what a
+    /// rewrite would have added to `bytes_compacted`, and did not.
+    pub bytes_moved: u64,
 }
 
 impl TreeStats {
@@ -99,6 +109,8 @@ impl TreeStats {
         self.bytes_flushed += other.bytes_flushed;
         self.bytes_compacted += other.bytes_compacted;
         self.whole_file_drops += other.whole_file_drops;
+        self.trivial_moves += other.trivial_moves;
+        self.bytes_moved += other.bytes_moved;
     }
 
     /// Write amplification given the total bytes the device has absorbed.
@@ -226,10 +238,13 @@ mod tests {
         other.record_ingest(1000);
         other.bytes_flushed = 1000;
         other.whole_file_drops = 2;
+        other.trivial_moves = 3;
+        other.bytes_moved = 700;
         s.absorb(&other);
         assert_eq!(s.bytes_flushed, 2000);
         assert_eq!(s.bytes_compacted, 3000);
         assert_eq!(s.whole_file_drops, 2);
+        assert_eq!((s.trivial_moves, s.bytes_moved), (3, 700), "moves absorb and write nothing");
         assert!((s.write_amp() - 2.5).abs() < 1e-9);
     }
 

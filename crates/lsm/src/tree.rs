@@ -751,11 +751,18 @@ impl LsmTree {
     /// appends the edit. A no-op without a manifest. Called *before* the
     /// version is installed, so a failed commit leaves the in-memory tree
     /// unchanged.
-    fn commit_manifest_for(&mut self, levels: &[Level]) -> Result<()> {
+    ///
+    /// The barrier is skipped when the change built no table (`new_tables`
+    /// is empty: a trivial move, a whole-file drop, a page drop that emptied
+    /// every file it touched): every page the edit names was synced by the
+    /// commit that introduced it, so there is nothing unsynced to name.
+    fn commit_manifest_for(&mut self, levels: &[Level], new_tables: &[Arc<SsTable>]) -> Result<()> {
         if self.manifest.is_none() {
             return Ok(());
         }
-        self.backend.sync()?;
+        if !new_tables.is_empty() {
+            self.backend.sync()?;
+        }
         let state = self.describe_state(levels);
         // lint:allow(no-panic): the is_none() early-return above guarantees presence
         self.manifest.as_mut().expect("manifest presence checked above").commit(state)
@@ -831,7 +838,7 @@ impl LsmTree {
     /// version is never installed, so nothing references their pages and
     /// they would otherwise leak until a reopen's unreferenced-page GC).
     fn commit_or_release(&mut self, levels: &[Level], new_tables: &[Arc<SsTable>]) -> Result<()> {
-        match self.commit_manifest_for(levels) {
+        match self.commit_manifest_for(levels, new_tables) {
             Ok(()) => Ok(()),
             Err(e) => {
                 for t in new_tables {
@@ -855,9 +862,12 @@ impl LsmTree {
     /// The manifest edit that forgets the retired files is committed
     /// *before* their pages are retired — the reverse order could reclaim
     /// pages a recovered manifest still references. A `whole_file_drop`
-    /// (a job that builds nothing) is all commit tail, so crash injection
+    /// (a job placed nowhere) is all commit tail, so crash injection
     /// lands on either side of that edit: `drop.commit` before it,
-    /// `drop.retire` between it and the retire.
+    /// `drop.retire` between it and the retire. A trivial move passes
+    /// neither `new_tables` nor `retired` (its files are the same objects
+    /// before and after), so its whole commit is the manifest edit and the
+    /// install.
     pub(crate) fn commit_version(
         &mut self,
         levels: Vec<Level>,

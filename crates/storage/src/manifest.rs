@@ -792,6 +792,41 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A file that only changes level (a trivial move: the tree hands over
+    /// the very descriptor it committed before) costs a delta that names no
+    /// file at all, only the new structure.
+    #[test]
+    fn a_file_that_changes_level_is_a_structure_only_delta() {
+        let path = tmp_path("move");
+        let _ = std::fs::remove_file(&path);
+        let mut m = Manifest::open(&path).unwrap();
+        let before = state(&[&[1, 2, 3]], 4);
+        m.commit(before.clone()).unwrap();
+        let mut after = before.clone();
+        let moved = after.levels[0][0].pop().unwrap();
+        after.levels.push(vec![vec![moved]]);
+        m.commit(after.clone()).unwrap();
+        drop(m);
+
+        let mut log = Bytes::from(std::fs::read(&path).unwrap());
+        log.advance(8); // magic
+        let mut last = None;
+        while log.has_remaining() {
+            let len = log.get_u32() as usize;
+            log.advance(4); // crc
+            last = Some(decode_record(log.copy_to_bytes(len)).unwrap());
+        }
+        match last {
+            Some(ManifestRecord::Delta { removed, upserted, structure, .. }) => {
+                assert!(removed.is_empty() && upserted.is_empty(), "{removed:?} {upserted:?}");
+                assert_eq!(structure, vec![vec![vec![1, 2]], vec![vec![3]]]);
+            }
+            other => panic!("expected a delta, got {other:?}"),
+        }
+        assert_eq!(Manifest::open(&path).unwrap().state(), &after);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn torn_tail_recovers_previous_commit() {
         let path = tmp_path("torn");

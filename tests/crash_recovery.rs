@@ -466,6 +466,99 @@ fn kill_point_sweep_whole_file_drop() {
     assert!(crashes >= 3, "drop sweep must cross the commit protocol, got {crashes}");
 }
 
+/// One iteration of the trivial-move sweep: sorted ingest, flushed without
+/// the compaction loop, leaves level 0 of a durable leveled store saturated
+/// with files that overlap nothing below them, so the maintenance pass that
+/// follows is a descent of trivial moves. A move's only durable step is its
+/// manifest append, so a crash at the `kill`-th step of that pass leaves
+/// each picked file either at its old level or at its new one: after the
+/// reopen every key reads back, every file sits in exactly one level, no
+/// page is unreferenced, and a re-driven pass finishes the descent. Returns
+/// whether the pass crashed and how many files the reopened store found
+/// below level 0.
+fn run_move_sweep_iteration(kill: u64) -> (bool, usize) {
+    const KEYS: u64 = 256;
+    let dir = unique_dir("movesweep");
+    let fp = FailPoint::new();
+    let value = |k: u64| vec![(k % 251) as u8; 16];
+    let check = |db: &Lethe, when: &str| -> usize {
+        for k in 0..KEYS {
+            assert_eq!(db.get(k).unwrap(), Some(Bytes::from(value(k))), "key {k} {when}, kill {kill}");
+        }
+        let levels = db.tree().levels();
+        let files = || levels.iter().flat_map(|l| l.all_tables());
+        let ids: BTreeSet<u64> = files().map(|f| f.meta.id).collect();
+        assert_eq!(ids.len(), files().count(), "a file sits in two levels {when}, kill {kill}");
+        let referenced: BTreeSet<u64> =
+            files().flat_map(|f| f.tiles.iter().flat_map(|t| t.pages.iter().map(|p| p.id))).collect();
+        assert_eq!(
+            db.tree().backend().live_pages(),
+            referenced.len(),
+            "unreferenced pages {when}, kill {kill}"
+        );
+        levels.iter().skip(1).map(|l| l.file_count()).sum()
+    };
+    let crashed = {
+        let mut db = builder().crash_failpoint(fp.clone()).open(&dir).unwrap();
+        for k in 0..KEYS {
+            db.put(k, delete_key_of(k), value(k)).unwrap();
+            if (k + 1) % 8 == 0 {
+                // flush before the buffer fills, so no put runs the loop
+                db.tree_mut().flush().unwrap();
+            }
+        }
+        assert_eq!(db.tree().level_count(), 1, "nothing descended during the ingest");
+        let device_barriers = |db: &Lethe| db.tree().backend().stats().snapshot().fsyncs;
+        let barriers_before = device_barriers(&db);
+        // arm only around the maintenance pass, so the kill lands on a move
+        fp.arm(kill);
+        let crashed = db.maintain().is_err();
+        fp.disarm();
+        assert_eq!(device_barriers(&db), barriers_before, "a move appends no page: nothing to sync");
+        let stats = db.stats();
+        assert_eq!((stats.entries_compacted, stats.bytes_compacted), (0, 0), "{stats:?}");
+        if !crashed {
+            assert!(stats.trivial_moves >= 2, "the pass must be a descent of moves: {stats:?}");
+            assert_eq!(stats.trivial_moves, stats.compactions);
+        }
+        crashed
+    };
+    let mut db = builder().open(&dir).unwrap();
+    let descended = check(&db, "after the reopen");
+    db.maintain().unwrap();
+    let level0 = db.tree().levels()[0].total_bytes();
+    assert!(
+        level0 <= db.config().level_capacity_bytes(1),
+        "the re-driven pass left level 0 saturated ({level0} B), kill {kill}"
+    );
+    assert!(check(&db, "after the re-driven pass") >= descended.max(2));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    (crashed, descended)
+}
+
+#[test]
+fn kill_point_sweep_trivial_move() {
+    let mut kill = 0u64;
+    let mut descended_at_crash = Vec::new();
+    loop {
+        let (crashed, descended) = run_move_sweep_iteration(kill);
+        if !crashed {
+            break;
+        }
+        descended_at_crash.push(descended);
+        kill += 1;
+    }
+    // one manifest append per move: the first kill lands before any file
+    // changed level, each later one after one more did
+    assert!(descended_at_crash.len() >= 3, "the sweep must cross several moves: {descended_at_crash:?}");
+    assert_eq!(descended_at_crash[0], 0, "killed before the append, the file is at its old level");
+    assert!(
+        descended_at_crash.windows(2).all(|w| w[0] <= w[1]) && descended_at_crash.last() > Some(&0),
+        "killed after an append, the file is at its new level: {descended_at_crash:?}"
+    );
+}
+
 /// Proves the `KILL_POINTS` registry is *runtime-reachable*, not just
 /// statically cross-checked: a traced (disarmed) fail point records every
 /// site name a mixed sharded workload consults, and the set must equal the

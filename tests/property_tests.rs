@@ -1085,3 +1085,116 @@ proptest! {
         }
     }
 }
+
+/// One step of the trivial-move history: sorted appends (whose files overlap
+/// nothing below them, so their compactions are moves) interleaved with
+/// random overwrites and deletes (whose files do overlap, so theirs are
+/// merges). Delete targets are per-mille positions in the key range written
+/// so far, so they reach appended keys too.
+#[derive(Debug, Clone)]
+enum MoveStep {
+    Ascending(u64),
+    Random(Vec<(u64, u8)>),
+    Delete(u64),
+    DeleteRange(u64, u64),
+}
+
+fn move_step_strategy() -> impl Strategy<Value = MoveStep> {
+    prop_oneof![
+        3 => (8u64..96).prop_map(MoveStep::Ascending),
+        3 => prop::collection::vec((0u64..128, any::<u8>()), 1..24).prop_map(MoveStep::Random),
+        2 => (0u64..1000).prop_map(MoveStep::Delete),
+        1 => (0u64..1000, 1u64..32).prop_map(|(at, len)| MoveStep::DeleteRange(at, len)),
+    ]
+}
+
+/// Runs the history against a `BTreeMap` oracle with a snapshot held across
+/// its second half: the snapshot reads the frozen oracle while files move
+/// and merge beneath it, the live store reads the live oracle before and
+/// after the release, and the move path is known to have been taken.
+fn check_moves_keep_the_oracle(pre: &[MoveStep], post: &[MoveStep]) {
+    let db = ShardedLetheBuilder::new()
+        .shards(1)
+        .buffer(8, 4, 64)
+        .size_ratio(4)
+        .delete_tile_pages(2)
+        .delete_persistence_threshold_secs(1.0)
+        .build()
+        .unwrap();
+    // random keys live in 0..128, appended keys from `top` upwards
+    let (mut oracle, mut top) = (BTreeMap::<u64, Vec<u8>>::new(), 128u64);
+    let apply = |oracle: &mut BTreeMap<u64, Vec<u8>>, top: &mut u64, step: &MoveStep| match step {
+        MoveStep::Ascending(n) => {
+            for k in *top..*top + n {
+                let value = vec![(k % 251) as u8; 9];
+                db.put(k, k % 97, value.clone()).unwrap();
+                oracle.insert(k, value);
+            }
+            *top += n;
+        }
+        MoveStep::Random(writes) => {
+            for (k, v) in writes {
+                db.put(*k, k % 97, vec![*v; 9]).unwrap();
+                oracle.insert(*k, vec![*v; 9]);
+            }
+        }
+        MoveStep::Delete(at) => {
+            let k = at * *top / 1000;
+            db.delete(k).unwrap();
+            oracle.remove(&k);
+        }
+        MoveStep::DeleteRange(at, len) => {
+            let start = at * *top / 1000;
+            db.delete_range(start, start + len).unwrap();
+            oracle.retain(|k, _| *k < start || *k >= start + len);
+        }
+    };
+    // a sorted preload larger than the first level: nothing lies below its
+    // first spill and no tombstone exists yet, so that spill is a move
+    apply(&mut oracle, &mut top, &MoveStep::Ascending(512));
+    for step in pre {
+        apply(&mut oracle, &mut top, step);
+    }
+    let snapshot = db.snapshot();
+    let (frozen, frozen_top) = (oracle.clone(), top);
+    for step in post {
+        apply(&mut oracle, &mut top, step);
+    }
+    db.persist().unwrap();
+    for k in 0..frozen_top {
+        let got = snapshot.get(k).unwrap().map(|b| b.to_vec());
+        assert_eq!(got, frozen.get(&k).cloned(), "snapshot get({k}) diverged from the frozen oracle");
+    }
+    let live_matches = |when: &str| {
+        for k in 0..top {
+            let got = db.get(k).unwrap().map(|b| b.to_vec());
+            assert_eq!(got, oracle.get(&k).cloned(), "live get({k}) diverged {when}");
+        }
+        let scan: Vec<u64> = db.range(0, top).unwrap().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(scan, oracle.keys().copied().collect::<Vec<u64>>(), "live scan diverged {when}");
+    };
+    live_matches("under the held snapshot");
+    // released: the tombstone drops the snapshot gated may now proceed
+    drop(snapshot);
+    db.clock().advance_secs(2.0);
+    db.persist().unwrap();
+    live_matches("after the release");
+    let stats = db.stats();
+    assert!(stats.trivial_moves > 0 && stats.bytes_moved > 0, "no file ever moved: {stats:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Trivial moves are invisible to every reader: a history that mixes
+    /// sorted appends (moved) with random overwrites and deletes (merged)
+    /// reads back exactly as the oracle says, live and through a snapshot
+    /// held while files change level underneath it.
+    #[test]
+    fn trivial_moves_are_invisible_to_readers(
+        pre in prop::collection::vec(move_step_strategy(), 1..60),
+        post in prop::collection::vec(move_step_strategy(), 1..60),
+    ) {
+        check_moves_keep_the_oracle(&pre, &post);
+    }
+}
