@@ -19,34 +19,36 @@
 //!   [`Snapshot`] reads through pinned views of the same type, and both go
 //!   through one fan-out: route `get` by key hash, heap-merge one stream
 //!   per shard for everything else.
-//! * **Writers** (`put`/`write`/`delete`/`delete_range`) take the shard's
-//!   ranked [`lethe_sync::Mutex`] for the WAL append + memtable insert only. A
-//!   full buffer is *frozen*, not flushed: the writer returns immediately
+//! * **Writers** — every mutation (`put`, `delete`, `delete_range`,
+//!   `delete_where_delete_key_in`, a [`WriteBatch`]) — submit their ops to
+//!   the shard's **group-commit queue**: the writer that joins an empty
+//!   queue is the elected *leader*; everyone who joins while a leader is
+//!   active is a *follower* and parks on the queue's condvar without ever
+//!   touching the shard lock. The leader takes the shard's ranked
+//!   [`lethe_sync::Mutex`] once and drains the queue in convoys — stages
+//!   every joined request as its own WAL frame, pays **one** durability
+//!   barrier for the combined tail, applies the requests in order, posts
+//!   each outcome and wakes the followers — looping until the queue is
+//!   empty (requests that arrive mid-fsync are simply the next convoy).
+//!   Under `SyncPolicy::Always` the fsync count therefore scales with
+//!   commit convoys, not with records. The only writes that take the shard
+//!   lock themselves are a cross-shard batch's two-phase commit and the
+//!   verdict on a delete that looks blind (see [`ShardedLethe::delete`]).
+//!
+//!   A full buffer is *frozen*, not flushed: the writer returns immediately
 //!   and the worker persists it. Backpressure replaces the old inline
 //!   compact-to-completion loop: once level 0 accumulates
-//!   [`LsmConfig::l0_slowdown_runs`] runs the writer yields, and at
-//!   [`LsmConfig::l0_stall_runs`] (or a full buffer behind an unflushed
-//!   frozen one) it blocks until the worker catches up.
-//!
-//!   Puts and [`WriteBatch`]es go through the shard's **group-commit
-//!   queue**: the writer that joins an empty queue is the elected *leader*;
-//!   everyone who joins while a leader is active is a *follower* and parks
-//!   on the queue's condvar without ever touching the shard lock. The
-//!   leader takes the shard lock once and drains the queue in convoys —
-//!   stages every joined request as its own WAL frame, pays **one**
-//!   durability barrier for the combined tail, applies the requests in
-//!   order, posts each outcome and wakes the followers — looping until the
-//!   queue is empty (requests that arrive mid-fsync are simply the next
-//!   convoy). Under `SyncPolicy::Always` the fsync count therefore scales
-//!   with commit convoys, not with records.
+//!   `L0_SLOWDOWN_RUNS` (8) runs the writer yields, and at `L0_STALL_RUNS`
+//!   (24) — or a full buffer behind an unflushed frozen one — it blocks
+//!   until the worker catches up.
 //! * **One [`Compactor`] worker per shard** drains flushes and FADE/
 //!   saturation compactions through the tree's plan → execute → apply
 //!   cycle, holding the shard lock only for the cheap plan and apply
 //!   phases; the merge I/O runs lock-free against pinned files.
 //!
-//! Foreground structural operations (secondary range deletes, white-box
-//! [`ShardedLethe::with_shard`] access) pause the worker first so exactly
-//! one thread at a time restructures a shard's tree.
+//! Foreground structural operations (a request carrying a secondary range
+//! delete, white-box [`ShardedLethe::with_shard`] access) pause the worker
+//! first so exactly one thread at a time restructures a shard's tree.
 //!
 //! ## Semantics
 //!
@@ -529,8 +531,7 @@ fn validate_shard_manifest(dir: &Path, shards: usize) -> Result<()> {
 }
 
 /// One shard: the engine behind its write lock, the lock-free read handle,
-/// the background maintenance worker, and the backpressure thresholds
-/// copied out of the engine's configuration.
+/// the background maintenance worker and the group-commit queue.
 struct Shard {
     engine: Arc<Mutex<Lethe>>,
     reader: ReadView,
@@ -538,8 +539,9 @@ struct Shard {
     /// Group-commit queue: the writer that joins it empty leads, everyone
     /// else follows; see [`CommitQueue`].
     queue: CommitQueue,
-    slowdown_runs: usize,
-    stall_runs: usize,
+    /// The engine's `suppress_blind_deletes` setting, copied out so a point
+    /// delete knows without the engine lock whether a blind check applies.
+    suppress_blind_deletes: bool,
 }
 
 impl Shard {
@@ -551,11 +553,10 @@ impl Shard {
     fn spawn(mut engine: Lethe, index: usize) -> Shard {
         engine.set_maintenance_mode(MaintenanceMode::Background);
         let reader = engine.reader();
-        let slowdown_runs = engine.config().l0_slowdown_runs;
-        let stall_runs = engine.config().l0_stall_runs;
+        let suppress_blind_deletes = engine.config().suppress_blind_deletes;
         let engine = Arc::new(Mutex::with_order(LockRank::Engine, index as u64, engine));
         let worker = Compactor::spawn(Arc::clone(&engine));
-        Shard { engine, reader, worker, queue: CommitQueue::new(), slowdown_runs, stall_runs }
+        Shard { engine, reader, worker, queue: CommitQueue::new(), suppress_blind_deletes }
     }
 }
 
@@ -594,7 +595,7 @@ impl CommitQueue {
 
     /// Joins the queue with `ops`; returns the outcome slot and whether the
     /// calling writer must lead.
-    fn join(&self, ops: Vec<BatchOp>) -> (Arc<Mutex<Option<Result<()>>>>, bool) {
+    fn join(&self, ops: Vec<BatchOp>) -> (CommitSlot, bool) {
         let slot = Arc::new(Mutex::new(LockRank::CommitSlot, None));
         let mut state = self.state.lock();
         state.pending.push(PendingWrite { ops, slot: Arc::clone(&slot) });
@@ -604,11 +605,15 @@ impl CommitQueue {
     }
 }
 
+/// Where a leader posts one request's outcome: what its secondary range
+/// deletes dropped (all zeroes for a request without one), or its error.
+type CommitSlot = Arc<Mutex<Option<Result<SecondaryDeleteStats>>>>;
+
 /// One writer's ops awaiting a group-commit leader, plus the slot the leader
 /// posts the outcome into.
 struct PendingWrite {
     ops: Vec<BatchOp>,
-    slot: Arc<Mutex<Option<Result<()>>>>,
+    slot: CommitSlot,
 }
 
 /// The shard (out of `n`) owning `key`: multiply-shift hash (Fibonacci
@@ -704,10 +709,19 @@ fn commit_group(engine: &mut Lethe, pending: Vec<PendingWrite>) {
         return;
     }
     for (PendingWrite { ops, slot }, ts) in staged {
-        let outcome = tree.apply_batch(ops, ts);
+        let outcome = tree.apply_batch(&ops, ts);
         *slot.lock() = Some(outcome);
     }
 }
+
+/// Write backpressure, stage 1: once the first disk level holds this many
+/// runs (flushed buffers the background compactor has not merged down yet),
+/// a writer yields its scheduling slot after each request.
+const L0_SLOWDOWN_RUNS: usize = 8;
+
+/// Write backpressure, stage 2: at this many runs writers *stall* (block)
+/// until the compactor drains the level below it.
+const L0_STALL_RUNS: usize = 24;
 
 /// Write-backpressure event counters; see [`ShardedLethe::backpressure`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -783,9 +797,9 @@ impl ShardedLethe {
     }
 
     /// Parks the calling writer while `shard` reports a stall condition
-    /// (full buffer behind an unflushed frozen one, or level 0 at the stall
-    /// threshold). If the worker twice completes a pass without clearing the
-    /// condition (it hit an error, or the thresholds are configured below
+    /// (full buffer behind an unflushed frozen one, or level 0 at
+    /// [`L0_STALL_RUNS`]). If the worker twice completes a pass without
+    /// clearing the condition (it hit an error, or the threshold lies below
     /// what the policy considers compactable), the writer proceeds anyway —
     /// the buffer overshoots rather than deadlocks, and the error surfaces
     /// at the next `maintain`/`persist`.
@@ -793,7 +807,7 @@ impl ShardedLethe {
         let mut fruitless = 0u32;
         loop {
             let stalled =
-                shard.reader.write_stalled() || shard.reader.l0_run_count() >= shard.stall_runs;
+                shard.reader.write_stalled() || shard.reader.l0_run_count() >= L0_STALL_RUNS;
             if !stalled || fruitless >= 2 {
                 return;
             }
@@ -812,39 +826,28 @@ impl ShardedLethe {
     /// scheduling slot inside the slowdown window.
     fn after_write(&self, shard: &Shard, frozen: bool) {
         let l0 = shard.reader.l0_run_count();
-        if frozen || l0 >= shard.slowdown_runs {
+        if frozen || l0 >= L0_SLOWDOWN_RUNS {
             shard.worker.wake();
         }
-        if l0 >= shard.slowdown_runs && l0 < shard.stall_runs {
+        if (L0_SLOWDOWN_RUNS..L0_STALL_RUNS).contains(&l0) {
             self.slowdowns.fetch_add(1, Ordering::Relaxed);
             std::thread::yield_now();
         }
     }
 
-    /// Runs one write operation against `shard` under its lock, applying
-    /// write backpressure first and nudging the worker afterwards.
-    fn write_to<R>(&self, shard: &Shard, op: impl FnOnce(&mut Lethe) -> Result<R>) -> Result<R> {
-        self.backpressure_wait(shard);
-        let mut engine = shard.engine.lock();
-        let result = op(&mut engine)?;
-        let frozen = engine.tree().has_frozen();
-        drop(engine);
-        self.after_write(shard, frozen);
-        Ok(result)
-    }
-
     /// Routes `ops` through `shard`'s group-commit queue; see the module
     /// docs. The caller blocks until a leader (possibly itself) has staged,
-    /// fsynced and applied its request, and gets that request's outcome.
-    fn group_write(&self, shard: &Shard, ops: Vec<BatchOp>) -> Result<()> {
+    /// fsynced and applied its request, and gets that request's outcome:
+    /// what its secondary range deletes dropped.
+    fn group_write(&self, shard: &Shard, ops: Vec<BatchOp>) -> Result<SecondaryDeleteStats> {
         // a secondary range delete restructures the tree (KiWi page drops +
-        // a version install), so — exactly like `delete_where_delete_key_in`
-        // — park the worker for the whole request. The guard is taken before
-        // the queue join and held until the outcome arrives, so whichever
-        // leader applies this request finds the worker already parked. A
-        // paused worker can't make the progress a stalled writer waits for,
-        // so structural requests also skip stall backpressure (matching the
-        // direct foreground path).
+        // a version install) and must never race a background version
+        // install, so park the worker (its in-flight job completes first)
+        // for the whole request. The guard is taken before the queue join
+        // and held until the outcome arrives, so whichever leader applies
+        // this request finds the worker already parked. A paused worker
+        // can't make the progress a stalled writer waits for, so structural
+        // requests also skip stall backpressure.
         let structural = has_secondary_delete(&ops);
         let _parked = structural.then(|| shard.worker.pause());
         if !structural {
@@ -904,20 +907,20 @@ impl ShardedLethe {
     pub fn put(&self, key: SortKey, delete_key: DeleteKey, value: impl Into<Bytes>) -> Result<()> {
         let shard = &self.shards[self.shard_of(key)];
         let op = BatchOp::Put { sort_key: key, delete_key, value: value.into() };
-        self.group_write(shard, vec![op])
+        self.group_write(shard, vec![op]).map(drop)
     }
 
     /// Atomically applies a [`WriteBatch`]: all of its operations become
     /// durable and visible together or — across a crash — not at all.
     ///
-    /// Ops route to their owning shards like the point API (secondary range
-    /// deletes fan out to every shard). A batch whose ops all land in one
-    /// shard is logged as a **single WAL frame** through that shard's
-    /// group-commit queue: readers observe it all-or-nothing (its point ops
-    /// apply under one memtable write guard) and recovery replays it
-    /// all-or-nothing (a torn tail discards the whole frame). Unlike
-    /// [`delete`](ShardedLethe::delete), batch deletes are never suppressed
-    /// as blind.
+    /// Ops route to their owning shards like the point API (sort-key and
+    /// secondary range deletes fan out to every shard). A batch whose ops
+    /// all land in one shard is logged as a **single WAL frame** through
+    /// that shard's group-commit queue: readers observe it all-or-nothing
+    /// (its point ops apply under one memtable write guard) and recovery
+    /// replays it all-or-nothing (a torn tail discards the whole frame).
+    /// Unlike [`delete`](ShardedLethe::delete), batch deletes are never
+    /// suppressed as blind.
     ///
     /// A batch spanning shards runs a two-phase commit on durable stores:
     /// every involved shard durably *prepares* its slice in its own WAL,
@@ -955,9 +958,10 @@ impl ShardedLethe {
                     let i = self.shard_of(*sort_key);
                     slices[i].push(op);
                 }
-                BatchOp::SecondaryDelete { .. } => {
-                    // the delete key is independent of the partitioning key,
-                    // so every shard may hold qualifying entries
+                BatchOp::DeleteRange { .. } | BatchOp::SecondaryDelete { .. } => {
+                    // hash partitioning scatters a sort-key range, and the
+                    // delete key is independent of the partitioning key, so
+                    // every shard may hold qualifying entries
                     for slice in &mut slices {
                         slice.push(op.clone());
                     }
@@ -967,7 +971,7 @@ impl ShardedLethe {
         let involved: Vec<usize> = (0..slices.len()).filter(|&i| !slices[i].is_empty()).collect();
         match involved.as_slice() {
             [] => Ok(()),
-            [i] => self.group_write(&self.shards[*i], std::mem::take(&mut slices[*i])),
+            [i] => self.group_write(&self.shards[*i], std::mem::take(&mut slices[*i])).map(drop),
             _ => self.write_cross_shard(slices, involved),
         }
     }
@@ -1027,7 +1031,7 @@ impl ShardedLethe {
         // "rolled back" (see the `write` docs).
         let mut apply_err = None;
         for ((guard, &i), ts) in guards.iter_mut().zip(&involved).zip(stamps) {
-            if let Err(e) = guard.tree_mut().apply_batch(std::mem::take(&mut slices[i]), ts) {
+            if let Err(e) = guard.tree_mut().apply_batch(&slices[i], ts) {
                 apply_err.get_or_insert(e);
             }
         }
@@ -1050,39 +1054,52 @@ impl ShardedLethe {
 
     /// Point delete on the sort key. Returns `false` if the owning shard
     /// suppressed the delete as blind (the key cannot exist).
+    ///
+    /// The verdict is the engine's, under its lock, where no put of the key
+    /// can slip in before it; but the lock is only taken once a lock-free
+    /// probe of the shard's live view says the key looks absent. A delete of
+    /// a key that may exist goes straight to the queue and shares its
+    /// convoy's fsync.
     pub fn delete(&self, key: SortKey) -> Result<bool> {
         let shard = &self.shards[self.shard_of(key)];
-        self.write_to(shard, move |engine| engine.delete(key))
+        if shard.suppress_blind_deletes && !shard.reader.key_may_exist(key)? {
+            let suppressed = shard.engine.lock().tree_mut().suppresses_delete(key)?;
+            if suppressed {
+                return Ok(false);
+            }
+        }
+        self.group_write(shard, vec![BatchOp::Delete { sort_key: key }])?;
+        Ok(true)
+    }
+
+    /// Submits `op` to every shard, one shard's queue after another (not
+    /// atomically across shards), and sums the outcomes.
+    fn fan_out(&self, op: BatchOp) -> Result<SecondaryDeleteStats> {
+        let mut total = SecondaryDeleteStats::default();
+        for shard in &self.shards {
+            total.merge(&self.group_write(shard, vec![op.clone()])?);
+        }
+        Ok(total)
     }
 
     /// Range delete on the sort key over `[start, end)`. Hash partitioning
     /// scatters the range, so the tombstone fans out to every shard.
     pub fn delete_range(&self, start: SortKey, end: SortKey) -> Result<()> {
-        for shard in &self.shards {
-            self.write_to(shard, |engine| engine.delete_range(start, end))?;
+        if end <= start {
+            return Ok(());
         }
-        Ok(())
+        self.fan_out(BatchOp::DeleteRange { start, end }).map(drop)
     }
 
     /// Secondary range delete: removes every entry whose **delete key** lies
     /// in `[lo, hi)`. Fans out to every shard (the delete key is independent
     /// of the partitioning key) and returns the aggregated page-drop stats.
-    ///
-    /// A structural foreground operation: each shard's worker is paused (its
-    /// in-flight job completes first) while that shard's pages are dropped,
-    /// so the delete never races a background version install.
     pub fn delete_where_delete_key_in(
         &self,
         lo: DeleteKey,
         hi: DeleteKey,
     ) -> Result<SecondaryDeleteStats> {
-        let mut total = SecondaryDeleteStats::default();
-        for shard in &self.shards {
-            let _parked = shard.worker.pause();
-            let stats = shard.engine.lock().delete_where_delete_key_in(lo, hi)?;
-            total.merge(&stats);
-        }
-        Ok(total)
+        self.fan_out(BatchOp::SecondaryDelete { d_lo: lo, d_hi: hi })
     }
 
     /// Range lookup on the sort key over `[lo, hi)`: fans out to every
@@ -2050,6 +2067,50 @@ mod tests {
             io.fsyncs <= THREADS * PER_THREAD,
             "group commit must not fsync more than once per record: {io:?}"
         );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Deletes ride the group-commit queue like puts: eight deletes of live
+    /// keys that arrive while the engine is busy are one convoy, one fsync.
+    /// (When each took the engine lock itself, they were eight.)
+    #[test]
+    fn sharded_deletes_share_a_commit_convoy() {
+        let dir = std::env::temp_dir().join(format!("lethe-delgc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = small()
+            .buffer(256, 4, 64)
+            .shards(1)
+            .wal_sync_policy(lethe_storage::SyncPolicy::Always)
+            .open(&dir)
+            .unwrap();
+        const KEYS: u64 = 8;
+        for k in 0..KEYS {
+            db.put(k, k, format!("live{k}")).unwrap();
+        }
+        let before = db.io_snapshot().fsyncs;
+        std::thread::scope(|s| {
+            // hold the engine until every delete has joined the queue (the
+            // first to join leads, and waits for the engine; the rest park),
+            // giving up after a while so a delete that bypasses the queue
+            // fails the count below instead of hanging here
+            db.with_shard(0, |_engine| {
+                for k in 0..KEYS {
+                    let db = &db;
+                    s.spawn(move || assert!(db.delete(k).unwrap()));
+                }
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while db.shards[0].queue.state.lock().pending.len() < KEYS as usize
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+        });
+        let fsyncs = db.io_snapshot().fsyncs - before;
+        assert_eq!(fsyncs, 1, "{KEYS} queued deletes must share one durability barrier");
+        assert_eq!(db.range(0, KEYS).unwrap().len(), 0);
+        assert_eq!(db.stats().point_deletes_issued, KEYS);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -48,7 +48,6 @@ const DURABLE_OPS: &[&str] = &[
     "sync_data_counted",
     "fsync_dir_counted",
     "write_all",
-    "write_frame_locked",
     "write_page",
     "write_marker",
     "create",

@@ -1,13 +1,14 @@
 //! Atomic multi-operation write batches.
 //!
-//! A [`WriteBatch`] groups puts, point deletes and secondary range deletes
-//! into one unit that commits atomically: the engine logs the whole batch as
-//! a single WAL frame (so crash recovery replays it entirely or not at all —
-//! a torn tail discards the frame whole) and applies its point operations to
-//! the write buffer under a single memtable write lock (so concurrent
-//! readers never observe a prefix of the batch). Across shards, the sharded
-//! front-end splits one logical batch into per-shard slices and runs a
-//! two-phase commit over the per-shard WALs; see `lethe-core`'s shard module.
+//! A [`WriteBatch`] groups puts, point deletes, sort-key range deletes and
+//! secondary range deletes into one unit that commits atomically: the engine
+//! logs the whole batch as a single WAL frame (so crash recovery replays it
+//! entirely or not at all — a torn tail discards the frame whole) and applies
+//! its point operations to the write buffer under a single memtable write
+//! lock (so concurrent readers never observe a prefix of the batch). Across
+//! shards, the sharded front-end splits one logical batch into per-shard
+//! slices and runs a two-phase commit over the per-shard WALs; see
+//! `lethe-core`'s shard module.
 
 use lethe_storage::{BatchOp, DeleteKey, SortKey};
 
@@ -63,6 +64,13 @@ impl WriteBatch {
         self
     }
 
+    /// Appends a range delete of sort keys `[start, end)` (an empty range
+    /// deletes nothing).
+    pub fn delete_range(&mut self, start: SortKey, end: SortKey) -> &mut Self {
+        self.ops.push(BatchOp::DeleteRange { start, end });
+        self
+    }
+
     /// Appends a secondary range delete of delete keys `[d_lo, d_hi)`.
     pub fn secondary_range_delete(&mut self, d_lo: DeleteKey, d_hi: DeleteKey) -> &mut Self {
         self.ops.push(BatchOp::SecondaryDelete { d_lo, d_hi });
@@ -103,13 +111,14 @@ mod tests {
     #[test]
     fn builder_preserves_order() {
         let mut b = WriteBatch::new();
-        b.put(1, 10, "x").delete(2).secondary_range_delete(5, 9);
-        assert_eq!(b.len(), 3);
+        b.put(1, 10, "x").delete(2).secondary_range_delete(5, 9).delete_range(3, 4);
+        assert_eq!(b.len(), 4);
         assert!(!b.is_empty());
         let ops = b.clone().into_ops();
         assert!(matches!(ops[0], BatchOp::Put { sort_key: 1, .. }));
         assert!(matches!(ops[1], BatchOp::Delete { sort_key: 2 }));
         assert!(matches!(ops[2], BatchOp::SecondaryDelete { d_lo: 5, d_hi: 9 }));
+        assert!(matches!(ops[3], BatchOp::DeleteRange { start: 3, end: 4 }));
         assert_eq!(WriteBatch::from(ops), b);
     }
 

@@ -114,16 +114,6 @@ pub struct LsmConfig {
     /// against power failures; the relaxed policies trade a bounded loss
     /// window for throughput). Ignored by in-memory engines.
     pub wal_sync: SyncPolicy,
-    /// Write backpressure, stage 1: once the first disk level holds at least
-    /// this many runs (flushed buffers the background compactor has not
-    /// merged down yet), writers are briefly slowed so the compactor can
-    /// catch up. Only consulted when flushes/compactions run on a background
-    /// worker; the inline mode compacts to completion on every flush.
-    pub l0_slowdown_runs: usize,
-    /// Write backpressure, stage 2: once the first disk level holds at least
-    /// this many runs, writers *stall* (block) until the compactor drains it
-    /// below the threshold. Must be ≥ `l0_slowdown_runs`.
-    pub l0_stall_runs: usize,
     /// Memory budget of the shared block cache of decoded pages, in bytes.
     /// `0` (the default) disables caching: every read that reaches the disk
     /// levels pays a device access, which keeps the paper's I/O-count
@@ -164,8 +154,6 @@ impl Default for LsmConfig {
             histogram_buckets: 256,
             key_domain: u64::MAX,
             wal_sync: SyncPolicy::Always,
-            l0_slowdown_runs: 8,
-            l0_stall_runs: 24,
             block_cache_bytes: 0,
             block_cache_warm_writes: false,
             compaction_strategy: CompactionStrategy::Default,
@@ -252,12 +240,6 @@ impl LsmConfig {
         }
         if self.bits_per_key <= 0.0 {
             return Err("bits_per_key must be positive".into());
-        }
-        if self.l0_slowdown_runs == 0 || self.l0_stall_runs < self.l0_slowdown_runs {
-            return Err(format!(
-                "backpressure thresholds must satisfy 1 <= l0_slowdown_runs ({}) <= l0_stall_runs ({})",
-                self.l0_slowdown_runs, self.l0_stall_runs
-            ));
         }
         match self.compaction_strategy {
             CompactionStrategy::Default => {}

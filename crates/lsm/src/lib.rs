@@ -21,9 +21,12 @@
 //!   baseline policies (saturation + min-overlap, saturation + most
 //!   tombstones, periodic full-tree compaction).
 //! * [`batch`] — [`batch::WriteBatch`], the atomic multi-op unit the
-//!   group-commit write path logs as a single WAL frame.
-//! * [`tree`] — [`tree::LsmTree`], the engine's write surface: puts,
-//!   deletes, range deletes, secondary range deletes and recovery.
+//!   write path logs as a single WAL frame.
+//! * [`tree`] — [`tree::LsmTree`]: construction, manifest recovery, the
+//!   version-commit tail and introspection.
+//! * [`mod@write`] — the one write path: puts, deletes, range deletes, secondary
+//!   range deletes, batches and WAL replay are each stage → commit → apply
+//!   over one op list.
 //! * [`jobs`] — [`jobs::JobPlan`], the one shape of every flush and
 //!   compaction, and the plan/execute/apply cycle the inline paths and a
 //!   background worker drive.
@@ -64,6 +67,7 @@ pub mod stats;
 pub mod strategy;
 pub mod tree;
 pub mod version;
+pub mod write;
 
 pub use batch::WriteBatch;
 pub use compaction::{

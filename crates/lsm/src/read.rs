@@ -95,14 +95,25 @@ impl AsRef<[Entry]> for FrozenEntries {
     }
 }
 
-/// The shared write-buffer state: the active memtable plus at most one
+/// The active write buffer: the memtable and the tombstone clock describing
+/// it, under one lock so a reader never sees one without the other.
+#[derive(Debug, Default)]
+pub(crate) struct ActiveBuffer {
+    pub(crate) table: MemTable,
+    /// Insertion time of the oldest tombstone buffered in `table`. Set by
+    /// the write path's `apply_ops`, handed to the frozen buffer by
+    /// `freeze`.
+    pub(crate) oldest_tombstone_ts: Option<Timestamp>,
+}
+
+/// The shared write-buffer state: the active buffer plus at most one
 /// frozen buffer being flushed. Writers mutate `active` under its write
 /// lock; readers take brief read locks in the order the data moves
 /// (active → frozen → version set), so an entry is always visible in at
 /// least one of the three places.
 #[derive(Debug)]
 pub(crate) struct MemState {
-    pub(crate) active: RwLock<MemTable>,
+    pub(crate) active: RwLock<ActiveBuffer>,
     /// `Arc` so the flush plan pins the buffer with a pointer clone instead
     /// of copying it under the shard lock; the rare in-place mutation
     /// (secondary-delete purge, which runs with the worker paused) goes
@@ -113,7 +124,7 @@ pub(crate) struct MemState {
 impl Default for MemState {
     fn default() -> Self {
         MemState {
-            active: RwLock::new(LockRank::MemtableActive, MemTable::default()),
+            active: RwLock::new(LockRank::MemtableActive, ActiveBuffer::default()),
             frozen: RwLock::new(LockRank::MemtableFrozen, None),
         }
     }
@@ -147,7 +158,7 @@ impl Source {
     /// The active buffer's version (possibly a tombstone) of `sort_key`.
     fn active_get(&self, sort_key: SortKey) -> Option<Entry> {
         match self {
-            Source::Live { mem, .. } => mem.active.read().get(sort_key),
+            Source::Live { mem, .. } => mem.active.read().table.get(sort_key),
             Source::Pinned { active, .. } => active.get(sort_key),
         }
     }
@@ -173,11 +184,11 @@ impl Source {
                 // by the buffer capacity, not by the scan length)
                 let active = mem.active.read();
                 let slice = match bounds {
-                    Some((lo, hi)) => active.range(lo, hi),
-                    None => active.iter().cloned().collect(),
+                    Some((lo, hi)) => active.table.range(lo, hi),
+                    None => active.table.iter().cloned().collect(),
                 };
                 cursors.push(Box::new(VecCursor::from_sorted(slice)));
-                rts.extend(active.range_tombstones().iter().cloned());
+                rts.extend(active.table.range_tombstones().iter().cloned());
             }
             Source::Pinned { active, .. } => {
                 cursors.push(active.range_cursor(bounds));
@@ -194,7 +205,7 @@ impl Source {
     fn buffered_where(&self, qualifies: impl Fn(&&Entry) -> bool) -> Vec<Entry> {
         let mut hits: Vec<Entry> = match self {
             Source::Live { mem, .. } => {
-                mem.active.read().iter().filter(&qualifies).cloned().collect()
+                mem.active.read().table.iter().filter(&qualifies).cloned().collect()
             }
             Source::Pinned { active, .. } => {
                 active.entries.iter().filter(&qualifies).cloned().collect()
@@ -204,13 +215,10 @@ impl Source {
         hits
     }
 
-    /// Insertion time of the oldest buffered tombstone. The active buffer's
-    /// tombstone clock is kept by the tree's write surface and handed over
-    /// at freeze and capture time, so a live source only knows the frozen
-    /// buffer's.
+    /// Insertion time of the oldest buffered tombstone.
     fn oldest_buffered_tombstone_ts(&self) -> Option<Timestamp> {
         let in_active = match self {
-            Source::Live { .. } => None,
+            Source::Live { mem, .. } => mem.active.read().oldest_tombstone_ts,
             Source::Pinned { active, .. } => active.oldest_tombstone_ts,
         };
         min_opt(in_active, self.with_frozen(|f| f.oldest_tombstone_ts).flatten())
@@ -553,10 +561,8 @@ impl ReadView {
         rts
     }
 
-    /// Insertion time of the oldest tombstone visible in a pinned view, for
-    /// the FADE age accounting of files a checkpoint builds from it. (A live
-    /// view cannot see the active buffer's tombstone clock, which the write
-    /// surface keeps and a capture copies; it reports the other sources.)
+    /// Insertion time of the oldest tombstone visible in this view, for the
+    /// FADE age accounting of files a checkpoint builds from it.
     pub fn oldest_tombstone_ts(&self) -> Option<Timestamp> {
         let version = self.source.version();
         let on_disk = version.levels.iter().flat_map(|level| level.all_tables());
@@ -582,7 +588,7 @@ impl ReadView {
             // ranks (MemtableActive < MemtableFrozen) — the reverse order
             // was a real rank inversion against the freeze path
             Source::Live { mem, .. } => {
-                mem.active.read().size_bytes() >= self.buffer_capacity_bytes
+                mem.active.read().table.size_bytes() >= self.buffer_capacity_bytes
                     && mem.frozen.read().is_some()
             }
             // nothing writes into a capture
@@ -668,6 +674,27 @@ mod tests {
         let before = t.io_snapshot().pages_read;
         assert!(t.secondary_range_scan(100, 200).unwrap().is_empty());
         t.io_snapshot().pages_read - before
+    }
+
+    /// Regression: the active buffer's tombstone clock lived outside
+    /// `MemState`, so a live view answered `None` until the buffer froze.
+    #[test]
+    fn live_view_sees_the_active_buffers_tombstone_clock() {
+        let mut t = LsmTree::new(
+            LsmConfig::small_for_test(),
+            InMemoryBackend::new_shared(),
+            LogicalClock::new(),
+            Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
+        )
+        .unwrap();
+        t.put(1, 10, Bytes::from_static(b"v")).unwrap();
+        assert_eq!(t.reader().oldest_tombstone_ts(), None);
+        t.delete(1).unwrap();
+        let ts = t.clock().now();
+        t.put(2, 20, Bytes::from_static(b"v")).unwrap();
+        assert!(t.level_count() == 0 && !t.has_frozen(), "the tombstone must still be buffered");
+        assert_eq!(t.reader().oldest_tombstone_ts(), Some(ts));
+        assert_eq!(t.capture_snapshot().oldest_tombstone_ts(), Some(ts));
     }
 
     #[test]

@@ -193,30 +193,6 @@ impl SsTable {
         let entries_per_page = config.entries_per_page.max(1);
         let entries_per_tile = config.entries_per_tile().max(1);
 
-        let num_entries = (entries.len() + range_tombstones.len()) as u64;
-        let num_point_tombstones = entries.iter().filter(|e| e.is_point_tombstone()).count() as u64;
-        let num_range_tombstones = range_tombstones.len() as u64;
-        let data_bytes: u64 = entries.iter().map(|e| e.encoded_size() as u64).sum::<u64>()
-            + range_tombstones.iter().map(|e| e.encoded_size() as u64).sum::<u64>();
-        // the file's key range covers both its point entries and the spans of
-        // its range tombstones, so overlap-based file selection never misses
-        // files whose range tombstones cover keys beyond their point entries
-        let min_sort = entries
-            .first()
-            .map(|e| e.sort_key)
-            .into_iter()
-            .chain(range_tombstones.iter().map(|t| t.sort_key))
-            .min()
-            .unwrap_or(0);
-        let max_sort = entries
-            .last()
-            .map(|e| e.sort_key)
-            .into_iter()
-            .chain(range_tombstones.iter().filter_map(|t| t.range_end().map(|e| e.saturating_sub(1))))
-            .max()
-            .unwrap_or(0);
-        let min_delete = entries.iter().map(|e| e.delete_key).min().unwrap_or(0);
-        let max_delete = entries.iter().map(|e| e.delete_key).max().unwrap_or(0);
         let max_seqnum = entries
             .iter()
             .map(|e| e.seqnum)
@@ -231,12 +207,10 @@ impl SsTable {
         // strand every page already on disk — keep them covered.
         let mut reservation = crate::reclaim::PageReservation::new(backend);
         let mut tiles = Vec::new();
-        let mut tile_mins = Vec::new();
         let mut idx = 0usize;
         while idx < entries.len() {
             let end = (idx + entries_per_tile).min(entries.len());
             let mut tile_entries: Vec<Entry> = entries[idx..end].to_vec();
-            let tile_min_sort = tile_entries.iter().map(|e| e.sort_key).min().unwrap_or(0);
             tile_entries.sort_by_key(|e| e.delete_key);
             let mut pages = Vec::new();
             for chunk in tile_entries.chunks(entries_per_page) {
@@ -246,31 +220,72 @@ impl SsTable {
                 pages.push(PageHandle::from_page(pid, &page, config.bits_per_key));
             }
             tiles.push(DeleteTile::from_pages(pages));
-            tile_mins.push(tile_min_sort);
             idx = end;
         }
         reservation.defuse();
-
-        Ok(SsTable {
-            meta: SsTableMeta {
-                id,
-                num_entries,
-                num_point_tombstones,
-                num_range_tombstones,
-                data_bytes,
-                min_sort,
-                max_sort,
-                min_delete,
-                max_delete,
-                created_at,
-                oldest_tombstone_ts,
-                max_seqnum,
-            },
+        Ok(SsTable::assemble(
+            id,
             tiles,
-            tile_fences: FencePointers::new(tile_mins),
+            range_tombstones,
+            created_at,
+            oldest_tombstone_ts,
+            max_seqnum,
+        ))
+    }
+
+    /// Assembles a file around its finished tiles and range-tombstone block,
+    /// deriving from them everything in [`SsTableMeta`] that they determine:
+    /// the entry and tombstone counts, the data size, the sort-key range, the
+    /// delete-key bounds and the tile fence pointers.
+    fn assemble(
+        id: u64,
+        tiles: Vec<DeleteTile>,
+        range_tombstones: Vec<Entry>,
+        created_at: Timestamp,
+        oldest_tombstone_ts: Option<Timestamp>,
+        max_seqnum: SeqNum,
+    ) -> SsTable {
+        let pages = || tiles.iter().flat_map(|t| t.pages.iter());
+        // the file's key range covers both its point entries and the spans of
+        // its range tombstones, so overlap-based file selection never misses
+        // files whose range tombstones cover keys beyond their point entries
+        // (lookups would skip such a file, and keys shadowed by those
+        // tombstones would resurface from deeper levels)
+        let min_sort = tiles
+            .iter()
+            .map(|t| t.min_sort)
+            .chain(range_tombstones.iter().map(|t| t.sort_key))
+            .min()
+            .unwrap_or(0);
+        let max_sort = tiles
+            .iter()
+            .map(|t| t.max_sort)
+            .chain(range_tombstones.iter().filter_map(|t| t.range_end().map(|e| e.saturating_sub(1))))
+            .max()
+            .unwrap_or(0);
+        let meta = SsTableMeta {
+            id,
+            num_entries: pages().map(|p| p.num_entries as u64).sum::<u64>()
+                + range_tombstones.len() as u64,
+            num_point_tombstones: pages().map(|p| p.num_tombstones as u64).sum(),
+            num_range_tombstones: range_tombstones.len() as u64,
+            data_bytes: pages().map(|p| p.data_bytes as u64).sum::<u64>()
+                + range_tombstones.iter().map(|e| e.encoded_size() as u64).sum::<u64>(),
+            min_sort,
+            max_sort,
+            min_delete: pages().map(|p| p.min_delete).min().unwrap_or(0),
+            max_delete: pages().map(|p| p.max_delete).max().unwrap_or(0),
+            created_at,
+            oldest_tombstone_ts,
+            max_seqnum,
+        };
+        SsTable {
+            meta,
+            tile_fences: FencePointers::new(tiles.iter().map(|t| t.min_sort).collect()),
+            tiles,
             range_tombstones,
             desc: std::sync::OnceLock::new(),
-        })
+        }
     }
 
     /// Produces the durable description of this file for the manifest: page
@@ -308,11 +323,6 @@ impl SsTable {
         backend: &dyn StorageBackend,
     ) -> Result<SsTable> {
         let mut tiles = Vec::with_capacity(desc.tiles.len());
-        let mut tile_mins = Vec::with_capacity(desc.tiles.len());
-        let mut num_entries = desc.range_tombstones.len() as u64;
-        let mut num_point_tombstones = 0u64;
-        let mut data_bytes: u64 =
-            desc.range_tombstones.iter().map(|e| e.encoded_size() as u64).sum();
         for tile_pages in &desc.tiles {
             let mut pages = Vec::with_capacity(tile_pages.len());
             for &pid in tile_pages {
@@ -325,73 +335,39 @@ impl SsTable {
                     )),
                     other => other,
                 })?;
-                let handle = PageHandle::from_page(pid, &page, config.bits_per_key);
-                num_entries += handle.num_entries as u64;
-                num_point_tombstones += handle.num_tombstones as u64;
-                data_bytes += handle.data_bytes as u64;
-                pages.push(handle);
+                pages.push(PageHandle::from_page(pid, &page, config.bits_per_key));
             }
-            let tile = DeleteTile::from_pages(pages);
-            tile_mins.push(tile.min_sort);
-            tiles.push(tile);
+            tiles.push(DeleteTile::from_pages(pages));
         }
-        // the same min/max chaining as `build`: the file's range must cover
-        // its range tombstones' spans, not just its point entries
-        let min_sort = tiles
-            .iter()
-            .map(|t| t.min_sort)
-            .chain(desc.range_tombstones.iter().map(|t| t.sort_key))
-            .min()
-            .unwrap_or(0);
-        let max_sort = tiles
-            .iter()
-            .map(|t| t.max_sort)
-            .chain(
-                desc.range_tombstones
-                    .iter()
-                    .filter_map(|t| t.range_end().map(|e| e.saturating_sub(1))),
-            )
-            .max()
-            .unwrap_or(0);
+        let mut table = SsTable::assemble(
+            desc.id,
+            tiles,
+            desc.range_tombstones.clone(),
+            desc.created_at,
+            desc.oldest_tombstone_ts,
+            desc.max_seqnum,
+        );
         // the delete-key bounds are recorded in the manifest (they are the
         // file-granularity KiWi fences secondary scans prune on). Adopt the
         // durable values — except for the conservative full-domain sentinel
-        // a version-1 manifest decodes to, where the exact bounds are
-        // re-derived from the pages just read (the in-memory fences are
-        // then exact for this run; the durable descriptor keeps the
-        // conservative bounds until the file is next rewritten)
-        let derived_min =
-            tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.min_delete).min().unwrap_or(0);
-        let derived_max =
-            tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.max_delete).max().unwrap_or(0);
+        // a version-1 manifest decodes to, where the exact bounds just
+        // re-derived from the pages stand (the in-memory fences are then
+        // exact for this run; the durable descriptor keeps the conservative
+        // bounds until the file is next rewritten)
         let v1_sentinel = desc.min_delete == 0 && desc.max_delete == DeleteKey::MAX;
-        let (min_delete, max_delete) =
-            if v1_sentinel { (derived_min, derived_max) } else { (desc.min_delete, desc.max_delete) };
         debug_assert!(
-            v1_sentinel || (min_delete == derived_min && max_delete == derived_max),
+            v1_sentinel
+                || (desc.min_delete, desc.max_delete)
+                    == (table.meta.min_delete, table.meta.max_delete),
             "manifest delete-key bounds disagree with page contents of file {}",
             desc.id
         );
-        Ok(SsTable {
-            meta: SsTableMeta {
-                id: desc.id,
-                num_entries,
-                num_point_tombstones,
-                num_range_tombstones: desc.range_tombstones.len() as u64,
-                data_bytes,
-                min_sort,
-                max_sort,
-                min_delete,
-                max_delete,
-                created_at: desc.created_at,
-                oldest_tombstone_ts: desc.oldest_tombstone_ts,
-                max_seqnum: desc.max_seqnum,
-            },
-            tiles,
-            tile_fences: FencePointers::new(tile_mins),
-            range_tombstones: desc.range_tombstones.clone(),
-            desc: std::sync::OnceLock::from(Arc::clone(desc)),
-        })
+        if !v1_sentinel {
+            table.meta.min_delete = desc.min_delete;
+            table.meta.max_delete = desc.max_delete;
+        }
+        table.desc = std::sync::OnceLock::from(Arc::clone(desc));
+        Ok(table)
     }
 
     /// Number of tombstones (point + range) in the file.
@@ -574,7 +550,6 @@ impl SsTable {
         let mut stats = SecondaryDeleteStats::default();
         let mut obsolete_pages: Vec<PageId> = Vec::new();
         let mut new_tiles: Vec<DeleteTile> = Vec::with_capacity(self.tiles.len());
-        let mut tile_mins: Vec<SortKey> = Vec::with_capacity(self.tiles.len());
         // rewritten pages belong to nothing until the surviving file below
         // exists; a failed later read/write must not strand them on disk
         let mut reservation = crate::reclaim::PageReservation::new(backend);
@@ -633,9 +608,7 @@ impl SsTable {
                 }
             }
             if !surviving.is_empty() {
-                let tile = DeleteTile::from_pages(surviving);
-                tile_mins.push(tile.min_sort);
-                new_tiles.push(tile);
+                new_tiles.push(DeleteTile::from_pages(surviving));
             }
         }
 
@@ -644,61 +617,17 @@ impl SsTable {
             return Ok((None, stats, obsolete_pages));
         }
 
-        // recompute the metadata of the surviving file
-        let num_entries: u64 = new_tiles.iter().map(|t| t.num_entries() as u64).sum::<u64>()
-            + self.range_tombstones.len() as u64;
-        let num_point_tombstones: u64 =
-            new_tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.num_tombstones as u64).sum();
-        let data_bytes: u64 = new_tiles
-            .iter()
-            .flat_map(|t| t.pages.iter())
-            .map(|p| p.data_bytes as u64)
-            .sum::<u64>()
-            + self.range_tombstones.iter().map(|e| e.encoded_size() as u64).sum::<u64>();
-        // the surviving key range must still cover the spans of the file's
-        // range tombstones, otherwise lookups would skip this file and keys
-        // shadowed by those tombstones would resurface from deeper levels
-        let min_sort = new_tiles
-            .iter()
-            .map(|t| t.min_sort)
-            .chain(self.range_tombstones.iter().map(|t| t.sort_key))
-            .min()
-            .unwrap_or(self.meta.min_sort);
-        let max_sort = new_tiles
-            .iter()
-            .map(|t| t.max_sort)
-            .chain(self.range_tombstones.iter().filter_map(|t| t.range_end().map(|e| e.saturating_sub(1))))
-            .max()
-            .unwrap_or(self.meta.max_sort);
-        let min_delete =
-            new_tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.min_delete).min().unwrap_or(0);
-        let max_delete =
-            new_tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.max_delete).max().unwrap_or(0);
-
-        let table = SsTable {
-            meta: SsTableMeta {
-                id: self.meta.id,
-                num_entries,
-                num_point_tombstones,
-                num_range_tombstones: self.meta.num_range_tombstones,
-                data_bytes,
-                min_sort,
-                max_sort,
-                min_delete,
-                max_delete,
-                created_at: now,
-                oldest_tombstone_ts: if num_point_tombstones + self.meta.num_range_tombstones > 0 {
-                    self.meta.oldest_tombstone_ts
-                } else {
-                    None
-                },
-                max_seqnum: self.meta.max_seqnum,
-            },
-            tiles: new_tiles,
-            tile_fences: FencePointers::new(tile_mins),
-            range_tombstones: self.range_tombstones.clone(),
-            desc: std::sync::OnceLock::new(),
-        };
+        let mut table = SsTable::assemble(
+            self.meta.id,
+            new_tiles,
+            self.range_tombstones.clone(),
+            now,
+            self.meta.oldest_tombstone_ts,
+            self.meta.max_seqnum,
+        );
+        if !table.has_tombstones() {
+            table.meta.oldest_tombstone_ts = None;
+        }
         reservation.defuse();
         Ok((Some(table), stats, obsolete_pages))
     }

@@ -20,7 +20,10 @@
 //! shared `active`/`frozen` memtables, so [`ReadView`] handles obtained
 //! from [`LsmTree::reader`] serve `get`/`range`/secondary scans from any
 //! thread while flushes and compactions run (the read path itself lives in
-//! [`crate::read`]). Structural work is further
+//! [`crate::read`]). Every mutation is **stage → commit → apply** over one
+//! op list, whichever door it came through (the point API, a
+//! [`WriteBatch`](crate::batch::WriteBatch), a group-commit leader, WAL
+//! replay); that path lives in [`crate::write`]. Structural work is further
 //! split into **plan → execute → apply** phases ([`LsmTree::plan_job`],
 //! [`JobPlan::execute`](crate::jobs::JobPlan::execute),
 //! [`LsmTree::apply_job`], all in [`crate::jobs`]): planning and applying
@@ -31,20 +34,18 @@
 //! paths drive the same cycle synchronously.
 
 use crate::compaction::CompactionPolicy;
-use crate::config::{LsmConfig, SecondaryDeleteMode};
+use crate::config::LsmConfig;
 use crate::level::{Level, Run};
 use crate::merge::merge_entries;
 use crate::read::{FrozenBuffer, MemState, ReadView};
 use crate::snapshot::SnapshotTracker;
-use crate::sstable::{SecondaryDeleteStats, SsTable};
+use crate::sstable::SsTable;
 use crate::stats::{ContentSnapshot, TreeStats};
 use crate::version::VersionSet;
 use bytes::Bytes;
-use crate::batch::WriteBatch;
 use lethe_storage::{
-    BatchOp, DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, LogicalClock,
-    Manifest, ManifestState, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError,
-    Timestamp, Wal, WalRecord,
+    DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, LogicalClock, Manifest, ManifestState,
+    PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp, Wal,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,8 +95,6 @@ pub struct LsmTree {
     pub(crate) clock: LogicalClock,
     pub(crate) policy: Box<dyn CompactionPolicy>,
     pub(crate) mem: Arc<MemState>,
-    /// Insertion time of the oldest tombstone currently in the active buffer.
-    buffer_oldest_tombstone_ts: Option<Timestamp>,
     pub(crate) versions: Arc<VersionSet>,
     /// Sequence-number allocator. Shared across every shard of a sharded
     /// store so one cross-shard batch commits under one seqnum range.
@@ -103,11 +102,11 @@ pub struct LsmTree {
     /// Cross-shard batch ids proven committed by the batch-commit log;
     /// replay rolls back any `WalRecord::Batch { id: Some(_), .. }` whose id
     /// is missing here (prepared but never committed).
-    committed_batches: HashSet<u64>,
+    pub(crate) committed_batches: HashSet<u64>,
     /// Every cross-shard batch id seen in the WAL during recovery (committed
     /// or rolled back). The sharded front-end unions these across shards to
     /// compact its batch-commit log down to ids some WAL still references.
-    replayed_batch_ids: HashSet<u64>,
+    pub(crate) replayed_batch_ids: HashSet<u64>,
     pub(crate) next_file_id: Arc<AtomicU64>,
     /// Live-snapshot registry. Shared across every shard of a sharded store
     /// (like the seqnum allocator) so one cross-shard snapshot gates
@@ -116,7 +115,7 @@ pub struct LsmTree {
     pub(crate) stats: TreeStats,
     reader: ReadView,
     pub(crate) sort_key_histogram: Histogram,
-    delete_key_histogram: Histogram,
+    pub(crate) delete_key_histogram: Histogram,
     pub(crate) wal: Option<Box<dyn Wal>>,
     manifest: Option<Manifest>,
     mode: MaintenanceMode,
@@ -151,7 +150,6 @@ impl LsmTree {
             clock,
             policy,
             mem,
-            buffer_oldest_tombstone_ts: None,
             versions,
             next_seqnum: Arc::new(AtomicU64::new(1)),
             committed_batches: HashSet::new(),
@@ -236,17 +234,16 @@ impl LsmTree {
     /// the covering seqnum fence with the [`SnapshotTracker`] so tombstone
     /// GC is gated while the view is alive.
     pub fn capture_snapshot(&self) -> ReadView {
-        let (entries, range_tombstones) = {
+        let active = {
             let active = self.mem.active.read();
-            (active.iter().cloned().collect::<Vec<Entry>>(), active.range_tombstones().to_vec())
+            Arc::new(FrozenBuffer {
+                entries: active.table.iter().cloned().collect(),
+                range_tombstones: active.table.range_tombstones().to_vec(),
+                oldest_tombstone_ts: active.oldest_tombstone_ts,
+                wal_upto: 0,
+            })
         };
         let frozen = self.mem.frozen.read().clone();
-        let active = Arc::new(FrozenBuffer {
-            entries,
-            range_tombstones,
-            oldest_tombstone_ts: self.buffer_oldest_tombstone_ts,
-            wal_upto: 0,
-        });
         self.reader.pinned(active, frozen, self.versions.current())
     }
 
@@ -287,13 +284,13 @@ impl LsmTree {
     /// Bloom filters and fence pointers from page contents), releases device
     /// pages the manifest does not reference (half-written flush output,
     /// pages dropped after the last manifest edit), then replays the WAL on
-    /// top through the internal replay path. The WAL is *not* truncated here:
+    /// top through [`LsmTree::recover_from`]. The WAL is *not* truncated here:
     /// its records stay until the next flush commits a manifest edit that
     /// covers them, so a crash during or right after recovery loses nothing.
     pub fn recover(&mut self, wal: &dyn Wal) -> Result<RecoveryReport> {
         let mut report = RecoveryReport::default();
         if !self.versions.current().levels.is_empty()
-            || !self.mem.active.read().is_empty()
+            || !self.mem.active.read().table.is_empty()
             || self.mem.frozen.read().is_some()
         {
             return Err(StorageError::InvalidOperation(
@@ -339,356 +336,6 @@ impl LsmTree {
         Ok(report)
     }
 
-    /// Replays a WAL into the engine through the internal replay path:
-    /// unlike the public write path it never suppresses a logged tombstone as
-    /// blind, never re-counts ingest statistics or histograms (they were
-    /// counted when the record was first acknowledged), and re-applies each
-    /// record at its *logged* timestamp instead of re-stamping it.
-    pub fn recover_from(&mut self, wal: &dyn Wal) -> Result<usize> {
-        let records = wal.replay()?;
-        let n = records.len();
-        for r in records {
-            self.replay_record(r)?;
-        }
-        Ok(n)
-    }
-
-    /// Applies one logged record to the buffer, bypassing acknowledgement-time
-    /// bookkeeping (see [`LsmTree::recover_from`]).
-    fn replay_record(&mut self, record: WalRecord) -> Result<()> {
-        match record {
-            WalRecord::Put { sort_key, delete_key, value, ts } => {
-                self.clock.advance_to(ts);
-                let seq = self.next_seq();
-                self.mem.active.write().put(sort_key, delete_key, seq, value);
-            }
-            WalRecord::Delete { sort_key, ts } => {
-                self.clock.advance_to(ts);
-                let seq = self.next_seq();
-                self.buffer_oldest_tombstone_ts.get_or_insert(ts);
-                self.mem.active.write().delete(sort_key, seq);
-            }
-            WalRecord::DeleteRange { start, end, ts } => {
-                if end <= start {
-                    return Ok(());
-                }
-                self.clock.advance_to(ts);
-                let seq = self.next_seq();
-                self.buffer_oldest_tombstone_ts.get_or_insert(ts);
-                self.mem.active.write().delete_range(start, end, seq);
-            }
-            WalRecord::SecondaryDelete { d_lo, d_hi, ts } => {
-                self.clock.advance_to(ts);
-                // re-purges buffered entries replayed so far and re-drops
-                // any on-device pages the pre-crash run did not get to
-                // (idempotent on the ones it did)
-                self.apply_secondary_range_delete(d_lo, d_hi)?;
-            }
-            WalRecord::Batch { id, ops, ts } => {
-                // a prepared cross-shard slice replays only when the batch
-                // commit log proves its id committed; otherwise the whole
-                // slice rolls back — a batch is never half-applied
-                if let Some(id) = id {
-                    self.replayed_batch_ids.insert(id);
-                    if !self.committed_batches.contains(&id) {
-                        return Ok(());
-                    }
-                }
-                self.clock.advance_to(ts);
-                self.apply_batch_ops(&ops, ts, false)?;
-            }
-        }
-        self.maybe_flush()
-    }
-
-    // ----------------------------------------------------------------- writes
-
-    /// Inserts (or updates) `sort_key` with the given delete key and value.
-    pub fn put(&mut self, sort_key: SortKey, delete_key: DeleteKey, value: Bytes) -> Result<()> {
-        self.advance_clock_for_ingest();
-        let now = self.clock.now();
-        if let Some(wal) = &self.wal {
-            wal.append(WalRecord::Put { sort_key, delete_key, value: value.clone(), ts: now })?;
-        }
-        let seq = self.next_seq();
-        let entry = Entry::put(sort_key, delete_key, seq, value);
-        self.stats.record_ingest(entry.encoded_size() as u64);
-        self.sort_key_histogram.add(sort_key);
-        self.delete_key_histogram.add(delete_key);
-        self.mem.active.write().put(sort_key, delete_key, seq, entry.value);
-        self.maybe_flush()
-    }
-
-    /// Issues a point delete for `sort_key`. Returns `false` when the delete
-    /// was suppressed as *blind* (the key cannot exist anywhere in the tree —
-    /// only checked when `suppress_blind_deletes` is enabled).
-    pub fn delete(&mut self, sort_key: SortKey) -> Result<bool> {
-        self.advance_clock_for_ingest();
-        if self.config.suppress_blind_deletes && !self.key_may_exist(sort_key)? {
-            self.stats.blind_deletes_suppressed += 1;
-            return Ok(false);
-        }
-        let now = self.clock.now();
-        if let Some(wal) = &self.wal {
-            wal.append(WalRecord::Delete { sort_key, ts: now })?;
-        }
-        let seq = self.next_seq();
-        let entry = Entry::point_tombstone(sort_key, seq);
-        self.stats.record_ingest(entry.encoded_size() as u64);
-        self.stats.point_deletes_issued += 1;
-        self.buffer_oldest_tombstone_ts.get_or_insert(now);
-        self.mem.active.write().delete(sort_key, seq);
-        self.maybe_flush()?;
-        Ok(true)
-    }
-
-    /// Issues a range delete on the **sort key** for `[start, end)`.
-    pub fn delete_range(&mut self, start: SortKey, end: SortKey) -> Result<()> {
-        if end <= start {
-            return Ok(());
-        }
-        self.advance_clock_for_ingest();
-        let now = self.clock.now();
-        if let Some(wal) = &self.wal {
-            wal.append(WalRecord::DeleteRange { start, end, ts: now })?;
-        }
-        let seq = self.next_seq();
-        let entry = Entry::range_tombstone(start, end, seq);
-        self.stats.record_ingest(entry.encoded_size() as u64);
-        self.stats.range_deletes_issued += 1;
-        self.buffer_oldest_tombstone_ts.get_or_insert(now);
-        self.mem.active.write().delete_range(start, end, seq);
-        self.maybe_flush()
-    }
-
-    /// Executes a secondary range delete: removes every entry whose **delete
-    /// key** lies in `[d_lo, d_hi)`, using the strategy selected by
-    /// [`LsmConfig::secondary_delete_mode`]. Logged to the WAL before it
-    /// runs: the purge of *buffered* entries would otherwise be resurrected
-    /// by replaying their still-logged puts after a crash.
-    pub fn secondary_range_delete(
-        &mut self,
-        d_lo: DeleteKey,
-        d_hi: DeleteKey,
-    ) -> Result<SecondaryDeleteStats> {
-        if let Some(wal) = &self.wal {
-            wal.append(WalRecord::SecondaryDelete { d_lo, d_hi, ts: self.clock.now() })?;
-        }
-        self.stats.secondary_range_deletes += 1;
-        let result = self.apply_secondary_range_delete(d_lo, d_hi)?;
-        self.stats.secondary_delete.merge(&result);
-        Ok(result)
-    }
-
-    // ----------------------------------------------------------------- batches
-
-    /// Atomically applies `batch`: the whole batch is logged as **one** WAL
-    /// frame (crash recovery replays it entirely or discards it entirely —
-    /// a torn tail can never split it), made durable per the sync policy,
-    /// and its point operations are applied to the write buffer under a
-    /// single memtable write lock (concurrent readers never observe a
-    /// prefix). Operations apply in insertion order under one commit
-    /// timestamp and consecutive sequence numbers. An empty batch is a
-    /// no-op.
-    pub fn write_batch(&mut self, batch: WriteBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let ts = self.stage_batch(batch.ops(), None)?;
-        self.wal_commit()?;
-        self.apply_batch(batch.into_ops(), ts)
-    }
-
-    /// Stages `ops` in the WAL as one atomic batch frame **without** the
-    /// sync-policy barrier. A group-commit leader stages every queued batch
-    /// with this, pays one [`LsmTree::wal_commit`] for the combined tail,
-    /// then applies each batch at the returned commit timestamp with
-    /// [`LsmTree::apply_batch`]. `id` tags a prepared cross-shard slice
-    /// (replay holds it back until the batch-commit log shows `id`);
-    /// `None` marks the frame itself as the commit point.
-    pub fn stage_batch(&mut self, ops: &[BatchOp], id: Option<u64>) -> Result<Timestamp> {
-        self.advance_clock_for_ingest();
-        let now = self.clock.now();
-        if let Some(wal) = &self.wal {
-            wal.append_nosync(WalRecord::Batch { id, ops: ops.to_vec(), ts: now })?;
-        }
-        Ok(now)
-    }
-
-    /// One durability barrier covering everything staged since the last
-    /// commit (the group-commit fsync). A no-op without a WAL.
-    pub fn wal_commit(&mut self) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.commit()?;
-        }
-        Ok(())
-    }
-
-    /// Applies a staged batch to the write buffer at its commit timestamp.
-    pub fn apply_batch(&mut self, ops: Vec<BatchOp>, ts: Timestamp) -> Result<()> {
-        self.apply_batch_ops(&ops, ts, true)?;
-        self.maybe_flush()
-    }
-
-    /// Applies batch operations in order. Consecutive point operations
-    /// (puts, deletes) are applied under a single memtable write lock so
-    /// concurrent readers observe them all-or-nothing; a secondary range
-    /// delete releases the guard (it touches the frozen buffer and the
-    /// version set) — it only purges data that predates the batch. With
-    /// `ack_time` false (WAL replay) the acknowledgement-time bookkeeping
-    /// (ingest stats, histograms) is skipped, mirroring the single-op
-    /// replay arms.
-    fn apply_batch_ops(&mut self, ops: &[BatchOp], ts: Timestamp, ack_time: bool) -> Result<()> {
-        let mem = Arc::clone(&self.mem);
-        let alloc = Arc::clone(&self.next_seqnum);
-        let mut i = 0;
-        while i < ops.len() {
-            match &ops[i] {
-                BatchOp::SecondaryDelete { d_lo, d_hi } => {
-                    if ack_time {
-                        self.stats.secondary_range_deletes += 1;
-                    }
-                    let result = self.apply_secondary_range_delete(*d_lo, *d_hi)?;
-                    if ack_time {
-                        self.stats.secondary_delete.merge(&result);
-                    }
-                    i += 1;
-                }
-                _ => {
-                    let run_end = ops[i..]
-                        .iter()
-                        .position(|o| matches!(o, BatchOp::SecondaryDelete { .. }))
-                        .map_or(ops.len(), |p| i + p);
-                    let mut active = mem.active.write();
-                    for op in &ops[i..run_end] {
-                        let seq = alloc.fetch_add(1, Ordering::Relaxed);
-                        match op {
-                            BatchOp::Put { sort_key, delete_key, value } => {
-                                if ack_time {
-                                    let entry =
-                                        Entry::put(*sort_key, *delete_key, seq, value.clone());
-                                    self.stats.record_ingest(entry.encoded_size() as u64);
-                                    self.sort_key_histogram.add(*sort_key);
-                                    self.delete_key_histogram.add(*delete_key);
-                                }
-                                active.put(*sort_key, *delete_key, seq, value.clone());
-                            }
-                            BatchOp::Delete { sort_key } => {
-                                if ack_time {
-                                    let entry = Entry::point_tombstone(*sort_key, seq);
-                                    self.stats.record_ingest(entry.encoded_size() as u64);
-                                    self.stats.point_deletes_issued += 1;
-                                }
-                                self.buffer_oldest_tombstone_ts.get_or_insert(ts);
-                                active.delete(*sort_key, seq);
-                            }
-                            BatchOp::SecondaryDelete { .. } => {
-                                // lint:allow(no-panic): the op split above routes these out
-                                unreachable!("split above")
-                            }
-                        }
-                    }
-                    i = run_end;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The logging- and statistics-free body of a secondary range delete,
-    /// shared by the public path and WAL replay.
-    fn apply_secondary_range_delete(
-        &mut self,
-        d_lo: DeleteKey,
-        d_hi: DeleteKey,
-    ) -> Result<SecondaryDeleteStats> {
-        // the buffered portion (active and frozen) is purged in place in
-        // both modes
-        self.mem.active.write().purge_by_delete_key(d_lo, d_hi);
-        if let Some(f) = self.mem.frozen.write().as_mut() {
-            Arc::make_mut(f).purge_by_delete_key(d_lo, d_hi);
-        }
-        match self.config.secondary_delete_mode {
-            SecondaryDeleteMode::KiwiPageDrops => self.secondary_delete_with_drops(d_lo, d_hi),
-            SecondaryDeleteMode::FullTreeCompaction => {
-                self.secondary_delete_with_full_compaction(d_lo, d_hi)
-            }
-        }
-    }
-
-    /// KiWi page drops, committed as one new version: fully-covered pages
-    /// are never read, partially-covered pages are rewritten, and the
-    /// obsolete pages are retired through the version set so concurrently
-    /// pinned snapshots stay readable until they are released.
-    fn secondary_delete_with_drops(
-        &mut self,
-        d_lo: DeleteKey,
-        d_hi: DeleteKey,
-    ) -> Result<SecondaryDeleteStats> {
-        let now = self.clock.now();
-        let mut total = SecondaryDeleteStats::default();
-        let mut levels = self.versions.current().levels.clone();
-        let mut retired: Vec<Arc<SsTable>> = Vec::new();
-        let mut replacements: Vec<Arc<SsTable>> = Vec::new();
-        for level in &mut levels {
-            for run in &mut level.runs {
-                let ids: Vec<u64> = run.tables().iter().map(|t| t.meta.id).collect();
-                for id in ids {
-                    let table = match run.find_by_id(id) {
-                        Some(t) => Arc::clone(t),
-                        None => continue,
-                    };
-                    if table.meta.num_entries == 0
-                        || table.meta.max_delete < d_lo
-                        || table.meta.min_delete >= d_hi
-                    {
-                        continue;
-                    }
-                    // the obsolete-page list is implied by the reference
-                    // counts: retiring the original releases exactly the
-                    // pages its replacement does not share
-                    let (replacement, stats, _obsolete) = table.secondary_range_delete(
-                        d_lo,
-                        d_hi,
-                        &self.config,
-                        self.backend.as_ref(),
-                        now,
-                    )?;
-                    total.merge(&stats);
-                    let replacement = replacement.map(Arc::new);
-                    if let Some(r) = &replacement {
-                        replacements.push(Arc::clone(r));
-                    }
-                    run.replace(id, replacement);
-                    retired.push(table);
-                }
-            }
-            level.prune_empty_runs();
-        }
-        self.commit_version(levels, &replacements, retired, false)?;
-        Ok(total)
-    }
-
-    fn secondary_delete_with_full_compaction(
-        &mut self,
-        d_lo: DeleteKey,
-        d_hi: DeleteKey,
-    ) -> Result<SecondaryDeleteStats> {
-        // the state-of-the-art path: read, merge and rewrite the whole tree
-        let mut stats = SecondaryDeleteStats::default();
-        let before = self.versions.current();
-        let before_entries: u64 = before.levels.iter().map(|l| l.total_entries()).sum();
-        drop(before);
-        self.full_tree_compaction_filtered(Some((d_lo, d_hi)))?;
-        let after = self.versions.current();
-        let after_entries: u64 = after.levels.iter().map(|l| l.total_entries()).sum();
-        stats.entries_deleted = before_entries.saturating_sub(after_entries);
-        // every surviving page was read and rewritten
-        stats.partial_page_drops =
-            after.levels.iter().flat_map(|l| l.all_tables()).map(|t| t.page_count() as u64).sum();
-        Ok(stats)
-    }
-
     // ----------------------------------------------------------------- reads
 
     /// Point lookup: returns the current value of `sort_key`, or `None` if
@@ -717,16 +364,6 @@ impl LsmTree {
     }
 
     // ------------------------------------------------------------ flush/compact
-
-    fn next_seq(&mut self) -> SeqNum {
-        self.next_seqnum.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn advance_clock_for_ingest(&self) {
-        if self.config.auto_advance_clock {
-            self.clock.advance_micros(self.config.micros_per_ingest());
-        }
-    }
 
     /// Describes a prospective tree state for the manifest.
     fn describe_state(&self, levels: &[Level]) -> ManifestState {
@@ -768,8 +405,8 @@ impl LsmTree {
         self.manifest.as_mut().expect("manifest presence checked above").commit(state)
     }
 
-    fn maybe_flush(&mut self) -> Result<()> {
-        if self.mem.active.read().size_bytes() >= self.config.buffer_capacity_bytes() {
+    pub(crate) fn maybe_flush(&mut self) -> Result<()> {
+        if self.mem.active.read().table.size_bytes() >= self.config.buffer_capacity_bytes() {
             match self.mode {
                 MaintenanceMode::Inline => {
                     self.flush()?;
@@ -799,11 +436,11 @@ impl LsmTree {
             None => 0,
         };
         let mut active = self.mem.active.write();
-        if active.is_empty() {
+        if active.table.is_empty() {
             return Ok(false);
         }
-        let (entries, range_tombstones) = active.drain_sorted();
-        let oldest_tombstone_ts = self.buffer_oldest_tombstone_ts.take();
+        let (entries, range_tombstones) = active.table.drain_sorted();
+        let oldest_tombstone_ts = active.oldest_tombstone_ts.take();
         *self.mem.frozen.write() = Some(Arc::new(FrozenBuffer {
             entries,
             range_tombstones,
@@ -828,7 +465,7 @@ impl LsmTree {
     }
 
     /// Number of runs in the first disk level (the slowdown/stall
-    /// backpressure signal; see [`LsmConfig::l0_slowdown_runs`]).
+    /// backpressure signal of the sharded front-end).
     pub fn l0_run_count(&self) -> usize {
         self.reader.l0_run_count()
     }
@@ -970,7 +607,7 @@ impl LsmTree {
 
     /// Number of entries currently buffered in memory (active + frozen).
     pub fn buffered_entries(&self) -> usize {
-        self.mem.active.read().len()
+        self.mem.active.read().table.len()
             + self.mem.frozen.read().as_ref().map(|f| f.entries.len()).unwrap_or(0)
     }
 
@@ -1028,8 +665,8 @@ impl LsmTree {
         // include the buffer (active + frozen)
         {
             let active = self.mem.active.read();
-            all.extend(active.iter().cloned());
-            rts.extend(active.range_tombstones().iter().cloned());
+            all.extend(active.table.iter().cloned());
+            rts.extend(active.table.range_tombstones().iter().cloned());
         }
         if let Some(f) = self.mem.frozen.read().as_ref() {
             all.extend(f.entries.iter().cloned());
@@ -1095,86 +732,6 @@ mod tests {
         assert_eq!(t.get(10_000).unwrap(), None);
         assert!(t.level_count() >= 1);
         assert!(t.stats().flushes > 0);
-    }
-
-    #[test]
-    fn write_batch_applies_all_ops_in_order() {
-        let mut t = tree(LsmConfig::small_for_test());
-        t.put(5, 50, value(5)).unwrap();
-        let mut b = WriteBatch::new();
-        b.put(1, 10, value(1)).put(2, 20, value(2)).delete(5).put(1, 11, value(100));
-        t.write_batch(b).unwrap();
-        // last op wins within the batch; the pre-existing key is deleted
-        assert_eq!(t.get(1).unwrap(), Some(value(100)));
-        assert_eq!(t.get(2).unwrap(), Some(value(2)));
-        assert_eq!(t.get(5).unwrap(), None);
-        // empty batches are free
-        t.write_batch(WriteBatch::new()).unwrap();
-        // batches survive flush + compaction churn
-        for k in 100..600u64 {
-            t.put(k, k, value(k)).unwrap();
-        }
-        t.flush().unwrap();
-        t.maintain().unwrap();
-        assert_eq!(t.get(1).unwrap(), Some(value(100)));
-        assert_eq!(t.get(5).unwrap(), None);
-    }
-
-    #[test]
-    fn write_batch_secondary_delete_purges_range() {
-        let mut t = tree(LsmConfig::small_for_test());
-        for k in 0..20u64 {
-            t.put(k, k, value(k)).unwrap();
-        }
-        let mut b = WriteBatch::new();
-        b.secondary_range_delete(0, 10).put(50, 5, value(50));
-        t.write_batch(b).unwrap();
-        for k in 0..10u64 {
-            assert_eq!(t.get(k).unwrap(), None, "delete key {k} in purge range");
-        }
-        assert_eq!(t.get(15).unwrap(), Some(value(15)));
-        // the put rides in the same batch even though its delete key (5)
-        // falls in the purged range: ops apply in order
-        assert_eq!(t.get(50).unwrap(), Some(value(50)));
-    }
-
-    #[test]
-    fn batches_replay_from_wal_and_respect_commit_filter() {
-        use lethe_storage::MemWal;
-        let wal = MemWal::new();
-        // stage one local batch (commit point = the frame) and one prepared
-        // cross-shard slice for an id that never committed
-        {
-            let t = tree(LsmConfig::small_for_test());
-            let mut t = t.with_wal(Box::new(MemWal::new()));
-            let mut b = WriteBatch::new();
-            b.put(1, 10, value(1)).delete(2);
-            t.write_batch(b).unwrap();
-            // copy the records into the outer wal plus an uncommitted slice
-            for r in t.wal.as_ref().unwrap().replay().unwrap() {
-                wal.append(r).unwrap();
-            }
-            wal.append(WalRecord::Batch {
-                id: Some(99),
-                ops: vec![BatchOp::Put { sort_key: 7, delete_key: 70, value: value(7) }],
-                ts: 1,
-            })
-            .unwrap();
-            wal.append(WalRecord::Batch {
-                id: Some(100),
-                ops: vec![BatchOp::Put { sort_key: 8, delete_key: 80, value: value(8) }],
-                ts: 2,
-            })
-            .unwrap();
-        }
-        let mut t = tree(LsmConfig::small_for_test());
-        t.set_committed_batches([100u64].into_iter().collect());
-        let replayed = t.recover_from(&wal).unwrap();
-        assert_eq!(replayed, 3);
-        assert_eq!(t.get(1).unwrap(), Some(value(1)));
-        assert_eq!(t.get(2).unwrap(), None);
-        assert_eq!(t.get(7).unwrap(), None, "uncommitted prepared slice must roll back");
-        assert_eq!(t.get(8).unwrap(), Some(value(8)), "committed slice must apply");
     }
 
     #[test]
@@ -1308,68 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn secondary_range_delete_with_page_drops() {
-        let mut cfg = LsmConfig::small_for_test();
-        cfg.pages_per_delete_tile = 4;
-        cfg.max_pages_per_file = 8;
-        cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-        let mut t = tree(cfg);
-        // delete key is decorrelated from sort key
-        for k in 0..1000u64 {
-            t.put(k, (k * 7919) % 10_000, value(k)).unwrap();
-        }
-        t.flush().unwrap();
-        t.maintain().unwrap();
-        let stats = t.secondary_range_delete(0, 5_000).unwrap();
-        assert!(stats.entries_deleted > 300, "{stats:?}");
-        assert!(stats.full_page_drops > 0, "{stats:?}");
-        // all surviving entries have delete keys outside the range
-        let survivors = t.secondary_range_scan(0, 10_000).unwrap();
-        assert!(survivors.iter().all(|e| e.delete_key >= 5_000));
-        // point lookups agree
-        for k in 0..1000u64 {
-            let deleted = (k * 7919) % 10_000 < 5_000;
-            assert_eq!(t.get(k).unwrap().is_none(), deleted, "key {k}");
-        }
-    }
-
-    #[test]
-    fn secondary_range_delete_with_full_compaction_baseline() {
-        let mut cfg = LsmConfig::small_for_test();
-        cfg.secondary_delete_mode = SecondaryDeleteMode::FullTreeCompaction;
-        let mut t = tree(cfg);
-        for k in 0..500u64 {
-            t.put(k, (k * 31) % 1000, value(k)).unwrap();
-        }
-        t.flush().unwrap();
-        let before = t.stats().full_tree_compactions;
-        let stats = t.secondary_range_delete(0, 500).unwrap();
-        assert_eq!(t.stats().full_tree_compactions, before + 1);
-        assert!(stats.entries_deleted > 100);
-        for k in 0..500u64 {
-            let deleted = (k * 31) % 1000 < 500;
-            assert_eq!(t.get(k).unwrap().is_none(), deleted, "key {k}");
-        }
-    }
-
-    #[test]
-    fn blind_delete_suppression() {
-        let mut cfg = LsmConfig::small_for_test();
-        cfg.suppress_blind_deletes = true;
-        let mut t = tree(cfg);
-        for k in 0..100u64 {
-            t.put(k, k, value(k)).unwrap();
-        }
-        t.flush().unwrap();
-        // deleting an existing key inserts a tombstone
-        assert!(t.delete(5).unwrap());
-        // deleting a key that never existed is suppressed
-        assert!(!t.delete(1_000_000).unwrap());
-        assert_eq!(t.stats().blind_deletes_suppressed, 1);
-        assert_eq!(t.get(5).unwrap(), None);
-    }
-
-    #[test]
     fn force_full_compaction_collapses_tree() {
         let mut cfg = LsmConfig::small_for_test();
         cfg.size_ratio = 3;
@@ -1404,80 +899,6 @@ mod tests {
         assert!(snap.total_entries >= snap.unique_entries);
         assert!(snap.space_amplification() >= 0.0);
         assert!(snap.files > 0);
-    }
-
-    #[test]
-    fn wal_recovery_restores_unflushed_writes() {
-        // large buffer so nothing is flushed (and the WAL never truncated):
-        // the whole working set must be recoverable from the log alone
-        let mut cfg = LsmConfig::small_for_test();
-        cfg.buffer_pages = 1024;
-        let wal = std::sync::Arc::new(lethe_storage::MemWal::new());
-
-        struct SharedWal(std::sync::Arc<lethe_storage::MemWal>);
-        impl Wal for SharedWal {
-            fn append(&self, r: WalRecord) -> Result<()> {
-                self.0.append(r)
-            }
-            fn replay(&self) -> Result<Vec<WalRecord>> {
-                self.0.replay()
-            }
-            fn truncate(&self) -> Result<()> {
-                self.0.truncate()
-            }
-            fn sync(&self) -> Result<()> {
-                self.0.sync()
-            }
-            fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize> {
-                self.0.purge_older_than(cutoff)
-            }
-        }
-
-        let mut t = tree(cfg.clone()).with_wal(Box::new(SharedWal(std::sync::Arc::clone(&wal))));
-        for k in 0..50u64 {
-            t.put(k, k, value(k)).unwrap();
-        }
-        t.delete(7).unwrap();
-        // simulate a crash: build a fresh tree and replay the WAL
-        let mut recovered = tree(cfg);
-        let replayed = recovered.recover_from(wal.as_ref()).unwrap();
-        assert_eq!(replayed, 51);
-        assert_eq!(recovered.get(3).unwrap(), Some(value(3)));
-        assert_eq!(recovered.get(7).unwrap(), None);
-    }
-
-    #[test]
-    fn wal_replay_preserves_tombstones_stats_and_timestamps() {
-        // regression: the old replay path went through the public put/delete
-        // API, so blind-delete suppression could drop a legitimately logged
-        // tombstone, ingest stats were double-counted across restarts, and
-        // replayed records were re-stamped by the ingest clock
-        let mut cfg = LsmConfig::small_for_test();
-        cfg.buffer_pages = 1024;
-        cfg.suppress_blind_deletes = true;
-        let wal = lethe_storage::MemWal::new();
-        // a tombstone whose key was flushed before the crash: the reopened
-        // buffer has no trace of it, so the public path would call it blind
-        wal.append(WalRecord::Delete { sort_key: 5, ts: 12_345 }).unwrap();
-        wal.append(WalRecord::Put {
-            sort_key: 6,
-            delete_key: 6,
-            value: Bytes::from_static(b"v"),
-            ts: 12_400,
-        })
-        .unwrap();
-        let mut t = tree(cfg);
-        assert_eq!(t.recover_from(&wal).unwrap(), 2);
-        // the logged tombstone survives replay
-        assert_eq!(t.buffered_entries(), 2);
-        assert_eq!(t.get(5).unwrap(), None);
-        assert_eq!(t.get(6).unwrap(), Some(Bytes::from_static(b"v")));
-        // ingest statistics are not re-counted
-        assert_eq!(t.stats().entries_ingested, 0);
-        assert_eq!(t.stats().point_deletes_issued, 0);
-        assert_eq!(t.stats().blind_deletes_suppressed, 0);
-        // the clock sits at the logged watermark, not a re-stamped one
-        assert_eq!(t.clock().now(), 12_400);
     }
 
     #[test]
@@ -1541,17 +962,6 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clock_advances_with_ingestion() {
-        let mut cfg = LsmConfig::small_for_test();
-        cfg.ingestion_rate = 1000; // 1000 entries/s → 1ms per entry
-        let mut t = tree(cfg);
-        for k in 0..100u64 {
-            t.put(k, k, value(k)).unwrap();
-        }
-        assert_eq!(t.clock().now(), 100_000);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! default-constructed fail point is disarmed and costs one relaxed atomic
 //! load per check.
 //!
-//! Every check site carries a stable **site name** (`"wal.append"`,
+//! Every check site carries a stable **site name** (`"wal.append_nosync"`,
 //! `"manifest.rewrite.rename"`, …). The name of the site that fired last is
 //! recorded and exposed through [`FailPoint::last_fired`], so a sweep can
 //! assert *which* durable steps its crash script actually exercised. The

@@ -24,7 +24,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// When [`FileWal::append`] forces the log to durable storage.
+/// When [`Wal::commit`] (and so [`Wal::append`]) forces the log to durable
+/// storage.
 ///
 /// The write path promises "logged before acknowledged"; how strong that
 /// promise is against an OS or power failure is this knob. In-process crash
@@ -69,6 +70,13 @@ pub enum BatchOp {
         /// Exclusive upper delete-key bound.
         d_hi: DeleteKey,
     },
+    /// A range delete of **sort keys** `[start, end)`.
+    DeleteRange {
+        /// Inclusive lower sort-key bound.
+        start: SortKey,
+        /// Exclusive upper sort-key bound.
+        end: SortKey,
+    },
 }
 
 impl BatchOp {
@@ -89,6 +97,11 @@ impl BatchOp {
                 buf.put_u8(2);
                 buf.put_u64(*d_lo);
                 buf.put_u64(*d_hi);
+            }
+            BatchOp::DeleteRange { start, end } => {
+                buf.put_u8(3);
+                buf.put_u64(*start);
+                buf.put_u64(*end);
             }
         }
     }
@@ -124,6 +137,12 @@ impl BatchOp {
                     ));
                 }
                 Ok(BatchOp::SecondaryDelete { d_lo: buf.get_u64(), d_hi: buf.get_u64() })
+            }
+            3 => {
+                if buf.remaining() < 16 {
+                    return Err(StorageError::Corruption("wal batch range delete truncated".into()));
+                }
+                Ok(BatchOp::DeleteRange { start: buf.get_u64(), end: buf.get_u64() })
             }
             t => Err(StorageError::Corruption(format!("unknown wal batch op tag {t}"))),
         }
@@ -165,6 +184,48 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The record that logs `ops` as one request stamped `ts`: the only way
+    /// the write path turns operations into a frame. A lone operation whose
+    /// frame is itself the commit point (`id` is `None`) is logged as its
+    /// compact single-op record; anything else (several ops, or a prepared
+    /// cross-shard slice) as one [`WalRecord::Batch`].
+    pub fn for_ops(ops: &[BatchOp], id: Option<u64>, ts: Timestamp) -> WalRecord {
+        match (id, ops) {
+            (None, [BatchOp::Put { sort_key, delete_key, value }]) => WalRecord::Put {
+                sort_key: *sort_key,
+                delete_key: *delete_key,
+                value: value.clone(),
+                ts,
+            },
+            (None, [BatchOp::Delete { sort_key }]) => WalRecord::Delete { sort_key: *sort_key, ts },
+            (None, [BatchOp::DeleteRange { start, end }]) => {
+                WalRecord::DeleteRange { start: *start, end: *end, ts }
+            }
+            (None, [BatchOp::SecondaryDelete { d_lo, d_hi }]) => {
+                WalRecord::SecondaryDelete { d_lo: *d_lo, d_hi: *d_hi, ts }
+            }
+            _ => WalRecord::Batch { id, ops: ops.to_vec(), ts },
+        }
+    }
+
+    /// The inverse of [`WalRecord::for_ops`], for replay: the cross-shard
+    /// batch id (if any), the logged timestamp and the operations.
+    pub fn into_ops(self) -> (Option<u64>, Timestamp, Vec<BatchOp>) {
+        match self {
+            WalRecord::Put { sort_key, delete_key, value, ts } => {
+                (None, ts, vec![BatchOp::Put { sort_key, delete_key, value }])
+            }
+            WalRecord::Delete { sort_key, ts } => (None, ts, vec![BatchOp::Delete { sort_key }]),
+            WalRecord::DeleteRange { start, end, ts } => {
+                (None, ts, vec![BatchOp::DeleteRange { start, end }])
+            }
+            WalRecord::SecondaryDelete { d_lo, d_hi, ts } => {
+                (None, ts, vec![BatchOp::SecondaryDelete { d_lo, d_hi }])
+            }
+            WalRecord::Batch { id, ops, ts } => (id, ts, ops),
+        }
+    }
+
     /// Logical timestamp the record was appended at.
     pub fn timestamp(&self) -> Timestamp {
         match self {
@@ -299,20 +360,21 @@ impl WalRecord {
 
 /// A write-ahead log.
 pub trait Wal: Send + Sync {
-    /// Appends a record.
-    fn append(&self, record: WalRecord) -> Result<()>;
+    /// Appends a record and applies the sync policy to it: one
+    /// [`Wal::append_nosync`] followed by one [`Wal::commit`].
+    fn append(&self, record: WalRecord) -> Result<()> {
+        self.append_nosync(record)?;
+        self.commit()
+    }
     /// Appends a record **without** applying the sync policy. A group-commit
     /// leader stages every queued record with this, then makes the combined
     /// tail durable with one [`Wal::commit`] — the whole point of group
     /// commit is that the fsync count scales with commit groups, not records.
-    /// The default implementation degrades to a plain [`Wal::append`].
-    fn append_nosync(&self, record: WalRecord) -> Result<()> {
-        self.append(record)
-    }
+    fn append_nosync(&self, record: WalRecord) -> Result<()>;
     /// Makes everything staged by [`Wal::append_nosync`] as durable as the
     /// sync policy demands (under [`SyncPolicy::Always`], one fsync for the
-    /// whole staged tail). The default implementation is a no-op because the
-    /// default `append_nosync` already syncs per record.
+    /// whole staged tail). The default implementation is a no-op, for logs
+    /// without real durability.
     fn commit(&self) -> Result<()> {
         Ok(())
     }
@@ -375,7 +437,7 @@ impl MemWal {
 }
 
 impl Wal for MemWal {
-    fn append(&self, record: WalRecord) -> Result<()> {
+    fn append_nosync(&self, record: WalRecord) -> Result<()> {
         self.records.lock().push(record);
         Ok(())
     }
@@ -440,6 +502,16 @@ pub struct FileWal {
 /// Sentinel for "record count not derived yet".
 const COUNT_UNKNOWN: u64 = u64::MAX;
 
+/// Lays out one log frame: a big-endian `u32` body length, then the body.
+fn encode_frame(record: &WalRecord) -> BytesMut {
+    let mut body = BytesMut::new();
+    record.encode(&mut body);
+    let mut frame = BytesMut::with_capacity(body.len() + 4);
+    frame.put_u32(body.len() as u32);
+    frame.extend_from_slice(&body);
+    frame
+}
+
 impl FileWal {
     /// Opens (or creates) the WAL file at `path` with [`SyncPolicy::Always`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
@@ -478,23 +550,6 @@ impl FileWal {
     /// so far — normally 0 or 1 right after a crash-reopen.
     pub fn torn_tails_recovered(&self) -> u64 {
         self.torn_tails_recovered.load(Ordering::Relaxed)
-    }
-
-    /// Writes one framed record under the file lock without syncing, keeping
-    /// the cached record count in step. Shared by the per-record and
-    /// group-commit append paths.
-    fn write_frame_locked(&self, file: &mut File, record: &WalRecord) -> Result<()> {
-        let mut body = BytesMut::new();
-        record.encode(&mut body);
-        let mut frame = BytesMut::with_capacity(body.len() + 4);
-        frame.put_u32(body.len() as u32);
-        frame.extend_from_slice(&body);
-        file.write_all(&frame)?;
-        let count = self.record_count.load(Ordering::Relaxed);
-        if count != COUNT_UNKNOWN {
-            self.record_count.store(count + 1, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// `fdatasync`s the log file through the counted barrier and resets the
@@ -565,12 +620,7 @@ impl FileWal {
         {
             let mut f = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
             for r in records {
-                let mut body = BytesMut::new();
-                r.encode(&mut body);
-                let mut frame = BytesMut::with_capacity(body.len() + 4);
-                frame.put_u32(body.len() as u32);
-                frame.extend_from_slice(&body);
-                f.write_all(&frame)?;
+                f.write_all(&encode_frame(r))?;
             }
             barrier::sync_all_counted(&f, &self.fsyncs)?;
         }
@@ -587,49 +637,31 @@ impl FileWal {
 }
 
 impl Wal for FileWal {
-    fn append(&self, record: WalRecord) -> Result<()> {
-        self.failpoint.check("wal.append")?;
-        let mut file = self.file.lock();
-        self.write_frame_locked(&mut file, &record)?;
-        match self.sync_policy {
-            SyncPolicy::Always => {
-                self.sync_data_counted(&file)?;
-            }
-            SyncPolicy::EveryN(n) => {
-                let pending = self.appends_since_sync.fetch_add(1, Ordering::Relaxed) + 1;
-                if pending >= n.max(1) {
-                    self.sync_data_counted(&file)?;
-                }
-            }
-            SyncPolicy::OnFlush => {
-                self.appends_since_sync.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(())
-    }
-
     fn append_nosync(&self, record: WalRecord) -> Result<()> {
         self.failpoint.check("wal.append_nosync")?;
         let mut file = self.file.lock();
-        self.write_frame_locked(&mut file, &record)?;
+        file.write_all(&encode_frame(&record))?;
+        // the cached record count is kept in step, under the same lock
+        let count = self.record_count.load(Ordering::Relaxed);
+        if count != COUNT_UNKNOWN {
+            self.record_count.store(count + 1, Ordering::Relaxed);
+        }
         self.appends_since_sync.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     fn commit(&self) -> Result<()> {
-        let file = self.file.lock();
-        match self.sync_policy {
-            SyncPolicy::Always => {
-                if self.appends_since_sync.load(Ordering::Relaxed) > 0 {
-                    self.sync_data_counted(&file)?;
-                }
-            }
-            SyncPolicy::EveryN(n) => {
-                if self.appends_since_sync.load(Ordering::Relaxed) >= n.max(1) {
-                    self.sync_data_counted(&file)?;
-                }
-            }
-            SyncPolicy::OnFlush => {}
+        // decided before the file lock is taken, so a commit with nothing to
+        // do costs one atomic load: the counter only moves under that lock,
+        // and this thread's own appends are already in it
+        let pending = self.appends_since_sync.load(Ordering::Relaxed);
+        let due = match self.sync_policy {
+            SyncPolicy::Always => pending > 0,
+            SyncPolicy::EveryN(n) => pending >= n.max(1),
+            SyncPolicy::OnFlush => false,
+        };
+        if due {
+            self.sync_data_counted(&self.file.lock())?;
         }
         Ok(())
     }
@@ -647,7 +679,8 @@ impl Wal for FileWal {
     }
 
     fn sync(&self) -> Result<()> {
-        barrier::sync_all_counted(&self.file.lock(), &self.fsyncs)?;
+        let file = self.file.lock();
+        barrier::sync_all_counted(&file, &self.fsyncs)?;
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -912,6 +945,7 @@ mod tests {
                 BatchOp::Put { sort_key: 1, delete_key: 11, value: Bytes::from_static(b"a") },
                 BatchOp::Delete { sort_key: 2 },
                 BatchOp::SecondaryDelete { d_lo: 3, d_hi: 9 },
+                BatchOp::DeleteRange { start: 4, end: 8 },
             ],
             ts: 77,
         }
@@ -934,6 +968,69 @@ mod tests {
         let w2 = FileWal::open(&path).unwrap();
         assert_eq!(w2.replay().unwrap(), records);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every frame kind the commit before `BatchOp::DeleteRange` could write,
+    /// as the bytes its `FileWal` wrote for them (230 of them), including the
+    /// one-op `Batch` a sharded put logged and a prepared cross-shard slice.
+    const PARENT_LOG_HEX: &str = "\
+        0000001f000000000000000001000000000000000b00000000000000640000000276310000001101\
+        000000000000000200000000000000c8000000190200000000000000030000000000000009000000\
+        000000012c0000001903000000000000000a000000000000000c0000000000000190000000250400\
+        00000000000001f400000001000000000000000004000000000000002c0000000276340000004704\
+        01000000000000000700000000000002580000000300000000000000000500000000000000370000\
+        000276350100000000000000010200000000000000280000000000000032";
+
+    #[test]
+    fn logs_written_before_this_change_still_replay() {
+        let v = |s: &'static str| Bytes::from_static(s.as_bytes());
+        let bytes: Vec<u8> = (0..PARENT_LOG_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PARENT_LOG_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(bytes.len(), 230);
+        let path = std::env::temp_dir().join(format!("lethe-wal-old-{}.wal", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let records = FileWal::open(&path).unwrap().replay().unwrap();
+        let _ = std::fs::remove_file(&path);
+        let lone_put = BatchOp::Put { sort_key: 4, delete_key: 44, value: v("v4") };
+        let slice = vec![
+            BatchOp::Put { sort_key: 5, delete_key: 55, value: v("v5") },
+            BatchOp::Delete { sort_key: 1 },
+            BatchOp::SecondaryDelete { d_lo: 40, d_hi: 50 },
+        ];
+        assert_eq!(
+            records,
+            vec![
+                WalRecord::Put { sort_key: 1, delete_key: 11, value: v("v1"), ts: 100 },
+                WalRecord::Delete { sort_key: 2, ts: 200 },
+                WalRecord::DeleteRange { start: 3, end: 9, ts: 300 },
+                WalRecord::SecondaryDelete { d_lo: 10, d_hi: 12, ts: 400 },
+                WalRecord::Batch { id: None, ops: vec![lone_put.clone()], ts: 500 },
+                WalRecord::Batch { id: Some(7), ops: slice.clone(), ts: 600 },
+            ]
+        );
+        // the frames themselves have not moved
+        let reencoded: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).to_vec()).collect();
+        assert_eq!(reencoded, bytes);
+        // and ops → record → ops is the identity on every record but the
+        // one-op batch, whose op now takes the compact frame
+        for (i, record) in records.into_iter().enumerate() {
+            let (id, ts, ops) = record.clone().into_ops();
+            let again = WalRecord::for_ops(&ops, id, ts);
+            if i == 4 {
+                assert_eq!((id, ts, ops), (None, 500, vec![lone_put.clone()]));
+                let compact = WalRecord::Put { sort_key: 4, delete_key: 44, value: v("v4"), ts: 500 };
+                assert_eq!(again, compact);
+            } else {
+                assert_eq!(again, record);
+            }
+        }
+        // a prepared slice keeps its batch frame even with one op
+        assert!(matches!(
+            WalRecord::for_ops(&[lone_put], Some(9), 1),
+            WalRecord::Batch { id: Some(9), .. }
+        ));
     }
 
     #[test]

@@ -46,7 +46,6 @@ const KILL_POINTS: &[&str] = &[
     "manifest.append",
     "manifest.rewrite.begin",
     "manifest.rewrite.rename",
-    "wal.append",
     "wal.append_nosync",
     "wal.rewrite.begin",
     "wal.rewrite.rename",
@@ -577,11 +576,11 @@ fn kill_point_trace_covers_the_whole_registry() {
             .crash_failpoint(fp.clone())
             .open(&dir)
             .unwrap();
-        // group-commit puts: staged WAL frames (wal.append_nosync)
+        // every mutation stages its WAL frame through the shard's
+        // group-commit queue (wal.append_nosync)
         for k in 0..48u64 {
             db.put(k, delete_key_of(k), vec![7u8; 16]).unwrap();
         }
-        // direct ops: synced appends (wal.append)
         db.delete(3).unwrap();
         db.delete_range(10, 14).unwrap();
         // cross-shard batch: 2PC through the batch-commit log

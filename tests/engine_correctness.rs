@@ -3,6 +3,9 @@
 //! under mixed workloads, and Lethe must additionally honour its
 //! delete-persistence guarantee.
 
+use bytes::Bytes;
+use lethe::lsm::LsmTree;
+use lethe::storage::{FileWal, LogicalClock, Wal, WalRecord};
 use lethe::workload::{BatchWriteOp, Operation, WorkloadGenerator, WorkloadSpec};
 use lethe::{
     Baseline, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
@@ -617,4 +620,203 @@ fn every_read_surface_agrees_with_the_oracle() {
         check(&format!("ShardedLethe/{shards}, later"), &db, &now);
         check(&format!("Snapshot/{shards}, later"), &snapshot, &then);
     }
+}
+
+/// One request of the write-path conformance script below.
+#[derive(Clone)]
+enum Write {
+    Put(u64, u64, &'static str),
+    Delete(u64),
+    DeleteRange(u64, u64),
+    SecondaryDelete(u64, u64),
+    Batch(Vec<Write>),
+}
+
+/// `writes` as one `WriteBatch`.
+fn batch_of(writes: &[Write]) -> WriteBatch {
+    let mut batch = WriteBatch::new();
+    for w in writes {
+        match w {
+            Write::Put(k, d, v) => batch.put(*k, *d, *v),
+            Write::Delete(k) => batch.delete(*k),
+            Write::DeleteRange(lo, hi) => batch.delete_range(*lo, *hi),
+            Write::SecondaryDelete(lo, hi) => batch.secondary_range_delete(*lo, *hi),
+            Write::Batch(_) => panic!("batches do not nest"),
+        };
+    }
+    batch
+}
+
+/// What a write door left behind, observed the same way for every door.
+#[derive(Debug, PartialEq)]
+struct Left {
+    rows: Vec<(u64, Vec<u8>)>,
+    /// `(sort key, delete key)` of every live entry.
+    by_delete_key: Vec<(u64, u64)>,
+    next_seqnum: u64,
+    clock: u64,
+    /// entries and bytes ingested; point, range and secondary deletes
+    /// issued; blind deletes suppressed
+    counters: [u64; 6],
+}
+
+fn left_by(tree: &LsmTree) -> Left {
+    let stats = tree.stats();
+    Left {
+        rows: tree.range(0, u64::MAX).unwrap().into_iter().map(|(k, v)| (k, v.to_vec())).collect(),
+        by_delete_key: tree
+            .secondary_range_scan(0, u64::MAX)
+            .unwrap()
+            .iter()
+            .map(|e| (e.sort_key, e.delete_key))
+            .collect(),
+        next_seqnum: tree.next_seqnum(),
+        clock: tree.clock().now(),
+        counters: [
+            stats.entries_ingested,
+            stats.bytes_ingested,
+            stats.point_deletes_issued,
+            stats.range_deletes_issued,
+            stats.secondary_range_deletes,
+            stats.blind_deletes_suppressed,
+        ],
+    }
+}
+
+/// Every way of writing to a store — the `LsmTree` point API, the same
+/// requests as one-op `WriteBatch`es, a replay of the first door's log, and
+/// a one-shard `ShardedLethe` — is the same stage → commit → apply over the
+/// same ops, so one script must leave the same contents, seqnum allocator,
+/// clock and counters behind each. The doors differ in one documented
+/// place: a delete inside a batch is never suppressed as blind.
+#[test]
+fn every_write_surface_leaves_the_same_store() {
+    use Write::*;
+    let script = vec![
+        Put(1, 10, "a"),
+        Put(2, 20, "b"),
+        Put(3, 30, "c"),
+        Put(4, 40, "d"),
+        Put(5, 50, "e"),
+        Put(6, 60, "f"),
+        Put(2, 21, "b2"),        // an overwrite
+        Delete(3),               // of a live key
+        Delete(99),              // blind
+        DeleteRange(5, 7),       // keys 5 and 6
+        DeleteRange(9, 9),       // empty: no tick, no entry
+        SecondaryDelete(40, 41), // key 4; no tick
+        Batch(vec![
+            Put(7, 70, "g"),
+            Delete(1),
+            DeleteRange(20, 30),
+            Put(8, 80, "h"),
+            SecondaryDelete(70, 71), // key 7, put by this very batch
+            Put(9, 90, "i"),
+        ]),
+    ];
+    // nothing flushes, so door one's log still holds the whole script
+    let config = LsmConfig {
+        buffer_pages: 1024,
+        suppress_blind_deletes: true,
+        secondary_delete_mode: lethe::lsm::SecondaryDeleteMode::KiwiPageDrops,
+        ..small_config()
+    };
+    let tick = config.micros_per_ingest();
+    let tree = || {
+        let policy = lethe::lsm::SaturationPolicy::new(lethe::lsm::FileSelection::MinOverlap);
+        let backend = lethe::storage::InMemoryBackend::new_shared();
+        LsmTree::new(config.clone(), backend, LogicalClock::new(), Box::new(policy)).unwrap()
+    };
+    let wal_path =
+        std::env::temp_dir().join(format!("lethe-write-doors-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal_path);
+    let open_wal =
+        || FileWal::open(&wal_path).unwrap().with_sync_policy(lethe::storage::SyncPolicy::OnFlush);
+
+    // door 1: the point API
+    let mut point = tree().with_wal(Box::new(open_wal()));
+    for w in &script {
+        match w {
+            Put(k, d, v) => point.put(*k, *d, Bytes::from_static(v.as_bytes())).unwrap(),
+            Delete(k) => assert_eq!(point.delete(*k).unwrap(), *k != 99, "only key 99 is blind"),
+            DeleteRange(lo, hi) => point.delete_range(*lo, *hi).unwrap(),
+            SecondaryDelete(lo, hi) => drop(point.secondary_range_delete(*lo, *hi).unwrap()),
+            Batch(inner) => point.write_batch(batch_of(inner)).unwrap(),
+        }
+    }
+    // door 2: every request as a batch of its own
+    let mut batched = tree();
+    for w in &script {
+        let ops = if let Batch(inner) = w { &inner[..] } else { std::slice::from_ref(w) };
+        batched.write_batch(batch_of(ops)).unwrap();
+    }
+    // door 3: a fresh tree replaying door one's log
+    let log = open_wal().replay().unwrap();
+    let mut replayed = tree();
+    assert_eq!(replayed.recover_from(&open_wal()).unwrap(), log.len());
+    let _ = std::fs::remove_file(&wal_path);
+    // door 4: a one-shard sharded store (group-commit queue, background mode)
+    let sharded = ShardedLetheBuilder::new().shards(1).with_config(config.clone()).build().unwrap();
+    for w in &script {
+        match w {
+            Put(k, d, v) => sharded.put(*k, *d, *v).unwrap(),
+            Delete(k) => assert_eq!(sharded.delete(*k).unwrap(), *k != 99),
+            DeleteRange(lo, hi) => sharded.delete_range(*lo, *hi).unwrap(),
+            SecondaryDelete(lo, hi) => drop(sharded.delete_where_delete_key_in(*lo, *hi).unwrap()),
+            Batch(inner) => sharded.write(batch_of(inner)).unwrap(),
+        }
+    }
+
+    // 7 puts + 1 delete + 1 range delete + the batch's 5 entries; 11 requests
+    // ticked the clock (the blind delete too; the empty range and the lone
+    // secondary delete did not)
+    let point_tombstone_bytes = lethe::storage::Entry::point_tombstone(0, 0).encoded_size() as u64;
+    let expected = left_by(&point);
+    assert_eq!(expected.rows, vec![(2, b"b2".to_vec()), (8, b"h".to_vec()), (9, b"i".to_vec())]);
+    assert_eq!(expected.by_delete_key, vec![(2, 21), (8, 80), (9, 90)]);
+    assert_eq!((expected.next_seqnum, expected.clock), (15, 11 * tick));
+    assert_eq!(expected.counters[0], 14);
+    assert_eq!(expected.counters[2..], [2, 2, 2, 1]);
+    // door, suppresses the blind delete, counts
+    let doors = [
+        ("one-op WriteBatches", left_by(&batched), false, true),
+        ("replay of door one's log", left_by(&replayed), true, false),
+        ("ShardedLethe/1", sharded.with_shard(0, |shard| left_by(shard.tree())), true, true),
+    ];
+    for (door, left, suppresses, counts) in doors {
+        let blind = u64::from(!suppresses);
+        let [entries, bytes, points, ranges, secondaries, suppressed] = expected.counters;
+        let counters = [
+            entries + blind,
+            bytes + blind * point_tombstone_bytes,
+            points + blind,
+            ranges,
+            secondaries,
+            suppressed - blind,
+        ];
+        let want = Left {
+            next_seqnum: expected.next_seqnum + blind,
+            counters: if counts { counters } else { [0; 6] },
+            rows: expected.rows.clone(),
+            by_delete_key: expected.by_delete_key.clone(),
+            ..expected
+        };
+        assert_eq!(left, want, "{door}");
+    }
+    // door one logged compact single-op records for everything but the
+    // multi-op batch, and nothing for the blind delete or the empty range
+    let frames: Vec<&str> = log
+        .iter()
+        .map(|r| match r {
+            WalRecord::Put { .. } => "put",
+            WalRecord::Delete { .. } => "delete",
+            WalRecord::DeleteRange { .. } => "range",
+            WalRecord::SecondaryDelete { .. } => "secondary",
+            WalRecord::Batch { id: None, ops, .. } if ops.len() == 6 => "batch",
+            other => panic!("unexpected frame {other:?}"),
+        })
+        .collect();
+    let mut want_frames = vec!["put"; 7];
+    want_frames.extend(["delete", "range", "secondary", "batch"]);
+    assert_eq!(frames, want_frames);
 }
