@@ -341,17 +341,18 @@ impl LetheBuilder {
     }
 
     /// Opens (or creates) a durable engine *namespaced* inside `dir` (data
-    /// file `dir/<name>.data`, log `dir/<name>.wal`, manifest
-    /// `dir/<name>.manifest`) on an explicit clock. Several namespaced
-    /// engines can share one directory and one clock, which is how
-    /// [`ShardedLethe`](crate::shard::ShardedLethe) keeps its shards
-    /// together with consistent delete-persistence TTLs.
+    /// segments `dir/<name>.data` and `dir/<name>.data.<id>`, log
+    /// `dir/<name>.wal`, manifest `dir/<name>.manifest`) on an explicit
+    /// clock. Several namespaced engines can share one directory and one
+    /// clock, which is how [`ShardedLethe`](crate::shard::ShardedLethe) keeps
+    /// its shards together with consistent delete-persistence TTLs.
     ///
-    /// Recovery order: the data file is scanned to rebuild the page index
-    /// (truncating any torn tail), the manifest's edit log is folded into
-    /// the last committed tree state, levels and files are rebuilt from it
-    /// (re-deriving Bloom filters and fence pointers), unreferenced pages
-    /// are released, and finally the WAL — whose own torn tail, if any, is
+    /// Recovery order: the data segments are scanned to rebuild the page
+    /// index (truncating a torn tail of the newest), the manifest's edit log
+    /// is folded into the last committed tree state, levels and files are
+    /// rebuilt from it (re-deriving Bloom filters and fence pointers),
+    /// unreferenced pages are released (which unlinks a segment left with
+    /// none), and finally the WAL — whose own torn tail, if any, is
     /// truncated away — is replayed on top. The WAL is only truncated once a
     /// later flush commits a covering manifest edit.
     pub fn open_named(
@@ -574,7 +575,8 @@ impl Lethe {
     }
 
     /// Device I/O counters (including block-cache hit/miss counts when a
-    /// cache is configured).
+    /// cache is configured, and `bytes_reclaimed`: the bytes of data segments
+    /// a durable store unlinked because no live page was left in them).
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.tree.io_snapshot()
     }

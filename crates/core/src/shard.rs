@@ -392,10 +392,11 @@ impl ShardedLetheBuilder {
     }
 
     /// Opens (or creates) a durable sharded engine rooted at `dir`. Each
-    /// shard gets a namespaced data file, write-ahead log and manifest in
-    /// the shared directory (`shard-000.data`/`shard-000.wal`/
-    /// `shard-000.manifest`, `shard-001.…`), each shard recovers its own
-    /// manifest + WAL on open, and all shards share one logical clock.
+    /// shard gets namespaced data segments, a write-ahead log and a manifest
+    /// in the shared directory (`shard-000.data` and `shard-000.data.<id>`,
+    /// `shard-000.wal`, `shard-000.manifest`, `shard-001.…`), each shard
+    /// recovers its own manifest + WAL on open, and all shards share one
+    /// logical clock.
     /// Re-opening with a different shard count than the store was created
     /// with is rejected (routing is a function of the count), as is a store
     /// with committed shard state but no readable `SHARDS` super-manifest —
@@ -1373,9 +1374,10 @@ impl ShardedLethe {
     }
 
     /// Aggregated device I/O counters across all shards, including the
-    /// block-cache hit/miss counts when a cache is configured and the
+    /// block-cache hit/miss counts when a cache is configured, the
     /// durability barriers issued by the per-shard WALs and the store-wide
-    /// batch-commit log.
+    /// batch-commit log, and `bytes_reclaimed`, the bytes of data segments
+    /// the shards unlinked because no live page was left in them.
     pub fn io_snapshot(&self) -> IoSnapshot {
         let mut snap: IoSnapshot =
             self.shards.iter().map(|shard| shard.engine.lock().io_snapshot()).sum();

@@ -8,8 +8,10 @@
 //!   drop to an [`IoStats`] counter set; combined with
 //!   [`crate::iostats::CostModel`] this reproduces the paper's I/O-count and
 //!   latency figures deterministically and quickly.
-//! * [`FileBackend`] — a real, durable device: pages are appended to a single
-//!   data file with an in-memory offset index. It exists so the engine is a
+//! * [`FileBackend`] — a real, durable device: pages are appended to a
+//!   sequence of segment files with an in-memory offset index, and a segment
+//!   is unlinked when its last live page is dropped, so the bytes on disk
+//!   follow the tree and not its history. It exists so the engine is a
 //!   usable key-value store, and it feeds the same counters.
 //!
 //! Full page drops (KiWi) map to [`StorageBackend::drop_page`]: the page is
@@ -152,48 +154,125 @@ impl StorageBackend for InMemoryBackend {
     }
 }
 
-/// Magic number opening every page frame in a [`FileBackend`] data file.
+/// Magic number opening every page frame in a [`FileBackend`] segment.
 const FRAME_MAGIC: u32 = 0x4C45_4652; // "LEFR"
 
 /// Size of a page-frame header: magic, page id, payload length, payload CRC.
 const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
 
-/// A durable device: pages are appended to one data file as self-describing
-/// frames (`magic · page id · length · crc · payload`); an in-memory index
-/// maps page ids to (offset, length). The frames make the file its own
-/// recovery log: on open the file is scanned, the index rebuilt, and a torn
-/// trailing frame — the normal result of a crash mid-write — truncated away.
-/// Dropped pages leave garbage frames in the file which recovery resurfaces
-/// (the crash-recovery layer releases the ones its manifest does not
-/// reference) and [`FileBackend::compact_file`] reclaims.
-/// Concurrency: writes (append + index insert) serialise behind the `file`
-/// mutex, but reads never touch it — they resolve `(offset, len)` from the
-/// index, clone the shared read handle, and issue a *positional* read
-/// (`pread`): no seek, no file lock, so N reader threads proceed fully in
-/// parallel on hits and misses alike. [`FileBackend::compact_file`] swaps the
-/// read handle together with the index (under the index write lock), so a
-/// reader always pairs offsets with the file generation they describe.
+/// Size at which a `sync()` seals the segment it has just made durable. A
+/// segment costs one directory barrier to create, so the roll is amortised
+/// over this many bytes; a dead frame waits for the rest of its segment to
+/// die before its bytes leave the disk.
+const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
+
+/// A durable device: pages are appended as self-describing frames
+/// (`magic · page id · length · crc · payload`) to a sequence of
+/// **append-only segment files**, and an in-memory index maps each page id
+/// to its `(segment, offset, length)`. The frames make the files their own
+/// recovery log: on open every segment is scanned, the index rebuilt, and a
+/// torn trailing frame — the normal result of a crash mid-write — truncated
+/// away. Dropped pages leave dead frames behind, which a reopen resurfaces
+/// (the crash-recovery layer drops again the ones its manifest does not
+/// reference); their bytes leave the disk when their whole segment is dead.
+///
+/// **Files.** Segment 0 is `<name>.data`, the only file an older store has;
+/// a later segment is `<name>.data.<id>`, where `<id>` is the next unissued
+/// page id at its creation. All are direct children of the store directory.
+///
+/// **Roll.** Pages go to the newest segment only. [`StorageBackend::sync`]
+/// makes that file durable and *seals* it if it has reached
+/// `SEGMENT_TARGET_BYTES`; the next `write_page` creates its successor. A
+/// segment is therefore sealed only by the barrier that made all of it
+/// durable, and only the newest file can hold a torn tail: a torn or invalid
+/// frame in any older segment is corruption. Creating a segment **needs a
+/// barrier**: the manifest edit that follows a `sync()` may name a page in
+/// the new file, so the first `sync()` after the creation also syncs the
+/// directory (one extra barrier per segment). Segment 0 of a fresh store
+/// pays none of its own: the manifest's first commit is a rewrite-and-rename
+/// that syncs the same directory.
+///
+/// **Unlink.** Every segment counts its live pages. When
+/// [`StorageBackend::drop_page`] takes the count to zero and the segment is
+/// not the newest file, it leaves the index and is unlinked: reclaiming
+/// space copies nothing and writes no page. The unlink **needs no barrier**:
+/// the engine drops a page only after the manifest edit that forgets it is
+/// durable, so when a crash undoes the unlink the segment comes back holding
+/// frames nothing references, recovery drops them one by one, and the last
+/// drop unlinks it again. The newest file is never unlinked while it is the
+/// newest (it is looked at once more when its successor is created). A page
+/// a snapshot pins is not dropped, so it pins its segment.
+///
+/// **Page ids are never reused**, across reopens and crashes: the next id is
+/// the larger of *largest surviving frame id + 1* and *the newest segment's
+/// name*. The name covers a dead segment whose successor lost its first
+/// frames to a crash: without it the dead ids would be issued again, and a
+/// resurfaced copy of the dead segment would claim pages it does not hold.
+/// A page id framed in two places is corruption.
+///
+/// Concurrency: writes (append + index insert) serialise behind the
+/// `appender` mutex, but reads never touch it: they resolve
+/// `(segment, offset, len)` under one shared index lock and issue a
+/// *positional* read (`pread`) on the segment's own handle with no lock held,
+/// so N reader threads proceed fully in parallel on hits and misses alike. A
+/// reader that resolved a page just before its segment was unlinked still
+/// reads the right bytes: the inode lives while the handle does.
 #[derive(Debug)]
 pub struct FileBackend {
-    path: PathBuf,
-    file: Mutex<File>,
-    /// Shared handle for lock-free positional reads; replaced (with the
-    /// index, under its write lock) when `compact_file` rewrites the file.
-    read_file: RwLock<Arc<File>>,
-    index: RwLock<HashMap<PageId, (u64, u32)>>,
+    /// `dir/<name>.data`: segment 0's path and the stem of every other's.
+    base: PathBuf,
+    appender: Mutex<Appender>,
+    index: RwLock<Index>,
     next_id: AtomicU64,
     stats: Arc<IoStats>,
     torn_frames_recovered: u64,
     failpoint: FailPoint,
 }
 
+/// One segment file, shared by the segment list and every page entry in it.
+#[derive(Debug)]
+struct Segment {
+    id: u64,
+    /// Handle for positional reads.
+    file: File,
+    /// Pages written here and not yet dropped. Raised under the appender
+    /// lock (only the newest segment grows), lowered under the index write
+    /// lock, where the zero that unlinks the file is also observed.
+    live: AtomicU64,
+}
+
+/// The page index and the segment list, guarded by one lock.
+#[derive(Debug, Default)]
+struct Index {
+    /// Page id → (segment, payload offset, payload length).
+    pages: HashMap<PageId, (Arc<Segment>, u64, u32)>,
+    /// Every segment on disk, oldest first; the last one takes the appends.
+    segments: Vec<Arc<Segment>>,
+}
+
+/// Append state of the newest segment.
+#[derive(Debug)]
+struct Appender {
+    segment: Arc<Segment>,
+    file: File,
+    /// End of the last good frame. The handle appends at end-of-file whatever
+    /// this says, so `write_page` cuts the file back to it first.
+    end: u64,
+    /// The last `sync()` found the segment at its target: the next write
+    /// creates its successor.
+    sealed: bool,
+    /// The file was created since the last `sync()`: its directory entry is
+    /// not durable yet.
+    unsynced_entry: bool,
+}
+
 /// Reads exactly `buf.len()` bytes of `file` at `offset`. On unix this is
 /// `pread`, which touches no file cursor at all. The Windows `seek_read`
 /// *does* move `file`'s cursor, which is harmless here: every call passes an
-/// absolute offset, nothing else ever uses the read handle's cursor, and the
+/// absolute offset, nothing else ever uses a read handle's cursor, and the
 /// writer appends through a separate handle with its own cursor. All paths
-/// read the handle the caller pinned, never reopen by path — reopening
-/// could observe a newer file generation than the offsets describe.
+/// read the handle the index pinned, never reopen by path: the path of an
+/// unlinked segment is gone while its handle still reads.
 fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     #[cfg(unix)]
     {
@@ -231,40 +310,167 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
     }
 }
 
+/// Path of segment `id` of the store whose segment 0 is `base`.
+fn segment_path(base: &Path, id: u64) -> PathBuf {
+    if id == 0 {
+        return base.to_path_buf();
+    }
+    let mut path = base.as_os_str().to_owned();
+    path.push(format!(".{id}"));
+    path.into()
+}
+
+/// The segment id `file_name` stands for, if it is a segment of the store
+/// whose segment 0 is called `base_name`. Other suffixes (`.tmp`, a
+/// non-canonical number) are not segments.
+fn segment_id(base_name: &str, file_name: &str) -> Option<u64> {
+    let suffix = file_name.strip_prefix(base_name)?;
+    if suffix.is_empty() {
+        return Some(0);
+    }
+    let id: u64 = suffix.strip_prefix('.')?.parse().ok()?;
+    (id > 0 && suffix[1..] == id.to_string()).then_some(id)
+}
+
+impl Index {
+    /// Scans segment `id` at `path` with a bounded buffer (one frame at a
+    /// time, never the whole file), indexing its frames, and returns it with
+    /// the end of its last good frame. A *torn tail* — a partial header, a
+    /// frame whose payload runs past end-of-file, or a checksum failure on
+    /// the very last frame, all of which a crash mid-append produces — ends
+    /// the scan short of end-of-file; only the `newest` segment may have one
+    /// (the caller truncates it). Anything invalid with committed frames
+    /// *behind* it cannot be a torn tail (segments are append-only) and is
+    /// reported as corruption without touching the file, so one damaged
+    /// frame never destroys the valid pages after it.
+    fn scan(&mut self, id: u64, path: &Path, newest: bool) -> Result<(Arc<Segment>, u64)> {
+        let file = File::open(path)?;
+        let total = file.metadata()?.len();
+        let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
+        let mut reader = std::io::BufReader::new(&segment.file);
+        let mut header = [0u8; FRAME_HEADER];
+        let mut payload = Vec::new();
+        let mut off = 0u64;
+        while total - off >= FRAME_HEADER as u64 {
+            reader.read_exact(&mut header)?;
+            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
+            let magic = u32::from_be_bytes(header[0..4].try_into().expect("4-byte slice"));
+            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
+            let page = u64::from_be_bytes(header[4..12].try_into().expect("8-byte slice"));
+            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
+            let len = u32::from_be_bytes(header[12..16].try_into().expect("4-byte slice"));
+            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
+            let crc = u32::from_be_bytes(header[16..20].try_into().expect("4-byte slice"));
+            if magic != FRAME_MAGIC {
+                // a torn append of >= 4 bytes still writes the magic, so
+                // a full header with the wrong magic is not a torn tail
+                return Err(StorageError::Corruption(format!(
+                    "data file {path:?}: bad frame magic {magic:#x} at offset {off}"
+                )));
+            }
+            let payload_end = off + FRAME_HEADER as u64 + len as u64;
+            if payload_end > total {
+                break; // torn tail: frame promises more bytes than exist
+            }
+            payload.resize(len as usize, 0);
+            reader.read_exact(&mut payload)?;
+            if crc32(&payload) != crc {
+                if payload_end == total {
+                    break; // last frame damaged mid-write: a torn tail
+                }
+                return Err(StorageError::Corruption(format!(
+                    "data file {path:?}: page {page} at offset {off} failed its checksum with \
+                     committed frames behind it (mid-file corruption, not a torn tail)"
+                )));
+            }
+            let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, len);
+            if self.pages.insert(page, at).is_some() {
+                return Err(StorageError::Corruption(format!(
+                    "data file {path:?}: page {page} at offset {off} is framed a second time"
+                )));
+            }
+            segment.live.fetch_add(1, Ordering::Relaxed);
+            off = payload_end;
+        }
+        if off < total && !newest {
+            return Err(StorageError::Corruption(format!(
+                "data file {path:?}: torn frame at offset {off} of a sealed segment (only \
+                 the newest segment is ever appended to, so this is not a torn tail)"
+            )));
+        }
+        self.segments.push(Arc::clone(&segment));
+        Ok((segment, off))
+    }
+
+    /// Takes `segment` off the segment list if no live page is left in it and
+    /// it is not the newest file; the caller then unlinks it.
+    fn remove_if_dead(&mut self, segment: &Segment) -> bool {
+        let dead = segment.live.load(Ordering::Relaxed) == 0
+            && self.segments.last().is_some_and(|newest| newest.id != segment.id);
+        if dead {
+            self.segments.retain(|s| s.id != segment.id);
+        }
+        dead
+    }
+}
+
 impl FileBackend {
-    /// Opens (or creates) a file-backed device rooted at `dir`. The data file
-    /// is `dir/lethe.data`.
+    /// Opens (or creates) a file-backed device rooted at `dir`. Its first
+    /// segment is `dir/lethe.data`.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         Self::open_named(dir, "lethe")
     }
 
     /// Opens (or creates) a *namespaced* file-backed device rooted at `dir`:
-    /// the data file is `dir/<name>.data`. Several namespaced devices can
-    /// share one directory, which is how the sharded front-end keeps the
-    /// per-shard data files (`shard-000.data`, `shard-001.data`, …) of one
-    /// logical store together.
+    /// its segments are `dir/<name>.data` and `dir/<name>.data.<id>`. Several
+    /// namespaced devices can share one directory, which is how the sharded
+    /// front-end keeps the per-shard data files (`shard-000.data`,
+    /// `shard-001.data`, …) of one logical store together.
     ///
-    /// An existing data file is scanned frame by frame to rebuild the page
-    /// index (ids, offsets, the next free id); a torn trailing frame is
-    /// truncated away and counted in
+    /// Existing segments are scanned frame by frame, oldest first, to
+    /// rebuild the page index and the next free id; a torn trailing frame of
+    /// the newest segment is truncated away and counted in
     /// [`FileBackend::torn_frames_recovered`].
     pub fn open_named(dir: impl AsRef<Path>, name: &str) -> Result<Self> {
-        std::fs::create_dir_all(dir.as_ref())?;
-        let path = dir.as_ref().join(format!("{name}.data"));
-        let file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
-        let read_file = OpenOptions::new().read(true).open(&path)?;
-        let mut backend = FileBackend {
-            path,
-            file: Mutex::new(LockRank::BackendFile, file),
-            read_file: RwLock::new(LockRank::BackendReadHandle, Arc::new(read_file)),
-            index: RwLock::new(LockRank::BackendIndex, HashMap::new()),
-            next_id: AtomicU64::new(1),
-            stats: IoStats::new_shared(),
-            torn_frames_recovered: 0,
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let base_name = format!("{name}.data");
+        let base = dir.join(&base_name);
+        let mut ids = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            ids.extend(entry?.file_name().to_str().and_then(|f| segment_id(&base_name, f)));
+        }
+        ids.sort_unstable();
+        // the newest segment takes the appends; a fresh store starts at 0
+        let newest = ids.pop().unwrap_or(0);
+        let mut index = Index::default();
+        for id in ids {
+            index.scan(id, &segment_path(&base, id), false)?;
+        }
+        let path = segment_path(&base, newest);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let (segment, end) = index.scan(newest, &path, true)?;
+        let stats = IoStats::new_shared();
+        let mut torn_frames_recovered = 0;
+        if end < file.metadata()?.len() {
+            file.set_len(end)?;
+            barrier::sync_all_counted(&file, &stats.fsyncs)?;
+            torn_frames_recovered = 1;
+        }
+        let next_id = index.pages.keys().max().map_or(1, |max| max + 1).max(newest);
+        // what a reopen finds on disk is as durable as it will get, so a
+        // full newest segment (or an older store's one big file) starts sealed
+        let sealed = end >= SEGMENT_TARGET_BYTES;
+        let appender = Appender { segment, file, end, sealed, unsynced_entry: false };
+        Ok(FileBackend {
+            base,
+            appender: Mutex::new(LockRank::BackendFile, appender),
+            index: RwLock::new(LockRank::BackendIndex, index),
+            next_id: AtomicU64::new(next_id),
+            stats,
+            torn_frames_recovered,
             failpoint: FailPoint::new(),
-        };
-        backend.recover_index()?;
-        Ok(backend)
+        })
     }
 
     /// Attaches a crash-injection fail point consulted before every page
@@ -279,120 +485,59 @@ impl FileBackend {
         self.torn_frames_recovered
     }
 
-    /// Scans the data file with a bounded buffer (one frame at a time, never
-    /// the whole file), rebuilding the id → (offset, length) index and the
-    /// next free page id. A *torn tail* — a partial header, a frame whose
-    /// payload runs past end-of-file, or a checksum failure on the very last
-    /// frame, all of which a crash mid-append produces — is truncated away.
-    /// Anything invalid with committed frames *behind* it cannot be a torn
-    /// tail (the file is append-only) and is reported as corruption without
-    /// touching the file, so one damaged frame never destroys the valid
-    /// pages after it.
-    fn recover_index(&mut self) -> Result<()> {
-        let file = self.file.lock();
-        let total = file.metadata()?.len();
-        let mut index = HashMap::new();
-        let mut max_id = 0u64;
-        let mut off = 0u64;
-        {
-            let mut f = &*file;
-            f.seek(SeekFrom::Start(0))?;
-            let mut reader = std::io::BufReader::new(f);
-            let mut header = [0u8; FRAME_HEADER];
-            let mut payload = Vec::new();
-            while total - off >= FRAME_HEADER as u64 {
-                reader.read_exact(&mut header)?;
-                // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-                let magic = u32::from_be_bytes(header[0..4].try_into().expect("4-byte slice"));
-                // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-                let id = u64::from_be_bytes(header[4..12].try_into().expect("8-byte slice"));
-                // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-                let len = u32::from_be_bytes(header[12..16].try_into().expect("4-byte slice"));
-                // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-                let crc = u32::from_be_bytes(header[16..20].try_into().expect("4-byte slice"));
-                if magic != FRAME_MAGIC {
-                    // a torn append of >= 4 bytes still writes the magic, so
-                    // a full header with the wrong magic is not a torn tail
-                    return Err(StorageError::Corruption(format!(
-                        "data file {:?}: bad frame magic {magic:#x} at offset {off}",
-                        self.path
-                    )));
-                }
-                let payload_end = off + FRAME_HEADER as u64 + len as u64;
-                if payload_end > total {
-                    break; // torn tail: frame promises more bytes than exist
-                }
-                payload.resize(len as usize, 0);
-                reader.read_exact(&mut payload)?;
-                if crc32(&payload) != crc {
-                    if payload_end == total {
-                        break; // last frame damaged mid-write: a torn tail
-                    }
-                    return Err(StorageError::Corruption(format!(
-                        "data file {:?}: page {id} at offset {off} failed its checksum with \
-                         committed frames behind it (mid-file corruption, not a torn tail)",
-                        self.path
-                    )));
-                }
-                index.insert(id, (off + FRAME_HEADER as u64, len));
-                max_id = max_id.max(id);
-                off = payload_end;
-            }
+    /// Path of the segment being appended to (the newest file).
+    pub fn data_path(&self) -> PathBuf {
+        segment_path(&self.base, self.appender.lock().segment.id)
+    }
+
+    /// Bytes currently occupied by the segment files, including the dead
+    /// frames of dropped pages in segments that still hold a live one.
+    pub fn file_size(&self) -> Result<u64> {
+        let index = self.index.read();
+        index.segments.iter().try_fold(0, |sum, s| Ok(sum + s.file.metadata()?.len()))
+    }
+
+    /// Number of segment files on disk.
+    pub fn segment_count(&self) -> usize {
+        self.index.read().segments.len()
+    }
+
+    /// Creates the successor of the sealed newest segment and points the
+    /// appender at it. The name cannot collide: it is above every page id
+    /// issued, hence above every existing segment's name.
+    fn roll(&self, app: &mut Appender) -> Result<()> {
+        let id = self.next_id.load(Ordering::Relaxed);
+        let path = segment_path(&self.base, id);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let segment =
+            Arc::new(Segment { id, file: File::open(&path)?, live: AtomicU64::new(0) });
+        let successor = Appender {
+            segment: Arc::clone(&segment),
+            file,
+            end: 0,
+            sealed: false,
+            unsynced_entry: true,
+        };
+        let old = std::mem::replace(app, successor).segment;
+        let old_died = {
+            let mut index = self.index.write();
+            index.segments.push(segment);
+            // every page of the old segment may have been dropped while it
+            // was the newest file and could not be unlinked
+            index.remove_if_dead(&old)
+        };
+        if old_died {
+            self.unlink(&old)?;
         }
-        if off < total {
-            file.set_len(off)?;
-            barrier::sync_all_counted(&file, &self.stats.fsyncs)?;
-            self.torn_frames_recovered += 1;
-        }
-        self.next_id.store(max_id + 1, Ordering::Relaxed);
-        *self.index.write() = index;
         Ok(())
     }
 
-    /// Path of the underlying data file.
-    pub fn data_path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Bytes currently occupied by the data file, including garbage left by
-    /// dropped pages.
-    pub fn file_size(&self) -> Result<u64> {
-        Ok(std::fs::metadata(&self.path)?.len())
-    }
-
-    /// Rewrites the data file keeping only live pages, reclaiming the space
-    /// of dropped pages. Page ids are preserved.
-    pub fn compact_file(&self) -> Result<()> {
-        let mut file = self.file.lock();
-        let mut index = self.index.write();
-        // read every live page
-        let mut live: Vec<(PageId, Vec<u8>)> = Vec::with_capacity(index.len());
-        for (&id, &(off, len)) in index.iter() {
-            let mut buf = vec![0u8; len as usize];
-            file.seek(SeekFrom::Start(off))?;
-            file.read_exact(&mut buf)?;
-            live.push((id, buf));
-        }
-        // rewrite the file from scratch, frame headers included
-        let tmp_path = self.path.with_extension("data.tmp");
-        let mut tmp = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp_path)?;
-        let mut new_index = HashMap::with_capacity(live.len());
-        let mut offset = 0u64;
-        for (id, buf) in live {
-            let frame = encode_frame(id, &buf);
-            tmp.write_all(&frame)?;
-            new_index.insert(id, (offset + FRAME_HEADER as u64, buf.len() as u32));
-            offset += frame.len() as u64;
-        }
-        barrier::sync_all_counted(&tmp, &self.stats.fsyncs)?;
-        std::fs::rename(&tmp_path, &self.path)?;
-        barrier::fsync_dir_counted(&self.path, &self.stats.fsyncs)?;
-        *file = OpenOptions::new().read(true).append(true).open(&self.path)?;
-        // swap the read handle while still holding the index write lock:
-        // readers resolve (offset, handle) under the index read lock, so
-        // they can never pair new offsets with the old file or vice versa
-        *self.read_file.write() = Arc::new(OpenOptions::new().read(true).open(&self.path)?);
-        *index = new_index;
+    /// Unlinks a segment that has left the index, with no barrier (see the
+    /// type's docs for why none is needed).
+    fn unlink(&self, segment: &Segment) -> Result<()> {
+        let bytes = segment.file.metadata()?.len();
+        std::fs::remove_file(segment_path(&self.base, segment.id))?;
+        self.stats.bytes_reclaimed.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -412,38 +557,58 @@ impl StorageBackend for FileBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
         self.failpoint.check("backend.write_page")?;
         let encoded = page.encode();
+        let mut app = self.appender.lock();
+        if app.sealed {
+            self.roll(&mut app)?;
+            self.failpoint.check("backend.segment.create")?;
+        }
+        // the handle appends at end-of-file: whatever lies behind the last
+        // good frame (the partial frame of a failed append) is cut away
+        // first, so the offset indexed below is where the frame really lands
+        if app.file.seek(SeekFrom::End(0))? != app.end {
+            app.file.set_len(app.end)?;
+        }
+        // ids are issued under the appender lock, so every id in a segment
+        // is at or above the segment's name and below its successor's
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(id, &encoded);
-        let mut file = self.file.lock();
-        let offset = file.seek(SeekFrom::End(0))?;
-        file.write_all(&frame)?;
-        self.index.write().insert(id, (offset + FRAME_HEADER as u64, encoded.len() as u32));
+        if let Err(e) = app.file.write_all(&frame) {
+            let _ = app.file.set_len(app.end);
+            return Err(e.into());
+        }
+        let at = (Arc::clone(&app.segment), app.end + FRAME_HEADER as u64, encoded.len() as u32);
+        app.end += frame.len() as u64;
+        app.segment.live.fetch_add(1, Ordering::Relaxed);
+        self.index.write().pages.insert(id, at);
         self.stats.record_write(encoded.len() as u64);
         Ok(id)
     }
 
     fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
-        // resolve the offset and pin the matching file generation under one
-        // brief (shared) index read lock, then do the actual I/O with no
-        // lock at all: `pread` needs no seek and no cursor, so concurrent
-        // readers never serialise behind each other or behind the writer
-        let (file, offset, len) = {
-            let index = self.index.read();
-            let &(offset, len) = index.get(&id).ok_or(StorageError::PageNotFound(id))?;
-            (Arc::clone(&self.read_file.read()), offset, len)
-        };
+        // resolve the segment and offset under one brief (shared) index read
+        // lock, then do the actual I/O with no lock at all: `pread` needs no
+        // seek and no cursor, so concurrent readers never serialise behind
+        // each other or behind the writer
+        let (segment, offset, len) =
+            self.index.read().pages.get(&id).cloned().ok_or(StorageError::PageNotFound(id))?;
         let mut buf = vec![0u8; len as usize];
-        read_exact_at(&file, &mut buf, offset)?;
+        read_exact_at(&segment.file, &mut buf, offset)?;
         self.stats.record_read(len as u64);
         Page::decode(bytes::Bytes::from(buf)).map(Arc::new)
     }
 
     fn drop_page(&self, id: PageId) -> Result<()> {
-        let removed = self.index.write().remove(&id);
-        if removed.is_none() {
-            return Err(StorageError::PageNotFound(id));
-        }
+        let (segment, died) = {
+            let mut index = self.index.write();
+            let (segment, ..) = index.pages.remove(&id).ok_or(StorageError::PageNotFound(id))?;
+            segment.live.fetch_sub(1, Ordering::Relaxed);
+            let died = index.remove_if_dead(&segment);
+            (segment, died)
+        };
         self.stats.record_drop();
+        if died {
+            self.unlink(&segment)?;
+        }
         Ok(())
     }
 
@@ -452,15 +617,21 @@ impl StorageBackend for FileBackend {
     }
 
     fn live_pages(&self) -> usize {
-        self.index.read().len()
+        self.index.read().pages.len()
     }
 
     fn page_ids(&self) -> Vec<PageId> {
-        self.index.read().keys().copied().collect()
+        self.index.read().pages.keys().copied().collect()
     }
 
     fn sync(&self) -> Result<()> {
-        barrier::sync_all_counted(&self.file.lock(), &self.stats.fsyncs)?;
+        let mut app = self.appender.lock();
+        barrier::sync_all_counted(&app.file, &self.stats.fsyncs)?;
+        if app.unsynced_entry {
+            barrier::fsync_dir_counted(&self.base, &self.stats.fsyncs)?;
+            app.unsynced_entry = false;
+        }
+        app.sealed = app.end >= SEGMENT_TARGET_BYTES;
         Ok(())
     }
 }
@@ -470,6 +641,7 @@ mod tests {
     use super::*;
     use crate::entry::Entry;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn page(keys: &[u64]) -> Page {
         Page::new(keys.iter().map(|&k| Entry::put(k, k, k, Bytes::from(vec![0u8; 8]))).collect())
@@ -550,20 +722,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A fresh, empty directory for one test.
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lethe-fb-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A page of one entry with a `mib` MiB value: a page is `B` entries of
+    /// any size, so a few of these cross `SEGMENT_TARGET_BYTES`.
+    fn fat_page(key: u64, mib: usize) -> Page {
+        Page::new(vec![Entry::put(key, key, key, Bytes::from(vec![key as u8; mib << 20]))])
+    }
+
+    /// Writes `pages` fat pages of 6 MiB and syncs: three of them seal the
+    /// segment they land in.
+    fn write_fat(b: &FileBackend, first_key: u64, pages: u64) -> Vec<PageId> {
+        let keys = first_key..first_key + pages;
+        let ids = keys.map(|k| b.write_page(&fat_page(k, 6)).unwrap()).collect();
+        b.sync().unwrap();
+        ids
+    }
+
+    /// Ids of the segment files of store `lethe` in `dir`, ascending.
+    fn segments_on_disk(dir: &Path) -> Vec<u64> {
+        let names = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+        let mut ids: Vec<u64> =
+            names.filter_map(|n| segment_id("lethe.data", n.to_str().unwrap())).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Appends the first half of a frame to `path` from outside the backend,
+    /// as a crash mid-write would leave it.
+    fn append_half_a_frame(path: &Path) {
+        let frame = encode_frame(77, &page(&[9]).encode());
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(&frame[..frame.len() / 2]).unwrap();
+    }
+
     #[test]
     fn file_backend_truncates_torn_tail_on_reopen() {
-        let dir = std::env::temp_dir().join(format!("lethe-fb4-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = fresh_dir("torn");
         let id1;
         {
             let b = FileBackend::open(&dir).unwrap();
             id1 = b.write_page(&page(&[1, 2, 3])).unwrap();
             b.sync().unwrap();
-            // simulate a crash mid-write: append half a frame
-            let mut f = OpenOptions::new().append(true).open(b.data_path()).unwrap();
-            use std::io::Write;
-            let frame = encode_frame(77, &page(&[9]).encode());
-            f.write_all(&frame[..frame.len() / 2]).unwrap();
+            append_half_a_frame(&b.data_path());
         }
         let b = FileBackend::open(&dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 1);
@@ -576,13 +782,34 @@ mod tests {
         let b2 = FileBackend::open(&dir).unwrap();
         assert_eq!(b2.torn_frames_recovered(), 0);
         assert_eq!(b2.read_page(id2).unwrap().len(), 1);
+
+        // with a sealed segment behind it the newest file is still the only
+        // one a crash can tear: the same debris in the older one is an error
+        write_fat(&b2, 10, 3);
+        let id3 = b2.write_page(&page(&[5])).unwrap();
+        b2.sync().unwrap();
+        let (sealed, newest) = (dir.join("lethe.data"), b2.data_path());
+        assert_ne!(sealed, newest);
+        drop(b2);
+        let sealed_len = std::fs::metadata(&sealed).unwrap().len();
+        append_half_a_frame(&sealed);
+        match FileBackend::open(&dir) {
+            Err(StorageError::Corruption(msg)) => assert!(msg.contains("sealed segment"), "{msg}"),
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+        assert!(std::fs::metadata(&sealed).unwrap().len() > sealed_len, "a failed open cuts nothing");
+        OpenOptions::new().write(true).open(&sealed).unwrap().set_len(sealed_len).unwrap();
+        append_half_a_frame(&newest);
+        let b3 = FileBackend::open(&dir).unwrap();
+        assert_eq!(b3.torn_frames_recovered(), 1);
+        assert_eq!(b3.read_page(id3).unwrap().len(), 1);
+        assert_eq!(b3.read_page(id1).unwrap().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn file_backend_mid_file_corruption_is_an_error_not_a_truncation() {
-        let dir = std::env::temp_dir().join(format!("lethe-fb6-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = fresh_dir("midfile");
         let path;
         {
             let b = FileBackend::open(&dir).unwrap();
@@ -590,59 +817,350 @@ mod tests {
             b.write_page(&page(&[3])).unwrap();
             b.write_page(&page(&[4, 5, 6])).unwrap();
             b.sync().unwrap();
-            path = b.data_path().to_path_buf();
+            path = b.data_path();
         }
         // flip one payload byte of the FIRST frame: committed frames follow,
         // so this cannot be a torn tail
-        let mut data = std::fs::read(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let mut data = good.clone();
         data[FRAME_HEADER + 2] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
-        let before = std::fs::read(&path).unwrap();
         match FileBackend::open(&dir) {
             Err(StorageError::Corruption(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected corruption error, got {other:?}"),
         }
         // the failed open must not have destroyed the later valid frames
-        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(std::fs::read(&path).unwrap(), data);
+
+        // a damaged LAST frame is a torn tail in the newest segment only: once
+        // a successor exists, the same damage is an error, never a truncation
+        let mut torn = good.clone();
+        *torn.last_mut().unwrap() ^= 0xFF;
+        std::fs::write(&path, &torn).unwrap();
+        assert_eq!(FileBackend::open(&dir).unwrap().torn_frames_recovered(), 1);
+        std::fs::write(&path, &good).unwrap();
+        std::fs::write(dir.join("lethe.data.4"), b"").unwrap();
+        assert_eq!(FileBackend::open(&dir).unwrap().live_pages(), 3);
+        std::fs::write(&path, &torn).unwrap();
+        match FileBackend::open(&dir) {
+            Err(StorageError::Corruption(msg)) => assert!(msg.contains("sealed segment"), "{msg}"),
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), torn);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn file_backend_compact_preserves_recoverability() {
-        let dir = std::env::temp_dir().join(format!("lethe-fb5-{}", std::process::id()));
+    fn debris_behind_the_last_frame_is_cut_before_the_next_append() {
+        let dir = fresh_dir("debris");
+        let b = FileBackend::open(&dir).unwrap();
+        let a = b.write_page(&page(&[1, 2, 3])).unwrap();
+        // what a `write_all` that failed part-way leaves behind
+        append_half_a_frame(&b.data_path());
+        let c = b.write_page(&page(&[4, 5])).unwrap();
+        b.sync().unwrap();
+        assert_eq!(b.read_page(c).unwrap().len(), 2);
+        drop(b);
+        let b = FileBackend::open(&dir).expect("the debris must not reach the next open");
+        assert_eq!(b.torn_frames_recovered(), 0);
+        assert_eq!(b.read_page(a).unwrap().len(), 3);
+        assert_eq!(b.read_page(c).unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-        let (id1, id2);
+    }
+
+    #[test]
+    fn segment_rolls_only_at_a_sync() {
+        let dir = fresh_dir("roll");
+        let b = FileBackend::open(&dir).unwrap();
+        let barriers = || b.stats().snapshot().fsyncs;
+        for k in 0..5 {
+            b.write_page(&fat_page(k, 8)).unwrap();
+        }
+        assert_eq!(segments_on_disk(&dir), [0], "40 MiB with no sync() is one file");
+        b.sync().unwrap();
+        assert_eq!(barriers(), 1);
+        assert_eq!(b.segment_count(), 1, "the sync seals; only the next write rolls");
+        let first = b.write_page(&page(&[1])).unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, first], "named by the next unissued page id");
+        assert_eq!(b.data_path(), dir.join(format!("lethe.data.{first}")));
+        b.sync().unwrap();
+        assert_eq!(barriers(), 3, "the file and, once, its directory entry");
+        b.write_page(&page(&[2])).unwrap();
+        b.sync().unwrap();
+        assert_eq!(barriers(), 4, "every later sync is the file alone");
+        assert_eq!(b.segment_count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_last_drop_unlinks_a_sealed_segment() {
+        let dir = fresh_dir("unlink");
+        let b = FileBackend::open(&dir).unwrap();
+        let oldest = write_fat(&b, 0, 3);
+        let middle = write_fat(&b, 10, 3);
+        let newest = b.write_page(&page(&[1, 2])).unwrap();
+        b.sync().unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, middle[0], newest]);
+        let middle_path = segment_path(&dir.join("lethe.data"), middle[0]);
+        let middle_len = std::fs::metadata(&middle_path).unwrap().len();
+        let size_before = b.file_size().unwrap();
+
+        b.drop_page(middle[0]).unwrap();
+        b.drop_page(middle[1]).unwrap();
+        assert!(middle_path.exists(), "one live page keeps the whole segment");
+        assert_eq!(b.stats().snapshot().bytes_reclaimed, 0);
+        b.drop_page(middle[2]).unwrap();
+        assert!(!middle_path.exists(), "dropped pages really leave the disk");
+        assert_eq!(b.file_size().unwrap(), size_before - middle_len);
+        assert_eq!(b.stats().snapshot().bytes_reclaimed, middle_len);
+        assert_eq!(b.stats().snapshot().pages_written, 7, "reclaiming wrote no page");
+        let live: Vec<PageId> = oldest.iter().copied().chain([newest]).collect();
+        let check = |b: &FileBackend| {
+            let mut ids = b.page_ids();
+            ids.sort_unstable();
+            assert_eq!(ids, live);
+            for (k, &id) in oldest.iter().enumerate() {
+                assert_eq!(*b.read_page(id).unwrap(), fat_page(k as u64, 6));
+            }
+            assert_eq!(b.read_page(newest).unwrap().len(), 2);
+            assert_eq!(segments_on_disk(&dir), [0, newest]);
+        };
+        check(&b);
+        drop(b);
+        // survivors stay readable across a reopen, which sees the same live set
+        let b = FileBackend::open(&dir).unwrap();
+        check(&b);
+
+        // the newest file is never unlinked, even with no live page in it
+        b.drop_page(newest).unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, newest]);
+        assert_eq!(b.stats().snapshot().bytes_reclaimed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn page_ids_survive_the_death_of_the_newest_frames() {
+        let dir = fresh_dir("ids");
+        let b = FileBackend::open(&dir).unwrap();
+        let kept = write_fat(&b, 0, 3);
+        let doomed = write_fat(&b, 10, 3);
+        // all of segment 1 dies while it is the newest file; its successor's
+        // creation unlinks it, and a crash tears the successor's only frame
+        for &id in &doomed {
+            b.drop_page(id).unwrap();
+        }
+        assert_eq!(segments_on_disk(&dir), [0, doomed[0]]);
+        let torn = b.write_page(&page(&[1])).unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, torn], "the dead predecessor went at the roll");
+        let path = b.data_path();
+        drop(b);
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(FRAME_HEADER as u64 + 3).unwrap();
+
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.torn_frames_recovered(), 1);
+        assert_eq!(b.live_pages(), kept.len(), "no frame above segment 0's survives");
+        let next = b.write_page(&page(&[2])).unwrap();
+        assert!(next > doomed[2], "page {next} re-issues an id of the dead segment {doomed:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resurfaced_segment_is_indexed_and_unlinked_again() {
+        let dir = fresh_dir("resurface");
+        let b = FileBackend::open(&dir).unwrap();
+        let kept = write_fat(&b, 0, 3);
+        let dead = write_fat(&b, 10, 3);
+        let newest = b.write_page(&page(&[1])).unwrap();
+        b.sync().unwrap();
+        // a crash that undoes an unlink: the file is back at the next open
+        let path = segment_path(&dir.join("lethe.data"), dead[0]);
+        let aside = dir.join("aside");
+        std::fs::copy(&path, &aside).unwrap();
+        for &id in &dead {
+            b.drop_page(id).unwrap();
+        }
+        assert!(!path.exists());
+        drop(b);
+        std::fs::rename(&aside, &path).unwrap();
+
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.live_pages(), 7, "the resurfaced frames are indexed");
+        assert_eq!(*b.read_page(dead[1]).unwrap(), fat_page(11, 6));
+        // recovery drops what its manifest does not reference, one by one
+        for &id in &dead {
+            b.drop_page(id).unwrap();
+        }
+        assert_eq!(segments_on_disk(&dir), [0, newest], "and the last drop unlinks it again");
+        let mut ids = b.page_ids();
+        ids.sort_unstable();
+        assert_eq!(ids, kept.iter().copied().chain([newest]).collect::<Vec<_>>());
+        assert_eq!(*b.read_page(kept[2]).unwrap(), fat_page(2, 6));
+        assert!(b.write_page(&page(&[2])).unwrap() > newest);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_single_legacy_file_opens_as_segment_zero_and_dies_with_its_last_page() {
+        let dir = fresh_dir("legacy");
+        let legacy = dir.join("lethe.data");
+        let (small, fat);
         {
+            // what the single-file backend left: one file above the target
+            // (never rolled, because nothing synced it) with dead frames in it
             let b = FileBackend::open(&dir).unwrap();
-            id1 = b.write_page(&page(&[1, 2])).unwrap();
-            id2 = b.write_page(&page(&[3])).unwrap();
-            b.drop_page(id1).unwrap();
-            b.compact_file().unwrap();
+            small = b.write_page(&page(&[1, 2, 3])).unwrap();
+            fat = (0..3).map(|k| b.write_page(&fat_page(k, 6)).unwrap()).collect::<Vec<_>>();
+            assert_eq!(segments_on_disk(&dir), [0]);
         }
         let b = FileBackend::open(&dir).unwrap();
-        // after compaction the dropped page is really gone, the live one kept
-        assert_eq!(b.live_pages(), 1);
-        assert_eq!(b.read_page(id2).unwrap().len(), 1);
-        assert!(b.read_page(id1).is_err());
+        assert_eq!((b.segment_count(), b.live_pages()), (1, 4));
+        for &id in &fat[..2] {
+            b.drop_page(id).unwrap(); // recovery's unreferenced-page pass
+        }
+        let moved = b.write_page(b.read_page(small).unwrap().as_ref()).unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, moved], "new writes go to a new segment");
+        b.sync().unwrap();
+        b.drop_page(small).unwrap();
+        assert!(legacy.exists());
+        b.drop_page(fat[2]).unwrap();
+        assert!(!legacy.exists(), "the old file goes when its last live page is rewritten");
+        assert_eq!(b.read_page(moved).unwrap().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn file_backend_drop_and_compact_reclaims_space() {
-        let dir = std::env::temp_dir().join(format!("lethe-fb2-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn readers_are_undisturbed_by_segment_deaths() {
+        let dir = fresh_dir("churn");
         let b = FileBackend::open(&dir).unwrap();
-        let big = page(&(0..512).collect::<Vec<u64>>());
-        let id1 = b.write_page(&big).unwrap();
-        let id2 = b.write_page(&page(&[1])).unwrap();
-        let before = b.file_size().unwrap();
-        b.drop_page(id1).unwrap();
-        b.compact_file().unwrap();
-        let after = b.file_size().unwrap();
-        assert!(after < before, "compaction should reclaim space: {after} vs {before}");
-        // surviving page still readable after compaction
-        assert_eq!(b.read_page(id2).unwrap().len(), 1);
-        assert!(b.read_page(id1).is_err());
+        let pinned: Vec<(PageId, Page)> = (0..8u64)
+            .map(|k| {
+                let p = page(&[k, k + 100]);
+                (b.write_page(&p).unwrap(), p)
+            })
+            .collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (b, pinned, done, start) = (&b, &pinned, &done, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut reads = 0usize;
+                    while !done.load(Ordering::SeqCst) || reads < 64 {
+                        let (id, expected) = &pinned[(reads + t) % pinned.len()];
+                        assert_eq!(&*b.read_page(*id).unwrap(), expected);
+                        reads += 1;
+                    }
+                });
+            }
+            start.wait();
+            // each round seals a segment and kills the one before it; the
+            // pinned pages keep segment 0 alive throughout
+            let mut previous: Vec<PageId> = Vec::new();
+            for round in 0..6 {
+                let ids = write_fat(&b, 10 * (round + 1), 3);
+                for id in std::mem::replace(&mut previous, ids) {
+                    b.drop_page(id).unwrap();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let reclaimed = b.stats().snapshot().bytes_reclaimed;
+        assert!(reclaimed >= 4 * SEGMENT_TARGET_BYTES, "only {reclaimed} B reclaimed");
+        assert_eq!(b.live_pages(), pinned.len() + 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One step of a random device history.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Write a page with a value of this many MiB (0: a small page).
+        Write(usize),
+        /// Drop one of the three oldest live pages (old pages die first in an
+        /// LSM tree, and it is what lets whole segments die in a short history).
+        Drop(usize),
+        Sync,
+        Reopen,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            3 => Just(Step::Write(0)),
+            6 => (3usize..7).prop_map(Step::Write),
+            7 => any::<usize>().prop_map(Step::Drop),
+            4 => Just(Step::Sync),
+            1 => Just(Step::Reopen),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+        /// Random write / drop / sync / reopen histories against a map of
+        /// the live pages: the device holds the same pages with the same
+        /// bytes after every step, never keeps a dead sealed segment, never
+        /// rewrites a page to reclaim space and never re-issues a page id.
+        #[test]
+        fn segments_agree_with_a_model(steps in prop::collection::vec(step_strategy(), 30..60)) {
+            let dir = fresh_dir("model");
+            let mut b = FileBackend::open(&dir).unwrap();
+            let mut model: HashMap<PageId, Page> = HashMap::new();
+            let (mut last_id, mut written) = (0, 0);
+            for (n, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Write(mib) => {
+                        let p = if mib == 0 { page(&[n as u64]) } else { fat_page(n as u64, mib) };
+                        let id = b.write_page(&p).unwrap();
+                        prop_assert!(id > last_id, "page id {} issued after {}", id, last_id);
+                        last_id = id;
+                        written += 1;
+                        model.insert(id, p);
+                    }
+                    Step::Drop(at) => {
+                        let mut live: Vec<PageId> = model.keys().copied().collect();
+                        live.sort_unstable();
+                        if let Some(&id) = live.get(at % live.len().clamp(1, 3)) {
+                            b.drop_page(id).unwrap();
+                            model.remove(&id);
+                        }
+                    }
+                    Step::Sync => b.sync().unwrap(),
+                    Step::Reopen => {
+                        let stats = b.stats().snapshot();
+                        prop_assert_eq!(stats.pages_written, written, "reclaiming wrote a page");
+                        written = 0;
+                        drop(b);
+                        b = FileBackend::open(&dir).unwrap();
+                        // dead frames of surviving segments resurface; drop
+                        // them as recovery drops what no manifest references
+                        for id in b.page_ids() {
+                            if !model.contains_key(&id) {
+                                b.drop_page(id).unwrap();
+                            }
+                        }
+                    }
+                }
+                let mut ids = b.page_ids();
+                ids.sort_unstable();
+                let mut expected: Vec<PageId> = model.keys().copied().collect();
+                expected.sort_unstable();
+                prop_assert_eq!(&ids, &expected, "live set after step {} ({:?})", n, step);
+                for (id, p) in &model {
+                    prop_assert_eq!(&*b.read_page(*id).unwrap(), p);
+                }
+                // ids are issued in file order, so a segment holds the ids from
+                // its name up to its successor's: every file but the newest
+                // must still hold a live one
+                let on_disk = segments_on_disk(&dir);
+                prop_assert_eq!(on_disk.len(), b.segment_count());
+                for pair in on_disk.windows(2) {
+                    prop_assert!(
+                        expected.iter().any(|id| (pair[0]..pair[1]).contains(id)),
+                        "dead segment {} on disk after step {} ({:?})", pair[0], n, step
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -37,6 +37,10 @@ pub struct IoStats {
     /// segments and directories). Group commit exists to keep this number
     /// far below the record count.
     pub fsyncs: AtomicU64,
+    /// Bytes of data-file segments unlinked because their last live page was
+    /// dropped ([`FileBackend`](crate::FileBackend)): space given back
+    /// without rewriting a page.
+    pub bytes_reclaimed: AtomicU64,
 }
 
 impl IoStats {
@@ -94,6 +98,7 @@ impl IoStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            bytes_reclaimed: self.bytes_reclaimed.load(Ordering::Relaxed),
         }
     }
 
@@ -108,6 +113,7 @@ impl IoStats {
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
         self.fsyncs.store(0, Ordering::Relaxed);
+        self.bytes_reclaimed.store(0, Ordering::Relaxed);
     }
 }
 
@@ -126,6 +132,9 @@ pub struct IoSnapshot {
     pub cache_misses: u64,
     /// Durability barriers issued (`fsync`/`fdatasync`).
     pub fsyncs: u64,
+    /// Bytes of data-file segments unlinked once no live page was left in
+    /// them.
+    pub bytes_reclaimed: u64,
 }
 
 impl IoSnapshot {
@@ -142,6 +151,7 @@ impl IoSnapshot {
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             fsyncs: self.fsyncs.saturating_sub(earlier.fsyncs),
+            bytes_reclaimed: self.bytes_reclaimed.saturating_sub(earlier.bytes_reclaimed),
         }
     }
 
@@ -173,6 +183,7 @@ impl IoSnapshot {
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
             fsyncs: self.fsyncs + other.fsyncs,
+            bytes_reclaimed: self.bytes_reclaimed + other.bytes_reclaimed,
         }
     }
 }
@@ -272,6 +283,19 @@ mod tests {
         assert_eq!(a.combined(&d).fsyncs, 3);
         s.reset();
         assert_eq!(s.snapshot().fsyncs, 0);
+    }
+
+    #[test]
+    fn reclaimed_bytes_are_snapshotted_intervalled_summed_and_reset() {
+        let s = IoStats::default();
+        s.bytes_reclaimed.fetch_add(100, Ordering::Relaxed);
+        let a = s.snapshot();
+        s.bytes_reclaimed.fetch_add(50, Ordering::Relaxed);
+        let d = s.snapshot().since(&a);
+        assert_eq!((a.bytes_reclaimed, d.bytes_reclaimed), (100, 50));
+        assert_eq!(a.combined(&d).bytes_reclaimed, 150);
+        s.reset();
+        assert_eq!(s.snapshot().bytes_reclaimed, 0);
     }
 
     #[test]

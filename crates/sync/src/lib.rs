@@ -110,15 +110,13 @@ pub enum LockRank {
     /// The page map of the in-memory simulated device
     /// (`lethe_storage::backend::InMemoryBackend`).
     BackendPages,
-    /// The append handle of the file-backed device
-    /// (`lethe_storage::backend::FileBackend`).
+    /// The append state of the file-backed device: the newest segment's
+    /// handle (`lethe_storage::backend::FileBackend`).
     BackendFile,
-    /// The page index of the file-backed device, taken under the append
-    /// handle on the write path.
+    /// The page index and segment list of the file-backed device, taken
+    /// under the append state on the write path. Readers take nothing else:
+    /// each segment's read handle hangs off its index entries.
     BackendIndex,
-    /// The pinned read handle of the file-backed device, swapped under the
-    /// index write lock when the data file is compacted.
-    BackendReadHandle,
     /// The global cursor-serialisation fallback for platforms with no
     /// positional-read API (`lethe_storage::backend`).
     FallbackCursor,

@@ -36,6 +36,7 @@ const KEY_SPACE: u64 = 256;
 /// workload actually reaches each one at runtime.
 // lint:kill-points-registry:begin
 const KILL_POINTS: &[&str] = &[
+    "backend.segment.create",
     "backend.write_page",
     "batchlog.append",
     "batchlog.commit_fsync",
@@ -82,6 +83,35 @@ fn tiny_config() -> LsmConfig {
 
 fn builder() -> LetheBuilder {
     LetheBuilder::new().with_config(tiny_config()).delete_persistence_threshold_secs(1.0)
+}
+
+/// `builder()` with 1 MiB entries. A page is `B` entries of any size, so the
+/// 16-entry buffer flushes as 16 MiB of pages: one flush fills a whole data
+/// segment, its barrier seals it, and the next page written creates the
+/// segment's successor.
+fn fat_builder() -> LetheBuilder {
+    let mut cfg = tiny_config();
+    cfg.entry_size = 1 << 20;
+    LetheBuilder::new().with_config(cfg).delete_persistence_threshold_secs(1.0)
+}
+
+fn fat_value(k: u64) -> Vec<u8> {
+    vec![(k % 251) as u8; 1 << 20]
+}
+
+/// Ids of the data segments of the single-shard store in `dir`, ascending
+/// (`lethe.data` is segment 0, `lethe.data.<id>` segment `<id>`).
+fn data_segments(dir: &std::path::Path) -> Vec<u64> {
+    let mut ids: Vec<u64> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            let suffix = name.strip_prefix("lethe.data")?;
+            if suffix.is_empty() { Some(0) } else { suffix.strip_prefix('.')?.parse().ok() }
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 // ----------------------------------------------------------------- op model
@@ -465,6 +495,13 @@ fn kill_point_sweep_whole_file_drop() {
     assert!(crashes >= 3, "drop sweep must cross the commit protocol, got {crashes}");
 }
 
+/// Ids of every page the tree's files reference.
+fn referenced_pages(db: &Lethe) -> BTreeSet<u64> {
+    let levels = db.tree().levels();
+    let files = levels.iter().flat_map(|l| l.all_tables());
+    files.flat_map(|f| f.tiles.iter().flat_map(|t| t.pages.iter().map(|p| p.id))).collect()
+}
+
 /// One iteration of the trivial-move sweep: sorted ingest, flushed without
 /// the compaction loop, leaves level 0 of a durable leveled store saturated
 /// with files that overlap nothing below them, so the maintenance pass that
@@ -488,11 +525,9 @@ fn run_move_sweep_iteration(kill: u64) -> (bool, usize) {
         let files = || levels.iter().flat_map(|l| l.all_tables());
         let ids: BTreeSet<u64> = files().map(|f| f.meta.id).collect();
         assert_eq!(ids.len(), files().count(), "a file sits in two levels {when}, kill {kill}");
-        let referenced: BTreeSet<u64> =
-            files().flat_map(|f| f.tiles.iter().flat_map(|t| t.pages.iter().map(|p| p.id))).collect();
         assert_eq!(
             db.tree().backend().live_pages(),
-            referenced.len(),
+            referenced_pages(db).len(),
             "unreferenced pages {when}, kill {kill}"
         );
         levels.iter().skip(1).map(|l| l.file_count()).sum()
@@ -556,6 +591,100 @@ fn kill_point_sweep_trivial_move() {
         descended_at_crash.windows(2).all(|w| w[0] <= w[1]) && descended_at_crash.last() > Some(&0),
         "killed after an append, the file is at its new level: {descended_at_crash:?}"
     );
+}
+
+/// Builds the template of the segment-roll sweep once: a durable FADE store
+/// whose only data segment a flush has just filled and sealed. Returns its
+/// directory.
+fn sealed_segment_template() -> PathBuf {
+    let dir = unique_dir("rollsweep-template");
+    let mut db = fat_builder().open(&dir).unwrap();
+    for k in 0..16u64 {
+        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    }
+    db.persist().unwrap();
+    assert_eq!(data_segments(&dir), [0], "the template is one segment");
+    let len = std::fs::metadata(dir.join("lethe.data")).unwrap().len();
+    assert!(len >= 16 << 20, "and a full one: {len} B");
+    dir
+}
+
+/// One iteration of the segment-roll sweep on a copy of `template`: a few
+/// more fat writes are acknowledged, then the `persist()` that flushes them
+/// is killed at its `kill`-th durable step. Its first page write creates the
+/// sealed segment's successor, the merge rewrites every page of the old
+/// segment into it, and the drops after the manifest commit unlink the old
+/// file; wherever the kill lands, the reopened store serves every
+/// acknowledged key, holds exactly the pages its manifest references, keeps
+/// no dead segment but possibly the newest, and finishes a re-driven
+/// `persist()`. Returns the site that fired, `None` once `kill` is past the
+/// last step.
+fn run_roll_sweep_iteration(template: &std::path::Path, kill: u64) -> Option<&'static str> {
+    let dir = unique_dir("rollsweep");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(template).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let check_keys = |db: &Lethe, when: &str| {
+        for k in 0..18u64 {
+            let expected = Bytes::from(fat_value(if k < 2 { k + 100 } else { k }));
+            assert!(db.get(k).unwrap() == Some(expected), "key {k} {when}, kill {kill}");
+        }
+    };
+    let fp = FailPoint::new();
+    {
+        let mut db = fat_builder().crash_failpoint(fp.clone()).open(&dir).unwrap();
+        // overwrites and new keys, acknowledged before the fail point is armed
+        for k in (0..2u64).chain(16..18) {
+            db.put(k, delete_key_of(k), fat_value(if k < 2 { k + 100 } else { k })).unwrap();
+        }
+        assert_eq!(data_segments(&dir), [0], "nothing rolled before the persist");
+        fp.arm(kill);
+        let crashed = db.persist().is_err();
+        fp.disarm();
+        assert_eq!(crashed, fp.last_fired().is_some());
+    }
+    let mut db = fat_builder().open(&dir).unwrap();
+    check_keys(&db, "after the reopen");
+    let live: BTreeSet<u64> = db.tree().backend().page_ids().into_iter().collect();
+    assert_eq!(live, referenced_pages(&db), "live pages are not the manifest's, kill {kill}");
+    // page ids are issued in file order, so a segment holds the ids from its
+    // name up to its successor's: every file but the newest holds a live one
+    let segments = data_segments(&dir);
+    for pair in segments.windows(2) {
+        assert!(
+            live.range(pair[0]..pair[1]).next().is_some(),
+            "dead segment {} of {segments:?} survived the reopen, kill {kill}",
+            pair[0]
+        );
+    }
+    if fp.last_fired().is_none() {
+        // the flush rewrote every page of the old segment; its drops run one
+        // job late, so it is the reopen's unreferenced-page pass that took them
+        assert!(segments.len() == 1 && segments[0] > 0, "the old segment is gone: {segments:?}");
+        assert!(db.io_snapshot().bytes_reclaimed >= 16 << 20);
+    }
+    db.persist().unwrap();
+    check_keys(&db, "after the re-driven persist");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    fp.last_fired()
+}
+
+#[test]
+fn kill_point_sweep_segment_roll() {
+    let template = sealed_segment_template();
+    let mut fired = BTreeSet::new();
+    let mut kill = 0u64;
+    while let Some(site) = run_roll_sweep_iteration(&template, kill) {
+        fired.insert(site);
+        kill += 1;
+    }
+    let _ = std::fs::remove_dir_all(&template);
+    for site in ["backend.segment.create", "backend.write_page", "manifest.rewrite.rename"] {
+        assert!(fired.contains(site), "the sweep never died at {site}: {fired:?}");
+    }
 }
 
 /// Proves the `KILL_POINTS` registry is *runtime-reachable*, not just
@@ -630,6 +759,19 @@ fn kill_point_trace_covers_the_whole_registry() {
     }
     let _ = std::fs::remove_dir_all(&dropdir);
     let _ = std::fs::remove_dir_all(&dir);
+    // segment roll: the sixteenth fat put flushes a full data segment, which
+    // its barrier seals; the persist's flush then creates the successor
+    // (backend.segment.create)
+    let fatdir = unique_dir("killtrace-fat");
+    {
+        let mut db = fat_builder().crash_failpoint(fp.clone()).open(&fatdir).unwrap();
+        for k in 0..17u64 {
+            db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+        }
+        db.persist().unwrap();
+        assert_eq!(data_segments(&fatdir).len(), 2, "rolled once");
+    }
+    let _ = std::fs::remove_dir_all(&fatdir);
     let traced: BTreeSet<&str> = fp.traced_sites().into_iter().collect();
     let registry: BTreeSet<&str> = KILL_POINTS.iter().copied().collect();
     let unreached: Vec<&&str> = registry.difference(&traced).collect();
