@@ -18,7 +18,7 @@
 //! Set `LETHE_BENCH_NO_ASSERT=1` to demote the wall-clock gates to warnings.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lethe_core::{ShardedLethe, ShardedLetheBuilder};
+use lethe_core::{LetheBuilder, ShardedLethe, ShardedLetheBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -32,16 +32,18 @@ const READS_PER_THREAD: u64 = KEYS;
 fn open_store(dir: &std::path::Path, cache_bytes: usize) -> ShardedLethe {
     // realistic page geometry (8 × 128 B entries per page): a miss pays the
     // pread *and* a full page decode, which is exactly the cost a hit skips
-    let db = ShardedLetheBuilder::new()
-        .shards(2)
-        .buffer(32, 8, 128)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(3600.0)
-        .wal_sync_policy(lethe_storage::SyncPolicy::OnFlush)
-        .block_cache_bytes(cache_bytes)
-        .open(dir)
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(32, 8, 128)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(3600.0)
+            .block_cache_bytes(cache_bytes),
+    )
+    .shards(2)
+    .wal_sync_policy(lethe_storage::SyncPolicy::OnFlush)
+    .open(dir)
+    .unwrap();
     for k in 0..KEYS {
         db.put(k, k % 365, vec![0u8; 128]).unwrap();
     }

@@ -13,7 +13,7 @@
 //! during a forced compaction improves ≥ 5× over the locked baseline**.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lethe_core::{ShardedLethe, ShardedLetheBuilder};
+use lethe_core::{LetheBuilder, ShardedLethe, ShardedLetheBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,18 +22,20 @@ use std::time::{Duration, Instant};
 const KEYS: u64 = 20_000;
 
 fn build() -> ShardedLethe {
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(32, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(3600.0)
-        .block_cache_bytes(16 << 20)
-        // the storm below rewrites the whole tree in a loop; warming keeps
-        // the cache aligned with each rewrite's output so sampled reads hit
-        .warm_block_cache_on_write(true)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(32, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(3600.0)
+            .block_cache_bytes(16 << 20)
+            // the storm below rewrites the whole tree in a loop; warming keeps
+            // the cache aligned with each rewrite's output so sampled reads hit
+            .warm_block_cache_on_write(true),
+    )
+    .shards(1)
+    .build()
+    .unwrap();
     for k in 0..KEYS {
         db.put(k, k % 365, vec![0u8; 64]).unwrap();
     }

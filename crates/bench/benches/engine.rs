@@ -7,7 +7,7 @@ use lethe_core::baseline::BaselineKind;
 
 const PRELOAD: u64 = 20_000;
 
-fn preloaded(spec: &EngineSpec) -> lethe_bench::AnyEngine {
+fn preloaded(spec: &EngineSpec) -> lethe_core::Lethe {
     let mut cfg = experiment_config();
     cfg.buffer_pages = 32;
     let mut engine = spec.build(cfg).unwrap();

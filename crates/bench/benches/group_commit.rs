@@ -24,7 +24,7 @@
 //!   strict runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lethe_core::{ShardedLethe, ShardedLetheBuilder, WriteBatch};
+use lethe_core::{LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use lethe_storage::SyncPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,15 +52,17 @@ fn open_durable(dir: &PathBuf) -> ShardedLethe {
     // the buffer holds the whole run so flushes/compactions (which fsync
     // and compete for CPU) stay out of the timed window — this bench
     // isolates WAL group commit, not the flush pipeline
-    ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(512, 16, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(3600.0)
-        .wal_sync_policy(SyncPolicy::Always)
-        .open(dir)
-        .unwrap()
+    ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(512, 16, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(3600.0),
+    )
+    .shards(1)
+    .wal_sync_policy(SyncPolicy::Always)
+    .open(dir)
+    .unwrap()
 }
 
 /// Runs the durable write workload on `threads` writers and returns

@@ -3,12 +3,12 @@
 //! the headline win of the paper.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lethe_bench::{experiment_config, AnyEngine, EngineSpec};
+use lethe_bench::{experiment_config, EngineSpec};
 use lethe_core::baseline::BaselineKind;
 
 const ENTRIES: u64 = 20_000;
 
-fn build(spec: &EngineSpec) -> AnyEngine {
+fn build(spec: &EngineSpec) -> lethe_core::Lethe {
     let mut cfg = experiment_config();
     cfg.buffer_pages = 32;
     let mut engine = spec.build(cfg).unwrap();

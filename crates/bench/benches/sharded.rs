@@ -8,7 +8,7 @@
 //! toward the thread count.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lethe_core::{ShardedLethe, ShardedLetheBuilder};
+use lethe_core::{LetheBuilder, ShardedLethe, ShardedLetheBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,14 +17,16 @@ const OPS_PER_THREAD: u64 = 4_000;
 const KEY_SPACE: u64 = 40_000;
 
 fn build(shards: usize) -> ShardedLethe {
-    let db = ShardedLetheBuilder::new()
-        .shards(shards)
-        .buffer(32, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(30.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(32, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(30.0),
+    )
+    .shards(shards)
+    .build()
+    .unwrap();
     // preload so lookups hit data
     for k in 0..KEY_SPACE / 4 {
         db.put(k * 4, k % 365, vec![0u8; 64]).unwrap();

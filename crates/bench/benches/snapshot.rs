@@ -23,7 +23,7 @@
 //!   so this only gates strict runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lethe_core::{Lethe, ShardedLethe, ShardedLetheBuilder};
+use lethe_core::{Lethe, LetheBuilder, ShardedLethe, ShardedLetheBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -41,14 +41,16 @@ fn unique_dir(tag: &str) -> PathBuf {
 }
 
 fn preloaded() -> ShardedLethe {
-    let db = ShardedLetheBuilder::new()
-        .shards(4)
-        .buffer(64, 8, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(3600.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(64, 8, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(3600.0),
+    )
+    .shards(4)
+    .build()
+    .unwrap();
     for k in 0..KEYS {
         db.put(k, k % 365, value(k, 1)).unwrap();
     }

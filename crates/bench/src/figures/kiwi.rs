@@ -13,7 +13,7 @@ use lethe_workload::{WorkloadGenerator, WorkloadSpec};
 /// Builds a Lethe engine preloaded with `entries` keys whose delete keys are
 /// either uncorrelated with (pseudo-random permutation) or equal to the sort
 /// key.
-fn preloaded_engine(h: usize, entries: u64, correlated: bool) -> crate::AnyEngine {
+fn preloaded_engine(h: usize, entries: u64, correlated: bool) -> lethe_core::Lethe {
     let cfg = experiment_config();
     let value_size = cfg.entry_size - 32;
     let spec = EngineSpec::Lethe { dth_micros: u64::MAX / 4, h };

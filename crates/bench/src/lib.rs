@@ -10,7 +10,7 @@
 
 pub mod figures;
 
-use lethe_core::baseline::{Baseline, BaselineKind};
+use lethe_core::baseline::BaselineKind;
 use lethe_core::engine::{Lethe, LetheBuilder};
 use lethe_lsm::config::{LsmConfig, SecondaryDeleteMode};
 use lethe_lsm::tree::LsmTree;
@@ -44,11 +44,9 @@ impl EngineSpec {
     }
 
     /// Builds the engine on the in-memory simulated device.
-    pub fn build(&self, base: LsmConfig) -> Result<AnyEngine> {
+    pub fn build(&self, base: LsmConfig) -> Result<Lethe> {
         match self {
-            EngineSpec::Baseline(kind) => {
-                Ok(AnyEngine::Baseline(Box::new(Baseline::new(*kind, base)?)))
-            }
+            EngineSpec::Baseline(kind) => kind.build(base),
             EngineSpec::Lethe { dth_micros, h } => {
                 let mut cfg = base;
                 cfg.pages_per_delete_tile = *h;
@@ -58,46 +56,12 @@ impl EngineSpec {
                 cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
                 cfg.suppress_blind_deletes = true;
                 cfg.delete_persistence_threshold = Some(*dth_micros);
-                let engine = LetheBuilder::new()
+                LetheBuilder::new()
                     .with_config(cfg)
                     .delete_persistence_threshold_micros(*dth_micros)
-                    .build()?;
-                Ok(AnyEngine::Lethe(Box::new(engine)))
+                    .build()
             }
         }
-    }
-}
-
-/// An instantiated engine of either design, driven uniformly through the
-/// underlying [`LsmTree`].
-pub enum AnyEngine {
-    /// A Lethe engine (FADE + KiWi).
-    Lethe(Box<Lethe>),
-    /// A state-of-the-art baseline.
-    Baseline(Box<Baseline>),
-}
-
-impl AnyEngine {
-    /// Mutable access to the underlying tree.
-    pub fn tree_mut(&mut self) -> &mut LsmTree {
-        match self {
-            AnyEngine::Lethe(e) => e.tree_mut(),
-            AnyEngine::Baseline(b) => b.tree_mut(),
-        }
-    }
-
-    /// Shared access to the underlying tree.
-    pub fn tree(&self) -> &LsmTree {
-        match self {
-            AnyEngine::Lethe(e) => e.tree(),
-            AnyEngine::Baseline(b) => b.tree(),
-        }
-    }
-
-    /// Flush + compaction loop.
-    pub fn persist(&mut self) -> Result<()> {
-        self.tree_mut().flush()?;
-        self.tree_mut().maintain()
     }
 }
 

@@ -1,8 +1,8 @@
 //! The state-of-the-art baselines the paper compares Lethe against (§5).
 //!
-//! All baselines are [`LsmTree`] instances with the classic sort-key-only
-//! layout (`h = 1`), full-tree compactions for secondary range deletes, and
-//! one of three compaction policies:
+//! [`BaselineKind::build`] returns a [`Lethe`] handle over an [`LsmTree`]
+//! with the classic sort-key-only layout (`h = 1`), full-tree compactions
+//! for secondary range deletes, and one of three compaction policies:
 //!
 //! * [`BaselineKind::RocksDbLike`] — saturation trigger + min-overlap file
 //!   selection ("RocksDB" in the figures).
@@ -13,16 +13,13 @@
 //!   forced full-tree compaction every `period` of logical time ("state of
 //!   the art + full compaction" in Figure 1).
 
-use bytes::Bytes;
+use crate::engine::Lethe;
 use lethe_lsm::compaction::{
     CompactionPolicy, FileSelection, PeriodicFullCompactionPolicy, SaturationPolicy,
 };
 use lethe_lsm::config::{LsmConfig, SecondaryDeleteMode};
 use lethe_lsm::tree::LsmTree;
-use lethe_storage::{
-    DeleteKey, InMemoryBackend, LogicalClock, Result, SortKey, StorageBackend, Timestamp,
-};
-use std::sync::Arc;
+use lethe_storage::{InMemoryBackend, LogicalClock, Result, Timestamp};
 
 /// Which baseline engine to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,99 +60,31 @@ impl BaselineKind {
             BaselineKind::PeriodicFullCompaction { .. } => "rocksdb+periodic-full",
         }
     }
-}
 
-/// A state-of-the-art baseline engine wrapping [`LsmTree`] with the same
-/// surface as [`crate::engine::Lethe`], so experiments can drive both
-/// uniformly.
-pub struct Baseline {
-    kind: BaselineKind,
-    tree: LsmTree,
-}
-
-impl Baseline {
-    /// Builds a baseline on the in-memory simulated device.
-    pub fn new(kind: BaselineKind, mut config: LsmConfig) -> Result<Self> {
-        // baselines use the classic layout and full-tree secondary deletes
+    /// Builds this baseline on the in-memory simulated device, behind the
+    /// same [`Lethe`] handle as the delete-aware engine so experiments drive
+    /// both uniformly. The classic layout is forced on top of `config`:
+    /// `h = 1`, full-tree secondary deletes, no blind-delete suppression
+    /// and no delete persistence threshold.
+    pub fn build(&self, mut config: LsmConfig) -> Result<Lethe> {
         config.pages_per_delete_tile = 1;
         config.secondary_delete_mode = SecondaryDeleteMode::FullTreeCompaction;
         config.suppress_blind_deletes = false;
         config.delete_persistence_threshold = None;
-        Self::on_backend(kind, config, InMemoryBackend::new_shared(), LogicalClock::new())
-    }
-
-    /// Builds a baseline on an explicit device and clock.
-    pub fn on_backend(
-        kind: BaselineKind,
-        config: LsmConfig,
-        backend: Arc<dyn StorageBackend>,
-        clock: LogicalClock,
-    ) -> Result<Self> {
-        let tree = LsmTree::new(config, backend, clock, kind.policy())?;
-        Ok(Baseline { kind, tree })
-    }
-
-    /// Which baseline this is.
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
-    }
-
-    /// Inserts or updates a key.
-    pub fn put(&mut self, key: SortKey, delete_key: DeleteKey, value: impl Into<Bytes>) -> Result<()> {
-        self.tree.put(key, delete_key, value.into())
-    }
-
-    /// Point lookup.
-    pub fn get(&mut self, key: SortKey) -> Result<Option<Bytes>> {
-        self.tree.get(key)
-    }
-
-    /// Point delete (always inserts a tombstone; baselines do not suppress
-    /// blind deletes).
-    pub fn delete(&mut self, key: SortKey) -> Result<bool> {
-        self.tree.delete(key)
-    }
-
-    /// Range delete on the sort key.
-    pub fn delete_range(&mut self, start: SortKey, end: SortKey) -> Result<()> {
-        self.tree.delete_range(start, end)
-    }
-
-    /// Secondary range delete via a full-tree compaction (the
-    /// state-of-the-art behaviour, §3.3).
-    pub fn delete_where_delete_key_in(
-        &mut self,
-        lo: DeleteKey,
-        hi: DeleteKey,
-    ) -> Result<lethe_lsm::sstable::SecondaryDeleteStats> {
-        self.tree.secondary_range_delete(lo, hi)
-    }
-
-    /// Range lookup on the sort key.
-    pub fn range(&mut self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        self.tree.range(lo, hi)
-    }
-
-    /// Flush + compaction loop.
-    pub fn persist(&mut self) -> Result<()> {
-        self.tree.flush()?;
-        self.tree.maintain()
-    }
-
-    /// The underlying tree (counters, snapshots, white-box access).
-    pub fn tree(&self) -> &LsmTree {
-        &self.tree
-    }
-
-    /// Mutable access to the underlying tree.
-    pub fn tree_mut(&mut self) -> &mut LsmTree {
-        &mut self.tree
+        let tree = LsmTree::new(
+            config,
+            InMemoryBackend::new_shared(),
+            LogicalClock::new(),
+            self.policy(),
+        )?;
+        Ok(Lethe::from_tree(tree))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn small() -> LsmConfig {
         LsmConfig::small_for_test()
@@ -163,21 +92,22 @@ mod tests {
 
     #[test]
     fn baseline_config_is_classic() {
-        let b = Baseline::new(BaselineKind::RocksDbLike, {
-            let mut c = small();
-            c.pages_per_delete_tile = 8; // must be overridden back to 1
-            c.suppress_blind_deletes = true;
-            c
-        })
-        .unwrap();
+        let kind = BaselineKind::RocksDbLike;
+        let b = kind
+            .build({
+                let mut c = small();
+                c.pages_per_delete_tile = 8; // must be overridden back to 1
+                c.suppress_blind_deletes = true;
+                c
+            })
+            .unwrap();
         assert_eq!(b.tree().config().pages_per_delete_tile, 1);
         assert_eq!(
             b.tree().config().secondary_delete_mode,
             SecondaryDeleteMode::FullTreeCompaction
         );
         assert!(!b.tree().config().suppress_blind_deletes);
-        assert_eq!(b.kind(), BaselineKind::RocksDbLike);
-        assert_eq!(b.kind().label(), "rocksdb-like");
+        assert_eq!(kind.label(), "rocksdb-like");
     }
 
     #[test]
@@ -188,7 +118,7 @@ mod tests {
             BaselineKind::PeriodicFullCompaction { period: 500_000 },
         ];
         for kind in kinds {
-            let mut b = Baseline::new(kind, small()).unwrap();
+            let mut b = kind.build(small()).unwrap();
             for k in 0..800u64 {
                 b.put(k, k % 100, format!("v{k}")).unwrap();
             }
@@ -208,11 +138,8 @@ mod tests {
 
     #[test]
     fn periodic_full_compaction_persists_deletes() {
-        let mut b = Baseline::new(
-            BaselineKind::PeriodicFullCompaction { period: 100_000 },
-            small(),
-        )
-        .unwrap();
+        let mut b =
+            BaselineKind::PeriodicFullCompaction { period: 100_000 }.build(small()).unwrap();
         for k in 0..500u64 {
             b.put(k, k, format!("v{k}")).unwrap();
         }
@@ -231,7 +158,7 @@ mod tests {
 
     #[test]
     fn secondary_delete_runs_full_tree_compaction() {
-        let mut b = Baseline::new(BaselineKind::RocksDbLike, small()).unwrap();
+        let mut b = BaselineKind::RocksDbLike.build(small()).unwrap();
         for k in 0..600u64 {
             b.put(k, (k * 13) % 1000, format!("v{k}")).unwrap();
         }

@@ -38,8 +38,9 @@ use std::sync::Arc;
 /// Builder for a [`Lethe`] engine.
 #[derive(Debug, Clone)]
 pub struct LetheBuilder {
+    /// Always carries `Some` delete persistence threshold: every setter and
+    /// [`with_config`](Self::with_config) keep one in place.
     config: LsmConfig,
-    dth: Timestamp,
     selection: SaturationSelection,
     failpoint: Option<FailPoint>,
     /// An externally supplied block cache shared with other engines (the
@@ -75,7 +76,6 @@ impl LetheBuilder {
         };
         LetheBuilder {
             config,
-            dth: 3600 * MICROS_PER_SEC,
             selection: SaturationSelection::MostInvalidations,
             failpoint: None,
             shared_cache: None,
@@ -111,7 +111,9 @@ impl LetheBuilder {
     /// Sets the block-cache memory budget in bytes (`0` disables caching,
     /// the default). The cache holds decoded pages between the table layer
     /// and the device, so repeated point/range reads of warm data skip both
-    /// the device access and the page decode.
+    /// the device access and the page decode. A sharded store built from
+    /// this builder creates **one** cache of this total size and shares it
+    /// across every shard: size it for the whole store, not per shard.
     pub fn block_cache_bytes(mut self, bytes: usize) -> Self {
         self.config.block_cache_bytes = bytes;
         self
@@ -166,15 +168,12 @@ impl LetheBuilder {
 
     /// Sets the delete persistence threshold `D_th` in seconds of logical
     /// time (the data-retention SLA).
-    pub fn delete_persistence_threshold_secs(mut self, secs: f64) -> Self {
-        self.dth = (secs * MICROS_PER_SEC as f64) as Timestamp;
-        self.config.delete_persistence_threshold = Some(self.dth);
-        self
+    pub fn delete_persistence_threshold_secs(self, secs: f64) -> Self {
+        self.delete_persistence_threshold_micros((secs * MICROS_PER_SEC as f64) as Timestamp)
     }
 
     /// Sets the delete persistence threshold in microseconds of logical time.
     pub fn delete_persistence_threshold_micros(mut self, micros: Timestamp) -> Self {
-        self.dth = micros;
         self.config.delete_persistence_threshold = Some(micros);
         self
     }
@@ -189,7 +188,10 @@ impl LetheBuilder {
     }
 
     /// Derives the delete-tile granularity from a workload description using
-    /// Equation (3), capped at one tile per file.
+    /// Equation (3), capped at one tile per file. Wrapped in a
+    /// [`ShardedLetheBuilder`](crate::shard::ShardedLetheBuilder), this
+    /// builder configures *one* shard, so pass the per-shard
+    /// `expected_entries` (the store's total divided by the shard count).
     pub fn tune_delete_tiles_for(self, profile: &WorkloadProfile, expected_entries: u64) -> Self {
         let levels = expected_levels(&self.config, expected_entries);
         let shape = TreeShape {
@@ -250,7 +252,11 @@ impl LetheBuilder {
     fn make_policy(&self) -> Box<dyn CompactionPolicy> {
         match self.config.compaction_strategy {
             CompactionStrategy::Default => {
-                Box::new(FadePolicy::with_selection(self.dth, self.selection))
+                let dth = self
+                    .config
+                    .delete_persistence_threshold
+                    .expect("a LetheBuilder config always carries D_th");
+                Box::new(FadePolicy::with_selection(dth, self.selection))
             }
             CompactionStrategy::SizeTiered { fan_in } => Box::new(SizeTieredPolicy::new(fan_in)),
             CompactionStrategy::DateTiered { base_window_micros, fan_in, ttl_micros } => {
@@ -291,17 +297,21 @@ impl LetheBuilder {
         self
     }
 
+    /// The crash fail point, if one is attached; the sharded front-end arms
+    /// its store-wide durable steps (batch-commit log, checkpoints) with it.
+    pub(crate) fn failpoint(&self) -> Option<&FailPoint> {
+        self.failpoint.as_ref()
+    }
+
     /// Overrides the low-level configuration (advanced use). The settings
     /// that define Lethe are re-asserted on top of the supplied config:
     /// secondary range deletes always use KiWi page drops, and the delete
-    /// persistence threshold (if present) is adopted.
-    pub fn with_config(mut self, config: LsmConfig) -> Self {
-        if let Some(dth) = config.delete_persistence_threshold {
-            self.dth = dth;
-        }
+    /// persistence threshold is adopted if present (kept otherwise).
+    pub fn with_config(mut self, mut config: LsmConfig) -> Self {
+        config.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
+        config.delete_persistence_threshold =
+            config.delete_persistence_threshold.or(self.config.delete_persistence_threshold);
         self.config = config;
-        self.config.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-        self.config.delete_persistence_threshold = Some(self.dth);
         self
     }
 
@@ -319,6 +329,21 @@ impl LetheBuilder {
     /// is configured the device is wrapped in a [`CachedBackend`], so every
     /// layer above (tables, tree, readers) transparently reads through it.
     pub fn build_on(self, backend: Arc<dyn StorageBackend>, clock: LogicalClock) -> Result<Lethe> {
+        self.assemble_tree(backend, clock, None)
+    }
+
+    /// The tree-assembly tail every constructor shares: wraps `backend` in
+    /// the block cache, installs the compaction policy and the sibling-shard
+    /// hooks, and, for a durable store, attaches its manifest and fail
+    /// point, recovers from the manifest and `wal`, then attaches the log.
+    fn assemble_tree(
+        self,
+        backend: Arc<dyn StorageBackend>,
+        clock: LogicalClock,
+        durable: Option<(Manifest, FileWal)>,
+    ) -> Result<Lethe> {
+        // the cache wraps the device before the tree ever sees it, so
+        // recovery's unreferenced-page GC already invalidates through it
         let (backend, cache) = self.wrap_backend(backend);
         let policy = self.make_policy();
         let mut tree = LsmTree::new(self.config, backend, clock, policy)?;
@@ -327,6 +352,17 @@ impl LetheBuilder {
         }
         if let Some(tracker) = self.snapshot_tracker {
             tree = tree.with_snapshot_tracker(tracker);
+        }
+        if let Some((manifest, wal)) = durable {
+            tree = tree.with_manifest(manifest);
+            if let Some(fp) = self.failpoint {
+                tree = tree.with_failpoint(fp);
+            }
+            if let Some(ids) = self.committed_batches {
+                tree.set_committed_batches(ids);
+            }
+            tree.recover(&wal)?;
+            tree = tree.with_wal(Box::new(wal));
         }
         Ok(Lethe { tree, cache })
     }
@@ -371,26 +407,7 @@ impl LetheBuilder {
             wal = wal.with_failpoint(fp.clone());
             manifest.set_failpoint(fp.clone());
         }
-        // the cache wraps the device before the tree ever sees it, so
-        // recovery's unreferenced-page GC already invalidates through it
-        let (backend, cache) = self.wrap_backend(Arc::new(backend));
-        let policy = self.make_policy();
-        let mut tree =
-            LsmTree::new(self.config, backend, clock, policy)?.with_manifest(manifest);
-        if let Some(fp) = self.failpoint {
-            tree = tree.with_failpoint(fp);
-        }
-        if let Some(alloc) = self.seqnum_allocator {
-            tree = tree.with_seqnum_allocator(alloc);
-        }
-        if let Some(tracker) = self.snapshot_tracker {
-            tree = tree.with_snapshot_tracker(tracker);
-        }
-        if let Some(ids) = self.committed_batches {
-            tree.set_committed_batches(ids);
-        }
-        tree.recover(&wal)?;
-        Ok(Lethe { tree: tree.with_wal(Box::new(wal)), cache })
+        self.assemble_tree(Arc::new(backend), clock, Some((manifest, wal)))
     }
 
     /// Opens the online checkpoint at `dir` (written by
@@ -443,6 +460,11 @@ impl Lethe {
     /// Starts building an engine.
     pub fn builder() -> LetheBuilder {
         LetheBuilder::new()
+    }
+
+    /// Wraps an already-assembled uncached tree (the baseline engines).
+    pub(crate) fn from_tree(tree: LsmTree) -> Lethe {
+        Lethe { tree, cache: None }
     }
 
     /// Inserts (or updates) `key` with an associated delete key (e.g. a

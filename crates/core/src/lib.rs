@@ -52,7 +52,7 @@ pub mod model;
 pub mod shard;
 pub mod tuning;
 
-pub use baseline::{Baseline, BaselineKind};
+pub use baseline::BaselineKind;
 pub use compactor::Compactor;
 pub use engine::{Lethe, LetheBuilder};
 pub use shard::{BackpressureStats, ShardedLethe, ShardedLetheBuilder, Snapshot};

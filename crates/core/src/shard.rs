@@ -92,16 +92,15 @@
 //! fixed total memory budget matters.
 //!
 //! ```
-//! use lethe_core::{ShardedLethe, ShardedLetheBuilder};
+//! use lethe_core::{LetheBuilder, ShardedLethe, ShardedLetheBuilder};
 //! use std::thread;
 //!
-//! let db = ShardedLetheBuilder::new()
-//!     .shards(4)
+//! // every engine knob is set on the LetheBuilder; sharding adds the count
+//! let shard = LetheBuilder::new()
 //!     .buffer(8, 4, 64)
 //!     .size_ratio(4)
-//!     .delete_persistence_threshold_secs(60.0)
-//!     .build()
-//!     .unwrap();
+//!     .delete_persistence_threshold_secs(60.0);
+//! let db = ShardedLetheBuilder::from_builder(shard).shards(4).build().unwrap();
 //!
 //! // &self API: share the engine across threads without any external lock
 //! thread::scope(|s| {
@@ -124,11 +123,8 @@
 
 use crate::compactor::Compactor;
 use crate::engine::{Lethe, LetheBuilder};
-use crate::fade::SaturationSelection;
-use crate::tuning::WorkloadProfile;
 use bytes::Bytes;
 use lethe_lsm::batch::WriteBatch;
-use lethe_lsm::config::{LsmConfig, MergePolicy};
 use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::sstable::{SecondaryDeleteStats, SsTable};
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
@@ -137,8 +133,8 @@ use lethe_lsm::read::{RangeIter, ReadView};
 use lethe_lsm::tree::MaintenanceMode;
 use lethe_storage::{
     write_marker, BatchCommitLog, BatchOp, CacheSnapshot, CheckpointMarker,
-    DeleteKey, Entry, FileBackend, IoSnapshot, LogicalClock, Manifest, ManifestState, PageCache,
-    Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp,
+    DeleteKey, Entry, FileBackend, InMemoryBackend, IoSnapshot, LogicalClock, Manifest,
+    ManifestState, PageCache, Result, SeqNum, SortKey, StorageBackend, StorageError,
 };
 use lethe_storage::barrier;
 use lethe_sync::{Condvar, LockRank, Mutex};
@@ -149,20 +145,13 @@ use std::sync::{Arc, Weak};
 
 /// Builder for a [`ShardedLethe`] engine.
 ///
-/// Wraps a [`LetheBuilder`] (every single-shard knob is re-exposed) plus the
-/// one sharding knob: [`shards`](ShardedLetheBuilder::shards).
+/// Every engine knob lives on the [`LetheBuilder`] this wraps
+/// ([`from_builder`](Self::from_builder)), which configures each shard;
+/// this builder adds only the shard count.
 #[derive(Debug, Clone)]
 pub struct ShardedLetheBuilder {
     inner: LetheBuilder,
     shards: usize,
-    /// Deferred Equation (3) tuning request `(profile, total expected
-    /// entries)`: resolved against the *final* shard count at build time so
-    /// the builder is order-independent.
-    tune: Option<(WorkloadProfile, u64)>,
-    /// Copy of the crash fail point (if any) so [`open`](Self::open) can arm
-    /// the store-wide batch-commit log with the same shared countdown as the
-    /// per-shard WALs, manifests and backends.
-    failpoint: Option<lethe_storage::FailPoint>,
 }
 
 impl Default for ShardedLetheBuilder {
@@ -174,12 +163,13 @@ impl Default for ShardedLetheBuilder {
 impl ShardedLetheBuilder {
     /// Starts from the single-shard reference configuration with 4 shards.
     pub fn new() -> Self {
-        ShardedLetheBuilder { inner: LetheBuilder::new(), shards: 4, tune: None, failpoint: None }
+        Self::from_builder(LetheBuilder::new())
     }
 
-    /// Wraps an already-configured single-shard builder.
+    /// Wraps an already-configured single-shard builder, whose settings
+    /// apply to every shard; the shard count starts at 4.
     pub fn from_builder(inner: LetheBuilder) -> Self {
-        ShardedLetheBuilder { inner, shards: 4, tune: None, failpoint: None }
+        ShardedLetheBuilder { inner, shards: 4 }
     }
 
     /// Sets the number of shards (clamped to at least 1).
@@ -188,207 +178,21 @@ impl ShardedLetheBuilder {
         self
     }
 
-    /// Sets the delete persistence threshold `D_th` in seconds of logical
-    /// time (applies to every shard).
-    pub fn delete_persistence_threshold_secs(mut self, secs: f64) -> Self {
-        self.inner = self.inner.delete_persistence_threshold_secs(secs);
-        self
-    }
-
-    /// Sets the delete persistence threshold in microseconds of logical time.
-    pub fn delete_persistence_threshold_micros(mut self, micros: Timestamp) -> Self {
-        self.inner = self.inner.delete_persistence_threshold_micros(micros);
-        self
-    }
-
-    /// Sets the delete-tile granularity `h` (pages per delete tile).
-    /// Last call wins: this cancels any earlier
-    /// [`tune_delete_tiles_for`](Self::tune_delete_tiles_for) request.
-    pub fn delete_tile_pages(mut self, h: usize) -> Self {
-        self.tune = None;
-        self.inner = self.inner.delete_tile_pages(h);
-        self
-    }
-
-    /// Derives the delete-tile granularity from a workload description using
-    /// Equation (3). `expected_entries` is the total across all shards; each
-    /// shard is tuned for its `1/N` slice. The tuning is deferred to
-    /// [`build`](Self::build)/[`open`](Self::open) so it always uses the
-    /// final shard count, regardless of method-call order.
-    pub fn tune_delete_tiles_for(mut self, profile: &WorkloadProfile, expected_entries: u64) -> Self {
-        self.tune = Some((*profile, expected_entries));
-        self
-    }
-
-    /// The per-shard builder with any deferred tuning resolved against the
-    /// final shard count.
-    fn resolved_inner(&self) -> LetheBuilder {
-        match &self.tune {
-            Some((profile, total)) => {
-                let per_shard = (total / self.shards.max(1) as u64).max(1);
-                self.inner.clone().tune_delete_tiles_for(profile, per_shard)
-            }
-            None => self.inner.clone(),
-        }
-    }
-
-    /// Sets the size ratio `T`.
-    pub fn size_ratio(mut self, t: usize) -> Self {
-        self.inner = self.inner.size_ratio(t);
-        self
-    }
-
-    /// Sets the per-shard buffer geometry: pages, entries per page and entry
-    /// size.
-    pub fn buffer(mut self, pages: usize, entries_per_page: usize, entry_size: usize) -> Self {
-        self.inner = self.inner.buffer(pages, entries_per_page, entry_size);
-        self
-    }
-
-    /// Sets the Bloom filter budget in bits per entry.
-    pub fn bits_per_key(mut self, bits: f64) -> Self {
-        self.inner = self.inner.bits_per_key(bits);
-        self
-    }
-
-    /// Selects leveling or tiering.
-    pub fn merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.inner = self.inner.merge_policy(policy);
-        self
-    }
-
-    /// Selects the compaction strategy every shard runs; see
-    /// [`LetheBuilder::compaction_strategy`]. The tiered strategies switch
-    /// the merge policy to tiering, and under date-tiered each shard retires
-    /// its own wholly-expired windows via whole-file drops (the combined
-    /// [`TreeStats::whole_file_drops`](lethe_lsm::stats::TreeStats) counter
-    /// sums them across shards).
-    pub fn compaction_strategy(mut self, strategy: lethe_lsm::CompactionStrategy) -> Self {
-        self.inner = self.inner.compaction_strategy(strategy);
-        self
-    }
-
-    /// Sets the ingestion rate `I` (entries per second of logical time).
-    pub fn ingestion_rate(mut self, entries_per_sec: u64) -> Self {
-        self.inner = self.inner.ingestion_rate(entries_per_sec);
-        self
-    }
-
-    /// Sets the secondary optimisation goal of saturation-driven compactions.
-    pub fn saturation_selection(mut self, selection: SaturationSelection) -> Self {
-        self.inner = self.inner.saturation_selection(selection);
-        self
-    }
-
-    /// Sets when every shard's write-ahead log fsyncs appends (durable
-    /// stores default to fsync-per-append; see
-    /// [`LetheBuilder::wal_sync_policy`]).
+    /// Sets when every shard's write-ahead log fsyncs appends; the same knob
+    /// as [`LetheBuilder::wal_sync_policy`].
     pub fn wal_sync_policy(mut self, policy: lethe_storage::SyncPolicy) -> Self {
         self.inner = self.inner.wal_sync_policy(policy);
         self
     }
 
-    /// Sets the **total** block-cache budget in bytes, shared by every shard
-    /// (`0`, the default, disables caching). One [`PageCache`] is created at
-    /// build time and handed to all shards, so hot shards naturally take a
-    /// larger slice of the budget; size it for the whole store, not per
-    /// shard.
-    pub fn block_cache_bytes(mut self, bytes: usize) -> Self {
-        self.inner = self.inner.block_cache_bytes(bytes);
-        self
-    }
-
-    /// If `true`, every shard warms the shared block cache with its flush/
-    /// compaction output pages as they are written.
-    pub fn warm_block_cache_on_write(mut self, warm: bool) -> Self {
-        self.inner = self.inner.warm_block_cache_on_write(warm);
-        self
-    }
-
-    /// Shares an existing [`PageCache`] with every shard of this store —
-    /// and, because the cache keys entries per device, with whatever *other*
-    /// stores also hold it — instead of creating a private cache at build
-    /// time. Implies caching regardless of `block_cache_bytes`.
-    pub fn shared_block_cache(mut self, cache: Arc<PageCache>) -> Self {
-        self.inner = self.inner.shared_block_cache(cache);
-        self
-    }
-
-    /// Attaches one crash-injection fail point to the durable components of
-    /// *every* shard opened by [`ShardedLetheBuilder::open`] (testing aid;
-    /// the clones share a single countdown, so the injected failure fires
-    /// exactly once across the whole store).
-    pub fn crash_failpoint(mut self, fp: lethe_storage::FailPoint) -> Self {
-        self.failpoint = Some(fp.clone());
-        self.inner = self.inner.crash_failpoint(fp);
-        self
-    }
-
-    /// Overrides the low-level configuration applied to every shard.
-    /// Last call wins: this cancels any earlier
-    /// [`tune_delete_tiles_for`](Self::tune_delete_tiles_for) request (the
-    /// supplied config's `pages_per_delete_tile` is authoritative).
-    pub fn with_config(mut self, config: LsmConfig) -> Self {
-        self.tune = None;
-        self.inner = self.inner.with_config(config);
-        self
-    }
-
-    /// The per-shard configuration being built.
-    pub fn config(&self) -> &LsmConfig {
-        self.inner.config()
-    }
-
     /// Builds the sharded engine on per-shard in-memory simulated devices
     /// sharing one logical clock.
     pub fn build(self) -> Result<ShardedLethe> {
-        let clock = LogicalClock::new();
-        let (inner, cache) = self.shared_cache_inner();
-        // one seqnum space across all shards: a cross-shard batch commits
-        // under one consecutive seqnum range, and a snapshot fence is one
-        // number covering the whole store. One snapshot tracker likewise:
-        // a registered fence gates tombstone GC in every shard at once.
-        let seqnums = Arc::new(AtomicU64::new(1));
-        let snapshots = Arc::new(SnapshotTracker::new());
-        let inner = inner
-            .seqnum_allocator(Arc::clone(&seqnums))
-            .snapshot_tracker(Arc::clone(&snapshots));
-        let mut shards = Vec::with_capacity(self.shards);
-        for i in 0..self.shards {
-            let engine = inner
-                .clone()
-                .build_on(lethe_storage::InMemoryBackend::new_shared(), clock.clone())?;
-            shards.push(Shard::spawn(engine, i));
-        }
-        Ok(ShardedLethe {
-            views: ShardViews(shards.iter().map(|s| s.reader.clone()).collect()),
-            shards,
-            clock,
-            cache,
-            batch_log: None,
-            manifest_fsyncs: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            slowdowns: AtomicU64::new(0),
-            seqnums,
-            snapshots,
-            snapshot_registry: Arc::new(Mutex::new(LockRank::SnapshotRegistry, HashMap::new())),
-            snapshot_ids: AtomicU64::new(1),
-            failpoint: self.failpoint,
+        let n = self.shards;
+        self.assemble_store(None, |inner, clock, _| {
+            let shard = || inner.clone().build_on(InMemoryBackend::new_shared(), clock.clone());
+            (0..n).map(|_| shard()).collect()
         })
-    }
-
-    /// Resolves the per-shard builder and the **one** cache instance every
-    /// shard will share, through [`LetheBuilder::resolve_cache`]'s policy
-    /// (an externally supplied cache wins, otherwise a private one is
-    /// created when `block_cache_bytes > 0`); the resolved cache is pinned
-    /// back onto the builder so every shard wraps the same instance.
-    fn shared_cache_inner(&self) -> (LetheBuilder, Option<Arc<PageCache>>) {
-        let mut inner = self.resolved_inner();
-        let cache = inner.resolve_cache();
-        if let Some(c) = &cache {
-            inner = inner.shared_block_cache(Arc::clone(c));
-        }
-        (inner, cache)
     }
 
     /// Opens (or creates) a durable sharded engine rooted at `dir`. Each
@@ -408,52 +212,83 @@ impl ShardedLetheBuilder {
         // the batch-commit log opens first: WAL replay consults the
         // committed-id set to decide which prepared cross-shard slices apply
         let mut batch_log = BatchCommitLog::open(dir.join("BATCHES"))?;
-        if let Some(fp) = &self.failpoint {
+        if let Some(fp) = self.inner.failpoint() {
             batch_log = batch_log.with_failpoint(fp.clone());
         }
         let batch_log = Arc::new(batch_log);
+        let log = Arc::clone(&batch_log);
+        let n = self.shards;
+        self.assemble_store(Some(batch_log), move |inner, clock, manifest_fsyncs| {
+            let inner = inner.committed_batches(log.committed());
+            let mut engines = Vec::with_capacity(n);
+            let mut live_ids = HashSet::new();
+            for i in 0..n {
+                let name = format!("shard-{i:03}");
+                let engine = inner.clone().open_named(dir, &name, clock.clone())?;
+                live_ids.extend(engine.tree().wal_batch_ids().iter().copied());
+                engines.push(engine);
+            }
+            // rolled-back prepared frames stay in the shard WALs after
+            // recovery (nothing rewrites a WAL on open), so the id allocator
+            // — rebuilt from committed records only — must be advanced past
+            // every id the WALs still hold: reusing one for a batch that then
+            // commits would retroactively commit the stale slice and
+            // resurrect part of an aborted batch on the next recovery
+            if let Some(max) = live_ids.iter().copied().max() {
+                log.bump_next_id(max + 1);
+            }
+            // commit records whose batch no WAL references any more have no
+            // reader left (the slices were flushed and truncated away):
+            // compact them out so the log is bounded by in-flight batches
+            log.retain(&live_ids)?;
+            // the super-manifest is written only once every shard opened
+            // successfully (a failed open never pins a shard count for a
+            // store that was never created), and atomically + fsync'd: once
+            // a client can acknowledge writes, the recorded count must
+            // survive a crash
+            write_shard_manifest(dir, n, manifest_fsyncs)?;
+            Ok(engines)
+        })
+    }
+
+    /// The construction `build` and `open` share. Every shard gets one
+    /// logical clock, one block cache (resolved through
+    /// [`LetheBuilder::resolve_cache`] and pinned onto the per-shard
+    /// builder), one seqnum allocator (a cross-shard batch commits under one
+    /// consecutive seqnum range, and a snapshot fence is one number covering
+    /// the whole store) and one snapshot tracker (a registered fence gates
+    /// tombstone GC in every shard at once). `engines` turns that per-shard
+    /// builder into the shard engines, charging any `SHARDS` barrier to the
+    /// counter it is handed; `batch_log` is a durable store's commit log.
+    fn assemble_store(
+        self,
+        batch_log: Option<Arc<BatchCommitLog>>,
+        engines: impl FnOnce(LetheBuilder, &LogicalClock, &AtomicU64) -> Result<Vec<Lethe>>,
+    ) -> Result<ShardedLethe> {
         let clock = LogicalClock::new();
-        let (inner, cache) = self.shared_cache_inner();
+        let cache = self.inner.resolve_cache();
+        let failpoint = self.inner.failpoint().cloned();
         let seqnums = Arc::new(AtomicU64::new(1));
         let snapshots = Arc::new(SnapshotTracker::new());
-        let inner = inner
+        let mut inner = self
+            .inner
             .seqnum_allocator(Arc::clone(&seqnums))
-            .snapshot_tracker(Arc::clone(&snapshots))
-            .committed_batches(batch_log.committed());
-        let mut engines = Vec::with_capacity(self.shards);
-        let mut live_ids = HashSet::new();
-        for i in 0..self.shards {
-            let engine = inner.clone().open_named(dir, &format!("shard-{i:03}"), clock.clone())?;
-            live_ids.extend(engine.tree().wal_batch_ids().iter().copied());
-            engines.push(engine);
+            .snapshot_tracker(Arc::clone(&snapshots));
+        if let Some(c) = &cache {
+            inner = inner.shared_block_cache(Arc::clone(c));
         }
-        // rolled-back prepared frames stay in the shard WALs after recovery
-        // (nothing rewrites a WAL on open), so the id allocator — rebuilt
-        // from committed records only — must be advanced past every id the
-        // WALs still hold: reusing one for a batch that then commits would
-        // retroactively commit the stale slice and resurrect part of an
-        // aborted batch on the next recovery
-        if let Some(max) = live_ids.iter().copied().max() {
-            batch_log.bump_next_id(max + 1);
-        }
-        // commit records whose batch no WAL references any more have no
-        // reader left (the slices were flushed and truncated away): compact
-        // them out so the log is bounded by in-flight batches
-        batch_log.retain(&live_ids)?;
-        // the super-manifest is written only once every shard opened
-        // successfully (a failed open never pins a shard count for a store
-        // that was never created), and atomically + fsync'd: once a client
-        // can acknowledge writes, the recorded count must survive a crash
         let manifest_fsyncs = AtomicU64::new(0);
-        write_shard_manifest(dir, self.shards, &manifest_fsyncs)?;
-        let shards: Vec<Shard> =
-            engines.into_iter().enumerate().map(|(i, e)| Shard::spawn(e, i)).collect();
+        let shards: Vec<Shard> = engines(inner, &clock, &manifest_fsyncs)?
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| Shard::spawn(e, i))
+            .collect();
         Ok(ShardedLethe {
             views: ShardViews(shards.iter().map(|s| s.reader.clone()).collect()),
             shards,
             clock,
             cache,
-            batch_log: Some(batch_log),
+            batch_log,
             manifest_fsyncs,
             stalls: AtomicU64::new(0),
             slowdowns: AtomicU64::new(0),
@@ -461,7 +296,7 @@ impl ShardedLetheBuilder {
             snapshots,
             snapshot_registry: Arc::new(Mutex::new(LockRank::SnapshotRegistry, HashMap::new())),
             snapshot_ids: AtomicU64::new(1),
-            failpoint: self.failpoint,
+            failpoint,
         })
     }
 }
@@ -1542,17 +1377,21 @@ impl Drop for Snapshot {
 mod tests {
     use super::*;
 
-    fn small() -> ShardedLetheBuilder {
-        ShardedLetheBuilder::new()
+    fn small() -> LetheBuilder {
+        LetheBuilder::new()
             .buffer(8, 4, 64)
             .size_ratio(4)
             .delete_tile_pages(2)
             .delete_persistence_threshold_secs(5.0)
     }
 
+    fn sharded(shard: LetheBuilder, n: usize) -> ShardedLetheBuilder {
+        ShardedLetheBuilder::from_builder(shard).shards(n)
+    }
+
     #[test]
     fn routes_points_and_merges_ranges() {
-        let db = small().shards(4).build().unwrap();
+        let db = sharded(small(), 4).build().unwrap();
         assert_eq!(db.shard_count(), 4);
         for k in 0..500u64 {
             db.put(k, k % 97, format!("v{k}")).unwrap();
@@ -1570,7 +1409,7 @@ mod tests {
 
     #[test]
     fn deletes_fan_out_correctly() {
-        let db = small().shards(3).build().unwrap();
+        let db = sharded(small(), 3).build().unwrap();
         for k in 0..300u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
@@ -1590,7 +1429,7 @@ mod tests {
 
     #[test]
     fn stats_aggregate_across_shards() {
-        let db = small().shards(4).build().unwrap();
+        let db = sharded(small(), 4).build().unwrap();
         for k in 0..200u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
@@ -1611,7 +1450,7 @@ mod tests {
 
     #[test]
     fn single_shard_matches_unsharded_semantics() {
-        let db = small().shards(1).build().unwrap();
+        let db = sharded(small(), 1).build().unwrap();
         for k in 0..100u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
@@ -1626,7 +1465,7 @@ mod tests {
     fn durable_sharded_store_roundtrips_and_checks_shard_count() {
         let dir = std::env::temp_dir().join(format!("lethe-sharded-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let durable = || small().buffer(64, 4, 64).shards(3);
+        let durable = || sharded(small().buffer(64, 4, 64), 3);
         {
             let db = durable().open(&dir).unwrap();
             for k in 0..200u64 {
@@ -1640,7 +1479,7 @@ mod tests {
             assert_eq!(db.range(0, 200).unwrap().len(), 200);
         }
         // a mismatched shard count must be rejected, not silently misroute
-        assert!(small().shards(5).open(&dir).is_err());
+        assert!(sharded(small(), 5).open(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1651,7 +1490,7 @@ mod tests {
         // tiny buffers: the working set is far larger than the write
         // buffers, so reopening must recover per-shard manifests, not just
         // replay the WALs
-        let durable = || small().shards(3);
+        let durable = || sharded(small(), 3);
         {
             let db = durable().open(&dir).unwrap();
             for k in 0..500u64 {
@@ -1679,7 +1518,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lethe-sharded-part-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let db = small().shards(2).open(&dir).unwrap();
+            let db = sharded(small(), 2).open(&dir).unwrap();
             for k in 0..200u64 {
                 db.put(k, k, format!("v{k}")).unwrap();
             }
@@ -1687,7 +1526,7 @@ mod tests {
         }
         // lose the routing record: shard manifests exist, SHARDS does not
         std::fs::remove_file(dir.join("SHARDS")).unwrap();
-        let err = match small().shards(2).open(&dir) {
+        let err = match sharded(small(), 2).open(&dir) {
             Ok(_) => panic!("partial shard state must be rejected"),
             Err(e) => e,
         };
@@ -1695,34 +1534,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every engine knob is set once, on the wrapped `LetheBuilder`, and
+    /// reaches every shard unchanged; the block cache is one instance whose
+    /// budget is the whole store's.
     #[test]
-    fn tuning_is_independent_of_builder_call_order() {
-        let profile = crate::tuning::WorkloadProfile {
-            empty_point_lookups: 100.0,
-            point_lookups: 100.0,
-            short_range_lookups: 1.0,
-            long_range_lookups: 0.0,
-            long_range_selectivity: 0.0,
-            secondary_range_deletes: 1.0,
-            inserts: 0.0,
+    fn every_builder_knob_reaches_every_shard() {
+        use lethe_lsm::config::{CompactionStrategy, LsmConfig, MergePolicy};
+        let budget = 1 << 20;
+        let base = LsmConfig {
+            max_pages_per_file: 12,
+            histogram_buckets: 32,
+            key_domain: 1 << 20,
+            auto_advance_clock: false,
+            ..LsmConfig::default()
         };
-        let tuned_then_sharded = ShardedLetheBuilder::new()
-            .buffer(8, 4, 64)
-            .size_ratio(4)
-            .tune_delete_tiles_for(&profile, 1 << 16)
-            .shards(16)
-            .build()
-            .unwrap();
-        let sharded_then_tuned = ShardedLetheBuilder::new()
-            .buffer(8, 4, 64)
-            .size_ratio(4)
-            .shards(16)
-            .tune_delete_tiles_for(&profile, 1 << 16)
-            .build()
-            .unwrap();
-        let h_a = tuned_then_sharded.with_shard(0, |s| s.config().pages_per_delete_tile);
-        let h_b = sharded_then_tuned.with_shard(0, |s| s.config().pages_per_delete_tile);
-        assert_eq!(h_a, h_b, "Equation (3) tuning must use the final shard count");
+        let builder = LetheBuilder::new()
+            .with_config(base)
+            .delete_persistence_threshold_micros(7_000_000)
+            .delete_tile_pages(4)
+            .size_ratio(5)
+            .buffer(16, 8, 96)
+            .bits_per_key(7.0)
+            .merge_policy(MergePolicy::Tiering)
+            .compaction_strategy(CompactionStrategy::SizeTiered { fan_in: 3 })
+            .ingestion_rate(777)
+            .saturation_selection(crate::fade::SaturationSelection::SmallestOverlap)
+            .wal_sync_policy(lethe_storage::SyncPolicy::EveryN(3))
+            .block_cache_bytes(budget)
+            .warm_block_cache_on_write(true)
+            .crash_failpoint(lethe_storage::FailPoint::new());
+        let expected = builder.config().clone();
+        let db = sharded(builder, 3).build().unwrap();
+        let cache = Arc::clone(db.cache.as_ref().expect("a budget creates one cache"));
+        assert_eq!(cache.capacity_bytes(), budget as u64, "the budget is for the whole store");
+        assert!(db.failpoint.is_some(), "the fail point reaches the store-wide steps");
+        for i in 0..db.shard_count() {
+            db.with_shard(i, |shard| {
+                assert_eq!(shard.config(), &expected, "shard {i}");
+                let shard_cache = shard.block_cache().expect("every shard reads through the cache");
+                assert!(Arc::ptr_eq(shard_cache, &cache), "shard {i} has a private cache");
+            });
+        }
     }
 
     #[test]
@@ -1732,14 +1584,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // make shard-000's WAL path unopenable: a directory where the file goes
         std::fs::create_dir_all(dir.join("shard-000.wal")).unwrap();
-        assert!(small().shards(2).open(&dir).is_err());
+        assert!(sharded(small(), 2).open(&dir).is_err());
         assert!(
             !dir.join("SHARDS").exists(),
             "a failed open must not pin a shard count for a store that was never created"
         );
         // after clearing the obstruction, any shard count opens fine
         std::fs::remove_dir_all(dir.join("shard-000.wal")).unwrap();
-        let db = small().shards(5).open(&dir).unwrap();
+        let db = sharded(small(), 5).open(&dir).unwrap();
         drop(db);
         assert!(dir.join("SHARDS").exists());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1751,7 +1603,7 @@ mod tests {
         // occupied used to end persist()'s loop one pass early, leaving the
         // active buffer (and with relaxed WAL sync policies, unsynced
         // acknowledged writes) unflushed
-        let db = small().shards(1).build().unwrap();
+        let db = sharded(small(), 1).build().unwrap();
         db.with_shard(0, |engine| {
             // occupy the frozen slot and refill the active buffer while the
             // worker is paused (with_shard) and never woken (direct puts
@@ -1781,8 +1633,8 @@ mod tests {
     #[test]
     fn two_stores_share_one_block_cache_without_crosstalk() {
         let cache = PageCache::new_shared(1 << 20);
-        let a = small().shards(2).shared_block_cache(Arc::clone(&cache)).build().unwrap();
-        let b = small().shards(2).shared_block_cache(Arc::clone(&cache)).build().unwrap();
+        let a = sharded(small().shared_block_cache(Arc::clone(&cache)), 2).build().unwrap();
+        let b = sharded(small().shared_block_cache(Arc::clone(&cache)), 2).build().unwrap();
         for k in 0..200u64 {
             a.put(k, k, format!("a{k}")).unwrap();
             b.put(k, k, format!("b{k}")).unwrap();
@@ -1807,7 +1659,7 @@ mod tests {
 
     #[test]
     fn write_batch_routes_and_applies_all_ops() {
-        let db = small().shards(4).build().unwrap();
+        let db = sharded(small(), 4).build().unwrap();
         db.put(7, 7, "doomed").unwrap();
         let mut batch = WriteBatch::new();
         for k in 0..64u64 {
@@ -1835,7 +1687,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_a_frozen_cross_shard_view() {
-        let db = small().shards(3).build().unwrap();
+        let db = sharded(small(), 3).build().unwrap();
         for k in 0..300u64 {
             db.put(k, k % 31, format!("v{k}")).unwrap();
         }
@@ -1883,7 +1735,7 @@ mod tests {
 
     #[test]
     fn expired_snapshot_handle_fails_closed() {
-        let db = small().shards(2).build().unwrap();
+        let db = sharded(small(), 2).build().unwrap();
         for k in 0..100u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
@@ -1909,7 +1761,7 @@ mod tests {
     fn checkpoint_restores_the_fenced_view() {
         let dir = std::env::temp_dir().join(format!("lethe-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = small().shards(3).build().unwrap();
+        let db = sharded(small(), 3).build().unwrap();
         for k in 0..400u64 {
             db.put(k, k % 53, format!("v{k}")).unwrap();
         }
@@ -1950,7 +1802,7 @@ mod tests {
             let dir = std::env::temp_dir()
                 .join(format!("lethe-ckpt-max-{flushed}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let db = small().shards(2).build().unwrap();
+            let db = sharded(small(), 2).build().unwrap();
             db.put(7, 7, "small").unwrap();
             db.put(u64::MAX, 1, "largest").unwrap();
             if flushed {
@@ -1972,7 +1824,7 @@ mod tests {
     fn restore_refuses_a_markerless_directory() {
         let dir = std::env::temp_dir().join(format!("lethe-ckpt-torn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = small().shards(2).build().unwrap();
+        let db = sharded(small(), 2).build().unwrap();
         for k in 0..100u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
@@ -1991,7 +1843,7 @@ mod tests {
     fn cross_shard_batches_survive_reopen_unflushed() {
         let dir = std::env::temp_dir().join(format!("lethe-xshard-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let durable = || small().buffer(64, 4, 64).shards(3);
+        let durable = || sharded(small().buffer(64, 4, 64), 3);
         {
             let db = durable().open(&dir).unwrap();
             let mut batch = WriteBatch::new();
@@ -2013,7 +1865,7 @@ mod tests {
     fn batch_log_compacts_once_wals_forget_the_batch() {
         let dir = std::env::temp_dir().join(format!("lethe-blogret-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let durable = || small().shards(3);
+        let durable = || sharded(small(), 3);
         {
             let db = durable().open(&dir).unwrap();
             let mut batch = WriteBatch::new();
@@ -2038,9 +1890,7 @@ mod tests {
     fn durable_concurrent_puts_coalesce_fsyncs() {
         let dir = std::env::temp_dir().join(format!("lethe-gc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = small()
-            .buffer(256, 4, 64)
-            .shards(1)
+        let db = sharded(small().buffer(256, 4, 64), 1)
             .wal_sync_policy(lethe_storage::SyncPolicy::Always)
             .open(&dir)
             .unwrap();
@@ -2080,9 +1930,7 @@ mod tests {
     fn sharded_deletes_share_a_commit_convoy() {
         let dir = std::env::temp_dir().join(format!("lethe-delgc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = small()
-            .buffer(256, 4, 64)
-            .shards(1)
+        let db = sharded(small().buffer(256, 4, 64), 1)
             .wal_sync_policy(lethe_storage::SyncPolicy::Always)
             .open(&dir)
             .unwrap();
@@ -2119,7 +1967,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_land_all_entries() {
-        let db = small().shards(4).build().unwrap();
+        let db = sharded(small(), 4).build().unwrap();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let db = &db;

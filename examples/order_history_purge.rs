@@ -10,7 +10,7 @@
 //! Run with `cargo run --example order_history_purge --release`.
 
 use lethe::workload::{Operation, WorkloadGenerator, WorkloadSpec};
-use lethe::{Baseline, BaselineKind, LetheBuilder, LsmConfig};
+use lethe::{BaselineKind, LetheBuilder, LsmConfig};
 
 const TOTAL_ORDERS: u64 = 40_000;
 const USERS: u64 = 400;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .delete_persistence_threshold_secs(2.0)
         .delete_tile_pages(1) // primary deletes only: the classic layout is optimal
         .build()?;
-    let mut baseline = Baseline::new(BaselineKind::RocksDbLike, config())?;
+    let mut baseline = BaselineKind::RocksDbLike.build(config())?;
 
     // Phase 1 — ingest the order history. Order ids are grouped by user:
     // user `u` owns orders [u*100, u*100+100).

@@ -9,21 +9,25 @@
 //! cargo run --example sharded_threads
 //! ```
 
-use lethe::{ShardedLethe, ShardedLetheBuilder};
+use lethe::{LetheBuilder, ShardedLethe, ShardedLetheBuilder};
 use std::time::Instant;
 
 const THREADS: u64 = 8;
 const KEYS_PER_THREAD: u64 = 25_000;
 
 fn main() {
-    let db: ShardedLethe = ShardedLetheBuilder::new()
-        .shards(4)
-        .buffer(32, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(4)
-        .delete_persistence_threshold_secs(60.0)
-        .build()
-        .expect("engine construction cannot fail on the in-memory device");
+    // every engine knob is set on the LetheBuilder, which configures each
+    // shard; the sharded builder adds only the shard count
+    let db: ShardedLethe = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(32, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(4)
+            .delete_persistence_threshold_secs(60.0),
+    )
+    .shards(4)
+    .build()
+    .expect("engine construction cannot fail on the in-memory device");
 
     // Phase 1: concurrent ingest. Every thread writes its own key slice with
     // a "creation day" delete key, then reads a few of its keys back.

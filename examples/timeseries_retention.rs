@@ -12,7 +12,7 @@
 //! Run with `cargo run --example timeseries_retention --release`.
 
 use lethe::storage::CostModel;
-use lethe::{Baseline, BaselineKind, Lethe, LetheBuilder, LsmConfig};
+use lethe::{BaselineKind, Lethe, LetheBuilder, LsmConfig};
 
 const DOCS: u64 = 60_000;
 const DAYS: u64 = 30;
@@ -74,7 +74,7 @@ fn run_lethe(h: usize) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_baseline() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Baseline::new(BaselineKind::RocksDbLike, config())?;
+    let mut db = BaselineKind::RocksDbLike.build(config())?;
     ingest(|k, d, v| db.put(k, d, v).unwrap());
     db.persist()?;
     let before = db.tree().io_snapshot();

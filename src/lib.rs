@@ -6,8 +6,10 @@
 //!
 //! * [`lethe_core`] (re-exported at the root) — the [`Lethe`] engine, the
 //!   FADE compaction policy, KiWi planning helpers, the tuning equations and
-//!   the Table 2 cost model, the state-of-the-art [`Baseline`] engines, and
-//!   [`ShardedLethe`] — the concurrent, `Send + Sync` sharded front-end.
+//!   the Table 2 cost model, the state-of-the-art baseline engines
+//!   ([`BaselineKind::build`]), and [`ShardedLethe`] — the concurrent,
+//!   `Send + Sync` sharded front-end, configured by wrapping a
+//!   [`LetheBuilder`] in a [`ShardedLetheBuilder`].
 //! * [`lsm`] — the underlying LSM-tree substrate (for white-box access).
 //! * [`storage`] — pages, Bloom filters, fence pointers, devices, WAL.
 //! * [`workload`] — the deterministic workload generator used by the

@@ -21,7 +21,7 @@
 //! The runs are seeded and sized deterministically for CI; set
 //! `LETHE_STRESS_ROUNDS` to scale the writer workload up for longer soaks.
 
-use lethe::{ShardedLethe, ShardedLetheBuilder, WriteBatch};
+use lethe::{LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,16 +41,18 @@ fn rounds() -> u64 {
 
 fn store_with_cache(block_cache_bytes: usize) -> ShardedLethe {
     // tiny buffers: flushes and compactions run constantly under the load
-    ShardedLetheBuilder::new()
-        .shards(4)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(2.0)
-        .block_cache_bytes(block_cache_bytes)
-        .warm_block_cache_on_write(block_cache_bytes > 0)
-        .build()
-        .unwrap()
+    ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(2.0)
+            .block_cache_bytes(block_cache_bytes)
+            .warm_block_cache_on_write(block_cache_bytes > 0),
+    )
+    .shards(4)
+    .build()
+    .unwrap()
 }
 
 fn store() -> ShardedLethe {
@@ -480,14 +482,16 @@ fn concurrent_batch_writers_durable_single_shard() {
     let dir = std::env::temp_dir()
         .join(format!("lethe-batch-stress-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(2.0)
-        .open(&dir)
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(2.0),
+    )
+    .shards(1)
+    .open(&dir)
+    .unwrap();
     batch_oracle_stress(db, true);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -501,14 +505,16 @@ fn concurrent_batch_writers_durable_single_shard() {
 #[test]
 fn rewrites_are_invisible_to_snapshot_readers() {
     const N: u64 = 600;
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(8, 4, 64)
-        .size_ratio(3)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(30.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(3)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(30.0),
+    )
+    .shards(1)
+    .build()
+    .unwrap();
     for k in 0..N {
         db.put(k, k, encode(k, 7)).unwrap();
     }

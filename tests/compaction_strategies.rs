@@ -69,18 +69,20 @@ fn date_tiered_drops_expired_windows_without_reading_them() {
 /// snapshot is released.
 #[test]
 fn held_snapshot_delays_whole_file_drop_until_released() {
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(4, 4, 64)
-        .size_ratio(4)
-        .delete_persistence_threshold_secs(1.0)
-        .compaction_strategy(CompactionStrategy::DateTiered {
-            base_window_micros: 1_000,
-            fan_in: 2,
-            ttl_micros: Some(500_000),
-        })
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(4, 4, 64)
+            .size_ratio(4)
+            .delete_persistence_threshold_secs(1.0)
+            .compaction_strategy(CompactionStrategy::DateTiered {
+                base_window_micros: 1_000,
+                fan_in: 2,
+                ttl_micros: Some(500_000),
+            }),
+    )
+    .shards(1)
+    .build()
+    .unwrap();
     for i in 0..200u64 {
         db.put(i, i * 100, vec![0u8; 48]).unwrap();
         if (i + 1) % 32 == 0 {
@@ -192,18 +194,20 @@ fn size_tiered_builder_knob_works_end_to_end() {
 /// new counters across them.
 #[test]
 fn sharded_builder_forwards_the_strategy_knob() {
-    let db = ShardedLetheBuilder::new()
-        .shards(2)
-        .buffer(4, 4, 64)
-        .size_ratio(4)
-        .delete_persistence_threshold_secs(1.0)
-        .compaction_strategy(CompactionStrategy::DateTiered {
-            base_window_micros: 1_000,
-            fan_in: 2,
-            ttl_micros: None, // pure window-bucketed merging, no retention
-        })
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(4, 4, 64)
+            .size_ratio(4)
+            .delete_persistence_threshold_secs(1.0)
+            .compaction_strategy(CompactionStrategy::DateTiered {
+                base_window_micros: 1_000,
+                fan_in: 2,
+                ttl_micros: None, // pure window-bucketed merging, no retention
+            }),
+    )
+    .shards(2)
+    .build()
+    .unwrap();
     for i in 0..256u64 {
         db.put(i, i * 100, vec![2u8; 48]).unwrap();
     }

@@ -359,19 +359,15 @@ fn run_sweep_iteration(script: &[Op], kill: u64, shards: Option<usize>) -> bool 
     let mut oracle: Oracle = BTreeMap::new();
     let mut pending: Option<Op> = None;
 
-    let open_single = |fp: Option<FailPoint>| -> Lethe {
-        let mut b = builder();
-        if let Some(fp) = fp {
-            b = b.crash_failpoint(fp);
+    let armed = |fp: Option<FailPoint>| -> LetheBuilder {
+        match fp {
+            Some(fp) => builder().crash_failpoint(fp),
+            None => builder(),
         }
-        b.open(&dir).unwrap()
     };
+    let open_single = |fp: Option<FailPoint>| -> Lethe { armed(fp).open(&dir).unwrap() };
     let open_sharded = |fp: Option<FailPoint>, n: usize| -> ShardedLethe {
-        let mut b = ShardedLetheBuilder::from_builder(builder()).shards(n);
-        if let Some(fp) = fp {
-            b = b.crash_failpoint(fp);
-        }
-        b.open(&dir).unwrap()
+        ShardedLetheBuilder::from_builder(armed(fp)).shards(n).open(&dir).unwrap()
     };
 
     {
@@ -700,9 +696,8 @@ fn kill_point_trace_covers_the_whole_registry() {
     let fp = FailPoint::new();
     fp.enable_trace();
     {
-        let db = ShardedLetheBuilder::from_builder(builder())
+        let db = ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp.clone()))
             .shards(3)
-            .crash_failpoint(fp.clone())
             .open(&dir)
             .unwrap();
         // every mutation stages its WAL frame through the shard's
@@ -787,6 +782,35 @@ fn kill_point_trace_covers_the_whole_registry() {
     );
 }
 
+/// Regression: a fail point attached to the wrapped `LetheBuilder` arms the
+/// store-wide durable steps too (the `BATCHES` commit log and an online
+/// checkpoint's marker), not only the shards' own files.
+#[test]
+fn wrapped_builder_failpoint_arms_batch_log_and_checkpoint() {
+    let dir = unique_dir("wrappedfp");
+    let ckpt = unique_dir("wrappedfp-ckpt");
+    let fp = FailPoint::new();
+    fp.enable_trace();
+    {
+        let db = ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp.clone()))
+            .shards(3)
+            .open(&dir)
+            .unwrap();
+        let mut batch = WriteBatch::new();
+        for k in 0..24u64 {
+            batch.put(k, delete_key_of(k), vec![4u8; 16]);
+        }
+        db.write(batch).unwrap();
+        db.checkpoint(&ckpt).unwrap();
+    }
+    let traced: BTreeSet<&str> = fp.traced_sites().into_iter().collect();
+    for site in ["batchlog.append", "batchlog.commit_fsync", "checkpoint.marker.tmp"] {
+        assert!(traced.contains(site), "{site} never consulted: {traced:?}");
+    }
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------------------------------ restart fuzz
 
 /// Randomized restart fuzz: one long history against one directory, with
@@ -803,9 +827,8 @@ fn run_restart_fuzz(seed: u64, shards: Option<usize>) {
         match shards {
             None => Box::new(builder().crash_failpoint(fp).open(&dir).unwrap()),
             Some(n) => Box::new(
-                ShardedLetheBuilder::from_builder(builder())
+                ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp))
                     .shards(n)
-                    .crash_failpoint(fp)
                     .open(&dir)
                     .unwrap(),
             ),
@@ -918,9 +941,8 @@ fn kill_point_sweep_background_commit() {
         let mut oracle: Oracle = BTreeMap::new();
         let mut crashed = false;
         {
-            let db = ShardedLetheBuilder::from_builder(builder())
+            let db = ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp.clone()))
                 .shards(1)
-                .crash_failpoint(fp.clone())
                 .open(&dir)
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(0xBACC);
@@ -1123,9 +1145,8 @@ fn run_group_commit_sweep_iteration(script: &[GOp], kill: u64, shards: usize) ->
     let mut oracle: Oracle = BTreeMap::new();
     let mut pending: Option<GOp> = None;
     {
-        let db = ShardedLetheBuilder::from_builder(builder())
+        let db = ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp.clone()))
             .shards(shards)
-            .crash_failpoint(fp.clone())
             .open(&dir)
             .unwrap();
         fp.arm(kill);
@@ -1221,9 +1242,8 @@ fn aborted_batch_id_is_never_reused_after_reopen() {
         let dir = unique_dir("gc-id-reuse");
         let fp = FailPoint::new();
         let crashed = {
-            let db = ShardedLetheBuilder::from_builder(builder())
+            let db = ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp.clone()))
                 .shards(shards)
-                .crash_failpoint(fp.clone())
                 .open(&dir)
                 .unwrap();
             fp.arm(kill);
@@ -1308,9 +1328,8 @@ fn aborted_batch_id_is_never_reused_after_reopen() {
 fn checkpoint_kill_point_sweep() {
     let dir = unique_dir("ckpt-sweep");
     let fp = FailPoint::new();
-    let db = ShardedLetheBuilder::from_builder(builder())
+    let db = ShardedLetheBuilder::from_builder(builder().crash_failpoint(fp.clone()))
         .shards(3)
-        .crash_failpoint(fp.clone())
         .open(&dir)
         .unwrap();
     let mut rng = StdRng::seed_from_u64(0xC4E7);

@@ -8,7 +8,7 @@ use lethe::lsm::LsmTree;
 use lethe::storage::{FileWal, LogicalClock, Wal, WalRecord};
 use lethe::workload::{BatchWriteOp, Operation, WorkloadGenerator, WorkloadSpec};
 use lethe::{
-    Baseline, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
+    BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
     ShardedLetheBuilder, Snapshot, WriteBatch,
 };
 use std::collections::BTreeMap;
@@ -120,7 +120,7 @@ fn run_against_oracle(spec: WorkloadSpec, h: usize) {
     ops.extend(gen.operations());
 
     let mut lethe = lethe_engine(h);
-    let mut baseline = Baseline::new(BaselineKind::RocksDbLike, small_config()).unwrap();
+    let mut baseline = BaselineKind::RocksDbLike.build(small_config()).unwrap();
     let mut oracle = Oracle::new();
 
     for op in &ops {
@@ -208,7 +208,7 @@ fn run_against_oracle(spec: WorkloadSpec, h: usize) {
                     }
                 }
                 lethe.write_batch(lethe_batch).unwrap();
-                baseline.tree_mut().write_batch(baseline_batch).unwrap();
+                baseline.write_batch(baseline_batch).unwrap();
             }
             Operation::SnapshotRead { key } => {
                 // a snapshot taken now must agree with the oracle frozen now,
@@ -367,14 +367,16 @@ fn delete_persistence_is_honoured_under_continuous_ingestion() {
 #[test]
 fn held_snapshot_defers_tombstone_gc_but_never_fakes_persistence() {
     let dth_secs = 1.0;
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(dth_secs)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(dth_secs),
+    )
+    .shards(1)
+    .build()
+    .unwrap();
     for k in 0..600u64 {
         db.put(k, k, vec![1u8; 24]).unwrap();
     }
@@ -436,7 +438,7 @@ fn held_snapshot_defers_tombstone_gc_but_never_fakes_persistence() {
 fn baseline_without_threshold_retains_old_tombstones() {
     // the state of the art gives no guarantee: with a mostly-static tree the
     // tombstones linger well past any would-be threshold
-    let mut baseline = Baseline::new(BaselineKind::RocksDbLike, small_config()).unwrap();
+    let mut baseline = BaselineKind::RocksDbLike.build(small_config()).unwrap();
     for k in 0..2_000u64 {
         baseline.put(k, k, vec![1u8; 24]).unwrap();
     }
@@ -459,7 +461,7 @@ fn secondary_range_delete_is_equivalent_to_full_compaction_result() {
     // Lethe's page-drop path and the baseline's full-tree compaction must
     // leave behind exactly the same logical database
     let mut lethe = lethe_engine(8);
-    let mut baseline = Baseline::new(BaselineKind::RocksDbLike, small_config()).unwrap();
+    let mut baseline = BaselineKind::RocksDbLike.build(small_config()).unwrap();
     for k in 0..4_000u64 {
         let d = (k * 7919) % 4_000;
         lethe.put(k, d, vec![2u8; 32]).unwrap();
@@ -604,12 +606,14 @@ fn every_read_surface_agrees_with_the_oracle() {
     check("Lethe::capture_snapshot, later", &captured, &then);
 
     for shards in [1, 3] {
-        let db = ShardedLetheBuilder::new()
-            .shards(shards)
-            .with_config(small_config())
-            .delete_tile_pages(2)
-            .build()
-            .unwrap();
+        let db = ShardedLetheBuilder::from_builder(
+            LetheBuilder::new()
+                .with_config(small_config())
+                .delete_tile_pages(2),
+        )
+        .shards(shards)
+        .build()
+        .unwrap();
         for layer in [&on_disk[..], &frozen, &active] {
             apply_to_sharded(&db, layer);
         }
@@ -756,7 +760,10 @@ fn every_write_surface_leaves_the_same_store() {
     assert_eq!(replayed.recover_from(&open_wal()).unwrap(), log.len());
     let _ = std::fs::remove_file(&wal_path);
     // door 4: a one-shard sharded store (group-commit queue, background mode)
-    let sharded = ShardedLetheBuilder::new().shards(1).with_config(config.clone()).build().unwrap();
+    let sharded = ShardedLetheBuilder::from_builder(LetheBuilder::new().with_config(config.clone()))
+        .shards(1)
+        .build()
+        .unwrap();
     for w in &script {
         match w {
             Put(k, d, v) => sharded.put(*k, *d, *v).unwrap(),

@@ -755,14 +755,16 @@ fn group_of(key: u64) -> usize {
 /// churn constantly; the single-shard scope is deliberate (multi-shard
 /// scans are the documented weakly-consistent fan-out).
 fn check_batches_are_atomic_to_readers(steps: &[BatchStep]) {
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(1.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(1.0),
+    )
+    .shards(1)
+    .build()
+    .unwrap();
     let tag_of = |value: &[u8]| u64::from_le_bytes(value[..8].try_into().unwrap());
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -951,14 +953,16 @@ fn apply_snap_op(
 /// store must meanwhile agree with the *live* oracle, so the snapshot is a
 /// frozen view, not a stalled store.
 fn check_snapshot_freezes_the_view(shards: usize, pre: &[SnapOp], post: &[SnapOp], key_space: u64) {
-    let db = ShardedLetheBuilder::new()
-        .shards(shards)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(1.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(1.0),
+    )
+    .shards(shards)
+    .build()
+    .unwrap();
     let mut oracle: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
     for op in pre {
         apply_snap_op(&db, &mut oracle, op, key_space);
@@ -1047,14 +1051,16 @@ proptest! {
         dth_secs in 1.0f64..8.0,
         shards in 1usize..4,
     ) {
-        let db = ShardedLetheBuilder::new()
-            .shards(shards)
-            .buffer(8, 4, 64)
-            .size_ratio(4)
-            .delete_tile_pages(2)
-            .delete_persistence_threshold_secs(dth_secs)
-            .build()
-            .unwrap();
+        let db = ShardedLetheBuilder::from_builder(
+            LetheBuilder::new()
+                .buffer(8, 4, 64)
+                .size_ratio(4)
+                .delete_tile_pages(2)
+                .delete_persistence_threshold_secs(dth_secs),
+        )
+        .shards(shards)
+        .build()
+        .unwrap();
         for op in &ops {
             match op {
                 Mutation::Put(k, v) => {
@@ -1113,14 +1119,16 @@ fn move_step_strategy() -> impl Strategy<Value = MoveStep> {
 /// and merge beneath it, the live store reads the live oracle before and
 /// after the release, and the move path is known to have been taken.
 fn check_moves_keep_the_oracle(pre: &[MoveStep], post: &[MoveStep]) {
-    let db = ShardedLetheBuilder::new()
-        .shards(1)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(1.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(1.0),
+    )
+    .shards(1)
+    .build()
+    .unwrap();
     // random keys live in 0..128, appended keys from `top` upwards
     let (mut oracle, mut top) = (BTreeMap::<u64, Vec<u8>>::new(), 128u64);
     let apply = |oracle: &mut BTreeMap<u64, Vec<u8>>, top: &mut u64, step: &MoveStep| match step {

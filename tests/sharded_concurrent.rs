@@ -9,7 +9,7 @@
 //! the thread interleaving and can be compared against the oracle exactly.
 
 use lethe::workload::{run_concurrent, BatchWriteOp, Operation, WorkloadSpec};
-use lethe::{ShardedLethe, ShardedLetheBuilder, WriteBatch};
+use lethe::{LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -20,14 +20,16 @@ const KEYS_PER_THREAD: u64 = 2_000;
 const OPS_PER_THREAD: u64 = 6_000;
 
 fn small_sharded(shards: usize) -> ShardedLethe {
-    ShardedLetheBuilder::new()
-        .shards(shards)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_tile_pages(2)
-        .delete_persistence_threshold_secs(2.0)
-        .build()
-        .unwrap()
+    ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(2.0),
+    )
+    .shards(shards)
+    .build()
+    .unwrap()
 }
 
 /// The oracle's view of one entry: `(delete_key, value)`.

@@ -85,13 +85,15 @@ fn scan_boundary_conditions() {
 
 #[test]
 fn sharded_iter_range_matches_range_and_pages_early() {
-    let db = ShardedLetheBuilder::new()
-        .shards(4)
-        .buffer(8, 4, 64)
-        .size_ratio(4)
-        .delete_persistence_threshold_secs(60.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(4)
+            .delete_persistence_threshold_secs(60.0),
+    )
+    .shards(4)
+    .build()
+    .unwrap();
     for k in 0..2_000u64 {
         db.put(k, k % 97, format!("v{k}")).unwrap();
     }
@@ -370,13 +372,15 @@ fn secondary_scan_pruning_survives_recovery() {
 /// pinned-version fast path and the re-pin fallback).
 #[test]
 fn secondary_scan_is_exact_under_concurrent_flush_churn() {
-    let db = ShardedLetheBuilder::new()
-        .shards(2)
-        .buffer(8, 4, 64)
-        .size_ratio(3)
-        .delete_persistence_threshold_secs(600.0)
-        .build()
-        .unwrap();
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .size_ratio(3)
+            .delete_persistence_threshold_secs(600.0),
+    )
+    .shards(2)
+    .build()
+    .unwrap();
     let stable = 400u64;
     for k in 0..stable {
         db.put(k, k, value(k)).unwrap();
