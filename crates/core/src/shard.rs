@@ -301,20 +301,13 @@ impl ShardedLetheBuilder {
     }
 }
 
-/// Durably records the shard count: write-to-temporary, atomic rename,
-/// parent-directory fsync. Both barriers charge `fsyncs` so the store's
-/// [`IoSnapshot`] accounts for them.
+/// Durably records the shard count through [`barrier::publish`]. Both of
+/// its barriers charge `fsyncs` so the store's [`IoSnapshot`] accounts for
+/// them.
 fn write_shard_manifest(dir: &Path, shards: usize, fsyncs: &AtomicU64) -> Result<()> {
     use std::io::Write;
-    let path = dir.join("SHARDS");
-    let tmp = dir.join("SHARDS.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(format!("{shards}\n").as_bytes())?;
-        barrier::sync_all_counted(&f, fsyncs)?;
-    }
-    std::fs::rename(&tmp, &path)?;
-    barrier::fsync_dir_counted(&path, fsyncs)?;
+    let record = |f: &mut std::fs::File| f.write_all(format!("{shards}\n").as_bytes());
+    barrier::publish(&dir.join("SHARDS"), &dir.join("SHARDS.tmp"), fsyncs, record, || Ok(()))?;
     Ok(())
 }
 
@@ -849,8 +842,8 @@ impl ShardedLethe {
             let tree = guard.tree_mut();
             // an abort between stage and commit is the designed 2PC failure path:
             // `id` never reaches the batch-commit log, so on the next recovery the
-            // prepared slices roll back on every shard (see rollback_batch)
-            // lint:allow(leak-paths): aborted ids are rolled back by recovery, not leaked
+            // prepared slices roll back on every shard (see rollback_batch); an
+            // aborted id is rolled back, never leaked, and never reused
             let ts = tree.stage_batch(&slices[i], Some(id))?;
             tree.wal_commit()?;
             stamps.push(ts);

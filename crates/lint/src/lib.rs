@@ -3,23 +3,24 @@
 //! `lethe-lint` is a dependency-free source-level analyser — a hand-rolled
 //! lexer + token-tree parser (the clippy/rust-analyzer idiom, minus the
 //! compiler) with item and statement models on top, not a line scanner.
-//! It enforces the conventions the type system cannot:
+//! It enforces the conventions that are neither types nor clippy
+//! configuration:
 //!
 //! | rule id               | invariant                                                            |
 //! |-----------------------|----------------------------------------------------------------------|
-//! | `raw-drop-page`       | `drop_page` calls only in the retirement choke point / cache wrapper |
-//! | `uncounted-barrier`   | every `sync_all`/`sync_data` goes through the counted barrier helpers|
+//! | `raw-drop-page`       | `drop_page` calls only in the page choke point / cache wrapper, and  |
+//! |                       | `write_page` calls in `crates/lsm` only in the choke point           |
+//! | `uncounted-barrier`   | every `sync_all`/`sync_data`/`fs::rename` goes through `barrier`     |
 //! | `kill-point-registry` | `FailPoint::check` site names ⇆ `KILL_POINTS` registry, both ways    |
-//! | `raw-lock`            | no `std::sync`/`parking_lot` lock types outside `crates/sync`        |
 //! | `no-panic`            | no `unwrap`/`expect`/`panic!` in non-test storage/lsm code           |
 //! | `unsafe-hygiene`      | every crate root carries `#![forbid(unsafe_code)]` (or `deny`)       |
 //! | `lock-order`          | static may-hold-while-acquiring graph respects the `LockRank` order  |
-//! | `durability-order`    | commit dominates WAL truncate; barrier dominates rename publish;     |
-//! |                       | kill points sit adjacent to the durable op they guard                |
-//! | `leak-paths`          | page ids / staged batch ids reach register-or-release on every       |
-//! |                       | `?`/early-return path; a job output is aborted before any return     |
-//! |                       | that precedes `commit_version`                                       |
 //! | `stale-allow`         | every `lint:allow` marker names a rule that still exists             |
+//!
+//! The durability orderings are types, not rules: `barrier::publish` is the
+//! only rename path, and `Wal::truncate_prefix` takes the
+//! `ManifestCommitted` witness only `Manifest::commit` mints. Raw lock
+//! types are banned by `clippy.toml`'s `disallowed-types`.
 //!
 //! A violation is silenced by a marker on the same line or the line above:
 //! `// lint:allow(<rule-id>): <reason>` — the reason is mandatory.
@@ -33,8 +34,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod durability;
-mod leaks;
 mod lexer;
 mod lockgraph;
 mod model;
@@ -158,18 +157,17 @@ fn check_file_parsed(parsed: &ParsedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     rules::raw_drop_page(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
     rules::uncounted_barrier(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
-    rules::raw_lock(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
     rules::no_panic(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
     rules::stale_allow(&parsed.rel, &parsed.maps, &mut findings);
     findings
 }
 
 /// Crate roots whose source directories take part in the cross-file
-/// analyses (the protocol-bearing crates).
+/// analysis (the lock-taking crates).
 const ANALYSIS_ROOTS: &[&str] = &["crates/core/src/", "crates/lsm/src/", "crates/storage/src/"];
 
-/// Runs the cross-file analyses (`lock-order`, `durability-order`,
-/// `leak-paths`) over a set of `(workspace-relative path, source)` pairs.
+/// Runs the cross-file analysis (`lock-order`) over a set of
+/// `(workspace-relative path, source)` pairs.
 ///
 /// The `LockRank` order is parsed from whichever input file declares
 /// `enum LockRank` (in the real tree, `crates/sync/src/lib.rs`); without
@@ -208,8 +206,6 @@ fn check_workspace_parsed(parsed: &[ParsedFile]) -> Vec<Finding> {
         .collect();
     let mut findings = Vec::new();
     findings.extend(lockgraph::check(&scope, &ranks));
-    findings.extend(durability::check(&scope));
-    findings.extend(leaks::check(&scope));
 
     // apply allow markers per file
     let maps: BTreeMap<&str, &SourceMaps> =

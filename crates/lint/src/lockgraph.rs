@@ -463,7 +463,7 @@ impl<'a> Analysis<'a> {
                             }
                         }
                     }
-                    Piece::Nested { block: inner, .. } => {
+                    Piece::Nested(inner) => {
                         // a plain `if`/`while` drops its condition
                         // temporaries before the body runs; only `match` /
                         // `if let` scrutinee temporaries extend through
@@ -479,7 +479,6 @@ impl<'a> Analysis<'a> {
                         // part of the enclosing statement
                         self.walk_block(inner, fun, held, next_id);
                     }
-                    Piece::Question { .. } | Piece::Return { .. } => {}
                 }
             }
             // end of statement: temporaries die (no Drop impl on guards
@@ -584,7 +583,7 @@ fn collect_events<'b>(block: &'b Block, f: &mut impl FnMut(&'b Piece)) {
     for stmt in &block.stmts {
         for piece in &stmt.pieces {
             match piece {
-                Piece::Nested { block: b, ctx: _ } => collect_events(b, f),
+                Piece::Nested(b) => collect_events(b, f),
                 other => f(other),
             }
         }

@@ -2,34 +2,17 @@
 //!
 //! Function bodies are parsed into a nested [`Block`] structure whose
 //! statements carry a flat, textually-ordered list of [`Piece`]s: lock
-//! acquisitions, calls, `?` operators, `return`s, `drop()`s, and nested
-//! blocks classified by control-flow role ([`Ctx`]):
-//!
-//! * `Scope`  — an unconditional bare `{ … }` (or `= { … }`) block: runs
-//!   exactly once, so facts established inside it propagate outward.
-//! * `Branch` — a conditionally-executed block (`if`/`else`/`match` arm/
-//!   loop body/struct literal): facts inside do **not** propagate.
-//! * `Closure` — a closure body: runs at some other time (or never), so
-//!   its `?`/`return` are not exits of the enclosing function.
+//! acquisitions, calls, `drop()`s, and nested blocks (branch bodies, match
+//! arms, closure bodies). The lock-order analysis walks it to simulate
+//! guard liveness.
 //!
 //! The model is deliberately approximate — it is a lint, not a compiler —
-//! but the approximations are chosen so that the analyses stay sound for
+//! but the approximations are chosen so that the analysis stays sound for
 //! the shapes this workspace actually uses (see ARCHITECTURE.md,
 //! "Correctness tooling").
 
 use crate::lexer::{Delim, Kind};
 use crate::syntax::{Group, Tree};
-
-/// Control-flow role of a nested block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ctx {
-    /// Unconditional scope block: executes exactly once.
-    Scope,
-    /// Conditional block: may or may not execute.
-    Branch,
-    /// Closure body: deferred execution.
-    Closure,
-}
 
 /// A parsed sequence of statements.
 #[derive(Debug, Clone, Default)]
@@ -72,19 +55,6 @@ pub struct CallEv {
     /// statement (i.e. it is an argument subexpression, not the statement's
     /// own top-level chain).
     pub nested: bool,
-    /// True when textually inside a closure.
-    pub in_closure: bool,
-    /// First string literal among the call's top-level arguments.
-    pub first_str: Option<String>,
-    /// Top-level identifier arguments (used to spot `Some(id)`).
-    pub arg_idents: Vec<String>,
-}
-
-impl CallEv {
-    /// Last path segment (the function/method name).
-    pub fn name(&self) -> &str {
-        self.path.last().map(String::as_str).unwrap_or("")
-    }
 }
 
 /// One event or nested block inside a statement.
@@ -108,20 +78,6 @@ pub enum Piece {
     },
     /// A call expression.
     Call(CallEv),
-    /// The `?` operator.
-    Question {
-        /// Source line.
-        line: u32,
-        /// True when textually inside a closure.
-        in_closure: bool,
-    },
-    /// A `return` keyword.
-    Return {
-        /// Source line.
-        line: u32,
-        /// True when textually inside a closure.
-        in_closure: bool,
-    },
     /// An explicit `drop(name)`.
     DropOf {
         /// The dropped binding.
@@ -130,12 +86,7 @@ pub enum Piece {
         line: u32,
     },
     /// A nested block.
-    Nested {
-        /// The parsed block.
-        block: Block,
-        /// Its control-flow role.
-        ctx: Ctx,
-    },
+    Nested(Block),
 }
 
 /// Keywords that make a following brace group a statement boundary.
@@ -194,7 +145,7 @@ fn make_stmt(trees: &[Tree]) -> Stmt {
         || (trees.first().is_some_and(|h| h.is_ident("if") || h.is_ident("while"))
             && trees.get(1).is_some_and(|n| n.is_ident("let")));
     let mut pieces = Vec::new();
-    scan_level(trees, false, false, true, &mut pieces);
+    scan_level(trees, false, false, &mut pieces);
     Stmt { line, let_name, is_tail: false, extends_temps, pieces }
 }
 
@@ -241,15 +192,8 @@ fn is_operand(prev: Option<&Tree>) -> bool {
 }
 
 /// Scans one nesting level of a statement, pushing events in textual
-/// order. `nested` marks argument position (inside parens/brackets);
-/// `at_stmt_top` is true only for the statement's own top level.
-fn scan_level(
-    trees: &[Tree],
-    nested: bool,
-    in_closure: bool,
-    at_stmt_top: bool,
-    pieces: &mut Vec<Piece>,
-) {
+/// order. `nested` marks argument position (inside parens/brackets).
+fn scan_level(trees: &[Tree], nested: bool, in_closure: bool, pieces: &mut Vec<Piece>) {
     let mut i = 0usize;
     let mut closure_tail = false; // a brace-less closure body covers the rest of this level
     let mut last_kw: Option<String> = None;
@@ -257,16 +201,6 @@ fn scan_level(
         let in_closure = in_closure || closure_tail;
         match &trees[i] {
             Tree::Leaf(t) => {
-                if t.is_punct("?") {
-                    pieces.push(Piece::Question { line: t.line, in_closure });
-                    i += 1;
-                    continue;
-                }
-                if t.is_ident("return") {
-                    pieces.push(Piece::Return { line: t.line, in_closure });
-                    i += 1;
-                    continue;
-                }
                 if t.kind == Kind::Ident && is_block_kw(&trees[i]) {
                     last_kw = Some(t.text.clone());
                     i += 1;
@@ -292,17 +226,15 @@ fn scan_level(
                                 chained,
                             });
                         } else {
-                            pieces.push(Piece::Call(call_ev(
-                                vec![m.text.clone()],
-                                true,
-                                receiver_of(trees, i),
-                                m.line,
+                            pieces.push(Piece::Call(CallEv {
+                                path: vec![m.text.clone()],
+                                method: true,
+                                recv: receiver_of(trees, i),
+                                line: m.line,
                                 nested,
-                                in_closure,
-                                args,
-                            )));
+                            }));
                         }
-                        scan_level(&args.trees, true, in_closure, false, pieces);
+                        scan_level(&args.trees, true, in_closure, pieces);
                         i += 3;
                         continue;
                     }
@@ -328,21 +260,19 @@ fn scan_level(
                                 single_ident_arg(args).filter(|_| args.trees.len() <= 3)
                             {
                                 pieces.push(Piece::DropOf { name, line: t.line });
-                                scan_level(&args.trees, true, in_closure, false, pieces);
+                                scan_level(&args.trees, true, in_closure, pieces);
                                 i = k + 1;
                                 continue;
                             }
                         }
-                        pieces.push(Piece::Call(call_ev(
+                        pieces.push(Piece::Call(CallEv {
                             path,
-                            false,
-                            String::new(),
-                            t.line,
+                            method: false,
+                            recv: String::new(),
+                            line: t.line,
                             nested,
-                            in_closure,
-                            args,
-                        )));
-                        scan_level(&args.trees, true, in_closure, false, pieces);
+                        }));
+                        scan_level(&args.trees, true, in_closure, pieces);
                         i = k + 1;
                         continue;
                     }
@@ -366,10 +296,7 @@ fn scan_level(
                     if let Some(body) =
                         trees.get(body_at).and_then(|b| b.group(Some(Delim::Brace)))
                     {
-                        pieces.push(Piece::Nested {
-                            block: parse_block(&body.trees),
-                            ctx: Ctx::Closure,
-                        });
+                        pieces.push(Piece::Nested(parse_block(&body.trees)));
                         i = body_at + 1;
                     } else {
                         closure_tail = true;
@@ -382,27 +309,13 @@ fn scan_level(
             Tree::Group(g) => {
                 match g.delim {
                     Delim::Paren | Delim::Bracket => {
-                        scan_level(&g.trees, true, in_closure, false, pieces);
+                        scan_level(&g.trees, true, in_closure, pieces);
                     }
                     Delim::Brace => {
                         if last_kw.as_deref() == Some("match") {
-                            for arm in parse_match_arms(g) {
-                                pieces.push(Piece::Nested {
-                                    block: arm,
-                                    ctx: if in_closure { Ctx::Closure } else { Ctx::Branch },
-                                });
-                            }
+                            pieces.extend(parse_match_arms(g).into_iter().map(Piece::Nested));
                         } else {
-                            let after_eq =
-                                i > 0 && trees[i - 1].is_punct("=");
-                            let ctx = if in_closure {
-                                Ctx::Closure
-                            } else if (i == 0 && at_stmt_top && !nested) || after_eq {
-                                Ctx::Scope
-                            } else {
-                                Ctx::Branch
-                            };
-                            pieces.push(Piece::Nested { block: parse_block(&g.trees), ctx });
+                            pieces.push(Piece::Nested(parse_block(&g.trees)));
                         }
                         last_kw = None;
                     }
@@ -411,26 +324,6 @@ fn scan_level(
             }
         }
     }
-}
-
-fn call_ev(
-    path: Vec<String>,
-    method: bool,
-    recv: String,
-    line: u32,
-    nested: bool,
-    in_closure: bool,
-    args: &Group,
-) -> CallEv {
-    let first_str = args.trees.iter().find_map(|t| {
-        t.leaf().filter(|tok| tok.kind == Kind::Str).map(|tok| tok.text.clone())
-    });
-    let arg_idents = args
-        .trees
-        .iter()
-        .filter_map(|t| t.leaf().filter(|tok| tok.kind == Kind::Ident).map(|tok| tok.text.clone()))
-        .collect();
-    CallEv { path, method, recv, line, nested, in_closure, first_str, arg_idents }
 }
 
 /// The sole identifier argument of a call, if the args are that simple.
@@ -492,33 +385,6 @@ fn parse_match_arms(g: &Group) -> Vec<Block> {
         }
     }
     arms
-}
-
-/// A statement flattened out of its nesting, used for "within the next N
-/// statements" adjacency windows.
-pub struct FlatStmt<'a> {
-    /// The statement's direct (non-block) pieces, in order.
-    pub events: Vec<&'a Piece>,
-}
-
-/// Pre-order flattening of a block; closure bodies are skipped unless
-/// `include_closures` (their statements execute at some other time).
-pub fn flatten<'a>(block: &'a Block, include_closures: bool, out: &mut Vec<FlatStmt<'a>>) {
-    for stmt in &block.stmts {
-        let events: Vec<&Piece> = stmt
-            .pieces
-            .iter()
-            .filter(|p| !matches!(p, Piece::Nested { .. }))
-            .collect();
-        out.push(FlatStmt { events });
-        for piece in &stmt.pieces {
-            if let Piece::Nested { block, ctx } = piece {
-                if *ctx != Ctx::Closure || include_closures {
-                    flatten(block, include_closures, out);
-                }
-            }
-        }
-    }
 }
 
 /// Lock constructor found anywhere in a file.

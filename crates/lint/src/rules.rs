@@ -1,5 +1,5 @@
-//! The original six rules, migrated from line/regex scanning onto the
-//! token stream. Working on tokens closes the old masking window by
+//! The single-file rules, matched on the token stream rather than on
+//! lines or regexes. Working on tokens closes the old masking window by
 //! construction: string literals are single `Str` tokens and comments
 //! never reach the stream, so `".sync_all()"` inside a banner string or a
 //! nested block comment can no longer shadow (or fake) a violation.
@@ -7,12 +7,17 @@
 use crate::lexer::{Delim, Kind, Tok};
 use crate::{Finding, SourceMaps};
 
-/// Files exempt from `raw-drop-page`: the retirement choke point and the
-/// cache's invalidating wrapper.
+/// Files exempt from `raw-drop-page`: the page choke point and the cache's
+/// invalidating wrapper.
 pub const DROP_PAGE_EXEMPT: &[&str] =
     &["crates/lsm/src/reclaim.rs", "crates/storage/src/cache.rs"];
 
-/// The only module allowed to call `sync_all`/`sync_data` directly.
+/// The crate whose page writes must go through the choke point's
+/// `PageReservation::write` (the storage crate implements `write_page`).
+pub const WRITE_PAGE_ROOT: &str = "crates/lsm/src/";
+
+/// The only module allowed to call `sync_all`/`sync_data`/`fs::rename`
+/// directly.
 pub const BARRIER_MODULE: &str = "crates/storage/src/barrier.rs";
 
 /// Crates whose non-test code must be panic-free.
@@ -24,12 +29,9 @@ pub const KNOWN_RULES: &[&str] = &[
     "raw-drop-page",
     "uncounted-barrier",
     "kill-point-registry",
-    "raw-lock",
     "no-panic",
     "unsafe-hygiene",
     "lock-order",
-    "durability-order",
-    "leak-paths",
     "stale-allow",
 ];
 
@@ -66,11 +68,13 @@ fn method_head<'a>(toks: &'a [Tok], i: usize, names: &[&str]) -> Option<&'a Tok>
     Some(m)
 }
 
-/// `raw-drop-page`: page retirement must go through the choke point.
+/// `raw-drop-page`: page retirement, and page writes in `lethe-lsm`, must
+/// go through the choke point.
 pub fn raw_drop_page(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &mut Vec<Finding>) {
     if DROP_PAGE_EXEMPT.contains(&rel) {
         return;
     }
+    let writes_checked = rel.starts_with(WRITE_PAGE_ROOT);
     for i in 0..toks.len() {
         if let Some(m) = method_head(toks, i, &["drop_page"]) {
             emit(
@@ -84,15 +88,27 @@ pub fn raw_drop_page(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &mut 
                 findings,
             );
         }
+        if let Some(m) = method_head(toks, i, &["write_page"]).filter(|_| writes_checked) {
+            emit(
+                rel,
+                maps,
+                "raw-drop-page",
+                m.line,
+                "raw write_page call: write through lethe_lsm::reclaim::PageReservation::write \
+                 so an error path retires the page instead of stranding it",
+                findings,
+            );
+        }
     }
 }
 
-/// `uncounted-barrier`: fsync must go through the counted helpers.
+/// `uncounted-barrier`: fsync must go through the counted helpers, and a
+/// rename publish through `barrier::publish`.
 pub fn uncounted_barrier(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &mut Vec<Finding>) {
     if rel == BARRIER_MODULE {
         return;
     }
-    for i in 0..toks.len() {
+    for (i, t) in toks.iter().enumerate() {
         if let Some(m) = method_head(toks, i, &["sync_all", "sync_data"]) {
             emit(
                 rel,
@@ -104,75 +120,21 @@ pub fn uncounted_barrier(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &
                 findings,
             );
         }
-    }
-}
-
-/// `raw-lock`: no `std::sync`/`parking_lot` lock types outside the ranked
-/// lock crate.
-pub fn raw_lock(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &mut Vec<Finding>) {
-    if rel.starts_with("crates/sync/") || rel.starts_with("crates/lint/") {
-        return;
-    }
-    let banned = |name: &str| matches!(name, "Mutex" | "RwLock" | "Condvar");
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("parking_lot") {
+        // `fs::rename(`
+        if t.is_ident("fs")
+            && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
+            && toks.get(i + 2).is_some_and(|r| r.is_ident("rename"))
+            && toks.get(i + 3).is_some_and(|o| o.kind == Kind::Open(Delim::Paren))
+        {
             emit(
                 rel,
                 maps,
-                "raw-lock",
+                "uncounted-barrier",
                 t.line,
-                "raw lock: use the ranked primitives in lethe_sync instead of parking_lot",
+                "raw rename publish: use lethe_storage::barrier::publish, which syncs the \
+                 content before the rename and the directory after it, both counted",
                 findings,
             );
-            continue;
-        }
-        // `std::sync::X` or `std::sync::{…, X, …}`
-        if t.is_ident("std")
-            && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|s| s.is_ident("sync"))
-            && toks.get(i + 3).is_some_and(|p| p.is_punct("::"))
-        {
-            let hit = match toks.get(i + 4) {
-                Some(n) if n.kind == Kind::Ident => banned(&n.text),
-                Some(n) if n.kind == Kind::Open(Delim::Brace) => {
-                    // first ident of each comma segment inside the brace group
-                    let mut depth = 1usize;
-                    let mut seg_head = true;
-                    let mut any = false;
-                    for tok in &toks[i + 5..] {
-                        match tok.kind {
-                            Kind::Open(Delim::Brace) => depth += 1,
-                            Kind::Close(Delim::Brace) => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            Kind::Punct if tok.text == "," && depth == 1 => seg_head = true,
-                            Kind::Ident if seg_head => {
-                                if banned(&tok.text) {
-                                    any = true;
-                                }
-                                seg_head = false;
-                            }
-                            _ => {}
-                        }
-                    }
-                    any
-                }
-                _ => false,
-            };
-            if hit {
-                emit(
-                    rel,
-                    maps,
-                    "raw-lock",
-                    t.line,
-                    "raw lock: use the ranked lethe_sync::{Mutex, RwLock, Condvar} \
-                     (deadlock-checked in debug builds) instead of std::sync",
-                    findings,
-                );
-            }
         }
     }
 }

@@ -1,6 +1,5 @@
-//! Fixture tests for the workspace-level analyses introduced by lint v2:
-//! `lock-order`, `durability-order`, `leak-paths`, plus the lexer's
-//! masking regression fixtures and the `stale-allow` cross-check.
+//! Fixture tests for the workspace-level `lock-order` analysis, plus the
+//! lexer's masking regression fixtures and the `stale-allow` cross-check.
 //!
 //! Each fail fixture seeds an exact number of violations; the tests
 //! assert the analysis finds *every* seeded site and nothing on the
@@ -86,129 +85,22 @@ fn lock_order_pass_fixture_is_clean() {
     assert!(findings.is_empty(), "pass fixture must be clean: {findings:#?}");
 }
 
-// ----------------------------------------------------------- durability-order
-
-#[test]
-fn durability_order_fail_fixture_reports_each_seeded_violation() {
-    let src = fixture("durability-order", "fail.rs");
-    let findings = workspace_rule("crates/storage/src/fixture.rs", "durability-order", &src);
-    assert_eq!(
-        findings.len(),
-        5,
-        "expected the five seeded protocol violations, got: {findings:#?}"
-    );
-
-    let with = |needle: &str| findings.iter().filter(|f| f.message.contains(needle)).count();
-    assert_eq!(with("without a dominating counted barrier"), 1);
-    assert_eq!(with("no directory fsync afterwards"), 1);
-    assert_eq!(with("truncate_prefix without a dominating manifest-edit"), 2);
-    assert_eq!(with("is not adjacent to the durable"), 1);
-
-    // the unbarriered rename is the first rename in the file; the branchy
-    // commit case is the second truncate
-    let rename_line = nth_line_of(&src, "std::fs::rename(tmp, dst)?;", 0);
-    assert!(findings.iter().any(|f| f.line == rename_line));
-    let branchy_truncate = nth_line_of(&src, "self.wal.truncate_prefix(upto)?;", 1);
-    assert!(findings.iter().any(|f| f.line == branchy_truncate));
-}
-
-#[test]
-fn durability_order_pass_fixture_is_clean() {
-    let src = fixture("durability-order", "pass.rs");
-    let findings =
-        lethe_lint::check_workspace(&[("crates/storage/src/fixture.rs".to_string(), src)]);
-    assert!(findings.is_empty(), "pass fixture must be clean: {findings:#?}");
-}
-
-// ---------------------------------------------------------------- leak-paths
-
-#[test]
-fn leak_paths_fail_fixture_reports_each_seeded_leak() {
-    let src = fixture("leak-paths", "fail.rs");
-    let findings = workspace_rule("crates/lsm/src/fixture.rs", "leak-paths", &src);
-    assert_eq!(
-        findings.len(),
-        4,
-        "expected the four seeded leaks, got: {findings:#?}"
-    );
-
-    let with = |needle: &str| findings.iter().filter(|f| f.message.contains(needle)).count();
-    assert_eq!(with("page id can leak on an error path"), 1);
-    assert_eq!(with("never reaches its"), 1);
-    assert_eq!(with("error path abandons a staged batch id"), 1);
-    assert_eq!(with("job output can leak"), 1);
-
-    let write_line = nth_line_of(&src, "backend.write_page", 0);
-    assert!(findings.iter().any(|f| f.line == write_line));
-}
-
-#[test]
-fn leak_paths_pass_fixture_is_clean() {
-    let src = fixture("leak-paths", "pass.rs");
-    let findings =
-        lethe_lint::check_workspace(&[("crates/lsm/src/fixture.rs".to_string(), src)]);
-    assert!(findings.is_empty(), "pass fixture must be clean: {findings:#?}");
-}
-
-// ------------------------------------------- the real job cycle (jobs.rs)
-
-/// `crates/lsm/src/jobs.rs` as checked in, with `from` replaced by `to`
-/// (exactly one occurrence) to seed a protocol violation into `apply_job`.
-fn jobs_rs_with(from: &str, to: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../lsm/src/jobs.rs");
-    let src = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    assert_eq!(src.matches(from).count(), 1, "jobs.rs no longer has exactly one {from:?}");
-    src.replace(from, to)
-}
-
-const JOBS_RS: &str = "crates/lsm/src/jobs.rs";
-
-#[test]
-fn jobs_rs_is_clean_and_a_truncate_before_the_commit_is_flagged() {
-    let commit = "self.commit_version(levels, &new_tables, inputs, placement.is_none())?;";
-    assert!(lethe_lint::check_workspace(&[(JOBS_RS.to_string(), jobs_rs_with(commit, commit))])
-        .is_empty());
-    let seeded = jobs_rs_with(
-        commit,
-        &format!("if let Some(wal) = &self.wal {{ wal.truncate_prefix(0)?; }}\n        {commit}"),
-    );
-    let findings = workspace_rule(JOBS_RS, "durability-order", &seeded);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert!(findings[0].message.contains("truncate_prefix without a dominating manifest-edit"));
-    assert_eq!(findings[0].line, nth_line_of(&seeded, "wal.truncate_prefix(0)", 0));
-}
-
-#[test]
-fn jobs_rs_refusal_that_skips_abort_output_is_flagged() {
-    let refusal = "            return Ok(false);";
-    let seeded = jobs_rs_with(&format!("            self.abort_output(out);\n{refusal}"), refusal);
-    let findings = workspace_rule(JOBS_RS, "leak-paths", &seeded);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert!(findings[0].message.contains("job output can leak"));
-}
-
 #[test]
 fn allow_marker_suppresses_a_workspace_finding() {
-    // the 2PC stage site in shard.rs uses exactly this shape: recovery
-    // rolls aborted ids back, so the stage-never-commits finding is
-    // acknowledged with a reasoned marker directly above the call
-    let src = "type Result<T> = std::io::Result<T>;\n\
-               pub struct Tree;\n\
-               pub fn stage_only(tree: &mut Tree, slice: &[u8], id: u64) -> Result<()> {\n\
-                   // lint:allow(leak-paths): recovery rolls aborted ids back\n\
-                   tree.stage_batch(slice, Some(id))?;\n\
-                   Ok(())\n\
-               }\n";
-    let findings =
-        lethe_lint::check_workspace(&[("crates/lsm/src/fixture.rs".to_string(), src.to_string())]);
-    assert!(findings.is_empty(), "reasoned allow must suppress: {findings:#?}");
-
-    // without the marker the same code is a violation
-    let bare = src.replace("// lint:allow(leak-paths): recovery rolls aborted ids back\n", "");
-    let findings =
-        lethe_lint::check_workspace(&[("crates/lsm/src/fixture.rs".to_string(), bare)]);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "leak-paths");
+    let src = fixture("lock-order", "fail.rs");
+    let line = nth_line_of(&src, "let _engine = self.engine.lock();", 0);
+    let marked: String = src
+        .lines()
+        .enumerate()
+        .map(|(i, l)| {
+            let marker = if i + 1 == line { "// lint:allow(lock-order): fixture\n" } else { "" };
+            format!("{marker}{l}\n")
+        })
+        .collect();
+    let before = workspace_rule("crates/core/src/fixture.rs", "lock-order", &src);
+    let after = workspace_rule("crates/core/src/fixture.rs", "lock-order", &marked);
+    assert_eq!(after.len(), before.len() - 1, "reasoned allow must suppress: {after:#?}");
+    assert!(after.iter().all(|f| !f.message.contains("via `engine`")), "{after:#?}");
 }
 
 // ------------------------------------------------------------------- masking
@@ -238,16 +130,18 @@ fn masking_pass_fixture_is_clean_under_every_rule() {
 
 #[test]
 fn stale_allow_flags_markers_for_unknown_rules_only() {
+    // `durability-order` and `leak-paths` were rules once: their markers
+    // now suppress nothing and are flagged like any unknown rule
     let src = "// lint:allow(lock-order): known rule, fine\n\
-               // lint:allow(durability-order): known rule, fine\n\
-               // lint:allow(leak-paths): known rule, fine\n\
+               // lint:allow(raw-drop-page): known rule, fine\n\
+               // lint:allow(leak-paths): a deleted rule\n\
                // lint:allow(made-up-rule): suppresses nothing\n\
                pub fn f() {}\n";
     let findings = lethe_lint::check_file("crates/core/src/x.rs", src);
     let stale: Vec<_> = findings.iter().filter(|f| f.rule == "stale-allow").collect();
-    assert_eq!(stale.len(), 1, "{findings:#?}");
-    assert_eq!(stale[0].line, 4);
-    assert!(stale[0].message.contains("made-up-rule"), "{}", stale[0]);
+    assert_eq!(stale.len(), 2, "{findings:#?}");
+    assert_eq!((stale[0].line, stale[1].line), (3, 4));
+    assert!(stale[1].message.contains("made-up-rule"), "{}", stale[1]);
 }
 
 // -------------------------------------------------------------------- output

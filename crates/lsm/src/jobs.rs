@@ -648,7 +648,9 @@ impl LsmTree {
     /// installs the new version (one atomic pointer swap — readers see the
     /// old or the new tree, never a mixture), retires the inputs for
     /// deferred page reclamation, and — for flushes — clears the frozen
-    /// buffer and discards the covered WAL prefix. A trivial move takes the
+    /// buffer and discards the covered WAL prefix, which needs the commit's
+    /// [`ManifestCommitted`](lethe_storage::ManifestCommitted) witness (a
+    /// tree without a manifest keeps its whole log). A trivial move takes the
     /// same steps with the inputs as its output: they leave one run and join
     /// another, and the commit registers and retires nothing.
     ///
@@ -713,13 +715,13 @@ impl LsmTree {
         let written = data_bytes(&new_tables);
         let input_entries: u64 = inputs.iter().map(|t| t.meta.num_entries).sum();
         let dropped_files = inputs.len() as u64;
-        self.commit_version(levels, &new_tables, inputs, placement.is_none())?;
+        let committed = self.commit_version(levels, &new_tables, inputs, placement.is_none())?;
         if let Some(buffer) = buffer {
             *self.mem.frozen.write() = None;
             self.stats.flushes += 1;
             self.stats.bytes_flushed += written;
-            if let Some(wal) = &self.wal {
-                wal.truncate_prefix(buffer.wal_upto)?;
+            if let (Some(wal), Some(committed)) = (&self.wal, &committed) {
+                wal.truncate_prefix(buffer.wal_upto, committed)?;
             }
         } else if placement.is_none() {
             self.stats.whole_file_drops += dropped_files;

@@ -1,7 +1,7 @@
-//! The page-retirement choke point.
+//! The page choke point: every engine-path write and release of a device
+//! page goes through this module.
 //!
-//! Every engine-path release of a device page goes through this module. The
-//! repo lint (`cargo run -p lethe-lint`) bans raw
+//! The repo lint (`cargo run -p lethe-lint`) bans raw
 //! [`StorageBackend::drop_page`] calls everywhere else (outside the
 //! cache-invalidating device wrapper in `lethe_storage::cache` and test
 //! code), because a drop issued from an arbitrary call site is how two
@@ -19,11 +19,15 @@
 //!    is the only place with enough information to decide a page is
 //!    unreachable, and it calls in here once it has.
 //!
+//! The same rule bans raw [`StorageBackend::write_page`] calls in the rest
+//! of `lethe-lsm`: a page is written only through
+//! [`PageReservation::write`], so no error path can strand a fresh page.
+//!
 //! The helpers are deliberately thin: the *policy* (when a page may die)
 //! stays with the callers listed below; this module only centralises the
 //! *mechanism* so the lint has one place to point at.
 
-use lethe_storage::{PageId, StorageBackend};
+use lethe_storage::{Page, PageId, Result, StorageBackend};
 
 /// Releases one page the caller has proven unreachable (reference count
 /// reached zero, or the durable manifest does not reference it). Errors on
@@ -48,15 +52,12 @@ pub fn retire_pages<I: IntoIterator<Item = PageId>>(backend: &dyn StorageBackend
 /// RAII cover for freshly written pages that are not yet reachable from any
 /// table or manifest record.
 ///
-/// Between `backend.write_page(…)` and the moment the resulting id is
-/// registered in a durable structure, the only reference to the page is a
-/// local variable — any `?`/early return in that window would leak the page
-/// until the next full reclamation sweep. Builders therefore route such
-/// windows through a reservation: [`add`](Self::add) each id right after
-/// the write, and [`defuse`](Self::defuse) once ownership has transferred.
-/// If the function unwinds out through an error path instead, `Drop`
-/// retires every still-covered page. (The repo lint's `leak-paths` rule
-/// checks that every fallible page-writing function does this.)
+/// Until a written page's id is registered in a durable structure, the only
+/// reference to it is this reservation: [`write`](Self::write) puts a page
+/// on the device and covers its id in one step, and
+/// [`defuse`](Self::defuse) hands the ids over once ownership has
+/// transferred. If the function returns early through an error path
+/// instead, `Drop` retires every still-covered page.
 pub struct PageReservation<'a> {
     backend: &'a dyn StorageBackend,
     ids: Vec<PageId>,
@@ -68,9 +69,11 @@ impl<'a> PageReservation<'a> {
         PageReservation { backend, ids: Vec::new() }
     }
 
-    /// Covers one freshly written page.
-    pub fn add(&mut self, id: PageId) {
+    /// Writes `page` to the device and covers its id.
+    pub fn write(&mut self, page: &Page) -> Result<PageId> {
+        let id = self.backend.write_page(page)?;
         self.ids.push(id);
+        Ok(id)
     }
 
     /// Releases the cover without retiring anything: the ids are now owned

@@ -215,8 +215,7 @@ impl SsTable {
             let mut pages = Vec::new();
             for chunk in tile_entries.chunks(entries_per_page) {
                 let page = Page::new(chunk.to_vec());
-                let pid = backend.write_page(&page)?;
-                reservation.add(pid);
+                let pid = reservation.write(&page)?;
                 pages.push(PageHandle::from_page(pid, &page, config.bits_per_key));
             }
             tiles.push(DeleteTile::from_pages(pages));
@@ -571,8 +570,7 @@ impl SsTable {
                         } else {
                             stats.partial_page_drops += 1;
                             let new_page = Page::new(kept);
-                            let pid = backend.write_page(&new_page)?;
-                            reservation.add(pid);
+                            let pid = reservation.write(&new_page)?;
                             surviving.push(PageHandle::from_page(pid, &new_page, config.bits_per_key));
                         }
                     } else {
@@ -597,8 +595,7 @@ impl SsTable {
                         } else {
                             stats.partial_page_drops += 1;
                             let new_page = Page::new(kept);
-                            let pid = backend.write_page(&new_page)?;
-                            reservation.add(pid);
+                            let pid = reservation.write(&new_page)?;
                             surviving.push(PageHandle::from_page(pid, &new_page, config.bits_per_key));
                         }
                     }
@@ -929,5 +926,68 @@ mod tests {
         assert!(backend.live_pages() > 0);
         t.release_pages(backend.as_ref());
         assert_eq!(backend.live_pages(), 0);
+    }
+
+    /// An in-memory device whose write after the first `writes_left`
+    /// errors.
+    struct FailingWrites {
+        inner: Arc<InMemoryBackend>,
+        writes_left: std::sync::atomic::AtomicU64,
+    }
+
+    impl StorageBackend for FailingWrites {
+        fn write_page(&self, page: &Page) -> Result<PageId> {
+            if self.writes_left.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                return Err(StorageError::Injected);
+            }
+            self.inner.write_page(page)
+        }
+        fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
+            self.inner.read_page(id)
+        }
+        fn drop_page(&self, id: PageId) -> Result<()> {
+            self.inner.drop_page(id)
+        }
+        fn stats(&self) -> Arc<IoStats> {
+            self.inner.stats()
+        }
+        fn live_pages(&self) -> usize {
+            self.inner.live_pages()
+        }
+        fn page_ids(&self) -> Vec<PageId> {
+            self.inner.page_ids()
+        }
+        fn sync(&self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_page_write_strands_no_page() {
+        for fail_at in [0u64, 1, 5] {
+            let inner = InMemoryBackend::new_shared();
+            let device = FailingWrites {
+                inner: Arc::clone(&inner),
+                writes_left: std::sync::atomic::AtomicU64::new(fail_at),
+            };
+            let built = SsTable::build(1, entries(64), vec![], 0, None, &config(4), &device);
+            assert!(matches!(built, Err(StorageError::Injected)), "fail_at {fail_at}");
+            let io = inner.stats().snapshot();
+            assert_eq!((io.pages_written, io.pages_dropped), (fail_at, fail_at));
+            assert_eq!(inner.live_pages(), 0);
+
+            // the secondary delete's rewrite of partially covered pages
+            let (t, inner) = build(8, 512);
+            let before = inner.stats().snapshot();
+            let device = FailingWrites {
+                inner: Arc::clone(&inner),
+                writes_left: std::sync::atomic::AtomicU64::new(fail_at),
+            };
+            let deleted = t.secondary_range_delete(0, 400, &config(8), &device, 1);
+            assert!(matches!(deleted, Err(StorageError::Injected)), "fail_at {fail_at}");
+            let io = inner.stats().snapshot().since(&before);
+            assert_eq!((io.pages_written, io.pages_dropped), (fail_at, fail_at));
+            assert_eq!(inner.live_pages(), t.page_count(), "the original file is untouched");
+        }
     }
 }

@@ -44,8 +44,8 @@ use crate::stats::{ContentSnapshot, TreeStats};
 use crate::version::VersionSet;
 use bytes::Bytes;
 use lethe_storage::{
-    DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, LogicalClock, Manifest, ManifestState,
-    PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp, Wal,
+    DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, LogicalClock, Manifest, ManifestCommitted,
+    ManifestState, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp, Wal,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -393,16 +393,19 @@ impl LsmTree {
     /// is empty: a trivial move, a whole-file drop, a page drop that emptied
     /// every file it touched): every page the edit names was synced by the
     /// commit that introduced it, so there is nothing unsynced to name.
-    fn commit_manifest_for(&mut self, levels: &[Level], new_tables: &[Arc<SsTable>]) -> Result<()> {
+    fn commit_manifest_for(
+        &mut self,
+        levels: &[Level],
+        new_tables: &[Arc<SsTable>],
+    ) -> Result<Option<ManifestCommitted>> {
         if self.manifest.is_none() {
-            return Ok(());
+            return Ok(None);
         }
         if !new_tables.is_empty() {
             self.backend.sync()?;
         }
         let state = self.describe_state(levels);
-        // lint:allow(no-panic): the is_none() early-return above guarantees presence
-        self.manifest.as_mut().expect("manifest presence checked above").commit(state)
+        self.manifest.as_mut().map(|m| m.commit(state)).transpose()
     }
 
     pub(crate) fn maybe_flush(&mut self) -> Result<()> {
@@ -474,9 +477,13 @@ impl LsmTree {
     /// built `new_tables` are released before the error propagates (the
     /// version is never installed, so nothing references their pages and
     /// they would otherwise leak until a reopen's unreferenced-page GC).
-    fn commit_or_release(&mut self, levels: &[Level], new_tables: &[Arc<SsTable>]) -> Result<()> {
+    fn commit_or_release(
+        &mut self,
+        levels: &[Level],
+        new_tables: &[Arc<SsTable>],
+    ) -> Result<Option<ManifestCommitted>> {
         match self.commit_manifest_for(levels, new_tables) {
-            Ok(()) => Ok(()),
+            Ok(committed) => Ok(committed),
             Err(e) => {
                 for t in new_tables {
                     // skip pages shared with live tables: a secondary-delete
@@ -505,18 +512,21 @@ impl LsmTree {
     /// neither `new_tables` nor `retired` (its files are the same objects
     /// before and after), so its whole commit is the manifest edit and the
     /// install.
+    ///
+    /// Returns the manifest's commit witness, `None` for a tree without a
+    /// manifest: only a holder may drop the WAL prefix the edit covers.
     pub(crate) fn commit_version(
         &mut self,
         levels: Vec<Level>,
         new_tables: &[Arc<SsTable>],
         retired: Vec<Arc<SsTable>>,
         whole_file_drop: bool,
-    ) -> Result<()> {
+    ) -> Result<Option<ManifestCommitted>> {
         let drop_fp = if whole_file_drop { self.failpoint.clone() } else { None };
         if let Some(fp) = &drop_fp {
             fp.check("drop.commit")?;
         }
-        self.commit_or_release(&levels, new_tables)?;
+        let committed = self.commit_or_release(&levels, new_tables)?;
         if let Some(fp) = &drop_fp {
             fp.check("drop.retire")?;
         }
@@ -528,7 +538,7 @@ impl LsmTree {
             self.versions.retire_table(t);
         }
         self.versions.collect_garbage(self.backend.as_ref());
-        Ok(())
+        Ok(committed)
     }
 
     // ---------------------------------------------------------- introspection

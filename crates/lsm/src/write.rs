@@ -562,6 +562,13 @@ mod tests {
             fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize> {
                 self.0.purge_older_than(cutoff)
             }
+            fn truncate_prefix(
+                &self,
+                upto: u64,
+                committed: &lethe_storage::ManifestCommitted,
+            ) -> Result<()> {
+                self.0.truncate_prefix(upto, committed)
+            }
         }
 
         let mut t = tree(cfg.clone()).with_wal(Box::new(SharedWal(std::sync::Arc::clone(&wal))));

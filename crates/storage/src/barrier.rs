@@ -1,12 +1,15 @@
-//! Counted durability barriers.
+//! Counted durability barriers and the one atomic publish.
 //!
 //! Every `fsync`/`fdatasync` the engine issues goes through this module, so
 //! each one is charged to a counter that ultimately surfaces in
 //! [`IoSnapshot::fsyncs`](crate::iostats::IoSnapshot) — the paper's
 //! cost-model experiments (and the group-commit bench gate) rely on that
 //! count being *exact*. The repo lint (`cargo run -p lethe-lint`) bans raw
-//! `sync_all()` / `sync_data()` / directory-fsync calls everywhere outside
-//! this file, so an uncounted barrier cannot be reintroduced silently.
+//! `sync_all()` / `sync_data()` / `fs::rename` calls everywhere outside
+//! this file, so an uncounted barrier cannot be reintroduced silently, and
+//! every file replaced by rename goes through [`publish`], whose fixed
+//! order (content barrier before the rename, directory barrier after it)
+//! no caller can get wrong.
 //!
 //! The helpers take the owning component's barrier counter explicitly
 //! (a `&AtomicU64` — the WAL's, the device's [`IoStats`](crate::IoStats)
@@ -15,7 +18,7 @@
 //! with another store.
 
 use crate::error::Result;
-use std::fs::File;
+use std::fs::{self, File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,9 +54,36 @@ pub fn fsync_dir_counted(path: &Path, fsyncs: &AtomicU64) -> Result<()> {
     Ok(())
 }
 
+/// Atomically replaces `path` with what `body` writes, charging two
+/// barriers to `fsyncs`: creates (or truncates) `tmp`, runs `body` on it,
+/// syncs it, runs `before_rename` (a caller's kill point), renames `tmp`
+/// over `path` and syncs the directory. A crash at any step leaves either
+/// the complete old file or the complete new one under `path`.
+///
+/// Returns a read + append handle to the published file. It is opened on
+/// `tmp` before the rename and follows the inode across it, so a caller
+/// that keeps appending never holds a handle to the replaced file.
+pub fn publish(
+    path: &Path,
+    tmp: &Path,
+    fsyncs: &AtomicU64,
+    body: impl FnOnce(&mut File) -> std::io::Result<()>,
+    before_rename: impl FnOnce() -> Result<()>,
+) -> Result<File> {
+    let mut file = File::create(tmp)?;
+    body(&mut file)?;
+    sync_all_counted(&file, fsyncs)?;
+    let handle = OpenOptions::new().read(true).append(true).open(tmp)?;
+    before_rename()?;
+    fs::rename(tmp, path)?;
+    fsync_dir_counted(path, fsyncs)?;
+    Ok(handle)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn every_helper_counts_exactly_one_barrier() {
@@ -68,6 +98,15 @@ mod tests {
         assert_eq!(n.load(Ordering::Relaxed), 2);
         fsync_dir_counted(&path, &n).unwrap();
         assert_eq!(n.load(Ordering::Relaxed), 3);
+
+        // publish: one content barrier and one directory barrier, and the
+        // returned handle appends to the published file, not the old one
+        let tmp = dir.join("probe.tmp");
+        let mut handle = publish(&path, &tmp, &n, |f| f.write_all(b"new"), || Ok(())).unwrap();
+        assert_eq!(n.load(Ordering::Relaxed), 5);
+        assert!(!tmp.exists());
+        handle.write_all(b"+tail").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new+tail");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

@@ -28,6 +28,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Size of one committed-id record on disk: `u64` id + `u32` CRC.
 const RECORD_LEN: usize = 12;
 
+/// The on-disk record of one committed id.
+fn record(id: u64) -> [u8; RECORD_LEN] {
+    let mut rec = [0u8; RECORD_LEN];
+    rec[..8].copy_from_slice(&id.to_be_bytes());
+    rec[8..].copy_from_slice(&crc32(&id.to_be_bytes()).to_be_bytes());
+    rec
+}
+
 /// Durable append-only set of committed cross-shard batch ids.
 #[derive(Debug)]
 pub struct BatchCommitLog {
@@ -145,11 +153,8 @@ impl BatchCommitLog {
     /// once the commit point is on stable storage.
     pub fn commit(&self, id: u64) -> Result<()> {
         self.failpoint.check("batchlog.append")?;
-        let mut rec = [0u8; RECORD_LEN];
-        rec[..8].copy_from_slice(&id.to_be_bytes());
-        rec[8..].copy_from_slice(&crc32(&id.to_be_bytes()).to_be_bytes());
         let mut file = self.file.lock();
-        file.write_all(&rec)?;
+        file.write_all(&record(id))?;
         self.failpoint.check("batchlog.commit_fsync")?;
         barrier::sync_data_counted(&file, &self.fsyncs)?;
         self.ids.lock().insert(id);
@@ -181,20 +186,13 @@ impl BatchCommitLog {
         if keep.len() == ids.len() {
             return Ok(());
         }
-        let tmp = self.path.with_extension("batches.tmp");
-        {
-            let mut f = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
-            for id in &keep {
-                let mut rec = [0u8; RECORD_LEN];
-                rec[..8].copy_from_slice(&id.to_be_bytes());
-                rec[8..].copy_from_slice(&crc32(&id.to_be_bytes()).to_be_bytes());
-                f.write_all(&rec)?;
-            }
-            barrier::sync_all_counted(&f, &self.fsyncs)?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        barrier::fsync_dir_counted(&self.path, &self.fsyncs)?;
-        *file = OpenOptions::new().read(true).append(true).open(&self.path)?;
+        *file = barrier::publish(
+            &self.path,
+            &self.path.with_extension("batches.tmp"),
+            &self.fsyncs,
+            |f| keep.iter().try_for_each(|&id| f.write_all(&record(id))),
+            || Ok(()),
+        )?;
         *ids = keep.into_iter().collect();
         Ok(())
     }

@@ -6,7 +6,8 @@
 //! sites fire as usual), so the defining question of a checkpoint directory
 //! is: *did the stream finish?* This module answers it with a checksummed
 //! `CHECKPOINT` marker file written **last**, via the same
-//! tmp-write → fsync → rename → dir-fsync sequence the shard manifest uses:
+//! tmp-write → fsync → rename → dir-fsync sequence
+//! ([`barrier::publish`](crate::barrier::publish)) every replaced file uses:
 //!
 //! * no marker → the checkpoint is detectably incomplete (a crash before the
 //!   final rename), and restore refuses it rather than opening a silently
@@ -18,12 +19,12 @@
 //! The marker records the snapshot fence and the shard count so a restored
 //! store can verify it is reading the view it was promised.
 
-use crate::barrier::{fsync_dir_counted, sync_all_counted};
+use crate::barrier::publish;
 use crate::checksum::crc32;
 use crate::entry::SeqNum;
 use crate::error::{Result, StorageError};
 use crate::failpoint::FailPoint;
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
@@ -84,20 +85,16 @@ pub fn write_marker(
     fsyncs: &AtomicU64,
     failpoint: Option<&FailPoint>,
 ) -> Result<()> {
-    let tmp = dir.join("CHECKPOINT.tmp");
-    let path = dir.join(CHECKPOINT_MARKER);
     if let Some(fp) = failpoint {
         fp.check("checkpoint.marker.tmp")?;
     }
-    let mut file = File::create(&tmp)?;
-    file.write_all(&marker.encode())?;
-    sync_all_counted(&file, fsyncs)?;
-    drop(file);
-    if let Some(fp) = failpoint {
-        fp.check("checkpoint.marker.rename")?;
-    }
-    fs::rename(&tmp, &path)?;
-    fsync_dir_counted(&path, fsyncs)?;
+    publish(
+        &dir.join(CHECKPOINT_MARKER),
+        &dir.join("CHECKPOINT.tmp"),
+        fsyncs,
+        |f| f.write_all(&marker.encode()),
+        || failpoint.map_or(Ok(()), |fp| fp.check("checkpoint.marker.rename")),
+    )?;
     Ok(())
 }
 
@@ -124,6 +121,7 @@ pub fn read_marker(dir: &Path) -> Result<CheckpointMarker> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::sync::atomic::Ordering;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

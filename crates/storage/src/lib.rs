@@ -29,10 +29,12 @@
 //!   (two-phase commit over the per-shard WALs).
 //! * [`manifest`] — the durable, checksummed manifest recording the tree's
 //!   on-device state (levels, files, page ids) so a reopened store recovers
-//!   flushed data, not just the WAL tail.
+//!   flushed data, not just the WAL tail. Its commit mints the
+//!   [`ManifestCommitted`] witness a WAL prefix truncation requires.
 //! * [`barrier`] — the counted durability barriers every fsync goes
 //!   through, so [`IoSnapshot::fsyncs`](iostats::IoSnapshot::fsyncs) is
-//!   exact (enforced by the repo lint).
+//!   exact (enforced by the repo lint), and [`barrier::publish`], the one
+//!   write-sync-rename-sync sequence every atomically replaced file uses.
 //! * [`checkpoint`] — the checksummed completeness marker that makes an
 //!   online checkpoint's commit point explicit (a torn checkpoint is
 //!   detectably incomplete, never silently short).
@@ -76,7 +78,7 @@ pub use failpoint::FailPoint;
 pub use fence::{DeleteFence, DeleteFences, FencePointers, PageCoverage};
 pub use histogram::Histogram;
 pub use iostats::{CostModel, IoSnapshot, IoStats};
-pub use manifest::{FileDesc, Manifest, ManifestState};
+pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};
 pub use memtable::MemTable;
 pub use page::Page;
 pub use wal::{BatchOp, FileWal, MemWal, SyncPolicy, Wal, WalRecord};

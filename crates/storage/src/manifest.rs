@@ -343,15 +343,18 @@ impl Manifest {
 
     /// Commits `new_state` durably: computes the delta against the last
     /// committed state, appends it (fsync'd), and folds the log into a fresh
-    /// snapshot — via write-to-temporary + atomic rename — once it has grown
-    /// past the rewrite threshold. On success the WAL records covered by
-    /// this state may be dropped; on error nothing durable has changed.
-    pub fn commit(&mut self, new_state: ManifestState) -> Result<()> {
+    /// snapshot — via [`barrier::publish`] — once it has grown past the
+    /// rewrite threshold. On success the WAL records covered by this state
+    /// may be dropped, and the returned witness is what lets
+    /// [`Wal::truncate_prefix`](crate::Wal::truncate_prefix) drop them; on
+    /// error nothing durable has changed.
+    pub fn commit(&mut self, new_state: ManifestState) -> Result<ManifestCommitted> {
         if self.file.is_some() && new_state == self.state {
-            return Ok(());
+            return Ok(ManifestCommitted(()));
         }
         if self.file.is_none() || self.records_since_rewrite >= REWRITE_THRESHOLD {
-            return self.rewrite(new_state);
+            self.rewrite(new_state)?;
+            return Ok(ManifestCommitted(()));
         }
         let old = self.state.file_map();
         let new = new_state.file_map();
@@ -374,46 +377,65 @@ impl Manifest {
             structure: new_state.structure(),
         };
         self.failpoint.check("manifest.append")?;
-        let body = encode_record(&record);
-        let mut framed = BytesMut::with_capacity(body.len() + 8);
-        framed.put_u32(body.len() as u32);
-        framed.put_u32(crc32(&body));
-        framed.extend_from_slice(&body);
+        let framed = frame_record(&record);
         // lint:allow(no-panic): the branch above rewrites (and creates the file) when None
         let file = self.file.as_mut().expect("append handle exists past the rewrite branch");
         file.write_all(&framed)?;
         barrier::sync_data_counted(file, &self.fsyncs)?;
         self.records_since_rewrite += 1;
         self.state = new_state;
-        Ok(())
+        Ok(ManifestCommitted(()))
     }
 
     /// Rewrites the manifest as a single snapshot of `state`, atomically.
-    pub fn rewrite(&mut self, state: ManifestState) -> Result<()> {
+    fn rewrite(&mut self, state: ManifestState) -> Result<()> {
         self.failpoint.check("manifest.rewrite.begin")?;
-        let tmp = self.path.with_extension("manifest.tmp");
-        {
-            let mut f = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
-            let mut out = BytesMut::new();
-            out.put_u64(MANIFEST_MAGIC);
-            let body = encode_record(&ManifestRecord::Snapshot(state.clone()));
-            out.put_u32(body.len() as u32);
-            out.put_u32(crc32(&body));
-            out.extend_from_slice(&body);
-            f.write_all(&out)?;
-            barrier::sync_all_counted(&f, &self.fsyncs)?;
-        }
-        self.failpoint.check("manifest.rewrite.rename")?;
-        std::fs::rename(&tmp, &self.path)?;
-        barrier::fsync_dir_counted(&self.path, &self.fsyncs)?;
-        self.file = Some(OpenOptions::new().append(true).open(&self.path)?);
+        let framed = frame_record(&ManifestRecord::Snapshot(state.clone()));
+        let file = barrier::publish(
+            &self.path,
+            &self.path.with_extension("manifest.tmp"),
+            &self.fsyncs,
+            |f| {
+                f.write_all(&MANIFEST_MAGIC.to_be_bytes())?;
+                f.write_all(&framed)
+            },
+            || self.failpoint.check("manifest.rewrite.rename"),
+        )?;
+        self.file = Some(file);
         self.records_since_rewrite = 1;
         self.state = state;
         Ok(())
     }
 }
 
+/// Proof that a manifest edit is durable. Only [`Manifest::commit`] makes
+/// one, and [`Wal::truncate_prefix`](crate::Wal::truncate_prefix) requires
+/// one, so a WAL prefix can only be dropped after a commit that covers it.
+///
+/// ```compile_fail
+/// // outside this crate the witness cannot be built by hand
+/// let forged = lethe_storage::ManifestCommitted(());
+/// ```
+///
+/// ```compile_fail
+/// // and a WAL prefix cannot be dropped without one
+/// use lethe_storage::{MemWal, Wal};
+/// MemWal::new().truncate_prefix(0).unwrap();
+/// ```
+#[derive(Debug)]
+pub struct ManifestCommitted(());
+
 // --------------------------------------------------------------- codecs
+
+/// One record as it sits in the log: body length, CRC-32 of the body, body.
+fn frame_record(record: &ManifestRecord) -> BytesMut {
+    let body = encode_record(record);
+    let mut framed = BytesMut::with_capacity(body.len() + 8);
+    framed.put_u32(body.len() as u32);
+    framed.put_u32(crc32(&body));
+    framed.extend_from_slice(&body);
+    framed
+}
 
 fn encode_record(record: &ManifestRecord) -> Bytes {
     let mut buf = BytesMut::new();
@@ -648,6 +670,14 @@ fn read_u64(body: &mut Bytes) -> Result<u64> {
         return Err(StorageError::Corruption("manifest body truncated".into()));
     }
     Ok(body.get_u64())
+}
+
+#[cfg(test)]
+impl ManifestCommitted {
+    /// A witness for unit tests that truncate a log with no manifest.
+    pub(crate) fn for_test() -> ManifestCommitted {
+        ManifestCommitted(())
+    }
 }
 
 #[cfg(test)]
@@ -951,7 +981,7 @@ mod tests {
                     fp.arm(kill_at);
                 }
                 match m.commit(s.clone()) {
-                    Ok(()) => last_good = s,
+                    Ok(_) => last_good = s,
                     Err(StorageError::Injected) => break true,
                     Err(e) => panic!("unexpected error: {e}"),
                 }

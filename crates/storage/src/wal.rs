@@ -17,6 +17,7 @@ use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
 use crate::error::{Result, StorageError};
 use crate::failpoint::FailPoint;
+use crate::manifest::ManifestCommitted;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use lethe_sync::{LockRank, Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
@@ -402,18 +403,10 @@ pub trait Wal: Send + Sync {
         Ok(self.replay()?.len() as u64)
     }
     /// Removes the first `upto` records (those at positions `< upto`),
-    /// keeping any records appended after the position was captured. The
-    /// default implementation only supports the degenerate case where the
-    /// prefix is the whole log (the single-threaded flush path).
-    fn truncate_prefix(&self, upto: u64) -> Result<()> {
-        if upto >= self.position()? {
-            self.truncate()
-        } else {
-            Err(StorageError::InvalidOperation(
-                "this WAL does not support partial prefix truncation".into(),
-            ))
-        }
-    }
+    /// keeping any records appended after the position was captured.
+    /// `committed` proves the manifest edit that covers those records is
+    /// durable, so dropping them cannot lose an acknowledged write.
+    fn truncate_prefix(&self, upto: u64, committed: &ManifestCommitted) -> Result<()>;
 }
 
 /// An in-memory WAL for tests and simulations (durability is out of scope for
@@ -466,7 +459,7 @@ impl Wal for MemWal {
         Ok(self.records.lock().len() as u64)
     }
 
-    fn truncate_prefix(&self, upto: u64) -> Result<()> {
+    fn truncate_prefix(&self, upto: u64, _: &ManifestCommitted) -> Result<()> {
         let mut records = self.records.lock();
         let n = (upto as usize).min(records.len());
         records.drain(..n);
@@ -616,20 +609,13 @@ impl FileWal {
         records: &[WalRecord],
     ) -> Result<()> {
         self.failpoint.check("wal.rewrite.begin")?;
-        let tmp = self.path.with_extension("wal.tmp");
-        {
-            let mut f = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
-            for r in records {
-                f.write_all(&encode_frame(r))?;
-            }
-            barrier::sync_all_counted(&f, &self.fsyncs)?;
-        }
-        self.failpoint.check("wal.rewrite.rename")?;
-        std::fs::rename(&tmp, &self.path)?;
-        // the rename itself must survive a power failure before the old log
-        // (with records the caller considers flushed) can be considered gone
-        barrier::fsync_dir_counted(&self.path, &self.fsyncs)?;
-        **guard = OpenOptions::new().read(true).append(true).open(&self.path)?;
+        **guard = barrier::publish(
+            &self.path,
+            &self.path.with_extension("wal.tmp"),
+            &self.fsyncs,
+            |f| records.iter().try_for_each(|r| f.write_all(&encode_frame(r))),
+            || self.failpoint.check("wal.rewrite.rename"),
+        )?;
         self.record_count.store(records.len() as u64, Ordering::Relaxed);
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
@@ -704,7 +690,7 @@ impl Wal for FileWal {
         Ok(self.read_all_locked(&mut guard)?.len() as u64)
     }
 
-    fn truncate_prefix(&self, upto: u64) -> Result<()> {
+    fn truncate_prefix(&self, upto: u64, _: &ManifestCommitted) -> Result<()> {
         let mut guard = self.file.lock();
         // fast path: when the prefix covers the whole log (no record was
         // appended since the position was captured — the common case for a
@@ -901,13 +887,14 @@ mod tests {
         assert_eq!(upto, 3);
         w.append(WalRecord::Delete { sort_key: 50, ts: 50 }).unwrap();
         w.append(WalRecord::Delete { sort_key: 60, ts: 60 }).unwrap();
-        w.truncate_prefix(upto).unwrap();
+        let committed = ManifestCommitted::for_test();
+        w.truncate_prefix(upto, &committed).unwrap();
         let left = w.replay().unwrap();
         assert_eq!(left.len(), 2, "the tail appended after the capture must survive");
         assert!(left.iter().all(|r| r.timestamp() >= 50));
         assert_eq!(w.position().unwrap(), 2);
         // fast path: prefix covers the whole log
-        w.truncate_prefix(w.position().unwrap()).unwrap();
+        w.truncate_prefix(w.position().unwrap(), &committed).unwrap();
         assert!(w.replay().unwrap().is_empty());
         assert_eq!(w.position().unwrap(), 0);
         // reopening derives the count lazily and agrees
@@ -924,9 +911,10 @@ mod tests {
             w.append(r).unwrap();
         }
         assert_eq!(w.position().unwrap(), 3);
-        w.truncate_prefix(2).unwrap();
+        let committed = ManifestCommitted::for_test();
+        w.truncate_prefix(2, &committed).unwrap();
         assert_eq!(w.replay().unwrap().len(), 1);
-        w.truncate_prefix(99).unwrap();
+        w.truncate_prefix(99, &committed).unwrap();
         assert!(w.replay().unwrap().is_empty());
     }
 

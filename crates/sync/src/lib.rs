@@ -21,14 +21,18 @@
 //! while holding the guard — is a bug in its own right, not a reason to
 //! wedge every other thread, so guards are recovered, never propagated).
 //!
-//! The repo-specific lint (`cargo run -p lethe-lint`) bans direct
-//! `std::sync` / `parking_lot` lock construction everywhere outside this
-//! crate, so the rank table below is, by construction, the complete lock
-//! inventory of the engine. See `ARCHITECTURE.md` § "Correctness tooling"
-//! for the rank-order diagram and how to add a rank.
+//! The workspace `clippy.toml` bans the `std::sync` lock types everywhere
+//! outside this crate (`disallowed-types`), so the rank table below is, by
+//! construction, the complete lock inventory of the engine. See
+//! `ARCHITECTURE.md` § "Correctness tooling" for the rank-order diagram and
+//! how to add a rank.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the ranked primitives are the one place that wraps the std::sync locks"
+)]
 
 #[cfg(debug_assertions)]
 use std::cell::RefCell;

@@ -116,6 +116,10 @@ where
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test oracle outside the engine, so no rank of the engine's lock order applies"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

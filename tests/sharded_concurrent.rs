@@ -8,6 +8,11 @@
 //! a seeded operation stream, so the *final* store state is independent of
 //! the thread interleaving and can be compared against the oracle exactly.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the oracle lives outside the engine, so no rank of the engine's lock order applies"
+)]
+
 use lethe::workload::{run_concurrent, BatchWriteOp, Operation, WorkloadSpec};
 use lethe::{LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
