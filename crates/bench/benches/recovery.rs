@@ -1,12 +1,13 @@
 //! Benchmark: crash-recovery (reopen) time as a function of data volume.
 //!
 //! A durable store is populated once per size and then repeatedly reopened.
-//! Each reopen performs the full recovery path: scan the data file to
-//! rebuild the page index, fold the manifest's edit log, rebuild every
-//! file's Bloom filters and fence pointers from its pages, release
-//! unreferenced pages, and replay the (empty) WAL. Reopen time should scale
-//! roughly linearly with the volume of live data; a regression here means
-//! restarts of a production-sized store got slower.
+//! Each reopen performs the full recovery path: scan every segment,
+//! checksumming every frame, to rebuild the page index, fold the manifest's
+//! edit log, rebuild every file's Bloom filters and fence pointers from its
+//! pages, release unreferenced pages, and replay the (empty) WAL. Reopen
+//! time should scale roughly linearly with the volume of data on disk, dead
+//! frames included; a regression here means restarts of a production-sized
+//! store got slower.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lethe_core::LetheBuilder;
