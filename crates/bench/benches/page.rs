@@ -1,5 +1,6 @@
-//! Micro-benchmark: page construction, in-page binary search, and
-//! partitioning by delete key (the unit of work of KiWi partial page drops).
+//! Micro-benchmark: page construction, in-page binary search, and the
+//! byte-level drop by delete key (the unit of work of KiWi partial page
+//! drops).
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -26,10 +27,10 @@ fn bench_page(c: &mut Criterion) {
         })
     });
     group.bench_function("range_scan", |b| {
-        b.iter(|| black_box(page.range(black_box(30), black_box(120))).len())
+        b.iter(|| black_box(page.range(black_box(30), black_box(120))).count())
     });
-    group.bench_function("partition_by_delete_key", |b| {
-        b.iter(|| black_box(page.partition_by_delete_key(black_box(100), black_box(600))))
+    group.bench_function("drop_secondary_range", |b| {
+        b.iter(|| black_box(page.drop_secondary_range(black_box(100), black_box(600))))
     });
     group.bench_function("encode_decode", |b| {
         b.iter(|| Page::decode(black_box(page.encode())).unwrap())

@@ -109,11 +109,12 @@ impl LetheBuilder {
     }
 
     /// Sets the block-cache memory budget in bytes (`0` disables caching,
-    /// the default). The cache holds decoded pages between the table layer
-    /// and the device, so repeated point/range reads of warm data skip both
-    /// the device access and the page decode. A sharded store built from
-    /// this builder creates **one** cache of this total size and shares it
-    /// across every shard: size it for the whole store, not per shard.
+    /// the default). The cache holds pages, still encoded, between the table
+    /// layer and the device, so repeated point/range reads of warm data skip
+    /// both the device access and the page's validating pass. A sharded
+    /// store built from this builder creates **one** cache of this total
+    /// size and shares it across every shard: size it for the whole store,
+    /// not per shard.
     pub fn block_cache_bytes(mut self, bytes: usize) -> Self {
         self.config.block_cache_bytes = bytes;
         self

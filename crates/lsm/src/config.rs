@@ -114,7 +114,7 @@ pub struct LsmConfig {
     /// against power failures; the relaxed policies trade a bounded loss
     /// window for throughput). Ignored by in-memory engines.
     pub wal_sync: SyncPolicy,
-    /// Memory budget of the shared block cache of decoded pages, in bytes.
+    /// Memory budget of the shared block cache of encoded pages, in bytes.
     /// `0` (the default) disables caching: every read that reaches the disk
     /// levels pays a device access, which keeps the paper's I/O-count
     /// reproduction exact. A sharded store shares **one** cache of this size

@@ -163,11 +163,12 @@ impl<T: AsRef<[Entry]> + Send> EntryCursor for SharedSliceCursor<T> {
 /// The KiWi layout keeps delete tiles sorted on the sort key but the pages
 /// *inside* a tile sorted on the delete key, so sort-key order is only
 /// recoverable a tile at a time: the cursor fence-prunes to the tiles
-/// overlapping the range, decodes the pages of one tile when it is first
+/// overlapping the range, reads the pages of one tile when it is first
 /// needed (skipping pages whose sort-key bounds fall outside the range),
-/// sorts that tile's in-range entries, and discards them before loading the
-/// next tile. Peak memory is therefore one tile (`h · B` entries), not the
-/// file; a scan that stops early never decodes the tiles past `hi`.
+/// decodes and sorts only that tile's in-range entries, and discards them
+/// before loading the next tile. Peak memory is therefore one tile
+/// (`h · B` entries), not the file; a scan that stops early never decodes
+/// the tiles past `hi`.
 ///
 /// Pages are read through the table's backend — and thus through the block
 /// cache when one is configured. `nofill` selects the maintenance read path
@@ -267,12 +268,8 @@ impl SsTableCursor {
                     self.backend.read_page(handle.id)?
                 };
                 match self.hi {
-                    Some(hi) => self.buf.extend(page.range(self.lo, hi).iter().cloned()),
-                    None => {
-                        let all = page.entries();
-                        let start = all.partition_point(|e| e.sort_key < self.lo);
-                        self.buf.extend(all[start..].iter().cloned());
-                    }
+                    Some(hi) => self.buf.extend(page.range(self.lo, hi)),
+                    None => self.buf.extend(page.range_from(self.lo)),
                 }
             }
             self.buf.sort_by(entry_order);

@@ -52,8 +52,8 @@ pub struct PageHandle {
 impl PageHandle {
     fn from_page(id: PageId, page: &Page, bits_per_key: f64) -> Self {
         let mut bloom = BloomFilter::new(page.len().max(1), bits_per_key);
-        for e in page.entries() {
-            bloom.insert(e.sort_key);
+        for key in page.sort_keys() {
+            bloom.insert(key);
         }
         PageHandle {
             id,
@@ -442,7 +442,7 @@ impl SsTable {
                     }
                     let page = backend.read_page(handle.id)?;
                     if let Some(e) = page.get(key) {
-                        found = Some(e.clone());
+                        found = Some(e);
                         break;
                     }
                     // false positive: fall through to the next page of the tile
@@ -487,7 +487,7 @@ impl SsTable {
                             continue;
                         }
                         let page = backend.read_page(handle.id)?;
-                        out.extend(page.range(lo, hi).iter().cloned());
+                        out.extend(page.range(lo, hi));
                     }
                 }
             }
@@ -511,7 +511,7 @@ impl SsTable {
         for tile in &self.tiles {
             for handle in &tile.pages {
                 let page = backend.read_page_nofill(handle.id)?;
-                out.extend(page.entries().iter().cloned());
+                out.extend(page.iter());
             }
         }
         out.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then_with(|| b.seqnum.cmp(&a.seqnum)));
@@ -562,16 +562,15 @@ impl SsTable {
                     // which must survive to keep primary-delete persistence
                     if handle.num_tombstones > 0 {
                         let page = backend.read_page_nofill(handle.id)?;
-                        let (deleted, kept) = page.partition_by_delete_key(d_lo, d_hi);
-                        stats.entries_deleted += deleted.len() as u64;
+                        let (deleted, kept) = page.drop_secondary_range(d_lo, d_hi);
+                        stats.entries_deleted += deleted as u64;
                         obsolete_pages.push(handle.id);
                         if kept.is_empty() {
                             stats.full_page_drops += 1;
                         } else {
                             stats.partial_page_drops += 1;
-                            let new_page = Page::new(kept);
-                            let pid = reservation.write(&new_page)?;
-                            surviving.push(PageHandle::from_page(pid, &new_page, config.bits_per_key));
+                            let pid = reservation.write(&kept)?;
+                            surviving.push(PageHandle::from_page(pid, &kept, config.bits_per_key));
                         }
                     } else {
                         stats.entries_deleted += handle.num_entries as u64;
@@ -582,9 +581,9 @@ impl SsTable {
                     // this page is rewritten (or dropped) right below, so do
                     // not let the read displace anything in the cache
                     let page = backend.read_page_nofill(handle.id)?;
-                    let (deleted, kept) = page.partition_by_delete_key(d_lo, d_hi);
-                    stats.entries_deleted += deleted.len() as u64;
-                    if deleted.is_empty() {
+                    let (deleted, kept) = page.drop_secondary_range(d_lo, d_hi);
+                    stats.entries_deleted += deleted as u64;
+                    if deleted == 0 {
                         // the fence over-approximated; nothing actually matched
                         stats.pages_untouched += 1;
                         surviving.push(handle.clone());
@@ -594,9 +593,8 @@ impl SsTable {
                             stats.full_page_drops += 1;
                         } else {
                             stats.partial_page_drops += 1;
-                            let new_page = Page::new(kept);
-                            let pid = reservation.write(&new_page)?;
-                            surviving.push(PageHandle::from_page(pid, &new_page, config.bits_per_key));
+                            let pid = reservation.write(&kept)?;
+                            surviving.push(PageHandle::from_page(pid, &kept, config.bits_per_key));
                         }
                     }
                 } else {
@@ -647,12 +645,7 @@ impl SsTable {
                     continue;
                 }
                 let page = backend.read_page(handle.id)?;
-                out.extend(
-                    page.entries()
-                        .iter()
-                        .filter(|e| !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi)
-                        .cloned(),
-                );
+                out.extend(page.secondary_range(d_lo, d_hi));
             }
         }
         Ok(out)
@@ -699,7 +692,7 @@ mod tests {
             // entries within a page sorted on S
             for p in &tile.pages {
                 let page = backend.read_page(p.id).unwrap();
-                let keys: Vec<u64> = page.entries().iter().map(|e| e.sort_key).collect();
+                let keys: Vec<u64> = page.sort_keys().collect();
                 let mut sorted = keys.clone();
                 sorted.sort_unstable();
                 assert_eq!(keys, sorted);
@@ -718,7 +711,7 @@ mod tests {
         let mut all = Vec::new();
         for tile in &t.tiles {
             let page = backend.read_page(tile.pages[0].id).unwrap();
-            all.extend(page.entries().iter().map(|e| e.sort_key));
+            all.extend(page.sort_keys());
         }
         let mut sorted = all.clone();
         sorted.sort_unstable();

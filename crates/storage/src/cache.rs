@@ -1,13 +1,16 @@
-//! Sharded, size-charged block cache for decoded pages.
+//! Sharded, size-charged block cache of pages.
 //!
-//! Every read that misses the memtables pays a device access *plus* a full
-//! page decode. [`PageCache`] sits between the table layer and the device and
-//! keeps recently used pages in memory as shared [`Arc<Page>`]s, so a hit
-//! costs one hash lookup and one pointer clone instead of a `pread` and a
-//! decode. One cache is shared by every shard of a sharded store (the memory
-//! budget is global, hot shards naturally take more of it), which is why
-//! entries are keyed by `(source, page id)`: page ids are only unique per
-//! device, and each [`CachedBackend`] registers its own source token.
+//! Every read that misses the memtables pays a device access *plus* the
+//! page's validating pass ([`Page::decode`]). [`PageCache`] sits between the
+//! table layer and the device and keeps recently used pages in memory as
+//! shared [`Arc<Page>`]s, so a hit costs one hash lookup and one pointer
+//! clone instead of a `pread` and a validation. A cached page is held
+//! *encoded* — its own bytes plus an offset per entry — so a reader still
+//! decodes only the entries it asks for. One cache is shared by every
+//! shard of a sharded store (the memory budget is global, hot shards
+//! naturally take more of it), which is why entries are keyed by
+//! `(source, page id)`: page ids are only unique per device, and each
+//! [`CachedBackend`] registers its own source token.
 //!
 //! ## Eviction
 //!
@@ -22,10 +25,10 @@
 //! approximates LRU at a fraction of its bookkeeping cost — no LRU list
 //! surgery on the hit path, just that one flag.
 //!
-//! Entries are charged by their decoded payload size plus a fixed per-entry
-//! overhead, and a shard evicts until the charge fits; pages larger than a
-//! whole shard are simply not cached (they would evict everything for one
-//! entry).
+//! Entries are charged by their payload size ([`Page::data_size`], the sum
+//! of the entries' encoded sizes) plus a fixed per-entry overhead, and a
+//! shard evicts until the charge fits; pages larger than a whole shard are
+//! simply not cached (they would evict everything for one entry).
 //!
 //! ## Invalidation
 //!
@@ -67,8 +70,13 @@ const CACHE_SHARDS: usize = 16;
 /// to hold a handful of pages.
 const MIN_STRIPE_BYTES: usize = 4096;
 
-/// Approximate bookkeeping cost charged per cached entry on top of its
-/// payload (key, slot, map entry, `Arc` + `Page` headers).
+/// Fixed cost charged per cached page on top of its payload. It stands for
+/// what the payload leaves out: the cache's key, slot and map entry, the
+/// `Arc` and `Page` headers, and the page's own 8-byte header, 4-byte value
+/// lengths and 4-byte offset per entry. A 32-entry page of 99-byte values
+/// is charged 4 064 B and occupies about 4.4 KB, ~8 % more. The charge,
+/// and with it residency, is the one pages had when they were cached
+/// decoded, at ~6.5 KB each.
 const ENTRY_OVERHEAD: usize = 96;
 
 /// Cache key: the owning device's source token plus the page id on it.
@@ -216,7 +224,7 @@ impl CacheSnapshot {
     }
 }
 
-/// A sharded, size-charged CLOCK cache of decoded pages, shared across every
+/// A sharded, size-charged CLOCK cache of encoded pages, shared across every
 /// device of one store. See the [module docs](self).
 pub struct PageCache {
     shards: Vec<Mutex<CacheShard>>,
@@ -295,7 +303,7 @@ impl PageCache {
         got
     }
 
-    /// Inserts a decoded page, evicting as needed (a page larger than a
+    /// Inserts a page, evicting as needed (a page larger than a
     /// whole stripe is rejected, not stored, and not counted as inserted).
     pub fn insert(&self, source: u64, id: PageId, page: Arc<Page>) {
         let key = (source, id);

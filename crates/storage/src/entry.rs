@@ -175,20 +175,20 @@ impl Entry {
 
     /// Serialises the entry into `buf`. The format is shared by the page
     /// codec and the manifest's range-tombstone blocks:
-    /// `sort_key · delete_key · seqnum · tag (· value | · range end)`.
+    /// `sort_key · delete_key · seqnum · tag (· value length · value | · range end)`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u64(self.sort_key);
         buf.put_u64(self.delete_key);
         buf.put_u64(self.seqnum);
         match &self.kind {
             EntryKind::Put => {
-                buf.put_u8(0);
+                buf.put_u8(encoded::TAG_PUT);
                 buf.put_u32(self.value.len() as u32);
                 buf.put_slice(&self.value);
             }
-            EntryKind::PointTombstone => buf.put_u8(1),
+            EntryKind::PointTombstone => buf.put_u8(encoded::TAG_POINT),
             EntryKind::RangeTombstone { end } => {
-                buf.put_u8(2);
+                buf.put_u8(encoded::TAG_RANGE);
                 buf.put_u64(*end);
             }
         }
@@ -197,46 +197,118 @@ impl Entry {
     /// Decodes one entry previously produced by [`Entry::encode_into`],
     /// consuming it from the front of `data`.
     pub fn decode_from(data: &mut Bytes) -> Result<Entry> {
-        if data.remaining() < 25 {
+        let end = encoded::validate(data, 0)?;
+        let entry = encoded::decode(data, 0);
+        data.advance(end);
+        Ok(entry)
+    }
+}
+
+/// Reads of an entry in its encoded form, in place inside a larger buffer.
+///
+/// [`validate`](encoded::validate) is the one check: once it accepted the
+/// entry at `at`, every other function here reads inside the buffer, so
+/// none of them can fail or index out of bounds. The page keeps its entries
+/// in this form and decodes only the ones a reader asks for.
+pub(crate) mod encoded {
+    use super::*;
+
+    pub(crate) const TAG_PUT: u8 = 0;
+    pub(crate) const TAG_POINT: u8 = 1;
+    pub(crate) const TAG_RANGE: u8 = 2;
+
+    const DELETE_KEY_AT: usize = SORT_KEY_BYTES;
+    const SEQNUM_AT: usize = DELETE_KEY_AT + DELETE_KEY_BYTES;
+    const TAG_AT: usize = SEQNUM_AT + SEQNUM_BYTES;
+    /// A put's value length, a `u32` after the tag. Not part of
+    /// [`Entry::encoded_size`], which prices the paper's λ.
+    const VALUE_LEN_BYTES: usize = 4;
+
+    fn u64_at(buf: &[u8], at: usize) -> u64 {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&buf[at..at + 8]);
+        u64::from_be_bytes(word)
+    }
+
+    fn u32_at(buf: &[u8], at: usize) -> u32 {
+        let mut word = [0u8; 4];
+        word.copy_from_slice(&buf[at..at + 4]);
+        u32::from_be_bytes(word)
+    }
+
+    /// Checks that a whole entry is encoded at `at` — a known tag, and every
+    /// length inside `buf` — and returns the offset one past its end.
+    pub(crate) fn validate(buf: &[u8], at: usize) -> Result<usize> {
+        // lengths are compared against what is left after `at`, so no sum
+        // of an untrusted length can overflow
+        let left = buf.len().saturating_sub(at);
+        if left < HEADER_BYTES {
             return Err(StorageError::Corruption("entry header truncated".into()));
         }
-        let sort_key = data.get_u64();
-        let delete_key = data.get_u64();
-        let seqnum = data.get_u64();
-        let tag = data.get_u8();
-        match tag {
-            0 => {
-                if data.remaining() < 4 {
+        let body = at + HEADER_BYTES;
+        let tail = match buf[at + TAG_AT] {
+            TAG_PUT => {
+                if left - HEADER_BYTES < VALUE_LEN_BYTES {
                     return Err(StorageError::Corruption("value length truncated".into()));
                 }
-                let len = data.get_u32() as usize;
-                if data.remaining() < len {
+                let len = u32_at(buf, body) as usize;
+                if left - HEADER_BYTES - VALUE_LEN_BYTES < len {
                     return Err(StorageError::Corruption("value body truncated".into()));
                 }
-                let value = data.copy_to_bytes(len);
-                Ok(Entry { sort_key, delete_key, seqnum, kind: EntryKind::Put, value })
+                VALUE_LEN_BYTES + len
             }
-            1 => Ok(Entry {
-                sort_key,
-                delete_key,
-                seqnum,
-                kind: EntryKind::PointTombstone,
-                value: Bytes::new(),
-            }),
-            2 => {
-                if data.remaining() < 8 {
+            TAG_POINT => 0,
+            TAG_RANGE => {
+                if left - HEADER_BYTES < SORT_KEY_BYTES {
                     return Err(StorageError::Corruption("range end truncated".into()));
                 }
-                let end = data.get_u64();
-                Ok(Entry {
-                    sort_key,
-                    delete_key,
-                    seqnum,
-                    kind: EntryKind::RangeTombstone { end },
-                    value: Bytes::new(),
-                })
+                SORT_KEY_BYTES
             }
-            t => Err(StorageError::Corruption(format!("unknown entry tag {t}"))),
+            t => return Err(StorageError::Corruption(format!("unknown entry tag {t}"))),
+        };
+        Ok(body + tail)
+    }
+
+    pub(crate) fn sort_key(buf: &[u8], at: usize) -> SortKey {
+        u64_at(buf, at)
+    }
+
+    pub(crate) fn delete_key(buf: &[u8], at: usize) -> DeleteKey {
+        u64_at(buf, at + DELETE_KEY_AT)
+    }
+
+    pub(crate) fn is_tombstone(buf: &[u8], at: usize) -> bool {
+        buf[at + TAG_AT] != TAG_PUT
+    }
+
+    /// The entry's [`Entry::encoded_size`], read from its tag and length.
+    pub(crate) fn size(buf: &[u8], at: usize) -> usize {
+        HEADER_BYTES
+            + match buf[at + TAG_AT] {
+                TAG_PUT => u32_at(buf, at + HEADER_BYTES) as usize,
+                TAG_POINT => 0,
+                _ => SORT_KEY_BYTES,
+            }
+    }
+
+    /// Decodes the entry at `at`. Its value is a window on `buf`, not a copy.
+    pub(crate) fn decode(buf: &Bytes, at: usize) -> Entry {
+        let raw: &[u8] = buf;
+        let body = at + HEADER_BYTES;
+        let (kind, value) = match raw[at + TAG_AT] {
+            TAG_PUT => {
+                let start = body + VALUE_LEN_BYTES;
+                (EntryKind::Put, buf.slice(start..start + u32_at(raw, body) as usize))
+            }
+            TAG_POINT => (EntryKind::PointTombstone, Bytes::new()),
+            _ => (EntryKind::RangeTombstone { end: u64_at(raw, body) }, Bytes::new()),
+        };
+        Entry {
+            sort_key: sort_key(raw, at),
+            delete_key: delete_key(raw, at),
+            seqnum: u64_at(raw, at + SEQNUM_AT),
+            kind,
+            value,
         }
     }
 }

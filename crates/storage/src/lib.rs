@@ -8,14 +8,15 @@
 //! * [`entry`] — the record model: sort key `S`, delete key `D`, sequence
 //!   numbers, puts, point tombstones and range tombstones, and the tombstone
 //!   size ratio λ.
-//! * [`page`] — immutable disk pages (entries sorted on `S`), the unit of I/O.
+//! * [`page`] — immutable disk pages (entries sorted on `S`), the unit of I/O,
+//!   held as their encoded bytes plus an offset per entry.
 //! * [`bloom`] — per-page Bloom filters over `S`.
 //! * [`fence`] — fence pointers on `S` and *delete fence pointers* on `D`,
 //!   the metadata that makes KiWi's full page drops possible.
 //! * [`backend`] — the page-granular device abstraction: a simulated SSD with
 //!   exact I/O accounting and a durable file-backed device with lock-free
 //!   positional reads.
-//! * [`cache`] — the sharded, size-charged CLOCK block cache of decoded
+//! * [`cache`] — the sharded, size-charged CLOCK block cache of encoded
 //!   pages ([`PageCache`]) and the [`CachedBackend`] device wrapper that
 //!   serves hits without touching the device.
 //! * [`iostats`] — I/O / hash counters plus the latency cost model (100 µs per

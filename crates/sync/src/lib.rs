@@ -524,6 +524,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
     fn ascending_acquisition_is_legal() {
         let a = Mutex::new(LockRank::Engine, 1);
         let b = Mutex::new(LockRank::Wal, 2);
@@ -624,6 +625,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
     fn condvar_wait_releases_and_reacquires_tracking() {
         let pair = Arc::new((Mutex::new(LockRank::WorkerState, false), Condvar::new()));
         let waker = Arc::clone(&pair);
