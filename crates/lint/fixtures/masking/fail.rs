@@ -1,20 +1,18 @@
 //! Violations that naive comment/string blanking used to mask: each
 //! real violation sits right after a construct (raw string, nested
 //! block comment) that a regex-based scrubber mis-tracks.
-//! Expected: exactly two `uncounted-barrier` findings.
+//! Expected: exactly two `no-panic` findings.
 
-/// The raw string contains quotes and a barrier-shaped token; the
-/// `sync_all` on the next line is the real violation.
-pub fn flush_after_banner(file: &std::fs::File) -> std::io::Result<()> {
-    let _banner = r#"say "hello" and mention .sync_all() freely"#;
-    file.sync_all()?;
-    Ok(())
+/// The raw string contains quotes and a panic-shaped token; the
+/// `unwrap` on the next line is the real violation.
+pub fn parse_after_banner(text: &str) -> u64 {
+    let _banner = r#"say "hello" and mention .unwrap() freely"#;
+    text.parse().unwrap()
 }
 
 /// Nested block comments: a scrubber that closes at the first `*/`
 /// treats the rest of the file as comment and misses the violation.
-pub fn flush_after_nested_comment(file: &std::fs::File) -> std::io::Result<()> {
-    /* nested /* comment mentioning sync_data() */ still closed here */
-    file.sync_data()?;
-    Ok(())
+pub fn parse_after_nested_comment(text: &str) -> u64 {
+    /* nested /* comment mentioning expect("x") */ still closed here */
+    text.parse().expect("a number")
 }

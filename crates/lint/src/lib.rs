@@ -10,7 +10,6 @@
 //! |-----------------------|----------------------------------------------------------------------|
 //! | `raw-drop-page`       | `drop_page` calls only in the page choke point / cache wrapper, and  |
 //! |                       | `write_page` calls in `crates/lsm` only in the choke point           |
-//! | `uncounted-barrier`   | every `sync_all`/`sync_data`/`fs::rename` goes through `barrier`     |
 //! | `kill-point-registry` | `FailPoint::check` site names ⇆ `KILL_POINTS` registry, both ways    |
 //! | `no-panic`            | no `unwrap`/`expect`/`panic!` in non-test storage/lsm code           |
 //! | `unsafe-hygiene`      | every crate root carries `#![forbid(unsafe_code)]` (or `deny`)       |
@@ -20,7 +19,8 @@
 //! The durability orderings are types, not rules: `barrier::publish` is the
 //! only rename path, and `Wal::truncate_prefix` takes the
 //! `ManifestCommitted` witness only `Manifest::commit` mints. Raw lock
-//! types are banned by `clippy.toml`'s `disallowed-types`.
+//! types are banned by `clippy.toml`'s `disallowed-types`, and raw
+//! `sync_all`/`sync_data`/`fs::rename` calls by its `disallowed-methods`.
 //!
 //! A violation is silenced by a marker on the same line or the line above:
 //! `// lint:allow(<rule-id>): <reason>` — the reason is mandatory.
@@ -156,7 +156,6 @@ pub fn check_file(rel: &str, source: &str) -> Vec<Finding> {
 fn check_file_parsed(parsed: &ParsedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     rules::raw_drop_page(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
-    rules::uncounted_barrier(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
     rules::no_panic(&parsed.rel, &parsed.toks, &parsed.maps, &mut findings);
     rules::stale_allow(&parsed.rel, &parsed.maps, &mut findings);
     findings

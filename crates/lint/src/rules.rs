@@ -1,7 +1,7 @@
 //! The single-file rules, matched on the token stream rather than on
 //! lines or regexes. Working on tokens closes the old masking window by
 //! construction: string literals are single `Str` tokens and comments
-//! never reach the stream, so `".sync_all()"` inside a banner string or a
+//! never reach the stream, so `".unwrap()"` inside a banner string or a
 //! nested block comment can no longer shadow (or fake) a violation.
 
 use crate::lexer::{Delim, Kind, Tok};
@@ -16,10 +16,6 @@ pub const DROP_PAGE_EXEMPT: &[&str] =
 /// `PageReservation::write` (the storage crate implements `write_page`).
 pub const WRITE_PAGE_ROOT: &str = "crates/lsm/src/";
 
-/// The only module allowed to call `sync_all`/`sync_data`/`fs::rename`
-/// directly.
-pub const BARRIER_MODULE: &str = "crates/storage/src/barrier.rs";
-
 /// Crates whose non-test code must be panic-free.
 pub const NO_PANIC_ROOTS: &[&str] = &["crates/storage/src/", "crates/lsm/src/"];
 
@@ -27,7 +23,6 @@ pub const NO_PANIC_ROOTS: &[&str] = &["crates/storage/src/", "crates/lsm/src/"];
 /// against this list.
 pub const KNOWN_RULES: &[&str] = &[
     "raw-drop-page",
-    "uncounted-barrier",
     "kill-point-registry",
     "no-panic",
     "unsafe-hygiene",
@@ -96,43 +91,6 @@ pub fn raw_drop_page(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &mut 
                 m.line,
                 "raw write_page call: write through lethe_lsm::reclaim::PageReservation::write \
                  so an error path retires the page instead of stranding it",
-                findings,
-            );
-        }
-    }
-}
-
-/// `uncounted-barrier`: fsync must go through the counted helpers, and a
-/// rename publish through `barrier::publish`.
-pub fn uncounted_barrier(rel: &str, toks: &[Tok], maps: &SourceMaps, findings: &mut Vec<Finding>) {
-    if rel == BARRIER_MODULE {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        if let Some(m) = method_head(toks, i, &["sync_all", "sync_data"]) {
-            emit(
-                rel,
-                maps,
-                "uncounted-barrier",
-                m.line,
-                "uncounted durability barrier: use lethe_storage::barrier::sync_*_counted \
-                 so IoSnapshot.fsyncs stays exact",
-                findings,
-            );
-        }
-        // `fs::rename(`
-        if t.is_ident("fs")
-            && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|r| r.is_ident("rename"))
-            && toks.get(i + 3).is_some_and(|o| o.kind == Kind::Open(Delim::Paren))
-        {
-            emit(
-                rel,
-                maps,
-                "uncounted-barrier",
-                t.line,
-                "raw rename publish: use lethe_storage::barrier::publish, which syncs the \
-                 content before the rename and the directory after it, both counted",
                 findings,
             );
         }

@@ -109,10 +109,10 @@ fn allow_marker_suppresses_a_workspace_finding() {
 fn masking_fail_fixture_fires_after_raw_strings_and_nested_comments() {
     let src = fixture("masking", "fail.rs");
     let findings = lethe_lint::check_file("crates/storage/src/fixture.rs", &src);
-    let barrier: Vec<_> = findings.iter().filter(|f| f.rule == "uncounted-barrier").collect();
-    assert_eq!(barrier.len(), 2, "{findings:#?}");
-    assert!(barrier.iter().any(|f| f.line == nth_line_of(&src, "file.sync_all()?", 0)));
-    assert!(barrier.iter().any(|f| f.line == nth_line_of(&src, "file.sync_data()?", 0)));
+    let panics: Vec<_> = findings.iter().filter(|f| f.rule == "no-panic").collect();
+    assert_eq!(panics.len(), 2, "{findings:#?}");
+    assert!(panics.iter().any(|f| f.line == nth_line_of(&src, "text.parse().unwrap()", 0)));
+    assert!(panics.iter().any(|f| f.line == nth_line_of(&src, "text.parse().expect(", 0)));
 }
 
 #[test]
@@ -152,7 +152,7 @@ fn json_output_is_well_formed_and_escaped() {
     let findings = lethe_lint::check_file("crates/storage/src/fixture.rs", &src);
     let json = lethe_lint::to_json(&findings);
     assert!(json.starts_with("{\"count\":2,"), "{json}");
-    assert!(json.contains("\"rule\":\"uncounted-barrier\""), "{json}");
+    assert!(json.contains("\"rule\":\"no-panic\""), "{json}");
     assert!(json.contains("\"file\":\"crates/storage/src/fixture.rs\""), "{json}");
     assert!(json.ends_with("]}"), "{json}");
 

@@ -17,7 +17,6 @@ fn fixture(rule: &str, which: &str) -> String {
 fn virtual_path(rule: &str) -> &'static str {
     match rule {
         "raw-drop-page" => "crates/lsm/src/fixture.rs",
-        "uncounted-barrier" => "crates/storage/src/fixture.rs",
         "no-panic" => "crates/storage/src/fixture.rs",
         other => panic!("no virtual path for rule {other}"),
     }
@@ -32,7 +31,7 @@ fn run_rule(rule: &str, which: &str) -> Vec<Finding> {
 
 #[test]
 fn every_code_rule_fails_its_fail_fixture_and_passes_its_pass_fixture() {
-    for rule in ["raw-drop-page", "uncounted-barrier", "no-panic"] {
+    for rule in ["raw-drop-page", "no-panic"] {
         let failures = run_rule(rule, "fail");
         assert!(!failures.is_empty(), "{rule}: fail fixture produced no findings");
         let passes = run_rule(rule, "pass");
@@ -43,7 +42,6 @@ fn every_code_rule_fails_its_fail_fixture_and_passes_its_pass_fixture() {
 #[test]
 fn fail_fixtures_report_each_violation_site() {
     assert_eq!(run_rule("raw-drop-page", "fail").len(), 2, "drop_page and write_page");
-    assert_eq!(run_rule("uncounted-barrier", "fail").len(), 3, "sync_all, sync_data, rename");
     assert_eq!(run_rule("no-panic", "fail").len(), 3, "unwrap, expect, unimplemented");
 }
 
@@ -72,14 +70,6 @@ fn drop_page_choke_point_files_are_exempt() {
     let write = "fn f(b: &dyn StorageBackend, p: &Page) { let _ = b.write_page(p); }\n";
     assert!(check_file("crates/core/src/fixture.rs", write).is_empty());
     assert_eq!(check_file("crates/lsm/src/fixture.rs", write).len(), 1);
-}
-
-#[test]
-fn barrier_module_is_exempt_from_uncounted_barrier() {
-    let fail = fixture("uncounted-barrier", "fail");
-    assert!(check_file("crates/storage/src/barrier.rs", &fail)
-        .iter()
-        .all(|f| f.rule != "uncounted-barrier"));
 }
 
 #[test]

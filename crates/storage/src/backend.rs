@@ -23,12 +23,13 @@ use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
 use crate::failpoint::FailPoint;
 use crate::iostats::IoStats;
+use crate::log::{self, be, Frame};
 use crate::page::Page;
 use bytes::{BufMut, BytesMut};
 use lethe_sync::{LockRank, Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -332,74 +333,51 @@ fn segment_id(base_name: &str, file_name: &str) -> Option<u64> {
     (id > 0 && suffix[1..] == id.to_string()).then_some(id)
 }
 
+/// A page frame: `magic · page id · payload length · payload crc`, then the
+/// payload.
+struct PageFrame;
+
+impl Frame for PageFrame {
+    const PREFIX: usize = FRAME_HEADER;
+
+    fn body_len(header: &[u8]) -> Option<usize> {
+        // a torn append of >= 4 bytes still writes the magic, so a full
+        // header with the wrong magic is not a torn tail
+        (be(&header[..4]) == u64::from(FRAME_MAGIC)).then(|| be(&header[12..16]) as usize)
+    }
+
+    fn intact(header: &[u8], payload: &[u8]) -> bool {
+        be(&header[16..]) == u64::from(crc32(payload))
+    }
+}
+
 impl Index {
-    /// Scans segment `id` at `path` with a bounded buffer (one frame at a
-    /// time, never the whole file), indexing its frames, and returns it with
-    /// the end of its last good frame. A *torn tail* — a partial header, a
-    /// frame whose payload runs past end-of-file, or a checksum failure on
-    /// the very last frame, all of which a crash mid-append produces — ends
-    /// the scan short of end-of-file; only the `newest` segment may have one
-    /// (the caller truncates it). Anything invalid with committed frames
-    /// *behind* it cannot be a torn tail (segments are append-only) and is
-    /// reported as corruption without touching the file, so one damaged
-    /// frame never destroys the valid pages after it.
+    /// Scans segment `id` at `path` under the common [`log`](crate::log)
+    /// rule, indexing its frames, and returns it with the end of its last
+    /// good frame. A torn tail ends the scan short of end-of-file; only the
+    /// `newest` segment may have one (the caller cuts it), since a sealed
+    /// segment is never appended to again.
     fn scan(&mut self, id: u64, path: &Path, newest: bool) -> Result<(Arc<Segment>, u64)> {
-        let file = File::open(path)?;
-        let total = file.metadata()?.len();
-        let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
-        let mut reader = std::io::BufReader::new(&segment.file);
-        let mut header = [0u8; FRAME_HEADER];
-        let mut payload = Vec::new();
-        let mut off = 0u64;
-        while total - off >= FRAME_HEADER as u64 {
-            reader.read_exact(&mut header)?;
-            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-            let magic = u32::from_be_bytes(header[0..4].try_into().expect("4-byte slice"));
-            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-            let page = u64::from_be_bytes(header[4..12].try_into().expect("8-byte slice"));
-            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-            let len = u32::from_be_bytes(header[12..16].try_into().expect("4-byte slice"));
-            // lint:allow(no-panic): fixed-width subslices of the 20-byte header, infallible
-            let crc = u32::from_be_bytes(header[16..20].try_into().expect("4-byte slice"));
-            if magic != FRAME_MAGIC {
-                // a torn append of >= 4 bytes still writes the magic, so
-                // a full header with the wrong magic is not a torn tail
-                return Err(StorageError::Corruption(format!(
-                    "data file {path:?}: bad frame magic {magic:#x} at offset {off}"
-                )));
-            }
-            let payload_end = off + FRAME_HEADER as u64 + len as u64;
-            if payload_end > total {
-                break; // torn tail: frame promises more bytes than exist
-            }
-            payload.resize(len as usize, 0);
-            reader.read_exact(&mut payload)?;
-            if crc32(&payload) != crc {
-                if payload_end == total {
-                    break; // last frame damaged mid-write: a torn tail
-                }
-                return Err(StorageError::Corruption(format!(
-                    "data file {path:?}: page {page} at offset {off} failed its checksum with \
-                     committed frames behind it (mid-file corruption, not a torn tail)"
-                )));
-            }
-            let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, len);
+        let segment = Arc::new(Segment { id, file: File::open(path)?, live: AtomicU64::new(0) });
+        let end = log::scan::<PageFrame>(&segment.file, path, |off, header, payload| {
+            let page = be(&header[4..12]);
+            let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, payload.len() as u32);
             if self.pages.insert(page, at).is_some() {
                 return Err(StorageError::Corruption(format!(
                     "data file {path:?}: page {page} at offset {off} is framed a second time"
                 )));
             }
             segment.live.fetch_add(1, Ordering::Relaxed);
-            off = payload_end;
-        }
-        if off < total && !newest {
+            Ok(())
+        })?;
+        if !newest && end < segment.file.metadata()?.len() {
             return Err(StorageError::Corruption(format!(
-                "data file {path:?}: torn frame at offset {off} of a sealed segment (only \
+                "data file {path:?}: torn frame at offset {end} of a sealed segment (only \
                  the newest segment is ever appended to, so this is not a torn tail)"
             )));
         }
         self.segments.push(Arc::clone(&segment));
-        Ok((segment, off))
+        Ok((segment, end))
     }
 
     /// Takes `segment` off the segment list if no live page is left in it and
@@ -451,12 +429,7 @@ impl FileBackend {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let (segment, end) = index.scan(newest, &path, true)?;
         let stats = IoStats::new_shared();
-        let mut torn_frames_recovered = 0;
-        if end < file.metadata()?.len() {
-            file.set_len(end)?;
-            barrier::sync_all_counted(&file, &stats.fsyncs)?;
-            torn_frames_recovered = 1;
-        }
+        let torn_frames_recovered = u64::from(log::cut_tail(&file, end, &stats.fsyncs)?);
         let next_id = index.pages.keys().max().map_or(1, |max| max + 1).max(newest);
         // what a reopen finds on disk is as durable as it will get, so a
         // full newest segment (or an older store's one big file) starts sealed
@@ -807,6 +780,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The frame of page 1 holding `page(&[1, 2])`, as the commit before the
+    /// common log rule wrote it.
+    const PARENT_SEGMENT_HEX: &str = "\
+        4c454652000000000000000100000052914f6ed84c45504700000002000000000000000100000000\
+        00000001000000000000000100000000080000000000000000000000000000000200000000000000\
+        02000000000000000200000000080000000000000000";
+
+    #[test]
+    fn segments_written_before_this_change_still_open() {
+        let bytes = crate::log::tests::hex(PARENT_SEGMENT_HEX);
+        let dir = fresh_dir("parent");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("lethe.data"), &bytes).unwrap();
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!((b.page_ids(), b.torn_frames_recovered()), (vec![1], 0));
+        assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
+        drop(b);
+        // and a fresh device writes the same bytes for the same page
+        let dir = fresh_dir("parent");
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.write_page(&page(&[1, 2])).unwrap(), 1);
+        assert_eq!(std::fs::read(b.data_path()).unwrap(), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn file_backend_mid_file_corruption_is_an_error_not_a_truncation() {
         let dir = fresh_dir("midfile");
@@ -965,6 +963,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a raw rename puts back a file a crash would have kept, as no engine path may"
+    )]
     fn a_resurfaced_segment_is_indexed_and_unlinked_again() {
         let dir = fresh_dir("resurface");
         let b = FileBackend::open(&dir).unwrap();

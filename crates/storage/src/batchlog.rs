@@ -10,19 +10,21 @@
 //! it half-applied.
 //!
 //! The file is a sequence of fixed 12-byte records (`u64` id + CRC-32 of the
-//! id bytes). Like the WAL, a torn or checksum-invalid tail is the expected
-//! end state after a crash mid-commit (the batch simply did not commit) and
-//! is truncated away; damage before the last valid record is corruption.
+//! id bytes), recovered by the common [`log`](crate::log) rule: a torn or
+//! checksum-invalid last record is the expected end state after a crash
+//! mid-commit (the batch simply did not commit) and is cut away; a bad
+//! record with records behind it is corruption. `commit` writes and syncs
+//! one record at a time under the file lock, so no crash leaves two bad
+//! records.
 
-use crate::barrier;
 use crate::checksum::crc32;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use crate::failpoint::FailPoint;
+use crate::log::{be, Frame, LogFile};
 use lethe_sync::{LockRank, Mutex};
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Size of one committed-id record on disk: `u64` id + `u32` CRC.
@@ -36,38 +38,47 @@ fn record(id: u64) -> [u8; RECORD_LEN] {
     rec
 }
 
+/// A record is all prefix: the id and its CRC, with no body.
+struct Record;
+
+impl Frame for Record {
+    const PREFIX: usize = RECORD_LEN;
+
+    fn body_len(_: &[u8]) -> Option<usize> {
+        Some(0)
+    }
+
+    fn intact(prefix: &[u8], _: &[u8]) -> bool {
+        prefix[8..] == crc32(&prefix[..8]).to_be_bytes()
+    }
+}
+
 /// Durable append-only set of committed cross-shard batch ids.
 #[derive(Debug)]
 pub struct BatchCommitLog {
-    path: PathBuf,
-    file: Mutex<File>,
+    log: Mutex<LogFile>,
     ids: Mutex<HashSet<u64>>,
     next_id: AtomicU64,
-    fsyncs: AtomicU64,
     failpoint: FailPoint,
 }
 
 impl BatchCommitLog {
     /// Opens (or creates) the commit log at `path`, loading the committed-id
-    /// set and truncating any torn tail left by a crash mid-commit.
+    /// set and cutting away a torn tail left by a crash mid-commit.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
-        let log = BatchCommitLog {
-            path,
-            file: Mutex::new(LockRank::BatchLogFile, file),
-            ids: Mutex::new(LockRank::BatchLogIds, HashSet::new()),
-            next_id: AtomicU64::new(1),
-            fsyncs: AtomicU64::new(0),
+        let mut log = LogFile::open(path, true)?;
+        let mut ids = HashSet::new();
+        log.recover::<Record>(|_, rec, _| {
+            ids.insert(be(&rec[..8]));
+            Ok(())
+        })?;
+        let next_id = ids.iter().max().map_or(1, |max| max + 1);
+        Ok(BatchCommitLog {
+            log: Mutex::new(LockRank::BatchLogFile, log),
+            ids: Mutex::new(LockRank::BatchLogIds, ids),
+            next_id: AtomicU64::new(next_id),
             failpoint: FailPoint::new(),
-        };
-        log.load()?;
-        Ok(log)
+        })
     }
 
     /// Attaches a crash-injection fail point consulted before the append and
@@ -75,55 +86,6 @@ impl BatchCommitLog {
     pub fn with_failpoint(mut self, fp: FailPoint) -> Self {
         self.failpoint = fp;
         self
-    }
-
-    fn load(&self) -> Result<()> {
-        let guard = self.file.lock();
-        let mut data = Vec::new();
-        {
-            let mut f = OpenOptions::new().read(true).open(&self.path)?;
-            f.read_to_end(&mut data)?;
-        }
-        let mut ids = HashSet::new();
-        let mut valid = 0usize;
-        let mut max_id = 0u64;
-        while data.len() - valid >= RECORD_LEN {
-            let rec = &data[valid..valid + RECORD_LEN];
-            // lint:allow(no-panic): fixed-width subslice of a 12-byte record, infallible
-            let id = u64::from_be_bytes(rec[..8].try_into().unwrap());
-            // lint:allow(no-panic): fixed-width subslice of a 12-byte record, infallible
-            let crc = u32::from_be_bytes(rec[8..].try_into().unwrap());
-            if crc != crc32(&rec[..8]) {
-                // a torn append can only damage the very tail of the file;
-                // a bad record with valid records after it is real damage,
-                // and truncating there would silently roll back the
-                // committed ids that follow
-                let followed_by_valid =
-                    data[valid + RECORD_LEN..].chunks_exact(RECORD_LEN).any(|r| {
-                        // lint:allow(no-panic): chunks_exact yields 12-byte slices, infallible
-                        u32::from_be_bytes(r[8..].try_into().unwrap()) == crc32(&r[..8])
-                    });
-                if followed_by_valid {
-                    return Err(StorageError::Corruption(format!(
-                        "batch commit log {:?}: invalid record at offset {valid} precedes \
-                         valid records",
-                        self.path
-                    )));
-                }
-                // a half-written tail record: the commit never happened
-                break;
-            }
-            ids.insert(id);
-            max_id = max_id.max(id);
-            valid += RECORD_LEN;
-        }
-        if valid < data.len() {
-            guard.set_len(valid as u64)?;
-            barrier::sync_all_counted(&guard, &self.fsyncs)?;
-        }
-        self.next_id.store(max_id + 1, Ordering::Relaxed);
-        *self.ids.lock() = ids;
-        Ok(())
     }
 
     /// Allocates a fresh store-wide batch id (monotonic, never reused across
@@ -153,10 +115,10 @@ impl BatchCommitLog {
     /// once the commit point is on stable storage.
     pub fn commit(&self, id: u64) -> Result<()> {
         self.failpoint.check("batchlog.append")?;
-        let mut file = self.file.lock();
-        file.write_all(&record(id))?;
+        let log = self.log.lock();
+        log.append(&record(id))?;
         self.failpoint.check("batchlog.commit_fsync")?;
-        barrier::sync_data_counted(&file, &self.fsyncs)?;
+        log.sync_data()?;
         self.ids.lock().insert(id);
         Ok(())
     }
@@ -176,7 +138,7 @@ impl BatchCommitLog {
     /// WALs, its commit record has no reader left and can be dropped, keeping
     /// the log bounded by in-flight batches instead of store lifetime.
     pub fn retain(&self, live: &HashSet<u64>) -> Result<()> {
-        let mut file = self.file.lock();
+        let mut log = self.log.lock();
         let mut ids = self.ids.lock();
         let keep: Vec<u64> = {
             let mut v: Vec<u64> = ids.iter().copied().filter(|id| live.contains(id)).collect();
@@ -186,10 +148,8 @@ impl BatchCommitLog {
         if keep.len() == ids.len() {
             return Ok(());
         }
-        *file = barrier::publish(
-            &self.path,
-            &self.path.with_extension("batches.tmp"),
-            &self.fsyncs,
+        log.replace(
+            "batches.tmp",
             |f| keep.iter().try_for_each(|&id| f.write_all(&record(id))),
             || Ok(()),
         )?;
@@ -199,23 +159,17 @@ impl BatchCommitLog {
 
     /// Durability barriers issued by this log.
     pub fn fsync_count(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// Validates internal invariants for tests.
-    pub fn assert_loadable(path: impl AsRef<Path>) -> Result<usize> {
-        let log = BatchCommitLog::open(path)?;
-        let n = log.ids.lock().len();
-        if log.next_id.load(Ordering::Relaxed) == 0 {
-            return Err(StorageError::Corruption("batch id allocator underflow".into()));
-        }
-        Ok(n)
+        self.log.lock().fsync_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
+    use crate::log::tests::hex;
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lethe-batchlog-{tag}-{}.bin", std::process::id()))
@@ -313,6 +267,42 @@ mod tests {
             f.write_all(&[0xEE; 4]).unwrap();
         }
         assert!(matches!(BatchCommitLog::open(&path), Err(StorageError::Corruption(_))));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `[good][bad][bad]`: the first bad record has a record behind it, so
+    /// it is not a torn tail, whatever that record holds. No crash leaves
+    /// two bad records: `commit` writes and syncs one at a time.
+    #[test]
+    fn two_bad_trailing_records_are_corruption() {
+        let path = tmp("twobad");
+        let _ = std::fs::remove_file(&path);
+        BatchCommitLog::open(&path).unwrap().commit(1).unwrap();
+        let mut bad = record(2);
+        bad[11] ^= 0xFF;
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&[bad, bad].concat()).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        assert!(matches!(BatchCommitLog::open(&path), Err(StorageError::Corruption(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a failed open cuts nothing");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Two records as the commit before the common log rule wrote them.
+    const PARENT_LOG_HEX: &str = "00000000000000011225efff01020304050607083fca88c5";
+
+    #[test]
+    fn logs_written_before_this_change_still_load() {
+        let bytes = hex(PARENT_LOG_HEX);
+        let path = tmp("parent");
+        std::fs::write(&path, &bytes).unwrap();
+        let ids = [1, 0x0102_0304_0506_0708];
+        assert_eq!(BatchCommitLog::open(&path).unwrap().committed(), HashSet::from(ids));
+        // and a fresh log writes the same bytes for the same commits
+        std::fs::remove_file(&path).unwrap();
+        let log = BatchCommitLog::open(&path).unwrap();
+        ids.iter().for_each(|&id| log.commit(id).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let _ = std::fs::remove_file(&path);
     }
 

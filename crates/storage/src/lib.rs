@@ -23,6 +23,8 @@
 //!   page access, 80 ns per hash) used to reproduce the paper's figures.
 //! * [`memtable`] — the in-memory write buffer with in-place delete/update
 //!   semantics.
+//! * [`log`] — the framed log every durable file is: one recovery rule
+//!   ([`log::scan`]), one tail cut, and the handle the logs go through.
 //! * [`wal`] — write-ahead logging with the `D_th`-aware purge routine,
 //!   torn-tail recovery, the [`SyncPolicy`] durability knob and the
 //!   group-commit staging primitives (`append_nosync` + `commit`).
@@ -34,7 +36,7 @@
 //!   [`ManifestCommitted`] witness a WAL prefix truncation requires.
 //! * [`barrier`] — the counted durability barriers every fsync goes
 //!   through, so [`IoSnapshot::fsyncs`](iostats::IoSnapshot::fsyncs) is
-//!   exact (enforced by the repo lint), and [`barrier::publish`], the one
+//!   exact (enforced by `clippy.toml`), and [`barrier::publish`], the one
 //!   write-sync-rename-sync sequence every atomically replaced file uses.
 //! * [`checkpoint`] — the checksummed completeness marker that makes an
 //!   online checkpoint's commit point explicit (a torn checkpoint is
@@ -61,6 +63,7 @@ pub mod failpoint;
 pub mod fence;
 pub mod histogram;
 pub mod iostats;
+pub mod log;
 pub mod manifest;
 pub mod memtable;
 pub mod page;

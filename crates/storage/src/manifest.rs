@@ -20,25 +20,23 @@
 //!
 //! `kind` is either a **snapshot** (the full [`ManifestState`]) or a
 //! **delta** (files added/updated/removed plus the new level structure and
-//! counters). Recovery folds the records in order; a torn trailing record —
-//! the normal result of a crash mid-append — is truncated away, recovering
-//! the last fully-committed state. When the log grows past a threshold it is
-//! rewritten as a single snapshot into a temporary file that is atomically
+//! counters). Recovery folds the records in order under the [`log`](crate::log)
+//! rule: a torn trailing record — the normal result of a crash mid-append —
+//! is cut away, recovering the last fully-committed state. When the log grows
+//! past a threshold it is rewritten as a single snapshot into a temporary file that is atomically
 //! renamed over the old log (with a parent-directory fsync), so a crash
 //! mid-rewrite leaves either the complete old log or the complete new one.
 
-use crate::barrier;
 use crate::checksum::crc32;
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, SeqNum};
 use crate::error::{Result, StorageError};
 use crate::failpoint::FailPoint;
+use crate::log::{be, Frame, LogFile};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Magic number opening every manifest file.
@@ -164,37 +162,59 @@ enum ManifestRecord {
 #[derive(Debug)]
 pub struct Manifest {
     path: PathBuf,
-    /// Append handle; `None` until the first commit creates the file (lazy
-    /// creation lets "a manifest exists" double as "this store committed
-    /// durable state", which the sharded front-end uses to detect partial
-    /// stores).
-    file: Option<File>,
+    /// The log; `None` until a file exists (lazy creation lets "a manifest
+    /// exists" double as "this store committed durable state", which the
+    /// sharded front-end uses to detect partial stores).
+    log: Option<LogFile>,
+    /// Whether this process has committed yet: its first commit always
+    /// writes a fresh snapshot, creating the file or folding the recovered
+    /// log into one.
+    committed: bool,
     state: ManifestState,
     records_since_rewrite: usize,
-    torn_records_recovered: u64,
-    /// Durability barriers issued by this manifest (appends, rewrites,
-    /// directory fsyncs, torn-tail truncations).
-    fsyncs: AtomicU64,
     failpoint: FailPoint,
+}
+
+/// A manifest record's frame: `len (u32) · crc32(body) (u32)`, then the body.
+struct Record;
+
+impl Frame for Record {
+    const MAGIC: &'static [u8] = &MANIFEST_MAGIC.to_be_bytes();
+    const PREFIX: usize = 8;
+
+    fn body_len(prefix: &[u8]) -> Option<usize> {
+        Some(be(&prefix[..4]) as usize)
+    }
+
+    fn intact(prefix: &[u8], body: &[u8]) -> bool {
+        be(&prefix[4..]) == u64::from(crc32(body))
+    }
 }
 
 impl Manifest {
     /// Opens the manifest at `path`, folding its edit log into the recovered
     /// [`ManifestState`]. A missing file yields an empty state and is only
     /// created on the first [`Manifest::commit`]. A torn trailing record is
-    /// truncated away; damage before the last valid record is an error.
+    /// cut away; damage before the last valid record is an error.
     pub fn open(path: impl AsRef<Path>) -> Result<Manifest> {
-        let path = path.as_ref().to_path_buf();
         let mut manifest = Manifest {
-            path,
-            file: None,
+            path: path.as_ref().to_path_buf(),
+            log: None,
+            committed: false,
             state: ManifestState::default(),
             records_since_rewrite: 0,
-            torn_records_recovered: 0,
-            fsyncs: AtomicU64::new(0),
             failpoint: FailPoint::new(),
         };
-        manifest.recover()?;
+        if !manifest.path.try_exists()? {
+            return Ok(manifest);
+        }
+        let mut log = LogFile::open(path, false)?;
+        // a record that checksums but does not decode is real corruption
+        log.recover::<Record>(|_, _, body| {
+            manifest.apply(decode_record(Bytes::copy_from_slice(body))?);
+            Ok(())
+        })?;
+        manifest.log = Some(log);
         Ok(manifest)
     }
 
@@ -212,93 +232,14 @@ impl Manifest {
     /// `true` once the manifest file exists on disk (i.e. at least one
     /// commit has happened, now or in a previous process).
     pub fn exists(&self) -> bool {
-        self.file.is_some() || self.path.exists()
-    }
-
-    /// Number of torn trailing records truncated away on open (0 after a
-    /// clean shutdown, typically 1 after a crash mid-append).
-    pub fn torn_records_recovered(&self) -> u64 {
-        self.torn_records_recovered
+        self.log.is_some()
     }
 
     /// Durability barriers (`fsync`/`fdatasync`) this manifest has issued.
     /// Folded into the engine's [`IoSnapshot::fsyncs`](crate::iostats::IoSnapshot::fsyncs)
     /// so manifest commits are charged like every other barrier.
     pub fn fsync_count(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
-    }
-
-    fn recover(&mut self) -> Result<()> {
-        let mut data = Vec::new();
-        match File::open(&self.path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
-        }
-        let total = data.len() as u64;
-        let mut buf = Bytes::from(data);
-        if buf.remaining() < 8 {
-            // a manifest so torn not even the magic survived: treat the
-            // whole file as a torn first record
-            return self.truncate_tail(0, total);
-        }
-        if buf.get_u64() != MANIFEST_MAGIC {
-            return Err(StorageError::Corruption(format!(
-                "bad manifest magic in {:?}",
-                self.path
-            )));
-        }
-        let mut valid = 8u64;
-        let mut records = 0usize;
-        while buf.remaining() >= 8 {
-            let len = {
-                let mut peek = buf.clone();
-                peek.get_u32() as usize
-            };
-            if buf.remaining() < 8 + len {
-                break; // torn tail: the record promises more bytes than exist
-            }
-            buf.advance(4);
-            let crc = buf.get_u32();
-            let body = buf.copy_to_bytes(len);
-            if crc32(&body) != crc {
-                // A crash mid-append can only damage the *last* record (the
-                // log is append-only). A CRC failure with more records
-                // behind it is mid-log corruption of committed state —
-                // truncating would silently roll the store back, so error.
-                if buf.has_remaining() {
-                    return Err(StorageError::Corruption(format!(
-                        "manifest {:?}: record {records} failed its checksum with {} bytes of \
-                         later records behind it (mid-log corruption, not a torn tail)",
-                        self.path,
-                        buf.remaining()
-                    )));
-                }
-                break; // last record damaged mid-append: a torn tail
-            }
-            // a record that checksums but does not decode is real corruption
-            let record = decode_record(body)?;
-            self.apply(record);
-            records += 1;
-            valid += 8 + len as u64;
-        }
-        self.records_since_rewrite = records;
-        if valid < total {
-            self.truncate_tail(valid, total)?;
-        }
-        Ok(())
-    }
-
-    fn truncate_tail(&mut self, valid: u64, total: u64) -> Result<()> {
-        if total > valid {
-            let f = OpenOptions::new().write(true).open(&self.path)?;
-            f.set_len(valid)?;
-            barrier::sync_all_counted(&f, &self.fsyncs)?;
-            self.torn_records_recovered += 1;
-        }
-        Ok(())
+        self.log.as_ref().map_or(0, LogFile::fsync_count)
     }
 
     fn apply(&mut self, record: ManifestRecord) {
@@ -343,16 +284,16 @@ impl Manifest {
 
     /// Commits `new_state` durably: computes the delta against the last
     /// committed state, appends it (fsync'd), and folds the log into a fresh
-    /// snapshot — via [`barrier::publish`] — once it has grown past the
+    /// snapshot — via [`LogFile::replace`] — once it has grown past the
     /// rewrite threshold. On success the WAL records covered by this state
     /// may be dropped, and the returned witness is what lets
     /// [`Wal::truncate_prefix`](crate::Wal::truncate_prefix) drop them; on
     /// error nothing durable has changed.
     pub fn commit(&mut self, new_state: ManifestState) -> Result<ManifestCommitted> {
-        if self.file.is_some() && new_state == self.state {
+        if self.committed && new_state == self.state {
             return Ok(ManifestCommitted(()));
         }
-        if self.file.is_none() || self.records_since_rewrite >= REWRITE_THRESHOLD {
+        if !self.committed || self.records_since_rewrite >= REWRITE_THRESHOLD {
             self.rewrite(new_state)?;
             return Ok(ManifestCommitted(()));
         }
@@ -377,11 +318,10 @@ impl Manifest {
             structure: new_state.structure(),
         };
         self.failpoint.check("manifest.append")?;
-        let framed = frame_record(&record);
-        // lint:allow(no-panic): the branch above rewrites (and creates the file) when None
-        let file = self.file.as_mut().expect("append handle exists past the rewrite branch");
-        file.write_all(&framed)?;
-        barrier::sync_data_counted(file, &self.fsyncs)?;
+        // lint:allow(no-panic): the first commit rewrites, which creates the log
+        let log = self.log.as_ref().expect("the log exists past the first commit");
+        log.append(&frame_record(&record))?;
+        log.sync_data()?;
         self.records_since_rewrite += 1;
         self.state = new_state;
         Ok(ManifestCommitted(()))
@@ -391,17 +331,19 @@ impl Manifest {
     fn rewrite(&mut self, state: ManifestState) -> Result<()> {
         self.failpoint.check("manifest.rewrite.begin")?;
         let framed = frame_record(&ManifestRecord::Snapshot(state.clone()));
-        let file = barrier::publish(
-            &self.path,
-            &self.path.with_extension("manifest.tmp"),
-            &self.fsyncs,
-            |f| {
-                f.write_all(&MANIFEST_MAGIC.to_be_bytes())?;
-                f.write_all(&framed)
-            },
-            || self.failpoint.check("manifest.rewrite.rename"),
-        )?;
-        self.file = Some(file);
+        let body = |f: &mut std::fs::File| {
+            f.write_all(&MANIFEST_MAGIC.to_be_bytes())?;
+            f.write_all(&framed)
+        };
+        let before_rename = || self.failpoint.check("manifest.rewrite.rename");
+        match &mut self.log {
+            Some(log) => log.replace("manifest.tmp", body, before_rename)?,
+            None => {
+                let log = LogFile::publish(&self.path, "manifest.tmp", body, before_rename)?;
+                self.log = Some(log);
+            }
+        }
+        self.committed = true;
         self.records_since_rewrite = 1;
         self.state = state;
         Ok(())
@@ -681,8 +623,16 @@ impl ManifestCommitted {
 }
 
 #[cfg(test)]
+impl Manifest {
+    fn torn_tails_recovered(&self) -> u64 {
+        self.log.as_ref().map_or(0, LogFile::torn_tails_recovered)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lethe-manifest-{tag}-{}.manifest", std::process::id()))
@@ -796,7 +746,7 @@ mod tests {
         }
         let m = Manifest::open(&path).unwrap();
         assert_eq!(m.state(), &s2);
-        assert_eq!(m.torn_records_recovered(), 0);
+        assert_eq!(m.torn_tails_recovered(), 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -857,6 +807,34 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The magic, one snapshot record and one delta record, as the commit
+    /// before the common log rule wrote them.
+    const PARENT_LOG_HEX: &str = "\
+        4c455448454d414e000000772d72492b0200000000000000000200000000000000c8000000000000\
+        07d0000000010000000000000001000000000000006500000000000000000a000000000000000100\
+        0000000000000a000000010000000200000000000000020000000000000003000000000000000100\
+        000001000000010000000000000001000000ac9af043d30201000000000000000400000000000001\
+        900000000000000fa000000000000000010000000000000003000000000000006700000000000000\
+        001e0000000000000003000000000000001800000001000000020000000000000006000000000000\
+        00070000000100000000000000030000000000000000000000000000000302000000000000000800\
+        0000020000000100000001000000000000000100000001000000010000000000000003";
+
+    #[test]
+    fn logs_written_before_this_change_still_open() {
+        let bytes = crate::log::tests::hex(PARENT_LOG_HEX);
+        let path = tmp_path("parent");
+        std::fs::write(&path, &bytes).unwrap();
+        let (first, second) = (state(&[&[1]], 2), state(&[&[1], &[3]], 4));
+        assert_eq!(Manifest::open(&path).unwrap().state(), &second);
+        // and a fresh manifest writes the same bytes for the same commits
+        std::fs::remove_file(&path).unwrap();
+        let mut m = Manifest::open(&path).unwrap();
+        m.commit(first).unwrap();
+        m.commit(second).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn torn_tail_recovers_previous_commit() {
         let path = tmp_path("torn");
@@ -874,11 +852,11 @@ mod tests {
         drop(f);
         let m = Manifest::open(&path).unwrap();
         assert_eq!(m.state(), &s1, "must fall back to the last intact record");
-        assert_eq!(m.torn_records_recovered(), 1);
+        assert_eq!(m.torn_tails_recovered(), 1);
         // and the torn bytes are gone
         drop(m);
         let m = Manifest::open(&path).unwrap();
-        assert_eq!(m.torn_records_recovered(), 0);
+        assert_eq!(m.torn_tails_recovered(), 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -922,7 +900,7 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let m = Manifest::open(&path).unwrap();
         assert_eq!(m.state(), &s1);
-        assert_eq!(m.torn_records_recovered(), 1);
+        assert_eq!(m.torn_tails_recovered(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

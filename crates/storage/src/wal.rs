@@ -12,17 +12,16 @@
 //! records younger than `D_th` to a fresh log and discards the old one. That
 //! routine is [`Wal::purge_older_than`].
 
-use crate::barrier;
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
 use crate::error::{Result, StorageError};
 use crate::failpoint::FailPoint;
+use crate::log::{be, Frame, LogFile};
 use crate::manifest::ManifestCommitted;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use lethe_sync::{LockRank, Mutex, MutexGuard};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use lethe_sync::{LockRank, Mutex};
+use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// When [`Wal::commit`] (and so [`Wal::append`]) forces the log to durable
@@ -471,29 +470,35 @@ impl Wal for MemWal {
 ///
 /// Crash tolerance: a crash mid-append leaves a *torn* trailing frame (a
 /// dangling length prefix, or a frame body shorter than its prefix). Replay
-/// recovers the valid prefix of the log, truncates the torn tail away and
-/// counts the event in [`FileWal::torn_tails_recovered`] — it is the
-/// expected end state after a kill, not corruption. Only damage *before* the
-/// last valid frame (an undecodable complete frame) is reported as
+/// recovers the valid prefix of the log under the [`log`](crate::log) rule
+/// and cuts the torn tail away — it is the expected end state after a kill,
+/// not corruption. A complete frame that does not decode is reported as
 /// [`StorageError::Corruption`].
 #[derive(Debug)]
 pub struct FileWal {
-    path: PathBuf,
-    file: Mutex<File>,
+    log: Mutex<LogFile>,
     sync_policy: SyncPolicy,
     appends_since_sync: AtomicU64,
-    torn_tails_recovered: AtomicU64,
     /// Records currently in the log; `u64::MAX` until first derived by a
-    /// scan. Only read or written while `file` is locked.
+    /// scan. Only read or written while `log` is locked.
     record_count: AtomicU64,
-    /// Durability barriers issued on behalf of this log (appends, explicit
-    /// syncs, rewrites and their directory fsyncs).
-    fsyncs: AtomicU64,
     failpoint: FailPoint,
 }
 
 /// Sentinel for "record count not derived yet".
 const COUNT_UNKNOWN: u64 = u64::MAX;
+
+/// A WAL frame: a big-endian `u32` body length, then the body. It carries
+/// no checksum, so every complete frame is intact.
+struct WalFrame;
+
+impl Frame for WalFrame {
+    const PREFIX: usize = 4;
+
+    fn body_len(prefix: &[u8]) -> Option<usize> {
+        Some(be(prefix) as usize)
+    }
+}
 
 /// Lays out one log frame: a big-endian `u32` body length, then the body.
 fn encode_frame(record: &WalRecord) -> BytesMut {
@@ -508,20 +513,11 @@ fn encode_frame(record: &WalRecord) -> BytesMut {
 impl FileWal {
     /// Opens (or creates) the WAL file at `path` with [`SyncPolicy::Always`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        if let Some(parent) = path.as_ref().parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file = OpenOptions::new().create(true).read(true).append(true).open(path.as_ref())?;
         Ok(FileWal {
-            path: path.as_ref().to_path_buf(),
-            file: Mutex::new(LockRank::Wal, file),
+            log: Mutex::new(LockRank::Wal, LogFile::open(path, true)?),
             sync_policy: SyncPolicy::Always,
             appends_since_sync: AtomicU64::new(0),
-            torn_tails_recovered: AtomicU64::new(0),
             record_count: AtomicU64::new(COUNT_UNKNOWN),
-            fsyncs: AtomicU64::new(0),
             failpoint: FailPoint::new(),
         })
     }
@@ -539,80 +535,27 @@ impl FileWal {
         self
     }
 
-    /// Number of torn trailing frames recovered (truncated away) by replays
-    /// so far — normally 0 or 1 right after a crash-reopen.
-    pub fn torn_tails_recovered(&self) -> u64 {
-        self.torn_tails_recovered.load(Ordering::Relaxed)
-    }
-
-    /// `fdatasync`s the log file through the counted barrier and resets the
-    /// pending-append counter.
-    fn sync_data_counted(&self, file: &File) -> Result<()> {
-        barrier::sync_data_counted(file, &self.fsyncs)?;
-        self.appends_since_sync.store(0, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn read_all(&self) -> Result<Vec<WalRecord>> {
-        let mut guard = self.file.lock();
-        self.read_all_locked(&mut guard)
-    }
-
-    /// Reads every intact record. Requires the file lock (appends from other
-    /// threads must not interleave with the scan or the torn-tail truncation).
-    fn read_all_locked(&self, guard: &mut MutexGuard<'_, File>) -> Result<Vec<WalRecord>> {
-        let mut data = Vec::new();
-        {
-            let mut file = OpenOptions::new().read(true).open(&self.path)?;
-            file.read_to_end(&mut data)?;
-        }
-        let total = data.len() as u64;
-        let mut buf = Bytes::from(data);
+    /// Reads every intact record, cutting a torn tail away. Requires the log
+    /// lock (appends from other threads must not interleave with the scan
+    /// or the cut).
+    fn read_all_locked(&self, log: &mut LogFile) -> Result<Vec<WalRecord>> {
         let mut out = Vec::new();
-        let mut valid = 0u64; // bytes consumed by complete, decodable frames
-        while buf.remaining() >= 4 {
-            let len = {
-                let mut peek = buf.clone();
-                peek.get_u32() as usize
-            };
-            if buf.remaining() < 4 + len {
-                break; // torn tail: length prefix promises more than exists
-            }
-            buf.advance(4);
-            let mut frame = buf.copy_to_bytes(len);
-            // a *complete* frame that does not decode is real corruption
-            out.push(WalRecord::decode(&mut frame)?);
-            valid += 4 + len as u64;
-        }
-        if valid < total {
-            // recover the valid prefix: drop the torn tail (1-3 dangling
-            // header bytes, or a frame shorter than its length prefix)
-            guard.set_len(valid)?;
-            barrier::sync_all_counted(guard, &self.fsyncs)?;
-            self.torn_tails_recovered.fetch_add(1, Ordering::Relaxed);
-        }
+        // a *complete* frame that does not decode is real corruption
+        log.recover::<WalFrame>(|_, _, body| {
+            out.push(WalRecord::decode(&mut Bytes::copy_from_slice(body))?);
+            Ok(())
+        })?;
         self.record_count.store(out.len() as u64, Ordering::Relaxed);
         Ok(out)
     }
 
-    fn rewrite(&self, records: &[WalRecord]) -> Result<()> {
-        let mut guard = self.file.lock();
-        self.rewrite_locked(&mut guard, records)
-    }
-
-    /// Atomically replaces the log contents. Requires the file lock so that
+    /// Atomically replaces the log contents. Requires the log lock so that
     /// no append can slip in between the snapshot the caller took and the
     /// rename (it would be silently discarded).
-    fn rewrite_locked(
-        &self,
-        guard: &mut MutexGuard<'_, File>,
-        records: &[WalRecord],
-    ) -> Result<()> {
+    fn rewrite_locked(&self, log: &mut LogFile, records: &[WalRecord]) -> Result<()> {
         self.failpoint.check("wal.rewrite.begin")?;
-        **guard = barrier::publish(
-            &self.path,
-            &self.path.with_extension("wal.tmp"),
-            &self.fsyncs,
+        log.replace(
+            "wal.tmp",
             |f| records.iter().try_for_each(|r| f.write_all(&encode_frame(r))),
             || self.failpoint.check("wal.rewrite.rename"),
         )?;
@@ -625,8 +568,7 @@ impl FileWal {
 impl Wal for FileWal {
     fn append_nosync(&self, record: WalRecord) -> Result<()> {
         self.failpoint.check("wal.append_nosync")?;
-        let mut file = self.file.lock();
-        file.write_all(&encode_frame(&record))?;
+        self.log.lock().append(&encode_frame(&record))?;
         // the cached record count is kept in step, under the same lock
         let count = self.record_count.load(Ordering::Relaxed);
         if count != COUNT_UNKNOWN {
@@ -647,68 +589,79 @@ impl Wal for FileWal {
             SyncPolicy::OnFlush => false,
         };
         if due {
-            self.sync_data_counted(&self.file.lock())?;
+            // the reset stays under the lock, where the counter moves
+            let log = self.log.lock();
+            log.sync_data()?;
+            self.appends_since_sync.store(0, Ordering::Relaxed);
         }
         Ok(())
     }
 
     fn fsync_count(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
+        self.log.lock().fsync_count()
     }
 
     fn replay(&self) -> Result<Vec<WalRecord>> {
-        self.read_all()
+        self.read_all_locked(&mut self.log.lock())
     }
 
     fn truncate(&self) -> Result<()> {
-        self.rewrite(&[])
+        self.rewrite_locked(&mut self.log.lock(), &[])
     }
 
     fn sync(&self) -> Result<()> {
-        let file = self.file.lock();
-        barrier::sync_all_counted(&file, &self.fsyncs)?;
+        let log = self.log.lock();
+        log.sync_all()?;
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
     }
 
     fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize> {
-        let mut guard = self.file.lock();
-        let records = self.read_all_locked(&mut guard)?;
+        let mut log = self.log.lock();
+        let records = self.read_all_locked(&mut log)?;
         let before = records.len();
         let keep: Vec<WalRecord> = records.into_iter().filter(|r| r.timestamp() >= cutoff).collect();
         let purged = before - keep.len();
-        self.rewrite_locked(&mut guard, &keep)?;
+        self.rewrite_locked(&mut log, &keep)?;
         Ok(purged)
     }
 
     fn position(&self) -> Result<u64> {
-        let mut guard = self.file.lock();
+        let mut log = self.log.lock();
         let count = self.record_count.load(Ordering::Relaxed);
         if count != COUNT_UNKNOWN {
             return Ok(count);
         }
-        Ok(self.read_all_locked(&mut guard)?.len() as u64)
+        Ok(self.read_all_locked(&mut log)?.len() as u64)
     }
 
     fn truncate_prefix(&self, upto: u64, _: &ManifestCommitted) -> Result<()> {
-        let mut guard = self.file.lock();
+        let mut log = self.log.lock();
         // fast path: when the prefix covers the whole log (no record was
         // appended since the position was captured — the common case for a
         // flush commit), skip the full-log read-and-reparse and write an
         // empty log directly
         let count = self.record_count.load(Ordering::Relaxed);
         if count != COUNT_UNKNOWN && upto >= count {
-            return self.rewrite_locked(&mut guard, &[]);
+            return self.rewrite_locked(&mut log, &[]);
         }
-        let records = self.read_all_locked(&mut guard)?;
+        let records = self.read_all_locked(&mut log)?;
         let n = (upto as usize).min(records.len());
-        self.rewrite_locked(&mut guard, &records[n..])
+        self.rewrite_locked(&mut log, &records[n..])
+    }
+}
+
+#[cfg(test)]
+impl FileWal {
+    fn torn_tails_recovered(&self) -> u64 {
+        self.log.lock().torn_tails_recovered()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
