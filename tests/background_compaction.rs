@@ -561,6 +561,42 @@ fn rewrites_are_invisible_to_snapshot_readers() {
     }
 }
 
+/// A point read never waits for the shard's engine lock, which a flush or
+/// compaction holds while it runs: with the lock held, every get from
+/// another thread still completes, and then the held lock runs a full
+/// compaction. A get that queued behind the lock could not finish until the
+/// closure returned, so the reader's completion is the whole claim and no
+/// latency needs measuring.
+#[test]
+fn gets_complete_while_the_engine_lock_is_held() {
+    const N: u64 = 2_000;
+    let db = std::sync::Arc::new(store());
+    for k in 0..N {
+        db.put(k, k, encode(k, 3)).unwrap();
+    }
+    db.persist().unwrap();
+    let (reader, reader_finished) = db.with_shard(0, |engine| {
+        let (done, finished) = std::sync::mpsc::channel();
+        let store = std::sync::Arc::clone(&db);
+        // not scoped: a scope would join a reader stuck on the lock before
+        // this closure could return and release it
+        let reader = std::thread::spawn(move || {
+            for k in 0..N {
+                assert_eq!(decode(k, &store.get(k).unwrap().unwrap()), 3);
+            }
+            done.send(()).unwrap();
+        });
+        let finished = finished.recv_timeout(std::time::Duration::from_secs(60)).is_ok();
+        engine.tree_mut().force_full_compaction().unwrap();
+        (reader, finished)
+    });
+    reader.join().expect("the reader thread panicked");
+    assert!(reader_finished, "gets waited for the engine lock held by with_shard");
+    for k in (0..N).step_by(7) {
+        assert_eq!(decode(k, &db.get(k).unwrap().unwrap()), 3, "key {k} after the compaction");
+    }
+}
+
 // ---------------------------------------------------- snapshot churn stress
 
 /// Retired files still awaiting page reclamation, summed across shards.

@@ -827,3 +827,54 @@ fn every_write_surface_leaves_the_same_store() {
     want_frames.extend(["delete", "range", "secondary", "batch"]);
     assert_eq!(frames, want_frames);
 }
+
+/// A block cache larger than the store serves every read once warm: after
+/// one pass that reads every key of a durable two-shard store, a second pass
+/// in another order misses the cache zero times and reads no page from the
+/// device, while the same pass on an uncached twin reads a page per get.
+#[test]
+fn a_cache_larger_than_the_store_serves_every_warm_read() {
+    const KEYS: u64 = 4_000;
+    let base = std::env::temp_dir().join(format!("lethe-warm-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let open = |name: &str, cache_bytes: usize| {
+        let db = ShardedLetheBuilder::from_builder(
+            LetheBuilder::new()
+                .buffer(32, 8, 128)
+                .size_ratio(4)
+                .delete_tile_pages(2)
+                .delete_persistence_threshold_secs(3600.0)
+                .block_cache_bytes(cache_bytes),
+        )
+        .shards(2)
+        .wal_sync_policy(lethe::storage::SyncPolicy::OnFlush)
+        .open(base.join(name))
+        .unwrap();
+        for k in 0..KEYS {
+            db.put(k, k % 365, vec![0u8; 128]).unwrap();
+        }
+        db.persist().unwrap();
+        db
+    };
+    // every key once, in an order no page layout follows
+    let pass = |db: &ShardedLethe| {
+        let before = db.io_snapshot();
+        for i in 0..KEYS {
+            let k = (i * 7_919) % KEYS;
+            assert!(db.get(k).unwrap().is_some(), "preloaded key {k} missing");
+        }
+        db.io_snapshot().since(&before)
+    };
+    let cached = open("cached", 64 << 20);
+    pass(&cached);
+    let warm = pass(&cached);
+    assert_eq!(warm.cache_misses, 0, "a warm 64 MiB cache missed: {warm:?}");
+    assert!(warm.cache_hits >= KEYS, "every get must be served by the cache: {warm:?}");
+    assert_eq!(warm.pages_read, 0, "a warm cache must keep reads off the device: {warm:?}");
+    let uncached = open("uncached", 0);
+    pass(&uncached);
+    let cold = pass(&uncached);
+    assert!(cold.pages_read >= KEYS, "an uncached get reads its page: {cold:?}");
+    drop((cached, uncached));
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -7,6 +7,9 @@
 //! Determinism: each thread owns a disjoint slice of the key space and runs
 //! a seeded operation stream, so the *final* store state is independent of
 //! the thread interleaving and can be compared against the oracle exactly.
+//!
+//! One durable test counts the fsyncs that group commit shares among eight
+//! writers.
 
 #![allow(
     clippy::disallowed_types,
@@ -234,4 +237,63 @@ fn concurrent_workload_driver_smoke() {
     let stats = db.stats();
     assert!(stats.entries_ingested > 1_000);
     assert!(stats.point_lookups > 0);
+}
+
+/// Group commit on one durable shard under `SyncPolicy::Always`: eight
+/// writers mixing plain puts with 4-op atomic batches pile up behind the
+/// leader's fsync, so each barrier covers at least two acknowledged records
+/// on average, where one writer alone pays one fsync per record. The fsync
+/// count is a counted outcome of convoy formation, so the bound needs no
+/// clock.
+#[test]
+fn eight_durable_writers_share_each_fsync() {
+    const WRITERS: u64 = 8;
+    const RECORDS_PER_WRITER: u64 = 200;
+    let dir = std::env::temp_dir().join(format!("lethe-group-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // the buffer holds the whole run, so no flush adds barriers of its own
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(512, 16, 64)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(3600.0),
+    )
+    .shards(1)
+    .wal_sync_policy(lethe::storage::SyncPolicy::Always)
+    .open(&dir)
+    .unwrap();
+    let before = db.io_snapshot();
+    std::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let db = &db;
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x6C0_FFEE ^ t);
+                let mut written = 0u64;
+                while written < RECORDS_PER_WRITER {
+                    let k = rng.gen_range(0..50_000u64);
+                    if rng.gen_range(0..10u32) == 0 && written + 4 <= RECORDS_PER_WRITER {
+                        let mut batch = WriteBatch::new();
+                        for i in 0..4 {
+                            batch.put(k + i, k % 365, vec![0u8; 64]);
+                        }
+                        db.write(batch).unwrap();
+                        written += 4;
+                    } else {
+                        db.put(k, k % 365, vec![0u8; 64]).unwrap();
+                        written += 1;
+                    }
+                }
+            });
+        }
+    });
+    let fsyncs = db.io_snapshot().since(&before).fsyncs;
+    let records = WRITERS * RECORDS_PER_WRITER;
+    assert!(fsyncs > 0, "durable writes must issue barriers");
+    assert!(
+        fsyncs * 2 <= records,
+        "group commit must share barriers: {fsyncs} fsyncs for {records} records"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

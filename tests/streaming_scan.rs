@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use lethe::lsm::cursor::probe;
+use lethe::lsm::merge::merge_entries;
 use lethe::lsm::LsmConfig;
 use lethe::{Lethe, LetheBuilder, ShardedLetheBuilder};
 use proptest::prelude::*;
@@ -110,6 +111,51 @@ fn sharded_iter_range_matches_range_and_pages_early() {
     // a paging client stops early and pays only for the prefix
     let page: Vec<u64> = db.iter_range(0, 2_000).take(10).map(|r| r.unwrap().0).collect();
     assert_eq!(page, materialised[..10].iter().map(|(k, _)| *k).collect::<Vec<_>>());
+}
+
+/// The cursor stack answers a long scan exactly as the materialise-and-resort
+/// path it replaced: every overlapping table's in-range entries collected,
+/// concatenated, re-sorted and tombstone-resolved by `merge_entries`. (The
+/// store is persisted, so the tables are the whole input.) A paging client
+/// that takes one page of the same scan gets exactly its prefix.
+#[test]
+fn cursor_stack_equals_the_materialise_and_resort_path() {
+    const KEYS: u64 = 20_000;
+    const PAGE: usize = 1_024;
+    let mut db = LetheBuilder::new()
+        .buffer(64, 8, 64)
+        .size_ratio(6)
+        .delete_tile_pages(2)
+        .delete_persistence_threshold_secs(3600.0)
+        .build()
+        .unwrap();
+    for k in 0..KEYS {
+        db.put(k, k % 4096, vec![0u8; 64]).unwrap();
+    }
+    db.persist().unwrap();
+
+    let backend = db.tree().backend().clone();
+    let mut inputs = Vec::new();
+    let mut range_tombstones = Vec::new();
+    for level in db.tree().levels() {
+        for run in &level.runs {
+            for table in run.overlapping_range(0, KEYS) {
+                inputs.push(table.range_scan(0, KEYS, backend.as_ref()).unwrap());
+                range_tombstones.extend(table.range_tombstones.iter().cloned());
+            }
+        }
+    }
+    let materialised: Vec<(u64, Bytes)> = merge_entries(inputs, range_tombstones, true)
+        .entries
+        .into_iter()
+        .filter(|e| e.sort_key < KEYS)
+        .map(|e| (e.sort_key, e.value))
+        .collect();
+    let streamed = db.range(0, KEYS).unwrap();
+    assert_eq!(streamed.len(), KEYS as usize);
+    assert_eq!(streamed, materialised);
+    let page = drain(db.iter_range(0, KEYS).unwrap().take(PAGE));
+    assert_eq!(page, streamed[..PAGE]);
 }
 
 // -------------------------------------------------- proptest: equivalence
