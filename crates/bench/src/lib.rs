@@ -6,8 +6,6 @@
 //! workload operations to an engine, and small formatting utilities for the
 //! printed series.
 
-#![forbid(unsafe_code)]
-
 pub mod figures;
 
 use lethe_core::baseline::BaselineKind;

@@ -41,7 +41,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod compactor;

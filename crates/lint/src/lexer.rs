@@ -1,11 +1,11 @@
-//! A minimal Rust lexer: the foundation every lint rule now sits on.
+//! A minimal Rust lexer: the foundation the lock-order analysis sits on.
 //!
 //! The lexer turns source text into a flat token stream with 1-based line
 //! numbers. It understands the constructs that defeated the old line
 //! scanner by design — raw strings with hash fences (`r#"…"#`), byte and
 //! byte-raw strings, *nested* block comments, and the char-literal vs.
-//! lifetime ambiguity — so a rule pattern can never be masked by literal
-//! or comment content again: literals become single `Str`/`Char` tokens
+//! lifetime ambiguity — so a lock call can never be faked or masked by
+//! literal or comment content: literals become single `Str`/`Char` tokens
 //! and comments produce no tokens at all.
 //!
 //! Only the punctuation joins the analyses care about are combined

@@ -138,7 +138,7 @@ impl<'a> Analysis<'a> {
         for file in self.files {
             let mut local: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
             for ctor in &file.ctors {
-                if file.maps.is_test_line(ctor.line) {
+                if file.items.is_test_line(ctor.line) {
                     continue;
                 }
                 let Some(binding) = &ctor.binding else { continue };

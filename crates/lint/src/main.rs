@@ -1,39 +1,16 @@
-//! `lethe-lint`: run the workspace invariant checks and exit non-zero on any
-//! violation. Usage: `lethe-lint [--format text|json] [workspace-root]`
-//! (defaults to the current directory; CI runs it from the repo root).
-
-#![forbid(unsafe_code)]
+//! `lethe-lint`: run the workspace lock-order analysis and exit non-zero on
+//! any violation. Usage: `lethe-lint [workspace-root]` (defaults to the
+//! current directory; CI runs it from the repo root).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() -> ExitCode {
-    let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--format" => {
-                let Some(value) = args.next() else {
-                    eprintln!("lethe-lint: --format needs a value (text or json)");
-                    return ExitCode::from(2);
-                };
-                match value.as_str() {
-                    "text" => format = Format::Text,
-                    "json" => format = Format::Json,
-                    other => {
-                        eprintln!("lethe-lint: unknown format {other:?} (want text or json)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
-                println!("usage: lethe-lint [--format text|json] [workspace-root]");
+                println!("usage: lethe-lint [workspace-root]");
                 return ExitCode::SUCCESS;
             }
             other if root.is_none() && !other.starts_with('-') => {
@@ -51,22 +28,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let findings = lethe_lint::run(&root);
-    match format {
-        Format::Text => {
-            if findings.is_empty() {
-                println!("lethe-lint: clean");
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
-                println!("lethe-lint: {} violation(s)", findings.len());
-            }
-        }
-        Format::Json => println!("{}", lethe_lint::to_json(&findings)),
-    }
     if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+        println!("lethe-lint: clean");
+        return ExitCode::SUCCESS;
     }
+    for f in &findings {
+        println!("{f}");
+    }
+    println!("lethe-lint: {} violation(s)", findings.len());
+    ExitCode::FAILURE
 }

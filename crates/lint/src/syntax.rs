@@ -140,6 +140,13 @@ pub struct FileItems {
     pub drop_impl_types: Vec<String>,
 }
 
+impl FileItems {
+    /// Whether a 1-based line is inside a `#[cfg(test)]` item.
+    pub fn is_test_line(&self, line: u32) -> bool {
+        self.test_spans.iter().any(|&(a, b)| a <= line && line <= b)
+    }
+}
+
 /// Walks `trees` (a whole file) and collects items.
 pub fn collect_items(trees: &[Tree]) -> FileItems {
     let mut items = FileItems::default();

@@ -1,5 +1,5 @@
-//! Fixture tests for the workspace-level `lock-order` analysis, plus the
-//! lexer's masking regression fixtures and the `stale-allow` cross-check.
+//! Fixture tests for the `lock-order` analysis, plus the lexer's masking
+//! regression fixtures and the check that the real tree is clean.
 //!
 //! Each fail fixture seeds an exact number of violations; the tests
 //! assert the analysis finds *every* seeded site and nothing on the
@@ -85,86 +85,32 @@ fn lock_order_pass_fixture_is_clean() {
     assert!(findings.is_empty(), "pass fixture must be clean: {findings:#?}");
 }
 
-#[test]
-fn allow_marker_suppresses_a_workspace_finding() {
-    let src = fixture("lock-order", "fail.rs");
-    let line = nth_line_of(&src, "let _engine = self.engine.lock();", 0);
-    let marked: String = src
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            let marker = if i + 1 == line { "// lint:allow(lock-order): fixture\n" } else { "" };
-            format!("{marker}{l}\n")
-        })
-        .collect();
-    let before = workspace_rule("crates/core/src/fixture.rs", "lock-order", &src);
-    let after = workspace_rule("crates/core/src/fixture.rs", "lock-order", &marked);
-    assert_eq!(after.len(), before.len() - 1, "reasoned allow must suppress: {after:#?}");
-    assert!(after.iter().all(|f| !f.message.contains("via `engine`")), "{after:#?}");
-}
-
 // ------------------------------------------------------------------- masking
 
 #[test]
-fn masking_fail_fixture_fires_after_raw_strings_and_nested_comments() {
+fn masking_fail_fixture_finds_the_inversions_after_raw_strings_and_nested_comments() {
     let src = fixture("masking", "fail.rs");
-    let findings = lethe_lint::check_file("crates/storage/src/fixture.rs", &src);
-    let panics: Vec<_> = findings.iter().filter(|f| f.rule == "no-panic").collect();
-    assert_eq!(panics.len(), 2, "{findings:#?}");
-    assert!(panics.iter().any(|f| f.line == nth_line_of(&src, "text.parse().unwrap()", 0)));
-    assert!(panics.iter().any(|f| f.line == nth_line_of(&src, "text.parse().expect(", 0)));
+    let findings = workspace_rule("crates/core/src/fixture.rs", "lock-order", &src);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    let real = "let _worker = self.worker_state.lock();";
+    assert_eq!(lines, [nth_line_of(&src, real, 0), nth_line_of(&src, real, 1)], "{findings:#?}");
 }
 
 #[test]
-fn masking_pass_fixture_is_clean_under_every_rule() {
+fn masking_pass_fixture_is_clean() {
     let src = fixture("masking", "pass.rs");
-    for root in ["crates/storage/src/fixture.rs", "crates/lsm/src/fixture.rs"] {
-        let findings = lethe_lint::check_file(root, &src);
-        assert!(findings.is_empty(), "{root}: {findings:#?}");
-        let findings = lethe_lint::check_workspace(&[(root.to_string(), src.clone())]);
-        assert!(findings.is_empty(), "{root}: {findings:#?}");
-    }
+    let findings =
+        lethe_lint::check_workspace(&[("crates/core/src/fixture.rs".to_string(), src)]);
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
-// --------------------------------------------------------------- stale-allow
+// ----------------------------------------------------------------- real tree
 
 #[test]
-fn stale_allow_flags_markers_for_unknown_rules_only() {
-    // `durability-order` and `leak-paths` were rules once: their markers
-    // now suppress nothing and are flagged like any unknown rule
-    let src = "// lint:allow(lock-order): known rule, fine\n\
-               // lint:allow(raw-drop-page): known rule, fine\n\
-               // lint:allow(leak-paths): a deleted rule\n\
-               // lint:allow(made-up-rule): suppresses nothing\n\
-               pub fn f() {}\n";
-    let findings = lethe_lint::check_file("crates/core/src/x.rs", src);
-    let stale: Vec<_> = findings.iter().filter(|f| f.rule == "stale-allow").collect();
-    assert_eq!(stale.len(), 2, "{findings:#?}");
-    assert_eq!((stale[0].line, stale[1].line), (3, 4));
-    assert!(stale[1].message.contains("made-up-rule"), "{}", stale[1]);
-}
-
-// -------------------------------------------------------------------- output
-
-#[test]
-fn json_output_is_well_formed_and_escaped() {
-    let src = fixture("masking", "fail.rs");
-    let findings = lethe_lint::check_file("crates/storage/src/fixture.rs", &src);
-    let json = lethe_lint::to_json(&findings);
-    assert!(json.starts_with("{\"count\":2,"), "{json}");
-    assert!(json.contains("\"rule\":\"no-panic\""), "{json}");
-    assert!(json.contains("\"file\":\"crates/storage/src/fixture.rs\""), "{json}");
-    assert!(json.ends_with("]}"), "{json}");
-
-    let quoted = vec![lethe_lint::Finding {
-        rule: "no-panic",
-        file: "a.rs".to_string(),
-        line: 1,
-        message: "contains \"quotes\" and a \\ backslash".to_string(),
-    }];
-    let json = lethe_lint::to_json(&quoted);
-    assert!(
-        json.contains("contains \\\"quotes\\\" and a \\\\ backslash"),
-        "{json}"
-    );
+fn the_real_tree_is_clean() {
+    // the analysis must hold on the workspace that ships it (CI runs the
+    // binary; this keeps `cargo test -p lethe-lint` self-contained)
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let findings = lethe_lint::run(&root);
+    assert!(findings.is_empty(), "lethe-lint found violations in the tree:\n{findings:#?}");
 }

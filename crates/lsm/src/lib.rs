@@ -36,7 +36,7 @@
 //! * [`version`] — immutable, `Arc`-shared version sets: snapshot-isolated
 //!   reads and deferred page reclamation.
 //! * [`reclaim`] — the page-retirement choke point every engine-path
-//!   `drop_page` funnels through (enforced by the repo lint).
+//!   `drop_page` and `write_page` funnel through (a `clippy.toml` ban).
 //! * [`snapshot`] — the live-snapshot tracker: registered seqnum fences
 //!   gate tombstone GC and deferred page reclamation, with a lowest-freed
 //!   watermark that fails stale handles closed.
@@ -50,7 +50,16 @@
 //! substrate through [`compaction::CompactionPolicy`] and [`config::LsmConfig`].
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// non-test code returns errors instead of panicking (`clippy.toml` exempts
+// tests); a proven-impossible case carries a reasoned `#[expect]`
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod batch;
 pub mod compaction;

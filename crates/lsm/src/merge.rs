@@ -65,10 +65,10 @@ pub fn merge_entries(
         .map(|v| Box::new(VecCursor::from_unsorted(v)) as Box<dyn EntryCursor>)
         .collect();
     let merge = MergeIterator::new(cursors, range_tombstones.clone(), drop_tombstones);
-    // lint:allow(no-panic): VecCursor never returns an I/O error
+    #[expect(clippy::expect_used, reason = "VecCursor never returns an I/O error")]
     let mut merge = merge.expect("in-memory cursors are infallible");
     let mut entries: Vec<Entry> = Vec::with_capacity(total);
-    // lint:allow(no-panic): VecCursor never returns an I/O error
+    #[expect(clippy::expect_used, reason = "VecCursor never returns an I/O error")]
     while let Some(e) = merge.next_merged().expect("in-memory cursors are infallible") {
         entries.push(e);
     }

@@ -1,11 +1,11 @@
 //! The page choke point: every engine-path write and release of a device
 //! page goes through this module.
 //!
-//! The repo lint (`cargo run -p lethe-lint`) bans raw
-//! [`StorageBackend::drop_page`] calls everywhere else (outside the
-//! cache-invalidating device wrapper in `lethe_storage::cache` and test
-//! code), because a drop issued from an arbitrary call site is how two
-//! classes of bugs slip in:
+//! `clippy.toml` bans raw [`StorageBackend::drop_page`] calls everywhere
+//! else (`disallowed-methods`; the cache-invalidating device wrapper in
+//! `lethe_storage::cache` and test code carry a reasoned `#[expect]`),
+//! because a drop issued from an arbitrary call site is how two classes of
+//! bugs slip in:
 //!
 //! 1. **Cache resurrection** — dropping on an inner device while a
 //!    [`CachedBackend`](lethe_storage::CachedBackend) still holds the page
@@ -19,13 +19,13 @@
 //!    is the only place with enough information to decide a page is
 //!    unreachable, and it calls in here once it has.
 //!
-//! The same rule bans raw [`StorageBackend::write_page`] calls in the rest
-//! of `lethe-lsm`: a page is written only through
-//! [`PageReservation::write`], so no error path can strand a fresh page.
+//! The same ban covers raw [`StorageBackend::write_page`] calls: a page is
+//! written only through [`PageReservation::write`], so no error path can
+//! strand a fresh page.
 //!
 //! The helpers are deliberately thin: the *policy* (when a page may die)
 //! stays with the callers listed below; this module only centralises the
-//! *mechanism* so the lint has one place to point at.
+//! *mechanism* so the ban has one place to point at.
 
 use lethe_storage::{Page, PageId, Result, StorageBackend};
 
@@ -34,7 +34,7 @@ use lethe_storage::{Page, PageId, Result, StorageBackend};
 /// already-missing pages are swallowed: reclamation must be idempotent
 /// across crash recovery, which may retire the same page twice.
 pub fn retire_page(backend: &dyn StorageBackend, id: PageId) {
-    // lint:allow(raw-drop-page): this is the choke point the rule funnels into
+    #[expect(clippy::disallowed_methods, reason = "the choke point the ban funnels into")]
     let _ = backend.drop_page(id);
 }
 
@@ -71,6 +71,7 @@ impl<'a> PageReservation<'a> {
 
     /// Writes `page` to the device and covers its id.
     pub fn write(&mut self, page: &Page) -> Result<PageId> {
+        #[expect(clippy::disallowed_methods, reason = "the choke point the ban funnels into")]
         let id = self.backend.write_page(page)?;
         self.ids.push(id);
         Ok(id)

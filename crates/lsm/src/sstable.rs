@@ -777,6 +777,7 @@ mod tests {
         let survivor = survivor.expect("not everything deleted");
         // page drops are deferred: the caller releases the obsolete pages
         assert_eq!(obsolete.len() as u64, stats.full_page_drops + stats.partial_page_drops);
+        #[expect(clippy::disallowed_methods, reason = "plays the version set's garbage pass")]
         for id in &obsolete {
             backend.drop_page(*id).unwrap();
         }
@@ -802,6 +803,7 @@ mod tests {
             t.secondary_range_delete(0, u64::MAX, &config(4), backend.as_ref(), 1).unwrap();
         assert!(survivor.is_none());
         assert_eq!(stats.entries_deleted, 64);
+        #[expect(clippy::disallowed_methods, reason = "plays the version set's garbage pass")]
         for id in obsolete {
             backend.drop_page(id).unwrap();
         }
@@ -928,6 +930,7 @@ mod tests {
         writes_left: std::sync::atomic::AtomicU64,
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a test device delegates to the one it wraps")]
     impl StorageBackend for FailingWrites {
         fn write_page(&self, page: &Page) -> Result<PageId> {
             if self.writes_left.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 0 {

@@ -44,8 +44,9 @@ use crate::stats::{ContentSnapshot, TreeStats};
 use crate::version::VersionSet;
 use bytes::Bytes;
 use lethe_storage::{
-    DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, LogicalClock, Manifest, ManifestCommitted,
-    ManifestState, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp, Wal,
+    DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, KillPoint, LogicalClock, Manifest,
+    ManifestCommitted, ManifestState, PageId, Result, SeqNum, SortKey, StorageBackend,
+    StorageError, Timestamp, Wal,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -524,11 +525,11 @@ impl LsmTree {
     ) -> Result<Option<ManifestCommitted>> {
         let drop_fp = if whole_file_drop { self.failpoint.clone() } else { None };
         if let Some(fp) = &drop_fp {
-            fp.check("drop.commit")?;
+            fp.check(KillPoint::DropCommit)?;
         }
         let committed = self.commit_or_release(&levels, new_tables)?;
         if let Some(fp) = &drop_fp {
-            fp.check("drop.retire")?;
+            fp.check(KillPoint::DropRetire)?;
         }
         for t in new_tables {
             self.versions.register_table(t);

@@ -243,10 +243,8 @@ impl LsmTree {
                         active.oldest_tombstone_ts.get_or_insert(ts);
                         active.table.delete_range(*start, *end, seq);
                     }
-                    BatchOp::SecondaryDelete { .. } => {
-                        // lint:allow(no-panic): a secondary delete ingests nothing
-                        unreachable!("filtered out above")
-                    }
+                    #[expect(clippy::unreachable, reason = "a secondary delete ingests nothing")]
+                    BatchOp::SecondaryDelete { .. } => unreachable!("filtered out above"),
                 }
             }
             drop(active);

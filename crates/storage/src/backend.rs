@@ -21,7 +21,7 @@
 use crate::barrier;
 use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
-use crate::failpoint::FailPoint;
+use crate::failpoint::{FailPoint, KillPoint};
 use crate::iostats::IoStats;
 use crate::log::{self, be, Frame};
 use crate::page::Page;
@@ -528,12 +528,12 @@ fn encode_frame(id: PageId, payload: &[u8]) -> BytesMut {
 
 impl StorageBackend for FileBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
-        self.failpoint.check("backend.write_page")?;
+        self.failpoint.check(KillPoint::BackendWritePage)?;
         let encoded = page.encode();
         let mut app = self.appender.lock();
         if app.sealed {
             self.roll(&mut app)?;
-            self.failpoint.check("backend.segment.create")?;
+            self.failpoint.check(KillPoint::BackendSegmentCreate)?;
         }
         // the handle appends at end-of-file: whatever lies behind the last
         // good frame (the partial frame of a failed append) is cut away
@@ -610,6 +610,7 @@ impl StorageBackend for FileBackend {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the devices' own tests drive them directly")]
 mod tests {
     use super::*;
     use crate::entry::Entry;

@@ -19,7 +19,7 @@
 
 use crate::checksum::crc32;
 use crate::error::Result;
-use crate::failpoint::FailPoint;
+use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
 use lethe_sync::{LockRank, Mutex};
 use std::collections::HashSet;
@@ -114,10 +114,10 @@ impl BatchCommitLog {
     /// Durably commits `id`: appends the record and fsyncs. Returns only
     /// once the commit point is on stable storage.
     pub fn commit(&self, id: u64) -> Result<()> {
-        self.failpoint.check("batchlog.append")?;
+        self.failpoint.check(KillPoint::BatchlogAppend)?;
         let log = self.log.lock();
         log.append(&record(id))?;
-        self.failpoint.check("batchlog.commit_fsync")?;
+        self.failpoint.check(KillPoint::BatchlogCommitFsync)?;
         log.sync_data()?;
         self.ids.lock().insert(id);
         Ok(())

@@ -173,8 +173,12 @@ impl CacheShard {
         self.map.remove(&slot.key);
         self.bytes -= slot.charge;
         if let Some(moved) = self.slots.get(idx) {
-            // lint:allow(no-panic): every resident slot has a map entry by construction
-            *self.map.get_mut(&moved.key).expect("moved slot must be mapped") = idx;
+            #[expect(
+                clippy::expect_used,
+                reason = "every resident slot has a map entry by construction"
+            )]
+            let mapped = self.map.get_mut(&moved.key).expect("moved slot must be mapped");
+            *mapped = idx;
         }
         if self.hand > self.slots.len() {
             self.hand = 0;
@@ -417,6 +421,7 @@ impl CachedBackend {
 
 impl StorageBackend for CachedBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
+        #[expect(clippy::disallowed_methods, reason = "the cache delegates to the device it wraps")]
         let id = self.inner.write_page(page)?;
         if self.warm_writes {
             self.cache.insert(self.source, id, Arc::new(page.clone()));
@@ -447,6 +452,7 @@ impl StorageBackend for CachedBackend {
         Ok(page)
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the cache delegates to the device it wraps")]
     fn drop_page(&self, id: PageId) -> Result<()> {
         // invalidate first: even if the device drop fails, serving a page
         // the caller asked to retire would be the worse outcome
@@ -472,6 +478,7 @@ impl StorageBackend for CachedBackend {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the cache's own tests drive it directly")]
 mod tests {
     use super::*;
     use crate::backend::InMemoryBackend;

@@ -23,7 +23,7 @@ use crate::barrier::publish;
 use crate::checksum::crc32;
 use crate::entry::SeqNum;
 use crate::error::{Result, StorageError};
-use crate::failpoint::FailPoint;
+use crate::failpoint::{FailPoint, KillPoint};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -86,14 +86,14 @@ pub fn write_marker(
     failpoint: Option<&FailPoint>,
 ) -> Result<()> {
     if let Some(fp) = failpoint {
-        fp.check("checkpoint.marker.tmp")?;
+        fp.check(KillPoint::CheckpointMarkerTmp)?;
     }
     publish(
         &dir.join(CHECKPOINT_MARKER),
         &dir.join("CHECKPOINT.tmp"),
         fsyncs,
         |f| f.write_all(&marker.encode()),
-        || failpoint.map_or(Ok(()), |fp| fp.check("checkpoint.marker.rename")),
+        || failpoint.map_or(Ok(()), |fp| fp.check(KillPoint::CheckpointMarkerRename)),
     )?;
     Ok(())
 }

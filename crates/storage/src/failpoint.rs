@@ -10,20 +10,100 @@
 //! default-constructed fail point is disarmed and costs one relaxed atomic
 //! load per check.
 //!
-//! Every check site carries a stable **site name** (`"wal.append_nosync"`,
-//! `"manifest.rewrite.rename"`, …). The name of the site that fired last is
+//! Every check site names itself with a [`KillPoint`] variant, so a site
+//! that is not in the enum cannot be written. The site that fired last is
 //! recorded and exposed through [`FailPoint::last_fired`], so a sweep can
-//! assert *which* durable steps its crash script actually exercised. The
-//! repo lint cross-checks the site names against the `KILL_POINTS` registry
-//! in `tests/crash_recovery.rs` in both directions: a new durable step
-//! without sweep coverage, or a registry entry whose site was deleted, fails
-//! CI.
+//! assert *which* durable steps its crash script actually exercised, and
+//! `kill_point_trace_covers_the_whole_registry` in `tests/crash_recovery.rs`
+//! fails on a variant of [`KillPoint::ALL`] that no workload reaches.
 
 use crate::error::{Result, StorageError};
 use lethe_sync::{LockRank, Mutex};
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
+
+/// One durable step a [`FailPoint`] can kill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum KillPoint {
+    /// A page write that rolled to a new segment file, before the page
+    /// lands in it.
+    BackendSegmentCreate,
+    /// A page write, before the bytes reach the data file.
+    BackendWritePage,
+    /// A batch-commit log record, before it is appended.
+    BatchlogAppend,
+    /// A batch-commit log record, appended but not yet fsync'd.
+    BatchlogCommitFsync,
+    /// A checkpoint's completeness marker, written but not yet renamed.
+    CheckpointMarkerRename,
+    /// A checkpoint's completeness marker, before its temporary file.
+    CheckpointMarkerTmp,
+    /// A whole-file drop, before its manifest commit.
+    DropCommit,
+    /// A whole-file drop, committed but its pages not yet retired.
+    DropRetire,
+    /// A manifest delta, before it is appended.
+    ManifestAppend,
+    /// A manifest snapshot rewrite, before its temporary file.
+    ManifestRewriteBegin,
+    /// A manifest snapshot rewrite, written but not yet renamed.
+    ManifestRewriteRename,
+    /// A WAL record, before it is appended.
+    WalAppendNosync,
+    /// A WAL rewrite, before its temporary file.
+    WalRewriteBegin,
+    /// A WAL rewrite, written but not yet renamed.
+    WalRewriteRename,
+}
+
+impl KillPoint {
+    /// Every kill point, in declaration order: the registry the crash
+    /// sweeps assert coverage against.
+    pub const ALL: [KillPoint; 14] = [
+        KillPoint::BackendSegmentCreate,
+        KillPoint::BackendWritePage,
+        KillPoint::BatchlogAppend,
+        KillPoint::BatchlogCommitFsync,
+        KillPoint::CheckpointMarkerRename,
+        KillPoint::CheckpointMarkerTmp,
+        KillPoint::DropCommit,
+        KillPoint::DropRetire,
+        KillPoint::ManifestAppend,
+        KillPoint::ManifestRewriteBegin,
+        KillPoint::ManifestRewriteRename,
+        KillPoint::WalAppendNosync,
+        KillPoint::WalRewriteBegin,
+        KillPoint::WalRewriteRename,
+    ];
+
+    /// Stable dotted name (`"component.step"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            KillPoint::BackendSegmentCreate => "backend.segment.create",
+            KillPoint::BackendWritePage => "backend.write_page",
+            KillPoint::BatchlogAppend => "batchlog.append",
+            KillPoint::BatchlogCommitFsync => "batchlog.commit_fsync",
+            KillPoint::CheckpointMarkerRename => "checkpoint.marker.rename",
+            KillPoint::CheckpointMarkerTmp => "checkpoint.marker.tmp",
+            KillPoint::DropCommit => "drop.commit",
+            KillPoint::DropRetire => "drop.retire",
+            KillPoint::ManifestAppend => "manifest.append",
+            KillPoint::ManifestRewriteBegin => "manifest.rewrite.begin",
+            KillPoint::ManifestRewriteRename => "manifest.rewrite.rename",
+            KillPoint::WalAppendNosync => "wal.append_nosync",
+            KillPoint::WalRewriteBegin => "wal.rewrite.begin",
+            KillPoint::WalRewriteRename => "wal.rewrite.rename",
+        }
+    }
+}
+
+impl fmt::Display for KillPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// A shared, armable crash-injection countdown.
 ///
@@ -35,13 +115,13 @@ pub struct FailPoint {
     /// Remaining durable steps before the next check fails; negative when
     /// disarmed.
     remaining: Arc<AtomicI64>,
-    /// Site name of the most recent injected failure, shared by clones.
-    fired: Arc<Mutex<Option<&'static str>>>,
-    /// When set, every checked site name is recorded in `trace` (coverage
+    /// Site of the most recent injected failure, shared by clones.
+    fired: Arc<Mutex<Option<KillPoint>>>,
+    /// When set, every checked site is recorded in `trace` (coverage
     /// audits); off by default so the hot path stays one atomic load.
     tracing: Arc<AtomicBool>,
-    /// Every distinct site name seen by [`FailPoint::check`] while tracing.
-    trace: Arc<Mutex<BTreeSet<&'static str>>>,
+    /// Every distinct site seen by [`FailPoint::check`] while tracing.
+    trace: Arc<Mutex<BTreeSet<KillPoint>>>,
 }
 
 impl Default for FailPoint {
@@ -79,35 +159,31 @@ impl FailPoint {
         self.remaining.load(Ordering::SeqCst) >= 0
     }
 
-    /// Site name of the most recent injected failure, `None` before the
-    /// first one. Shared across clones, so a sweep over a multi-component
-    /// store sees the site regardless of which component fired.
-    pub fn last_fired(&self) -> Option<&'static str> {
+    /// Site of the most recent injected failure, `None` before the first
+    /// one. Shared across clones, so a sweep over a multi-component store
+    /// sees the site regardless of which component fired.
+    pub fn last_fired(&self) -> Option<KillPoint> {
         *self.fired.lock()
     }
 
-    /// Starts recording every site name passed to [`FailPoint::check`]
+    /// Starts recording every site passed to [`FailPoint::check`]
     /// (whether armed or not). Shared across clones. Used by coverage
     /// audits that assert a workload reaches every registered kill point.
     pub fn enable_trace(&self) {
         self.tracing.store(true, Ordering::SeqCst);
     }
 
-    /// Every distinct site name seen since [`FailPoint::enable_trace`], in
-    /// lexicographic order.
-    pub fn traced_sites(&self) -> Vec<&'static str> {
+    /// Every distinct site seen since [`FailPoint::enable_trace`], in
+    /// declaration order.
+    pub fn traced_sites(&self) -> Vec<KillPoint> {
         self.trace.lock().iter().copied().collect()
     }
 
-    /// Consumes one countdown step on behalf of the named durable step;
+    /// Consumes one countdown step on behalf of the durable step `site`;
     /// fails with [`StorageError::Injected`] when the countdown reaches
     /// zero (recording `site` as the fired kill point). Disarmed fail
     /// points always pass.
-    ///
-    /// `site` must be a stable dotted name (`"component.step"`) listed in
-    /// the `KILL_POINTS` registry of `tests/crash_recovery.rs`; the repo
-    /// lint enforces the cross-check.
-    pub fn check(&self, site: &'static str) -> Result<()> {
+    pub fn check(&self, site: KillPoint) -> Result<()> {
         if self.tracing.load(Ordering::Relaxed) {
             self.trace.lock().insert(site);
         }
@@ -126,12 +202,13 @@ impl FailPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use KillPoint::*;
 
     #[test]
     fn disarmed_always_passes() {
         let fp = FailPoint::new();
         for _ in 0..100 {
-            fp.check("test.step").unwrap();
+            fp.check(WalAppendNosync).unwrap();
         }
         assert!(!fp.is_armed());
         assert_eq!(fp.last_fired(), None);
@@ -142,13 +219,13 @@ mod tests {
         let fp = FailPoint::new();
         fp.arm(2);
         assert!(fp.is_armed());
-        fp.check("test.first").unwrap();
-        fp.check("test.second").unwrap();
-        assert!(matches!(fp.check("test.third"), Err(StorageError::Injected)));
+        fp.check(WalAppendNosync).unwrap();
+        fp.check(BackendWritePage).unwrap();
+        assert!(matches!(fp.check(ManifestAppend), Err(StorageError::Injected)));
         // fires once, then the countdown is disarmed
-        fp.check("test.fourth").unwrap();
+        fp.check(WalRewriteBegin).unwrap();
         assert!(!fp.is_armed());
-        assert_eq!(fp.last_fired(), Some("test.third"), "the firing site is recorded");
+        assert_eq!(fp.last_fired(), Some(ManifestAppend), "the firing site is recorded");
     }
 
     #[test]
@@ -156,20 +233,76 @@ mod tests {
         let a = FailPoint::new();
         let b = a.clone();
         a.arm(1);
-        b.check("test.pass").unwrap();
-        assert!(matches!(a.check("test.fire"), Err(StorageError::Injected)));
-        assert_eq!(b.last_fired(), Some("test.fire"));
+        b.check(BatchlogAppend).unwrap();
+        assert!(matches!(a.check(BatchlogCommitFsync), Err(StorageError::Injected)));
+        assert_eq!(b.last_fired(), Some(BatchlogCommitFsync));
     }
 
     #[test]
     fn trace_records_every_site_across_clones() {
         let a = FailPoint::new();
         let b = a.clone();
-        a.check("test.before").unwrap();
+        a.check(DropCommit).unwrap();
         a.enable_trace();
-        a.check("test.one").unwrap();
-        b.check("test.two").unwrap();
-        b.check("test.one").unwrap();
-        assert_eq!(a.traced_sites(), vec!["test.one", "test.two"], "pre-trace sites excluded");
+        a.check(WalRewriteRename).unwrap();
+        b.check(CheckpointMarkerTmp).unwrap();
+        b.check(WalRewriteRename).unwrap();
+        assert_eq!(
+            a.traced_sites(),
+            vec![CheckpointMarkerTmp, WalRewriteRename],
+            "pre-trace sites excluded"
+        );
+    }
+
+    /// `[$(KillPoint::$v),*]` behind an exhaustive `match` over the same
+    /// list, so a variant the list leaves out does not compile.
+    macro_rules! every_variant {
+        ($($v:ident),* $(,)?) => {{
+            let _exhaustive = |kp: KillPoint| match kp {
+                $(KillPoint::$v => (),)*
+            };
+            [$(KillPoint::$v),*]
+        }};
+    }
+
+    #[test]
+    fn all_holds_every_variant_once_under_a_unique_dotted_name() {
+        let mut every = every_variant![
+            BackendSegmentCreate,
+            BackendWritePage,
+            BatchlogAppend,
+            BatchlogCommitFsync,
+            CheckpointMarkerRename,
+            CheckpointMarkerTmp,
+            DropCommit,
+            DropRetire,
+            ManifestAppend,
+            ManifestRewriteBegin,
+            ManifestRewriteRename,
+            WalAppendNosync,
+            WalRewriteBegin,
+            WalRewriteRename,
+        ]
+        .to_vec();
+        every.sort();
+        let mut all = KillPoint::ALL.to_vec();
+        all.sort();
+        assert_eq!(all, KillPoint::ALL, "ALL is in declaration order");
+        all.dedup();
+        assert_eq!(all.len(), KillPoint::ALL.len(), "a variant is listed twice in ALL");
+        assert_eq!(all, every, "ALL and the enum disagree");
+
+        let names: BTreeSet<&str> = KillPoint::ALL.iter().map(|kp| kp.name()).collect();
+        assert_eq!(names.len(), KillPoint::ALL.len(), "two kill points share a name");
+        for name in names {
+            let parts: Vec<&str> = name.split('.').collect();
+            assert!(parts.len() >= 2, "{name} is not dotted");
+            assert!(
+                parts.iter().all(|p| {
+                    !p.is_empty() && p.chars().all(|c| c.is_ascii_lowercase() || c == '_')
+                }),
+                "{name} is not `component.step`"
+            );
+        }
     }
 }

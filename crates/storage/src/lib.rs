@@ -47,7 +47,16 @@
 //!   range tombstone invalidates.
 //! * [`clock`] — the logical clock that drives TTLs and tombstone ages.
 
-#![forbid(unsafe_code)]
+// non-test code returns errors instead of panicking (`clippy.toml` exempts
+// tests); a proven-impossible case carries a reasoned `#[expect]`
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod backend;
 pub mod barrier;
@@ -78,7 +87,7 @@ pub use checksum::crc32;
 pub use clock::{LogicalClock, Timestamp, MICROS_PER_SEC};
 pub use entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 pub use error::{Result, StorageError};
-pub use failpoint::FailPoint;
+pub use failpoint::{FailPoint, KillPoint};
 pub use fence::{DeleteFence, DeleteFences, FencePointers, PageCoverage};
 pub use histogram::Histogram;
 pub use iostats::{CostModel, IoSnapshot, IoStats};

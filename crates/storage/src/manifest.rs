@@ -31,7 +31,7 @@ use crate::checksum::crc32;
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, SeqNum};
 use crate::error::{Result, StorageError};
-use crate::failpoint::FailPoint;
+use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
@@ -293,10 +293,15 @@ impl Manifest {
         if self.committed && new_state == self.state {
             return Ok(ManifestCommitted(()));
         }
-        if !self.committed || self.records_since_rewrite >= REWRITE_THRESHOLD {
-            self.rewrite(new_state)?;
-            return Ok(ManifestCommitted(()));
-        }
+        // the first commit of a process, and any commit without a log to
+        // append to, writes a snapshot; rewriting creates the log
+        let log = match &self.log {
+            Some(log) if self.committed && self.records_since_rewrite < REWRITE_THRESHOLD => log,
+            _ => {
+                self.rewrite(new_state)?;
+                return Ok(ManifestCommitted(()));
+            }
+        };
         let old = self.state.file_map();
         let new = new_state.file_map();
         let removed: Vec<u64> = old.keys().filter(|id| !new.contains_key(id)).copied().collect();
@@ -317,9 +322,7 @@ impl Manifest {
             upserted,
             structure: new_state.structure(),
         };
-        self.failpoint.check("manifest.append")?;
-        // lint:allow(no-panic): the first commit rewrites, which creates the log
-        let log = self.log.as_ref().expect("the log exists past the first commit");
+        self.failpoint.check(KillPoint::ManifestAppend)?;
         log.append(&frame_record(&record))?;
         log.sync_data()?;
         self.records_since_rewrite += 1;
@@ -329,13 +332,13 @@ impl Manifest {
 
     /// Rewrites the manifest as a single snapshot of `state`, atomically.
     fn rewrite(&mut self, state: ManifestState) -> Result<()> {
-        self.failpoint.check("manifest.rewrite.begin")?;
+        self.failpoint.check(KillPoint::ManifestRewriteBegin)?;
         let framed = frame_record(&ManifestRecord::Snapshot(state.clone()));
         let body = |f: &mut std::fs::File| {
             f.write_all(&MANIFEST_MAGIC.to_be_bytes())?;
             f.write_all(&framed)
         };
-        let before_rename = || self.failpoint.check("manifest.rewrite.rename");
+        let before_rename = || self.failpoint.check(KillPoint::ManifestRewriteRename);
         match &mut self.log {
             Some(log) => log.replace("manifest.tmp", body, before_rename)?,
             None => {

@@ -15,7 +15,7 @@
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
 use crate::error::{Result, StorageError};
-use crate::failpoint::FailPoint;
+use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
 use crate::manifest::ManifestCommitted;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -553,11 +553,11 @@ impl FileWal {
     /// no append can slip in between the snapshot the caller took and the
     /// rename (it would be silently discarded).
     fn rewrite_locked(&self, log: &mut LogFile, records: &[WalRecord]) -> Result<()> {
-        self.failpoint.check("wal.rewrite.begin")?;
+        self.failpoint.check(KillPoint::WalRewriteBegin)?;
         log.replace(
             "wal.tmp",
             |f| records.iter().try_for_each(|r| f.write_all(&encode_frame(r))),
-            || self.failpoint.check("wal.rewrite.rename"),
+            || self.failpoint.check(KillPoint::WalRewriteRename),
         )?;
         self.record_count.store(records.len() as u64, Ordering::Relaxed);
         self.appends_since_sync.store(0, Ordering::Relaxed);
@@ -567,7 +567,7 @@ impl FileWal {
 
 impl Wal for FileWal {
     fn append_nosync(&self, record: WalRecord) -> Result<()> {
-        self.failpoint.check("wal.append_nosync")?;
+        self.failpoint.check(KillPoint::WalAppendNosync)?;
         self.log.lock().append(&encode_frame(&record))?;
         // the cached record count is kept in step, under the same lock
         let count = self.record_count.load(Ordering::Relaxed);

@@ -28,7 +28,6 @@
 //! how to add a rank.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "the ranked primitives are the one place that wraps the std::sync locks"

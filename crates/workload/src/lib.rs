@@ -10,8 +10,6 @@
 //! operation stream, which keeps every figure of the benchmark harness
 //! reproducible.
 
-#![forbid(unsafe_code)]
-
 pub mod concurrent;
 pub mod generator;
 pub mod gorilla;

@@ -33,8 +33,6 @@
 //! assert!(db.get(10).unwrap().is_some());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use lethe_core::*;
 
 /// The LSM-tree substrate (levels, compaction policies, the tree itself).

@@ -19,7 +19,7 @@
 
 use bytes::Bytes;
 use lethe::lsm::{CompactionStrategy, LsmConfig, SecondaryDeleteMode};
-use lethe::storage::{FailPoint, Result, SyncPolicy};
+use lethe::storage::{FailPoint, KillPoint, Result, SyncPolicy};
 use lethe::{Lethe, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,30 +28,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const KEY_SPACE: u64 = 256;
-
-/// Registry of every [`FailPoint::check`] site name in the source tree.
-/// `lethe-lint` cross-checks this list against the code in both directions
-/// (an unregistered site is untested, a registered name with no site is
-/// dead), and `kill_point_trace_covers_the_whole_registry` below proves a
-/// workload actually reaches each one at runtime.
-// lint:kill-points-registry:begin
-const KILL_POINTS: &[&str] = &[
-    "backend.segment.create",
-    "backend.write_page",
-    "batchlog.append",
-    "batchlog.commit_fsync",
-    "checkpoint.marker.rename",
-    "checkpoint.marker.tmp",
-    "drop.commit",
-    "drop.retire",
-    "manifest.append",
-    "manifest.rewrite.begin",
-    "manifest.rewrite.rename",
-    "wal.append_nosync",
-    "wal.rewrite.begin",
-    "wal.rewrite.rename",
-];
-// lint:kill-points-registry:end
 
 /// The delete key is a fixed function of the sort key (an immutable
 /// creation attribute, as in the paper's model).
@@ -615,7 +591,7 @@ fn sealed_segment_template() -> PathBuf {
 /// no dead segment but possibly the newest, and finishes a re-driven
 /// `persist()`. Returns the site that fired, `None` once `kill` is past the
 /// last step.
-fn run_roll_sweep_iteration(template: &std::path::Path, kill: u64) -> Option<&'static str> {
+fn run_roll_sweep_iteration(template: &std::path::Path, kill: u64) -> Option<KillPoint> {
     let dir = unique_dir("rollsweep");
     std::fs::create_dir_all(&dir).unwrap();
     for entry in std::fs::read_dir(template).unwrap() {
@@ -678,18 +654,20 @@ fn kill_point_sweep_segment_roll() {
         kill += 1;
     }
     let _ = std::fs::remove_dir_all(&template);
-    for site in ["backend.segment.create", "backend.write_page", "manifest.rewrite.rename"] {
-        assert!(fired.contains(site), "the sweep never died at {site}: {fired:?}");
+    for site in [
+        KillPoint::BackendSegmentCreate,
+        KillPoint::BackendWritePage,
+        KillPoint::ManifestRewriteRename,
+    ] {
+        assert!(fired.contains(&site), "the sweep never died at {site}: {fired:?}");
     }
 }
 
-/// Proves the `KILL_POINTS` registry is *runtime-reachable*, not just
-/// statically cross-checked: a traced (disarmed) fail point records every
-/// site name a mixed sharded workload consults, and the set must equal the
-/// registry exactly. A site the workload never reaches would pass the lint
-/// (the name exists in source) but has no sweep that can kill inside it —
-/// this test catches that gap; a traced site missing from the registry is
-/// caught by the lint itself.
+/// Proves every [`KillPoint`] is *runtime-reachable*: a traced (disarmed)
+/// fail point records every site a mixed sharded workload consults, and
+/// the set must equal [`KillPoint::ALL`] exactly. A variant no site checks
+/// any more, or one the workload never reaches, has no sweep that can kill
+/// inside it; this test catches both.
 #[test]
 fn kill_point_trace_covers_the_whole_registry() {
     let dir = unique_dir("killtrace");
@@ -767,18 +745,18 @@ fn kill_point_trace_covers_the_whole_registry() {
         assert_eq!(data_segments(&fatdir).len(), 2, "rolled once");
     }
     let _ = std::fs::remove_dir_all(&fatdir);
-    let traced: BTreeSet<&str> = fp.traced_sites().into_iter().collect();
-    let registry: BTreeSet<&str> = KILL_POINTS.iter().copied().collect();
-    let unreached: Vec<&&str> = registry.difference(&traced).collect();
+    let traced: BTreeSet<KillPoint> = fp.traced_sites().into_iter().collect();
+    let registry: BTreeSet<KillPoint> = KillPoint::ALL.into_iter().collect();
+    let unreached: Vec<&KillPoint> = registry.difference(&traced).collect();
     assert!(
         unreached.is_empty(),
         "registered kill points never consulted by the coverage workload: {unreached:?} \
          (traced: {traced:?})"
     );
-    let unregistered: Vec<&&str> = traced.difference(&registry).collect();
+    let unregistered: Vec<&KillPoint> = traced.difference(&registry).collect();
     assert!(
         unregistered.is_empty(),
-        "sites consulted at runtime but missing from KILL_POINTS: {unregistered:?}"
+        "sites consulted at runtime but missing from KillPoint::ALL: {unregistered:?}"
     );
 }
 
@@ -803,9 +781,11 @@ fn wrapped_builder_failpoint_arms_batch_log_and_checkpoint() {
         db.write(batch).unwrap();
         db.checkpoint(&ckpt).unwrap();
     }
-    let traced: BTreeSet<&str> = fp.traced_sites().into_iter().collect();
-    for site in ["batchlog.append", "batchlog.commit_fsync", "checkpoint.marker.tmp"] {
-        assert!(traced.contains(site), "{site} never consulted: {traced:?}");
+    let traced: BTreeSet<KillPoint> = fp.traced_sites().into_iter().collect();
+    for site in
+        [KillPoint::BatchlogAppend, KillPoint::BatchlogCommitFsync, KillPoint::CheckpointMarkerTmp]
+    {
+        assert!(traced.contains(&site), "{site} never consulted: {traced:?}");
     }
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1346,7 +1326,7 @@ fn checkpoint_kill_point_sweep() {
 
     let mut kill = 0u64;
     let mut crashes = 0u32;
-    let mut fired: BTreeSet<&'static str> = BTreeSet::new();
+    let mut fired: BTreeSet<KillPoint> = BTreeSet::new();
     let mut post_key = 10_000u64;
     loop {
         // the store keeps moving while the pinned fence stays put; drain
@@ -1399,12 +1379,12 @@ fn checkpoint_kill_point_sweep() {
         kill += 1;
     }
     assert!(crashes >= 5, "sweep must cross the checkpoint's durable steps, got {crashes}");
-    let expected: BTreeSet<&'static str> = [
-        "backend.write_page",
-        "manifest.rewrite.begin",
-        "manifest.rewrite.rename",
-        "checkpoint.marker.tmp",
-        "checkpoint.marker.rename",
+    let expected: BTreeSet<KillPoint> = [
+        KillPoint::BackendWritePage,
+        KillPoint::ManifestRewriteBegin,
+        KillPoint::ManifestRewriteRename,
+        KillPoint::CheckpointMarkerTmp,
+        KillPoint::CheckpointMarkerRename,
     ]
     .into_iter()
     .collect();

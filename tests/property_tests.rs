@@ -651,6 +651,7 @@ proptest! {
             table.secondary_range_delete(lo, hi, &cfg, backend.as_ref(), 1).unwrap();
         // page drops are deferred to the caller (version-set garbage)
         prop_assert_eq!(obsolete.len() as u64, stats.full_page_drops + stats.partial_page_drops);
+        #[expect(clippy::disallowed_methods, reason = "plays the version set's garbage pass")]
         for id in &obsolete {
             backend.drop_page(*id).unwrap();
         }
