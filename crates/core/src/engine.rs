@@ -13,7 +13,7 @@
 //! knobs the paper calls out (`D_th` and `h`) along with the standard LSM
 //! knobs of Table 1.
 
-use crate::fade::{FadePolicy, SaturationSelection};
+use crate::fade::FadePolicy;
 use crate::tuning::{optimal_delete_tile_pages, TreeShape, WorkloadProfile};
 use bytes::Bytes;
 use lethe_lsm::compaction::CompactionPolicy;
@@ -41,7 +41,6 @@ pub struct LetheBuilder {
     /// Always carries `Some` delete persistence threshold: every setter and
     /// [`with_config`](Self::with_config) keep one in place.
     config: LsmConfig,
-    selection: SaturationSelection,
     failpoint: Option<FailPoint>,
     /// An externally supplied block cache shared with other engines (the
     /// sharded front-end passes one cache to every shard); when absent and
@@ -76,7 +75,6 @@ impl LetheBuilder {
         };
         LetheBuilder {
             config,
-            selection: SaturationSelection::MostInvalidations,
             failpoint: None,
             shared_cache: None,
             seqnum_allocator: None,
@@ -257,7 +255,7 @@ impl LetheBuilder {
                     .config
                     .delete_persistence_threshold
                     .expect("a LetheBuilder config always carries D_th");
-                Box::new(FadePolicy::with_selection(dth, self.selection))
+                Box::new(FadePolicy::new(dth))
             }
             CompactionStrategy::SizeTiered { fan_in } => Box::new(SizeTieredPolicy::new(fan_in)),
             CompactionStrategy::DateTiered { base_window_micros, fan_in, ttl_micros } => {
@@ -269,13 +267,6 @@ impl LetheBuilder {
     /// Sets the ingestion rate `I` (entries per second of logical time).
     pub fn ingestion_rate(mut self, entries_per_sec: u64) -> Self {
         self.config.ingestion_rate = entries_per_sec.max(1);
-        self
-    }
-
-    /// Sets the secondary optimisation goal of saturation-driven compactions
-    /// (the paper's SO vs SD modes).
-    pub fn saturation_selection(mut self, selection: SaturationSelection) -> Self {
-        self.selection = selection;
         self
     }
 

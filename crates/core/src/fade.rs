@@ -1,5 +1,4 @@
-//! FADE — Fast Deletion: the delete-aware family of compaction strategies
-//! (paper §4.1).
+//! FADE — Fast Deletion: the delete-aware compaction policy (paper §4.1).
 //!
 //! FADE guarantees that every tombstone participates in a compaction with the
 //! last level within the user-supplied *delete persistence threshold* `D_th`.
@@ -15,26 +14,25 @@
 //!   `SD` (highest estimated invalidation count `b`, space-optimised) or
 //!   `DD` (the expired file, delete-persistence-driven).
 //!
-//! TTL expiry always uses `DD`. For saturation-driven compactions the
-//! secondary optimisation goal is configurable via [`SaturationSelection`].
+//! This module holds FADE's own half: the TTL allocation ([`level_ttls`])
+//! and the TTL trigger, which always selects `DD`. Every pick that trigger
+//! does not claim goes to an inner [`SaturationPolicy`] selecting `SD`
+//! ([`FileSelection::MostInvalidations`], which is `SO` while no file of the
+//! level invalidates anything).
 
-use lethe_lsm::compaction::{CompactionPolicy, CompactionTask, TreeView};
+use lethe_lsm::compaction::{
+    CompactionPolicy, CompactionTask, FileSelection, SaturationPolicy, TreeView,
+};
 use lethe_lsm::config::MergePolicy;
-use lethe_lsm::sstable::SsTable;
+use lethe_lsm::level::Level;
 use lethe_storage::Timestamp;
-use std::sync::Arc;
 
-/// The secondary optimisation goal used when a compaction is triggered by
-/// level saturation (the TTL guarantee holds under either choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaturationSelection {
-    /// `SO`: pick the file with the smallest overlap with the next level,
-    /// minimising write amplification (the state-of-the-art default).
-    SmallestOverlap,
-    /// `SD`: pick the file with the highest estimated invalidation count `b`,
-    /// minimising space amplification (Lethe's default).
-    MostInvalidations,
-}
+/// The size ratio `T` FADE allocates its TTLs with, whatever the tree's
+/// own. §4.1.2 uses the tree's size ratio; this fixed value is an open
+/// departure (ROADMAP.md, "FADE as §4.1 specifies it"): a larger `T` gives
+/// the shallow levels shorter TTLs, trading write amplification for space
+/// amplification.
+const TTL_SIZE_RATIO: usize = 10;
 
 /// Per-level TTL allocation for a given threshold, size ratio and level count
 /// (paper §4.1.2).
@@ -62,199 +60,73 @@ pub fn level_ttls(dth: Timestamp, size_ratio: usize, disk_levels: usize) -> Vec<
     cumulative
 }
 
-/// The FADE compaction policy.
+/// The FADE compaction policy: the TTL trigger over a
+/// [`FileSelection::MostInvalidations`] saturation policy.
 #[derive(Debug, Clone)]
 pub struct FadePolicy {
     dth: Timestamp,
-    selection: SaturationSelection,
-    level_count: usize,
-    cumulative_ttls: Vec<Timestamp>,
+    saturation: SaturationPolicy,
 }
 
 impl FadePolicy {
     /// Creates a FADE policy enforcing the delete persistence threshold
-    /// `dth` (logical microseconds), using `SD` selection for
-    /// saturation-driven compactions.
+    /// `dth` (logical microseconds).
     pub fn new(dth: Timestamp) -> Self {
-        Self::with_selection(dth, SaturationSelection::MostInvalidations)
-    }
-
-    /// Creates a FADE policy with an explicit saturation-selection mode.
-    pub fn with_selection(dth: Timestamp, selection: SaturationSelection) -> Self {
-        FadePolicy {
-            dth,
-            selection,
-            level_count: 0,
-            cumulative_ttls: Vec::new(),
-        }
+        FadePolicy { dth, saturation: SaturationPolicy::new(FileSelection::MostInvalidations) }
     }
 
     /// The configured delete persistence threshold.
     pub fn delete_persistence_threshold(&self) -> Timestamp {
         self.dth
     }
+}
 
-    /// The cumulative per-level TTLs currently in force.
-    pub fn cumulative_ttls(&self) -> &[Timestamp] {
-        &self.cumulative_ttls
-    }
-
-    fn recompute_ttls(&mut self, level_count: usize) {
-        if level_count == self.level_count && !self.cumulative_ttls.is_empty() {
-            return;
-        }
-        self.level_count = level_count;
-        if level_count == 0 {
-            self.cumulative_ttls.clear();
-        } else {
-            // size ratio is filled in lazily on the first `pick` (we need the
-            // view's config); keep a placeholder consistent with T = 10
-            self.cumulative_ttls = level_ttls(self.dth, 10, level_count);
-        }
-    }
-
-    /// True if `table`, resident in disk level `level`, has outlived its TTL
-    /// at logical time `now`.
-    fn is_expired(&self, table: &SsTable, level: usize, now: Timestamp) -> bool {
-        if !table.has_tombstones() {
-            return false;
-        }
-        let ttl = self
-            .cumulative_ttls
-            .get(level)
-            .copied()
-            .unwrap_or(self.dth);
-        table.tombstone_age(now) > ttl
-    }
-
-    /// Collects the files to compact from `level` for a delete-driven (DD)
-    /// compaction: every expired file of the level is compacted in one job
-    /// (paper Figure 4), ordered oldest tombstone first.
-    fn pick_dd(&self, view: &TreeView<'_>, level: usize) -> Vec<u64> {
-        let now = view.now;
-        let mut expired: Vec<_> = view.levels[level]
-            .all_tables()
-            .filter(|t| self.is_expired(t, level, now))
-            .collect();
-        expired.sort_by(|a, b| {
-            b.tombstone_age(now)
-                .cmp(&a.tombstone_age(now))
-                .then_with(|| b.tombstone_count().cmp(&a.tombstone_count()))
-        });
-        expired.iter().map(|t| t.meta.id).collect()
-    }
-
-    /// Picks the file to compact from a saturated `level` according to the
-    /// configured secondary goal.
-    fn pick_saturated(&self, view: &TreeView<'_>, level: usize) -> Option<u64> {
-        let tables: Vec<&Arc<SsTable>> = view.levels[level].all_tables().collect();
-        if tables.is_empty() {
-            return None;
-        }
-        let now = view.now;
-        // With no tombstones anywhere in the level there is nothing for the
-        // delete-driven goal to optimise: fall back to the write-optimised
-        // smallest-overlap choice so that, absent deletes, Lethe behaves
-        // exactly like the state of the art (paper §5.1).
-        let selection = if self.selection == SaturationSelection::MostInvalidations
-            && tables.iter().all(|t| view.estimated_invalidation_count(t) == 0.0)
-        {
-            SaturationSelection::SmallestOverlap
-        } else {
-            self.selection
-        };
-        let chosen = match selection {
-            SaturationSelection::MostInvalidations => tables.iter().max_by(|a, b| {
-                let ba = view.estimated_invalidation_count(a);
-                let bb = view.estimated_invalidation_count(b);
-                ba.partial_cmp(&bb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.tombstone_age(now).cmp(&b.tombstone_age(now)))
-                    .then_with(|| a.tombstone_count().cmp(&b.tombstone_count()))
-            }),
-            SaturationSelection::SmallestOverlap => tables.iter().min_by(|a, b| {
-                view.overlap_bytes(level, a)
-                    .cmp(&view.overlap_bytes(level, b))
-                    .then_with(|| b.tombstone_count().cmp(&a.tombstone_count()))
-            }),
-        };
-        chosen.map(|t| t.meta.id)
-    }
+/// The files of `level` whose oldest tombstone is older than `ttl` at
+/// logical time `now`, oldest tombstone first: a delete-driven (DD)
+/// compaction moves every expired file of the level in one job (paper
+/// Figure 4).
+fn expired_files(level: &Level, ttl: Timestamp, now: Timestamp) -> Vec<u64> {
+    let mut expired: Vec<_> = level
+        .all_tables()
+        .filter(|t| t.has_tombstones() && t.tombstone_age(now) > ttl)
+        .collect();
+    expired.sort_by(|a, b| {
+        b.tombstone_age(now)
+            .cmp(&a.tombstone_age(now))
+            .then_with(|| b.tombstone_count().cmp(&a.tombstone_count()))
+    });
+    expired.iter().map(|t| t.meta.id).collect()
 }
 
 impl CompactionPolicy for FadePolicy {
     fn pick(&mut self, view: &TreeView<'_>) -> Option<CompactionTask> {
-        // keep the TTL allocation in sync with the tree height and size ratio
-        let level_count = view.levels.len();
-        if level_count == 0 {
-            return None;
-        }
-        if level_count != self.level_count || self.cumulative_ttls.is_empty() {
-            self.level_count = level_count;
-            self.cumulative_ttls = level_ttls(self.dth, view.config.size_ratio, level_count);
-        }
-
-        // 1. delete-driven trigger: any level holding an expired file, the
-        //    smallest such level first (ties among levels go to the smallest
-        //    level, §4.1.4). Suspended while a live snapshot gates tombstone
-        //    GC: a DD compaction exists only to drop its expired tombstones,
-        //    which a gated job must retain — running it anyway would rewrite
-        //    the file with `oldest_tombstone_ts` intact, leave it expired,
-        //    and re-pick it forever. The engine counts the deferral
-        //    (`TreeStats::tombstone_gc_delayed`) and the expired files are
-        //    picked up on the first pick after the snapshot releases.
-        let now = view.now;
-        let skip_dd = view.tombstone_gc_gated;
-        for level in (0..level_count).filter(|_| !skip_dd) {
-            if view.levels[level].is_empty() {
-                continue;
-            }
-            let has_expired =
-                view.levels[level].all_tables().any(|t| self.is_expired(t, level, now));
-            if !has_expired {
-                continue;
-            }
-            return match view.config.merge_policy {
-                MergePolicy::Leveling => {
-                    let file_ids = self.pick_dd(view, level);
-                    if file_ids.is_empty() {
-                        None
-                    } else {
-                        Some(CompactionTask::LeveledMulti { level, file_ids, ttl_expired: true })
+        // The TTL trigger goes first, on the smallest level holding an
+        // expired file (ties among levels go to the smallest level, §4.1.4).
+        // It is suspended while a live snapshot gates tombstone GC: a DD
+        // compaction exists only to drop its expired tombstones, which a
+        // gated job must retain — running it anyway would rewrite the file
+        // with `oldest_tombstone_ts` intact, leave it expired, and re-pick it
+        // forever. The engine counts the deferral
+        // (`TreeStats::tombstone_gc_delayed`) and the expired files are
+        // picked up on the first pick after the snapshot releases.
+        if !view.tombstone_gc_gated {
+            let ttls = level_ttls(self.dth, TTL_SIZE_RATIO, view.levels.len());
+            for (level, (files, &ttl)) in view.levels.iter().zip(&ttls).enumerate() {
+                let file_ids = expired_files(files, ttl, view.now);
+                if file_ids.is_empty() {
+                    continue;
+                }
+                return Some(match view.config.merge_policy {
+                    MergePolicy::Leveling => {
+                        CompactionTask::LeveledMulti { level, file_ids, ttl_expired: true }
                     }
-                }
-                MergePolicy::Tiering => {
-                    Some(CompactionTask::TieredLevel { level, ttl_expired: true })
-                }
-            };
-        }
-
-        // 2. saturation-driven trigger
-        for level in 0..level_count {
-            if view.levels[level].is_empty() || !view.is_saturated(level) {
-                continue;
+                    MergePolicy::Tiering => {
+                        CompactionTask::TieredLevel { level, ttl_expired: true }
+                    }
+                });
             }
-            return match view.config.merge_policy {
-                MergePolicy::Leveling => self.pick_saturated(view, level).map(|file_id| {
-                    CompactionTask::LeveledMulti { level, file_ids: vec![file_id], ttl_expired: false }
-                }),
-                MergePolicy::Tiering => {
-                    Some(CompactionTask::TieredLevel { level, ttl_expired: false })
-                }
-            };
         }
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        match self.selection {
-            SaturationSelection::MostInvalidations => "fade/sd+dd",
-            SaturationSelection::SmallestOverlap => "fade/so+dd",
-        }
-    }
-
-    fn on_tree_growth(&mut self, level_count: usize) {
-        self.recompute_ttls(level_count);
+        self.saturation.pick(view)
     }
 }
 
@@ -263,8 +135,10 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use lethe_lsm::config::LsmConfig;
-    use lethe_lsm::level::{Level, Run};
+    use lethe_lsm::level::Run;
+    use lethe_lsm::sstable::SsTable;
     use lethe_storage::{Entry, Histogram, InMemoryBackend};
+    use std::sync::Arc;
 
     #[test]
     fn ttl_allocation_sums_to_dth_and_grows_exponentially() {
@@ -399,17 +273,36 @@ mod tests {
             policy.pick(&view),
             Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_expired: false })
         );
-        assert_eq!(policy.name(), "fade/sd+dd");
+    }
 
-        // the SO variant prefers the file with the smallest overlap instead
-        let mut policy = FadePolicy::with_selection(u64::MAX, SaturationSelection::SmallestOverlap);
-        let mut view = make_view(&levels, &cfg, &hist, 10);
-        view.capacities = vec![1, u64::MAX];
-        assert!(matches!(
+    /// A saturated level 0 and a TTL-expired file in level 1 at once: the
+    /// TTL trigger wins, even though saturation would pick the shallower
+    /// level.
+    #[test]
+    fn expired_ttl_takes_precedence_over_saturation() {
+        let backend = InMemoryBackend::new();
+        let cfg = LsmConfig::small_for_test();
+        let hist = Histogram::new(0, 1 << 20, 16);
+        let mut levels = vec![Level::new(), Level::new(), Level::new()];
+        levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 64, 0, 0, &backend)]));
+        levels[1].runs.push(Run::new(vec![table_with_tombstones(2, 100, 8, 1, 0, &backend)]));
+        let mut policy = FadePolicy::new(1_000_000);
+        // past level 1's cumulative TTL, short of level 2's (= D_th)
+        let now = level_ttls(1_000_000, 10, 3)[1] + 1;
+        let mut view = make_view(&levels, &cfg, &hist, now);
+        view.capacities = vec![1, u64::MAX, u64::MAX]; // level 0 is saturated
+        assert_eq!(
             policy.pick(&view),
-            Some(CompactionTask::LeveledMulti { level: 0, ttl_expired: false, .. })
-        ));
-        assert_eq!(policy.name(), "fade/so+dd");
+            Some(CompactionTask::LeveledMulti { level: 1, file_ids: vec![2], ttl_expired: true })
+        );
+        // without the expired file, saturation picks level 0
+        levels[1].runs.clear();
+        let mut view = make_view(&levels, &cfg, &hist, now);
+        view.capacities = vec![1, u64::MAX, u64::MAX];
+        assert_eq!(
+            policy.pick(&view),
+            Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![1], ttl_expired: false })
+        );
     }
 
     #[test]
@@ -466,12 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn on_tree_growth_rescales_ttls() {
-        let mut policy = FadePolicy::new(1_000_000);
-        policy.on_tree_growth(2);
-        let two = policy.cumulative_ttls().to_vec();
-        policy.on_tree_growth(4);
-        let four = policy.cumulative_ttls().to_vec();
+    fn deeper_trees_shrink_the_first_levels_ttl() {
+        let two = level_ttls(1_000_000, 10, 2);
+        let four = level_ttls(1_000_000, 10, 4);
         assert_eq!(two.len(), 2);
         assert_eq!(four.len(), 4);
         assert_eq!(*two.last().unwrap(), 1_000_000);

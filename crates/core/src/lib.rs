@@ -3,9 +3,10 @@
 //! The primary contribution of *Lethe: A Tunable Delete-Aware LSM Engine*
 //! (SIGMOD 2020), built on top of the `lethe-lsm` substrate:
 //!
-//! * [`fade`] — the FADE family of delete-aware compaction strategies:
-//!   per-level TTLs derived from the delete persistence threshold `D_th`,
-//!   delete-driven triggers, and the SO/SD/DD file-selection modes.
+//! * [`fade`] — the FADE delete-aware compaction policy: per-level TTLs
+//!   derived from the delete persistence threshold `D_th` and the
+//!   delete-driven (DD) trigger they fire, over `lethe-lsm`'s saturation
+//!   policy with SD file selection.
 //! * [`kiwi`] — planning and accounting helpers for the Key Weaving Storage
 //!   Layout (full/partial page-drop prediction, metadata overhead, CPU-cost
 //!   multipliers).
@@ -55,7 +56,7 @@ pub use baseline::BaselineKind;
 pub use compactor::Compactor;
 pub use engine::{Lethe, LetheBuilder};
 pub use shard::{BackpressureStats, ShardedLethe, ShardedLetheBuilder, Snapshot};
-pub use fade::{level_ttls, FadePolicy, SaturationSelection};
+pub use fade::{level_ttls, FadePolicy};
 pub use kiwi::{
     hash_cost_multiplier, metadata_overhead_bytes, plan_secondary_delete, DropPlan,
 };

@@ -1551,7 +1551,6 @@ mod tests {
             .merge_policy(MergePolicy::Tiering)
             .compaction_strategy(CompactionStrategy::SizeTiered { fan_in: 3 })
             .ingestion_rate(777)
-            .saturation_selection(crate::fade::SaturationSelection::SmallestOverlap)
             .wal_sync_policy(lethe_storage::SyncPolicy::EveryN(3))
             .block_cache_bytes(budget)
             .warm_block_cache_on_write(true)

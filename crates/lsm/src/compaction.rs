@@ -1,23 +1,32 @@
 //! Compaction policies.
 //!
 //! A policy answers two questions after every flush (paper §4.1.4): *should a
-//! compaction run now*, and *which file should it compact*. The engine calls
-//! [`CompactionPolicy::pick`] in a loop until it returns `None`.
+//! compaction run now* (the trigger), and *which file should it compact* (the
+//! file selection). The engine calls [`CompactionPolicy::pick`] in a loop
+//! until it returns `None`.
 //!
-//! This crate ships the state-of-the-art baselines:
+//! [`SaturationPolicy`] is the saturation trigger: compact only when a level
+//! exceeds its capacity. Its [`FileSelection`] is one of
 //!
-//! * [`SaturationPolicy`] with [`FileSelection::MinOverlap`] — compact only
-//!   when a level exceeds its capacity and pick the file with the least
-//!   overlap with the next level (write-amplification optimised; the paper's
-//!   "SO" mode and the default of production engines).
-//! * [`SaturationPolicy`] with [`FileSelection::MostTombstones`] — RocksDB's
-//!   tombstone-count-based file selection (§3.1.3).
+//! * [`FileSelection::MinOverlap`] — the file with the least overlap with
+//!   the next level (write-amplification optimised; the paper's "SO" mode
+//!   and the default of production engines);
+//! * [`FileSelection::MostTombstones`] — RocksDB's tombstone-count-based
+//!   file selection (§3.1.3);
+//! * [`FileSelection::MostInvalidations`] — the file with the highest
+//!   estimated invalidation count `b` (the paper's space-optimised "SD"
+//!   mode, Lethe's choice).
+//!
+//! Two more triggers wrap a `SaturationPolicy` and hand it every pick they
+//! do not claim:
+//!
 //! * [`PeriodicFullCompactionPolicy`] — the industry workaround for delete
-//!   persistence: force a full-tree compaction every `period` time units.
+//!   persistence: force a full-tree compaction every `period` time units;
+//! * the paper's FADE policy, in the `lethe-core` crate — a per-level TTL
+//!   trigger that compacts the expired files themselves (the paper's
+//!   delete-driven "DD" mode) over a `MostInvalidations` saturation policy.
 //!
-//! The FADE policy of the paper lives in the `lethe-core` crate and
-//! implements the same trait; the size-tiered and date-tiered strategies
-//! live in [`crate::strategy`].
+//! The size-tiered and date-tiered strategies live in [`crate::strategy`].
 //!
 //! Policies only *choose* work. Executing a chosen job
 //! ([`crate::jobs::JobPlan::execute`]) streams the input files through the
@@ -151,20 +160,13 @@ pub enum CompactionTask {
     FullTree,
 }
 
-/// A compaction trigger + file selection strategy.
+/// A compaction trigger + file selection strategy. A policy sees only the
+/// [`TreeView`] it is handed, so anything it derives from the tree (FADE's
+/// per-level TTLs, for one) it derives inside `pick`.
 pub trait CompactionPolicy: Send {
     /// Returns the next compaction to perform, or `None` if the tree needs no
     /// work right now. Called repeatedly until it returns `None`.
     fn pick(&mut self, view: &TreeView<'_>) -> Option<CompactionTask>;
-
-    /// Human-readable policy name (used by the benchmark harness output).
-    fn name(&self) -> &'static str;
-
-    /// Notifies the policy that the tree now has `level_count` disk levels
-    /// (FADE re-derives its per-level TTLs here).
-    fn on_tree_growth(&mut self, level_count: usize) {
-        let _ = level_count;
-    }
 }
 
 /// How saturation-driven policies choose the file to compact.
@@ -176,6 +178,11 @@ pub enum FileSelection {
     /// The file containing the most tombstones (RocksDB's delete-triggered
     /// selection; ties broken by smallest overlap).
     MostTombstones,
+    /// The file with the highest estimated invalidation count `b`
+    /// ([`TreeView::estimated_invalidation_count`]; ties broken by oldest
+    /// tombstone, then most tombstones). When no file of the level
+    /// invalidates anything this is exactly [`FileSelection::MinOverlap`].
+    MostInvalidations,
 }
 
 /// The classic saturation-driven compaction policy used by state-of-the-art
@@ -197,7 +204,19 @@ impl SaturationPolicy {
         if tables.is_empty() {
             return None;
         }
-        let chosen = match self.selection {
+        let now = view.now;
+        // With no tombstones anywhere in the level there is nothing for the
+        // delete-driven goal to optimise: fall back to the write-optimised
+        // smallest-overlap choice so that, absent deletes, Lethe behaves
+        // exactly like the state of the art (paper §5.1).
+        let selection = if self.selection == FileSelection::MostInvalidations
+            && tables.iter().all(|t| view.estimated_invalidation_count(t) == 0.0)
+        {
+            FileSelection::MinOverlap
+        } else {
+            self.selection
+        };
+        let chosen = match selection {
             FileSelection::MinOverlap => tables.iter().min_by(|a, b| {
                 view.overlap_bytes(level, a)
                     .cmp(&view.overlap_bytes(level, b))
@@ -207,6 +226,14 @@ impl SaturationPolicy {
                 a.tombstone_count()
                     .cmp(&b.tombstone_count())
                     .then_with(|| view.overlap_bytes(level, b).cmp(&view.overlap_bytes(level, a)))
+            }),
+            FileSelection::MostInvalidations => tables.iter().max_by(|a, b| {
+                let ba = view.estimated_invalidation_count(a);
+                let bb = view.estimated_invalidation_count(b);
+                ba.partial_cmp(&bb)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| a.tombstone_age(now).cmp(&b.tombstone_age(now)))
+                    .then_with(|| a.tombstone_count().cmp(&b.tombstone_count()))
             }),
         };
         chosen.map(|t| t.meta.id)
@@ -231,13 +258,6 @@ impl CompactionPolicy for SaturationPolicy {
             };
         }
         None
-    }
-
-    fn name(&self) -> &'static str {
-        match self.selection {
-            FileSelection::MinOverlap => "saturation/min-overlap",
-            FileSelection::MostTombstones => "saturation/most-tombstones",
-        }
     }
 }
 
@@ -272,10 +292,6 @@ impl CompactionPolicy for PeriodicFullCompactionPolicy {
         }
         self.inner.pick(view)
     }
-
-    fn name(&self) -> &'static str {
-        "saturation+periodic-full-compaction"
-    }
 }
 
 #[cfg(test)]
@@ -286,15 +302,55 @@ mod tests {
     use lethe_storage::{Entry, InMemoryBackend};
 
     fn table(id: u64, lo: u64, hi: u64, tombstones: u64, backend: &InMemoryBackend) -> Arc<SsTable> {
+        tombstoned(id, lo, hi, tombstones, vec![], 10, backend)
+    }
+
+    /// Puts over `lo..hi`, `points` point tombstones right above them, the
+    /// given range tombstones, and `oldest_ts` as the oldest tombstone's time.
+    fn tombstoned(
+        id: u64,
+        lo: u64,
+        hi: u64,
+        points: u64,
+        ranges: Vec<Entry>,
+        oldest_ts: Timestamp,
+        backend: &InMemoryBackend,
+    ) -> Arc<SsTable> {
         let cfg = LsmConfig::small_for_test();
         let mut entries: Vec<Entry> =
             (lo..hi).map(|k| Entry::put(k, k, k + 1, Bytes::from(vec![0u8; 32]))).collect();
-        for i in 0..tombstones {
+        for i in 0..points {
             entries.push(Entry::point_tombstone(hi + i, 1000 + i));
         }
         entries.sort_by_key(|e| e.sort_key);
-        let ts = if tombstones > 0 { Some(10) } else { None };
-        Arc::new(SsTable::build(id, entries, vec![], 0, ts, &cfg, backend).unwrap())
+        let ts = (points > 0 || !ranges.is_empty()).then_some(oldest_ts);
+        Arc::new(SsTable::build(id, entries, ranges, 0, ts, &cfg, backend).unwrap())
+    }
+
+    /// Level 0 over capacity (so it is the level a saturation policy
+    /// compacts), level 1 as given.
+    fn saturated<'a>(
+        levels: &'a [Level],
+        cfg: &'a LsmConfig,
+        hist: &'a Histogram,
+        now: Timestamp,
+    ) -> TreeView<'a> {
+        TreeView {
+            levels,
+            capacities: vec![1, u64::MAX],
+            now,
+            config: cfg,
+            sort_key_histogram: hist,
+            tombstone_gc_gated: false,
+        }
+    }
+
+    fn pick_with(selection: FileSelection, view: &TreeView<'_>) -> Option<CompactionTask> {
+        SaturationPolicy::new(selection).pick(view)
+    }
+
+    fn leveled(file_id: u64) -> Option<CompactionTask> {
+        Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![file_id], ttl_expired: false })
     }
 
     fn histogram() -> Histogram {
@@ -318,7 +374,6 @@ mod tests {
         };
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
         assert!(policy.pick(&view).is_none());
-        assert_eq!(policy.name(), "saturation/min-overlap");
     }
 
     #[test]
@@ -353,6 +408,73 @@ mod tests {
             policy.pick(&view),
             Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![2], ttl_expired: false })
         );
+    }
+
+    #[test]
+    fn most_invalidations_picks_the_highest_estimated_b() {
+        let backend = InMemoryBackend::new();
+        let cfg = LsmConfig::small_for_test();
+        let mut hist = Histogram::new(0, 1000, 10);
+        for k in 0..1000 {
+            hist.add(k);
+        }
+        let mut levels = vec![Level::new(), Level::new()];
+        levels[0].runs.push(Run::new(vec![
+            // eight point tombstones: b = 8
+            tombstoned(1, 0, 10, 8, vec![], 10, &backend),
+            // one range tombstone over ~300 recorded keys: b ≈ 300
+            tombstoned(2, 100, 110, 0, vec![Entry::range_tombstone(200, 500, 2000)], 10, &backend),
+            tombstoned(3, 600, 610, 0, vec![], 10, &backend),
+        ]));
+        let view = saturated(&levels, &cfg, &hist, 100);
+        assert_eq!(pick_with(FileSelection::MostInvalidations, &view), leveled(2));
+        // counting tombstones instead picks the eight point tombstones
+        assert_eq!(pick_with(FileSelection::MostTombstones, &view), leveled(1));
+    }
+
+    #[test]
+    fn most_invalidations_breaks_ties_by_oldest_tombstone_then_most_tombstones() {
+        let backend = InMemoryBackend::new();
+        let cfg = LsmConfig::small_for_test();
+        // an empty histogram estimates 0 for every range tombstone, so each
+        // file's b is its point-tombstone count: 2 everywhere below
+        let hist = Histogram::new(0, 1 << 20, 16);
+        let mut levels = vec![Level::new(), Level::new()];
+        levels[0].runs.push(Run::new(vec![
+            tombstoned(1, 0, 10, 2, vec![], 50, &backend),
+            tombstoned(2, 100, 110, 2, vec![], 10, &backend), // oldest tombstone
+            tombstoned(3, 200, 210, 2, vec![], 30, &backend),
+        ]));
+        let view = saturated(&levels, &cfg, &hist, 100);
+        assert_eq!(pick_with(FileSelection::MostInvalidations, &view), leveled(2));
+
+        // same b and same age: the file with the most tombstones
+        levels[0].runs = vec![Run::new(vec![
+            tombstoned(1, 0, 10, 2, vec![], 10, &backend),
+            tombstoned(2, 100, 110, 2, vec![Entry::range_tombstone(120, 130, 2000)], 10, &backend),
+            tombstoned(3, 200, 210, 2, vec![], 10, &backend),
+        ])];
+        let view = saturated(&levels, &cfg, &hist, 100);
+        assert_eq!(pick_with(FileSelection::MostInvalidations, &view), leveled(2));
+    }
+
+    #[test]
+    fn most_invalidations_without_invalidations_is_min_overlap() {
+        let backend = InMemoryBackend::new();
+        let cfg = LsmConfig::small_for_test();
+        let hist = Histogram::new(0, 1 << 20, 16);
+        let mut levels = vec![Level::new(), Level::new()];
+        levels[0].runs.push(Run::new(vec![
+            tombstoned(1, 0, 100, 0, vec![], 10, &backend),
+            // a range tombstone estimated to invalidate nothing (b = 0), but
+            // the older tombstone: the SD comparator alone would pick file 2
+            tombstoned(2, 200, 300, 0, vec![Entry::range_tombstone(200, 300, 2000)], 10, &backend),
+        ]));
+        levels[1].runs.push(Run::new(vec![table(3, 200, 300, 0, &backend)]));
+        let view = saturated(&levels, &cfg, &hist, 100);
+        let min_overlap = pick_with(FileSelection::MinOverlap, &view);
+        assert_eq!(min_overlap, leveled(1));
+        assert_eq!(pick_with(FileSelection::MostInvalidations, &view), min_overlap);
     }
 
     #[test]
@@ -403,7 +525,6 @@ mod tests {
         assert!(policy.pick(&mk_view(1001)).is_none());
         // after another period elapses it fires again
         assert_eq!(policy.pick(&mk_view(2100)), Some(CompactionTask::FullTree));
-        assert_eq!(policy.name(), "saturation+periodic-full-compaction");
     }
 
     #[test]

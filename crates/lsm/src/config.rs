@@ -241,35 +241,25 @@ impl LsmConfig {
         if self.bits_per_key <= 0.0 {
             return Err("bits_per_key must be positive".into());
         }
-        match self.compaction_strategy {
-            CompactionStrategy::Default => {}
-            CompactionStrategy::SizeTiered { fan_in } => {
-                if fan_in < 2 {
-                    return Err("size-tiered fan_in must be at least 2".into());
-                }
-                if self.merge_policy != MergePolicy::Tiering {
-                    return Err(
-                        "size-tiered compaction requires MergePolicy::Tiering (flushes must \
-                         append runs, not merge into the resident level)"
-                            .into(),
-                    );
-                }
-            }
+        let fan_in = match self.compaction_strategy {
+            CompactionStrategy::Default => return Ok(()),
+            CompactionStrategy::SizeTiered { fan_in } => fan_in,
             CompactionStrategy::DateTiered { base_window_micros, fan_in, .. } => {
                 if base_window_micros == 0 {
                     return Err("date-tiered base_window_micros must be positive".into());
                 }
-                if fan_in < 2 {
-                    return Err("date-tiered fan_in must be at least 2".into());
-                }
-                if self.merge_policy != MergePolicy::Tiering {
-                    return Err(
-                        "date-tiered compaction requires MergePolicy::Tiering (flushes must \
-                         append runs, not merge into the resident level)"
-                            .into(),
-                    );
-                }
+                fan_in
             }
+        };
+        if fan_in < 2 {
+            return Err("tiered compaction fan_in must be at least 2".into());
+        }
+        if self.merge_policy != MergePolicy::Tiering {
+            return Err(
+                "tiered compaction requires MergePolicy::Tiering (flushes must append runs, \
+                 not merge into the resident level)"
+                    .into(),
+            );
         }
         Ok(())
     }
@@ -368,6 +358,19 @@ mod tests {
         assert!(c.validate().is_ok());
         c.compaction_strategy =
             CompactionStrategy::DateTiered { base_window_micros: 0, fan_in: 4, ttl_micros: None };
+        assert!(c.validate().is_err());
+        c.compaction_strategy = CompactionStrategy::DateTiered {
+            base_window_micros: 1_000_000,
+            fan_in: 1,
+            ttl_micros: None,
+        };
+        assert!(c.validate().is_err());
+        c.compaction_strategy = CompactionStrategy::DateTiered {
+            base_window_micros: 1_000_000,
+            fan_in: 4,
+            ttl_micros: None,
+        };
+        c.merge_policy = MergePolicy::Leveling;
         assert!(c.validate().is_err());
     }
 }

@@ -442,7 +442,6 @@ impl LsmTree {
 
     fn plan_compaction(&mut self) -> Option<JobPlan> {
         let version = self.versions.current();
-        self.policy.on_tree_growth(version.levels.len());
         let task = {
             let view = TreeView {
                 levels: &version.levels,
@@ -1005,9 +1004,6 @@ mod tests {
     impl CompactionPolicy for Scripted {
         fn pick(&mut self, _: &TreeView<'_>) -> Option<CompactionTask> {
             self.0.pop()
-        }
-        fn name(&self) -> &'static str {
-            "scripted"
         }
     }
 

@@ -133,10 +133,6 @@ impl CompactionPolicy for SizeTieredPolicy {
         }
         None
     }
-
-    fn name(&self) -> &'static str {
-        "size-tiered"
-    }
 }
 
 /// Date-tiered compaction: runs are bucketed into aligned time windows over
@@ -242,10 +238,6 @@ impl CompactionPolicy for DateTieredPolicy {
             drop().or_else(|| self.pick_merge(view))
         }
     }
-
-    fn name(&self) -> &'static str {
-        "date-tiered"
-    }
 }
 
 #[cfg(test)]
@@ -330,7 +322,6 @@ mod tests {
             task,
             Some(CompactionTask::MergeRuns { level: 0, file_ids: vec![1, 2, 3] })
         );
-        assert_eq!(p.name(), "size-tiered");
     }
 
     #[test]
@@ -383,7 +374,6 @@ mod tests {
             task,
             Some(CompactionTask::MergeRuns { level: 0, file_ids: vec![3, 4, 5] })
         );
-        assert_eq!(p.name(), "date-tiered");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use lethe::lsm::LsmTree;
 use lethe::storage::{FileWal, LogicalClock, Wal, WalRecord};
 use lethe::workload::{BatchWriteOp, Operation, WorkloadGenerator, WorkloadSpec};
 use lethe::{
-    BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
+    level_ttls, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
     ShardedLetheBuilder, Snapshot, WriteBatch,
 };
 use std::collections::BTreeMap;
@@ -353,6 +353,48 @@ fn delete_persistence_is_honoured_under_continuous_ingestion() {
     // deleted keys stay deleted, surviving keys stay readable
     assert_eq!(db.get(0).unwrap(), None);
     assert_eq!(db.get(3).unwrap(), None);
+    assert!(db.get(1).unwrap().is_some());
+}
+
+/// The TTL allocation the engine actually runs: in a two-level store with
+/// `size_ratio(4)`, a level-0 tombstone file is compacted by FADE's TTL
+/// trigger once its tombstone is older than `level_ttls(D_th, 10, 2)[0]`,
+/// and not at that age. FADE allocates with `T = 10`, not the tree's size
+/// ratio (with `T = 4`, level 0's share would be more than twice as long).
+#[test]
+fn fade_compacts_a_level_0_tombstone_file_at_the_t_10_ttl() {
+    let dth = 1_000_000;
+    let mut db = LetheBuilder::new()
+        .with_config(LsmConfig { auto_advance_clock: false, ..small_config() })
+        .size_ratio(4)
+        .delete_persistence_threshold_micros(dth)
+        .build()
+        .unwrap();
+    let mut k = 0;
+    while db.tree().level_count() < 2 {
+        db.put(k, k, vec![1u8; 24]).unwrap();
+        k += 1;
+    }
+    let deleted_at = db.clock().now();
+    db.delete(0).unwrap();
+    db.persist().unwrap();
+    let level_0_has_tombstones =
+        |db: &Lethe| db.tree().levels()[0].all_tables().any(|f| f.has_tombstones());
+    assert_eq!(db.tree().level_count(), 2);
+    assert!(level_0_has_tombstones(&db));
+    assert_eq!(db.stats().ttl_triggered_compactions, 0);
+
+    let ttl = level_ttls(dth, 10, 2)[0];
+    db.clock().advance_to(deleted_at + ttl);
+    db.maintain().unwrap();
+    assert_eq!(db.stats().ttl_triggered_compactions, 0, "age == TTL has not expired");
+    assert!(level_0_has_tombstones(&db));
+
+    db.clock().advance_to(deleted_at + ttl + 1);
+    db.maintain().unwrap();
+    assert!(db.stats().ttl_triggered_compactions > 0, "age > TTL has expired");
+    assert!(!level_0_has_tombstones(&db));
+    assert_eq!(db.get(0).unwrap(), None);
     assert!(db.get(1).unwrap().is_some());
 }
 
