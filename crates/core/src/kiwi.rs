@@ -26,10 +26,11 @@ pub struct DropPlan {
     /// Pages whose whole delete-key range falls inside the deleted range:
     /// they would be dropped without being read.
     pub full_drops: u64,
-    /// Pages straddling a range boundary: they would be read, filtered and
-    /// rewritten.
+    /// Pages straddling a range boundary, or fully covered pages that also
+    /// hold tombstones: they would be read, filtered and rewritten (or kept
+    /// as they are if no put in them matched, so this is an upper bound).
     pub partial_drops: u64,
-    /// Pages unaffected by the delete.
+    /// Pages unaffected by the delete, a page of tombstones only among them.
     pub untouched: u64,
 }
 
@@ -65,13 +66,11 @@ pub fn plan_secondary_delete(tree: &LsmTree, d_lo: DeleteKey, d_hi: DeleteKey) -
     for level in tree.levels() {
         for run in &level.runs {
             for table in run.tables() {
-                for tile in &table.tiles {
-                    for idx in 0..tile.pages.len() {
-                        match tile.delete_fences.coverage(idx, d_lo, d_hi) {
-                            PageCoverage::Full => plan.full_drops += 1,
-                            PageCoverage::Partial => plan.partial_drops += 1,
-                            PageCoverage::None => plan.untouched += 1,
-                        }
+                for handle in table.tiles.iter().flat_map(|tile| &tile.pages) {
+                    match handle.coverage(d_lo, d_hi) {
+                        PageCoverage::Full => plan.full_drops += 1,
+                        PageCoverage::Partial => plan.partial_drops += 1,
+                        PageCoverage::None => plan.untouched += 1,
                     }
                 }
             }
@@ -155,6 +154,37 @@ mod tests {
         let stats = tree.secondary_range_delete(0, 1000).unwrap();
         assert_eq!(stats.full_page_drops, plan.full_drops, "plan {plan:?} vs actual {stats:?}");
         assert_eq!(stats.partial_page_drops, plan.partial_drops);
+    }
+
+    #[test]
+    fn a_page_of_tombstones_only_is_untouched() {
+        let mut tree = build_tree(4, 0, false);
+        // every third key a point tombstone, every put's delete key >= 1000
+        for k in 0..600u64 {
+            if k % 3 == 0 {
+                tree.delete(k).unwrap();
+            } else {
+                tree.put(k, 1000 + k, Bytes::from(vec![b'v'; 16])).unwrap();
+            }
+        }
+        tree.flush().unwrap();
+        let pages: Vec<_> = tree
+            .levels()
+            .iter()
+            .flat_map(|l| l.runs.iter())
+            .flat_map(|r| r.tables().iter())
+            .flat_map(|t| t.tiles.iter().flat_map(|tile| tile.pages.clone()))
+            .collect();
+        let tombstone_only = pages.iter().filter(|p| p.num_tombstones == p.num_entries);
+        assert!(tombstone_only.count() > 0, "no page of tombstones only");
+        // a purge below every put's delete key touches no page
+        let plan = plan_secondary_delete(&tree, 0, 500);
+        assert_eq!(plan, DropPlan { untouched: pages.len() as u64, ..DropPlan::default() });
+        // a fully covered page that holds tombstones is read, not dropped
+        let plan = plan_secondary_delete(&tree, 0, u64::MAX);
+        let mixed =
+            pages.iter().filter(|p| p.num_tombstones > 0 && p.num_tombstones < p.num_entries);
+        assert_eq!(plan.partial_drops, mixed.count() as u64, "{plan:?}");
     }
 
     #[test]

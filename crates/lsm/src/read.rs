@@ -434,12 +434,11 @@ impl ReadView {
         let generation = self.source.installs();
         let version = self.source.version();
         for table in version.levels.iter().flat_map(|level| level.all_tables()) {
-            // KiWi fence pruning at file granularity: a file whose
-            // delete-key bounds cannot intersect the scanned range holds no
-            // qualifying page, so none of its delete fences (let alone
+            // KiWi fence pruning at file granularity: a file whose put
+            // delete keys cannot intersect the scanned range holds no
+            // qualifying page, so none of its page fences (let alone
             // pages) need to be consulted
-            let meta = &table.meta;
-            if meta.num_entries == 0 || meta.max_delete < d_lo || meta.min_delete >= d_hi {
+            if !table.meta.delete_fence.overlaps(d_lo, d_hi) {
                 continue;
             }
             hits.extend(table.secondary_range_scan(d_lo, d_hi, self.backend.as_ref())?);

@@ -21,8 +21,8 @@
 
 use crate::config::LsmConfig;
 use lethe_storage::{
-    BloomFilter, DeleteFence, DeleteFences, DeleteKey, Entry, FencePointers, FileDesc, IoStats,
-    Page, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp,
+    BloomFilter, DeleteFence, DeleteKey, Entry, FencePointers, FileDesc, IoStats, Page,
+    PageCoverage, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp,
 };
 use std::sync::Arc;
 
@@ -37,10 +37,8 @@ pub struct PageHandle {
     pub min_sort: SortKey,
     /// Largest sort key stored in the page.
     pub max_sort: SortKey,
-    /// Smallest delete key stored in the page.
-    pub min_delete: DeleteKey,
-    /// Largest delete key stored in the page.
-    pub max_delete: DeleteKey,
+    /// Delete-key bounds of the page's puts (its *delete fence pointer*).
+    pub delete_fence: DeleteFence,
     /// Number of entries in the page.
     pub num_entries: usize,
     /// Number of tombstones (point + range) in the page.
@@ -60,11 +58,21 @@ impl PageHandle {
             bloom,
             min_sort: page.min_sort_key().unwrap_or(0),
             max_sort: page.max_sort_key().unwrap_or(0),
-            min_delete: page.min_delete_key().unwrap_or(0),
-            max_delete: page.max_delete_key().unwrap_or(0),
+            delete_fence: page.delete_fence(),
             num_entries: page.len(),
             num_tombstones: page.tombstone_count(),
             data_bytes: page.data_size(),
+        }
+    }
+
+    /// How a secondary range delete of `[lo, hi)` treats the page: `Full`
+    /// drops it unread, `Partial` reads it and rewrites it if anything
+    /// matched, `None` leaves it alone. A fully covered page that holds
+    /// tombstones is `Partial`: it must be read to keep them.
+    pub fn coverage(&self, lo: DeleteKey, hi: DeleteKey) -> PageCoverage {
+        match self.delete_fence.coverage(lo, hi) {
+            PageCoverage::Full if self.num_tombstones > 0 => PageCoverage::Partial,
+            coverage => coverage,
         }
     }
 }
@@ -73,10 +81,9 @@ impl PageHandle {
 /// keys, internally ordered by delete key.
 #[derive(Debug, Clone)]
 pub struct DeleteTile {
-    /// Page handles in delete-key order.
+    /// Page handles in delete-key order; each carries its page's delete
+    /// fence pointer.
     pub pages: Vec<PageHandle>,
-    /// Per-page delete-key bounds (the *delete fence pointers*).
-    pub delete_fences: DeleteFences,
     /// Smallest sort key in the tile.
     pub min_sort: SortKey,
     /// Largest sort key in the tile.
@@ -85,12 +92,9 @@ pub struct DeleteTile {
 
 impl DeleteTile {
     fn from_pages(pages: Vec<PageHandle>) -> Self {
-        let delete_fences = DeleteFences::new(
-            pages.iter().map(|p| DeleteFence { min: p.min_delete, max: p.max_delete }).collect(),
-        );
         let min_sort = pages.iter().map(|p| p.min_sort).min().unwrap_or(0);
         let max_sort = pages.iter().map(|p| p.max_sort).max().unwrap_or(0);
-        DeleteTile { pages, delete_fences, min_sort, max_sort }
+        DeleteTile { pages, min_sort, max_sort }
     }
 
     /// Number of entries across all pages of the tile.
@@ -116,10 +120,8 @@ pub struct SsTableMeta {
     pub min_sort: SortKey,
     /// Largest sort key in the file.
     pub max_sort: SortKey,
-    /// Smallest delete key in the file.
-    pub min_delete: DeleteKey,
-    /// Largest delete key in the file.
-    pub max_delete: DeleteKey,
+    /// Delete-key bounds of the file's puts: the union of its page fences.
+    pub delete_fence: DeleteFence,
     /// Logical time the file was created (flush or compaction output).
     pub created_at: Timestamp,
     /// Insertion time of the oldest tombstone contained in the file; `None`
@@ -154,9 +156,13 @@ pub struct SecondaryDeleteStats {
     /// Pages dropped in their entirety without being read.
     pub full_page_drops: u64,
     /// Pages read, filtered and rewritten because the delete range only
-    /// partially covered them.
+    /// partially covered them (or covered the puts of a page that also
+    /// holds tombstones).
     pub partial_page_drops: u64,
-    /// Pages left untouched.
+    /// Pages whose fence overlapped the range, so they were read, but that
+    /// held no matching put and were kept as they were: a fence miss.
+    pub pages_read_unchanged: u64,
+    /// Pages left unread and untouched.
     pub pages_untouched: u64,
     /// Entries removed from the file.
     pub entries_deleted: u64,
@@ -167,6 +173,7 @@ impl SecondaryDeleteStats {
     pub fn merge(&mut self, other: &SecondaryDeleteStats) {
         self.full_page_drops += other.full_page_drops;
         self.partial_page_drops += other.partial_page_drops;
+        self.pages_read_unchanged += other.pages_read_unchanged;
         self.pages_untouched += other.pages_untouched;
         self.entries_deleted += other.entries_deleted;
     }
@@ -235,7 +242,7 @@ impl SsTable {
     /// Assembles a file around its finished tiles and range-tombstone block,
     /// deriving from them everything in [`SsTableMeta`] that they determine:
     /// the entry and tombstone counts, the data size, the sort-key range, the
-    /// delete-key bounds and the tile fence pointers.
+    /// delete fence and the tile fence pointers.
     fn assemble(
         id: u64,
         tiles: Vec<DeleteTile>,
@@ -272,8 +279,7 @@ impl SsTable {
                 + range_tombstones.iter().map(|e| e.encoded_size() as u64).sum::<u64>(),
             min_sort,
             max_sort,
-            min_delete: pages().map(|p| p.min_delete).min().unwrap_or(0),
-            max_delete: pages().map(|p| p.max_delete).max().unwrap_or(0),
+            delete_fence: pages().fold(DeleteFence::EMPTY, |f, p| f.union(p.delete_fence)),
             created_at,
             oldest_tombstone_ts,
             max_seqnum,
@@ -298,8 +304,8 @@ impl SsTable {
                 created_at: self.meta.created_at,
                 oldest_tombstone_ts: self.meta.oldest_tombstone_ts,
                 max_seqnum: self.meta.max_seqnum,
-                min_delete: self.meta.min_delete,
-                max_delete: self.meta.max_delete,
+                min_delete: self.meta.delete_fence.min,
+                max_delete: self.meta.delete_fence.max,
                 tiles: self
                     .tiles
                     .iter()
@@ -346,25 +352,17 @@ impl SsTable {
             desc.oldest_tombstone_ts,
             desc.max_seqnum,
         );
-        // the delete-key bounds are recorded in the manifest (they are the
-        // file-granularity KiWi fences secondary scans prune on). Adopt the
-        // durable values — except for the conservative full-domain sentinel
-        // a version-1 manifest decodes to, where the exact bounds just
-        // re-derived from the pages stand (the in-memory fences are then
-        // exact for this run; the durable descriptor keeps the conservative
-        // bounds until the file is next rewritten)
-        let v1_sentinel = desc.min_delete == 0 && desc.max_delete == DeleteKey::MAX;
+        // the fence just derived from the pages is exact, and it is the one
+        // kept in memory. The durable bounds need only contain it: an older
+        // manifest holds wider ones (tombstone-inclusive, or the version-1
+        // full domain), which stay on disk until the file is next rewritten
+        let durable = DeleteFence { min: desc.min_delete, max: desc.max_delete };
         debug_assert!(
-            v1_sentinel
-                || (desc.min_delete, desc.max_delete)
-                    == (table.meta.min_delete, table.meta.max_delete),
-            "manifest delete-key bounds disagree with page contents of file {}",
-            desc.id
+            durable.contains(table.meta.delete_fence),
+            "manifest delete-key bounds {durable:?} of file {} exclude its pages' {:?}",
+            desc.id,
+            table.meta.delete_fence
         );
-        if !v1_sentinel {
-            table.meta.min_delete = desc.min_delete;
-            table.meta.max_delete = desc.max_delete;
-        }
         table.desc = std::sync::OnceLock::from(Arc::clone(desc));
         Ok(table)
     }
@@ -412,7 +410,7 @@ impl SsTable {
     /// (Bloom filters + fence pointers + delete fences).
     pub fn memory_footprint(&self) -> usize {
         let blooms: usize = self.tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.bloom.size_bytes()).sum();
-        let delete_fences: usize = self.tiles.iter().map(|t| t.delete_fences.size_bytes()).sum();
+        let delete_fences = self.page_count() * std::mem::size_of::<DeleteFence>();
         blooms + delete_fences + self.tile_fences.size_bytes()
     }
 
@@ -531,13 +529,14 @@ impl SsTable {
     /// whose **delete key** lies in `[d_lo, d_hi)`.
     ///
     /// Pages fully covered by the range qualify for a *full page drop*
-    /// (released without being read); pages partially covered are read,
-    /// filtered and rewritten. Returns the surviving file (or `None` if
-    /// nothing survived), drop statistics, and the ids of the pages the
-    /// delete made obsolete. The pages are **not** released here: the caller
-    /// retires them through the version set so that concurrently pinned
-    /// snapshots (which may still reference the original file) stay readable
-    /// until they are dropped.
+    /// (released without being read); every other page whose fence overlaps
+    /// the range is read and filtered, and rewritten only if something
+    /// matched (see [`PageHandle::coverage`]). Returns the surviving file (or
+    /// `None` if nothing survived), drop statistics, and the ids of the pages
+    /// the delete made obsolete. The pages are **not** released here: the
+    /// caller retires them through the version set so that concurrently
+    /// pinned snapshots (which may still reference the original file) stay
+    /// readable until they are dropped.
     pub fn secondary_range_delete(
         &self,
         d_lo: DeleteKey,
@@ -554,40 +553,29 @@ impl SsTable {
         let mut reservation = crate::reclaim::PageReservation::new(backend);
 
         for tile in &self.tiles {
-            let (full, partial) = tile.delete_fences.classify_range(d_lo, d_hi);
             let mut surviving: Vec<PageHandle> = Vec::with_capacity(tile.pages.len());
-            for (idx, handle) in tile.pages.iter().enumerate() {
-                if full.contains(&idx) {
-                    // the whole page qualifies, unless it holds tombstones
-                    // which must survive to keep primary-delete persistence
-                    if handle.num_tombstones > 0 {
-                        let page = backend.read_page_nofill(handle.id)?;
-                        let (deleted, kept) = page.drop_secondary_range(d_lo, d_hi);
-                        stats.entries_deleted += deleted as u64;
-                        obsolete_pages.push(handle.id);
-                        if kept.is_empty() {
-                            stats.full_page_drops += 1;
-                        } else {
-                            stats.partial_page_drops += 1;
-                            let pid = reservation.write(&kept)?;
-                            surviving.push(PageHandle::from_page(pid, &kept, config.bits_per_key));
-                        }
-                    } else {
+            for handle in &tile.pages {
+                match handle.coverage(d_lo, d_hi) {
+                    PageCoverage::None => {
+                        stats.pages_untouched += 1;
+                        surviving.push(handle.clone());
+                    }
+                    PageCoverage::Full => {
                         stats.entries_deleted += handle.num_entries as u64;
                         stats.full_page_drops += 1;
                         obsolete_pages.push(handle.id);
                     }
-                } else if partial.contains(&idx) {
-                    // this page is rewritten (or dropped) right below, so do
-                    // not let the read displace anything in the cache
-                    let page = backend.read_page_nofill(handle.id)?;
-                    let (deleted, kept) = page.drop_secondary_range(d_lo, d_hi);
-                    stats.entries_deleted += deleted as u64;
-                    if deleted == 0 {
-                        // the fence over-approximated; nothing actually matched
-                        stats.pages_untouched += 1;
-                        surviving.push(handle.clone());
-                    } else {
+                    PageCoverage::Partial => {
+                        // this page is rewritten (or dropped) right below, so
+                        // do not let the read displace anything in the cache
+                        let page = backend.read_page_nofill(handle.id)?;
+                        let (deleted, kept) = page.drop_secondary_range(d_lo, d_hi);
+                        stats.entries_deleted += deleted as u64;
+                        if deleted == 0 {
+                            stats.pages_read_unchanged += 1;
+                            surviving.push(handle.clone());
+                            continue;
+                        }
                         obsolete_pages.push(handle.id);
                         if kept.is_empty() {
                             stats.full_page_drops += 1;
@@ -597,9 +585,6 @@ impl SsTable {
                             surviving.push(PageHandle::from_page(pid, &kept, config.bits_per_key));
                         }
                     }
-                } else {
-                    stats.pages_untouched += 1;
-                    surviving.push(handle.clone());
                 }
             }
             if !surviving.is_empty() {
@@ -638,10 +623,8 @@ impl SsTable {
     ) -> Result<Vec<Entry>> {
         let mut out = Vec::new();
         for tile in &self.tiles {
-            for (idx, handle) in tile.pages.iter().enumerate() {
-                if tile.delete_fences.coverage(idx, d_lo, d_hi)
-                    == lethe_storage::PageCoverage::None
-                {
+            for handle in &tile.pages {
+                if !handle.delete_fence.overlaps(d_lo, d_hi) {
                     continue;
                 }
                 let page = backend.read_page(handle.id)?;
@@ -687,7 +670,10 @@ mod tests {
         for tile in &t.tiles {
             // pages within a tile sorted on D
             for w in tile.pages.windows(2) {
-                assert!(w[0].max_delete <= w[1].min_delete, "pages must be sorted on delete key");
+                assert!(
+                    w[0].delete_fence.max <= w[1].delete_fence.min,
+                    "pages must be sorted on delete key"
+                );
             }
             // entries within a page sorted on S
             for p in &tile.pages {
@@ -827,6 +813,70 @@ mod tests {
         assert!(all[0].is_point_tombstone());
     }
 
+    /// Every third key a point tombstone, every put's delete key `>= 1000`.
+    fn tombstones_and_late_puts(n: u64) -> Vec<Entry> {
+        (0..n)
+            .map(|k| match k % 3 {
+                0 => Entry::point_tombstone(k, k + 1),
+                _ => Entry::put(k, 1000 + (k * 37) % 1000, k + 1, Bytes::from(vec![b'v'; 16])),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tombstones_do_not_widen_the_delete_fences() {
+        let backend = InMemoryBackend::new_shared();
+        let cfg = config(4);
+        let entries = tombstones_and_late_puts(96);
+        let put_keys = || entries.iter().filter(|e| !e.is_tombstone()).map(|e| e.delete_key);
+        let put_bounds = put_keys().min().zip(put_keys().max());
+        let t =
+            SsTable::build(1, entries.clone(), vec![], 0, Some(1), &cfg, backend.as_ref()).unwrap();
+        assert_eq!(t.meta.num_point_tombstones, 32);
+        assert_eq!(t.meta.delete_fence.bounds(), put_bounds);
+        let tombstone_only: Vec<&PageHandle> = t
+            .tiles
+            .iter()
+            .flat_map(|tile| &tile.pages)
+            .filter(|p| p.num_tombstones == p.num_entries)
+            .collect();
+        assert!(!tombstone_only.is_empty(), "the layout should hold pages of tombstones only");
+        assert!(tombstone_only.iter().all(|p| p.delete_fence == DeleteFence::EMPTY));
+
+        // a purge below every put's delete key reads nothing and deletes nothing
+        let before = backend.stats().snapshot();
+        let (survivor, stats, obsolete) =
+            t.secondary_range_delete(0, 500, &cfg, backend.as_ref(), 1).unwrap();
+        assert_eq!(backend.stats().snapshot().since(&before).pages_read, 0, "{stats:?}");
+        assert_eq!(stats.entries_deleted, 0);
+        assert_eq!(stats.pages_untouched, t.page_count() as u64);
+        assert!(obsolete.is_empty());
+        assert_eq!(survivor.expect("nothing was deleted").meta.num_entries, 96);
+
+        let before = backend.stats().snapshot();
+        assert!(t.secondary_range_scan(0, 500, backend.as_ref()).unwrap().is_empty());
+        assert_eq!(backend.stats().snapshot().since(&before).pages_read, 0);
+    }
+
+    #[test]
+    fn a_fully_covered_page_with_tombstones_is_read_and_keeps_them() {
+        let backend = InMemoryBackend::new_shared();
+        let cfg = config(4);
+        let entries = tombstones_and_late_puts(96);
+        let t = SsTable::build(1, entries, vec![], 0, Some(1), &cfg, backend.as_ref()).unwrap();
+        let before = backend.stats().snapshot();
+        let (survivor, stats, _) =
+            t.secondary_range_delete(0, u64::MAX, &cfg, backend.as_ref(), 1).unwrap();
+        let reads = backend.stats().snapshot().since(&before).pages_read;
+        assert_eq!(stats.entries_deleted, 64);
+        assert_eq!(reads, stats.partial_page_drops + stats.pages_read_unchanged, "{stats:?}");
+        let survivor = survivor.expect("the tombstones survive");
+        let kept = survivor.read_all_entries(backend.as_ref()).unwrap();
+        assert_eq!(kept.len(), 32);
+        assert!(kept.iter().all(Entry::is_point_tombstone));
+        assert_eq!(survivor.meta.delete_fence, DeleteFence::EMPTY);
+    }
+
     #[test]
     fn secondary_range_scan_filters_by_delete_key() {
         let (t, backend) = build(4, 200);
@@ -880,8 +930,7 @@ mod tests {
         assert_eq!(back.meta.data_bytes, t.meta.data_bytes);
         assert_eq!(back.meta.min_sort, t.meta.min_sort);
         assert_eq!(back.meta.max_sort, t.meta.max_sort);
-        assert_eq!(back.meta.min_delete, t.meta.min_delete);
-        assert_eq!(back.meta.max_delete, t.meta.max_delete);
+        assert_eq!(back.meta.delete_fence, t.meta.delete_fence);
         assert_eq!(back.meta.created_at, t.meta.created_at);
         assert_eq!(back.meta.oldest_tombstone_ts, t.meta.oldest_tombstone_ts);
         assert_eq!(back.meta.max_seqnum, t.meta.max_seqnum);

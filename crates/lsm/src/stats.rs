@@ -240,11 +240,13 @@ mod tests {
         other.whole_file_drops = 2;
         other.trivial_moves = 3;
         other.bytes_moved = 700;
+        other.secondary_delete.pages_read_unchanged = 4;
         s.absorb(&other);
         assert_eq!(s.bytes_flushed, 2000);
         assert_eq!(s.bytes_compacted, 3000);
         assert_eq!(s.whole_file_drops, 2);
         assert_eq!((s.trivial_moves, s.bytes_moved), (3, 700), "moves absorb and write nothing");
+        assert_eq!(s.secondary_delete.pages_read_unchanged, 4);
         assert!((s.write_amp() - 2.5).abs() < 1e-9);
     }
 

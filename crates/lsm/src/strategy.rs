@@ -194,7 +194,9 @@ impl DateTieredPolicy {
         view.levels
             .iter()
             .flat_map(|l| l.all_tables())
-            .filter(|t| !t.has_tombstones() && self.base_window_end(t.meta.max_delete) <= cutoff)
+            .filter(|t| {
+                !t.has_tombstones() && self.base_window_end(t.meta.delete_fence.max) <= cutoff
+            })
             .map(|t| t.meta.id)
             .collect()
     }
@@ -206,7 +208,7 @@ impl DateTieredPolicy {
             let picked = oldest_group_sharing_label(&l.runs, self.fan_in, |run| {
                 run.tables()
                     .iter()
-                    .map(|t| t.meta.max_delete)
+                    .map(|t| t.meta.delete_fence.max)
                     .max()
                     .map(|newest| self.window_of(newest, view.now))
             });

@@ -308,10 +308,7 @@ impl LsmTree {
                         Some(t) => Arc::clone(t),
                         None => continue,
                     };
-                    if table.meta.num_entries == 0
-                        || table.meta.max_delete < d_lo
-                        || table.meta.min_delete >= d_hi
-                    {
+                    if !table.meta.delete_fence.overlaps(d_lo, d_hi) {
                         continue;
                     }
                     // the obsolete-page list is implied by the reference

@@ -61,7 +61,10 @@ impl EntryKind {
 pub struct Entry {
     /// The sort key `S`.
     pub sort_key: SortKey,
-    /// The delete key `D` (meaningless for tombstones, kept for uniformity).
+    /// The delete key `D`. A tombstone stores 0 here, kept for a uniform
+    /// layout; no secondary range delete removes a tombstone, so this 0 is
+    /// excluded from every delete-key bound (see
+    /// [`DeleteFence`](crate::DeleteFence)).
     pub delete_key: DeleteKey,
     /// Ingestion sequence number; larger is newer.
     pub seqnum: SeqNum,
@@ -77,7 +80,8 @@ impl Entry {
         Entry { sort_key, delete_key, seqnum, kind: EntryKind::Put, value }
     }
 
-    /// Creates a point tombstone for `sort_key`.
+    /// Creates a point tombstone for `sort_key`. Its delete key is 0, which
+    /// is excluded from every delete-key bound.
     pub fn point_tombstone(sort_key: SortKey, seqnum: SeqNum) -> Self {
         Entry {
             sort_key,

@@ -6,11 +6,12 @@
 //!   the classic layout, a delete tile under KiWi) recording the smallest
 //!   sort key of that unit. A lookup binary-searches them to find the single
 //!   unit that may contain a key.
-//! * [`DeleteFences`] on the **delete key `D`**: one entry per page inside a
-//!   delete tile recording the delete-key range of that page. A secondary
-//!   range delete consults them to find the pages that are fully covered by
-//!   the deleted range (full page drops — no read required) and the at most
-//!   two pages per tile that are partially covered (partial page drops).
+//! * [`DeleteFence`] on the **delete key `D`**: the delete-key range of the
+//!   puts of one page (kept per page inside a delete tile) or of one file. A
+//!   secondary range delete consults them to find the pages that are fully
+//!   covered by the deleted range (full page drops — no read required) and
+//!   the at most two pages per tile that are partially covered (partial page
+//!   drops); files and pages whose fence misses the range are skipped.
 
 use crate::entry::{DeleteKey, SortKey};
 
@@ -73,21 +74,23 @@ impl FencePointers {
     }
 }
 
-/// Per-page delete-key bounds inside one delete tile.
+/// The delete-key bounds of the entries a secondary range delete can
+/// remove: a page's, or a file's, **puts**. A tombstone is never removed by
+/// one ([`Page::secondary_range`](crate::Page::secondary_range) spares it),
+/// so its delete key is left out, exactly as a zone map leaves out the
+/// values its predicate can never match. A bound that counted tombstones
+/// would start at their delete key 0 and turn every purge of the oldest
+/// delete keys into a read of every tombstone-bearing page.
+///
+/// [`DeleteFence::EMPTY`] bounds nothing (a page or file of tombstones
+/// only). Its `min > max` representation is the identity of
+/// [`DeleteFence::union`], and it overlaps no range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeleteFence {
-    /// Smallest delete key stored in the page.
+    /// Smallest put delete key (`DeleteKey::MAX` when empty).
     pub min: DeleteKey,
-    /// Largest delete key stored in the page.
+    /// Largest put delete key (0 when empty).
     pub max: DeleteKey,
-}
-
-/// Delete fence pointers: the delete-key bounds of every page in a delete
-/// tile, in page order (pages inside a tile are sorted on the delete key, so
-/// the bounds are non-decreasing).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeleteFences {
-    fences: Vec<DeleteFence>,
 }
 
 /// How a secondary range delete `[lo, hi)` relates to one page.
@@ -96,64 +99,63 @@ pub enum PageCoverage {
     /// Every delete key in the page is inside the deleted range: the page can
     /// be dropped without being read.
     Full,
-    /// Some delete keys are inside the range: the page must be read and
+    /// Some delete keys may be inside the range: the page must be read and
     /// rewritten without the deleted entries.
     Partial,
     /// No delete key of the page falls in the range: the page is untouched.
     None,
 }
 
-impl DeleteFences {
-    /// Builds delete fences from per-page bounds.
-    pub fn new(fences: Vec<DeleteFence>) -> Self {
-        DeleteFences { fences }
+impl DeleteFence {
+    /// The fence of no put at all.
+    pub const EMPTY: DeleteFence = DeleteFence { min: DeleteKey::MAX, max: 0 };
+
+    /// The full-domain bounds a version-1 manifest decodes to: nothing is
+    /// known, so every range overlaps.
+    pub const UNKNOWN: DeleteFence = DeleteFence { min: 0, max: DeleteKey::MAX };
+
+    /// The bounds of `keys`, the delete keys of a set of puts.
+    pub fn of_keys(keys: impl IntoIterator<Item = DeleteKey>) -> Self {
+        keys.into_iter().fold(DeleteFence::EMPTY, |f, d| f.union(DeleteFence { min: d, max: d }))
     }
 
-    /// Number of pages covered.
-    pub fn len(&self) -> usize {
-        self.fences.len()
+    /// The smallest fence containing both `self` and `other`.
+    pub fn union(self, other: DeleteFence) -> Self {
+        DeleteFence { min: self.min.min(other.min), max: self.max.max(other.max) }
     }
 
-    /// True if no pages are covered.
+    /// `true` if the fence bounds no put.
     pub fn is_empty(&self) -> bool {
-        self.fences.is_empty()
+        self.min > self.max
     }
 
-    /// The per-page bounds.
-    pub fn fences(&self) -> &[DeleteFence] {
-        &self.fences
+    /// `(min, max)`, or `None` for [`DeleteFence::EMPTY`].
+    pub fn bounds(&self) -> Option<(DeleteKey, DeleteKey)> {
+        (!self.is_empty()).then_some((self.min, self.max))
     }
 
-    /// Classifies page `idx` against the delete-key range `[lo, hi)`.
-    pub fn coverage(&self, idx: usize, lo: DeleteKey, hi: DeleteKey) -> PageCoverage {
-        let f = &self.fences[idx];
-        if hi <= lo || f.max < lo || f.min >= hi {
+    /// `true` if every key `other` bounds is inside `self`. Every fence
+    /// contains [`DeleteFence::EMPTY`], and [`DeleteFence::UNKNOWN`]
+    /// contains every fence.
+    pub fn contains(&self, other: DeleteFence) -> bool {
+        other.is_empty() || (self.min <= other.min && other.max <= self.max)
+    }
+
+    /// Classifies the fence against the delete-key range `[lo, hi)`.
+    pub fn coverage(&self, lo: DeleteKey, hi: DeleteKey) -> PageCoverage {
+        // an empty fence has `min = MAX >= hi`, so it overlaps no range
+        if hi <= lo || self.max < lo || self.min >= hi {
             PageCoverage::None
-        } else if f.min >= lo && f.max < hi {
+        } else if self.min >= lo && self.max < hi {
             PageCoverage::Full
         } else {
             PageCoverage::Partial
         }
     }
 
-    /// Classifies every page against `[lo, hi)`, returning
-    /// `(full_drop_indices, partial_drop_indices)`.
-    pub fn classify_range(&self, lo: DeleteKey, hi: DeleteKey) -> (Vec<usize>, Vec<usize>) {
-        let mut full = Vec::new();
-        let mut partial = Vec::new();
-        for i in 0..self.fences.len() {
-            match self.coverage(i, lo, hi) {
-                PageCoverage::Full => full.push(i),
-                PageCoverage::Partial => partial.push(i),
-                PageCoverage::None => {}
-            }
-        }
-        (full, partial)
-    }
-
-    /// In-memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.fences.len() * std::mem::size_of::<DeleteFence>()
+    /// `true` if some put the fence bounds may lie in `[lo, hi)`.
+    pub fn overlaps(&self, lo: DeleteKey, hi: DeleteKey) -> bool {
+        self.coverage(lo, hi) != PageCoverage::None
     }
 }
 
@@ -196,45 +198,63 @@ mod tests {
     fn size_accounting() {
         let f = FencePointers::new(vec![1, 2, 3]);
         assert_eq!(f.size_bytes(), 24);
-        let d = DeleteFences::new(vec![DeleteFence { min: 0, max: 10 }]);
-        assert_eq!(d.size_bytes(), 16);
+        assert_eq!(std::mem::size_of::<DeleteFence>(), 16);
+    }
+
+    fn fence(min: u64, max: u64) -> DeleteFence {
+        DeleteFence { min, max }
     }
 
     #[test]
     fn coverage_classification() {
-        let d = DeleteFences::new(vec![
-            DeleteFence { min: 0, max: 9 },
-            DeleteFence { min: 10, max: 19 },
-            DeleteFence { min: 20, max: 29 },
-            DeleteFence { min: 30, max: 39 },
-        ]);
-        // delete range [10, 30): page 1 and 2 fully covered, 0 and 3 untouched
-        assert_eq!(d.coverage(0, 10, 30), PageCoverage::None);
-        assert_eq!(d.coverage(1, 10, 30), PageCoverage::Full);
-        assert_eq!(d.coverage(2, 10, 30), PageCoverage::Full);
-        assert_eq!(d.coverage(3, 10, 30), PageCoverage::None);
-        let (full, partial) = d.classify_range(10, 30);
-        assert_eq!(full, vec![1, 2]);
-        assert!(partial.is_empty());
+        // delete range [10, 30): pages 1 and 2 fully covered, 0 and 3 untouched
+        let pages = [fence(0, 9), fence(10, 19), fence(20, 29), fence(30, 39)];
+        let covered: Vec<PageCoverage> = pages.iter().map(|f| f.coverage(10, 30)).collect();
+        use PageCoverage::{Full, None};
+        assert_eq!(covered, vec![None, Full, Full, None]);
     }
 
     #[test]
     fn partial_coverage_at_range_edges() {
-        let d = DeleteFences::new(vec![
-            DeleteFence { min: 0, max: 9 },
-            DeleteFence { min: 10, max: 19 },
-            DeleteFence { min: 20, max: 29 },
-        ]);
         // range [5, 25) partially covers pages 0 and 2, fully covers page 1
-        let (full, partial) = d.classify_range(5, 25);
-        assert_eq!(full, vec![1]);
-        assert_eq!(partial, vec![0, 2]);
+        let pages = [fence(0, 9), fence(10, 19), fence(20, 29)];
+        let covered: Vec<PageCoverage> = pages.iter().map(|f| f.coverage(5, 25)).collect();
+        use PageCoverage::{Full, Partial};
+        assert_eq!(covered, vec![Partial, Full, Partial]);
+        assert!(pages.iter().all(|f| f.overlaps(5, 25)));
     }
 
     #[test]
     fn empty_or_inverted_range_covers_nothing() {
-        let d = DeleteFences::new(vec![DeleteFence { min: 0, max: 100 }]);
-        assert_eq!(d.coverage(0, 50, 50), PageCoverage::None);
-        assert_eq!(d.coverage(0, 60, 40), PageCoverage::None);
+        let d = fence(0, 100);
+        assert_eq!(d.coverage(50, 50), PageCoverage::None);
+        assert_eq!(d.coverage(60, 40), PageCoverage::None);
+    }
+
+    #[test]
+    fn the_empty_fence_overlaps_nothing_and_is_the_union_identity() {
+        let e = DeleteFence::EMPTY;
+        assert!(e.is_empty());
+        assert_eq!(e.bounds(), None);
+        for (lo, hi) in [(0, 1), (0, u64::MAX), (u64::MAX - 1, u64::MAX), (7, 9)] {
+            assert_eq!(e.coverage(lo, hi), PageCoverage::None, "[{lo}, {hi})");
+        }
+        assert_eq!(DeleteFence::of_keys([]), e);
+        assert_eq!(e.union(fence(3, 8)), fence(3, 8));
+        assert_eq!(DeleteFence::of_keys([40, 7, 19]), fence(7, 40));
+        assert_eq!(fence(7, 40).bounds(), Some((7, 40)));
+    }
+
+    #[test]
+    fn containment_accepts_wider_durable_bounds() {
+        // the wider, tombstone-inclusive bounds of an older store contain
+        // the exact ones, and the version-1 sentinel contains everything
+        assert!(fence(0, 50).contains(fence(10, 50)));
+        assert!(fence(0, 0).contains(DeleteFence::EMPTY));
+        assert!(DeleteFence::UNKNOWN.contains(fence(3, u64::MAX)));
+        assert!(DeleteFence::EMPTY.contains(DeleteFence::EMPTY));
+        assert!(!fence(10, 50).contains(fence(0, 50)));
+        assert!(!fence(10, 50).contains(fence(10, 51)));
+        assert!(!DeleteFence::EMPTY.contains(fence(5, 5)));
     }
 }

@@ -88,7 +88,7 @@ pub use clock::{LogicalClock, Timestamp, MICROS_PER_SEC};
 pub use entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 pub use error::{Result, StorageError};
 pub use failpoint::{FailPoint, KillPoint};
-pub use fence::{DeleteFence, DeleteFences, FencePointers, PageCoverage};
+pub use fence::{DeleteFence, FencePointers, PageCoverage};
 pub use histogram::Histogram;
 pub use iostats::{CostModel, IoSnapshot, IoStats};
 pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};

@@ -32,6 +32,7 @@ use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, SeqNum};
 use crate::error::{Result, StorageError};
 use crate::failpoint::{FailPoint, KillPoint};
+use crate::fence::DeleteFence;
 use crate::log::{be, Frame, LogFile};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
@@ -74,13 +75,17 @@ pub struct FileDesc {
     pub oldest_tombstone_ts: Option<Timestamp>,
     /// Largest sequence number stored in the file.
     pub max_seqnum: SeqNum,
-    /// Smallest delete key stored in the file (0 when the file holds no
-    /// point entries). Together with `max_delete` these are the paper's
-    /// file-granularity KiWi fences: secondary scans and deletes skip files
-    /// whose delete-key bounds cannot intersect the queried range, and the
-    /// bounds must survive restarts for that pruning to keep holding.
+    /// Smallest put delete key stored in the file; with `max_delete`, the
+    /// file's [`DeleteFence`], the paper's file-granularity KiWi fence:
+    /// secondary scans and deletes skip files whose fence cannot intersect
+    /// the queried range. A file of tombstones only stores
+    /// [`DeleteFence::EMPTY`] (`min > max`). Recovery re-derives the exact
+    /// fence from the pages and only checks that these bounds contain it,
+    /// so the wider bounds an older manifest holds (tombstone-inclusive from
+    /// version-2 stores, the full domain from version 1) are safe: they
+    /// prune less, never wrongly.
     pub min_delete: DeleteKey,
-    /// Largest delete key stored in the file.
+    /// Largest put delete key stored in the file (see `min_delete`).
     pub max_delete: DeleteKey,
     /// Device page ids per delete tile, pages in delete-key order (the KiWi
     /// layout is positional, so order matters and is preserved verbatim).
@@ -535,7 +540,7 @@ fn decode_file(body: &mut Bytes, version: u8) -> Result<FileDesc> {
     let (min_delete, max_delete) = if version >= 2 {
         (read_u64(body)?, read_u64(body)?)
     } else {
-        (0, DeleteKey::MAX)
+        (DeleteFence::UNKNOWN.min, DeleteFence::UNKNOWN.max)
     };
     let n_tiles = read_u32(body)? as usize;
     let mut tiles = Vec::with_capacity(n_tiles);

@@ -3,10 +3,10 @@
 //! A page is the unit of device I/O. It holds up to `B` entries which are
 //! always kept **sorted on the sort key `S`** so that, once a page is in
 //! memory, point lookups binary-search it exactly like the state of the art
-//! (paper §4.2.1 "Page layout"). The page also remembers the min/max of the
-//! *delete key* `D` of its entries, which is what lets KiWi decide whether a
-//! secondary range delete covers the whole page (full page drop) or only part
-//! of it (partial page drop).
+//! (paper §4.2.1 "Page layout"). The page also yields the [`DeleteFence`] of
+//! its puts' *delete keys* `D`, which is what lets KiWi decide whether a
+//! secondary range delete covers the whole page (full page drop), only part
+//! of it (partial page drop), or none of it.
 //!
 //! ## Representation
 //!
@@ -28,6 +28,7 @@
 
 use crate::entry::{encoded, DeleteKey, Entry, SortKey, HEADER_BYTES};
 use crate::error::{Result, StorageError};
+use crate::fence::DeleteFence;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// An immutable, sorted collection of entries; the unit of device I/O.
@@ -102,14 +103,17 @@ impl Page {
         self.offsets.last().map(|&o| encoded::sort_key(&self.bytes, o as usize))
     }
 
-    /// Smallest delete key in the page.
-    pub fn min_delete_key(&self) -> Option<DeleteKey> {
-        self.delete_keys().min()
-    }
-
-    /// Largest delete key in the page.
-    pub fn max_delete_key(&self) -> Option<DeleteKey> {
-        self.delete_keys().max()
+    /// The delete-key bounds of the page's puts, read in place: the only
+    /// entries [`Page::secondary_range`] can return. Tombstones are left
+    /// out, so a page of tombstones only has [`DeleteFence::EMPTY`].
+    pub fn delete_fence(&self) -> DeleteFence {
+        let raw: &[u8] = &self.bytes;
+        DeleteFence::of_keys(
+            self.offsets
+                .iter()
+                .filter(|&&o| !encoded::is_tombstone(raw, o as usize))
+                .map(|&o| encoded::delete_key(raw, o as usize)),
+        )
     }
 
     /// Binary-searches the page for `key` and returns the most recent
@@ -236,10 +240,6 @@ impl Page {
         self.offsets.partition_point(|&o| encoded::sort_key(raw, o as usize) < key)
     }
 
-    fn delete_keys(&self) -> impl Iterator<Item = DeleteKey> + '_ {
-        self.offsets.iter().map(|&o| encoded::delete_key(&self.bytes, o as usize))
-    }
-
     fn in_secondary_range(&self, at: u32, lo: DeleteKey, hi: DeleteKey) -> bool {
         let raw: &[u8] = &self.bytes;
         let d = encoded::delete_key(raw, at as usize);
@@ -295,8 +295,17 @@ mod tests {
     #[test]
     fn delete_key_bounds_are_independent_of_sort_order() {
         let p = Page::new(vec![put(1, 50, 1), put(2, 10, 2), put(3, 90, 3)]);
-        assert_eq!(p.min_delete_key(), Some(10));
-        assert_eq!(p.max_delete_key(), Some(90));
+        assert_eq!(p.delete_fence().bounds(), Some((10, 90)));
+    }
+
+    #[test]
+    fn the_delete_fence_bounds_puts_only() {
+        // a tombstone's delete key 0 does not widen the fence
+        let p = Page::new(vec![put(1, 50, 1), Entry::point_tombstone(2, 2), put(3, 90, 3)]);
+        assert_eq!(p.delete_fence().bounds(), Some((50, 90)));
+        let tombstones =
+            Page::new(vec![Entry::point_tombstone(1, 1), Entry::range_tombstone(4, 9, 2)]);
+        assert_eq!(tombstones.delete_fence(), DeleteFence::EMPTY);
     }
 
     #[test]
@@ -422,7 +431,7 @@ mod tests {
         let p = Page::new(vec![]);
         assert!(p.is_empty());
         assert_eq!(p.min_sort_key(), None);
-        assert_eq!(p.max_delete_key(), None);
+        assert_eq!(p.delete_fence(), DeleteFence::EMPTY);
         assert!(p.get(1).is_none());
         let rt = Page::decode(p.encode()).unwrap();
         assert!(rt.is_empty());
@@ -470,8 +479,11 @@ mod tests {
             prop_assert_eq!(page.iter().collect::<Vec<Entry>>(), model.clone());
             prop_assert_eq!(page.min_sort_key(), model.first().map(|e| e.sort_key));
             prop_assert_eq!(page.max_sort_key(), model.last().map(|e| e.sort_key));
-            prop_assert_eq!(page.min_delete_key(), model.iter().map(|e| e.delete_key).min());
-            prop_assert_eq!(page.max_delete_key(), model.iter().map(|e| e.delete_key).max());
+            // the fence bounds the puts alone, and nothing for a page of
+            // tombstones only
+            let put_keys = || model.iter().filter(|e| !e.is_tombstone()).map(|e| e.delete_key);
+            let put_bounds = put_keys().min().zip(put_keys().max());
+            prop_assert_eq!(page.delete_fence().bounds(), put_bounds);
             prop_assert_eq!(page.tombstone_count(), model.iter().filter(|e| e.is_tombstone()).count());
             prop_assert_eq!(page.data_size(), model.iter().map(Entry::encoded_size).sum::<usize>());
             for &(lo, hi) in &probes {

@@ -577,17 +577,29 @@ proptest! {
     }
 }
 
+/// A put of `k` with delete key `d`, or, for about `tombstone_pct` % of the
+/// keys, a point tombstone of `k` (delete key 0).
+fn put_or_tombstone(k: u64, d: u64, tombstone_pct: u64) -> Entry {
+    if k.wrapping_mul(0x2545_F491) % 100 < tombstone_pct {
+        Entry::point_tombstone(k, k + 1)
+    } else {
+        Entry::put(k, d, k + 1, Bytes::from(vec![1u8; 8]))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// The KiWi construction preserves its structural invariants for any
     /// entry set and tile granularity: tiles ordered on the sort key, pages
     /// inside a tile ordered on the delete key, entries inside a page ordered
-    /// on the sort key, and no entry lost.
+    /// on the sort key, and no entry lost. Point tombstones are mixed in, so
+    /// tiles hold pages of tombstones only, whose fence is empty.
     #[test]
     fn kiwi_layout_invariants_hold(
         keys in prop::collection::btree_set(0u64..50_000, 1..600),
         h in 1usize..16,
+        tombstone_pct in 0u64..60,
     ) {
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = h;
@@ -595,7 +607,7 @@ proptest! {
         let backend = InMemoryBackend::new_shared();
         let entries: Vec<Entry> = keys
             .iter()
-            .map(|&k| Entry::put(k, k.wrapping_mul(0x9E37_79B9) % 100_000, k + 1, Bytes::from(vec![1u8; 8])))
+            .map(|&k| put_or_tombstone(k, k.wrapping_mul(0x9E37_79B9) % 100_000, tombstone_pct))
             .collect();
         let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, backend.as_ref()).unwrap();
 
@@ -606,7 +618,7 @@ proptest! {
         let mut seen = 0usize;
         for tile in &table.tiles {
             for w in tile.pages.windows(2) {
-                prop_assert!(w[0].max_delete <= w[1].min_delete);
+                prop_assert!(w[0].delete_fence.max <= w[1].delete_fence.min);
             }
             for handle in &tile.pages {
                 let page = backend.read_page(handle.id).unwrap();
@@ -628,13 +640,15 @@ proptest! {
     }
 
     /// A secondary range delete removes exactly the qualifying live entries,
-    /// never touches others, and full drops never read pages.
+    /// never touches others (every tombstone survives), and reads exactly
+    /// the pages it rewrites or finds unchanged: full drops never read.
     #[test]
     fn secondary_delete_partitions_by_delete_key(
         keys in prop::collection::btree_set(0u64..10_000, 10..300),
         h in 1usize..12,
         lo in 0u64..5_000,
         len in 1u64..5_000,
+        tombstone_pct in 0u64..60,
     ) {
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = h;
@@ -642,7 +656,7 @@ proptest! {
         let backend = InMemoryBackend::new_shared();
         let entries: Vec<Entry> = keys
             .iter()
-            .map(|&k| Entry::put(k, (k * 31) % 10_000, k + 1, Bytes::from(vec![1u8; 8])))
+            .map(|&k| put_or_tombstone(k, (k * 31) % 10_000, tombstone_pct))
             .collect();
         let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, backend.as_ref()).unwrap();
         let hi = lo + len;
@@ -656,21 +670,20 @@ proptest! {
             backend.drop_page(*id).unwrap();
         }
         let reads = backend.stats().snapshot().pages_read - reads_before;
-        // full drops never read; pages classified as partially covered by the
-        // fence metadata are read (a few of them may turn out to contain no
-        // qualifying entry and are left untouched), so the read count is
-        // bounded by the number of non-fully-dropped, non-ignored pages
-        prop_assert!(reads >= stats.partial_page_drops);
-        prop_assert!(reads <= stats.partial_page_drops + stats.pages_untouched);
-        let expected_deleted =
-            entries.iter().filter(|e| e.delete_key >= lo && e.delete_key < hi).count() as u64;
+        // full drops never read; a page read is either rewritten or found to
+        // hold no qualifying put (a fence miss) and kept as it was
+        prop_assert_eq!(reads, stats.partial_page_drops + stats.pages_read_unchanged);
+        let doomed = |e: &Entry| !e.is_tombstone() && e.delete_key >= lo && e.delete_key < hi;
+        let expected_deleted = entries.iter().filter(|e| doomed(e)).count() as u64;
         prop_assert_eq!(stats.entries_deleted, expected_deleted);
         let remaining: Vec<Entry> = match &survivor {
             Some(t) => t.read_all_entries(backend.as_ref()).unwrap(),
             None => Vec::new(),
         };
         prop_assert_eq!(remaining.len() as u64, entries.len() as u64 - expected_deleted);
-        prop_assert!(remaining.iter().all(|e| e.delete_key < lo || e.delete_key >= hi));
+        prop_assert!(remaining.iter().all(|e| !doomed(e)));
+        let tombstones = |es: &[Entry]| es.iter().filter(|e| e.is_tombstone()).count();
+        prop_assert_eq!(tombstones(&remaining), tombstones(&entries));
     }
 
     /// Under a pure-insert workload the baseline and Lethe answer every

@@ -409,6 +409,95 @@ fn secondary_scan_pruning_survives_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Puts every key of `0..n` with a delete key `>= 1000`, persists, then
+/// deletes every third key and persists again, so the files hold point
+/// tombstones (delete key 0) beside puts no purge of `[0, 1000)` can match.
+fn tombstones_beside_late_puts(db: &mut Lethe, n: u64) {
+    for k in 0..n {
+        db.put(k, 1_000 + k, value(k)).unwrap();
+    }
+    db.persist().unwrap();
+    for k in (0..n).step_by(3) {
+        db.delete(k).unwrap();
+    }
+    db.persist().unwrap();
+    let tombstones: u64 = db
+        .tree()
+        .levels()
+        .iter()
+        .flat_map(|l| l.all_tables().map(|t| t.meta.num_point_tombstones).collect::<Vec<_>>())
+        .sum();
+    assert!(tombstones > 0, "the purge below must meet tombstones on disk");
+}
+
+/// A tombstone is never removed by a secondary range delete, so its delete
+/// key 0 is in no delete fence: a purge or scan of `[0, 500)` over files of
+/// tombstones and later puts reads no page at all.
+#[test]
+fn tombstones_do_not_widen_delete_fences() {
+    let mut db = small_db(4);
+    tombstones_beside_late_puts(&mut db, 1_200);
+    let before = db.io_snapshot();
+    assert!(db.scan_by_delete_key(0, 500).unwrap().is_empty());
+    assert_eq!(db.io_snapshot().since(&before).pages_read, 0, "secondary scan read pages");
+    let before = db.io_snapshot();
+    let stats = db.delete_where_delete_key_in(0, 500).unwrap();
+    assert_eq!(db.io_snapshot().since(&before).pages_read, 0, "purge read pages: {stats:?}");
+    assert_eq!(stats.entries_deleted, 0);
+    assert_eq!((stats.full_page_drops, stats.partial_page_drops), (0, 0));
+    // every tombstone still shadows its key, every other key is live
+    for k in 0..1_200u64 {
+        assert_eq!(db.get(k).unwrap().is_some(), k % 3 != 0, "key {k}");
+    }
+}
+
+/// A store written before fences left tombstones out persists wider,
+/// tombstone-inclusive file bounds. Recovery accepts any durable bounds
+/// that contain the ones it derives from the pages, and prunes on the
+/// derived ones.
+#[test]
+fn wider_durable_delete_fences_reopen_and_prune_exactly() {
+    use lethe::storage::Manifest;
+    use std::sync::Arc;
+    let dir = std::env::temp_dir().join(format!("lethe-widefence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        LetheBuilder::new()
+            .with_config(small_config(4))
+            .delete_persistence_threshold_secs(60.0)
+            .open(&dir)
+            .unwrap()
+    };
+    tombstones_beside_late_puts(&mut open(), 1_200);
+    // rewrite the manifest as an older build would have: the bounds of a
+    // tombstone-bearing file start at the tombstones' delete key 0
+    {
+        let mut manifest = Manifest::open(dir.join("lethe.manifest")).unwrap();
+        let mut state = manifest.state().clone();
+        let mut widened = 0;
+        for file in state.levels.iter_mut().flatten().flatten() {
+            if file.oldest_tombstone_ts.is_some() {
+                let mut desc = (**file).clone();
+                desc.min_delete = 0;
+                *file = Arc::new(desc);
+                widened += 1;
+            }
+        }
+        assert!(widened > 0);
+        manifest.commit(state).unwrap();
+    }
+    let mut db = open();
+    let before = db.io_snapshot();
+    let stats = db.delete_where_delete_key_in(0, 500).unwrap();
+    assert_eq!(db.io_snapshot().since(&before).pages_read, 0, "purge read pages: {stats:?}");
+    assert_eq!(stats.entries_deleted, 0);
+    for k in 0..1_200u64 {
+        assert_eq!(db.get(k).unwrap().is_some(), k % 3 != 0, "key {k}");
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------- secondary scan under concurrent churn
 
 /// Oracle test for the re-validation short-circuit: a stable, fully-acked
