@@ -22,10 +22,11 @@
 //!   all     run everything at the default scale
 //! ```
 //!
-//! All experiments run on the in-memory simulated device with the paper's
-//! latency constants (100 µs/page I/O, 80 ns/hash), so they regenerate the
-//! *shape* of every figure in seconds; pass larger `--ops`/`--entries` to
-//! scale up.
+//! All experiments run on stores built in memory — the same device, WAL and
+//! manifest as on disk, on a `MemVfs` — with the paper's latency constants
+//! (100 µs/page I/O, 80 ns/hash) applied to the counted I/O, so they
+//! regenerate the *shape* of every figure in seconds; pass larger
+//! `--ops`/`--entries` to scale up.
 
 use lethe_bench::figures::{delete_sweep, kiwi, summary};
 

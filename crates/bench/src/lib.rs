@@ -41,7 +41,7 @@ impl EngineSpec {
         }
     }
 
-    /// Builds the engine on the in-memory simulated device.
+    /// Builds the engine in memory (the full stack on a `MemVfs`).
     pub fn build(&self, base: LsmConfig) -> Result<Lethe> {
         match self {
             EngineSpec::Baseline(kind) => kind.build(base),

@@ -1,8 +1,9 @@
 //! The state-of-the-art baselines the paper compares Lethe against (§5).
 //!
-//! [`BaselineKind::build`] returns a [`Lethe`] handle over an [`LsmTree`]
-//! with the classic sort-key-only layout (`h = 1`), full-tree compactions
-//! for secondary range deletes, and one of three compaction policies:
+//! [`BaselineKind::build`] returns a [`Lethe`] handle over an
+//! [`LsmTree`](lethe_lsm::tree::LsmTree) with the classic sort-key-only
+//! layout (`h = 1`), full-tree compactions for secondary range deletes, and
+//! one of three compaction policies:
 //!
 //! * [`BaselineKind::RocksDbLike`] — saturation trigger + min-overlap file
 //!   selection ("RocksDB" in the figures).
@@ -13,13 +14,13 @@
 //!   forced full-tree compaction every `period` of logical time ("state of
 //!   the art + full compaction" in Figure 1).
 
-use crate::engine::Lethe;
+use crate::engine::{Lethe, LetheBuilder};
 use lethe_lsm::compaction::{
     CompactionPolicy, FileSelection, PeriodicFullCompactionPolicy, SaturationPolicy,
 };
 use lethe_lsm::config::{LsmConfig, SecondaryDeleteMode};
-use lethe_lsm::tree::LsmTree;
-use lethe_storage::{InMemoryBackend, LogicalClock, Result, Timestamp};
+use lethe_storage::{LogicalClock, MemVfs, Result, Timestamp};
+use std::path::Path;
 
 /// Which baseline engine to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,23 +62,21 @@ impl BaselineKind {
         }
     }
 
-    /// Builds this baseline on the in-memory simulated device, behind the
-    /// same [`Lethe`] handle as the delete-aware engine so experiments drive
-    /// both uniformly. The classic layout is forced on top of `config`:
-    /// `h = 1`, full-tree secondary deletes, no blind-delete suppression
-    /// and no delete persistence threshold.
+    /// Builds this baseline in memory, through the same assembly and behind
+    /// the same [`Lethe`] handle as the delete-aware engine's
+    /// [`LetheBuilder::build`], so experiments drive both uniformly. The
+    /// classic layout is forced on top of `config`: `h = 1`, full-tree
+    /// secondary deletes, no blind-delete suppression and no delete
+    /// persistence threshold.
     pub fn build(&self, mut config: LsmConfig) -> Result<Lethe> {
         config.pages_per_delete_tile = 1;
         config.secondary_delete_mode = SecondaryDeleteMode::FullTreeCompaction;
         config.suppress_blind_deletes = false;
         config.delete_persistence_threshold = None;
-        let tree = LsmTree::new(
-            config,
-            InMemoryBackend::new_shared(),
-            LogicalClock::new(),
-            self.policy(),
-        )?;
-        Ok(Lethe::from_tree(tree))
+        let mut builder = LetheBuilder::new();
+        builder.config = config;
+        let (vfs, clock) = (MemVfs::shared(), LogicalClock::new());
+        builder.open_on(Some(self.policy()), &vfs, Path::new("/"), "lethe", clock)
     }
 }
 

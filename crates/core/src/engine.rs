@@ -26,9 +26,9 @@ use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::read::{RangeIter, ReadView};
 use lethe_lsm::tree::{LsmTree, MaintenanceMode};
 use lethe_storage::{
-    CacheSnapshot, CachedBackend, DeleteKey, Entry, FailPoint, FileBackend, FileWal,
-    InMemoryBackend, IoSnapshot, LogicalClock, Manifest, PageCache, Result, SortKey,
-    StorageBackend, StorageError, SyncPolicy, Timestamp, MICROS_PER_SEC,
+    CacheSnapshot, CachedBackend, DeleteKey, Entry, FailPoint, FileBackend, FileWal, IoSnapshot,
+    LogicalClock, Manifest, MemVfs, OsVfs, PageCache, Result, SortKey, StorageBackend,
+    StorageError, SyncPolicy, Timestamp, Vfs, MICROS_PER_SEC,
 };
 use std::collections::HashSet;
 use std::path::Path;
@@ -39,8 +39,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct LetheBuilder {
     /// Always carries `Some` delete persistence threshold: every setter and
-    /// [`with_config`](Self::with_config) keep one in place.
-    config: LsmConfig,
+    /// [`with_config`](Self::with_config) keep one in place (the baselines
+    /// set theirs to `None` directly).
+    pub(crate) config: LsmConfig,
     failpoint: Option<FailPoint>,
     /// An externally supplied block cache shared with other engines (the
     /// sharded front-end passes one cache to every shard); when absent and
@@ -280,10 +281,10 @@ impl LetheBuilder {
     }
 
     /// Attaches a crash-injection fail point to every durable component of
-    /// the store opened by [`LetheBuilder::open`]/[`LetheBuilder::open_named`]
-    /// (data file, WAL, manifest). Arm it to make the n-th subsequent durable
-    /// step fail, simulating a kill at that exact point; used by the
-    /// crash-recovery tests. No effect on in-memory engines.
+    /// the store (data segments, WAL, manifest, the tree's own commit
+    /// steps), in memory or on disk. Arm it to make the n-th subsequent
+    /// durable step fail, simulating a kill at that exact point; used by the
+    /// crash-recovery tests.
     pub fn crash_failpoint(mut self, fp: FailPoint) -> Self {
         self.failpoint = Some(fp);
         self
@@ -312,51 +313,10 @@ impl LetheBuilder {
         &self.config
     }
 
-    /// Builds an engine on the in-memory simulated device.
+    /// Builds an engine in memory: the same device, WAL, manifest and
+    /// recovery as [`LetheBuilder::open`], on a fresh [`MemVfs`].
     pub fn build(self) -> Result<Lethe> {
-        self.build_on(InMemoryBackend::new_shared(), LogicalClock::new())
-    }
-
-    /// Builds an engine on an explicit device and clock. When a block cache
-    /// is configured the device is wrapped in a [`CachedBackend`], so every
-    /// layer above (tables, tree, readers) transparently reads through it.
-    pub fn build_on(self, backend: Arc<dyn StorageBackend>, clock: LogicalClock) -> Result<Lethe> {
-        self.assemble_tree(backend, clock, None)
-    }
-
-    /// The tree-assembly tail every constructor shares: wraps `backend` in
-    /// the block cache, installs the compaction policy and the sibling-shard
-    /// hooks, and, for a durable store, attaches its manifest and fail
-    /// point, recovers from the manifest and `wal`, then attaches the log.
-    fn assemble_tree(
-        self,
-        backend: Arc<dyn StorageBackend>,
-        clock: LogicalClock,
-        durable: Option<(Manifest, FileWal)>,
-    ) -> Result<Lethe> {
-        // the cache wraps the device before the tree ever sees it, so
-        // recovery's unreferenced-page GC already invalidates through it
-        let (backend, cache) = self.wrap_backend(backend);
-        let policy = self.make_policy();
-        let mut tree = LsmTree::new(self.config, backend, clock, policy)?;
-        if let Some(alloc) = self.seqnum_allocator {
-            tree = tree.with_seqnum_allocator(alloc);
-        }
-        if let Some(tracker) = self.snapshot_tracker {
-            tree = tree.with_snapshot_tracker(tracker);
-        }
-        if let Some((manifest, wal)) = durable {
-            tree = tree.with_manifest(manifest);
-            if let Some(fp) = self.failpoint {
-                tree = tree.with_failpoint(fp);
-            }
-            if let Some(ids) = self.committed_batches {
-                tree.set_committed_batches(ids);
-            }
-            tree.recover(&wal)?;
-            tree = tree.with_wal(Box::new(wal));
-        }
-        Ok(Lethe { tree, cache })
+        self.open_on(None, &MemVfs::shared(), Path::new("/"), "lethe", LogicalClock::new())
     }
 
     /// Opens (or creates) a durable engine rooted at `dir`: a file-backed
@@ -374,6 +334,17 @@ impl LetheBuilder {
     /// clock. Several namespaced engines can share one directory and one
     /// clock, which is how [`ShardedLethe`](crate::shard::ShardedLethe) keeps
     /// its shards together with consistent delete-persistence TTLs.
+    pub fn open_named(
+        self,
+        dir: impl AsRef<Path>,
+        name: &str,
+        clock: LogicalClock,
+    ) -> Result<Lethe> {
+        self.open_on(None, &OsVfs::shared(), dir.as_ref(), name, clock)
+    }
+
+    /// [`LetheBuilder::open_named`] on `vfs`: the one assembly every engine
+    /// goes through, the baselines (which pass their own `policy`) included.
     ///
     /// Recovery order: the data segments are scanned to rebuild the page
     /// index (truncating a torn tail of the newest), the manifest's edit log
@@ -382,24 +353,44 @@ impl LetheBuilder {
     /// unreferenced pages are released (which unlinks a segment left with
     /// none), and finally the WAL — whose own torn tail, if any, is
     /// truncated away — is replayed on top. The WAL is only truncated once a
-    /// later flush commits a covering manifest edit.
-    pub fn open_named(
+    /// later flush commits a covering manifest edit. The device is wrapped
+    /// in the block cache before the tree sees it, so recovery's
+    /// unreferenced-page GC already invalidates through it.
+    pub(crate) fn open_on(
         self,
-        dir: impl AsRef<Path>,
+        policy: Option<Box<dyn CompactionPolicy>>,
+        vfs: &Arc<dyn Vfs>,
+        dir: &Path,
         name: &str,
         clock: LogicalClock,
     ) -> Result<Lethe> {
-        let dir = dir.as_ref();
-        let mut backend = FileBackend::open_named(dir, name)?;
-        let mut wal =
-            FileWal::open(dir.join(format!("{name}.wal")))?.with_sync_policy(self.config.wal_sync);
-        let mut manifest = Manifest::open(dir.join(format!("{name}.manifest")))?;
+        let policy = policy.unwrap_or_else(|| self.make_policy());
+        let mut backend = FileBackend::open_on(vfs, dir, name)?;
+        let mut wal = FileWal::open_on(vfs, &dir.join(format!("{name}.wal")))?
+            .with_sync_policy(self.config.wal_sync);
+        let mut manifest = Manifest::open_on(vfs, &dir.join(format!("{name}.manifest")))?;
         if let Some(fp) = &self.failpoint {
             backend.set_failpoint(fp.clone());
             wal = wal.with_failpoint(fp.clone());
             manifest.set_failpoint(fp.clone());
         }
-        self.assemble_tree(Arc::new(backend), clock, Some((manifest, wal)))
+        let (backend, cache) = self.wrap_backend(Arc::new(backend));
+        let mut tree =
+            LsmTree::new(self.config, backend, Box::new(wal), manifest, clock, policy)?;
+        if let Some(alloc) = self.seqnum_allocator {
+            tree = tree.with_seqnum_allocator(alloc);
+        }
+        if let Some(tracker) = self.snapshot_tracker {
+            tree = tree.with_snapshot_tracker(tracker);
+        }
+        if let Some(fp) = self.failpoint {
+            tree = tree.with_failpoint(fp);
+        }
+        if let Some(ids) = self.committed_batches {
+            tree.set_committed_batches(ids);
+        }
+        tree.recover()?;
+        Ok(Lethe { tree, cache })
     }
 
     /// Opens the online checkpoint at `dir` (written by
@@ -414,7 +405,7 @@ impl LetheBuilder {
     /// sequence numbers the checkpoint already used.
     pub fn restore(self, dir: impl AsRef<Path>) -> Result<Lethe> {
         let dir = dir.as_ref();
-        let marker = lethe_storage::read_marker(dir)?;
+        let marker = lethe_storage::read_marker(&OsVfs, dir)?;
         let db = self.open_named(dir, "checkpoint", LogicalClock::new())?;
         let next = db.tree().next_seqnum();
         if next < marker.fence {
@@ -452,11 +443,6 @@ impl Lethe {
     /// Starts building an engine.
     pub fn builder() -> LetheBuilder {
         LetheBuilder::new()
-    }
-
-    /// Wraps an already-assembled uncached tree (the baseline engines).
-    pub(crate) fn from_tree(tree: LsmTree) -> Lethe {
-        Lethe { tree, cache: None }
     }
 
     /// Inserts (or updates) `key` with an associated delete key (e.g. a

@@ -74,11 +74,6 @@ impl FadePolicy {
     pub fn new(dth: Timestamp) -> Self {
         FadePolicy { dth, saturation: SaturationPolicy::new(FileSelection::MostInvalidations) }
     }
-
-    /// The configured delete persistence threshold.
-    pub fn delete_persistence_threshold(&self) -> Timestamp {
-        self.dth
-    }
 }
 
 /// The files of `level` whose oldest tombstone is older than `ttl` at
@@ -137,7 +132,7 @@ mod tests {
     use lethe_lsm::config::LsmConfig;
     use lethe_lsm::level::Run;
     use lethe_lsm::sstable::SsTable;
-    use lethe_storage::{Entry, Histogram, InMemoryBackend};
+    use lethe_storage::{Entry, Histogram, FileBackend};
     use std::sync::Arc;
 
     #[test]
@@ -168,7 +163,7 @@ mod tests {
         n: u64,
         tombstones: u64,
         tombstone_ts: u64,
-        backend: &InMemoryBackend,
+        backend: &FileBackend,
     ) -> Arc<SsTable> {
         let cfg = LsmConfig::small_for_test();
         let mut entries: Vec<Entry> = (lo..lo + n)
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn expired_ttl_triggers_dd_compaction_even_without_saturation() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test().with_delete_persistence_secs(1.0);
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new()];
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn files_without_tombstones_never_expire() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
@@ -235,7 +230,7 @@ mod tests {
 
     #[test]
     fn dd_compacts_every_expired_file_oldest_first() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
@@ -256,7 +251,7 @@ mod tests {
 
     #[test]
     fn saturation_uses_sd_selection_by_default() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let mut cfg = LsmConfig::small_for_test();
         cfg.delete_persistence_threshold = Some(u64::MAX);
         let hist = Histogram::new(0, 1 << 20, 16);
@@ -280,7 +275,7 @@ mod tests {
     /// level.
     #[test]
     fn expired_ttl_takes_precedence_over_saturation() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new(), Level::new()];
@@ -307,7 +302,7 @@ mod tests {
 
     #[test]
     fn tiering_expiry_compacts_whole_level() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let mut cfg = LsmConfig::small_for_test();
         cfg.merge_policy = MergePolicy::Tiering;
         let hist = Histogram::new(0, 1 << 20, 16);
@@ -327,20 +322,13 @@ mod tests {
     #[test]
     fn tree_counts_the_compactions_fades_ttl_trigger_picked() {
         use lethe_lsm::LsmTree;
-        use lethe_storage::LogicalClock;
         let dth = 1_000_000;
         let mut cfg = LsmConfig::small_for_test();
         cfg.size_ratio = 2;
         cfg.auto_advance_clock = false;
         cfg.delete_persistence_threshold = Some(dth);
-        let clock = LogicalClock::new();
-        let mut t = LsmTree::new(
-            cfg,
-            InMemoryBackend::new_shared(),
-            clock.clone(),
-            Box::new(FadePolicy::new(dth)),
-        )
-        .unwrap();
+        let mut t = LsmTree::in_memory(cfg, Box::new(FadePolicy::new(dth))).unwrap();
+        let clock = t.clock().clone();
         for k in 0..400u64 {
             t.put(k, k, Bytes::from(vec![0u8; 32])).unwrap();
         }

@@ -122,20 +122,15 @@ mod tests {
     use bytes::Bytes;
     use lethe_lsm::compaction::{FileSelection, SaturationPolicy};
     use lethe_lsm::config::{LsmConfig, SecondaryDeleteMode};
-    use lethe_storage::{InMemoryBackend, LogicalClock};
 
     fn build_tree(h: usize, n: u64, correlated: bool) -> LsmTree {
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = h;
         cfg.max_pages_per_file = h * 4;
         cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-        let mut tree = LsmTree::new(
-            cfg,
-            InMemoryBackend::new_shared(),
-            LogicalClock::new(),
-            Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
-        )
-        .unwrap();
+        let mut tree =
+            LsmTree::in_memory(cfg, Box::new(SaturationPolicy::new(FileSelection::MinOverlap)))
+                .unwrap();
         for k in 0..n {
             let d = if correlated { k } else { (k * 7919) % n };
             tree.put(k, d, Bytes::from(vec![b'v'; 16])).unwrap();

@@ -132,9 +132,9 @@ use lethe_lsm::cursor::{EntryCursor, MergeIterator, VecCursor};
 use lethe_lsm::read::{RangeIter, ReadView};
 use lethe_lsm::tree::MaintenanceMode;
 use lethe_storage::{
-    write_marker, BatchCommitLog, BatchOp, CacheSnapshot, CheckpointMarker,
-    DeleteKey, Entry, FileBackend, InMemoryBackend, IoSnapshot, LogicalClock, Manifest,
-    ManifestState, PageCache, Result, SeqNum, SortKey, StorageBackend, StorageError,
+    write_marker, BatchCommitLog, BatchOp, CacheSnapshot, CheckpointMarker, DeleteKey, Entry,
+    FileBackend, IoSnapshot, LogicalClock, Manifest, ManifestState, MemVfs, OsVfs, PageCache,
+    Result, SeqNum, SortKey, StorageBackend, StorageError, Vfs,
 };
 use lethe_storage::barrier;
 use lethe_sync::{Condvar, LockRank, Mutex};
@@ -185,14 +185,10 @@ impl ShardedLetheBuilder {
         self
     }
 
-    /// Builds the sharded engine on per-shard in-memory simulated devices
-    /// sharing one logical clock.
+    /// [`ShardedLetheBuilder::open`] on a fresh [`MemVfs`]: the same shards,
+    /// logs and two-phase commit, in memory.
     pub fn build(self) -> Result<ShardedLethe> {
-        let n = self.shards;
-        self.assemble_store(None, |inner, clock, _| {
-            let shard = || inner.clone().build_on(InMemoryBackend::new_shared(), clock.clone());
-            (0..n).map(|_| shard()).collect()
-        })
+        self.open_on(MemVfs::shared(), Path::new("/"))
     }
 
     /// Opens (or creates) a durable sharded engine rooted at `dir`. Each
@@ -206,65 +202,25 @@ impl ShardedLetheBuilder {
     /// with committed shard state but no readable `SHARDS` super-manifest —
     /// both would otherwise silently misroute keys.
     pub fn open(self, dir: impl AsRef<Path>) -> Result<ShardedLethe> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        validate_shard_manifest(dir, self.shards)?;
-        // the batch-commit log opens first: WAL replay consults the
-        // committed-id set to decide which prepared cross-shard slices apply
-        let mut batch_log = BatchCommitLog::open(dir.join("BATCHES"))?;
-        if let Some(fp) = self.inner.failpoint() {
-            batch_log = batch_log.with_failpoint(fp.clone());
-        }
-        let batch_log = Arc::new(batch_log);
-        let log = Arc::clone(&batch_log);
-        let n = self.shards;
-        self.assemble_store(Some(batch_log), move |inner, clock, manifest_fsyncs| {
-            let inner = inner.committed_batches(log.committed());
-            let mut engines = Vec::with_capacity(n);
-            let mut live_ids = HashSet::new();
-            for i in 0..n {
-                let name = format!("shard-{i:03}");
-                let engine = inner.clone().open_named(dir, &name, clock.clone())?;
-                live_ids.extend(engine.tree().wal_batch_ids().iter().copied());
-                engines.push(engine);
-            }
-            // rolled-back prepared frames stay in the shard WALs after
-            // recovery (nothing rewrites a WAL on open), so the id allocator
-            // — rebuilt from committed records only — must be advanced past
-            // every id the WALs still hold: reusing one for a batch that then
-            // commits would retroactively commit the stale slice and
-            // resurrect part of an aborted batch on the next recovery
-            if let Some(max) = live_ids.iter().copied().max() {
-                log.bump_next_id(max + 1);
-            }
-            // commit records whose batch no WAL references any more have no
-            // reader left (the slices were flushed and truncated away):
-            // compact them out so the log is bounded by in-flight batches
-            log.retain(&live_ids)?;
-            // the super-manifest is written only once every shard opened
-            // successfully (a failed open never pins a shard count for a
-            // store that was never created), and atomically + fsync'd: once
-            // a client can acknowledge writes, the recorded count must
-            // survive a crash
-            write_shard_manifest(dir, n, manifest_fsyncs)?;
-            Ok(engines)
-        })
+        self.open_on(OsVfs::shared(), dir.as_ref())
     }
 
-    /// The construction `build` and `open` share. Every shard gets one
-    /// logical clock, one block cache (resolved through
+    /// [`ShardedLetheBuilder::open`] on `vfs`. Every shard gets one logical
+    /// clock, one block cache (resolved through
     /// [`LetheBuilder::resolve_cache`] and pinned onto the per-shard
     /// builder), one seqnum allocator (a cross-shard batch commits under one
     /// consecutive seqnum range, and a snapshot fence is one number covering
     /// the whole store) and one snapshot tracker (a registered fence gates
-    /// tombstone GC in every shard at once). `engines` turns that per-shard
-    /// builder into the shard engines, charging any `SHARDS` barrier to the
-    /// counter it is handed; `batch_log` is a durable store's commit log.
-    fn assemble_store(
-        self,
-        batch_log: Option<Arc<BatchCommitLog>>,
-        engines: impl FnOnce(LetheBuilder, &LogicalClock, &AtomicU64) -> Result<Vec<Lethe>>,
-    ) -> Result<ShardedLethe> {
+    /// tombstone GC in every shard at once).
+    fn open_on(self, vfs: Arc<dyn Vfs>, dir: &Path) -> Result<ShardedLethe> {
+        vfs.create_dir_all(dir)?;
+        validate_shard_manifest(vfs.as_ref(), dir, self.shards)?;
+        // the batch-commit log opens first: WAL replay consults the
+        // committed-id set to decide which prepared cross-shard slices apply
+        let mut batch_log = BatchCommitLog::open(&vfs, &dir.join("BATCHES"))?;
+        if let Some(fp) = self.inner.failpoint() {
+            batch_log = batch_log.with_failpoint(fp.clone());
+        }
         let clock = LogicalClock::new();
         let cache = self.inner.resolve_cache();
         let failpoint = self.inner.failpoint().cloned();
@@ -273,16 +229,40 @@ impl ShardedLetheBuilder {
         let mut inner = self
             .inner
             .seqnum_allocator(Arc::clone(&seqnums))
-            .snapshot_tracker(Arc::clone(&snapshots));
+            .snapshot_tracker(Arc::clone(&snapshots))
+            .committed_batches(batch_log.committed());
         if let Some(c) = &cache {
             inner = inner.shared_block_cache(Arc::clone(c));
         }
+        let mut engines = Vec::with_capacity(self.shards);
+        let mut live_ids = HashSet::new();
+        for i in 0..self.shards {
+            let name = format!("shard-{i:03}");
+            let engine = inner.clone().open_on(None, &vfs, dir, &name, clock.clone())?;
+            live_ids.extend(engine.tree().wal_batch_ids().iter().copied());
+            engines.push(engine);
+        }
+        // rolled-back prepared frames stay in the shard WALs after recovery
+        // (nothing rewrites a WAL on open), so the id allocator — rebuilt
+        // from committed records only — must be advanced past every id the
+        // WALs still hold: reusing one for a batch that then commits would
+        // retroactively commit the stale slice and resurrect part of an
+        // aborted batch on the next recovery
+        if let Some(max) = live_ids.iter().copied().max() {
+            batch_log.bump_next_id(max + 1);
+        }
+        // commit records whose batch no WAL references any more have no
+        // reader left (the slices were flushed and truncated away): compact
+        // them out so the log is bounded by in-flight batches
+        batch_log.retain(&live_ids)?;
+        // the super-manifest is written only once every shard opened
+        // successfully (a failed open never pins a shard count for a store
+        // that was never created), and atomically + fsync'd: once a client
+        // can acknowledge writes, the recorded count must survive a crash
         let manifest_fsyncs = AtomicU64::new(0);
-        let shards: Vec<Shard> = engines(inner, &clock, &manifest_fsyncs)?
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| Shard::spawn(e, i))
-            .collect();
+        write_shard_manifest(vfs.as_ref(), dir, self.shards, &manifest_fsyncs)?;
+        let shards: Vec<Shard> =
+            engines.into_iter().enumerate().map(|(i, e)| Shard::spawn(e, i)).collect();
         Ok(ShardedLethe {
             views: ShardViews(shards.iter().map(|s| s.reader.clone()).collect()),
             shards,
@@ -304,10 +284,9 @@ impl ShardedLetheBuilder {
 /// Durably records the shard count through [`barrier::publish`]. Both of
 /// its barriers charge `fsyncs` so the store's [`IoSnapshot`] accounts for
 /// them.
-fn write_shard_manifest(dir: &Path, shards: usize, fsyncs: &AtomicU64) -> Result<()> {
-    use std::io::Write;
-    let record = |f: &mut std::fs::File| f.write_all(format!("{shards}\n").as_bytes());
-    barrier::publish(&dir.join("SHARDS"), &dir.join("SHARDS.tmp"), fsyncs, record, || Ok(()))?;
+fn write_shard_manifest(vfs: &dyn Vfs, dir: &Path, n: usize, fsyncs: &AtomicU64) -> Result<()> {
+    let (path, tmp) = (dir.join("SHARDS"), dir.join("SHARDS.tmp"));
+    barrier::publish(vfs, &path, &tmp, fsyncs, format!("{n}\n").as_bytes(), || Ok(()))?;
     Ok(())
 }
 
@@ -321,11 +300,11 @@ fn write_shard_manifest(dir: &Path, shards: usize, fsyncs: &AtomicU64) -> Result
 /// Leftover data/WAL files without manifests are tolerated: they can only
 /// come from a store that never acknowledged a write under a committed shard
 /// count (`SHARDS` is durably written before `open` returns).
-fn validate_shard_manifest(dir: &Path, shards: usize) -> Result<()> {
-    use lethe_storage::StorageError;
+fn validate_shard_manifest(vfs: &dyn Vfs, dir: &Path, shards: usize) -> Result<()> {
     let path = dir.join("SHARDS");
-    match std::fs::read_to_string(&path) {
+    match vfs.read(&path) {
         Ok(raw) => {
+            let raw = String::from_utf8_lossy(&raw);
             let recorded: usize = raw.trim().parse().map_err(|_| {
                 StorageError::Corruption(format!("unreadable shard manifest {path:?}: {raw:?}"))
             })?;
@@ -337,13 +316,8 @@ fn validate_shard_manifest(dir: &Path, shards: usize) -> Result<()> {
             Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            let mut orphaned: Vec<String> = Vec::new();
-            for entry in std::fs::read_dir(dir)? {
-                let name = entry?.file_name().to_string_lossy().into_owned();
-                if name.starts_with("shard-") && name.ends_with(".manifest") {
-                    orphaned.push(name);
-                }
-            }
+            let mut orphaned: Vec<String> = vfs.list(dir)?;
+            orphaned.retain(|name| name.starts_with("shard-") && name.ends_with(".manifest"));
             if !orphaned.is_empty() {
                 orphaned.sort();
                 return Err(StorageError::Corruption(format!(
@@ -574,9 +548,8 @@ pub struct ShardedLethe {
     clock: LogicalClock,
     /// The block cache shared by every shard, if one was configured.
     cache: Option<Arc<PageCache>>,
-    /// The store-wide commit point for cross-shard batches; `None` for
-    /// in-memory stores, which have no crash to protect against.
-    batch_log: Option<Arc<BatchCommitLog>>,
+    /// The store-wide commit point for cross-shard batches.
+    batch_log: BatchCommitLog,
     /// Durability barriers issued for the `SHARDS` super-manifest.
     manifest_fsyncs: AtomicU64,
     stalls: AtomicU64,
@@ -807,15 +780,8 @@ impl ShardedLethe {
 
     /// Two-phase commit of a batch spanning several shards; see
     /// [`ShardedLethe::write`].
-    fn write_cross_shard(&self, mut slices: Vec<Vec<BatchOp>>, involved: Vec<usize>) -> Result<()> {
-        let Some(log) = &self.batch_log else {
-            // in-memory store: nothing survives a crash, so there is no
-            // prepared state that could need rolling back
-            for &i in &involved {
-                self.group_write(&self.shards[i], std::mem::take(&mut slices[i]))?;
-            }
-            return Ok(());
-        };
+    fn write_cross_shard(&self, slices: Vec<Vec<BatchOp>>, involved: Vec<usize>) -> Result<()> {
+        let log = &self.batch_log;
         // park the involved workers when the batch restructures trees (see
         // `group_write`); otherwise respect write backpressure before taking
         // any locks
@@ -1042,7 +1008,8 @@ impl ShardedLethe {
     /// the checkpoint pins its own [`Snapshot`] (released on return) and
     /// reads only captured state.
     ///
-    /// The target directory becomes a self-contained single-shard store:
+    /// The target directory, on the host file system even for a store built
+    /// in memory, becomes a self-contained single-shard store:
     /// the per-shard checkpoint streams (every entry at the fence, newest
     /// version per key, tombstones and delete keys retained) are k-way
     /// merged into fresh KiWi-laid-out tables on a fresh backend, a fresh
@@ -1063,7 +1030,6 @@ impl ShardedLethe {
     pub fn checkpoint_at(&self, snapshot: &Snapshot, dir: impl AsRef<Path>) -> Result<CheckpointMarker> {
         let inner = snapshot.pinned()?;
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
         let mut backend = FileBackend::open_named(dir, "checkpoint")?;
         if let Some(fp) = &self.failpoint {
             backend.set_failpoint(fp.clone());
@@ -1124,7 +1090,7 @@ impl ShardedLethe {
         manifest.commit(state)?;
         let marker =
             CheckpointMarker { fence: inner.fence, shards: views.len() as u32 };
-        write_marker(dir, marker, &self.manifest_fsyncs, self.failpoint.as_ref())?;
+        write_marker(&OsVfs, dir, marker, &self.manifest_fsyncs, self.failpoint.as_ref())?;
         Ok(marker)
     }
 
@@ -1209,10 +1175,7 @@ impl ShardedLethe {
     pub fn io_snapshot(&self) -> IoSnapshot {
         let mut snap: IoSnapshot =
             self.shards.iter().map(|shard| shard.engine.lock().io_snapshot()).sum();
-        if let Some(log) = &self.batch_log {
-            snap.fsyncs += log.fsync_count();
-        }
-        snap.fsyncs += self.manifest_fsyncs.load(Ordering::Relaxed);
+        snap.fsyncs += self.batch_log.fsync_count() + self.manifest_fsyncs.load(Ordering::Relaxed);
         snap
     }
 
@@ -1367,6 +1330,10 @@ impl Drop for Snapshot {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests plant and remove store files on disk as an operator might"
+)]
 mod tests {
     use super::*;
 
@@ -1873,7 +1840,7 @@ mod tests {
             let db = durable().open(&dir).unwrap();
             assert_eq!(db.range(0, 48).unwrap().len(), 48);
         }
-        let log = lethe_storage::BatchCommitLog::open(dir.join("BATCHES")).unwrap();
+        let log = BatchCommitLog::open(&OsVfs::shared(), &dir.join("BATCHES")).unwrap();
         assert_eq!(log.committed().len(), 0, "flushed-out batch ids must be compacted away");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -299,9 +299,9 @@ mod tests {
     use super::*;
     use crate::level::Run;
     use bytes::Bytes;
-    use lethe_storage::{Entry, InMemoryBackend};
+    use lethe_storage::{Entry, FileBackend};
 
-    fn table(id: u64, lo: u64, hi: u64, tombstones: u64, backend: &InMemoryBackend) -> Arc<SsTable> {
+    fn table(id: u64, lo: u64, hi: u64, tombstones: u64, backend: &FileBackend) -> Arc<SsTable> {
         tombstoned(id, lo, hi, tombstones, vec![], 10, backend)
     }
 
@@ -314,7 +314,7 @@ mod tests {
         points: u64,
         ranges: Vec<Entry>,
         oldest_ts: Timestamp,
-        backend: &InMemoryBackend,
+        backend: &FileBackend,
     ) -> Arc<SsTable> {
         let cfg = LsmConfig::small_for_test();
         let mut entries: Vec<Entry> =
@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn no_compaction_when_under_capacity() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table(1, 0, 4, 0, &backend)]));
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn saturated_level_triggers_partial_compaction() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let mut levels = vec![Level::new(), Level::new()];
         levels[0].runs.push(Run::new(vec![
@@ -412,7 +412,7 @@ mod tests {
 
     #[test]
     fn most_invalidations_picks_the_highest_estimated_b() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let mut hist = Histogram::new(0, 1000, 10);
         for k in 0..1000 {
@@ -434,7 +434,7 @@ mod tests {
 
     #[test]
     fn most_invalidations_breaks_ties_by_oldest_tombstone_then_most_tombstones() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         // an empty histogram estimates 0 for every range tombstone, so each
         // file's b is its point-tombstone count: 2 everywhere below
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn most_invalidations_without_invalidations_is_min_overlap() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new()];
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn tiering_triggers_when_t_runs_accumulate() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let mut cfg = LsmConfig::small_for_test();
         cfg.merge_policy = MergePolicy::Tiering;
         cfg.size_ratio = 3;
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn periodic_policy_issues_full_compactions() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table(1, 0, 10, 1, &backend)]));
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn estimated_invalidation_counts_points_and_ranges() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let mut hist = Histogram::new(0, 1000, 10);
         for k in 0..1000 {

@@ -112,7 +112,8 @@ pub struct LsmConfig {
     /// When the write-ahead log of a durable store fsyncs appends
     /// ([`SyncPolicy::Always`] keeps "logged before acknowledged" true
     /// against power failures; the relaxed policies trade a bounded loss
-    /// window for throughput). Ignored by in-memory engines.
+    /// window for throughput). A store built in memory counts the same
+    /// barriers, which cost it nothing.
     pub wal_sync: SyncPolicy,
     /// Memory budget of the shared block cache of encoded pages, in bytes.
     /// `0` (the default) disables caching: every read that reaches the disk

@@ -488,7 +488,7 @@ mod tests {
     use super::*;
     use crate::config::LsmConfig;
     use bytes::Bytes;
-    use lethe_storage::InMemoryBackend;
+    use lethe_storage::FileBackend;
 
     fn put(k: u64, seq: u64) -> Entry {
         Entry::put(k, k, seq, Bytes::from_static(b"v"))
@@ -599,7 +599,7 @@ mod tests {
 
     #[test]
     fn sstable_cursor_streams_whole_file_in_order() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = 4;
         cfg.max_pages_per_file = 16;
@@ -620,7 +620,7 @@ mod tests {
 
     #[test]
     fn sstable_cursor_prunes_tiles_and_stops_at_hi() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = 2;
         cfg.max_pages_per_file = 64;
@@ -654,7 +654,7 @@ mod tests {
     #[test]
     fn probe_tracks_resident_tile_entries() {
         probe::reset();
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = 2; // 8-entry tiles
         cfg.max_pages_per_file = 64;

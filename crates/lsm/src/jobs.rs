@@ -648,8 +648,8 @@ impl LsmTree {
     /// old or the new tree, never a mixture), retires the inputs for
     /// deferred page reclamation, and — for flushes — clears the frozen
     /// buffer and discards the covered WAL prefix, which needs the commit's
-    /// [`ManifestCommitted`](lethe_storage::ManifestCommitted) witness (a
-    /// tree without a manifest keeps its whole log). A trivial move takes the
+    /// [`ManifestCommitted`](lethe_storage::ManifestCommitted) witness. A
+    /// trivial move takes the
     /// same steps with the inputs as its output: they leave one run and join
     /// another, and the commit registers and retires nothing.
     ///
@@ -719,9 +719,7 @@ impl LsmTree {
             *self.mem.frozen.write() = None;
             self.stats.flushes += 1;
             self.stats.bytes_flushed += written;
-            if let (Some(wal), Some(committed)) = (&self.wal, &committed) {
-                wal.truncate_prefix(buffer.wal_upto, committed)?;
-            }
+            self.wal.truncate_prefix(buffer.wal_upto, &committed)?;
         } else if placement.is_none() {
             self.stats.whole_file_drops += dropped_files;
         } else {
@@ -756,7 +754,7 @@ mod tests {
     use crate::strategy::{DateTieredPolicy, SizeTieredPolicy};
     use crate::tree::MaintenanceMode;
     use bytes::Bytes;
-    use lethe_storage::{InMemoryBackend, LogicalClock, PageId};
+    use lethe_storage::PageId;
     use std::collections::{BTreeMap, BTreeSet};
 
     type Oracle = BTreeMap<u64, Bytes>;
@@ -771,8 +769,7 @@ mod tests {
 
     /// A tree whose maintenance the test drives job by job: puts only freeze.
     fn tree(cfg: LsmConfig, policy: Box<dyn CompactionPolicy>) -> LsmTree {
-        let mut t =
-            LsmTree::new(cfg, InMemoryBackend::new_shared(), LogicalClock::new(), policy).unwrap();
+        let mut t = LsmTree::in_memory(cfg, policy).unwrap();
         t.set_maintenance_mode(MaintenanceMode::Background);
         t
     }

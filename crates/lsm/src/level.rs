@@ -154,9 +154,9 @@ mod tests {
     use super::*;
     use crate::config::LsmConfig;
     use bytes::Bytes;
-    use lethe_storage::{Entry, InMemoryBackend};
+    use lethe_storage::{Entry, FileBackend};
 
-    fn table(id: u64, lo: u64, hi: u64, backend: &InMemoryBackend) -> Arc<SsTable> {
+    fn table(id: u64, lo: u64, hi: u64, backend: &FileBackend) -> Arc<SsTable> {
         let cfg = LsmConfig::small_for_test();
         let entries: Vec<Entry> =
             (lo..hi).map(|k| Entry::put(k, k, k + 1, Bytes::from_static(b"v"))).collect();
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn run_orders_and_finds_files() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let run = Run::new(vec![table(2, 100, 200, &backend), table(1, 0, 100, &backend)]);
         assert_eq!(run.len(), 2);
         assert_eq!(run.tables()[0].meta.id, 1);
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn run_overlap_queries() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let run = Run::new(vec![table(1, 0, 100, &backend), table(2, 100, 200, &backend)]);
         assert_eq!(run.overlapping_range(50, 150).len(), 2);
         assert_eq!(run.overlapping_range(0, 50).len(), 1);
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn run_remove_add_replace() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let mut run = Run::new(vec![table(1, 0, 100, &backend), table(2, 100, 200, &backend)]);
         let removed = run.remove_ids(&[1]);
         assert_eq!(removed.len(), 1);
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn level_aggregates() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let mut level = Level::new();
         assert!(level.is_empty());
         level.runs.push(Run::new(vec![table(1, 0, 100, &backend)]));

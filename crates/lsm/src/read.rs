@@ -646,7 +646,6 @@ mod tests {
     use crate::config::{LsmConfig, MergePolicy};
     use crate::tree::LsmTree;
     use bytes::Bytes;
-    use lethe_storage::{InMemoryBackend, LogicalClock};
 
     /// Pages read by a delete-key scan of `[100, 200)` over a tree in which
     /// key 1 has `stale_versions` flushed versions with delete keys in that
@@ -656,13 +655,9 @@ mod tests {
         let mut cfg = LsmConfig::small_for_test();
         cfg.merge_policy = MergePolicy::Tiering;
         cfg.size_ratio = 16; // no flush below triggers a merge
-        let mut t = LsmTree::new(
-            cfg,
-            InMemoryBackend::new_shared(),
-            LogicalClock::new(),
-            Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
-        )
-        .unwrap();
+        let mut t =
+            LsmTree::in_memory(cfg, Box::new(SaturationPolicy::new(FileSelection::MinOverlap)))
+                .unwrap();
         for v in 0..stale_versions {
             t.put(1, 100 + v, Bytes::from_static(b"stale")).unwrap();
             t.flush().unwrap();
@@ -679,10 +674,8 @@ mod tests {
     /// `MemState`, so a live view answered `None` until the buffer froze.
     #[test]
     fn live_view_sees_the_active_buffers_tombstone_clock() {
-        let mut t = LsmTree::new(
+        let mut t = LsmTree::in_memory(
             LsmConfig::small_for_test(),
-            InMemoryBackend::new_shared(),
-            LogicalClock::new(),
             Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
         )
         .unwrap();

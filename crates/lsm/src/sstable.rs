@@ -639,7 +639,7 @@ impl SsTable {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use lethe_storage::InMemoryBackend;
+    use lethe_storage::FileBackend;
 
     fn config(h: usize) -> LsmConfig {
         let mut c = LsmConfig::small_for_test();
@@ -653,8 +653,8 @@ mod tests {
         (0..n).map(|k| Entry::put(k, (k * 37) % 1000, k + 1, Bytes::from(vec![b'v'; 16]))).collect()
     }
 
-    fn build(h: usize, n: u64) -> (SsTable, std::sync::Arc<InMemoryBackend>) {
-        let backend = InMemoryBackend::new_shared();
+    fn build(h: usize, n: u64) -> (SsTable, std::sync::Arc<FileBackend>) {
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = config(h);
         let t = SsTable::build(1, entries(n), vec![], 0, None, &cfg, backend.as_ref()).unwrap();
         (t, backend)
@@ -720,7 +720,7 @@ mod tests {
 
     #[test]
     fn get_respects_range_tombstone_block() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = config(2);
         let rt = Entry::range_tombstone(10, 20, 1000);
         let t = SsTable::build(1, entries(30), vec![rt], 0, Some(5), &cfg, backend.as_ref()).unwrap();
@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn secondary_range_delete_preserves_tombstones() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = config(2);
         let mut es = entries(16);
         es.push(Entry::point_tombstone(100, 200));
@@ -825,7 +825,7 @@ mod tests {
 
     #[test]
     fn tombstones_do_not_widen_the_delete_fences() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = config(4);
         let entries = tombstones_and_late_puts(96);
         let put_keys = || entries.iter().filter(|e| !e.is_tombstone()).map(|e| e.delete_key);
@@ -860,7 +860,7 @@ mod tests {
 
     #[test]
     fn a_fully_covered_page_with_tombstones_is_read_and_keeps_them() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = config(4);
         let entries = tombstones_and_late_puts(96);
         let t = SsTable::build(1, entries, vec![], 0, Some(1), &cfg, backend.as_ref()).unwrap();
@@ -911,7 +911,7 @@ mod tests {
 
     #[test]
     fn describe_recover_roundtrip_rebuilds_identical_file() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = config(4);
         let mut es = entries(100);
         es.push(Entry::point_tombstone(200, 300));
@@ -975,7 +975,7 @@ mod tests {
     /// An in-memory device whose write after the first `writes_left`
     /// errors.
     struct FailingWrites {
-        inner: Arc<InMemoryBackend>,
+        inner: Arc<FileBackend>,
         writes_left: std::sync::atomic::AtomicU64,
     }
 
@@ -1010,7 +1010,7 @@ mod tests {
     #[test]
     fn a_failed_page_write_strands_no_page() {
         for fail_at in [0u64, 1, 5] {
-            let inner = InMemoryBackend::new_shared();
+            let inner = Arc::new(FileBackend::in_memory().unwrap());
             let device = FailingWrites {
                 inner: Arc::clone(&inner),
                 writes_left: std::sync::atomic::AtomicU64::new(fail_at),

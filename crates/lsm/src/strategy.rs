@@ -249,7 +249,7 @@ mod tests {
     use crate::level::Level;
     use crate::sstable::SsTable;
     use bytes::Bytes;
-    use lethe_storage::{Entry, Histogram, InMemoryBackend};
+    use lethe_storage::{Entry, Histogram, FileBackend};
     use std::sync::Arc;
 
     /// Builds a table of `n` entries whose delete keys all equal `ts`; ids
@@ -259,7 +259,7 @@ mod tests {
         n: u64,
         ts: Timestamp,
         tombstones: u64,
-        backend: &InMemoryBackend,
+        backend: &FileBackend,
     ) -> Arc<SsTable> {
         let cfg = LsmConfig::small_for_test();
         let lo = id * 10_000;
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn size_tiered_merges_oldest_suffix_of_one_class() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn size_tiered_waits_for_fan_in() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn date_tiered_never_merges_across_window_boundaries() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let now = 10_000;
@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn date_tiered_drops_wholly_expired_windows_first() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let now = 10_000;
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn expired_files_with_tombstones_are_never_dropped() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
@@ -409,7 +409,7 @@ mod tests {
 
     #[test]
     fn ttl_boundary_is_respected() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
@@ -423,7 +423,7 @@ mod tests {
 
     #[test]
     fn gated_view_reorders_but_still_surfaces_the_drop() {
-        let backend = InMemoryBackend::new();
+        let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
         let hist = Histogram::new(0, 1 << 20, 16);
         let now = 10_000;

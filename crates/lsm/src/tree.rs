@@ -44,11 +44,12 @@ use crate::stats::{ContentSnapshot, TreeStats};
 use crate::version::VersionSet;
 use bytes::Bytes;
 use lethe_storage::{
-    DeleteKey, Entry, FailPoint, Histogram, IoSnapshot, KillPoint, LogicalClock, Manifest,
-    ManifestCommitted, ManifestState, PageId, Result, SeqNum, SortKey, StorageBackend,
-    StorageError, Timestamp, Wal,
+    DeleteKey, Entry, FailPoint, FileBackend, FileWal, Histogram, IoSnapshot, KillPoint,
+    LogicalClock, Manifest, ManifestCommitted, ManifestState, MemVfs, PageId, Result, SeqNum,
+    SortKey, StorageBackend, StorageError, Timestamp, Wal,
 };
 use std::collections::HashSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -117,19 +118,26 @@ pub struct LsmTree {
     reader: ReadView,
     pub(crate) sort_key_histogram: Histogram,
     pub(crate) delete_key_histogram: Histogram,
-    pub(crate) wal: Option<Box<dyn Wal>>,
-    manifest: Option<Manifest>,
+    pub(crate) wal: Box<dyn Wal>,
+    manifest: Manifest,
     mode: MaintenanceMode,
     /// Crash-injection hook for the tree's own commit steps (currently the
     /// whole-file-drop commit); disarmed in production.
     failpoint: Option<FailPoint>,
+    /// Set while [`LsmTree::recover`] replays the WAL: a flush then covers
+    /// records the log must keep until the replay is over, so a freeze
+    /// captures no log position and the flush truncates nothing.
+    pub(crate) replaying: bool,
 }
 
 impl LsmTree {
-    /// Creates an engine on `backend` with the given compaction policy.
+    /// Creates an engine over its device, write-ahead log and manifest with
+    /// the given compaction policy; [`LsmTree::recover`] it before use.
     pub fn new(
         config: LsmConfig,
         backend: Arc<dyn StorageBackend>,
+        wal: Box<dyn Wal>,
+        manifest: Manifest,
         clock: LogicalClock,
         policy: Box<dyn CompactionPolicy>,
     ) -> Result<Self> {
@@ -159,10 +167,11 @@ impl LsmTree {
             snapshots: Arc::new(SnapshotTracker::new()),
             stats: TreeStats::default(),
             reader,
-            wal: None,
-            manifest: None,
+            wal,
+            manifest,
             mode: MaintenanceMode::Inline,
             failpoint: None,
+            replaying: false,
         })
     }
 
@@ -175,21 +184,17 @@ impl LsmTree {
         self
     }
 
-    /// Attaches a write-ahead log; every subsequent mutation is logged before
-    /// it is buffered.
-    pub fn with_wal(mut self, wal: Box<dyn Wal>) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// Attaches a durable manifest; every subsequent flush, compaction and
-    /// secondary page drop commits an edit describing the new tree state
-    /// before the WAL is allowed to forget the covered records. Attach it
-    /// *before* calling [`LsmTree::recover`] so the recorded state is
-    /// rebuilt first.
-    pub fn with_manifest(mut self, manifest: Manifest) -> Self {
-        self.manifest = Some(manifest);
-        self
+    /// A recovered tree on a fresh [`MemVfs`], without the engine crate's
+    /// block cache and fail points: what unit tests and tools build.
+    pub fn in_memory(config: LsmConfig, policy: Box<dyn CompactionPolicy>) -> Result<Self> {
+        let (vfs, dir) = (MemVfs::shared(), Path::new("/"));
+        let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe")?);
+        let wal = FileWal::open_on(&vfs, &dir.join("lethe.wal"))?.with_sync_policy(config.wal_sync);
+        let manifest = Manifest::open_on(&vfs, &dir.join("lethe.manifest"))?;
+        let mut tree =
+            Self::new(config, backend, Box::new(wal), manifest, LogicalClock::new(), policy)?;
+        tree.recover()?;
+        Ok(tree)
     }
 
     /// Shares a sequence-number allocator with other trees (the shards of
@@ -281,14 +286,14 @@ impl LsmTree {
     }
 
     /// Recovers a freshly-constructed engine from its durable artifacts:
-    /// rebuilds levels, runs and files from the attached manifest (re-deriving
-    /// Bloom filters and fence pointers from page contents), releases device
-    /// pages the manifest does not reference (half-written flush output,
-    /// pages dropped after the last manifest edit), then replays the WAL on
-    /// top through [`LsmTree::recover_from`]. The WAL is *not* truncated here:
-    /// its records stay until the next flush commits a manifest edit that
-    /// covers them, so a crash during or right after recovery loses nothing.
-    pub fn recover(&mut self, wal: &dyn Wal) -> Result<RecoveryReport> {
+    /// rebuilds levels, runs and files from its manifest (re-deriving Bloom
+    /// filters and fence pointers from page contents), releases device pages
+    /// the manifest does not reference (half-written flush output, pages
+    /// dropped after the last manifest edit), then replays its WAL on top.
+    /// The WAL is *not* truncated here: its records stay until the next
+    /// flush commits a manifest edit that covers them, so a crash during or
+    /// right after recovery loses nothing.
+    pub fn recover(&mut self) -> Result<RecoveryReport> {
         let mut report = RecoveryReport::default();
         if !self.versions.current().levels.is_empty()
             || !self.mem.active.read().table.is_empty()
@@ -298,42 +303,40 @@ impl LsmTree {
                 "recover() requires a freshly-constructed (empty) tree".into(),
             ));
         }
-        if let Some(manifest) = &self.manifest {
-            let state = manifest.state().clone();
-            self.next_file_id.fetch_max(state.next_file_id, Ordering::Relaxed);
-            self.next_seqnum.fetch_max(state.next_seqnum, Ordering::Relaxed);
-            self.clock.advance_to(state.clock_micros);
-            let mut levels = Vec::with_capacity(state.levels.len());
-            for level_desc in &state.levels {
-                let mut level = Level::new();
-                for run_desc in level_desc {
-                    let mut tables = Vec::with_capacity(run_desc.len());
-                    for fd in run_desc {
-                        let table = SsTable::recover(fd, &self.config, self.backend.as_ref())?;
-                        self.next_file_id.fetch_max(fd.id + 1, Ordering::Relaxed);
-                        self.next_seqnum.fetch_max(fd.max_seqnum + 1, Ordering::Relaxed);
-                        report.files_recovered += 1;
-                        self.versions.register_table(&table);
-                        tables.push(Arc::new(table));
-                    }
-                    level.runs.push(Run::new(tables));
+        let state = self.manifest.state().clone();
+        self.next_file_id.fetch_max(state.next_file_id, Ordering::Relaxed);
+        self.next_seqnum.fetch_max(state.next_seqnum, Ordering::Relaxed);
+        self.clock.advance_to(state.clock_micros);
+        let mut levels = Vec::with_capacity(state.levels.len());
+        for level_desc in &state.levels {
+            let mut level = Level::new();
+            for run_desc in level_desc {
+                let mut tables = Vec::with_capacity(run_desc.len());
+                for fd in run_desc {
+                    let table = SsTable::recover(fd, &self.config, self.backend.as_ref())?;
+                    self.next_file_id.fetch_max(fd.id + 1, Ordering::Relaxed);
+                    self.next_seqnum.fetch_max(fd.max_seqnum + 1, Ordering::Relaxed);
+                    report.files_recovered += 1;
+                    self.versions.register_table(&table);
+                    tables.push(Arc::new(table));
                 }
-                level.prune_empty_runs();
-                levels.push(level);
+                level.runs.push(Run::new(tables));
             }
-            // the device scan resurfaces every frame in the data file; drop
-            // whatever the durable state does not reference
-            let referenced: HashSet<PageId> =
-                state.files().flat_map(|f| f.tiles.iter().flatten().copied()).collect();
-            for id in self.backend.page_ids() {
-                if !referenced.contains(&id) {
-                    crate::reclaim::retire_page(self.backend.as_ref(), id);
-                    report.pages_released += 1;
-                }
-            }
-            self.versions.install(levels);
+            level.prune_empty_runs();
+            levels.push(level);
         }
-        report.wal_records_replayed = self.recover_from(wal)?;
+        // the device scan resurfaces every frame in the data file; drop
+        // whatever the durable state does not reference
+        let referenced: HashSet<PageId> =
+            state.files().flat_map(|f| f.tiles.iter().flatten().copied()).collect();
+        for id in self.backend.page_ids() {
+            if !referenced.contains(&id) {
+                crate::reclaim::retire_page(self.backend.as_ref(), id);
+                report.pages_released += 1;
+            }
+        }
+        self.versions.install(levels);
+        report.wal_records_replayed = self.replay_wal()?;
         Ok(report)
     }
 
@@ -384,31 +387,6 @@ impl LsmTree {
         }
     }
 
-    /// Commits `levels` to the attached manifest (if any): syncs the device
-    /// first so the manifest never references pages that could be lost, then
-    /// appends the edit. A no-op without a manifest. Called *before* the
-    /// version is installed, so a failed commit leaves the in-memory tree
-    /// unchanged.
-    ///
-    /// The barrier is skipped when the change built no table (`new_tables`
-    /// is empty: a trivial move, a whole-file drop, a page drop that emptied
-    /// every file it touched): every page the edit names was synced by the
-    /// commit that introduced it, so there is nothing unsynced to name.
-    fn commit_manifest_for(
-        &mut self,
-        levels: &[Level],
-        new_tables: &[Arc<SsTable>],
-    ) -> Result<Option<ManifestCommitted>> {
-        if self.manifest.is_none() {
-            return Ok(None);
-        }
-        if !new_tables.is_empty() {
-            self.backend.sync()?;
-        }
-        let state = self.describe_state(levels);
-        self.manifest.as_mut().map(|m| m.commit(state)).transpose()
-    }
-
     pub(crate) fn maybe_flush(&mut self) -> Result<()> {
         if self.mem.active.read().table.size_bytes() >= self.config.buffer_capacity_bytes() {
             match self.mode {
@@ -435,10 +413,7 @@ impl LsmTree {
         if self.mem.frozen.read().is_some() {
             return Ok(false);
         }
-        let wal_upto = match &self.wal {
-            Some(w) => w.position()?,
-            None => 0,
-        };
+        let wal_upto = if self.replaying { 0 } else { self.wal.position()? };
         let mut active = self.mem.active.write();
         if active.table.is_empty() {
             return Ok(false);
@@ -474,27 +449,35 @@ impl LsmTree {
         self.reader.l0_run_count()
     }
 
-    /// Commits `levels` to the manifest; if the commit fails, the freshly
-    /// built `new_tables` are released before the error propagates (the
-    /// version is never installed, so nothing references their pages and
-    /// they would otherwise leak until a reopen's unreferenced-page GC).
+    /// Commits `levels` to the manifest: syncs the device first so the
+    /// manifest never references pages that could be lost, then appends the
+    /// edit. Called *before* the version is installed, so a failed commit
+    /// leaves the in-memory tree unchanged; it releases the freshly built
+    /// `new_tables` before the error propagates (nothing references their
+    /// pages, which would otherwise leak until a reopen's unreferenced-page
+    /// GC).
+    ///
+    /// The barrier is skipped when the change built no table (`new_tables`
+    /// is empty: a trivial move, a whole-file drop, a page drop that emptied
+    /// every file it touched): every page the edit names was synced by the
+    /// commit that introduced it, so there is nothing unsynced to name.
     fn commit_or_release(
         &mut self,
         levels: &[Level],
         new_tables: &[Arc<SsTable>],
-    ) -> Result<Option<ManifestCommitted>> {
-        match self.commit_manifest_for(levels, new_tables) {
-            Ok(committed) => Ok(committed),
-            Err(e) => {
-                for t in new_tables {
-                    // skip pages shared with live tables: a secondary-delete
-                    // replacement keeps the original's surviving pages, and
-                    // the original is still installed after a failed commit
-                    self.versions.release_unregistered_pages(t, self.backend.as_ref());
-                }
-                Err(e)
+    ) -> Result<ManifestCommitted> {
+        let state = self.describe_state(levels);
+        let synced = if new_tables.is_empty() { Ok(()) } else { self.backend.sync() };
+        let committed = synced.and_then(|()| self.manifest.commit(state));
+        if committed.is_err() {
+            for t in new_tables {
+                // skip pages shared with live tables: a secondary-delete
+                // replacement keeps the original's surviving pages, and
+                // the original is still installed after a failed commit
+                self.versions.release_unregistered_pages(t, self.backend.as_ref());
             }
         }
+        committed
     }
 
     /// The shared commit tail of every structural change: manifest edit
@@ -514,15 +497,15 @@ impl LsmTree {
     /// before and after), so its whole commit is the manifest edit and the
     /// install.
     ///
-    /// Returns the manifest's commit witness, `None` for a tree without a
-    /// manifest: only a holder may drop the WAL prefix the edit covers.
+    /// Returns the manifest's commit witness: only a holder may drop the WAL
+    /// prefix the edit covers.
     pub(crate) fn commit_version(
         &mut self,
         levels: Vec<Level>,
         new_tables: &[Arc<SsTable>],
         retired: Vec<Arc<SsTable>>,
         whole_file_drop: bool,
-    ) -> Result<Option<ManifestCommitted>> {
+    ) -> Result<ManifestCommitted> {
         let drop_fp = if whole_file_drop { self.failpoint.clone() } else { None };
         if let Some(fp) = &drop_fp {
             fp.check(KillPoint::DropCommit)?;
@@ -569,20 +552,10 @@ impl LsmTree {
     /// counts its own).
     pub fn io_snapshot(&self) -> IoSnapshot {
         let mut snap = self.backend.stats().snapshot();
-        if let Some(wal) = &self.wal {
-            snap.fsyncs += wal.fsync_count();
-        }
-        if let Some(manifest) = &self.manifest {
-            snap.fsyncs += manifest.fsync_count();
-        }
+        snap.fsyncs += self.wal.fsync_count() + self.manifest.fsync_count();
         snap
     }
 
-    /// Durability barriers issued by the attached WAL (0 without one).
-    /// Group commit exists to keep this sublinear in the record count.
-    pub fn wal_fsync_count(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.fsync_count())
-    }
 
     /// The storage device the tree writes to.
     pub fn backend(&self) -> &Arc<dyn StorageBackend> {
@@ -715,14 +688,8 @@ mod tests {
     use crate::config::MergePolicy;
 
     fn tree(config: LsmConfig) -> LsmTree {
-        let backend = lethe_storage::InMemoryBackend::new_shared();
-        LsmTree::new(
-            config,
-            backend,
-            LogicalClock::new(),
-            Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
-        )
-        .unwrap()
+        LsmTree::in_memory(config, Box::new(SaturationPolicy::new(FileSelection::MinOverlap)))
+            .unwrap()
     }
 
     fn value(i: u64) -> Bytes {
@@ -919,27 +886,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = LsmConfig::small_for_test();
         cfg.size_ratio = 3;
-        let open = |cfg: &LsmConfig| -> (LsmTree, FileWal) {
+        let open = |cfg: &LsmConfig| -> LsmTree {
             let backend = Arc::new(FileBackend::open(&dir).unwrap());
             let wal = FileWal::open(dir.join("lethe.wal")).unwrap();
             let manifest = Manifest::open(dir.join("lethe.manifest")).unwrap();
-            let t = LsmTree::new(
+            LsmTree::new(
                 cfg.clone(),
                 backend,
+                Box::new(wal),
+                manifest,
                 LogicalClock::new(),
-                Box::new(crate::compaction::SaturationPolicy::new(
-                    crate::compaction::FileSelection::MinOverlap,
-                )),
+                Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
             )
             .unwrap()
-            .with_manifest(manifest);
-            (t, wal)
         };
         let (files_before, seq_hwm);
         {
-            let (mut t, wal) = open(&cfg);
-            t.recover(&wal).unwrap();
-            let mut t = t.with_wal(Box::new(wal));
+            let mut t = open(&cfg);
+            t.recover().unwrap();
             for k in 0..2000u64 {
                 t.put(k % 700, k, value(k)).unwrap();
             }
@@ -953,8 +917,8 @@ mod tests {
             assert!(t.level_count() >= 2, "need a multi-level tree to make this meaningful");
         }
         {
-            let (mut t, wal) = open(&cfg);
-            let report = t.recover(&wal).unwrap();
+            let mut t = open(&cfg);
+            let report = t.recover().unwrap();
             assert_eq!(report.files_recovered, files_before.iter().sum::<usize>());
             assert_eq!(t.files_per_level(), files_before);
             assert!(

@@ -222,9 +222,9 @@ mod tests {
     use crate::config::LsmConfig;
     use crate::level::Run;
     use bytes::Bytes;
-    use lethe_storage::{Entry, InMemoryBackend};
+    use lethe_storage::{Entry, FileBackend};
 
-    fn table(id: u64, backend: &InMemoryBackend) -> Arc<SsTable> {
+    fn table(id: u64, backend: &FileBackend) -> Arc<SsTable> {
         let cfg = LsmConfig::small_for_test();
         let entries: Vec<Entry> =
             (0..8u64).map(|k| Entry::put(k, k, k + 1, Bytes::from_static(b"v"))).collect();
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn install_swaps_atomically_and_old_pin_stays_readable() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let vs = VersionSet::new();
         let t1 = table(1, &backend);
         vs.register_table(&t1);
@@ -282,7 +282,7 @@ mod tests {
     /// can still reach.
     #[test]
     fn shared_pages_across_file_generations_are_refcounted() {
-        let backend = InMemoryBackend::new_shared();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let cfg = LsmConfig::small_for_test();
         let vs = VersionSet::new();
         let original = table(1, &backend);

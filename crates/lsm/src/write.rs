@@ -8,7 +8,7 @@
 //! The point API and [`LsmTree::write_batch`] build their ops and run the
 //! three steps back to back; a group-commit leader (`lethe-core`'s shard
 //! module) stages many requests, commits once and applies each; WAL replay
-//! ([`LsmTree::recover_from`]) turns each record back into ops
+//! (in [`LsmTree::recover`]) turns each record back into ops
 //! ([`WalRecord::into_ops`]). All of them end in the one `apply_ops`, the
 //! only code that draws sequence numbers, writes the active memtable, sets
 //! the buffer's tombstone clock and counts ingest.
@@ -23,7 +23,7 @@ use crate::config::SecondaryDeleteMode;
 use crate::sstable::{SecondaryDeleteStats, SsTable};
 use crate::tree::LsmTree;
 use bytes::Bytes;
-use lethe_storage::{BatchOp, DeleteKey, Entry, Result, SortKey, Timestamp, Wal, WalRecord};
+use lethe_storage::{BatchOp, DeleteKey, Entry, Result, SortKey, Timestamp, WalRecord};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -137,19 +137,14 @@ impl LsmTree {
             self.advance_clock_for_ingest();
         }
         let now = self.clock.now();
-        if let Some(wal) = &self.wal {
-            wal.append_nosync(WalRecord::for_ops(ops, id, now))?;
-        }
+        self.wal.append_nosync(WalRecord::for_ops(ops, id, now))?;
         Ok(now)
     }
 
     /// One durability barrier covering everything staged since the last
-    /// commit (the group-commit fsync). A no-op without a WAL.
+    /// commit (the group-commit fsync).
     pub fn wal_commit(&mut self) -> Result<()> {
-        if let Some(wal) = &self.wal {
-            wal.commit()?;
-        }
-        Ok(())
+        self.wal.commit()
     }
 
     /// Applies a staged request to the tree at its commit timestamp, then
@@ -161,14 +156,15 @@ impl LsmTree {
         Ok(dropped)
     }
 
-    /// Replays a WAL into the engine. Unlike the front doors, replay never
-    /// suppresses a logged tombstone as blind, never re-counts ingest
+    /// Replays the tree's WAL into the engine. Unlike the front doors, replay
+    /// never suppresses a logged tombstone as blind, never re-counts ingest
     /// statistics or histograms (they were counted when the record was first
     /// acknowledged), and re-applies each record at its *logged* timestamp
     /// instead of re-stamping it. Returns the number of records read.
-    pub fn recover_from(&mut self, wal: &dyn Wal) -> Result<usize> {
-        let records = wal.replay()?;
+    pub(crate) fn replay_wal(&mut self) -> Result<usize> {
+        let records = self.wal.replay()?;
         let n = records.len();
+        self.replaying = true;
         for record in records {
             let (id, ts, ops) = record.into_ops();
             // a prepared cross-shard slice replays only when the batch
@@ -184,6 +180,7 @@ impl LsmTree {
             self.apply_ops(&ops, ts, Ack::Replay)?;
             self.maybe_flush()?;
         }
+        self.replaying = false;
         Ok(n)
     }
 
@@ -362,17 +359,42 @@ mod tests {
     use super::*;
     use crate::compaction::{FileSelection, SaturationPolicy};
     use crate::config::LsmConfig;
-    use lethe_storage::LogicalClock;
+    use lethe_storage::{FileBackend, FileWal, LogicalClock, Manifest, MemVfs, Vfs, Wal};
+    use std::path::Path;
+    use std::sync::Arc;
 
     fn tree(config: LsmConfig) -> LsmTree {
-        let backend = lethe_storage::InMemoryBackend::new_shared();
-        LsmTree::new(
+        LsmTree::in_memory(config, Box::new(SaturationPolicy::new(FileSelection::MinOverlap)))
+            .unwrap()
+    }
+
+    /// A tree that recovers `records` from its own log, with the batch ids
+    /// `committed` proven committed.
+    fn replayed(config: LsmConfig, records: &[WalRecord], committed: &[u64]) -> (LsmTree, usize) {
+        let mut t = tree(config);
+        for r in records {
+            t.wal.append(r.clone()).unwrap();
+        }
+        t.set_committed_batches(committed.iter().copied().collect());
+        let report = t.recover().unwrap();
+        (t, report.wal_records_replayed)
+    }
+
+    /// The tree `lethe` in `/` on `vfs`, recovered, and the WAL records it
+    /// replayed: a directory that outlives its tree, for tests that reopen.
+    fn reopen(vfs: &Arc<dyn Vfs>, config: LsmConfig) -> (LsmTree, usize) {
+        let dir = Path::new("/");
+        let mut t = LsmTree::new(
             config,
-            backend,
+            Arc::new(FileBackend::open_on(vfs, dir, "lethe").unwrap()),
+            Box::new(FileWal::open_on(vfs, &dir.join("lethe.wal")).unwrap()),
+            Manifest::open_on(vfs, &dir.join("lethe.manifest")).unwrap(),
             LogicalClock::new(),
             Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
         )
-        .unwrap()
+        .unwrap();
+        let report = t.recover().unwrap();
+        (t, report.wal_records_replayed)
     }
 
     fn value(i: u64) -> Bytes {
@@ -432,36 +454,26 @@ mod tests {
 
     #[test]
     fn batches_replay_from_wal_and_respect_commit_filter() {
-        use lethe_storage::MemWal;
-        let wal = MemWal::new();
         // stage one local batch (commit point = the frame) and one prepared
         // cross-shard slice for an id that never committed
-        {
-            let t = tree(LsmConfig::small_for_test());
-            let mut t = t.with_wal(Box::new(MemWal::new()));
+        let mut records = {
+            let mut t = tree(LsmConfig::small_for_test());
             let mut b = WriteBatch::new();
             b.put(1, 10, value(1)).delete(2).put(3, 30, value(3)).delete_range(3, 5);
             t.write_batch(b).unwrap();
-            // copy the records into the outer wal plus an uncommitted slice
-            for r in t.wal.as_ref().unwrap().replay().unwrap() {
-                wal.append(r).unwrap();
-            }
-            wal.append(WalRecord::Batch {
-                id: Some(99),
-                ops: vec![BatchOp::Put { sort_key: 7, delete_key: 70, value: value(7) }],
-                ts: 1,
-            })
-            .unwrap();
-            wal.append(WalRecord::Batch {
-                id: Some(100),
-                ops: vec![BatchOp::Put { sort_key: 8, delete_key: 80, value: value(8) }],
-                ts: 2,
-            })
-            .unwrap();
-        }
-        let mut t = tree(LsmConfig::small_for_test());
-        t.set_committed_batches([100u64].into_iter().collect());
-        let replayed = t.recover_from(&wal).unwrap();
+            t.wal.replay().unwrap()
+        };
+        records.push(WalRecord::Batch {
+            id: Some(99),
+            ops: vec![BatchOp::Put { sort_key: 7, delete_key: 70, value: value(7) }],
+            ts: 1,
+        });
+        records.push(WalRecord::Batch {
+            id: Some(100),
+            ops: vec![BatchOp::Put { sort_key: 8, delete_key: 80, value: value(8) }],
+            ts: 2,
+        });
+        let (t, replayed) = replayed(LsmConfig::small_for_test(), &records, &[100]);
         assert_eq!(replayed, 3);
         assert_eq!(t.get(1).unwrap(), Some(value(1)));
         assert_eq!(t.get(2).unwrap(), None);
@@ -538,45 +550,39 @@ mod tests {
         // the whole working set must be recoverable from the log alone
         let mut cfg = LsmConfig::small_for_test();
         cfg.buffer_pages = 1024;
-        let wal = std::sync::Arc::new(lethe_storage::MemWal::new());
-
-        struct SharedWal(std::sync::Arc<lethe_storage::MemWal>);
-        impl Wal for SharedWal {
-            fn append_nosync(&self, r: WalRecord) -> Result<()> {
-                self.0.append_nosync(r)
-            }
-            fn replay(&self) -> Result<Vec<WalRecord>> {
-                self.0.replay()
-            }
-            fn truncate(&self) -> Result<()> {
-                self.0.truncate()
-            }
-            fn sync(&self) -> Result<()> {
-                self.0.sync()
-            }
-            fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize> {
-                self.0.purge_older_than(cutoff)
-            }
-            fn truncate_prefix(
-                &self,
-                upto: u64,
-                committed: &lethe_storage::ManifestCommitted,
-            ) -> Result<()> {
-                self.0.truncate_prefix(upto, committed)
-            }
-        }
-
-        let mut t = tree(cfg.clone()).with_wal(Box::new(SharedWal(std::sync::Arc::clone(&wal))));
+        let vfs = MemVfs::shared();
+        let mut t = reopen(&vfs, cfg.clone()).0;
         for k in 0..50u64 {
             t.put(k, k, value(k)).unwrap();
         }
         t.delete(7).unwrap();
-        // simulate a crash: build a fresh tree and replay the WAL
-        let mut recovered = tree(cfg);
-        let replayed = recovered.recover_from(wal.as_ref()).unwrap();
+        // simulate a crash: open the directory again and replay its WAL
+        drop(t);
+        let (recovered, replayed) = reopen(&vfs, cfg);
         assert_eq!(replayed, 51);
         assert_eq!(recovered.get(3).unwrap(), Some(value(3)));
         assert_eq!(recovered.get(7).unwrap(), None);
+    }
+
+    /// Replay flushes every buffer it fills, but the log keeps every record
+    /// until the replay is over: a crash right after recovery loses nothing.
+    #[test]
+    fn a_flush_during_replay_truncates_no_record() {
+        let vfs = MemVfs::shared();
+        let log = FileWal::open_on(&vfs, Path::new("/lethe.wal")).unwrap();
+        for k in 0..101u64 {
+            log.append(WalRecord::Put { sort_key: k, delete_key: k, value: value(k), ts: k + 1 })
+                .unwrap();
+        }
+        drop(log);
+        let (t, replayed) = reopen(&vfs, LsmConfig::small_for_test());
+        assert_eq!(replayed, 101);
+        assert!(t.stats().flushes > 1, "the replay must fill and flush buffers");
+        drop(t);
+        let t = reopen(&vfs, LsmConfig::small_for_test()).0;
+        for k in 0..101u64 {
+            assert_eq!(t.get(k).unwrap(), Some(value(k)), "key {k}");
+        }
     }
 
     #[test]
@@ -588,19 +594,19 @@ mod tests {
         let mut cfg = LsmConfig::small_for_test();
         cfg.buffer_pages = 1024;
         cfg.suppress_blind_deletes = true;
-        let wal = lethe_storage::MemWal::new();
         // a tombstone whose key was flushed before the crash: the reopened
         // buffer has no trace of it, so the public path would call it blind
-        wal.append(WalRecord::Delete { sort_key: 5, ts: 12_345 }).unwrap();
-        wal.append(WalRecord::Put {
-            sort_key: 6,
-            delete_key: 6,
-            value: Bytes::from_static(b"v"),
-            ts: 12_400,
-        })
-        .unwrap();
-        let mut t = tree(cfg);
-        assert_eq!(t.recover_from(&wal).unwrap(), 2);
+        let records = [
+            WalRecord::Delete { sort_key: 5, ts: 12_345 },
+            WalRecord::Put {
+                sort_key: 6,
+                delete_key: 6,
+                value: Bytes::from_static(b"v"),
+                ts: 12_400,
+            },
+        ];
+        let (t, replayed) = replayed(cfg, &records, &[]);
+        assert_eq!(replayed, 2);
         // the logged tombstone survives replay
         assert_eq!(t.buffered_entries(), 2);
         assert_eq!(t.get(5).unwrap(), None);
@@ -652,10 +658,6 @@ mod tests {
                 ts: 600,
             },
         ];
-        let wal = lethe_storage::MemWal::new();
-        for r in records {
-            wal.append(r).unwrap();
-        }
         // (committed ids, the one live key and its value, next seqnum, clock)
         let with_slice = (vec![7u64], 5, "v5", 7, 600);
         let without = (vec![], 4, "v4", 5, 500);
@@ -663,9 +665,8 @@ mod tests {
             let mut cfg = LsmConfig::small_for_test();
             cfg.buffer_pages = 1024;
             cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-            let mut t = tree(cfg);
-            t.set_committed_batches(committed.iter().copied().collect());
-            assert_eq!(t.recover_from(&wal).unwrap(), 6);
+            let (t, replayed) = replayed(cfg, &records, &committed);
+            assert_eq!(replayed, 6);
             assert_eq!(t.range(0, 100).unwrap(), vec![(key, v(val))], "committed: {committed:?}");
             assert_eq!(t.next_seqnum(), next_seqnum);
             assert_eq!(t.clock().now(), clock);
@@ -681,7 +682,7 @@ mod tests {
 
     #[test]
     fn every_front_door_logs_through_the_same_framing() {
-        let mut t = tree(LsmConfig::small_for_test()).with_wal(Box::new(lethe_storage::MemWal::new()));
+        let mut t = tree(LsmConfig::small_for_test());
         t.put(1, 10, value(1)).unwrap();
         t.delete(1).unwrap();
         t.delete_range(5, 9).unwrap();
@@ -694,7 +695,7 @@ mod tests {
         pair.put(3, 30, value(3)).delete_range(3, 4);
         t.write_batch(pair).unwrap();
         let tick = t.config().micros_per_ingest();
-        let logged = t.wal.as_ref().unwrap().replay().unwrap();
+        let logged = t.wal.replay().unwrap();
         assert_eq!(
             logged,
             vec![

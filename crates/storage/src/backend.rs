@@ -1,18 +1,16 @@
 //! Storage devices.
 //!
 //! The engine is written against the [`StorageBackend`] trait, the page-level
-//! device abstraction. Two implementations are provided:
-//!
-//! * [`InMemoryBackend`] — the "simulated SSD" used by the evaluation
-//!   harness. It stores pages in a hash map and charges every read, write and
-//!   drop to an [`IoStats`] counter set; combined with
-//!   [`crate::iostats::CostModel`] this reproduces the paper's I/O-count and
-//!   latency figures deterministically and quickly.
-//! * [`FileBackend`] — a real, durable device: pages are appended to a
-//!   sequence of segment files with an in-memory offset index, and a segment
-//!   is unlinked when its last live page is dropped, so the bytes on disk
-//!   follow the tree and not its history. It exists so the engine is a
-//!   usable key-value store, and it feeds the same counters.
+//! device abstraction, and [`FileBackend`] is its device: pages are appended
+//! to a sequence of segment files with an in-memory offset index, and a
+//! segment is unlinked when its last live page is dropped, so the bytes on
+//! disk follow the tree and not its history. The segments live on a
+//! [`Vfs`]: on the host file system for a store opened in a directory, in a
+//! [`MemVfs`](crate::vfs::MemVfs) for one built in memory, which the
+//! evaluation harness uses. Either way every read, write and drop is charged
+//! to an [`IoStats`] counter set; combined with
+//! [`crate::iostats::CostModel`] this reproduces the paper's I/O-count and
+//! latency figures deterministically.
 //!
 //! Full page drops (KiWi) map to [`StorageBackend::drop_page`]: the page is
 //! released **without being read**, which is exactly the I/O saving the paper
@@ -25,11 +23,10 @@ use crate::failpoint::{FailPoint, KillPoint};
 use crate::iostats::IoStats;
 use crate::log::{self, be, Frame};
 use crate::page::Page;
+use crate::vfs::{OsVfs, Vfs, VfsFile};
 use bytes::{BufMut, BytesMut};
 use lethe_sync::{LockRank, Mutex, RwLock};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,10 +40,10 @@ pub trait StorageBackend: Send + Sync {
     fn write_page(&self, page: &Page) -> Result<PageId>;
 
     /// Reads a page back from the device. Pages are immutable once written,
-    /// so the result is a shared handle: the simulated device and the block
-    /// cache serve the same `Arc` to every reader instead of deep-copying
-    /// the entries, and concurrent readers on the durable device use
-    /// positional reads that never contend on a file lock.
+    /// so the result is a shared handle: the block cache serves the same
+    /// `Arc` to every reader instead of deep-copying the entries, and
+    /// concurrent readers on the device use positional reads that never
+    /// contend on a device lock.
     fn read_page(&self, id: PageId) -> Result<Arc<Page>>;
 
     /// Reads a page for a one-shot bulk scan (compaction inputs, secondary-
@@ -72,87 +69,8 @@ pub trait StorageBackend: Send + Sync {
     /// the durable manifest no longer (or never did) reference.
     fn page_ids(&self) -> Vec<PageId>;
 
-    /// Flushes any buffered state to durable storage (no-op for the
-    /// simulated device).
+    /// Makes every page written so far durable, through a counted barrier.
     fn sync(&self) -> Result<()>;
-}
-
-/// The simulated device used by tests and the benchmark harness. Pages are
-/// stored behind `Arc`s, so a read is a map lookup plus a pointer clone —
-/// never a deep copy of the entries.
-#[derive(Debug)]
-pub struct InMemoryBackend {
-    pages: RwLock<HashMap<PageId, Arc<Page>>>,
-    next_id: AtomicU64,
-    stats: Arc<IoStats>,
-}
-
-impl InMemoryBackend {
-    /// Creates an empty simulated device.
-    pub fn new() -> Self {
-        InMemoryBackend {
-            pages: RwLock::new(LockRank::BackendPages, HashMap::new()),
-            next_id: AtomicU64::new(1),
-            stats: IoStats::new_shared(),
-        }
-    }
-
-    /// Creates an empty simulated device behind an `Arc`, ready to be handed
-    /// to an engine.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-}
-
-impl Default for InMemoryBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StorageBackend for InMemoryBackend {
-    fn write_page(&self, page: &Page) -> Result<PageId> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_write(page.data_size() as u64);
-        self.pages.write().insert(id, Arc::new(page.clone()));
-        Ok(id)
-    }
-
-    fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
-        let pages = self.pages.read();
-        match pages.get(&id) {
-            Some(p) => {
-                self.stats.record_read(p.data_size() as u64);
-                Ok(Arc::clone(p))
-            }
-            None => Err(StorageError::PageNotFound(id)),
-        }
-    }
-
-    fn drop_page(&self, id: PageId) -> Result<()> {
-        let removed = self.pages.write().remove(&id);
-        if removed.is_none() {
-            return Err(StorageError::PageNotFound(id));
-        }
-        self.stats.record_drop();
-        Ok(())
-    }
-
-    fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    fn live_pages(&self) -> usize {
-        self.pages.read().len()
-    }
-
-    fn page_ids(&self) -> Vec<PageId> {
-        self.pages.read().keys().copied().collect()
-    }
-
-    fn sync(&self) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// Magic number opening every page frame in a [`FileBackend`] segment.
@@ -217,9 +135,11 @@ const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 /// *positional* read (`pread`) on the segment's own handle with no lock held,
 /// so N reader threads proceed fully in parallel on hits and misses alike. A
 /// reader that resolved a page just before its segment was unlinked still
-/// reads the right bytes: the inode lives while the handle does.
+/// reads the right bytes: a [`Vfs`] handle reads on after an unlink. All
+/// paths read the handle the index pinned, never reopen by path.
 #[derive(Debug)]
 pub struct FileBackend {
+    vfs: Arc<dyn Vfs>,
     /// `dir/<name>.data`: segment 0's path and the stem of every other's.
     base: PathBuf,
     appender: Mutex<Appender>,
@@ -234,8 +154,9 @@ pub struct FileBackend {
 #[derive(Debug)]
 struct Segment {
     id: u64,
-    /// Handle for positional reads.
-    file: File,
+    /// Handle for positional reads, and for appends while the segment is
+    /// the newest.
+    file: Arc<dyn VfsFile>,
     /// Pages written here and not yet dropped. Raised under the appender
     /// lock (only the newest segment grows), lowered under the index write
     /// lock, where the zero that unlinks the file is also observed.
@@ -255,7 +176,6 @@ struct Index {
 #[derive(Debug)]
 struct Appender {
     segment: Arc<Segment>,
-    file: File,
     /// End of the last good frame. The handle appends at end-of-file whatever
     /// this says, so `write_page` cuts the file back to it first.
     end: u64,
@@ -265,50 +185,6 @@ struct Appender {
     /// The file was created since the last `sync()`: its directory entry is
     /// not durable yet.
     unsynced_entry: bool,
-}
-
-/// Reads exactly `buf.len()` bytes of `file` at `offset`. On unix this is
-/// `pread`, which touches no file cursor at all. The Windows `seek_read`
-/// *does* move `file`'s cursor, which is harmless here: every call passes an
-/// absolute offset, nothing else ever uses a read handle's cursor, and the
-/// writer appends through a separate handle with its own cursor. All paths
-/// read the handle the index pinned, never reopen by path: the path of an
-/// unlinked segment is gone while its handle still reads.
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(buf, offset)
-    }
-    #[cfg(windows)]
-    {
-        use std::os::windows::fs::FileExt;
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let n = file.seek_read(&mut buf[pos..], offset + pos as u64)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "positional read past end of data file",
-                ));
-            }
-            pos += n;
-        }
-        Ok(())
-    }
-    #[cfg(not(any(unix, windows)))]
-    {
-        // no positional-read API: fall back to seek + read on the pinned
-        // handle, serialised by a global lock so concurrent readers do not
-        // race the shared cursor (correctness over parallelism on platforms
-        // that cannot express a positional read)
-        use std::io::{Read, Seek, SeekFrom};
-        static FALLBACK_CURSOR: Mutex<()> = Mutex::new(LockRank::FallbackCursor, ());
-        let _guard = FALLBACK_CURSOR.lock();
-        let mut f = file;
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(buf)
-    }
 }
 
 /// Path of segment `id` of the store whose segment 0 is `base`.
@@ -357,9 +233,15 @@ impl Index {
     /// good frame. A torn tail ends the scan short of end-of-file; only the
     /// `newest` segment may have one (the caller cuts it), since a sealed
     /// segment is never appended to again.
-    fn scan(&mut self, id: u64, path: &Path, newest: bool) -> Result<(Arc<Segment>, u64)> {
-        let segment = Arc::new(Segment { id, file: File::open(path)?, live: AtomicU64::new(0) });
-        let end = log::scan::<PageFrame>(&segment.file, path, |off, header, payload| {
+    fn scan(
+        &mut self,
+        id: u64,
+        file: Arc<dyn VfsFile>,
+        path: &Path,
+        newest: bool,
+    ) -> Result<(Arc<Segment>, u64)> {
+        let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
+        let end = log::scan::<PageFrame>(segment.file.as_ref(), path, |off, header, payload| {
             let page = be(&header[4..12]);
             let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, payload.len() as u32);
             if self.pages.insert(page, at).is_some() {
@@ -370,7 +252,7 @@ impl Index {
             segment.live.fetch_add(1, Ordering::Relaxed);
             Ok(())
         })?;
-        if !newest && end < segment.file.metadata()?.len() {
+        if !newest && end < segment.file.len()? {
             return Err(StorageError::Corruption(format!(
                 "data file {path:?}: torn frame at offset {end} of a sealed segment (only \
                  the newest segment is ever appended to, so this is not a torn tail)"
@@ -393,13 +275,24 @@ impl Index {
 }
 
 impl FileBackend {
-    /// Opens (or creates) a file-backed device rooted at `dir`. Its first
-    /// segment is `dir/lethe.data`.
+    /// Opens (or creates) a device rooted at `dir` on the host file system.
+    /// Its first segment is `dir/lethe.data`.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         Self::open_named(dir, "lethe")
     }
 
-    /// Opens (or creates) a *namespaced* file-backed device rooted at `dir`:
+    /// [`FileBackend::open_on`] the host file system.
+    pub fn open_named(dir: impl AsRef<Path>, name: &str) -> Result<Self> {
+        Self::open_on(&OsVfs::shared(), dir.as_ref(), name)
+    }
+
+    /// A device of its own on a fresh [`MemVfs`](crate::vfs::MemVfs), for
+    /// tests and tools that need pages but no tree.
+    pub fn in_memory() -> Result<Self> {
+        Self::open_on(&crate::vfs::MemVfs::shared(), Path::new("/"), "lethe")
+    }
+
+    /// Opens (or creates) a *namespaced* device rooted at `dir` on `vfs`:
     /// its segments are `dir/<name>.data` and `dir/<name>.data.<id>`. Several
     /// namespaced devices can share one directory, which is how the sharded
     /// front-end keeps the per-shard data files (`shard-000.data`,
@@ -409,33 +302,32 @@ impl FileBackend {
     /// rebuild the page index and the next free id; a torn trailing frame of
     /// the newest segment is truncated away and counted in
     /// [`FileBackend::torn_frames_recovered`].
-    pub fn open_named(dir: impl AsRef<Path>, name: &str) -> Result<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
+    pub fn open_on(vfs: &Arc<dyn Vfs>, dir: &Path, name: &str) -> Result<Self> {
+        vfs.create_dir_all(dir)?;
         let base_name = format!("{name}.data");
         let base = dir.join(&base_name);
-        let mut ids = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            ids.extend(entry?.file_name().to_str().and_then(|f| segment_id(&base_name, f)));
-        }
+        let mut ids: Vec<u64> =
+            vfs.list(dir)?.iter().filter_map(|f| segment_id(&base_name, f)).collect();
         ids.sort_unstable();
         // the newest segment takes the appends; a fresh store starts at 0
         let newest = ids.pop().unwrap_or(0);
         let mut index = Index::default();
         for id in ids {
-            index.scan(id, &segment_path(&base, id), false)?;
+            let path = segment_path(&base, id);
+            index.scan(id, vfs.open(&path, false)?, &path, false)?;
         }
         let path = segment_path(&base, newest);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let (segment, end) = index.scan(newest, &path, true)?;
+        let (segment, end) = index.scan(newest, vfs.open(&path, true)?, &path, true)?;
         let stats = IoStats::new_shared();
-        let torn_frames_recovered = u64::from(log::cut_tail(&file, end, &stats.fsyncs)?);
+        let torn_frames_recovered =
+            u64::from(log::cut_tail(segment.file.as_ref(), end, &stats.fsyncs)?);
         let next_id = index.pages.keys().max().map_or(1, |max| max + 1).max(newest);
         // what a reopen finds on disk is as durable as it will get, so a
         // full newest segment (or an older store's one big file) starts sealed
         let sealed = end >= SEGMENT_TARGET_BYTES;
-        let appender = Appender { segment, file, end, sealed, unsynced_entry: false };
+        let appender = Appender { segment, end, sealed, unsynced_entry: false };
         Ok(FileBackend {
+            vfs: Arc::clone(vfs),
             base,
             appender: Mutex::new(LockRank::BackendFile, appender),
             index: RwLock::new(LockRank::BackendIndex, index),
@@ -467,7 +359,7 @@ impl FileBackend {
     /// frames of dropped pages in segments that still hold a live one.
     pub fn file_size(&self) -> Result<u64> {
         let index = self.index.read();
-        index.segments.iter().try_fold(0, |sum, s| Ok(sum + s.file.metadata()?.len()))
+        index.segments.iter().try_fold(0, |sum, s| Ok(sum + s.file.len()?))
     }
 
     /// Number of segment files on disk.
@@ -480,13 +372,10 @@ impl FileBackend {
     /// issued, hence above every existing segment's name.
     fn roll(&self, app: &mut Appender) -> Result<()> {
         let id = self.next_id.load(Ordering::Relaxed);
-        let path = segment_path(&self.base, id);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let segment =
-            Arc::new(Segment { id, file: File::open(&path)?, live: AtomicU64::new(0) });
+        let file = self.vfs.open(&segment_path(&self.base, id), true)?;
+        let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
         let successor = Appender {
             segment: Arc::clone(&segment),
-            file,
             end: 0,
             sealed: false,
             unsynced_entry: true,
@@ -508,8 +397,8 @@ impl FileBackend {
     /// Unlinks a segment that has left the index, with no barrier (see the
     /// type's docs for why none is needed).
     fn unlink(&self, segment: &Segment) -> Result<()> {
-        let bytes = segment.file.metadata()?.len();
-        std::fs::remove_file(segment_path(&self.base, segment.id))?;
+        let bytes = segment.file.len()?;
+        self.vfs.remove(&segment_path(&self.base, segment.id))?;
         self.stats.bytes_reclaimed.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
@@ -538,15 +427,16 @@ impl StorageBackend for FileBackend {
         // the handle appends at end-of-file: whatever lies behind the last
         // good frame (the partial frame of a failed append) is cut away
         // first, so the offset indexed below is where the frame really lands
-        if app.file.seek(SeekFrom::End(0))? != app.end {
-            app.file.set_len(app.end)?;
+        let file = &app.segment.file;
+        if file.len()? != app.end {
+            file.set_len(app.end)?;
         }
         // ids are issued under the appender lock, so every id in a segment
         // is at or above the segment's name and below its successor's
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(id, &encoded);
-        if let Err(e) = app.file.write_all(&frame) {
-            let _ = app.file.set_len(app.end);
+        if let Err(e) = file.append(&frame) {
+            let _ = file.set_len(app.end);
             return Err(e.into());
         }
         let at = (Arc::clone(&app.segment), app.end + FRAME_HEADER as u64, encoded.len() as u32);
@@ -565,7 +455,7 @@ impl StorageBackend for FileBackend {
         let (segment, offset, len) =
             self.index.read().pages.get(&id).cloned().ok_or(StorageError::PageNotFound(id))?;
         let mut buf = vec![0u8; len as usize];
-        read_exact_at(&segment.file, &mut buf, offset)?;
+        segment.file.read_at(&mut buf, offset)?;
         self.stats.record_read(len as u64);
         Page::decode(bytes::Bytes::from(buf)).map(Arc::new)
     }
@@ -599,9 +489,9 @@ impl StorageBackend for FileBackend {
 
     fn sync(&self) -> Result<()> {
         let mut app = self.appender.lock();
-        barrier::sync_all_counted(&app.file, &self.stats.fsyncs)?;
+        barrier::sync_all_counted(app.segment.file.as_ref(), &self.stats.fsyncs)?;
         if app.unsynced_entry {
-            barrier::fsync_dir_counted(&self.base, &self.stats.fsyncs)?;
+            barrier::fsync_dir_counted(self.vfs.as_ref(), &self.base, &self.stats.fsyncs)?;
             app.unsynced_entry = false;
         }
         app.sealed = app.end >= SEGMENT_TARGET_BYTES;
@@ -616,43 +506,27 @@ mod tests {
     use crate::entry::Entry;
     use bytes::Bytes;
     use proptest::prelude::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn page(keys: &[u64]) -> Page {
         Page::new(keys.iter().map(|&k| Entry::put(k, k, k, Bytes::from(vec![0u8; 8]))).collect())
     }
 
     #[test]
-    fn memory_backend_roundtrip_and_stats() {
-        let b = InMemoryBackend::new();
-        let id = b.write_page(&page(&[1, 2, 3])).unwrap();
-        let p = b.read_page(id).unwrap();
-        assert_eq!(p.len(), 3);
-        assert_eq!(b.live_pages(), 1);
-        let s = b.stats().snapshot();
-        assert_eq!(s.pages_written, 1);
-        assert_eq!(s.pages_read, 1);
-        b.sync().unwrap();
-    }
-
-    #[test]
-    fn memory_backend_drop_is_not_a_read() {
-        let b = InMemoryBackend::new();
-        let id = b.write_page(&page(&[1])).unwrap();
-        b.drop_page(id).unwrap();
-        let s = b.stats().snapshot();
-        assert_eq!(s.pages_dropped, 1);
-        assert_eq!(s.pages_read, 0);
-        assert_eq!(b.live_pages(), 0);
-        assert!(matches!(b.read_page(id), Err(StorageError::PageNotFound(_))));
-        assert!(b.drop_page(id).is_err());
-    }
-
-    #[test]
-    fn ids_are_unique_and_increasing() {
-        let b = InMemoryBackend::new();
-        let a = b.write_page(&page(&[1])).unwrap();
-        let c = b.write_page(&page(&[2])).unwrap();
+    fn a_drop_is_not_a_read_and_ids_increase() {
+        let b = FileBackend::in_memory().unwrap();
+        let a = b.write_page(&page(&[1, 2, 3])).unwrap();
+        let c = b.write_page(&page(&[4])).unwrap();
         assert!(c > a);
+        assert_eq!(b.read_page(a).unwrap().len(), 3);
+        b.drop_page(c).unwrap();
+        let s = b.stats().snapshot();
+        assert_eq!((s.pages_written, s.pages_read, s.pages_dropped), (2, 1, 1));
+        assert_eq!(b.live_pages(), 1);
+        assert!(matches!(b.read_page(c), Err(StorageError::PageNotFound(_))));
+        assert!(matches!(b.drop_page(c), Err(StorageError::PageNotFound(_))));
+        assert_eq!(b.stats().snapshot().pages_dropped, 1, "a failed drop counts nothing");
     }
 
     #[test]

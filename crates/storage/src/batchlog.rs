@@ -21,10 +21,11 @@ use crate::checksum::crc32;
 use crate::error::Result;
 use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
+use crate::vfs::Vfs;
 use lethe_sync::{LockRank, Mutex};
 use std::collections::HashSet;
-use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Size of one committed-id record on disk: `u64` id + `u32` CRC.
@@ -63,10 +64,11 @@ pub struct BatchCommitLog {
 }
 
 impl BatchCommitLog {
-    /// Opens (or creates) the commit log at `path`, loading the committed-id
-    /// set and cutting away a torn tail left by a crash mid-commit.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let mut log = LogFile::open(path, true)?;
+    /// Opens (or creates) the commit log at `path` on `vfs`, loading the
+    /// committed-id set and cutting away a torn tail left by a crash
+    /// mid-commit.
+    pub fn open(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
+        let mut log = LogFile::open(vfs, path, true)?;
         let mut ids = HashSet::new();
         log.recover::<Record>(|_, rec, _| {
             ids.insert(be(&rec[..8]));
@@ -148,11 +150,8 @@ impl BatchCommitLog {
         if keep.len() == ids.len() {
             return Ok(());
         }
-        log.replace(
-            "batches.tmp",
-            |f| keep.iter().try_for_each(|&id| f.write_all(&record(id))),
-            || Ok(()),
-        )?;
+        let contents: Vec<u8> = keep.iter().flat_map(|&id| record(id)).collect();
+        log.replace("batches.tmp", &contents, || Ok(()))?;
         *ids = keep.into_iter().collect();
         Ok(())
     }
@@ -164,8 +163,18 @@ impl BatchCommitLog {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests write torn tails into logs on disk, as a crash leaves them"
+)]
 mod tests {
     use super::*;
+    use crate::vfs::OsVfs;
+    use std::io::Write;
+
+    fn open(path: &Path) -> Result<BatchCommitLog> {
+        BatchCommitLog::open(&OsVfs::shared(), path)
+    }
     use crate::error::StorageError;
     use crate::log::tests::hex;
     use std::fs::OpenOptions;
@@ -180,7 +189,7 @@ mod tests {
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
         {
-            let log = BatchCommitLog::open(&path).unwrap();
+            let log = open(&path).unwrap();
             let a = log.allocate_id();
             let b = log.allocate_id();
             assert_ne!(a, b);
@@ -189,7 +198,7 @@ mod tests {
             assert!(log.contains(a) && log.contains(b));
             assert_eq!(log.fsync_count(), 2, "one fsync per commit point");
         }
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         assert_eq!(log.committed().len(), 2);
         // the allocator never reuses a committed id
         assert!(!log.contains(log.allocate_id()));
@@ -201,7 +210,7 @@ mod tests {
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         let (a, b) = {
-            let log = BatchCommitLog::open(&path).unwrap();
+            let log = open(&path).unwrap();
             let a = log.allocate_id();
             let b = log.allocate_id();
             log.commit(a).unwrap();
@@ -215,7 +224,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&rec[..7]).unwrap();
         }
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         assert!(log.contains(a));
         assert!(!log.contains(b), "a torn commit record must read as not-committed");
         // a full-length tail record with a bad checksum is also rolled back
@@ -225,7 +234,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&rec).unwrap();
         }
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         assert!(!log.contains(b));
         let _ = std::fs::remove_file(&path);
     }
@@ -234,7 +243,7 @@ mod tests {
     fn bump_next_id_skips_wal_resident_ids() {
         let path = tmp("bump");
         let _ = std::fs::remove_file(&path);
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         // simulate a reopen after a crash mid-2PC: id 5 was prepared in some
         // shard WAL but never committed, so the committed set is empty and
         // the allocator would restart at 1 — the bump must push it past 5
@@ -251,7 +260,7 @@ mod tests {
         let path = tmp("midcorrupt");
         let _ = std::fs::remove_file(&path);
         {
-            let log = BatchCommitLog::open(&path).unwrap();
+            let log = open(&path).unwrap();
             for _ in 0..3 {
                 let id = log.allocate_id();
                 log.commit(id).unwrap();
@@ -266,7 +275,7 @@ mod tests {
             f.seek(SeekFrom::Start(RECORD_LEN as u64 + 2)).unwrap();
             f.write_all(&[0xEE; 4]).unwrap();
         }
-        assert!(matches!(BatchCommitLog::open(&path), Err(StorageError::Corruption(_))));
+        assert!(matches!(open(&path), Err(StorageError::Corruption(_))));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -277,13 +286,13 @@ mod tests {
     fn two_bad_trailing_records_are_corruption() {
         let path = tmp("twobad");
         let _ = std::fs::remove_file(&path);
-        BatchCommitLog::open(&path).unwrap().commit(1).unwrap();
+        open(&path).unwrap().commit(1).unwrap();
         let mut bad = record(2);
         bad[11] ^= 0xFF;
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&[bad, bad].concat()).unwrap();
         let before = std::fs::read(&path).unwrap();
-        assert!(matches!(BatchCommitLog::open(&path), Err(StorageError::Corruption(_))));
+        assert!(matches!(open(&path), Err(StorageError::Corruption(_))));
         assert_eq!(std::fs::read(&path).unwrap(), before, "a failed open cuts nothing");
         let _ = std::fs::remove_file(&path);
     }
@@ -297,10 +306,10 @@ mod tests {
         let path = tmp("parent");
         std::fs::write(&path, &bytes).unwrap();
         let ids = [1, 0x0102_0304_0506_0708];
-        assert_eq!(BatchCommitLog::open(&path).unwrap().committed(), HashSet::from(ids));
+        assert_eq!(open(&path).unwrap().committed(), HashSet::from(ids));
         // and a fresh log writes the same bytes for the same commits
         std::fs::remove_file(&path).unwrap();
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         ids.iter().for_each(|&id| log.commit(id).unwrap());
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let _ = std::fs::remove_file(&path);
@@ -310,7 +319,7 @@ mod tests {
     fn retain_compacts_dead_ids() {
         let path = tmp("retain");
         let _ = std::fs::remove_file(&path);
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         let ids: Vec<u64> = (0..10).map(|_| log.allocate_id()).collect();
         for &id in &ids {
             log.commit(id).unwrap();
@@ -320,7 +329,7 @@ mod tests {
         assert_eq!(log.committed(), live);
         // the compaction survives a reopen and the allocator stays monotonic
         drop(log);
-        let log = BatchCommitLog::open(&path).unwrap();
+        let log = open(&path).unwrap();
         assert_eq!(log.committed(), live);
         assert!(log.allocate_id() > *ids.last().unwrap());
         let _ = std::fs::remove_file(&path);
@@ -331,7 +340,7 @@ mod tests {
         let path = tmp("fp");
         let _ = std::fs::remove_file(&path);
         let fp = FailPoint::new();
-        let log = BatchCommitLog::open(&path).unwrap().with_failpoint(fp.clone());
+        let log = open(&path).unwrap().with_failpoint(fp.clone());
         let id = log.allocate_id();
         fp.arm(0);
         assert!(matches!(log.commit(id), Err(StorageError::Injected)));

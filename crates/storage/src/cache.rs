@@ -481,7 +481,7 @@ impl StorageBackend for CachedBackend {
 #[expect(clippy::disallowed_methods, reason = "the cache's own tests drive it directly")]
 mod tests {
     use super::*;
-    use crate::backend::InMemoryBackend;
+    use crate::backend::FileBackend;
     use crate::entry::Entry;
     use bytes::Bytes;
 
@@ -489,8 +489,8 @@ mod tests {
         Page::new(keys.iter().map(|&k| Entry::put(k, k, k, Bytes::from(vec![0u8; 16]))).collect())
     }
 
-    fn cached(capacity: usize, warm: bool) -> (CachedBackend, Arc<InMemoryBackend>) {
-        let inner = InMemoryBackend::new_shared();
+    fn cached(capacity: usize, warm: bool) -> (CachedBackend, Arc<FileBackend>) {
+        let inner = Arc::new(FileBackend::in_memory().unwrap());
         let cache = PageCache::new_shared(capacity);
         (CachedBackend::new(Arc::clone(&inner) as Arc<dyn StorageBackend>, cache, warm), inner)
     }

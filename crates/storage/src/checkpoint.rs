@@ -24,8 +24,7 @@ use crate::checksum::crc32;
 use crate::entry::SeqNum;
 use crate::error::{Result, StorageError};
 use crate::failpoint::{FailPoint, KillPoint};
-use std::fs::File;
-use std::io::{Read, Write};
+use crate::vfs::Vfs;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
 
@@ -80,6 +79,7 @@ impl CheckpointMarker {
 /// `checkpoint.marker.rename` it has only the ignored temporary. Either way
 /// [`read_marker`] refuses the directory.
 pub fn write_marker(
+    vfs: &dyn Vfs,
     dir: &Path,
     marker: CheckpointMarker,
     fsyncs: &AtomicU64,
@@ -89,10 +89,11 @@ pub fn write_marker(
         fp.check(KillPoint::CheckpointMarkerTmp)?;
     }
     publish(
+        vfs,
         &dir.join(CHECKPOINT_MARKER),
         &dir.join("CHECKPOINT.tmp"),
         fsyncs,
-        |f| f.write_all(&marker.encode()),
+        &marker.encode(),
         || failpoint.map_or(Ok(()), |fp| fp.check(KillPoint::CheckpointMarkerRename)),
     )?;
     Ok(())
@@ -104,23 +105,24 @@ pub fn write_marker(
 /// the error says so explicitly instead of letting a partial directory open
 /// as a silently short store. A present-but-corrupt marker is reported as
 /// corruption.
-pub fn read_marker(dir: &Path) -> Result<CheckpointMarker> {
-    let path = dir.join(CHECKPOINT_MARKER);
-    if !path.exists() {
-        return Err(StorageError::InvalidOperation(format!(
-            "no checkpoint marker in {} — the checkpoint is incomplete (crashed before \
-             its commit point) and cannot be restored",
-            dir.display()
-        )));
+pub fn read_marker(vfs: &dyn Vfs, dir: &Path) -> Result<CheckpointMarker> {
+    match vfs.read(&dir.join(CHECKPOINT_MARKER)) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Err(StorageError::InvalidOperation(format!(
+                "no checkpoint marker in {} — the checkpoint is incomplete (crashed before \
+                 its commit point) and cannot be restored",
+                dir.display()
+            )))
+        }
+        data => CheckpointMarker::decode(&data?),
     }
-    let mut data = Vec::new();
-    File::open(&path)?.read_to_end(&mut data)?;
-    CheckpointMarker::decode(&data)
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the tests lay out checkpoint directories on disk")]
 mod tests {
     use super::*;
+    use crate::vfs::OsVfs;
     use std::fs;
     use std::sync::atomic::Ordering;
 
@@ -137,17 +139,17 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let n = AtomicU64::new(0);
         let m = CheckpointMarker { fence: 12345, shards: 4 };
-        write_marker(&dir, m, &n, None).unwrap();
+        write_marker(&OsVfs, &dir, m, &n, None).unwrap();
         // one fsync for the tmp file, one for the directory entry
         assert_eq!(n.load(Ordering::Relaxed), 2);
-        assert_eq!(read_marker(&dir).unwrap(), m);
+        assert_eq!(read_marker(&OsVfs, &dir).unwrap(), m);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_marker_is_an_explicit_error() {
         let dir = tmp_dir("missing");
-        let err = read_marker(&dir).unwrap_err();
+        let err = read_marker(&OsVfs, &dir).unwrap_err();
         assert!(err.to_string().contains("incomplete"), "got: {err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -157,15 +159,15 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let n = AtomicU64::new(0);
         let m = CheckpointMarker { fence: 7, shards: 1 };
-        write_marker(&dir, m, &n, None).unwrap();
+        write_marker(&OsVfs, &dir, m, &n, None).unwrap();
         let path = dir.join(CHECKPOINT_MARKER);
         let mut data = fs::read(&path).unwrap();
         data[9] ^= 0xFF;
         fs::write(&path, &data).unwrap();
-        assert!(matches!(read_marker(&dir), Err(StorageError::Corruption(_))));
+        assert!(matches!(read_marker(&OsVfs, &dir), Err(StorageError::Corruption(_))));
         // truncated
         fs::write(&path, &data[..10]).unwrap();
-        assert!(matches!(read_marker(&dir), Err(StorageError::Corruption(_))));
+        assert!(matches!(read_marker(&OsVfs, &dir), Err(StorageError::Corruption(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -177,13 +179,14 @@ mod tests {
         for site_hits in [1u64, 2] {
             let fp = FailPoint::new();
             fp.arm(site_hits - 1);
-            let err = write_marker(&dir, m, &n, Some(&fp)).unwrap_err();
+            let err = write_marker(&OsVfs, &dir, m, &n, Some(&fp)).unwrap_err();
             assert!(matches!(err, StorageError::Injected));
-            assert!(read_marker(&dir).is_err(), "torn marker accepted after kill {site_hits}");
+            let torn = read_marker(&OsVfs, &dir);
+            assert!(torn.is_err(), "torn marker accepted after kill {site_hits}");
         }
         // a clean retry after the torn attempts succeeds
-        write_marker(&dir, m, &n, None).unwrap();
-        assert_eq!(read_marker(&dir).unwrap(), m);
+        write_marker(&OsVfs, &dir, m, &n, None).unwrap();
+        assert_eq!(read_marker(&OsVfs, &dir).unwrap(), m);
         let _ = fs::remove_dir_all(&dir);
     }
 }

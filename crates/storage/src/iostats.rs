@@ -7,7 +7,7 @@
 //! counts; [`CostModel`] converts them to time using the constants the paper
 //! reports (≈100 µs per SSD page access, ≈80 ns per hash), which is how the
 //! CPU-vs-I/O trade-off of Figure 6(K) and the throughput numbers of
-//! Figures 6(D)/(G) are reproduced on the simulated device.
+//! Figures 6(D)/(G) are reproduced from stores built in memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -13,8 +13,10 @@
 //! * [`bloom`] — per-page Bloom filters over `S`.
 //! * [`fence`] — fence pointers on `S` and *delete fence pointers* on `D`,
 //!   the metadata that makes KiWi's full page drops possible.
-//! * [`backend`] — the page-granular device abstraction: a simulated SSD with
-//!   exact I/O accounting and a durable file-backed device with lock-free
+//! * [`vfs`] — the only door to files: [`OsVfs`] (the host) or [`MemVfs`]
+//!   (bytes in a map), so a store in memory runs the same stack as on disk.
+//! * [`backend`] — the page-granular device abstraction and its device: page
+//!   frames in segment files, with exact I/O accounting and lock-free
 //!   positional reads.
 //! * [`cache`] — the sharded, size-charged CLOCK block cache of encoded
 //!   pages ([`PageCache`]) and the [`CachedBackend`] device wrapper that
@@ -76,9 +78,10 @@ pub mod log;
 pub mod manifest;
 pub mod memtable;
 pub mod page;
+pub mod vfs;
 pub mod wal;
 
-pub use backend::{FileBackend, InMemoryBackend, PageId, StorageBackend};
+pub use backend::{FileBackend, PageId, StorageBackend};
 pub use batchlog::BatchCommitLog;
 pub use bloom::BloomFilter;
 pub use cache::{CacheSnapshot, CachedBackend, PageCache};
@@ -94,4 +97,5 @@ pub use iostats::{CostModel, IoSnapshot, IoStats};
 pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};
 pub use memtable::MemTable;
 pub use page::Page;
-pub use wal::{BatchOp, FileWal, MemWal, SyncPolicy, Wal, WalRecord};
+pub use vfs::{MemVfs, OsVfs, Vfs, VfsFile};
+pub use wal::{BatchOp, FileWal, SyncPolicy, Wal, WalRecord};

@@ -10,10 +10,11 @@
 
 use crate::barrier;
 use crate::error::{Result, StorageError};
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use crate::vfs::{Vfs, VfsFile};
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One file format's layout.
 pub trait Frame {
@@ -30,22 +31,38 @@ pub trait Frame {
     }
 }
 
+/// Sequential reads of the first `len` bytes of a file, one positional read
+/// per call, for a `BufReader` to batch.
+struct Cursor<'a> {
+    file: &'a dyn VfsFile,
+    pos: u64,
+    len: u64,
+}
+
+impl Read for Cursor<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min((self.len - self.pos) as usize);
+        self.file.read_at(&mut buf[..n], self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
 /// Scans the frames of `file`, calling `visit(offset, prefix, body)` on each
 /// intact one in order, and returns where a torn tail, if any, begins.
 /// Errors from `visit` propagate. One frame is in memory at a time.
 pub fn scan<F: Frame>(
-    file: &File,
+    file: &dyn VfsFile,
     path: &Path,
     mut visit: impl FnMut(u64, &[u8], &[u8]) -> Result<()>,
 ) -> Result<u64> {
     let corrupt = |what: String| StorageError::Corruption(format!("{path:?}: {what}"));
-    let len = file.metadata()?.len();
+    let len = file.len()?;
     let mut end = F::MAGIC.len() as u64;
     if len < end {
         return Ok(0); // not even the magic survived: the whole file is torn
     }
-    let mut reader = BufReader::new(file);
-    reader.seek(SeekFrom::Start(0))?;
+    let mut reader = BufReader::new(Cursor { file, pos: 0, len });
     let mut prefix = vec![0u8; F::MAGIC.len()];
     reader.read_exact(&mut prefix)?;
     if prefix != F::MAGIC {
@@ -81,8 +98,8 @@ pub fn scan<F: Frame>(
 
 /// Cuts `file` back to `end` if anything lies behind it, with one `sync_all`
 /// charged to `fsyncs`. Returns whether it cut.
-pub fn cut_tail(file: &File, end: u64, fsyncs: &AtomicU64) -> Result<bool> {
-    if file.metadata()?.len() <= end {
+pub fn cut_tail(file: &dyn VfsFile, end: u64, fsyncs: &AtomicU64) -> Result<bool> {
+    if file.len()? <= end {
         return Ok(false);
     }
     file.set_len(end)?;
@@ -95,39 +112,39 @@ pub(crate) fn be(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0, |n, &b| n << 8 | u64::from(b))
 }
 
-/// A framed log: its read + append handle, its path, and the counter its
-/// durability barriers are charged to.
+/// A framed log: its file system, path and read + append handle, and the
+/// counter its durability barriers are charged to.
 #[derive(Debug)]
 pub struct LogFile {
+    vfs: Arc<dyn Vfs>,
     path: PathBuf,
-    file: File,
+    file: Arc<dyn VfsFile>,
     fsyncs: AtomicU64,
     torn_tails: u64,
 }
 
 impl LogFile {
-    /// Opens the log at `path` for reading and appending; with `create`, a
-    /// missing file and its directory are created.
-    pub fn open(path: impl AsRef<Path>, create: bool) -> Result<LogFile> {
-        let path = path.as_ref().to_path_buf();
+    /// Opens the log at `path` on `vfs` for reading and appending; with
+    /// `create`, a missing file and its directory are created.
+    pub fn open(vfs: &Arc<dyn Vfs>, path: &Path, create: bool) -> Result<LogFile> {
         if let Some(parent) = path.parent().filter(|p| create && !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
+            vfs.create_dir_all(parent)?;
         }
-        let file = OpenOptions::new().create(create).read(true).append(true).open(&path)?;
-        Ok(LogFile { path, file, fsyncs: AtomicU64::new(0), torn_tails: 0 })
+        let (vfs, path, file) = (Arc::clone(vfs), path.to_path_buf(), vfs.open(path, create)?);
+        Ok(LogFile { vfs, path, file, fsyncs: AtomicU64::new(0), torn_tails: 0 })
     }
 
-    /// Creates the log at `path` through [`barrier::publish`].
+    /// Creates the log at `path` on `vfs` through [`barrier::publish`].
     pub fn publish(
-        path: impl AsRef<Path>,
+        vfs: &Arc<dyn Vfs>,
+        path: &Path,
         tmp_extension: &str,
-        body: impl FnOnce(&mut File) -> std::io::Result<()>,
+        contents: &[u8],
         before_rename: impl FnOnce() -> Result<()>,
     ) -> Result<LogFile> {
-        let path = path.as_ref().to_path_buf();
         let (tmp, fsyncs) = (path.with_extension(tmp_extension), AtomicU64::new(0));
-        let file = barrier::publish(&path, &tmp, &fsyncs, body, before_rename)?;
-        Ok(LogFile { path, file, fsyncs, torn_tails: 0 })
+        let file = barrier::publish(vfs.as_ref(), path, &tmp, &fsyncs, contents, before_rename)?;
+        Ok(LogFile { vfs: Arc::clone(vfs), path: path.to_path_buf(), file, fsyncs, torn_tails: 0 })
     }
 
     /// [`scan`]s the log and cuts a torn tail away; a failed scan cuts nothing.
@@ -135,35 +152,36 @@ impl LogFile {
         &mut self,
         visit: impl FnMut(u64, &[u8], &[u8]) -> Result<()>,
     ) -> Result<()> {
-        let end = scan::<F>(&self.file, &self.path, visit)?;
-        self.torn_tails += u64::from(cut_tail(&self.file, end, &self.fsyncs)?);
+        let end = scan::<F>(self.file.as_ref(), &self.path, visit)?;
+        self.torn_tails += u64::from(cut_tail(self.file.as_ref(), end, &self.fsyncs)?);
         Ok(())
     }
 
     /// Appends `bytes`, with no barrier.
     pub fn append(&self, bytes: &[u8]) -> Result<()> {
-        Ok((&self.file).write_all(bytes)?)
+        Ok(self.file.append(bytes)?)
     }
 
     /// `fdatasync`s the log through the counted barrier.
     pub fn sync_data(&self) -> Result<()> {
-        barrier::sync_data_counted(&self.file, &self.fsyncs)
+        barrier::sync_data_counted(self.file.as_ref(), &self.fsyncs)
     }
 
     /// `fsync`s the log through the counted barrier.
     pub fn sync_all(&self) -> Result<()> {
-        barrier::sync_all_counted(&self.file, &self.fsyncs)
+        barrier::sync_all_counted(self.file.as_ref(), &self.fsyncs)
     }
 
-    /// Replaces the log through [`barrier::publish`] and appends to the new file.
+    /// Replaces the log's content through [`barrier::publish`] and appends
+    /// to the new file.
     pub fn replace(
         &mut self,
         tmp_extension: &str,
-        body: impl FnOnce(&mut File) -> std::io::Result<()>,
+        contents: &[u8],
         before_rename: impl FnOnce() -> Result<()>,
     ) -> Result<()> {
-        let tmp = self.path.with_extension(tmp_extension);
-        self.file = barrier::publish(&self.path, &tmp, &self.fsyncs, body, before_rename)?;
+        let (vfs, tmp) = (self.vfs.as_ref(), self.path.with_extension(tmp_extension));
+        self.file = barrier::publish(vfs, &self.path, &tmp, &self.fsyncs, contents, before_rename)?;
         Ok(())
     }
 
@@ -179,6 +197,7 @@ impl LogFile {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the tests lay out logs on disk byte by byte")]
 pub(crate) mod tests {
     use super::*;
 
@@ -266,7 +285,7 @@ pub(crate) mod tests {
         let path = std::env::temp_dir().join(format!("lethe-log-{}.bin", std::process::id()));
         for (name, bytes, expect) in rows {
             std::fs::write(&path, &bytes).unwrap();
-            let mut log = LogFile::open(&path, false).unwrap();
+            let mut log = LogFile::open(&crate::vfs::OsVfs::shared(), &path, false).unwrap();
             let mut bodies: Vec<Vec<u8>> = Vec::new();
             let result = log.recover::<Toy>(|_, _, body| {
                 if body == b"no" {
@@ -327,7 +346,7 @@ pub(crate) mod tests {
         let path = std::env::temp_dir().join(format!("lethe-log-magic-{}.bin", std::process::id()));
         let recover = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
-            let mut log = LogFile::open(&path, false).unwrap();
+            let mut log = LogFile::open(&crate::vfs::OsVfs::shared(), &path, false).unwrap();
             let mut seen = Vec::new();
             let result = log.recover::<Headed>(|at, _, body| {
                 seen.push((at, body.to_vec()));

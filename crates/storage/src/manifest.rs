@@ -34,9 +34,9 @@ use crate::error::{Result, StorageError};
 use crate::failpoint::{FailPoint, KillPoint};
 use crate::fence::DeleteFence;
 use crate::log::{be, Frame, LogFile};
+use crate::vfs::{OsVfs, Vfs};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -166,10 +166,11 @@ enum ManifestRecord {
 /// atomic rewrites.
 #[derive(Debug)]
 pub struct Manifest {
+    vfs: Arc<dyn Vfs>,
     path: PathBuf,
     /// The log; `None` until a file exists (lazy creation lets "a manifest
-    /// exists" double as "this store committed durable state", which the
-    /// sharded front-end uses to detect partial stores).
+    /// file exists" double as "this store committed durable state", which
+    /// the sharded front-end uses to detect partial stores).
     log: Option<LogFile>,
     /// Whether this process has committed yet: its first commit always
     /// writes a fresh snapshot, creating the file or folding the recovered
@@ -202,18 +203,26 @@ impl Manifest {
     /// created on the first [`Manifest::commit`]. A torn trailing record is
     /// cut away; damage before the last valid record is an error.
     pub fn open(path: impl AsRef<Path>) -> Result<Manifest> {
+        Self::open_on(&OsVfs::shared(), path.as_ref())
+    }
+
+    /// [`Manifest::open`] on `vfs`.
+    pub fn open_on(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Manifest> {
         let mut manifest = Manifest {
-            path: path.as_ref().to_path_buf(),
+            vfs: Arc::clone(vfs),
+            path: path.to_path_buf(),
             log: None,
             committed: false,
             state: ManifestState::default(),
             records_since_rewrite: 0,
             failpoint: FailPoint::new(),
         };
-        if !manifest.path.try_exists()? {
-            return Ok(manifest);
-        }
-        let mut log = LogFile::open(path, false)?;
+        let mut log = match LogFile::open(vfs, path, false) {
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(manifest)
+            }
+            log => log?,
+        };
         // a record that checksums but does not decode is real corruption
         log.recover::<Record>(|_, _, body| {
             manifest.apply(decode_record(Bytes::copy_from_slice(body))?);
@@ -232,12 +241,6 @@ impl Manifest {
     /// The last committed (or recovered) state.
     pub fn state(&self) -> &ManifestState {
         &self.state
-    }
-
-    /// `true` once the manifest file exists on disk (i.e. at least one
-    /// commit has happened, now or in a previous process).
-    pub fn exists(&self) -> bool {
-        self.log.is_some()
     }
 
     /// Durability barriers (`fsync`/`fdatasync`) this manifest has issued.
@@ -339,15 +342,13 @@ impl Manifest {
     fn rewrite(&mut self, state: ManifestState) -> Result<()> {
         self.failpoint.check(KillPoint::ManifestRewriteBegin)?;
         let framed = frame_record(&ManifestRecord::Snapshot(state.clone()));
-        let body = |f: &mut std::fs::File| {
-            f.write_all(&MANIFEST_MAGIC.to_be_bytes())?;
-            f.write_all(&framed)
-        };
+        let contents = [&MANIFEST_MAGIC.to_be_bytes()[..], &framed].concat();
         let before_rename = || self.failpoint.check(KillPoint::ManifestRewriteRename);
         match &mut self.log {
-            Some(log) => log.replace("manifest.tmp", body, before_rename)?,
+            Some(log) => log.replace("manifest.tmp", &contents, before_rename)?,
             None => {
-                let log = LogFile::publish(&self.path, "manifest.tmp", body, before_rename)?;
+                let (vfs, path) = (&self.vfs, &self.path);
+                let log = LogFile::publish(vfs, path, "manifest.tmp", &contents, before_rename)?;
                 self.log = Some(log);
             }
         }
@@ -369,8 +370,8 @@ impl Manifest {
 ///
 /// ```compile_fail
 /// // and a WAL prefix cannot be dropped without one
-/// use lethe_storage::{MemWal, Wal};
-/// MemWal::new().truncate_prefix(0).unwrap();
+/// use lethe_storage::{FileWal, Wal};
+/// FileWal::open("lethe.wal").unwrap().truncate_prefix(0).unwrap();
 /// ```
 #[derive(Debug)]
 pub struct ManifestCommitted(());
@@ -638,6 +639,10 @@ impl Manifest {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests write torn tails into manifests on disk, as a crash leaves them"
+)]
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
@@ -736,7 +741,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let m = Manifest::open(&path).unwrap();
         assert!(m.state().is_empty());
-        assert!(!m.exists(), "open alone must not create the file");
+        assert!(!path.exists(), "open alone must not create the file");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -749,7 +754,7 @@ mod tests {
         {
             let mut m = Manifest::open(&path).unwrap();
             m.commit(s1.clone()).unwrap();
-            assert!(m.exists());
+            assert!(path.exists());
             m.commit(s2.clone()).unwrap();
         }
         let m = Manifest::open(&path).unwrap();

@@ -19,10 +19,11 @@ use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
 use crate::manifest::ManifestCommitted;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::vfs::{OsVfs, Vfs};
 use lethe_sync::{LockRank, Mutex};
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// When [`Wal::commit`] (and so [`Wal::append`]) forces the log to durable
 /// storage.
@@ -373,17 +374,12 @@ pub trait Wal: Send + Sync {
     fn append_nosync(&self, record: WalRecord) -> Result<()>;
     /// Makes everything staged by [`Wal::append_nosync`] as durable as the
     /// sync policy demands (under [`SyncPolicy::Always`], one fsync for the
-    /// whole staged tail). The default implementation is a no-op, for logs
-    /// without real durability.
-    fn commit(&self) -> Result<()> {
-        Ok(())
-    }
+    /// whole staged tail).
+    fn commit(&self) -> Result<()>;
     /// Number of durability barriers (`fsync`/`fdatasync`) this log has
     /// issued. Benches and tests assert group commit keeps this sublinear in
-    /// the record count. Logs without real durability report 0.
-    fn fsync_count(&self) -> u64 {
-        0
-    }
+    /// the record count.
+    fn fsync_count(&self) -> u64;
     /// Returns every record currently in the log, oldest first.
     fn replay(&self) -> Result<Vec<WalRecord>>;
     /// Removes every record (after a successful flush of the buffer).
@@ -398,9 +394,7 @@ pub trait Wal: Send + Sync {
     /// this position when it freezes the write buffer, so the commit can
     /// later discard exactly the records it covered while concurrent appends
     /// keep extending the tail.
-    fn position(&self) -> Result<u64> {
-        Ok(self.replay()?.len() as u64)
-    }
+    fn position(&self) -> Result<u64>;
     /// Removes the first `upto` records (those at positions `< upto`),
     /// keeping any records appended after the position was captured.
     /// `committed` proves the manifest edit that covers those records is
@@ -408,65 +402,7 @@ pub trait Wal: Send + Sync {
     fn truncate_prefix(&self, upto: u64, committed: &ManifestCommitted) -> Result<()>;
 }
 
-/// An in-memory WAL for tests and simulations (durability is out of scope for
-/// the simulated device; the record/replay semantics are identical).
-#[derive(Debug)]
-pub struct MemWal {
-    records: Mutex<Vec<WalRecord>>,
-}
-
-impl Default for MemWal {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MemWal {
-    /// Creates an empty in-memory WAL.
-    pub fn new() -> Self {
-        MemWal { records: Mutex::new(LockRank::Wal, Vec::new()) }
-    }
-}
-
-impl Wal for MemWal {
-    fn append_nosync(&self, record: WalRecord) -> Result<()> {
-        self.records.lock().push(record);
-        Ok(())
-    }
-
-    fn replay(&self) -> Result<Vec<WalRecord>> {
-        Ok(self.records.lock().clone())
-    }
-
-    fn truncate(&self) -> Result<()> {
-        self.records.lock().clear();
-        Ok(())
-    }
-
-    fn sync(&self) -> Result<()> {
-        Ok(())
-    }
-
-    fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize> {
-        let mut records = self.records.lock();
-        let before = records.len();
-        records.retain(|r| r.timestamp() >= cutoff);
-        Ok(before - records.len())
-    }
-
-    fn position(&self) -> Result<u64> {
-        Ok(self.records.lock().len() as u64)
-    }
-
-    fn truncate_prefix(&self, upto: u64, _: &ManifestCommitted) -> Result<()> {
-        let mut records = self.records.lock();
-        let n = (upto as usize).min(records.len());
-        records.drain(..n);
-        Ok(())
-    }
-}
-
-/// A durable, file-backed WAL with length-prefixed records.
+/// A durable WAL with length-prefixed records, on a [`Vfs`].
 ///
 /// Crash tolerance: a crash mid-append leaves a *torn* trailing frame (a
 /// dangling length prefix, or a frame body shorter than its prefix). Replay
@@ -511,10 +447,17 @@ fn encode_frame(record: &WalRecord) -> BytesMut {
 }
 
 impl FileWal {
-    /// Opens (or creates) the WAL file at `path` with [`SyncPolicy::Always`].
+    /// Opens (or creates) the WAL file at `path` on the host file system
+    /// with [`SyncPolicy::Always`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        Self::open_on(&OsVfs::shared(), path.as_ref())
+    }
+
+    /// Opens (or creates) the WAL file at `path` on `vfs` with
+    /// [`SyncPolicy::Always`].
+    pub fn open_on(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
         Ok(FileWal {
-            log: Mutex::new(LockRank::Wal, LogFile::open(path, true)?),
+            log: Mutex::new(LockRank::Wal, LogFile::open(vfs, path, true)?),
             sync_policy: SyncPolicy::Always,
             appends_since_sync: AtomicU64::new(0),
             record_count: AtomicU64::new(COUNT_UNKNOWN),
@@ -554,11 +497,8 @@ impl FileWal {
     /// rename (it would be silently discarded).
     fn rewrite_locked(&self, log: &mut LogFile, records: &[WalRecord]) -> Result<()> {
         self.failpoint.check(KillPoint::WalRewriteBegin)?;
-        log.replace(
-            "wal.tmp",
-            |f| records.iter().try_for_each(|r| f.write_all(&encode_frame(r))),
-            || self.failpoint.check(KillPoint::WalRewriteRename),
-        )?;
+        let contents: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).to_vec()).collect();
+        log.replace("wal.tmp", &contents, || self.failpoint.check(KillPoint::WalRewriteRename))?;
         self.record_count.store(records.len() as u64, Ordering::Relaxed);
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
@@ -636,6 +576,9 @@ impl Wal for FileWal {
     }
 
     fn truncate_prefix(&self, upto: u64, _: &ManifestCommitted) -> Result<()> {
+        if upto == 0 {
+            return Ok(());
+        }
         let mut log = self.log.lock();
         // fast path: when the prefix covers the whole log (no record was
         // appended since the position was captured — the common case for a
@@ -659,6 +602,10 @@ impl FileWal {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests write torn tails into logs on disk, as a crash leaves them"
+)]
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
@@ -671,21 +618,14 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn mem_wal_roundtrip_and_truncate() {
-        let w = MemWal::new();
-        for r in sample_records() {
-            w.append(r).unwrap();
-        }
-        assert_eq!(w.replay().unwrap(), sample_records());
-        w.truncate().unwrap();
-        assert!(w.replay().unwrap().is_empty());
-        w.sync().unwrap();
+    /// A log on a fresh in-memory file system.
+    fn mem_wal() -> FileWal {
+        FileWal::open_on(&crate::vfs::MemVfs::shared(), Path::new("/lethe.wal")).unwrap()
     }
 
     #[test]
-    fn mem_wal_purge_respects_cutoff() {
-        let w = MemWal::new();
+    fn purge_respects_the_cutoff() {
+        let w = mem_wal();
         for r in sample_records() {
             w.append(r).unwrap();
         }
@@ -858,15 +798,15 @@ mod tests {
     }
 
     #[test]
-    fn mem_wal_prefix_semantics() {
-        let w = MemWal::new();
+    fn truncate_prefix_drops_at_most_the_whole_log() {
+        let w = mem_wal();
         for r in sample_records() {
             w.append(r).unwrap();
         }
         assert_eq!(w.position().unwrap(), 3);
         let committed = ManifestCommitted::for_test();
         w.truncate_prefix(2, &committed).unwrap();
-        assert_eq!(w.replay().unwrap().len(), 1);
+        assert_eq!(w.replay().unwrap(), sample_records()[2..]);
         w.truncate_prefix(99, &committed).unwrap();
         assert!(w.replay().unwrap().is_empty());
     }
@@ -1036,16 +976,6 @@ mod tests {
         w.commit().unwrap();
         assert_eq!(w.fsync_count(), 0, "OnFlush defers durability to the flush");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mem_wal_reports_zero_fsyncs() {
-        let w = MemWal::new();
-        w.append(WalRecord::Delete { sort_key: 1, ts: 1 }).unwrap();
-        w.append_nosync(WalRecord::Delete { sort_key: 2, ts: 2 }).unwrap();
-        w.commit().unwrap();
-        assert_eq!(w.fsync_count(), 0);
-        assert_eq!(w.replay().unwrap().len(), 2);
     }
 
     #[test]

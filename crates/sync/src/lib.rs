@@ -96,8 +96,7 @@ pub enum LockRank {
     /// (`lethe_lsm::version`): taken under the garbage lock during
     /// reclamation.
     PageRefs,
-    /// A write-ahead log's file handle (`lethe_storage::wal`, both the
-    /// in-memory record list and the durable file lock).
+    /// A write-ahead log's file handle (`lethe_storage::wal`).
     Wal,
     /// The store-wide batch-commit log's file handle
     /// (`lethe_storage::batchlog`), locked at the 2PC commit point while
@@ -110,9 +109,6 @@ pub enum LockRank {
     /// leaf in practice (probe and insert are separate acquisitions), but
     /// ranked below the device locks it fronts.
     CacheStripe,
-    /// The page map of the in-memory simulated device
-    /// (`lethe_storage::backend::InMemoryBackend`).
-    BackendPages,
     /// The append state of the file-backed device: the newest segment's
     /// handle (`lethe_storage::backend::FileBackend`).
     BackendFile,
@@ -120,8 +116,11 @@ pub enum LockRank {
     /// under the append state on the write path. Readers take nothing else:
     /// each segment's read handle hangs off its index entries.
     BackendIndex,
+    /// The file map, and each file's bytes, of an in-memory file system
+    /// (`lethe_storage::vfs::MemVfs`): leaves, never nested in each other.
+    MemVfs,
     /// The global cursor-serialisation fallback for platforms with no
-    /// positional-read API (`lethe_storage::backend`).
+    /// positional-read API (`lethe_storage::vfs`).
     FallbackCursor,
     /// A crash fail point's fired-site record (`lethe_storage::failpoint`):
     /// touched inside arbitrarily deep durable paths, so it ranks above

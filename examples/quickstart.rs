@@ -6,7 +6,7 @@
 use lethe::{Lethe, LetheBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small engine on the in-memory simulated device:
+    // A small engine built in memory:
     //  - size ratio T = 4
     //  - buffer of 32 pages × 4 entries
     //  - deletes must persist within 5 seconds of (logical) time

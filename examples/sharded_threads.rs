@@ -27,7 +27,7 @@ fn main() {
     )
     .shards(4)
     .build()
-    .expect("engine construction cannot fail on the in-memory device");
+    .expect("an in-memory store opens");
 
     // Phase 1: concurrent ingest. Every thread writes its own key slice with
     // a "creation day" delete key, then reads a few of its keys back.

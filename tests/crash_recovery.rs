@@ -17,6 +17,11 @@
 //!   in-flight operation may be in either its before or after state; every
 //!   earlier acknowledgement must hold exactly.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests list, tear and plant store files on disk as a crash or an operator would"
+)]
+
 use bytes::Bytes;
 use lethe::lsm::{CompactionStrategy, LsmConfig, SecondaryDeleteMode};
 use lethe::storage::{FailPoint, KillPoint, Result, SyncPolicy};

@@ -5,13 +5,15 @@
 
 use bytes::Bytes;
 use lethe::lsm::LsmTree;
-use lethe::storage::{FileWal, LogicalClock, Wal, WalRecord};
+use lethe::storage::{FileBackend, FileWal, LogicalClock, Manifest, MemVfs, Vfs, Wal, WalRecord};
 use lethe::workload::{BatchWriteOp, Operation, WorkloadGenerator, WorkloadSpec};
 use lethe::{
     level_ttls, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
     ShardedLetheBuilder, Snapshot, WriteBatch,
 };
 use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::Arc;
 
 /// The model store: sort key -> (delete key, value).
 type Oracle = BTreeMap<u64, (u64, Vec<u8>)>;
@@ -768,19 +770,26 @@ fn every_write_surface_leaves_the_same_store() {
         ..small_config()
     };
     let tick = config.micros_per_ingest();
-    let tree = || {
-        let policy = lethe::lsm::SaturationPolicy::new(lethe::lsm::FileSelection::MinOverlap);
-        let backend = lethe::storage::InMemoryBackend::new_shared();
-        LsmTree::new(config.clone(), backend, LogicalClock::new(), Box::new(policy)).unwrap()
+    use lethe::lsm::{FileSelection, SaturationPolicy};
+    let policy = || Box::new(SaturationPolicy::new(FileSelection::MinOverlap));
+    let tree = || LsmTree::in_memory(config.clone(), policy()).unwrap();
+    // the tree `lethe` in the in-memory directory `/` on `vfs`, recovered
+    let wal_path = Path::new("/lethe.wal");
+    let open = |vfs: &Arc<dyn Vfs>| {
+        let backend = FileBackend::open_on(vfs, Path::new("/"), "lethe").unwrap();
+        let wal = FileWal::open_on(vfs, wal_path).unwrap();
+        let manifest = Manifest::open_on(vfs, Path::new("/lethe.manifest")).unwrap();
+        let clock = LogicalClock::new();
+        let (backend, config) = (Arc::new(backend), config.clone());
+        let mut t =
+            LsmTree::new(config, backend, Box::new(wal), manifest, clock, policy()).unwrap();
+        let report = t.recover().unwrap();
+        (t, report.wal_records_replayed)
     };
-    let wal_path =
-        std::env::temp_dir().join(format!("lethe-write-doors-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&wal_path);
-    let open_wal =
-        || FileWal::open(&wal_path).unwrap().with_sync_policy(lethe::storage::SyncPolicy::OnFlush);
 
     // door 1: the point API
-    let mut point = tree().with_wal(Box::new(open_wal()));
+    let vfs = MemVfs::shared();
+    let mut point = open(&vfs).0;
     for w in &script {
         match w {
             Put(k, d, v) => point.put(*k, *d, Bytes::from_static(v.as_bytes())).unwrap(),
@@ -796,11 +805,13 @@ fn every_write_surface_leaves_the_same_store() {
         let ops = if let Batch(inner) = w { &inner[..] } else { std::slice::from_ref(w) };
         batched.write_batch(batch_of(ops)).unwrap();
     }
-    // door 3: a fresh tree replaying door one's log
-    let log = open_wal().replay().unwrap();
-    let mut replayed = tree();
-    assert_eq!(replayed.recover_from(&open_wal()).unwrap(), log.len());
-    let _ = std::fs::remove_file(&wal_path);
+    // door 3: a fresh tree replaying door one's log (and not its manifest,
+    // which door one's secondary delete committed)
+    let log = FileWal::open_on(&vfs, wal_path).unwrap().replay().unwrap();
+    let fresh = MemVfs::shared();
+    fresh.open(wal_path, true).unwrap().append(&vfs.read(wal_path).unwrap()).unwrap();
+    let (replayed, records) = open(&fresh);
+    assert_eq!(records, log.len());
     // door 4: a one-shard sharded store (group-commit queue, background mode)
     let sharded = ShardedLetheBuilder::from_builder(LetheBuilder::new().with_config(config.clone()))
         .shards(1)

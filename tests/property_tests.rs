@@ -5,7 +5,7 @@ use bytes::Bytes;
 use lethe::lsm::compaction::{FileSelection, SaturationPolicy};
 use lethe::lsm::{LsmConfig, LsmTree, MergePolicy, SecondaryDeleteMode, SsTable};
 use lethe::storage::{
-    BloomFilter, Entry, Histogram, InMemoryBackend, LogicalClock, MemTable, Page, StorageBackend,
+    BloomFilter, Entry, FileBackend, Histogram, MemTable, Page, StorageBackend,
 };
 use lethe::{level_ttls, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use proptest::prelude::*;
@@ -604,12 +604,12 @@ proptest! {
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = h;
         cfg.max_pages_per_file = h * 64; // one file
-        let backend = InMemoryBackend::new_shared();
+        let backend = FileBackend::in_memory().unwrap();
         let entries: Vec<Entry> = keys
             .iter()
             .map(|&k| put_or_tombstone(k, k.wrapping_mul(0x9E37_79B9) % 100_000, tombstone_pct))
             .collect();
-        let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, backend.as_ref()).unwrap();
+        let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, &backend).unwrap();
 
         // tiles are ordered and non-overlapping on the sort key
         for w in table.tiles.windows(2) {
@@ -634,7 +634,7 @@ proptest! {
         // every key is findable through the fence + filter + page path
         let stats = lethe::storage::IoStats::new_shared();
         for e in entries.iter().take(50) {
-            let found = table.get(e.sort_key, backend.as_ref(), &stats).unwrap();
+            let found = table.get(e.sort_key, &backend, &stats).unwrap();
             prop_assert_eq!(found.unwrap().sort_key, e.sort_key);
         }
     }
@@ -653,16 +653,16 @@ proptest! {
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = h;
         cfg.max_pages_per_file = h * 64;
-        let backend = InMemoryBackend::new_shared();
+        let backend = FileBackend::in_memory().unwrap();
         let entries: Vec<Entry> = keys
             .iter()
             .map(|&k| put_or_tombstone(k, (k * 31) % 10_000, tombstone_pct))
             .collect();
-        let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, backend.as_ref()).unwrap();
+        let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, &backend).unwrap();
         let hi = lo + len;
         let reads_before = backend.stats().snapshot().pages_read;
         let (survivor, stats, obsolete) =
-            table.secondary_range_delete(lo, hi, &cfg, backend.as_ref(), 1).unwrap();
+            table.secondary_range_delete(lo, hi, &cfg, &backend, 1).unwrap();
         // page drops are deferred to the caller (version-set garbage)
         prop_assert_eq!(obsolete.len() as u64, stats.full_page_drops + stats.partial_page_drops);
         #[expect(clippy::disallowed_methods, reason = "plays the version set's garbage pass")]
@@ -677,7 +677,7 @@ proptest! {
         let expected_deleted = entries.iter().filter(|e| doomed(e)).count() as u64;
         prop_assert_eq!(stats.entries_deleted, expected_deleted);
         let remaining: Vec<Entry> = match &survivor {
-            Some(t) => t.read_all_entries(backend.as_ref()).unwrap(),
+            Some(t) => t.read_all_entries(&backend).unwrap(),
             None => Vec::new(),
         };
         prop_assert_eq!(remaining.len() as u64, entries.len() as u64 - expected_deleted);
@@ -691,11 +691,8 @@ proptest! {
     #[test]
     fn no_deletes_means_identical_answers(keys in prop::collection::vec(0u64..2_000, 50..400)) {
         let cfg = tiny_config(MergePolicy::Leveling, 1);
-        let backend_a = InMemoryBackend::new_shared();
-        let mut baseline = LsmTree::new(
+        let mut baseline = LsmTree::in_memory(
             cfg.clone(),
-            backend_a,
-            LogicalClock::new(),
             Box::new(SaturationPolicy::new(FileSelection::MinOverlap)),
         )
         .unwrap();
