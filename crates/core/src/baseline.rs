@@ -76,7 +76,7 @@ impl BaselineKind {
         let mut builder = LetheBuilder::new();
         builder.config = config;
         let (vfs, clock) = (MemVfs::shared(), LogicalClock::new());
-        builder.open_on(Some(self.policy()), &vfs, Path::new("/"), "lethe", clock)
+        builder.assemble(Some(self.policy()), &vfs, Path::new("/"), "lethe", clock)
     }
 }
 

@@ -26,7 +26,7 @@ use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::read::{RangeIter, ReadView};
 use lethe_lsm::tree::{LsmTree, MaintenanceMode};
 use lethe_storage::{
-    CacheSnapshot, CachedBackend, DeleteKey, Entry, FailPoint, FileBackend, FileWal, IoSnapshot,
+    CacheSnapshot, CachedBackend, DeleteKey, Entry, FileBackend, FileWal, IoSnapshot,
     LogicalClock, Manifest, MemVfs, OsVfs, PageCache, Result, SortKey, StorageBackend,
     StorageError, SyncPolicy, Timestamp, Vfs, MICROS_PER_SEC,
 };
@@ -42,7 +42,6 @@ pub struct LetheBuilder {
     /// [`with_config`](Self::with_config) keep one in place (the baselines
     /// set theirs to `None` directly).
     pub(crate) config: LsmConfig,
-    failpoint: Option<FailPoint>,
     /// An externally supplied block cache shared with other engines (the
     /// sharded front-end passes one cache to every shard); when absent and
     /// `config.block_cache_bytes > 0`, a private cache is created at build.
@@ -76,7 +75,6 @@ impl LetheBuilder {
         };
         LetheBuilder {
             config,
-            failpoint: None,
             shared_cache: None,
             seqnum_allocator: None,
             committed_batches: None,
@@ -280,22 +278,6 @@ impl LetheBuilder {
         self
     }
 
-    /// Attaches a crash-injection fail point to every durable component of
-    /// the store (data segments, WAL, manifest, the tree's own commit
-    /// steps), in memory or on disk. Arm it to make the n-th subsequent
-    /// durable step fail, simulating a kill at that exact point; used by the
-    /// crash-recovery tests.
-    pub fn crash_failpoint(mut self, fp: FailPoint) -> Self {
-        self.failpoint = Some(fp);
-        self
-    }
-
-    /// The crash fail point, if one is attached; the sharded front-end arms
-    /// its store-wide durable steps (batch-commit log, checkpoints) with it.
-    pub(crate) fn failpoint(&self) -> Option<&FailPoint> {
-        self.failpoint.as_ref()
-    }
-
     /// Overrides the low-level configuration (advanced use). The settings
     /// that define Lethe are re-asserted on top of the supplied config:
     /// secondary range deletes always use KiWi page drops, and the delete
@@ -313,38 +295,35 @@ impl LetheBuilder {
         &self.config
     }
 
-    /// Builds an engine in memory: the same device, WAL, manifest and
-    /// recovery as [`LetheBuilder::open`], on a fresh [`MemVfs`].
+    /// Builds an engine in memory: [`LetheBuilder::open_on`] a fresh
+    /// [`MemVfs`].
     pub fn build(self) -> Result<Lethe> {
-        self.open_on(None, &MemVfs::shared(), Path::new("/"), "lethe", LogicalClock::new())
+        self.open_on(MemVfs::shared(), "/")
     }
 
-    /// Opens (or creates) a durable engine rooted at `dir`: a file-backed
-    /// device, a write-ahead log and a manifest. On startup the tree's
-    /// levels and files are recovered from the manifest (flushed and
-    /// compacted data survives restarts), then the WAL is replayed on top,
-    /// so every acknowledged write is returned by the reopened store.
+    /// Opens (or creates) a durable engine rooted at `dir` on the host file
+    /// system: [`LetheBuilder::open_on`] [`OsVfs`].
     pub fn open(self, dir: impl AsRef<Path>) -> Result<Lethe> {
-        self.open_named(dir, "lethe", LogicalClock::new())
+        self.open_on(OsVfs::shared(), dir)
     }
 
-    /// Opens (or creates) a durable engine *namespaced* inside `dir` (data
-    /// segments `dir/<name>.data` and `dir/<name>.data.<id>`, log
-    /// `dir/<name>.wal`, manifest `dir/<name>.manifest`) on an explicit
-    /// clock. Several namespaced engines can share one directory and one
-    /// clock, which is how [`ShardedLethe`](crate::shard::ShardedLethe) keeps
-    /// its shards together with consistent delete-persistence TTLs.
-    pub fn open_named(
-        self,
-        dir: impl AsRef<Path>,
-        name: &str,
-        clock: LogicalClock,
-    ) -> Result<Lethe> {
-        self.open_on(None, &OsVfs::shared(), dir.as_ref(), name, clock)
+    /// Opens (or creates) the engine rooted at `dir` on `vfs`: data segments
+    /// `dir/lethe.data` and `dir/lethe.data.<id>`, write-ahead log
+    /// `dir/lethe.wal` and manifest `dir/lethe.manifest`. On startup the
+    /// tree's levels and files are recovered from the manifest (flushed and
+    /// compacted data survives restarts), then the WAL is replayed on top,
+    /// so every acknowledged write is returned by the reopened store. Every
+    /// file the store keeps goes through `vfs`, so a
+    /// [`FaultVfs`](lethe_storage::FaultVfs) around it reaches every durable
+    /// step.
+    pub fn open_on(self, vfs: Arc<dyn Vfs>, dir: impl AsRef<Path>) -> Result<Lethe> {
+        self.assemble(None, &vfs, dir.as_ref(), "lethe", LogicalClock::new())
     }
 
-    /// [`LetheBuilder::open_named`] on `vfs`: the one assembly every engine
-    /// goes through, the baselines (which pass their own `policy`) included.
+    /// The one assembly every engine goes through: the store named `name`
+    /// in `dir` on `vfs`, on `clock`. The shards of a sharded store share
+    /// one directory and one clock under their own names; the baselines
+    /// pass their own `policy`.
     ///
     /// Recovery order: the data segments are scanned to rebuild the page
     /// index (truncating a torn tail of the newest), the manifest's edit log
@@ -356,7 +335,7 @@ impl LetheBuilder {
     /// later flush commits a covering manifest edit. The device is wrapped
     /// in the block cache before the tree sees it, so recovery's
     /// unreferenced-page GC already invalidates through it.
-    pub(crate) fn open_on(
+    pub(crate) fn assemble(
         self,
         policy: Option<Box<dyn CompactionPolicy>>,
         vfs: &Arc<dyn Vfs>,
@@ -365,15 +344,10 @@ impl LetheBuilder {
         clock: LogicalClock,
     ) -> Result<Lethe> {
         let policy = policy.unwrap_or_else(|| self.make_policy());
-        let mut backend = FileBackend::open_on(vfs, dir, name)?;
-        let mut wal = FileWal::open_on(vfs, &dir.join(format!("{name}.wal")))?
+        let backend = FileBackend::open_on(vfs, dir, name)?;
+        let wal = FileWal::open_on(vfs, &dir.join(format!("{name}.wal")))?
             .with_sync_policy(self.config.wal_sync);
-        let mut manifest = Manifest::open_on(vfs, &dir.join(format!("{name}.manifest")))?;
-        if let Some(fp) = &self.failpoint {
-            backend.set_failpoint(fp.clone());
-            wal = wal.with_failpoint(fp.clone());
-            manifest.set_failpoint(fp.clone());
-        }
+        let manifest = Manifest::open_on(vfs, &dir.join(format!("{name}.manifest")))?;
         let (backend, cache) = self.wrap_backend(Arc::new(backend));
         let mut tree =
             LsmTree::new(self.config, backend, Box::new(wal), manifest, clock, policy)?;
@@ -382,9 +356,6 @@ impl LetheBuilder {
         }
         if let Some(tracker) = self.snapshot_tracker {
             tree = tree.with_snapshot_tracker(tracker);
-        }
-        if let Some(fp) = self.failpoint {
-            tree = tree.with_failpoint(fp);
         }
         if let Some(ids) = self.committed_batches {
             tree.set_committed_batches(ids);
@@ -406,7 +377,7 @@ impl LetheBuilder {
     pub fn restore(self, dir: impl AsRef<Path>) -> Result<Lethe> {
         let dir = dir.as_ref();
         let marker = lethe_storage::read_marker(&OsVfs, dir)?;
-        let db = self.open_named(dir, "checkpoint", LogicalClock::new())?;
+        let db = self.assemble(None, &OsVfs::shared(), dir, "checkpoint", LogicalClock::new())?;
         let next = db.tree().next_seqnum();
         if next < marker.fence {
             return Err(StorageError::Corruption(format!(

@@ -185,45 +185,45 @@ impl ShardedLetheBuilder {
         self
     }
 
-    /// [`ShardedLetheBuilder::open`] on a fresh [`MemVfs`]: the same shards,
-    /// logs and two-phase commit, in memory.
+    /// Builds a sharded engine in memory: [`ShardedLetheBuilder::open_on`] a
+    /// fresh [`MemVfs`].
     pub fn build(self) -> Result<ShardedLethe> {
-        self.open_on(MemVfs::shared(), Path::new("/"))
+        self.open_on(MemVfs::shared(), "/")
     }
 
-    /// Opens (or creates) a durable sharded engine rooted at `dir`. Each
+    /// Opens (or creates) a durable sharded engine rooted at `dir` on the
+    /// host file system: [`ShardedLetheBuilder::open_on`] [`OsVfs`].
+    pub fn open(self, dir: impl AsRef<Path>) -> Result<ShardedLethe> {
+        self.open_on(OsVfs::shared(), dir)
+    }
+
+    /// Opens (or creates) the sharded engine rooted at `dir` on `vfs`. Each
     /// shard gets namespaced data segments, a write-ahead log and a manifest
     /// in the shared directory (`shard-000.data` and `shard-000.data.<id>`,
     /// `shard-000.wal`, `shard-000.manifest`, `shard-001.…`), each shard
     /// recovers its own manifest + WAL on open, and all shards share one
-    /// logical clock.
+    /// logical clock. The store-wide files (`SHARDS`, the `BATCHES` commit
+    /// log) and every [`ShardedLethe::checkpoint`] go through `vfs` too.
     /// Re-opening with a different shard count than the store was created
     /// with is rejected (routing is a function of the count), as is a store
     /// with committed shard state but no readable `SHARDS` super-manifest —
     /// both would otherwise silently misroute keys.
-    pub fn open(self, dir: impl AsRef<Path>) -> Result<ShardedLethe> {
-        self.open_on(OsVfs::shared(), dir.as_ref())
-    }
-
-    /// [`ShardedLetheBuilder::open`] on `vfs`. Every shard gets one logical
-    /// clock, one block cache (resolved through
-    /// [`LetheBuilder::resolve_cache`] and pinned onto the per-shard
-    /// builder), one seqnum allocator (a cross-shard batch commits under one
-    /// consecutive seqnum range, and a snapshot fence is one number covering
-    /// the whole store) and one snapshot tracker (a registered fence gates
-    /// tombstone GC in every shard at once).
-    fn open_on(self, vfs: Arc<dyn Vfs>, dir: &Path) -> Result<ShardedLethe> {
+    ///
+    /// Every shard gets one logical clock, one block cache (resolved once
+    /// and pinned onto the per-shard builder), one seqnum allocator (a
+    /// cross-shard batch commits under one consecutive seqnum range, and a
+    /// snapshot fence is one number covering the whole store) and one
+    /// snapshot tracker (a registered fence gates tombstone GC in every
+    /// shard at once).
+    pub fn open_on(self, vfs: Arc<dyn Vfs>, dir: impl AsRef<Path>) -> Result<ShardedLethe> {
+        let dir = dir.as_ref();
         vfs.create_dir_all(dir)?;
         validate_shard_manifest(vfs.as_ref(), dir, self.shards)?;
         // the batch-commit log opens first: WAL replay consults the
         // committed-id set to decide which prepared cross-shard slices apply
-        let mut batch_log = BatchCommitLog::open(&vfs, &dir.join("BATCHES"))?;
-        if let Some(fp) = self.inner.failpoint() {
-            batch_log = batch_log.with_failpoint(fp.clone());
-        }
+        let batch_log = BatchCommitLog::open(&vfs, &dir.join("BATCHES"))?;
         let clock = LogicalClock::new();
         let cache = self.inner.resolve_cache();
-        let failpoint = self.inner.failpoint().cloned();
         let seqnums = Arc::new(AtomicU64::new(1));
         let snapshots = Arc::new(SnapshotTracker::new());
         let mut inner = self
@@ -238,7 +238,7 @@ impl ShardedLetheBuilder {
         let mut live_ids = HashSet::new();
         for i in 0..self.shards {
             let name = format!("shard-{i:03}");
-            let engine = inner.clone().open_on(None, &vfs, dir, &name, clock.clone())?;
+            let engine = inner.clone().assemble(None, &vfs, dir, &name, clock.clone())?;
             live_ids.extend(engine.tree().wal_batch_ids().iter().copied());
             engines.push(engine);
         }
@@ -276,7 +276,7 @@ impl ShardedLetheBuilder {
             snapshots,
             snapshot_registry: Arc::new(Mutex::new(LockRank::SnapshotRegistry, HashMap::new())),
             snapshot_ids: AtomicU64::new(1),
-            failpoint,
+            vfs,
         })
     }
 }
@@ -286,7 +286,7 @@ impl ShardedLetheBuilder {
 /// them.
 fn write_shard_manifest(vfs: &dyn Vfs, dir: &Path, n: usize, fsyncs: &AtomicU64) -> Result<()> {
     let (path, tmp) = (dir.join("SHARDS"), dir.join("SHARDS.tmp"));
-    barrier::publish(vfs, &path, &tmp, fsyncs, format!("{n}\n").as_bytes(), || Ok(()))?;
+    barrier::publish(vfs, &path, &tmp, fsyncs, format!("{n}\n").as_bytes())?;
     Ok(())
 }
 
@@ -569,10 +569,9 @@ pub struct ShardedLethe {
     /// handle then fails closed instead of reading reclaimed pages.
     snapshot_registry: Arc<Mutex<HashMap<u64, Arc<SnapshotInner>>>>,
     snapshot_ids: AtomicU64,
-    /// The crash fail point shared by every durable component (if any);
-    /// retained so [`ShardedLethe::checkpoint`] arms the checkpoint target's
-    /// backend, manifest and completeness marker with the same countdown.
-    failpoint: Option<lethe_storage::FailPoint>,
+    /// The file system the store lives on; [`ShardedLethe::checkpoint`]
+    /// writes through it too.
+    vfs: Arc<dyn Vfs>,
 }
 
 // Compile-time proof of the headline property: the sharded front-end can be
@@ -1008,8 +1007,8 @@ impl ShardedLethe {
     /// the checkpoint pins its own [`Snapshot`] (released on return) and
     /// reads only captured state.
     ///
-    /// The target directory, on the host file system even for a store built
-    /// in memory, becomes a self-contained single-shard store:
+    /// The target directory, on the store's own file system, becomes a
+    /// self-contained single-shard store:
     /// the per-shard checkpoint streams (every entry at the fence, newest
     /// version per key, tombstones and delete keys retained) are k-way
     /// merged into fresh KiWi-laid-out tables on a fresh backend, a fresh
@@ -1030,11 +1029,8 @@ impl ShardedLethe {
     pub fn checkpoint_at(&self, snapshot: &Snapshot, dir: impl AsRef<Path>) -> Result<CheckpointMarker> {
         let inner = snapshot.pinned()?;
         let dir = dir.as_ref();
-        let mut backend = FileBackend::open_named(dir, "checkpoint")?;
-        if let Some(fp) = &self.failpoint {
-            backend.set_failpoint(fp.clone());
-        }
-        let backend: Arc<dyn StorageBackend> = Arc::new(backend);
+        let backend: Arc<dyn StorageBackend> =
+            Arc::new(FileBackend::open_on(&self.vfs, dir, "checkpoint")?);
         let config = self.shards[0].engine.lock().config().clone();
         let views = &inner.views.0;
         let mut stream = inner.views.merged(ReadView::entry_merge)?;
@@ -1083,14 +1079,10 @@ impl ShardedLethe {
             clock_micros: created_at,
             levels: vec![vec![files]],
         };
-        let mut manifest = Manifest::open(dir.join("checkpoint.manifest"))?;
-        if let Some(fp) = &self.failpoint {
-            manifest.set_failpoint(fp.clone());
-        }
-        manifest.commit(state)?;
+        Manifest::open_on(&self.vfs, &dir.join("checkpoint.manifest"))?.commit(state)?;
         let marker =
             CheckpointMarker { fence: inner.fence, shards: views.len() as u32 };
-        write_marker(&OsVfs, dir, marker, &self.manifest_fsyncs, self.failpoint.as_ref())?;
+        write_marker(self.vfs.as_ref(), dir, marker, &self.manifest_fsyncs)?;
         Ok(marker)
     }
 
@@ -1520,13 +1512,11 @@ mod tests {
             .ingestion_rate(777)
             .wal_sync_policy(lethe_storage::SyncPolicy::EveryN(3))
             .block_cache_bytes(budget)
-            .warm_block_cache_on_write(true)
-            .crash_failpoint(lethe_storage::FailPoint::new());
+            .warm_block_cache_on_write(true);
         let expected = builder.config().clone();
         let db = sharded(builder, 3).build().unwrap();
         let cache = Arc::clone(db.cache.as_ref().expect("a budget creates one cache"));
         assert_eq!(cache.capacity_bytes(), budget as u64, "the budget is for the whole store");
-        assert!(db.failpoint.is_some(), "the fail point reaches the store-wide steps");
         for i in 0..db.shard_count() {
             db.with_shard(i, |shard| {
                 assert_eq!(shard.config(), &expected, "shard {i}");
@@ -1719,8 +1709,10 @@ mod tests {
     #[test]
     fn checkpoint_restores_the_fenced_view() {
         let dir = std::env::temp_dir().join(format!("lethe-ckpt-{}", std::process::id()));
+        let store = dir.with_extension("store");
         let _ = std::fs::remove_dir_all(&dir);
-        let db = sharded(small(), 3).build().unwrap();
+        let _ = std::fs::remove_dir_all(&store);
+        let db = sharded(small(), 3).open(&store).unwrap();
         for k in 0..400u64 {
             db.put(k, k % 53, format!("v{k}")).unwrap();
         }
@@ -1750,7 +1742,9 @@ mod tests {
         let mut restored = restored;
         restored.put(9999, 1, "fresh").unwrap();
         assert_eq!(restored.get(9999).unwrap(), Some(Bytes::from("fresh")));
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store);
     }
 
     /// Regression: the checkpoint stream scanned the half-open
@@ -1760,8 +1754,10 @@ mod tests {
         for flushed in [false, true] {
             let dir = std::env::temp_dir()
                 .join(format!("lethe-ckpt-max-{flushed}-{}", std::process::id()));
+            let store = dir.with_extension("store");
             let _ = std::fs::remove_dir_all(&dir);
-            let db = sharded(small(), 2).build().unwrap();
+            let _ = std::fs::remove_dir_all(&store);
+            let db = sharded(small(), 2).open(&store).unwrap();
             db.put(7, 7, "small").unwrap();
             db.put(u64::MAX, 1, "largest").unwrap();
             if flushed {
@@ -1775,15 +1771,19 @@ mod tests {
                 Some(Bytes::from("largest")),
                 "key u64::MAX, flushed before the checkpoint: {flushed}"
             );
+            drop(db);
             let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&store);
         }
     }
 
     #[test]
     fn restore_refuses_a_markerless_directory() {
         let dir = std::env::temp_dir().join(format!("lethe-ckpt-torn-{}", std::process::id()));
+        let store = dir.with_extension("store");
         let _ = std::fs::remove_dir_all(&dir);
-        let db = sharded(small(), 2).build().unwrap();
+        let _ = std::fs::remove_dir_all(&store);
+        let db = sharded(small(), 2).open(&store).unwrap();
         for k in 0..100u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
@@ -1795,7 +1795,9 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("incomplete"), "got: {err}");
+        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store);
     }
 
     #[test]

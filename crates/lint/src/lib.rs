@@ -8,7 +8,7 @@
 //! order, on every path, including paths no test executes.
 //!
 //! Every other repo convention is held by the compiler: types (the
-//! `ManifestCommitted` witness, `barrier::publish`, the `KillPoint` enum),
+//! `ManifestCommitted` witness, `barrier::publish`, the one door `Vfs`),
 //! the workspace `unsafe_code = "forbid"` lint, the panicking clippy lints
 //! denied in `lethe-storage` and `lethe-lsm`, and `clippy.toml`'s bans on
 //! raw locks, raw barriers and raw page writes and drops.

@@ -714,7 +714,7 @@ impl LsmTree {
         let written = data_bytes(&new_tables);
         let input_entries: u64 = inputs.iter().map(|t| t.meta.num_entries).sum();
         let dropped_files = inputs.len() as u64;
-        let committed = self.commit_version(levels, &new_tables, inputs, placement.is_none())?;
+        let committed = self.commit_version(levels, &new_tables, inputs)?;
         if let Some(buffer) = buffer {
             *self.mem.frozen.write() = None;
             self.stats.flushes += 1;

@@ -639,7 +639,8 @@ impl SsTable {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use lethe_storage::FileBackend;
+    use lethe_storage::{FaultVfs, FileBackend, MemVfs, Vfs};
+    use std::path::Path;
 
     fn config(h: usize) -> LsmConfig {
         let mut c = LsmConfig::small_for_test();
@@ -972,67 +973,36 @@ mod tests {
         assert_eq!(backend.live_pages(), 0);
     }
 
-    /// An in-memory device whose write after the first `writes_left`
-    /// errors.
-    struct FailingWrites {
-        inner: Arc<FileBackend>,
-        writes_left: std::sync::atomic::AtomicU64,
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "a test device delegates to the one it wraps")]
-    impl StorageBackend for FailingWrites {
-        fn write_page(&self, page: &Page) -> Result<PageId> {
-            if self.writes_left.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 0 {
-                return Err(StorageError::Injected);
-            }
-            self.inner.write_page(page)
-        }
-        fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
-            self.inner.read_page(id)
-        }
-        fn drop_page(&self, id: PageId) -> Result<()> {
-            self.inner.drop_page(id)
-        }
-        fn stats(&self) -> Arc<IoStats> {
-            self.inner.stats()
-        }
-        fn live_pages(&self) -> usize {
-            self.inner.live_pages()
-        }
-        fn page_ids(&self) -> Vec<PageId> {
-            self.inner.page_ids()
-        }
-        fn sync(&self) -> Result<()> {
-            Ok(())
-        }
+    /// A device on a fault-injecting file system over memory: a page write
+    /// is one append, so `arm(n)` fails the write after the first `n`.
+    fn faulty_device() -> (Arc<FaultVfs>, Arc<FileBackend>) {
+        let vfs = FaultVfs::new(MemVfs::shared());
+        let device = FileBackend::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/"), "lethe");
+        (vfs, Arc::new(device.unwrap()))
     }
 
     #[test]
     fn a_failed_page_write_strands_no_page() {
         for fail_at in [0u64, 1, 5] {
-            let inner = Arc::new(FileBackend::in_memory().unwrap());
-            let device = FailingWrites {
-                inner: Arc::clone(&inner),
-                writes_left: std::sync::atomic::AtomicU64::new(fail_at),
-            };
-            let built = SsTable::build(1, entries(64), vec![], 0, None, &config(4), &device);
+            let (vfs, device) = faulty_device();
+            vfs.arm(fail_at);
+            let built = SsTable::build(1, entries(64), vec![], 0, None, &config(4), device.as_ref());
             assert!(matches!(built, Err(StorageError::Injected)), "fail_at {fail_at}");
-            let io = inner.stats().snapshot();
+            let io = device.stats().snapshot();
             assert_eq!((io.pages_written, io.pages_dropped), (fail_at, fail_at));
-            assert_eq!(inner.live_pages(), 0);
+            assert_eq!(device.live_pages(), 0);
 
             // the secondary delete's rewrite of partially covered pages
-            let (t, inner) = build(8, 512);
-            let before = inner.stats().snapshot();
-            let device = FailingWrites {
-                inner: Arc::clone(&inner),
-                writes_left: std::sync::atomic::AtomicU64::new(fail_at),
-            };
-            let deleted = t.secondary_range_delete(0, 400, &config(8), &device, 1);
+            let (vfs, device) = faulty_device();
+            let t = SsTable::build(1, entries(512), vec![], 0, None, &config(8), device.as_ref());
+            let t = t.unwrap();
+            let before = device.stats().snapshot();
+            vfs.arm(fail_at);
+            let deleted = t.secondary_range_delete(0, 400, &config(8), device.as_ref(), 1);
             assert!(matches!(deleted, Err(StorageError::Injected)), "fail_at {fail_at}");
-            let io = inner.stats().snapshot().since(&before);
+            let io = device.stats().snapshot().since(&before);
             assert_eq!((io.pages_written, io.pages_dropped), (fail_at, fail_at));
-            assert_eq!(inner.live_pages(), t.page_count(), "the original file is untouched");
+            assert_eq!(device.live_pages(), t.page_count(), "the original file is untouched");
         }
     }
 }

@@ -44,9 +44,9 @@ use crate::stats::{ContentSnapshot, TreeStats};
 use crate::version::VersionSet;
 use bytes::Bytes;
 use lethe_storage::{
-    DeleteKey, Entry, FailPoint, FileBackend, FileWal, Histogram, IoSnapshot, KillPoint,
-    LogicalClock, Manifest, ManifestCommitted, ManifestState, MemVfs, PageId, Result, SeqNum,
-    SortKey, StorageBackend, StorageError, Timestamp, Wal,
+    DeleteKey, Entry, FileBackend, FileWal, Histogram, IoSnapshot, LogicalClock, Manifest,
+    ManifestCommitted, ManifestState, MemVfs, PageId, Result, SeqNum, SortKey, StorageBackend,
+    StorageError, Timestamp, Wal,
 };
 use std::collections::HashSet;
 use std::path::Path;
@@ -121,9 +121,6 @@ pub struct LsmTree {
     pub(crate) wal: Box<dyn Wal>,
     manifest: Manifest,
     mode: MaintenanceMode,
-    /// Crash-injection hook for the tree's own commit steps (currently the
-    /// whole-file-drop commit); disarmed in production.
-    failpoint: Option<FailPoint>,
     /// Set while [`LsmTree::recover`] replays the WAL: a flush then covers
     /// records the log must keep until the replay is over, so a freeze
     /// captures no log position and the flush truncates nothing.
@@ -170,22 +167,12 @@ impl LsmTree {
             wal,
             manifest,
             mode: MaintenanceMode::Inline,
-            failpoint: None,
             replaying: false,
         })
     }
 
-    /// Attaches a crash-injection failpoint checked at the tree's own commit
-    /// sites (`drop.commit`, `drop.retire` — the whole-file-drop steps).
-    /// Share the same [`FailPoint`] with the backend, WAL and manifest so one
-    /// armed site crashes whichever layer reaches it first.
-    pub fn with_failpoint(mut self, fp: FailPoint) -> Self {
-        self.failpoint = Some(fp);
-        self
-    }
-
     /// A recovered tree on a fresh [`MemVfs`], without the engine crate's
-    /// block cache and fail points: what unit tests and tools build.
+    /// block cache: what unit tests and tools build.
     pub fn in_memory(config: LsmConfig, policy: Box<dyn CompactionPolicy>) -> Result<Self> {
         let (vfs, dir) = (MemVfs::shared(), Path::new("/"));
         let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe")?);
@@ -455,7 +442,9 @@ impl LsmTree {
     /// leaves the in-memory tree unchanged; it releases the freshly built
     /// `new_tables` before the error propagates (nothing references their
     /// pages, which would otherwise leak until a reopen's unreferenced-page
-    /// GC).
+    /// GC). A commit that poisons the manifest releases nothing: its edit
+    /// may be in the log and name those pages, so they stay, as a crash
+    /// would leave them, for the reopen's GC to sort out.
     ///
     /// The barrier is skipped when the change built no table (`new_tables`
     /// is empty: a trivial move, a whole-file drop, a page drop that emptied
@@ -468,8 +457,9 @@ impl LsmTree {
     ) -> Result<ManifestCommitted> {
         let state = self.describe_state(levels);
         let synced = if new_tables.is_empty() { Ok(()) } else { self.backend.sync() };
+        let poisoned = self.manifest.is_poisoned();
         let committed = synced.and_then(|()| self.manifest.commit(state));
-        if committed.is_err() {
+        if committed.is_err() && self.manifest.is_poisoned() == poisoned {
             for t in new_tables {
                 // skip pages shared with live tables: a secondary-delete
                 // replacement keeps the original's surviving pages, and
@@ -489,13 +479,11 @@ impl LsmTree {
     ///
     /// The manifest edit that forgets the retired files is committed
     /// *before* their pages are retired — the reverse order could reclaim
-    /// pages a recovered manifest still references. A `whole_file_drop`
-    /// (a job placed nowhere) is all commit tail, so crash injection
-    /// lands on either side of that edit: `drop.commit` before it,
-    /// `drop.retire` between it and the retire. A trivial move passes
-    /// neither `new_tables` nor `retired` (its files are the same objects
-    /// before and after), so its whole commit is the manifest edit and the
-    /// install.
+    /// pages a recovered manifest still references. A whole-file drop (a
+    /// job placed nowhere) is all commit tail: its manifest append, then the
+    /// append's barrier, then the retire. A trivial move passes neither
+    /// `new_tables` nor `retired` (its files are the same objects before and
+    /// after), so its whole commit is the manifest edit and the install.
     ///
     /// Returns the manifest's commit witness: only a holder may drop the WAL
     /// prefix the edit covers.
@@ -504,16 +492,8 @@ impl LsmTree {
         levels: Vec<Level>,
         new_tables: &[Arc<SsTable>],
         retired: Vec<Arc<SsTable>>,
-        whole_file_drop: bool,
     ) -> Result<ManifestCommitted> {
-        let drop_fp = if whole_file_drop { self.failpoint.clone() } else { None };
-        if let Some(fp) = &drop_fp {
-            fp.check(KillPoint::DropCommit)?;
-        }
         let committed = self.commit_or_release(&levels, new_tables)?;
-        if let Some(fp) = &drop_fp {
-            fp.check(KillPoint::DropRetire)?;
-        }
         for t in new_tables {
             self.versions.register_table(t);
         }

@@ -262,25 +262,29 @@ impl LsmTree {
 
     // ------------------------------------------- the secondary range delete
 
-    /// The body of a secondary range delete: purge the buffers, then drop
-    /// (or compact away) the qualifying on-disk entries.
+    /// The body of a secondary range delete: drop (or compact away) the
+    /// qualifying on-disk entries, then purge the buffers. In that order a
+    /// failed disk part leaves the request wholly unapplied: the buffered
+    /// versions it did not purge still shadow the older ones on disk it did
+    /// not drop, and a later flush cannot make half a delete durable.
     fn apply_secondary_range_delete(
         &mut self,
         d_lo: DeleteKey,
         d_hi: DeleteKey,
     ) -> Result<SecondaryDeleteStats> {
+        let dropped = match self.config.secondary_delete_mode {
+            SecondaryDeleteMode::KiwiPageDrops => self.secondary_delete_with_drops(d_lo, d_hi),
+            SecondaryDeleteMode::FullTreeCompaction => {
+                self.secondary_delete_with_full_compaction(d_lo, d_hi)
+            }
+        }?;
         // the buffered portion (active and frozen) is purged in place in
         // both modes
         self.mem.active.write().table.purge_by_delete_key(d_lo, d_hi);
         if let Some(f) = self.mem.frozen.write().as_mut() {
             Arc::make_mut(f).purge_by_delete_key(d_lo, d_hi);
         }
-        match self.config.secondary_delete_mode {
-            SecondaryDeleteMode::KiwiPageDrops => self.secondary_delete_with_drops(d_lo, d_hi),
-            SecondaryDeleteMode::FullTreeCompaction => {
-                self.secondary_delete_with_full_compaction(d_lo, d_hi)
-            }
-        }
+        Ok(dropped)
     }
 
     /// KiWi page drops, committed as one new version: fully-covered pages
@@ -329,7 +333,7 @@ impl LsmTree {
             }
             level.prune_empty_runs();
         }
-        self.commit_version(levels, &replacements, retired, false)?;
+        self.commit_version(levels, &replacements, retired)?;
         Ok(total)
     }
 

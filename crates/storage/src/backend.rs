@@ -19,7 +19,6 @@
 use crate::barrier;
 use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
-use crate::failpoint::{FailPoint, KillPoint};
 use crate::iostats::IoStats;
 use crate::log::{self, be, Frame};
 use crate::page::Page;
@@ -147,7 +146,6 @@ pub struct FileBackend {
     next_id: AtomicU64,
     stats: Arc<IoStats>,
     torn_frames_recovered: u64,
-    failpoint: FailPoint,
 }
 
 /// One segment file, shared by the segment list and every page entry in it.
@@ -334,14 +332,7 @@ impl FileBackend {
             next_id: AtomicU64::new(next_id),
             stats,
             torn_frames_recovered,
-            failpoint: FailPoint::new(),
         })
-    }
-
-    /// Attaches a crash-injection fail point consulted before every page
-    /// write (testing aid).
-    pub fn set_failpoint(&mut self, fp: FailPoint) {
-        self.failpoint = fp;
     }
 
     /// Number of torn trailing frames truncated away when the device was
@@ -417,12 +408,10 @@ fn encode_frame(id: PageId, payload: &[u8]) -> BytesMut {
 
 impl StorageBackend for FileBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
-        self.failpoint.check(KillPoint::BackendWritePage)?;
         let encoded = page.encode();
         let mut app = self.appender.lock();
         if app.sealed {
             self.roll(&mut app)?;
-            self.failpoint.check(KillPoint::BackendSegmentCreate)?;
         }
         // the handle appends at end-of-file: whatever lies behind the last
         // good frame (the partial frame of a failed append) is cut away

@@ -55,9 +55,9 @@ pub fn fsync_dir_counted(vfs: &dyn Vfs, path: &Path, fsyncs: &AtomicU64) -> Resu
 
 /// Atomically replaces `path` with `contents`, charging two barriers to
 /// `fsyncs`: creates (or truncates) `tmp`, writes `contents` to it, syncs
-/// it, runs `before_rename` (a caller's kill point), renames `tmp` over
-/// `path` and syncs the directory. A crash at any step leaves either the
-/// complete old file or the complete new one under `path`.
+/// it, renames `tmp` over `path` and syncs the directory. A crash at any
+/// step leaves either the complete old file or the complete new one under
+/// `path`.
 ///
 /// Returns the read + append handle `tmp` was written through. It follows
 /// the file across the rename, so a caller that keeps appending never holds
@@ -68,13 +68,11 @@ pub fn publish(
     tmp: &Path,
     fsyncs: &AtomicU64,
     contents: &[u8],
-    before_rename: impl FnOnce() -> Result<()>,
 ) -> Result<Arc<dyn VfsFile>> {
     let file = vfs.open(tmp, true)?;
     file.set_len(0)?;
     file.append(contents)?;
     sync_all_counted(file.as_ref(), fsyncs)?;
-    before_rename()?;
     vfs.rename(tmp, path)?;
     fsync_dir_counted(vfs, path, fsyncs)?;
     Ok(file)
@@ -101,7 +99,7 @@ mod tests {
         // publish: one content barrier and one directory barrier, and the
         // returned handle appends to the published file, not the old one
         let tmp = Path::new("/barrier/probe.tmp");
-        let handle = publish(vfs.as_ref(), path, tmp, &n, b"new", || Ok(())).unwrap();
+        let handle = publish(vfs.as_ref(), path, tmp, &n, b"new").unwrap();
         assert_eq!(n.load(Ordering::Relaxed), 5);
         assert!(vfs.open(tmp, false).is_err());
         handle.append(b"+tail").unwrap();

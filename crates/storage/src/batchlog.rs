@@ -19,7 +19,6 @@
 
 use crate::checksum::crc32;
 use crate::error::Result;
-use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
 use crate::vfs::Vfs;
 use lethe_sync::{LockRank, Mutex};
@@ -60,7 +59,6 @@ pub struct BatchCommitLog {
     log: Mutex<LogFile>,
     ids: Mutex<HashSet<u64>>,
     next_id: AtomicU64,
-    failpoint: FailPoint,
 }
 
 impl BatchCommitLog {
@@ -79,15 +77,7 @@ impl BatchCommitLog {
             log: Mutex::new(LockRank::BatchLogFile, log),
             ids: Mutex::new(LockRank::BatchLogIds, ids),
             next_id: AtomicU64::new(next_id),
-            failpoint: FailPoint::new(),
         })
-    }
-
-    /// Attaches a crash-injection fail point consulted before the append and
-    /// before the commit fsync (testing aid).
-    pub fn with_failpoint(mut self, fp: FailPoint) -> Self {
-        self.failpoint = fp;
-        self
     }
 
     /// Allocates a fresh store-wide batch id (monotonic, never reused across
@@ -116,10 +106,8 @@ impl BatchCommitLog {
     /// Durably commits `id`: appends the record and fsyncs. Returns only
     /// once the commit point is on stable storage.
     pub fn commit(&self, id: u64) -> Result<()> {
-        self.failpoint.check(KillPoint::BatchlogAppend)?;
         let log = self.log.lock();
         log.append(&record(id))?;
-        self.failpoint.check(KillPoint::BatchlogCommitFsync)?;
         log.sync_data()?;
         self.ids.lock().insert(id);
         Ok(())
@@ -151,7 +139,7 @@ impl BatchCommitLog {
             return Ok(());
         }
         let contents: Vec<u8> = keep.iter().flat_map(|&id| record(id)).collect();
-        log.replace("batches.tmp", &contents, || Ok(()))?;
+        log.replace("batches.tmp", &contents)?;
         *ids = keep.into_iter().collect();
         Ok(())
     }
@@ -336,19 +324,21 @@ mod tests {
     }
 
     #[test]
-    fn failpoint_aborts_commit() {
-        let path = tmp("fp");
-        let _ = std::fs::remove_file(&path);
-        let fp = FailPoint::new();
-        let log = open(&path).unwrap().with_failpoint(fp.clone());
-        let id = log.allocate_id();
-        fp.arm(0);
-        assert!(matches!(log.commit(id), Err(StorageError::Injected)));
-        assert!(!log.contains(id));
-        // after the crash window passes, the commit goes through
-        fp.disarm();
-        log.commit(id).unwrap();
-        assert!(log.contains(id));
-        let _ = std::fs::remove_file(&path);
+    fn an_injected_fault_aborts_the_commit() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let path = Path::new("/s/BATCHES");
+        let log = BatchCommitLog::open(&(vfs.clone() as Arc<dyn Vfs>), path).unwrap();
+        // killed before the record is appended, then after it is appended
+        // but before the fsync that makes it the commit point
+        for (kill, site) in [(0, "batch_log.append"), (1, "batch_log.sync_data")] {
+            let id = log.allocate_id();
+            vfs.arm(kill);
+            assert!(matches!(log.commit(id), Err(StorageError::Injected)));
+            assert_eq!(vfs.last_fired().unwrap().to_string(), site);
+            assert!(!log.contains(id));
+            // after the crash window passes, the commit goes through
+            log.commit(id).unwrap();
+            assert!(log.contains(id));
+        }
     }
 }

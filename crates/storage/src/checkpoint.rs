@@ -2,8 +2,7 @@
 //!
 //! An online checkpoint streams a pinned snapshot into a fresh backend and
 //! manifest in a target directory while writers continue. Every durable step
-//! of that stream can be killed (the backend's and manifest's own fail-point
-//! sites fire as usual), so the defining question of a checkpoint directory
+//! of that stream can be killed, so the defining question of a checkpoint directory
 //! is: *did the stream finish?* This module answers it with a checksummed
 //! `CHECKPOINT` marker file written **last**, via the same
 //! tmp-write → fsync → rename → dir-fsync sequence
@@ -23,7 +22,6 @@ use crate::barrier::publish;
 use crate::checksum::crc32;
 use crate::entry::SeqNum;
 use crate::error::{Result, StorageError};
-use crate::failpoint::{FailPoint, KillPoint};
 use crate::vfs::Vfs;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
@@ -74,28 +72,16 @@ impl CheckpointMarker {
 /// to `fsyncs`. Call this **after** every data file and manifest of the
 /// checkpoint is durable — the rename is the checkpoint's commit point.
 ///
-/// The two fail-point sites bracket the durable steps: killed at
-/// `checkpoint.marker.tmp` the directory has no marker at all; killed at
-/// `checkpoint.marker.rename` it has only the ignored temporary. Either way
-/// [`read_marker`] refuses the directory.
+/// Killed before the rename, the directory has no marker, at most the
+/// ignored temporary, and [`read_marker`] refuses it.
 pub fn write_marker(
     vfs: &dyn Vfs,
     dir: &Path,
     marker: CheckpointMarker,
     fsyncs: &AtomicU64,
-    failpoint: Option<&FailPoint>,
 ) -> Result<()> {
-    if let Some(fp) = failpoint {
-        fp.check(KillPoint::CheckpointMarkerTmp)?;
-    }
-    publish(
-        vfs,
-        &dir.join(CHECKPOINT_MARKER),
-        &dir.join("CHECKPOINT.tmp"),
-        fsyncs,
-        &marker.encode(),
-        || failpoint.map_or(Ok(()), |fp| fp.check(KillPoint::CheckpointMarkerRename)),
-    )?;
+    let (path, tmp) = (dir.join(CHECKPOINT_MARKER), dir.join("CHECKPOINT.tmp"));
+    publish(vfs, &path, &tmp, fsyncs, &marker.encode())?;
     Ok(())
 }
 
@@ -139,7 +125,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let n = AtomicU64::new(0);
         let m = CheckpointMarker { fence: 12345, shards: 4 };
-        write_marker(&OsVfs, &dir, m, &n, None).unwrap();
+        write_marker(&OsVfs, &dir, m, &n).unwrap();
         // one fsync for the tmp file, one for the directory entry
         assert_eq!(n.load(Ordering::Relaxed), 2);
         assert_eq!(read_marker(&OsVfs, &dir).unwrap(), m);
@@ -159,7 +145,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let n = AtomicU64::new(0);
         let m = CheckpointMarker { fence: 7, shards: 1 };
-        write_marker(&OsVfs, &dir, m, &n, None).unwrap();
+        write_marker(&OsVfs, &dir, m, &n).unwrap();
         let path = dir.join(CHECKPOINT_MARKER);
         let mut data = fs::read(&path).unwrap();
         data[9] ^= 0xFF;
@@ -173,20 +159,25 @@ mod tests {
 
     #[test]
     fn kill_points_leave_no_valid_marker() {
-        let dir = tmp_dir("killpoints");
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let dir = Path::new("/ckpt");
         let n = AtomicU64::new(0);
         let m = CheckpointMarker { fence: 99, shards: 2 };
-        for site_hits in [1u64, 2] {
-            let fp = FailPoint::new();
-            fp.arm(site_hits - 1);
-            let err = write_marker(&OsVfs, &dir, m, &n, Some(&fp)).unwrap_err();
+        // every mutating call up to the rename: tmp create, its cut, the
+        // write, its barrier, and the rename itself
+        let mut fired = Vec::new();
+        for kill in 0..5 {
+            vfs.arm(kill);
+            let err = write_marker(vfs.as_ref(), dir, m, &n).unwrap_err();
             assert!(matches!(err, StorageError::Injected));
-            let torn = read_marker(&OsVfs, &dir);
-            assert!(torn.is_err(), "torn marker accepted after kill {site_hits}");
+            fired.push(vfs.last_fired().unwrap().to_string());
+            let torn = read_marker(vfs.as_ref(), dir);
+            assert!(torn.is_err(), "torn marker accepted after kill {kill}");
         }
+        let sites = ["create", "set_len", "append", "sync_all", "rename"];
+        assert_eq!(fired, sites.map(|op| format!("checkpoint_marker.{op}")));
         // a clean retry after the torn attempts succeeds
-        write_marker(&OsVfs, &dir, m, &n, None).unwrap();
-        assert_eq!(read_marker(&OsVfs, &dir).unwrap(), m);
-        let _ = fs::remove_dir_all(&dir);
+        write_marker(vfs.as_ref(), dir, m, &n).unwrap();
+        assert_eq!(read_marker(vfs.as_ref(), dir).unwrap(), m);
     }
 }

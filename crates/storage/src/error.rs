@@ -15,9 +15,8 @@ pub enum StorageError {
     /// An operation was attempted that the component does not support in its
     /// current configuration (e.g. appending to a closed WAL).
     InvalidOperation(String),
-    /// A failure injected by an armed [`crate::failpoint::FailPoint`]; only
-    /// produced by the crash-recovery test machinery, never in normal
-    /// operation.
+    /// A call failed by an armed [`FaultVfs`](crate::vfs::FaultVfs); only
+    /// produced by the crash-recovery tests, never in normal operation.
     Injected,
 }
 
@@ -28,7 +27,7 @@ impl fmt::Display for StorageError {
             StorageError::PageNotFound(id) => write!(f, "page {id} not found"),
             StorageError::Corruption(msg) => write!(f, "corruption: {msg}"),
             StorageError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
-            StorageError::Injected => write!(f, "injected crash (failpoint)"),
+            StorageError::Injected => write!(f, "injected crash (fault file system)"),
         }
     }
 }
@@ -44,6 +43,9 @@ impl std::error::Error for StorageError {
 
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
+        if e.get_ref().is_some_and(|inner| inner.is::<crate::vfs::InjectedFault>()) {
+            return StorageError::Injected;
+        }
         StorageError::Io(e)
     }
 }

@@ -14,7 +14,8 @@
 //! * [`fence`] — fence pointers on `S` and *delete fence pointers* on `D`,
 //!   the metadata that makes KiWi's full page drops possible.
 //! * [`vfs`] — the only door to files: [`OsVfs`] (the host) or [`MemVfs`]
-//!   (bytes in a map), so a store in memory runs the same stack as on disk.
+//!   (bytes in a map), so a store in memory runs the same stack as on disk,
+//!   and [`FaultVfs`], which wraps either to fail the n-th mutating call.
 //! * [`backend`] — the page-granular device abstraction and its device: page
 //!   frames in segment files, with exact I/O accounting and lock-free
 //!   positional reads.
@@ -44,7 +45,6 @@
 //!   online checkpoint's commit point explicit (a torn checkpoint is
 //!   detectably incomplete, never silently short).
 //! * [`checksum`] — CRC-32 for on-disk structures.
-//! * [`failpoint`] — deterministic crash injection for recovery tests.
 //! * [`histogram`] — equi-width histograms used to estimate how many entries a
 //!   range tombstone invalidates.
 //! * [`clock`] — the logical clock that drives TTLs and tombstone ages.
@@ -70,7 +70,6 @@ pub mod checksum;
 pub mod clock;
 pub mod entry;
 pub mod error;
-pub mod failpoint;
 pub mod fence;
 pub mod histogram;
 pub mod iostats;
@@ -90,12 +89,11 @@ pub use checksum::crc32;
 pub use clock::{LogicalClock, Timestamp, MICROS_PER_SEC};
 pub use entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 pub use error::{Result, StorageError};
-pub use failpoint::{FailPoint, KillPoint};
 pub use fence::{DeleteFence, FencePointers, PageCoverage};
 pub use histogram::Histogram;
 pub use iostats::{CostModel, IoSnapshot, IoStats};
 pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};
 pub use memtable::MemTable;
 pub use page::Page;
-pub use vfs::{MemVfs, OsVfs, Vfs, VfsFile};
+pub use vfs::{FaultVfs, FileKind, FileOp, KillPoint, MemVfs, OsVfs, Vfs, VfsFile};
 pub use wal::{BatchOp, FileWal, SyncPolicy, Wal, WalRecord};

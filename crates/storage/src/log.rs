@@ -114,6 +114,10 @@ pub(crate) fn be(bytes: &[u8]) -> u64 {
 
 /// A framed log: its file system, path and read + append handle, and the
 /// counter its durability barriers are charged to.
+///
+/// A failed [`LogFile::replace`] poisons the log: its rename may have
+/// landed, leaving the handle on the replaced file, so every later append,
+/// barrier and replace fails until the log is reopened.
 #[derive(Debug)]
 pub struct LogFile {
     vfs: Arc<dyn Vfs>,
@@ -121,6 +125,7 @@ pub struct LogFile {
     file: Arc<dyn VfsFile>,
     fsyncs: AtomicU64,
     torn_tails: u64,
+    poisoned: bool,
 }
 
 impl LogFile {
@@ -131,7 +136,7 @@ impl LogFile {
             vfs.create_dir_all(parent)?;
         }
         let (vfs, path, file) = (Arc::clone(vfs), path.to_path_buf(), vfs.open(path, create)?);
-        Ok(LogFile { vfs, path, file, fsyncs: AtomicU64::new(0), torn_tails: 0 })
+        Ok(LogFile { vfs, path, file, fsyncs: AtomicU64::new(0), torn_tails: 0, poisoned: false })
     }
 
     /// Creates the log at `path` on `vfs` through [`barrier::publish`].
@@ -140,11 +145,11 @@ impl LogFile {
         path: &Path,
         tmp_extension: &str,
         contents: &[u8],
-        before_rename: impl FnOnce() -> Result<()>,
     ) -> Result<LogFile> {
         let (tmp, fsyncs) = (path.with_extension(tmp_extension), AtomicU64::new(0));
-        let file = barrier::publish(vfs.as_ref(), path, &tmp, &fsyncs, contents, before_rename)?;
-        Ok(LogFile { vfs: Arc::clone(vfs), path: path.to_path_buf(), file, fsyncs, torn_tails: 0 })
+        let file = barrier::publish(vfs.as_ref(), path, &tmp, &fsyncs, contents)?;
+        let (vfs, path) = (Arc::clone(vfs), path.to_path_buf());
+        Ok(LogFile { vfs, path, file, fsyncs, torn_tails: 0, poisoned: false })
     }
 
     /// [`scan`]s the log and cuts a torn tail away; a failed scan cuts nothing.
@@ -159,29 +164,41 @@ impl LogFile {
 
     /// Appends `bytes`, with no barrier.
     pub fn append(&self, bytes: &[u8]) -> Result<()> {
+        self.writable()?;
         Ok(self.file.append(bytes)?)
     }
 
     /// `fdatasync`s the log through the counted barrier.
     pub fn sync_data(&self) -> Result<()> {
+        self.writable()?;
         barrier::sync_data_counted(self.file.as_ref(), &self.fsyncs)
     }
 
     /// `fsync`s the log through the counted barrier.
     pub fn sync_all(&self) -> Result<()> {
+        self.writable()?;
         barrier::sync_all_counted(self.file.as_ref(), &self.fsyncs)
     }
 
     /// Replaces the log's content through [`barrier::publish`] and appends
-    /// to the new file.
-    pub fn replace(
-        &mut self,
-        tmp_extension: &str,
-        contents: &[u8],
-        before_rename: impl FnOnce() -> Result<()>,
-    ) -> Result<()> {
+    /// to the new file. A failure poisons the log.
+    pub fn replace(&mut self, tmp_extension: &str, contents: &[u8]) -> Result<()> {
+        self.writable()?;
         let (vfs, tmp) = (self.vfs.as_ref(), self.path.with_extension(tmp_extension));
-        self.file = barrier::publish(vfs, &self.path, &tmp, &self.fsyncs, contents, before_rename)?;
+        let published = barrier::publish(vfs, &self.path, &tmp, &self.fsyncs, contents);
+        self.poisoned = published.is_err();
+        self.file = published?;
+        Ok(())
+    }
+
+    /// Fails once a [`LogFile::replace`] has failed.
+    fn writable(&self) -> Result<()> {
+        if self.poisoned {
+            let path = &self.path;
+            return Err(StorageError::InvalidOperation(format!(
+                "{path:?} is poisoned: a rewrite failed and may have replaced the file; reopen it"
+            )));
+        }
         Ok(())
     }
 

@@ -31,7 +31,6 @@ use crate::checksum::crc32;
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, SeqNum};
 use crate::error::{Result, StorageError};
-use crate::failpoint::{FailPoint, KillPoint};
 use crate::fence::DeleteFence;
 use crate::log::{be, Frame, LogFile};
 use crate::vfs::{OsVfs, Vfs};
@@ -178,7 +177,8 @@ pub struct Manifest {
     committed: bool,
     state: ManifestState,
     records_since_rewrite: usize,
-    failpoint: FailPoint,
+    /// A commit's write failed: see [`Manifest::commit`].
+    poisoned: bool,
 }
 
 /// A manifest record's frame: `len (u32) · crc32(body) (u32)`, then the body.
@@ -215,7 +215,7 @@ impl Manifest {
             committed: false,
             state: ManifestState::default(),
             records_since_rewrite: 0,
-            failpoint: FailPoint::new(),
+            poisoned: false,
         };
         let mut log = match LogFile::open(vfs, path, false) {
             Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -230,12 +230,6 @@ impl Manifest {
         })?;
         manifest.log = Some(log);
         Ok(manifest)
-    }
-
-    /// Attaches a crash-injection fail point consulted before every durable
-    /// step of an append or rewrite (testing aid).
-    pub fn set_failpoint(&mut self, fp: FailPoint) {
-        self.failpoint = fp;
     }
 
     /// The last committed (or recovered) state.
@@ -295,12 +289,37 @@ impl Manifest {
     /// snapshot — via [`LogFile::replace`] — once it has grown past the
     /// rewrite threshold. On success the WAL records covered by this state
     /// may be dropped, and the returned witness is what lets
-    /// [`Wal::truncate_prefix`](crate::Wal::truncate_prefix) drop them; on
-    /// error nothing durable has changed.
+    /// [`Wal::truncate_prefix`](crate::Wal::truncate_prefix) drop them.
+    ///
+    /// A failed write poisons the manifest. The edit may be in the log all
+    /// the same (its append landed and its barrier failed, or its
+    /// snapshot's rename landed and the directory barrier failed), so the
+    /// state held here may not be the one the log replays to, and a delta
+    /// against it could drop files on replay: every later commit fails until
+    /// a reopen re-reads the log. The caller must treat a poisoning commit's
+    /// edit as possibly durable ([`Manifest::is_poisoned`]).
     pub fn commit(&mut self, new_state: ManifestState) -> Result<ManifestCommitted> {
+        if self.poisoned {
+            return Err(StorageError::InvalidOperation(format!(
+                "{:?} is poisoned: an earlier commit failed and may have landed; reopen it",
+                self.path
+            )));
+        }
         if self.committed && new_state == self.state {
             return Ok(ManifestCommitted(()));
         }
+        let written = self.write(new_state);
+        self.poisoned = written.is_err();
+        written
+    }
+
+    /// Whether a failed commit has poisoned the manifest.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
+
+    /// Appends `new_state` as a delta, or writes it as a snapshot.
+    fn write(&mut self, new_state: ManifestState) -> Result<ManifestCommitted> {
         // the first commit of a process, and any commit without a log to
         // append to, writes a snapshot; rewriting creates the log
         let log = match &self.log {
@@ -330,7 +349,6 @@ impl Manifest {
             upserted,
             structure: new_state.structure(),
         };
-        self.failpoint.check(KillPoint::ManifestAppend)?;
         log.append(&frame_record(&record))?;
         log.sync_data()?;
         self.records_since_rewrite += 1;
@@ -340,15 +358,13 @@ impl Manifest {
 
     /// Rewrites the manifest as a single snapshot of `state`, atomically.
     fn rewrite(&mut self, state: ManifestState) -> Result<()> {
-        self.failpoint.check(KillPoint::ManifestRewriteBegin)?;
         let framed = frame_record(&ManifestRecord::Snapshot(state.clone()));
         let contents = [&MANIFEST_MAGIC.to_be_bytes()[..], &framed].concat();
-        let before_rename = || self.failpoint.check(KillPoint::ManifestRewriteRename);
         match &mut self.log {
-            Some(log) => log.replace("manifest.tmp", &contents, before_rename)?,
+            Some(log) => log.replace("manifest.tmp", &contents)?,
             None => {
                 let (vfs, path) = (&self.vfs, &self.path);
-                let log = LogFile::publish(vfs, path, "manifest.tmp", &contents, before_rename)?;
+                let log = LogFile::publish(vfs, path, "manifest.tmp", &contents)?;
                 self.log = Some(log);
             }
         }
@@ -645,6 +661,7 @@ impl Manifest {
 )]
 mod tests {
     use super::*;
+    use crate::vfs::{FaultVfs, MemVfs};
     use std::fs::OpenOptions;
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -934,34 +951,57 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn failpoint_aborts_commit_without_durable_change() {
-        let path = tmp_path("fp");
-        let _ = std::fs::remove_file(&path);
-        let fp = FailPoint::new();
-        let mut m = Manifest::open(&path).unwrap();
-        m.set_failpoint(fp.clone());
-        let s1 = state(&[&[1]], 2);
-        m.commit(s1.clone()).unwrap();
-        // kill the next delta append
-        fp.arm(0);
-        assert!(matches!(m.commit(state(&[&[1, 2]], 3)), Err(StorageError::Injected)));
-        drop(m);
-        let m = Manifest::open(&path).unwrap();
-        assert_eq!(m.state(), &s1);
-        let _ = std::fs::remove_file(&path);
+    /// A manifest on a fault-injecting file system over memory.
+    fn faulty() -> (Arc<FaultVfs>, Manifest) {
+        let vfs = FaultVfs::new(MemVfs::shared());
+        let m = Manifest::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/s/m.manifest"));
+        (vfs, m.unwrap())
+    }
+
+    fn reopen(vfs: &Arc<FaultVfs>) -> Manifest {
+        Manifest::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/s/m.manifest")).unwrap()
     }
 
     #[test]
-    fn failpoint_mid_rewrite_keeps_old_or_new_state() {
-        // kill the rewrite at each of its two durable steps: before the tmp
-        // file is written and between tmp write and rename
-        for kill_at in [0u64, 1] {
-            let path = tmp_path(&format!("fpr{kill_at}"));
-            let _ = std::fs::remove_file(&path);
-            let fp = FailPoint::new();
-            let mut m = Manifest::open(&path).unwrap();
-            m.set_failpoint(fp.clone());
+    fn an_injected_fault_aborts_commit_without_durable_change() {
+        let (vfs, mut m) = faulty();
+        let s1 = state(&[&[1]], 2);
+        m.commit(s1.clone()).unwrap();
+        // kill the next delta append
+        vfs.arm(0);
+        assert!(matches!(m.commit(state(&[&[1, 2]], 3)), Err(StorageError::Injected)));
+        assert_eq!(vfs.last_fired().unwrap().to_string(), "manifest.append");
+        drop(m);
+        assert_eq!(reopen(&vfs).state(), &s1);
+    }
+
+    #[test]
+    fn a_failed_barrier_poisons_the_manifest() {
+        let (vfs, mut m) = faulty();
+        m.commit(state(&[&[1]], 2)).unwrap();
+        // the delta is appended, its barrier fails
+        let landed = state(&[&[1, 2]], 3);
+        vfs.arm(1);
+        assert!(matches!(m.commit(landed.clone()), Err(StorageError::Injected)));
+        assert_eq!(vfs.last_fired().unwrap().to_string(), "manifest.sync_data");
+        assert!(m.is_poisoned());
+        // the state held here is not the one the log replays to, so no
+        // delta against it may follow
+        let refused = m.commit(state(&[&[1, 3]], 4));
+        assert!(matches!(refused, Err(StorageError::InvalidOperation(_))));
+        drop(m);
+        let m = reopen(&vfs);
+        assert_eq!(m.state(), &landed, "the reopen reads the landed edit");
+        assert!(!m.is_poisoned());
+    }
+
+    #[test]
+    fn an_injected_fault_mid_rewrite_keeps_old_or_new_state() {
+        // kill the rewrite at each of its durable steps up to the rename:
+        // the tmp create, its cut, the write, its barrier and the rename
+        let mut fired = Vec::new();
+        for kill_at in 0..5u64 {
+            let (vfs, mut m) = faulty();
             let mut last_good = ManifestState::default();
             let mut i = 0u64;
             // drive commits until one lands on the rewrite path and dies
@@ -969,7 +1009,7 @@ mod tests {
                 i += 1;
                 let s = state(&[&[1]], i + 1);
                 if m.records_since_rewrite >= REWRITE_THRESHOLD {
-                    fp.arm(kill_at);
+                    vfs.arm(kill_at);
                 }
                 match m.commit(s.clone()) {
                     Ok(_) => last_good = s,
@@ -981,10 +1021,10 @@ mod tests {
                 }
             };
             assert!(crashed, "rewrite kill point was never reached");
-            let m = Manifest::open(&path).unwrap();
-            assert_eq!(m.state(), &last_good, "kill_at={kill_at}");
-            let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_file(path.with_extension("manifest.tmp"));
+            fired.push(vfs.last_fired().unwrap().to_string());
+            assert_eq!(reopen(&vfs).state(), &last_good, "kill_at={kill_at}");
         }
+        let sites = ["create", "set_len", "append", "sync_all", "rename"];
+        assert_eq!(fired, sites.map(|op| format!("manifest.{op}")));
     }
 }

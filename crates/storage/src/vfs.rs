@@ -9,12 +9,20 @@
 //! keep what the engine relies on: a handle reads on after its file is
 //! unlinked and follows it across a rename, [`Vfs::rename`] replaces its
 //! target, and a read past end-of-file is an error.
+//!
+//! [`FaultVfs`] wraps either one and fails the n-th call that changes a
+//! file or a directory, which the crash-recovery tests use to kill a store
+//! inside every durable step. Its kill sites are the calls themselves,
+//! named by [`KillPoint`]: a new durable step is covered the moment it
+//! reaches the file system, with nothing to register.
 
+use crate::checkpoint::CHECKPOINT_MARKER;
 use lethe_sync::{LockRank, Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::fmt::Debug;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Debug};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// One open file: read at any offset, append at the end.
@@ -225,6 +233,266 @@ impl VfsFile for MemFile {
     }
 }
 
+/// A call that changes a file or a directory: what a [`FaultVfs`] counts.
+/// Each is the [`Vfs`] or [`VfsFile`] method of its name; `Create` is
+/// [`Vfs::open`] with `create`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FileOp {
+    Create,
+    Append,
+    SetLen,
+    SyncData,
+    SyncAll,
+    Rename,
+    Remove,
+    SyncDir,
+}
+
+/// Which of a store's files a call touches, told by its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FileKind {
+    /// A data segment: `<name>.data` or `<name>.data.<id>`.
+    Segment,
+    /// A write-ahead log: `<name>.wal`.
+    Wal,
+    /// A manifest: `<name>.manifest`.
+    Manifest,
+    /// The cross-shard batch-commit log, `BATCHES`.
+    BatchLog,
+    /// The sharded store's shard count, `SHARDS`.
+    Shards,
+    /// A checkpoint's completeness marker, `CHECKPOINT`.
+    CheckpointMarker,
+    /// A directory (the target of [`Vfs::sync_dir`]).
+    Dir,
+    /// Any other file.
+    Other,
+}
+
+impl FileKind {
+    /// The kind of the file at `path`. A `*.tmp` is the file it replaces:
+    /// the handle it was written through follows it across the rename.
+    pub fn of(path: &Path) -> FileKind {
+        let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
+        let name = name.strip_suffix(".tmp").unwrap_or(&name);
+        let digits = |id: &str| id.bytes().all(|b| b.is_ascii_digit());
+        let segment = name.split_once(".data").is_some_and(|(_, id)| {
+            id.is_empty() || id.strip_prefix('.').is_some_and(digits)
+        });
+        match name.split('.').next() {
+            Some("BATCHES") => FileKind::BatchLog,
+            Some("SHARDS") => FileKind::Shards,
+            Some(CHECKPOINT_MARKER) => FileKind::CheckpointMarker,
+            _ if name.ends_with(".wal") => FileKind::Wal,
+            _ if name.ends_with(".manifest") => FileKind::Manifest,
+            _ if segment => FileKind::Segment,
+            _ => FileKind::Other,
+        }
+    }
+}
+
+/// One kill site: a mutating call on a kind of file. Displays as
+/// `kind.op`, e.g. `manifest.sync_data`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct KillPoint {
+    /// The file the call touches.
+    pub file: FileKind,
+    /// The call.
+    pub op: FileOp,
+}
+
+impl fmt::Display for KillPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // the variant names in snake case: `CheckpointMarker` reads
+        // `checkpoint_marker`
+        let snake = |name: String| {
+            name.chars().fold(String::new(), |mut out, c| {
+                if c.is_uppercase() && !out.is_empty() {
+                    out.push('_');
+                }
+                out.push(c.to_ascii_lowercase());
+                out
+            })
+        };
+        write!(f, "{}.{}", snake(format!("{:?}", self.file)), snake(format!("{:?}", self.op)))
+    }
+}
+
+/// The payload of the I/O error a [`FaultVfs`] injects; it converts to
+/// [`StorageError::Injected`](crate::StorageError::Injected).
+#[derive(Debug)]
+pub(crate) struct InjectedFault(KillPoint);
+
+impl fmt::Display for InjectedFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "injected fault at {}", self.0)
+    }
+}
+
+impl std::error::Error for InjectedFault {}
+
+/// A file system that fails the n-th mutating call on the one it wraps: a
+/// crash injected at an exact point of a store's durable protocol.
+///
+/// Every [`FileOp`] counts, on the wrapper and on every file it opened, so
+/// a sweep that arms `0, 1, 2, …` kills a workload inside each of its
+/// durable steps in turn. The failed call does nothing, and the wrapper
+/// disarms once it fires.
+#[derive(Debug)]
+pub struct FaultVfs {
+    inner: Arc<dyn Vfs>,
+    faults: Arc<Faults>,
+}
+
+/// The countdown and the site record a [`FaultVfs`] shares with its files.
+#[derive(Debug)]
+struct Faults {
+    /// Mutating calls left before the next one fails; negative when
+    /// disarmed.
+    remaining: AtomicI64,
+    /// Site of the most recent injected failure.
+    fired: Mutex<Option<KillPoint>>,
+    /// Every distinct site reached, when tracing.
+    trace: Mutex<Option<BTreeSet<KillPoint>>>,
+}
+
+impl Faults {
+    /// Counts one `op` on a `file`; fails it when the countdown reaches
+    /// zero, recording the site.
+    fn check(&self, file: FileKind, op: FileOp) -> io::Result<()> {
+        let site = KillPoint { file, op };
+        if let Some(trace) = self.trace.lock().as_mut() {
+            trace.insert(site);
+        }
+        if self.remaining.load(Ordering::Relaxed) < 0 {
+            return Ok(());
+        }
+        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 0 {
+            self.remaining.store(i64::MIN, Ordering::SeqCst);
+            *self.fired.lock() = Some(site);
+            return Err(io::Error::other(InjectedFault(site)));
+        }
+        Ok(())
+    }
+}
+
+impl FaultVfs {
+    /// Wraps `inner`, disarmed.
+    pub fn new(inner: Arc<dyn Vfs>) -> Arc<FaultVfs> {
+        let faults = Faults {
+            remaining: AtomicI64::new(i64::MIN),
+            fired: Mutex::new(LockRank::FaultVfs, None),
+            trace: Mutex::new(LockRank::FaultVfs, None),
+        };
+        Arc::new(FaultVfs { inner, faults: Arc::new(faults) })
+    }
+
+    /// Arms the wrapper: the `ops`-th mutating call from now (0-based, so
+    /// `arm(0)` fails the very next one) fails.
+    pub fn arm(&self, ops: u64) {
+        self.faults.remaining.store(ops as i64, Ordering::SeqCst);
+    }
+
+    /// Disarms the wrapper; calls pass until it is armed again.
+    pub fn disarm(&self) {
+        self.faults.remaining.store(i64::MIN, Ordering::SeqCst);
+    }
+
+    /// Whether the wrapper is armed and has not fired yet.
+    pub fn is_armed(&self) -> bool {
+        self.faults.remaining.load(Ordering::SeqCst) >= 0
+    }
+
+    /// Site of the most recent injected failure, `None` before the first.
+    pub fn last_fired(&self) -> Option<KillPoint> {
+        *self.faults.fired.lock()
+    }
+
+    /// Starts recording every site a mutating call reaches, armed or not:
+    /// a coverage audit reads them back with [`FaultVfs::traced_sites`].
+    pub fn enable_trace(&self) {
+        self.faults.trace.lock().get_or_insert_with(BTreeSet::new);
+    }
+
+    /// Every distinct site reached since [`FaultVfs::enable_trace`], sorted.
+    pub fn traced_sites(&self) -> Vec<KillPoint> {
+        self.faults.trace.lock().iter().flatten().copied().collect()
+    }
+}
+
+impl Vfs for FaultVfs {
+    fn open(&self, path: &Path, create: bool) -> io::Result<Arc<dyn VfsFile>> {
+        let file = FileKind::of(path);
+        if create {
+            self.faults.check(file, FileOp::Create)?;
+        }
+        let faults = Arc::clone(&self.faults);
+        Ok(Arc::new(FaultFile { inner: self.inner.open(path, create)?, file, faults }))
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.faults.check(FileKind::of(path), FileOp::Remove)?;
+        self.inner.remove(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.faults.check(FileKind::of(to), FileOp::Rename)?;
+        self.inner.rename(from, to)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.faults.check(FileKind::Dir, FileOp::SyncDir)?;
+        self.inner.sync_dir(dir)
+    }
+}
+
+/// A file opened through a [`FaultVfs`], counted as the kind its name
+/// said when it was opened.
+#[derive(Debug)]
+struct FaultFile {
+    inner: Arc<dyn VfsFile>,
+    file: FileKind,
+    faults: Arc<Faults>,
+}
+
+impl VfsFile for FaultFile {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        self.faults.check(self.file, FileOp::Append)?;
+        self.inner.append(bytes)
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        self.inner.len()
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.faults.check(self.file, FileOp::SetLen)?;
+        self.inner.set_len(len)
+    }
+
+    fn sync_data(&self) -> io::Result<()> {
+        self.faults.check(self.file, FileOp::SyncData)?;
+        self.inner.sync_data()
+    }
+
+    fn sync_all(&self) -> io::Result<()> {
+        self.faults.check(self.file, FileOp::SyncAll)?;
+        self.inner.sync_all()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,7 +581,7 @@ mod tests {
                     let fsyncs = std::sync::atomic::AtomicU64::new(0);
                     let tmp = dir.join("c.tmp");
                     let handle =
-                        crate::barrier::publish(vfs.as_ref(), &c, &tmp, &fsyncs, bytes, || Ok(()))
+                        crate::barrier::publish(vfs.as_ref(), &c, &tmp, &fsyncs, bytes)
                             .unwrap();
                     handle.append(tail).unwrap();
                     let read = vfs.read(&c).unwrap();
@@ -333,5 +601,98 @@ mod tests {
         let on_host = run(&OsVfs::shared(), &dir);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(on_host, run(&MemVfs::shared(), Path::new("/store")));
+    }
+
+    #[test]
+    fn a_site_is_the_op_and_the_kind_the_file_name_says() {
+        use FileKind::*;
+        let table = [
+            ("/s/lethe.data", Segment),
+            ("/s/shard-002.data.17", Segment),
+            ("/s/checkpoint.data", Segment),
+            ("/s/lethe.data.tmp", Segment),
+            ("/s/lethe.data.x7", Other),
+            ("/s/lethe.wal", Wal),
+            ("/s/shard-000.wal.tmp", Wal),
+            ("/s/lethe.manifest", Manifest),
+            ("/s/checkpoint.manifest.tmp", Manifest),
+            ("/s/BATCHES", BatchLog),
+            ("/s/BATCHES.batches.tmp", BatchLog),
+            ("/s/SHARDS.tmp", Shards),
+            ("/s/CHECKPOINT", CheckpointMarker),
+            ("/s/CHECKPOINT.tmp", CheckpointMarker),
+            ("/s/notes.txt", Other),
+        ];
+        for (path, kind) in table {
+            assert_eq!(FileKind::of(Path::new(path)), kind, "{path}");
+        }
+        let site = |file, op| KillPoint { file, op }.to_string();
+        assert_eq!(site(Manifest, FileOp::SyncData), "manifest.sync_data");
+        assert_eq!(site(Segment, FileOp::Create), "segment.create");
+        assert_eq!(site(CheckpointMarker, FileOp::Rename), "checkpoint_marker.rename");
+        assert_eq!(site(Dir, FileOp::SyncDir), "dir.sync_dir");
+    }
+
+    /// Runs one mutating call of each op, plus the calls that are no site,
+    /// and returns the sites whose call failed with an injected fault.
+    fn injected_sites(vfs: &FaultVfs) -> Vec<&'static str> {
+        let injected = |r: io::Result<()>| {
+            r.is_err_and(|e| matches!(crate::StorageError::from(e), crate::StorageError::Injected))
+        };
+        let dir = Path::new("/s");
+        let (wal, tmp) = (dir.join("lethe.wal"), dir.join("lethe.wal.tmp"));
+        vfs.create_dir_all(dir).unwrap();
+        vfs.list(dir).unwrap();
+        let created = vfs.open(&tmp, true);
+        // a failed create disarmed the wrapper, so the retry passes
+        let file = created.as_ref().map_or_else(|_| vfs.open(&tmp, true).unwrap(), Arc::clone);
+        let calls = [
+            ("wal.create", injected(created.map(drop))),
+            ("wal.append", injected(file.append(b"abc"))),
+            ("wal.set_len", injected(file.set_len(2))),
+            ("wal.sync_data", injected(file.sync_data())),
+            ("wal.sync_all", injected(file.sync_all())),
+            ("wal.rename", injected(vfs.rename(&tmp, &wal))),
+            ("dir.sync_dir", injected(vfs.sync_dir(dir))),
+            ("wal.remove", injected(vfs.remove(&wal))),
+        ];
+        file.read_at(&mut [0], 0).unwrap();
+        file.len().unwrap();
+        calls.into_iter().filter(|(_, fired)| *fired).map(|(site, _)| site).collect()
+    }
+
+    #[test]
+    fn a_fault_vfs_fails_the_nth_mutating_call_once() {
+        let sites = ["wal.create", "wal.append", "wal.set_len", "wal.sync_data", "wal.sync_all"];
+        let sites = [&sites[..], &["wal.rename", "dir.sync_dir", "wal.remove"]].concat();
+        let disarmed = FaultVfs::new(MemVfs::shared());
+        disarmed.enable_trace();
+        assert!(injected_sites(&disarmed).is_empty(), "disarmed, every call passes");
+        let traced: BTreeSet<String> = disarmed.traced_sites().iter().map(|s| s.to_string()).collect();
+        assert_eq!(traced, sites.iter().map(|s| s.to_string()).collect(), "reads are no sites");
+        assert_eq!(disarmed.last_fired(), None);
+        for (n, site) in sites.iter().enumerate() {
+            let vfs = FaultVfs::new(MemVfs::shared());
+            vfs.arm(n as u64);
+            assert!(vfs.is_armed());
+            assert_eq!(injected_sites(&vfs), [*site], "arm({n}) fails that call and no other");
+            assert_eq!(vfs.last_fired().map(|s| s.to_string()).as_deref(), Some(*site));
+            assert!(!vfs.is_armed(), "it fired once, then disarmed");
+        }
+    }
+
+    #[test]
+    fn an_injected_fault_does_nothing_and_surfaces_as_injected() {
+        let mem = MemVfs::shared();
+        let vfs = FaultVfs::new(Arc::clone(&mem));
+        let file = vfs.open(Path::new("/s/BATCHES"), true).unwrap();
+        file.append(b"kept").unwrap();
+        vfs.arm(0);
+        let err = file.append(b"lost").unwrap_err();
+        assert!(matches!(crate::StorageError::from(err), crate::StorageError::Injected));
+        assert_eq!(mem.read(Path::new("/s/BATCHES")).unwrap(), b"kept");
+        vfs.disarm();
+        file.append(b"+").unwrap();
+        assert_eq!(mem.read(Path::new("/s/BATCHES")).unwrap(), b"kept+");
     }
 }

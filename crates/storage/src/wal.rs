@@ -15,7 +15,6 @@
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
 use crate::error::{Result, StorageError};
-use crate::failpoint::{FailPoint, KillPoint};
 use crate::log::{be, Frame, LogFile};
 use crate::manifest::ManifestCommitted;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -418,7 +417,6 @@ pub struct FileWal {
     /// Records currently in the log; `u64::MAX` until first derived by a
     /// scan. Only read or written while `log` is locked.
     record_count: AtomicU64,
-    failpoint: FailPoint,
 }
 
 /// Sentinel for "record count not derived yet".
@@ -461,20 +459,12 @@ impl FileWal {
             sync_policy: SyncPolicy::Always,
             appends_since_sync: AtomicU64::new(0),
             record_count: AtomicU64::new(COUNT_UNKNOWN),
-            failpoint: FailPoint::new(),
         })
     }
 
     /// Sets the append durability policy.
     pub fn with_sync_policy(mut self, policy: SyncPolicy) -> Self {
         self.sync_policy = policy;
-        self
-    }
-
-    /// Attaches a crash-injection fail point consulted before every append
-    /// and rewrite step (testing aid).
-    pub fn with_failpoint(mut self, fp: FailPoint) -> Self {
-        self.failpoint = fp;
         self
     }
 
@@ -496,9 +486,8 @@ impl FileWal {
     /// no append can slip in between the snapshot the caller took and the
     /// rename (it would be silently discarded).
     fn rewrite_locked(&self, log: &mut LogFile, records: &[WalRecord]) -> Result<()> {
-        self.failpoint.check(KillPoint::WalRewriteBegin)?;
         let contents: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).to_vec()).collect();
-        log.replace("wal.tmp", &contents, || self.failpoint.check(KillPoint::WalRewriteRename))?;
+        log.replace("wal.tmp", &contents)?;
         self.record_count.store(records.len() as u64, Ordering::Relaxed);
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
@@ -507,7 +496,6 @@ impl FileWal {
 
 impl Wal for FileWal {
     fn append_nosync(&self, record: WalRecord) -> Result<()> {
-        self.failpoint.check(KillPoint::WalAppendNosync)?;
         self.log.lock().append(&encode_frame(&record))?;
         // the cached record count is kept in step, under the same lock
         let count = self.record_count.load(Ordering::Relaxed);
@@ -743,26 +731,44 @@ mod tests {
     }
 
     #[test]
-    fn failpoint_aborts_append_and_rewrite() {
-        let path = std::env::temp_dir().join(format!("lethe-wal-fp-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let fp = FailPoint::new();
-        let w = FileWal::open(&path).unwrap().with_failpoint(fp.clone());
+    fn an_injected_fault_aborts_append_and_rewrite() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let open = || {
+            FileWal::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/s/lethe.wal"))
+                .unwrap()
+                .with_sync_policy(SyncPolicy::OnFlush)
+        };
+        let w = open();
         w.append(WalRecord::Delete { sort_key: 1, ts: 1 }).unwrap();
-        fp.arm(0);
+        vfs.arm(0);
         assert!(matches!(
             w.append(WalRecord::Delete { sort_key: 2, ts: 2 }),
             Err(StorageError::Injected)
         ));
+        assert_eq!(vfs.last_fired().unwrap().to_string(), "wal.append");
         // the failed append wrote nothing
         assert_eq!(w.replay().unwrap().len(), 1);
-        fp.arm(1);
-        assert!(matches!(w.truncate(), Err(StorageError::Injected)));
-        // the aborted rewrite left the original log intact
-        assert_eq!(w.replay().unwrap().len(), 1);
+        // the rewrite: its tmp create, its cut, the write, its barrier, the
+        // rename and the directory barrier behind it
+        for kill in 0..6 {
+            let w = open();
+            vfs.arm(kill);
+            assert!(matches!(w.truncate(), Err(StorageError::Injected)));
+            // a failed rewrite poisons the handle, which may be on the
+            // replaced file: it takes no more records
+            let refused = w.append(WalRecord::Delete { sort_key: 3, ts: 3 });
+            assert!(matches!(refused, Err(StorageError::InvalidOperation(_))));
+            // killed before the rename, the original log is intact; after
+            // it, the log is the rewritten one
+            let site = vfs.last_fired().unwrap().to_string();
+            let left = if kill < 5 { 1 } else { 0 };
+            assert_eq!(open().replay().unwrap().len(), left, "killed at {site}");
+        }
+        assert_eq!(vfs.last_fired().unwrap().to_string(), "dir.sync_dir");
+        let w = open();
+        w.append(WalRecord::Delete { sort_key: 4, ts: 4 }).unwrap();
         w.truncate().unwrap();
         assert!(w.replay().unwrap().is_empty());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

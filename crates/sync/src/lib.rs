@@ -122,10 +122,10 @@ pub enum LockRank {
     /// The global cursor-serialisation fallback for platforms with no
     /// positional-read API (`lethe_storage::vfs`).
     FallbackCursor,
-    /// A crash fail point's fired-site record (`lethe_storage::failpoint`):
-    /// touched inside arbitrarily deep durable paths, so it ranks above
-    /// everything.
-    FailPointState,
+    /// A fault file system's fired-site record and trace
+    /// (`lethe_storage::vfs::FaultVfs`): touched inside arbitrarily deep
+    /// durable paths, so it ranks above everything.
+    FaultVfs,
 }
 
 // ---------------------------------------------------------------------------
