@@ -25,7 +25,8 @@
 //! The consumers are `ReadView::iter_range` (streaming scans over pinned
 //! files; `range` collects it), the cross-shard fan-out and checkpoint in
 //! `lethe-core`, and `JobPlan::execute` (compactions and flushes merge with
-//! memory bounded by *output file granularity*, not total input size).
+//! memory bounded by *tile granularity*, not total input size or the size
+//! of an output file).
 
 use crate::sstable::SsTable;
 use lethe_storage::{Entry, Result, SeqNum, SortKey, StorageBackend};
@@ -51,7 +52,8 @@ pub trait EntryCursor: Send {
 /// current thread, and the peak since the last [`probe::reset`].
 ///
 /// This exists to make the headline memory claim *testable*: a large merge
-/// must peak at output-file + per-input-tile granularity, never at
+/// must peak at output-tile + per-input-tile granularity (plus the woven
+/// pages its merge stage has not handed on yet), never at output-file or
 /// total-input granularity. The counters are thread-local `Cell`s, so the
 /// probe costs two increments per tile load and adds no synchronisation.
 pub mod probe {
@@ -190,9 +192,10 @@ pub struct SsTableCursor {
     next_tile: usize,
     /// One past the last tile that may overlap the range.
     end_tile: usize,
-    /// The current tile's in-range entries, sorted on `(S asc, seq desc)`.
+    /// The current tile's in-range entries not yet yielded, sorted on
+    /// `(S asc, seq desc)` *backwards*: the next entry is popped off the end,
+    /// moved out rather than cloned.
     buf: Vec<Entry>,
-    pos: usize,
 }
 
 impl SsTableCursor {
@@ -219,7 +222,6 @@ impl SsTableCursor {
             next_tile,
             end_tile,
             buf: Vec::new(),
-            pos: 0,
         }
     }
 
@@ -237,19 +239,13 @@ impl SsTableCursor {
             next_tile: 0,
             end_tile,
             buf: Vec::new(),
-            pos: 0,
         }
     }
 
-    /// Ensures `buf[pos]` is the next entry, decoding tiles until one yields
+    /// Ensures `buf` holds the next entry, decoding tiles until one yields
     /// in-range entries or the fence-pruned tile range is exhausted.
     fn fill(&mut self) -> Result<()> {
-        while self.pos >= self.buf.len() && self.next_tile < self.end_tile {
-            // every entry of the previous tile was released as it was
-            // yielded (`next_entry` subtracts one per entry), so the buffer
-            // can simply be dropped here
-            self.buf.clear();
-            self.pos = 0;
+        while self.buf.is_empty() && self.next_tile < self.end_tile {
             let tile = &self.table.tiles[self.next_tile];
             self.next_tile += 1;
             if tile.max_sort < self.lo || self.hi.is_some_and(|hi| tile.min_sort >= hi) {
@@ -272,7 +268,7 @@ impl SsTableCursor {
                     None => self.buf.extend(page.range_from(self.lo)),
                 }
             }
-            self.buf.sort_by(entry_order);
+            self.buf.sort_by(|a, b| entry_order(b, a));
             probe::add(self.buf.len() as u64);
         }
         Ok(())
@@ -282,14 +278,11 @@ impl SsTableCursor {
 impl EntryCursor for SsTableCursor {
     fn next_entry(&mut self) -> Result<Option<Entry>> {
         self.fill()?;
-        if self.pos < self.buf.len() {
-            let e = self.buf[self.pos].clone();
-            self.pos += 1;
+        let next = self.buf.pop();
+        if next.is_some() {
             probe::sub(1);
-            Ok(Some(e))
-        } else {
-            Ok(None)
         }
+        Ok(next)
     }
 }
 
@@ -297,7 +290,7 @@ impl Drop for SsTableCursor {
     fn drop(&mut self) {
         // release whatever part of the current tile was loaded but not
         // yielded (yielded entries were released one by one)
-        probe::sub((self.buf.len() - self.pos.min(self.buf.len())) as u64);
+        probe::sub(self.buf.len() as u64);
     }
 }
 

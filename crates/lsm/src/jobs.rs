@@ -25,19 +25,25 @@
 //!
 //! Planning and applying need the tree's write serialisation but are cheap
 //! pointer work; the expensive execute phase runs against pinned immutable
-//! state and needs no lock at all.
+//! state and needs no lock at all. It runs on two threads: the caller's
+//! thread reads and merges the inputs and weaves the output's pages, and a
+//! scoped build thread writes them and assembles the files (see
+//! [`JobPlan::execute`]). Peak memory is one delete tile per input, the
+//! output tile being cut and a bounded number of woven pages in flight
+//! between the two.
 
 use crate::compaction::{CompactionTask, TreeView};
 use crate::config::{LsmConfig, MergePolicy};
 use crate::cursor::{probe, EntryCursor, MergeIterator, SharedSliceCursor, SsTableCursor};
 use crate::level::{Level, Run};
 use crate::read::{FrozenBuffer, FrozenEntries};
-use crate::sstable::SsTable;
+use crate::sstable::{SsTable, TableWriter, WovenTile};
 use crate::tree::{min_opt, LsmTree};
 use crate::version::Version;
-use lethe_storage::{DeleteKey, Entry, Result, StorageBackend, Timestamp};
+use lethe_storage::{DeleteKey, Entry, Result, SortKey, StorageBackend, StorageError, Timestamp};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 /// Safety bound on back-to-back compactions triggered by a single flush.
@@ -106,13 +112,19 @@ impl JobPlan {
     /// pages that no version knows about yet; it becomes visible only via
     /// [`LsmTree::apply_job`].
     ///
-    /// The merge is *streaming*: input files are read through lazy per-tile
-    /// cursors (cache-bypassing `nofill` reads, like every bulk maintenance
-    /// scan) into a heap merge, and output files are cut as the stream
-    /// passes each file-size boundary. Peak memory is one delete tile per
-    /// input plus one output file's entries — independent of the total
-    /// number of input entries, so arbitrarily large compactions run in
-    /// bounded space.
+    /// The work runs as two stages joined by a bounded channel. The **merge
+    /// stage**, on the calling thread, reads the input files through lazy
+    /// per-tile cursors (cache-bypassing `nofill` reads, like every bulk
+    /// maintenance scan), heap-merges them, cuts the stream into tiles and
+    /// files, and weaves each tile into encoded pages. The **build stage**,
+    /// on one scoped thread, writes those pages (frame, checksum, append),
+    /// derives each page's Bloom filter and fences, and assembles the files.
+    /// Peak memory is one delete tile per input, the output tile being cut,
+    /// and a bounded number of woven pages between the stages — independent
+    /// of both the number of input entries and the size of an output file.
+    ///
+    /// If either stage fails, every page the job wrote is released before
+    /// the error returns, output files already finished included.
     pub fn execute(&self, ctx: &BuildCtx) -> Result<JobOutput> {
         let Some(placement) = self.placement else {
             // a whole-file drop reads and writes nothing: the entire effect
@@ -126,26 +138,18 @@ impl JobPlan {
         let mut rts = Vec::new();
         let mut oldest = None;
         if let Some(buffer) = &self.buffer {
+            // the pinned buffer streams without being copied
+            let mut entries =
+                SharedSliceCursor::new(FrozenEntries(Arc::clone(buffer)), 0, buffer.entries.len());
             if self.inputs.is_empty() && matches!(placement, Placement::NewRun { .. }) {
                 // a buffer that becomes a run of its own has nothing to
                 // merge with: it is written as-is (no dedup — the buffer
                 // already holds one version per key)
-                let mut builder = TableStreamBuilder::new(
-                    ctx,
-                    buffer.range_tombstones.clone(),
-                    buffer.oldest_tombstone_ts,
-                );
-                for e in &buffer.entries {
-                    builder.push(e.clone())?;
-                }
-                return Ok(JobOutput { tables: builder.finish()? });
+                let (rts, oldest) = (buffer.range_tombstones.clone(), buffer.oldest_tombstone_ts);
+                let tables = pipeline(ctx, &mut entries, rts, oldest, None)?;
+                return Ok(JobOutput { tables });
             }
-            // the pinned buffer streams without being copied
-            cursors.push(Box::new(SharedSliceCursor::new(
-                FrozenEntries(Arc::clone(buffer)),
-                0,
-                buffer.entries.len(),
-            )));
+            cursors.push(Box::new(entries));
             rts = buffer.range_tombstones.clone();
             oldest = buffer.oldest_tombstone_ts;
         }
@@ -158,14 +162,10 @@ impl JobPlan {
             rts.extend(table.range_tombstones.iter().cloned());
             oldest = min_opt(oldest, table.meta.oldest_tombstone_ts);
         }
-        let tables = stream_merge_build(
-            ctx,
-            cursors,
-            rts,
-            oldest,
-            self.drop_tombstones,
-            self.delete_key_filter,
-        )?;
+        let (surviving_rts, oldest) =
+            if self.drop_tombstones { (Vec::new(), None) } else { (rts.clone(), oldest) };
+        let mut merge = MergeIterator::new(cursors, rts, self.drop_tombstones)?;
+        let tables = pipeline(ctx, &mut merge, surviving_rts, oldest, self.delete_key_filter)?;
         Ok(JobOutput { tables })
     }
 }
@@ -176,122 +176,266 @@ pub struct JobOutput {
     tables: Vec<Arc<SsTable>>,
 }
 
-/// Streams a merged, sorted entry sequence into successive output files
-/// (each at most `max_pages_per_file` pages) without ever holding more than
-/// one file's entries. File ids come from the shared atomic allocator so
-/// concurrent builders never collide.
+/// Pages one message from the merge stage to the build stage carries at
+/// least (the tile that reaches the count may take it past). With `h = 1` a
+/// tile is a single page, and a message per page would pay a thread
+/// wake-up per page.
+pub const PAGES_PER_MESSAGE: usize = 8;
+
+/// Messages the channel between the stages holds before the merge stage
+/// blocks on it. Counting the message the merge stage is filling, the one
+/// the build stage is writing and the written ones waiting to be freed at
+/// the merge stage's next send, at most `2 * MESSAGES_IN_FLIGHT + 3`
+/// messages of woven pages exist at once.
+const MESSAGES_IN_FLIGHT: usize = 2;
+
+/// One step of the woven stream, in stream order.
+enum Woven {
+    /// The next tile of the file being written.
+    Tile(WovenTile),
+    /// The tiles sent since the previous cut form file `id`, with these
+    /// range tombstones and tombstone age.
+    Cut { id: u64, rts: Vec<Entry>, oldest: Option<Timestamp> },
+}
+
+/// Streams `source` (sorted, one version per key) into output files through
+/// the two-stage pipeline and returns them; see [`JobPlan::execute`]. Drops
+/// the puts whose delete key falls in `delete_key_filter` (the full-tree
+/// secondary-delete baseline).
+///
+/// The build stage is the only writer, so page ids are issued in stream
+/// order, exactly as one thread would issue them, and the files are
+/// byte-identical to [`SsTable::build`] over the same stream cut at the
+/// same places. Errors travel both ways: a merge-side error drops the
+/// sender, which ends the build stage's loop; a build-side error drops the
+/// receiver, which fails the merge stage's next send. Either way the
+/// [`TableWriter`] is dropped unfinished and its reservation releases every
+/// page the job wrote.
+fn pipeline(
+    ctx: &BuildCtx,
+    source: &mut dyn EntryCursor,
+    range_tombstones: Vec<Entry>,
+    oldest_tombstone_ts: Option<Timestamp>,
+    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
+) -> Result<Vec<Arc<SsTable>>> {
+    let (tx, rx) = mpsc::sync_channel::<Vec<Woven>>(MESSAGES_IN_FLIGHT);
+    let (spent_tx, spent) = mpsc::channel::<Vec<Woven>>();
+    let writer = TableWriter::new(ctx.backend.as_ref(), &ctx.config);
+    let now = ctx.now;
+    std::thread::scope(|scope| {
+        let build = std::thread::Builder::new()
+            .name("lethe-job-build".into())
+            .spawn_scoped(scope, move || build_stage(rx, spent_tx, writer, now))?;
+        let merged = MergeStage::new(ctx, tx, &spent, range_tombstones, oldest_tombstone_ts)
+            .run(source, delete_key_filter);
+        let built = build.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        // the build stage has stopped: free here what it handed back last
+        spent.try_iter().for_each(drop);
+        // a merge stage stopped by a closed channel reports the build
+        // stage's error, which is the cause
+        let (writer, tables) = built?;
+        merged?;
+        writer.finish();
+        Ok(tables)
+    })
+}
+
+/// The build stage: writes each woven tile and assembles a file at each
+/// cut, until the merge stage hangs up. Hands the writer back unfinished:
+/// only the caller knows whether the merge stage completed.
+///
+/// Each message goes back on `spent` once written, so that its pages are
+/// freed by the merge stage, which allocated them. A buffer freed on
+/// another thread goes back to the allocating thread's heap under that
+/// heap's lock; freeing every page here cost both stages about a quarter of
+/// their time on `ingest_fade`.
+fn build_stage(
+    rx: Receiver<Vec<Woven>>,
+    spent: Sender<Vec<Woven>>,
+    mut writer: TableWriter<'_>,
+    now: Timestamp,
+) -> Result<(TableWriter<'_>, Vec<Arc<SsTable>>)> {
+    let mut tables = Vec::new();
+    for mut message in rx {
+        for woven in &mut message {
+            match woven {
+                Woven::Tile(tile) => writer.push_tile(tile)?,
+                Woven::Cut { id, rts, oldest } => {
+                    let rts = std::mem::take(rts);
+                    tables.push(Arc::new(writer.cut(*id, rts, now, *oldest)));
+                }
+            }
+        }
+        // the merge stage is gone only on an error path, where the pages
+        // may as well be freed here
+        let _ = spent.send(message);
+    }
+    Ok((writer, tables))
+}
+
+/// The merge stage: cuts the merged stream into output files (each at most
+/// `max_pages_per_file` pages) and their tiles, weaves each full tile and
+/// sends the woven pages on in batches. File ids come from the shared
+/// atomic allocator so concurrent jobs never collide.
 ///
 /// Range tombstones (the small, already-in-memory survivors of the merge)
 /// are attached to the output file whose key range their start falls into;
-/// the final file absorbs whatever is left, exactly like the seed's
-/// materialising builder.
-struct TableStreamBuilder<'a> {
-    ctx: &'a BuildCtx,
+/// the final file absorbs whatever is left, so a stream that ends with
+/// range tombstones but no entries still gets a file to hold them.
+struct MergeStage<'a> {
+    next_file_id: &'a AtomicU64,
     per_file: usize,
-    chunk: Vec<Entry>,
+    per_tile: usize,
+    per_page: usize,
+    /// Entries of the tile being cut, in sort-key order.
+    tile: Vec<Entry>,
+    /// Entries cut into the current file so far.
+    file_entries: usize,
+    /// The current file holds a tombstone.
+    file_tombstones: bool,
+    /// Sort key of the current file's last entry.
+    last_key: SortKey,
     /// Surviving range tombstones not yet attached, sorted by start key.
     rts_remaining: Vec<Entry>,
     oldest_tombstone_ts: Option<Timestamp>,
-    tables: Vec<Arc<SsTable>>,
+    /// Woven steps not sent yet, and how many pages and entries they hold.
+    batch: Vec<Woven>,
+    batch_pages: usize,
+    batch_entries: u64,
+    tx: SyncSender<Vec<Woven>>,
+    /// Messages the build stage has written, handed back to be freed here.
+    spent: &'a Receiver<Vec<Woven>>,
 }
 
-impl<'a> TableStreamBuilder<'a> {
+impl<'a> MergeStage<'a> {
     fn new(
         ctx: &'a BuildCtx,
+        tx: SyncSender<Vec<Woven>>,
+        spent: &'a Receiver<Vec<Woven>>,
         mut range_tombstones: Vec<Entry>,
         oldest_tombstone_ts: Option<Timestamp>,
     ) -> Self {
         range_tombstones.sort_by_key(|e| e.sort_key);
-        TableStreamBuilder {
+        let per_tile = ctx.config.entries_per_tile().max(1);
+        MergeStage {
+            next_file_id: &ctx.next_file_id,
             per_file: ctx.config.entries_per_file().max(1),
-            ctx,
-            chunk: Vec::new(),
+            per_tile,
+            per_page: ctx.config.entries_per_page.max(1),
+            tile: Vec::with_capacity(per_tile),
+            file_entries: 0,
+            file_tombstones: false,
+            last_key: 0,
             rts_remaining: range_tombstones,
             oldest_tombstone_ts,
-            tables: Vec::new(),
+            batch: Vec::new(),
+            batch_pages: 0,
+            batch_entries: 0,
+            tx,
+            spent,
         }
     }
 
-    /// Appends the next entry of the merged stream (must arrive in sort-key
-    /// order), cutting a file whenever one is full.
+    /// Drains `source` into the pipeline and cuts the final file. Consumes
+    /// the stage, so the channel closes when this returns.
+    fn run(
+        mut self,
+        source: &mut dyn EntryCursor,
+        delete_key_filter: Option<(DeleteKey, DeleteKey)>,
+    ) -> Result<()> {
+        while let Some(e) = source.next_entry()? {
+            if let Some((d_lo, d_hi)) = delete_key_filter {
+                if !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi {
+                    continue;
+                }
+            }
+            self.push(e)?;
+        }
+        self.cut(true)?;
+        self.send()
+    }
+
+    /// Appends the next entry of the stream (must arrive in sort-key
+    /// order), cutting a file when one is full and weaving a tile when one
+    /// is.
     fn push(&mut self, e: Entry) -> Result<()> {
-        if self.chunk.len() >= self.per_file {
-            self.flush_file(false)?;
+        if self.file_entries >= self.per_file {
+            self.cut(false)?;
         }
         probe::add(1);
-        self.chunk.push(e);
+        self.file_tombstones |= e.is_tombstone();
+        self.last_key = e.sort_key;
+        self.tile.push(e);
+        self.file_entries += 1;
+        if self.tile.len() >= self.per_tile {
+            self.weave()?;
+        }
         Ok(())
     }
 
-    /// Builds one output file from the accumulated chunk. A non-final file
-    /// takes the pending range tombstones starting within its key range; the
-    /// final file absorbs all that remain.
-    fn flush_file(&mut self, last: bool) -> Result<()> {
+    /// Weaves the tile being cut into pages and queues them; sends the
+    /// batch once it holds [`PAGES_PER_MESSAGE`] pages.
+    fn weave(&mut self) -> Result<()> {
+        let tile = WovenTile::weave(&self.tile, self.per_page);
+        self.batch_entries += self.tile.len() as u64;
+        self.tile.clear();
+        self.batch_pages += tile.page_count();
+        self.batch.push(Woven::Tile(tile));
+        if self.batch_pages >= PAGES_PER_MESSAGE {
+            self.send()?;
+        }
+        Ok(())
+    }
+
+    /// Ends the current file. A non-final file takes the pending range
+    /// tombstones starting within its key range; the final file absorbs all
+    /// that remain.
+    fn cut(&mut self, last: bool) -> Result<()> {
+        if !self.tile.is_empty() {
+            self.weave()?;
+        }
         // nothing to build — except a final rts-only file when point entries
         // ran out but surviving range tombstones remain
         let rts_only_file = last && !self.rts_remaining.is_empty();
-        if self.chunk.is_empty() && !rts_only_file {
+        if self.file_entries == 0 && !rts_only_file {
             return Ok(());
         }
         let rts: Vec<Entry> = if last {
             std::mem::take(&mut self.rts_remaining)
         } else {
-            let upper = self.chunk.last().map(|e| e.sort_key).unwrap_or(0);
-            let split = self.rts_remaining.partition_point(|rt| rt.sort_key <= upper);
+            let split = self.rts_remaining.partition_point(|rt| rt.sort_key <= self.last_key);
             let keep = self.rts_remaining.split_off(split);
             std::mem::replace(&mut self.rts_remaining, keep)
         };
-        let chunk = std::mem::take(&mut self.chunk);
-        probe::sub(chunk.len() as u64);
-        let has_tombstones = !rts.is_empty() || chunk.iter().any(|e| e.is_tombstone());
-        let id = self.ctx.next_file_id.fetch_add(1, Ordering::Relaxed);
-        let table = SsTable::build(
-            id,
-            chunk,
-            rts,
-            self.ctx.now,
-            if has_tombstones { self.oldest_tombstone_ts } else { None },
-            &self.ctx.config,
-            self.ctx.backend.as_ref(),
-        )?;
-        if table.meta.num_entries > 0 {
-            self.tables.push(Arc::new(table));
-        }
+        let has_tombstones = !rts.is_empty() || self.file_tombstones;
+        let oldest = if has_tombstones { self.oldest_tombstone_ts } else { None };
+        let id = self.next_file_id.fetch_add(1, Ordering::Relaxed);
+        self.batch.push(Woven::Cut { id, rts, oldest });
+        self.file_entries = 0;
+        self.file_tombstones = false;
         Ok(())
     }
 
-    /// Cuts the final file (which absorbs the remaining range tombstones)
-    /// and returns every file built.
-    fn finish(mut self) -> Result<Vec<Arc<SsTable>>> {
-        self.flush_file(true)?;
-        Ok(self.tables)
-    }
-}
-
-/// Drives `cursors` through a streaming heap merge into a
-/// [`TableStreamBuilder`]. `delete_key_filter` additionally drops surviving
-/// puts whose delete key falls in the range.
-fn stream_merge_build(
-    ctx: &BuildCtx,
-    cursors: Vec<Box<dyn EntryCursor>>,
-    range_tombstones: Vec<Entry>,
-    oldest: Option<Timestamp>,
-    drop_tombstones: bool,
-    delete_key_filter: Option<(DeleteKey, DeleteKey)>,
-) -> Result<Vec<Arc<SsTable>>> {
-    let oldest = if drop_tombstones { None } else { oldest };
-    let surviving_rts = if drop_tombstones { Vec::new() } else { range_tombstones.clone() };
-    let mut merge = MergeIterator::new(cursors, range_tombstones, drop_tombstones)?;
-    let mut builder = TableStreamBuilder::new(ctx, surviving_rts, oldest);
-    while let Some(e) = merge.next_merged()? {
-        if let Some((d_lo, d_hi)) = delete_key_filter {
-            if !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi {
-                continue;
-            }
+    /// Hands the batch to the build stage, blocking while the channel is
+    /// full, after freeing the messages the build stage has written (the
+    /// last one's vector becomes the next batch). Fails once the build
+    /// stage has stopped.
+    fn send(&mut self) -> Result<()> {
+        if self.batch.is_empty() {
+            return Ok(());
         }
-        builder.push(e)?;
+        probe::sub(std::mem::take(&mut self.batch_entries));
+        self.batch_pages = 0;
+        let mut next = Vec::new();
+        for mut spent in self.spent.try_iter() {
+            spent.clear();
+            next = spent;
+        }
+        let batch = std::mem::replace(&mut self.batch, next);
+        self.tx.send(batch).map_err(|_| {
+            StorageError::InvalidOperation("the job's build stage stopped".into())
+        })
     }
-    builder.finish()
 }
 
 impl LsmTree {
@@ -752,10 +896,16 @@ mod tests {
     use crate::config::SecondaryDeleteMode;
     use crate::stats::TreeStats;
     use crate::strategy::{DateTieredPolicy, SizeTieredPolicy};
+    use crate::cursor::VecCursor;
     use crate::tree::MaintenanceMode;
     use bytes::Bytes;
-    use lethe_storage::PageId;
+    use lethe_storage::{
+        FaultVfs, FileBackend, FileWal, IoStats, LogicalClock, Manifest, MemVfs, Page, PageId,
+        Vfs,
+    };
+    use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
+    use std::path::Path;
 
     type Oracle = BTreeMap<u64, Bytes>;
     /// File ids per `(level, run index)`.
@@ -1380,5 +1530,296 @@ mod tests {
 
         flush_frozen(&mut t);
         assert_reads(&t, &oracle, "after the fresh flush");
+    }
+
+    /// A recovered tree, driven job by job, whose store lives on `vfs`.
+    fn tree_on(vfs: &Arc<FaultVfs>, cfg: LsmConfig) -> LsmTree {
+        let (vfs, dir): (Arc<dyn Vfs>, _) = (vfs.clone(), Path::new("/"));
+        let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe").unwrap());
+        let wal = FileWal::open_on(&vfs, &dir.join("lethe.wal")).unwrap();
+        let manifest = Manifest::open_on(&vfs, &dir.join("lethe.manifest")).unwrap();
+        let clock = LogicalClock::new();
+        let mut t = LsmTree::new(cfg, backend, Box::new(wal), manifest, clock, saturation()).unwrap();
+        t.recover().unwrap();
+        t.set_maintenance_mode(MaintenanceMode::Background);
+        t
+    }
+
+    /// Regression: a job stopped by an error after finishing some of its
+    /// output files used to drop those files with nothing covering their
+    /// pages, which stayed live on the device, referenced by no version,
+    /// until a reopen's unreferenced-page pass.
+    #[test]
+    fn a_failed_job_strands_no_page_of_the_files_it_finished() {
+        let cfg = LsmConfig { max_pages_per_file: 1, ..LsmConfig::small_for_test() };
+        let vfs = FaultVfs::new(MemVfs::shared());
+        let (mut t, mut oracle) = (tree_on(&vfs, cfg), Oracle::new());
+        for k in 0.. {
+            t.put(k, k, value(k)).unwrap();
+            oracle.insert(k, value(k));
+            if t.has_frozen() {
+                break;
+            }
+        }
+        let plan = t.plan_job(true).unwrap();
+        assert!(plan.is_flush());
+        assert_eq!(t.backend.live_pages(), 0);
+        // one page per file: the 4th append fails with three files built
+        vfs.arm(3);
+        let failed = plan.execute(&t.build_ctx());
+        assert!(matches!(failed, Err(StorageError::Injected)), "the fault surfaces");
+        assert_eq!(t.backend.stats().snapshot().pages_written, 3);
+        assert_eq!(t.backend.live_pages(), 0, "the finished files' pages were released");
+
+        assert!(run(&mut t, plan), "the same plan executes once the device recovers");
+        assert_reads(&t, &oracle, "after the retried flush");
+    }
+
+    /// A device that fails the read of one page and passes everything else
+    /// through: a bad sector under a job's input.
+    struct FailingRead {
+        inner: Arc<dyn StorageBackend>,
+        page: PageId,
+    }
+
+    impl FailingRead {
+        fn check(&self, id: PageId) -> Result<()> {
+            if id == self.page {
+                return Err(StorageError::Io(std::io::Error::other("unreadable page")));
+            }
+            Ok(())
+        }
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "a pass-through device")]
+    impl StorageBackend for FailingRead {
+        fn write_page(&self, page: &Page) -> Result<PageId> {
+            self.inner.write_page(page)
+        }
+        fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
+            self.check(id)?;
+            self.inner.read_page(id)
+        }
+        fn read_page_nofill(&self, id: PageId) -> Result<Arc<Page>> {
+            self.check(id)?;
+            self.inner.read_page_nofill(id)
+        }
+        fn drop_page(&self, id: PageId) -> Result<()> {
+            self.inner.drop_page(id)
+        }
+        fn stats(&self) -> Arc<IoStats> {
+            self.inner.stats()
+        }
+        fn live_pages(&self) -> usize {
+            self.inner.live_pages()
+        }
+        fn page_ids(&self) -> Vec<PageId> {
+            self.inner.page_ids()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// Fails each append of a multi-file compaction in turn, then one read
+    /// of its last input page: every fault surfaces as the job's error, no
+    /// page of its output survives it, both stages stop (the test would
+    /// hang otherwise), and the untouched tree still reads the oracle and
+    /// runs the job once the device recovers.
+    #[test]
+    fn every_failed_append_or_read_of_a_job_fails_it_cleanly() {
+        let cfg = LsmConfig { size_ratio: 2, ..LsmConfig::small_for_test() };
+        let vfs = FaultVfs::new(MemVfs::shared());
+        let (mut t, mut oracle) = (tree_on(&vfs, cfg.clone()), Oracle::new());
+        let plan = grow_until(&mut t, &mut oracle, |_, p| {
+            let entries: u64 = p.inputs.iter().map(|f| f.meta.num_entries).sum();
+            !p.trivial_move && p.inputs.len() > 1 && entries > 2 * cfg.entries_per_file() as u64
+        });
+        t.versions.collect_garbage(t.backend.as_ref());
+        let live = t.backend.live_pages();
+
+        let last_input_page = plan.inputs.iter().flat_map(|f| &f.tiles).flat_map(|tile| &tile.pages);
+        let page = last_input_page.map(|p| p.id).max().unwrap();
+        let failing = FailingRead { inner: Arc::clone(&t.backend), page };
+        let ctx = BuildCtx { backend: Arc::new(failing), ..t.build_ctx() };
+        let written = t.backend.stats().snapshot().pages_written;
+        let failed = plan.execute(&ctx);
+        assert!(matches!(failed, Err(StorageError::Io(_))), "the failed read surfaces");
+        assert!(t.backend.stats().snapshot().pages_written > written, "it failed mid-job");
+        assert_eq!(t.backend.live_pages(), live, "after the failed read");
+
+        let mut appends = 0;
+        let out = loop {
+            vfs.arm(appends);
+            let out = plan.execute(&t.build_ctx());
+            let fired = !vfs.is_armed();
+            vfs.disarm();
+            match out {
+                Err(e) => {
+                    assert!(fired && matches!(e, StorageError::Injected), "append {appends}: {e}");
+                    assert_eq!(t.backend.live_pages(), live, "after failing append {appends}");
+                    assert_reads(&t, &oracle, "after a failed job");
+                    appends += 1;
+                }
+                Ok(out) => break out,
+            }
+        };
+        assert!(out.tables.len() > 2, "a multi-file job: {} files", out.tables.len());
+        let pages: usize = out.tables.iter().map(|f| f.page_count()).sum();
+        assert_eq!(appends as usize, pages, "every append of the job was failed once");
+        assert!(t.apply_job(plan, out).unwrap());
+        assert_reads(&t, &oracle, "after the job");
+    }
+
+    /// The stream the pipeline is fed in the equivalence check: `(sort-key
+    /// gap, delete key, tombstone, seqnum)` per entry, and `(start, length,
+    /// seqnum)` per range tombstone.
+    type Stream = (Vec<(u64, u64, bool, u64)>, Vec<(u64, u64, u64)>);
+
+    fn stream_strategy() -> impl Strategy<Value = Stream> {
+        let tombstone = (0u8..10).prop_map(|d| d == 0);
+        let entry = (1u64..4, 0u64..1_000, tombstone, 1u64..100_000);
+        let entries = prop_oneof![
+            1 => Just(Vec::new()),
+            8 => prop::collection::vec(entry, 1..400),
+        ];
+        let rts = prop::collection::vec((0u64..1_400, 1u64..64, 1u64..100_000), 0..5);
+        (entries, rts)
+    }
+
+    /// The files [`SsTable::build`] makes of `entries` cut at every
+    /// `entries_per_file`-th entry, range tombstones attached by start key
+    /// and the rest to the final file, which a stream of range tombstones
+    /// only still gets: the layout the pipeline must reproduce.
+    fn reference_build(
+        entries: &[Entry],
+        mut rts: Vec<Entry>,
+        oldest: Option<Timestamp>,
+        ctx: &BuildCtx,
+    ) -> Vec<SsTable> {
+        rts.sort_by_key(|e| e.sort_key);
+        let mut chunks: Vec<&[Entry]> = entries.chunks(ctx.config.entries_per_file()).collect();
+        if chunks.is_empty() && !rts.is_empty() {
+            chunks.push(&[]);
+        }
+        let last = chunks.len().saturating_sub(1);
+        let mut files = Vec::new();
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            let file_rts = if i == last {
+                std::mem::take(&mut rts)
+            } else {
+                let upper = chunk.last().map_or(0, |e| e.sort_key);
+                let keep = rts.split_off(rts.partition_point(|rt| rt.sort_key <= upper));
+                std::mem::replace(&mut rts, keep)
+            };
+            let tombstones = !file_rts.is_empty() || chunk.iter().any(Entry::is_tombstone);
+            let id = ctx.next_file_id.fetch_add(1, Ordering::Relaxed);
+            let oldest = if tombstones { oldest } else { None };
+            let built = SsTable::build(
+                id,
+                chunk.to_vec(),
+                file_rts,
+                ctx.now,
+                oldest,
+                &ctx.config,
+                ctx.backend.as_ref(),
+            );
+            files.push(built.unwrap());
+        }
+        files
+    }
+
+    /// Runs `stream` through the pipeline and through [`reference_build`],
+    /// each onto a fresh device, and checks that they wrote the same files
+    /// with the same page ids in the same order, the same page bytes, the
+    /// same range tombstones in the same files, and the same `max_seqnum`
+    /// and tombstone age. Returns the number of files.
+    fn pipeline_matches_build(
+        h: usize,
+        pages_per_file: usize,
+        stream: Stream,
+        oldest: Option<Timestamp>,
+    ) -> usize {
+        let config = LsmConfig {
+            pages_per_delete_tile: h,
+            max_pages_per_file: pages_per_file,
+            ..LsmConfig::small_for_test()
+        };
+        let (entries, rts) = stream;
+        let mut key = 0;
+        let entries: Vec<Entry> = entries
+            .into_iter()
+            .map(|(gap, dk, tombstone, seq)| {
+                key += gap;
+                match tombstone {
+                    true => Entry::point_tombstone(key, seq),
+                    false => Entry::put(key, dk, seq, value(key)),
+                }
+            })
+            .collect();
+        let rts: Vec<Entry> =
+            rts.into_iter().map(|(start, len, seq)| Entry::range_tombstone(start, start + len, seq)).collect();
+        let ctx = |backend: &Arc<FileBackend>| BuildCtx {
+            config: config.clone(),
+            backend: Arc::clone(backend) as Arc<dyn StorageBackend>,
+            now: 77,
+            next_file_id: Arc::new(AtomicU64::new(1)),
+        };
+        let piped_dev = Arc::new(FileBackend::in_memory().unwrap());
+        let built_dev = Arc::new(FileBackend::in_memory().unwrap());
+        let mut source = VecCursor::from_sorted(entries.clone());
+        let piped = pipeline(&ctx(&piped_dev), &mut source, rts.clone(), oldest, None).unwrap();
+        let built = reference_build(&entries, rts, oldest, &ctx(&built_dev));
+
+        assert_eq!(piped.len(), built.len(), "files");
+        for (p, b) in piped.iter().zip(&built) {
+            assert_eq!(*p.describe(), *b.describe(), "page ids, range tombstones, seqnum, age");
+            assert_eq!(p.meta.max_seqnum, b.meta.max_seqnum);
+            assert_eq!(p.meta.oldest_tombstone_ts, b.meta.oldest_tombstone_ts);
+            assert_eq!(p.meta.data_bytes, b.meta.data_bytes);
+            for id in p.tiles.iter().flat_map(|tile| tile.pages.iter().map(|page| page.id)) {
+                assert_eq!(piped_dev.read_page(id).unwrap(), built_dev.read_page(id).unwrap());
+            }
+            let stored = p.read_all_entries(piped_dev.as_ref()).unwrap();
+            let seqnums = stored.iter().chain(&p.range_tombstones).map(|e| e.seqnum);
+            assert_eq!(p.meta.max_seqnum, seqnums.max().unwrap_or(0), "max_seqnum of what the file holds");
+        }
+        assert_eq!(piped_dev.page_ids().len(), built_dev.page_ids().len(), "pages written");
+        piped.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The pipelined job writes exactly what one thread building each
+        /// file with [`SsTable::build`] writes.
+        #[test]
+        fn the_pipeline_builds_what_sstable_build_builds(
+            h in prop_oneof![1 => Just(1usize), 1 => Just(4usize), 1 => Just(8usize)],
+            pages_per_file in 1usize..20,
+            stream in stream_strategy(),
+            oldest in prop_oneof![1 => Just(None), 3 => (0u64..1_000).prop_map(Some)],
+        ) {
+            pipeline_matches_build(h, pages_per_file, stream, oldest);
+        }
+    }
+
+    /// The shapes the random streams may miss: no output at all, a final
+    /// file of range tombstones only, a range tombstone starting at the last
+    /// key of a file, a stream ending exactly at a file boundary, and a tile
+    /// split by a file boundary.
+    #[test]
+    fn the_pipeline_builds_what_sstable_build_builds_at_the_edges() {
+        let puts = |n: usize| (0..n as u64).map(|k| (1, (k * 37) % 1_000, k % 7 == 0, k + 1)).collect();
+        let rts = vec![(3, 10, 900), (5_000, 20, 901)];
+        for h in [1, 4, 8] {
+            assert_eq!(pipeline_matches_build(h, 2, (Vec::new(), Vec::new()), Some(5)), 0);
+            assert_eq!(pipeline_matches_build(h, 2, (Vec::new(), rts.clone()), Some(5)), 1);
+            // keys run 1, 2, ...: the first file ends at key `per_file`
+            let per_file = 2 * h * LsmConfig::small_for_test().entries_per_page;
+            let at_cut = [rts.clone(), vec![(per_file as u64, 3, 902)]].concat();
+            assert_eq!(pipeline_matches_build(h, 2 * h, (puts(3 * per_file), at_cut), Some(5)), 3);
+            assert_eq!(pipeline_matches_build(h, 3, (puts(100), rts.clone()), None), 100usize.div_ceil(12));
+        }
     }
 }

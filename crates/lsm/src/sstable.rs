@@ -20,6 +20,8 @@
 //! boundary pages of each tile (*partial page drops*).
 
 use crate::config::LsmConfig;
+use crate::cursor::entry_order;
+use crate::reclaim::PageReservation;
 use lethe_storage::{
     BloomFilter, DeleteFence, DeleteKey, Entry, FencePointers, FileDesc, IoStats, Page,
     PageCoverage, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp,
@@ -103,6 +105,116 @@ impl DeleteTile {
     }
 }
 
+/// One delete tile woven into its pages (key weaving, paper §4.2.1): the
+/// tile's entries ordered on the delete key and cut into pages of `B`, each
+/// page re-sorted on the sort key and encoded. Weaving is all CPU and
+/// touches no device; [`TableWriter::push_tile`] writes the pages, so the
+/// two steps can run on different threads.
+#[derive(Debug)]
+pub(crate) struct WovenTile {
+    /// The tile's encoded pages, in delete-key order.
+    pages: Vec<Page>,
+    /// Largest sequence number among the tile's entries.
+    max_seqnum: SeqNum,
+}
+
+impl WovenTile {
+    /// Weaves one tile of a file, given as its entries in sort-key order:
+    /// a stable sort on the delete key (entries with equal delete keys keep
+    /// their sort-key order), then each chunk of `entries_per_page` sorted as
+    /// [`Page::new`] sorts its entries and encoded. The sorts permute
+    /// indices, not entries, and each page is encoded straight from the
+    /// tile; the pages are byte-identical to `Page::new` of each chunk.
+    pub(crate) fn weave(entries: &[Entry], entries_per_page: usize) -> WovenTile {
+        let max_seqnum = entries.iter().map(|e| e.seqnum).max().unwrap_or(0);
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by_key(|&i| entries[i].delete_key);
+        let mut page: Vec<&Entry> = Vec::with_capacity(entries_per_page);
+        let pages = order
+            .chunks_mut(entries_per_page.max(1))
+            .map(|chunk| {
+                chunk.sort_by(|&a, &b| entry_order(&entries[a], &entries[b]));
+                page.clear();
+                page.extend(chunk.iter().map(|&i| &entries[i]));
+                Page::from_sorted(&page)
+            })
+            .collect();
+        WovenTile { pages, max_seqnum }
+    }
+
+    /// Number of pages the tile was cut into.
+    pub(crate) fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+}
+
+/// Writes woven tiles to the device and cuts them into files: the one
+/// place the pages of a new file are written. Each page is framed,
+/// checksummed and appended through one [`PageReservation`], then gets its
+/// [`PageHandle`] (Bloom filter and fences); [`TableWriter::cut`]
+/// assembles the tiles pushed since the previous cut into a file.
+///
+/// The reservation covers every page the writer wrote, across all the
+/// files it cut, until [`TableWriter::finish`]: a writer dropped on an
+/// error path retires them all, so a job that fails after finishing some of
+/// its output files strands none of their pages.
+pub(crate) struct TableWriter<'a> {
+    reservation: PageReservation<'a>,
+    bits_per_key: f64,
+    /// Tiles of the file being written.
+    tiles: Vec<DeleteTile>,
+    /// Largest sequence number in those tiles.
+    max_seqnum: SeqNum,
+}
+
+impl<'a> TableWriter<'a> {
+    /// A writer of files for `config` onto `backend`.
+    pub(crate) fn new(backend: &'a dyn StorageBackend, config: &LsmConfig) -> TableWriter<'a> {
+        TableWriter {
+            reservation: PageReservation::new(backend),
+            bits_per_key: config.bits_per_key,
+            tiles: Vec::new(),
+            max_seqnum: 0,
+        }
+    }
+
+    /// Writes the tile's pages, in order, as the next tile of the file
+    /// being written.
+    pub(crate) fn push_tile(&mut self, tile: &WovenTile) -> Result<()> {
+        let mut pages = Vec::with_capacity(tile.pages.len());
+        for page in &tile.pages {
+            let id = self.reservation.write(page)?;
+            pages.push(PageHandle::from_page(id, page, self.bits_per_key));
+        }
+        self.tiles.push(DeleteTile::from_pages(pages));
+        self.max_seqnum = self.max_seqnum.max(tile.max_seqnum);
+        Ok(())
+    }
+
+    /// Assembles the tiles pushed since the last cut (possibly none, for a
+    /// file of range tombstones only) and `range_tombstones` into file
+    /// `id`. Its pages stay covered until [`TableWriter::finish`].
+    pub(crate) fn cut(
+        &mut self,
+        id: u64,
+        range_tombstones: Vec<Entry>,
+        created_at: Timestamp,
+        oldest_tombstone_ts: Option<Timestamp>,
+    ) -> SsTable {
+        let max_seqnum = range_tombstones
+            .iter()
+            .map(|e| e.seqnum)
+            .fold(std::mem::take(&mut self.max_seqnum), SeqNum::max);
+        let tiles = std::mem::take(&mut self.tiles);
+        SsTable::assemble(id, tiles, range_tombstones, created_at, oldest_tombstone_ts, max_seqnum)
+    }
+
+    /// Hands every page written over to the files cut: they now own them.
+    pub(crate) fn finish(self) {
+        self.reservation.defuse();
+    }
+}
+
 /// Immutable metadata describing a file.
 #[derive(Debug, Clone)]
 pub struct SsTableMeta {
@@ -182,7 +294,9 @@ impl SecondaryDeleteStats {
 impl SsTable {
     /// Builds a file from entries already sorted on the sort key (newest
     /// version per key only — the tree deduplicates before building) and a
-    /// list of range tombstones, writing its pages to `backend`.
+    /// list of range tombstones, writing its pages to `backend`: the entries
+    /// are woven a tile at a time and written through one table writer, the
+    /// same two steps a job's execute splits across two threads.
     ///
     /// `oldest_tombstone_ts` is the insertion time of the oldest tombstone
     /// among the inputs that ended up in this file; the caller (flush or
@@ -197,46 +311,13 @@ impl SsTable {
         backend: &dyn StorageBackend,
     ) -> Result<SsTable> {
         debug_assert!(entries.windows(2).all(|w| w[0].sort_key <= w[1].sort_key));
-        let entries_per_page = config.entries_per_page.max(1);
-        let entries_per_tile = config.entries_per_tile().max(1);
-
-        let max_seqnum = entries
-            .iter()
-            .map(|e| e.seqnum)
-            .chain(range_tombstones.iter().map(|e| e.seqnum))
-            .max()
-            .unwrap_or(0);
-
-        // Key weaving: chunk the S-sorted stream into tiles of h·B entries;
-        // inside each tile order by D, cut pages of B entries, and let the
-        // page itself re-sort its contents on S.
-        // Until the table below takes ownership, a failed later write would
-        // strand every page already on disk — keep them covered.
-        let mut reservation = crate::reclaim::PageReservation::new(backend);
-        let mut tiles = Vec::new();
-        let mut idx = 0usize;
-        while idx < entries.len() {
-            let end = (idx + entries_per_tile).min(entries.len());
-            let mut tile_entries: Vec<Entry> = entries[idx..end].to_vec();
-            tile_entries.sort_by_key(|e| e.delete_key);
-            let mut pages = Vec::new();
-            for chunk in tile_entries.chunks(entries_per_page) {
-                let page = Page::new(chunk.to_vec());
-                let pid = reservation.write(&page)?;
-                pages.push(PageHandle::from_page(pid, &page, config.bits_per_key));
-            }
-            tiles.push(DeleteTile::from_pages(pages));
-            idx = end;
+        let mut writer = TableWriter::new(backend, config);
+        for tile in entries.chunks(config.entries_per_tile().max(1)) {
+            writer.push_tile(&WovenTile::weave(tile, config.entries_per_page))?;
         }
-        reservation.defuse();
-        Ok(SsTable::assemble(
-            id,
-            tiles,
-            range_tombstones,
-            created_at,
-            oldest_tombstone_ts,
-            max_seqnum,
-        ))
+        let table = writer.cut(id, range_tombstones, created_at, oldest_tombstone_ts);
+        writer.finish();
+        Ok(table)
     }
 
     /// Assembles a file around its finished tiles and range-tombstone block,
@@ -550,7 +631,7 @@ impl SsTable {
         let mut new_tiles: Vec<DeleteTile> = Vec::with_capacity(self.tiles.len());
         // rewritten pages belong to nothing until the surviving file below
         // exists; a failed later read/write must not strand them on disk
-        let mut reservation = crate::reclaim::PageReservation::new(backend);
+        let mut reservation = PageReservation::new(backend);
 
         for tile in &self.tiles {
             let mut surviving: Vec<PageHandle> = Vec::with_capacity(tile.pages.len());
@@ -640,6 +721,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use lethe_storage::{FaultVfs, FileBackend, MemVfs, Vfs};
+    use proptest::prelude::*;
     use std::path::Path;
 
     fn config(h: usize) -> LsmConfig {
@@ -971,6 +1053,37 @@ mod tests {
         assert!(backend.live_pages() > 0);
         t.release_pages(backend.as_ref());
         assert_eq!(backend.live_pages(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The weave lays a tile out exactly as sorting a copy of it on the
+        /// delete key (stably) and building `Page::new` of each chunk of `B`
+        /// entries did: the same entries in the same pages, the same bytes.
+        #[test]
+        fn weave_matches_page_new_of_each_delete_key_chunk(
+            keys in prop::collection::vec((1u64..4, 0u64..16, 0u8..8), 1..64),
+            per_page in 1usize..9,
+        ) {
+            let mut key = 0;
+            let tile: Vec<Entry> = keys
+                .into_iter()
+                .map(|(gap, dk, kind)| {
+                    key += gap;
+                    match kind {
+                        0 => Entry::point_tombstone(key, key),
+                        _ => Entry::put(key, dk, key, Bytes::from(vec![kind; kind as usize])),
+                    }
+                })
+                .collect();
+            let mut by_delete_key = tile.clone();
+            by_delete_key.sort_by_key(|e| e.delete_key);
+            let expected: Vec<Page> =
+                by_delete_key.chunks(per_page).map(|chunk| Page::new(chunk.to_vec())).collect();
+            let woven = WovenTile::weave(&tile, per_page);
+            prop_assert_eq!(woven.pages, expected);
+        }
     }
 
     /// A device on a fault-injecting file system over memory: a page write

@@ -175,8 +175,14 @@ struct Index {
 struct Appender {
     segment: Arc<Segment>,
     /// End of the last good frame. The handle appends at end-of-file whatever
-    /// this says, so `write_page` cuts the file back to it first.
+    /// this says, so a file longer than this must be cut back first.
     end: u64,
+    /// The file may hold bytes behind `end`: set when the segment is opened
+    /// and after a failed append (whose partial frame the immediate cut may
+    /// not have removed). The next `write_page` checks the length and cuts
+    /// the tail only while this is set; otherwise this device is the file's
+    /// only writer and every append it made landed at `end`.
+    tail_unchecked: bool,
     /// The last `sync()` found the segment at its target: the next write
     /// creates its successor.
     sealed: bool,
@@ -323,7 +329,8 @@ impl FileBackend {
         // what a reopen finds on disk is as durable as it will get, so a
         // full newest segment (or an older store's one big file) starts sealed
         let sealed = end >= SEGMENT_TARGET_BYTES;
-        let appender = Appender { segment, end, sealed, unsynced_entry: false };
+        let appender =
+            Appender { segment, end, sealed, unsynced_entry: false, tail_unchecked: true };
         Ok(FileBackend {
             vfs: Arc::clone(vfs),
             base,
@@ -370,6 +377,7 @@ impl FileBackend {
             end: 0,
             sealed: false,
             unsynced_entry: true,
+            tail_unchecked: false,
         };
         let old = std::mem::replace(app, successor).segment;
         let old_died = {
@@ -413,19 +421,23 @@ impl StorageBackend for FileBackend {
         if app.sealed {
             self.roll(&mut app)?;
         }
-        // the handle appends at end-of-file: whatever lies behind the last
-        // good frame (the partial frame of a failed append) is cut away
+        // the handle appends at end-of-file: whatever may lie behind the
+        // last good frame (the partial frame of a failed append) is cut away
         // first, so the offset indexed below is where the frame really lands
-        let file = &app.segment.file;
-        if file.len()? != app.end {
-            file.set_len(app.end)?;
+        if app.tail_unchecked {
+            let file = &app.segment.file;
+            if file.len()? != app.end {
+                file.set_len(app.end)?;
+            }
+            app.tail_unchecked = false;
         }
         // ids are issued under the appender lock, so every id in a segment
         // is at or above the segment's name and below its successor's
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(id, &encoded);
-        if let Err(e) = file.append(&frame) {
-            let _ = file.set_len(app.end);
+        if let Err(e) = app.segment.file.append(&frame) {
+            let _ = app.segment.file.set_len(app.end);
+            app.tail_unchecked = true;
             return Err(e.into());
         }
         let at = (Arc::clone(&app.segment), app.end + FRAME_HEADER as u64, encoded.len() as u32);
@@ -712,22 +724,122 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A file system over memory whose armed file fails its next append
+    /// part-way, after writing half the bytes, and then the cut that
+    /// would take them back: what a `write_all` that failed part-way on a
+    /// device that then refused the truncation leaves behind.
+    #[derive(Debug)]
+    struct TornVfs {
+        inner: Arc<dyn Vfs>,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    #[derive(Debug)]
+    struct TornFile {
+        inner: Arc<dyn VfsFile>,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Vfs for TornVfs {
+        fn open(&self, path: &Path, create: bool) -> std::io::Result<Arc<dyn VfsFile>> {
+            let inner = self.inner.open(path, create)?;
+            Ok(Arc::new(TornFile { inner, armed: Arc::clone(&self.armed) }))
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.sync_dir(dir)
+        }
+    }
+
+    impl VfsFile for TornFile {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.inner.read_at(buf, offset)
+        }
+        fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+            if self.armed.load(Ordering::SeqCst) {
+                self.inner.append(&bytes[..bytes.len() / 2])?;
+                return Err(std::io::Error::other("torn append"));
+            }
+            self.inner.append(bytes)
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.inner.len()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                return Err(std::io::Error::other("refused cut"));
+            }
+            self.inner.set_len(len)
+        }
+        fn sync_data(&self) -> std::io::Result<()> {
+            self.inner.sync_data()
+        }
+        fn sync_all(&self) -> std::io::Result<()> {
+            self.inner.sync_all()
+        }
+    }
+
     #[test]
     fn debris_behind_the_last_frame_is_cut_before_the_next_append() {
-        let dir = fresh_dir("debris");
-        let b = FileBackend::open(&dir).unwrap();
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let vfs: Arc<dyn Vfs> =
+            Arc::new(TornVfs { inner: crate::vfs::MemVfs::shared(), armed: Arc::clone(&armed) });
+        let dir = Path::new("/debris");
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
         let a = b.write_page(&page(&[1, 2, 3])).unwrap();
-        // what a `write_all` that failed part-way leaves behind
-        append_half_a_frame(&b.data_path());
+        let good_end = vfs.open(&b.data_path(), false).unwrap().len().unwrap();
+        armed.store(true, Ordering::SeqCst);
+        assert!(b.write_page(&page(&[9])).is_err());
+        let debris = vfs.open(&b.data_path(), false).unwrap().len().unwrap();
+        assert!(debris > good_end, "the failed append left half a frame behind");
         let c = b.write_page(&page(&[4, 5])).unwrap();
         b.sync().unwrap();
         assert_eq!(b.read_page(c).unwrap().len(), 2);
         drop(b);
-        let b = FileBackend::open(&dir).expect("the debris must not reach the next open");
+        let b = FileBackend::open_on(&vfs, dir, "lethe").expect("the debris must not reach the next open");
         assert_eq!(b.torn_frames_recovered(), 0);
+        assert_eq!(b.page_ids().len(), 2);
         assert_eq!(b.read_page(a).unwrap().len(), 3);
         assert_eq!(b.read_page(c).unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_then_a_good_one_leaves_one_intact_frame() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+        let dir = Path::new("/failed");
+        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let file = || dyn_vfs.open(&b.data_path(), false).unwrap();
+        let a = b.write_page(&page(&[1, 2, 3])).unwrap();
+        let after_a = file().len().unwrap();
+        vfs.arm(0);
+        assert!(matches!(b.write_page(&page(&[9])), Err(StorageError::Injected)));
+        assert_eq!(file().len().unwrap(), after_a, "the failed append left nothing");
+        let c = b.write_page(&page(&[4, 5])).unwrap();
+        let frame = encode_frame(c, &page(&[4, 5]).encode());
+        assert_eq!(file().len().unwrap(), after_a + frame.len() as u64, "one frame more");
+        let mut tail = vec![0u8; frame.len()];
+        file().read_at(&mut tail, after_a).unwrap();
+        assert_eq!(tail, frame.to_vec(), "the good append is one intact frame at the old end");
+        b.sync().unwrap();
+        drop(b);
+        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        assert_eq!(b.torn_frames_recovered(), 0);
+        let mut ids = b.page_ids();
+        ids.sort_unstable();
+        assert_eq!(ids, [a, c], "the failed write's id names no frame");
+        assert_eq!(b.read_page(c).unwrap().len(), 2);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::entry::{encoded, DeleteKey, Entry, SortKey, HEADER_BYTES};
 use crate::error::{Result, StorageError};
 use crate::fence::DeleteFence;
 use bytes::{BufMut, Bytes, BytesMut};
+use std::borrow::Borrow;
 
 /// An immutable, sorted collection of entries; the unit of device I/O.
 #[derive(Clone, PartialEq, Eq)]
@@ -57,18 +58,22 @@ impl Page {
         Page::from_sorted(entries)
     }
 
-    /// Builds a page from entries already sorted on the sort key.
-    /// Debug builds assert the precondition.
-    pub fn from_sorted(entries: Vec<Entry>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].sort_key <= w[1].sort_key));
-        let data_size = entries.iter().map(Entry::encoded_size).sum();
+    /// Builds a page from entries already sorted on the sort key, encoding
+    /// them from wherever they lie: an owned vector, a slice of a larger
+    /// buffer, or references picked out of one in page order. Debug builds
+    /// assert the precondition.
+    pub fn from_sorted<E: Borrow<Entry>>(entries: impl AsRef<[E]>) -> Self {
+        let entries = entries.as_ref();
+        let key = |e: &E| e.borrow().sort_key;
+        debug_assert!(entries.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+        let data_size = entries.iter().map(|e| e.borrow().encoded_size()).sum();
         let mut buf = BytesMut::with_capacity(PAGE_HEADER + data_size + entries.len() * 4);
         buf.put_u32(PAGE_MAGIC);
         buf.put_u32(entries.len() as u32);
         let mut offsets = Vec::with_capacity(entries.len());
-        for e in &entries {
+        for e in entries {
             offsets.push(buf.len() as u32);
-            e.encode_into(&mut buf);
+            e.borrow().encode_into(&mut buf);
         }
         Page { bytes: buf.freeze(), offsets, data_size }
     }

@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use lethe::lsm::cursor::probe;
+use lethe::lsm::jobs::PAGES_PER_MESSAGE;
 use lethe::lsm::merge::merge_entries;
 use lethe::lsm::LsmConfig;
 use lethe::{Lethe, LetheBuilder, ShardedLetheBuilder};
@@ -285,11 +286,13 @@ proptest! {
 
 // ------------------------------------------------- bounded-memory merges
 
-/// A compaction that merges the whole tree must not materialise its input:
-/// the streaming execute phase peaks at one output file's entries plus one
-/// delete tile per input file — far below the total entry count.
+/// A compaction that merges the whole tree must not materialise its input,
+/// nor even one output file: the merge stage of the execute phase peaks at
+/// one delete tile per input file, the output tile being cut, and the woven
+/// pages of one message not yet handed to the build stage — far below both
+/// the total entry count and one output file's entries.
 #[test]
-fn full_compaction_memory_is_bounded_by_file_granularity() {
+fn full_compaction_memory_is_bounded_by_tile_granularity() {
     let mut cfg = small_config(2);
     cfg.buffer_pages = 32; // 128-entry flushes
     cfg.max_pages_per_file = 32; // 128-entry files (tiles stay at h·B = 8)
@@ -311,13 +314,23 @@ fn full_compaction_memory_is_bounded_by_file_granularity() {
     db.tree_mut().force_full_compaction().unwrap();
     let peak = probe::peak();
 
-    // bound: one output file chunk + one tile per input file + slack
+    // bound: one output tile + one message of woven pages + one tile per
+    // input file + slack. A message is sent once it holds PAGES_PER_MESSAGE
+    // pages, so it holds at most one tile more. Past this thread, a fixed
+    // number of messages is queued, being written or waiting to be freed:
+    // a constant, whatever the size of the files or the job.
     let per_file = (cfg.max_pages_per_file * cfg.entries_per_page) as u64;
     let per_tile = (cfg.pages_per_delete_tile * cfg.entries_per_page) as u64;
-    let bound = per_file + files as u64 * per_tile + 64;
+    let per_message =
+        ((PAGES_PER_MESSAGE + cfg.pages_per_delete_tile) * cfg.entries_per_page) as u64;
+    let bound = per_tile + per_message + files as u64 * per_tile + 64;
+    assert!(
+        per_tile + per_message < per_file,
+        "the bound must be tighter than one output file ({per_file} entries)"
+    );
     assert!(
         peak <= bound,
-        "compaction peak working set {peak} exceeds file-granularity bound {bound}"
+        "compaction peak working set {peak} exceeds tile-granularity bound {bound}"
     );
     assert!(
         peak < total / 4,
