@@ -17,10 +17,11 @@
 //!   a scan never holds more than one tile of one file in memory per input.
 //! * [`MergeIterator`] — a binary-heap k-way merge over cursors that yields
 //!   the newest version per key with range-tombstone shadowing applied
-//!   incrementally through a sorted [`TombstoneWindow`] (O(log t) per entry
-//!   instead of a full tombstone-list scan per entry). A merge is itself an
-//!   [`EntryCursor`], so merges nest: the sharded front-end merges one
-//!   merged stream per shard.
+//!   incrementally: the merge fragments its range tombstones once
+//!   ([`TombstoneFragments`]) and sweeps the fragments forward with the
+//!   keys (amortised O(1) per entry instead of a full tombstone-list scan
+//!   per entry). A merge is itself an [`EntryCursor`], so merges nest: the
+//!   sharded front-end merges one merged stream per shard.
 //!
 //! The consumers are `ReadView::iter_range` (streaming scans over pinned
 //! files; `range` collects it), the cross-shard fan-out and checkpoint in
@@ -29,11 +30,12 @@
 //! of an output file).
 
 use crate::sstable::SsTable;
-use lethe_storage::{Entry, Result, SeqNum, SortKey, StorageBackend};
+use lethe_storage::{
+    Entry, FragmentCursor, Result, SortKey, StorageBackend, TombstoneFragments,
+};
 use std::cmp::Ordering as CmpOrdering;
-use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A fallible stream of entries sorted on `(sort_key asc, seqnum desc)`.
@@ -294,77 +296,6 @@ impl Drop for SsTableCursor {
     }
 }
 
-// ----------------------------------------------------------------- window
-
-/// Incremental range-tombstone shadowing for a stream of entries visited in
-/// non-decreasing sort-key order.
-///
-/// The seed applied range tombstones by scanning the *entire* tombstone
-/// list once per merged entry (O(entries × tombstones)). The window instead
-/// keeps the tombstones sorted by start key and sweeps once: tombstones
-/// whose start has been passed enter an *active* set (a min-heap on their
-/// end key for O(log t) expiry, plus a seqnum multiset for an O(1) "newest
-/// active covering seqnum" query), and leave it when the key sweeps past
-/// their end. Total cost is O((entries + tombstones) · log tombstones).
-pub struct TombstoneWindow {
-    /// Tombstones sorted by start key (`sort_key`).
-    rts: Vec<Entry>,
-    /// Next tombstone whose start has not been reached yet.
-    idx: usize,
-    /// Active tombstones as `(end, seqnum)`, min-heap on `end`.
-    active_ends: BinaryHeap<Reverse<(SortKey, SeqNum)>>,
-    /// Multiset of active tombstone seqnums.
-    active_seqs: BTreeMap<SeqNum, u32>,
-}
-
-impl TombstoneWindow {
-    /// Builds a window over `range_tombstones` (any order; sorted here).
-    pub fn new(mut range_tombstones: Vec<Entry>) -> Self {
-        range_tombstones.retain(|e| e.is_range_tombstone());
-        range_tombstones.sort_by_key(|e| e.sort_key);
-        TombstoneWindow {
-            rts: range_tombstones,
-            idx: 0,
-            active_ends: BinaryHeap::new(),
-            active_seqs: BTreeMap::new(),
-        }
-    }
-
-    /// True if a range tombstone strictly newer than `seqnum` covers `key`.
-    ///
-    /// Keys must be queried in non-decreasing order (the merge emits them
-    /// that way); repeated queries at the same key are fine.
-    pub fn shadows(&mut self, key: SortKey, seqnum: SeqNum) -> bool {
-        // admit tombstones whose start has been reached
-        while self.idx < self.rts.len() && self.rts[self.idx].sort_key <= key {
-            let rt = &self.rts[self.idx];
-            self.idx += 1;
-            let end = rt.range_end().unwrap_or(rt.sort_key);
-            if end > key {
-                self.active_ends.push(Reverse((end, rt.seqnum)));
-                *self.active_seqs.entry(rt.seqnum).or_insert(0) += 1;
-            }
-        }
-        // expire tombstones the key has swept past
-        while let Some(Reverse((end, seq))) = self.active_ends.peek().copied() {
-            if end > key {
-                break;
-            }
-            self.active_ends.pop();
-            if let Some(n) = self.active_seqs.get_mut(&seq) {
-                *n -= 1;
-                if *n == 0 {
-                    self.active_seqs.remove(&seq);
-                }
-            }
-        }
-        match self.active_seqs.last_key_value() {
-            Some((&newest, _)) => newest > seqnum,
-            None => false,
-        }
-    }
-}
-
 // ------------------------------------------------------------------ merge
 
 /// One source's head entry queued in the merge heap. The heap is a max-heap,
@@ -399,7 +330,7 @@ impl Ord for HeapHead {
 
 /// A binary-heap k-way merge over entry cursors that yields the newest
 /// version per sort key, with range-tombstone shadowing applied through a
-/// [`TombstoneWindow`] and (optionally) tombstones themselves dropped — the
+/// [`FragmentCursor`] and (optionally) tombstones themselves dropped — the
 /// streaming equivalent of the seed's materialising `merge_entries`.
 ///
 /// Sources must be supplied **newest first** (active memtable, frozen
@@ -409,7 +340,7 @@ impl Ord for HeapHead {
 pub struct MergeIterator {
     cursors: Vec<Box<dyn EntryCursor>>,
     heap: BinaryHeap<HeapHead>,
-    window: TombstoneWindow,
+    fragments: FragmentCursor,
     drop_tombstones: bool,
     last_key: Option<SortKey>,
 }
@@ -435,7 +366,7 @@ impl MergeIterator {
         Ok(MergeIterator {
             cursors,
             heap,
-            window: TombstoneWindow::new(range_tombstones),
+            fragments: TombstoneFragments::from_tombstones(&range_tombstones).into_cursor(),
             drop_tombstones,
             last_key: None,
         })
@@ -455,7 +386,7 @@ impl MergeIterator {
                 continue; // an older version of a key already decided
             }
             self.last_key = Some(entry.sort_key);
-            if self.window.shadows(entry.sort_key, entry.seqnum) {
+            if self.fragments.shadows(entry.sort_key, entry.seqnum) {
                 continue;
             }
             if self.drop_tombstones && entry.is_tombstone() {
@@ -543,37 +474,6 @@ mod tests {
             collect(MergeIterator::new(vec![Box::new(a), Box::new(b)], vec![], false).unwrap());
         let got: Vec<(u64, bool)> = out.iter().map(|e| (e.sort_key, e.is_tombstone())).collect();
         assert_eq!(got, vec![(1, false), (2, false), (3, false), (4, true)]);
-    }
-
-    #[test]
-    fn tombstone_window_shadows_covered_older_entries_only() {
-        let rts = vec![Entry::range_tombstone(10, 20, 100), Entry::range_tombstone(15, 30, 50)];
-        let mut w = TombstoneWindow::new(rts);
-        assert!(!w.shadows(5, 1)); // before any tombstone
-        assert!(w.shadows(10, 99)); // covered, older than seq 100
-        assert!(!w.shadows(12, 100)); // same seq is not shadowed
-        assert!(!w.shadows(15, 150)); // newer than both
-        assert!(w.shadows(25, 49)); // only the second still covers
-        assert!(!w.shadows(25, 60)); // newer than the second
-        assert!(!w.shadows(30, 1)); // past both ends
-        assert!(!w.shadows(u64::MAX, 0));
-    }
-
-    #[test]
-    fn window_handles_nested_and_disjoint_spans() {
-        let rts = vec![
-            Entry::range_tombstone(0, 100, 10),
-            Entry::range_tombstone(40, 60, 99),
-            Entry::range_tombstone(200, 201, 5),
-        ];
-        let mut w = TombstoneWindow::new(rts);
-        assert!(w.shadows(0, 9));
-        assert!(!w.shadows(0, 10));
-        assert!(w.shadows(50, 50)); // inner newer tombstone
-        assert!(w.shadows(99, 9));
-        assert!(!w.shadows(99, 20)); // inner expired, outer seq 10 <= 20
-        assert!(w.shadows(200, 4));
-        assert!(!w.shadows(201, 0));
     }
 
     #[test]

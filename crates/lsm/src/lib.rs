@@ -83,7 +83,7 @@ pub use compaction::{
     CompactionPolicy, CompactionTask, FileSelection, PeriodicFullCompactionPolicy,
     SaturationPolicy, TreeView,
 };
-pub use cursor::{EntryCursor, MergeIterator, SsTableCursor, TombstoneWindow, VecCursor};
+pub use cursor::{EntryCursor, MergeIterator, SsTableCursor, VecCursor};
 pub use config::{CompactionStrategy, LsmConfig, MergePolicy, SecondaryDeleteMode};
 pub use level::{Level, Run};
 pub use merge::{merge_entries, MergeOutput};

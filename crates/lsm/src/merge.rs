@@ -14,8 +14,9 @@
 //! hot paths — range scans and compaction — drive
 //! [`crate::cursor::MergeIterator`] directly and never hold more than one
 //! delete tile per input in memory. Range-tombstone shadowing is applied
-//! through the sorted [`crate::cursor::TombstoneWindow`] sweep, not by
-//! re-scanning the tombstone list per entry.
+//! by sweeping the tombstones' fragments
+//! ([`lethe_storage::TombstoneFragments`]), not by re-scanning the tombstone
+//! list per entry.
 
 use crate::cursor::{EntryCursor, MergeIterator, VecCursor};
 use lethe_storage::Entry;

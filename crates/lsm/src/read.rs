@@ -13,7 +13,7 @@ use crate::version::{Version, VersionSet};
 use bytes::Bytes;
 use lethe_storage::{
     DeleteKey, Entry, EntryKind, MemTable, Result, SortKey, StorageBackend, StorageError,
-    Timestamp,
+    Timestamp, TombstoneFragments,
 };
 use lethe_sync::{LockRank, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,6 +39,9 @@ pub(crate) struct FrozenBuffer {
     pub(crate) entries: Vec<Entry>,
     /// Range tombstones in insertion order.
     pub(crate) range_tombstones: Vec<Entry>,
+    /// The same range tombstones, fragmented for point lookups: handed over
+    /// by the memtable, never rebuilt.
+    pub(crate) fragments: TombstoneFragments,
     /// Insertion time of the oldest tombstone in the buffer.
     pub(crate) oldest_tombstone_ts: Option<Timestamp>,
     /// WAL position at freeze time: the flush that persists this buffer may
@@ -54,12 +57,7 @@ impl FrozenBuffer {
             .binary_search_by(|e| e.sort_key.cmp(&sort_key))
             .ok()
             .map(|i| self.entries[i].clone());
-        let covering_rt = self
-            .range_tombstones
-            .iter()
-            .filter(|t| t.covers(sort_key))
-            .max_by_key(|t| t.seqnum);
-        Entry::resolve_point_read(sort_key, point, covering_rt)
+        Entry::resolve_point_read(sort_key, point, self.fragments.newest_covering(sort_key))
     }
 
     pub(crate) fn purge_by_delete_key(&mut self, lo: DeleteKey, hi: DeleteKey) -> usize {
@@ -92,6 +90,18 @@ pub(crate) struct FrozenEntries(pub(crate) Arc<FrozenBuffer>);
 impl AsRef<[Entry]> for FrozenEntries {
     fn as_ref(&self) -> &[Entry] {
         &self.0.entries
+    }
+}
+
+/// Appends the range tombstones of `rts` that overlap `[lo, hi)` (all of
+/// them with no bounds): the only ones a merge over that range can use.
+fn extend_overlapping(out: &mut Vec<Entry>, rts: &[Entry], bounds: Option<(SortKey, SortKey)>) {
+    match bounds {
+        Some((lo, hi)) => {
+            let overlaps = |t: &&Entry| t.sort_key < hi && t.range_end().is_some_and(|e| e > lo);
+            out.extend(rts.iter().filter(overlaps).cloned());
+        }
+        None => out.extend_from_slice(rts),
     }
 }
 
@@ -169,8 +179,8 @@ impl Source {
     }
 
     /// Pushes one cursor per write buffer over `[lo, hi)` (`None`: over
-    /// every buffered entry), newest buffer first, and every buffered range
-    /// tombstone.
+    /// every buffered entry), newest buffer first, and the buffered range
+    /// tombstones that overlap it.
     fn push_buffers(
         &self,
         bounds: Option<(SortKey, SortKey)>,
@@ -188,17 +198,28 @@ impl Source {
                     None => active.table.iter().cloned().collect(),
                 };
                 cursors.push(Box::new(VecCursor::from_sorted(slice)));
-                rts.extend(active.table.range_tombstones().iter().cloned());
+                extend_overlapping(rts, active.table.range_tombstones(), bounds);
             }
             Source::Pinned { active, .. } => {
                 cursors.push(active.range_cursor(bounds));
-                rts.extend(active.range_tombstones.iter().cloned());
+                extend_overlapping(rts, &active.range_tombstones, bounds);
             }
         }
         self.with_frozen(|f| {
             cursors.push(f.range_cursor(bounds));
-            rts.extend(f.range_tombstones.iter().cloned());
+            extend_overlapping(rts, &f.range_tombstones, bounds);
         });
+    }
+
+    /// Every buffered range tombstone, active buffer first.
+    fn buffered_range_tombstones(&self, rts: &mut Vec<Entry>) {
+        match self {
+            Source::Live { mem, .. } => {
+                rts.extend_from_slice(mem.active.read().table.range_tombstones());
+            }
+            Source::Pinned { active, .. } => rts.extend_from_slice(&active.range_tombstones),
+        }
+        self.with_frozen(|f| rts.extend_from_slice(&f.range_tombstones));
     }
 
     /// The buffered point entries satisfying `qualifies` (any order).
@@ -346,7 +367,8 @@ impl ReadView {
     /// every entry of the view (a half-open range cannot name the key
     /// `u64::MAX`): one cursor per source (the write buffers, then the
     /// fence-pruned lazy file cursors of the version), newest source first,
-    /// plus every source's range tombstones for the shadowing window.
+    /// plus the range tombstones of every source that overlap the bounds,
+    /// which the merge fragments to shadow older entries.
     /// `drop_tombstones` selects between the user-facing view (resolved,
     /// tombstones consumed) and the checkpoint stream (full entries,
     /// tombstones retained). The file cursors hold their tables, which
@@ -369,7 +391,7 @@ impl ReadView {
                 None => version.levels.iter().flat_map(|l| l.all_tables().cloned()).collect(),
             };
             for table in tables {
-                rts.extend(table.range_tombstones.iter().cloned());
+                extend_overlapping(&mut rts, &table.range_tombstones, bounds);
                 let backend = Arc::clone(&self.backend);
                 cursors.push(Box::new(match bounds {
                     Some((lo, hi)) => SsTableCursor::new(table, backend, lo, hi, false),
@@ -550,8 +572,7 @@ impl ReadView {
     /// (checkpoints persist them alongside the point entries).
     pub fn all_range_tombstones(&self) -> Vec<Entry> {
         let mut rts: Vec<Entry> = Vec::new();
-        // an empty key range selects no point entry, only the tombstones
-        self.source.push_buffers(Some((SortKey::MIN, SortKey::MIN)), &mut Vec::new(), &mut rts);
+        self.source.buffered_range_tombstones(&mut rts);
         for table in self.source.version().levels.iter().flat_map(|level| level.all_tables()) {
             rts.extend(table.range_tombstones.iter().cloned());
         }

@@ -25,6 +25,7 @@ use crate::reclaim::PageReservation;
 use lethe_storage::{
     BloomFilter, DeleteFence, DeleteKey, Entry, FencePointers, FileDesc, IoStats, Page,
     PageCoverage, PageId, Result, SeqNum, SortKey, StorageBackend, StorageError, Timestamp,
+    TombstoneFragments,
 };
 use std::sync::Arc;
 
@@ -253,9 +254,13 @@ pub struct SsTable {
     pub tiles: Vec<DeleteTile>,
     /// Fence pointers on the sort key, one per delete tile.
     pub tile_fences: FencePointers,
-    /// The file's range-tombstone block (kept in memory; range tombstones are
-    /// rare and tiny).
+    /// The file's range-tombstone block, kept in memory as written: the
+    /// manifest persists it and FADE's invalidation estimate counts it. A
+    /// file of a delete-heavy workload can hold hundreds.
     pub range_tombstones: Vec<Entry>,
+    /// The same range tombstones, fragmented for point lookups; built once,
+    /// when the file is assembled.
+    fragments: TombstoneFragments,
     /// Lazily-built manifest descriptor; the file is immutable, so it is
     /// computed once and shared (by `Arc` identity) with the manifest's
     /// committed state, letting edits diff unchanged files by pointer.
@@ -369,6 +374,7 @@ impl SsTable {
             meta,
             tile_fences: FencePointers::new(tiles.iter().map(|t| t.min_sort).collect()),
             tiles,
+            fragments: TombstoneFragments::from_tombstones(&range_tombstones),
             range_tombstones,
             desc: std::sync::OnceLock::new(),
         }
@@ -488,16 +494,17 @@ impl SsTable {
     }
 
     /// In-memory footprint of the file's navigation metadata in bytes
-    /// (Bloom filters + fence pointers + delete fences).
+    /// (Bloom filters + fence pointers + delete fences + the range-tombstone
+    /// fragment index).
     pub fn memory_footprint(&self) -> usize {
         let blooms: usize = self.tiles.iter().flat_map(|t| t.pages.iter()).map(|p| p.bloom.size_bytes()).sum();
         let delete_fences = self.page_count() * std::mem::size_of::<DeleteFence>();
-        blooms + delete_fences + self.tile_fences.size_bytes()
+        blooms + delete_fences + self.tile_fences.size_bytes() + self.fragments.size_bytes()
     }
 
     /// The newest version of `key` stored in this file, if any. Consults the
-    /// range-tombstone block; a covering range tombstone that is newer than
-    /// the point entry is returned as a point tombstone.
+    /// range-tombstone fragments; a covering range tombstone that is newer
+    /// than the point entry is returned as a point tombstone.
     ///
     /// Bloom probes and page reads are charged to `stats`.
     pub fn get(
@@ -529,19 +536,7 @@ impl SsTable {
             }
         }
         // range tombstones can shadow the point entry (or apply on their own)
-        let covering = self
-            .range_tombstones
-            .iter()
-            .filter(|t| t.covers(key))
-            .max_by_key(|t| t.seqnum);
-        match (found, covering) {
-            (Some(e), Some(rt)) if rt.seqnum > e.seqnum => {
-                Ok(Some(Entry::point_tombstone(key, rt.seqnum)))
-            }
-            (Some(e), _) => Ok(Some(e)),
-            (None, Some(rt)) => Ok(Some(Entry::point_tombstone(key, rt.seqnum))),
-            (None, None) => Ok(None),
-        }
+        Ok(Entry::resolve_point_read(key, found, self.fragments.newest_covering(key)))
     }
 
     /// Every entry of the file whose sort key lies in `[lo, hi)`, including

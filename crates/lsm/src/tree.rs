@@ -232,6 +232,7 @@ impl LsmTree {
             Arc::new(FrozenBuffer {
                 entries: active.table.iter().cloned().collect(),
                 range_tombstones: active.table.range_tombstones().to_vec(),
+                fragments: active.table.fragments().clone(),
                 oldest_tombstone_ts: active.oldest_tombstone_ts,
                 wal_upto: 0,
             })
@@ -405,11 +406,12 @@ impl LsmTree {
         if active.table.is_empty() {
             return Ok(false);
         }
-        let (entries, range_tombstones) = active.table.drain_sorted();
+        let (entries, range_tombstones, fragments) = active.table.drain_sorted();
         let oldest_tombstone_ts = active.oldest_tombstone_ts.take();
         *self.mem.frozen.write() = Some(Arc::new(FrozenBuffer {
             entries,
             range_tombstones,
+            fragments,
             oldest_tombstone_ts,
             wal_upto,
         }));

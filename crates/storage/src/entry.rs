@@ -135,24 +135,23 @@ impl Entry {
         }
     }
 
-    /// Resolves a buffered point lookup: combines the buffered point entry
-    /// for `sort_key` (if any) with the newest buffered range tombstone
-    /// covering it (if any). A strictly newer covering range tombstone
-    /// shadows the point entry; a covering tombstone with no point entry
-    /// reports the key as deleted. The single definition of this precedence,
-    /// shared by the active memtable and the frozen flush buffer so the two
-    /// read paths can never diverge.
+    /// Resolves a point lookup in one buffer or file: combines its point
+    /// entry for `sort_key` (if any) with the seqnum of its newest range
+    /// tombstone covering the key (if any). A strictly newer covering range
+    /// tombstone shadows the point entry; a covering tombstone with no point
+    /// entry reports the key as deleted. The single definition of this
+    /// precedence, shared by the active memtable, the frozen flush buffer and
+    /// every file, so the read paths can never diverge.
+    #[inline]
     pub fn resolve_point_read(
         sort_key: SortKey,
         point: Option<Entry>,
-        covering_rt: Option<&Entry>,
+        covering_rt: Option<SeqNum>,
     ) -> Option<Entry> {
         match (point, covering_rt) {
-            (Some(p), Some(rt)) if rt.seqnum > p.seqnum => {
-                Some(Entry::point_tombstone(sort_key, rt.seqnum))
-            }
+            (Some(p), Some(rt)) if rt > p.seqnum => Some(Entry::point_tombstone(sort_key, rt)),
             (Some(p), _) => Some(p),
-            (None, Some(rt)) => Some(Entry::point_tombstone(sort_key, rt.seqnum)),
+            (None, Some(rt)) => Some(Entry::point_tombstone(sort_key, rt)),
             (None, None) => None,
         }
     }

@@ -13,6 +13,9 @@
 //! * [`bloom`] — per-page Bloom filters over `S`.
 //! * [`fence`] — fence pointers on `S` and *delete fence pointers* on `D`,
 //!   the metadata that makes KiWi's full page drops possible.
+//! * [`fragments`] — range tombstones as sorted, disjoint fragments
+//!   ([`TombstoneFragments`]): a point lookup binary-searches them and a
+//!   merge sweeps them with a [`FragmentCursor`].
 //! * [`vfs`] — the only door to files: [`OsVfs`] (the host) or [`MemVfs`]
 //!   (bytes in a map), so a store in memory runs the same stack as on disk,
 //!   and [`FaultVfs`], which wraps either to fail the n-th mutating call.
@@ -71,6 +74,7 @@ pub mod clock;
 pub mod entry;
 pub mod error;
 pub mod fence;
+pub mod fragments;
 pub mod histogram;
 pub mod iostats;
 pub mod log;
@@ -90,6 +94,7 @@ pub use clock::{LogicalClock, Timestamp, MICROS_PER_SEC};
 pub use entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 pub use error::{Result, StorageError};
 pub use fence::{DeleteFence, FencePointers, PageCoverage};
+pub use fragments::{FragmentCursor, TombstoneFragments};
 pub use histogram::Histogram;
 pub use iostats::{CostModel, IoSnapshot, IoStats};
 pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};

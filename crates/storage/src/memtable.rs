@@ -6,9 +6,14 @@
 //! *in place*; otherwise the tombstone/new version is retained to invalidate
 //! any older on-disk instances once flushed. Range tombstones are kept in a
 //! separate list (they cover intervals, not single keys), mirroring the
-//! separate range-tombstone block of real engines.
+//! separate range-tombstone block of real engines; that list is what a flush
+//! writes. Beside it, every `delete_range` also updates a
+//! [`TombstoneFragments`] index, so a point lookup finds the newest covering
+//! range tombstone by binary search instead of scanning the list, and a
+//! frozen buffer or snapshot inherits the index instead of rebuilding it.
 
 use crate::entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
+use crate::fragments::TombstoneFragments;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
@@ -20,6 +25,8 @@ pub struct MemTable {
     entries: BTreeMap<SortKey, Entry>,
     /// Buffered range tombstones, in insertion order.
     range_tombstones: Vec<Entry>,
+    /// The same range tombstones, fragmented for point lookups.
+    fragments: TombstoneFragments,
     /// Approximate buffered data size in bytes.
     size_bytes: usize,
 }
@@ -45,6 +52,7 @@ impl MemTable {
         let t = Entry::range_tombstone(start, end, seqnum);
         self.size_bytes += t.encoded_size();
         self.range_tombstones.push(t);
+        self.fragments.insert(start, end, seqnum);
     }
 
     fn insert_point(&mut self, entry: Entry) {
@@ -61,12 +69,7 @@ impl MemTable {
     /// buffered; returns a tombstone entry if the buffered state is a delete.
     pub fn get(&self, sort_key: SortKey) -> Option<Entry> {
         let point = self.entries.get(&sort_key).cloned();
-        let covering_rt = self
-            .range_tombstones
-            .iter()
-            .filter(|t| t.covers(sort_key))
-            .max_by_key(|t| t.seqnum);
-        Entry::resolve_point_read(sort_key, point, covering_rt)
+        Entry::resolve_point_read(sort_key, point, self.fragments.newest_covering(sort_key))
     }
 
     /// Returns buffered point entries whose sort key lies in `[lo, hi)`
@@ -78,6 +81,11 @@ impl MemTable {
     /// Buffered range tombstones.
     pub fn range_tombstones(&self) -> &[Entry] {
         &self.range_tombstones
+    }
+
+    /// The buffered range tombstones, fragmented for point lookups.
+    pub fn fragments(&self) -> &TombstoneFragments {
+        &self.fragments
     }
 
     /// Approximate buffered size in bytes (used to decide when to flush).
@@ -101,13 +109,14 @@ impl MemTable {
     }
 
     /// Drains the buffer into a sorted run: point entries sorted on the sort
-    /// key followed by the range tombstones (returned separately). The buffer
-    /// is left empty.
-    pub fn drain_sorted(&mut self) -> (Vec<Entry>, Vec<Entry>) {
+    /// key, then the range tombstones and their fragment index (returned
+    /// separately). The buffer is left empty.
+    pub fn drain_sorted(&mut self) -> (Vec<Entry>, Vec<Entry>, TombstoneFragments) {
         let entries: Vec<Entry> = std::mem::take(&mut self.entries).into_values().collect();
         let rts = std::mem::take(&mut self.range_tombstones);
+        let fragments = std::mem::take(&mut self.fragments);
         self.size_bytes = 0;
-        (entries, rts)
+        (entries, rts, fragments)
     }
 
     /// Iterates over buffered point entries in sort-key order.
@@ -230,10 +239,11 @@ mod tests {
         m.put(3, 0, 1, Bytes::from_static(b"c"));
         m.put(1, 0, 2, Bytes::from_static(b"a"));
         m.delete_range(10, 20, 3);
-        let (pts, rts) = m.drain_sorted();
+        let (pts, rts, fragments) = m.drain_sorted();
         assert_eq!(pts.iter().map(|e| e.sort_key).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(rts.len(), 1);
-        assert!(m.is_empty());
+        assert_eq!(fragments.newest_covering(15), Some(3));
+        assert!(m.is_empty() && m.fragments().newest_covering(15).is_none());
         assert_eq!(m.size_bytes(), 0);
     }
 }
