@@ -5,8 +5,10 @@
 # crate, the grand total, and the ten largest files.
 #
 #   ci/nontest-lines.sh          the working tree
-#   ci/nontest-lines.sh <rev>    also the totals at git revision <rev> and the
+#   ci/nontest-lines.sh <rev>    also the totals at git revision <rev>, the
 #                                per-crate delta (working tree minus <rev>)
+#                                and the delta of every file whose count
+#                                changed (a file absent on one side counts 0)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -54,7 +56,8 @@ printf '%s\n' "$then" | sed 's/^/then /' >"$tmp/counts"
 printf '%s\n' "$now" | sed 's/^/now /' >>"$tmp/counts"
 awk -v rev="$rev" '
     $2 == "crate" { crates[$4] = 1 }
-    $2 == "crate" || $2 == "total" { n[$1, $4] = $3 }
+    $2 == "file" { files[$4] = 1 }
+    { n[$1, $4] = $3 }
     END {
         t = "crates/*/src"
         printf "at %s:\n", rev
@@ -65,5 +68,11 @@ awk -v rev="$rev" '
         for (c in crates) printf "  %+6d %s\n", n["now", c] - n["then", c], c | "sort -k2"
         close("sort -k2")
         printf "  %+6d %s\n", n["now", t] - n["then", t], t
+        print "changed files (working tree minus " rev "):"
+        for (f in files) {
+            d = n["now", f] - n["then", f]
+            if (d != 0) printf "  %+6d %s\n", d, f | "sort -k2"
+        }
+        close("sort -k2")
     }
 ' "$tmp/counts"

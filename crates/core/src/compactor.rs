@@ -2,7 +2,9 @@
 //!
 //! A [`Compactor`] owns one OS thread that drains a shard's maintenance
 //! work — flushing frozen write buffers and running FADE/saturation
-//! compactions — through the tree's three-phase job cycle:
+//! compactions — through the tree's three-phase job cycle, the same three
+//! calls [`LsmTree::step`](lethe_lsm::LsmTree::step) makes for inline
+//! maintenance, with the shard lock released around the expensive one:
 //!
 //! 1. **plan** (shard lock, microseconds): ask the policy for work, pin the
 //!    input files of the current version;
@@ -246,7 +248,8 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// One three-phase job cycle. Returns `Ok(false)` when no work is pending.
+/// One three-phase job cycle: `LsmTree::step` with the shard lock released
+/// around the execute. Returns `Ok(false)` when no work is pending.
 fn run_one_job(engine: &Mutex<Lethe>) -> Result<bool> {
     // phase 1 — plan under the shard lock (cheap pointer work)
     let (plan, ctx) = {

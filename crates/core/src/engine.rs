@@ -487,8 +487,10 @@ impl Lethe {
         self.tree.maintain()
     }
 
-    /// Runs only the compaction loop; useful to let FADE react to the passage
-    /// of logical time without new writes.
+    /// Steps the job cycle until the tree needs no work: a frozen buffer
+    /// still waiting is flushed first, then the compactions run (the active
+    /// buffer stays put). Useful to let FADE react to the passage of logical
+    /// time without new writes.
     pub fn maintain(&mut self) -> Result<()> {
         self.tree.maintain()
     }
@@ -535,12 +537,12 @@ impl Lethe {
         self.tree.snapshot_tracker()
     }
 
-    /// Selects who runs flushes and compactions: inline (default) or a
-    /// background worker driving the job cycle of [`lethe_lsm::jobs`]
-    /// ([`LsmTree::plan_job`] / [`lethe_lsm::jobs::JobPlan::execute`] /
-    /// [`LsmTree::apply_job`]). The sharded
-    /// front-end switches its shards to background mode and attaches a
-    /// [`crate::compactor::Compactor`] to each.
+    /// Selects who drives the job cycle of [`lethe_lsm::jobs`]: the writer,
+    /// through [`LsmTree::step`] (inline, the default), or a background
+    /// worker making the same calls ([`LsmTree::plan_job`] /
+    /// [`lethe_lsm::jobs::JobPlan::execute`] / [`LsmTree::apply_job`]). The
+    /// sharded front-end switches its shards to background mode and attaches
+    /// a [`crate::compactor::Compactor`] to each.
     pub fn set_maintenance_mode(&mut self, mode: MaintenanceMode) {
         self.tree.set_maintenance_mode(mode);
     }

@@ -126,7 +126,8 @@ use crate::engine::{Lethe, LetheBuilder};
 use bytes::Bytes;
 use lethe_lsm::batch::WriteBatch;
 use lethe_lsm::snapshot::SnapshotTracker;
-use lethe_lsm::sstable::{SecondaryDeleteStats, SsTable};
+use lethe_lsm::jobs::BuildCtx;
+use lethe_lsm::sstable::SecondaryDeleteStats;
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
 use lethe_lsm::cursor::{EntryCursor, MergeIterator, VecCursor};
 use lethe_lsm::read::{RangeIter, ReadView};
@@ -723,16 +724,15 @@ impl ShardedLethe {
     /// Unlike [`delete`](ShardedLethe::delete), batch deletes are never
     /// suppressed as blind.
     ///
-    /// A batch spanning shards runs a two-phase commit on durable stores:
+    /// A batch spanning shards runs a two-phase commit:
     /// every involved shard durably *prepares* its slice in its own WAL,
     /// then the store-wide batch-commit log records the batch id — that
     /// single fsync is the commit point — and only then do the slices apply,
     /// holding every involved shard's lock so no flush outruns an unapplied
     /// slice. Recovery rolls back prepared slices whose id never committed,
     /// so a crash anywhere leaves the batch fully applied or fully absent.
-    /// In-memory stores ([`ShardedLetheBuilder::build`]) skip the protocol —
-    /// they have no crash to protect against — and commit each slice through
-    /// its shard's queue directly.
+    /// In-memory stores ([`ShardedLetheBuilder::build`]) run the same
+    /// protocol on their in-memory file system.
     ///
     /// # Errors
     ///
@@ -968,7 +968,6 @@ impl ShardedLethe {
             fence,
             inner: Arc::downgrade(&inner),
             registry: Arc::clone(&self.snapshot_registry),
-            tracker: Arc::clone(&self.snapshots),
         };
         self.snapshot_registry.lock().insert(id, inner);
         handle
@@ -981,10 +980,10 @@ impl ShardedLethe {
 
     /// Forcibly releases every live snapshot, returning how many were
     /// expired. Their pinned buffers and versions are dropped (so deferred
-    /// page reclamation and tombstone GC resume) and the tracker's
-    /// lowest-freed watermark advances to the highest expired fence;
-    /// outstanding [`Snapshot`] handles fail closed from now on instead of
-    /// ever reading reclaimed state. An escape hatch for operators when a
+    /// page reclamation and tombstone GC resume) along with their tracker
+    /// registrations. An outstanding [`Snapshot`] handle holds only a weak
+    /// reference to that state, so it fails closed from now on instead of
+    /// ever reading reclaimed pages. An escape hatch for operators when a
     /// forgotten handle is pinning space — not part of normal snapshot
     /// lifecycle (dropping the handle is).
     pub fn expire_snapshots(&self) -> usize {
@@ -993,9 +992,6 @@ impl ShardedLethe {
             let ids: Vec<u64> = registry.keys().copied().collect();
             ids.iter().filter_map(|id| registry.remove(id)).collect()
         };
-        if let Some(max) = drained.iter().map(|inner| inner.fence).max() {
-            self.snapshots.set_lowest_freed(max);
-        }
         // dropping the last Arcs releases the tracker registrations and the
         // pinned versions (outside the registry lock)
         drained.len()
@@ -1034,50 +1030,24 @@ impl ShardedLethe {
         let config = self.shards[0].engine.lock().config().clone();
         let views = &inner.views.0;
         let mut stream = inner.views.merged(ReadView::entry_merge)?;
-        // range tombstones live outside the page stream; carry every one
-        // visible at the fence in the first table's range-tombstone block
-        // (their shadowing was already applied to the merged entries, so
-        // re-applying it on restore is idempotent)
-        let mut rts: Vec<Entry> = views.iter().flat_map(|v| v.all_range_tombstones()).collect();
-        rts.sort_by_key(|e| (e.sort_key, e.seqnum));
+        // range tombstones live outside the page stream: each joins the file
+        // its start falls in, as in a job's output (their shadowing was
+        // already applied to the merged entries, so re-applying it on
+        // restore is idempotent)
+        let rts: Vec<Entry> = views.iter().flat_map(|v| v.all_range_tombstones()).collect();
         let oldest_tombstone_ts = views.iter().filter_map(|v| v.oldest_tombstone_ts()).min();
-        let entries_per_file =
-            (config.max_pages_per_file.max(1) * config.entries_per_page.max(1)).max(1);
         let created_at = self.clock.now();
-        let mut files = Vec::new();
-        let mut next_file_id = 1u64;
-        loop {
-            let mut chunk: Vec<Entry> = Vec::with_capacity(entries_per_file.min(1024));
-            while chunk.len() < entries_per_file {
-                let Some(e) = stream.next_merged()? else { break };
-                chunk.push(e);
-            }
-            let chunk_rts = std::mem::take(&mut rts);
-            if chunk.is_empty() && chunk_rts.is_empty() {
-                break;
-            }
-            let holds_tombstones =
-                !chunk_rts.is_empty() || chunk.iter().any(|e| e.is_point_tombstone());
-            let table = SsTable::build(
-                next_file_id,
-                chunk,
-                chunk_rts,
-                created_at,
-                if holds_tombstones { oldest_tombstone_ts } else { None },
-                &config,
-                backend.as_ref(),
-            )?;
-            files.push(table.describe());
-            next_file_id += 1;
-        }
+        let file_ids = Arc::new(AtomicU64::new(1));
+        let ctx = BuildCtx::new(config, Arc::clone(&backend), created_at, Arc::clone(&file_ids));
+        let files = ctx.build_files(&mut stream, rts, oldest_tombstone_ts)?;
         // every page durable before the manifest references it, the
         // manifest durable before the marker declares the stream complete
         backend.sync()?;
         let state = ManifestState {
-            next_file_id,
+            next_file_id: file_ids.load(Ordering::Relaxed),
             next_seqnum: inner.fence,
             clock_micros: created_at,
-            levels: vec![vec![files]],
+            levels: vec![vec![files.iter().map(|t| t.describe()).collect()]],
         };
         Manifest::open_on(&self.vfs, &dir.join("checkpoint.manifest"))?.commit(state)?;
         let marker =
@@ -1249,16 +1219,14 @@ impl Drop for SnapshotInner {
 /// history it reads is deferred and its disk pages are pinned; dropping it
 /// releases both. A handle invalidated by
 /// [`ShardedLethe::expire_snapshots`] fails every subsequent read with an
-/// explicit error (its pages may have been reclaimed — the tracker's
-/// lowest-freed watermark has moved past its fence) instead of returning
-/// partial state; iterators obtained *before* the expiry stay safe, since
-/// they hold their own pins.
+/// explicit error (its pinned state is gone and its pages may have been
+/// reclaimed) instead of returning partial state; iterators obtained
+/// *before* the expiry stay safe, since they hold their own pins.
 pub struct Snapshot {
     id: u64,
     fence: SeqNum,
     inner: Weak<SnapshotInner>,
     registry: Arc<Mutex<HashMap<u64, Arc<SnapshotInner>>>>,
-    tracker: Arc<SnapshotTracker>,
 }
 
 impl Snapshot {
@@ -1271,16 +1239,9 @@ impl Snapshot {
     /// The pinned state, or the fail-closed error for an expired handle.
     fn pinned(&self) -> Result<Arc<SnapshotInner>> {
         self.inner.upgrade().ok_or_else(|| {
-            let reclaimed = !self.tracker.is_valid(self.fence);
             StorageError::InvalidOperation(format!(
-                "snapshot at seqnum fence {} was expired{}; take a new snapshot",
-                self.fence,
-                if reclaimed {
-                    " and pages it pinned may already be reclaimed \
-                     (the lowest-freed watermark passed its fence)"
-                } else {
-                    ""
-                }
+                "snapshot at seqnum fence {} was expired; take a new snapshot",
+                self.fence
             ))
         })
     }
@@ -1328,6 +1289,7 @@ impl Drop for Snapshot {
 )]
 mod tests {
     use super::*;
+    use lethe_lsm::sstable::SsTable;
 
     fn small() -> LetheBuilder {
         LetheBuilder::new()
@@ -1742,6 +1704,34 @@ mod tests {
         let mut restored = restored;
         restored.put(9999, 1, "fresh").unwrap();
         assert_eq!(restored.get(9999).unwrap(), Some(Bytes::from("fresh")));
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store);
+
+        // an image of several files, with a range delete that starts inside
+        // a later one: each range tombstone joins the file its start falls
+        // in, as in a job's output, instead of the first file taking all
+        let (dir, store) = (dir.with_extension("files"), dir.with_extension("files-store"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&store);
+        let db = sharded(small(), 3).open(&store).unwrap();
+        for k in 0..3_000u64 {
+            db.put(k, k % 53, format!("v{k}")).unwrap();
+        }
+        db.delete_range(100, 110).unwrap();
+        db.delete_range(2_500, 2_600).unwrap();
+        db.persist().unwrap();
+        let snap = db.snapshot();
+        db.checkpoint_at(&snap, &dir).unwrap();
+        let restored = Lethe::restore(&dir).unwrap();
+        assert_eq!(restored.range(0, 3_000).unwrap(), snap.range(0, 3_000).unwrap());
+        assert_eq!(restored.get(2_550).unwrap(), None);
+        let files: Vec<_> = restored.tree().levels()[0].all_tables().cloned().collect();
+        assert!(files.len() > 1, "{} files", files.len());
+        let rts = |f: &SsTable| f.range_tombstones.iter().map(|rt| rt.sort_key).collect::<Vec<_>>();
+        let total: usize = files.iter().map(|f| f.range_tombstones.len()).sum();
+        assert!(files[0].range_tombstones.len() < total, "the first file holds {:?}", rts(&files[0]));
+        assert!(files[1..].iter().any(|f| rts(f).contains(&2_500)));
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&store);

@@ -13,6 +13,13 @@
 //! ARCHITECTURE.md ("One job shape") tabulates what each kind of job reads,
 //! where it places its output and which counters it moves.
 //!
+//! [`LsmTree::step`] runs one job under `&mut` (plan, execute, apply);
+//! inline maintenance is `step` until there is no work, and a background
+//! worker makes the same three calls with its lock released around the
+//! execute. Every sorted stream that becomes files — a flush's buffer even
+//! with nothing below it, a checkpoint's store image
+//! ([`BuildCtx::build_files`]) — is cut by one pipeline.
+//!
 //! Both purposes of the mechanism can be absent. A leveled job bound for the
 //! next level is a **trivial move** when (a) no file of the destination run
 //! overlaps a source file, so there is nothing to reconcile, and (b) arriving
@@ -46,9 +53,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
-/// Safety bound on back-to-back compactions triggered by a single flush.
-const MAX_MAINTENANCE_ROUNDS: usize = 10_000;
-
 /// Everything the lock-free execute phase needs to build output files:
 /// captured from the tree at plan time so no lock is held while pages are
 /// read, merged and written.
@@ -58,6 +62,33 @@ pub struct BuildCtx {
     backend: Arc<dyn StorageBackend>,
     now: Timestamp,
     next_file_id: Arc<AtomicU64>,
+}
+
+impl BuildCtx {
+    /// A context that builds files on `backend` as of `now`, drawing file
+    /// ids from `next_file_id`: a tree's own ([`LsmTree::build_ctx`]) or a
+    /// fresh one for files no tree owns yet (a checkpoint's).
+    pub fn new(
+        config: LsmConfig,
+        backend: Arc<dyn StorageBackend>,
+        now: Timestamp,
+        next_file_id: Arc<AtomicU64>,
+    ) -> Self {
+        BuildCtx { config, backend, now, next_file_id }
+    }
+
+    /// Streams `source` (sorted, one version per key) into files through
+    /// the job pipeline, cut and laid out exactly as a job's output: each
+    /// range tombstone joins the file its start falls in, and a file that
+    /// holds a tombstone carries `oldest_tombstone_ts`.
+    pub fn build_files(
+        &self,
+        source: &mut dyn EntryCursor,
+        range_tombstones: Vec<Entry>,
+        oldest_tombstone_ts: Option<Timestamp>,
+    ) -> Result<Vec<Arc<SsTable>>> {
+        pipeline(self, source, range_tombstones, oldest_tombstone_ts, None)
+    }
 }
 
 /// Where the run a job builds enters the tree.
@@ -126,11 +157,11 @@ impl JobPlan {
     /// If either stage fails, every page the job wrote is released before
     /// the error returns, output files already finished included.
     pub fn execute(&self, ctx: &BuildCtx) -> Result<JobOutput> {
-        let Some(placement) = self.placement else {
+        if self.placement.is_none() {
             // a whole-file drop reads and writes nothing: the entire effect
             // is the apply phase's version/manifest edit
             return Ok(JobOutput { tables: Vec::new() });
-        };
+        }
         if self.trivial_move {
             return Ok(JobOutput { tables: self.inputs.clone() });
         }
@@ -139,16 +170,8 @@ impl JobPlan {
         let mut oldest = None;
         if let Some(buffer) = &self.buffer {
             // the pinned buffer streams without being copied
-            let mut entries =
+            let entries =
                 SharedSliceCursor::new(FrozenEntries(Arc::clone(buffer)), 0, buffer.entries.len());
-            if self.inputs.is_empty() && matches!(placement, Placement::NewRun { .. }) {
-                // a buffer that becomes a run of its own has nothing to
-                // merge with: it is written as-is (no dedup — the buffer
-                // already holds one version per key)
-                let (rts, oldest) = (buffer.range_tombstones.clone(), buffer.oldest_tombstone_ts);
-                let tables = pipeline(ctx, &mut entries, rts, oldest, None)?;
-                return Ok(JobOutput { tables });
-            }
             cursors.push(Box::new(entries));
             rts = buffer.range_tombstones.clone();
             oldest = buffer.oldest_tombstone_ts;
@@ -447,27 +470,29 @@ impl LsmTree {
     /// the WAL records it covers are discarded, so at no instant is an
     /// acknowledged write covered by neither log.
     pub fn flush(&mut self) -> Result<()> {
-        if self.has_frozen() {
+        while self.has_frozen() || self.freeze()? {
             let plan = self.plan_flush();
-            self.run_job(plan)?;
-        }
-        if self.freeze()? {
-            let plan = self.plan_flush();
-            self.run_job(plan)?;
-        }
-        Ok(())
-    }
-
-    /// Runs the compaction loop inline: repeatedly asks the policy for work
-    /// until it reports none is needed.
-    pub fn maintain(&mut self) -> Result<()> {
-        for _ in 0..MAX_MAINTENANCE_ROUNDS {
-            let plan = self.plan_compaction();
-            if !self.run_job(plan)? {
+            if !self.run(plan)? {
                 break;
             }
         }
         Ok(())
+    }
+
+    /// Runs jobs inline until the tree needs none: a waiting frozen
+    /// buffer's flush first, then whatever the policy picks, until it
+    /// reports no work.
+    pub fn maintain(&mut self) -> Result<()> {
+        while self.step()? {}
+        Ok(())
+    }
+
+    /// One job cycle under `&mut self`: [`LsmTree::plan_job`]`(true)`, then
+    /// [`JobPlan::execute`], then [`LsmTree::apply_job`]. Returns `false`
+    /// when the tree needs no work.
+    pub fn step(&mut self) -> Result<bool> {
+        let plan = self.plan_job(true);
+        self.run(plan)
     }
 
     /// Forces a full-tree compaction (reads, merges and rewrites every file
@@ -482,13 +507,12 @@ impl LsmTree {
         delete_key_range: Option<(DeleteKey, DeleteKey)>,
     ) -> Result<()> {
         let plan = self.plan_full(delete_key_range);
-        self.run_job(plan)?;
-        Ok(())
+        self.run(plan).map(drop)
     }
 
-    /// The inline job cycle: execute `plan` and apply it. Returns `false`
-    /// when there was nothing to do or the plan was refused as stale.
-    fn run_job(&mut self, plan: Option<JobPlan>) -> Result<bool> {
+    /// Executes `plan` and applies it. Returns `false` when there was
+    /// nothing to do or the plan was refused as stale.
+    fn run(&mut self, plan: Option<JobPlan>) -> Result<bool> {
         let Some(plan) = plan else {
             return Ok(false);
         };
@@ -498,12 +522,8 @@ impl LsmTree {
 
     /// Captures the context the lock-free execute phase needs.
     pub fn build_ctx(&self) -> BuildCtx {
-        BuildCtx {
-            config: self.config.clone(),
-            backend: Arc::clone(&self.backend),
-            now: self.clock.now(),
-            next_file_id: Arc::clone(&self.next_file_id),
-        }
+        let (backend, ids) = (Arc::clone(&self.backend), Arc::clone(&self.next_file_id));
+        BuildCtx::new(self.config.clone(), backend, self.clock.now(), ids)
     }
 
     /// Plans the next unit of maintenance work, flush first: the frozen

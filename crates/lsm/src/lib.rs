@@ -38,8 +38,7 @@
 //! * [`reclaim`] — the page-retirement choke point every engine-path
 //!   `drop_page` and `write_page` funnel through (a `clippy.toml` ban).
 //! * [`snapshot`] — the live-snapshot tracker: registered seqnum fences
-//!   gate tombstone GC and deferred page reclamation, with a lowest-freed
-//!   watermark that fails stale handles closed.
+//!   gate tombstone GC.
 //! * [`stats`] — space/write amplification and tombstone-age accounting.
 //! * [`strategy`] — pluggable compaction strategies: size-tiered run
 //!   bucketing and date-tiered time windows whose wholly-expired windows are

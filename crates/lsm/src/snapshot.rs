@@ -3,25 +3,24 @@
 //! deferred page reclamation of the version layer.
 //!
 //! A [`SnapshotTracker`] records the seqnum fence of every live snapshot
-//! handle. Two engine mechanisms consult it:
+//! handle, and tombstone GC consults it: a compaction may only drop
+//! persistent tombstones if no live snapshot could still observe the
+//! deleted data, i.e. if the oldest live snapshot seqnum is at or above the
+//! compaction's view of the data. While a snapshot pins old history, FADE's
+//! `D_th` guarantee is deliberately suspended (and counted, so the
+//! delete-persistence accounting never claims a tombstone persisted while
+//! it was still snapshot-visible).
 //!
-//! * **Tombstone GC gating** — a compaction may only drop persistent
-//!   tombstones if no live snapshot could still observe the deleted data,
-//!   i.e. if the oldest live snapshot seqnum is at or above the compaction's
-//!   view of the data. While a snapshot pins old history, FADE's `D_th`
-//!   guarantee is deliberately suspended (and counted, so the
-//!   delete-persistence accounting never claims a tombstone persisted while
-//!   it was still snapshot-visible).
-//! * **Page reclamation** — pinned `Arc<Version>`s already defer reclamation
-//!   structurally; the tracker adds the *watermark* side: once a snapshot is
-//!   forcibly expired, `lowest_freed` rises and any stale handle at or below
-//!   it fails closed instead of touching reclaimed pages.
+//! Page reclamation needs no help from the tracker: a snapshot's pinned
+//! `Arc<Version>`s defer it structurally, and a forcibly expired handle
+//! fails closed because the state it pinned is gone (the sharded store's
+//! handles hold only a `Weak` to it).
 //!
 //! The seqnum map itself is a ranked mutex locked only on snapshot
-//! register/release/expire — never on read or compaction hot paths. The
-//! values hot paths need (`has_live`, `oldest_live`, `lowest_freed`) are
-//! mirrored into atomics under that mutex, so GC-gating checks inside
-//! compaction planning are plain atomic loads with no lock-rank footprint.
+//! register/release — never on read or compaction hot paths. The values
+//! hot paths need (`has_live`, `oldest_live`) are mirrored into atomics
+//! under that mutex, so GC-gating checks inside compaction planning are
+//! plain atomic loads with no lock-rank footprint.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +31,7 @@ use lethe_sync::{LockRank, Mutex};
 /// Sentinel meaning "no live snapshot" in the `oldest_live` mirror.
 const NO_LIVE: u64 = u64::MAX;
 
-/// Registry of live snapshot seqnums plus the lowest-freed watermark.
+/// Registry of live snapshot seqnums.
 ///
 /// Shared store-wide (one tracker per store, injected into every shard's
 /// tree), because a cross-shard snapshot is one fence seqnum pinned in all
@@ -45,9 +44,6 @@ pub struct SnapshotTracker {
     oldest_live: AtomicU64,
     /// Atomic mirror of the number of live registrations.
     live_count: AtomicU64,
-    /// Highest seqnum whose pinned state may have been reclaimed: handles at
-    /// or below this fence must error instead of reading.
-    lowest_freed: AtomicU64,
 }
 
 impl Default for SnapshotTracker {
@@ -57,13 +53,12 @@ impl Default for SnapshotTracker {
 }
 
 impl SnapshotTracker {
-    /// Creates an empty tracker (no live snapshots, watermark at zero).
+    /// Creates an empty tracker (no live snapshots).
     pub fn new() -> Self {
         SnapshotTracker {
             live: Mutex::new(LockRank::SnapshotTracker, BTreeMap::new()),
             oldest_live: AtomicU64::new(NO_LIVE),
             live_count: AtomicU64::new(0),
-            lowest_freed: AtomicU64::new(0),
         }
     }
 
@@ -110,23 +105,6 @@ impl SnapshotTracker {
             NO_LIVE => true,
             oldest => oldest >= fence,
         }
-    }
-
-    /// Raises the lowest-freed watermark to at least `seq`: every handle at
-    /// or below it is now invalid. Monotonic.
-    pub fn set_lowest_freed(&self, seq: SeqNum) {
-        self.lowest_freed.fetch_max(seq, Ordering::AcqRel);
-    }
-
-    /// The current lowest-freed watermark. Lock-free.
-    pub fn lowest_freed(&self) -> SeqNum {
-        self.lowest_freed.load(Ordering::Acquire)
-    }
-
-    /// Whether a handle at `seq` may still read: its pinned state has not
-    /// been freed out from under it.
-    pub fn is_valid(&self, seq: SeqNum) -> bool {
-        seq > self.lowest_freed.load(Ordering::Acquire)
     }
 
     /// Re-derives the atomic mirrors from the authoritative map. Called
@@ -179,21 +157,6 @@ mod tests {
         t.release(7);
         assert_eq!(t.oldest_live(), None);
         assert!(!t.has_live());
-    }
-
-    #[test]
-    fn lowest_freed_watermark_is_monotonic() {
-        let t = SnapshotTracker::new();
-        assert_eq!(t.lowest_freed(), 0);
-        assert!(t.is_valid(1));
-        t.set_lowest_freed(40);
-        assert!(!t.is_valid(40));
-        assert!(t.is_valid(41));
-        t.set_lowest_freed(20); // must not regress
-        assert_eq!(t.lowest_freed(), 40);
-        t.set_lowest_freed(60);
-        assert!(!t.is_valid(60));
-        assert!(t.is_valid(61));
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! [`LsmTree::apply_job`], all in [`crate::jobs`]): planning and applying
 //! need the write lock but are cheap pointer work, while the expensive
 //! execute phase (page reads, merging, building output files) runs against
-//! pinned immutable state and needs no lock at all. A background worker (see
-//! `lethe-core`) drives exactly this cycle; the inline `flush`/`maintain`
-//! paths drive the same cycle synchronously.
+//! pinned immutable state and needs no lock at all. [`LsmTree::step`] runs
+//! one such cycle under `&mut self`, and inline maintenance is `step` in a
+//! loop; a background worker (see `lethe-core`) makes the same three calls
+//! with its lock released around the execute.
 
 use crate::compaction::CompactionPolicy;
 use crate::config::LsmConfig;
@@ -67,18 +68,19 @@ pub struct RecoveryReport {
     pub wal_records_replayed: usize,
 }
 
-/// Who runs flushes and compactions.
+/// Who calls [`LsmTree::step`]: both modes run the same job cycle, and
+/// differ only in which thread drives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceMode {
-    /// The classic single-threaded behaviour: a put that fills the buffer
-    /// flushes and runs the compaction loop inline before returning.
+    /// The writer: a put that fills the buffer flushes it and steps until
+    /// the tree needs no work before returning.
     #[default]
     Inline,
-    /// A filled buffer is only *frozen*; a background worker owned by the
+    /// Someone else: a filled buffer is only *frozen*, a worker owned by the
     /// embedding layer drains it through [`LsmTree::plan_job`] /
     /// [`JobPlan::execute`](crate::jobs::JobPlan::execute) /
-    /// [`LsmTree::apply_job`], and the writer applies
-    /// backpressure via [`LsmTree::write_stalled`].
+    /// [`LsmTree::apply_job`] with its lock released around the execute, and
+    /// the writer applies backpressure via [`LsmTree::write_stalled`].
     Background,
 }
 
@@ -256,15 +258,10 @@ impl LsmTree {
         &self.replayed_batch_ids
     }
 
-    /// Selects who runs flushes and compactions (default
+    /// Selects who calls [`LsmTree::step`] (default
     /// [`MaintenanceMode::Inline`]).
     pub fn set_maintenance_mode(&mut self, mode: MaintenanceMode) {
         self.mode = mode;
-    }
-
-    /// The current maintenance mode.
-    pub fn maintenance_mode(&self) -> MaintenanceMode {
-        self.mode
     }
 
     /// Returns a cheap-to-clone live view serving lock-free reads; see

@@ -31,8 +31,8 @@
 //!   semantics.
 //! * [`log`] — the framed log every durable file is: one recovery rule
 //!   ([`log::scan`]), one tail cut, and the handle the logs go through.
-//! * [`wal`] — write-ahead logging with the `D_th`-aware purge routine,
-//!   torn-tail recovery, the [`SyncPolicy`] durability knob and the
+//! * [`wal`] — write-ahead logging with prefix truncation behind a manifest
+//!   commit, torn-tail recovery, the [`SyncPolicy`] durability knob and the
 //!   group-commit staging primitives (`append_nosync` + `commit`).
 //! * [`batchlog`] — the durable commit point for cross-shard write batches
 //!   (two-phase commit over the per-shard WALs).

@@ -5,12 +5,15 @@
 //! the append is pinned to the platter before the acknowledgement is the
 //! [`SyncPolicy`] knob ([`FileWal`] defaults to [`SyncPolicy::Always`], i.e.
 //! fsync-per-append); a crash mid-append leaves a torn trailing frame which
-//! replay truncates away, recovering the valid prefix. The paper's
-//! persistence guarantee (§4.1.5) additionally requires that tombstones do not
-//! out-live the delete-persistence threshold `D_th` *inside the WAL*: if the
-//! WAL is not rotated faster than `D_th`, a dedicated routine copies live
-//! records younger than `D_th` to a fresh log and discards the old one. That
-//! routine is [`Wal::purge_older_than`].
+//! replay truncates away, recovering the valid prefix.
+//!
+//! The engine removes records only through [`Wal::truncate_prefix`], after
+//! the manifest commit that covers them is durable (the
+//! [`ManifestCommitted`] witness proves it). The paper's persistence
+//! guarantee (§4.1.5) also asks that tombstones not out-live the
+//! delete-persistence threshold `D_th` *inside the WAL*; nothing here bounds
+//! that yet, so a log that is not flushed within `D_th` keeps its tombstones
+//! longer.
 
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
@@ -385,10 +388,6 @@ pub trait Wal: Send + Sync {
     fn truncate(&self) -> Result<()>;
     /// Forces the log to durable storage.
     fn sync(&self) -> Result<()>;
-    /// Retains only records with `timestamp >= cutoff`. This is the paper's
-    /// WAL hygiene routine that keeps tombstone persistence bounded by `D_th`
-    /// even when the log is rotated slowly.
-    fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize>;
     /// Number of records currently in the log. A background flush captures
     /// this position when it freezes the write buffer, so the commit can
     /// later discard exactly the records it covered while concurrent appends
@@ -544,16 +543,6 @@ impl Wal for FileWal {
         Ok(())
     }
 
-    fn purge_older_than(&self, cutoff: Timestamp) -> Result<usize> {
-        let mut log = self.log.lock();
-        let records = self.read_all_locked(&mut log)?;
-        let before = records.len();
-        let keep: Vec<WalRecord> = records.into_iter().filter(|r| r.timestamp() >= cutoff).collect();
-        let purged = before - keep.len();
-        self.rewrite_locked(&mut log, &keep)?;
-        Ok(purged)
-    }
-
     fn position(&self) -> Result<u64> {
         let mut log = self.log.lock();
         let count = self.record_count.load(Ordering::Relaxed);
@@ -612,19 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_respects_the_cutoff() {
-        let w = mem_wal();
-        for r in sample_records() {
-            w.append(r).unwrap();
-        }
-        let purged = w.purge_older_than(20).unwrap();
-        assert_eq!(purged, 1);
-        let left = w.replay().unwrap();
-        assert_eq!(left.len(), 2);
-        assert!(left.iter().all(|r| r.timestamp() >= 20));
-    }
-
-    #[test]
     fn file_wal_roundtrip() {
         let path = std::env::temp_dir().join(format!("lethe-wal-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -642,15 +618,14 @@ mod tests {
     }
 
     #[test]
-    fn file_wal_purge_and_truncate() {
+    fn file_wal_truncate() {
         let path = std::env::temp_dir().join(format!("lethe-wal2-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let w = FileWal::open(&path).unwrap();
         for r in sample_records() {
             w.append(r).unwrap();
         }
-        assert_eq!(w.purge_older_than(25).unwrap(), 2);
-        assert_eq!(w.replay().unwrap().len(), 1);
+        assert_eq!(w.replay().unwrap().len(), 3);
         w.truncate().unwrap();
         assert!(w.replay().unwrap().is_empty());
         let _ = std::fs::remove_file(&path);

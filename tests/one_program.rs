@@ -3,7 +3,12 @@
 //! the host file system. One seeded script must leave both with the same
 //! I/O counts (pages, bytes, barriers), the same tree counters and the same
 //! contents, and the directory must reopen to those contents.
+//!
+//! Who drives maintenance is one more input to the same program: a store
+//! whose writer only freezes, drained after every write through the
+//! worker's three calls, must end exactly where the inline store ends.
 
+use lethe::lsm::MaintenanceMode;
 use lethe::storage::IoSnapshot;
 use lethe::{Lethe, LetheBuilder};
 use rand::rngs::StdRng;
@@ -23,6 +28,11 @@ fn builder() -> LetheBuilder {
 /// "creation time"), point and range deletes, and a few secondary range
 /// deletes.
 fn run(db: &mut Lethe, seed: u64, ops: usize) {
+    run_driven(db, seed, ops, |_| {});
+}
+
+/// [`run`], calling `drive` after every write.
+fn run_driven(db: &mut Lethe, seed: u64, ops: usize, drive: impl Fn(&mut Lethe)) {
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..ops as u64 {
         let key = rng.gen_range(0..600u64);
@@ -35,6 +45,19 @@ fn run(db: &mut Lethe, seed: u64, ops: usize) {
                 db.delete_where_delete_key_in(lo, lo + 10).unwrap();
             }
         }
+        drive(db);
+    }
+}
+
+/// Runs jobs the way a background worker does, with the three calls made
+/// one by one, until the tree plans none.
+fn drain(db: &mut Lethe) {
+    while let Some(plan) = db.tree_mut().plan_job(true) {
+        let out = plan.execute(&db.tree().build_ctx()).unwrap();
+        assert!(
+            db.tree_mut().apply_job(plan, out).unwrap(),
+            "nothing else installs a version"
+        );
     }
 }
 
@@ -84,4 +107,31 @@ fn build_and_open_run_one_program() {
     assert_eq!(live_pages(&in_memory), live_pages(&on_disk));
     assert_eq!(in_memory.range(0, u64::MAX).unwrap(), on_disk.range(0, u64::MAX).unwrap());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_driving_the_job_cycle_runs_the_inline_program() {
+    // a short D_th, so that FADE's TTL trigger picks jobs too
+    let store = || {
+        builder()
+            .delete_persistence_threshold_secs(0.01)
+            .build()
+            .unwrap()
+    };
+    let (mut inline, mut driven) = (store(), store());
+    driven.set_maintenance_mode(MaintenanceMode::Background);
+    for (seed, ops) in [(1, 1500), (2, 500)] {
+        run(&mut inline, seed, ops);
+        run_driven(&mut driven, seed, ops, drain);
+    }
+    let stats = inline.stats();
+    assert!(
+        stats.flushes > 10 && stats.compactions > 0,
+        "the script must flush and compact"
+    );
+    assert!(
+        stats.ttl_triggered_compactions > 0,
+        "FADE's trigger must fire: {stats:?}"
+    );
+    assert_eq!(observe(&inline), observe(&driven));
 }

@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use lethe::lsm::ReadView;
 use lethe::storage::{MemVfs, Vfs};
-use lethe::{Lethe, LetheBuilder};
+use lethe::{Lethe, LetheBuilder, MergePolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -145,5 +145,63 @@ fn overlapping_range_deletes_match_the_oracle() {
     churn(&mut db, &mut oracle, &mut rng, 50);
     drop(db);
     let db = open(&vfs);
+    assert_matches("reopened", &db.reader(), &oracle, &mut rng);
+}
+
+/// A tiered flush turns the buffer into a run of its own, with nothing
+/// below it to merge with. It still merges the buffer with its own range
+/// tombstones, so the run holds none of the puts they cover.
+#[test]
+fn a_tiered_flush_drops_the_puts_its_buffer_range_deletes() {
+    let vfs: Arc<dyn Vfs> = MemVfs::shared();
+    let open = || {
+        LetheBuilder::new()
+            .buffer(8, 4, 64)
+            .merge_policy(MergePolicy::Tiering)
+            .open_on(Arc::clone(&vfs), "/tiered")
+            .unwrap()
+    };
+    let mut db = open();
+    let mut oracle = BTreeMap::new();
+    let mut rng = StdRng::seed_from_u64(7);
+    for k in 0..16u64 {
+        let value = Bytes::from(format!("v{k}"));
+        db.put(k, k, value.clone()).unwrap();
+        oracle.insert(k, value);
+    }
+    db.delete_range(4, 12).unwrap();
+    oracle_delete_range(&mut oracle, 4, 12);
+    assert_eq!(
+        db.stats().flushes,
+        0,
+        "the puts and the range delete share one buffer"
+    );
+    assert_matches("buffered", &db.reader(), &oracle, &mut rng);
+
+    db.tree_mut().flush().unwrap();
+    let levels = db.tree().levels();
+    let files: Vec<_> = levels.iter().flat_map(|l| l.all_tables()).collect();
+    assert_eq!(files.len(), 1);
+    let stored = files[0]
+        .read_all_entries(db.tree().backend().as_ref())
+        .unwrap();
+    let covered: Vec<u64> = stored
+        .iter()
+        .map(|e| e.sort_key)
+        .filter(|k| (4..12).contains(k))
+        .collect();
+    assert!(
+        covered.is_empty(),
+        "the flushed run holds covered puts {covered:?}"
+    );
+    assert_eq!(
+        files[0].range_tombstones.len(),
+        1,
+        "the range tombstone stays, for the runs below"
+    );
+    assert_matches("flushed", &db.reader(), &oracle, &mut rng);
+
+    drop(db);
+    let db = open();
     assert_matches("reopened", &db.reader(), &oracle, &mut rng);
 }
