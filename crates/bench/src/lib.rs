@@ -112,13 +112,6 @@ pub fn apply_operation(tree: &mut LsmTree, op: &Operation, value_size: usize) ->
             let snapshot = tree.capture_snapshot();
             snapshot.get(*key).map(|_| ())
         }
-        Operation::TimeSeriesAppend { series, start_tick, samples } => {
-            // Gorilla-compress the block; the start tick doubles as the
-            // delete key so TTL retention can purge by age
-            let block = lethe_workload::timeseries::encode_block(*start_tick, samples);
-            let key = lethe_workload::timeseries::encode_key(*start_tick, *series);
-            tree.put(key, *start_tick, block.into())
-        }
     }
 }
 

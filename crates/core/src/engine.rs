@@ -364,9 +364,15 @@ impl LetheBuilder {
         Ok(Lethe { tree, cache })
     }
 
-    /// Opens the online checkpoint at `dir` (written by
-    /// [`ShardedLethe::checkpoint`](crate::shard::ShardedLethe::checkpoint))
-    /// as a normal durable store.
+    /// Opens the online checkpoint at `dir` on the host file system:
+    /// [`LetheBuilder::restore_on`] [`OsVfs`].
+    pub fn restore(self, dir: impl AsRef<Path>) -> Result<Lethe> {
+        self.restore_on(OsVfs::shared(), dir)
+    }
+
+    /// Opens the online checkpoint at `dir` on `vfs` (written there by
+    /// [`ShardedLethe::checkpoint`](crate::shard::ShardedLethe::checkpoint)
+    /// of a store on the same `vfs`) as a normal durable store.
     ///
     /// The checkpoint's completeness marker is verified first: a directory
     /// whose marker is missing (the checkpoint crashed before its commit
@@ -374,10 +380,10 @@ impl LetheBuilder {
     /// silently short store. The restored engine resumes at the snapshot's
     /// seqnum fence, so writes made after the restore never collide with
     /// sequence numbers the checkpoint already used.
-    pub fn restore(self, dir: impl AsRef<Path>) -> Result<Lethe> {
+    pub fn restore_on(self, vfs: Arc<dyn Vfs>, dir: impl AsRef<Path>) -> Result<Lethe> {
         let dir = dir.as_ref();
-        let marker = lethe_storage::read_marker(&OsVfs, dir)?;
-        let db = self.assemble(None, &OsVfs::shared(), dir, "checkpoint", LogicalClock::new())?;
+        let marker = lethe_storage::read_marker(vfs.as_ref(), dir)?;
+        let db = self.assemble(None, &vfs, dir, "checkpoint", LogicalClock::new())?;
         let next = db.tree().next_seqnum();
         if next < marker.fence {
             return Err(StorageError::Corruption(format!(

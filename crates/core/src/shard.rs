@@ -1767,6 +1767,27 @@ mod tests {
         }
     }
 
+    /// A checkpoint is written through the store's `Vfs`, so a store held
+    /// in memory restores from that memory, not from the host.
+    #[test]
+    fn a_checkpoint_restores_on_the_store_vfs() {
+        let vfs = MemVfs::shared();
+        let db = sharded(small(), 3).open_on(Arc::clone(&vfs), "/store").unwrap();
+        for k in 0..400u64 {
+            db.put(k, k % 53, format!("v{k}")).unwrap();
+        }
+        db.delete_range(350, 400).unwrap();
+        db.persist().unwrap();
+        db.put(7, 7, "buffered").unwrap();
+        let snap = db.snapshot();
+        db.checkpoint_at(&snap, "/ckpt").unwrap();
+        db.put(8, 8, "after").unwrap();
+        let restored = LetheBuilder::new().restore_on(vfs, "/ckpt").unwrap();
+        assert_eq!(restored.range(0, 400).unwrap(), snap.range(0, 400).unwrap());
+        assert_eq!(restored.get(7).unwrap(), Some(Bytes::from("buffered")));
+        assert_eq!(restored.get(8).unwrap(), Some(Bytes::from("v8")));
+    }
+
     #[test]
     fn restore_refuses_a_markerless_directory() {
         let dir = std::env::temp_dir().join(format!("lethe-ckpt-torn-{}", std::process::id()));

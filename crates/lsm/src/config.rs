@@ -103,11 +103,11 @@ pub struct LsmConfig {
     pub suppress_blind_deletes: bool,
     /// How secondary (delete-key) range deletes are executed.
     pub secondary_delete_mode: SecondaryDeleteMode,
-    /// Number of buckets in the system-wide key histograms used to estimate
-    /// range-tombstone invalidation counts.
+    /// Number of buckets in the system-wide sort-key histogram used to
+    /// estimate range-tombstone invalidation counts.
     pub histogram_buckets: usize,
-    /// Upper bound of the sort-key / delete-key domain used by the
-    /// histograms (keys above are clamped; purely an estimation aid).
+    /// Upper bound of the sort-key domain used by the histogram (keys above
+    /// are clamped; purely an estimation aid).
     pub key_domain: u64,
     /// When the write-ahead log of a durable store fsyncs appends
     /// ([`SyncPolicy::Always`] keeps "logged before acknowledged" true

@@ -119,7 +119,6 @@ pub struct LsmTree {
     pub(crate) stats: TreeStats,
     reader: ReadView,
     pub(crate) sort_key_histogram: Histogram,
-    pub(crate) delete_key_histogram: Histogram,
     pub(crate) wal: Box<dyn Wal>,
     manifest: Manifest,
     mode: MaintenanceMode,
@@ -152,7 +151,6 @@ impl LsmTree {
         );
         Ok(LsmTree {
             sort_key_histogram: Histogram::new(0, domain, config.histogram_buckets),
-            delete_key_histogram: Histogram::new(0, domain, config.histogram_buckets),
             config,
             backend,
             clock,

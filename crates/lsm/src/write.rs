@@ -218,7 +218,6 @@ impl LsmTree {
                         if live {
                             self.stats.record_ingest(entry.encoded_size() as u64);
                             self.sort_key_histogram.add(*sort_key);
-                            self.delete_key_histogram.add(*delete_key);
                         }
                         active.table.put(*sort_key, *delete_key, seq, entry.value);
                     }

@@ -7,6 +7,7 @@
 //! in the database") while empty lookups target keys that were never written.
 
 use crate::spec::{DeleteKeyCorrelation, KeyDistribution, WorkloadSpec};
+use crate::timeseries::encode_key;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,7 +16,10 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operation {
     /// Insert or update `key` with the given delete key and a value of the
-    /// spec's `value_size`.
+    /// spec's `value_size`. Time-series appends are puts too: the key is
+    /// [`crate::timeseries::encode_key`]`(tick, series)` and the delete key
+    /// the tick, so TTL retention is a secondary range delete on the tick
+    /// domain.
     Put {
         /// Sort key.
         key: u64,
@@ -85,21 +89,6 @@ pub enum Operation {
         /// Sort key to look up through the snapshot.
         key: u64,
     },
-    /// A time-series append: `samples` consecutive values (f64 bit
-    /// patterns, so the op stays `Eq`) for one series starting at
-    /// `start_tick`. Drivers Gorilla-compress the block with
-    /// [`crate::timeseries::encode_block`] and store it under the
-    /// time-major sort key [`crate::timeseries::encode_key`]`(start_tick,
-    /// series)` with delete key `start_tick`, so TTL retention is a
-    /// secondary range delete on the tick domain.
-    TimeSeriesAppend {
-        /// Series the samples belong to.
-        series: u64,
-        /// Tick of the first sample; sample `i` is at `start_tick + i`.
-        start_tick: u64,
-        /// Sample values as `f64::to_bits` patterns.
-        samples: Vec<u64>,
-    },
 }
 
 /// One write inside an [`Operation::WriteBatch`].
@@ -130,11 +119,9 @@ pub struct WorkloadGenerator {
     /// Monotonically increasing counter used as the "arrival time" delete key
     /// for uncorrelated workloads.
     arrival: u64,
-    /// Next free tick of the time-series timeline; advances by the block
-    /// size per append so timestamps stay strictly monotone.
+    /// Next free tick of the time-series timeline; advances by
+    /// `timeseries_samples` per append so timestamps stay strictly monotone.
     ts_tick: u64,
-    /// Per-series random-walk state for time-series values.
-    ts_walk: Vec<f64>,
 }
 
 /// Distinct series the mixed generator spreads time-series appends over.
@@ -154,8 +141,7 @@ impl WorkloadGenerator {
             }
         };
         let rng = StdRng::seed_from_u64(spec.seed);
-        let ts_walk = (0..TIMESERIES_SERIES).map(|s| 100.0 + s as f64).collect();
-        WorkloadGenerator { spec, rng, zipf, inserted: Vec::new(), arrival: 0, ts_tick: 0, ts_walk }
+        WorkloadGenerator { spec, rng, zipf, inserted: Vec::new(), arrival: 0, ts_tick: 0 }
     }
 
     /// The spec this generator was built from.
@@ -240,20 +226,13 @@ impl WorkloadGenerator {
         Operation::WriteBatch { ops }
     }
 
-    /// Builds one time-series append: the next block of the global monotone
-    /// timeline, assigned to a random series whose value random-walks.
+    /// Builds one time-series append: a put at the next tick of the global
+    /// monotone timeline, for a random series.
     fn make_timeseries(&mut self) -> Operation {
-        let n = self.spec.timeseries_samples.max(1);
         let series = self.rng.gen_range(0..TIMESERIES_SERIES);
-        let v = &mut self.ts_walk[series as usize];
-        let mut samples = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            *v += self.rng.gen::<f64>() * 2.0 - 1.0;
-            samples.push(v.to_bits());
-        }
-        let start_tick = self.ts_tick;
-        self.ts_tick += n;
-        Operation::TimeSeriesAppend { series, start_tick, samples }
+        let tick = self.ts_tick;
+        self.ts_tick += self.spec.timeseries_samples.max(1);
+        Operation::Put { key: encode_key(tick, series), delete_key: tick }
     }
 
     /// Generates the preload phase: `preload_keys` distinct puts covering the
@@ -379,9 +358,7 @@ mod tests {
                 Operation::RangeLookup { .. } => c.5 += 1,
                 Operation::RangeStream { .. } => streams += 1,
                 Operation::SecondaryRangeDelete { .. } => c.6 += 1,
-                Operation::WriteBatch { .. }
-                | Operation::SnapshotRead { .. }
-                | Operation::TimeSeriesAppend { .. } => {}
+                Operation::WriteBatch { .. } | Operation::SnapshotRead { .. } => {}
             }
         }
         let _ = streams;
@@ -506,18 +483,21 @@ mod tests {
             ..Default::default()
         };
         let ops = WorkloadGenerator::new(spec).operations();
+        // appends are the puts whose key carries the time-series tag bit
+        let is_append = |key: u64| key >= 1 << 63;
         let mut appends = 0usize;
         let mut last_tick: Option<u64> = None;
         for op in &ops {
-            if let Operation::TimeSeriesAppend { series, start_tick, samples } = op {
+            if let Operation::Put { key, delete_key } = op {
+                if !is_append(*key) {
+                    continue;
+                }
                 appends += 1;
-                assert!(*series < super::TIMESERIES_SERIES);
-                assert_eq!(samples.len(), 24);
-                assert!(last_tick.is_none_or(|t| *start_tick == t), "timeline must be gapless");
-                last_tick = Some(start_tick + samples.len() as u64);
-                // blocks round-trip through the gorilla codec
-                let block = crate::timeseries::encode_block(*start_tick, samples);
-                assert_eq!(crate::timeseries::decode_block(&block).unwrap(), *samples);
+                let (tick, series) = crate::timeseries::decode_key(*key);
+                assert!(series < super::TIMESERIES_SERIES);
+                assert_eq!(*delete_key, tick, "an append's delete key is its tick");
+                assert!(last_tick.is_none_or(|t| tick == t + 24), "ticks must rise by the stride");
+                last_tick = Some(tick);
             }
         }
         let share = appends as f64 / ops.len() as f64;
@@ -526,7 +506,42 @@ mod tests {
         // byte-identical to the pre-knob generator
         let ops_off = WorkloadGenerator::new(WorkloadSpec { operations: 500, ..Default::default() })
             .operations();
-        assert!(ops_off.iter().all(|op| !matches!(op, Operation::TimeSeriesAppend { .. })));
+        assert!(ops_off.iter().all(|op| !matches!(op, Operation::Put { key, .. } if is_append(*key))));
+    }
+
+    /// FNV-1a over each operation's class tag and fields, in stream order,
+    /// so a reordered, retagged or reshaped stream changes the sum.
+    fn stream_checksum(ops: &[Operation]) -> u64 {
+        let mut words = Vec::new();
+        for op in ops {
+            match op {
+                Operation::Put { key, delete_key } => words.extend([0, *key, *delete_key]),
+                Operation::Get { key } => words.extend([1, *key]),
+                Operation::GetEmpty { key } => words.extend([2, *key]),
+                Operation::Delete { key } => words.extend([3, *key]),
+                Operation::DeleteRange { start, end } => words.extend([4, *start, *end]),
+                Operation::RangeLookup { start, end } => words.extend([5, *start, *end]),
+                Operation::RangeStream { start, end, limit } => {
+                    words.extend([6, *start, *end, *limit])
+                }
+                Operation::SecondaryRangeDelete { start, end } => words.extend([7, *start, *end]),
+                Operation::WriteBatch { ops } => {
+                    words.extend([8, ops.len() as u64]);
+                    for op in ops {
+                        match op {
+                            BatchWriteOp::Put { key, delete_key } => {
+                                words.extend([0, *key, *delete_key])
+                            }
+                            BatchWriteOp::Delete { key } => words.extend([3, *key]),
+                        }
+                    }
+                }
+                Operation::SnapshotRead { key } => words.extend([9, *key]),
+            }
+        }
+        words.iter().flat_map(|w| w.to_le_bytes()).fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
     }
 
     #[test]
@@ -538,6 +553,31 @@ mod tests {
         let c = WorkloadGenerator::new(WorkloadSpec { seed: 99, operations: 500, ..Default::default() })
             .operations();
         assert_ne!(a, c);
+
+        // every class but time-series, pinned: an edit that shifts any
+        // generated stream (the benchmark ledger's among them) fails here
+        let every_class = WorkloadSpec {
+            preload_keys: 1_000,
+            operations: 10_000,
+            key_space: 50_000,
+            update_fraction: 0.4,
+            point_lookup_fraction: 0.2,
+            empty_lookup_fraction: 0.05,
+            point_delete_fraction: 0.05,
+            range_delete_fraction: 0.05,
+            range_lookup_fraction: 0.05,
+            streaming_range_fraction: 0.05,
+            batch_fraction: 0.05,
+            snapshot_fraction: 0.05,
+            secondary_delete_fraction: 0.05,
+            secondary_delete_selectivity: 0.01,
+            ..Default::default()
+        };
+        let mut gen = WorkloadGenerator::new(every_class);
+        let ops: Vec<Operation> = gen.preload().into_iter().chain(gen.operations()).collect();
+        let (puts, .., srds) = count_class(&ops);
+        assert!(puts > 1_000 && srds > 0);
+        assert_eq!(stream_checksum(&ops), 0xB611_D8F7_9015_04FF, "the pinned operation stream moved");
     }
 
     #[test]

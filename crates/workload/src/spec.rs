@@ -90,13 +90,13 @@ pub struct WorkloadSpec {
     /// point lookup through it instead of the live store. Defaults to 0, so
     /// pre-existing specs keep generating identical operation streams.
     pub snapshot_fraction: f64,
-    /// Fraction of operations that are time-series appends: a block of
-    /// [`timeseries_samples`](Self::timeseries_samples) Gorilla-compressed
-    /// samples written under a monotone time-major key (see
+    /// Fraction of operations that are time-series appends: puts under a
+    /// monotone time-major key whose delete key is the append's tick (see
     /// [`crate::timeseries`]). Defaults to 0, so pre-existing specs keep
     /// generating identical operation streams.
     pub timeseries_fraction: f64,
-    /// Number of samples packed into each time-series append block.
+    /// Ticks between one time-series append and the next (each append
+    /// stands for this many samples).
     pub timeseries_samples: u64,
     /// Key popularity distribution.
     pub distribution: KeyDistribution,

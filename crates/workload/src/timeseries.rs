@@ -20,18 +20,12 @@
 //!
 //! ## Delete keys
 //!
-//! An append's delete key is its `start_tick` — the creation-timestamp
-//! attribute of the paper — so a retention delete is
-//! `SecondaryRangeDelete { start: 0, end: now - ttl }`.
-//!
-//! Values are blocks of samples compressed with the [`crate::gorilla`]
-//! codec; [`encode_block`] is the single source of truth every applier uses
-//! so that stores driven by different engines stay byte-identical.
+//! An append is an [`Operation::Put`] whose delete key is its tick — the
+//! creation-timestamp attribute of the paper — so a retention delete is
+//! `SecondaryRangeDelete { start: 0, end: now - ttl }`. Like every put, its
+//! value is the applier's to make.
 
 use crate::generator::Operation;
-use crate::gorilla;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Low bits of a sort key holding the series id; the rest (below the tag
 /// bit) hold the append tick.
@@ -40,8 +34,8 @@ pub const SERIES_BITS: u32 = 16;
 /// High tag bit keeping time-series keys disjoint from mixed-workload keys.
 const KEY_TAG: u64 = 1 << 63;
 
-/// Builds the time-major sort key for a sample block: tag bit, then tick,
-/// then series.
+/// Builds the time-major sort key of an append: tag bit, then tick, then
+/// series.
 ///
 /// # Panics
 /// Panics if `series` needs more than [`SERIES_BITS`] bits or `tick` would
@@ -57,27 +51,13 @@ pub fn decode_key(key: u64) -> (u64, u64) {
     ((key & !KEY_TAG) >> SERIES_BITS, key & ((1 << SERIES_BITS) - 1))
 }
 
-/// Encodes one append's samples (at ticks `start_tick..start_tick + n`)
-/// into the Gorilla-compressed value every applier stores.
-pub fn encode_block(start_tick: u64, samples: &[u64]) -> Vec<u8> {
-    let points: Vec<(u64, u64)> =
-        samples.iter().enumerate().map(|(i, &v)| (start_tick + i as u64, v)).collect();
-    gorilla::encode(&points)
-}
-
-/// Decodes a value produced by [`encode_block`] back into sample bits.
-pub fn decode_block(bytes: &[u8]) -> Result<Vec<u64>, gorilla::GorillaError> {
-    Ok(gorilla::decode(bytes)?.into_iter().map(|(_, v)| v).collect())
-}
-
 /// Knobs for a pure time-series phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeriesSpec {
-    /// Random seed; same seed, same stream.
-    pub seed: u64,
     /// Number of distinct series written round-robin.
     pub series: u64,
-    /// Samples packed into each append block.
+    /// Ticks between one append and the next (each append stands for this
+    /// many samples of its series).
     pub samples_per_append: u64,
     /// Number of append operations in the phase.
     pub appends: u64,
@@ -94,7 +74,6 @@ pub struct TimeSeriesSpec {
 impl Default for TimeSeriesSpec {
     fn default() -> Self {
         TimeSeriesSpec {
-            seed: 0xC0FFEE,
             series: 8,
             samples_per_append: 32,
             appends: 1_000,
@@ -106,7 +85,8 @@ impl Default for TimeSeriesSpec {
     }
 }
 
-/// A seeded generator of pure time-series operation streams.
+/// A generator of pure time-series operation streams; the spec alone fixes
+/// the stream.
 ///
 /// Appends rotate round-robin over the series so every series grows at the
 /// same rate; the global tick advances by `samples_per_append` per append,
@@ -115,11 +95,8 @@ impl Default for TimeSeriesSpec {
 #[derive(Debug)]
 pub struct TimeSeriesGenerator {
     spec: TimeSeriesSpec,
-    rng: StdRng,
     tick: u64,
     next_series: u64,
-    /// Per-series random-walk state, as f64 bits.
-    walk: Vec<f64>,
 }
 
 impl TimeSeriesGenerator {
@@ -131,34 +108,15 @@ impl TimeSeriesGenerator {
     pub fn new(spec: TimeSeriesSpec) -> Self {
         assert!(spec.series > 0 && spec.series < 1 << SERIES_BITS, "bad series count");
         assert!(spec.samples_per_append > 0, "samples_per_append must be >= 1");
-        let rng = StdRng::seed_from_u64(spec.seed);
-        let walk = (0..spec.series).map(|s| 100.0 + s as f64).collect();
-        TimeSeriesGenerator { spec, rng, tick: 0, next_series: 0, walk }
-    }
-
-    /// The spec this generator was built from.
-    pub fn spec(&self) -> &TimeSeriesSpec {
-        &self.spec
-    }
-
-    /// The tick the next append will start at.
-    pub fn tick(&self) -> u64 {
-        self.tick
+        TimeSeriesGenerator { spec, tick: 0, next_series: 0 }
     }
 
     fn make_append(&mut self) -> Operation {
         let series = self.next_series;
         self.next_series = (self.next_series + 1) % self.spec.series;
-        let n = self.spec.samples_per_append;
-        let mut samples = Vec::with_capacity(n as usize);
-        let v = &mut self.walk[series as usize];
-        for _ in 0..n {
-            *v += self.rng.gen::<f64>() * 2.0 - 1.0;
-            samples.push(v.to_bits());
-        }
-        let start_tick = self.tick;
-        self.tick += n;
-        Operation::TimeSeriesAppend { series, start_tick, samples }
+        let tick = self.tick;
+        self.tick += self.spec.samples_per_append;
+        Operation::Put { key: encode_key(tick, series), delete_key: tick }
     }
 
     /// Generates the whole phase: appends interleaved with windowed scans
@@ -180,7 +138,7 @@ impl TimeSeriesGenerator {
                     && i % self.spec.retention_every == 0
                     && self.tick > ttl
                 {
-                    // "delete everything older than the TTL": start_tick is
+                    // "delete everything older than the TTL": the tick is
                     // the delete key, so this is a secondary range delete
                     ops.push(Operation::SecondaryRangeDelete { start: 0, end: self.tick - ttl });
                 }
@@ -207,24 +165,21 @@ mod tests {
     }
 
     #[test]
-    fn block_codec_round_trips() {
-        let samples: Vec<u64> = (0..64u64).map(|i| (i as f64).cos().to_bits()).collect();
-        let bytes = encode_block(7_000, &samples);
-        assert_eq!(decode_block(&bytes).unwrap(), samples);
-    }
-
-    #[test]
     fn appends_are_monotone_and_cover_all_series() {
         let spec = TimeSeriesSpec { appends: 100, series: 8, ..Default::default() };
         let ops = TimeSeriesGenerator::new(spec.clone()).operations();
         let mut last_tick = None;
         let mut seen = std::collections::HashSet::new();
         for op in &ops {
-            if let Operation::TimeSeriesAppend { series, start_tick, samples } = op {
-                assert!(last_tick.is_none_or(|t| *start_tick > t), "ticks must be monotone");
-                last_tick = Some(*start_tick);
-                assert_eq!(samples.len() as u64, spec.samples_per_append);
-                seen.insert(*series);
+            if let Operation::Put { key, delete_key } = op {
+                let (tick, series) = decode_key(*key);
+                assert!(
+                    last_tick.is_none_or(|t| tick == t + spec.samples_per_append),
+                    "ticks must rise by the stride"
+                );
+                last_tick = Some(tick);
+                assert_eq!(*delete_key, tick);
+                seen.insert(series);
             }
         }
         assert_eq!(seen.len() as u64, spec.series);
@@ -244,9 +199,7 @@ mod tests {
         let mut scans = 0;
         for op in &ops {
             match op {
-                Operation::TimeSeriesAppend { start_tick, samples, .. } => {
-                    tick = start_tick + samples.len() as u64;
-                }
+                Operation::Put { delete_key, .. } => tick = delete_key + 10,
                 Operation::RangeLookup { start, end } => {
                     scans += 1;
                     assert_eq!(*end, encode_key(tick, 0));
@@ -273,9 +226,7 @@ mod tests {
         let mut purges = 0;
         for op in &ops {
             match op {
-                Operation::TimeSeriesAppend { start_tick, samples, .. } => {
-                    tick = start_tick + samples.len() as u64;
-                }
+                Operation::Put { delete_key, .. } => tick = delete_key + 10,
                 Operation::SecondaryRangeDelete { start, end } => {
                     purges += 1;
                     assert_eq!(*start, 0);
@@ -297,9 +248,7 @@ mod tests {
     fn deterministic_for_a_given_seed() {
         let spec = TimeSeriesSpec { appends: 50, ..Default::default() };
         let a = TimeSeriesGenerator::new(spec.clone()).operations();
-        let b = TimeSeriesGenerator::new(spec.clone()).operations();
+        let b = TimeSeriesGenerator::new(spec).operations();
         assert_eq!(a, b);
-        let c = TimeSeriesGenerator::new(TimeSeriesSpec { seed: 1, ..spec }).operations();
-        assert_ne!(a, c);
     }
 }

@@ -3,17 +3,15 @@
 //! not by deletes — wholly-expired time windows are retired as whole files
 //! without reading a page of them.
 //!
-//! The values are gorilla-encoded blocks (delta-of-delta timestamps + XOR'd
-//! doubles), the workload is the seeded monotone append stream from
-//! `lethe_workload::timeseries`, and the logical clock is driven in
-//! lock-step with the data's tick timeline so windows age out as ingest
-//! runs.
+//! The workload is the monotone append stream from
+//! `lethe_workload::timeseries`: each append is a put under a time-major key
+//! whose delete key is its tick, and its value here is derived from the key.
+//! The logical clock is driven in lock-step with the data's tick timeline
+//! so windows age out as ingest runs.
 //!
 //! Run with `cargo run --example timeseries_strategy --release`.
 
-use lethe::workload::timeseries::{
-    decode_block, decode_key, encode_block, encode_key, TimeSeriesGenerator, TimeSeriesSpec,
-};
+use lethe::workload::timeseries::{decode_key, encode_key, TimeSeriesGenerator, TimeSeriesSpec};
 use lethe::workload::Operation;
 use lethe::{CompactionStrategy, LetheBuilder};
 
@@ -47,10 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let mut appends = 0u64;
     for op in generator.operations() {
-        if let Operation::TimeSeriesAppend { series, start_tick, samples } = op {
-            let block = encode_block(start_tick, &samples);
-            db.put(encode_key(start_tick, series), start_tick, block)?;
-            db.clock().advance_to(start_tick + samples.len() as u64);
+        if let Operation::Put { key, delete_key: tick } = op {
+            db.put(key, tick, key.to_le_bytes().to_vec())?;
+            db.clock().advance_to(tick + SAMPLES);
             appends += 1;
             if appends.is_multiple_of(64) {
                 db.persist()?;
@@ -64,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.maintain()?;
 
     let stats = db.stats();
-    println!("ingested {appends} appends of {SAMPLES} samples across 8 series");
+    println!("ingested {appends} appends, {SAMPLES} ticks apart, across 8 series");
     println!(
         "write amp {:.2}, {} whole-file drops (expired windows retired unread)",
         stats.write_amp(),
@@ -77,16 +74,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(expired.is_empty(), "expired windows still readable");
     println!("ticks [0, {}) retired by the TTL", MAX_TICK - TTL - BASE_WINDOW);
 
-    // a windowed scan over the freshest ticks, decoded back to doubles
+    // a windowed scan over the freshest ticks
     let window = db.range(encode_key(MAX_TICK - 1_024, 0), encode_key(MAX_TICK, 0))?;
-    println!("last 1024 ticks: {} blocks retained", window.len());
-    let (key, bytes) = window.last().expect("the freshest window must be readable");
-    let (start_tick, series) = decode_key(*key);
-    let samples = decode_block(bytes)?;
-    let newest = f64::from_bits(*samples.last().unwrap());
-    println!(
-        "newest block: series {series}, ticks {start_tick}..{}, last value {newest:.3}",
-        start_tick + samples.len() as u64
-    );
+    println!("last 1024 ticks: {} appends retained", window.len());
+    let (key, value) = window.last().expect("the freshest window must be readable");
+    assert_eq!(value.as_ref(), key.to_le_bytes(), "the newest append reads back its value");
+    let (tick, series) = decode_key(*key);
+    println!("newest append: series {series}, ticks {tick}..{}", tick + SAMPLES);
     Ok(())
 }

@@ -104,11 +104,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 SnapshotRead { key } => {
                     db.capture_snapshot().get(key)?;
                 }
-                TimeSeriesAppend { series, start_tick, samples } => {
-                    let block = lethe::workload::timeseries::encode_block(start_tick, &samples);
-                    let key = lethe::workload::timeseries::encode_key(start_tick, series);
-                    db.put(key, start_tick, block)?;
-                }
             }
             ops_run += 1;
         }

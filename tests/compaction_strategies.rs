@@ -230,7 +230,7 @@ struct Replayed {
     recent: Vec<(u64, Vec<u8>)>,
 }
 
-/// One seeded append-only time-series history (gorilla-encoded blocks,
+/// One append-only time-series history (each value derived from its key,
 /// interleaved windowed scans) replayed into leveled, size-tiered and
 /// date-tiered engines that differ only in their strategy. Every assertion
 /// is a count or a byte comparison, so it holds on any machine: the tiered
@@ -239,9 +239,7 @@ struct Replayed {
 /// three answer a recent scan byte for byte alike.
 #[test]
 fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
-    use lethe::workload::timeseries::{
-        encode_block, encode_key, TimeSeriesGenerator, TimeSeriesSpec,
-    };
+    use lethe::workload::timeseries::{encode_key, TimeSeriesGenerator, TimeSeriesSpec};
     use lethe::workload::Operation;
 
     const APPENDS: u64 = 3_000;
@@ -267,7 +265,7 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
             .buffer(32, 8, 64)
             .size_ratio(4)
             // 1 µs of logical time per ingest; the replay also advances the
-            // clock to each block's last tick
+            // clock to the end of each append's ticks
             .ingestion_rate(1_000_000)
             .delete_persistence_threshold_secs(1.0);
         if let Some(strategy) = strategy {
@@ -277,10 +275,9 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
         let mut appends = 0u64;
         for op in &history {
             match op {
-                Operation::TimeSeriesAppend { series, start_tick, samples } => {
-                    let block = encode_block(*start_tick, samples);
-                    db.put(encode_key(*start_tick, *series), *start_tick, block).unwrap();
-                    db.clock().advance_to(start_tick + samples.len() as u64);
+                Operation::Put { key, delete_key: tick } => {
+                    db.put(*key, *tick, key.to_le_bytes().to_vec()).unwrap();
+                    db.clock().advance_to(tick + SAMPLES);
                     appends += 1;
                     if appends.is_multiple_of(64) {
                         db.persist().unwrap();

@@ -226,13 +226,6 @@ fn run_against_oracle(spec: WorkloadSpec, h: usize) {
                     &[delete_keys],
                 );
             }
-            Operation::TimeSeriesAppend { series, start_tick, samples } => {
-                let block = lethe::workload::timeseries::encode_block(*start_tick, samples);
-                let key = lethe::workload::timeseries::encode_key(*start_tick, *series);
-                lethe.put(key, *start_tick, block.clone()).unwrap();
-                baseline.put(key, *start_tick, block.clone()).unwrap();
-                oracle.insert(key, (*start_tick, block));
-            }
         }
     }
 

@@ -310,38 +310,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// The Gorilla codec round-trips *any* `(timestamp, value_bits)`
-    /// sequence — monotone or not, NaN bit patterns included — byte for
-    /// byte.
-    #[test]
-    fn gorilla_codec_roundtrips_any_samples(
-        samples in prop::collection::vec((any::<u64>(), any::<u64>()), 0..300),
-    ) {
-        let bytes = lethe::workload::gorilla::encode(&samples);
-        prop_assert_eq!(lethe::workload::gorilla::decode(&bytes).unwrap(), samples);
-    }
-
-    /// Regular-cadence random walks (the generated time-series shape)
-    /// round-trip and never expand the raw encoding by more than the
-    /// per-sample code overhead allows.
-    #[test]
-    fn gorilla_codec_roundtrips_generated_blocks(
-        start_tick in 0u64..(1 << 40),
-        walk in prop::collection::vec(any::<i32>(), 1..200),
-    ) {
-        let mut v = 0.0f64;
-        let samples: Vec<u64> = walk.iter().map(|step| {
-            v += *step as f64 * 1e-3;
-            v.to_bits()
-        }).collect();
-        let bytes = lethe::workload::timeseries::encode_block(start_tick, &samples);
-        prop_assert_eq!(lethe::workload::timeseries::decode_block(&bytes).unwrap(), samples);
-    }
-}
-
 /// A durable-engine step: a regular mutation or a restart point (drop the
 /// engine mid-history and reopen it from its directory).
 #[derive(Debug, Clone)]

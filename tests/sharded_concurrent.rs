@@ -226,11 +226,6 @@ fn concurrent_workload_driver_smoke() {
             let snapshot = db.snapshot();
             snapshot.get(*key).unwrap();
         }
-        Operation::TimeSeriesAppend { series, start_tick, samples } => {
-            let block = lethe::workload::timeseries::encode_block(*start_tick, samples);
-            let key = lethe::workload::timeseries::encode_key(*start_tick, *series);
-            db.put(key, *start_tick, block).unwrap();
-        }
     });
     assert_eq!(report.operations, 4_000);
     db.persist().unwrap();
