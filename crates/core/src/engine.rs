@@ -523,8 +523,9 @@ impl Lethe {
         LetheBuilder::new().restore(dir)
     }
 
-    /// Captures a frozen point-in-time view of this engine's tree (a pinned
-    /// [`ReadView`]: the same read surface, answering as of now). The `&mut`
+    /// Captures a frozen point-in-time view of this engine's tree (a
+    /// [`ReadView`] over state nothing writes: the same read surface,
+    /// answering as of now). The `&mut`
     /// receiver is the write serialisation the capture requires; the
     /// returned view reads without any lock. Registering the covering seqnum
     /// fence with the

@@ -16,7 +16,7 @@
 //!   `Arc` clone) and read the shared memtables under brief read locks —
 //!   no shard lock, so a reader is *never* blocked by a writer, a flush or
 //!   a compaction, and never observes a half-committed version. A
-//!   [`Snapshot`] reads through pinned views of the same type, and both go
+//!   [`Snapshot`] reads through captured views of the same type, and both go
 //!   through one fan-out: route `get` by key hash, heap-merge one stream
 //!   per shard for everything else.
 //! * **Writers** — every mutation (`put`, `delete`, `delete_range`,
@@ -428,7 +428,7 @@ fn shard_of_key(key: SortKey, n: usize) -> usize {
 }
 
 /// One [`ReadView`] per shard, by shard index — live views for the store
-/// itself, pinned ones behind a [`Snapshot`] — and the one read fan-out both
+/// itself, captured ones behind a [`Snapshot`] — and the one read fan-out both
 /// go through.
 struct ShardViews(Vec<ReadView>);
 

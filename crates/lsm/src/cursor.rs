@@ -118,12 +118,6 @@ impl VecCursor {
             .all(|w| entry_order(&w[0], &w[1]) != CmpOrdering::Greater));
         VecCursor { iter: entries.into_iter() }
     }
-
-    /// Builds a cursor over entries in arbitrary order (sorts them first).
-    pub fn from_unsorted(mut entries: Vec<Entry>) -> Self {
-        entries.sort_by(entry_order);
-        Self::from_sorted(entries)
-    }
 }
 
 impl EntryCursor for VecCursor {
@@ -330,8 +324,7 @@ impl Ord for HeapHead {
 
 /// A binary-heap k-way merge over entry cursors that yields the newest
 /// version per sort key, with range-tombstone shadowing applied through a
-/// [`FragmentCursor`] and (optionally) tombstones themselves dropped — the
-/// streaming equivalent of the seed's materialising `merge_entries`.
+/// [`FragmentCursor`] and (optionally) tombstones themselves dropped.
 ///
 /// Sources must be supplied **newest first** (active memtable, frozen
 /// buffer, then disk levels top-down): when two sources hold an entry with
@@ -426,9 +419,40 @@ mod tests {
         out
     }
 
+    /// What a merge leaves of `inputs` (each in arbitrary order) under
+    /// `range_tombstones`: the surviving point entries and, unless
+    /// tombstones are dropped, the range tombstones themselves.
+    struct Merged {
+        entries: Vec<Entry>,
+        range_tombstones: Vec<Entry>,
+    }
+
+    impl Merged {
+        fn len(&self) -> usize {
+            self.entries.len() + self.range_tombstones.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.entries.is_empty() && self.range_tombstones.is_empty()
+        }
+    }
+
+    fn sorted(mut entries: Vec<Entry>) -> VecCursor {
+        entries.sort_by(entry_order);
+        VecCursor::from_sorted(entries)
+    }
+
+    fn merge_all(inputs: Vec<Vec<Entry>>, range_tombstones: Vec<Entry>, drop: bool) -> Merged {
+        let cursors: Vec<Box<dyn EntryCursor>> =
+            inputs.into_iter().map(|v| Box::new(sorted(v)) as Box<dyn EntryCursor>).collect();
+        let merge = MergeIterator::new(cursors, range_tombstones.clone(), drop).unwrap();
+        let range_tombstones = if drop { Vec::new() } else { range_tombstones };
+        Merged { entries: collect(merge), range_tombstones }
+    }
+
     #[test]
     fn vec_cursor_streams_in_order() {
-        let mut c = VecCursor::from_unsorted(vec![put(3, 1), put(1, 2), put(2, 3)]);
+        let mut c = sorted(vec![put(3, 1), put(1, 2), put(2, 3)]);
         assert_eq!(c.next_entry().unwrap().unwrap().sort_key, 1);
         assert_eq!(c.next_entry().unwrap().unwrap().sort_key, 2);
         assert_eq!(c.next_entry().unwrap().unwrap().sort_key, 3);
@@ -578,5 +602,118 @@ mod tests {
         let out =
             collect(MergeIterator::new(vec![Box::new(c)], vec![], false).unwrap());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn newest_version_wins() {
+        let out = merge_all(vec![vec![put(1, 5), put(2, 1)], vec![put(1, 9)]], vec![], false);
+        assert_eq!(out.entries.len(), 2);
+        assert_eq!(out.entries[0].seqnum, 9);
+        assert_eq!(out.entries[1].sort_key, 2);
+        assert_eq!(out.len(), 2);
+        assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn point_tombstone_hides_older_versions_but_survives() {
+        let out = merge_all(
+            vec![vec![put(7, 1)], vec![Entry::point_tombstone(7, 5)]],
+            vec![],
+            false,
+        );
+        assert_eq!(out.entries.len(), 1);
+        assert!(out.entries[0].is_point_tombstone());
+    }
+
+    #[test]
+    fn tombstones_dropped_at_last_level() {
+        let out = merge_all(
+            vec![vec![put(7, 1), put(8, 2)], vec![Entry::point_tombstone(7, 5)]],
+            vec![Entry::range_tombstone(100, 200, 9)],
+            true,
+        );
+        // key 7 deleted persistently, key 8 survives, all tombstones gone
+        assert_eq!(out.entries.len(), 1);
+        assert_eq!(out.entries[0].sort_key, 8);
+        assert!(out.range_tombstones.is_empty());
+    }
+
+    #[test]
+    fn newer_put_survives_point_tombstone() {
+        // a put issued after the delete re-inserts the key
+        let out = merge_all(
+            vec![vec![Entry::point_tombstone(3, 4)], vec![put(3, 8)]],
+            vec![],
+            true,
+        );
+        assert_eq!(out.entries.len(), 1);
+        assert_eq!(out.entries[0].seqnum, 8);
+        assert!(!out.entries[0].is_tombstone());
+    }
+
+    #[test]
+    fn range_tombstone_deletes_covered_older_entries_only() {
+        let rt = Entry::range_tombstone(10, 20, 100);
+        let out = merge_all(
+            vec![vec![put(5, 1), put(12, 2), put(15, 200), put(25, 3)]],
+            vec![rt.clone()],
+            false,
+        );
+        let keys: Vec<u64> = out.entries.iter().map(|e| e.sort_key).collect();
+        // 12 is covered and older than the tombstone; 15 is newer; 5, 25 outside
+        assert_eq!(keys, vec![5, 15, 25]);
+        assert_eq!(out.range_tombstones, vec![rt]);
+    }
+
+    #[test]
+    fn output_is_sorted_and_deduplicated() {
+        let mut inputs = Vec::new();
+        for i in 0..5u64 {
+            inputs.push((0..50u64).map(|k| put(k, i * 100 + k)).collect());
+        }
+        let out = merge_all(inputs, vec![], false);
+        assert_eq!(out.entries.len(), 50);
+        assert!(out.entries.windows(2).all(|w| w[0].sort_key < w[1].sort_key));
+        // all survivors come from the newest input (seqnum >= 400)
+        assert!(out.entries.iter().all(|e| e.seqnum >= 400));
+    }
+
+    /// Regression for the O(entries × tombstones) shadowing pass: 1k range
+    /// tombstones against 10k entries must merge through the sorted window
+    /// (and produce exactly the covered/uncovered split) without the
+    /// per-entry full-list scan the seed performed.
+    #[test]
+    fn many_tombstones_times_many_entries_uses_the_window() {
+        let n_entries = 10_000u64;
+        let n_rts = 1_000u64;
+        // entries at seq 1..=10k; tombstones cover [2i, 2i+10) at seq 100k+i
+        // (all newer than every entry), so exactly the covered keys die
+        let entries: Vec<Entry> = (0..n_entries).map(|k| put(k, k + 1)).collect();
+        let rts: Vec<Entry> = (0..n_rts)
+            .map(|i| Entry::range_tombstone(2 * i, 2 * i + 10, 100_000 + i))
+            .collect();
+        let start = std::time::Instant::now();
+        let out = merge_all(vec![entries.clone()], rts.clone(), false);
+        let elapsed = start.elapsed();
+        // brute-force oracle on a sample of keys
+        for k in (0..n_entries).step_by(97) {
+            let shadowed = rts.iter().any(|rt| rt.covers(k));
+            let present = out.entries.iter().any(|e| e.sort_key == k);
+            assert_eq!(present, !shadowed, "key {k}");
+        }
+        assert_eq!(out.range_tombstones.len(), n_rts as usize);
+        assert!(out.entries.windows(2).all(|w| w[0].sort_key < w[1].sort_key));
+        // generous wall-clock sanity bound: the quadratic path took ~10M
+        // covers() calls here; the window does ~(n + t) log t work
+        assert!(elapsed.as_secs() < 10, "merge took {elapsed:?}");
+    }
+
+    #[test]
+    fn empty_inputs() {
+        let out = merge_all(vec![], vec![], true);
+        assert!(out.is_empty());
+        let out = merge_all(vec![vec![]], vec![Entry::range_tombstone(0, 10, 1)], false);
+        assert_eq!(out.range_tombstones.len(), 1);
+        assert!(out.entries.is_empty());
     }
 }

@@ -15,8 +15,6 @@
 //! * [`cursor`] — streaming entry cursors (lazy per-tile file readers) and
 //!   the binary-heap k-way [`cursor::MergeIterator`] every scan, flush and
 //!   compaction is built on.
-//! * [`merge`] — the materialising sort-merge wrapper with tombstone
-//!   semantics (content snapshots, tests).
 //! * [`compaction`] — the [`compaction::CompactionPolicy`] trait plus the
 //!   baseline policies (saturation + min-overlap, saturation + most
 //!   tombstones, periodic full-tree compaction).
@@ -31,8 +29,9 @@
 //!   compaction, and the plan/execute/apply cycle the inline paths and a
 //!   background worker drive.
 //! * [`read`] — [`read::ReadView`], the one read path: point lookups, range
-//!   scans, delete-key scans and the checkpoint stream, served lock-free
-//!   either live (the tree's current state) or pinned (an MVCC capture).
+//!   scans, delete-key scans, the checkpoint stream and the content audit,
+//!   served lock-free over the tree's live state or, in the same shape,
+//!   over an MVCC capture of it.
 //! * [`version`] — immutable, `Arc`-shared version sets: snapshot-isolated
 //!   reads and deferred page reclamation.
 //! * [`reclaim`] — the page-retirement choke point every engine-path
@@ -66,7 +65,6 @@ pub mod config;
 pub mod cursor;
 pub mod jobs;
 pub mod level;
-pub mod merge;
 pub mod read;
 pub mod reclaim;
 pub mod snapshot;
@@ -85,7 +83,6 @@ pub use compaction::{
 pub use cursor::{EntryCursor, MergeIterator, SsTableCursor, VecCursor};
 pub use config::{CompactionStrategy, LsmConfig, MergePolicy, SecondaryDeleteMode};
 pub use level::{Level, Run};
-pub use merge::{merge_entries, MergeOutput};
 pub use read::{RangeIter, ReadView};
 pub use snapshot::SnapshotTracker;
 pub use sstable::{DeleteTile, PageHandle, SecondaryDeleteStats, SsTable, SsTableMeta};

@@ -1,13 +1,15 @@
 //! The read path: [`ReadView`] carries the only implementation of every
 //! lookup the engine offers — the point lookup through a delete tile's page
 //! filters, the sort-key range lookup, the secondary range lookup on the
-//! delete key (paper §4.2), the Bloom-only existence probe and the
-//! checkpoint stream. A view reads three sources in the order data moves
-//! through the tree (active write buffer → frozen buffer → disk
-//! [`Version`]); whether it reads the tree's *live* state or a *pinned*
-//! capture of it is confined to the accessors of the private `Source`.
+//! delete key (paper §4.2), the Bloom-only existence probe, the checkpoint
+//! stream and the content audit behind space amplification (§3.2.1). A view
+//! reads three sources in the order data moves through the tree (active
+//! write buffer → frozen buffer → disk [`Version`]). A live view reads the
+//! tree's own `MemState` and [`VersionSet`]; a captured view has the same
+//! shape over a copy of them that nothing writes.
 
 use crate::cursor::{EntryCursor, MergeIterator, SharedSliceCursor, SsTableCursor, VecCursor};
+use crate::stats::ContentSnapshot;
 use crate::tree::min_opt;
 use crate::version::{Version, VersionSet};
 use bytes::Bytes;
@@ -107,7 +109,7 @@ fn extend_overlapping(out: &mut Vec<Entry>, rts: &[Entry], bounds: Option<(SortK
 
 /// The active write buffer: the memtable and the tombstone clock describing
 /// it, under one lock so a reader never sees one without the other.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct ActiveBuffer {
     pub(crate) table: MemTable,
     /// Insertion time of the oldest tombstone buffered in `table`. Set by
@@ -140,42 +142,17 @@ impl Default for MemState {
     }
 }
 
-/// Where a [`ReadView`] finds its write buffers and disk version.
-#[derive(Clone)]
-enum Source {
-    /// The tree's own shared state, read afresh by every operation.
-    Live { mem: Arc<MemState>, versions: Arc<VersionSet> },
-    /// A capture of that state. The capture is three pointers plus one
-    /// bounded copy: the active memtable's entries are cloned into the
-    /// frozen-buffer shape (bounded by the buffer capacity), the frozen
-    /// buffer — if one is pending flush — is pinned by `Arc` (its rare
-    /// in-place mutation goes through `Arc::make_mut`, leaving pinned clones
-    /// untouched), and the pinned [`Version`] defers page reclamation of its
-    /// tables for as long as the view lives.
-    Pinned { active: Arc<FrozenBuffer>, frozen: Option<Arc<FrozenBuffer>>, version: Arc<Version> },
-}
-
-impl Source {
-    /// Runs `f` on the frozen buffer, if there is one: the same buffer shape
-    /// in both arms, behind its brief read lock in a live source.
+impl MemState {
+    /// Runs `f` on the frozen buffer, if there is one, behind its brief
+    /// read lock.
     fn with_frozen<R>(&self, f: impl FnOnce(&Arc<FrozenBuffer>) -> R) -> Option<R> {
-        match self {
-            Source::Live { mem, .. } => mem.frozen.read().as_ref().map(f),
-            Source::Pinned { frozen, .. } => frozen.as_ref().map(f),
-        }
-    }
-
-    /// The active buffer's version (possibly a tombstone) of `sort_key`.
-    fn active_get(&self, sort_key: SortKey) -> Option<Entry> {
-        match self {
-            Source::Live { mem, .. } => mem.active.read().table.get(sort_key),
-            Source::Pinned { active, .. } => active.get(sort_key),
-        }
+        self.frozen.read().as_ref().map(f)
     }
 
     /// Newest buffered version (possibly a tombstone) of `sort_key`.
-    fn mem_get(&self, sort_key: SortKey) -> Option<Entry> {
-        self.active_get(sort_key).or_else(|| self.with_frozen(|f| f.get(sort_key)).flatten())
+    fn get(&self, sort_key: SortKey) -> Option<Entry> {
+        let in_active = self.active.read().table.get(sort_key);
+        in_active.or_else(|| self.with_frozen(|f| f.get(sort_key)).flatten())
     }
 
     /// Pushes one cursor per write buffer over `[lo, hi)` (`None`: over
@@ -187,23 +164,17 @@ impl Source {
         cursors: &mut Vec<Box<dyn EntryCursor>>,
         rts: &mut Vec<Entry>,
     ) {
-        match self {
-            Source::Live { mem, .. } => {
-                // the active memtable is mutable, so its in-range slice is
-                // the one source a streaming scan snapshots eagerly (bounded
-                // by the buffer capacity, not by the scan length)
-                let active = mem.active.read();
-                let slice = match bounds {
-                    Some((lo, hi)) => active.table.range(lo, hi),
-                    None => active.table.iter().cloned().collect(),
-                };
-                cursors.push(Box::new(VecCursor::from_sorted(slice)));
-                extend_overlapping(rts, active.table.range_tombstones(), bounds);
-            }
-            Source::Pinned { active, .. } => {
-                cursors.push(active.range_cursor(bounds));
-                extend_overlapping(rts, &active.range_tombstones, bounds);
-            }
+        {
+            // the active memtable is mutable, so its in-range slice is the
+            // one source a streaming scan snapshots eagerly (bounded by the
+            // buffer capacity, not by the scan length)
+            let active = self.active.read();
+            let slice = match bounds {
+                Some((lo, hi)) => active.table.range(lo, hi),
+                None => active.table.iter().cloned().collect(),
+            };
+            cursors.push(Box::new(VecCursor::from_sorted(slice)));
+            extend_overlapping(rts, active.table.range_tombstones(), bounds);
         }
         self.with_frozen(|f| {
             cursors.push(f.range_cursor(bounds));
@@ -211,56 +182,25 @@ impl Source {
         });
     }
 
-    /// Every buffered range tombstone, active buffer first.
-    fn buffered_range_tombstones(&self, rts: &mut Vec<Entry>) {
-        match self {
-            Source::Live { mem, .. } => {
-                rts.extend_from_slice(mem.active.read().table.range_tombstones());
-            }
-            Source::Pinned { active, .. } => rts.extend_from_slice(&active.range_tombstones),
-        }
-        self.with_frozen(|f| rts.extend_from_slice(&f.range_tombstones));
-    }
-
     /// The buffered point entries satisfying `qualifies` (any order).
     fn buffered_where(&self, qualifies: impl Fn(&&Entry) -> bool) -> Vec<Entry> {
-        let mut hits: Vec<Entry> = match self {
-            Source::Live { mem, .. } => {
-                mem.active.read().table.iter().filter(&qualifies).cloned().collect()
-            }
-            Source::Pinned { active, .. } => {
-                active.entries.iter().filter(&qualifies).cloned().collect()
-            }
-        };
+        let mut hits: Vec<Entry> =
+            self.active.read().table.iter().filter(&qualifies).cloned().collect();
         self.with_frozen(|f| hits.extend(f.entries.iter().filter(&qualifies).cloned()));
         hits
     }
 
+    /// Every buffered range tombstone, active buffer first.
+    fn buffered_range_tombstones(&self) -> Vec<Entry> {
+        let mut rts = self.active.read().table.range_tombstones().to_vec();
+        self.with_frozen(|f| rts.extend_from_slice(&f.range_tombstones));
+        rts
+    }
+
     /// Insertion time of the oldest buffered tombstone.
     fn oldest_buffered_tombstone_ts(&self) -> Option<Timestamp> {
-        let in_active = match self {
-            Source::Live { mem, .. } => mem.active.read().oldest_tombstone_ts,
-            Source::Pinned { active, .. } => active.oldest_tombstone_ts,
-        };
+        let in_active = self.active.read().oldest_tombstone_ts;
         min_opt(in_active, self.with_frozen(|f| f.oldest_tombstone_ts).flatten())
-    }
-
-    /// The disk levels to read: the current version, pinned for the
-    /// caller's use, or the captured one.
-    fn version(&self) -> Arc<Version> {
-        match self {
-            Source::Live { versions, .. } => versions.current(),
-            Source::Pinned { version, .. } => Arc::clone(version),
-        }
-    }
-
-    /// How many versions have been installed under this source. A pinned
-    /// source's version never changes, so its count never moves.
-    fn installs(&self) -> u64 {
-        match self {
-            Source::Live { versions, .. } => versions.installs(),
-            Source::Pinned { .. } => 0,
-        }
     }
 }
 
@@ -279,7 +219,7 @@ impl Source {
 /// therefore *weakly* consistent with concurrent writers — exactly the
 /// contract the sharded front-end documents for fan-out reads.
 ///
-/// A **pinned** view, from
+/// A **captured** view, from
 /// [`LsmTree::capture_snapshot`](crate::tree::LsmTree::capture_snapshot), is
 /// a frozen point-in-time view: it is taken while the embedding layer holds
 /// the tree's write serialisation (the sharded front-end captures all shards
@@ -287,12 +227,22 @@ impl Source {
 /// subsequent writes, flushes, compactions and secondary deletes cannot
 /// change what it returns.
 ///
+/// Both are the same shape: a captured view is a view of a tree nobody
+/// writes. Its `MemState` holds a copy of the active buffer (bounded by the
+/// buffer capacity) and the same frozen-buffer `Arc` (whose rare in-place
+/// mutation goes through `Arc::make_mut`, leaving the capture's pointer
+/// untouched); its [`VersionSet`] holds the captured [`Version`] and never
+/// installs, so the `Arc<SsTable>`s it reaches defer page reclamation for as
+/// long as the view lives; and its buffer capacity is unbounded, so it
+/// never reports [`ReadView::write_stalled`].
+///
 /// Both kinds bump the tree's lookup counters.
 #[derive(Clone)]
 pub struct ReadView {
     backend: Arc<dyn StorageBackend>,
-    source: Source,
-    /// Shared by every view of the tree, live or pinned.
+    mem: Arc<MemState>,
+    versions: Arc<VersionSet>,
+    /// Shared by every view of the tree, live or captured.
     pub(crate) counters: Arc<ReadCounters>,
     /// The write buffer's capacity in bytes, for [`ReadView::write_stalled`].
     buffer_capacity_bytes: usize,
@@ -306,31 +256,33 @@ impl ReadView {
         versions: Arc<VersionSet>,
         buffer_capacity_bytes: usize,
     ) -> ReadView {
-        ReadView {
-            backend,
-            source: Source::Live { mem, versions },
-            counters: Arc::default(),
-            buffer_capacity_bytes,
-        }
+        ReadView { backend, mem, versions, counters: Arc::default(), buffer_capacity_bytes }
     }
 
-    /// The same tree as `self`, read at the captured state.
-    pub(crate) fn pinned(
-        &self,
-        active: Arc<FrozenBuffer>,
-        frozen: Option<Arc<FrozenBuffer>>,
-        version: Arc<Version>,
-    ) -> ReadView {
-        ReadView { source: Source::Pinned { active, frozen, version }, ..self.clone() }
+    /// The same tree as `self`, captured: a view over a copy of the buffers
+    /// and the current version that no write, flush or install reaches.
+    pub(crate) fn capture(&self) -> ReadView {
+        let active = self.mem.active.read().clone();
+        let frozen = self.mem.frozen.read().clone();
+        let mem = MemState {
+            active: RwLock::new(LockRank::MemtableActive, active),
+            frozen: RwLock::new(LockRank::MemtableFrozen, frozen),
+        };
+        ReadView {
+            mem: Arc::new(mem),
+            versions: Arc::new(VersionSet::fixed(self.versions.current())),
+            buffer_capacity_bytes: usize::MAX,
+            ..self.clone()
+        }
     }
 
     /// Point lookup: returns the value of `sort_key`, or `None` if the key
     /// does not exist or has been deleted.
     pub fn get(&self, sort_key: SortKey) -> Result<Option<Bytes>> {
         self.counters.point_lookups.fetch_add(1, Ordering::Relaxed);
-        let newest = match self.source.mem_get(sort_key) {
+        let newest = match self.mem.get(sort_key) {
             Some(e) => Some(e),
-            None => self.disk_entry(&self.source.version(), sort_key)?,
+            None => self.disk_entry(&self.versions.current(), sort_key)?,
         };
         Ok(newest.filter(|e| e.kind == EntryKind::Put).map(|e| e.value))
     }
@@ -373,7 +325,10 @@ impl ReadView {
     /// tombstones consumed) and the checkpoint stream (full entries,
     /// tombstones retained). The file cursors hold their tables, which
     /// defers the reclamation of every page the merge may still read for as
-    /// long as it lives.
+    /// long as it lives. The whole-view walk (the checkpoint stream and the
+    /// content audit) reads its pages `nofill`, as compactions do, so a
+    /// bulk pass over the store cannot evict the hot read set from the
+    /// block cache; a bounded scan fills it like a get.
     fn build_merge(
         &self,
         bounds: Option<(SortKey, SortKey)>,
@@ -382,8 +337,8 @@ impl ReadView {
         let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::new();
         let mut rts: Vec<Entry> = Vec::new();
         if bounds.is_none_or(|(lo, hi)| lo < hi) {
-            self.source.push_buffers(bounds, &mut cursors, &mut rts);
-            let version = self.source.version();
+            self.mem.push_buffers(bounds, &mut cursors, &mut rts);
+            let version = self.versions.current();
             // both arms list the files in read precedence order (shallowest
             // level first, newest run first)
             let tables = match bounds {
@@ -395,7 +350,7 @@ impl ReadView {
                 let backend = Arc::clone(&self.backend);
                 cursors.push(Box::new(match bounds {
                     Some((lo, hi)) => SsTableCursor::new(table, backend, lo, hi, false),
-                    None => SsTableCursor::full(table, backend, false),
+                    None => SsTableCursor::full(table, backend, true),
                 }));
             }
         }
@@ -443,7 +398,7 @@ impl ReadView {
         if d_hi <= d_lo {
             return Ok(Vec::new());
         }
-        let mut hits = self.source.buffered_where(|e| {
+        let mut hits = self.mem.buffered_where(|e| {
             !e.is_tombstone() && e.delete_key >= d_lo && e.delete_key < d_hi
         });
         // the install counter is read BEFORE the version is pinned: an
@@ -453,8 +408,8 @@ impl ReadView {
         // way around, a racing install could be counted into `generation`
         // while the pin still holds the pre-install version, and the
         // short-circuit would validate candidates against a stale snapshot.
-        let generation = self.source.installs();
-        let version = self.source.version();
+        let generation = self.versions.installs();
+        let version = self.versions.current();
         for table in version.levels.iter().flat_map(|level| level.all_tables()) {
             // KiWi fence pruning at file granularity: a file whose put
             // delete keys cannot intersect the scanned range holds no
@@ -499,7 +454,7 @@ impl ReadView {
     /// collection-time pin is reused when no version has been installed
     /// since — skipping the per-candidate re-pin (version lock + `Arc` bump)
     /// the seed paid on every key — and only a mismatch falls back to a
-    /// fresh pin. A pinned view's counter never moves, so it always reuses.
+    /// fresh pin. A captured view's counter never moves, so it always reuses.
     ///
     /// Safety of the short-circuit against a concurrent flush: `apply_job`
     /// installs the new version *before* clearing the frozen slot, and the
@@ -514,13 +469,13 @@ impl ReadView {
         generation: u64,
         sort_key: SortKey,
     ) -> Result<Option<Entry>> {
-        if let Some(e) = self.source.mem_get(sort_key) {
+        if let Some(e) = self.mem.get(sort_key) {
             return Ok(Some(e));
         }
-        if self.source.installs() == generation {
+        if self.versions.installs() == generation {
             self.disk_entry(pinned, sort_key)
         } else {
-            self.disk_entry(&self.source.version(), sort_key)
+            self.disk_entry(&self.versions.current(), sort_key)
         }
     }
 
@@ -530,13 +485,12 @@ impl ReadView {
         let in_frozen = |f: &Arc<FrozenBuffer>| {
             f.get(sort_key).is_some() || !f.range_tombstones.is_empty()
         };
-        if self.source.active_get(sort_key).is_some()
-            || self.source.with_frozen(in_frozen) == Some(true)
-        {
+        let in_active = self.mem.active.read().table.get(sort_key).is_some();
+        if in_active || self.mem.with_frozen(in_frozen) == Some(true) {
             return Ok(true);
         }
         let stats = self.backend.stats();
-        let version = self.source.version();
+        let version = self.versions.current();
         for table in version.levels.iter().flat_map(|level| level.all_tables()) {
             if !table.key_in_range(sort_key) {
                 continue;
@@ -568,12 +522,48 @@ impl ReadView {
         self.build_merge(None, false)
     }
 
+    /// The content audit behind
+    /// [`LsmTree::snapshot_contents`](crate::tree::LsmTree::snapshot_contents),
+    /// run on a captured view so every count describes one instant. Totals
+    /// count every stored copy with no dedup: file metadata (whose entry,
+    /// byte and tombstone counts include the file's range-tombstone block)
+    /// plus the buffers' point entries and range tombstones. Unique counts
+    /// stream the whole view's merge with tombstones resolved.
+    pub(crate) fn contents(&self, now: Timestamp) -> Result<ContentSnapshot> {
+        let version = self.versions.current();
+        let mut snap = ContentSnapshot {
+            populated_levels: version.levels.iter().filter(|l| !l.is_empty()).count(),
+            ..ContentSnapshot::default()
+        };
+        for table in version.levels.iter().flat_map(|level| level.all_tables()) {
+            snap.files += 1;
+            snap.metadata_bytes += table.memory_footprint() as u64;
+            if table.has_tombstones() {
+                snap.tombstone_file_ages.push((table.tombstone_age(now), table.tombstone_count()));
+            }
+            snap.total_entries += table.meta.num_entries;
+            snap.total_bytes += table.meta.data_bytes;
+            snap.tombstones += table.tombstone_count();
+        }
+        let buffered = self.mem.buffered_where(|_| true);
+        for e in buffered.iter().chain(&self.mem.buffered_range_tombstones()) {
+            snap.total_entries += 1;
+            snap.total_bytes += e.encoded_size() as u64;
+            snap.tombstones += u64::from(e.is_tombstone());
+        }
+        let mut merge = self.build_merge(None, true)?;
+        while let Some(e) = merge.next_merged()? {
+            snap.unique_entries += 1;
+            snap.unique_bytes += e.encoded_size() as u64;
+        }
+        Ok(snap)
+    }
+
     /// Every range tombstone visible in this view, from all of its sources
     /// (checkpoints persist them alongside the point entries).
     pub fn all_range_tombstones(&self) -> Vec<Entry> {
-        let mut rts: Vec<Entry> = Vec::new();
-        self.source.buffered_range_tombstones(&mut rts);
-        for table in self.source.version().levels.iter().flat_map(|level| level.all_tables()) {
+        let mut rts = self.mem.buffered_range_tombstones();
+        for table in self.versions.current().levels.iter().flat_map(|level| level.all_tables()) {
             rts.extend(table.range_tombstones.iter().cloned());
         }
         rts.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then(a.seqnum.cmp(&b.seqnum)));
@@ -584,9 +574,9 @@ impl ReadView {
     /// Insertion time of the oldest tombstone visible in this view, for the
     /// FADE age accounting of files a checkpoint builds from it.
     pub fn oldest_tombstone_ts(&self) -> Option<Timestamp> {
-        let version = self.source.version();
+        let version = self.versions.current();
         let on_disk = version.levels.iter().flat_map(|level| level.all_tables());
-        on_disk.fold(self.source.oldest_buffered_tombstone_ts(), |oldest, table| {
+        on_disk.fold(self.mem.oldest_buffered_tombstone_ts(), |oldest, table| {
             min_opt(oldest, table.meta.oldest_tombstone_ts)
         })
     }
@@ -594,7 +584,7 @@ impl ReadView {
     /// Number of runs in the first disk level — the write-backpressure
     /// signal, exposed on the view so the check needs no shard lock.
     pub fn l0_run_count(&self) -> usize {
-        self.source.version().l0_run_count()
+        self.versions.current().l0_run_count()
     }
 
     /// True when the writer should stall (full active buffer behind an
@@ -602,18 +592,13 @@ impl ReadView {
     /// [`LsmTree::write_stalled`](crate::tree::LsmTree::write_stalled).
     /// Exposed on the view so backpressure checks need no shard lock.
     pub fn write_stalled(&self) -> bool {
-        match &self.source {
-            // active before frozen: the `&&` keeps its first operand's guard
-            // alive across the second, so this order must match the lock
-            // ranks (MemtableActive < MemtableFrozen) — the reverse order
-            // was a real rank inversion against the freeze path
-            Source::Live { mem, .. } => {
-                mem.active.read().table.size_bytes() >= self.buffer_capacity_bytes
-                    && mem.frozen.read().is_some()
-            }
-            // nothing writes into a capture
-            Source::Pinned { .. } => false,
-        }
+        // active before frozen: the `&&` keeps its first operand's guard
+        // alive across the second, so this order must match the lock ranks
+        // (MemtableActive < MemtableFrozen) — the reverse order was a real
+        // rank inversion against the freeze path. A capture's unbounded
+        // capacity keeps it false: nothing writes into a capture.
+        self.mem.active.read().table.size_bytes() >= self.buffer_capacity_bytes
+            && self.mem.frozen.read().is_some()
     }
 }
 
@@ -665,8 +650,204 @@ impl Iterator for RangeIter {
 mod tests {
     use crate::compaction::{FileSelection, SaturationPolicy};
     use crate::config::{LsmConfig, MergePolicy};
-    use crate::tree::LsmTree;
+    use crate::tree::{LsmTree, MaintenanceMode};
     use bytes::Bytes;
+    use lethe_storage::{
+        Entry, EntryKind, FileBackend, FileWal, LogicalClock, Manifest, MemVfs, SortKey, Vfs,
+    };
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::path::Path;
+    use std::sync::Arc;
+
+    fn policy() -> Box<SaturationPolicy> {
+        Box::new(SaturationPolicy::new(FileSelection::MinOverlap))
+    }
+
+    /// Opens (or reopens) the tree stored in `vfs`, in background mode: a
+    /// full buffer is only frozen, and stays so until the test flushes.
+    fn open(vfs: &Arc<dyn Vfs>) -> LsmTree {
+        let dir = Path::new("/");
+        let backend = Arc::new(FileBackend::open_on(vfs, dir, "lethe").unwrap());
+        let wal = FileWal::open_on(vfs, &dir.join("lethe.wal")).unwrap();
+        let manifest = Manifest::open_on(vfs, &dir.join("lethe.manifest")).unwrap();
+        let config = LsmConfig::small_for_test();
+        let mut t =
+            LsmTree::new(config, backend, Box::new(wal), manifest, LogicalClock::new(), policy())
+                .unwrap();
+        t.recover().unwrap();
+        t.set_maintenance_mode(MaintenanceMode::Background);
+        t
+    }
+
+    /// Every stored copy in `t` — each file's point entries and
+    /// range-tombstone block, then both write buffers — read entry by entry,
+    /// as points and range tombstones.
+    fn stored_copies(t: &LsmTree) -> (Vec<Entry>, Vec<Entry>) {
+        let (mut points, mut rts) = (Vec::new(), Vec::new());
+        for table in t.versions().current().levels.iter().flat_map(|l| l.all_tables()) {
+            points.extend(table.read_all_entries(t.backend().as_ref()).unwrap());
+            rts.extend_from_slice(&table.range_tombstones);
+        }
+        {
+            let active = t.mem.active.read();
+            points.extend(active.table.iter().cloned());
+            rts.extend_from_slice(active.table.range_tombstones());
+        }
+        if let Some(frozen) = t.mem.frozen.read().as_ref() {
+            points.extend(frozen.entries.iter().cloned());
+            rts.extend_from_slice(&frozen.range_tombstones);
+        }
+        (points, rts)
+    }
+
+    /// `[total_entries, total_bytes, tombstones, unique_entries,
+    /// unique_bytes]` of the stored copies, by an independent reference:
+    /// totals count every copy; a key is live when its newest copy by seqnum
+    /// is a put that no newer range tombstone covers (a linear check).
+    fn reference_counts(points: &[Entry], rts: &[Entry]) -> [u64; 5] {
+        let copies = points.iter().chain(rts);
+        let total_bytes = copies.clone().map(|e| e.encoded_size() as u64).sum();
+        let tombstones = copies.filter(|e| e.is_tombstone()).count() as u64;
+        let mut newest: BTreeMap<SortKey, &Entry> = BTreeMap::new();
+        for e in points {
+            let slot = newest.entry(e.sort_key).or_insert(e);
+            if slot.seqnum < e.seqnum {
+                *slot = e;
+            }
+        }
+        let live: Vec<&Entry> = newest
+            .into_values()
+            .filter(|e| e.kind == EntryKind::Put)
+            .filter(|e| !rts.iter().any(|rt| rt.covers(e.sort_key) && rt.seqnum > e.seqnum))
+            .collect();
+        [
+            (points.len() + rts.len()) as u64,
+            total_bytes,
+            tombstones,
+            live.len() as u64,
+            live.iter().map(|e| e.encoded_size() as u64).sum(),
+        ]
+    }
+
+    /// The content audit agrees with [`reference_counts`] on `t`.
+    fn check_audit(t: &LsmTree) {
+        let (points, rts) = stored_copies(t);
+        let snap = t.snapshot_contents().unwrap();
+        let audited = [
+            snap.total_entries,
+            snap.total_bytes,
+            snap.tombstones,
+            snap.unique_entries,
+            snap.unique_bytes,
+        ];
+        assert_eq!(audited, reference_counts(&points, &rts), "frozen: {}", t.has_frozen());
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Put(u64, u8),
+        Delete(u64),
+        DeleteRange(u64, u64),
+        Freeze,
+        Flush,
+        Compact,
+        Reopen,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            10 => (0..96u64, any::<u8>()).prop_map(|(k, v)| Step::Put(k, v)),
+            3 => (0..96u64).prop_map(Step::Delete),
+            1 => (0..96u64, 1..24u64).prop_map(|(s, len)| Step::DeleteRange(s, s + len)),
+            1 => Just(Step::Freeze),
+            1 => Just(Step::Flush),
+            1 => Just(Step::Compact),
+            1 => Just(Step::Reopen),
+        ]
+    }
+
+    fn apply(t: &mut LsmTree, vfs: &Arc<dyn Vfs>, step: Step) {
+        match step {
+            Step::Put(k, v) => t.put(k, k % 7, Bytes::from(vec![v; 1 + k as usize % 13])).unwrap(),
+            Step::Delete(k) => drop(t.delete(k).unwrap()),
+            Step::DeleteRange(s, e) => t.delete_range(s, e).unwrap(),
+            Step::Freeze => drop(t.freeze().unwrap()),
+            Step::Flush => t.flush().unwrap(),
+            Step::Compact => t.maintain().unwrap(),
+            Step::Reopen => *t = open(vfs),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// `snapshot_contents` counts what an independent reference counts
+        /// over every stored copy, after every step of a random history —
+        /// and on every history, with a frozen buffer held behind the
+        /// active one and again after a reopen replays the log.
+        #[test]
+        fn content_audit_matches_the_reference(ops in prop::collection::vec(step(), 1..120)) {
+            let vfs = MemVfs::shared();
+            let mut t = open(&vfs);
+            let tail = [Step::Put(0, 1), Step::Freeze, Step::Put(1, 2), Step::Delete(2)];
+            for step in ops.into_iter().chain(tail) {
+                apply(&mut t, &vfs, step);
+                check_audit(&t);
+            }
+            prop_assert!(t.has_frozen(), "the history must end on a held frozen buffer");
+            apply(&mut t, &vfs, Step::Reopen);
+            check_audit(&t);
+        }
+    }
+
+    /// A capture taken with a full active buffer behind an unflushed frozen
+    /// one keeps reading capture-time values from all three sources through
+    /// later writes, a flush, a compaction and a secondary range delete; it
+    /// never reports a stall the live view does; and dropping it releases
+    /// the files it pinned.
+    #[test]
+    fn a_capture_reads_its_instant_from_every_source() {
+        let vfs = MemVfs::shared();
+        let mut t = open(&vfs);
+        let value = |k: u64, round: u64| Bytes::from(format!("v{round}-{k}"));
+        let mut key = 0u64;
+        let mut put_until = |t: &mut LsmTree, done: fn(&LsmTree) -> bool| {
+            while !done(t) {
+                t.put(key, key % 10, value(key, 0)).unwrap();
+                key += 1;
+            }
+            key - 1
+        };
+        let on_disk = put_until(&mut t, LsmTree::has_frozen);
+        t.flush().unwrap();
+        let frozen = put_until(&mut t, LsmTree::has_frozen);
+        let active = put_until(&mut t, LsmTree::write_stalled);
+        let reader = t.reader();
+        let capture = t.capture_snapshot();
+        assert!(reader.write_stalled() && !capture.write_stalled());
+        let captured = reader.range(0, key).unwrap();
+        assert_eq!(captured.len() as u64, key);
+
+        for k in 0..key {
+            t.put(k, k % 10, value(k, 1)).unwrap();
+        }
+        t.delete_range(0, key / 2).unwrap();
+        // purges the frozen buffer the capture shares, copy-on-write
+        t.secondary_range_delete(5, 10).unwrap();
+        t.flush().unwrap();
+        t.force_full_compaction().unwrap();
+        t.secondary_range_delete(0, 5).unwrap();
+        for k in [on_disk, frozen, active] {
+            assert_ne!(reader.get(k).unwrap(), Some(value(k, 0)), "live key {k}");
+            assert_eq!(capture.get(k).unwrap(), Some(value(k, 0)), "captured key {k}");
+        }
+        assert_eq!(capture.range(0, key).unwrap(), captured);
+        assert!(t.versions().garbage_len() > 0, "the capture pins the replaced files");
+        drop(capture);
+        t.versions().collect_garbage(t.backend().as_ref());
+        assert_eq!(t.versions().garbage_len(), 0);
+    }
 
     /// Pages read by a delete-key scan of `[100, 200)` over a tree in which
     /// key 1 has `stale_versions` flushed versions with delete keys in that

@@ -20,7 +20,10 @@
 //! shared `active`/`frozen` memtables, so [`ReadView`] handles obtained
 //! from [`LsmTree::reader`] serve `get`/`range`/secondary scans from any
 //! thread while flushes and compactions run (the read path itself lives in
-//! [`crate::read`]). Every mutation is **stage → commit → apply** over one
+//! [`crate::read`]). [`LsmTree::capture_snapshot`] hands out the same
+//! `ReadView` over a copy of the buffers and a version set that never
+//! installs, and [`LsmTree::snapshot_contents`] audits one such capture.
+//! Every mutation is **stage → commit → apply** over one
 //! op list, whichever door it came through (the point API, a
 //! [`WriteBatch`](crate::batch::WriteBatch), a group-commit leader, WAL
 //! replay); that path lives in [`crate::write`]. Structural work is further
@@ -37,7 +40,6 @@
 use crate::compaction::CompactionPolicy;
 use crate::config::LsmConfig;
 use crate::level::{Level, Run};
-use crate::merge::merge_entries;
 use crate::read::{FrozenBuffer, MemState, ReadView};
 use crate::snapshot::SnapshotTracker;
 use crate::sstable::SsTable;
@@ -221,24 +223,13 @@ impl LsmTree {
     /// Call while holding the tree's write serialisation (the shard's
     /// engine lock in the sharded store): under it no write, flush commit
     /// or version install can interleave, so the three captured sources
-    /// (active clone, pinned frozen buffer, pinned version) describe one
-    /// instant. The returned pinned [`ReadView`] is immutable and reads
-    /// without any tree lock. The caller is responsible for registering
-    /// the covering seqnum fence with the [`SnapshotTracker`] so tombstone
-    /// GC is gated while the view is alive.
+    /// (active copy, pinned frozen buffer, pinned version) describe one
+    /// instant. The returned [`ReadView`] has the live view's shape over
+    /// state nothing writes, and reads without any tree lock. The caller is
+    /// responsible for registering the covering seqnum fence with the
+    /// [`SnapshotTracker`] so tombstone GC is gated while the view is alive.
     pub fn capture_snapshot(&self) -> ReadView {
-        let active = {
-            let active = self.mem.active.read();
-            Arc::new(FrozenBuffer {
-                entries: active.table.iter().cloned().collect(),
-                range_tombstones: active.table.range_tombstones().to_vec(),
-                fragments: active.table.fragments().clone(),
-                oldest_tombstone_ts: active.oldest_tombstone_ts,
-                wal_upto: 0,
-            })
-        };
-        let frozen = self.mem.frozen.read().clone();
-        self.reader.pinned(active, frozen, self.versions.current())
+        self.reader.capture()
     }
 
     /// Provides the set of cross-shard batch ids the batch-commit log proves
@@ -598,63 +589,13 @@ impl LsmTree {
 
     /// Produces a measurement-time snapshot of the tree contents: space
     /// amplification inputs, tombstone counts and tombstone-age distribution.
+    /// Audits one capture of the tree (see [`ReadView`]).
     ///
     /// Note: this reads every page of the tree through the backend, so take
     /// an [`LsmTree::io_snapshot`] *before* calling it if you are measuring
     /// I/O activity.
     pub fn snapshot_contents(&self) -> Result<ContentSnapshot> {
-        let now = self.clock.now();
-        let mut all: Vec<Entry> = Vec::new();
-        let mut rts: Vec<Entry> = Vec::new();
-        let mut tombstone_file_ages = Vec::new();
-        let mut files = 0usize;
-        let mut metadata_bytes = 0u64;
-        let version = self.versions.current();
-        for level in &version.levels {
-            for run in &level.runs {
-                for table in run.tables() {
-                    files += 1;
-                    metadata_bytes += table.memory_footprint() as u64;
-                    if table.has_tombstones() {
-                        tombstone_file_ages.push((table.tombstone_age(now), table.tombstone_count()));
-                    }
-                    all.extend(table.read_all_entries(self.backend.as_ref())?);
-                    rts.extend(table.range_tombstones.iter().cloned());
-                }
-            }
-        }
-        // include the buffer (active + frozen)
-        {
-            let active = self.mem.active.read();
-            all.extend(active.table.iter().cloned());
-            rts.extend(active.table.range_tombstones().iter().cloned());
-        }
-        if let Some(f) = self.mem.frozen.read().as_ref() {
-            all.extend(f.entries.iter().cloned());
-            rts.extend(f.range_tombstones.iter().cloned());
-        }
-
-        let total_entries = (all.len() + rts.len()) as u64;
-        let total_bytes: u64 = all.iter().map(|e| e.encoded_size() as u64).sum::<u64>()
-            + rts.iter().map(|e| e.encoded_size() as u64).sum::<u64>();
-        let tombstones =
-            all.iter().filter(|e| e.is_tombstone()).count() as u64 + rts.len() as u64;
-
-        let merged = merge_entries(vec![all], rts, true);
-        let unique_entries = merged.entries.len() as u64;
-        let unique_bytes: u64 = merged.entries.iter().map(|e| e.encoded_size() as u64).sum();
-
-        Ok(ContentSnapshot {
-            total_bytes,
-            unique_bytes,
-            total_entries,
-            unique_entries,
-            tombstones,
-            tombstone_file_ages,
-            populated_levels: version.levels.iter().filter(|l| !l.is_empty()).count(),
-            files,
-            metadata_bytes,
-        })
+        self.capture_snapshot().contents(self.clock.now())
     }
 }
 

@@ -108,8 +108,16 @@ impl Default for VersionSet {
 impl VersionSet {
     /// Creates a version set holding an empty tree.
     pub fn new() -> Self {
+        Self::fixed(Arc::new(Version::empty()))
+    }
+
+    /// A version set whose current version is `version`. A captured read
+    /// view holds one and never installs into it: its tables stay pinned
+    /// through their `Arc` strong counts, and their reclamation stays with
+    /// the tree's own set.
+    pub(crate) fn fixed(version: Arc<Version>) -> Self {
         VersionSet {
-            current: RwLock::new(LockRank::VersionCurrent, Arc::new(Version::empty())),
+            current: RwLock::new(LockRank::VersionCurrent, version),
             garbage: Mutex::new(LockRank::VersionGarbage, Vec::new()),
             page_refs: Mutex::new(LockRank::PageRefs, HashMap::new()),
             installs: AtomicU64::new(0),

@@ -48,16 +48,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Removes one occurrence of `key` if present (used when entries are
-    /// persistently purged).
-    pub fn remove(&mut self, key: u64) {
-        let b = self.bucket_of(key);
-        if self.buckets[b] > 0 {
-            self.buckets[b] -= 1;
-            self.total -= 1;
-        }
-    }
-
     /// Estimates how many recorded keys fall in `[lo, hi)` assuming a uniform
     /// distribution inside each bucket.
     pub fn estimate_range(&self, lo: u64, hi: u64) -> f64 {
@@ -83,20 +73,6 @@ impl Histogram {
         }
         estimate
     }
-
-    /// Total number of recorded keys.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of recorded keys estimated to fall in `[lo, hi)`.
-    pub fn selectivity(&self, lo: u64, hi: u64) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.estimate_range(lo, hi) / self.total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,11 +85,8 @@ mod tests {
         for k in 0..1000 {
             h.add(k);
         }
-        assert_eq!(h.total(), 1000);
         let est = h.estimate_range(0, 500);
         assert!((est - 500.0).abs() < 25.0, "estimate {est}");
-        let sel = h.selectivity(100, 200);
-        assert!((sel - 0.1).abs() < 0.03, "selectivity {sel}");
     }
 
     #[test]
@@ -123,7 +96,6 @@ mod tests {
         h.add(5);
         assert_eq!(h.estimate_range(20, 20), 0.0);
         assert_eq!(h.estimate_range(30, 20), 0.0);
-        assert_eq!(h.selectivity(200, 300), 0.0);
     }
 
     #[test]
@@ -131,20 +103,7 @@ mod tests {
         let mut h = Histogram::new(100, 200, 10);
         h.add(5); // clamps to first bucket
         h.add(1000); // clamps to last bucket
-        assert_eq!(h.total(), 2);
         assert!(h.estimate_range(100, 200) > 1.9);
-    }
-
-    #[test]
-    fn remove_decrements() {
-        let mut h = Histogram::new(0, 100, 10);
-        h.add(50);
-        h.add(50);
-        h.remove(50);
-        assert_eq!(h.total(), 1);
-        h.remove(50);
-        h.remove(50); // removing below zero is a no-op
-        assert_eq!(h.total(), 0);
     }
 
     #[test]

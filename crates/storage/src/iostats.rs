@@ -155,16 +155,6 @@ impl IoSnapshot {
         }
     }
 
-    /// Block-cache hit rate over the reads this snapshot covers, in `[0, 1]`
-    /// (0 when no cached device contributed).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
     /// Total page I/Os (reads + writes).
     pub fn page_ios(&self) -> u64 {
         self.pages_read + self.pages_written

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// The mutable, sorted in-memory buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MemTable {
     /// Point entries (puts and point tombstones), one per sort key — newer
     /// writes replace older buffered ones in place.

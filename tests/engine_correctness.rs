@@ -924,3 +924,36 @@ fn a_cache_larger_than_the_store_serves_every_warm_read() {
     drop((cached, uncached));
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// A checkpoint streams the whole store image without filling the block
+/// cache: like compactions, its bulk walk reads `nofill`, so it cannot
+/// evict the hot read set. A cached 3-shard store warmed by gets of a tenth
+/// of its keys (most pages never cached) inserts no page while it is
+/// checkpointed.
+#[test]
+fn a_checkpoint_leaves_the_block_cache_as_the_gets_left_it() {
+    const KEYS: u64 = 3_000;
+    let db = ShardedLetheBuilder::from_builder(
+        LetheBuilder::new()
+            .buffer(32, 8, 128)
+            .size_ratio(4)
+            .delete_tile_pages(2)
+            .delete_persistence_threshold_secs(3600.0)
+            .block_cache_bytes(64 << 20),
+    )
+    .shards(3)
+    .build()
+    .unwrap();
+    for k in 0..KEYS {
+        db.put(k, k % 365, vec![0u8; 128]).unwrap();
+    }
+    db.persist().unwrap();
+    for k in (0..KEYS).step_by(10) {
+        assert!(db.get(k).unwrap().is_some(), "preloaded key {k} missing");
+    }
+    let warm = db.cache_snapshot().expect("the store has a block cache");
+    assert!(warm.insertions > 0, "the gets must have filled the cache: {warm:?}");
+    db.checkpoint("/ckpt").unwrap();
+    let after = db.cache_snapshot().expect("the store has a block cache");
+    assert_eq!(after.insertions, warm.insertions, "the checkpoint filled the cache: {after:?}");
+}

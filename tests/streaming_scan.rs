@@ -9,10 +9,11 @@
 use bytes::Bytes;
 use lethe::lsm::cursor::probe;
 use lethe::lsm::jobs::PAGES_PER_MESSAGE;
-use lethe::lsm::merge::merge_entries;
 use lethe::lsm::LsmConfig;
+use lethe::storage::{Entry, EntryKind};
 use lethe::{Lethe, LetheBuilder, ShardedLetheBuilder};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn small_config(h: usize) -> LsmConfig {
     let mut cfg = LsmConfig::small_for_test();
@@ -35,6 +36,39 @@ fn small_db(h: usize) -> Lethe {
 
 fn value(k: u64) -> Bytes {
     Bytes::from(format!("value-{k:08}"))
+}
+
+/// An independent reference for a merge: the live `(key, value)` pairs of
+/// `points` under `range_tombstones`, in key order — per key the newest
+/// copy by seqnum, kept when it is a put that no newer range tombstone
+/// covers (a linear check over the tombstones).
+fn reference(points: Vec<Entry>, range_tombstones: &[Entry]) -> Vec<(u64, Bytes)> {
+    let mut newest: BTreeMap<u64, Entry> = BTreeMap::new();
+    for e in points {
+        if newest.get(&e.sort_key).is_none_or(|n| n.seqnum < e.seqnum) {
+            newest.insert(e.sort_key, e);
+        }
+    }
+    newest
+        .into_values()
+        .filter(|e| e.kind == EntryKind::Put)
+        .filter(|e| !range_tombstones.iter().any(|rt| rt.covers(e.sort_key) && rt.seqnum > e.seqnum))
+        .map(|e| (e.sort_key, e.value))
+        .collect()
+}
+
+/// Every stored copy of a store whose buffers are empty: each file's point
+/// entries, and its range-tombstone block.
+fn stored_copies(db: &Lethe) -> (Vec<Entry>, Vec<Entry>) {
+    let backend = db.tree().backend().clone();
+    let (mut points, mut range_tombstones) = (Vec::new(), Vec::new());
+    for level in db.tree().levels() {
+        for table in level.all_tables() {
+            points.extend(table.read_all_entries(backend.as_ref()).unwrap());
+            range_tombstones.extend(table.range_tombstones.iter().cloned());
+        }
+    }
+    (points, range_tombstones)
 }
 
 /// Fully drains an iter_range iterator, panicking on I/O errors.
@@ -116,7 +150,8 @@ fn sharded_iter_range_matches_range_and_pages_early() {
 
 /// The cursor stack answers a long scan exactly as the materialise-and-resort
 /// path it replaced: every overlapping table's in-range entries collected,
-/// concatenated, re-sorted and tombstone-resolved by `merge_entries`. (The
+/// and resolved by an independent reference (newest copy by seqnum per key,
+/// a linear range-tombstone check). (The
 /// store is persisted, so the tables are the whole input.) A paging client
 /// that takes one page of the same scan gets exactly its prefix.
 #[test]
@@ -141,16 +176,14 @@ fn cursor_stack_equals_the_materialise_and_resort_path() {
     for level in db.tree().levels() {
         for run in &level.runs {
             for table in run.overlapping_range(0, KEYS) {
-                inputs.push(table.range_scan(0, KEYS, backend.as_ref()).unwrap());
+                inputs.extend(table.range_scan(0, KEYS, backend.as_ref()).unwrap());
                 range_tombstones.extend(table.range_tombstones.iter().cloned());
             }
         }
     }
-    let materialised: Vec<(u64, Bytes)> = merge_entries(inputs, range_tombstones, true)
-        .entries
+    let materialised: Vec<(u64, Bytes)> = reference(inputs, &range_tombstones)
         .into_iter()
-        .filter(|e| e.sort_key < KEYS)
-        .map(|e| (e.sort_key, e.value))
+        .filter(|(k, _)| *k < KEYS)
         .collect();
     let streamed = db.range(0, KEYS).unwrap();
     assert_eq!(streamed.len(), KEYS as usize);
@@ -258,6 +291,11 @@ fn check_streaming_matches_materialised(ops: &[Step], key_space: u64, h: usize) 
     let expected = db.range(0, u64::MAX).unwrap();
     let streamed = drain(db.iter_range(0, u64::MAX).unwrap());
     assert_eq!(streamed, expected);
+    // and, persisted, both agree with the reference over every stored copy
+    db.persist().unwrap();
+    let (points, range_tombstones) = stored_copies(&db);
+    let streamed = drain(db.iter_range(0, u64::MAX).unwrap());
+    assert_eq!(streamed, reference(points, &range_tombstones));
 }
 
 proptest! {
