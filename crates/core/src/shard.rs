@@ -1153,11 +1153,18 @@ impl ShardedLethe {
         self.cache.as_ref().map(|c| c.snapshot())
     }
 
-    /// Aggregated measurement-time snapshot of all shard trees.
+    /// Aggregated measurement-time snapshot of all shard trees. A shard's
+    /// engine lock is held only while its tree is captured: the audit reads
+    /// every page of the capture after the lock is released, so the shard's
+    /// writers, group-commit leaders and worker are not held up by it.
     pub fn snapshot_contents(&self) -> Result<ContentSnapshot> {
         let mut total = ContentSnapshot::default();
         for shard in &self.shards {
-            total.absorb(&shard.engine.lock().snapshot_contents()?);
+            let (view, now) = {
+                let mut engine = shard.engine.lock();
+                (engine.capture_snapshot(), engine.clock().now())
+            };
+            total.absorb(&view.contents(now)?);
         }
         Ok(total)
     }

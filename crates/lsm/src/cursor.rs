@@ -31,7 +31,7 @@
 
 use crate::sstable::SsTable;
 use lethe_storage::{
-    Entry, FragmentCursor, Result, SortKey, StorageBackend, TombstoneFragments,
+    Entry, FragmentCursor, Page, PageId, Result, SortKey, StorageBackend, TombstoneFragments,
 };
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::binary_heap::PeekMut;
@@ -168,10 +168,16 @@ impl<T: AsRef<[Entry]> + Send> EntryCursor for SharedSliceCursor<T> {
 /// (`h · B` entries), not the file; a scan that stops early never decodes
 /// the tiles past `hi`.
 ///
-/// Pages are read through the table's backend — and thus through the block
-/// cache when one is configured. `nofill` selects the maintenance read path
-/// ([`StorageBackend::read_page_nofill`]): compaction merges stream whole
-/// files and must not evict the hot point-read working set.
+/// A tile's pages are fetched with one [`StorageBackend::read_pages`] call,
+/// through the table's backend — and thus through the block cache when one
+/// is configured. One build wrote them back to back, so a device reads
+/// them with one `pread` into one buffer, and the pages and the values
+/// decoded from them are windows on it with no second copy. The trade: a
+/// value read on an uncached path keeps its whole tile buffer (up to `h`
+/// pages) alive while it is held, not just its page. `nofill` selects the
+/// maintenance read path ([`StorageBackend::read_page_nofill`]): compaction
+/// merges stream whole files and must not evict the hot point-read working
+/// set.
 ///
 /// The cursor holds an `Arc` to the table, which keeps the version set's
 /// deferred page reclamation from dropping the file's pages while the scan
@@ -192,6 +198,10 @@ pub struct SsTableCursor {
     /// `(S asc, seq desc)` *backwards*: the next entry is popped off the end,
     /// moved out rather than cloned.
     buf: Vec<Entry>,
+    /// The pages of the tile being loaded and their ids, kept for their
+    /// allocations.
+    ids: Vec<PageId>,
+    pages: Vec<Arc<Page>>,
 }
 
 impl SsTableCursor {
@@ -218,6 +228,8 @@ impl SsTableCursor {
             next_tile,
             end_tile,
             buf: Vec::new(),
+            ids: Vec::new(),
+            pages: Vec::new(),
         }
     }
 
@@ -235,6 +247,8 @@ impl SsTableCursor {
             next_tile: 0,
             end_tile,
             buf: Vec::new(),
+            ids: Vec::new(),
+            pages: Vec::new(),
         }
     }
 
@@ -247,18 +261,16 @@ impl SsTableCursor {
             if tile.max_sort < self.lo || self.hi.is_some_and(|hi| tile.min_sort >= hi) {
                 continue;
             }
-            for handle in &tile.pages {
-                if handle.num_entries == 0
-                    || handle.max_sort < self.lo
-                    || self.hi.is_some_and(|hi| handle.min_sort >= hi)
-                {
-                    continue;
-                }
-                let page = if self.nofill {
-                    self.backend.read_page_nofill(handle.id)?
-                } else {
-                    self.backend.read_page(handle.id)?
-                };
+            let (lo, hi) = (self.lo, self.hi);
+            let in_range = tile.pages.iter().filter(|handle| {
+                handle.num_entries > 0
+                    && handle.max_sort >= lo
+                    && hi.is_none_or(|hi| handle.min_sort < hi)
+            });
+            self.ids.clear();
+            self.ids.extend(in_range.map(|handle| handle.id));
+            self.backend.read_pages(&self.ids, self.nofill, &mut self.pages)?;
+            for page in self.pages.drain(..) {
                 match self.hi {
                     Some(hi) => self.buf.extend(page.range(self.lo, hi)),
                     None => self.buf.extend(page.range_from(self.lo)),
@@ -401,11 +413,21 @@ impl EntryCursor for MergeIterator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::LsmConfig;
     use bytes::Bytes;
     use lethe_storage::FileBackend;
+
+    /// Every point entry `table` stores, in merge order, read as a
+    /// compaction reads its inputs.
+    pub(crate) fn stored_entries(
+        table: Arc<SsTable>,
+        backend: Arc<dyn StorageBackend>,
+    ) -> Vec<Entry> {
+        let mut cursor = SsTableCursor::full(table, backend, true);
+        std::iter::from_fn(|| cursor.next_entry().unwrap()).collect()
+    }
 
     fn put(k: u64, seq: u64) -> Entry {
         Entry::put(k, k, seq, Bytes::from_static(b"v"))

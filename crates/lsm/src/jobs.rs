@@ -1800,7 +1800,7 @@ mod tests {
             for id in p.tiles.iter().flat_map(|tile| tile.pages.iter().map(|page| page.id)) {
                 assert_eq!(piped_dev.read_page(id).unwrap(), built_dev.read_page(id).unwrap());
             }
-            let stored = p.read_all_entries(piped_dev.as_ref()).unwrap();
+            let stored = crate::cursor::tests::stored_entries(Arc::clone(p), piped_dev.clone());
             let seqnums = stored.iter().chain(&p.range_tombstones).map(|e| e.seqnum);
             assert_eq!(p.meta.max_seqnum, seqnums.max().unwrap_or(0), "max_seqnum of what the file holds");
         }

@@ -524,12 +524,14 @@ impl ReadView {
 
     /// The content audit behind
     /// [`LsmTree::snapshot_contents`](crate::tree::LsmTree::snapshot_contents),
-    /// run on a captured view so every count describes one instant. Totals
+    /// with tombstone ages taken at logical time `now`. Run it on a captured
+    /// view ([`LsmTree::capture_snapshot`](crate::tree::LsmTree::capture_snapshot))
+    /// so every count describes one instant; it takes no tree lock. Totals
     /// count every stored copy with no dedup: file metadata (whose entry,
     /// byte and tombstone counts include the file's range-tombstone block)
     /// plus the buffers' point entries and range tombstones. Unique counts
     /// stream the whole view's merge with tombstones resolved.
-    pub(crate) fn contents(&self, now: Timestamp) -> Result<ContentSnapshot> {
+    pub fn contents(&self, now: Timestamp) -> Result<ContentSnapshot> {
         let version = self.versions.current();
         let mut snap = ContentSnapshot {
             populated_levels: version.levels.iter().filter(|l| !l.is_empty()).count(),
@@ -650,6 +652,7 @@ impl Iterator for RangeIter {
 mod tests {
     use crate::compaction::{FileSelection, SaturationPolicy};
     use crate::config::{LsmConfig, MergePolicy};
+    use crate::cursor::tests::stored_entries;
     use crate::tree::{LsmTree, MaintenanceMode};
     use bytes::Bytes;
     use lethe_storage::{
@@ -686,7 +689,7 @@ mod tests {
     fn stored_copies(t: &LsmTree) -> (Vec<Entry>, Vec<Entry>) {
         let (mut points, mut rts) = (Vec::new(), Vec::new());
         for table in t.versions().current().levels.iter().flat_map(|l| l.all_tables()) {
-            points.extend(table.read_all_entries(t.backend().as_ref()).unwrap());
+            points.extend(stored_entries(Arc::clone(table), t.backend().clone()));
             rts.extend_from_slice(&table.range_tombstones);
         }
         {

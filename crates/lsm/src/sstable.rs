@@ -416,20 +416,21 @@ impl SsTable {
     ) -> Result<SsTable> {
         let mut tiles = Vec::with_capacity(desc.tiles.len());
         for tile_pages in &desc.tiles {
-            let mut pages = Vec::with_capacity(tile_pages.len());
-            for &pid in tile_pages {
-                // recovery is the biggest bulk scan of all: re-deriving the
-                // filters must not flush a shared cache's hot working set
-                let page = backend.read_page_nofill(pid).map_err(|e| match e {
-                    StorageError::PageNotFound(id) => StorageError::Corruption(format!(
-                        "manifest references missing page {id} of file {}",
-                        desc.id
-                    )),
-                    other => other,
-                })?;
-                pages.push(PageHandle::from_page(pid, &page, config.bits_per_key));
-            }
-            tiles.push(DeleteTile::from_pages(pages));
+            // one read per tile, whose pages one build wrote back to back;
+            // recovery is the biggest bulk scan of all: re-deriving the
+            // filters must not flush a shared cache's hot working set
+            let mut read = Vec::with_capacity(tile_pages.len());
+            backend.read_pages(tile_pages, true, &mut read).map_err(|e| match e {
+                StorageError::PageNotFound(id) => StorageError::Corruption(format!(
+                    "manifest references missing page {id} of file {}",
+                    desc.id
+                )),
+                other => other,
+            })?;
+            let handles = tile_pages.iter().zip(&read);
+            let pages =
+                handles.map(|(&pid, page)| PageHandle::from_page(pid, page, config.bits_per_key));
+            tiles.push(DeleteTile::from_pages(pages.collect()));
         }
         let mut table = SsTable::assemble(
             desc.id,
@@ -537,59 +538,6 @@ impl SsTable {
         }
         // range tombstones can shadow the point entry (or apply on their own)
         Ok(Entry::resolve_point_read(key, found, self.fragments.newest_covering(key)))
-    }
-
-    /// Every entry of the file whose sort key lies in `[lo, hi)`, including
-    /// tombstones (the caller merges across files and applies them). All
-    /// pages of every overlapping tile must be read because pages inside a
-    /// tile are ordered on the delete key, not the sort key.
-    pub fn range_scan(
-        &self,
-        lo: SortKey,
-        hi: SortKey,
-        backend: &dyn StorageBackend,
-    ) -> Result<Vec<Entry>> {
-        let mut out = Vec::new();
-        if self.overlaps_sort_range(lo, hi) {
-            if let Some((start, end)) = self.tile_fences.locate_range(lo, hi) {
-                for tile in &self.tiles[start..=end.min(self.tiles.len() - 1)] {
-                    if tile.max_sort < lo || tile.min_sort >= hi {
-                        continue;
-                    }
-                    for handle in &tile.pages {
-                        if handle.max_sort < lo || handle.min_sort >= hi {
-                            continue;
-                        }
-                        let page = backend.read_page(handle.id)?;
-                        out.extend(page.range(lo, hi));
-                    }
-                }
-            }
-        }
-        for rt in &self.range_tombstones {
-            let end = rt.range_end().unwrap_or(rt.sort_key);
-            if rt.sort_key < hi && end > lo {
-                out.push(rt.clone());
-            }
-        }
-        out.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then_with(|| b.seqnum.cmp(&a.seqnum)));
-        Ok(out)
-    }
-
-    /// Reads every point entry of the file (used by compactions), sorted on
-    /// the sort key. Range tombstones are available separately via
-    /// [`SsTable::range_tombstones`]. A bulk scan: reads bypass block-cache
-    /// fill so a merge streaming whole files cannot evict the hot read set.
-    pub fn read_all_entries(&self, backend: &dyn StorageBackend) -> Result<Vec<Entry>> {
-        let mut out = Vec::with_capacity(self.meta.num_entries as usize);
-        for tile in &self.tiles {
-            for handle in &tile.pages {
-                let page = backend.read_page_nofill(handle.id)?;
-                out.extend(page.iter());
-            }
-        }
-        out.sort_by(|a, b| a.sort_key.cmp(&b.sort_key).then_with(|| b.seqnum.cmp(&a.seqnum)));
-        Ok(out)
     }
 
     /// Releases every page of the file (after the file was compacted away).
@@ -714,6 +662,7 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::tests::stored_entries;
     use bytes::Bytes;
     use lethe_storage::{FaultVfs, FileBackend, MemVfs, Vfs};
     use proptest::prelude::*;
@@ -815,23 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn range_scan_returns_sorted_slice() {
-        let (t, backend) = build(4, 200);
-        let got = t.range_scan(50, 70, backend.as_ref()).unwrap();
-        let keys: Vec<u64> = got.iter().map(|e| e.sort_key).collect();
-        assert_eq!(keys, (50..70).collect::<Vec<u64>>());
-        assert!(t.range_scan(1000, 2000, backend.as_ref()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn read_all_entries_roundtrips() {
-        let (t, backend) = build(8, 128);
-        let all = t.read_all_entries(backend.as_ref()).unwrap();
-        assert_eq!(all.len(), 128);
-        assert!(all.windows(2).all(|w| w[0].sort_key <= w[1].sort_key));
-    }
-
-    #[test]
     fn secondary_range_delete_uses_full_drops_on_uncorrelated_data() {
         // delete keys uniformly cover [0, 1000); delete 40% of that domain
         let (t, backend) = build(8, 512);
@@ -851,7 +783,7 @@ mod tests {
         let reads = backend.stats().snapshot().pages_read - before_reads;
         assert_eq!(reads, stats.partial_page_drops, "only partial drops should read pages");
         // surviving file has no entry with delete key in [0, 400)
-        let remaining = survivor.read_all_entries(backend.as_ref()).unwrap();
+        let remaining = stored_entries(Arc::new(survivor), backend);
         assert!(remaining.iter().all(|e| e.delete_key >= 400));
         assert_eq!(
             remaining.len() as u64 + stats.entries_deleted,
@@ -886,7 +818,7 @@ mod tests {
             t.secondary_range_delete(0, u64::MAX, &cfg, backend.as_ref(), 1).unwrap();
         let survivor = survivor.expect("tombstone must survive");
         assert_eq!(survivor.meta.num_point_tombstones, 1);
-        let all = survivor.read_all_entries(backend.as_ref()).unwrap();
+        let all = stored_entries(Arc::new(survivor), backend);
         assert_eq!(all.len(), 1);
         assert!(all[0].is_point_tombstone());
     }
@@ -949,10 +881,10 @@ mod tests {
         assert_eq!(stats.entries_deleted, 64);
         assert_eq!(reads, stats.partial_page_drops + stats.pages_read_unchanged, "{stats:?}");
         let survivor = survivor.expect("the tombstones survive");
-        let kept = survivor.read_all_entries(backend.as_ref()).unwrap();
+        assert_eq!(survivor.meta.delete_fence, DeleteFence::EMPTY);
+        let kept = stored_entries(Arc::new(survivor), backend);
         assert_eq!(kept.len(), 32);
         assert!(kept.iter().all(Entry::is_point_tombstone));
-        assert_eq!(survivor.meta.delete_fence, DeleteFence::EMPTY);
     }
 
     #[test]
@@ -1028,8 +960,8 @@ mod tests {
             assert_eq!(a, b, "key {k}");
         }
         assert_eq!(
-            back.read_all_entries(backend.as_ref()).unwrap(),
-            t.read_all_entries(backend.as_ref()).unwrap()
+            stored_entries(Arc::new(back), backend.clone()),
+            stored_entries(Arc::new(t), backend)
         );
     }
 

@@ -136,7 +136,7 @@ impl TreeStats {
 
 /// A measurement-time snapshot of the tree contents (space amplification,
 /// tombstone ages), produced by `LsmTree::snapshot_contents`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContentSnapshot {
     /// Cumulative encoded size of every entry in the tree (`csize(N)`).
     pub total_bytes: u64,

@@ -903,7 +903,7 @@ mod tests {
         for level in &pinned.levels {
             for run in &level.runs {
                 for table in run.tables() {
-                    table.read_all_entries(t.backend().as_ref()).unwrap();
+                    crate::cursor::tests::stored_entries(Arc::clone(table), t.backend().clone());
                 }
             }
         }

@@ -23,7 +23,7 @@ use crate::iostats::IoStats;
 use crate::log::{self, be, Frame};
 use crate::page::Page;
 use crate::vfs::{OsVfs, Vfs, VfsFile};
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use lethe_sync::{LockRank, Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -53,6 +53,20 @@ pub trait StorageBackend: Send + Sync {
     /// [`StorageBackend::read_page`].
     fn read_page_nofill(&self, id: PageId) -> Result<Arc<Page>> {
         self.read_page(id)
+    }
+
+    /// Reads the pages `ids`, in order, as [`StorageBackend::read_page`] (or,
+    /// with `nofill`, [`StorageBackend::read_page_nofill`]) reads each one,
+    /// and appends them to `pages`. An id that cannot be read fails the
+    /// whole call, and `pages` may then hold some of the others. A device
+    /// may batch the reads: [`FileBackend`] fetches each run of adjacent
+    /// frames with one positional read, which is what a delete tile's pages,
+    /// written back to back, are.
+    fn read_pages(&self, ids: &[PageId], nofill: bool, pages: &mut Vec<Arc<Page>>) -> Result<()> {
+        for &id in ids {
+            pages.push(if nofill { self.read_page_nofill(id)? } else { self.read_page(id)? });
+        }
+        Ok(())
     }
 
     /// Releases a page without reading it (a KiWi *full page drop*).
@@ -129,13 +143,16 @@ const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 /// A page id framed in two places is corruption.
 ///
 /// Concurrency: writes (append + index insert) serialise behind the
-/// `appender` mutex, but reads never touch it: they resolve
-/// `(segment, offset, len)` under one shared index lock and issue a
-/// *positional* read (`pread`) on the segment's own handle with no lock held,
-/// so N reader threads proceed fully in parallel on hits and misses alike. A
-/// reader that resolved a page just before its segment was unlinked still
-/// reads the right bytes: a [`Vfs`] handle reads on after an unlink. All
-/// paths read the handle the index pinned, never reopen by path.
+/// `appender` mutex, but reads never touch it: a read resolves the
+/// `(segment, offset, len)` of every page it asks for under one shared index
+/// lock, then issues one *positional* read (`pread`) per run of adjacent
+/// frames on the segment's own handle with no lock held, so N reader threads
+/// proceed fully in parallel on hits and misses alike. The read lands in one
+/// allocation that the run's pages then share as windows, with no second
+/// copy; the frame headers between them come with it and are checked against
+/// the index. A reader that resolved a page just before its segment was
+/// unlinked still reads the right bytes: a [`Vfs`] handle reads on after an
+/// unlink. All paths read the handle the index pinned, never reopen by path.
 #[derive(Debug)]
 pub struct FileBackend {
     vfs: Arc<dyn Vfs>,
@@ -161,11 +178,14 @@ struct Segment {
     live: AtomicU64,
 }
 
+/// Where a page's payload lies: its segment, offset and length.
+type Location = (Arc<Segment>, u64, u32);
+
 /// The page index and the segment list, guarded by one lock.
 #[derive(Debug, Default)]
 struct Index {
-    /// Page id → (segment, payload offset, payload length).
-    pages: HashMap<PageId, (Arc<Segment>, u64, u32)>,
+    /// Page id → where its payload lies.
+    pages: HashMap<PageId, Location>,
     /// Every segment on disk, oldest first; the last one takes the appends.
     segments: Vec<Arc<Segment>>,
 }
@@ -264,6 +284,11 @@ impl Index {
         }
         self.segments.push(Arc::clone(&segment));
         Ok((segment, end))
+    }
+
+    /// Page `id` with where it lies.
+    fn locate(&self, id: PageId) -> Result<(PageId, Location)> {
+        self.pages.get(&id).map(|at| (id, at.clone())).ok_or(StorageError::PageNotFound(id))
     }
 
     /// Takes `segment` off the segment list if no live page is left in it and
@@ -393,6 +418,40 @@ impl FileBackend {
         Ok(())
     }
 
+    /// Reads a run of pages whose frames lie back to back in one segment
+    /// with one positional read into an allocation the pages then share, and
+    /// hands each page to `each`, in order. The frame headers between the
+    /// payloads come with the read; each must name the page and length the
+    /// index does.
+    fn read_run(&self, run: &[(PageId, Location)], mut each: impl FnMut(Arc<Page>)) -> Result<()> {
+        let [(_, (segment, start, _)), ..] = run else { return Ok(()) };
+        let end = run.last().map_or(*start, |(_, (_, offset, len))| offset + u64::from(*len));
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, (end - start) as usize).collect();
+        #[expect(clippy::expect_used, reason = "a freshly collected `Arc` has no other handle")]
+        let dst = Arc::get_mut(&mut buf).expect("fresh allocation");
+        segment.file.read_at(dst, *start)?;
+        let buf = Bytes::from(buf);
+        for &(id, (_, offset, len)) in run {
+            let from = (offset - start) as usize;
+            if from > 0 {
+                let header = &buf[from - FRAME_HEADER..from];
+                if be(&header[..4]) != u64::from(FRAME_MAGIC)
+                    || be(&header[4..12]) != id
+                    || be(&header[12..16]) != u64::from(len)
+                {
+                    return Err(StorageError::Corruption(format!(
+                        "segment {}: the frame at offset {} is not page {id} of {len} bytes",
+                        segment.id,
+                        offset - FRAME_HEADER as u64
+                    )));
+                }
+            }
+            self.stats.record_read(u64::from(len));
+            each(Arc::new(Page::decode(buf.slice(from..from + len as usize))?));
+        }
+        Ok(())
+    }
+
     /// Unlinks a segment that has left the index, with no barrier (see the
     /// type's docs for why none is needed).
     fn unlink(&self, segment: &Segment) -> Result<()> {
@@ -449,16 +508,28 @@ impl StorageBackend for FileBackend {
     }
 
     fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
-        // resolve the segment and offset under one brief (shared) index read
-        // lock, then do the actual I/O with no lock at all: `pread` needs no
-        // seek and no cursor, so concurrent readers never serialise behind
-        // each other or behind the writer
-        let (segment, offset, len) =
-            self.index.read().pages.get(&id).cloned().ok_or(StorageError::PageNotFound(id))?;
-        let mut buf = vec![0u8; len as usize];
-        segment.file.read_at(&mut buf, offset)?;
-        self.stats.record_read(len as u64);
-        Page::decode(bytes::Bytes::from(buf)).map(Arc::new)
+        let at = self.index.read().locate(id)?;
+        let mut page = None;
+        self.read_run(&[at], |read| page = Some(read))?;
+        page.ok_or(StorageError::PageNotFound(id))
+    }
+
+    fn read_pages(&self, ids: &[PageId], _nofill: bool, pages: &mut Vec<Arc<Page>>) -> Result<()> {
+        // resolve every page under one brief (shared) index read lock, then
+        // do the actual I/O with no lock at all: `pread` needs no seek and no
+        // cursor, so concurrent readers never serialise behind each other or
+        // behind the writer
+        let located = {
+            let index = self.index.read();
+            ids.iter().map(|&id| index.locate(id)).collect::<Result<Vec<_>>>()?
+        };
+        let adjacent = |(_, (a, offset, len)): &(PageId, Location), (_, (b, next, _)): &_| {
+            Arc::ptr_eq(a, b) && *next == offset + u64::from(*len) + FRAME_HEADER as u64
+        };
+        for run in located.chunk_by(adjacent) {
+            self.read_run(run, |page| pages.push(page))?;
+        }
+        Ok(())
     }
 
     fn drop_page(&self, id: PageId) -> Result<()> {
@@ -502,7 +573,7 @@ impl StorageBackend for FileBackend {
 
 #[cfg(test)]
 #[expect(clippy::disallowed_methods, reason = "the devices' own tests drive them directly")]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::entry::Entry;
     use bytes::Bytes;
@@ -1047,6 +1118,117 @@ mod tests {
         assert!(reclaimed >= 4 * SEGMENT_TARGET_BYTES, "only {reclaimed} B reclaimed");
         assert_eq!(b.live_pages(), pinned.len() + 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reads `ids` one `read_page` at a time, with the pages and bytes it
+    /// charged.
+    fn read_one_by_one(b: &FileBackend, ids: &[PageId]) -> (Vec<Arc<Page>>, (u64, u64)) {
+        let before = b.stats().snapshot();
+        let pages = ids.iter().map(|&id| b.read_page(id).unwrap()).collect();
+        let charged = b.stats().snapshot().since(&before);
+        (pages, (charged.pages_read, charged.bytes_read))
+    }
+
+    /// The pages `read_pages` reads for `ids`.
+    pub(crate) fn batch(
+        b: &dyn StorageBackend,
+        ids: &[PageId],
+        nofill: bool,
+    ) -> Result<Vec<Arc<Page>>> {
+        let mut pages = Vec::new();
+        b.read_pages(ids, nofill, &mut pages).map(|()| pages)
+    }
+
+    /// `read_pages` of `ids`, with the pages and bytes it charged.
+    fn read_batched(b: &FileBackend, ids: &[PageId]) -> (Vec<Arc<Page>>, (u64, u64)) {
+        let before = b.stats().snapshot();
+        let pages = batch(b, ids, false).unwrap();
+        let charged = b.stats().snapshot().since(&before);
+        (pages, (charged.pages_read, charged.bytes_read))
+    }
+
+    #[test]
+    fn a_run_of_adjacent_pages_is_one_read_and_a_failed_read_fails_the_batch() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+        let b = FileBackend::open_on(&dyn_vfs, Path::new("/batch"), "lethe").unwrap();
+        let ids: Vec<PageId> = (0..6u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
+        // pages 0, 1 and 2 are adjacent, then a gap, then 4 and 5: two runs
+        let run = [ids[0], ids[1], ids[2], ids[4], ids[5]];
+        assert_eq!(read_batched(&b, &run), read_one_by_one(&b, &run));
+        // a run is one read: a fault armed for the second read misses it
+        vfs.arm_read(1);
+        assert_eq!(batch(&b, &ids[..3], false).unwrap().len(), 3);
+        vfs.disarm();
+        // the second run's read fails, and so does the whole batch
+        vfs.arm_read(1);
+        assert!(matches!(batch(&b, &run, false), Err(StorageError::Injected)));
+        let fired = vfs.last_fired().map(|site| site.to_string());
+        assert_eq!(fired.as_deref(), Some("segment.read_at"));
+        assert_eq!(batch(&b, &run, false).unwrap().len(), 5, "the fault fired once");
+    }
+
+    #[test]
+    fn a_frame_header_inside_a_run_must_name_the_page_the_index_does() {
+        use std::os::unix::fs::FileExt;
+        let dir = fresh_dir("interior");
+        let b = FileBackend::open(&dir).unwrap();
+        let ids: Vec<PageId> = (0..3u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
+        let second = b.index.read().pages[&ids[1]].1 - FRAME_HEADER as u64;
+        // the second frame now claims to be page 99
+        let file = OpenOptions::new().write(true).open(b.data_path()).unwrap();
+        file.write_all_at(&99u64.to_be_bytes(), second + 4).unwrap();
+        match batch(&b, &ids, false) {
+            Err(StorageError::Corruption(msg)) => {
+                assert!(msg.contains(&format!("page {}", ids[1])), "{msg}")
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+        /// A batch read returns what per-page reads return, in the order
+        /// asked, and charges the same pages and bytes: over segment rolls,
+        /// for runs of adjacent pages and for non-adjacent, unordered and
+        /// repeated ids. A dropped id anywhere in a batch fails the whole
+        /// batch, never shortens it.
+        #[test]
+        fn read_pages_agrees_with_read_page(
+            sizes in prop::collection::vec(prop_oneof![3 => Just(0usize), 1 => 2usize..5], 4..16),
+            window in (any::<usize>(), 1usize..12),
+            picks in prop::collection::vec(any::<usize>(), 0..12),
+            dropped in any::<usize>(),
+        ) {
+            let b = FileBackend::in_memory().unwrap();
+            // three fat pages seal segment 0, so the later writes roll
+            let mut ids = write_fat(&b, 1_000, 3);
+            for (n, &mib) in sizes.iter().enumerate() {
+                let n = n as u64;
+                let p = if mib == 0 { page(&[n, n + 100]) } else { fat_page(n, mib) };
+                ids.push(b.write_page(&p).unwrap());
+                if mib > 0 {
+                    b.sync().unwrap();
+                }
+            }
+            prop_assert!(b.segment_count() > 1);
+            let (start, len) = (window.0 % ids.len(), window.1);
+            let mut asked: Vec<PageId> = ids[start..(start + len).min(ids.len())].to_vec();
+            asked.extend(picks.iter().map(|&i| ids[i % ids.len()]));
+            let (batched, charged) = read_batched(&b, &asked);
+            let (expected, expected_charge) = read_one_by_one(&b, &asked);
+            prop_assert_eq!(&batched, &expected);
+            prop_assert_eq!(charged, expected_charge);
+
+            let gone = ids[dropped % ids.len()];
+            b.drop_page(gone).unwrap();
+            let mut with_gone = asked.clone();
+            with_gone.insert(dropped % (asked.len() + 1), gone);
+            let result = batch(&b, &with_gone, false);
+            prop_assert!(matches!(result, Err(StorageError::PageNotFound(id)) if id == gone));
+        }
     }
 
     /// One step of a random device history.

@@ -417,6 +417,51 @@ impl CachedBackend {
     pub fn inner(&self) -> &Arc<dyn StorageBackend> {
         &self.inner
     }
+
+    /// A resident page, counted as a hit; `None` is left for the caller to
+    /// read from the device and hand to [`CachedBackend::fill`].
+    fn lookup(&self, id: PageId) -> Option<Arc<Page>> {
+        let page = self.cache.get(self.source, id)?;
+        self.stats.record_cache_hit();
+        Some(page)
+    }
+
+    /// Counts the miss that read `page` from the device and, unless `nofill`,
+    /// caches it. A page cut from a multi-page read is cached as a copy of
+    /// its own: the cache charges a page its own size, so a resident page
+    /// must not pin the rest of the buffer it was read into.
+    fn fill(&self, id: PageId, page: &mut Arc<Page>, nofill: bool) {
+        self.stats.record_cache_miss();
+        if !nofill {
+            Page::unshare(page);
+            self.cache.insert(self.source, id, Arc::clone(page));
+        }
+    }
+
+    /// Page `id` from the cache, or from the device, filling the cache
+    /// unless `nofill`.
+    fn read_one(&self, id: PageId, nofill: bool) -> Result<Arc<Page>> {
+        if let Some(page) = self.lookup(id) {
+            return Ok(page);
+        }
+        let mut page = self.inner.read_page(id)?;
+        self.fill(id, &mut page, nofill);
+        Ok(page)
+    }
+
+    /// Reads `ids`, each a cache miss, from the device in one batch and
+    /// appends them to `pages`, filling the cache unless `nofill`.
+    fn read_misses(&self, ids: &[PageId], nofill: bool, pages: &mut Vec<Arc<Page>>) -> Result<()> {
+        if ids.is_empty() {
+            return Ok(());
+        }
+        let first = pages.len();
+        self.inner.read_pages(ids, nofill, pages)?;
+        for (page, &id) in pages[first..].iter_mut().zip(ids) {
+            self.fill(id, page, nofill);
+        }
+        Ok(())
+    }
 }
 
 impl StorageBackend for CachedBackend {
@@ -430,26 +475,30 @@ impl StorageBackend for CachedBackend {
     }
 
     fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
-        if let Some(page) = self.cache.get(self.source, id) {
-            self.stats.record_cache_hit();
-            return Ok(page);
-        }
-        let page = self.inner.read_page(id)?;
-        self.stats.record_cache_miss();
-        self.cache.insert(self.source, id, Arc::clone(&page));
-        Ok(page)
+        self.read_one(id, false)
     }
 
     fn read_page_nofill(&self, id: PageId) -> Result<Arc<Page>> {
         // bulk maintenance scans: serve resident pages, but never let a
         // streamed compaction input displace the hot read working set
-        if let Some(page) = self.cache.get(self.source, id) {
-            self.stats.record_cache_hit();
-            return Ok(page);
+        self.read_one(id, true)
+    }
+
+    fn read_pages(&self, ids: &[PageId], nofill: bool, pages: &mut Vec<Arc<Page>>) -> Result<()> {
+        // serve the hits in place and read each run of consecutive misses in
+        // one batch, so the device can still fetch adjacent pages together
+        let mut misses = 0;
+        for (at, &id) in ids.iter().enumerate() {
+            match self.lookup(id) {
+                Some(page) => {
+                    self.read_misses(&ids[at - misses..at], nofill, pages)?;
+                    misses = 0;
+                    pages.push(page);
+                }
+                None => misses += 1,
+            }
         }
-        let page = self.inner.read_page(id)?;
-        self.stats.record_cache_miss();
-        Ok(page)
+        self.read_misses(&ids[ids.len() - misses..], nofill, pages)
     }
 
     #[expect(clippy::disallowed_methods, reason = "the cache delegates to the device it wraps")]
@@ -481,6 +530,7 @@ impl StorageBackend for CachedBackend {
 #[expect(clippy::disallowed_methods, reason = "the cache's own tests drive it directly")]
 mod tests {
     use super::*;
+    use crate::backend::tests::batch;
     use crate::backend::FileBackend;
     use crate::entry::Entry;
     use bytes::Bytes;
@@ -519,6 +569,27 @@ mod tests {
         assert_eq!(b.read_page(id).unwrap().len(), 1);
         assert_eq!(b.stats().snapshot().pages_read, 0, "warmed write must serve from cache");
         assert_eq!(b.cache().snapshot().hits, 1);
+    }
+
+    #[test]
+    fn a_batch_serves_hits_and_caches_each_miss_in_its_own_allocation() {
+        let (b, _inner) = cached(1 << 20, false);
+        let ids: Vec<PageId> = (0..4u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
+        b.read_page(ids[1]).unwrap();
+        // page 1 is a hit; pages 2 and 3 are one run of the device read
+        let pages = batch(&b, &ids, false).unwrap();
+        assert_eq!(pages.iter().map(|p| p.len()).collect::<Vec<_>>(), [1; 4]);
+        let io = b.stats().snapshot();
+        assert_eq!((io.pages_read, io.cache_hits, io.cache_misses), (4, 1, 4));
+        for (&id, page) in ids.iter().zip(&pages) {
+            let resident = b.cache().get(b.source, id).unwrap();
+            assert!(Arc::ptr_eq(&resident, page), "the caller gets the cached page");
+            assert!(resident.owns_its_bytes(), "cached page {id} pins the buffer it was read into");
+        }
+        // a bulk read caches nothing
+        let more: Vec<PageId> = (4..7u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
+        assert_eq!(batch(&b, &more, true).unwrap().len(), 3);
+        assert_eq!(b.cache().pages_resident(), 4);
     }
 
     #[test]

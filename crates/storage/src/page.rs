@@ -31,6 +31,7 @@ use crate::error::{Result, StorageError};
 use crate::fence::DeleteFence;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// An immutable, sorted collection of entries; the unit of device I/O.
 #[derive(Clone, PartialEq, Eq)]
@@ -199,6 +200,22 @@ impl Page {
     /// writes). The page holds it, so this is a reference-count bump.
     pub fn encode(&self) -> Bytes {
         self.bytes.clone()
+    }
+
+    /// Whether the page's bytes are the only handle on their allocation. A
+    /// page decoded from a window on a multi-page read is not: it keeps the
+    /// whole read buffer alive, and so do the values read out of it.
+    pub(crate) fn owns_its_bytes(&self) -> bool {
+        self.bytes.is_unique()
+    }
+
+    /// Moves `page` into an allocation of its own when its bytes are a
+    /// window on a larger buffer (a copy), and leaves it as it is otherwise.
+    pub(crate) fn unshare(page: &mut Arc<Page>) {
+        if !page.owns_its_bytes() {
+            let (bytes, offsets) = (Bytes::copy_from_slice(&page.bytes), page.offsets.clone());
+            *page = Arc::new(Page { bytes, offsets, data_size: page.data_size });
+        }
     }
 
     /// Adopts bytes produced by [`Page::encode`] after one validating pass:

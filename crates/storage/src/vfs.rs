@@ -233,11 +233,13 @@ impl VfsFile for MemFile {
     }
 }
 
-/// A call that changes a file or a directory: what a [`FaultVfs`] counts.
-/// Each is the [`Vfs`] or [`VfsFile`] method of its name; `Create` is
-/// [`Vfs::open`] with `create`.
+/// A call a [`FaultVfs`] can fail. Each is the [`Vfs`] or [`VfsFile`]
+/// method of its name; `Create` is [`Vfs::open`] with `create`. Every call
+/// but `ReadAt` changes a file or a directory: those are what
+/// [`FaultVfs::arm`] counts and a trace records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FileOp {
+    ReadAt,
     Create,
     Append,
     SetLen,
@@ -334,10 +336,11 @@ impl std::error::Error for InjectedFault {}
 /// A file system that fails the n-th mutating call on the one it wraps: a
 /// crash injected at an exact point of a store's durable protocol.
 ///
-/// Every [`FileOp`] counts, on the wrapper and on every file it opened, so
-/// a sweep that arms `0, 1, 2, …` kills a workload inside each of its
-/// durable steps in turn. The failed call does nothing, and the wrapper
-/// disarms once it fires.
+/// Every mutating [`FileOp`] counts, on the wrapper and on every file it
+/// opened, so a sweep that arms `0, 1, 2, …` kills a workload inside each
+/// of its durable steps in turn. The failed call does nothing, and the
+/// wrapper disarms once it fires. Reads have a countdown of their own
+/// ([`FaultVfs::arm_read`]), so arming one moves no kill site.
 #[derive(Debug)]
 pub struct FaultVfs {
     inner: Arc<dyn Vfs>,
@@ -350,6 +353,8 @@ struct Faults {
     /// Mutating calls left before the next one fails; negative when
     /// disarmed.
     remaining: AtomicI64,
+    /// Reads left before the next one fails; negative when disarmed.
+    reads: AtomicI64,
     /// Site of the most recent injected failure.
     fired: Mutex<Option<KillPoint>>,
     /// Every distinct site reached, when tracing.
@@ -364,11 +369,17 @@ impl Faults {
         if let Some(trace) = self.trace.lock().as_mut() {
             trace.insert(site);
         }
-        if self.remaining.load(Ordering::Relaxed) < 0 {
+        self.count(&self.remaining, site)
+    }
+
+    /// Counts one call at `site` against `countdown`; fails it when the
+    /// countdown reaches zero, recording the site.
+    fn count(&self, countdown: &AtomicI64, site: KillPoint) -> io::Result<()> {
+        if countdown.load(Ordering::Relaxed) < 0 {
             return Ok(());
         }
-        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 0 {
-            self.remaining.store(i64::MIN, Ordering::SeqCst);
+        if countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
+            countdown.store(i64::MIN, Ordering::SeqCst);
             *self.fired.lock() = Some(site);
             return Err(io::Error::other(InjectedFault(site)));
         }
@@ -381,6 +392,7 @@ impl FaultVfs {
     pub fn new(inner: Arc<dyn Vfs>) -> Arc<FaultVfs> {
         let faults = Faults {
             remaining: AtomicI64::new(i64::MIN),
+            reads: AtomicI64::new(i64::MIN),
             fired: Mutex::new(LockRank::FaultVfs, None),
             trace: Mutex::new(LockRank::FaultVfs, None),
         };
@@ -393,12 +405,20 @@ impl FaultVfs {
         self.faults.remaining.store(ops as i64, Ordering::SeqCst);
     }
 
-    /// Disarms the wrapper; calls pass until it is armed again.
-    pub fn disarm(&self) {
-        self.faults.remaining.store(i64::MIN, Ordering::SeqCst);
+    /// Arms a read fault: the `reads`-th [`VfsFile::read_at`] from now
+    /// (0-based), on any file the wrapper opened, fails once.
+    pub fn arm_read(&self, reads: u64) {
+        self.faults.reads.store(reads as i64, Ordering::SeqCst);
     }
 
-    /// Whether the wrapper is armed and has not fired yet.
+    /// Disarms the wrapper, reads too; calls pass until it is armed again.
+    pub fn disarm(&self) {
+        self.faults.remaining.store(i64::MIN, Ordering::SeqCst);
+        self.faults.reads.store(i64::MIN, Ordering::SeqCst);
+    }
+
+    /// Whether the wrapper is armed for a mutating call and has not fired
+    /// yet.
     pub fn is_armed(&self) -> bool {
         self.faults.remaining.load(Ordering::SeqCst) >= 0
     }
@@ -465,6 +485,7 @@ struct FaultFile {
 
 impl VfsFile for FaultFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.faults.count(&self.faults.reads, KillPoint { file: self.file, op: FileOp::ReadAt })?;
         self.inner.read_at(buf, offset)
     }
 

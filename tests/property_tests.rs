@@ -3,7 +3,9 @@
 
 use bytes::Bytes;
 use lethe::lsm::compaction::{FileSelection, SaturationPolicy};
-use lethe::lsm::{LsmConfig, LsmTree, MergePolicy, SecondaryDeleteMode, SsTable};
+use lethe::lsm::{
+    EntryCursor, LsmConfig, LsmTree, MergePolicy, SecondaryDeleteMode, SsTable, SsTableCursor,
+};
 use lethe::storage::{
     BloomFilter, Entry, FileBackend, Histogram, MemTable, Page, StorageBackend,
 };
@@ -11,6 +13,7 @@ use lethe::{level_ttls, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBa
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A random mutation applied to both the engine and the oracle.
 ///
@@ -621,16 +624,17 @@ proptest! {
         let mut cfg = LsmConfig::small_for_test();
         cfg.pages_per_delete_tile = h;
         cfg.max_pages_per_file = h * 64;
-        let backend = FileBackend::in_memory().unwrap();
+        let backend = Arc::new(FileBackend::in_memory().unwrap());
         let entries: Vec<Entry> = keys
             .iter()
             .map(|&k| put_or_tombstone(k, (k * 31) % 10_000, tombstone_pct))
             .collect();
-        let table = SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, &backend).unwrap();
+        let table =
+            SsTable::build(1, entries.clone(), vec![], 0, None, &cfg, backend.as_ref()).unwrap();
         let hi = lo + len;
         let reads_before = backend.stats().snapshot().pages_read;
         let (survivor, stats, obsolete) =
-            table.secondary_range_delete(lo, hi, &cfg, &backend, 1).unwrap();
+            table.secondary_range_delete(lo, hi, &cfg, backend.as_ref(), 1).unwrap();
         // page drops are deferred to the caller (version-set garbage)
         prop_assert_eq!(obsolete.len() as u64, stats.full_page_drops + stats.partial_page_drops);
         #[expect(clippy::disallowed_methods, reason = "plays the version set's garbage pass")]
@@ -644,8 +648,11 @@ proptest! {
         let doomed = |e: &Entry| !e.is_tombstone() && e.delete_key >= lo && e.delete_key < hi;
         let expected_deleted = entries.iter().filter(|e| doomed(e)).count() as u64;
         prop_assert_eq!(stats.entries_deleted, expected_deleted);
-        let remaining: Vec<Entry> = match &survivor {
-            Some(t) => t.read_all_entries(&backend).unwrap(),
+        let remaining: Vec<Entry> = match survivor {
+            Some(t) => {
+                let mut cursor = SsTableCursor::full(Arc::new(t), backend, true);
+                std::iter::from_fn(|| cursor.next_entry().unwrap()).collect()
+            }
             None => Vec::new(),
         };
         prop_assert_eq!(remaining.len() as u64, entries.len() as u64 - expected_deleted);

@@ -6,7 +6,7 @@
 //! oracle.
 
 use bytes::Bytes;
-use lethe::lsm::ReadView;
+use lethe::lsm::{EntryCursor, ReadView, SsTableCursor};
 use lethe::storage::{MemVfs, Vfs};
 use lethe::{Lethe, LetheBuilder, MergePolicy};
 use rand::rngs::StdRng;
@@ -182,9 +182,8 @@ fn a_tiered_flush_drops_the_puts_its_buffer_range_deletes() {
     let levels = db.tree().levels();
     let files: Vec<_> = levels.iter().flat_map(|l| l.all_tables()).collect();
     assert_eq!(files.len(), 1);
-    let stored = files[0]
-        .read_all_entries(db.tree().backend().as_ref())
-        .unwrap();
+    let mut cursor = SsTableCursor::full(Arc::clone(files[0]), db.tree().backend().clone(), true);
+    let stored: Vec<_> = std::iter::from_fn(|| cursor.next_entry().unwrap()).collect();
     let covered: Vec<u64> = stored
         .iter()
         .map(|e| e.sort_key)

@@ -16,12 +16,17 @@
     reason = "the oracle lives outside the engine, so no rank of the engine's lock order applies"
 )]
 
+use lethe::lsm::ContentSnapshot;
+use lethe::storage::{MemVfs, Vfs, VfsFile};
 use lethe::workload::{run_concurrent, BatchWriteOp, Operation, WorkloadSpec};
 use lethe::{LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 const THREADS: u64 = 6;
 const KEYS_PER_THREAD: u64 = 2_000;
@@ -74,6 +79,138 @@ fn hammer(db: &ShardedLethe, oracle: &Oracle, thread: u64) {
             }
         }
     }
+}
+
+/// The sharded content audit, which captures each shard under its engine
+/// lock and reads the capture after releasing it, adds up to the shards' own
+/// audits once concurrent writers are done.
+#[test]
+fn the_sharded_audit_is_the_sum_of_the_shard_audits() {
+    let db = small_sharded(3);
+    let oracle = Oracle::default();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (db, oracle) = (&db, &oracle);
+            s.spawn(move || hammer(db, oracle, t));
+        }
+    });
+    db.maintain().unwrap();
+    let total = db.snapshot_contents().unwrap();
+    let mut sum = ContentSnapshot::default();
+    for shard in 0..db.shard_count() {
+        sum.absorb(&db.with_shard(shard, |engine| engine.snapshot_contents()).unwrap());
+    }
+    assert_eq!(total, sum);
+    assert!(total.files > 0 && total.unique_entries > 0, "{total:?}");
+}
+
+/// Holds the next data-page read, once armed: the read reports that it has
+/// started, then waits until the test lets go of `hold`.
+#[derive(Debug)]
+struct ReadGate {
+    armed: AtomicBool,
+    entered: Mutex<mpsc::Sender<()>>,
+    hold: Mutex<()>,
+}
+
+/// A file system over memory whose page-segment reads pass a [`ReadGate`].
+#[derive(Debug)]
+struct GatedVfs {
+    inner: Arc<dyn Vfs>,
+    gate: Arc<ReadGate>,
+}
+
+#[derive(Debug)]
+struct GatedFile {
+    inner: Arc<dyn VfsFile>,
+    gate: Option<Arc<ReadGate>>,
+}
+
+impl Vfs for GatedVfs {
+    fn open(&self, path: &Path, create: bool) -> std::io::Result<Arc<dyn VfsFile>> {
+        let inner = self.inner.open(path, create)?;
+        let pages = path.to_string_lossy().contains(".data");
+        Ok(Arc::new(GatedFile { inner, gate: pages.then(|| Arc::clone(&self.gate)) }))
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+}
+
+impl VfsFile for GatedFile {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        if let Some(gate) = self.gate.as_ref().filter(|g| g.armed.swap(false, Ordering::SeqCst)) {
+            gate.entered.lock().unwrap().send(()).unwrap();
+            drop(gate.hold.lock().unwrap());
+        }
+        self.inner.read_at(buf, offset)
+    }
+    fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.append(bytes)
+    }
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync_data(&self) -> std::io::Result<()> {
+        self.inner.sync_data()
+    }
+    fn sync_all(&self) -> std::io::Result<()> {
+        self.inner.sync_all()
+    }
+}
+
+/// The sharded content audit holds a shard's engine lock only to capture
+/// the tree: a put to the shard completes while the audit is stopped in the
+/// middle of a page read.
+#[test]
+fn a_put_completes_while_the_audit_reads_pages() {
+    let (entered_tx, entered) = mpsc::channel();
+    let gate = Arc::new(ReadGate {
+        armed: AtomicBool::new(false),
+        entered: Mutex::new(entered_tx),
+        hold: Mutex::new(()),
+    });
+    let vfs = Arc::new(GatedVfs { inner: MemVfs::shared(), gate: Arc::clone(&gate) });
+    let builder = LetheBuilder::new().buffer(8, 4, 64).delete_tile_pages(2);
+    let store = ShardedLetheBuilder::from_builder(builder).shards(1).open_on(vfs, "/audit");
+    let db = Arc::new(store.unwrap());
+    for k in 0..500 {
+        db.put(k, k, vec![7u8; 16]).unwrap();
+    }
+    db.persist().unwrap();
+
+    let held = gate.hold.lock().unwrap();
+    gate.armed.store(true, Ordering::SeqCst);
+    let auditor = Arc::clone(&db);
+    let audit = std::thread::spawn(move || auditor.snapshot_contents());
+    entered.recv_timeout(Duration::from_secs(60)).expect("the audit reads a page");
+    let (done_tx, done) = mpsc::channel();
+    let writer = Arc::clone(&db);
+    let put = std::thread::spawn(move || {
+        writer.put(1_000, 1_000, vec![1u8; 16]).unwrap();
+        done_tx.send(()).unwrap();
+    });
+    let put_finished = done.recv_timeout(Duration::from_secs(10)).is_ok();
+    drop(held);
+    let contents = audit.join().expect("the audit panicked").unwrap();
+    put.join().expect("the writer panicked");
+    assert!(put_finished, "the put waited for the audit's page reads");
+    assert_eq!(contents.unique_entries, 500, "the audit saw the store as it was captured");
 }
 
 #[test]
