@@ -2,11 +2,12 @@
 //!
 //! The engine is written against the [`StorageBackend`] trait, the page-level
 //! device abstraction, and [`FileBackend`] is its device: pages are appended
-//! to a sequence of segment files with an in-memory offset index, and a
-//! segment is unlinked when its last live page is dropped, so the bytes on
-//! disk follow the tree and not its history. The segments live on a
-//! [`Vfs`]: on the host file system for a store opened in a directory, in a
-//! [`MemVfs`](crate::vfs::MemVfs) for one built in memory, which the
+//! as [`log`] frames (no file magic; the header extension is the tag `LEFR`
+//! and the page id) to a sequence of segment files with an in-memory offset
+//! index, and a segment is unlinked when its last live page is dropped, so
+//! the bytes on disk follow the tree and not its history. The segments live
+//! on a [`Vfs`]: on the host file system for a store opened in a directory,
+//! in a [`MemVfs`](crate::vfs::MemVfs) for one built in memory, which the
 //! evaluation harness uses. Either way every read, write and drop is charged
 //! to an [`IoStats`] counter set; combined with
 //! [`crate::iostats::CostModel`] this reproduces the paper's I/O-count and
@@ -17,13 +18,12 @@
 //! claims for secondary range deletes.
 
 use crate::barrier;
-use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
 use crate::iostats::IoStats;
-use crate::log::{self, be, Frame};
+use crate::log::{self, be, Format};
 use crate::page::Page;
 use crate::vfs::{OsVfs, Vfs, VfsFile};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use lethe_sync::{LockRank, Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -86,11 +86,21 @@ pub trait StorageBackend: Send + Sync {
     fn sync(&self) -> Result<()>;
 }
 
-/// Magic number opening every page frame in a [`FileBackend`] segment.
-const FRAME_MAGIC: u32 = 0x4C45_4652; // "LEFR"
+/// A segment file's layout: no file magic, and page frames whose header
+/// extension is the tag `LEFR` and the page id (see [`log`]).
+pub(crate) const PAGES: Format =
+    Format { magic: b"", ext_len: 12, tag: b"LEFR", max_tail: u64::MAX };
 
-/// Size of a page-frame header: magic, page id, payload length, payload CRC.
-const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
+/// The header extension of page `id`'s frame.
+pub(crate) fn page_ext(id: PageId) -> [u8; 12] {
+    let mut ext = [0; 12];
+    ext[..4].copy_from_slice(PAGES.tag);
+    ext[4..].copy_from_slice(&id.to_be_bytes());
+    ext
+}
+
+/// Size of a page-frame header: tag, page id, payload length, payload CRC.
+const FRAME_HEADER: usize = PAGES.header_len();
 
 /// Size at which a `sync()` seals the segment it has just made durable. A
 /// segment costs one directory barrier to create, so the roll is amortised
@@ -98,8 +108,8 @@ const FRAME_HEADER: usize = 4 + 8 + 4 + 4;
 /// die before its bytes leave the disk.
 const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 
-/// A durable device: pages are appended as self-describing frames
-/// (`magic · page id · length · crc · payload`) to a sequence of
+/// A durable device: pages are appended as self-describing [`log`] frames
+/// (`LEFR · page id · length · crc · payload`) to a sequence of
 /// **append-only segment files**, and an in-memory index maps each page id
 /// to its `(segment, offset, length)`. The frames make the files their own
 /// recovery log: on open every segment is scanned, the index rebuilt, and a
@@ -233,24 +243,6 @@ fn segment_id(base_name: &str, file_name: &str) -> Option<u64> {
     (id > 0 && suffix[1..] == id.to_string()).then_some(id)
 }
 
-/// A page frame: `magic · page id · payload length · payload crc`, then the
-/// payload.
-struct PageFrame;
-
-impl Frame for PageFrame {
-    const PREFIX: usize = FRAME_HEADER;
-
-    fn body_len(header: &[u8]) -> Option<usize> {
-        // a torn append of >= 4 bytes still writes the magic, so a full
-        // header with the wrong magic is not a torn tail
-        (be(&header[..4]) == u64::from(FRAME_MAGIC)).then(|| be(&header[12..16]) as usize)
-    }
-
-    fn intact(header: &[u8], payload: &[u8]) -> bool {
-        be(&header[16..]) == u64::from(crc32(payload))
-    }
-}
-
 impl Index {
     /// Scans segment `id` at `path` under the common [`log`](crate::log)
     /// rule, indexing its frames, and returns it with the end of its last
@@ -265,13 +257,11 @@ impl Index {
         newest: bool,
     ) -> Result<(Arc<Segment>, u64)> {
         let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
-        let end = log::scan::<PageFrame>(segment.file.as_ref(), path, |off, header, payload| {
-            let page = be(&header[4..12]);
+        let end = log::scan(segment.file.as_ref(), path, &PAGES, |off, ext, payload| {
+            let page = be(&ext[4..]);
             let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, payload.len() as u32);
             if self.pages.insert(page, at).is_some() {
-                return Err(StorageError::Corruption(format!(
-                    "data file {path:?}: page {page} at offset {off} is framed a second time"
-                )));
+                return Err(StorageError::Corruption(format!("page {page} is framed twice")));
             }
             segment.live.fetch_add(1, Ordering::Relaxed);
             Ok(())
@@ -435,10 +425,7 @@ impl FileBackend {
             let from = (offset - start) as usize;
             if from > 0 {
                 let header = &buf[from - FRAME_HEADER..from];
-                if be(&header[..4]) != u64::from(FRAME_MAGIC)
-                    || be(&header[4..12]) != id
-                    || be(&header[12..16]) != u64::from(len)
-                {
+                if header[..12] != page_ext(id) || be(&header[12..16]) != u64::from(len) {
                     return Err(StorageError::Corruption(format!(
                         "segment {}: the frame at offset {} is not page {id} of {len} bytes",
                         segment.id,
@@ -462,17 +449,6 @@ impl FileBackend {
     }
 }
 
-/// Builds one on-disk page frame: `magic · page id · length · crc · payload`.
-fn encode_frame(id: PageId, payload: &[u8]) -> BytesMut {
-    let mut frame = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-    frame.put_u32(FRAME_MAGIC);
-    frame.put_u64(id);
-    frame.put_u32(payload.len() as u32);
-    frame.put_u32(crc32(payload));
-    frame.extend_from_slice(payload);
-    frame
-}
-
 impl StorageBackend for FileBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
         let encoded = page.encode();
@@ -493,7 +469,7 @@ impl StorageBackend for FileBackend {
         // ids are issued under the appender lock, so every id in a segment
         // is at or above the segment's name and below its successor's
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_frame(id, &encoded);
+        let frame = log::frame(&page_ext(id), &encoded);
         if let Err(e) = app.segment.file.append(&frame) {
             let _ = app.segment.file.set_len(app.end);
             app.tail_unchecked = true;
@@ -676,7 +652,7 @@ pub(crate) mod tests {
     /// Appends the first half of a frame to `path` from outside the backend,
     /// as a crash mid-write would leave it.
     fn append_half_a_frame(path: &Path) {
-        let frame = encode_frame(77, &page(&[9]).encode());
+        let frame = log::frame(&page_ext(77), &page(&[9]).encode());
         let mut f = OpenOptions::new().append(true).open(path).unwrap();
         f.write_all(&frame[..frame.len() / 2]).unwrap();
     }
@@ -898,7 +874,7 @@ pub(crate) mod tests {
         assert!(matches!(b.write_page(&page(&[9])), Err(StorageError::Injected)));
         assert_eq!(file().len().unwrap(), after_a, "the failed append left nothing");
         let c = b.write_page(&page(&[4, 5])).unwrap();
-        let frame = encode_frame(c, &page(&[4, 5]).encode());
+        let frame = log::frame(&page_ext(c), &page(&[4, 5]).encode());
         assert_eq!(file().len().unwrap(), after_a + frame.len() as u64, "one frame more");
         let mut tail = vec![0u8; frame.len()];
         file().read_at(&mut tail, after_a).unwrap();

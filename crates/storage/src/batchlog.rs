@@ -9,17 +9,21 @@
 //! commit therefore rolls the whole batch back on every shard, never leaving
 //! it half-applied.
 //!
-//! The file is a sequence of fixed 12-byte records (`u64` id + CRC-32 of the
-//! id bytes), recovered by the common [`log`](crate::log) rule: a torn or
-//! checksum-invalid last record is the expected end state after a crash
-//! mid-commit (the batch simply did not commit) and is cut away; a bad
-//! record with records behind it is corruption. `commit` writes and syncs
-//! one record at a time under the file lock, so no crash leaves two bad
-//! records.
+//! The file is the magic `LETHEBAT`, then one [`log`] frame per committed
+//! id, with no header extension and the id (`u64` BE) as its 8-byte body,
+//! recovered by the common [`log`] rule: a torn or checksum-invalid last
+//! record is the expected end state after a crash mid-commit (the batch
+//! simply did not commit) and is cut away; a bad record with records behind
+//! it is corruption. `commit` writes and syncs one 16-byte record at a time
+//! under the file lock, so no crash leaves more than one bad record: a bad
+//! tail longer than that (a damaged length that runs past end-of-file from
+//! mid-log) is corruption too, never a cut. A log written before
+//! the common frame (fixed `id · crc32(id)` records, no magic) is re-framed
+//! once when it is opened.
 
 use crate::checksum::crc32;
-use crate::error::Result;
-use crate::log::{be, Frame, LogFile};
+use crate::error::{Result, StorageError};
+use crate::log::{self, Format, LogFile};
 use crate::vfs::Vfs;
 use lethe_sync::{LockRank, Mutex};
 use std::collections::HashSet;
@@ -27,30 +31,30 @@ use std::path::Path;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Size of one committed-id record on disk: `u64` id + `u32` CRC.
-const RECORD_LEN: usize = 12;
+/// A batch log's layout: the magic `LETHEBAT`, then [`log`] frames with no
+/// header extension, one per committed id; a crash tears at most one frame
+/// (8 bytes of header, 8 of id).
+const FORMAT: Format = Format { magic: b"LETHEBAT", ext_len: 0, tag: b"", max_tail: 16 };
 
-/// The on-disk record of one committed id.
-fn record(id: u64) -> [u8; RECORD_LEN] {
-    let mut rec = [0u8; RECORD_LEN];
-    rec[..8].copy_from_slice(&id.to_be_bytes());
-    rec[8..].copy_from_slice(&crc32(&id.to_be_bytes()).to_be_bytes());
-    rec
-}
-
-/// A record is all prefix: the id and its CRC, with no body.
-struct Record;
-
-impl Frame for Record {
-    const PREFIX: usize = RECORD_LEN;
-
-    fn body_len(_: &[u8]) -> Option<usize> {
-        Some(0)
+/// Re-frames a log written before the common frame: fixed 12-byte
+/// `id (u64 BE) · crc32(id)` records with no file magic. A bad last record
+/// is a torn tail and is dropped; a bad record with bytes behind it is
+/// corruption, as it was then.
+fn v1_frames(bytes: &[u8]) -> Result<Vec<u8>> {
+    let mut frames = Vec::new();
+    for (i, rec) in bytes.chunks(12).enumerate() {
+        if rec.len() < 12 || rec[8..] != crc32(&rec[..8]).to_be_bytes() {
+            if (i + 1) * 12 >= bytes.len() {
+                break;
+            }
+            return Err(StorageError::Corruption(format!(
+                "batch log record at offset {} failed its checksum with records behind it",
+                i * 12
+            )));
+        }
+        frames.extend(log::frame(&[], &rec[..8]));
     }
-
-    fn intact(prefix: &[u8], _: &[u8]) -> bool {
-        prefix[8..] == crc32(&prefix[..8]).to_be_bytes()
-    }
+    Ok(frames)
 }
 
 /// Durable append-only set of committed cross-shard batch ids.
@@ -66,10 +70,13 @@ impl BatchCommitLog {
     /// committed-id set and cutting away a torn tail left by a crash
     /// mid-commit.
     pub fn open(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
-        let mut log = LogFile::open(vfs, path, true)?;
+        let mut log = LogFile::open_versioned(vfs, path, &FORMAT, "batches.tmp", v1_frames)?;
         let mut ids = HashSet::new();
-        log.recover::<Record>(|_, rec, _| {
-            ids.insert(be(&rec[..8]));
+        log.recover(&FORMAT, |_, _, body| {
+            let id = body.try_into().map_err(|_| {
+                StorageError::Corruption(format!("a {}-byte record is not one id", body.len()))
+            })?;
+            ids.insert(u64::from_be_bytes(id));
             Ok(())
         })?;
         let next_id = ids.iter().max().map_or(1, |max| max + 1);
@@ -107,7 +114,7 @@ impl BatchCommitLog {
     /// once the commit point is on stable storage.
     pub fn commit(&self, id: u64) -> Result<()> {
         let log = self.log.lock();
-        log.append(&record(id))?;
+        log.append(&log::frame(&[], &id.to_be_bytes()))?;
         log.sync_data()?;
         self.ids.lock().insert(id);
         Ok(())
@@ -138,8 +145,9 @@ impl BatchCommitLog {
         if keep.len() == ids.len() {
             return Ok(());
         }
-        let contents: Vec<u8> = keep.iter().flat_map(|&id| record(id)).collect();
-        log.replace("batches.tmp", &contents)?;
+        let frames: Vec<u8> =
+            keep.iter().flat_map(|&id| log::frame(&[], &id.to_be_bytes())).collect();
+        log.replace(&FORMAT, "batches.tmp", &frames)?;
         *ids = keep.into_iter().collect();
         Ok(())
     }
@@ -163,10 +171,14 @@ mod tests {
     fn open(path: &Path) -> Result<BatchCommitLog> {
         BatchCommitLog::open(&OsVfs::shared(), path)
     }
-    use crate::error::StorageError;
     use crate::log::tests::hex;
     use std::fs::OpenOptions;
     use std::path::PathBuf;
+
+    /// The frame that commits `id`.
+    fn record(id: u64) -> Vec<u8> {
+        log::frame(&[], &id.to_be_bytes())
+    }
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lethe-batchlog-{tag}-{}.bin", std::process::id()))
@@ -206,9 +218,7 @@ mod tests {
         };
         // a crash mid-commit of `b`: only part of its record reaches disk
         {
-            let mut rec = [0u8; RECORD_LEN];
-            rec[..8].copy_from_slice(&b.to_be_bytes());
-            rec[8..].copy_from_slice(&crc32(&b.to_be_bytes()).to_be_bytes());
+            let rec = record(b);
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&rec[..7]).unwrap();
         }
@@ -217,8 +227,8 @@ mod tests {
         assert!(!log.contains(b), "a torn commit record must read as not-committed");
         // a full-length tail record with a bad checksum is also rolled back
         {
-            let mut rec = [0xEEu8; RECORD_LEN];
-            rec[..8].copy_from_slice(&b.to_be_bytes());
+            let mut rec = record(b);
+            rec[4..8].fill(0xEE);
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&rec).unwrap();
         }
@@ -256,14 +266,18 @@ mod tests {
         }
         // damage the *middle* record: valid records follow, so this is real
         // corruption — truncating here would silently roll back committed
-        // batches — and open must refuse rather than guess
-        {
-            use std::io::{Seek, SeekFrom, Write};
-            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(RECORD_LEN as u64 + 2)).unwrap();
-            f.write_all(&[0xEE; 4]).unwrap();
+        // batches — and open must refuse rather than guess. Its id bytes
+        // fail the checksum; bit 7 of its length runs it past end-of-file,
+        // a bad tail of two records, which one torn commit cannot leave
+        let clean = std::fs::read(&path).unwrap();
+        let middle = FORMAT.magic.len() + record(0).len();
+        for (at, flip) in [(middle + FORMAT.header_len() + 2, 0xEE), (middle, 0x80)] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(open(&path), Err(StorageError::Corruption(_))), "byte {at}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a failed open cuts nothing");
         }
-        assert!(matches!(open(&path), Err(StorageError::Corruption(_))));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -278,7 +292,7 @@ mod tests {
         let mut bad = record(2);
         bad[11] ^= 0xFF;
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(&[bad, bad].concat()).unwrap();
+        file.write_all(&bad.repeat(2)).unwrap();
         let before = std::fs::read(&path).unwrap();
         assert!(matches!(open(&path), Err(StorageError::Corruption(_))));
         assert_eq!(std::fs::read(&path).unwrap(), before, "a failed open cuts nothing");
@@ -288,18 +302,46 @@ mod tests {
     /// Two records as the commit before the common log rule wrote them.
     const PARENT_LOG_HEX: &str = "00000000000000011225efff01020304050607083fca88c5";
 
+    /// The same two records in the common frame, behind the magic.
+    const FRAMED_LOG_HEX: &str = "\
+        4c45544845424154000000081225efff0000000000000001000000083fca88c50102030405060708";
+
     #[test]
     fn logs_written_before_this_change_still_load() {
         let bytes = hex(PARENT_LOG_HEX);
         let path = tmp("parent");
         std::fs::write(&path, &bytes).unwrap();
         let ids = [1, 0x0102_0304_0506_0708];
-        assert_eq!(open(&path).unwrap().committed(), HashSet::from(ids));
-        // and a fresh log writes the same bytes for the same commits
+        let log = open(&path).unwrap();
+        assert_eq!(log.committed(), HashSet::from(ids));
+        // the open republished the log in the common frame, before any append
+        assert_eq!(std::fs::read(&path).unwrap(), hex(FRAMED_LOG_HEX));
+        log.commit(9).unwrap();
+        let framed = [hex(FRAMED_LOG_HEX), record(9)].concat();
+        assert_eq!(std::fs::read(&path).unwrap(), framed, "only the magic and framed records");
+        drop(log);
+        assert_eq!(open(&path).unwrap().committed(), HashSet::from([1, 9, 0x0102_0304_0506_0708]));
+        // and a fresh log writes the framed bytes for the same commits
         std::fs::remove_file(&path).unwrap();
         let log = open(&path).unwrap();
         ids.iter().for_each(|&id| log.commit(id).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), hex(FRAMED_LOG_HEX));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A version-1 log whose middle record is damaged does not open, and
+    /// is left as it was; a damaged last record is a torn tail.
+    #[test]
+    fn a_version_1_log_keeps_its_recovery_rule() {
+        let path = tmp("v1rule");
+        let mut bytes = hex(PARENT_LOG_HEX);
+        bytes.extend_from_within(..12);
+        bytes[14] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(open(&path), Err(StorageError::Corruption(_))));
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::write(&path, &bytes[..bytes.len() - 12]).unwrap();
+        assert_eq!(open(&path).unwrap().committed(), HashSet::from([1]));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -326,17 +368,23 @@ mod tests {
     #[test]
     fn an_injected_fault_aborts_the_commit() {
         let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
-        let path = Path::new("/s/BATCHES");
-        let log = BatchCommitLog::open(&(vfs.clone() as Arc<dyn Vfs>), path).unwrap();
+        let vfs_dyn = vfs.clone() as Arc<dyn Vfs>;
+        let open = || BatchCommitLog::open(&vfs_dyn, Path::new("/s/BATCHES"));
         // killed before the record is appended, then after it is appended
         // but before the fsync that makes it the commit point
         for (kill, site) in [(0, "batch_log.append"), (1, "batch_log.sync_data")] {
+            let log = open().unwrap();
             let id = log.allocate_id();
             vfs.arm(kill);
             assert!(matches!(log.commit(id), Err(StorageError::Injected)));
             assert_eq!(vfs.last_fired().unwrap().to_string(), site);
             assert!(!log.contains(id));
-            // after the crash window passes, the commit goes through
+            // the failure poisons the log: no commit goes through until a
+            // reopen, and then one does
+            let refused = log.commit(log.allocate_id());
+            assert!(matches!(refused, Err(StorageError::InvalidOperation(_))));
+            let log = open().unwrap();
+            let id = log.allocate_id();
             log.commit(id).unwrap();
             assert!(log.contains(id));
         }

@@ -1,10 +1,11 @@
 //! CRC-32 checksums for on-disk structures.
 //!
-//! The durable artifacts of the engine — the page frames of the file-backed
-//! device, the manifest's edit records, the batch commit log and checkpoint
-//! markers — each carry a CRC so that recovery can distinguish a torn tail
-//! (the normal result of a crash mid-append, recoverable by truncating to the
-//! last valid prefix) from silent corruption of committed data (an error).
+//! The durable artifacts of the engine — the frames of every log (WAL
+//! records, manifest edits, batch commits and pages, all laid out by
+//! [`log::frame`](crate::log::frame)) and checkpoint markers — each carry a
+//! CRC so that recovery can distinguish a torn tail (the normal result of a
+//! crash mid-append, recoverable by truncating to the last valid prefix)
+//! from silent corruption of committed data (an error).
 //! The polynomial is the standard reflected CRC-32 (IEEE 802.3, the one used
 //! by zlib): reflected polynomial `0xEDB88320`, initial value and final XOR
 //! `0xFFFFFFFF`.

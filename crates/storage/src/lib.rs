@@ -20,7 +20,8 @@
 //!   (bytes in a map), so a store in memory runs the same stack as on disk,
 //!   and [`FaultVfs`], which wraps either to fail the n-th mutating call.
 //! * [`backend`] — the page-granular device abstraction and its device: page
-//!   frames in segment files, with exact I/O accounting and lock-free
+//!   frames (the [`log`] frame, with `LEFR` and the page id as its header
+//!   extension) in segment files, with exact I/O accounting and lock-free
 //!   positional reads.
 //! * [`cache`] — the sharded, size-charged CLOCK block cache of encoded
 //!   pages ([`PageCache`]) and the [`CachedBackend`] device wrapper that
@@ -29,16 +30,22 @@
 //!   page access, 80 ns per hash) used to reproduce the paper's figures.
 //! * [`memtable`] — the in-memory write buffer with in-place delete/update
 //!   semantics.
-//! * [`log`] — the framed log every durable file is: one recovery rule
-//!   ([`log::scan`]), one tail cut, and the handle the logs go through.
-//! * [`wal`] — write-ahead logging with prefix truncation behind a manifest
-//!   commit, torn-tail recovery, the [`SyncPolicy`] durability knob and the
-//!   group-commit staging primitives (`append_nosync` + `commit`).
+//! * [`log`] — the framed log every durable file is: one layout
+//!   (`magic · frame*`, `frame := ext · len · crc32(body) · body`), one
+//!   encoder ([`log::frame`]), one recovery rule ([`log::scan`]), one tail
+//!   cut, and the handle the logs go through. Each file kind declares its
+//!   magic and header extension as a [`log::Format`] value.
+//! * [`wal`] — write-ahead logging in checksummed frames behind the magic
+//!   `LETHEWAL`, with prefix truncation behind a manifest commit, torn-tail
+//!   recovery, the [`SyncPolicy`] durability knob and the group-commit
+//!   staging primitives (`append_nosync` + `commit`).
 //! * [`batchlog`] — the durable commit point for cross-shard write batches
-//!   (two-phase commit over the per-shard WALs).
+//!   (two-phase commit over the per-shard WALs): one frame per committed id
+//!   behind the magic `LETHEBAT`.
 //! * [`manifest`] — the durable, checksummed manifest recording the tree's
-//!   on-device state (levels, files, page ids) so a reopened store recovers
-//!   flushed data, not just the WAL tail. Its commit mints the
+//!   on-device state (levels, files, page ids), one frame per edit behind the
+//!   magic `LETHEMAN`, so a reopened store recovers flushed data, not just
+//!   the WAL tail. Its commit mints the
 //!   [`ManifestCommitted`] witness a WAL prefix truncation requires.
 //! * [`barrier`] — the counted durability barriers every fsync goes
 //!   through, so [`IoSnapshot::fsyncs`](iostats::IoSnapshot::fsyncs) is
@@ -89,7 +96,6 @@ pub use batchlog::BatchCommitLog;
 pub use bloom::BloomFilter;
 pub use cache::{CacheSnapshot, CachedBackend, PageCache};
 pub use checkpoint::{read_marker, write_marker, CheckpointMarker, CHECKPOINT_MARKER};
-pub use checksum::crc32;
 pub use clock::{LogicalClock, Timestamp, MICROS_PER_SEC};
 pub use entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 pub use error::{Result, StorageError};

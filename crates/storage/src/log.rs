@@ -1,34 +1,72 @@
-//! The framed log every durable file is: one recovery rule, one tail cut.
+//! The framed log every durable file is: one layout, one encoder, one
+//! recovery rule, one tail cut.
 //!
 //! The WAL, the manifest, the batch-commit log and the page segments are
-//! append-only sequences of frames, each a fixed-length prefix and the body
-//! it gives the length of. A crash mid-append only damages the end of such a
-//! file, so [`scan`] holds one rule for all four: a short prefix, a body past
-//! end-of-file, or a frame that fails its checksum and ends exactly at
-//! end-of-file is a **torn tail**; a bad frame with bytes behind it, or a
-//! prefix no frame starts with, is `Corruption`.
+//! append-only sequences of frames behind a file magic:
+//!
+//! ```text
+//! file  := magic · frame*
+//! frame := ext · len (u32 BE) · crc32(body) (u32 BE) · body
+//! ```
+//!
+//! `ext` is a fixed-length header extension. Each file kind declares its
+//! magic and its extension as a [`Format`] value:
+//!
+//! | kind         | magic      | ext                    |
+//! |--------------|------------|------------------------|
+//! | WAL          | `LETHEWAL` | none                   |
+//! | manifest     | `LETHEMAN` | none                   |
+//! | batch log    | `LETHEBAT` | none                   |
+//! | page segment | none       | `LEFR` · page id (u64) |
+//!
+//! [`frame`] is the only code that lays out a length and a checksum. A
+//! crash mid-append only damages the end of a file, so [`scan`] holds one
+//! rule for all four: a short header, a body past end-of-file, or a frame
+//! that fails its checksum and ends exactly at end-of-file is a **torn
+//! tail**; a bad frame with bytes behind it, a full header without its
+//! kind's tag, or a tail longer than its kind's [`Format::max_tail`], is
+//! `Corruption`.
 
 use crate::barrier;
+use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
 use crate::vfs::{Vfs, VfsFile};
+use bytes::{Buf, Bytes};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One file format's layout.
-pub trait Frame {
-    /// The bytes every file of the format starts with.
-    const MAGIC: &'static [u8] = b"";
-    /// Length of the fixed prefix every frame starts with.
-    const PREFIX: usize;
-    /// Length of the body that follows `prefix`; `None` for a prefix that
-    /// cannot start a frame, which [`scan`] reports as `Corruption`.
-    fn body_len(prefix: &[u8]) -> Option<usize>;
-    /// Whether `body` is the one `prefix` describes (its checksum holds).
-    fn intact(_prefix: &[u8], _body: &[u8]) -> bool {
-        true
+/// One file kind's layout.
+#[derive(Debug)]
+pub struct Format {
+    /// The bytes every file of the kind starts with.
+    pub magic: &'static [u8],
+    /// Length of the extension every frame's header starts with.
+    pub ext_len: usize,
+    /// The bytes every extension starts with. A torn append of a whole
+    /// header still wrote them, so a full header without them is not a
+    /// torn tail.
+    pub tag: &'static [u8],
+    /// The most bytes a crash can leave behind the last intact frame: a
+    /// kind that appends and syncs one fixed-length frame at a time tears
+    /// at most one frame, so a longer bad tail is damage (say, a flipped
+    /// high bit in a length field), not a torn append.
+    pub max_tail: u64,
+}
+
+impl Format {
+    /// Length of a frame's header: the extension, the body length and the
+    /// body's CRC.
+    pub const fn header_len(&self) -> usize {
+        self.ext_len + 8
     }
+}
+
+/// One frame of a log: `ext · len (u32 BE) · crc32(body) (u32 BE) · body`.
+pub fn frame(ext: &[u8], body: &[u8]) -> Vec<u8> {
+    let (len, crc) = ((body.len() as u32).to_be_bytes(), crc32(body).to_be_bytes());
+    [ext, &len, &crc, body].concat()
 }
 
 /// Sequential reads of the first `len` bytes of a file, one positional read
@@ -48,50 +86,71 @@ impl Read for Cursor<'_> {
     }
 }
 
-/// Scans the frames of `file`, calling `visit(offset, prefix, body)` on each
-/// intact one in order, and returns where a torn tail, if any, begins.
-/// Errors from `visit` propagate. One frame is in memory at a time.
-pub fn scan<F: Frame>(
+/// `Corruption` found in the file at `path`, named by its path.
+fn corrupt(path: &Path, what: impl std::fmt::Display) -> StorageError {
+    StorageError::Corruption(format!("{path:?}: {what}"))
+}
+
+/// Scans the frames of `file`, a `format` file, calling
+/// `visit(offset, ext, body)` on each intact one in order, and returns where
+/// a torn tail, if any, begins. Errors from `visit` propagate; a
+/// `Corruption` it reports is named by the file's path and the frame's
+/// offset. One frame is in memory at a time.
+pub fn scan(
     file: &dyn VfsFile,
     path: &Path,
+    format: &Format,
     mut visit: impl FnMut(u64, &[u8], &[u8]) -> Result<()>,
 ) -> Result<u64> {
-    let corrupt = |what: String| StorageError::Corruption(format!("{path:?}: {what}"));
     let len = file.len()?;
-    let mut end = F::MAGIC.len() as u64;
+    let mut end = format.magic.len() as u64;
     if len < end {
         return Ok(0); // not even the magic survived: the whole file is torn
     }
     let mut reader = BufReader::new(Cursor { file, pos: 0, len });
-    let mut prefix = vec![0u8; F::MAGIC.len()];
-    reader.read_exact(&mut prefix)?;
-    if prefix != F::MAGIC {
-        return Err(corrupt("bad file magic".into()));
+    let mut header = vec![0u8; format.magic.len()];
+    reader.read_exact(&mut header)?;
+    if header != format.magic {
+        return Err(corrupt(path, "bad file magic"));
     }
-    prefix.resize(F::PREFIX, 0);
+    let ext_len = format.ext_len;
+    header.resize(format.header_len(), 0);
     let mut body = Vec::new();
-    while end + F::PREFIX as u64 <= len {
-        reader.read_exact(&mut prefix)?;
-        let body_len = F::body_len(&prefix)
-            .ok_or_else(|| corrupt(format!("no frame starts with the prefix at offset {end}")))?;
-        let frame_end = end + (F::PREFIX + body_len) as u64;
-        if frame_end > len {
-            break; // torn tail: the prefix promises more bytes than exist
+    while end + header.len() as u64 <= len {
+        reader.read_exact(&mut header)?;
+        if !header.starts_with(format.tag) {
+            return Err(corrupt(path, format_args!("no frame starts at offset {end}")));
         }
-        body.resize(body_len, 0);
+        let frame_end = end + (header.len() as u64 + be(&header[ext_len..ext_len + 4]));
+        if frame_end > len {
+            break; // torn tail: the header promises more bytes than exist
+        }
+        body.resize((frame_end - end) as usize - header.len(), 0);
         reader.read_exact(&mut body)?;
-        if !F::intact(&prefix, &body) {
+        if be(&header[ext_len + 4..]) != u64::from(crc32(&body)) {
             if frame_end == len {
                 break; // torn tail: the last frame was damaged mid-append
             }
-            return Err(corrupt(format!(
-                "frame at offset {end} failed its checksum with {} bytes of later frames \
-                 behind it (mid-log corruption, not a torn tail)",
-                len - frame_end
-            )));
+            return Err(corrupt(
+                path,
+                format_args!(
+                    "frame at offset {end} failed its checksum with {} bytes of later frames \
+                     behind it (mid-log corruption, not a torn tail)",
+                    len - frame_end
+                ),
+            ));
         }
-        visit(end, &prefix, &body)?;
+        visit(end, &header[..ext_len], &body).map_err(|e| match e {
+            StorageError::Corruption(what) => {
+                corrupt(path, format_args!("frame at offset {end}: {what}"))
+            }
+            e => e,
+        })?;
         end = frame_end;
+    }
+    if len - end > format.max_tail {
+        let tail = len - end;
+        return Err(corrupt(path, format!("{tail} bad bytes at offset {end}: too many to be torn")));
     }
     Ok(end)
 }
@@ -112,12 +171,53 @@ pub(crate) fn be(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0, |n, &b| n << 8 | u64::from(b))
 }
 
+/// Fails with `Corruption` unless `body` holds `n` more bytes. The frame
+/// bodies' decoders read through this, and [`scan`] names the file and the
+/// frame a failure comes from.
+fn need(body: &Bytes, n: usize) -> Result<()> {
+    if body.remaining() < n {
+        return Err(StorageError::Corruption("frame body truncated".into()));
+    }
+    Ok(())
+}
+
+/// The next byte of a frame body.
+pub(crate) fn read_u8(body: &mut Bytes) -> Result<u8> {
+    need(body, 1).map(|()| body.get_u8())
+}
+
+/// The next big-endian `u32` of a frame body.
+pub(crate) fn read_u32(body: &mut Bytes) -> Result<u32> {
+    need(body, 4).map(|()| body.get_u32())
+}
+
+/// The next big-endian `u64` of a frame body.
+pub(crate) fn read_u64(body: &mut Bytes) -> Result<u64> {
+    need(body, 8).map(|()| body.get_u64())
+}
+
+/// The next `len` bytes of a frame body.
+pub(crate) fn read_bytes(body: &mut Bytes, len: usize) -> Result<Bytes> {
+    need(body, len).map(|()| body.copy_to_bytes(len))
+}
+
+/// A `u32` count, then that many items `item` reads, of a frame body.
+pub(crate) fn read_list<T>(
+    body: &mut Bytes,
+    mut item: impl FnMut(&mut Bytes) -> Result<T>,
+) -> Result<Vec<T>> {
+    (0..read_u32(body)?).map(|_| item(body)).collect()
+}
+
 /// A framed log: its file system, path and read + append handle, and the
 /// counter its durability barriers are charged to.
 ///
-/// A failed [`LogFile::replace`] poisons the log: its rename may have
-/// landed, leaving the handle on the replaced file, so every later append,
-/// barrier and replace fails until the log is reopened.
+/// A failed append, barrier or [`LogFile::replace`] poisons the log: the
+/// append may have landed part of a frame, which a later frame would turn
+/// into mid-log corruption; the barrier may have lost what it was to make
+/// durable; the rename may have landed, leaving the handle on the replaced
+/// file. So every later append, barrier and replace fails until the log is
+/// reopened.
 #[derive(Debug)]
 pub struct LogFile {
     vfs: Arc<dyn Vfs>,
@@ -125,7 +225,7 @@ pub struct LogFile {
     file: Arc<dyn VfsFile>,
     fsyncs: AtomicU64,
     torn_tails: u64,
-    poisoned: bool,
+    poisoned: AtomicBool,
 }
 
 impl LogFile {
@@ -135,71 +235,129 @@ impl LogFile {
         if let Some(parent) = path.parent().filter(|p| create && !p.as_os_str().is_empty()) {
             vfs.create_dir_all(parent)?;
         }
-        let (vfs, path, file) = (Arc::clone(vfs), path.to_path_buf(), vfs.open(path, create)?);
-        Ok(LogFile { vfs, path, file, fsyncs: AtomicU64::new(0), torn_tails: 0, poisoned: false })
+        let file = vfs.open(path, create)?;
+        Ok(LogFile::on(vfs, path, file, AtomicU64::new(0)))
     }
 
-    /// Creates the log at `path` on `vfs` through [`barrier::publish`].
+    /// The log at `path` on `vfs` through `file`, its barriers so far
+    /// counted in `fsyncs`.
+    fn on(vfs: &Arc<dyn Vfs>, path: &Path, file: Arc<dyn VfsFile>, fsyncs: AtomicU64) -> LogFile {
+        let (vfs, path) = (Arc::clone(vfs), path.to_path_buf());
+        LogFile { vfs, path, file, fsyncs, torn_tails: 0, poisoned: AtomicBool::new(false) }
+    }
+
+    /// Opens (or creates) the log at `path` on `vfs` as a `format` file,
+    /// before anything is appended to it:
+    /// - a file that starts with the magic is opened as it is;
+    /// - an empty file, or one whose magic tore, is cut to empty and gets
+    ///   the magic as a plain append, with no barrier of its own: the log's
+    ///   first barrier covers it;
+    /// - any other file was written before `format`: `v1` turns its bytes
+    ///   into `format`'s frames, and they replace it. A file at least as
+    ///   long as the magic of which `v1` keeps no frame is `Corruption` and
+    ///   is left as it is: it is far likelier a `format` file with a
+    ///   damaged magic than a version-1 file whose only record tore, which
+    ///   held nothing acknowledged.
+    ///
+    /// So no file ever mixes versions.
+    pub fn open_versioned(
+        vfs: &Arc<dyn Vfs>,
+        path: &Path,
+        format: &Format,
+        tmp_extension: &str,
+        v1: impl FnOnce(&[u8]) -> Result<Vec<u8>>,
+    ) -> Result<LogFile> {
+        let mut log = LogFile::open(vfs, path, true)?;
+        let len = log.file.len()?;
+        let mut head = vec![0u8; format.magic.len().min(len as usize)];
+        log.file.read_at(&mut head, 0)?;
+        if format.magic.starts_with(&head) {
+            if head.len() < format.magic.len() {
+                log.torn_tails += u64::from(cut_tail(log.file.as_ref(), 0, &log.fsyncs)?);
+                log.append(format.magic)?;
+            }
+            return Ok(log);
+        }
+        let mut bytes = vec![0u8; len as usize];
+        log.file.read_at(&mut bytes, 0)?;
+        let frames = v1(&bytes).map_err(|e| match e {
+            StorageError::Corruption(what) => corrupt(path, what),
+            e => e,
+        })?;
+        if frames.is_empty() && len >= format.magic.len() as u64 {
+            return Err(corrupt(path, "bad file magic, and no version-1 record either"));
+        }
+        log.replace(format, tmp_extension, &frames)?;
+        Ok(log)
+    }
+
+    /// Creates the `format` log at `path` on `vfs`, holding `frames`,
+    /// through [`barrier::publish`].
     pub fn publish(
         vfs: &Arc<dyn Vfs>,
         path: &Path,
+        format: &Format,
         tmp_extension: &str,
-        contents: &[u8],
+        frames: &[u8],
     ) -> Result<LogFile> {
         let (tmp, fsyncs) = (path.with_extension(tmp_extension), AtomicU64::new(0));
-        let file = barrier::publish(vfs.as_ref(), path, &tmp, &fsyncs, contents)?;
-        let (vfs, path) = (Arc::clone(vfs), path.to_path_buf());
-        Ok(LogFile { vfs, path, file, fsyncs, torn_tails: 0, poisoned: false })
+        let contents = [format.magic, frames].concat();
+        let file = barrier::publish(vfs.as_ref(), path, &tmp, &fsyncs, &contents)?;
+        Ok(LogFile::on(vfs, path, file, fsyncs))
     }
 
-    /// [`scan`]s the log and cuts a torn tail away; a failed scan cuts nothing.
-    pub fn recover<F: Frame>(
+    /// [`scan`]s the log as a `format` file and cuts a torn tail away; a
+    /// failed scan cuts nothing.
+    pub fn recover(
         &mut self,
+        format: &Format,
         visit: impl FnMut(u64, &[u8], &[u8]) -> Result<()>,
     ) -> Result<()> {
-        let end = scan::<F>(self.file.as_ref(), &self.path, visit)?;
+        let end = scan(self.file.as_ref(), &self.path, format, visit)?;
         self.torn_tails += u64::from(cut_tail(self.file.as_ref(), end, &self.fsyncs)?);
         Ok(())
     }
 
     /// Appends `bytes`, with no barrier.
     pub fn append(&self, bytes: &[u8]) -> Result<()> {
-        self.writable()?;
-        Ok(self.file.append(bytes)?)
+        self.write(|file| Ok(file.append(bytes)?))
     }
 
     /// `fdatasync`s the log through the counted barrier.
     pub fn sync_data(&self) -> Result<()> {
-        self.writable()?;
-        barrier::sync_data_counted(self.file.as_ref(), &self.fsyncs)
+        self.write(|file| barrier::sync_data_counted(file, &self.fsyncs))
     }
 
     /// `fsync`s the log through the counted barrier.
     pub fn sync_all(&self) -> Result<()> {
-        self.writable()?;
-        barrier::sync_all_counted(self.file.as_ref(), &self.fsyncs)
+        self.write(|file| barrier::sync_all_counted(file, &self.fsyncs))
     }
 
-    /// Replaces the log's content through [`barrier::publish`] and appends
-    /// to the new file. A failure poisons the log.
-    pub fn replace(&mut self, tmp_extension: &str, contents: &[u8]) -> Result<()> {
-        self.writable()?;
+    /// Replaces the log's content with `format`'s magic and `frames` through
+    /// [`barrier::publish`], and appends to the new file.
+    pub fn replace(&mut self, format: &Format, tmp_extension: &str, frames: &[u8]) -> Result<()> {
         let (vfs, tmp) = (self.vfs.as_ref(), self.path.with_extension(tmp_extension));
-        let published = barrier::publish(vfs, &self.path, &tmp, &self.fsyncs, contents);
-        self.poisoned = published.is_err();
-        self.file = published?;
+        let contents = [format.magic, frames].concat();
+        let path = &self.path;
+        self.file = self.write(|_| barrier::publish(vfs, path, &tmp, &self.fsyncs, &contents))?;
         Ok(())
     }
 
-    /// Fails once a [`LogFile::replace`] has failed.
-    fn writable(&self) -> Result<()> {
-        if self.poisoned {
+    /// Runs `op` on the file unless the log is poisoned, and poisons it if
+    /// `op` fails.
+    fn write<T>(&self, op: impl FnOnce(&dyn VfsFile) -> Result<T>) -> Result<T> {
+        if self.poisoned.load(Ordering::Relaxed) {
             let path = &self.path;
             return Err(StorageError::InvalidOperation(format!(
-                "{path:?} is poisoned: a rewrite failed and may have replaced the file; reopen it"
+                "{path:?} is poisoned: a write or a barrier failed; reopen it"
             )));
         }
-        Ok(())
+        op(self.file.as_ref()).inspect_err(|_| self.poisoned.store(true, Ordering::Relaxed))
+    }
+
+    /// Whether a failed append, barrier or replace has poisoned the log.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Relaxed)
     }
 
     /// Durability barriers issued on this log.
@@ -217,6 +375,7 @@ impl LogFile {
 #[expect(clippy::disallowed_methods, reason = "the tests lay out logs on disk byte by byte")]
 pub(crate) mod tests {
     use super::*;
+    use crate::backend::{page_ext, PAGES};
 
     /// The bytes a known-answer vector spells in hex.
     pub(crate) fn hex(digits: &str) -> Vec<u8> {
@@ -224,33 +383,15 @@ pub(crate) mod tests {
         (0..digits.len()).step_by(2).map(byte).collect()
     }
 
-    /// A toy format: `b'T' · body length (u8) · byte sum of the body (u8)`,
-    /// then the body.
-    struct Toy;
-
-    impl Frame for Toy {
-        const PREFIX: usize = 3;
-
-        fn body_len(prefix: &[u8]) -> Option<usize> {
-            (prefix[0] == b'T').then_some(prefix[1] as usize)
-        }
-
-        fn intact(prefix: &[u8], body: &[u8]) -> bool {
-            prefix[2] == sum(body)
-        }
-    }
-
-    fn sum(body: &[u8]) -> u8 {
-        body.iter().fold(0u8, |sum, b| sum.wrapping_add(*b))
-    }
-
+    /// A page frame holding `body` as page 7.
     fn good(body: &[u8]) -> Vec<u8> {
-        [&[b'T', body.len() as u8, sum(body)], body].concat()
+        frame(&page_ext(7), body)
     }
 
+    /// [`good`] with its checksum damaged.
     fn bad(body: &[u8]) -> Vec<u8> {
         let mut frame = good(body);
-        frame[2] ^= 0xFF;
+        frame[PAGES.ext_len + 4] ^= 0xFF;
         frame
     }
 
@@ -269,42 +410,50 @@ pub(crate) mod tests {
     #[test]
     fn one_rule_for_every_branch() {
         let cat = |parts: &[Vec<u8>]| parts.concat();
+        let header = PAGES.header_len();
+        let mut wrong_tag = good(b"");
+        wrong_tag[0] = b'X';
         let rows: Vec<(&str, Vec<u8>, Expect)> = vec![
             ("empty file", vec![], Expect::Recovers { bodies: &[], end: 0 }),
             (
                 "clean log",
                 cat(&[good(b"ab"), good(b""), good(b"cde")]),
-                Expect::Recovers { bodies: &[b"ab", b"", b"cde"], end: 14 },
+                Expect::Recovers { bodies: &[b"ab", b"", b"cde"], end: 3 * header + 5 },
             ),
             (
-                "short prefix",
-                cat(&[good(b"ab"), vec![b'T', 5]]),
-                Expect::Recovers { bodies: &[b"ab"], end: 5 },
+                "short header",
+                cat(&[good(b"ab"), good(b"cdefg")[..header - 1].to_vec()]),
+                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
             ),
             (
                 "body past end of file",
-                cat(&[good(b"ab"), good(b"cdefg")[..6].to_vec()]),
-                Expect::Recovers { bodies: &[b"ab"], end: 5 },
+                cat(&[good(b"ab"), good(b"cdefg")[..header + 2].to_vec()]),
+                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
             ),
             (
                 "bad last frame",
                 cat(&[good(b"ab"), bad(b"cd")]),
-                Expect::Recovers { bodies: &[b"ab"], end: 5 },
+                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
             ),
             (
                 "bad frame with a good frame behind it",
                 cat(&[good(b"ab"), bad(b"cd"), good(b"ef")]),
                 Expect::Corrupt,
             ),
-            ("prefix rejected by body_len", cat(&[good(b"ab"), vec![b'X', 0, 0]]), Expect::Corrupt),
-            ("visitor error", cat(&[good(b"ab"), good(b"no"), vec![b'T']]), Expect::VisitorError),
+            ("full header with a wrong page tag", cat(&[good(b"ab"), wrong_tag]), Expect::Corrupt),
+            (
+                "visitor error",
+                cat(&[good(b"ab"), good(b"no"), vec![b'L']]),
+                Expect::VisitorError,
+            ),
         ];
         let path = std::env::temp_dir().join(format!("lethe-log-{}.bin", std::process::id()));
         for (name, bytes, expect) in rows {
             std::fs::write(&path, &bytes).unwrap();
             let mut log = LogFile::open(&crate::vfs::OsVfs::shared(), &path, false).unwrap();
             let mut bodies: Vec<Vec<u8>> = Vec::new();
-            let result = log.recover::<Toy>(|_, _, body| {
+            let result = log.recover(&PAGES, |_, ext, body| {
+                assert_eq!(ext, page_ext(7), "{name}");
                 if body == b"no" {
                     return Err(StorageError::InvalidOperation("visitor refused".into()));
                 }
@@ -342,54 +491,67 @@ pub(crate) mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The toy format behind an 8-byte file magic.
-    struct Headed;
-
-    impl Frame for Headed {
-        const MAGIC: &'static [u8] = b"HEADER!!";
-        const PREFIX: usize = Toy::PREFIX;
-
-        fn body_len(prefix: &[u8]) -> Option<usize> {
-            Toy::body_len(prefix)
-        }
-
-        fn intact(prefix: &[u8], body: &[u8]) -> bool {
-            Toy::intact(prefix, body)
-        }
-    }
+    /// A format with a magic and no extension, as the WAL's.
+    const HEADED: Format = crate::wal::FORMAT;
 
     #[test]
     fn the_file_magic_is_checked_before_the_frames_and_appends_follow_the_cut() {
         let path = std::env::temp_dir().join(format!("lethe-log-magic-{}.bin", std::process::id()));
+        let magic = HEADED.magic;
         let recover = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
             let mut log = LogFile::open(&crate::vfs::OsVfs::shared(), &path, false).unwrap();
             let mut seen = Vec::new();
-            let result = log.recover::<Headed>(|at, _, body| {
+            let result = log.recover(&HEADED, |at, _, body| {
                 seen.push((at, body.to_vec()));
                 Ok(())
             });
             (result.map(|()| seen), log)
         };
         // a file too short to hold its magic is one torn tail
-        let (seen, log) = recover(b"HEAD");
+        let (seen, log) = recover(&magic[..4]);
         assert_eq!(seen.unwrap(), vec![]);
         assert_eq!((log.torn_tails_recovered(), log.fsync_count()), (1, 1));
         assert_eq!(std::fs::read(&path).unwrap(), b"");
         // a wrong magic is corruption, and cuts nothing
-        let wrong = [b"HEADER??".to_vec(), good(b"ab")].concat();
+        let wrong = [b"LETHE???".to_vec(), frame(&[], b"ab")].concat();
         assert!(matches!(recover(&wrong).0, Err(StorageError::Corruption(_))));
         assert_eq!(std::fs::read(&path).unwrap(), wrong);
         // frames start behind the magic
-        let (seen, log) = recover(&[b"HEADER!!".to_vec(), good(b"ab"), vec![b'T']].concat());
+        let (seen, log) = recover(&[magic, &frame(&[], b"ab"), b"L"].concat());
         assert_eq!(seen.unwrap(), vec![(8, b"ab".to_vec())]);
-        log.append(&good(b"cd")).unwrap();
+        log.append(&frame(&[], b"cd")).unwrap();
         log.sync_data().unwrap();
         assert_eq!(log.fsync_count(), 2, "the cut and the sync");
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            [b"HEADER!!".to_vec(), good(b"ab"), good(b"cd")].concat()
+            [magic, &frame(&[], b"ab"), &frame(&[], b"cd")].concat()
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_fresh_or_torn_magic_log_gets_its_magic_with_no_barrier_of_its_own() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let path = Path::new("/fresh.log");
+        let refuse = |_: &[u8]| -> Result<Vec<u8>> { panic!("not a v1 file") };
+        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", refuse).unwrap();
+        assert_eq!((log.fsync_count(), log.torn_tails_recovered()), (0, 0));
+        assert_eq!(vfs.read(path).unwrap(), HEADED.magic);
+        // reopening leaves a whole magic alone
+        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", refuse).unwrap();
+        assert_eq!(log.fsync_count(), 0);
+        // a torn magic is cut (one barrier) and written again (none)
+        vfs.open(path, false).unwrap().set_len(3).unwrap();
+        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", refuse).unwrap();
+        assert_eq!((log.fsync_count(), log.torn_tails_recovered()), (1, 1));
+        assert_eq!(vfs.read(path).unwrap(), HEADED.magic);
+        // anything else is a v1 file, republished behind the magic
+        vfs.open(path, false).unwrap().set_len(0).unwrap();
+        vfs.open(path, false).unwrap().append(b"old!").unwrap();
+        let upgrade = |old: &[u8]| Ok(frame(&[], old));
+        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", upgrade).unwrap();
+        assert_eq!(vfs.read(path).unwrap(), [HEADED.magic, &frame(&[], b"old!")].concat());
+        assert_eq!(log.fsync_count(), 2, "the publish's file and directory barriers");
     }
 }

@@ -13,34 +13,36 @@
 //! ## File format
 //!
 //! ```text
-//! file   := MAGIC (u64) record*
+//! file   := "LETHEMAN" record*
 //! record := len (u32) · crc32(body) (u32) · body
 //! body   := version (u8) · kind (u8) · payload
 //! ```
 //!
+//! The records are the common [`log`] frame with no header extension.
+//!
 //! `kind` is either a **snapshot** (the full [`ManifestState`]) or a
 //! **delta** (files added/updated/removed plus the new level structure and
-//! counters). Recovery folds the records in order under the [`log`](crate::log)
+//! counters). Recovery folds the records in order under the [`log`]
 //! rule: a torn trailing record — the normal result of a crash mid-append —
 //! is cut away, recovering the last fully-committed state. When the log grows
 //! past a threshold it is rewritten as a single snapshot into a temporary file that is atomically
 //! renamed over the old log (with a parent-directory fsync), so a crash
 //! mid-rewrite leaves either the complete old log or the complete new one.
 
-use crate::checksum::crc32;
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, SeqNum};
 use crate::error::{Result, StorageError};
 use crate::fence::DeleteFence;
-use crate::log::{be, Frame, LogFile};
+use crate::log::{self, read_list, read_u64, read_u8, Format, LogFile};
 use crate::vfs::{OsVfs, Vfs};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic number opening every manifest file.
-const MANIFEST_MAGIC: u64 = 0x4C45_5448_454D_414E; // "LETHEMAN"
+/// A manifest file's layout: the magic `LETHEMAN`, then [`log`] frames with
+/// no header extension, one per record.
+const FORMAT: Format = Format { magic: b"LETHEMAN", ext_len: 0, tag: b"", max_tail: u64::MAX };
 
 /// On-disk format version of manifest records. Version 2 added the
 /// per-file delete-key bounds (`min_delete`/`max_delete`) to [`FileDesc`];
@@ -177,24 +179,9 @@ pub struct Manifest {
     committed: bool,
     state: ManifestState,
     records_since_rewrite: usize,
-    /// A commit's write failed: see [`Manifest::commit`].
-    poisoned: bool,
-}
-
-/// A manifest record's frame: `len (u32) · crc32(body) (u32)`, then the body.
-struct Record;
-
-impl Frame for Record {
-    const MAGIC: &'static [u8] = &MANIFEST_MAGIC.to_be_bytes();
-    const PREFIX: usize = 8;
-
-    fn body_len(prefix: &[u8]) -> Option<usize> {
-        Some(be(&prefix[..4]) as usize)
-    }
-
-    fn intact(prefix: &[u8], body: &[u8]) -> bool {
-        be(&prefix[4..]) == u64::from(crc32(body))
-    }
+    /// The first snapshot's publish failed, which leaves no log handle to
+    /// poison: its rename may have landed all the same.
+    publish_failed: bool,
 }
 
 impl Manifest {
@@ -215,7 +202,7 @@ impl Manifest {
             committed: false,
             state: ManifestState::default(),
             records_since_rewrite: 0,
-            poisoned: false,
+            publish_failed: false,
         };
         let mut log = match LogFile::open(vfs, path, false) {
             Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -224,7 +211,7 @@ impl Manifest {
             log => log?,
         };
         // a record that checksums but does not decode is real corruption
-        log.recover::<Record>(|_, _, body| {
+        log.recover(&FORMAT, |_, _, body| {
             manifest.apply(decode_record(Bytes::copy_from_slice(body))?);
             Ok(())
         })?;
@@ -263,23 +250,8 @@ impl Manifest {
                 for f in upserted {
                     files.insert(f.id, f);
                 }
-                let levels = structure
-                    .into_iter()
-                    .map(|level| {
-                        level
-                            .into_iter()
-                            .map(|run| {
-                                run.into_iter().filter_map(|id| files.get(&id).cloned()).collect()
-                            })
-                            .collect()
-                    })
-                    .collect();
-                self.state = ManifestState {
-                    next_file_id,
-                    next_seqnum,
-                    clock_micros,
-                    levels,
-                };
+                let levels = levels(structure, &files);
+                self.state = ManifestState { next_file_id, next_seqnum, clock_micros, levels };
             }
         }
     }
@@ -295,27 +267,21 @@ impl Manifest {
     /// the same (its append landed and its barrier failed, or its
     /// snapshot's rename landed and the directory barrier failed), so the
     /// state held here may not be the one the log replays to, and a delta
-    /// against it could drop files on replay: every later commit fails until
-    /// a reopen re-reads the log. The caller must treat a poisoning commit's
-    /// edit as possibly durable ([`Manifest::is_poisoned`]).
+    /// against it could drop files on replay: the poisoned [`LogFile`]
+    /// refuses every later write until a reopen re-reads the log. (After a
+    /// failed first publish there is no log yet, and the next commit
+    /// publishes a whole snapshot again.) The caller must treat a poisoning
+    /// commit's edit as possibly durable ([`Manifest::is_poisoned`]).
     pub fn commit(&mut self, new_state: ManifestState) -> Result<ManifestCommitted> {
-        if self.poisoned {
-            return Err(StorageError::InvalidOperation(format!(
-                "{:?} is poisoned: an earlier commit failed and may have landed; reopen it",
-                self.path
-            )));
-        }
         if self.committed && new_state == self.state {
             return Ok(ManifestCommitted(()));
         }
-        let written = self.write(new_state);
-        self.poisoned = written.is_err();
-        written
+        self.write(new_state)
     }
 
     /// Whether a failed commit has poisoned the manifest.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.log.as_ref().map_or(self.publish_failed, LogFile::is_poisoned)
     }
 
     /// Appends `new_state` as a delta, or writes it as a snapshot.
@@ -349,7 +315,7 @@ impl Manifest {
             upserted,
             structure: new_state.structure(),
         };
-        log.append(&frame_record(&record))?;
+        log.append(&log::frame(&[], &encode_record(&record)))?;
         log.sync_data()?;
         self.records_since_rewrite += 1;
         self.state = new_state;
@@ -358,14 +324,14 @@ impl Manifest {
 
     /// Rewrites the manifest as a single snapshot of `state`, atomically.
     fn rewrite(&mut self, state: ManifestState) -> Result<()> {
-        let framed = frame_record(&ManifestRecord::Snapshot(state.clone()));
-        let contents = [&MANIFEST_MAGIC.to_be_bytes()[..], &framed].concat();
+        let frame = log::frame(&[], &encode_record(&ManifestRecord::Snapshot(state.clone())));
         match &mut self.log {
-            Some(log) => log.replace("manifest.tmp", &contents)?,
+            Some(log) => log.replace(&FORMAT, "manifest.tmp", &frame)?,
             None => {
                 let (vfs, path) = (&self.vfs, &self.path);
-                let log = LogFile::publish(vfs, path, "manifest.tmp", &contents)?;
-                self.log = Some(log);
+                let published = LogFile::publish(vfs, path, &FORMAT, "manifest.tmp", &frame);
+                self.publish_failed = published.is_err();
+                self.log = Some(published?);
             }
         }
         self.committed = true;
@@ -393,16 +359,6 @@ impl Manifest {
 pub struct ManifestCommitted(());
 
 // --------------------------------------------------------------- codecs
-
-/// One record as it sits in the log: body length, CRC-32 of the body, body.
-fn frame_record(record: &ManifestRecord) -> BytesMut {
-    let body = encode_record(record);
-    let mut framed = BytesMut::with_capacity(body.len() + 8);
-    framed.put_u32(body.len() as u32);
-    framed.put_u32(crc32(&body));
-    framed.extend_from_slice(&body);
-    framed
-}
 
 fn encode_record(record: &ManifestRecord) -> Bytes {
     let mut buf = BytesMut::new();
@@ -447,70 +403,41 @@ fn encode_record(record: &ManifestRecord) -> Bytes {
 }
 
 fn decode_record(mut body: Bytes) -> Result<ManifestRecord> {
-    if body.remaining() < 2 {
-        return Err(StorageError::Corruption("manifest record truncated".into()));
-    }
-    let version = body.get_u8();
+    let body = &mut body;
+    let version = read_u8(body)?;
     if version == 0 || version > MANIFEST_VERSION {
         return Err(StorageError::Corruption(format!("unknown manifest version {version}")));
     }
-    let kind = body.get_u8();
-    if body.remaining() < 24 {
-        return Err(StorageError::Corruption("manifest counters truncated".into()));
-    }
-    let next_file_id = body.get_u64();
-    let next_seqnum = body.get_u64();
-    let clock_micros = body.get_u64();
+    let kind = read_u8(body)?;
+    let (next_file_id, next_seqnum, clock_micros) =
+        (read_u64(body)?, read_u64(body)?, read_u64(body)?);
     match kind {
         KIND_SNAPSHOT => {
-            let n = read_u32(&mut body)? as usize;
-            let mut files = BTreeMap::new();
-            for _ in 0..n {
-                let f = Arc::new(decode_file(&mut body, version)?);
-                files.insert(f.id, f);
-            }
-            let structure = decode_structure(&mut body)?;
-            let levels = structure
-                .into_iter()
-                .map(|level| {
-                    level
-                        .into_iter()
-                        .map(|run| {
-                            run.into_iter().filter_map(|id| files.get(&id).cloned()).collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            Ok(ManifestRecord::Snapshot(ManifestState {
-                next_file_id,
-                next_seqnum,
-                clock_micros,
-                levels,
-            }))
+            let files = read_list(body, |body| decode_file(body, version))?;
+            let files = files.into_iter().map(|f| (f.id, Arc::new(f))).collect();
+            let levels = levels(decode_structure(body)?, &files);
+            let state = ManifestState { next_file_id, next_seqnum, clock_micros, levels };
+            Ok(ManifestRecord::Snapshot(state))
         }
-        KIND_DELTA => {
-            let n_removed = read_u32(&mut body)? as usize;
-            let mut removed = Vec::with_capacity(n_removed);
-            for _ in 0..n_removed {
-                removed.push(read_u64(&mut body)?);
-            }
-            let n_upserted = read_u32(&mut body)? as usize;
-            let mut upserted = Vec::with_capacity(n_upserted);
-            for _ in 0..n_upserted {
-                upserted.push(Arc::new(decode_file(&mut body, version)?));
-            }
-            let structure = decode_structure(&mut body)?;
-            Ok(ManifestRecord::Delta {
-                next_file_id,
-                next_seqnum,
-                clock_micros,
-                removed,
-                upserted,
-                structure,
-            })
-        }
+        KIND_DELTA => Ok(ManifestRecord::Delta {
+            next_file_id,
+            next_seqnum,
+            clock_micros,
+            removed: read_list(body, read_u64)?,
+            upserted: read_list(body, |body| decode_file(body, version).map(Arc::new))?,
+            structure: decode_structure(body)?,
+        }),
         k => Err(StorageError::Corruption(format!("unknown manifest record kind {k}"))),
     }
+}
+
+/// The level structure `structure` spells, with its files from `files`.
+fn levels(
+    structure: Vec<Vec<Vec<u64>>>,
+    files: &BTreeMap<u64, Arc<FileDesc>>,
+) -> Vec<Vec<Vec<Arc<FileDesc>>>> {
+    let run = |run: Vec<u64>| run.into_iter().filter_map(|id| files.get(&id).cloned()).collect();
+    structure.into_iter().map(|level| level.into_iter().map(run).collect()).collect()
 }
 
 fn encode_file(f: &FileDesc, buf: &mut BytesMut) {
@@ -540,8 +467,7 @@ fn encode_file(f: &FileDesc, buf: &mut BytesMut) {
 }
 
 fn decode_file(body: &mut Bytes, version: u8) -> Result<FileDesc> {
-    let id = read_u64(body)?;
-    let created_at = read_u64(body)?;
+    let (id, created_at) = (read_u64(body)?, read_u64(body)?);
     let oldest_tombstone_ts = match read_u8(body)? {
         0 => None,
         1 => Some(read_u64(body)?),
@@ -559,21 +485,6 @@ fn decode_file(body: &mut Bytes, version: u8) -> Result<FileDesc> {
     } else {
         (DeleteFence::UNKNOWN.min, DeleteFence::UNKNOWN.max)
     };
-    let n_tiles = read_u32(body)? as usize;
-    let mut tiles = Vec::with_capacity(n_tiles);
-    for _ in 0..n_tiles {
-        let n_pages = read_u32(body)? as usize;
-        let mut pages = Vec::with_capacity(n_pages);
-        for _ in 0..n_pages {
-            pages.push(read_u64(body)?);
-        }
-        tiles.push(pages);
-    }
-    let n_rts = read_u32(body)? as usize;
-    let mut range_tombstones = Vec::with_capacity(n_rts);
-    for _ in 0..n_rts {
-        range_tombstones.push(Entry::decode_from(body)?);
-    }
     Ok(FileDesc {
         id,
         created_at,
@@ -581,8 +492,8 @@ fn decode_file(body: &mut Bytes, version: u8) -> Result<FileDesc> {
         max_seqnum,
         min_delete,
         max_delete,
-        tiles,
-        range_tombstones,
+        tiles: read_list(body, |body| read_list(body, read_u64))?,
+        range_tombstones: read_list(body, Entry::decode_from)?,
     })
 }
 
@@ -600,43 +511,7 @@ fn encode_structure(structure: &[Vec<Vec<u64>>], buf: &mut BytesMut) {
 }
 
 fn decode_structure(body: &mut Bytes) -> Result<Vec<Vec<Vec<u64>>>> {
-    let n_levels = read_u32(body)? as usize;
-    let mut levels = Vec::with_capacity(n_levels);
-    for _ in 0..n_levels {
-        let n_runs = read_u32(body)? as usize;
-        let mut runs = Vec::with_capacity(n_runs);
-        for _ in 0..n_runs {
-            let n_files = read_u32(body)? as usize;
-            let mut ids = Vec::with_capacity(n_files);
-            for _ in 0..n_files {
-                ids.push(read_u64(body)?);
-            }
-            runs.push(ids);
-        }
-        levels.push(runs);
-    }
-    Ok(levels)
-}
-
-fn read_u8(body: &mut Bytes) -> Result<u8> {
-    if body.remaining() < 1 {
-        return Err(StorageError::Corruption("manifest body truncated".into()));
-    }
-    Ok(body.get_u8())
-}
-
-fn read_u32(body: &mut Bytes) -> Result<u32> {
-    if body.remaining() < 4 {
-        return Err(StorageError::Corruption("manifest body truncated".into()));
-    }
-    Ok(body.get_u32())
-}
-
-fn read_u64(body: &mut Bytes) -> Result<u64> {
-    if body.remaining() < 8 {
-        return Err(StorageError::Corruption("manifest body truncated".into()));
-    }
-    Ok(body.get_u64())
+    read_list(body, |body| read_list(body, |body| read_list(body, read_u64)))
 }
 
 #[cfg(test)]
@@ -818,14 +693,13 @@ mod tests {
         m.commit(after.clone()).unwrap();
         drop(m);
 
-        let mut log = Bytes::from(std::fs::read(&path).unwrap());
-        log.advance(8); // magic
+        let mut log = LogFile::open(&OsVfs::shared(), &path, false).unwrap();
         let mut last = None;
-        while log.has_remaining() {
-            let len = log.get_u32() as usize;
-            log.advance(4); // crc
-            last = Some(decode_record(log.copy_to_bytes(len)).unwrap());
-        }
+        let mut fold = |_, _: &[u8], body: &[u8]| {
+            last = Some(decode_record(Bytes::copy_from_slice(body))?);
+            Ok(())
+        };
+        log.recover(&FORMAT, &mut fold).unwrap();
         match last {
             Some(ManifestRecord::Delta { removed, upserted, structure, .. }) => {
                 assert!(removed.is_empty() && upserted.is_empty(), "{removed:?} {upserted:?}");

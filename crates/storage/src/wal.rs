@@ -7,6 +7,12 @@
 //! fsync-per-append); a crash mid-append leaves a torn trailing frame which
 //! replay truncates away, recovering the valid prefix.
 //!
+//! The file is the magic `LETHEWAL`, then one [`log`] frame per record, with
+//! no header extension: `len · crc32(body) · body`. The checksum is what
+//! tells a record damaged mid-log (`Corruption`, named by the file and the
+//! frame's offset) from a torn tail. A log written before the checksum
+//! (`len · body` frames, no magic) is re-framed once when it is opened.
+//!
 //! The engine removes records only through [`Wal::truncate_prefix`], after
 //! the manifest commit that covers them is durable (the
 //! [`ManifestCommitted`] witness proves it). The paper's persistence
@@ -18,9 +24,9 @@
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
 use crate::error::{Result, StorageError};
-use crate::log::{be, Frame, LogFile};
+use crate::log::{self, read_bytes, read_list, read_u32, read_u64, read_u8, Format, LogFile};
 use crate::manifest::ManifestCommitted;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use crate::vfs::{OsVfs, Vfs};
 use lethe_sync::{LockRank, Mutex};
 use std::path::Path;
@@ -110,45 +116,16 @@ impl BatchOp {
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self> {
-        if buf.remaining() < 1 {
-            return Err(StorageError::Corruption("wal batch op truncated".into()));
-        }
-        match buf.get_u8() {
+        Ok(match read_u8(buf)? {
             0 => {
-                if buf.remaining() < 20 {
-                    return Err(StorageError::Corruption("wal batch put truncated".into()));
-                }
-                let sort_key = buf.get_u64();
-                let delete_key = buf.get_u64();
-                let len = buf.get_u32() as usize;
-                if buf.remaining() < len {
-                    return Err(StorageError::Corruption("wal batch put value truncated".into()));
-                }
-                let value = buf.copy_to_bytes(len);
-                Ok(BatchOp::Put { sort_key, delete_key, value })
+                let (sort_key, delete_key, len) = (read_u64(buf)?, read_u64(buf)?, read_u32(buf)?);
+                BatchOp::Put { sort_key, delete_key, value: read_bytes(buf, len as usize)? }
             }
-            1 => {
-                if buf.remaining() < 8 {
-                    return Err(StorageError::Corruption("wal batch delete truncated".into()));
-                }
-                Ok(BatchOp::Delete { sort_key: buf.get_u64() })
-            }
-            2 => {
-                if buf.remaining() < 16 {
-                    return Err(StorageError::Corruption(
-                        "wal batch secondary delete truncated".into(),
-                    ));
-                }
-                Ok(BatchOp::SecondaryDelete { d_lo: buf.get_u64(), d_hi: buf.get_u64() })
-            }
-            3 => {
-                if buf.remaining() < 16 {
-                    return Err(StorageError::Corruption("wal batch range delete truncated".into()));
-                }
-                Ok(BatchOp::DeleteRange { start: buf.get_u64(), end: buf.get_u64() })
-            }
-            t => Err(StorageError::Corruption(format!("unknown wal batch op tag {t}"))),
-        }
+            1 => BatchOp::Delete { sort_key: read_u64(buf)? },
+            2 => BatchOp::SecondaryDelete { d_lo: read_u64(buf)?, d_hi: read_u64(buf)? },
+            3 => BatchOp::DeleteRange { start: read_u64(buf)?, end: read_u64(buf)? },
+            t => return Err(StorageError::Corruption(format!("unknown wal batch op tag {t}"))),
+        })
     }
 }
 
@@ -240,7 +217,9 @@ impl WalRecord {
         }
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
+    /// The record's frame body.
+    fn encode(&self) -> BytesMut {
+        let mut buf = BytesMut::new();
         match self {
             WalRecord::Put { sort_key, delete_key, value, ts } => {
                 buf.put_u8(0);
@@ -279,85 +258,47 @@ impl WalRecord {
                 buf.put_u64(*ts);
                 buf.put_u32(ops.len() as u32);
                 for op in ops {
-                    op.encode(buf);
+                    op.encode(&mut buf);
                 }
             }
         }
+        buf
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self> {
-        if buf.remaining() < 1 {
-            return Err(StorageError::Corruption("wal record truncated".into()));
-        }
-        let tag = buf.get_u8();
-        match tag {
+        // a struct expression evaluates its fields in the order written
+        Ok(match read_u8(buf)? {
             0 => {
-                if buf.remaining() < 28 {
-                    return Err(StorageError::Corruption("wal put truncated".into()));
-                }
-                let sort_key = buf.get_u64();
-                let delete_key = buf.get_u64();
-                let ts = buf.get_u64();
-                let len = buf.get_u32() as usize;
-                if buf.remaining() < len {
-                    return Err(StorageError::Corruption("wal put value truncated".into()));
-                }
-                let value = buf.copy_to_bytes(len);
-                Ok(WalRecord::Put { sort_key, delete_key, value, ts })
+                let (sort_key, delete_key, ts) = (read_u64(buf)?, read_u64(buf)?, read_u64(buf)?);
+                let len = read_u32(buf)? as usize;
+                WalRecord::Put { sort_key, delete_key, ts, value: read_bytes(buf, len)? }
             }
-            1 => {
-                if buf.remaining() < 16 {
-                    return Err(StorageError::Corruption("wal delete truncated".into()));
-                }
-                Ok(WalRecord::Delete { sort_key: buf.get_u64(), ts: buf.get_u64() })
-            }
-            2 => {
-                if buf.remaining() < 24 {
-                    return Err(StorageError::Corruption("wal range delete truncated".into()));
-                }
-                Ok(WalRecord::DeleteRange { start: buf.get_u64(), end: buf.get_u64(), ts: buf.get_u64() })
-            }
-            3 => {
-                if buf.remaining() < 24 {
-                    return Err(StorageError::Corruption("wal secondary delete truncated".into()));
-                }
-                Ok(WalRecord::SecondaryDelete {
-                    d_lo: buf.get_u64(),
-                    d_hi: buf.get_u64(),
-                    ts: buf.get_u64(),
-                })
-            }
+            1 => WalRecord::Delete { sort_key: read_u64(buf)?, ts: read_u64(buf)? },
+            2 => WalRecord::DeleteRange {
+                start: read_u64(buf)?,
+                end: read_u64(buf)?,
+                ts: read_u64(buf)?,
+            },
+            3 => WalRecord::SecondaryDelete {
+                d_lo: read_u64(buf)?,
+                d_hi: read_u64(buf)?,
+                ts: read_u64(buf)?,
+            },
             4 => {
-                if buf.remaining() < 1 {
-                    return Err(StorageError::Corruption("wal batch truncated".into()));
-                }
-                let id = match buf.get_u8() {
+                let id = match read_u8(buf)? {
                     0 => None,
-                    1 => {
-                        if buf.remaining() < 8 {
-                            return Err(StorageError::Corruption("wal batch id truncated".into()));
-                        }
-                        Some(buf.get_u64())
-                    }
+                    1 => Some(read_u64(buf)?),
                     t => {
                         return Err(StorageError::Corruption(format!(
                             "unknown wal batch id marker {t}"
                         )))
                     }
                 };
-                if buf.remaining() < 12 {
-                    return Err(StorageError::Corruption("wal batch header truncated".into()));
-                }
-                let ts = buf.get_u64();
-                let n = buf.get_u32() as usize;
-                let mut ops = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    ops.push(BatchOp::decode(buf)?);
-                }
-                Ok(WalRecord::Batch { id, ops, ts })
+                let ts = read_u64(buf)?;
+                WalRecord::Batch { id, ts, ops: read_list(buf, BatchOp::decode)? }
             }
-            t => Err(StorageError::Corruption(format!("unknown wal tag {t}"))),
-        }
+            t => return Err(StorageError::Corruption(format!("unknown wal tag {t}"))),
+        })
     }
 }
 
@@ -400,14 +341,20 @@ pub trait Wal: Send + Sync {
     fn truncate_prefix(&self, upto: u64, committed: &ManifestCommitted) -> Result<()>;
 }
 
-/// A durable WAL with length-prefixed records, on a [`Vfs`].
+/// A durable WAL of checksummed [`log`] frames, on a [`Vfs`].
 ///
 /// Crash tolerance: a crash mid-append leaves a *torn* trailing frame (a
-/// dangling length prefix, or a frame body shorter than its prefix). Replay
-/// recovers the valid prefix of the log under the [`log`](crate::log) rule
-/// and cuts the torn tail away — it is the expected end state after a kill,
-/// not corruption. A complete frame that does not decode is reported as
-/// [`StorageError::Corruption`].
+/// dangling header, a body shorter than its header says, or a last frame
+/// that fails its checksum). Replay recovers the valid prefix of the log
+/// under the [`log`] rule and cuts the torn tail away — it is the expected
+/// end state after a kill, not corruption. A frame that fails its checksum
+/// with frames behind it, or that checksums but does not decode, is
+/// reported as [`StorageError::Corruption`].
+///
+/// A failed append or barrier poisons the log (see [`LogFile`]): the
+/// records the barrier was to make durable may be lost, so no later append
+/// or commit succeeds, and none acknowledges them, until the log is
+/// reopened.
 #[derive(Debug)]
 pub struct FileWal {
     log: Mutex<LogFile>,
@@ -421,26 +368,22 @@ pub struct FileWal {
 /// Sentinel for "record count not derived yet".
 const COUNT_UNKNOWN: u64 = u64::MAX;
 
-/// A WAL frame: a big-endian `u32` body length, then the body. It carries
-/// no checksum, so every complete frame is intact.
-struct WalFrame;
+/// A WAL file's layout: the magic `LETHEWAL`, then [`log`] frames with no
+/// header extension, one per record.
+pub(crate) const FORMAT: Format =
+    Format { magic: b"LETHEWAL", ext_len: 0, tag: b"", max_tail: u64::MAX };
 
-impl Frame for WalFrame {
-    const PREFIX: usize = 4;
-
-    fn body_len(prefix: &[u8]) -> Option<usize> {
-        Some(be(prefix) as usize)
+/// Re-frames a log written before the WAL had a checksum: `len (u32 BE) ·
+/// body` frames with no file magic. A short length or a body past
+/// end-of-file is a torn tail and is dropped, as it was then.
+fn v1_frames(mut bytes: &[u8]) -> Result<Vec<u8>> {
+    let mut frames = Vec::new();
+    while let Some((len, rest)) = bytes.split_first_chunk::<4>() {
+        let Some(body) = rest.get(..u32::from_be_bytes(*len) as usize) else { break };
+        frames.extend(log::frame(&[], body));
+        bytes = &rest[body.len()..];
     }
-}
-
-/// Lays out one log frame: a big-endian `u32` body length, then the body.
-fn encode_frame(record: &WalRecord) -> BytesMut {
-    let mut body = BytesMut::new();
-    record.encode(&mut body);
-    let mut frame = BytesMut::with_capacity(body.len() + 4);
-    frame.put_u32(body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame
+    Ok(frames)
 }
 
 impl FileWal {
@@ -454,7 +397,10 @@ impl FileWal {
     /// [`SyncPolicy::Always`].
     pub fn open_on(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
         Ok(FileWal {
-            log: Mutex::new(LockRank::Wal, LogFile::open(vfs, path, true)?),
+            log: Mutex::new(
+                LockRank::Wal,
+                LogFile::open_versioned(vfs, path, &FORMAT, "wal.tmp", v1_frames)?,
+            ),
             sync_policy: SyncPolicy::Always,
             appends_since_sync: AtomicU64::new(0),
             record_count: AtomicU64::new(COUNT_UNKNOWN),
@@ -472,8 +418,8 @@ impl FileWal {
     /// or the cut).
     fn read_all_locked(&self, log: &mut LogFile) -> Result<Vec<WalRecord>> {
         let mut out = Vec::new();
-        // a *complete* frame that does not decode is real corruption
-        log.recover::<WalFrame>(|_, _, body| {
+        // a frame that checksums but does not decode is real corruption
+        log.recover(&FORMAT, |_, _, body| {
             out.push(WalRecord::decode(&mut Bytes::copy_from_slice(body))?);
             Ok(())
         })?;
@@ -485,8 +431,8 @@ impl FileWal {
     /// no append can slip in between the snapshot the caller took and the
     /// rename (it would be silently discarded).
     fn rewrite_locked(&self, log: &mut LogFile, records: &[WalRecord]) -> Result<()> {
-        let contents: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).to_vec()).collect();
-        log.replace("wal.tmp", &contents)?;
+        let frames: Vec<u8> = records.iter().flat_map(|r| log::frame(&[], &r.encode())).collect();
+        log.replace(&FORMAT, "wal.tmp", &frames)?;
         self.record_count.store(records.len() as u64, Ordering::Relaxed);
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
@@ -495,7 +441,8 @@ impl FileWal {
 
 impl Wal for FileWal {
     fn append_nosync(&self, record: WalRecord) -> Result<()> {
-        self.log.lock().append(&encode_frame(&record))?;
+        let frame = log::frame(&[], &record.encode());
+        self.log.lock().append(&frame)?;
         // the cached record count is kept in step, under the same lock
         let count = self.record_count.load(Ordering::Relaxed);
         if count != COUNT_UNKNOWN {
@@ -585,6 +532,7 @@ impl FileWal {
 )]
 mod tests {
     use super::*;
+    use crate::log::tests::hex;
     use std::fs::OpenOptions;
 
     fn sample_records() -> Vec<WalRecord> {
@@ -642,16 +590,12 @@ mod tests {
             }
         }
         // simulate a crash mid-append: a complete frame for a 4th record,
-        // then chop it so only the length prefix and 2 body bytes survive
+        // then chop it so only the header and 2 body bytes survive
         {
             use std::io::Write;
-            let mut body = BytesMut::new();
-            WalRecord::Delete { sort_key: 99, ts: 40 }.encode(&mut body);
+            let frame = log::frame(&[], &WalRecord::Delete { sort_key: 99, ts: 40 }.encode());
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            let mut frame = BytesMut::new();
-            frame.put_u32(body.len() as u32);
-            frame.extend_from_slice(&body[..2]);
-            f.write_all(&frame).unwrap();
+            f.write_all(&frame[..FORMAT.header_len() + 2]).unwrap();
         }
         let w = FileWal::open(&path).unwrap();
         // replay recovers the 3 intact records instead of failing
@@ -843,17 +787,43 @@ mod tests {
         01000000000000000700000000000002580000000300000000000000000500000000000000370000\
         000276350100000000000000010200000000000000280000000000000032";
 
+    /// The same six records in the checksummed frame, behind the magic.
+    const FRAMED_LOG_HEX: &str = "\
+        4c4554484557414c0000001f78488248000000000000000001000000000000000b00000000000000\
+        6400000002763100000011f50058fa01000000000000000200000000000000c800000019ad5398af\
+        0200000000000000030000000000000009000000000000012c00000019e12e369403000000000000\
+        000a000000000000000c000000000000019000000025ed22123c040000000000000001f400000001\
+        000000000000000004000000000000002c000000027634000000471f79de78040100000000000000\
+        07000000000000025800000003000000000000000005000000000000003700000002763501000000\
+        00000000010200000000000000280000000000000032";
+
     #[test]
     fn logs_written_before_this_change_still_replay() {
         let v = |s: &'static str| Bytes::from_static(s.as_bytes());
-        let bytes: Vec<u8> = (0..PARENT_LOG_HEX.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&PARENT_LOG_HEX[i..i + 2], 16).unwrap())
-            .collect();
+        let bytes = hex(PARENT_LOG_HEX);
         assert_eq!(bytes.len(), 230);
         let path = std::env::temp_dir().join(format!("lethe-wal-old-{}.wal", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let records = FileWal::open(&path).unwrap().replay().unwrap();
+        let wal = FileWal::open(&path).unwrap();
+        let records = wal.replay().unwrap();
+        // the open republished the log in the checksummed frame, before any
+        // append, and an append extends it in that frame: 8 bytes of magic
+        // and 4 of checksum per record more than the parent's
+        let framed = hex(FRAMED_LOG_HEX);
+        assert_eq!(framed.len(), 230 + 8 + 6 * 4);
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
+        let late = WalRecord::Delete { sort_key: 8, ts: 700 };
+        wal.append(late.clone()).unwrap();
+        let appended = [framed.clone(), log::frame(&[], &late.encode())].concat();
+        assert_eq!(std::fs::read(&path).unwrap(), appended);
+        drop(wal);
+        let reopened = FileWal::open(&path).unwrap().replay().unwrap();
+        assert_eq!(reopened, [records.clone(), vec![late]].concat());
+        // and a fresh log writes the framed bytes for the same records
+        std::fs::remove_file(&path).unwrap();
+        let fresh = FileWal::open(&path).unwrap();
+        records.iter().for_each(|r| fresh.append(r.clone()).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
         let _ = std::fs::remove_file(&path);
         let lone_put = BatchOp::Put { sort_key: 4, delete_key: 44, value: v("v4") };
         let slice = vec![
@@ -872,9 +842,6 @@ mod tests {
                 WalRecord::Batch { id: Some(7), ops: slice.clone(), ts: 600 },
             ]
         );
-        // the frames themselves have not moved
-        let reencoded: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).to_vec()).collect();
-        assert_eq!(reencoded, bytes);
         // and ops → record → ops is the identity on every record but the
         // one-op batch, whose op now takes the compact frame
         for (i, record) in records.into_iter().enumerate() {
@@ -907,13 +874,9 @@ mod tests {
         // replay — all-or-nothing, never a prefix of its ops
         {
             use std::io::Write;
-            let mut body = BytesMut::new();
-            sample_batch(None).encode(&mut body);
+            let frame = log::frame(&[], &sample_batch(None).encode());
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            let mut frame = BytesMut::new();
-            frame.put_u32(body.len() as u32);
-            frame.extend_from_slice(&body[..body.len() - 3]);
-            f.write_all(&frame).unwrap();
+            f.write_all(&frame[..frame.len() - 3]).unwrap();
         }
         let w = FileWal::open(&path).unwrap();
         let left = w.replay().unwrap();
@@ -968,5 +931,114 @@ mod tests {
         w.append(r.clone()).unwrap();
         assert_eq!(w.replay().unwrap(), vec![r]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A byte flipped inside a complete frame with another frame behind it
+    /// is corruption named by the file and the frame's offset; the same
+    /// flip in the last frame is a torn tail.
+    #[test]
+    fn a_flipped_byte_is_corruption_mid_log_and_a_torn_tail_at_the_end() {
+        let path = std::env::temp_dir().join(format!("lethe-wal-flip-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let w = FileWal::open(&path).unwrap();
+            sample_records().into_iter().for_each(|r| w.append(r).unwrap());
+        }
+        let clean = std::fs::read(&path).unwrap();
+        let frame_len = |r: &WalRecord| log::frame(&[], &r.encode()).len();
+        let first = FORMAT.magic.len();
+        let last = clean.len() - frame_len(&sample_records()[2]);
+        // the last byte of the first record's value ("hello"), and of the
+        // last record's body
+        let hello = first + frame_len(&sample_records()[0]) - 1;
+        for (frame, flip, torn) in [(first, hello, false), (last, clean.len() - 1, true)] {
+            let mut bytes = clean.clone();
+            bytes[flip] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let w = FileWal::open(&path).unwrap();
+            match w.replay() {
+                Ok(records) => {
+                    assert!(torn, "a flip at {flip} replayed {records:?}");
+                    assert_eq!(records, sample_records()[..2]);
+                    assert_eq!(w.torn_tails_recovered(), 1);
+                    assert_eq!(std::fs::read(&path).unwrap(), clean[..last]);
+                }
+                Err(StorageError::Corruption(what)) => {
+                    assert!(!torn, "the last frame's flip is a torn tail, not {what}");
+                    let (at, file) = (format!("offset {frame}"), format!("{path:?}"));
+                    assert!(what.contains(&at) && what.contains(&file), "{what}");
+                    assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing is cut");
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A log whose magic has one bit flipped is not taken for a version-1
+    /// log (whose reading would keep none of its records): the open fails
+    /// with `Corruption` and leaves the file as it is.
+    #[test]
+    fn a_damaged_magic_is_corruption_not_an_empty_log() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let path = Path::new("/lethe.wal");
+        let w = FileWal::open_on(&vfs, path).unwrap();
+        sample_records().into_iter().for_each(|r| w.append(r).unwrap());
+        drop(w);
+        let clean = vfs.read(path).unwrap();
+        for bit in 0..8 * FORMAT.magic.len() {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let file = vfs.open(path, false).unwrap();
+            file.set_len(0).unwrap();
+            file.append(&bytes).unwrap();
+            let opened = FileWal::open_on(&vfs, path);
+            assert!(matches!(opened, Err(StorageError::Corruption(_))), "bit {bit}: {opened:?}");
+            assert_eq!(vfs.read(path).unwrap(), bytes, "bit {bit}: nothing is cut");
+        }
+    }
+
+    /// A frame whose checksum holds but whose body does not decode names
+    /// the file and the frame's offset.
+    #[test]
+    fn a_record_that_does_not_decode_names_its_place() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let path = Path::new("/lethe.wal");
+        let w = FileWal::open_on(&vfs, path).unwrap();
+        w.append(WalRecord::Delete { sort_key: 1, ts: 1 }).unwrap();
+        let at = vfs.read(path).unwrap().len();
+        vfs.open(path, false).unwrap().append(&log::frame(&[], &[1, 2])).unwrap();
+        let Err(StorageError::Corruption(what)) = w.replay() else { panic!("decoded") };
+        let (place, file) = (format!("offset {at}"), format!("{path:?}"));
+        assert!(what.contains(&place) && what.contains(&file), "{what}");
+        assert!(what.contains("frame body truncated"), "{what}");
+    }
+
+    /// A failed `fdatasync` poisons the log: no later append or commit
+    /// succeeds, so no later barrier acknowledges the record whose own
+    /// barrier failed, until a reopen.
+    #[test]
+    fn a_failed_sync_poisons_the_log() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let open = || FileWal::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/s/lethe.wal"));
+        let w = open().unwrap(); // SyncPolicy::Always
+        let [synced, unsynced, refused] =
+            [1, 2, 3].map(|ts| WalRecord::Delete { sort_key: ts, ts });
+        w.append(synced.clone()).unwrap();
+        // the append lands and its barrier fails
+        vfs.arm(1);
+        assert!(matches!(w.append(unsynced.clone()), Err(StorageError::Injected)));
+        assert_eq!(vfs.last_fired().unwrap().to_string(), "wal.sync_data");
+        let poisoned = |r: Result<()>| matches!(r, Err(StorageError::InvalidOperation(_)));
+        assert!(poisoned(w.append(refused)), "an append after a failed barrier");
+        assert!(poisoned(w.commit()), "a commit after a failed barrier");
+        assert!(poisoned(w.sync()));
+        assert_eq!(w.fsync_count(), 1, "only the first record's barrier succeeded");
+        // the file system here keeps what was appended, so the reopen reads
+        // the record whose barrier failed, and never the refused one
+        drop(w);
+        let w = open().unwrap();
+        assert_eq!(w.replay().unwrap(), vec![synced, unsynced]);
+        w.append(WalRecord::Delete { sort_key: 4, ts: 4 }).unwrap();
     }
 }
