@@ -2,7 +2,7 @@
 //!
 //! The engine is written against the [`StorageBackend`] trait, the page-level
 //! device abstraction, and [`FileBackend`] is its device: pages are appended
-//! as [`log`] frames (no file magic; the header extension is the tag `LEFR`
+//! as [`log`] frames (no file magic; the header extension is the tag `LEFX`
 //! and the page id) to a sequence of segment files with an in-memory offset
 //! index, and a segment is unlinked when its last live page is dropped, so
 //! the bytes on disk follow the tree and not its history. The segments live
@@ -20,7 +20,7 @@
 use crate::barrier;
 use crate::error::{Result, StorageError};
 use crate::iostats::IoStats;
-use crate::log::{self, be, Format};
+use crate::log::{self, be, Format, Kind, Sum};
 use crate::page::Page;
 use crate::vfs::{OsVfs, Vfs, VfsFile};
 use bytes::Bytes;
@@ -87,19 +87,18 @@ pub trait StorageBackend: Send + Sync {
 }
 
 /// A segment file's layout: no file magic, and page frames whose header
-/// extension is the tag `LEFR` and the page id (see [`log`]).
-pub(crate) const PAGES: Format =
-    Format { magic: b"", ext_len: 12, tag: b"LEFR", max_tail: u64::MAX };
+/// extension is a tag and the page id (see [`log`]). New frames are `LEFX`
+/// and carry the low 32 bits of XXH64; `LEFR` frames, written before, carry
+/// CRC-32.
+pub(crate) const PAGES: Format = Format {
+    magic: b"",
+    ext_len: 12,
+    kind: Kind { tag: b"LEFX", sum: Sum::Xxh64 },
+    older: &[Kind { tag: b"LEFR", sum: Sum::Crc32 }],
+    max_tail: u64::MAX,
+};
 
-/// The header extension of page `id`'s frame.
-pub(crate) fn page_ext(id: PageId) -> [u8; 12] {
-    let mut ext = [0; 12];
-    ext[..4].copy_from_slice(PAGES.tag);
-    ext[4..].copy_from_slice(&id.to_be_bytes());
-    ext
-}
-
-/// Size of a page-frame header: tag, page id, payload length, payload CRC.
+/// Size of a page-frame header: tag, page id, payload length, payload sum.
 const FRAME_HEADER: usize = PAGES.header_len();
 
 /// Size at which a `sync()` seals the segment it has just made durable. A
@@ -109,12 +108,16 @@ const FRAME_HEADER: usize = PAGES.header_len();
 const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 
 /// A durable device: pages are appended as self-describing [`log`] frames
-/// (`LEFR · page id · length · crc · payload`) to a sequence of
-/// **append-only segment files**, and an in-memory index maps each page id
-/// to its `(segment, offset, length)`. The frames make the files their own
-/// recovery log: on open every segment is scanned, the index rebuilt, and a
-/// torn trailing frame — the normal result of a crash mid-write — truncated
-/// away. Dropped pages leave dead frames behind, which a reopen resurfaces
+/// (`LEFX · page id · length · sum · payload`, where the sum is the low 32
+/// bits of XXH64; frames written before it are `LEFR` with a CRC-32, and
+/// still read) to a sequence of **append-only segment files**, and an
+/// in-memory index maps each page id to its `(segment, offset, length)`. The
+/// frames make the files their own recovery log: on open every frame of
+/// every segment is checked against its sum, the index rebuilt, and a torn
+/// trailing frame — the normal result of a crash mid-write — found; the
+/// first `write_page` cuts it away, so an open that fails later (say, on a
+/// manifest naming a page the scan did not find) leaves every byte as it
+/// was. Dropped pages leave dead frames behind, which a reopen resurfaces
 /// (the crash-recovery layer drops again the ones its manifest does not
 /// reference); their bytes leave the disk when their whole segment is dead.
 ///
@@ -159,8 +162,9 @@ const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 /// frames on the segment's own handle with no lock held, so N reader threads
 /// proceed fully in parallel on hits and misses alike. The read lands in one
 /// allocation that the run's pages then share as windows, with no second
-/// copy; the frame headers between them come with it and are checked against
-/// the index. A reader that resolved a page just before its segment was
+/// copy; it starts at the first frame's header, so every page's header comes
+/// with it and is checked against the index (a read does not check the
+/// payload's sum). A reader that resolved a page just before its segment was
 /// unlinked still reads the right bytes: a [`Vfs`] handle reads on after an
 /// unlink. All paths read the handle the index pinned, never reopen by path.
 #[derive(Debug)]
@@ -208,10 +212,11 @@ struct Appender {
     /// this says, so a file longer than this must be cut back first.
     end: u64,
     /// The file may hold bytes behind `end`: set when the segment is opened
-    /// and after a failed append (whose partial frame the immediate cut may
-    /// not have removed). The next `write_page` checks the length and cuts
-    /// the tail only while this is set; otherwise this device is the file's
-    /// only writer and every append it made landed at `end`.
+    /// (a torn tail the scan found) and after a failed append (whose partial
+    /// frame the immediate cut may not have removed). The next `write_page`
+    /// checks the length and cuts the tail only while this is set, before
+    /// anything else; otherwise this device is the file's only writer and
+    /// every append it made landed at `end`.
     tail_unchecked: bool,
     /// The last `sync()` found the segment at its target: the next write
     /// creates its successor.
@@ -247,8 +252,8 @@ impl Index {
     /// Scans segment `id` at `path` under the common [`log`](crate::log)
     /// rule, indexing its frames, and returns it with the end of its last
     /// good frame. A torn tail ends the scan short of end-of-file; only the
-    /// `newest` segment may have one (the caller cuts it), since a sealed
-    /// segment is never appended to again.
+    /// `newest` segment may have one (its first write cuts it), since a
+    /// sealed segment is never appended to again.
     fn scan(
         &mut self,
         id: u64,
@@ -257,8 +262,8 @@ impl Index {
         newest: bool,
     ) -> Result<(Arc<Segment>, u64)> {
         let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
-        let end = log::scan(segment.file.as_ref(), path, &PAGES, |off, ext, payload| {
-            let page = be(&ext[4..]);
+        let end = log::scan(segment.file.as_ref(), path, &PAGES, |off, fields, payload| {
+            let page = be(fields);
             let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, payload.len() as u32);
             if self.pages.insert(page, at).is_some() {
                 return Err(StorageError::Corruption(format!("page {page} is framed twice")));
@@ -319,8 +324,9 @@ impl FileBackend {
     ///
     /// Existing segments are scanned frame by frame, oldest first, to
     /// rebuild the page index and the next free id; a torn trailing frame of
-    /// the newest segment is truncated away and counted in
-    /// [`FileBackend::torn_frames_recovered`].
+    /// the newest segment is counted in [`FileBackend::torn_frames_recovered`]
+    /// and cut away by the first [`StorageBackend::write_page`]. The open
+    /// itself writes nothing to an existing segment.
     pub fn open_on(vfs: &Arc<dyn Vfs>, dir: &Path, name: &str) -> Result<Self> {
         vfs.create_dir_all(dir)?;
         let base_name = format!("{name}.data");
@@ -337,9 +343,7 @@ impl FileBackend {
         }
         let path = segment_path(&base, newest);
         let (segment, end) = index.scan(newest, vfs.open(&path, true)?, &path, true)?;
-        let stats = IoStats::new_shared();
-        let torn_frames_recovered =
-            u64::from(log::cut_tail(segment.file.as_ref(), end, &stats.fsyncs)?);
+        let torn_frames_recovered = u64::from(end < segment.file.len()?);
         let next_id = index.pages.keys().max().map_or(1, |max| max + 1).max(newest);
         // what a reopen finds on disk is as durable as it will get, so a
         // full newest segment (or an older store's one big file) starts sealed
@@ -352,13 +356,13 @@ impl FileBackend {
             appender: Mutex::new(LockRank::BackendFile, appender),
             index: RwLock::new(LockRank::BackendIndex, index),
             next_id: AtomicU64::new(next_id),
-            stats,
+            stats: IoStats::new_shared(),
             torn_frames_recovered,
         })
     }
 
-    /// Number of torn trailing frames truncated away when the device was
-    /// opened (0 after a clean shutdown, typically 1 after a crash).
+    /// Number of torn trailing frames the open found, which the first write
+    /// cuts away (0 after a clean shutdown, typically 1 after a crash).
     pub fn torn_frames_recovered(&self) -> u64 {
         self.torn_frames_recovered
     }
@@ -409,29 +413,32 @@ impl FileBackend {
     }
 
     /// Reads a run of pages whose frames lie back to back in one segment
-    /// with one positional read into an allocation the pages then share, and
-    /// hands each page to `each`, in order. The frame headers between the
-    /// payloads come with the read; each must name the page and length the
-    /// index does.
+    /// with one positional read, from the first frame's header to the last
+    /// payload's end, into an allocation the pages then share, and hands each
+    /// page to `each`, in order. Every frame's header comes with the read and
+    /// must name the page and length the index does.
     fn read_run(&self, run: &[(PageId, Location)], mut each: impl FnMut(Arc<Page>)) -> Result<()> {
-        let [(_, (segment, start, _)), ..] = run else { return Ok(()) };
-        let end = run.last().map_or(*start, |(_, (_, offset, len))| offset + u64::from(*len));
+        let [(_, (segment, first, _)), ..] = run else { return Ok(()) };
+        let start = first - FRAME_HEADER as u64;
+        let end = run.last().map_or(*first, |(_, (_, offset, len))| offset + u64::from(*len));
         let mut buf: Arc<[u8]> = std::iter::repeat_n(0, (end - start) as usize).collect();
         #[expect(clippy::expect_used, reason = "a freshly collected `Arc` has no other handle")]
         let dst = Arc::get_mut(&mut buf).expect("fresh allocation");
-        segment.file.read_at(dst, *start)?;
+        segment.file.read_at(dst, start)?;
         let buf = Bytes::from(buf);
         for &(id, (_, offset, len)) in run {
             let from = (offset - start) as usize;
-            if from > 0 {
-                let header = &buf[from - FRAME_HEADER..from];
-                if header[..12] != page_ext(id) || be(&header[12..16]) != u64::from(len) {
-                    return Err(StorageError::Corruption(format!(
-                        "segment {}: the frame at offset {} is not page {id} of {len} bytes",
-                        segment.id,
-                        offset - FRAME_HEADER as u64
-                    )));
-                }
+            let header = &buf[from - FRAME_HEADER..from];
+            let ext = PAGES.ext_len;
+            let names_id = PAGES
+                .kind_of(header)
+                .is_some_and(|kind| header[kind.tag.len()..ext] == id.to_be_bytes());
+            if !names_id || be(&header[ext..ext + 4]) != u64::from(len) {
+                return Err(StorageError::Corruption(format!(
+                    "segment {}: the frame at offset {} is not page {id} of {len} bytes",
+                    segment.id,
+                    offset - FRAME_HEADER as u64
+                )));
             }
             self.stats.record_read(u64::from(len));
             each(Arc::new(Page::decode(buf.slice(from..from + len as usize))?));
@@ -453,23 +460,22 @@ impl StorageBackend for FileBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
         let encoded = page.encode();
         let mut app = self.appender.lock();
+        // the handle appends at end-of-file: whatever may lie behind the
+        // last good frame (a torn tail the open found, or the partial frame
+        // of a failed append) is cut away first, so the offset indexed below
+        // is where the frame really lands, and before a roll, which would
+        // seal the tail into a segment whose tail no open may cut
+        if app.tail_unchecked {
+            log::cut_tail(app.segment.file.as_ref(), app.end, &self.stats.fsyncs)?;
+            app.tail_unchecked = false;
+        }
         if app.sealed {
             self.roll(&mut app)?;
-        }
-        // the handle appends at end-of-file: whatever may lie behind the
-        // last good frame (the partial frame of a failed append) is cut away
-        // first, so the offset indexed below is where the frame really lands
-        if app.tail_unchecked {
-            let file = &app.segment.file;
-            if file.len()? != app.end {
-                file.set_len(app.end)?;
-            }
-            app.tail_unchecked = false;
         }
         // ids are issued under the appender lock, so every id in a segment
         // is at or above the segment's name and below its successor's
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = log::frame(&page_ext(id), &encoded);
+        let frame = log::frame(&PAGES, &id.to_be_bytes(), &encoded);
         if let Err(e) = app.segment.file.append(&frame) {
             let _ = app.segment.file.set_len(app.end);
             app.tail_unchecked = true;
@@ -652,7 +658,7 @@ pub(crate) mod tests {
     /// Appends the first half of a frame to `path` from outside the backend,
     /// as a crash mid-write would leave it.
     fn append_half_a_frame(path: &Path) {
-        let frame = log::frame(&page_ext(77), &page(&[9]).encode());
+        let frame = log::frame(&PAGES, &77u64.to_be_bytes(), &page(&[9]).encode());
         let mut f = OpenOptions::new().append(true).open(path).unwrap();
         f.write_all(&frame[..frame.len() / 2]).unwrap();
     }
@@ -703,10 +709,37 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_sealed_newest_segment_is_cut_before_it_rolls() {
+        let dir = fresh_dir("sealtorn");
+        let b = FileBackend::open(&dir).unwrap();
+        write_fat(&b, 0, 3);
+        let path = b.data_path();
+        drop(b);
+        append_half_a_frame(&path);
+        // the open finds the tail and starts sealed; its first write rolls
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.torn_frames_recovered(), 1);
+        let fresh = b.write_page(&page(&[1])).unwrap();
+        b.sync().unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, fresh]);
+        drop(b);
+        let b = FileBackend::open(&dir).expect("the segment was sealed without its torn tail");
+        assert_eq!((b.torn_frames_recovered(), b.live_pages()), (0, 4));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The frame of page 1 holding `page(&[1, 2])`, as the commit before the
     /// common log rule wrote it.
     const PARENT_SEGMENT_HEX: &str = "\
         4c454652000000000000000100000052914f6ed84c45504700000002000000000000000100000000\
+        00000001000000000000000100000000080000000000000000000000000000000200000000000000\
+        02000000000000000200000000080000000000000000";
+
+    /// The same page as a `LEFX` frame, as a device writes it now: the tag
+    /// and the sum (the low 32 bits of the payload's XXH64) differ.
+    const LEFX_SEGMENT_HEX: &str = "\
+        4c454658000000000000000100000052e768dd414c45504700000002000000000000000100000000\
         00000001000000000000000100000000080000000000000000000000000000000200000000000000\
         02000000000000000200000000080000000000000000";
 
@@ -719,12 +752,27 @@ pub(crate) mod tests {
         let b = FileBackend::open(&dir).unwrap();
         assert_eq!((b.page_ids(), b.torn_frames_recovered()), (vec![1], 0));
         assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
+        // the segment takes new frames behind the old ones, and reopens
+        // with every page readable, one at a time and as one run
+        let id = b.write_page(&page(&[3, 4])).unwrap();
+        b.sync().unwrap();
         drop(b);
-        // and a fresh device writes the same bytes for the same page
+        let mixed = std::fs::read(dir.join("lethe.data")).unwrap();
+        assert_eq!((&mixed[..bytes.len()], &mixed[bytes.len()..][..4]), (&bytes[..], &b"LEFX"[..]));
+        let b = FileBackend::open(&dir).unwrap();
+        assert_eq!(b.torn_frames_recovered(), 0);
+        assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
+        assert_eq!(*b.read_page(id).unwrap(), page(&[3, 4]));
+        let both = batch(&b, &[1, id], false).unwrap();
+        assert_eq!((&*both[0], &*both[1]), (&page(&[1, 2]), &page(&[3, 4])));
+        drop(b);
+        // and a fresh device writes the pinned `LEFX` frame for the first page
         let dir = fresh_dir("parent");
         let b = FileBackend::open(&dir).unwrap();
         assert_eq!(b.write_page(&page(&[1, 2])).unwrap(), 1);
-        assert_eq!(std::fs::read(b.data_path()).unwrap(), bytes);
+        assert_eq!(std::fs::read(b.data_path()).unwrap(), crate::log::tests::hex(LEFX_SEGMENT_HEX));
+        drop(b);
+        assert_eq!(*FileBackend::open(&dir).unwrap().read_page(1).unwrap(), page(&[1, 2]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -874,7 +922,7 @@ pub(crate) mod tests {
         assert!(matches!(b.write_page(&page(&[9])), Err(StorageError::Injected)));
         assert_eq!(file().len().unwrap(), after_a, "the failed append left nothing");
         let c = b.write_page(&page(&[4, 5])).unwrap();
-        let frame = log::frame(&page_ext(c), &page(&[4, 5]).encode());
+        let frame = log::frame(&PAGES, &c.to_be_bytes(), &page(&[4, 5]).encode());
         assert_eq!(file().len().unwrap(), after_a + frame.len() as u64, "one frame more");
         let mut tail = vec![0u8; frame.len()];
         file().read_at(&mut tail, after_a).unwrap();
@@ -1145,22 +1193,28 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_frame_header_inside_a_run_must_name_the_page_the_index_does() {
-        use std::os::unix::fs::FileExt;
-        let dir = fresh_dir("interior");
-        let b = FileBackend::open(&dir).unwrap();
+    fn every_page_read_checks_its_frame_header() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let b = FileBackend::open_on(&vfs, Path::new("/headers"), "lethe").unwrap();
         let ids: Vec<PageId> = (0..3u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
-        let second = b.index.read().pages[&ids[1]].1 - FRAME_HEADER as u64;
         // the second frame now claims to be page 99
-        let file = OpenOptions::new().write(true).open(b.data_path()).unwrap();
-        file.write_all_at(&99u64.to_be_bytes(), second + 4).unwrap();
-        match batch(&b, &ids, false) {
-            Err(StorageError::Corruption(msg)) => {
-                assert!(msg.contains(&format!("page {}", ids[1])), "{msg}")
+        let second = b.index.read().pages[&ids[1]].1 - FRAME_HEADER as u64;
+        let file = vfs.open(&b.data_path(), false).unwrap();
+        let mut bytes = vfs.read(&b.data_path()).unwrap();
+        bytes[second as usize + 4..][..8].copy_from_slice(&99u64.to_be_bytes());
+        file.set_len(0).unwrap();
+        file.append(&bytes).unwrap();
+        // alone, first in a run and inside one
+        let alone = b.read_page(ids[1]).map(|p| vec![p]);
+        for read in [alone, batch(&b, &ids[1..], false), batch(&b, &ids, false)] {
+            match read {
+                Err(StorageError::Corruption(msg)) => {
+                    assert!(msg.contains(&format!("page {}", ids[1])), "{msg}")
+                }
+                other => panic!("expected corruption, got {other:?}"),
             }
-            other => panic!("expected corruption, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(*b.read_page(ids[2]).unwrap(), page(&[2]), "the pages beside it still read");
     }
 
     proptest! {

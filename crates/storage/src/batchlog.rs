@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A batch log's layout: the magic `LETHEBAT`, then [`log`] frames with no
 /// header extension, one per committed id; a crash tears at most one frame
 /// (8 bytes of header, 8 of id).
-const FORMAT: Format = Format { magic: b"LETHEBAT", ext_len: 0, tag: b"", max_tail: 16 };
+const FORMAT: Format =
+    Format { magic: b"LETHEBAT", ext_len: 0, kind: log::UNTAGGED, older: &[], max_tail: 16 };
 
 /// Re-frames a log written before the common frame: fixed 12-byte
 /// `id (u64 BE) · crc32(id)` records with no file magic. A bad last record
@@ -52,7 +53,7 @@ fn v1_frames(bytes: &[u8]) -> Result<Vec<u8>> {
                 i * 12
             )));
         }
-        frames.extend(log::frame(&[], &rec[..8]));
+        frames.extend(log::frame(&FORMAT, &[], &rec[..8]));
     }
     Ok(frames)
 }
@@ -114,7 +115,7 @@ impl BatchCommitLog {
     /// once the commit point is on stable storage.
     pub fn commit(&self, id: u64) -> Result<()> {
         let log = self.log.lock();
-        log.append(&log::frame(&[], &id.to_be_bytes()))?;
+        log.append(&log::frame(&FORMAT, &[], &id.to_be_bytes()))?;
         log.sync_data()?;
         self.ids.lock().insert(id);
         Ok(())
@@ -146,7 +147,7 @@ impl BatchCommitLog {
             return Ok(());
         }
         let frames: Vec<u8> =
-            keep.iter().flat_map(|&id| log::frame(&[], &id.to_be_bytes())).collect();
+            keep.iter().flat_map(|&id| log::frame(&FORMAT, &[], &id.to_be_bytes())).collect();
         log.replace(&FORMAT, "batches.tmp", &frames)?;
         *ids = keep.into_iter().collect();
         Ok(())
@@ -177,7 +178,7 @@ mod tests {
 
     /// The frame that commits `id`.
     fn record(id: u64) -> Vec<u8> {
-        log::frame(&[], &id.to_be_bytes())
+        log::frame(&FORMAT, &[], &id.to_be_bytes())
     }
 
     fn tmp(tag: &str) -> PathBuf {

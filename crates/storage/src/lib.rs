@@ -20,7 +20,7 @@
 //!   (bytes in a map), so a store in memory runs the same stack as on disk,
 //!   and [`FaultVfs`], which wraps either to fail the n-th mutating call.
 //! * [`backend`] — the page-granular device abstraction and its device: page
-//!   frames (the [`log`] frame, with `LEFR` and the page id as its header
+//!   frames (the [`log`] frame, with `LEFX` and the page id as its header
 //!   extension) in segment files, with exact I/O accounting and lock-free
 //!   positional reads.
 //! * [`cache`] — the sharded, size-charged CLOCK block cache of encoded
@@ -31,10 +31,11 @@
 //! * [`memtable`] — the in-memory write buffer with in-place delete/update
 //!   semantics.
 //! * [`log`] — the framed log every durable file is: one layout
-//!   (`magic · frame*`, `frame := ext · len · crc32(body) · body`), one
+//!   (`magic · frame*`, `frame := ext · len · sum(body) · body`), one
 //!   encoder ([`log::frame`]), one recovery rule ([`log::scan`]), one tail
 //!   cut, and the handle the logs go through. Each file kind declares its
-//!   magic and header extension as a [`log::Format`] value.
+//!   magic, header extension and kinds of frame (each a tag and the checksum
+//!   it names) as a [`log::Format`] value.
 //! * [`wal`] — write-ahead logging in checksummed frames behind the magic
 //!   `LETHEWAL`, with prefix truncation behind a manifest commit, torn-tail
 //!   recovery, the [`SyncPolicy`] durability knob and the group-commit
@@ -54,7 +55,8 @@
 //! * [`checkpoint`] — the checksummed completeness marker that makes an
 //!   online checkpoint's commit point explicit (a torn checkpoint is
 //!   detectably incomplete, never silently short).
-//! * [`checksum`] — CRC-32 for on-disk structures.
+//! * [`checksum`] — the two checksum kernels of on-disk structures: CRC-32,
+//!   and XXH64, whose low 32 bits the page frames carry.
 //! * [`histogram`] — equi-width histograms used to estimate how many entries a
 //!   range tombstone invalidates.
 //! * [`clock`] — the logical clock that drives TTLs and tombstone ages.

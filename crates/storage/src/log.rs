@@ -6,29 +6,37 @@
 //!
 //! ```text
 //! file  := magic · frame*
-//! frame := ext · len (u32 BE) · crc32(body) (u32 BE) · body
+//! frame := ext · len (u32 BE) · sum(body) (u32 BE) · body
+//! ext   := tag · fields
 //! ```
 //!
-//! `ext` is a fixed-length header extension. Each file kind declares its
-//! magic and its extension as a [`Format`] value:
+//! `ext` is a fixed-length header extension: the tag of the frame's [`Kind`],
+//! which names the checksum `sum`, then the fields the file kind gives every
+//! frame. Each file kind declares its magic, its extension and its kinds of
+//! frame as a [`Format`] value:
 //!
-//! | kind         | magic      | ext                    |
-//! |--------------|------------|------------------------|
-//! | WAL          | `LETHEWAL` | none                   |
-//! | manifest     | `LETHEMAN` | none                   |
-//! | batch log    | `LETHEBAT` | none                   |
-//! | page segment | none       | `LEFR` · page id (u64) |
+//! | kind         | magic      | ext                    | sum                   |
+//! |--------------|------------|------------------------|-----------------------|
+//! | WAL          | `LETHEWAL` | none                   | CRC-32                |
+//! | manifest     | `LETHEMAN` | none                   | CRC-32                |
+//! | batch log    | `LETHEBAT` | none                   | CRC-32                |
+//! | page segment | none       | `LEFX` · page id (u64) | XXH64, low 32 bits    |
+//! |              |            | `LEFR` · page id (u64) | CRC-32 (older frames) |
+//!
+//! New page frames are `LEFX`; a segment written before them holds `LEFR`
+//! frames, and a store's newest segment may hold both, the older first. See
+//! [`checksum`](crate::checksum) for the two kernels and their trade.
 //!
 //! [`frame`] is the only code that lays out a length and a checksum. A
 //! crash mid-append only damages the end of a file, so [`scan`] holds one
 //! rule for all four: a short header, a body past end-of-file, or a frame
 //! that fails its checksum and ends exactly at end-of-file is a **torn
-//! tail**; a bad frame with bytes behind it, a full header without its
-//! kind's tag, or a tail longer than its kind's [`Format::max_tail`], is
-//! `Corruption`.
+//! tail**; a bad frame with bytes behind it, a full header without one of
+//! its kind's tags, or a tail longer than its kind's [`Format::max_tail`],
+//! is `Corruption`.
 
 use crate::barrier;
-use crate::checksum::crc32;
+use crate::checksum::{crc32, xxh64};
 use crate::error::{Result, StorageError};
 use crate::vfs::{Vfs, VfsFile};
 use bytes::{Buf, Bytes};
@@ -37,17 +45,53 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The checksum a kind of frame carries over its body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sum {
+    /// [`crc32`].
+    Crc32,
+    /// The low 32 bits of [`xxh64`].
+    Xxh64,
+}
+
+impl Sum {
+    /// The checksum of `body`.
+    pub fn of(self, body: &[u8]) -> u32 {
+        match self {
+            Sum::Crc32 => crc32(body),
+            Sum::Xxh64 => xxh64(body) as u32,
+        }
+    }
+}
+
+/// One kind of frame: the tag its header extension starts with, and the
+/// checksum it carries.
+#[derive(Debug)]
+pub struct Kind {
+    /// The bytes the extension starts with. A torn append of a whole header
+    /// still wrote them, so a full header without a known tag is not a torn
+    /// tail.
+    pub tag: &'static [u8],
+    /// The checksum over the body.
+    pub sum: Sum,
+}
+
+/// The one kind of frame of the WAL, the manifest and the batch log: no
+/// tag, CRC-32.
+pub(crate) const UNTAGGED: Kind = Kind { tag: b"", sum: Sum::Crc32 };
+
 /// One file kind's layout.
 #[derive(Debug)]
 pub struct Format {
     /// The bytes every file of the kind starts with.
     pub magic: &'static [u8],
-    /// Length of the extension every frame's header starts with.
+    /// Length of the extension every frame's header starts with: its kind's
+    /// tag, then its fields.
     pub ext_len: usize,
-    /// The bytes every extension starts with. A torn append of a whole
-    /// header still wrote them, so a full header without them is not a
-    /// torn tail.
-    pub tag: &'static [u8],
+    /// The kind of frame [`frame`] writes.
+    pub kind: Kind,
+    /// Kinds of frame written before `kind`, which [`scan`] still reads.
+    pub older: &'static [Kind],
     /// The most bytes a crash can leave behind the last intact frame: a
     /// kind that appends and syncs one fixed-length frame at a time tears
     /// at most one frame, so a longer bad tail is damage (say, a flipped
@@ -57,16 +101,24 @@ pub struct Format {
 
 impl Format {
     /// Length of a frame's header: the extension, the body length and the
-    /// body's CRC.
+    /// body's checksum.
     pub const fn header_len(&self) -> usize {
         self.ext_len + 8
     }
+
+    /// The kind of the frame whose header starts `header`, if its tag is
+    /// one of this format's.
+    pub(crate) fn kind_of(&self, header: &[u8]) -> Option<&Kind> {
+        std::iter::once(&self.kind).chain(self.older).find(|kind| header.starts_with(kind.tag))
+    }
 }
 
-/// One frame of a log: `ext · len (u32 BE) · crc32(body) (u32 BE) · body`.
-pub fn frame(ext: &[u8], body: &[u8]) -> Vec<u8> {
-    let (len, crc) = ((body.len() as u32).to_be_bytes(), crc32(body).to_be_bytes());
-    [ext, &len, &crc, body].concat()
+/// One frame of a `format` file, of the kind it writes:
+/// `tag · fields · len (u32 BE) · sum(body) (u32 BE) · body`.
+pub fn frame(format: &Format, fields: &[u8], body: &[u8]) -> Vec<u8> {
+    let Kind { tag, sum } = &format.kind;
+    let (len, sum) = ((body.len() as u32).to_be_bytes(), sum.of(body).to_be_bytes());
+    [tag, fields, &len, &sum, body].concat()
 }
 
 /// Sequential reads of the first `len` bytes of a file, one positional read
@@ -92,7 +144,8 @@ fn corrupt(path: &Path, what: impl std::fmt::Display) -> StorageError {
 }
 
 /// Scans the frames of `file`, a `format` file, calling
-/// `visit(offset, ext, body)` on each intact one in order, and returns where
+/// `visit(offset, fields, body)` on each intact one in order (`fields` is
+/// its extension behind the tag), and returns where
 /// a torn tail, if any, begins. Errors from `visit` propagate; a
 /// `Corruption` it reports is named by the file's path and the frame's
 /// offset. One frame is in memory at a time.
@@ -118,16 +171,16 @@ pub fn scan(
     let mut body = Vec::new();
     while end + header.len() as u64 <= len {
         reader.read_exact(&mut header)?;
-        if !header.starts_with(format.tag) {
+        let Some(kind) = format.kind_of(&header) else {
             return Err(corrupt(path, format_args!("no frame starts at offset {end}")));
-        }
+        };
         let frame_end = end + (header.len() as u64 + be(&header[ext_len..ext_len + 4]));
         if frame_end > len {
             break; // torn tail: the header promises more bytes than exist
         }
         body.resize((frame_end - end) as usize - header.len(), 0);
         reader.read_exact(&mut body)?;
-        if be(&header[ext_len + 4..]) != u64::from(crc32(&body)) {
+        if be(&header[ext_len + 4..]) != u64::from(kind.sum.of(&body)) {
             if frame_end == len {
                 break; // torn tail: the last frame was damaged mid-append
             }
@@ -140,7 +193,7 @@ pub fn scan(
                 ),
             ));
         }
-        visit(end, &header[..ext_len], &body).map_err(|e| match e {
+        visit(end, &header[kind.tag.len()..ext_len], &body).map_err(|e| match e {
             StorageError::Corruption(what) => {
                 corrupt(path, format_args!("frame at offset {end}: {what}"))
             }
@@ -375,7 +428,7 @@ impl LogFile {
 #[expect(clippy::disallowed_methods, reason = "the tests lay out logs on disk byte by byte")]
 pub(crate) mod tests {
     use super::*;
-    use crate::backend::{page_ext, PAGES};
+    use crate::backend::PAGES;
 
     /// The bytes a known-answer vector spells in hex.
     pub(crate) fn hex(digits: &str) -> Vec<u8> {
@@ -383,15 +436,20 @@ pub(crate) mod tests {
         (0..digits.len()).step_by(2).map(byte).collect()
     }
 
-    /// A page frame holding `body` as page 7.
-    fn good(body: &[u8]) -> Vec<u8> {
-        frame(&page_ext(7), body)
+    /// The page layout as segments were written before `LEFX` frames:
+    /// `LEFR` frames, with CRC-32.
+    const PAGES_V1: Format =
+        Format { kind: Kind { tag: b"LEFR", sum: Sum::Crc32 }, older: &[], ..PAGES };
+
+    /// A `format` page frame holding `body` as page 7.
+    fn good(format: &Format, body: &[u8]) -> Vec<u8> {
+        frame(format, &7u64.to_be_bytes(), body)
     }
 
-    /// [`good`] with its checksum damaged.
-    fn bad(body: &[u8]) -> Vec<u8> {
-        let mut frame = good(body);
-        frame[PAGES.ext_len + 4] ^= 0xFF;
+    /// [`good`] with the first bit of its (non-empty) body flipped.
+    fn bad(format: &Format, body: &[u8]) -> Vec<u8> {
+        let mut frame = good(format, body);
+        frame[format.header_len()] ^= 1;
         frame
     }
 
@@ -411,49 +469,69 @@ pub(crate) mod tests {
     fn one_rule_for_every_branch() {
         let cat = |parts: &[Vec<u8>]| parts.concat();
         let header = PAGES.header_len();
-        let mut wrong_tag = good(b"");
-        wrong_tag[0] = b'X';
-        let rows: Vec<(&str, Vec<u8>, Expect)> = vec![
-            ("empty file", vec![], Expect::Recovers { bodies: &[], end: 0 }),
-            (
-                "clean log",
-                cat(&[good(b"ab"), good(b""), good(b"cde")]),
-                Expect::Recovers { bodies: &[b"ab", b"", b"cde"], end: 3 * header + 5 },
-            ),
-            (
-                "short header",
-                cat(&[good(b"ab"), good(b"cdefg")[..header - 1].to_vec()]),
-                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
-            ),
-            (
-                "body past end of file",
-                cat(&[good(b"ab"), good(b"cdefg")[..header + 2].to_vec()]),
-                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
-            ),
-            (
-                "bad last frame",
-                cat(&[good(b"ab"), bad(b"cd")]),
-                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
-            ),
-            (
-                "bad frame with a good frame behind it",
-                cat(&[good(b"ab"), bad(b"cd"), good(b"ef")]),
-                Expect::Corrupt,
-            ),
-            ("full header with a wrong page tag", cat(&[good(b"ab"), wrong_tag]), Expect::Corrupt),
-            (
-                "visitor error",
-                cat(&[good(b"ab"), good(b"no"), vec![b'L']]),
-                Expect::VisitorError,
-            ),
-        ];
+        let mut rows: Vec<(String, Vec<u8>, Expect)> = Vec::new();
+        // every row on both kinds of page frame, each scanned by the one
+        // page format that reads both
+        for format in [&PAGES, &PAGES_V1] {
+            let (good, bad) = (|body| good(format, body), |body| bad(format, body));
+            let mut wrong_tag = good(b"");
+            wrong_tag[0] = b'X';
+            let kind_rows = [
+                ("empty file", vec![], Expect::Recovers { bodies: &[], end: 0 }),
+                (
+                    "clean log",
+                    cat(&[good(b"ab"), good(b""), good(b"cde")]),
+                    Expect::Recovers { bodies: &[b"ab", b"", b"cde"], end: 3 * header + 5 },
+                ),
+                (
+                    "short header",
+                    cat(&[good(b"ab"), good(b"cdefg")[..header - 1].to_vec()]),
+                    Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
+                ),
+                (
+                    "body past end of file",
+                    cat(&[good(b"ab"), good(b"cdefg")[..header + 2].to_vec()]),
+                    Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
+                ),
+                (
+                    "flipped body bit in the last frame",
+                    cat(&[good(b"ab"), bad(b"cd")]),
+                    Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
+                ),
+                (
+                    "flipped body bit with a good frame behind it",
+                    cat(&[good(b"ab"), bad(b"cd"), good(b"ef")]),
+                    Expect::Corrupt,
+                ),
+                (
+                    "full header with a wrong page tag",
+                    cat(&[good(b"ab"), wrong_tag]),
+                    Expect::Corrupt,
+                ),
+                (
+                    "visitor error",
+                    cat(&[good(b"ab"), good(b"no"), vec![b'L']]),
+                    Expect::VisitorError,
+                ),
+            ];
+            let tag = String::from_utf8_lossy(format.kind.tag).into_owned();
+            rows.extend(kind_rows.into_iter().map(|(name, bytes, expect)| {
+                (format!("{tag}: {name}"), bytes, expect)
+            }));
+        }
+        // a segment written before `LEFX` frames and appended to since
+        rows.push((
+            "LEFR frames, then LEFX frames".into(),
+            cat(&[good(&PAGES_V1, b"ab"), good(&PAGES, b"cd"), bad(&PAGES, b"ef")]),
+            Expect::Recovers { bodies: &[b"ab", b"cd"], end: 2 * header + 4 },
+        ));
         let path = std::env::temp_dir().join(format!("lethe-log-{}.bin", std::process::id()));
         for (name, bytes, expect) in rows {
             std::fs::write(&path, &bytes).unwrap();
             let mut log = LogFile::open(&crate::vfs::OsVfs::shared(), &path, false).unwrap();
             let mut bodies: Vec<Vec<u8>> = Vec::new();
-            let result = log.recover(&PAGES, |_, ext, body| {
-                assert_eq!(ext, page_ext(7), "{name}");
+            let result = log.recover(&PAGES, |_, fields, body| {
+                assert_eq!(fields, 7u64.to_be_bytes(), "{name}");
                 if body == b"no" {
                     return Err(StorageError::InvalidOperation("visitor refused".into()));
                 }
@@ -514,18 +592,18 @@ pub(crate) mod tests {
         assert_eq!((log.torn_tails_recovered(), log.fsync_count()), (1, 1));
         assert_eq!(std::fs::read(&path).unwrap(), b"");
         // a wrong magic is corruption, and cuts nothing
-        let wrong = [b"LETHE???".to_vec(), frame(&[], b"ab")].concat();
+        let wrong = [b"LETHE???".to_vec(), frame(&HEADED, &[], b"ab")].concat();
         assert!(matches!(recover(&wrong).0, Err(StorageError::Corruption(_))));
         assert_eq!(std::fs::read(&path).unwrap(), wrong);
         // frames start behind the magic
-        let (seen, log) = recover(&[magic, &frame(&[], b"ab"), b"L"].concat());
+        let (seen, log) = recover(&[magic, &frame(&HEADED, &[], b"ab"), b"L"].concat());
         assert_eq!(seen.unwrap(), vec![(8, b"ab".to_vec())]);
-        log.append(&frame(&[], b"cd")).unwrap();
+        log.append(&frame(&HEADED, &[], b"cd")).unwrap();
         log.sync_data().unwrap();
         assert_eq!(log.fsync_count(), 2, "the cut and the sync");
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            [magic, &frame(&[], b"ab"), &frame(&[], b"cd")].concat()
+            [magic, &frame(&HEADED, &[], b"ab"), &frame(&HEADED, &[], b"cd")].concat()
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -549,9 +627,9 @@ pub(crate) mod tests {
         // anything else is a v1 file, republished behind the magic
         vfs.open(path, false).unwrap().set_len(0).unwrap();
         vfs.open(path, false).unwrap().append(b"old!").unwrap();
-        let upgrade = |old: &[u8]| Ok(frame(&[], old));
+        let upgrade = |old: &[u8]| Ok(frame(&HEADED, &[], old));
         let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", upgrade).unwrap();
-        assert_eq!(vfs.read(path).unwrap(), [HEADED.magic, &frame(&[], b"old!")].concat());
+        assert_eq!(vfs.read(path).unwrap(), [HEADED.magic, &frame(&HEADED, &[], b"old!")].concat());
         assert_eq!(log.fsync_count(), 2, "the publish's file and directory barriers");
     }
 }

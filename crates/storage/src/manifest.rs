@@ -42,7 +42,8 @@ use std::sync::Arc;
 
 /// A manifest file's layout: the magic `LETHEMAN`, then [`log`] frames with
 /// no header extension, one per record.
-const FORMAT: Format = Format { magic: b"LETHEMAN", ext_len: 0, tag: b"", max_tail: u64::MAX };
+const FORMAT: Format =
+    Format { magic: b"LETHEMAN", ext_len: 0, kind: log::UNTAGGED, older: &[], max_tail: u64::MAX };
 
 /// On-disk format version of manifest records. Version 2 added the
 /// per-file delete-key bounds (`min_delete`/`max_delete`) to [`FileDesc`];
@@ -315,7 +316,7 @@ impl Manifest {
             upserted,
             structure: new_state.structure(),
         };
-        log.append(&log::frame(&[], &encode_record(&record)))?;
+        log.append(&log::frame(&FORMAT, &[], &encode_record(&record)))?;
         log.sync_data()?;
         self.records_since_rewrite += 1;
         self.state = new_state;
@@ -324,7 +325,8 @@ impl Manifest {
 
     /// Rewrites the manifest as a single snapshot of `state`, atomically.
     fn rewrite(&mut self, state: ManifestState) -> Result<()> {
-        let frame = log::frame(&[], &encode_record(&ManifestRecord::Snapshot(state.clone())));
+        let snapshot = encode_record(&ManifestRecord::Snapshot(state.clone()));
+        let frame = log::frame(&FORMAT, &[], &snapshot);
         match &mut self.log {
             Some(log) => log.replace(&FORMAT, "manifest.tmp", &frame)?,
             None => {

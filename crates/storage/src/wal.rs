@@ -371,7 +371,7 @@ const COUNT_UNKNOWN: u64 = u64::MAX;
 /// A WAL file's layout: the magic `LETHEWAL`, then [`log`] frames with no
 /// header extension, one per record.
 pub(crate) const FORMAT: Format =
-    Format { magic: b"LETHEWAL", ext_len: 0, tag: b"", max_tail: u64::MAX };
+    Format { magic: b"LETHEWAL", ext_len: 0, kind: log::UNTAGGED, older: &[], max_tail: u64::MAX };
 
 /// Re-frames a log written before the WAL had a checksum: `len (u32 BE) ·
 /// body` frames with no file magic. A short length or a body past
@@ -380,7 +380,7 @@ fn v1_frames(mut bytes: &[u8]) -> Result<Vec<u8>> {
     let mut frames = Vec::new();
     while let Some((len, rest)) = bytes.split_first_chunk::<4>() {
         let Some(body) = rest.get(..u32::from_be_bytes(*len) as usize) else { break };
-        frames.extend(log::frame(&[], body));
+        frames.extend(log::frame(&FORMAT, &[], body));
         bytes = &rest[body.len()..];
     }
     Ok(frames)
@@ -431,7 +431,8 @@ impl FileWal {
     /// no append can slip in between the snapshot the caller took and the
     /// rename (it would be silently discarded).
     fn rewrite_locked(&self, log: &mut LogFile, records: &[WalRecord]) -> Result<()> {
-        let frames: Vec<u8> = records.iter().flat_map(|r| log::frame(&[], &r.encode())).collect();
+        let frames: Vec<u8> =
+            records.iter().flat_map(|r| log::frame(&FORMAT, &[], &r.encode())).collect();
         log.replace(&FORMAT, "wal.tmp", &frames)?;
         self.record_count.store(records.len() as u64, Ordering::Relaxed);
         self.appends_since_sync.store(0, Ordering::Relaxed);
@@ -441,7 +442,7 @@ impl FileWal {
 
 impl Wal for FileWal {
     fn append_nosync(&self, record: WalRecord) -> Result<()> {
-        let frame = log::frame(&[], &record.encode());
+        let frame = log::frame(&FORMAT, &[], &record.encode());
         self.log.lock().append(&frame)?;
         // the cached record count is kept in step, under the same lock
         let count = self.record_count.load(Ordering::Relaxed);
@@ -593,7 +594,8 @@ mod tests {
         // then chop it so only the header and 2 body bytes survive
         {
             use std::io::Write;
-            let frame = log::frame(&[], &WalRecord::Delete { sort_key: 99, ts: 40 }.encode());
+            let record = WalRecord::Delete { sort_key: 99, ts: 40 };
+            let frame = log::frame(&FORMAT, &[], &record.encode());
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&frame[..FORMAT.header_len() + 2]).unwrap();
         }
@@ -814,7 +816,7 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), framed);
         let late = WalRecord::Delete { sort_key: 8, ts: 700 };
         wal.append(late.clone()).unwrap();
-        let appended = [framed.clone(), log::frame(&[], &late.encode())].concat();
+        let appended = [framed.clone(), log::frame(&FORMAT, &[], &late.encode())].concat();
         assert_eq!(std::fs::read(&path).unwrap(), appended);
         drop(wal);
         let reopened = FileWal::open(&path).unwrap().replay().unwrap();
@@ -874,7 +876,7 @@ mod tests {
         // replay — all-or-nothing, never a prefix of its ops
         {
             use std::io::Write;
-            let frame = log::frame(&[], &sample_batch(None).encode());
+            let frame = log::frame(&FORMAT, &[], &sample_batch(None).encode());
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&frame[..frame.len() - 3]).unwrap();
         }
@@ -945,7 +947,7 @@ mod tests {
             sample_records().into_iter().for_each(|r| w.append(r).unwrap());
         }
         let clean = std::fs::read(&path).unwrap();
-        let frame_len = |r: &WalRecord| log::frame(&[], &r.encode()).len();
+        let frame_len = |r: &WalRecord| log::frame(&FORMAT, &[], &r.encode()).len();
         let first = FORMAT.magic.len();
         let last = clean.len() - frame_len(&sample_records()[2]);
         // the last byte of the first record's value ("hello"), and of the
@@ -1007,7 +1009,7 @@ mod tests {
         let w = FileWal::open_on(&vfs, path).unwrap();
         w.append(WalRecord::Delete { sort_key: 1, ts: 1 }).unwrap();
         let at = vfs.read(path).unwrap().len();
-        vfs.open(path, false).unwrap().append(&log::frame(&[], &[1, 2])).unwrap();
+        vfs.open(path, false).unwrap().append(&log::frame(&FORMAT, &[], &[1, 2])).unwrap();
         let Err(StorageError::Corruption(what)) = w.replay() else { panic!("decoded") };
         let (place, file) = (format!("offset {at}"), format!("{path:?}"));
         assert!(what.contains(&place) && what.contains(&file), "{what}");

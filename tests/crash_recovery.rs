@@ -338,6 +338,41 @@ fn torn_wal_tail_recovers_valid_prefix_on_open() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One flipped high bit in the length of the second data frame reads as a
+/// torn tail there, and the manifest then names pages the scan did not
+/// find: the open fails with `Corruption`. It must fail having written
+/// nothing, so the segment keeps every frame behind the damage for whoever
+/// repairs the store.
+#[test]
+fn a_failed_open_cuts_nothing() {
+    let vfs = MemVfs::shared();
+    let dir = Path::new(MEM_DIR);
+    {
+        let mut db = builder().open_on(Arc::clone(&vfs), dir).unwrap();
+        for i in 0..2000u64 {
+            let k = i % KEY_SPACE;
+            db.put(k, delete_key_of(k), vec![(i % 251) as u8; 9]).unwrap();
+        }
+        db.persist().unwrap();
+    }
+    assert_eq!(data_segments(vfs.as_ref(), dir), [0]);
+    let segment = dir.join("lethe.data");
+    let mut bytes = vfs.read(&segment).unwrap();
+    // a page frame is `tag (4) · page id (8) · len (4) · sum (4) · payload`
+    let second = 20 + u32::from_be_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    bytes[second + 12] ^= 0x80;
+    let file = vfs.open(&segment, false).unwrap();
+    file.set_len(0).unwrap();
+    file.append(&bytes).unwrap();
+    match builder().open_on(Arc::clone(&vfs), dir) {
+        Err(lethe::storage::StorageError::Corruption(msg)) => {
+            assert!(msg.contains("missing page"), "{msg}")
+        }
+        other => panic!("expected corruption, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(vfs.read(&segment).unwrap(), bytes, "a failed open cuts nothing");
+}
+
 // -------------------------------------------------------- kill-point sweep
 
 /// Builds the deterministic workload script shared by the sweep tests.
