@@ -107,19 +107,41 @@ const FRAME_HEADER: usize = PAGES.header_len();
 /// die before its bytes leave the disk.
 const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 
+/// The page id a segment's index frame is framed under; no page is ever
+/// issued it.
+const INDEX_ID: PageId = PageId::MAX;
+
 /// A durable device: pages are appended as self-describing [`log`] frames
 /// (`LEFX · page id · length · sum · payload`, where the sum is the low 32
 /// bits of XXH64; frames written before it are `LEFR` with a CRC-32, and
 /// still read) to a sequence of **append-only segment files**, and an
 /// in-memory index maps each page id to its `(segment, offset, length)`. The
-/// frames make the files their own recovery log: on open every frame of
-/// every segment is checked against its sum, the index rebuilt, and a torn
-/// trailing frame — the normal result of a crash mid-write — found; the
-/// first `write_page` cuts it away, so an open that fails later (say, on a
-/// manifest naming a page the scan did not find) leaves every byte as it
-/// was. Dropped pages leave dead frames behind, which a reopen resurfaces
-/// (the crash-recovery layer drops again the ones its manifest does not
-/// reference); their bytes leave the disk when their whole segment is dead.
+/// frames make the files their own recovery log, and a sealed segment ends
+/// in an **index frame** that lists them (see *Open*). Dropped pages leave
+/// dead frames behind, which a reopen resurfaces (the crash-recovery layer
+/// drops again the ones its manifest does not reference); their bytes leave
+/// the disk when their whole segment is dead.
+///
+/// **Open.** The open reads each sealed segment's index frame, not its
+/// pages: its part of the page index follows from the frame. It scans, frame
+/// by frame and checking every sum, only the newest segment (the one a crash
+/// can tear) and any sealed segment whose index is missing, damaged or does
+/// not cover exactly the file's bytes: a segment written before index frames
+/// were, or one whose index a crash tore. A torn trailing frame of the
+/// newest segment is found, and the first `write_page` cuts it away, so an
+/// open that fails later (say, on a manifest naming a page no segment holds)
+/// leaves every byte as it was. Reopen time therefore follows the live
+/// bytes the layer above reads back, plus the newest segment, not every
+/// byte on disk; rot in a dead frame of an indexed segment is never read.
+///
+/// **Reads.** Every read checks the page's frame header (tag, page id,
+/// length) against the index. A read that does not fill a cache
+/// ([`StorageBackend::read_page_nofill`], or `read_pages` with `nofill`: a
+/// table's recovery, compaction inputs, partial page drops, checkpoints and
+/// audits) also checks the payload against the header's sum, so the pages
+/// an open rebuilds its tables from, and every page a job rewrites, are
+/// verified where they are read. A get or a scan that fills the cache checks
+/// the header only.
 ///
 /// **Files.** Segment 0 is `<name>.data`, the only file an older store has;
 /// a later segment is `<name>.data.<id>`, where `<id>` is the next unissued
@@ -130,7 +152,15 @@ const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 /// `SEGMENT_TARGET_BYTES`; the next `write_page` creates its successor. A
 /// segment is therefore sealed only by the barrier that made all of it
 /// durable, and only the newest file can hold a torn tail: a torn or invalid
-/// frame in any older segment is corruption. Creating a segment **needs a
+/// frame in any older segment is corruption, unless it is the index frame
+/// itself, which the open then scans past. The sealing `sync()` appends the
+/// index frame before its barrier, so that barrier makes the index durable
+/// too. It is an `LEFX` frame under the reserved page id `u64::MAX` (which
+/// a scan skips) whose body lists every frame in file order, each as its
+/// page id and payload length (about three bytes; see `index_frame`), and
+/// ends in its own length, so the open finds it from the file's last four
+/// bytes. Frames lie back to back from offset 0, so the lengths give the
+/// offsets. Creating a segment **needs a
 /// barrier**: the manifest edit that follows a `sync()` may name a page in
 /// the new file, so the first `sync()` after the creation also syncs the
 /// directory (one extra barrier per segment). Segment 0 of a fresh store
@@ -163,8 +193,7 @@ const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 /// proceed fully in parallel on hits and misses alike. The read lands in one
 /// allocation that the run's pages then share as windows, with no second
 /// copy; it starts at the first frame's header, so every page's header comes
-/// with it and is checked against the index (a read does not check the
-/// payload's sum). A reader that resolved a page just before its segment was
+/// with it. A reader that resolved a page just before its segment was
 /// unlinked still reads the right bytes: a [`Vfs`] handle reads on after an
 /// unlink. All paths read the handle the index pinned, never reopen by path.
 #[derive(Debug)]
@@ -177,6 +206,7 @@ pub struct FileBackend {
     next_id: AtomicU64,
     stats: Arc<IoStats>,
     torn_frames_recovered: u64,
+    segments_scanned: u64,
 }
 
 /// One segment file, shared by the segment list and every page entry in it.
@@ -194,6 +224,10 @@ struct Segment {
 
 /// Where a page's payload lies: its segment, offset and length.
 type Location = (Arc<Segment>, u64, u32);
+
+/// The page id and payload length of each page frame of a segment, in file
+/// order: what its index frame lists.
+type Frames = Vec<(PageId, u32)>;
 
 /// The page index and the segment list, guarded by one lock.
 #[derive(Debug, Default)]
@@ -224,6 +258,8 @@ struct Appender {
     /// The file was created since the last `sync()`: its directory entry is
     /// not durable yet.
     unsynced_entry: bool,
+    /// The segment's page frames, which the seal's index frame lists.
+    frames: Frames,
 }
 
 /// Path of segment `id` of the store whose segment 0 is `base`.
@@ -248,37 +284,158 @@ fn segment_id(base_name: &str, file_name: &str) -> Option<u64> {
     (id > 0 && suffix[1..] == id.to_string()).then_some(id)
 }
 
+/// Appends `n` to `out` as a LEB128 varint: seven bits a byte, low first.
+fn put_varint(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// Takes the LEB128 varint `bytes` start with off them; `None` if it runs
+/// past their end or past ten bytes.
+fn take_varint(bytes: &mut &[u8]) -> Option<u64> {
+    let mut n = 0;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = bytes.split_first()?;
+        *bytes = rest;
+        n |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(n);
+        }
+    }
+    None
+}
+
+/// The index frame of a segment whose page frames are `frames`, in file
+/// order: for each, its page id less the one before's (ids ascend in a
+/// segment, so this is one byte) and its payload length, both LEB128
+/// varints; then the body's own length (u32 BE).
+fn index_frame(frames: &[(PageId, u32)]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(frames.len() * 3 + 4);
+    let mut last = 0;
+    for &(id, len) in frames {
+        put_varint(&mut body, id.wrapping_sub(last));
+        put_varint(&mut body, u64::from(len));
+        last = id;
+    }
+    let len = body.len() as u32 + 4;
+    body.extend_from_slice(&len.to_be_bytes());
+    log::frame(&PAGES, &INDEX_ID.to_be_bytes(), &body)
+}
+
+/// Whether `header`, a frame header, is an index frame's.
+fn is_index_header(header: &[u8]) -> bool {
+    header.len() >= PAGES.ext_len
+        && header[..4] == *PAGES.kind.tag
+        && header[4..PAGES.ext_len] == INDEX_ID.to_be_bytes()
+}
+
+/// The frames the index frame that ends `file` lists, with two positional
+/// reads (its trailing length, then the frame), or `None` unless the file
+/// ends in an intact index frame whose frames cover exactly the bytes
+/// before it.
+fn read_index(file: &dyn VfsFile) -> Result<Option<Frames>> {
+    let len = file.len()?;
+    if len < (FRAME_HEADER + 4) as u64 {
+        return Ok(None);
+    }
+    let mut trailer = [0u8; 4];
+    file.read_at(&mut trailer, len - 4)?;
+    let body_len = be(&trailer);
+    let Some(start) = len.checked_sub(FRAME_HEADER as u64 + body_len) else { return Ok(None) };
+    if body_len < 4 {
+        return Ok(None);
+    }
+    let mut frame = vec![0u8; (len - start) as usize];
+    file.read_at(&mut frame, start)?;
+    let (header, body) = frame.split_at(FRAME_HEADER);
+    let ext = PAGES.ext_len;
+    if !is_index_header(header)
+        || be(&header[ext..ext + 4]) != body_len
+        || be(&header[ext + 4..]) != u64::from(PAGES.kind.sum.of(body))
+    {
+        return Ok(None);
+    }
+    let (mut entries, mut frames, mut id) = (&body[..body.len() - 4], Frames::new(), 0u64);
+    while !entries.is_empty() {
+        let (Some(delta), Some(len)) = (take_varint(&mut entries), take_varint(&mut entries))
+        else {
+            return Ok(None);
+        };
+        let Ok(len) = u32::try_from(len) else { return Ok(None) };
+        id = id.wrapping_add(delta);
+        frames.push((id, len));
+    }
+    let covered: u64 = frames.iter().map(|&(_, len)| FRAME_HEADER as u64 + u64::from(len)).sum();
+    let named = frames.iter().all(|&(id, _)| id != INDEX_ID);
+    Ok((covered == start && named).then_some(frames))
+}
+
 impl Index {
+    /// Indexes `page` at `offset` (its frame's start) of `segment`.
+    fn insert(&mut self, segment: &Arc<Segment>, page: PageId, offset: u64, len: u32) -> Result<()> {
+        let at = (Arc::clone(segment), offset + FRAME_HEADER as u64, len);
+        if self.pages.insert(page, at).is_some() {
+            return Err(StorageError::Corruption(format!("page {page} is framed twice")));
+        }
+        segment.live.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Indexes sealed segment `id` from `frames`, the list its index frame
+    /// holds, reading no page.
+    fn adopt(&mut self, id: u64, file: Arc<dyn VfsFile>, frames: &[(PageId, u32)]) -> Result<()> {
+        let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
+        let mut offset = 0;
+        for &(page, len) in frames {
+            self.insert(&segment, page, offset, len)?;
+            offset += FRAME_HEADER as u64 + u64::from(len);
+        }
+        self.segments.push(segment);
+        Ok(())
+    }
+
     /// Scans segment `id` at `path` under the common [`log`](crate::log)
-    /// rule, indexing its frames, and returns it with the end of its last
-    /// good frame. A torn tail ends the scan short of end-of-file; only the
+    /// rule, indexing its page frames and skipping an index frame, and
+    /// returns it with the end of its last good frame and its page frames in
+    /// file order. A torn tail ends the scan short of end-of-file; only the
     /// `newest` segment may have one (its first write cuts it), since a
-    /// sealed segment is never appended to again.
+    /// sealed segment is never appended to again. A sealed segment's bad
+    /// tail is let be only when it is an index frame: the frames before it
+    /// are whole, and no read goes past them.
     fn scan(
         &mut self,
         id: u64,
         file: Arc<dyn VfsFile>,
         path: &Path,
         newest: bool,
-    ) -> Result<(Arc<Segment>, u64)> {
+    ) -> Result<(Arc<Segment>, u64, Frames)> {
         let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
+        let mut frames = Vec::new();
         let end = log::scan(segment.file.as_ref(), path, &PAGES, |off, fields, payload| {
             let page = be(fields);
-            let at = (Arc::clone(&segment), off + FRAME_HEADER as u64, payload.len() as u32);
-            if self.pages.insert(page, at).is_some() {
-                return Err(StorageError::Corruption(format!("page {page} is framed twice")));
+            if page == INDEX_ID {
+                return Ok(());
             }
-            segment.live.fetch_add(1, Ordering::Relaxed);
-            Ok(())
+            frames.push((page, payload.len() as u32));
+            self.insert(&segment, page, off, payload.len() as u32)
         })?;
-        if !newest && end < segment.file.len()? {
-            return Err(StorageError::Corruption(format!(
-                "data file {path:?}: torn frame at offset {end} of a sealed segment (only \
-                 the newest segment is ever appended to, so this is not a torn tail)"
-            )));
+        let len = segment.file.len()?;
+        if !newest && end < len {
+            let mut header = [0u8; FRAME_HEADER];
+            let read = header.len().min((len - end) as usize);
+            segment.file.read_at(&mut header[..read], end)?;
+            if !is_index_header(&header[..read]) {
+                return Err(StorageError::Corruption(format!(
+                    "data file {path:?}: torn frame at offset {end} of a sealed segment (only \
+                     the newest segment is ever appended to, so this is not a torn tail)"
+                )));
+            }
         }
         self.segments.push(Arc::clone(&segment));
-        Ok((segment, end))
+        Ok((segment, end, frames))
     }
 
     /// Page `id` with where it lies.
@@ -322,11 +479,16 @@ impl FileBackend {
     /// front-end keeps the per-shard data files (`shard-000.data`,
     /// `shard-001.data`, …) of one logical store together.
     ///
-    /// Existing segments are scanned frame by frame, oldest first, to
-    /// rebuild the page index and the next free id; a torn trailing frame of
-    /// the newest segment is counted in [`FileBackend::torn_frames_recovered`]
-    /// and cut away by the first [`StorageBackend::write_page`]. The open
-    /// itself writes nothing to an existing segment.
+    /// Each sealed segment's part of the page index is rebuilt from its
+    /// index frame, read with two positional reads and no page read. The
+    /// newest segment is scanned frame by frame, every sum checked, and so
+    /// is a sealed segment whose index is missing, damaged, or does not
+    /// cover exactly the file's bytes ([`FileBackend::segments_scanned`]
+    /// counts both). A torn trailing frame of the newest segment is counted
+    /// in [`FileBackend::torn_frames_recovered`] and cut away by the first
+    /// [`StorageBackend::write_page`]. The open itself writes nothing to an
+    /// existing segment, and reads no payload of an indexed one: those are
+    /// checked when a read that does not fill a cache reaches them.
     pub fn open_on(vfs: &Arc<dyn Vfs>, dir: &Path, name: &str) -> Result<Self> {
         vfs.create_dir_all(dir)?;
         let base_name = format!("{name}.data");
@@ -337,19 +499,27 @@ impl FileBackend {
         // the newest segment takes the appends; a fresh store starts at 0
         let newest = ids.pop().unwrap_or(0);
         let mut index = Index::default();
+        let mut segments_scanned = 1;
         for id in ids {
             let path = segment_path(&base, id);
-            index.scan(id, vfs.open(&path, false)?, &path, false)?;
+            let file = vfs.open(&path, false)?;
+            match read_index(file.as_ref())? {
+                Some(frames) => index.adopt(id, file, &frames)?,
+                None => {
+                    index.scan(id, file, &path, false)?;
+                    segments_scanned += 1;
+                }
+            }
         }
         let path = segment_path(&base, newest);
-        let (segment, end) = index.scan(newest, vfs.open(&path, true)?, &path, true)?;
+        let (segment, end, frames) = index.scan(newest, vfs.open(&path, true)?, &path, true)?;
         let torn_frames_recovered = u64::from(end < segment.file.len()?);
         let next_id = index.pages.keys().max().map_or(1, |max| max + 1).max(newest);
         // what a reopen finds on disk is as durable as it will get, so a
         // full newest segment (or an older store's one big file) starts sealed
         let sealed = end >= SEGMENT_TARGET_BYTES;
         let appender =
-            Appender { segment, end, sealed, unsynced_entry: false, tail_unchecked: true };
+            Appender { segment, end, sealed, unsynced_entry: false, tail_unchecked: true, frames };
         Ok(FileBackend {
             vfs: Arc::clone(vfs),
             base,
@@ -358,6 +528,7 @@ impl FileBackend {
             next_id: AtomicU64::new(next_id),
             stats: IoStats::new_shared(),
             torn_frames_recovered,
+            segments_scanned,
         })
     }
 
@@ -365,6 +536,12 @@ impl FileBackend {
     /// cuts away (0 after a clean shutdown, typically 1 after a crash).
     pub fn torn_frames_recovered(&self) -> u64 {
         self.torn_frames_recovered
+    }
+
+    /// Number of segments the open scanned frame by frame: the newest, plus
+    /// every sealed segment it could not index from its index frame.
+    pub fn segments_scanned(&self) -> u64 {
+        self.segments_scanned
     }
 
     /// Path of the segment being appended to (the newest file).
@@ -397,6 +574,7 @@ impl FileBackend {
             sealed: false,
             unsynced_entry: true,
             tail_unchecked: false,
+            frames: Vec::new(),
         };
         let old = std::mem::replace(app, successor).segment;
         let old_died = {
@@ -416,8 +594,14 @@ impl FileBackend {
     /// with one positional read, from the first frame's header to the last
     /// payload's end, into an allocation the pages then share, and hands each
     /// page to `each`, in order. Every frame's header comes with the read and
-    /// must name the page and length the index does.
-    fn read_run(&self, run: &[(PageId, Location)], mut each: impl FnMut(Arc<Page>)) -> Result<()> {
+    /// must name the page and length the index does; with `verify`, each
+    /// payload must also match its header's sum.
+    fn read_run(
+        &self,
+        run: &[(PageId, Location)],
+        verify: bool,
+        mut each: impl FnMut(Arc<Page>),
+    ) -> Result<()> {
         let [(_, (segment, first, _)), ..] = run else { return Ok(()) };
         let start = first - FRAME_HEADER as u64;
         let end = run.last().map_or(*first, |(_, (_, offset, len))| offset + u64::from(*len));
@@ -429,21 +613,63 @@ impl FileBackend {
         for &(id, (_, offset, len)) in run {
             let from = (offset - start) as usize;
             let header = &buf[from - FRAME_HEADER..from];
+            let payload = buf.slice(from..from + len as usize);
             let ext = PAGES.ext_len;
-            let names_id = PAGES
+            let kind = PAGES
                 .kind_of(header)
-                .is_some_and(|kind| header[kind.tag.len()..ext] == id.to_be_bytes());
-            if !names_id || be(&header[ext..ext + 4]) != u64::from(len) {
+                .filter(|kind| header[kind.tag.len()..ext] == id.to_be_bytes())
+                .filter(|_| be(&header[ext..ext + 4]) == u64::from(len));
+            let frame_at = offset - FRAME_HEADER as u64;
+            let Some(kind) = kind else {
                 return Err(StorageError::Corruption(format!(
-                    "segment {}: the frame at offset {} is not page {id} of {len} bytes",
-                    segment.id,
-                    offset - FRAME_HEADER as u64
+                    "segment {}: the frame at offset {frame_at} is not page {id} of {len} bytes",
+                    segment.id
+                )));
+            };
+            if verify && be(&header[ext + 4..]) != u64::from(kind.sum.of(&payload)) {
+                return Err(StorageError::Corruption(format!(
+                    "segment {}: page {id}, the frame at offset {frame_at}, fails its checksum",
+                    segment.id
                 )));
             }
             self.stats.record_read(u64::from(len));
-            each(Arc::new(Page::decode(buf.slice(from..from + len as usize))?));
+            each(Arc::new(Page::decode(payload)?));
         }
         Ok(())
+    }
+
+    /// Page `id`, read alone; with `verify`, its payload is checked too.
+    fn read_one(&self, id: PageId, verify: bool) -> Result<Arc<Page>> {
+        let at = self.index.read().locate(id)?;
+        let mut page = None;
+        self.read_run(&[at], verify, |read| page = Some(read))?;
+        page.ok_or(StorageError::PageNotFound(id))
+    }
+
+    /// Cuts away whatever may lie behind the newest segment's last good
+    /// frame (a torn tail the open found, or the partial frame of a failed
+    /// append) if it may hold any: the handle appends at end-of-file, and a
+    /// frame must land at `end`.
+    fn cut_tail(&self, app: &mut Appender) -> Result<()> {
+        if app.tail_unchecked {
+            log::cut_tail(app.segment.file.as_ref(), app.end, &self.stats.fsyncs)?;
+            app.tail_unchecked = false;
+        }
+        Ok(())
+    }
+
+    /// Appends `frame` at the newest segment's `end`, once [`Self::cut_tail`]
+    /// has run, and returns where it landed. A failed append is cut back,
+    /// and its tail checked again before the next one.
+    fn append(&self, app: &mut Appender, frame: &[u8]) -> Result<u64> {
+        if let Err(e) = app.segment.file.append(frame) {
+            let _ = app.segment.file.set_len(app.end);
+            app.tail_unchecked = true;
+            return Err(e.into());
+        }
+        let at = app.end;
+        app.end += frame.len() as u64;
+        Ok(at)
     }
 
     /// Unlinks a segment that has left the index, with no barrier (see the
@@ -459,44 +685,35 @@ impl FileBackend {
 impl StorageBackend for FileBackend {
     fn write_page(&self, page: &Page) -> Result<PageId> {
         let encoded = page.encode();
+        let len = encoded.len() as u32;
         let mut app = self.appender.lock();
-        // the handle appends at end-of-file: whatever may lie behind the
-        // last good frame (a torn tail the open found, or the partial frame
-        // of a failed append) is cut away first, so the offset indexed below
-        // is where the frame really lands, and before a roll, which would
-        // seal the tail into a segment whose tail no open may cut
-        if app.tail_unchecked {
-            log::cut_tail(app.segment.file.as_ref(), app.end, &self.stats.fsyncs)?;
-            app.tail_unchecked = false;
-        }
+        // a sealed segment's torn tail is cut before the roll, which would
+        // seal it into a segment whose tail no open may cut
+        self.cut_tail(&mut app)?;
         if app.sealed {
             self.roll(&mut app)?;
         }
         // ids are issued under the appender lock, so every id in a segment
         // is at or above the segment's name and below its successor's
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = log::frame(&PAGES, &id.to_be_bytes(), &encoded);
-        if let Err(e) = app.segment.file.append(&frame) {
-            let _ = app.segment.file.set_len(app.end);
-            app.tail_unchecked = true;
-            return Err(e.into());
-        }
-        let at = (Arc::clone(&app.segment), app.end + FRAME_HEADER as u64, encoded.len() as u32);
-        app.end += frame.len() as u64;
+        let offset = self.append(&mut app, &log::frame(&PAGES, &id.to_be_bytes(), &encoded))?;
+        app.frames.push((id, len));
+        let at = (Arc::clone(&app.segment), offset + FRAME_HEADER as u64, len);
         app.segment.live.fetch_add(1, Ordering::Relaxed);
         self.index.write().pages.insert(id, at);
-        self.stats.record_write(encoded.len() as u64);
+        self.stats.record_write(u64::from(len));
         Ok(id)
     }
 
     fn read_page(&self, id: PageId) -> Result<Arc<Page>> {
-        let at = self.index.read().locate(id)?;
-        let mut page = None;
-        self.read_run(&[at], |read| page = Some(read))?;
-        page.ok_or(StorageError::PageNotFound(id))
+        self.read_one(id, false)
     }
 
-    fn read_pages(&self, ids: &[PageId], _nofill: bool, pages: &mut Vec<Arc<Page>>) -> Result<()> {
+    fn read_page_nofill(&self, id: PageId) -> Result<Arc<Page>> {
+        self.read_one(id, true)
+    }
+
+    fn read_pages(&self, ids: &[PageId], nofill: bool, pages: &mut Vec<Arc<Page>>) -> Result<()> {
         // resolve every page under one brief (shared) index read lock, then
         // do the actual I/O with no lock at all: `pread` needs no seek and no
         // cursor, so concurrent readers never serialise behind each other or
@@ -509,7 +726,7 @@ impl StorageBackend for FileBackend {
             Arc::ptr_eq(a, b) && *next == offset + u64::from(*len) + FRAME_HEADER as u64
         };
         for run in located.chunk_by(adjacent) {
-            self.read_run(run, |page| pages.push(page))?;
+            self.read_run(run, nofill, |page| pages.push(page))?;
         }
         Ok(())
     }
@@ -543,12 +760,31 @@ impl StorageBackend for FileBackend {
 
     fn sync(&self) -> Result<()> {
         let mut app = self.appender.lock();
-        barrier::sync_all_counted(app.segment.file.as_ref(), &self.stats.fsyncs)?;
+        // the barrier that seals a full segment also makes its index frame
+        // durable, so the index goes in first
+        let pages_end = app.end;
+        if !app.sealed && app.end >= SEGMENT_TARGET_BYTES {
+            self.cut_tail(&mut app)?;
+            let index = index_frame(&app.frames);
+            self.append(&mut app, &index)?;
+        }
+        if let Err(e) = barrier::sync_all_counted(app.segment.file.as_ref(), &self.stats.fsyncs) {
+            // an index frame whose barrier failed is debris, which the next
+            // write cuts; the next sync appends the index again
+            if app.end > pages_end {
+                app.end = pages_end;
+                app.tail_unchecked = true;
+            }
+            return Err(e);
+        }
+        // sealed before the directory barrier: a segment that ends in its
+        // index takes no more pages, and the successor's first sync syncs
+        // the same directory if this one fails
+        app.sealed = app.end >= SEGMENT_TARGET_BYTES;
         if app.unsynced_entry {
             barrier::fsync_dir_counted(self.vfs.as_ref(), &self.base, &self.stats.fsyncs)?;
             app.unsynced_entry = false;
         }
-        app.sealed = app.end >= SEGMENT_TARGET_BYTES;
         Ok(())
     }
 }
@@ -1351,6 +1587,318 @@ pub(crate) mod tests {
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Page ids and pages of every live page of `b`, by id.
+    fn contents(b: &FileBackend) -> Vec<(PageId, Page)> {
+        let mut ids = b.page_ids();
+        ids.sort_unstable();
+        ids.into_iter().map(|id| (id, (*b.read_page(id).unwrap()).clone())).collect()
+    }
+
+    /// Replaces the bytes of the file at `path` on `vfs` with `bytes`.
+    fn rewrite(vfs: &Arc<dyn Vfs>, path: &Path, bytes: &[u8]) {
+        let file = vfs.open(path, false).unwrap();
+        file.set_len(0).unwrap();
+        file.append(bytes).unwrap();
+    }
+
+    /// The `n`-th segment of `b`, oldest first.
+    fn nth_segment(b: &FileBackend, n: usize) -> Arc<Segment> {
+        Arc::clone(&b.index.read().segments[n])
+    }
+
+    /// The frames of `segment` that `b` indexes, in file order.
+    fn frames_of(b: &FileBackend, segment: &Arc<Segment>) -> Frames {
+        let index = b.index.read();
+        let mut frames: Vec<(u64, PageId, u32)> = (index.pages.iter())
+            .filter(|(_, (at, ..))| Arc::ptr_eq(at, segment))
+            .map(|(&id, &(_, offset, len))| (offset, id, len))
+            .collect();
+        frames.sort_unstable();
+        frames.into_iter().map(|(_, id, len)| (id, len)).collect()
+    }
+
+    /// A page of one entry with a 4 000-byte value, about the engine's page
+    /// size: some 4 070 frames fill a segment.
+    fn small_page(key: u64) -> Page {
+        Page::new(vec![Entry::put(key, key, key, Bytes::from(vec![key as u8; 4000]))])
+    }
+
+    #[test]
+    fn the_open_reads_each_sealed_segments_index_and_scans_the_newest() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+        let dir = Path::new("/open-reads");
+        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let mut model: HashMap<PageId, u64> = HashMap::new();
+        let mut key = 0;
+        while b.segment_count() < 3 {
+            for _ in 0..256 {
+                model.insert(b.write_page(&small_page(key)).unwrap(), key);
+                key += 1;
+            }
+            b.sync().unwrap();
+        }
+        // every third page dies: its frame stays on disk, and no open reads it
+        for id in model.keys().copied().filter(|id| id % 3 == 0).collect::<Vec<_>>() {
+            b.drop_page(id).unwrap();
+            model.remove(&id);
+        }
+        drop(b);
+        vfs.take_bytes_read();
+        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let opened = vfs.take_bytes_read();
+        assert_eq!(b.segments_scanned(), 1, "only the newest segment is scanned");
+        let segments = b.index.read().segments.clone();
+        let (newest, sealed) = segments.split_last().unwrap();
+        assert_eq!(sealed.len(), 2);
+        let path = |s: &Segment| segment_path(&b.base, s.id);
+        // the open resurfaced every frame, dead ones too, as the index lists them
+        let frames: Vec<Frames> = sealed.iter().map(|s| frames_of(&b, s)).collect();
+        for (s, frames) in sealed.iter().zip(&frames) {
+            assert!(frames.len() > 4_000, "{} frames in segment {}", frames.len(), s.id);
+            // the trailing length, then the index frame
+            let index = index_frame(frames).len() as u64;
+            assert_eq!(opened[&path(s)], 4 + index, "segment {}", s.id);
+        }
+        assert_eq!(opened[&path(newest)], newest.file.len().unwrap(), "the scan reads it all");
+        // the open resurfaced the dead frames; recovery drops them unread,
+        // then reads the live pages back without filling a cache
+        let mut live: Vec<PageId> = model.keys().copied().collect();
+        live.sort_unstable();
+        for id in b.page_ids().into_iter().filter(|id| !model.contains_key(id)) {
+            b.drop_page(id).unwrap();
+        }
+        let pages = batch(&b, &live, true).unwrap();
+        let recovered = vfs.take_bytes_read();
+        for (s, frames) in sealed.iter().zip(&frames) {
+            let live = frames.iter().filter(|(id, _)| model.contains_key(id));
+            let want: u64 = live.map(|&(_, len)| FRAME_HEADER as u64 + u64::from(len)).sum();
+            assert_eq!(recovered[&path(s)], want, "segment {}: its live frames alone", s.id);
+        }
+        for (id, page) in live.iter().zip(&pages) {
+            assert_eq!(**page, small_page(model[id]));
+        }
+    }
+
+    #[test]
+    fn a_sealed_segment_opens_by_scan_when_its_index_is_damaged_or_missing() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let dir = Path::new("/fallback");
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        let fat = write_fat(&b, 0, 3);
+        b.write_page(&page(&[7])).unwrap();
+        b.sync().unwrap();
+        let frames = frames_of(&b, &nth_segment(&b, 0));
+        let sealed = segment_path(&b.base, 0);
+        drop(b);
+        let good = vfs.read(&sealed).unwrap();
+        let at = good.len() - index_frame(&frames).len();
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        assert_eq!(b.segments_scanned(), 1);
+        let expected = contents(&b);
+        drop(b);
+
+        let mut flipped = good.clone();
+        flipped[at + FRAME_HEADER + 3] ^= 0x10;
+        // an intact index frame whose lengths do not add up to its offset
+        let mut miscounted = frames.clone();
+        miscounted[1].1 += 1;
+        let miscounted = [&good[..at], &index_frame(&miscounted)].concat();
+        for (name, bytes) in [
+            ("a flipped bit in the index frame", flipped),
+            ("an index that does not add up", miscounted),
+            ("no index", good[..at].to_vec()),
+        ] {
+            rewrite(&vfs, &sealed, &bytes);
+            let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!((b.segments_scanned(), b.torn_frames_recovered()), (2, 0), "{name}");
+            assert_eq!(contents(&b), expected, "{name}");
+        }
+        rewrite(&vfs, &sealed, &good);
+        assert_eq!(frames.iter().map(|f| f.0).collect::<Vec<_>>(), fat);
+        assert_eq!(index_frame(&frames), good[at..], "the index a seal wrote");
+
+        // a segment written before index frames were, with a successor
+        let dir = Path::new("/pre-index");
+        vfs.create_dir_all(dir).unwrap();
+        let segment = crate::log::tests::hex(PARENT_SEGMENT_HEX);
+        vfs.open(&dir.join("lethe.data"), true).unwrap().append(&segment).unwrap();
+        vfs.open(&dir.join("lethe.data.2"), true).unwrap();
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        assert_eq!(b.segments_scanned(), 2);
+        assert_eq!(contents(&b), [(1, page(&[1, 2]))]);
+    }
+
+    #[test]
+    fn a_page_framed_twice_is_still_corruption() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let dir = Path::new("/twice");
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        let fat = write_fat(&b, 0, 3);
+        b.write_page(&page(&[7])).unwrap();
+        b.sync().unwrap();
+        let frames = frames_of(&b, &nth_segment(&b, 0));
+        let (sealed, newest) = (segment_path(&b.base, 0), b.data_path());
+        drop(b);
+        let expect_twice = |what: &str| match FileBackend::open_on(&vfs, dir, "lethe") {
+            Err(StorageError::Corruption(msg)) => {
+                assert!(msg.contains(&format!("page {} is framed twice", fat[1])), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected corruption, got {other:?}"),
+        };
+        // a sealed segment's index and the newest segment's scan
+        let newest_bytes = vfs.read(&newest).unwrap();
+        let copy = log::frame(&PAGES, &fat[1].to_be_bytes(), &page(&[9]).encode());
+        rewrite(&vfs, &newest, &[&newest_bytes[..], &copy].concat());
+        expect_twice("index, then scan");
+        rewrite(&vfs, &newest, &newest_bytes);
+        // one index that names a page twice
+        let good = vfs.read(&sealed).unwrap();
+        let mut twice = frames.clone();
+        twice[0].0 = fat[1];
+        let pages = good.len() - index_frame(&frames).len();
+        rewrite(&vfs, &sealed, &[&good[..pages], &index_frame(&twice)].concat());
+        expect_twice("one index");
+    }
+
+    #[test]
+    fn a_torn_index_frame_is_cut_and_its_segment_then_opens_by_scan() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let dir = Path::new("/torn-index");
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        write_fat(&b, 0, 3);
+        let index = index_frame(&frames_of(&b, &nth_segment(&b, 0))).len() as u64;
+        let path = b.data_path();
+        drop(b);
+        // a power loss tore the sealing sync's index append
+        let file = vfs.open(&path, false).unwrap();
+        file.set_len(file.len().unwrap() - index / 2).unwrap();
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        assert_eq!((b.torn_frames_recovered(), b.segments_scanned(), b.live_pages()), (1, 1, 3));
+        let expected = contents(&b);
+        // the first write cuts the torn index, then rolls
+        let fresh = b.write_page(&page(&[1])).unwrap();
+        b.sync().unwrap();
+        assert_eq!(b.segment_count(), 2);
+        drop(b);
+        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        assert_eq!((b.torn_frames_recovered(), b.segments_scanned()), (0, 2));
+        assert_eq!(contents(&b)[..3], expected[..]);
+        assert_eq!(*b.read_page(fresh).unwrap(), page(&[1]));
+    }
+
+    #[test]
+    fn a_read_that_fills_no_cache_checks_the_payload_sum() {
+        let vfs = crate::vfs::MemVfs::shared();
+        let b = FileBackend::open_on(&vfs, Path::new("/rot"), "lethe").unwrap();
+        let ids: Vec<PageId> = (0..3u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
+        let (offset, len) = {
+            let index = b.index.read();
+            (index.pages[&ids[1]].1, index.pages[&ids[1]].2)
+        };
+        // the last payload byte is the last byte of the page's one value
+        let mut bytes = vfs.read(&b.data_path()).unwrap();
+        bytes[(offset + u64::from(len)) as usize - 1] ^= 0x01;
+        rewrite(&vfs, &b.data_path(), &bytes);
+        let frame_at = offset - FRAME_HEADER as u64;
+        let rot = format!("segment 0: page {}, the frame at offset {frame_at}, fails", ids[1]);
+        let nofill = b.read_page_nofill(ids[1]).map(|p| vec![p]);
+        for read in [nofill, batch(&b, &ids, true), batch(&b, &ids[1..2], true)] {
+            match read {
+                Err(StorageError::Corruption(msg)) => assert!(msg.contains(&rot), "{msg}"),
+                other => panic!("expected corruption, got {other:?}"),
+            }
+        }
+        // a read that fills a cache checks the header alone
+        assert_ne!(*b.read_page(ids[1]).unwrap(), page(&[1]));
+        assert_eq!(batch(&b, &ids, false).unwrap().len(), 3);
+        assert_eq!(*b.read_page_nofill(ids[2]).unwrap(), page(&[2]));
+    }
+
+    /// One step of a random device history with failures.
+    #[derive(Debug, Clone)]
+    enum Event {
+        /// Write a page with a value of this many MiB (0: a small page).
+        Write(usize),
+        /// Drop one of the three oldest live pages.
+        Drop(usize),
+        Sync,
+        /// A write whose append (or roll) fails.
+        FailedWrite,
+        /// A sync whose `n`-th file system call fails: when it seals, the
+        /// index append, the barrier, the directory barrier.
+        FailedSync(u64),
+    }
+
+    fn event_strategy() -> impl Strategy<Value = Event> {
+        prop_oneof![
+            3 => Just(Event::Write(0)),
+            5 => (2usize..6).prop_map(Event::Write),
+            7 => any::<usize>().prop_map(Event::Drop),
+            4 => Just(Event::Sync),
+            1 => Just(Event::FailedWrite),
+            2 => (0u64..3).prop_map(Event::FailedSync),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+        /// Over writes, drops, syncs, failed appends and failed syncs, every
+        /// sealed segment ends in an index that lists exactly the frames a
+        /// scan finds there, in order, with the same lengths, and a reopen
+        /// scans the newest segment alone and finds the same pages.
+        #[test]
+        fn a_sealed_segments_index_lists_what_a_scan_finds(
+            events in prop::collection::vec(event_strategy(), 24..56),
+        ) {
+            let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+            let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+            let dir = Path::new("/index-model");
+            let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+            let mut live: Vec<PageId> = Vec::new();
+            for (n, event) in events.iter().enumerate() {
+                let n = n as u64;
+                match *event {
+                    Event::Write(mib) => {
+                        let p = if mib == 0 { page(&[n]) } else { fat_page(n, mib) };
+                        live.push(b.write_page(&p).unwrap());
+                    }
+                    Event::Drop(at) if !live.is_empty() => {
+                        b.drop_page(live.remove(at % live.len().min(3))).unwrap();
+                    }
+                    Event::Drop(_) => {}
+                    Event::Sync => b.sync().unwrap(),
+                    Event::FailedWrite => {
+                        vfs.arm(0);
+                        prop_assert!(b.write_page(&page(&[n])).is_err());
+                        vfs.disarm();
+                    }
+                    Event::FailedSync(call) => {
+                        vfs.arm(call);
+                        let _ = b.sync();
+                        vfs.disarm();
+                    }
+                }
+            }
+            let segments = b.index.read().segments.clone();
+            for s in &segments[..segments.len() - 1] {
+                let path = segment_path(&b.base, s.id);
+                let (_, end, scanned) =
+                    Index::default().scan(s.id, Arc::clone(&s.file), &path, false).unwrap();
+                prop_assert_eq!(end, s.file.len().unwrap(), "segment {} ends in its index", s.id);
+                prop_assert_eq!(read_index(s.file.as_ref()).unwrap(), Some(scanned), "segment {}", s.id);
+            }
+            let expected = contents(&b);
+            drop(b);
+            let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+            prop_assert_eq!(b.segments_scanned(), 1);
+            let mut reopened = contents(&b);
+            reopened.retain(|(id, _)| live.contains(id));
+            prop_assert_eq!(reopened, expected);
         }
     }
 }

@@ -21,8 +21,9 @@
 //!   and [`FaultVfs`], which wraps either to fail the n-th mutating call.
 //! * [`backend`] — the page-granular device abstraction and its device: page
 //!   frames (the [`log`] frame, with `LEFX` and the page id as its header
-//!   extension) in segment files, with exact I/O accounting and lock-free
-//!   positional reads.
+//!   extension) in segment files, each sealed one ending in an index frame
+//!   the open reads instead of its pages, with exact I/O accounting and
+//!   lock-free positional reads.
 //! * [`cache`] — the sharded, size-charged CLOCK block cache of encoded
 //!   pages ([`PageCache`]) and the [`CachedBackend`] device wrapper that
 //!   serves hits without touching the device.

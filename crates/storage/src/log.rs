@@ -25,7 +25,10 @@
 //!
 //! New page frames are `LEFX`; a segment written before them holds `LEFR`
 //! frames, and a store's newest segment may hold both, the older first. See
-//! [`checksum`](crate::checksum) for the two kernels and their trade.
+//! [`checksum`](crate::checksum) for the two kernels and their trade. A
+//! sealed segment ends in its index frame, an `LEFX` frame under the page id
+//! `u64::MAX` that no page has; to [`scan`] it is one more frame (see
+//! [`FileBackend`](crate::FileBackend)).
 //!
 //! [`frame`] is the only code that lays out a length and a checksum. A
 //! crash mid-append only damages the end of a file, so [`scan`] holds one

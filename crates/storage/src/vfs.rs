@@ -340,7 +340,8 @@ impl std::error::Error for InjectedFault {}
 /// opened, so a sweep that arms `0, 1, 2, …` kills a workload inside each
 /// of its durable steps in turn. The failed call does nothing, and the
 /// wrapper disarms once it fires. Reads have a countdown of their own
-/// ([`FaultVfs::arm_read`]), so arming one moves no kill site.
+/// ([`FaultVfs::arm_read`]), so arming one moves no kill site, and are
+/// counted in bytes per file ([`FaultVfs::take_bytes_read`]).
 #[derive(Debug)]
 pub struct FaultVfs {
     inner: Arc<dyn Vfs>,
@@ -355,6 +356,8 @@ struct Faults {
     remaining: AtomicI64,
     /// Reads left before the next one fails; negative when disarmed.
     reads: AtomicI64,
+    /// Bytes read per file, by the path it was opened at.
+    bytes_read: Mutex<BTreeMap<PathBuf, u64>>,
     /// Site of the most recent injected failure.
     fired: Mutex<Option<KillPoint>>,
     /// Every distinct site reached, when tracing.
@@ -393,6 +396,7 @@ impl FaultVfs {
         let faults = Faults {
             remaining: AtomicI64::new(i64::MIN),
             reads: AtomicI64::new(i64::MIN),
+            bytes_read: Mutex::new(LockRank::FaultVfs, BTreeMap::new()),
             fired: Mutex::new(LockRank::FaultVfs, None),
             trace: Mutex::new(LockRank::FaultVfs, None),
         };
@@ -423,6 +427,12 @@ impl FaultVfs {
         self.faults.remaining.load(Ordering::SeqCst) >= 0
     }
 
+    /// Bytes each file has given up to [`VfsFile::read_at`] since the last
+    /// call, keyed by the path it was opened at.
+    pub fn take_bytes_read(&self) -> BTreeMap<PathBuf, u64> {
+        std::mem::take(&mut *self.faults.bytes_read.lock())
+    }
+
     /// Site of the most recent injected failure, `None` before the first.
     pub fn last_fired(&self) -> Option<KillPoint> {
         *self.faults.fired.lock()
@@ -446,8 +456,8 @@ impl Vfs for FaultVfs {
         if create {
             self.faults.check(file, FileOp::Create)?;
         }
-        let faults = Arc::clone(&self.faults);
-        Ok(Arc::new(FaultFile { inner: self.inner.open(path, create)?, file, faults }))
+        let (faults, path) = (Arc::clone(&self.faults), path.to_path_buf());
+        Ok(Arc::new(FaultFile { inner: self.inner.open(path.as_path(), create)?, file, path, faults }))
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -480,13 +490,16 @@ impl Vfs for FaultVfs {
 struct FaultFile {
     inner: Arc<dyn VfsFile>,
     file: FileKind,
+    path: PathBuf,
     faults: Arc<Faults>,
 }
 
 impl VfsFile for FaultFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         self.faults.count(&self.faults.reads, KillPoint { file: self.file, op: FileOp::ReadAt })?;
-        self.inner.read_at(buf, offset)
+        self.inner.read_at(buf, offset)?;
+        *self.faults.bytes_read.lock().entry(self.path.clone()).or_default() += buf.len() as u64;
+        Ok(())
     }
 
     fn append(&self, bytes: &[u8]) -> io::Result<()> {

@@ -373,6 +373,144 @@ fn a_failed_open_cuts_nothing() {
     assert_eq!(vfs.read(&segment).unwrap(), bytes, "a failed open cuts nothing");
 }
 
+/// The frames of a data segment's bytes, in file order, as
+/// `(offset, page id, payload length)`. A frame is
+/// `tag (4) · page id (8) · len (4) · sum (4) · payload`; the index frame
+/// that ends a sealed segment has page id `u64::MAX`.
+fn frames_of(bytes: &[u8]) -> Vec<(usize, u64, usize)> {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at + 20 <= bytes.len() {
+        let id = u64::from_be_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+        let len = u32::from_be_bytes(bytes[at + 12..at + 16].try_into().unwrap()) as usize;
+        frames.push((at, id, len));
+        at += 20 + len;
+    }
+    frames
+}
+
+/// The delete keys [`sealed_store_with_dead_frames`] purges: `[0, 94)`.
+const PURGED: std::ops::Range<u64> = 0..94;
+
+/// The value of key `k` in [`sealed_store_with_dead_frames`].
+fn sealed_store_value(k: u64) -> Option<Bytes> {
+    (!PURGED.contains(&delete_key_of(k))).then(|| Bytes::from(fat_value(k)))
+}
+
+/// Builds, on `vfs`, a [`fat_builder`] store whose segment 0 is sealed,
+/// ends in its index frame, and holds both live pages and dead frames: 16
+/// keys flush as four pages, and a secondary range delete then drops one
+/// page whole and rewrites another into segment 0's successor. Returns the
+/// ids of segment 0's live and dead page frames.
+fn sealed_store_with_dead_frames(vfs: Arc<dyn Vfs>, dir: &Path) -> (Vec<u64>, Vec<u64>) {
+    let mut db = fat_builder().open_on(vfs.clone(), dir).unwrap();
+    for k in 0..16 {
+        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    }
+    db.persist().unwrap();
+    db.delete_where_delete_key_in(PURGED.start, PURGED.end).unwrap();
+    db.persist().unwrap();
+    let live = referenced_pages(&db);
+    drop(db);
+    let frames = frames_of(&vfs.read(&dir.join("lethe.data")).unwrap());
+    assert_eq!(frames.last().map(|f| f.1), Some(u64::MAX), "segment 0 ends in its index");
+    let pages = frames.iter().map(|f| f.1).filter(|&id| id != u64::MAX);
+    let (live, dead): (Vec<u64>, Vec<u64>) = pages.partition(|id| live.contains(id));
+    assert!(!live.is_empty() && !dead.is_empty(), "live {live:?}, dead {dead:?}");
+    (live, dead)
+}
+
+/// Every key of [`sealed_store_with_dead_frames`] reads back.
+fn check_sealed_store(db: &Lethe) {
+    for k in 0..16 {
+        assert!(db.get(k).unwrap() == sealed_store_value(k), "key {k}");
+    }
+}
+
+/// Flips the last payload bit of page `id`'s frame in the segment at
+/// `path` (a bit of its last entry's value), and returns the frame's offset.
+fn flip_payload_bit(vfs: &dyn Vfs, path: &Path, id: u64) -> usize {
+    let mut bytes = vfs.read(path).unwrap();
+    let (at, _, len) = frames_of(&bytes).into_iter().find(|f| f.1 == id).unwrap();
+    bytes[at + 20 + len - 1] ^= 0x01;
+    let file = vfs.open(path, false).unwrap();
+    file.set_len(0).unwrap();
+    file.append(&bytes).unwrap();
+    at
+}
+
+#[test]
+fn the_open_reads_a_sealed_segments_index_and_live_pages_only() {
+    let fault = mem_faults();
+    let dir = Path::new(MEM_DIR);
+    let (live, dead) = sealed_store_with_dead_frames(fault.clone(), dir);
+    let sealed = dir.join("lethe.data");
+    let frames = frames_of(&fault.read(&sealed).unwrap());
+    fault.take_bytes_read();
+    let db = fat_builder().open_on(fault.clone(), dir).unwrap();
+    let read = fault.take_bytes_read();
+    // the index's trailing length, the index frame, and each live frame
+    let index = frames.last().map_or(0, |&(_, _, len)| 20 + len);
+    let live_frames: usize =
+        frames.iter().filter(|f| live.contains(&f.1)).map(|&(_, _, len)| 20 + len).sum();
+    let dead_frames: usize =
+        frames.iter().filter(|f| dead.contains(&f.1)).map(|&(_, _, len)| 20 + len).sum();
+    assert!(dead_frames >= 4 << 20, "{dead_frames} B of dead frames");
+    assert_eq!(read[&sealed] as usize, 4 + index + live_frames, "dead frames are never read");
+    check_sealed_store(&db);
+}
+
+#[test]
+fn rot_in_a_live_page_fails_the_open_and_rot_in_a_dead_frame_does_not() {
+    let vfs = MemVfs::shared();
+    let dir = Path::new(MEM_DIR);
+    let (live, dead) = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
+    let sealed = dir.join("lethe.data");
+    // a dead frame is never read, so its rot fails nothing
+    flip_payload_bit(vfs.as_ref(), &sealed, dead[0]);
+    let db = fat_builder().open_on(Arc::clone(&vfs), dir).expect("rot in a dead frame opens");
+    check_sealed_store(&db);
+    drop(db);
+    // a live page is read back by the open, which checks its sum
+    let at = flip_payload_bit(vfs.as_ref(), &sealed, live[0]);
+    match fat_builder().open_on(Arc::clone(&vfs), dir) {
+        Err(lethe::storage::StorageError::Corruption(msg)) => {
+            let names = format!("segment 0: page {}, the frame at offset {at}, fails", live[0]);
+            assert!(msg.contains(&names), "{msg}")
+        }
+        other => panic!("expected corruption, got {:?}", other.map(|_| ())),
+    }
+}
+
+#[test]
+fn a_compaction_that_reads_a_rotten_page_fails_and_commits_nothing() {
+    let vfs = MemVfs::shared();
+    let dir = Path::new(MEM_DIR);
+    let (live, _) = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
+    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    let referenced = referenced_pages(&db);
+    // rot after the open; the flush below merges the whole level
+    let at = flip_payload_bit(vfs.as_ref(), &dir.join("lethe.data"), live[0]);
+    for k in 16..20 {
+        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    }
+    match db.persist() {
+        Err(lethe::storage::StorageError::Corruption(msg)) => {
+            assert!(msg.contains(&format!("page {}, the frame at offset {at}", live[0])), "{msg}")
+        }
+        other => panic!("expected corruption, got {other:?}"),
+    }
+    assert_eq!(referenced_pages(&db), referenced, "the failed job committed nothing");
+    drop(db);
+    // so the rotten page is still the manifest's, and the open finds it
+    match fat_builder().open_on(Arc::clone(&vfs), dir) {
+        Err(lethe::storage::StorageError::Corruption(msg)) => {
+            assert!(msg.contains(&format!("page {}", live[0])), "{msg}")
+        }
+        other => panic!("expected corruption, got {:?}", other.map(|_| ())),
+    }
+}
+
 // -------------------------------------------------------- kill-point sweep
 
 /// Builds the deterministic workload script shared by the sweep tests.
@@ -857,6 +995,147 @@ fn kill_point_sweep_segment_roll() {
         "dir.sync_dir",
     ];
     assert_eq!(names(fired), names_of(&expected), "the sweep must die at every roll step");
+}
+
+/// Copies every file of `dir` on `from` into `dir` on a fresh `MemVfs`.
+fn mem_copy(from: &dyn Vfs, dir: &Path) -> Arc<dyn Vfs> {
+    let to = MemVfs::shared();
+    to.create_dir_all(dir).unwrap();
+    for name in from.list(dir).unwrap() {
+        let path = dir.join(name);
+        to.open(&path, true).unwrap().append(&from.read(&path).unwrap()).unwrap();
+    }
+    to
+}
+
+/// The template of the seal sweep: a [`fat_builder`] store on a `MemVfs`
+/// past one seal: 16 keys flushed, so segment 0 is full, sealed and ends in
+/// its index frame.
+fn past_one_seal_template() -> Arc<dyn Vfs> {
+    let vfs = MemVfs::shared();
+    let dir = Path::new(MEM_DIR);
+    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    for k in 0..16u64 {
+        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    }
+    db.persist().unwrap();
+    let frames = frames_of(&vfs.read(&dir.join("lethe.data")).unwrap());
+    assert_eq!(frames.last().map(|f| f.1), Some(u64::MAX), "segment 0 is sealed");
+    vfs
+}
+
+/// What one iteration of the seal sweep saw when its kill fired: whether
+/// segment 0's successor was full, and whether it ended in its index frame.
+type SealState = (bool, bool);
+
+/// One iteration of the seal sweep on a copy of `template`: two more keys
+/// are acknowledged, then flushed with the fault armed at `kill`. The flush's merge
+/// rewrites all 18 keys: its first page write rolls past the sealed
+/// segment 0, and its barrier finds the successor full and seals it (the
+/// index append, then the barrier). Wherever the kill lands, the reopened
+/// store serves every acknowledged key, holds exactly the pages its
+/// manifest references and finishes a re-driven `persist()`. Returns the
+/// site that fired and, if one did, the successor's state at that point.
+fn run_seal_sweep_iteration(template: &dyn Vfs, kill: u64) -> (Option<KillPoint>, Option<SealState>) {
+    let dir = Path::new(MEM_DIR);
+    let fault = FaultVfs::new(mem_copy(template, dir));
+    {
+        let mut db = fat_builder().open_on(fault.clone(), dir).unwrap();
+        for k in 16..18u64 {
+            db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+        }
+        fault.arm(kill);
+        let crashed = db.persist().is_err();
+        fault.disarm();
+        assert_eq!(crashed, fault.last_fired().is_some(), "kill {kill}");
+    }
+    let state = fault.last_fired().and_then(|_| {
+        let successor = *data_segments(fault.as_ref(), dir).get(1)?;
+        let bytes = fault.read(&dir.join(format!("lethe.data.{successor}"))).ok()?;
+        let ends_in_index = frames_of(&bytes).last().is_some_and(|f| f.1 == u64::MAX);
+        Some((bytes.len() >= 16 << 20, ends_in_index))
+    });
+    let check = |db: &Lethe, when: &str| {
+        for k in 0..18u64 {
+            let value = db.get(k).unwrap();
+            assert!(value == Some(Bytes::from(fat_value(k))), "key {k} {when}, kill {kill}");
+        }
+    };
+    let mut db = fat_builder().open_on(fault.clone(), dir).unwrap();
+    check(&db, "after the reopen");
+    let live: BTreeSet<u64> = db.tree().backend().page_ids().into_iter().collect();
+    assert_eq!(live, referenced_pages(&db), "live pages are not the manifest's, kill {kill}");
+    db.persist().unwrap();
+    check(&db, "after the re-driven persist");
+    (fault.last_fired(), state)
+}
+
+#[test]
+fn kill_point_sweep_segment_seal() {
+    let template = past_one_seal_template();
+    let (mut fired, mut states) = (BTreeSet::new(), BTreeSet::new());
+    // two kills at a time: the iterations are independent
+    let mut kill = 0u64;
+    loop {
+        let pair = std::thread::scope(|s| {
+            let next = s.spawn(|| run_seal_sweep_iteration(template.as_ref(), kill + 1));
+            [run_seal_sweep_iteration(template.as_ref(), kill), next.join().unwrap()]
+        });
+        fired.extend(pair.iter().filter_map(|p| p.0));
+        states.extend(pair.iter().filter_map(|p| p.1));
+        if pair.iter().any(|p| p.0.is_none()) {
+            break;
+        }
+        kill += 2;
+    }
+    // the sweep killed the index append of the full successor, and the
+    // barrier behind it
+    assert!(states.contains(&(true, false)), "{states:?}");
+    assert!(states.contains(&(true, true)), "{states:?}");
+    let expected = [
+        "segment.create",
+        "segment.append",
+        "segment.sync_all",
+        "manifest.create",
+        "manifest.set_len",
+        "manifest.append",
+        "manifest.sync_all",
+        "manifest.rename",
+        "wal.create",
+        "wal.set_len",
+        "wal.append",
+        "wal.sync_all",
+        "wal.rename",
+        "dir.sync_dir",
+    ];
+    assert_eq!(names(fired), names_of(&expected), "the sweep must die at every seal step");
+
+    // a power loss that tears the index append: the reopen cuts it as a
+    // torn tail, and the segment, sealed without it, later opens by scan
+    let dir = Path::new(MEM_DIR);
+    let vfs = mem_copy(template.as_ref(), dir);
+    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    for k in 16..18u64 {
+        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    }
+    db.persist().unwrap();
+    let newest = *data_segments(vfs.as_ref(), dir).last().unwrap();
+    let path = dir.join(format!("lethe.data.{newest}"));
+    let index = frames_of(&vfs.read(&path).unwrap()).pop().unwrap();
+    assert_eq!(index.1, u64::MAX, "the persist sealed segment {newest}");
+    drop(db);
+    let file = vfs.open(&path, false).unwrap();
+    file.set_len((index.0 + 20 + index.2 / 2) as u64).unwrap();
+    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    for k in 18..20u64 {
+        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    }
+    db.persist().unwrap();
+    drop(db);
+    let db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    for k in 0..20u64 {
+        assert!(db.get(k).unwrap() == Some(Bytes::from(fat_value(k))), "key {k}");
+    }
 }
 
 /// `sites` as a set of names.
