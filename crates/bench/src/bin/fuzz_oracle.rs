@@ -23,7 +23,6 @@ fn run(ops: &[Op], ks: u64, verbose: bool) -> Option<u64> {
     cfg.pages_per_delete_tile = 1;
     cfg.max_pages_per_file = 8;
     cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-    cfg.key_domain = 1 << 16;
     let mut db = LetheBuilder::new().with_config(cfg).delete_persistence_threshold_secs(1.0).build().unwrap();
     let mut oracle: BTreeMap<u64, u8> = BTreeMap::new();
     for op in ops {

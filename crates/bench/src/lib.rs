@@ -137,7 +137,6 @@ pub fn experiment_config() -> LsmConfig {
         bits_per_key: 10.0,
         max_pages_per_file: 16,
         ingestion_rate: 4096,
-        key_domain: 1 << 24,
         ..LsmConfig::default()
     }
 }

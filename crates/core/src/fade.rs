@@ -18,7 +18,12 @@
 //! and the TTL trigger, which always selects `DD`. Every pick that trigger
 //! does not claim goes to an inner [`SaturationPolicy`] selecting `SD`
 //! ([`FileSelection::MostInvalidations`], which is `SO` while no file of the
-//! level invalidates anything).
+//! level invalidates anything). SD ranks files by `b`, the older entries
+//! their tombstones invalidate (§4.1.3), which
+//! [`TreeView::estimated_invalidation_count`] estimates from the page fences
+//! of the deeper levels: the paper reads a range tombstone's share off a
+//! histogram, and the fences of the older runs are one, at page
+//! granularity, of exactly the entries that exist.
 
 use lethe_lsm::compaction::{
     CompactionPolicy, CompactionTask, FileSelection, SaturationPolicy, TreeView,
@@ -132,7 +137,7 @@ mod tests {
     use lethe_lsm::config::LsmConfig;
     use lethe_lsm::level::Run;
     use lethe_lsm::sstable::SsTable;
-    use lethe_storage::{Entry, Histogram, FileBackend};
+    use lethe_storage::{Entry, FileBackend};
     use std::sync::Arc;
 
     #[test]
@@ -180,7 +185,6 @@ mod tests {
     fn make_view<'a>(
         levels: &'a [Level],
         cfg: &'a LsmConfig,
-        hist: &'a Histogram,
         now: u64,
     ) -> TreeView<'a> {
         TreeView {
@@ -188,7 +192,6 @@ mod tests {
             capacities: (0..levels.len()).map(|i| cfg.level_capacity_bytes(i + 1)).collect(),
             now,
             config: cfg,
-            sort_key_histogram: hist,
             tombstone_gc_gated: false,
         }
     }
@@ -197,7 +200,6 @@ mod tests {
     fn expired_ttl_triggers_dd_compaction_even_without_saturation() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test().with_delete_persistence_secs(1.0);
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new()];
         // a tiny file (far below capacity) whose tombstone was inserted at t=0
         levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 4, 2, 0, &backend)]));
@@ -205,11 +207,11 @@ mod tests {
         let mut policy = FadePolicy::new(1_000_000);
 
         // well before any TTL expires: nothing to do
-        let view = make_view(&levels, &cfg, &hist, 1_000);
+        let view = make_view(&levels, &cfg, 1_000);
         assert!(policy.pick(&view).is_none());
 
         // after D_th the file must be compacted regardless of saturation
-        let view = make_view(&levels, &cfg, &hist, 2_000_000);
+        let view = make_view(&levels, &cfg, 2_000_000);
         assert_eq!(
             policy.pick(&view),
             Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![1], ttl_expired: true })
@@ -220,11 +222,10 @@ mod tests {
     fn files_without_tombstones_never_expire() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 8, 0, 0, &backend)]));
         let mut policy = FadePolicy::new(100);
-        let view = make_view(&levels, &cfg, &hist, u64::MAX / 2);
+        let view = make_view(&levels, &cfg, u64::MAX / 2);
         assert!(policy.pick(&view).is_none());
     }
 
@@ -232,7 +233,6 @@ mod tests {
     fn dd_compacts_every_expired_file_oldest_first() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![
             table_with_tombstones(1, 0, 4, 1, 500, &backend),
@@ -240,7 +240,7 @@ mod tests {
             table_with_tombstones(3, 200, 4, 0, 0, &backend),   // no tombstones: never expires
         ]));
         let mut policy = FadePolicy::new(1_000);
-        let view = make_view(&levels, &cfg, &hist, 10_000);
+        let view = make_view(&levels, &cfg, 10_000);
         // both expired files are compacted in one job, the one holding the
         // oldest tombstone first; the tombstone-free file is left alone
         assert_eq!(
@@ -254,7 +254,6 @@ mod tests {
         let backend = FileBackend::in_memory().unwrap();
         let mut cfg = LsmConfig::small_for_test();
         cfg.delete_persistence_threshold = Some(u64::MAX);
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new()];
         // file 2 holds many tombstones (higher b), file 1 has none
         levels[0].runs.push(Run::new(vec![
@@ -262,7 +261,7 @@ mod tests {
             table_with_tombstones(2, 100, 64, 16, 0, &backend),
         ]));
         let mut policy = FadePolicy::new(u64::MAX);
-        let mut view = make_view(&levels, &cfg, &hist, 10);
+        let mut view = make_view(&levels, &cfg, 10);
         view.capacities = vec![1, u64::MAX]; // force saturation of level 0
         assert_eq!(
             policy.pick(&view),
@@ -277,14 +276,13 @@ mod tests {
     fn expired_ttl_takes_precedence_over_saturation() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new(), Level::new()];
         levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 64, 0, 0, &backend)]));
         levels[1].runs.push(Run::new(vec![table_with_tombstones(2, 100, 8, 1, 0, &backend)]));
         let mut policy = FadePolicy::new(1_000_000);
         // past level 1's cumulative TTL, short of level 2's (= D_th)
         let now = level_ttls(1_000_000, 10, 3)[1] + 1;
-        let mut view = make_view(&levels, &cfg, &hist, now);
+        let mut view = make_view(&levels, &cfg, now);
         view.capacities = vec![1, u64::MAX, u64::MAX]; // level 0 is saturated
         assert_eq!(
             policy.pick(&view),
@@ -292,7 +290,7 @@ mod tests {
         );
         // without the expired file, saturation picks level 0
         levels[1].runs.clear();
-        let mut view = make_view(&levels, &cfg, &hist, now);
+        let mut view = make_view(&levels, &cfg, now);
         view.capacities = vec![1, u64::MAX, u64::MAX];
         assert_eq!(
             policy.pick(&view),
@@ -305,11 +303,10 @@ mod tests {
         let backend = FileBackend::in_memory().unwrap();
         let mut cfg = LsmConfig::small_for_test();
         cfg.merge_policy = MergePolicy::Tiering;
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table_with_tombstones(1, 0, 4, 1, 0, &backend)]));
         let mut policy = FadePolicy::new(1_000);
-        let view = make_view(&levels, &cfg, &hist, 5_000);
+        let view = make_view(&levels, &cfg, 5_000);
         assert_eq!(
             policy.pick(&view),
             Some(CompactionTask::TieredLevel { level: 0, ttl_expired: true })

@@ -1464,8 +1464,6 @@ mod tests {
         let budget = 1 << 20;
         let base = LsmConfig {
             max_pages_per_file: 12,
-            histogram_buckets: 32,
-            key_domain: 1 << 20,
             auto_advance_clock: false,
             ..LsmConfig::default()
         };

@@ -37,11 +37,13 @@
 
 use crate::config::{LsmConfig, MergePolicy};
 use crate::level::Level;
-use crate::sstable::SsTable;
-use lethe_storage::{Histogram, Timestamp};
+use crate::sstable::{PageHandle, SsTable};
+use lethe_storage::{SortKey, Timestamp};
 use std::sync::Arc;
 
-/// A read-only view of the tree handed to compaction policies.
+/// A read-only view of the tree handed to compaction policies. It keeps no
+/// statistics of its own: FADE's `b` is read off the levels' page fences
+/// ([`TreeView::estimated_invalidation_count`]).
 pub struct TreeView<'a> {
     /// Disk levels (index 0 = the first disk level, "Level 1" in the paper).
     pub levels: &'a [Level],
@@ -51,9 +53,6 @@ pub struct TreeView<'a> {
     pub now: Timestamp,
     /// Engine configuration.
     pub config: &'a LsmConfig,
-    /// System-wide histogram over the sort key, used to estimate how many
-    /// entries a range tombstone invalidates (FADE's `b`).
-    pub sort_key_histogram: &'a Histogram,
     /// True while a live snapshot gates tombstone GC (see
     /// `lethe_lsm::snapshot`): a compaction planned now must retain its
     /// tombstones, so delete-persistence-driven (TTL) triggers should be
@@ -63,6 +62,18 @@ pub struct TreeView<'a> {
 }
 
 impl<'a> TreeView<'a> {
+    /// The view of `levels` the tree's planner hands its policy: each level's
+    /// capacity is `config`'s for it.
+    pub(crate) fn new(
+        levels: &'a [Level],
+        config: &'a LsmConfig,
+        now: Timestamp,
+        tombstone_gc_gated: bool,
+    ) -> Self {
+        let capacities = (1..=levels.len()).map(|i| config.level_capacity_bytes(i)).collect();
+        TreeView { levels, capacities, now, config, tombstone_gc_gated }
+    }
+
     /// Index of the deepest level that currently holds data, if any.
     pub fn deepest_nonempty_level(&self) -> Option<usize> {
         (0..self.levels.len()).rev().find(|&i| !self.levels[i].is_empty())
@@ -79,17 +90,44 @@ impl<'a> TreeView<'a> {
         }
     }
 
-    /// Estimated number of entries in the whole tree invalidated by the
-    /// tombstones of `table`: exact point-tombstone count plus a
-    /// histogram-based estimate for its range tombstones (paper §4.1.3).
-    pub fn estimated_invalidation_count(&self, table: &SsTable) -> f64 {
+    /// FADE's `b` for `table`, a file of `level` (paper §4.1.3): how many
+    /// older entries its tombstones invalidate. Each point tombstone counts
+    /// one. A range tombstone `[s, e)` counts the entries of the deeper
+    /// levels' pages whose sort-key fences overlap it, an edge page
+    /// prorated by the share of its `[min_sort, max_sort]` span inside the
+    /// range. The fences are the tree's own, so the estimate counts only
+    /// entries that exist: it forgets what compaction removed and reads
+    /// the same after a reopen, which rebuilds them.
+    pub fn estimated_invalidation_count(&self, level: usize, table: &SsTable) -> f64 {
         let mut b = table.meta.num_point_tombstones as f64;
         for rt in &table.range_tombstones {
             if let Some(end) = rt.range_end() {
-                b += self.sort_key_histogram.estimate_range(rt.sort_key, end);
+                b += self.entries_below(level, rt.sort_key, end);
             }
         }
         b
+    }
+
+    /// Estimated entries with a sort key in `[lo, hi)` in the levels below
+    /// `level`: per run, a binary search for the first overlapping file,
+    /// then the tile fences of each overlapping file, then every page of
+    /// each overlapping tile (a tile's pages are in delete-key order, so
+    /// any of them may overlap).
+    fn entries_below(&self, level: usize, lo: SortKey, hi: SortKey) -> f64 {
+        let older = self.levels.get(level + 1..).unwrap_or_default();
+        let mut n = 0.0;
+        for run in older.iter().flat_map(|l| &l.runs) {
+            let tables = run.tables();
+            // a run's files are disjoint, so their maxima ascend with their minima
+            let first = tables.partition_point(|t| t.meta.max_sort < lo);
+            for table in tables[first..].iter().take_while(|t| t.meta.min_sort < hi) {
+                let Some((a, z)) = table.tile_fences.locate_range(lo, hi) else { continue };
+                for page in table.tiles[a..=z].iter().flat_map(|tile| &tile.pages) {
+                    n += page_entries_in(page, lo, hi);
+                }
+            }
+        }
+        n
     }
 
     /// Total bytes of next-level files overlapping `table`'s key range
@@ -104,6 +142,18 @@ impl<'a> TreeView<'a> {
             .map(|t| t.meta.data_bytes)
             .sum()
     }
+}
+
+/// `page`'s entries estimated to lie in `[lo, hi)`: all of them when its
+/// fences lie inside the range, else the share of its `[min_sort, max_sort]`
+/// span the range covers.
+fn page_entries_in(page: &PageHandle, lo: SortKey, hi: SortKey) -> f64 {
+    let (min, end) = (u128::from(page.min_sort), u128::from(page.max_sort) + 1);
+    let (from, to) = (min.max(lo.into()), end.min(hi.into()));
+    if to <= from {
+        return 0.0;
+    }
+    page.num_entries as f64 * ((to - from) as f64 / (end - min) as f64)
 }
 
 /// A unit of compaction work chosen by a policy.
@@ -205,12 +255,19 @@ impl SaturationPolicy {
             return None;
         }
         let now = view.now;
-        // With no tombstones anywhere in the level there is nothing for the
-        // delete-driven goal to optimise: fall back to the write-optimised
+        // each file's `b`, computed once per pick
+        let invalidations: Vec<f64> = match self.selection {
+            FileSelection::MostInvalidations => {
+                tables.iter().map(|t| view.estimated_invalidation_count(level, t)).collect()
+            }
+            _ => Vec::new(),
+        };
+        // With nothing invalidated anywhere in the level there is nothing for
+        // the delete-driven goal to optimise: fall back to the write-optimised
         // smallest-overlap choice so that, absent deletes, Lethe behaves
         // exactly like the state of the art (paper §5.1).
         let selection = if self.selection == FileSelection::MostInvalidations
-            && tables.iter().all(|t| view.estimated_invalidation_count(t) == 0.0)
+            && invalidations.iter().all(|&b| b == 0.0)
         {
             FileSelection::MinOverlap
         } else {
@@ -227,14 +284,16 @@ impl SaturationPolicy {
                     .cmp(&b.tombstone_count())
                     .then_with(|| view.overlap_bytes(level, b).cmp(&view.overlap_bytes(level, a)))
             }),
-            FileSelection::MostInvalidations => tables.iter().max_by(|a, b| {
-                let ba = view.estimated_invalidation_count(a);
-                let bb = view.estimated_invalidation_count(b);
-                ba.partial_cmp(&bb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.tombstone_age(now).cmp(&b.tombstone_age(now)))
-                    .then_with(|| a.tombstone_count().cmp(&b.tombstone_count()))
-            }),
+            FileSelection::MostInvalidations => tables
+                .iter()
+                .zip(&invalidations)
+                .max_by(|(a, ba), (b, bb)| {
+                    ba.partial_cmp(bb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.tombstone_age(now).cmp(&b.tombstone_age(now)))
+                        .then_with(|| a.tombstone_count().cmp(&b.tombstone_count()))
+                })
+                .map(|(t, _)| t),
         };
         chosen.map(|t| t.meta.id)
     }
@@ -298,8 +357,10 @@ impl CompactionPolicy for PeriodicFullCompactionPolicy {
 mod tests {
     use super::*;
     use crate::level::Run;
+    use crate::tree::LsmTree;
     use bytes::Bytes;
-    use lethe_storage::{Entry, FileBackend};
+    use lethe_storage::{Entry, FileBackend, FileWal, LogicalClock, Manifest, MemVfs, Vfs};
+    use std::path::Path;
 
     fn table(id: u64, lo: u64, hi: u64, tombstones: u64, backend: &FileBackend) -> Arc<SsTable> {
         tombstoned(id, lo, hi, tombstones, vec![], 10, backend)
@@ -329,20 +390,8 @@ mod tests {
 
     /// Level 0 over capacity (so it is the level a saturation policy
     /// compacts), level 1 as given.
-    fn saturated<'a>(
-        levels: &'a [Level],
-        cfg: &'a LsmConfig,
-        hist: &'a Histogram,
-        now: Timestamp,
-    ) -> TreeView<'a> {
-        TreeView {
-            levels,
-            capacities: vec![1, u64::MAX],
-            now,
-            config: cfg,
-            sort_key_histogram: hist,
-            tombstone_gc_gated: false,
-        }
+    fn saturated<'a>(levels: &'a [Level], cfg: &'a LsmConfig, now: Timestamp) -> TreeView<'a> {
+        TreeView { levels, capacities: vec![1, u64::MAX], now, config: cfg, tombstone_gc_gated: false }
     }
 
     fn pick_with(selection: FileSelection, view: &TreeView<'_>) -> Option<CompactionTask> {
@@ -353,25 +402,13 @@ mod tests {
         Some(CompactionTask::LeveledMulti { level: 0, file_ids: vec![file_id], ttl_expired: false })
     }
 
-    fn histogram() -> Histogram {
-        Histogram::new(0, 1 << 20, 16)
-    }
-
     #[test]
     fn no_compaction_when_under_capacity() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table(1, 0, 4, 0, &backend)]));
-        let hist = histogram();
-        let view = TreeView {
-            levels: &levels,
-            capacities: vec![u64::MAX],
-            now: 0,
-            config: &cfg,
-            sort_key_histogram: &hist,
-            tombstone_gc_gated: false,
-        };
+        let view = TreeView::new(&levels, &cfg, 0, false);
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
         assert!(policy.pick(&view).is_none());
     }
@@ -387,15 +424,7 @@ mod tests {
         ]));
         // next level holds a file overlapping file 1 only
         levels[1].runs.push(Run::new(vec![table(3, 0, 100, 0, &backend)]));
-        let hist = histogram();
-        let view = TreeView {
-            levels: &levels,
-            capacities: vec![1, u64::MAX], // level 0 over capacity
-            now: 0,
-            config: &cfg,
-            sort_key_histogram: &hist,
-            tombstone_gc_gated: false,
-        };
+        let view = saturated(&levels, &cfg, 0);
         // min-overlap picks file 2 (no overlap below)
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
         assert_eq!(
@@ -414,19 +443,16 @@ mod tests {
     fn most_invalidations_picks_the_highest_estimated_b() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        let mut hist = Histogram::new(0, 1000, 10);
-        for k in 0..1000 {
-            hist.add(k);
-        }
         let mut levels = vec![Level::new(), Level::new()];
         levels[0].runs.push(Run::new(vec![
             // eight point tombstones: b = 8
             tombstoned(1, 0, 10, 8, vec![], 10, &backend),
-            // one range tombstone over ~300 recorded keys: b ≈ 300
+            // one range tombstone over 300 older keys: b = 300
             tombstoned(2, 100, 110, 0, vec![Entry::range_tombstone(200, 500, 2000)], 10, &backend),
             tombstoned(3, 600, 610, 0, vec![], 10, &backend),
         ]));
-        let view = saturated(&levels, &cfg, &hist, 100);
+        levels[1].runs.push(Run::new(vec![table(4, 0, 1000, 0, &backend)]));
+        let view = saturated(&levels, &cfg, 100);
         assert_eq!(pick_with(FileSelection::MostInvalidations, &view), leveled(2));
         // counting tombstones instead picks the eight point tombstones
         assert_eq!(pick_with(FileSelection::MostTombstones, &view), leveled(1));
@@ -436,16 +462,15 @@ mod tests {
     fn most_invalidations_breaks_ties_by_oldest_tombstone_then_most_tombstones() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        // an empty histogram estimates 0 for every range tombstone, so each
-        // file's b is its point-tombstone count: 2 everywhere below
-        let hist = Histogram::new(0, 1 << 20, 16);
+        // with nothing below level 0 a range tombstone invalidates nothing,
+        // so each file's b is its point-tombstone count: 2 everywhere below
         let mut levels = vec![Level::new(), Level::new()];
         levels[0].runs.push(Run::new(vec![
             tombstoned(1, 0, 10, 2, vec![], 50, &backend),
             tombstoned(2, 100, 110, 2, vec![], 10, &backend), // oldest tombstone
             tombstoned(3, 200, 210, 2, vec![], 30, &backend),
         ]));
-        let view = saturated(&levels, &cfg, &hist, 100);
+        let view = saturated(&levels, &cfg, 100);
         assert_eq!(pick_with(FileSelection::MostInvalidations, &view), leveled(2));
 
         // same b and same age: the file with the most tombstones
@@ -454,7 +479,7 @@ mod tests {
             tombstoned(2, 100, 110, 2, vec![Entry::range_tombstone(120, 130, 2000)], 10, &backend),
             tombstoned(3, 200, 210, 2, vec![], 10, &backend),
         ])];
-        let view = saturated(&levels, &cfg, &hist, 100);
+        let view = saturated(&levels, &cfg, 100);
         assert_eq!(pick_with(FileSelection::MostInvalidations, &view), leveled(2));
     }
 
@@ -462,16 +487,15 @@ mod tests {
     fn most_invalidations_without_invalidations_is_min_overlap() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new(), Level::new()];
         levels[0].runs.push(Run::new(vec![
             tombstoned(1, 0, 100, 0, vec![], 10, &backend),
-            // a range tombstone estimated to invalidate nothing (b = 0), but
-            // the older tombstone: the SD comparator alone would pick file 2
-            tombstoned(2, 200, 300, 0, vec![Entry::range_tombstone(200, 300, 2000)], 10, &backend),
+            // a range tombstone over no older key (b = 0), but the older
+            // tombstone: the SD comparator alone would pick file 2
+            tombstoned(2, 200, 300, 0, vec![Entry::range_tombstone(300, 400, 2000)], 10, &backend),
         ]));
         levels[1].runs.push(Run::new(vec![table(3, 200, 300, 0, &backend)]));
-        let view = saturated(&levels, &cfg, &hist, 100);
+        let view = saturated(&levels, &cfg, 100);
         let min_overlap = pick_with(FileSelection::MinOverlap, &view);
         assert_eq!(min_overlap, leveled(1));
         assert_eq!(pick_with(FileSelection::MostInvalidations, &view), min_overlap);
@@ -487,15 +511,7 @@ mod tests {
         for id in 0..3 {
             levels[0].runs.push(Run::new(vec![table(id, 0, 10, 0, &backend)]));
         }
-        let hist = histogram();
-        let view = TreeView {
-            levels: &levels,
-            capacities: vec![u64::MAX],
-            now: 0,
-            config: &cfg,
-            sort_key_histogram: &hist,
-            tombstone_gc_gated: false,
-        };
+        let view = TreeView::new(&levels, &cfg, 0, false);
         let mut policy = SaturationPolicy::new(FileSelection::MinOverlap);
         assert_eq!(
             policy.pick(&view),
@@ -509,49 +525,136 @@ mod tests {
         let cfg = LsmConfig::small_for_test();
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table(1, 0, 10, 1, &backend)]));
-        let hist = histogram();
-        let mk_view = |now| TreeView {
-            levels: &levels,
-            capacities: vec![u64::MAX],
-            now,
-            config: &cfg,
-            sort_key_histogram: &hist,
-            tombstone_gc_gated: false,
-        };
         let mut policy = PeriodicFullCompactionPolicy::new(FileSelection::MinOverlap, 1000);
+        let mut pick = |now| policy.pick(&TreeView::new(&levels, &cfg, now, false));
         // at t=1000 the period elapsed → full tree compaction
-        assert_eq!(policy.pick(&mk_view(1000)), Some(CompactionTask::FullTree));
+        assert_eq!(pick(1000), Some(CompactionTask::FullTree));
         // immediately afterwards nothing more to do
-        assert!(policy.pick(&mk_view(1001)).is_none());
+        assert!(pick(1001).is_none());
         // after another period elapses it fires again
-        assert_eq!(policy.pick(&mk_view(2100)), Some(CompactionTask::FullTree));
+        assert_eq!(pick(2100), Some(CompactionTask::FullTree));
     }
 
     #[test]
     fn estimated_invalidation_counts_points_and_ranges() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = LsmConfig::small_for_test();
-        let mut hist = Histogram::new(0, 1000, 10);
-        for k in 0..1000 {
-            hist.add(k);
-        }
+        // the file's own puts 0..10 are not older than its tombstones
         let mut entries: Vec<Entry> =
             (0..10u64).map(|k| Entry::put(k, k, k + 1, Bytes::from_static(b"v"))).collect();
         entries.push(Entry::point_tombstone(3, 100));
         entries.sort_by_key(|e| e.sort_key);
-        let rt = Entry::range_tombstone(0, 500, 101);
-        let t = SsTable::build(9, entries, vec![rt], 0, Some(1), &cfg, &backend).unwrap();
-        let levels = vec![Level::new()];
-        let view = TreeView {
-            levels: &levels,
-            capacities: vec![u64::MAX],
-            now: 0,
-            config: &cfg,
-            sort_key_histogram: &hist,
-            tombstone_gc_gated: false,
-        };
-        let b = view.estimated_invalidation_count(&t);
-        // 1 point tombstone + ~500 estimated range-invalidations
-        assert!(b > 400.0 && b < 600.0, "b = {b}");
+        let ranges = vec![Entry::range_tombstone(0, 500, 101), Entry::range_tombstone(600, 602, 102)];
+        let t = SsTable::build(9, entries, ranges, 0, Some(1), &cfg, &backend).unwrap();
+        let mut levels = vec![Level::new(), Level::new()];
+        levels[1].runs.push(Run::new(vec![table(1, 0, 1000, 0, &backend)]));
+        let view = TreeView::new(&levels, &cfg, 0, false);
+        // 1 point tombstone + the 500 older keys of [0, 500) + half of the
+        // page [600, 603], prorated
+        assert_eq!(view.estimated_invalidation_count(0, &t), 1.0 + 500.0 + 2.0);
+        // from the deepest level nothing is older
+        assert_eq!(view.estimated_invalidation_count(1, &t), 1.0);
+    }
+
+    /// Proposes its one task once.
+    struct Once(Option<CompactionTask>);
+
+    impl CompactionPolicy for Once {
+        fn pick(&mut self, _: &TreeView<'_>) -> Option<CompactionTask> {
+            self.0.take()
+        }
+    }
+
+    /// The tree `lethe` in `/` on `vfs`, recovered, whose policy picks
+    /// nothing until a test scripts it.
+    fn open(vfs: &Arc<dyn Vfs>, config: LsmConfig) -> LsmTree {
+        let dir = Path::new("/");
+        let mut t = LsmTree::new(
+            config,
+            Arc::new(FileBackend::open_on(vfs, dir, "lethe").unwrap()),
+            Box::new(FileWal::open_on(vfs, &dir.join("lethe.wal")).unwrap()),
+            Manifest::open_on(vfs, &dir.join("lethe.manifest")).unwrap(),
+            LogicalClock::new(),
+            Box::new(Once(None)),
+        )
+        .unwrap();
+        t.recover().unwrap();
+        t
+    }
+
+    /// Puts `keys` once each, then flushes.
+    fn put_flushed(t: &mut LsmTree, keys: impl IntoIterator<Item = u64>) {
+        for k in keys {
+            t.put(k, k, Bytes::from(format!("value-{k:08}"))).unwrap();
+        }
+        t.flush().unwrap();
+    }
+
+    /// Moves level 0 down to level 1: a tiered merge of a level places its
+    /// output one level down, even in a leveled tree that has room.
+    fn descend(t: &mut LsmTree) {
+        t.policy = Box::new(Once(Some(CompactionTask::TieredLevel { level: 0, ttl_expired: false })));
+        t.maintain().unwrap();
+        assert!(t.levels()[0].is_empty() && !t.levels()[1].is_empty());
+    }
+
+    /// FADE's `b` of level 0's one file, through the view the tree's
+    /// planner hands its policy.
+    fn b_of_level_0(t: &LsmTree) -> f64 {
+        let levels = t.levels();
+        let files: Vec<&Arc<SsTable>> = levels[0].all_tables().collect();
+        assert_eq!(files.len(), 1, "level 0 holds the tombstone file");
+        TreeView::new(&levels, t.config(), t.clock().now(), false)
+            .estimated_invalidation_count(0, files[0])
+    }
+
+    /// A default-config tree counts every older entry a range tombstone
+    /// covers: the estimate needs no knob sized to the key domain.
+    #[test]
+    fn a_default_config_tree_counts_the_older_entries_a_range_tombstone_covers() {
+        let mut t = open(&MemVfs::shared(), LsmConfig::default());
+        put_flushed(&mut t, 0..1000);
+        descend(&mut t);
+        t.delete_range(200, 600).unwrap();
+        t.flush().unwrap();
+        // [200, 600) starts and ends on page fences: 100 whole pages of 4
+        assert_eq!(b_of_level_0(&t), 400.0);
+    }
+
+    /// 64 keys 2^14 apart.
+    fn sparse_keys() -> impl Iterator<Item = u64> {
+        (0..64).map(|k| k << 14)
+    }
+
+    /// Overwritten versions that compaction removed are not counted: `b`
+    /// counts each live key once, however often it was written (counting
+    /// every write would give 11 per key here).
+    #[test]
+    fn b_forgets_the_versions_compaction_removed() {
+        let mut t = open(&MemVfs::shared(), LsmConfig::small_for_test());
+        for _ in 0..=10 {
+            put_flushed(&mut t, sparse_keys());
+        }
+        t.force_full_compaction().unwrap();
+        descend(&mut t);
+        t.delete_range(0, 64 << 14).unwrap();
+        t.flush().unwrap();
+        assert_eq!(b_of_level_0(&t), 64.0);
+    }
+
+    /// `b` reads the page fences recovery rebuilds, so a reopen keeps it.
+    #[test]
+    fn b_is_the_same_after_a_reopen() {
+        let vfs = MemVfs::shared();
+        let mut t = open(&vfs, LsmConfig::small_for_test());
+        put_flushed(&mut t, sparse_keys());
+        descend(&mut t);
+        // the 32 keys of 8 whole pages
+        t.delete_range(16 << 14, 48 << 14).unwrap();
+        t.flush().unwrap();
+        let before = b_of_level_0(&t);
+        assert_eq!(before, 32.0);
+        drop(t);
+        assert_eq!(b_of_level_0(&open(&vfs, LsmConfig::small_for_test())), before);
     }
 }

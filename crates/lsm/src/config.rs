@@ -103,12 +103,6 @@ pub struct LsmConfig {
     pub suppress_blind_deletes: bool,
     /// How secondary (delete-key) range deletes are executed.
     pub secondary_delete_mode: SecondaryDeleteMode,
-    /// Number of buckets in the system-wide sort-key histogram used to
-    /// estimate range-tombstone invalidation counts.
-    pub histogram_buckets: usize,
-    /// Upper bound of the sort-key domain used by the histogram (keys above
-    /// are clamped; purely an estimation aid).
-    pub key_domain: u64,
     /// When the write-ahead log of a durable store fsyncs appends
     /// ([`SyncPolicy::Always`] keeps "logged before acknowledged" true
     /// against power failures; the relaxed policies trade a bounded loss
@@ -152,8 +146,6 @@ impl Default for LsmConfig {
             auto_advance_clock: true,
             suppress_blind_deletes: false,
             secondary_delete_mode: SecondaryDeleteMode::FullTreeCompaction,
-            histogram_buckets: 256,
-            key_domain: u64::MAX,
             wal_sync: SyncPolicy::Always,
             block_cache_bytes: 0,
             block_cache_warm_writes: false,
@@ -172,8 +164,6 @@ impl LsmConfig {
             entry_size: 64,
             bits_per_key: 10.0,
             max_pages_per_file: 8,
-            histogram_buckets: 64,
-            key_domain: 1 << 20,
             ..Default::default()
         }
     }

@@ -607,16 +607,8 @@ impl LsmTree {
     fn plan_compaction(&mut self) -> Option<JobPlan> {
         let version = self.versions.current();
         let task = {
-            let view = TreeView {
-                levels: &version.levels,
-                capacities: (0..version.levels.len())
-                    .map(|i| self.config.level_capacity_bytes(i + 1))
-                    .collect(),
-                now: self.clock.now(),
-                config: &self.config,
-                sort_key_histogram: &self.sort_key_histogram,
-                tombstone_gc_gated: self.tombstone_gc_gated(),
-            };
+            let (now, gated) = (self.clock.now(), self.tombstone_gc_gated());
+            let view = TreeView::new(&version.levels, &self.config, now, gated);
             self.policy.pick(&view)?
         };
         match task {

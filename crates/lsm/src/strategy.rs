@@ -249,7 +249,7 @@ mod tests {
     use crate::level::Level;
     use crate::sstable::SsTable;
     use bytes::Bytes;
-    use lethe_storage::{Entry, Histogram, FileBackend};
+    use lethe_storage::{Entry, FileBackend};
     use std::sync::Arc;
 
     /// Builds a table of `n` entries whose delete keys all equal `ts`; ids
@@ -276,7 +276,6 @@ mod tests {
     fn view<'a>(
         levels: &'a [Level],
         cfg: &'a LsmConfig,
-        hist: &'a Histogram,
         now: Timestamp,
         gated: bool,
     ) -> TreeView<'a> {
@@ -285,7 +284,6 @@ mod tests {
             capacities: vec![u64::MAX; levels.len()],
             now,
             config: cfg,
-            sort_key_histogram: hist,
             tombstone_gc_gated: gated,
         }
     }
@@ -310,7 +308,6 @@ mod tests {
     fn size_tiered_merges_oldest_suffix_of_one_class() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         // newest-first: one big run in front, three small runs behind it
         levels[0].runs.push(Run::new(vec![table(9, 200, 0, 0, &backend)]));
@@ -318,7 +315,7 @@ mod tests {
             levels[0].runs.push(Run::new(vec![table(id, 4, 0, 0, &backend)]));
         }
         let mut p = SizeTieredPolicy::new(3);
-        let task = p.pick(&view(&levels, &cfg, &hist, 0, false));
+        let task = p.pick(&view(&levels, &cfg, 0, false));
         // only the three small runs at the old end are picked — not file 9
         assert_eq!(
             task,
@@ -330,13 +327,12 @@ mod tests {
     fn size_tiered_waits_for_fan_in() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         for id in 1..=2 {
             levels[0].runs.push(Run::new(vec![table(id, 4, 0, 0, &backend)]));
         }
         let mut p = SizeTieredPolicy::new(3);
-        assert!(p.pick(&view(&levels, &cfg, &hist, 0, false)).is_none());
+        assert!(p.pick(&view(&levels, &cfg, 0, false)).is_none());
     }
 
     #[test]
@@ -356,7 +352,6 @@ mod tests {
     fn date_tiered_never_merges_across_window_boundaries() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let now = 10_000;
         let mut levels = vec![Level::new()];
         // two runs in window [9900, 10000), two in [9800, 9900): each window
@@ -367,11 +362,11 @@ mod tests {
         levels[0].runs.push(Run::new(vec![table(3, 4, 9_850, 0, &backend)]));
         levels[0].runs.push(Run::new(vec![table(4, 4, 9_860, 0, &backend)]));
         let mut p = DateTieredPolicy::new(100, 3, None);
-        assert!(p.pick(&view(&levels, &cfg, &hist, now, false)).is_none());
+        assert!(p.pick(&view(&levels, &cfg, now, false)).is_none());
         // a third run in the older window completes its fan-in; only the
         // oldest suffix (the three old-window runs) is merged
         levels[0].runs.push(Run::new(vec![table(5, 4, 9_870, 0, &backend)]));
-        let task = p.pick(&view(&levels, &cfg, &hist, now, false));
+        let task = p.pick(&view(&levels, &cfg, now, false));
         assert_eq!(
             task,
             Some(CompactionTask::MergeRuns { level: 0, file_ids: vec![3, 4, 5] })
@@ -382,7 +377,6 @@ mod tests {
     fn date_tiered_drops_wholly_expired_windows_first() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let now = 10_000;
         let mut levels = vec![Level::new(), Level::new()];
         // fresh data in level 0, expired windows spread over both levels
@@ -390,7 +384,7 @@ mod tests {
         levels[0].runs.push(Run::new(vec![table(2, 4, 500, 0, &backend)]));
         levels[1].runs.push(Run::new(vec![table(3, 4, 400, 0, &backend)]));
         let mut p = DateTieredPolicy::new(100, 2, Some(5_000));
-        let task = p.pick(&view(&levels, &cfg, &hist, now, false));
+        let task = p.pick(&view(&levels, &cfg, now, false));
         assert_eq!(task, Some(CompactionTask::DropFiles { file_ids: vec![2, 3] }));
     }
 
@@ -398,34 +392,31 @@ mod tests {
     fn expired_files_with_tombstones_are_never_dropped() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table(1, 4, 500, 2, &backend)]));
         let mut p = DateTieredPolicy::new(100, 2, Some(1_000));
         // the file is far past the TTL but carries tombstones → no drop,
         // and a single run is below fan-in → no merge either
-        assert!(p.pick(&view(&levels, &cfg, &hist, 100_000, false)).is_none());
+        assert!(p.pick(&view(&levels, &cfg, 100_000, false)).is_none());
     }
 
     #[test]
     fn ttl_boundary_is_respected() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let mut levels = vec![Level::new()];
         levels[0].runs.push(Run::new(vec![table(1, 4, 950, 0, &backend)]));
         let p = DateTieredPolicy::new(100, 2, Some(5_000));
         // base window [900, 1000) ends at 1000; expired only once
         // now − ttl ≥ 1000
-        assert!(p.expired_file_ids(&view(&levels, &cfg, &hist, 5_999, false)).is_empty());
-        assert_eq!(p.expired_file_ids(&view(&levels, &cfg, &hist, 6_000, false)), vec![1]);
+        assert!(p.expired_file_ids(&view(&levels, &cfg, 5_999, false)).is_empty());
+        assert_eq!(p.expired_file_ids(&view(&levels, &cfg, 6_000, false)), vec![1]);
     }
 
     #[test]
     fn gated_view_reorders_but_still_surfaces_the_drop() {
         let backend = FileBackend::in_memory().unwrap();
         let cfg = tiering_cfg();
-        let hist = Histogram::new(0, 1 << 20, 16);
         let now = 10_000;
         let mut levels = vec![Level::new()];
         // two mergeable fresh runs + one expired file
@@ -436,13 +427,13 @@ mod tests {
         levels2[0].runs.push(Run::new(vec![table(3, 4, 500, 0, &backend)]));
         // ungated: the drop wins
         assert!(matches!(
-            p.pick(&view(&levels2, &cfg, &hist, now, false)),
+            p.pick(&view(&levels2, &cfg, now, false)),
             Some(CompactionTask::DropFiles { .. })
         ));
         // gated: merge work proceeds first so a held snapshot cannot starve
         // compaction...
         assert!(matches!(
-            p.pick(&view(&levels2, &cfg, &hist, now, true)),
+            p.pick(&view(&levels2, &cfg, now, true)),
             Some(CompactionTask::MergeRuns { .. })
         ));
         // ...and with no merges left the drop is still proposed (the planner
@@ -450,7 +441,7 @@ mod tests {
         let mut only_expired = vec![Level::new()];
         only_expired[0].runs.push(Run::new(vec![table(3, 4, 500, 0, &backend)]));
         assert!(matches!(
-            p.pick(&view(&only_expired, &cfg, &hist, now, true)),
+            p.pick(&view(&only_expired, &cfg, now, true)),
             Some(CompactionTask::DropFiles { .. })
         ));
     }

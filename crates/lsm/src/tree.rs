@@ -47,7 +47,7 @@ use crate::stats::{ContentSnapshot, TreeStats};
 use crate::version::VersionSet;
 use bytes::Bytes;
 use lethe_storage::{
-    DeleteKey, Entry, FileBackend, FileWal, Histogram, IoSnapshot, LogicalClock, Manifest,
+    DeleteKey, Entry, FileBackend, FileWal, IoSnapshot, LogicalClock, Manifest,
     ManifestCommitted, ManifestState, MemVfs, PageId, Result, SeqNum, SortKey, StorageBackend,
     StorageError, Timestamp, Wal,
 };
@@ -120,7 +120,6 @@ pub struct LsmTree {
     pub(crate) snapshots: Arc<SnapshotTracker>,
     pub(crate) stats: TreeStats,
     reader: ReadView,
-    pub(crate) sort_key_histogram: Histogram,
     pub(crate) wal: Box<dyn Wal>,
     manifest: Manifest,
     mode: MaintenanceMode,
@@ -142,7 +141,6 @@ impl LsmTree {
         policy: Box<dyn CompactionPolicy>,
     ) -> Result<Self> {
         config.validate().map_err(StorageError::InvalidOperation)?;
-        let domain = config.key_domain.max(2);
         let mem = Arc::new(MemState::default());
         let versions = Arc::new(VersionSet::new());
         let reader = ReadView::live(
@@ -152,7 +150,6 @@ impl LsmTree {
             config.buffer_capacity_bytes(),
         );
         Ok(LsmTree {
-            sort_key_histogram: Histogram::new(0, domain, config.histogram_buckets),
             config,
             backend,
             clock,

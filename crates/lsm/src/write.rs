@@ -158,7 +158,7 @@ impl LsmTree {
 
     /// Replays the tree's WAL into the engine. Unlike the front doors, replay
     /// never suppresses a logged tombstone as blind, never re-counts ingest
-    /// statistics or histograms (they were counted when the record was first
+    /// statistics (they were counted when the record was first
     /// acknowledged), and re-applies each record at its *logged* timestamp
     /// instead of re-stamping it. Returns the number of records read.
     pub(crate) fn replay_wal(&mut self) -> Result<usize> {
@@ -196,7 +196,7 @@ impl LsmTree {
     /// all-or-nothing; a secondary range delete runs outside that guard (it
     /// touches the frozen buffer and the version set) and only purges data
     /// that predates the request. Under [`Ack::Replay`] the
-    /// acknowledgement-time bookkeeping (counters, histograms) is skipped.
+    /// acknowledgement-time bookkeeping (counters) is skipped.
     /// Returns what the request's secondary range deletes dropped.
     fn apply_ops(
         &mut self,
@@ -217,7 +217,6 @@ impl LsmTree {
                         let entry = Entry::put(*sort_key, *delete_key, seq, value.clone());
                         if live {
                             self.stats.record_ingest(entry.encoded_size() as u64);
-                            self.sort_key_histogram.add(*sort_key);
                         }
                         active.table.put(*sort_key, *delete_key, seq, entry.value);
                     }

@@ -58,8 +58,6 @@
 //!   detectably incomplete, never silently short).
 //! * [`checksum`] — the two checksum kernels of on-disk structures: CRC-32,
 //!   and XXH64, whose low 32 bits the page frames carry.
-//! * [`histogram`] — equi-width histograms used to estimate how many entries a
-//!   range tombstone invalidates.
 //! * [`clock`] — the logical clock that drives TTLs and tombstone ages.
 
 // non-test code returns errors instead of panicking (`clippy.toml` exempts
@@ -85,7 +83,6 @@ pub mod entry;
 pub mod error;
 pub mod fence;
 pub mod fragments;
-pub mod histogram;
 pub mod iostats;
 pub mod log;
 pub mod manifest;
@@ -104,7 +101,6 @@ pub use entry::{DeleteKey, Entry, EntryKind, SeqNum, SortKey};
 pub use error::{Result, StorageError};
 pub use fence::{DeleteFence, FencePointers, PageCoverage};
 pub use fragments::{FragmentCursor, TombstoneFragments};
-pub use histogram::Histogram;
 pub use iostats::{CostModel, IoSnapshot, IoStats};
 pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};
 pub use memtable::MemTable;

@@ -23,7 +23,6 @@ fn config() -> LsmConfig {
         entry_size: 128,
         max_pages_per_file: 16,
         ingestion_rate: 20_000,
-        key_domain: TOTAL_ORDERS * 2,
         ..LsmConfig::default()
     }
 }

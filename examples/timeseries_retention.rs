@@ -26,7 +26,6 @@ fn config() -> LsmConfig {
         entry_size: 128,
         max_pages_per_file: 32,
         ingestion_rate: 50_000,
-        key_domain: DOCS * 2,
         ..LsmConfig::default()
     }
 }

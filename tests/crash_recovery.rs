@@ -74,7 +74,6 @@ fn tiny_config() -> LsmConfig {
     cfg.pages_per_delete_tile = 2;
     cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
     cfg.suppress_blind_deletes = true;
-    cfg.key_domain = 1 << 16;
     // in-process crashes lose nothing that reached the file, so the relaxed
     // policy keeps the fuzz fast without weakening what it checks (the
     // protocol ordering); power-failure durability itself is Always's job

@@ -99,7 +99,6 @@ fn small_config() -> LsmConfig {
         entries_per_page: 4,
         entry_size: 64,
         max_pages_per_file: 8,
-        key_domain: 1 << 20,
         ingestion_rate: 10_000,
         ..LsmConfig::default()
     }

@@ -2,12 +2,13 @@
 //! model oracle, and structural invariants of the storage layer.
 
 use bytes::Bytes;
-use lethe::lsm::compaction::{FileSelection, SaturationPolicy};
+use lethe::lsm::compaction::{FileSelection, SaturationPolicy, TreeView};
 use lethe::lsm::{
-    EntryCursor, LsmConfig, LsmTree, MergePolicy, SecondaryDeleteMode, SsTable, SsTableCursor,
+    EntryCursor, Level, LsmConfig, LsmTree, MergePolicy, Run, SecondaryDeleteMode, SsTable,
+    SsTableCursor,
 };
 use lethe::storage::{
-    BloomFilter, Entry, FileBackend, Histogram, MemTable, Page, StorageBackend,
+    BloomFilter, Entry, FileBackend, MemTable, Page, StorageBackend,
 };
 use lethe::{level_ttls, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use proptest::prelude::*;
@@ -53,7 +54,6 @@ fn tiny_config(merge_policy: MergePolicy, h: usize) -> LsmConfig {
         cfg.max_pages_per_file = cfg.max_pages_per_file.div_ceil(h) * h;
     }
     cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-    cfg.key_domain = 1 << 16;
     cfg
 }
 
@@ -520,20 +520,79 @@ proptest! {
         prop_assert_eq!(m.len(), model.len());
     }
 
-    /// Histogram range estimates never exceed the total and are exact over
-    /// the full domain.
+    /// FADE's `b` for a range tombstone, estimated from the page fences of a
+    /// random leveled tree: never negative, never more than the older
+    /// entries of the pages the range touches, and exact when both ends of
+    /// the range fall on page fences (no older page straddles them).
     #[test]
-    fn histogram_estimates_are_bounded(keys in prop::collection::vec(0u64..10_000, 1..500),
-                                       lo in 0u64..10_000, len in 1u64..5_000) {
-        let mut h = Histogram::new(0, 10_000, 32);
-        for &k in &keys {
-            h.add(k);
+    fn fence_estimate_is_bounded_and_exact_on_page_fences(
+        levels in prop::collection::vec(
+            (prop::collection::btree_set(0u64..2_000, 0..300), 1usize..80), 1..4),
+        h_log in 0u32..3,
+        lo in 0u64..2_000, len in 1u64..2_000,
+        cut_lo in 0usize..10_000, cut_hi in 0usize..10_000,
+    ) {
+        let backend = FileBackend::in_memory().unwrap();
+        let cfg = LsmConfig { pages_per_delete_tile: 1 << h_log, ..LsmConfig::small_for_test() };
+        // level 0 holds the tombstone file; each older level one run of
+        // disjoint files cut from its keys, every seventh entry a tombstone
+        let mut tree = vec![Level::new()];
+        let mut older: Vec<u64> = Vec::new();
+        for (i, (keys, per_file)) in levels.iter().enumerate() {
+            let keys: Vec<u64> = keys.iter().copied().collect();
+            let files = keys.chunks(*per_file).enumerate().map(|(f, chunk)| {
+                let entries = chunk.iter().map(|&k| match k % 7 {
+                    0 => Entry::point_tombstone(k, k + 1),
+                    _ => Entry::put(k, k.wrapping_mul(31) % 1_000, k + 1, Bytes::from_static(b"v")),
+                }).collect();
+                let id = (i * 1_000 + f) as u64;
+                Arc::new(SsTable::build(id, entries, vec![], 0, None, &cfg, &backend).unwrap())
+            }).collect();
+            let mut level = Level::new();
+            level.runs.push(Run::new(files));
+            tree.push(level);
+            older.extend(keys);
         }
-        let est = h.estimate_range(lo, lo + len);
-        prop_assert!(est >= -1e-9);
-        prop_assert!(est <= keys.len() as f64 + 1e-9);
-        let full = h.estimate_range(0, 10_000);
-        prop_assert!((full - keys.len() as f64).abs() < 1e-6);
+        let pages: Vec<(u64, u64, usize)> = tree.iter()
+            .flat_map(|l| l.all_tables())
+            .flat_map(|t| t.tiles.iter().flat_map(|tile| &tile.pages))
+            .map(|p| (p.min_sort, p.max_sort, p.num_entries))
+            .collect();
+        let b = |lo: u64, hi: u64| {
+            let rt = Entry::range_tombstone(lo, hi, 1_000_000);
+            let file = SsTable::build(u64::MAX, vec![], vec![rt], 0, Some(0), &cfg, &backend).unwrap();
+            let view = TreeView {
+                levels: &tree,
+                capacities: vec![u64::MAX; tree.len()],
+                now: 0,
+                config: &cfg,
+                tombstone_gc_gated: false,
+            };
+            view.estimated_invalidation_count(0, &file)
+        };
+        let exact = |lo: u64, hi: u64| older.iter().filter(|&&k| lo <= k && k < hi).count() as f64;
+
+        let hi = lo + len;
+        let touched: usize =
+            pages.iter().filter(|&&(min, max, _)| lo <= max && min < hi).map(|p| p.2).sum();
+        let est = b(lo, hi);
+        prop_assert!(est >= 0.0, "b = {}", est);
+        prop_assert!(est <= touched as f64 + 1e-9, "b = {} > {} entries touched", est, touched);
+
+        // fences no older page straddles: every page fence plus the domain ends
+        let straddles = |k: u64| pages.iter().any(|&(min, max, _)| min < k && k <= max);
+        let mut cuts: Vec<u64> = pages.iter()
+            .flat_map(|&(min, max, _)| [min, max + 1])
+            .chain([0, 2_000])
+            .filter(|&k| !straddles(k))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let (a, z) = (cuts[cut_lo % cuts.len()], cuts[cut_hi % cuts.len()]);
+        let (lo, hi) = (a.min(z), a.max(z));
+        if lo < hi {
+            prop_assert_eq!(b(lo, hi), exact(lo, hi));
+        }
     }
 
     /// FADE's TTL allocation always sums to Dth, is increasing, and assigns
