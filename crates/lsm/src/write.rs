@@ -23,7 +23,9 @@ use crate::config::SecondaryDeleteMode;
 use crate::sstable::{SecondaryDeleteStats, SsTable};
 use crate::tree::LsmTree;
 use bytes::Bytes;
-use lethe_storage::{BatchOp, DeleteKey, Entry, Result, SortKey, Timestamp, WalRecord};
+use lethe_storage::{
+    BatchOp, DeleteKey, Entry, Result, SortKey, SyncPolicy, Timestamp, WalRecord,
+};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -164,6 +166,12 @@ impl LsmTree {
     pub(crate) fn replay_wal(&mut self) -> Result<usize> {
         let records = self.wal.replay()?;
         let n = records.len();
+        // the log may hold a record whose barrier never ran (its write
+        // failed, and was never acknowledged); this replay serves it, so a
+        // policy that makes what it serves durable syncs it first
+        if n > 0 && self.config.wal_sync != SyncPolicy::OnFlush {
+            self.wal.sync()?;
+        }
         self.replaying = true;
         for record in records {
             let (id, ts, ops) = record.into_ops();

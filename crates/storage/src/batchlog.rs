@@ -80,6 +80,12 @@ impl BatchCommitLog {
             ids.insert(u64::from_be_bytes(id));
             Ok(())
         })?;
+        // a commit killed at its barrier leaves a record this open serves
+        // as committed, and the shards replay its slices on that word: the
+        // record must be as durable as a commit's
+        if !ids.is_empty() {
+            log.sync_data()?;
+        }
         let next_id = ids.iter().max().map_or(1, |max| max + 1);
         Ok(BatchCommitLog {
             log: Mutex::new(LockRank::BatchLogFile, log),
@@ -364,6 +370,26 @@ mod tests {
         assert_eq!(log.committed(), live);
         assert!(log.allocate_id() > *ids.last().unwrap());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A commit whose barrier failed left its record in the file, and the
+    /// reopen serves the batch as committed: a power loss after that open
+    /// must not take the record back.
+    #[test]
+    fn what_the_open_serves_as_committed_survives_a_power_loss() {
+        let mem = crate::vfs::MemVfs::new();
+        let vfs = crate::vfs::FaultVfs::new(mem.clone());
+        let vfs_dyn = vfs.clone() as Arc<dyn Vfs>;
+        let path = Path::new("/s/BATCHES");
+        let log = BatchCommitLog::open(&vfs_dyn, path).unwrap();
+        // as the sharded store's `SHARDS` publish does behind every open
+        mem.sync_dir(Path::new("/s")).unwrap();
+        vfs.arm(1);
+        assert!(matches!(log.commit(1), Err(StorageError::Injected)));
+        drop(log);
+        assert!(BatchCommitLog::open(&vfs_dyn, path).unwrap().contains(1));
+        mem.crash(&mut |_| 0);
+        assert!(BatchCommitLog::open(&vfs_dyn, path).unwrap().contains(1));
     }
 
     #[test]

@@ -105,5 +105,5 @@ pub use iostats::{CostModel, IoSnapshot, IoStats};
 pub use manifest::{FileDesc, Manifest, ManifestCommitted, ManifestState};
 pub use memtable::MemTable;
 pub use page::Page;
-pub use vfs::{FaultVfs, FileKind, FileOp, KillPoint, MemVfs, OsVfs, Vfs, VfsFile};
+pub use vfs::{FaultVfs, FileKind, FileOp, KillPoint, MemVfs, OsVfs, PowerLoss, Vfs, VfsFile};
 pub use wal::{BatchOp, FileWal, SyncPolicy, Wal, WalRecord};

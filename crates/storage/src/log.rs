@@ -282,6 +282,9 @@ pub struct LogFile {
     fsyncs: AtomicU64,
     torn_tails: u64,
     poisoned: AtomicBool,
+    /// No barrier this log issued has made its directory entry durable:
+    /// [`LogFile::sync_entry`] syncs the directory once.
+    unsynced_entry: AtomicBool,
 }
 
 impl LogFile {
@@ -292,14 +295,19 @@ impl LogFile {
             vfs.create_dir_all(parent)?;
         }
         let file = vfs.open(path, create)?;
-        Ok(LogFile::on(vfs, path, file, AtomicU64::new(0)))
+        let log = LogFile::on(vfs, path, file, AtomicU64::new(0));
+        // the file may be new, or left by a process whose barriers never
+        // reached its directory entry: nothing on disk says which
+        log.unsynced_entry.store(true, Ordering::Relaxed);
+        Ok(log)
     }
 
     /// The log at `path` on `vfs` through `file`, its barriers so far
     /// counted in `fsyncs`.
     fn on(vfs: &Arc<dyn Vfs>, path: &Path, file: Arc<dyn VfsFile>, fsyncs: AtomicU64) -> LogFile {
         let (vfs, path) = (Arc::clone(vfs), path.to_path_buf());
-        LogFile { vfs, path, file, fsyncs, torn_tails: 0, poisoned: AtomicBool::new(false) }
+        let (poisoned, unsynced_entry) = (AtomicBool::new(false), AtomicBool::new(false));
+        LogFile { vfs, path, file, fsyncs, torn_tails: 0, poisoned, unsynced_entry }
     }
 
     /// Opens (or creates) the log at `path` on `vfs` as a `format` file,
@@ -389,6 +397,18 @@ impl LogFile {
         self.write(|file| barrier::sync_all_counted(file, &self.fsyncs))
     }
 
+    /// Syncs the log's directory through the counted barrier, once per
+    /// open unless a [`LogFile::replace`] did: a barrier on the file is
+    /// worth nothing if a power loss can drop the file's name.
+    pub(crate) fn sync_entry(&self) -> Result<()> {
+        if self.unsynced_entry.load(Ordering::Relaxed) {
+            let (vfs, path) = (self.vfs.as_ref(), &self.path);
+            self.write(|_| barrier::fsync_dir_counted(vfs, path, &self.fsyncs))?;
+            self.unsynced_entry.store(false, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
     /// Replaces the log's content with `format`'s magic and `frames` through
     /// [`barrier::publish`], and appends to the new file.
     pub fn replace(&mut self, format: &Format, tmp_extension: &str, frames: &[u8]) -> Result<()> {
@@ -396,6 +416,8 @@ impl LogFile {
         let contents = [format.magic, frames].concat();
         let path = &self.path;
         self.file = self.write(|_| barrier::publish(vfs, path, &tmp, &self.fsyncs, &contents))?;
+        // the publish synced the directory behind its rename
+        self.unsynced_entry.store(false, Ordering::Relaxed);
         Ok(())
     }
 

@@ -8,7 +8,9 @@
 //! runs the same device, logs, barriers and recovery as one on disk. Both
 //! keep what the engine relies on: a handle reads on after its file is
 //! unlinked and follows it across a rename, [`Vfs::rename`] replaces its
-//! target, and a read past end-of-file is an error.
+//! target, and a read past end-of-file is an error. A `MemVfs` also keeps
+//! what its barriers made durable, and [`MemVfs::crash`] drops, keeps or
+//! tears what they did not, as a power loss may.
 //!
 //! [`FaultVfs`] wraps either one and fails the n-th call that changes a
 //! file or a directory, which the crash-recovery tests use to kill a store
@@ -145,19 +147,197 @@ impl VfsFile for std::fs::File {
     }
 }
 
-/// An in-memory file system: one map from path to file, each file its bytes.
-/// Directories are implicit and syncs are free.
+/// An in-memory file system that knows what a power loss keeps.
+///
+/// Each file is its bytes beside its *durable image*, what its last
+/// [`VfsFile::sync_data`] or [`VfsFile::sync_all`] made durable, and each
+/// directory's entries beside the ones its last [`Vfs::sync_dir`] made
+/// durable. The image costs what changed since the barrier, not a second
+/// copy: it is a prefix of the live bytes, and a directory keeps its
+/// pending creates, renames and unlinks as a list. [`MemVfs::crash`]
+/// resolves that pending state as a power loss may. Directories themselves
+/// are implicit and durable from the start.
 #[derive(Debug)]
-pub struct MemVfs(Mutex<BTreeMap<PathBuf, Arc<MemFile>>>);
+pub struct MemVfs(Mutex<Names>);
+
+/// The names of a [`MemVfs`]'s files.
+#[derive(Debug, Default)]
+struct Names {
+    /// Every file by path, as the running program sees them.
+    live: BTreeMap<PathBuf, Arc<MemFile>>,
+    /// The entries the last `sync_dir` of each directory made durable.
+    durable: BTreeMap<PathBuf, Arc<MemFile>>,
+    /// The changes to `live` no `sync_dir` has made durable, oldest first.
+    pending: Vec<DirOp>,
+}
+
+/// A directory change no barrier has made durable. A rename lands whole or
+/// not at all.
+#[derive(Debug)]
+enum DirOp {
+    Create(PathBuf, Arc<MemFile>),
+    Rename { from: PathBuf, to: PathBuf },
+    Remove(PathBuf),
+}
+
+impl DirOp {
+    /// The directory whose barrier makes the change durable.
+    fn dir(&self) -> Option<&Path> {
+        match self {
+            DirOp::Create(path, _) | DirOp::Rename { to: path, .. } | DirOp::Remove(path) => {
+                path.parent()
+            }
+        }
+    }
+
+    /// Makes the change to `names`; a rename of a name that is not there
+    /// (its create did not land) changes nothing.
+    fn apply(&self, names: &mut BTreeMap<PathBuf, Arc<MemFile>>) {
+        match self {
+            DirOp::Create(path, file) => {
+                names.insert(path.clone(), Arc::clone(file));
+            }
+            DirOp::Rename { from, to } => {
+                if let Some(file) = names.remove(from) {
+                    names.insert(to.clone(), file);
+                }
+            }
+            DirOp::Remove(path) => {
+                names.remove(path);
+            }
+        }
+    }
+}
+
+/// How [`MemVfs::crash`] resolves what no barrier made durable: the
+/// reorderings real file systems make on a power loss (Pillai et al., "All
+/// File Systems Are Not Created Equal", OSDI 2014).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PowerLoss {
+    /// Each file is its durable image and each directory its durable
+    /// entries: nothing unsynced survives.
+    DropUnsynced,
+    /// Each file keeps a random prefix of the appends since its last
+    /// barrier, and every directory change lands.
+    KeepPrefix,
+    /// Each file keeps every append since its last barrier but the last,
+    /// which is torn at a random 512-byte sector boundary inside it (or
+    /// lost whole), and every directory change lands.
+    TearLast,
+    /// Each file keeps everything written, and a random subset of the
+    /// directory changes lands, in order.
+    SomeDirOps,
+}
 
 /// One in-memory file.
 #[derive(Debug)]
-struct MemFile(RwLock<Vec<u8>>);
+struct MemFile(RwLock<Content>);
+
+/// A file's bytes, and what of them a power loss keeps.
+#[derive(Debug, Default)]
+struct Content {
+    bytes: Vec<u8>,
+    /// `bytes[..synced]` is the durable image. A cut below it is durable at
+    /// once: what it removed is junk behind a torn tail or a tmp file's old
+    /// content, which no reader wants back.
+    synced: usize,
+    /// Where each append and each `set_len` since the last barrier left the
+    /// file's end, in order: the lengths a power loss may leave.
+    ends: Vec<usize>,
+}
+
+/// The bytes of a torn write's sector are all written or none of them.
+const SECTOR: usize = 512;
+
+impl Content {
+    fn set_len(&mut self, len: usize) {
+        self.bytes.resize(len, 0);
+        self.synced = self.synced.min(len);
+        self.ends.retain(|&end| end < len);
+        self.ends.push(len);
+    }
+
+    /// A barrier: every byte is durable.
+    fn sync(&mut self) {
+        (self.synced, self.ends) = (self.bytes.len(), Vec::new());
+    }
+
+    /// Leaves the file as `mode` resolves a power loss, every byte durable.
+    fn crash(&mut self, mode: PowerLoss, pick: &mut dyn FnMut(usize) -> usize) {
+        let keep = match mode {
+            PowerLoss::DropUnsynced => self.synced,
+            PowerLoss::KeepPrefix => match pick_below(pick, self.ends.len() + 1) {
+                0 => self.synced,
+                i => self.ends[i - 1],
+            },
+            PowerLoss::TearLast => match self.ends.last() {
+                Some(&end) => {
+                    let start = self.ends.iter().rev().nth(1).copied().unwrap_or(self.synced);
+                    let first = start / SECTOR + 1;
+                    let sectors = (end.saturating_sub(1) / SECTOR + 1).saturating_sub(first);
+                    match pick_below(pick, sectors + 1) {
+                        0 => start,
+                        i => (first + i - 1) * SECTOR,
+                    }
+                }
+                None => self.bytes.len(),
+            },
+            PowerLoss::SomeDirOps => self.bytes.len(),
+        };
+        self.bytes.truncate(keep);
+        self.sync();
+    }
+}
+
+/// `pick(n)`, kept below `n`.
+fn pick_below(pick: &mut dyn FnMut(usize) -> usize, n: usize) -> usize {
+    pick(n).min(n.saturating_sub(1))
+}
 
 impl MemVfs {
+    /// An empty in-memory file system.
+    pub fn new() -> Arc<MemVfs> {
+        Arc::new(MemVfs(Mutex::new(LockRank::MemVfs, Names::default())))
+    }
+
     /// An empty in-memory file system, ready to hand to a store.
     pub fn shared() -> Arc<dyn Vfs> {
-        Arc::new(MemVfs(Mutex::new(LockRank::MemVfs, BTreeMap::new())))
+        MemVfs::new()
+    }
+
+    /// Resolves a power loss: each change no barrier made durable lands or
+    /// is lost as the [`PowerLoss`] mode drawn first says, and what is left
+    /// is all durable. `pick(n)` answers a number below `n` and is the only
+    /// source of chance, so a seeded `pick` replays the same resolution.
+    /// Call it with no store open: handles opened before keep reading the
+    /// files they had, as after a real reboot they could not.
+    pub fn crash(&self, pick: &mut dyn FnMut(usize) -> usize) -> PowerLoss {
+        use PowerLoss::*;
+        let mode = [DropUnsynced, KeepPrefix, TearLast, SomeDirOps][pick_below(pick, 4)];
+        let files: Vec<Arc<MemFile>> = {
+            let mut names = self.0.lock();
+            let resolved = match mode {
+                DropUnsynced => names.durable.clone(),
+                KeepPrefix | TearLast => names.live.clone(),
+                SomeDirOps => {
+                    let mut resolved = names.durable.clone();
+                    for op in &names.pending {
+                        if pick_below(pick, 2) == 1 {
+                            op.apply(&mut resolved);
+                        }
+                    }
+                    resolved
+                }
+            };
+            names.pending.clear();
+            (names.live, names.durable) = (resolved.clone(), resolved);
+            let mut seen = BTreeSet::new();
+            names.live.values().filter(|f| seen.insert(Arc::as_ptr(f))).cloned().collect()
+        };
+        for file in files {
+            file.0.write().crash(mode, pick);
+        }
+        mode
     }
 }
 
@@ -167,68 +347,87 @@ fn not_found(path: &Path) -> io::Error {
 
 impl Vfs for MemVfs {
     fn open(&self, path: &Path, create: bool) -> io::Result<Arc<dyn VfsFile>> {
-        let mut files = self.0.lock();
-        if create {
-            let new = || Arc::new(MemFile(RwLock::new(LockRank::MemVfs, Vec::new())));
-            return Ok(files.entry(path.to_path_buf()).or_insert_with(new).clone());
+        let mut names = self.0.lock();
+        if let Some(file) = names.live.get(path) {
+            return Ok(file.clone());
         }
-        Ok(files.get(path).ok_or_else(|| not_found(path))?.clone())
+        if !create {
+            return Err(not_found(path));
+        }
+        let file = Arc::new(MemFile(RwLock::new(LockRank::MemVfs, Content::default())));
+        names.live.insert(path.to_path_buf(), Arc::clone(&file));
+        names.pending.push(DirOp::Create(path.to_path_buf(), Arc::clone(&file)));
+        Ok(file)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        self.0.lock().remove(path).map(drop).ok_or_else(|| not_found(path))
+        let mut names = self.0.lock();
+        names.live.remove(path).ok_or_else(|| not_found(path))?;
+        names.pending.push(DirOp::Remove(path.to_path_buf()));
+        Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut files = self.0.lock();
-        let file = files.remove(from).ok_or_else(|| not_found(from))?;
-        files.insert(to.to_path_buf(), file);
+        let mut names = self.0.lock();
+        let file = names.live.remove(from).ok_or_else(|| not_found(from))?;
+        names.live.insert(to.to_path_buf(), file);
+        names.pending.push(DirOp::Rename { from: from.to_path_buf(), to: to.to_path_buf() });
         Ok(())
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let files = self.0.lock();
-        let names = files.keys().filter(|path| path.parent() == Some(dir));
-        Ok(names.filter_map(|path| Some(path.file_name()?.to_string_lossy().into())).collect())
+        let names = self.0.lock();
+        let paths = names.live.keys().filter(|path| path.parent() == Some(dir));
+        Ok(paths.filter_map(|path| Some(path.file_name()?.to_string_lossy().into())).collect())
     }
 
     fn create_dir_all(&self, _: &Path) -> io::Result<()> {
         Ok(())
     }
 
-    fn sync_dir(&self, _: &Path) -> io::Result<()> {
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        let names = &mut *self.0.lock();
+        names.durable.retain(|path, _| path.parent() != Some(dir));
+        let entries = names.live.iter().filter(|(path, _)| path.parent() == Some(dir));
+        names.durable.extend(entries.map(|(path, file)| (path.clone(), Arc::clone(file))));
+        names.pending.retain(|op| op.dir() != Some(dir));
         Ok(())
     }
 }
 
 impl VfsFile for MemFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        let bytes = self.0.read();
-        let at = usize::try_from(offset).ok().filter(|&at| at <= bytes.len());
-        let src = at.and_then(|at| bytes[at..].get(..buf.len()));
+        let content = self.0.read();
+        let at = usize::try_from(offset).ok().filter(|&at| at <= content.bytes.len());
+        let src = at.and_then(|at| content.bytes[at..].get(..buf.len()));
         buf.copy_from_slice(src.ok_or(io::ErrorKind::UnexpectedEof)?);
         Ok(())
     }
 
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        self.0.write().extend_from_slice(bytes);
+        let mut content = self.0.write();
+        content.bytes.extend_from_slice(bytes);
+        let end = content.bytes.len();
+        content.ends.push(end);
         Ok(())
     }
 
     fn len(&self) -> io::Result<u64> {
-        Ok(self.0.read().len() as u64)
+        Ok(self.0.read().bytes.len() as u64)
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        self.0.write().resize(len as usize, 0);
+        self.0.write().set_len(len as usize);
         Ok(())
     }
 
     fn sync_data(&self) -> io::Result<()> {
+        self.0.write().sync();
         Ok(())
     }
 
     fn sync_all(&self) -> io::Result<()> {
+        self.0.write().sync();
         Ok(())
     }
 }
@@ -378,11 +577,11 @@ impl Faults {
     /// Counts one call at `site` against `countdown`; fails it when the
     /// countdown reaches zero, recording the site.
     fn count(&self, countdown: &AtomicI64, site: KillPoint) -> io::Result<()> {
-        if countdown.load(Ordering::Relaxed) < 0 {
-            return Ok(());
-        }
-        if countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
-            countdown.store(i64::MIN, Ordering::SeqCst);
+        // one step at a time, never below the firing call's -1: calls racing
+        // it on other threads must not wrap a disarmed countdown into an
+        // armed one
+        let step = |n: i64| (n >= 0).then(|| n - 1);
+        if countdown.fetch_update(Ordering::SeqCst, Ordering::SeqCst, step) == Ok(0) {
             *self.fired.lock() = Some(site);
             return Err(io::Error::other(InjectedFault(site)));
         }
@@ -635,6 +834,86 @@ mod tests {
         let on_host = run(&OsVfs::shared(), &dir);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(on_host, run(&MemVfs::shared(), Path::new("/store")));
+    }
+
+    /// A `MemVfs` past barriers and changes none covers: `a` holds 1000
+    /// durable bytes, then is cut to 600 and takes appends of 100 and 1000
+    /// bytes; `b` holds a durable `old`, and a synced `b.tmp` holding `new`
+    /// is renamed over it with no directory barrier after; `c` is synced but
+    /// its create never was.
+    fn past_its_barriers() -> Arc<MemVfs> {
+        let vfs = MemVfs::new();
+        let dir = Path::new("/s");
+        let a = vfs.open(&dir.join("a"), true).unwrap();
+        a.append(&[1; 1000]).unwrap();
+        a.sync_data().unwrap();
+        let b = vfs.open(&dir.join("b"), true).unwrap();
+        b.append(b"old").unwrap();
+        b.sync_all().unwrap();
+        vfs.sync_dir(dir).unwrap();
+        a.set_len(600).unwrap();
+        a.append(&[2; 100]).unwrap();
+        a.append(&[3; 1000]).unwrap();
+        let tmp = vfs.open(&dir.join("b.tmp"), true).unwrap();
+        tmp.append(b"new").unwrap();
+        tmp.sync_all().unwrap();
+        vfs.rename(&dir.join("b.tmp"), &dir.join("b")).unwrap();
+        let c = vfs.open(&dir.join("c"), true).unwrap();
+        c.append(b"c").unwrap();
+        c.sync_data().unwrap();
+        vfs
+    }
+
+    /// The files left after a crash that `pick` answers from `script`, then
+    /// with 0s, and the mode it drew.
+    fn crash(script: &[usize]) -> (PowerLoss, BTreeMap<String, Vec<u8>>) {
+        let vfs = past_its_barriers();
+        let mut answers = script.iter().copied();
+        let mode = vfs.crash(&mut |_| answers.next().unwrap_or(0));
+        let dir = Path::new("/s");
+        let names = vfs.list(dir).unwrap().into_iter();
+        (mode, names.map(|name| (name.clone(), vfs.read(&dir.join(name)).unwrap())).collect())
+    }
+
+    #[test]
+    fn a_power_loss_keeps_what_the_barriers_made_durable() {
+        let a = |parts: &[(u8, usize)]| parts.iter().flat_map(|&(b, n)| vec![b; n]).collect();
+        let files = |list: &[(&str, Vec<u8>)]| {
+            list.iter().map(|(name, bytes)| (name.to_string(), bytes.clone())).collect()
+        };
+        // the durable image: the cut is durable at once, the appends after
+        // it, the rename and `c`'s create are lost
+        let durable = files(&[("a", a(&[(1, 600)])), ("b", b"old".to_vec())]);
+        assert_eq!(crash(&[0]), (PowerLoss::DropUnsynced, durable));
+        // a prefix of `a`'s changes (the cut, then the first append); every
+        // directory change lands
+        let (new, c) = (("b", b"new".to_vec()), ("c", b"c".to_vec()));
+        let prefix = [("a", a(&[(1, 600), (2, 100)])), new.clone(), c.clone()];
+        assert_eq!(crash(&[1, 2]), (PowerLoss::KeepPrefix, files(&prefix)));
+        // the last append torn at the second sector boundary inside it, 1024
+        let torn = [("a", a(&[(1, 600), (2, 100), (3, 324)])), new.clone(), c.clone()];
+        assert_eq!(crash(&[2, 1]), (PowerLoss::TearLast, files(&torn)));
+        // or lost whole, at the sector boundary below it
+        assert_eq!(crash(&[2, 0]), (PowerLoss::TearLast, files(&prefix)));
+        // some directory changes, in order: the tmp file's create, its
+        // rename, `c`'s create; a rename whose source never landed is lost
+        let all = a(&[(1, 600), (2, 100), (3, 1000)]);
+        let renamed = [("a", all.clone()), ("b", b"new".to_vec())];
+        assert_eq!(crash(&[3, 1, 1, 0]), (PowerLoss::SomeDirOps, files(&renamed)));
+        let orphan = [("a", all.clone()), ("b", b"old".to_vec()), ("c", b"c".to_vec())];
+        assert_eq!(crash(&[3, 0, 1, 1]), (PowerLoss::SomeDirOps, files(&orphan)));
+        let unrenamed = [("a", all), ("b", b"old".to_vec()), ("b.tmp", b"new".to_vec())];
+        assert_eq!(crash(&[3, 1, 0, 0]), (PowerLoss::SomeDirOps, files(&unrenamed)));
+    }
+
+    #[test]
+    fn what_a_crash_leaves_is_durable() {
+        let vfs = past_its_barriers();
+        vfs.crash(&mut |_| 1);
+        let (dir, before) = (Path::new("/s"), vfs.list(Path::new("/s")).unwrap());
+        vfs.crash(&mut |_| 0);
+        assert_eq!(vfs.list(dir).unwrap(), before);
+        assert_eq!(vfs.read(&dir.join("a")).unwrap().len(), 600, "the first prefix of `a`");
     }
 
     #[test]

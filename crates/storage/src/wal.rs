@@ -467,6 +467,10 @@ impl Wal for FileWal {
             // the reset stays under the lock, where the counter moves
             let log = self.log.lock();
             log.sync_data()?;
+            // the first commit after an open also makes the log's name
+            // durable; under `OnFlush` a commit syncs nothing, and a flush
+            // rewrites the log through a publish, which syncs the directory
+            log.sync_entry()?;
             self.appends_since_sync.store(0, Ordering::Relaxed);
         }
         Ok(())
@@ -487,6 +491,7 @@ impl Wal for FileWal {
     fn sync(&self) -> Result<()> {
         let log = self.log.lock();
         log.sync_all()?;
+        log.sync_entry()?;
         self.appends_since_sync.store(0, Ordering::Relaxed);
         Ok(())
     }
@@ -896,7 +901,7 @@ mod tests {
             w.append(r).unwrap();
         }
         let per_record = w.fsync_count();
-        assert_eq!(per_record, 3, "Always fsyncs once per append");
+        assert_eq!(per_record, 3 + 1, "Always fsyncs once per append, the first its directory too");
         // a leader staging 8 records pays exactly one barrier at commit
         for i in 0..8 {
             w.append_nosync(WalRecord::Delete { sort_key: 100 + i, ts: 100 + i }).unwrap();
@@ -1016,6 +1021,32 @@ mod tests {
         assert!(what.contains("frame body truncated"), "{what}");
     }
 
+    /// The first commit after an open also syncs the log's directory, once:
+    /// a barrier on a file whose name a power loss can drop keeps nothing.
+    /// Under `OnFlush` a commit syncs nothing at all.
+    #[test]
+    fn the_first_commit_after_an_open_syncs_the_directory() {
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
+        vfs.enable_trace();
+        let open = |policy| {
+            let wal = FileWal::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/s/lethe.wal"));
+            wal.unwrap().with_sync_policy(policy)
+        };
+        let record = |ts| WalRecord::Delete { sort_key: ts, ts };
+        let w = open(SyncPolicy::OnFlush);
+        w.append(record(1)).unwrap();
+        assert_eq!(w.fsync_count(), 0);
+        drop(w);
+        let synced_dir = || vfs.traced_sites().iter().any(|s| s.to_string() == "dir.sync_dir");
+        assert!(!synced_dir());
+        let w = open(SyncPolicy::Always);
+        for ts in 2..5 {
+            w.append(record(ts)).unwrap();
+        }
+        assert!(synced_dir());
+        assert_eq!(w.fsync_count(), 3 + 1, "three appends' barriers and the directory's");
+    }
+
     /// A failed `fdatasync` poisons the log: no later append or commit
     /// succeeds, so no later barrier acknowledges the record whose own
     /// barrier failed, until a reopen.
@@ -1035,7 +1066,7 @@ mod tests {
         assert!(poisoned(w.append(refused)), "an append after a failed barrier");
         assert!(poisoned(w.commit()), "a commit after a failed barrier");
         assert!(poisoned(w.sync()));
-        assert_eq!(w.fsync_count(), 1, "only the first record's barrier succeeded");
+        assert_eq!(w.fsync_count(), 2, "only the first record's barriers succeeded");
         // the file system here keeps what was appended, so the reopen reads
         // the record whose barrier failed, and never the refused one
         drop(w);

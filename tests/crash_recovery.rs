@@ -1,51 +1,54 @@
 //! Oracle-checked crash-recovery tests for the durable engine.
 //!
-//! Two crash models are exercised, both against a `BTreeMap` oracle of the
-//! acknowledged state:
+//! Three crash models are exercised, each against a `BTreeMap` model of the
+//! acknowledged state (`sim::Model`):
 //!
-//! * **Abrupt kill** — the engine is dropped at an arbitrary operation
-//!   boundary with no warning. Everything acknowledged must be returned by
-//!   the reopened store (manifest recovery for flushed data, WAL replay for
-//!   the buffered tail).
+//! * **Abrupt kill** — the engine is dropped at an operation boundary with
+//!   no warning. Everything acknowledged must be returned by the reopened
+//!   store (manifest recovery for flushed data, WAL replay for the buffered
+//!   tail).
 //! * **Injected kill** — the store runs on a [`FaultVfs`], which fails the
 //!   n-th call that changes a file or a directory, simulating a kill
 //!   *inside* a flush, compaction, WAL truncation or manifest rewrite. Every
 //!   such call is a kill site, named by the file it touches and the call
-//!   (`manifest.sync_data`, `segment.create`, …). The kill-point sweep
-//!   replays one scripted workload for every reachable n, so every ordering
+//!   (`manifest.sync_data`, `segment.create`, …). The kill-point sweeps
+//!   replay one scripted workload for every reachable n, so every ordering
 //!   window of the protocol (pages written but manifest not committed,
 //!   manifest committed but WAL not yet truncated, mid-rewrite, …) is
 //!   crossed at least once. After an injected kill, only the single
 //!   in-flight operation may be in either its before or after state; every
 //!   earlier acknowledgement must hold exactly.
+//! * **Power loss** — on a [`MemVfs`], which keeps what each barrier made
+//!   durable, [`MemVfs::crash`] drops, keeps a prefix of, or tears what no
+//!   barrier covered, file bytes and directory entries alike. Under
+//!   `SyncPolicy::Always` every acknowledged write must survive; under
+//!   `OnFlush` the store must come back as some prefix of its history no
+//!   shorter than the last `persist()`.
 //!
-//! The sweeps run on a `MemVfs`; the ones that copy, tear or plant store
-//! files, and the checkpoint sweep (whose output `Lethe::restore` reads from
-//! the host), run on the host file system in a temporary directory.
+//! The seeded simulator (`tests/sim`) draws histories that mix all three
+//! with restarts, on one and three shards under both policies. The sweeps
+//! run on a `MemVfs`; the segment-roll sweep, which copies a store's files,
+//! and the tests that tear or plant files, run on the host file system in a
+//! temporary directory.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "the tests list, tear and plant store files on disk as a crash or an operator would"
 )]
 
+mod sim;
+
 use bytes::Bytes;
-use lethe::lsm::{CompactionStrategy, LsmConfig, SecondaryDeleteMode};
-use lethe::storage::{FaultVfs, KillPoint, MemVfs, OsVfs, Result, SyncPolicy, Vfs};
-use lethe::{Lethe, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
+use lethe::lsm::{CompactionStrategy, LsmConfig};
+use lethe::storage::{FaultVfs, KillPoint, MemVfs, OsVfs, SyncPolicy, Vfs};
+use lethe::{Lethe, LetheBuilder, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sim::{delete_key_of, value, Config, Model, Op, Store, DIR, KEY_SPACE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-const KEY_SPACE: u64 = 256;
-
-/// The delete key is a fixed function of the sort key (an immutable
-/// creation attribute, as in the paper's model).
-fn delete_key_of(k: u64) -> u64 {
-    k.wrapping_mul(31) % KEY_SPACE
-}
 
 fn unique_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -55,9 +58,6 @@ fn unique_dir(tag: &str) -> PathBuf {
         std::process::id()
     ))
 }
-
-/// Where a store on a `MemVfs` lives.
-const MEM_DIR: &str = "/store";
 
 /// A fresh, disarmed fault wrapper over an empty in-memory file system.
 fn mem_faults() -> Arc<FaultVfs> {
@@ -69,20 +69,16 @@ fn names(sites: impl IntoIterator<Item = KillPoint>) -> BTreeSet<String> {
     sites.into_iter().map(|site| site.to_string()).collect()
 }
 
+/// The sweeps' tree. They test the protocol's order, which a kill that
+/// loses nothing written exercises under any policy, so they take the
+/// relaxed one, which keeps them fast; what each policy makes durable
+/// across a power loss is the simulator's to check.
 fn tiny_config() -> LsmConfig {
-    let mut cfg = LsmConfig::small_for_test();
-    cfg.pages_per_delete_tile = 2;
-    cfg.secondary_delete_mode = SecondaryDeleteMode::KiwiPageDrops;
-    cfg.suppress_blind_deletes = true;
-    // in-process crashes lose nothing that reached the file, so the relaxed
-    // policy keeps the fuzz fast without weakening what it checks (the
-    // protocol ordering); power-failure durability itself is Always's job
-    cfg.wal_sync = SyncPolicy::OnFlush;
-    cfg
+    sim::config(SyncPolicy::OnFlush)
 }
 
 fn builder() -> LetheBuilder {
-    LetheBuilder::new().with_config(tiny_config()).delete_persistence_threshold_secs(1.0)
+    sim::builder(SyncPolicy::OnFlush)
 }
 
 /// `builder()` with 1 MiB entries. A page is `B` entries of any size, so the
@@ -115,163 +111,130 @@ fn data_segments(vfs: &dyn Vfs, dir: &Path) -> Vec<u64> {
     ids
 }
 
-// ----------------------------------------------------------------- op model
+// ---------------------------------------------------------------- simulator
 
-#[derive(Debug, Clone)]
-enum Op {
-    Put(u64, u8),
-    Delete(u64),
-    DeleteRange(u64, u64),
-    SecondaryDelete(u64, u64),
-    Persist,
+/// The simulator's tier-1 budget: seeds per configuration (times
+/// `LETHE_STRESS_ROUNDS` when set) and ops per seed.
+const SIM_SEEDS: u64 = 32;
+const SIM_OPS: usize = 300;
+
+/// Kills and restarts only: with power losses this configuration fails,
+/// on the three findings the tests below pin.
+#[test]
+fn sim_one_shard_on_flush() {
+    let config = Config { shards: 1, sync: SyncPolicy::OnFlush, power_loss: false };
+    sim::run_seeds(config, SIM_SEEDS, SIM_OPS);
 }
 
-fn random_op(rng: &mut StdRng) -> Op {
-    match rng.gen_range(0..12u32) {
-        0..=6 => Op::Put(rng.gen_range(0..KEY_SPACE), rng.gen::<u8>()),
-        7..=8 => Op::Delete(rng.gen_range(0..KEY_SPACE)),
-        9 => {
-            let s = rng.gen_range(0..KEY_SPACE);
-            Op::DeleteRange(s, s + rng.gen_range(1..KEY_SPACE / 4))
-        }
-        10 => {
-            let s = rng.gen_range(0..KEY_SPACE);
-            Op::SecondaryDelete(s, s + rng.gen_range(1..KEY_SPACE / 4))
-        }
-        _ => Op::Persist,
-    }
+#[test]
+fn sim_one_shard_always() {
+    let config = Config { shards: 1, sync: SyncPolicy::Always, power_loss: true };
+    sim::run_seeds(config, SIM_SEEDS, SIM_OPS);
 }
 
-type Oracle = BTreeMap<u64, Vec<u8>>;
-
-fn apply_oracle(oracle: &mut Oracle, op: &Op) {
-    match op {
-        Op::Put(k, v) => {
-            oracle.insert(*k, vec![*v; 9]);
-        }
-        Op::Delete(k) => {
-            oracle.remove(k);
-        }
-        Op::DeleteRange(s, e) => {
-            let victims: Vec<u64> = oracle.range(*s..*e).map(|(k, _)| *k).collect();
-            for k in victims {
-                oracle.remove(&k);
-            }
-        }
-        Op::SecondaryDelete(s, e) => {
-            let victims: Vec<u64> = oracle
-                .keys()
-                .copied()
-                .filter(|k| {
-                    let d = delete_key_of(*k);
-                    d >= *s && d < *e
-                })
-                .collect();
-            for k in victims {
-                oracle.remove(&k);
-            }
-        }
-        Op::Persist => {}
-    }
+/// No power loss: the prefix a store of three shards comes back as is one
+/// per shard, which the model cannot follow without the routing function.
+#[test]
+fn sim_three_shards_on_flush() {
+    let config = Config { shards: 3, sync: SyncPolicy::OnFlush, power_loss: false };
+    sim::run_seeds(config, SIM_SEEDS, SIM_OPS);
 }
 
-/// Keys whose state an in-flight (crashed) op may or may not have reached.
-fn affected_keys(op: &Op) -> Vec<u64> {
-    match op {
-        Op::Put(k, _) | Op::Delete(k) => vec![*k],
-        Op::DeleteRange(s, e) => (*s..(*e).min(KEY_SPACE)).collect(),
-        Op::SecondaryDelete(s, e) => (0..KEY_SPACE)
-            .filter(|k| {
-                let d = delete_key_of(*k);
-                d >= *s && d < *e
-            })
-            .collect(),
-        Op::Persist => vec![],
-    }
+#[test]
+fn sim_three_shards_always() {
+    let config = Config { shards: 3, sync: SyncPolicy::Always, power_loss: true };
+    sim::run_seeds(config, SIM_SEEDS, SIM_OPS);
 }
 
-/// A store the crash harness can drive: `Lethe` or `ShardedLethe`.
-trait Store {
-    fn apply(&mut self, op: &Op) -> Result<()>;
-    fn get(&mut self, k: u64) -> Result<Option<Bytes>>;
-    fn live_keys(&mut self) -> Result<Vec<u64>>;
+// Findings, not fixed: a single-shard `OnFlush` store that loses power can
+// come back as a state no prefix of its history left, or not at all. Each
+// test replays the simulator's shrunk line and asserts the failure as it
+// stands; once it is fixed, `sim_one_shard_on_flush` runs with power losses.
+
+/// The failure the simulator reports for `ops` on a single-shard `OnFlush`
+/// store that may lose power, at their last op.
+fn on_flush_failure(ops: &[Op]) -> String {
+    let config = Config { shards: 1, sync: SyncPolicy::OnFlush, power_loss: true };
+    let (at, failure) = sim::replay(config, ops).unwrap_err();
+    assert_eq!(at, ops.len() - 1, "{failure}");
+    failure
 }
 
-impl Store for Lethe {
-    fn apply(&mut self, op: &Op) -> Result<()> {
-        match op {
-            Op::Put(k, v) => self.put(*k, delete_key_of(*k), vec![*v; 9]),
-            Op::Delete(k) => self.delete(*k).map(|_| ()),
-            Op::DeleteRange(s, e) => self.delete_range(*s, *e),
-            Op::SecondaryDelete(s, e) => self.delete_where_delete_key_in(*s, *e).map(|_| ()),
-            Op::Persist => self.persist(),
-        }
-    }
-    fn get(&mut self, k: u64) -> Result<Option<Bytes>> {
-        Lethe::get(self, k)
-    }
-    fn live_keys(&mut self) -> Result<Vec<u64>> {
-        Ok(self.range(0, KEY_SPACE)?.into_iter().map(|(k, _)| k).collect())
-    }
+/// A fresh store's segment 0 is created with no directory barrier, and the
+/// first one is the manifest publish's, behind its rename. Killed at that
+/// barrier (`Kill(7)` fails the persist's eighth mutating call), a power
+/// loss that lands the rename but not the segment's create
+/// leaves a manifest naming pages no file holds. A first sync of segment 0
+/// that syncs the directory fixes it, at one barrier per new store, which
+/// the ledger's `fsyncs_per_write` counts.
+#[test]
+fn a_first_manifest_can_outlive_the_segment_it_names() {
+    use Op::*;
+    let ops = [Put(5, 1), DeleteRange(0, 10), Put(20, 2), Kill(7, Some(14)), Persist];
+    let failure = on_flush_failure(&ops);
+    assert!(failure.contains("does not reopen") && failure.contains("missing page"), "{failure}");
 }
 
-impl Store for ShardedLethe {
-    fn apply(&mut self, op: &Op) -> Result<()> {
-        match op {
-            Op::Put(k, v) => self.put(*k, delete_key_of(*k), vec![*v; 9]),
-            Op::Delete(k) => self.delete(*k).map(|_| ()),
-            Op::DeleteRange(s, e) => self.delete_range(*s, *e),
-            Op::SecondaryDelete(s, e) => self.delete_where_delete_key_in(*s, *e).map(|_| ()),
-            Op::Persist => self.persist(),
-        }
-    }
-    fn get(&mut self, k: u64) -> Result<Option<Bytes>> {
-        ShardedLethe::get(self, k)
-    }
-    fn live_keys(&mut self) -> Result<Vec<u64>> {
-        Ok(self.range(0, KEY_SPACE)?.into_iter().map(|(k, _)| k).collect())
-    }
+/// A flush's manifest commit is durable before the WAL records it covers
+/// are, and the WAL is cut only after it. A power loss in between keeps the
+/// new manifest and a prefix of the old log, and the replay plays that
+/// prefix over the state it already holds: key 5's put outlives the range
+/// delete after it. Syncing the log before the commit puts a barrier on
+/// every flush; naming the records a manifest covers changes both formats.
+#[test]
+fn a_wal_prefix_replays_over_the_flush_that_covered_it() {
+    use Op::*;
+    let ops = [Put(5, 1), DeleteRange(0, 10), Put(20, 2), Kill(7, Some(22)), Persist];
+    let failure = on_flush_failure(&ops);
+    assert!(failure.contains("reads [5, 20], which no prefix"), "{failure}");
 }
 
-/// Verifies a reopened store against the oracle. `pending` is the op that
-/// was in flight when the store crashed, if any: keys it touches may be in
-/// either their before or after state, and the oracle is resynchronised to
-/// whichever the store durably chose. Every other key must match exactly.
-fn verify_and_resync(store: &mut dyn Store, oracle: &mut Oracle, pending: Option<&Op>) {
-    let mut oracle_after = oracle.clone();
-    let ambiguous: Vec<u64> = match pending {
-        Some(op) => {
-            apply_oracle(&mut oracle_after, op);
-            affected_keys(op)
-        }
-        None => vec![],
-    };
-    for k in 0..KEY_SPACE {
-        let got = store.get(k).unwrap().map(|b| b.to_vec());
-        let before = oracle.get(&k).cloned();
-        if ambiguous.contains(&k) {
-            let after = oracle_after.get(&k).cloned();
-            assert!(
-                got == before || got == after,
-                "key {k}: got {got:?}, expected before-crash {before:?} or after {after:?} \
-                 (pending {pending:?})"
-            );
-            // adopt whatever the store durably decided
-            match got {
-                Some(v) => {
-                    oracle.insert(k, v);
-                }
-                None => {
-                    oracle.remove(&k);
-                }
-            }
-        } else {
-            assert_eq!(got, before, "key {k} lost or corrupted across the crash");
-        }
+/// A secondary range delete that drops flushed pages commits them through
+/// the manifest at once, while the writes acknowledged before it sit in the
+/// unsynced WAL. A power loss then keeps the delete and loses the writes
+/// before it: key 46 is persisted, key 107 put, and the delete of 46's
+/// delete key (146) survives while the put of 107 does not. Syncing the WAL
+/// before that commit puts a barrier on every such delete, the ledger's
+/// `purge_window` included.
+#[test]
+fn a_secondary_delete_outlives_the_writes_before_it() {
+    use Op::*;
+    let loss = PowerLoss(1077542982784549563);
+    let ops = [Put(46, 51), Persist, Put(107, 8), SecondaryDelete(141, 193), loss];
+    assert!(on_flush_failure(&ops).contains("reads [], which no prefix"));
+}
+
+/// A kill fails the put of key 172 at its WAL barrier: the put is never
+/// acknowledged, but its record reached the log, so the reopened store
+/// serves it. Under `Always` what a store serves must then survive a power
+/// loss, which tears the record's never-synced bytes unless the replay
+/// syncs the log first.
+#[test]
+fn a_reopen_makes_what_it_replays_durable() {
+    let config = Config { shards: 1, sync: SyncPolicy::Always, power_loss: true };
+    let ops = [
+        Op::Put(74, 52),
+        Op::Kill(3, None),
+        Op::DeleteRange(47, 87),
+        Op::Put(172, 157),
+        Op::PowerLoss(4289421067876883069),
+    ];
+    sim::replay(config, &ops).unwrap();
+}
+
+/// A fresh single-shard store under `Always` acknowledges its first put
+/// after a WAL `sync_data`, and a power loss before the first flush must
+/// not drop the WAL's directory entry, and the put with it: the first
+/// commit of a WAL syncs its directory.
+#[test]
+fn a_fresh_wal_survives_a_power_loss_after_its_first_commit() {
+    let config = Config { shards: 1, sync: SyncPolicy::Always, power_loss: true };
+    // sixteen power losses, every mode among them
+    for seed in 0..16 {
+        sim::replay(config, &[Op::Put(1, 7), Op::PowerLoss(seed)]).unwrap();
+        // and so does a WAL a clean restart reopened before anything synced
+        sim::replay(config, &[Op::Restart, Op::Put(1, 7), Op::PowerLoss(seed)]).unwrap();
     }
-    let live = store.live_keys().unwrap();
-    let expected: Vec<u64> = oracle.keys().copied().collect();
-    assert_eq!(live, expected, "full scan disagrees with the oracle after recovery");
 }
 
 // ----------------------------------------------------------- headline tests
@@ -282,7 +245,7 @@ fn verify_and_resync(store: &mut dyn Store, oracle: &mut Oracle, pending: Option
 #[test]
 fn flushed_data_survives_reopen() {
     let dir = unique_dir("flushed");
-    let mut expected: Oracle = BTreeMap::new();
+    let mut expected: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     {
         let mut db = builder().open(&dir).unwrap();
         for i in 0..2000u64 {
@@ -345,7 +308,7 @@ fn torn_wal_tail_recovers_valid_prefix_on_open() {
 #[test]
 fn a_failed_open_cuts_nothing() {
     let vfs = MemVfs::shared();
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     {
         let mut db = builder().open_on(Arc::clone(&vfs), dir).unwrap();
         for i in 0..2000u64 {
@@ -441,7 +404,7 @@ fn flip_payload_bit(vfs: &dyn Vfs, path: &Path, id: u64) -> usize {
 #[test]
 fn the_open_reads_a_sealed_segments_index_and_live_pages_only() {
     let fault = mem_faults();
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     let (live, dead) = sealed_store_with_dead_frames(fault.clone(), dir);
     let sealed = dir.join("lethe.data");
     let frames = frames_of(&fault.read(&sealed).unwrap());
@@ -462,7 +425,7 @@ fn the_open_reads_a_sealed_segments_index_and_live_pages_only() {
 #[test]
 fn rot_in_a_live_page_fails_the_open_and_rot_in_a_dead_frame_does_not() {
     let vfs = MemVfs::shared();
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     let (live, dead) = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
     let sealed = dir.join("lethe.data");
     // a dead frame is never read, so its rot fails nothing
@@ -484,7 +447,7 @@ fn rot_in_a_live_page_fails_the_open_and_rot_in_a_dead_frame_does_not() {
 #[test]
 fn a_compaction_that_reads_a_rotten_page_fails_and_commits_nothing() {
     let vfs = MemVfs::shared();
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     let (live, _) = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
     let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
     let referenced = referenced_pages(&db);
@@ -515,7 +478,7 @@ fn a_compaction_that_reads_a_rotten_page_fails_and_commits_nothing() {
 /// Builds the deterministic workload script shared by the sweep tests.
 fn sweep_script() -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let mut script: Vec<Op> = (0..140).map(|_| random_op(&mut rng)).collect();
+    let mut script: Vec<Op> = (0..140).map(|_| Op::random(&mut rng)).collect();
     // make sure the protocol-heavy paths are on the script regardless of
     // what the dice said
     script.push(Op::Persist);
@@ -538,16 +501,16 @@ fn run_sweep_iteration(
     retry: bool,
 ) -> Option<KillPoint> {
     let fault = mem_faults();
-    let mut oracle: Oracle = BTreeMap::new();
+    let mut model = Model::default();
     let mut pending: Option<Op> = None;
     let mut late_put = false;
     let open = || -> Box<dyn Store> {
         match shards {
-            None => Box::new(builder().open_on(fault.clone(), MEM_DIR).unwrap()),
+            None => Box::new(builder().open_on(fault.clone(), DIR).unwrap()),
             Some(n) => Box::new(
                 ShardedLetheBuilder::from_builder(builder())
                     .shards(n)
-                    .open_on(fault.clone(), MEM_DIR)
+                    .open_on(fault.clone(), DIR)
                     .unwrap(),
             ),
         }
@@ -557,7 +520,7 @@ fn run_sweep_iteration(
         fault.arm(kill);
         for op in script {
             match store.apply(op) {
-                Ok(()) => apply_oracle(&mut oracle, op),
+                Ok(()) => model.apply(op),
                 Err(_) => {
                     pending = Some(op.clone());
                     break;
@@ -574,11 +537,11 @@ fn run_sweep_iteration(
     // unlink is best effort, and the reopen collects what it left
     let fired = fault.last_fired();
     assert!(pending.is_none() || fired.is_some(), "{pending:?} failed with no fault fired");
-    let mut store = open();
-    verify_and_resync(store.as_mut(), &mut oracle, pending.as_ref());
+    let store = open();
+    sim::verify(store.as_ref(), &mut model, pending.as_ref()).unwrap();
     if late_put {
         let late = store.get(KEY_SPACE).unwrap();
-        assert_eq!(late, Some(Bytes::from(vec![7; 9])), "the put after {fired:?} was lost");
+        assert_eq!(late, Some(Bytes::from(value(7))), "the put after {fired:?} was lost");
     }
     fired
 }
@@ -684,7 +647,7 @@ fn a_landed_manifest_edit_keeps_its_pages_when_its_barrier_fails() {
     let run = |kill: u64, retry: Option<u64>| -> (Arc<FaultVfs>, Vec<u64>) {
         let fault = mem_faults();
         fault.enable_trace();
-        let mut db = builder().open_on(fault.clone(), MEM_DIR).unwrap();
+        let mut db = builder().open_on(fault.clone(), DIR).unwrap();
         for k in 0..16u64 {
             db.put(k, delete_key_of(k), fat_value(k)).unwrap();
         }
@@ -695,7 +658,7 @@ fn a_landed_manifest_edit_keeps_its_pages_when_its_barrier_fails() {
             assert!(db.persist().is_err(), "retry {retry} is past the persist");
         }
         fault.disarm();
-        let segments = data_segments(fault.as_ref(), Path::new(MEM_DIR));
+        let segments = data_segments(fault.as_ref(), Path::new(DIR));
         (fault, segments)
     };
     let fired = |fault: &FaultVfs| fault.last_fired().unwrap().to_string();
@@ -708,7 +671,7 @@ fn a_landed_manifest_edit_keeps_its_pages_when_its_barrier_fails() {
         (0..).find(|&retry| fired(&run(kill, Some(retry)).0) == "segment.append").unwrap();
     let (fault, segments) = run(kill, Some(retry));
     assert_eq!(segments.len(), 2, "the failed flush's segment is still there: {segments:?}");
-    let db = builder().open_on(fault, MEM_DIR).unwrap();
+    let db = builder().open_on(fault, DIR).unwrap();
     for k in 0..16u64 {
         assert_eq!(db.get(k).unwrap(), Some(Bytes::from(fat_value(k))), "key {k}");
     }
@@ -734,7 +697,7 @@ fn run_drop_sweep_iteration(kill: u64) -> Option<KillPoint> {
         })
     };
     {
-        let mut db = date_tiered().open_on(fault.clone(), MEM_DIR).unwrap();
+        let mut db = date_tiered().open_on(fault.clone(), DIR).unwrap();
         for i in 0..TIMELINE {
             db.put(i, i * 100, vec![4u8; 16]).unwrap();
             if (i + 1) % 32 == 0 {
@@ -751,7 +714,7 @@ fn run_drop_sweep_iteration(kill: u64) -> Option<KillPoint> {
         assert_eq!(crashed, fault.last_fired().is_some(), "kill {kill}");
     }
     {
-        let mut db = date_tiered().open_on(fault.clone(), MEM_DIR).unwrap();
+        let mut db = date_tiered().open_on(fault.clone(), DIR).unwrap();
         let present = (0..TIMELINE).filter(|&k| db.get(k).unwrap().is_some()).count() as u64;
         assert!(
             present == 0 || present == TIMELINE,
@@ -821,7 +784,7 @@ fn run_move_sweep_iteration(kill: u64) -> (bool, usize) {
         levels.iter().skip(1).map(|l| l.file_count()).sum()
     };
     let crashed = {
-        let mut db = builder().open_on(fault.clone(), MEM_DIR).unwrap();
+        let mut db = builder().open_on(fault.clone(), DIR).unwrap();
         for k in 0..KEYS {
             db.put(k, delete_key_of(k), value(k)).unwrap();
             if (k + 1) % 8 == 0 {
@@ -845,7 +808,7 @@ fn run_move_sweep_iteration(kill: u64) -> (bool, usize) {
         }
         crashed
     };
-    let mut db = builder().open_on(fault.clone(), MEM_DIR).unwrap();
+    let mut db = builder().open_on(fault.clone(), DIR).unwrap();
     let descended = check(&db, "after the reopen");
     db.maintain().unwrap();
     let level0 = db.tree().levels()[0].total_bytes();
@@ -1012,7 +975,7 @@ fn mem_copy(from: &dyn Vfs, dir: &Path) -> Arc<dyn Vfs> {
 /// its index frame.
 fn past_one_seal_template() -> Arc<dyn Vfs> {
     let vfs = MemVfs::shared();
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
     for k in 0..16u64 {
         db.put(k, delete_key_of(k), fat_value(k)).unwrap();
@@ -1036,7 +999,7 @@ type SealState = (bool, bool);
 /// manifest references and finishes a re-driven `persist()`. Returns the
 /// site that fired and, if one did, the successor's state at that point.
 fn run_seal_sweep_iteration(template: &dyn Vfs, kill: u64) -> (Option<KillPoint>, Option<SealState>) {
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     let fault = FaultVfs::new(mem_copy(template, dir));
     {
         let mut db = fat_builder().open_on(fault.clone(), dir).unwrap();
@@ -1111,7 +1074,7 @@ fn kill_point_sweep_segment_seal() {
 
     // a power loss that tears the index append: the reopen cuts it as a
     // torn tail, and the segment, sealed without it, later opens by scan
-    let dir = Path::new(MEM_DIR);
+    let dir = Path::new(DIR);
     let vfs = mem_copy(template.as_ref(), dir);
     let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
     for k in 16..18u64 {
@@ -1281,7 +1244,7 @@ fn the_store_vfs_reaches_batches_and_the_checkpoint() {
     {
         let db = ShardedLetheBuilder::from_builder(builder())
             .shards(3)
-            .open_on(fault.clone(), MEM_DIR)
+            .open_on(fault.clone(), DIR)
             .unwrap();
         let mut batch = WriteBatch::new();
         for k in 0..24u64 {
@@ -1296,104 +1259,7 @@ fn the_store_vfs_reaches_batches_and_the_checkpoint() {
     }
 }
 
-// ------------------------------------------------------------ restart fuzz
-
-/// Randomized restart fuzz: one long history against one in-memory store,
-/// with abrupt kills and armed faults interleaved at random, continuing
-/// after every recovery (so recovered state is itself re-crashed and
-/// re-recovered, manifests fold, and WAL replays stack on flushed state).
-fn run_restart_fuzz(seed: u64, shards: Option<usize>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let fault = mem_faults();
-    let mut oracle: Oracle = BTreeMap::new();
-
-    let open = || -> Box<dyn Store> {
-        match shards {
-            None => Box::new(builder().open_on(fault.clone(), MEM_DIR).unwrap()),
-            Some(n) => Box::new(
-                ShardedLetheBuilder::from_builder(builder())
-                    .shards(n)
-                    .open_on(fault.clone(), MEM_DIR)
-                    .unwrap(),
-            ),
-        }
-    };
-
-    let mut store = open();
-    let mut reopens = 0u32;
-    let mut injected = 0u32;
-    for _ in 0..700 {
-        // occasionally schedule an injected failure a few durable steps out
-        if !fault.is_armed() && rng.gen_range(0..25u32) == 0 {
-            fault.arm(rng.gen_range(0..40u64));
-        }
-        let op = random_op(&mut rng);
-        match store.apply(&op) {
-            Ok(()) => apply_oracle(&mut oracle, &op),
-            Err(_) => {
-                injected += 1;
-                fault.disarm();
-                drop(store);
-                store = open();
-                reopens += 1;
-                verify_and_resync(store.as_mut(), &mut oracle, Some(&op));
-            }
-        }
-        // abrupt kill at a clean op boundary
-        if rng.gen_range(0..60u32) == 0 {
-            fault.disarm();
-            drop(store);
-            store = open();
-            reopens += 1;
-            verify_and_resync(store.as_mut(), &mut oracle, None);
-        }
-    }
-    fault.disarm();
-    drop(store);
-    let mut store = open();
-    verify_and_resync(store.as_mut(), &mut oracle, None);
-    assert!(reopens > 2, "fuzz must actually restart, got {reopens}");
-    assert!(injected > 0, "fuzz must hit at least one injected kill");
-}
-
-#[test]
-fn restart_fuzz_single_shard() {
-    for seed in [1u64, 2, 3] {
-        run_restart_fuzz(seed, None);
-    }
-}
-
-#[test]
-fn restart_fuzz_sharded() {
-    for seed in [11u64, 12] {
-        run_restart_fuzz(seed, Some(3));
-    }
-}
-
 // ----------------------------------- background-commit kill-point sweep
-
-/// Applies one op to a sharded store directly (the `Store` impl boxes it;
-/// here we also need `persist` between phases).
-fn apply_sharded(db: &ShardedLethe, op: &Op) -> Result<()> {
-    match op {
-        Op::Put(k, v) => db.put(*k, delete_key_of(*k), vec![*v; 9]),
-        Op::Delete(k) => db.delete(*k).map(|_| ()),
-        Op::DeleteRange(s, e) => db.delete_range(*s, *e),
-        Op::SecondaryDelete(s, e) => db.delete_where_delete_key_in(*s, *e).map(|_| ()),
-        Op::Persist => db.persist(),
-    }
-}
-
-/// Checks a live (not reopened) sharded store against the oracle exactly.
-fn assert_live_matches_oracle(db: &ShardedLethe, oracle: &Oracle) {
-    for k in 0..KEY_SPACE {
-        let got = db.get(k).unwrap().map(|b| b.to_vec());
-        assert_eq!(got, oracle.get(&k).cloned(), "live store diverged on key {k}");
-    }
-    let live: Vec<u64> = db.range(0, KEY_SPACE).unwrap().into_iter().map(|(k, _)| k).collect();
-    let expected: Vec<u64> = oracle.keys().copied().collect();
-    assert_eq!(live, expected, "live scan diverged from the oracle");
-}
 
 /// Kill-point sweep targeting the *background* commit sequence explicitly.
 ///
@@ -1423,57 +1289,55 @@ fn kill_point_sweep_background_commit() {
     let mut fired = BTreeSet::new();
     loop {
         let fault = mem_faults();
-        let mut oracle: Oracle = BTreeMap::new();
+        let mut model = Model::default();
         let mut crashed = false;
         {
-            let db = ShardedLetheBuilder::from_builder(builder())
+            let mut db = ShardedLetheBuilder::from_builder(builder())
                 .shards(1)
-                .open_on(fault.clone(), MEM_DIR)
+                .open_on(fault.clone(), DIR)
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(0xBACC);
             // phase 1: ingest and fully quiesce with the fault disarmed
             for _ in 0..120 {
-                let op = random_op(&mut rng);
+                let op = Op::random(&mut rng);
                 if matches!(op, Op::Persist) {
                     continue;
                 }
-                apply_sharded(&db, &op).unwrap();
-                apply_oracle(&mut oracle, &op);
+                db.apply(&op).unwrap();
+                model.apply(&op);
             }
             db.persist().unwrap();
             // phase 2: stage a fresh buffer (puts + tombstones of every
             // flavour) so the armed persist crosses a flush commit and the
             // compactions it triggers
             for _ in 0..40 {
-                let op = random_op(&mut rng);
+                let op = Op::random(&mut rng);
                 if matches!(op, Op::Persist | Op::SecondaryDelete(..)) {
                     continue;
                 }
-                apply_sharded(&db, &op).unwrap();
-                apply_oracle(&mut oracle, &op);
+                db.apply(&op).unwrap();
+                model.apply(&op);
             }
             fault.arm(kill);
             if db.persist().is_err() {
                 crashed = true;
                 fault.disarm();
                 // (a) the live store still serves every acknowledged write
-                assert_live_matches_oracle(&db, &oracle);
+                assert_eq!(sim::contents(&db).unwrap(), model, "the live store diverged");
                 // (b) and still does after the next commit
                 let _ = db.persist();
-                assert_live_matches_oracle(&db, &oracle);
+                assert_eq!(sim::contents(&db).unwrap(), model, "the live store diverged");
             }
             fault.disarm();
         }
         // (c) reopen and verify exactly: no ambiguity window exists for a
         // crash inside a background flush/compaction commit
         {
-            let mut db: Box<dyn Store> = Box::new(
-                ShardedLetheBuilder::from_builder(builder())
-                    .shards(1)
-                    .open_on(fault.clone(), MEM_DIR)
-                    .unwrap(),
-            );
-            verify_and_resync(db.as_mut(), &mut oracle, None);
+            let db = ShardedLetheBuilder::from_builder(builder())
+                .shards(1)
+                .open_on(fault.clone(), DIR)
+                .unwrap();
+            sim::verify(&db, &mut model, None).unwrap();
         }
         let Some(site) = fault.last_fired() else { break };
         fired.insert(site.to_string());
@@ -1488,144 +1352,25 @@ fn kill_point_sweep_background_commit() {
 
 // ------------------------------------- group-commit kill-point sweep
 
-/// One write inside an atomic [`WriteBatch`].
-#[derive(Debug, Clone)]
-enum BatchItem {
-    Put(u64, u8),
-    Delete(u64),
-    /// Secondary range delete `[s, e)` on the delete key — the structural
-    /// batch op that restructures KiWi pages under a paused worker.
-    SecDel(u64, u64),
-}
-
-/// An op in the group-commit sweep script: an atomic batch or one of the
-/// plain ops (so batches land between flushes, WAL truncations and
-/// compactions, not in a vacuum).
-#[derive(Debug, Clone)]
-enum GOp {
-    Batch(Vec<BatchItem>),
-    Single(Op),
-}
-
-fn random_batch(rng: &mut StdRng) -> Vec<BatchItem> {
-    let n = rng.gen_range(2..10usize);
-    let mut items: Vec<BatchItem> = (0..n)
-        .map(|_| {
-            if rng.gen_range(0..5u32) == 0 {
-                BatchItem::Delete(rng.gen_range(0..KEY_SPACE))
-            } else {
-                BatchItem::Put(rng.gen_range(0..KEY_SPACE), rng.gen::<u8>())
-            }
-        })
-        .collect();
-    // occasionally make the batch structural: a secondary range delete
-    // rides along with the puts and deletes
-    if rng.gen_range(0..8u32) == 0 {
-        let s = rng.gen_range(0..KEY_SPACE);
-        items.push(BatchItem::SecDel(s, s + rng.gen_range(1..KEY_SPACE / 4)));
-    }
-    items
-}
-
 /// Deterministic script for the group-commit sweep: roughly half atomic
 /// batches, interleaved with plain ops and periodic persists so the armed
 /// kills also land inside the flushes and compactions between batches.
-fn group_commit_script(seed: u64) -> Vec<GOp> {
+fn group_commit_script(seed: u64) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut script = Vec::new();
     for i in 0..70 {
         if rng.gen_range(0..2u32) == 0 {
-            script.push(GOp::Batch(random_batch(&mut rng)));
+            script.push(Op::random_batch(&mut rng));
         } else {
-            script.push(GOp::Single(random_op(&mut rng)));
+            script.push(Op::random(&mut rng));
         }
         if i % 20 == 19 {
-            script.push(GOp::Single(Op::Persist));
+            script.push(Op::Persist);
         }
     }
-    script.push(GOp::Batch(random_batch(&mut rng)));
-    script.push(GOp::Single(Op::Persist));
+    script.push(Op::random_batch(&mut rng));
+    script.push(Op::Persist);
     script
-}
-
-fn apply_batch_to(db: &ShardedLethe, items: &[BatchItem]) -> Result<()> {
-    let mut batch = WriteBatch::new();
-    for item in items {
-        match item {
-            BatchItem::Put(k, v) => {
-                batch.put(*k, delete_key_of(*k), vec![*v; 9]);
-            }
-            BatchItem::Delete(k) => {
-                batch.delete(*k);
-            }
-            BatchItem::SecDel(s, e) => {
-                batch.secondary_range_delete(*s, *e);
-            }
-        }
-    }
-    db.write(batch)
-}
-
-fn apply_batch_oracle(oracle: &mut Oracle, items: &[BatchItem]) {
-    for item in items {
-        match item {
-            BatchItem::Put(k, v) => {
-                oracle.insert(*k, vec![*v; 9]);
-            }
-            BatchItem::Delete(k) => {
-                oracle.remove(k);
-            }
-            BatchItem::SecDel(s, e) => {
-                apply_oracle(oracle, &Op::SecondaryDelete(*s, *e));
-            }
-        }
-    }
-}
-
-/// Keys a batch may touch (a superset: secondary deletes contribute every
-/// key whose delete key falls in range, live or not).
-fn batch_keys(items: &[BatchItem]) -> Vec<u64> {
-    let mut keys: Vec<u64> = items
-        .iter()
-        .flat_map(|item| match item {
-            BatchItem::Put(k, _) | BatchItem::Delete(k) => vec![*k],
-            BatchItem::SecDel(s, e) => affected_keys(&Op::SecondaryDelete(*s, *e)),
-        })
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
-/// The batch-level atomicity check: unlike [`verify_and_resync`], which
-/// allows each ambiguous key independently to be in its before or after
-/// state, a crashed batch must leave **all** of its keys in the pre-batch
-/// state or **all** of them in the post-batch state — a mix is a torn batch.
-/// The oracle is resynchronised to whichever side the store durably chose.
-fn verify_batch_all_or_nothing(store: &mut dyn Store, oracle: &mut Oracle, items: &[BatchItem]) {
-    let mut after = oracle.clone();
-    apply_batch_oracle(&mut after, items);
-    let mut all_before = true;
-    let mut all_after = true;
-    let mut observed: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
-    for k in batch_keys(items) {
-        let got = store.get(k).unwrap().map(|b| b.to_vec());
-        if got != oracle.get(&k).cloned() {
-            all_before = false;
-        }
-        if got != after.get(&k).cloned() {
-            all_after = false;
-        }
-        observed.insert(k, got);
-    }
-    assert!(
-        all_before || all_after,
-        "torn batch after crash: observed {observed:?} matches neither the pre-batch \
-         nor the post-batch state (batch {items:?})"
-    );
-    if all_after {
-        *oracle = after;
-    }
 }
 
 /// Replays the group-commit script with the fault armed at `kill`,
@@ -1633,7 +1378,7 @@ fn verify_batch_all_or_nothing(store: &mut dyn Store, oracle: &mut Oracle, items
 /// (batch-atomically for batches). Returns the site that fired (`None` once
 /// nothing did) and whether a batch was in flight.
 fn run_group_commit_sweep_iteration(
-    script: &[GOp],
+    script: &[Op],
     kill: u64,
     shards: usize,
 ) -> (Option<KillPoint>, bool) {
@@ -1641,24 +1386,17 @@ fn run_group_commit_sweep_iteration(
     let open = || {
         ShardedLetheBuilder::from_builder(builder())
             .shards(shards)
-            .open_on(fault.clone(), MEM_DIR)
+            .open_on(fault.clone(), DIR)
             .unwrap()
     };
-    let mut oracle: Oracle = BTreeMap::new();
-    let mut pending: Option<GOp> = None;
+    let mut model = Model::default();
+    let mut pending: Option<Op> = None;
     {
-        let db = open();
+        let mut db = open();
         fault.arm(kill);
         for op in script {
-            let res = match op {
-                GOp::Batch(items) => apply_batch_to(&db, items),
-                GOp::Single(op) => apply_sharded(&db, op),
-            };
-            match res {
-                Ok(()) => match op {
-                    GOp::Batch(items) => apply_batch_oracle(&mut oracle, items),
-                    GOp::Single(op) => apply_oracle(&mut oracle, op),
-                },
+            match db.apply(op) {
+                Ok(()) => model.apply(op),
                 Err(_) => {
                     pending = Some(op.clone());
                     break;
@@ -1667,17 +1405,9 @@ fn run_group_commit_sweep_iteration(
         }
         fault.disarm();
     }
-    let batch_crashed = matches!(pending, Some(GOp::Batch(_)));
-    let mut store: Box<dyn Store> = Box::new(open());
-    match &pending {
-        Some(GOp::Batch(items)) => {
-            verify_batch_all_or_nothing(store.as_mut(), &mut oracle, items);
-            verify_and_resync(store.as_mut(), &mut oracle, None);
-        }
-        Some(GOp::Single(op)) => verify_and_resync(store.as_mut(), &mut oracle, Some(op)),
-        None => verify_and_resync(store.as_mut(), &mut oracle, None),
-    }
-    (fault.last_fired(), batch_crashed)
+    // a batch in flight recovers all or nothing, any other op key by key
+    sim::verify(&open(), &mut model, pending.as_ref()).unwrap();
+    (fault.last_fired(), matches!(pending, Some(Op::Batch(_))))
 }
 
 /// Sweeps the group-commit script and returns the sites it killed at.
@@ -1743,7 +1473,7 @@ fn aborted_batch_id_is_never_reused_after_reopen() {
         let open = || {
             ShardedLetheBuilder::from_builder(builder())
                 .shards(shards)
-                .open_on(fault.clone(), MEM_DIR)
+                .open_on(fault.clone(), DIR)
                 .unwrap()
         };
         let crashed = {
@@ -1811,60 +1541,58 @@ fn aborted_batch_id_is_never_reused_after_reopen() {
 
 /// Kill-point sweep across every durable step of an online checkpoint.
 ///
-/// One store is built on the host and a snapshot pinned once; the sweep then
-/// repeatedly streams that pinned snapshot into a fresh checkpoint directory
-/// with the fault armed one step further each round, while the live store
-/// keeps taking writes between rounds (the pinned fence never moves, and
-/// the workers are drained before each armed window so the injected step is
-/// deterministic). A torn checkpoint must be **detectably incomplete**:
-/// [`Lethe::restore`] refuses the directory, it never opens silently short.
-/// The marker's rename is the commit point, so a checkpoint killed at the
-/// directory barrier behind it restores like a finished one. The surviving
-/// run must restore to exactly the oracle frozen at the snapshot fence —
-/// none of the post-fence writes may leak across. The fired-site audit
-/// proves the sweep crossed *every* durable step of the checkpoint
-/// protocol: the data segment and its page writes and barrier, the manifest
-/// commit, and the completeness marker's tmp write and rename.
+/// One store is built on a `MemVfs` and a snapshot pinned once; the sweep
+/// then repeatedly streams that pinned snapshot into a fresh checkpoint
+/// directory on the same file system with the fault armed one step further
+/// each round, while the live store keeps taking writes between rounds (the
+/// pinned fence never moves, and the workers are drained before each armed
+/// window so the injected step is deterministic). A torn checkpoint must be
+/// **detectably incomplete**: [`LetheBuilder::restore_on`] refuses the
+/// directory, it never opens silently short. The marker's rename is the
+/// commit point, so a checkpoint killed at the directory barrier behind it
+/// restores like a finished one. The surviving run must restore to exactly
+/// the model frozen at the snapshot fence — none of the post-fence writes
+/// may leak across — and must still do so after a power loss drops
+/// everything no barrier made durable. The fired-site audit proves the
+/// sweep crossed *every* durable step of the checkpoint protocol: the data
+/// segment and its page writes and barrier, the manifest commit, and the
+/// completeness marker's tmp write and rename.
 #[test]
 fn checkpoint_kill_point_sweep() {
-    let dir = unique_dir("ckpt-sweep");
-    let fault = FaultVfs::new(OsVfs::shared());
-    let db = ShardedLetheBuilder::from_builder(builder())
+    let mem = MemVfs::new();
+    let fault = FaultVfs::new(mem.clone());
+    let mut db = ShardedLetheBuilder::from_builder(builder())
         .shards(3)
-        .open_on(fault.clone(), &dir)
+        .open_on(fault.clone(), DIR)
         .unwrap();
     let mut rng = StdRng::seed_from_u64(0xC4E7);
-    let mut oracle: Oracle = BTreeMap::new();
+    let mut model = Model::default();
     for _ in 0..150 {
-        let op = random_op(&mut rng);
-        apply_sharded(&db, &op).unwrap();
-        apply_oracle(&mut oracle, &op);
+        let op = Op::random(&mut rng);
+        db.apply(&op).unwrap();
+        model.apply(&op);
     }
     db.persist().unwrap();
 
     let snapshot = db.snapshot();
-    let frozen = oracle.clone();
+    let frozen = model.clone();
+    let restore = |ckpt: &Path| LetheBuilder::new().restore_on(mem.clone(), ckpt);
     let check_restored = |ckpt: &Path| {
-        let restored = Lethe::restore(ckpt).unwrap();
-        for k in 0..KEY_SPACE {
-            assert_eq!(
-                restored.get(k).unwrap().map(|b| b.to_vec()),
-                frozen.get(&k).cloned(),
-                "restored key {k} diverged from the fence oracle"
-            );
-        }
         // none of the post-fence writes leaked across the fence
-        let live: Vec<u64> =
-            restored.range(0, u64::MAX).unwrap().into_iter().map(|(k, _)| k).collect();
-        let expected: Vec<u64> = frozen.keys().copied().collect();
-        assert_eq!(live, expected, "restored scan shows post-fence writes");
+        let restored = restore(ckpt).unwrap();
+        assert_eq!(sim::contents(&restored).unwrap(), frozen, "the restore is not the fence");
+        let scan = restored.range(0, u64::MAX).unwrap();
+        assert_eq!(scan.len(), frozen.0.len(), "the restore shows post-fence writes");
+    };
+    let has_marker = |ckpt: &Path| {
+        mem.list(ckpt).unwrap().iter().any(|name| name == lethe::storage::CHECKPOINT_MARKER)
     };
 
     let mut kill = 0u64;
     let mut crashes = 0u32;
     let mut fired: BTreeSet<KillPoint> = BTreeSet::new();
     let mut post_key = 10_000u64;
-    loop {
+    let last = loop {
         // the store keeps moving while the pinned fence stays put; drain
         // the workers so the armed window below is deterministic
         for _ in 0..4 {
@@ -1873,7 +1601,7 @@ fn checkpoint_kill_point_sweep() {
         }
         db.maintain().unwrap();
 
-        let ckpt = unique_dir("ckpt-out");
+        let ckpt = PathBuf::from(format!("/ckpt-{kill}"));
         fault.arm(kill);
         let res = db.checkpoint_at(&snapshot, &ckpt);
         fault.disarm();
@@ -1882,7 +1610,7 @@ fn checkpoint_kill_point_sweep() {
                 crashes += 1;
                 let site = fault.last_fired().expect("an injected kill records its site");
                 fired.insert(site);
-                if ckpt.join(lethe::storage::CHECKPOINT_MARKER).exists() {
+                if has_marker(&ckpt) {
                     // the marker's rename landed: only its directory
                     // barrier failed, and the checkpoint is whole
                     assert_eq!(site.to_string(), "dir.sync_dir", "kill {kill}");
@@ -1890,22 +1618,17 @@ fn checkpoint_kill_point_sweep() {
                 } else {
                     // torn checkpoints are detectably incomplete, never
                     // silently short
-                    assert!(
-                        Lethe::restore(&ckpt).is_err(),
-                        "restore accepted a torn checkpoint (kill {kill})"
-                    );
+                    assert!(restore(&ckpt).is_err(), "a torn checkpoint restored (kill {kill})");
                 }
-                let _ = std::fs::remove_dir_all(&ckpt);
             }
             Ok(marker) => {
                 assert_eq!(marker.fence, snapshot.seqnum());
                 check_restored(&ckpt);
-                let _ = std::fs::remove_dir_all(&ckpt);
-                break;
+                break ckpt;
             }
         }
         kill += 1;
-    }
+    };
     assert!(crashes >= 5, "sweep must cross the checkpoint's durable steps, got {crashes}");
     let expected = names_of(&[
         "segment.create",
@@ -1928,12 +1651,17 @@ fn checkpoint_kill_point_sweep() {
     for k in 0..KEY_SPACE {
         assert_eq!(
             db.get(k).unwrap().map(|b| b.to_vec()),
-            oracle.get(&k).cloned(),
+            model.0.get(&k).cloned(),
             "live store diverged on key {k} after the sweep"
         );
     }
     assert!(db.get(10_000).unwrap().is_some(), "post-fence writes must be live");
-    let _ = std::fs::remove_dir_all(&dir);
+    // a power loss that keeps only what the barriers made durable: the
+    // complete checkpoint still restores, marker and all, to the fence
+    drop((snapshot, db));
+    assert_eq!(mem.crash(&mut |_| 0), lethe::storage::PowerLoss::DropUnsynced);
+    assert!(has_marker(&last), "the power loss dropped the marker");
+    check_restored(&last);
 }
 
 /// An online checkpoint under genuinely concurrent writers: three threads
@@ -1945,7 +1673,7 @@ fn checkpoint_restores_the_fence_despite_concurrent_writers() {
     let dir = unique_dir("ckpt-live");
     let ckpt = unique_dir("ckpt-live-out");
     let db = ShardedLetheBuilder::from_builder(builder()).shards(3).open(&dir).unwrap();
-    let mut frozen: Oracle = BTreeMap::new();
+    let mut frozen: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for k in 0..KEY_SPACE {
         let v = vec![(k % 251) as u8; 9];
         db.put(k, delete_key_of(k), v.clone()).unwrap();

@@ -1,6 +1,9 @@
 //! Property-based tests (proptest): random operation sequences against a
 //! model oracle, and structural invariants of the storage layer.
 
+#[allow(dead_code, reason = "the simulator itself runs in tests/crash_recovery.rs")]
+mod sim;
+
 use bytes::Bytes;
 use lethe::lsm::compaction::{FileSelection, SaturationPolicy, TreeView};
 use lethe::lsm::{
@@ -12,36 +15,22 @@ use lethe::storage::{
 };
 use lethe::{level_ttls, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use proptest::prelude::*;
+use sim::{Model, Op, Store};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A random mutation applied to both the engine and the oracle.
-///
-/// The delete key of a put is a fixed function of the sort key (as if it were
-/// an immutable creation attribute), matching the paper's model where the
-/// delete key is e.g. a creation timestamp: all versions of a key share it,
-/// so a secondary range delete either covers every version of a key or none.
-#[derive(Debug, Clone)]
-enum Mutation {
-    Put(u64, u8),
-    Delete(u64),
-    DeleteRange(u64, u64),
-    SecondaryDelete(u64, u64),
-    Flush,
-}
-
-fn delete_key_of(sort_key: u64, key_space: u64) -> u64 {
-    sort_key.wrapping_mul(31) % key_space
-}
-
-fn mutation_strategy(key_space: u64) -> impl Strategy<Value = Mutation> {
+/// A random write or persist over the sort keys `0..key_space`. A
+/// secondary delete spans up to a quarter of the delete-key space, which
+/// `sim::delete_key_of` spreads every key space over.
+fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
+    let span = |space: u64| (0..space, 1..(space / 4).max(2));
     prop_oneof![
-        6 => (0..key_space, any::<u8>()).prop_map(|(k, v)| Mutation::Put(k, v)),
-        2 => (0..key_space).prop_map(Mutation::Delete),
-        1 => (0..key_space, 1..(key_space / 4).max(2)).prop_map(|(s, len)| Mutation::DeleteRange(s, s + len)),
-        1 => (0..key_space, 1..(key_space / 4).max(2)).prop_map(|(s, len)| Mutation::SecondaryDelete(s, s + len)),
-        1 => Just(Mutation::Flush),
+        6 => (0..key_space, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
+        2 => (0..key_space).prop_map(Op::Delete),
+        1 => span(key_space).prop_map(|(s, len)| Op::DeleteRange(s, s + len)),
+        1 => span(sim::KEY_SPACE).prop_map(|(s, len)| Op::SecondaryDelete(s, s + len)),
+        1 => Just(Op::Persist),
     ]
 }
 
@@ -57,57 +46,21 @@ fn tiny_config(merge_policy: MergePolicy, h: usize) -> LsmConfig {
     cfg
 }
 
-/// Applies the mutations to an engine and a `BTreeMap` oracle and checks that
-/// every key of the key space agrees afterwards.
-fn check_against_oracle(cfg: LsmConfig, dth_secs: f64, ops: &[Mutation], key_space: u64) {
+/// Applies the ops to an engine and the model and checks that every key
+/// agrees afterwards, by `get` and by a full scan.
+fn check_against_oracle(cfg: LsmConfig, dth_secs: f64, ops: &[Op]) {
     let mut db = LetheBuilder::new()
         .with_config(cfg)
         .delete_persistence_threshold_secs(dth_secs)
         .build()
         .unwrap();
-    let mut oracle: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
+    let mut model = Model::default();
     for op in ops {
-        match op {
-            Mutation::Put(k, v) => {
-                let d = delete_key_of(*k, key_space);
-                let value = vec![*v; 9];
-                db.put(*k, d, value.clone()).unwrap();
-                oracle.insert(*k, (d, value));
-            }
-            Mutation::Delete(k) => {
-                db.delete(*k).unwrap();
-                oracle.remove(k);
-            }
-            Mutation::DeleteRange(s, e) => {
-                db.delete_range(*s, *e).unwrap();
-                let victims: Vec<u64> = oracle.range(*s..*e).map(|(k, _)| *k).collect();
-                for k in victims {
-                    oracle.remove(&k);
-                }
-            }
-            Mutation::SecondaryDelete(s, e) => {
-                db.delete_where_delete_key_in(*s, *e).unwrap();
-                let victims: Vec<u64> =
-                    oracle.iter().filter(|(_, (d, _))| d >= s && d < e).map(|(k, _)| *k).collect();
-                for k in victims {
-                    oracle.remove(&k);
-                }
-            }
-            Mutation::Flush => {
-                db.persist().unwrap();
-            }
-        }
+        db.apply(op).unwrap();
+        model.apply(op);
     }
     db.persist().unwrap();
-    for k in 0..key_space {
-        let expected = oracle.get(&k).map(|(_, v)| v.clone());
-        let got = db.get(k).unwrap().map(|b| b.to_vec());
-        assert_eq!(got, expected, "key {k} disagrees with the oracle");
-    }
-    // a full scan returns exactly the oracle's live keys, in order
-    let scan: Vec<u64> = db.range(0, key_space).unwrap().into_iter().map(|(k, _)| k).collect();
-    let expected: Vec<u64> = oracle.keys().copied().collect();
-    assert_eq!(scan, expected);
+    assert_eq!(sim::contents(&db).unwrap(), model, "the store disagrees with the model");
 }
 
 /// Drives a block-cache-enabled store and an uncached one through the same
@@ -119,7 +72,7 @@ fn check_against_oracle(cfg: LsmConfig, dth_secs: f64, ops: &[Mutation], key_spa
 /// pages enter the cache right before compactions retire them — the
 /// sequence that would expose a missed `drop_page` invalidation (a stale
 /// page resurrected from cache) as a divergence.
-fn check_cached_matches_uncached(ops: &[Mutation], key_space: u64, cache_bytes: usize) {
+fn check_cached_matches_uncached(ops: &[Op], key_space: u64, cache_bytes: usize) {
     let cfg = tiny_config(MergePolicy::Leveling, 2);
     let build = |cache: usize| {
         LetheBuilder::new()
@@ -133,29 +86,8 @@ fn check_cached_matches_uncached(ops: &[Mutation], key_space: u64, cache_bytes: 
     let mut cached = build(cache_bytes);
     let mut plain = build(0);
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            Mutation::Put(k, v) => {
-                let d = delete_key_of(*k, key_space);
-                cached.put(*k, d, vec![*v; 9]).unwrap();
-                plain.put(*k, d, vec![*v; 9]).unwrap();
-            }
-            Mutation::Delete(k) => {
-                cached.delete(*k).unwrap();
-                plain.delete(*k).unwrap();
-            }
-            Mutation::DeleteRange(s, e) => {
-                cached.delete_range(*s, *e).unwrap();
-                plain.delete_range(*s, *e).unwrap();
-            }
-            Mutation::SecondaryDelete(s, e) => {
-                cached.delete_where_delete_key_in(*s, *e).unwrap();
-                plain.delete_where_delete_key_in(*s, *e).unwrap();
-            }
-            Mutation::Flush => {
-                cached.persist().unwrap();
-                plain.persist().unwrap();
-            }
-        }
+        cached.apply(op).unwrap();
+        plain.apply(op).unwrap();
         // spot-check mid-history so a stale cached page is caught near the
         // mutation that should have invalidated it, not at the very end
         if i % 16 == 0 {
@@ -210,11 +142,7 @@ fn check_cached_matches_uncached(ops: &[Mutation], key_space: u64, cache_bytes: 
 /// Date-tiered runs with its TTL off here: whole-file drops are
 /// *intentional* data loss, so they are exercised separately
 /// (`tests/compaction_strategies.rs`), not in an equivalence harness.
-fn check_strategy_matches_default(
-    strategy: lethe::CompactionStrategy,
-    ops: &[Mutation],
-    key_space: u64,
-) {
+fn check_strategy_matches_default(strategy: lethe::CompactionStrategy, ops: &[Op], key_space: u64) {
     let build = |strategy: lethe::CompactionStrategy| {
         LetheBuilder::new()
             .with_config(tiny_config(MergePolicy::Leveling, 2))
@@ -226,29 +154,8 @@ fn check_strategy_matches_default(
     let mut tiered = build(strategy);
     let mut plain = build(lethe::CompactionStrategy::Default);
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            Mutation::Put(k, v) => {
-                let d = delete_key_of(*k, key_space);
-                tiered.put(*k, d, vec![*v; 9]).unwrap();
-                plain.put(*k, d, vec![*v; 9]).unwrap();
-            }
-            Mutation::Delete(k) => {
-                tiered.delete(*k).unwrap();
-                plain.delete(*k).unwrap();
-            }
-            Mutation::DeleteRange(s, e) => {
-                tiered.delete_range(*s, *e).unwrap();
-                plain.delete_range(*s, *e).unwrap();
-            }
-            Mutation::SecondaryDelete(s, e) => {
-                tiered.delete_where_delete_key_in(*s, *e).unwrap();
-                plain.delete_where_delete_key_in(*s, *e).unwrap();
-            }
-            Mutation::Flush => {
-                tiered.persist().unwrap();
-                plain.persist().unwrap();
-            }
-        }
+        tiered.apply(op).unwrap();
+        plain.apply(op).unwrap();
         // spot-check mid-history so a divergence is caught near the
         // compaction that introduced it, not at the very end
         if i % 16 == 0 {
@@ -283,7 +190,7 @@ proptest! {
     /// histories — the strategy changes the file layout, never the data.
     #[test]
     fn size_tiered_store_is_observationally_identical(
-        ops in prop::collection::vec(mutation_strategy(256), 1..400),
+        ops in prop::collection::vec(op_strategy(256), 1..400),
         fan_in in 2usize..5,
     ) {
         check_strategy_matches_default(
@@ -297,7 +204,7 @@ proptest! {
     /// merging must be invisible to readers.
     #[test]
     fn date_tiered_store_is_observationally_identical(
-        ops in prop::collection::vec(mutation_strategy(256), 1..400),
+        ops in prop::collection::vec(op_strategy(256), 1..400),
         fan_in in 2usize..5,
         base_window in 1u64..1_000_000,
     ) {
@@ -313,114 +220,22 @@ proptest! {
     }
 }
 
-/// A durable-engine step: a regular mutation or a restart point (drop the
-/// engine mid-history and reopen it from its directory).
-#[derive(Debug, Clone)]
-enum DurableOp {
-    Mutate(Mutation),
-    Restart,
-}
-
-fn durable_op_strategy(key_space: u64) -> impl Strategy<Value = DurableOp> {
-    prop_oneof![
-        10 => mutation_strategy(key_space).prop_map(DurableOp::Mutate),
-        1 => Just(DurableOp::Restart),
-    ]
-}
-
-/// Like [`check_against_oracle`] but for the durable (file-backed) engine,
-/// with restarts interleaved at arbitrary points: every acknowledged
-/// mutation must survive every restart, whether it sat in the write buffer
-/// (WAL replay) or had been flushed/compacted (manifest recovery).
-fn check_durable_against_oracle(ops: &[DurableOp], key_space: u64) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static CASE: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "lethe-prop-durable-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = tiny_config(MergePolicy::Leveling, 2);
-    // in-process restarts lose nothing unsynced, so the relaxed policy just
-    // keeps the fuzz fast
-    cfg.wal_sync = lethe::storage::SyncPolicy::OnFlush;
-    let reopen = |cfg: &LsmConfig| {
-        LetheBuilder::new()
-            .with_config(cfg.clone())
-            .delete_persistence_threshold_secs(1.0)
-            .open(&dir)
-            .unwrap()
-    };
-    let mut db = reopen(&cfg);
-    let mut oracle: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
-    for op in ops {
-        match op {
-            DurableOp::Mutate(Mutation::Put(k, v)) => {
-                let d = delete_key_of(*k, key_space);
-                let value = vec![*v; 9];
-                db.put(*k, d, value.clone()).unwrap();
-                oracle.insert(*k, (d, value));
-            }
-            DurableOp::Mutate(Mutation::Delete(k)) => {
-                db.delete(*k).unwrap();
-                oracle.remove(k);
-            }
-            DurableOp::Mutate(Mutation::DeleteRange(s, e)) => {
-                db.delete_range(*s, *e).unwrap();
-                let victims: Vec<u64> = oracle.range(*s..*e).map(|(k, _)| *k).collect();
-                for k in victims {
-                    oracle.remove(&k);
-                }
-            }
-            DurableOp::Mutate(Mutation::SecondaryDelete(s, e)) => {
-                db.delete_where_delete_key_in(*s, *e).unwrap();
-                let victims: Vec<u64> =
-                    oracle.iter().filter(|(_, (d, _))| d >= s && d < e).map(|(k, _)| *k).collect();
-                for k in victims {
-                    oracle.remove(&k);
-                }
-            }
-            DurableOp::Mutate(Mutation::Flush) => {
-                db.persist().unwrap();
-            }
-            DurableOp::Restart => {
-                drop(db);
-                db = reopen(&cfg);
-            }
-        }
-    }
-    // one final restart so the end state is checked through recovery too
-    drop(db);
-    let db = reopen(&cfg);
-    for k in 0..key_space {
-        let expected = oracle.get(&k).map(|(_, v)| v.clone());
-        let got = db.get(k).unwrap().map(|b| b.to_vec());
-        assert_eq!(got, expected, "key {k} disagrees with the oracle after restarts");
-    }
-    let scan: Vec<u64> = db.range(0, key_space).unwrap().into_iter().map(|(k, _)| k).collect();
-    let expected: Vec<u64> = oracle.keys().copied().collect();
-    assert_eq!(scan, expected);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn lethe_leveling_matches_oracle(ops in prop::collection::vec(mutation_strategy(256), 1..400)) {
-        check_against_oracle(tiny_config(MergePolicy::Leveling, 2), 1.0, &ops, 256);
+    fn lethe_leveling_matches_oracle(ops in prop::collection::vec(op_strategy(256), 1..400)) {
+        check_against_oracle(tiny_config(MergePolicy::Leveling, 2), 1.0, &ops);
     }
 
     #[test]
-    fn lethe_tiering_matches_oracle(ops in prop::collection::vec(mutation_strategy(256), 1..400)) {
-        check_against_oracle(tiny_config(MergePolicy::Tiering, 1), 1.0, &ops, 256);
+    fn lethe_tiering_matches_oracle(ops in prop::collection::vec(op_strategy(256), 1..400)) {
+        check_against_oracle(tiny_config(MergePolicy::Tiering, 1), 1.0, &ops);
     }
 
     #[test]
-    fn lethe_wide_tiles_match_oracle(ops in prop::collection::vec(mutation_strategy(128), 1..300)) {
-        check_against_oracle(tiny_config(MergePolicy::Leveling, 8), 0.2, &ops, 128);
+    fn lethe_wide_tiles_match_oracle(ops in prop::collection::vec(op_strategy(128), 1..300)) {
+        check_against_oracle(tiny_config(MergePolicy::Leveling, 8), 0.2, &ops);
     }
 
     /// A store reading through an eviction-heavy block cache answers every
@@ -430,24 +245,11 @@ proptest! {
     /// reclamation invalidation never lets a retired page resurface.
     #[test]
     fn cached_store_is_observationally_identical(
-        ops in prop::collection::vec(mutation_strategy(256), 1..400),
+        ops in prop::collection::vec(op_strategy(256), 1..400),
     ) {
         // a single ~2 KiB stripe holds only a handful of pages, so every
         // flush/compaction churns the cache through eviction
         check_cached_matches_uncached(&ops, 256, 2048);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// The durable engine agrees with the oracle across random restart
-    /// points (manifest recovery + WAL replay end to end).
-    #[test]
-    fn durable_engine_matches_oracle_across_restarts(
-        ops in prop::collection::vec(durable_op_strategy(128), 1..250),
-    ) {
-        check_durable_against_oracle(&ops, 128);
     }
 }
 
@@ -876,7 +678,7 @@ fn check_batches_are_atomic_to_readers(steps: &[BatchStep]) {
                         let k = group_key(*g, j);
                         let mut value = generation.to_le_bytes().to_vec();
                         value.push(0); // match the 9-byte payloads used elsewhere
-                        batch.put(k, delete_key_of(k, BATCH_KEY_SPACE), value);
+                        batch.put(k, sim::delete_key_of(k), value);
                     }
                     db.write(batch).unwrap();
                     live[*g] = true;
@@ -924,67 +726,31 @@ proptest! {
     }
 }
 
-/// One step of the snapshot-consistency history: a plain mutation, an
-/// atomic multi-key write batch, or a full maintenance pass (flush plus
-/// FADE compaction churn).
+/// One step of the snapshot-consistency history: a write (an atomic
+/// multi-key batch among them) or a full maintenance pass (flush plus FADE
+/// compaction churn).
 #[derive(Debug, Clone)]
 enum SnapOp {
-    Mutate(Mutation),
-    Batch(Vec<(u64, u8)>),
+    Mutate(Op),
     Maintain,
 }
 
 fn snap_op_strategy(key_space: u64) -> impl Strategy<Value = SnapOp> {
+    let puts = prop::collection::vec((0..key_space, any::<u8>()), 1..6);
+    let batch = puts.prop_map(|puts| Op::Batch(puts.iter().map(|&(k, v)| Op::Put(k, v)).collect()));
     prop_oneof![
-        8 => mutation_strategy(key_space).prop_map(SnapOp::Mutate),
-        2 => prop::collection::vec((0..key_space, any::<u8>()), 1..6).prop_map(SnapOp::Batch),
+        8 => op_strategy(key_space).prop_map(SnapOp::Mutate),
+        2 => batch.prop_map(SnapOp::Mutate),
         1 => Just(SnapOp::Maintain),
     ]
 }
 
-/// Applies one step to the store and a `BTreeMap` oracle in lockstep.
-fn apply_snap_op(
-    db: &ShardedLethe,
-    oracle: &mut BTreeMap<u64, (u64, Vec<u8>)>,
-    op: &SnapOp,
-    key_space: u64,
-) {
+/// Applies one step to the store and the model in lockstep.
+fn apply_snap_op(db: &mut ShardedLethe, model: &mut Model, op: &SnapOp) {
     match op {
-        SnapOp::Mutate(Mutation::Put(k, v)) => {
-            let d = delete_key_of(*k, key_space);
-            let value = vec![*v; 9];
-            db.put(*k, d, value.clone()).unwrap();
-            oracle.insert(*k, (d, value));
-        }
-        SnapOp::Mutate(Mutation::Delete(k)) => {
-            db.delete(*k).unwrap();
-            oracle.remove(k);
-        }
-        SnapOp::Mutate(Mutation::DeleteRange(s, e)) => {
-            db.delete_range(*s, *e).unwrap();
-            let victims: Vec<u64> = oracle.range(*s..*e).map(|(k, _)| *k).collect();
-            for k in victims {
-                oracle.remove(&k);
-            }
-        }
-        SnapOp::Mutate(Mutation::SecondaryDelete(s, e)) => {
-            db.delete_where_delete_key_in(*s, *e).unwrap();
-            let victims: Vec<u64> =
-                oracle.iter().filter(|(_, (d, _))| d >= s && d < e).map(|(k, _)| *k).collect();
-            for k in victims {
-                oracle.remove(&k);
-            }
-        }
-        SnapOp::Mutate(Mutation::Flush) => db.persist().unwrap(),
-        SnapOp::Batch(writes) => {
-            let mut batch = WriteBatch::new();
-            for (k, v) in writes {
-                let d = delete_key_of(*k, key_space);
-                let value = vec![*v; 9];
-                batch.put(*k, d, value.clone());
-                oracle.insert(*k, (d, value));
-            }
-            db.write(batch).unwrap();
+        SnapOp::Mutate(op) => {
+            db.apply(op).unwrap();
+            model.apply(op);
         }
         SnapOp::Maintain => db.maintain().unwrap(),
     }
@@ -998,7 +764,7 @@ fn apply_snap_op(
 /// store must meanwhile agree with the *live* oracle, so the snapshot is a
 /// frozen view, not a stalled store.
 fn check_snapshot_freezes_the_view(shards: usize, pre: &[SnapOp], post: &[SnapOp], key_space: u64) {
-    let db = ShardedLetheBuilder::from_builder(
+    let mut db = ShardedLetheBuilder::from_builder(
         LetheBuilder::new()
             .buffer(8, 4, 64)
             .size_ratio(4)
@@ -1008,25 +774,25 @@ fn check_snapshot_freezes_the_view(shards: usize, pre: &[SnapOp], post: &[SnapOp
     .shards(shards)
     .build()
     .unwrap();
-    let mut oracle: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
+    let mut model = Model::default();
     for op in pre {
-        apply_snap_op(&db, &mut oracle, op, key_space);
+        apply_snap_op(&mut db, &mut model, op);
     }
     let snapshot = db.snapshot();
-    let frozen = oracle.clone();
+    let frozen = model.0.clone();
     for op in post {
-        apply_snap_op(&db, &mut oracle, op, key_space);
+        apply_snap_op(&mut db, &mut model, op);
     }
     db.persist().unwrap();
 
     // point reads at the snapshot: byte-identical to the frozen oracle
     for k in 0..key_space {
-        let expected = frozen.get(&k).map(|(_, v)| v.clone());
+        let expected = frozen.get(&k).cloned();
         let got = snapshot.get(k).unwrap().map(|b| b.to_vec());
         assert_eq!(got, expected, "snapshot get({k}) diverged from the frozen oracle");
     }
     // materialised and streamed range scans agree with the frozen oracle
-    let expected: Vec<(u64, Vec<u8>)> = frozen.iter().map(|(k, (_, v))| (*k, v.clone())).collect();
+    let expected: Vec<(u64, Vec<u8>)> = frozen.iter().map(|(k, v)| (*k, v.clone())).collect();
     let ranged: Vec<(u64, Vec<u8>)> =
         snapshot.range(0, key_space).unwrap().into_iter().map(|(k, v)| (k, v.to_vec())).collect();
     assert_eq!(ranged, expected, "snapshot range scan diverged from the frozen oracle");
@@ -1039,7 +805,7 @@ fn check_snapshot_freezes_the_view(shards: usize, pre: &[SnapOp], post: &[SnapOp
     // the secondary (delete-key) index view is frozen too
     let span = (key_space / 2).max(1);
     let expected_secondary: Vec<u64> =
-        frozen.iter().filter(|(_, (d, _))| *d < span).map(|(k, _)| *k).collect();
+        frozen.keys().copied().filter(|&k| sim::delete_key_of(k) < span).collect();
     let got_secondary: Vec<u64> = snapshot
         .scan_by_delete_key(0, span)
         .unwrap()
@@ -1049,7 +815,7 @@ fn check_snapshot_freezes_the_view(shards: usize, pre: &[SnapOp], post: &[SnapOp
     assert_eq!(got_secondary, expected_secondary, "snapshot secondary scan diverged");
     // the live store moved on with the live oracle
     for k in 0..key_space {
-        let expected = oracle.get(&k).map(|(_, v)| v.clone());
+        let expected = model.0.get(&k).cloned();
         assert_eq!(db.get(k).unwrap().map(|b| b.to_vec()), expected, "live get({k}) diverged");
     }
 }
@@ -1092,11 +858,11 @@ proptest! {
     /// persistence.
     #[test]
     fn background_scheduling_preserves_ttl_guarantee(
-        ops in prop::collection::vec(mutation_strategy(256), 40..200),
+        ops in prop::collection::vec(op_strategy(256), 40..200),
         dth_secs in 1.0f64..8.0,
         shards in 1usize..4,
     ) {
-        let db = ShardedLetheBuilder::from_builder(
+        let mut db = ShardedLetheBuilder::from_builder(
             LetheBuilder::new()
                 .buffer(8, 4, 64)
                 .size_ratio(4)
@@ -1107,19 +873,7 @@ proptest! {
         .build()
         .unwrap();
         for op in &ops {
-            match op {
-                Mutation::Put(k, v) => {
-                    db.put(*k, delete_key_of(*k, 256), vec![*v; 9]).unwrap();
-                }
-                Mutation::Delete(k) => {
-                    db.delete(*k).unwrap();
-                }
-                Mutation::DeleteRange(s, e) => db.delete_range(*s, *e).unwrap(),
-                Mutation::SecondaryDelete(s, e) => {
-                    db.delete_where_delete_key_in(*s, *e).unwrap();
-                }
-                Mutation::Flush => db.persist().unwrap(),
-            }
+            db.apply(op).unwrap();
         }
         // move logical time past the threshold, then quiesce the workers:
         // every TTL-expired file must have been compacted down by now

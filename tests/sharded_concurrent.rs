@@ -1,8 +1,7 @@
 //! Concurrent-access tests for the sharded front-end: `ShardedLethe` is
 //! hammered from many threads with interleaved puts/deletes/gets and checked
-//! against a `Mutex<BTreeMap>` oracle (the same oracle pattern as
-//! `crates/bench/src/bin/fuzz_oracle.rs`, held under a lock so every thread
-//! can update it).
+//! against a `Mutex<BTreeMap>` oracle (the `BTreeMap` model of `tests/sim`,
+//! held under a lock so every thread can update it).
 //!
 //! Determinism: each thread owns a disjoint slice of the key space and runs
 //! a seeded operation stream, so the *final* store state is independent of
