@@ -36,7 +36,9 @@
 //! `apply_job` (see [`lethe_lsm::jobs`]) installs nothing on error and the
 //! frozen buffer is only cleared by a successful flush — so the in-memory
 //! store stays consistent; the error is recorded and surfaced by the next
-//! [`Compactor::drain`].
+//! [`Compactor::drain`]. The one error after the install, a failed unlink
+//! of a segment the job's retired pages emptied, leaves the job applied
+//! whole.
 
 use crate::engine::Lethe;
 use lethe_storage::{Result, StorageError};

@@ -308,8 +308,10 @@ impl LetheBuilder {
     }
 
     /// Opens (or creates) the engine rooted at `dir` on `vfs`: data segments
-    /// `dir/lethe.data` and `dir/lethe.data.<id>`, write-ahead log
-    /// `dir/lethe.wal` and manifest `dir/lethe.manifest`. On startup the
+    /// `dir/lethe.data` and `dir/lethe.data.<id>`, sealed at
+    /// [`LsmConfig::segment_target_bytes`] (16 MiB for the reference
+    /// configuration, 4 KiB for a test tree's 1 KiB buffer), write-ahead
+    /// log `dir/lethe.wal` and manifest `dir/lethe.manifest`. On startup the
     /// tree's levels and files are recovered from the manifest (flushed and
     /// compacted data survives restarts), then the WAL is replayed on top,
     /// so every acknowledged write is returned by the reopened store. Every
@@ -344,7 +346,7 @@ impl LetheBuilder {
         clock: LogicalClock,
     ) -> Result<Lethe> {
         let policy = policy.unwrap_or_else(|| self.make_policy());
-        let backend = FileBackend::open_on(vfs, dir, name)?;
+        let backend = FileBackend::open_on(vfs, dir, name, self.config.segment_target_bytes())?;
         let wal = FileWal::open_on(vfs, &dir.join(format!("{name}.wal")))?
             .with_sync_policy(self.config.wal_sync);
         let manifest = Manifest::open_on(vfs, &dir.join(format!("{name}.manifest")))?;

@@ -1025,9 +1025,10 @@ impl ShardedLethe {
     pub fn checkpoint_at(&self, snapshot: &Snapshot, dir: impl AsRef<Path>) -> Result<CheckpointMarker> {
         let inner = snapshot.pinned()?;
         let dir = dir.as_ref();
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(FileBackend::open_on(&self.vfs, dir, "checkpoint")?);
         let config = self.shards[0].engine.lock().config().clone();
+        let target = config.segment_target_bytes();
+        let backend: Arc<dyn StorageBackend> =
+            Arc::new(FileBackend::open_on(&self.vfs, dir, "checkpoint", target)?);
         let views = &inner.views.0;
         let mut stream = inner.views.merged(ReadView::entry_merge)?;
         // range tombstones live outside the page stream: each joins the file

@@ -568,10 +568,10 @@ mod tests {
     /// The tree `lethe` in `/` on `vfs`, recovered, whose policy picks
     /// nothing until a test scripts it.
     fn open(vfs: &Arc<dyn Vfs>, config: LsmConfig) -> LsmTree {
-        let dir = Path::new("/");
+        let (dir, target) = (Path::new("/"), config.segment_target_bytes());
         let mut t = LsmTree::new(
             config,
-            Arc::new(FileBackend::open_on(vfs, dir, "lethe").unwrap()),
+            Arc::new(FileBackend::open_on(vfs, dir, "lethe", target).unwrap()),
             Box::new(FileWal::open_on(vfs, &dir.join("lethe.wal")).unwrap()),
             Manifest::open_on(vfs, &dir.join("lethe.manifest")).unwrap(),
             LogicalClock::new(),

@@ -2,7 +2,7 @@
 //! (`D_th`, delete-tile granularity `h`, compaction policy selection).
 
 use lethe_storage::clock::MICROS_PER_SEC;
-use lethe_storage::{SyncPolicy, Timestamp};
+use lethe_storage::{SyncPolicy, Timestamp, SEGMENT_TARGET_BYTES};
 
 /// How runs are merged across levels (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +173,14 @@ impl LsmConfig {
         self.buffer_pages * self.entries_per_page * self.entry_size
     }
 
+    /// Size at which a durable store seals a data segment: `P · M`, at most
+    /// [`SEGMENT_TARGET_BYTES`] (16 MiB), so a test tree's 1 KiB buffer
+    /// gives 4 KiB segments that a short history fills, seals and lets die.
+    pub fn segment_target_bytes(&self) -> u64 {
+        let target = (self.buffer_pages as u64).saturating_mul(self.buffer_capacity_bytes() as u64);
+        target.min(SEGMENT_TARGET_BYTES)
+    }
+
     /// Number of entries the buffer holds when full (`P · B`).
     pub fn buffer_capacity_entries(&self) -> usize {
         self.buffer_pages * self.entries_per_page
@@ -291,6 +299,15 @@ mod tests {
         assert_eq!(c.entries_per_file(), 32);
         assert_eq!(LsmConfig { ingestion_rate: 1_000_000, ..c.clone() }.micros_per_ingest(), 1);
         assert_eq!(LsmConfig { ingestion_rate: 1024, ..c }.micros_per_ingest(), 976);
+    }
+
+    #[test]
+    fn the_segment_target_follows_the_buffer_up_to_16_mib() {
+        let ledger = LsmConfig { buffer_pages: 64, entries_per_page: 32, ..LsmConfig::default() };
+        let ledger = LsmConfig { entry_size: 128, ..ledger };
+        assert_eq!(ledger.segment_target_bytes(), 16 << 20, "64 · 256 KiB");
+        assert_eq!(LsmConfig::default().segment_target_bytes(), 16 << 20, "512 · 2 MiB, capped");
+        assert_eq!(LsmConfig::small_for_test().segment_target_bytes(), 4 << 10, "4 · 1 KiB");
     }
 
     #[test]

@@ -831,7 +831,7 @@ impl LsmTree {
             self.mem.frozen.read().as_ref().is_some_and(|held| Arc::ptr_eq(held, planned))
         });
         if self.versions.installs() != base || !buffer_in_place {
-            self.abort_output(out);
+            self.abort_output(out)?;
             return Ok(false);
         }
         // `current` stays pinned until this function returns, so the GC pass
@@ -887,6 +887,7 @@ impl LsmTree {
             self.stats.trivial_moves += u64::from(trivial_move);
             self.stats.bytes_moved += bytes_moved;
         }
+        self.versions.collect_garbage(self.backend.as_ref())?;
         Ok(true)
     }
 
@@ -894,10 +895,9 @@ impl LsmTree {
     /// (skipping any page shared with a live, registered table — which is
     /// every page of a refused move's output: the plan still pins its
     /// inputs, so the version set has not let go of them).
-    fn abort_output(&self, out: JobOutput) {
-        for t in out.tables {
-            self.versions.release_unregistered_pages(&t, self.backend.as_ref());
-        }
+    fn abort_output(&self, out: JobOutput) -> Result<()> {
+        let backend = self.backend.as_ref();
+        out.tables.iter().try_for_each(|t| self.versions.release_unregistered_pages(t, backend))
     }
 }
 
@@ -1054,7 +1054,7 @@ mod tests {
     /// without any; a move touches no page and installs the objects it took.
     fn commits_what_it_planned(name: &str, t: &mut LsmTree, oracle: &Oracle, plan: JobPlan) {
         // earlier jobs' inputs are reclaimed one job late: not this job's I/O
-        t.versions.collect_garbage(t.backend.as_ref());
+        t.versions.collect_garbage(t.backend.as_ref()).unwrap();
         let before = layout(t);
         let stats_before = t.stats();
         let io_before = t.io_snapshot();
@@ -1148,7 +1148,7 @@ mod tests {
 
         assert_reads(t, oracle, name);
         drop(sources); // the last pins on the retired inputs
-        t.versions.collect_garbage(t.backend.as_ref());
+        t.versions.collect_garbage(t.backend.as_ref()).unwrap();
         let referenced: BTreeSet<PageId> = files
             .iter()
             .flat_map(|f| f.tiles.iter().flat_map(|tile| tile.pages.iter().map(|p| p.id)))
@@ -1547,7 +1547,8 @@ mod tests {
     /// A recovered tree, driven job by job, whose store lives on `vfs`.
     fn tree_on(vfs: &Arc<FaultVfs>, cfg: LsmConfig) -> LsmTree {
         let (vfs, dir): (Arc<dyn Vfs>, _) = (vfs.clone(), Path::new("/"));
-        let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe").unwrap());
+        let target = cfg.segment_target_bytes();
+        let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe", target).unwrap());
         let wal = FileWal::open_on(&vfs, &dir.join("lethe.wal")).unwrap();
         let manifest = Manifest::open_on(&vfs, &dir.join("lethe.manifest")).unwrap();
         let clock = LogicalClock::new();
@@ -1647,7 +1648,7 @@ mod tests {
             let entries: u64 = p.inputs.iter().map(|f| f.meta.num_entries).sum();
             !p.trivial_move && p.inputs.len() > 1 && entries > 2 * cfg.entries_per_file() as u64
         });
-        t.versions.collect_garbage(t.backend.as_ref());
+        t.versions.collect_garbage(t.backend.as_ref()).unwrap();
         let live = t.backend.live_pages();
 
         let last_input_page = plan.inputs.iter().flat_map(|f| &f.tiles).flat_map(|tile| &tile.pages);

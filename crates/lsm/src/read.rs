@@ -671,10 +671,11 @@ mod tests {
     /// full buffer is only frozen, and stays so until the test flushes.
     fn open(vfs: &Arc<dyn Vfs>) -> LsmTree {
         let dir = Path::new("/");
-        let backend = Arc::new(FileBackend::open_on(vfs, dir, "lethe").unwrap());
+        let config = LsmConfig::small_for_test();
+        let target = config.segment_target_bytes();
+        let backend = Arc::new(FileBackend::open_on(vfs, dir, "lethe", target).unwrap());
         let wal = FileWal::open_on(vfs, &dir.join("lethe.wal")).unwrap();
         let manifest = Manifest::open_on(vfs, &dir.join("lethe.manifest")).unwrap();
-        let config = LsmConfig::small_for_test();
         let mut t =
             LsmTree::new(config, backend, Box::new(wal), manifest, LogicalClock::new(), policy())
                 .unwrap();
@@ -848,7 +849,7 @@ mod tests {
         assert_eq!(capture.range(0, key).unwrap(), captured);
         assert!(t.versions().garbage_len() > 0, "the capture pins the replaced files");
         drop(capture);
-        t.versions().collect_garbage(t.backend().as_ref());
+        t.versions().collect_garbage(t.backend().as_ref()).unwrap();
         assert_eq!(t.versions().garbage_len(), 0);
     }
 

@@ -27,26 +27,37 @@
 //! stays with the callers listed below; this module only centralises the
 //! *mechanism* so the ban has one place to point at.
 
-use lethe_storage::{Page, PageId, Result, StorageBackend};
+use lethe_storage::{Page, PageId, Result, StorageBackend, StorageError};
 
 /// Releases one page the caller has proven unreachable (reference count
-/// reached zero, or the durable manifest does not reference it). Errors on
-/// already-missing pages are swallowed: reclamation must be idempotent
-/// across crash recovery, which may retire the same page twice.
-pub fn retire_page(backend: &dyn StorageBackend, id: PageId) {
+/// reached zero, or the durable manifest does not reference it). An
+/// already-missing page is no error: reclamation must be idempotent across
+/// crash recovery, which may retire the same page twice. Any other error
+/// (the device dropped the page but could not unlink the segment it
+/// emptied) is the caller's to return.
+pub fn retire_page(backend: &dyn StorageBackend, id: PageId) -> Result<()> {
     #[expect(clippy::disallowed_methods, reason = "the choke point the ban funnels into")]
-    let _ = backend.drop_page(id);
+    match backend.drop_page(id) {
+        Err(StorageError::PageNotFound(_)) => Ok(()),
+        dropped => dropped,
+    }
 }
 
 /// Releases every page of a file that was compacted away and is referenced
-/// by no version, snapshot or reference count any more.
-pub fn retire_pages<I: IntoIterator<Item = PageId>>(backend: &dyn StorageBackend, ids: I) -> usize {
-    let mut released = 0;
+/// by no version, snapshot or reference count any more. Every page is
+/// retired even when one fails, and the first error is returned.
+pub fn retire_pages<I>(backend: &dyn StorageBackend, ids: I) -> Result<usize>
+where
+    I: IntoIterator<Item = PageId>,
+{
+    let (mut released, mut first_error) = (0, None);
     for id in ids {
-        retire_page(backend, id);
+        if let Err(e) = retire_page(backend, id) {
+            first_error.get_or_insert(e);
+        }
         released += 1;
     }
-    released
+    first_error.map_or(Ok(released), Err)
 }
 
 /// RAII cover for freshly written pages that are not yet reachable from any
@@ -86,8 +97,8 @@ impl<'a> PageReservation<'a> {
 
 impl Drop for PageReservation<'_> {
     fn drop(&mut self) {
-        for id in self.ids.drain(..) {
-            retire_page(self.backend, id);
-        }
+        // an error path: the error that unwound it is the one returned, and
+        // a segment a failed unlink left is collected by the next open
+        let _ = retire_pages(self.backend, self.ids.drain(..));
     }
 }

@@ -541,12 +541,10 @@ impl SsTable {
     }
 
     /// Releases every page of the file (after the file was compacted away).
-    /// Errors on already-missing pages are ignored.
-    pub fn release_pages(&self, backend: &dyn StorageBackend) {
-        crate::reclaim::retire_pages(
-            backend,
-            self.tiles.iter().flat_map(|tile| tile.pages.iter().map(|handle| handle.id)),
-        );
+    /// Already-missing pages are no error.
+    pub fn release_pages(&self, backend: &dyn StorageBackend) -> Result<()> {
+        let ids = self.tiles.iter().flat_map(|tile| tile.pages.iter().map(|handle| handle.id));
+        crate::reclaim::retire_pages(backend, ids).map(drop)
     }
 
     /// Executes a secondary range delete: removes every non-tombstone entry
@@ -664,7 +662,7 @@ mod tests {
     use super::*;
     use crate::cursor::tests::stored_entries;
     use bytes::Bytes;
-    use lethe_storage::{FaultVfs, FileBackend, MemVfs, Vfs};
+    use lethe_storage::{FaultVfs, FileBackend, MemVfs, Vfs, SEGMENT_TARGET_BYTES};
     use proptest::prelude::*;
     use std::path::Path;
 
@@ -969,7 +967,7 @@ mod tests {
     fn recover_with_missing_page_is_corruption() {
         let (t, backend) = build(2, 32);
         let desc = t.describe();
-        t.release_pages(backend.as_ref());
+        t.release_pages(backend.as_ref()).unwrap();
         let err = SsTable::recover(&desc, &config(2), backend.as_ref()).unwrap_err();
         assert!(matches!(err, lethe_storage::StorageError::Corruption(_)));
     }
@@ -978,7 +976,7 @@ mod tests {
     fn release_pages_frees_device() {
         let (t, backend) = build(2, 32);
         assert!(backend.live_pages() > 0);
-        t.release_pages(backend.as_ref());
+        t.release_pages(backend.as_ref()).unwrap();
         assert_eq!(backend.live_pages(), 0);
     }
 
@@ -1017,7 +1015,8 @@ mod tests {
     /// is one append, so `arm(n)` fails the write after the first `n`.
     fn faulty_device() -> (Arc<FaultVfs>, Arc<FileBackend>) {
         let vfs = FaultVfs::new(MemVfs::shared());
-        let device = FileBackend::open_on(&(vfs.clone() as Arc<dyn Vfs>), Path::new("/"), "lethe");
+        let vfs_dyn = vfs.clone() as Arc<dyn Vfs>;
+        let device = FileBackend::open_on(&vfs_dyn, Path::new("/"), "lethe", SEGMENT_TARGET_BYTES);
         (vfs, Arc::new(device.unwrap()))
     }
 

@@ -174,7 +174,8 @@ impl LsmTree {
     /// block cache: what unit tests and tools build.
     pub fn in_memory(config: LsmConfig, policy: Box<dyn CompactionPolicy>) -> Result<Self> {
         let (vfs, dir) = (MemVfs::shared(), Path::new("/"));
-        let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe")?);
+        let target = config.segment_target_bytes();
+        let backend = Arc::new(FileBackend::open_on(&vfs, dir, "lethe", target)?);
         let wal = FileWal::open_on(&vfs, &dir.join("lethe.wal"))?.with_sync_policy(config.wal_sync);
         let manifest = Manifest::open_on(&vfs, &dir.join("lethe.manifest"))?;
         let mut tree =
@@ -302,7 +303,7 @@ impl LsmTree {
             state.files().flat_map(|f| f.tiles.iter().flatten().copied()).collect();
         for id in self.backend.page_ids() {
             if !referenced.contains(&id) {
-                crate::reclaim::retire_page(self.backend.as_ref(), id);
+                crate::reclaim::retire_page(self.backend.as_ref(), id)?;
                 report.pages_released += 1;
             }
         }
@@ -449,7 +450,8 @@ impl LsmTree {
                 // skip pages shared with live tables: a secondary-delete
                 // replacement keeps the original's surviving pages, and
                 // the original is still installed after a failed commit
-                self.versions.release_unregistered_pages(t, self.backend.as_ref());
+                // the commit's error is the one returned
+                let _ = self.versions.release_unregistered_pages(t, self.backend.as_ref());
             }
         }
         committed
@@ -457,10 +459,12 @@ impl LsmTree {
 
     /// The shared commit tail of every structural change: manifest edit
     /// (releasing `new_tables` if it fails), page-reference registration,
-    /// atomic version install, retirement of the replaced file objects, and
-    /// a garbage-collection pass. Used by [`LsmTree::apply_job`] and by the
-    /// secondary-delete page-drop path, so the commit ordering lives in
-    /// exactly one place.
+    /// atomic version install and retirement of the replaced file objects.
+    /// Used by [`LsmTree::apply_job`] and by the secondary-delete page-drop
+    /// path, so the commit ordering lives in exactly one place. Each ends
+    /// its operation with the garbage-collection pass that retires the
+    /// pages, after its in-memory bookkeeping, so a failed segment unlink
+    /// fails the operation with all of its effects in place.
     ///
     /// The manifest edit that forgets the retired files is committed
     /// *before* their pages are retired — the reverse order could reclaim
@@ -486,7 +490,6 @@ impl LsmTree {
         for t in retired {
             self.versions.retire_table(t);
         }
-        self.versions.collect_garbage(self.backend.as_ref());
         Ok(committed)
     }
 
@@ -802,7 +805,7 @@ mod tests {
         let mut cfg = LsmConfig::small_for_test();
         cfg.size_ratio = 3;
         let open = |cfg: &LsmConfig| -> LsmTree {
-            let backend = Arc::new(FileBackend::open(&dir).unwrap());
+            let backend = Arc::new(FileBackend::open_named(&dir, "lethe").unwrap());
             let wal = FileWal::open(dir.join("lethe.wal")).unwrap();
             let manifest = Manifest::open(dir.join("lethe.manifest")).unwrap();
             LsmTree::new(
@@ -906,7 +909,7 @@ mod tests {
         }
         assert!(t.versions().garbage_len() > 0, "replaced files must await the pin");
         drop(pinned);
-        t.versions().collect_garbage(t.backend().as_ref());
+        t.versions().collect_garbage(t.backend().as_ref()).unwrap();
         assert_eq!(t.versions().garbage_len(), 0);
     }
 
@@ -939,7 +942,7 @@ mod tests {
         assert!(after.len() < expected.len());
         // and dropping the iterator released its version pin: the retired
         // files become reclaimable
-        t.versions().collect_garbage(t.backend().as_ref());
+        t.versions().collect_garbage(t.backend().as_ref()).unwrap();
         assert_eq!(t.versions().garbage_len(), 0);
     }
 

@@ -32,7 +32,7 @@
 use crate::level::Level;
 use crate::reclaim;
 use crate::sstable::SsTable;
-use lethe_storage::{PageId, SortKey, StorageBackend};
+use lethe_storage::{PageId, Result, SortKey, StorageBackend};
 use lethe_sync::{LockRank, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,12 +170,13 @@ impl VersionSet {
     /// Processes every retired table that no installed version or pinned
     /// snapshot references any more: each of its pages loses one reference,
     /// and pages reaching zero are released on the device. Returns how many
-    /// garbage entries were processed. Errors from already-missing pages are
-    /// ignored (reclamation is idempotent across recovery).
-    pub fn collect_garbage(&self, backend: &dyn StorageBackend) -> usize {
+    /// garbage entries were processed. Already-missing pages are no error
+    /// (reclamation is idempotent across recovery); any other retirement
+    /// error is returned once every entry is processed.
+    pub fn collect_garbage(&self, backend: &dyn StorageBackend) -> Result<usize> {
         let mut garbage = self.garbage.lock();
         let mut refs = self.page_refs.lock();
-        let mut reclaimed = 0;
+        let (mut reclaimed, mut first_error) = (0, None);
         garbage.retain(|table| {
             // strong_count == 1 ⇒ the garbage list holds the only reference:
             // the file is in no version, and no reader pins a version that
@@ -188,7 +189,9 @@ impl VersionSet {
                             Some(n) if *n > 1 => *n -= 1,
                             _ => {
                                 refs.remove(&handle.id);
-                                reclaim::retire_page(backend, handle.id);
+                                if let Err(e) = reclaim::retire_page(backend, handle.id) {
+                                    first_error.get_or_insert(e);
+                                }
                             }
                         }
                     }
@@ -199,7 +202,7 @@ impl VersionSet {
                 true
             }
         });
-        reclaimed
+        first_error.map_or(Ok(reclaimed), Err)
     }
 
     /// Number of retired files still awaiting reclamation (diagnostic).
@@ -212,15 +215,14 @@ impl VersionSet {
     /// skipping pages shared with *registered* tables — a secondary-delete
     /// replacement shares its surviving pages with the still-installed
     /// original, and those must survive the abort.
-    pub fn release_unregistered_pages(&self, table: &SsTable, backend: &dyn StorageBackend) {
+    pub fn release_unregistered_pages(
+        &self,
+        table: &SsTable,
+        backend: &dyn StorageBackend,
+    ) -> Result<()> {
         let refs = self.page_refs.lock();
-        for tile in &table.tiles {
-            for handle in &tile.pages {
-                if !refs.contains_key(&handle.id) {
-                    reclaim::retire_page(backend, handle.id);
-                }
-            }
-        }
+        let pages = table.tiles.iter().flat_map(|tile| &tile.pages).map(|handle| handle.id);
+        reclaim::retire_pages(backend, pages.filter(|id| !refs.contains_key(id))).map(drop)
     }
 }
 
@@ -267,7 +269,7 @@ mod tests {
         drop(t1);
 
         // the pin still references the retired file: nothing is reclaimed
-        assert_eq!(vs.collect_garbage(backend.as_ref()), 0);
+        assert_eq!(vs.collect_garbage(backend.as_ref()).unwrap(), 0);
         assert_eq!(pinned.levels[0].runs[0].tables()[0].meta.id, 1);
         // every page of the pinned file is still readable
         for id in page_ids(&pinned.levels[0].runs[0].tables()[0]) {
@@ -276,7 +278,7 @@ mod tests {
 
         // releasing the pin makes the file reclaimable
         drop(pinned);
-        assert_eq!(vs.collect_garbage(backend.as_ref()), 1);
+        assert_eq!(vs.collect_garbage(backend.as_ref()).unwrap(), 1);
         assert_eq!(vs.garbage_len(), 0);
         // the new version's file is untouched
         let now = vs.current();
@@ -316,7 +318,7 @@ mod tests {
 
         // the original is unpinned: its exclusive (obsolete) pages go, the
         // shared ones survive because the replacement still references them
-        assert_eq!(vs.collect_garbage(backend.as_ref()), 1);
+        assert_eq!(vs.collect_garbage(backend.as_ref()).unwrap(), 1);
         for id in &obsolete {
             assert!(backend.read_page(*id).is_err(), "obsolete page {id} must be dropped");
         }
@@ -328,7 +330,7 @@ mod tests {
         vs.install(vec![]);
         vs.retire_table(Arc::clone(&replacement));
         drop(replacement);
-        assert_eq!(vs.collect_garbage(backend.as_ref()), 1);
+        assert_eq!(vs.collect_garbage(backend.as_ref()).unwrap(), 1);
         for id in &shared {
             assert!(backend.read_page(*id).is_err(), "shared page {id} leaked");
         }

@@ -290,6 +290,9 @@ impl LsmTree {
         if let Some(f) = self.mem.frozen.write().as_mut() {
             Arc::make_mut(f).purge_by_delete_key(d_lo, d_hi);
         }
+        // the dropped pages leave the device last: a failed segment unlink
+        // fails the request with all of it applied
+        self.versions.collect_garbage(self.backend.as_ref())?;
         Ok(dropped)
     }
 
@@ -393,10 +396,10 @@ mod tests {
     /// The tree `lethe` in `/` on `vfs`, recovered, and the WAL records it
     /// replayed: a directory that outlives its tree, for tests that reopen.
     fn reopen(vfs: &Arc<dyn Vfs>, config: LsmConfig) -> (LsmTree, usize) {
-        let dir = Path::new("/");
+        let (dir, target) = (Path::new("/"), config.segment_target_bytes());
         let mut t = LsmTree::new(
             config,
-            Arc::new(FileBackend::open_on(vfs, dir, "lethe").unwrap()),
+            Arc::new(FileBackend::open_on(vfs, dir, "lethe", target).unwrap()),
             Box::new(FileWal::open_on(vfs, &dir.join("lethe.wal")).unwrap()),
             Manifest::open_on(vfs, &dir.join("lethe.manifest")).unwrap(),
             LogicalClock::new(),

@@ -101,11 +101,13 @@ pub(crate) const PAGES: Format = Format {
 /// Size of a page-frame header: tag, page id, payload length, payload sum.
 const FRAME_HEADER: usize = PAGES.header_len();
 
-/// Size at which a `sync()` seals the segment it has just made durable. A
-/// segment costs one directory barrier to create, so the roll is amortised
-/// over this many bytes; a dead frame waits for the rest of its segment to
-/// die before its bytes leave the disk.
-const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
+/// The largest segment target, and the target of a device opened with no
+/// store config ([`FileBackend::open_named`], [`FileBackend::in_memory`]).
+/// A store derives its own, no larger (`LsmConfig::segment_target_bytes`):
+/// a segment costs one directory barrier to create, so the roll is
+/// amortised over the target's bytes, while a dead frame waits for the rest
+/// of its segment to die before its bytes leave the disk.
+pub const SEGMENT_TARGET_BYTES: u64 = 16 << 20;
 
 /// The page id a segment's index frame is framed under; no page is ever
 /// issued it.
@@ -148,24 +150,34 @@ const INDEX_ID: PageId = PageId::MAX;
 /// page id at its creation. All are direct children of the store directory.
 ///
 /// **Roll.** Pages go to the newest segment only. [`StorageBackend::sync`]
-/// makes that file durable and *seals* it if it has reached
-/// `SEGMENT_TARGET_BYTES`; the next `write_page` creates its successor. A
-/// segment is therefore sealed only by the barrier that made all of it
-/// durable, and only the newest file can hold a torn tail: a torn or invalid
-/// frame in any older segment is corruption, unless it is the index frame
-/// itself, which the open then scans past. The sealing `sync()` appends the
-/// index frame before its barrier, so that barrier makes the index durable
-/// too. It is an `LEFX` frame under the reserved page id `u64::MAX` (which
-/// a scan skips) whose body lists every frame in file order, each as its
-/// page id and payload length (about three bytes; see `index_frame`), and
-/// ends in its own length, so the open finds it from the file's last four
+/// makes that file durable and *seals* it if it has reached the device's
+/// target (given to [`FileBackend::open_on`]; a store sizes it to its write
+/// buffer); the next `write_page` creates its successor. A segment is
+/// therefore sealed only by the barrier that made all of it durable, and
+/// only the newest file can hold a torn tail: a torn or invalid frame in
+/// any older segment is corruption, unless it is the index frame itself,
+/// which the open then scans past. The sealing `sync()` appends the index
+/// frame before its barrier, so that barrier makes the index durable too.
+/// It is an `LEFX` frame under the reserved page id `u64::MAX` (which a
+/// scan skips) whose body lists every frame in file order, each as its page
+/// id and payload length (about three bytes; see `index_frame`), and ends
+/// in its own length, so the open finds it from the file's last four
 /// bytes. Frames lie back to back from offset 0, so the lengths give the
-/// offsets. Creating a segment **needs a
-/// barrier**: the manifest edit that follows a `sync()` may name a page in
-/// the new file, so the first `sync()` after the creation also syncs the
-/// directory (one extra barrier per segment). Segment 0 of a fresh store
-/// pays none of its own: the manifest's first commit is a rewrite-and-rename
-/// that syncs the same directory.
+/// offsets.
+///
+/// Only a device's own barrier seals: an open finds the newest segment
+/// unsealed, whatever its size, since a kill may have struck before the
+/// barrier that would have covered its last frames, or between its index
+/// append and that append's barrier. If it ends in an index frame, the
+/// first write cuts the frame away (behind a barrier, as every cut); either
+/// way the segment takes pages until a `sync()` finds it at this device's
+/// target and seals it behind its own barrier.
+///
+/// Creating a segment **needs a barrier**: the manifest edit that follows a
+/// `sync()` may name a page in the new file, so the first `sync()` after
+/// the creation also syncs the directory (one extra barrier per segment).
+/// Segment 0 of a fresh store pays none of its own: the manifest's first
+/// commit is a rewrite-and-rename that syncs the same directory.
 ///
 /// **Unlink.** Every segment counts its live pages. When
 /// [`StorageBackend::drop_page`] takes the count to zero and the segment is
@@ -204,6 +216,8 @@ pub struct FileBackend {
     appender: Mutex<Appender>,
     index: RwLock<Index>,
     next_id: AtomicU64,
+    /// Size at which a `sync()` seals the newest segment.
+    target: u64,
     stats: Arc<IoStats>,
     torn_frames_recovered: u64,
     segments_scanned: u64,
@@ -399,8 +413,9 @@ impl Index {
 
     /// Scans segment `id` at `path` under the common [`log`](crate::log)
     /// rule, indexing its page frames and skipping an index frame, and
-    /// returns it with the end of its last good frame and its page frames in
-    /// file order. A torn tail ends the scan short of end-of-file; only the
+    /// returns it with the end of its last good frame, its page frames in
+    /// file order, and the offset of that last good frame if it is an index
+    /// frame. A torn tail ends the scan short of end-of-file; only the
     /// `newest` segment may have one (its first write cuts it), since a
     /// sealed segment is never appended to again. A sealed segment's bad
     /// tail is let be only when it is an index frame: the frames before it
@@ -411,12 +426,13 @@ impl Index {
         file: Arc<dyn VfsFile>,
         path: &Path,
         newest: bool,
-    ) -> Result<(Arc<Segment>, u64, Frames)> {
+    ) -> Result<(Arc<Segment>, u64, Frames, Option<u64>)> {
         let segment = Arc::new(Segment { id, file, live: AtomicU64::new(0) });
-        let mut frames = Vec::new();
+        let (mut frames, mut index_at) = (Vec::new(), None);
         let end = log::scan(segment.file.as_ref(), path, &PAGES, |off, fields, payload| {
             let page = be(fields);
-            if page == INDEX_ID {
+            index_at = (page == INDEX_ID).then_some(off);
+            if index_at.is_some() {
                 return Ok(());
             }
             frames.push((page, payload.len() as u32));
@@ -435,7 +451,7 @@ impl Index {
             }
         }
         self.segments.push(Arc::clone(&segment));
-        Ok((segment, end, frames))
+        Ok((segment, end, frames, index_at))
     }
 
     /// Page `id` with where it lies.
@@ -456,28 +472,25 @@ impl Index {
 }
 
 impl FileBackend {
-    /// Opens (or creates) a device rooted at `dir` on the host file system.
-    /// Its first segment is `dir/lethe.data`.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::open_named(dir, "lethe")
-    }
-
-    /// [`FileBackend::open_on`] the host file system.
+    /// [`FileBackend::open_on`] the host file system, with the largest
+    /// target, [`SEGMENT_TARGET_BYTES`].
     pub fn open_named(dir: impl AsRef<Path>, name: &str) -> Result<Self> {
-        Self::open_on(&OsVfs::shared(), dir.as_ref(), name)
+        Self::open_on(&OsVfs::shared(), dir.as_ref(), name, SEGMENT_TARGET_BYTES)
     }
 
-    /// A device of its own on a fresh [`MemVfs`](crate::vfs::MemVfs), for
-    /// tests and tools that need pages but no tree.
+    /// A device of its own on a fresh [`MemVfs`](crate::vfs::MemVfs), with
+    /// the largest target, for tests and tools that need pages but no tree.
     pub fn in_memory() -> Result<Self> {
-        Self::open_on(&crate::vfs::MemVfs::shared(), Path::new("/"), "lethe")
+        Self::open_on(&crate::vfs::MemVfs::shared(), Path::new("/"), "lethe", SEGMENT_TARGET_BYTES)
     }
 
     /// Opens (or creates) a *namespaced* device rooted at `dir` on `vfs`:
     /// its segments are `dir/<name>.data` and `dir/<name>.data.<id>`. Several
     /// namespaced devices can share one directory, which is how the sharded
     /// front-end keeps the per-shard data files (`shard-000.data`,
-    /// `shard-001.data`, …) of one logical store together.
+    /// `shard-001.data`, …) of one logical store together. A `sync()` seals
+    /// the newest segment once it holds `target` bytes; the target may
+    /// differ from the one the segments were written under.
     ///
     /// Each sealed segment's part of the page index is rebuilt from its
     /// index frame, read with two positional reads and no page read. The
@@ -489,7 +502,7 @@ impl FileBackend {
     /// [`StorageBackend::write_page`]. The open itself writes nothing to an
     /// existing segment, and reads no payload of an indexed one: those are
     /// checked when a read that does not fill a cache reaches them.
-    pub fn open_on(vfs: &Arc<dyn Vfs>, dir: &Path, name: &str) -> Result<Self> {
+    pub fn open_on(vfs: &Arc<dyn Vfs>, dir: &Path, name: &str, target: u64) -> Result<Self> {
         vfs.create_dir_all(dir)?;
         let base_name = format!("{name}.data");
         let base = dir.join(&base_name);
@@ -512,20 +525,22 @@ impl FileBackend {
             }
         }
         let path = segment_path(&base, newest);
-        let (segment, end, frames) = index.scan(newest, vfs.open(&path, true)?, &path, true)?;
+        let (segment, end, frames, index_at) =
+            index.scan(newest, vfs.open(&path, true)?, &path, true)?;
         let torn_frames_recovered = u64::from(end < segment.file.len()?);
         let next_id = index.pages.keys().max().map_or(1, |max| max + 1).max(newest);
-        // what a reopen finds on disk is as durable as it will get, so a
-        // full newest segment (or an older store's one big file) starts sealed
-        let sealed = end >= SEGMENT_TARGET_BYTES;
-        let appender =
-            Appender { segment, end, sealed, unsynced_entry: false, tail_unchecked: true, frames };
+        // the segment starts unsealed: its index, if it ends in one, is a
+        // tail the first write cuts
+        let end = index_at.unwrap_or(end);
+        let (sealed, unsynced_entry, tail_unchecked) = (false, false, true);
+        let appender = Appender { segment, end, sealed, unsynced_entry, tail_unchecked, frames };
         Ok(FileBackend {
             vfs: Arc::clone(vfs),
             base,
             appender: Mutex::new(LockRank::BackendFile, appender),
             index: RwLock::new(LockRank::BackendIndex, index),
             next_id: AtomicU64::new(next_id),
+            target,
             stats: IoStats::new_shared(),
             torn_frames_recovered,
             segments_scanned,
@@ -542,23 +557,6 @@ impl FileBackend {
     /// every sealed segment it could not index from its index frame.
     pub fn segments_scanned(&self) -> u64 {
         self.segments_scanned
-    }
-
-    /// Path of the segment being appended to (the newest file).
-    pub fn data_path(&self) -> PathBuf {
-        segment_path(&self.base, self.appender.lock().segment.id)
-    }
-
-    /// Bytes currently occupied by the segment files, including the dead
-    /// frames of dropped pages in segments that still hold a live one.
-    pub fn file_size(&self) -> Result<u64> {
-        let index = self.index.read();
-        index.segments.iter().try_fold(0, |sum, s| Ok(sum + s.file.len()?))
-    }
-
-    /// Number of segment files on disk.
-    pub fn segment_count(&self) -> usize {
-        self.index.read().segments.len()
     }
 
     /// Creates the successor of the sealed newest segment and points the
@@ -763,7 +761,7 @@ impl StorageBackend for FileBackend {
         // the barrier that seals a full segment also makes its index frame
         // durable, so the index goes in first
         let pages_end = app.end;
-        if !app.sealed && app.end >= SEGMENT_TARGET_BYTES {
+        if !app.sealed && app.end >= self.target {
             self.cut_tail(&mut app)?;
             let index = index_frame(&app.frames);
             self.append(&mut app, &index)?;
@@ -780,7 +778,7 @@ impl StorageBackend for FileBackend {
         // sealed before the directory barrier: a segment that ends in its
         // index takes no more pages, and the successor's first sync syncs
         // the same directory if this one fails
-        app.sealed = app.end >= SEGMENT_TARGET_BYTES;
+        app.sealed = app.end >= self.target;
         if app.unsynced_entry {
             barrier::fsync_dir_counted(self.vfs.as_ref(), &self.base, &self.stats.fsyncs)?;
             app.unsynced_entry = false;
@@ -803,6 +801,39 @@ pub(crate) mod tests {
         Page::new(keys.iter().map(|&k| Entry::put(k, k, k, Bytes::from(vec![0u8; 8]))).collect())
     }
 
+    /// The tests' segment target: three 6 KiB pages fill a segment.
+    const TARGET: u64 = 16 << 10;
+
+    impl FileBackend {
+        /// Path of the segment being appended to (the newest file).
+        fn data_path(&self) -> PathBuf {
+            segment_path(&self.base, self.appender.lock().segment.id)
+        }
+
+        /// Bytes currently occupied by the segment files, including the
+        /// dead frames of dropped pages in segments that still hold a live
+        /// one.
+        fn file_size(&self) -> Result<u64> {
+            let index = self.index.read();
+            index.segments.iter().try_fold(0, |sum, s| Ok(sum + s.file.len()?))
+        }
+
+        /// Number of segment files on disk.
+        fn segment_count(&self) -> usize {
+            self.index.read().segments.len()
+        }
+    }
+
+    /// The device `lethe` in `dir` on `vfs`, at the tests' target.
+    fn device(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<FileBackend> {
+        FileBackend::open_on(vfs, dir, "lethe", TARGET)
+    }
+
+    /// The device `lethe` in `dir` on the host file system.
+    fn open(dir: &Path) -> Result<FileBackend> {
+        device(&OsVfs::shared(), dir)
+    }
+
     #[test]
     fn a_drop_is_not_a_read_and_ids_increase() {
         let b = FileBackend::in_memory().unwrap();
@@ -823,7 +854,7 @@ pub(crate) mod tests {
     fn file_backend_roundtrip() {
         let dir = std::env::temp_dir().join(format!("lethe-fb-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         let id1 = b.write_page(&page(&[1, 2, 3])).unwrap();
         let id2 = b.write_page(&page(&[4, 5])).unwrap();
         assert_eq!(b.read_page(id1).unwrap().len(), 3);
@@ -839,14 +870,14 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (id1, id2, id3);
         {
-            let b = FileBackend::open(&dir).unwrap();
+            let b = open(&dir).unwrap();
             id1 = b.write_page(&page(&[1, 2, 3])).unwrap();
             id2 = b.write_page(&page(&[4, 5])).unwrap();
             id3 = b.write_page(&page(&[6])).unwrap();
             b.drop_page(id2).unwrap();
             b.sync().unwrap();
         }
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 0);
         assert_eq!(b.read_page(id1).unwrap().len(), 3);
         assert_eq!(b.read_page(id3).unwrap().len(), 1);
@@ -867,17 +898,17 @@ pub(crate) mod tests {
         dir
     }
 
-    /// A page of one entry with a `mib` MiB value: a page is `B` entries of
-    /// any size, so a few of these cross `SEGMENT_TARGET_BYTES`.
-    fn fat_page(key: u64, mib: usize) -> Page {
-        Page::new(vec![Entry::put(key, key, key, Bytes::from(vec![key as u8; mib << 20]))])
+    /// A page of one entry with a `kib` KiB value: a page is `B` entries of
+    /// any size, so a few of these cross [`TARGET`].
+    fn big_page(key: u64, kib: usize) -> Page {
+        Page::new(vec![Entry::put(key, key, key, Bytes::from(vec![key as u8; kib << 10]))])
     }
 
-    /// Writes `pages` fat pages of 6 MiB and syncs: three of them seal the
+    /// Writes `pages` big pages of 6 KiB and syncs: three of them seal the
     /// segment they land in.
-    fn write_fat(b: &FileBackend, first_key: u64, pages: u64) -> Vec<PageId> {
+    fn write_big(b: &FileBackend, first_key: u64, pages: u64) -> Vec<PageId> {
         let keys = first_key..first_key + pages;
-        let ids = keys.map(|k| b.write_page(&fat_page(k, 6)).unwrap()).collect();
+        let ids = keys.map(|k| b.write_page(&big_page(k, 6)).unwrap()).collect();
         b.sync().unwrap();
         ids
     }
@@ -904,12 +935,12 @@ pub(crate) mod tests {
         let dir = fresh_dir("torn");
         let id1;
         {
-            let b = FileBackend::open(&dir).unwrap();
+            let b = open(&dir).unwrap();
             id1 = b.write_page(&page(&[1, 2, 3])).unwrap();
             b.sync().unwrap();
             append_half_a_frame(&b.data_path());
         }
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 1);
         assert_eq!(b.live_pages(), 1);
         assert_eq!(b.read_page(id1).unwrap().len(), 3);
@@ -917,13 +948,13 @@ pub(crate) mod tests {
         let id2 = b.write_page(&page(&[4])).unwrap();
         b.sync().unwrap();
         drop(b);
-        let b2 = FileBackend::open(&dir).unwrap();
+        let b2 = open(&dir).unwrap();
         assert_eq!(b2.torn_frames_recovered(), 0);
         assert_eq!(b2.read_page(id2).unwrap().len(), 1);
 
         // with a sealed segment behind it the newest file is still the only
         // one a crash can tear: the same debris in the older one is an error
-        write_fat(&b2, 10, 3);
+        write_big(&b2, 10, 3);
         let id3 = b2.write_page(&page(&[5])).unwrap();
         b2.sync().unwrap();
         let (sealed, newest) = (dir.join("lethe.data"), b2.data_path());
@@ -931,14 +962,14 @@ pub(crate) mod tests {
         drop(b2);
         let sealed_len = std::fs::metadata(&sealed).unwrap().len();
         append_half_a_frame(&sealed);
-        match FileBackend::open(&dir) {
+        match open(&dir) {
             Err(StorageError::Corruption(msg)) => assert!(msg.contains("sealed segment"), "{msg}"),
             other => panic!("expected corruption error, got {other:?}"),
         }
         assert!(std::fs::metadata(&sealed).unwrap().len() > sealed_len, "a failed open cuts nothing");
         OpenOptions::new().write(true).open(&sealed).unwrap().set_len(sealed_len).unwrap();
         append_half_a_frame(&newest);
-        let b3 = FileBackend::open(&dir).unwrap();
+        let b3 = open(&dir).unwrap();
         assert_eq!(b3.torn_frames_recovered(), 1);
         assert_eq!(b3.read_page(id3).unwrap().len(), 1);
         assert_eq!(b3.read_page(id1).unwrap().len(), 3);
@@ -946,23 +977,59 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_sealed_newest_segment_is_cut_before_it_rolls() {
+    fn an_open_seals_nothing_and_the_next_sync_seals_again() {
         let dir = fresh_dir("sealtorn");
-        let b = FileBackend::open(&dir).unwrap();
-        write_fat(&b, 0, 3);
+        let b = open(&dir).unwrap();
+        write_big(&b, 0, 3);
         let path = b.data_path();
         drop(b);
         append_half_a_frame(&path);
-        // the open finds the tail and starts sealed; its first write rolls
-        let b = FileBackend::open(&dir).unwrap();
+        // the open finds the index and a torn tail behind it, and seals
+        // nothing: the first write cuts both away, behind one barrier, and
+        // lands in the segment
+        let b = open(&dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 1);
         let fresh = b.write_page(&page(&[1])).unwrap();
+        assert_eq!((segments_on_disk(&dir), b.stats().snapshot().fsyncs), (vec![0], 1));
+        // the sync seals it again, so the next write rolls
         b.sync().unwrap();
-        assert_eq!(segments_on_disk(&dir), [0, fresh]);
+        let rolled = b.write_page(&page(&[2])).unwrap();
+        b.sync().unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, rolled]);
         drop(b);
-        let b = FileBackend::open(&dir).expect("the segment was sealed without its torn tail");
-        assert_eq!((b.torn_frames_recovered(), b.live_pages()), (0, 4));
+        let b = open(&dir).expect("the segment was sealed without its torn tail");
+        assert_eq!((b.torn_frames_recovered(), b.segments_scanned(), b.live_pages()), (0, 1, 5));
+        assert_eq!(*b.read_page(fresh).unwrap(), page(&[1]));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between a seal's index append and its barrier leaves an index
+    /// no barrier made durable. The open seals nothing, so no roll leaves
+    /// the segment behind before a barrier of the new process covers it.
+    #[test]
+    fn an_index_no_barrier_covered_is_not_a_seal() {
+        let mem = crate::vfs::MemVfs::new();
+        let fault = crate::vfs::FaultVfs::new(mem.clone());
+        let vfs: Arc<dyn Vfs> = fault.clone();
+        let dir = Path::new("/unsealed");
+        let b = device(&vfs, dir).unwrap();
+        let mut ids: Vec<PageId> = (0..3).map(|k| b.write_page(&big_page(k, 6)).unwrap()).collect();
+        fault.arm(1);
+        assert!(b.sync().is_err());
+        assert_eq!(fault.last_fired().unwrap().to_string(), "segment.sync_all");
+        drop(b);
+        let b = device(&vfs, dir).unwrap();
+        ids.push(b.write_page(&page(&[1])).unwrap());
+        b.sync().unwrap();
+        ids.push(b.write_page(&page(&[2])).unwrap());
+        b.sync().unwrap();
+        assert_eq!(b.segment_count(), 2);
+        drop(b);
+        // a power loss keeps only what barriers made durable
+        mem.crash(&mut |_| 0);
+        let b = device(&vfs, dir).unwrap();
+        assert_eq!((b.segments_scanned(), b.page_ids().len()), (1, ids.len()));
+        assert_eq!(*b.read_page(ids[1]).unwrap(), big_page(1, 6));
     }
 
     /// The frame of page 1 holding `page(&[1, 2])`, as the commit before the
@@ -985,7 +1052,7 @@ pub(crate) mod tests {
         let dir = fresh_dir("parent");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("lethe.data"), &bytes).unwrap();
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!((b.page_ids(), b.torn_frames_recovered()), (vec![1], 0));
         assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
         // the segment takes new frames behind the old ones, and reopens
@@ -995,7 +1062,7 @@ pub(crate) mod tests {
         drop(b);
         let mixed = std::fs::read(dir.join("lethe.data")).unwrap();
         assert_eq!((&mixed[..bytes.len()], &mixed[bytes.len()..][..4]), (&bytes[..], &b"LEFX"[..]));
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 0);
         assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
         assert_eq!(*b.read_page(id).unwrap(), page(&[3, 4]));
@@ -1004,11 +1071,11 @@ pub(crate) mod tests {
         drop(b);
         // and a fresh device writes the pinned `LEFX` frame for the first page
         let dir = fresh_dir("parent");
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!(b.write_page(&page(&[1, 2])).unwrap(), 1);
         assert_eq!(std::fs::read(b.data_path()).unwrap(), crate::log::tests::hex(LEFX_SEGMENT_HEX));
         drop(b);
-        assert_eq!(*FileBackend::open(&dir).unwrap().read_page(1).unwrap(), page(&[1, 2]));
+        assert_eq!(*open(&dir).unwrap().read_page(1).unwrap(), page(&[1, 2]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1017,7 +1084,7 @@ pub(crate) mod tests {
         let dir = fresh_dir("midfile");
         let path;
         {
-            let b = FileBackend::open(&dir).unwrap();
+            let b = open(&dir).unwrap();
             b.write_page(&page(&[1, 2])).unwrap();
             b.write_page(&page(&[3])).unwrap();
             b.write_page(&page(&[4, 5, 6])).unwrap();
@@ -1030,7 +1097,7 @@ pub(crate) mod tests {
         let mut data = good.clone();
         data[FRAME_HEADER + 2] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
-        match FileBackend::open(&dir) {
+        match open(&dir) {
             Err(StorageError::Corruption(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected corruption error, got {other:?}"),
         }
@@ -1042,12 +1109,12 @@ pub(crate) mod tests {
         let mut torn = good.clone();
         *torn.last_mut().unwrap() ^= 0xFF;
         std::fs::write(&path, &torn).unwrap();
-        assert_eq!(FileBackend::open(&dir).unwrap().torn_frames_recovered(), 1);
+        assert_eq!(open(&dir).unwrap().torn_frames_recovered(), 1);
         std::fs::write(&path, &good).unwrap();
         std::fs::write(dir.join("lethe.data.4"), b"").unwrap();
-        assert_eq!(FileBackend::open(&dir).unwrap().live_pages(), 3);
+        assert_eq!(open(&dir).unwrap().live_pages(), 3);
         std::fs::write(&path, &torn).unwrap();
-        match FileBackend::open(&dir) {
+        match open(&dir) {
             Err(StorageError::Corruption(msg)) => assert!(msg.contains("sealed segment"), "{msg}"),
             other => panic!("expected corruption error, got {other:?}"),
         }
@@ -1127,7 +1194,7 @@ pub(crate) mod tests {
         let vfs: Arc<dyn Vfs> =
             Arc::new(TornVfs { inner: crate::vfs::MemVfs::shared(), armed: Arc::clone(&armed) });
         let dir = Path::new("/debris");
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        let b = device(&vfs, dir).unwrap();
         let a = b.write_page(&page(&[1, 2, 3])).unwrap();
         let good_end = vfs.open(&b.data_path(), false).unwrap().len().unwrap();
         armed.store(true, Ordering::SeqCst);
@@ -1138,7 +1205,7 @@ pub(crate) mod tests {
         b.sync().unwrap();
         assert_eq!(b.read_page(c).unwrap().len(), 2);
         drop(b);
-        let b = FileBackend::open_on(&vfs, dir, "lethe").expect("the debris must not reach the next open");
+        let b = device(&vfs, dir).expect("the debris must not reach the next open");
         assert_eq!(b.torn_frames_recovered(), 0);
         assert_eq!(b.page_ids().len(), 2);
         assert_eq!(b.read_page(a).unwrap().len(), 3);
@@ -1150,7 +1217,7 @@ pub(crate) mod tests {
         let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
         let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
         let dir = Path::new("/failed");
-        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let b = device(&dyn_vfs, dir).unwrap();
         let file = || dyn_vfs.open(&b.data_path(), false).unwrap();
         let a = b.write_page(&page(&[1, 2, 3])).unwrap();
         let after_a = file().len().unwrap();
@@ -1165,7 +1232,7 @@ pub(crate) mod tests {
         assert_eq!(tail, frame.to_vec(), "the good append is one intact frame at the old end");
         b.sync().unwrap();
         drop(b);
-        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let b = device(&dyn_vfs, dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 0);
         let mut ids = b.page_ids();
         ids.sort_unstable();
@@ -1176,12 +1243,12 @@ pub(crate) mod tests {
     #[test]
     fn segment_rolls_only_at_a_sync() {
         let dir = fresh_dir("roll");
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         let barriers = || b.stats().snapshot().fsyncs;
         for k in 0..5 {
-            b.write_page(&fat_page(k, 8)).unwrap();
+            b.write_page(&big_page(k, 8)).unwrap();
         }
-        assert_eq!(segments_on_disk(&dir), [0], "40 MiB with no sync() is one file");
+        assert_eq!(segments_on_disk(&dir), [0], "40 KiB with no sync() is one file");
         b.sync().unwrap();
         assert_eq!(barriers(), 1);
         assert_eq!(b.segment_count(), 1, "the sync seals; only the next write rolls");
@@ -1200,9 +1267,9 @@ pub(crate) mod tests {
     #[test]
     fn the_last_drop_unlinks_a_sealed_segment() {
         let dir = fresh_dir("unlink");
-        let b = FileBackend::open(&dir).unwrap();
-        let oldest = write_fat(&b, 0, 3);
-        let middle = write_fat(&b, 10, 3);
+        let b = open(&dir).unwrap();
+        let oldest = write_big(&b, 0, 3);
+        let middle = write_big(&b, 10, 3);
         let newest = b.write_page(&page(&[1, 2])).unwrap();
         b.sync().unwrap();
         assert_eq!(segments_on_disk(&dir), [0, middle[0], newest]);
@@ -1225,7 +1292,7 @@ pub(crate) mod tests {
             ids.sort_unstable();
             assert_eq!(ids, live);
             for (k, &id) in oldest.iter().enumerate() {
-                assert_eq!(*b.read_page(id).unwrap(), fat_page(k as u64, 6));
+                assert_eq!(*b.read_page(id).unwrap(), big_page(k as u64, 6));
             }
             assert_eq!(b.read_page(newest).unwrap().len(), 2);
             assert_eq!(segments_on_disk(&dir), [0, newest]);
@@ -1233,7 +1300,7 @@ pub(crate) mod tests {
         check(&b);
         drop(b);
         // survivors stay readable across a reopen, which sees the same live set
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         check(&b);
 
         // the newest file is never unlinked, even with no live page in it
@@ -1246,9 +1313,9 @@ pub(crate) mod tests {
     #[test]
     fn page_ids_survive_the_death_of_the_newest_frames() {
         let dir = fresh_dir("ids");
-        let b = FileBackend::open(&dir).unwrap();
-        let kept = write_fat(&b, 0, 3);
-        let doomed = write_fat(&b, 10, 3);
+        let b = open(&dir).unwrap();
+        let kept = write_big(&b, 0, 3);
+        let doomed = write_big(&b, 10, 3);
         // all of segment 1 dies while it is the newest file; its successor's
         // creation unlinks it, and a crash tears the successor's only frame
         for &id in &doomed {
@@ -1261,7 +1328,7 @@ pub(crate) mod tests {
         drop(b);
         OpenOptions::new().write(true).open(&path).unwrap().set_len(FRAME_HEADER as u64 + 3).unwrap();
 
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!(b.torn_frames_recovered(), 1);
         assert_eq!(b.live_pages(), kept.len(), "no frame above segment 0's survives");
         let next = b.write_page(&page(&[2])).unwrap();
@@ -1276,9 +1343,9 @@ pub(crate) mod tests {
     )]
     fn a_resurfaced_segment_is_indexed_and_unlinked_again() {
         let dir = fresh_dir("resurface");
-        let b = FileBackend::open(&dir).unwrap();
-        let kept = write_fat(&b, 0, 3);
-        let dead = write_fat(&b, 10, 3);
+        let b = open(&dir).unwrap();
+        let kept = write_big(&b, 0, 3);
+        let dead = write_big(&b, 10, 3);
         let newest = b.write_page(&page(&[1])).unwrap();
         b.sync().unwrap();
         // a crash that undoes an unlink: the file is back at the next open
@@ -1292,9 +1359,9 @@ pub(crate) mod tests {
         drop(b);
         std::fs::rename(&aside, &path).unwrap();
 
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!(b.live_pages(), 7, "the resurfaced frames are indexed");
-        assert_eq!(*b.read_page(dead[1]).unwrap(), fat_page(11, 6));
+        assert_eq!(*b.read_page(dead[1]).unwrap(), big_page(11, 6));
         // recovery drops what its manifest does not reference, one by one
         for &id in &dead {
             b.drop_page(id).unwrap();
@@ -1303,7 +1370,7 @@ pub(crate) mod tests {
         let mut ids = b.page_ids();
         ids.sort_unstable();
         assert_eq!(ids, kept.iter().copied().chain([newest]).collect::<Vec<_>>());
-        assert_eq!(*b.read_page(kept[2]).unwrap(), fat_page(2, 6));
+        assert_eq!(*b.read_page(kept[2]).unwrap(), big_page(2, 6));
         assert!(b.write_page(&page(&[2])).unwrap() > newest);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1316,20 +1383,26 @@ pub(crate) mod tests {
         {
             // what the single-file backend left: one file above the target
             // (never rolled, because nothing synced it) with dead frames in it
-            let b = FileBackend::open(&dir).unwrap();
+            let b = open(&dir).unwrap();
             small = b.write_page(&page(&[1, 2, 3])).unwrap();
-            fat = (0..3).map(|k| b.write_page(&fat_page(k, 6)).unwrap()).collect::<Vec<_>>();
+            fat = (0..3).map(|k| b.write_page(&big_page(k, 6)).unwrap()).collect::<Vec<_>>();
             assert_eq!(segments_on_disk(&dir), [0]);
         }
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         assert_eq!((b.segment_count(), b.live_pages()), (1, 4));
         for &id in &fat[..2] {
             b.drop_page(id).unwrap(); // recovery's unreferenced-page pass
         }
+        // with no index frame it is not sealed: it takes pages until a sync
+        // seals it behind its barrier
+        let late = b.write_page(&page(&[4])).unwrap();
+        assert_eq!(segments_on_disk(&dir), [0], "a write lands in it");
+        b.sync().unwrap();
         let moved = b.write_page(b.read_page(small).unwrap().as_ref()).unwrap();
-        assert_eq!(segments_on_disk(&dir), [0, moved], "new writes go to a new segment");
+        assert_eq!(segments_on_disk(&dir), [0, moved], "sealed: new writes go to a new segment");
         b.sync().unwrap();
         b.drop_page(small).unwrap();
+        b.drop_page(late).unwrap();
         assert!(legacy.exists());
         b.drop_page(fat[2]).unwrap();
         assert!(!legacy.exists(), "the old file goes when its last live page is rewritten");
@@ -1340,7 +1413,7 @@ pub(crate) mod tests {
     #[test]
     fn readers_are_undisturbed_by_segment_deaths() {
         let dir = fresh_dir("churn");
-        let b = FileBackend::open(&dir).unwrap();
+        let b = open(&dir).unwrap();
         let pinned: Vec<(PageId, Page)> = (0..8u64)
             .map(|k| {
                 let p = page(&[k, k + 100]);
@@ -1367,7 +1440,7 @@ pub(crate) mod tests {
             // pinned pages keep segment 0 alive throughout
             let mut previous: Vec<PageId> = Vec::new();
             for round in 0..6 {
-                let ids = write_fat(&b, 10 * (round + 1), 3);
+                let ids = write_big(&b, 10 * (round + 1), 3);
                 for id in std::mem::replace(&mut previous, ids) {
                     b.drop_page(id).unwrap();
                 }
@@ -1375,7 +1448,7 @@ pub(crate) mod tests {
             done.store(true, Ordering::SeqCst);
         });
         let reclaimed = b.stats().snapshot().bytes_reclaimed;
-        assert!(reclaimed >= 4 * SEGMENT_TARGET_BYTES, "only {reclaimed} B reclaimed");
+        assert!(reclaimed >= 4 * TARGET, "only {reclaimed} B reclaimed");
         assert_eq!(b.live_pages(), pinned.len() + 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1411,7 +1484,7 @@ pub(crate) mod tests {
     fn a_run_of_adjacent_pages_is_one_read_and_a_failed_read_fails_the_batch() {
         let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
         let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-        let b = FileBackend::open_on(&dyn_vfs, Path::new("/batch"), "lethe").unwrap();
+        let b = device(&dyn_vfs, Path::new("/batch")).unwrap();
         let ids: Vec<PageId> = (0..6u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
         // pages 0, 1 and 2 are adjacent, then a gap, then 4 and 5: two runs
         let run = [ids[0], ids[1], ids[2], ids[4], ids[5]];
@@ -1431,7 +1504,7 @@ pub(crate) mod tests {
     #[test]
     fn every_page_read_checks_its_frame_header() {
         let vfs = crate::vfs::MemVfs::shared();
-        let b = FileBackend::open_on(&vfs, Path::new("/headers"), "lethe").unwrap();
+        let b = device(&vfs, Path::new("/headers")).unwrap();
         let ids: Vec<PageId> = (0..3u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
         // the second frame now claims to be page 99
         let second = b.index.read().pages[&ids[1]].1 - FRAME_HEADER as u64;
@@ -1468,14 +1541,14 @@ pub(crate) mod tests {
             picks in prop::collection::vec(any::<usize>(), 0..12),
             dropped in any::<usize>(),
         ) {
-            let b = FileBackend::in_memory().unwrap();
-            // three fat pages seal segment 0, so the later writes roll
-            let mut ids = write_fat(&b, 1_000, 3);
-            for (n, &mib) in sizes.iter().enumerate() {
+            let b = device(&crate::vfs::MemVfs::shared(), Path::new("/")).unwrap();
+            // three big pages seal segment 0, so the later writes roll
+            let mut ids = write_big(&b, 1_000, 3);
+            for (n, &kib) in sizes.iter().enumerate() {
                 let n = n as u64;
-                let p = if mib == 0 { page(&[n, n + 100]) } else { fat_page(n, mib) };
+                let p = if kib == 0 { page(&[n, n + 100]) } else { big_page(n, kib) };
                 ids.push(b.write_page(&p).unwrap());
-                if mib > 0 {
+                if kib > 0 {
                     b.sync().unwrap();
                 }
             }
@@ -1500,7 +1573,7 @@ pub(crate) mod tests {
     /// One step of a random device history.
     #[derive(Debug, Clone)]
     enum Step {
-        /// Write a page with a value of this many MiB (0: a small page).
+        /// Write a page with a value of this many KiB (0: a small page).
         Write(usize),
         /// Drop one of the three oldest live pages (old pages die first in an
         /// LSM tree, and it is what lets whole segments die in a short history).
@@ -1529,13 +1602,13 @@ pub(crate) mod tests {
         #[test]
         fn segments_agree_with_a_model(steps in prop::collection::vec(step_strategy(), 30..60)) {
             let dir = fresh_dir("model");
-            let mut b = FileBackend::open(&dir).unwrap();
+            let mut b = open(&dir).unwrap();
             let mut model: HashMap<PageId, Page> = HashMap::new();
             let (mut last_id, mut written) = (0, 0);
             for (n, step) in steps.iter().enumerate() {
                 match *step {
-                    Step::Write(mib) => {
-                        let p = if mib == 0 { page(&[n as u64]) } else { fat_page(n as u64, mib) };
+                    Step::Write(kib) => {
+                        let p = if kib == 0 { page(&[n as u64]) } else { big_page(n as u64, kib) };
                         let id = b.write_page(&p).unwrap();
                         prop_assert!(id > last_id, "page id {} issued after {}", id, last_id);
                         last_id = id;
@@ -1556,7 +1629,7 @@ pub(crate) mod tests {
                         prop_assert_eq!(stats.pages_written, written, "reclaiming wrote a page");
                         written = 0;
                         drop(b);
-                        b = FileBackend::open(&dir).unwrap();
+                        b = open(&dir).unwrap();
                         // dead frames of surviving segments resurface; drop
                         // them as recovery drops what no manifest references
                         for id in b.page_ids() {
@@ -1621,7 +1694,7 @@ pub(crate) mod tests {
     }
 
     /// A page of one entry with a 4 000-byte value, about the engine's page
-    /// size: some 4 070 frames fill a segment.
+    /// size: five frames fill a segment.
     fn small_page(key: u64) -> Page {
         Page::new(vec![Entry::put(key, key, key, Bytes::from(vec![key as u8; 4000]))])
     }
@@ -1631,11 +1704,11 @@ pub(crate) mod tests {
         let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
         let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
         let dir = Path::new("/open-reads");
-        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let b = device(&dyn_vfs, dir).unwrap();
         let mut model: HashMap<PageId, u64> = HashMap::new();
         let mut key = 0;
         while b.segment_count() < 3 {
-            for _ in 0..256 {
+            for _ in 0..5 {
                 model.insert(b.write_page(&small_page(key)).unwrap(), key);
                 key += 1;
             }
@@ -1648,7 +1721,7 @@ pub(crate) mod tests {
         }
         drop(b);
         vfs.take_bytes_read();
-        let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+        let b = device(&dyn_vfs, dir).unwrap();
         let opened = vfs.take_bytes_read();
         assert_eq!(b.segments_scanned(), 1, "only the newest segment is scanned");
         let segments = b.index.read().segments.clone();
@@ -1658,7 +1731,7 @@ pub(crate) mod tests {
         // the open resurfaced every frame, dead ones too, as the index lists them
         let frames: Vec<Frames> = sealed.iter().map(|s| frames_of(&b, s)).collect();
         for (s, frames) in sealed.iter().zip(&frames) {
-            assert!(frames.len() > 4_000, "{} frames in segment {}", frames.len(), s.id);
+            assert_eq!(frames.len(), 5, "segment {}", s.id);
             // the trailing length, then the index frame
             let index = index_frame(frames).len() as u64;
             assert_eq!(opened[&path(s)], 4 + index, "segment {}", s.id);
@@ -1687,8 +1760,8 @@ pub(crate) mod tests {
     fn a_sealed_segment_opens_by_scan_when_its_index_is_damaged_or_missing() {
         let vfs = crate::vfs::MemVfs::shared();
         let dir = Path::new("/fallback");
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
-        let fat = write_fat(&b, 0, 3);
+        let b = device(&vfs, dir).unwrap();
+        let fat = write_big(&b, 0, 3);
         b.write_page(&page(&[7])).unwrap();
         b.sync().unwrap();
         let frames = frames_of(&b, &nth_segment(&b, 0));
@@ -1696,7 +1769,7 @@ pub(crate) mod tests {
         drop(b);
         let good = vfs.read(&sealed).unwrap();
         let at = good.len() - index_frame(&frames).len();
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        let b = device(&vfs, dir).unwrap();
         assert_eq!(b.segments_scanned(), 1);
         let expected = contents(&b);
         drop(b);
@@ -1713,7 +1786,7 @@ pub(crate) mod tests {
             ("no index", good[..at].to_vec()),
         ] {
             rewrite(&vfs, &sealed, &bytes);
-            let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap_or_else(|e| panic!("{name}: {e}"));
+            let b = device(&vfs, dir).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!((b.segments_scanned(), b.torn_frames_recovered()), (2, 0), "{name}");
             assert_eq!(contents(&b), expected, "{name}");
         }
@@ -1727,7 +1800,7 @@ pub(crate) mod tests {
         let segment = crate::log::tests::hex(PARENT_SEGMENT_HEX);
         vfs.open(&dir.join("lethe.data"), true).unwrap().append(&segment).unwrap();
         vfs.open(&dir.join("lethe.data.2"), true).unwrap();
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        let b = device(&vfs, dir).unwrap();
         assert_eq!(b.segments_scanned(), 2);
         assert_eq!(contents(&b), [(1, page(&[1, 2]))]);
     }
@@ -1736,14 +1809,14 @@ pub(crate) mod tests {
     fn a_page_framed_twice_is_still_corruption() {
         let vfs = crate::vfs::MemVfs::shared();
         let dir = Path::new("/twice");
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
-        let fat = write_fat(&b, 0, 3);
+        let b = device(&vfs, dir).unwrap();
+        let fat = write_big(&b, 0, 3);
         b.write_page(&page(&[7])).unwrap();
         b.sync().unwrap();
         let frames = frames_of(&b, &nth_segment(&b, 0));
         let (sealed, newest) = (segment_path(&b.base, 0), b.data_path());
         drop(b);
-        let expect_twice = |what: &str| match FileBackend::open_on(&vfs, dir, "lethe") {
+        let expect_twice = |what: &str| match device(&vfs, dir) {
             Err(StorageError::Corruption(msg)) => {
                 assert!(msg.contains(&format!("page {} is framed twice", fat[1])), "{what}: {msg}")
             }
@@ -1765,35 +1838,86 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_torn_index_frame_is_cut_and_its_segment_then_opens_by_scan() {
+    fn a_torn_index_frame_is_cut_and_the_next_sync_seals_its_segment_again() {
         let vfs = crate::vfs::MemVfs::shared();
         let dir = Path::new("/torn-index");
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
-        write_fat(&b, 0, 3);
+        let b = device(&vfs, dir).unwrap();
+        write_big(&b, 0, 3);
         let index = index_frame(&frames_of(&b, &nth_segment(&b, 0))).len() as u64;
         let path = b.data_path();
         drop(b);
         // a power loss tore the sealing sync's index append
         let file = vfs.open(&path, false).unwrap();
         file.set_len(file.len().unwrap() - index / 2).unwrap();
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
+        let b = device(&vfs, dir).unwrap();
         assert_eq!((b.torn_frames_recovered(), b.segments_scanned(), b.live_pages()), (1, 1, 3));
         let expected = contents(&b);
-        // the first write cuts the torn index, then rolls
+        // the segment lost its seal with its index: the first write cuts the
+        // torn index and lands behind the pages, and the sync after it seals
+        // the segment again, index and all
         let fresh = b.write_page(&page(&[1])).unwrap();
         b.sync().unwrap();
-        assert_eq!(b.segment_count(), 2);
+        assert_eq!(b.segment_count(), 1);
+        let frames = frames_of(&b, &nth_segment(&b, 0));
+        assert_eq!(read_index(nth_segment(&b, 0).file.as_ref()).unwrap(), Some(frames));
         drop(b);
-        let b = FileBackend::open_on(&vfs, dir, "lethe").unwrap();
-        assert_eq!((b.torn_frames_recovered(), b.segments_scanned()), (0, 2));
+        let b = device(&vfs, dir).unwrap();
+        assert_eq!((b.torn_frames_recovered(), b.segments_scanned()), (0, 1));
         assert_eq!(contents(&b)[..3], expected[..]);
         assert_eq!(*b.read_page(fresh).unwrap(), page(&[1]));
     }
 
     #[test]
+    fn the_target_may_change_across_a_reopen() {
+        let dir = fresh_dir("retarget");
+        let small = |dir: &Path| FileBackend::open_on(&OsVfs::shared(), dir, "lethe", 4096);
+        let small = |dir: &Path| small(dir).unwrap();
+        // 40 KiB of pages under the 16 MiB target: one segment, no seal
+        let b = FileBackend::open_named(&dir, "lethe").unwrap();
+        for k in 0..10 {
+            b.write_page(&big_page(k, 4)).unwrap();
+        }
+        b.sync().unwrap();
+        assert_eq!(segments_on_disk(&dir), [0]);
+        let written = contents(&b);
+        drop(b);
+
+        // under 4 KiB the segment is far past the target but has no index:
+        // the first write lands in it, the sync after it seals it, and the
+        // write after that rolls; two more pages fill and seal the successor
+        let b = small(&dir);
+        assert_eq!((b.segments_scanned(), contents(&b)), (1, written));
+        b.write_page(&page(&[1])).unwrap();
+        assert_eq!(segments_on_disk(&dir), [0], "the first write appends");
+        b.sync().unwrap();
+        let rolled = b.write_page(&big_page(20, 4)).unwrap();
+        b.write_page(&big_page(21, 4)).unwrap();
+        b.sync().unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, rolled]);
+        let written = contents(&b);
+        drop(b);
+
+        // back under 16 MiB: both segments end in their index, so the open
+        // scans only the newest; the first write cuts the newest's index and
+        // lands in it, far below the target, and no sync seals it
+        let b = FileBackend::open_named(&dir, "lethe").unwrap();
+        assert_eq!((b.segments_scanned(), contents(&b)), (1, written));
+        b.write_page(&page(&[2])).unwrap();
+        b.sync().unwrap();
+        b.write_page(&big_page(22, 4)).unwrap();
+        b.sync().unwrap();
+        assert_eq!(segments_on_disk(&dir), [0, rolled]);
+        drop(b);
+        let b = small(&dir);
+        assert_eq!(b.segments_scanned(), 1, "segment 0 opens from its index");
+        assert_eq!(b.live_pages(), 15);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_read_that_fills_no_cache_checks_the_payload_sum() {
         let vfs = crate::vfs::MemVfs::shared();
-        let b = FileBackend::open_on(&vfs, Path::new("/rot"), "lethe").unwrap();
+        let b = device(&vfs, Path::new("/rot")).unwrap();
         let ids: Vec<PageId> = (0..3u64).map(|k| b.write_page(&page(&[k])).unwrap()).collect();
         let (offset, len) = {
             let index = b.index.read();
@@ -1821,7 +1945,7 @@ pub(crate) mod tests {
     /// One step of a random device history with failures.
     #[derive(Debug, Clone)]
     enum Event {
-        /// Write a page with a value of this many MiB (0: a small page).
+        /// Write a page with a value of this many KiB (0: a small page).
         Write(usize),
         /// Drop one of the three oldest live pages.
         Drop(usize),
@@ -1858,13 +1982,13 @@ pub(crate) mod tests {
             let vfs = crate::vfs::FaultVfs::new(crate::vfs::MemVfs::shared());
             let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
             let dir = Path::new("/index-model");
-            let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+            let b = device(&dyn_vfs, dir).unwrap();
             let mut live: Vec<PageId> = Vec::new();
             for (n, event) in events.iter().enumerate() {
                 let n = n as u64;
                 match *event {
-                    Event::Write(mib) => {
-                        let p = if mib == 0 { page(&[n]) } else { fat_page(n, mib) };
+                    Event::Write(kib) => {
+                        let p = if kib == 0 { page(&[n]) } else { big_page(n, kib) };
                         live.push(b.write_page(&p).unwrap());
                     }
                     Event::Drop(at) if !live.is_empty() => {
@@ -1887,14 +2011,14 @@ pub(crate) mod tests {
             let segments = b.index.read().segments.clone();
             for s in &segments[..segments.len() - 1] {
                 let path = segment_path(&b.base, s.id);
-                let (_, end, scanned) =
+                let (_, end, scanned, _) =
                     Index::default().scan(s.id, Arc::clone(&s.file), &path, false).unwrap();
                 prop_assert_eq!(end, s.file.len().unwrap(), "segment {} ends in its index", s.id);
                 prop_assert_eq!(read_index(s.file.as_ref()).unwrap(), Some(scanned), "segment {}", s.id);
             }
             let expected = contents(&b);
             drop(b);
-            let b = FileBackend::open_on(&dyn_vfs, dir, "lethe").unwrap();
+            let b = device(&dyn_vfs, dir).unwrap();
             prop_assert_eq!(b.segments_scanned(), 1);
             let mut reopened = contents(&b);
             reopened.retain(|(id, _)| live.contains(id));

@@ -91,7 +91,7 @@ pub mod page;
 pub mod vfs;
 pub mod wal;
 
-pub use backend::{FileBackend, PageId, StorageBackend};
+pub use backend::{FileBackend, PageId, StorageBackend, SEGMENT_TARGET_BYTES};
 pub use batchlog::BatchCommitLog;
 pub use bloom::BloomFilter;
 pub use cache::{CacheSnapshot, CachedBackend, PageCache};

@@ -212,10 +212,18 @@ impl Manifest {
             log => log?,
         };
         // a record that checksums but does not decode is real corruption
+        let mut records = 0;
         log.recover(&FORMAT, |_, _, body| {
             manifest.apply(decode_record(Bytes::copy_from_slice(body))?);
+            records += 1;
             Ok(())
         })?;
+        // an edit killed at its barrier is folded in all the same, and the
+        // store then releases the pages it forgot, unlinking the segments
+        // they leave empty: the edit must be as durable as a commit's
+        if records > 0 {
+            log.sync_data()?;
+        }
         manifest.log = Some(log);
         Ok(manifest)
     }
@@ -869,6 +877,24 @@ mod tests {
         let m = reopen(&vfs);
         assert_eq!(m.state(), &landed, "the reopen reads the landed edit");
         assert!(!m.is_poisoned());
+    }
+
+    /// An edit whose barrier failed is folded in by the next open, and the
+    /// store drops the pages it forgot on that word: a power loss after
+    /// that open must not take the edit back.
+    #[test]
+    fn what_the_open_folds_in_survives_a_power_loss() {
+        let mem = MemVfs::new();
+        let vfs = FaultVfs::new(mem.clone());
+        let mut m = reopen(&vfs);
+        m.commit(state(&[&[1]], 2)).unwrap();
+        let landed = state(&[&[2]], 3);
+        vfs.arm(1);
+        assert!(matches!(m.commit(landed.clone()), Err(StorageError::Injected)));
+        drop(m);
+        assert_eq!(reopen(&vfs).state(), &landed);
+        mem.crash(&mut |_| 0);
+        assert_eq!(reopen(&vfs).state(), &landed);
     }
 
     #[test]

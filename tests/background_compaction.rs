@@ -802,7 +802,7 @@ fn snapshot_churn_under_background_compaction() {
     for i in 0..db.shard_count() {
         db.with_shard(i, |s| {
             let tree = s.tree();
-            tree.versions().collect_garbage(tree.backend().as_ref());
+            tree.versions().collect_garbage(tree.backend().as_ref()).unwrap();
         });
     }
     assert_eq!(garbage_backlog(&db), 0, "reclamation backlog must drain once pins release");

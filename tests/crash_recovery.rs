@@ -27,9 +27,11 @@
 //!
 //! The seeded simulator (`tests/sim`) draws histories that mix all three
 //! with restarts, on one and three shards under both policies. The sweeps
-//! run on a `MemVfs`; the segment-roll sweep, which copies a store's files,
-//! and the tests that tear or plant files, run on the host file system in a
-//! temporary directory.
+//! and the simulator run the tiny test tree on a `MemVfs`: its data
+//! segments are 4 KiB (`LsmConfig::segment_target_bytes`), so a few
+//! flushes fill, seal and roll one, and a compaction leaves dead ones to
+//! unlink. The tests that tear or plant files on the host file system run
+//! in a temporary directory.
 
 #![expect(
     clippy::disallowed_methods,
@@ -40,7 +42,7 @@ mod sim;
 
 use bytes::Bytes;
 use lethe::lsm::{CompactionStrategy, LsmConfig};
-use lethe::storage::{FaultVfs, KillPoint, MemVfs, OsVfs, SyncPolicy, Vfs};
+use lethe::storage::{FaultVfs, KillPoint, MemVfs, SyncPolicy, Vfs};
 use lethe::{Lethe, LetheBuilder, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,20 +83,6 @@ fn builder() -> LetheBuilder {
     sim::builder(SyncPolicy::OnFlush)
 }
 
-/// `builder()` with 1 MiB entries. A page is `B` entries of any size, so the
-/// 16-entry buffer flushes as 16 MiB of pages: one flush fills a whole data
-/// segment, its barrier seals it, and the next page written creates the
-/// segment's successor.
-fn fat_builder() -> LetheBuilder {
-    let mut cfg = tiny_config();
-    cfg.entry_size = 1 << 20;
-    LetheBuilder::new().with_config(cfg).delete_persistence_threshold_secs(1.0)
-}
-
-fn fat_value(k: u64) -> Vec<u8> {
-    vec![(k % 251) as u8; 1 << 20]
-}
-
 /// Ids of the data segments of the single-shard store in `dir` on `vfs`,
 /// ascending (`lethe.data` is segment 0, `lethe.data.<id>` segment `<id>`).
 fn data_segments(vfs: &dyn Vfs, dir: &Path) -> Vec<u64> {
@@ -109,6 +97,16 @@ fn data_segments(vfs: &dyn Vfs, dir: &Path) -> Vec<u64> {
         .collect();
     ids.sort_unstable();
     ids
+}
+
+/// The path of data segment `id` of the single-shard store in `dir`.
+fn segment_path(dir: &Path, id: u64) -> PathBuf {
+    if id == 0 { dir.join("lethe.data") } else { dir.join(format!("lethe.data.{id}")) }
+}
+
+/// The newest data segment of the single-shard store in `dir` on `vfs`.
+fn newest_segment(vfs: &dyn Vfs, dir: &Path) -> PathBuf {
+    segment_path(dir, *data_segments(vfs, dir).last().unwrap())
 }
 
 // ---------------------------------------------------------------- simulator
@@ -237,6 +235,66 @@ fn a_fresh_wal_survives_a_power_loss_after_its_first_commit() {
     }
 }
 
+/// A kill struck a persist after its pages had filled a data segment and
+/// before a barrier covered them. The reopen took the full segment, which
+/// had no index frame, for sealed; its successor took the writes, and no
+/// barrier ever covered its tail. A power loss then tore that tail, and the
+/// store did not reopen ("torn frame at offset 3922 of a sealed segment").
+/// An open now finds a segment sealed only when it ends in its index frame,
+/// so the next `sync()` seals this one behind its own barrier.
+/// `sim_one_shard_always` seed 1277, shrunk.
+#[test]
+fn a_reopen_seals_no_segment_that_no_barrier_made_durable() {
+    use Op::*;
+    let config = Config { shards: 1, sync: SyncPolicy::Always, power_loss: true };
+    let ops = [
+        Put(179, 141), Put(13, 57), Put(188, 245), Put(20, 121), Put(162, 108), Put(225, 48),
+        Persist, Put(83, 168), Put(22, 237), Put(55, 212), Put(111, 43), Put(7, 124),
+        Put(145, 98), Put(176, 255), Put(168, 94), Put(205, 246), Persist, Put(252, 156), Persist,
+        Put(152, 47), Put(133, 206), Put(74, 148), Put(208, 238), Put(171, 90), Put(102, 15),
+        Persist, Put(4, 219), Put(75, 185), Put(28, 28), Put(242, 163), Put(147, 98),
+        Put(163, 7), Put(106, 205), SecondaryDelete(229, 276), Put(199, 243), Persist,
+        Put(184, 122), Put(215, 154), Put(239, 194), DeleteRange(44, 99), Put(118, 135), Persist,
+        Put(57, 249), Put(218, 182), Persist, Put(0, 176), Put(128, 85), Put(73, 133),
+        Put(21, 138), Persist, Put(166, 248), Put(141, 77), Put(60, 30), Put(86, 102),
+        Put(237, 84), Persist, Put(26, 201), Put(19, 14), Put(30, 50), Put(56, 212), Put(64, 122),
+        Put(206, 66), Put(87, 24), Put(198, 57), Put(193, 125), Persist, DeleteRange(24, 55),
+        Put(58, 228), Put(151, 17), Put(154, 98), Put(217, 45), Persist, Put(156, 155),
+        DeleteRange(191, 250), DeleteRange(90, 137), Put(107, 2), Put(251, 6), Put(6, 234),
+        Kill(22, None), Persist, DeleteRange(89, 102), Persist, Persist,
+        PowerLoss(10744700000286242694),
+    ];
+    assert_eq!(ops.len(), 84);
+    sim::replay(config, &ops).unwrap();
+}
+
+/// A kill struck a persist's manifest edit at its barrier. The reopen
+/// folded the edit in all the same and released the pages it forgot, which
+/// unlinked the data segment they had left empty; the WAL replay's
+/// directory barrier then made the unlink durable. A power loss that kept
+/// only what barriers made durable took the edit back, and the store did
+/// not reopen ("manifest references missing page"). Small segments made
+/// the unlink real: a 16 MiB segment never emptied in so short a history.
+/// The manifest's open now syncs the log it folds. `sim_one_shard_always`
+/// seed 217, shrunk.
+#[test]
+fn a_reopen_makes_the_manifest_it_folds_durable() {
+    use Op::*;
+    let config = Config { shards: 1, sync: SyncPolicy::Always, power_loss: true };
+    let ops = [
+        Put(103, 96), Put(217, 192), Put(19, 144), Put(105, 40), Put(14, 121), Put(84, 220),
+        Put(242, 246), Put(31, 196), Put(20, 217), Persist, Put(80, 166), Put(57, 52),
+        Put(122, 221), Put(229, 202), Put(159, 60), Put(10, 136), Put(110, 72), Put(245, 147),
+        Put(192, 36), Persist, Put(165, 75), Kill(10, None), Put(87, 107), Put(161, 152),
+        Persist, Persist, Put(28, 50), Persist, Put(13, 56), Put(100, 121), Put(56, 61), Persist,
+        SecondaryDelete(197, 209), Put(187, 152), Put(93, 88), Put(222, 34), Persist,
+        Put(42, 176), SecondaryDelete(141, 159), Put(138, 197), Put(167, 126), Put(211, 248),
+        Kill(32, None), Put(130, 66), Persist, DeleteRange(87, 118), Persist,
+        PowerLoss(5315590640913105143),
+    ];
+    sim::replay(config, &ops).unwrap();
+}
+
 // ----------------------------------------------------------- headline tests
 
 /// The bug this subsystem exists to fix: before the manifest, a durable
@@ -300,11 +358,11 @@ fn torn_wal_tail_recovers_valid_prefix_on_open() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One flipped high bit in the length of the second data frame reads as a
-/// torn tail there, and the manifest then names pages the scan did not
-/// find: the open fails with `Corruption`. It must fail having written
-/// nothing, so the segment keeps every frame behind the damage for whoever
-/// repairs the store.
+/// One flipped high bit in the length of the newest data segment's second
+/// frame reads as a torn tail there, and the manifest then names pages the
+/// scan did not find: the open fails with `Corruption`. It must fail having
+/// written nothing, so the segment keeps every frame behind the damage for
+/// whoever repairs the store.
 #[test]
 fn a_failed_open_cuts_nothing() {
     let vfs = MemVfs::shared();
@@ -317,8 +375,7 @@ fn a_failed_open_cuts_nothing() {
         }
         db.persist().unwrap();
     }
-    assert_eq!(data_segments(vfs.as_ref(), dir), [0]);
-    let segment = dir.join("lethe.data");
+    let segment = newest_segment(vfs.as_ref(), dir);
     let mut bytes = vfs.read(&segment).unwrap();
     // a page frame is `tag (4) · page id (8) · len (4) · sum (4) · payload`
     let second = 20 + u32::from_be_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -333,6 +390,70 @@ fn a_failed_open_cuts_nothing() {
         other => panic!("expected corruption, got {:?}", other.map(|_| ())),
     }
     assert_eq!(vfs.read(&segment).unwrap(), bytes, "a failed open cuts nothing");
+}
+
+/// Keys of [`sealed_store_with_dead_frames`]: `[0, 96)`.
+const SEALED_KEYS: u64 = 96;
+
+/// The delete keys [`sealed_store_with_dead_frames`] purges: `[0, 94)`.
+const PURGED: std::ops::Range<u64> = 0..94;
+
+/// The value of key `k` in [`sealed_store_with_dead_frames`].
+fn sealed_store_value(k: u64) -> Option<Bytes> {
+    (!PURGED.contains(&delete_key_of(k))).then(|| Bytes::from(value(k as u8)))
+}
+
+/// A sealed data segment: its path, its frames (see [`frames_of`]), and
+/// the ids of its live and of its dead page frames.
+struct Sealed {
+    path: PathBuf,
+    frames: Vec<(usize, u64, usize)>,
+    live: Vec<u64>,
+    dead: Vec<u64>,
+}
+
+/// Builds, on `vfs`, a store whose 96 keys flushed and compacted into
+/// sealed data segments, and whose secondary range delete then dropped
+/// some pages whole and rewrote others. Returns every sealed segment (all
+/// but the newest, each ending in its index frame); at least one holds
+/// both live pages and dead frames.
+fn sealed_store_with_dead_frames(vfs: Arc<dyn Vfs>, dir: &Path) -> Vec<Sealed> {
+    let mut db = builder().open_on(vfs.clone(), dir).unwrap();
+    for k in 0..SEALED_KEYS {
+        db.put(k, delete_key_of(k), value(k as u8)).unwrap();
+    }
+    db.persist().unwrap();
+    db.delete_where_delete_key_in(PURGED.start, PURGED.end).unwrap();
+    db.persist().unwrap();
+    let referenced = referenced_pages(&db);
+    drop(db);
+    let mut ids = data_segments(vfs.as_ref(), dir);
+    ids.pop();
+    let sealed: Vec<Sealed> = ids
+        .into_iter()
+        .map(|id| {
+            let path = segment_path(dir, id);
+            let frames = frames_of(&vfs.read(&path).unwrap());
+            assert!(ends_in_index(&vfs.read(&path).unwrap()), "segment {id} ends in its index");
+            let pages = frames.iter().map(|f| f.1).filter(|&id| id != u64::MAX);
+            let (live, dead) = pages.partition(|id| referenced.contains(id));
+            Sealed { path, frames, live, dead }
+        })
+        .collect();
+    assert!(sealed.iter().any(|s| !s.live.is_empty() && !s.dead.is_empty()), "no mixed segment");
+    sealed
+}
+
+/// A sealed segment of `sealed` that holds both live pages and dead frames.
+fn mixed(sealed: &[Sealed]) -> &Sealed {
+    sealed.iter().find(|s| !s.live.is_empty() && !s.dead.is_empty()).unwrap()
+}
+
+/// Every key of [`sealed_store_with_dead_frames`] reads back.
+fn check_sealed_store(db: &Lethe) {
+    for k in 0..SEALED_KEYS {
+        assert!(db.get(k).unwrap() == sealed_store_value(k), "key {k}");
+    }
 }
 
 /// The frames of a data segment's bytes, in file order, as
@@ -351,44 +472,6 @@ fn frames_of(bytes: &[u8]) -> Vec<(usize, u64, usize)> {
     frames
 }
 
-/// The delete keys [`sealed_store_with_dead_frames`] purges: `[0, 94)`.
-const PURGED: std::ops::Range<u64> = 0..94;
-
-/// The value of key `k` in [`sealed_store_with_dead_frames`].
-fn sealed_store_value(k: u64) -> Option<Bytes> {
-    (!PURGED.contains(&delete_key_of(k))).then(|| Bytes::from(fat_value(k)))
-}
-
-/// Builds, on `vfs`, a [`fat_builder`] store whose segment 0 is sealed,
-/// ends in its index frame, and holds both live pages and dead frames: 16
-/// keys flush as four pages, and a secondary range delete then drops one
-/// page whole and rewrites another into segment 0's successor. Returns the
-/// ids of segment 0's live and dead page frames.
-fn sealed_store_with_dead_frames(vfs: Arc<dyn Vfs>, dir: &Path) -> (Vec<u64>, Vec<u64>) {
-    let mut db = fat_builder().open_on(vfs.clone(), dir).unwrap();
-    for k in 0..16 {
-        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-    }
-    db.persist().unwrap();
-    db.delete_where_delete_key_in(PURGED.start, PURGED.end).unwrap();
-    db.persist().unwrap();
-    let live = referenced_pages(&db);
-    drop(db);
-    let frames = frames_of(&vfs.read(&dir.join("lethe.data")).unwrap());
-    assert_eq!(frames.last().map(|f| f.1), Some(u64::MAX), "segment 0 ends in its index");
-    let pages = frames.iter().map(|f| f.1).filter(|&id| id != u64::MAX);
-    let (live, dead): (Vec<u64>, Vec<u64>) = pages.partition(|id| live.contains(id));
-    assert!(!live.is_empty() && !dead.is_empty(), "live {live:?}, dead {dead:?}");
-    (live, dead)
-}
-
-/// Every key of [`sealed_store_with_dead_frames`] reads back.
-fn check_sealed_store(db: &Lethe) {
-    for k in 0..16 {
-        assert!(db.get(k).unwrap() == sealed_store_value(k), "key {k}");
-    }
-}
-
 /// Flips the last payload bit of page `id`'s frame in the segment at
 /// `path` (a bit of its last entry's value), and returns the frame's offset.
 fn flip_payload_bit(vfs: &dyn Vfs, path: &Path, id: u64) -> usize {
@@ -401,24 +484,31 @@ fn flip_payload_bit(vfs: &dyn Vfs, path: &Path, id: u64) -> usize {
     at
 }
 
+/// The segment id a data segment's path names.
+fn segment_id(path: &Path) -> u64 {
+    let name = path.file_name().unwrap().to_str().unwrap();
+    name.strip_prefix("lethe.data.").map_or(0, |id| id.parse().unwrap())
+}
+
 #[test]
 fn the_open_reads_a_sealed_segments_index_and_live_pages_only() {
     let fault = mem_faults();
     let dir = Path::new(DIR);
-    let (live, dead) = sealed_store_with_dead_frames(fault.clone(), dir);
-    let sealed = dir.join("lethe.data");
-    let frames = frames_of(&fault.read(&sealed).unwrap());
+    let sealed = sealed_store_with_dead_frames(fault.clone(), dir);
     fault.take_bytes_read();
-    let db = fat_builder().open_on(fault.clone(), dir).unwrap();
+    let db = builder().open_on(fault.clone(), dir).unwrap();
     let read = fault.take_bytes_read();
-    // the index's trailing length, the index frame, and each live frame
-    let index = frames.last().map_or(0, |&(_, _, len)| 20 + len);
-    let live_frames: usize =
-        frames.iter().filter(|f| live.contains(&f.1)).map(|&(_, _, len)| 20 + len).sum();
-    let dead_frames: usize =
-        frames.iter().filter(|f| dead.contains(&f.1)).map(|&(_, _, len)| 20 + len).sum();
-    assert!(dead_frames >= 4 << 20, "{dead_frames} B of dead frames");
-    assert_eq!(read[&sealed] as usize, 4 + index + live_frames, "dead frames are never read");
+    let mut dead_bytes = 0;
+    for s in &sealed {
+        // the index's trailing length, the index frame, and each live frame
+        let size = |ids: &[u64]| -> usize {
+            s.frames.iter().filter(|f| ids.contains(&f.1)).map(|&(_, _, len)| 20 + len).sum()
+        };
+        let index = s.frames.last().map_or(0, |&(_, _, len)| 20 + len);
+        assert_eq!(read[&s.path] as usize, 4 + index + size(&s.live), "{:?}", s.path);
+        dead_bytes += size(&s.dead);
+    }
+    assert!(dead_bytes > 0, "dead frames are never read");
     check_sealed_store(&db);
 }
 
@@ -426,18 +516,20 @@ fn the_open_reads_a_sealed_segments_index_and_live_pages_only() {
 fn rot_in_a_live_page_fails_the_open_and_rot_in_a_dead_frame_does_not() {
     let vfs = MemVfs::shared();
     let dir = Path::new(DIR);
-    let (live, dead) = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
-    let sealed = dir.join("lethe.data");
+    let sealed = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
+    let mixed = mixed(&sealed);
     // a dead frame is never read, so its rot fails nothing
-    flip_payload_bit(vfs.as_ref(), &sealed, dead[0]);
-    let db = fat_builder().open_on(Arc::clone(&vfs), dir).expect("rot in a dead frame opens");
+    flip_payload_bit(vfs.as_ref(), &mixed.path, mixed.dead[0]);
+    let db = builder().open_on(Arc::clone(&vfs), dir).expect("rot in a dead frame opens");
     check_sealed_store(&db);
     drop(db);
     // a live page is read back by the open, which checks its sum
-    let at = flip_payload_bit(vfs.as_ref(), &sealed, live[0]);
-    match fat_builder().open_on(Arc::clone(&vfs), dir) {
+    let at = flip_payload_bit(vfs.as_ref(), &mixed.path, mixed.live[0]);
+    match builder().open_on(Arc::clone(&vfs), dir) {
         Err(lethe::storage::StorageError::Corruption(msg)) => {
-            let names = format!("segment 0: page {}, the frame at offset {at}, fails", live[0]);
+            let id = segment_id(&mixed.path);
+            let page = mixed.live[0];
+            let names = format!("segment {id}: page {page}, the frame at offset {at}, fails");
             assert!(msg.contains(&names), "{msg}")
         }
         other => panic!("expected corruption, got {:?}", other.map(|_| ())),
@@ -448,26 +540,25 @@ fn rot_in_a_live_page_fails_the_open_and_rot_in_a_dead_frame_does_not() {
 fn a_compaction_that_reads_a_rotten_page_fails_and_commits_nothing() {
     let vfs = MemVfs::shared();
     let dir = Path::new(DIR);
-    let (live, _) = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
-    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    let sealed = sealed_store_with_dead_frames(Arc::clone(&vfs), dir);
+    let mixed = mixed(&sealed);
+    let mut db = builder().open_on(Arc::clone(&vfs), dir).unwrap();
     let referenced = referenced_pages(&db);
-    // rot after the open; the flush below merges the whole level
-    let at = flip_payload_bit(vfs.as_ref(), &dir.join("lethe.data"), live[0]);
-    for k in 16..20 {
-        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-    }
-    match db.persist() {
+    // rot after the open; a full compaction reads every live page
+    let at = flip_payload_bit(vfs.as_ref(), &mixed.path, mixed.live[0]);
+    match db.tree_mut().force_full_compaction() {
         Err(lethe::storage::StorageError::Corruption(msg)) => {
-            assert!(msg.contains(&format!("page {}, the frame at offset {at}", live[0])), "{msg}")
+            let names = format!("page {}, the frame at offset {at}", mixed.live[0]);
+            assert!(msg.contains(&names), "{msg}")
         }
         other => panic!("expected corruption, got {other:?}"),
     }
     assert_eq!(referenced_pages(&db), referenced, "the failed job committed nothing");
     drop(db);
     // so the rotten page is still the manifest's, and the open finds it
-    match fat_builder().open_on(Arc::clone(&vfs), dir) {
+    match builder().open_on(Arc::clone(&vfs), dir) {
         Err(lethe::storage::StorageError::Corruption(msg)) => {
-            assert!(msg.contains(&format!("page {}", live[0])), "{msg}")
+            assert!(msg.contains(&format!("page {}", mixed.live[0])), "{msg}")
         }
         other => panic!("expected corruption, got {:?}", other.map(|_| ())),
     }
@@ -533,10 +624,10 @@ fn run_sweep_iteration(
             late_put = store.apply(&Op::Put(KEY_SPACE, 7)).is_ok();
         }
     }
-    // a fault can fire without failing an op: a retired page's segment
-    // unlink is best effort, and the reopen collects what it left
+    // every fault fails the op it fires in, a retired page's segment
+    // unlink included
     let fired = fault.last_fired();
-    assert!(pending.is_none() || fired.is_some(), "{pending:?} failed with no fault fired");
+    assert_eq!(pending.is_some(), fired.is_some(), "{pending:?} failed, {fired:?} fired");
     let store = open();
     sim::verify(store.as_ref(), &mut model, pending.as_ref()).unwrap();
     if late_put {
@@ -633,23 +724,24 @@ fn first_call_at(site: &str, run: impl Fn(u64) -> Arc<FaultVfs>) -> u64 {
 /// are gone.
 #[test]
 fn a_landed_manifest_edit_keeps_its_pages_when_its_barrier_fails() {
-    // a buffer of 20 fat entries: 16 stay buffered until a persist flushes
-    // them as 16 MiB, one full segment
+    // a one-page buffer makes the segment target the buffer's 256 bytes:
+    // three 85-byte entries stay buffered until a persist flushes them as
+    // one page, whose frame alone fills a segment
     let builder = || {
         let mut cfg = tiny_config();
-        cfg.entry_size = 1 << 20;
-        cfg.buffer_pages = 5;
+        cfg.buffer_pages = 1;
         LetheBuilder::new().with_config(cfg).delete_persistence_threshold_secs(1.0)
     };
-    // 16 keys are acknowledged; the persist that flushes them is killed at
+    let value = |k: u64| vec![k as u8; 60];
+    // 3 keys are acknowledged; the persist that flushes them is killed at
     // its `kill`-th call and, with a `retry`, a second persist at that one's
     // `retry`-th. Returns the traced wrapper and the store's segments.
     let run = |kill: u64, retry: Option<u64>| -> (Arc<FaultVfs>, Vec<u64>) {
         let fault = mem_faults();
         fault.enable_trace();
         let mut db = builder().open_on(fault.clone(), DIR).unwrap();
-        for k in 0..16u64 {
-            db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+        for k in 0..3u64 {
+            db.put(k, delete_key_of(k), value(k)).unwrap();
         }
         fault.arm(kill);
         let _ = db.persist();
@@ -672,8 +764,8 @@ fn a_landed_manifest_edit_keeps_its_pages_when_its_barrier_fails() {
     let (fault, segments) = run(kill, Some(retry));
     assert_eq!(segments.len(), 2, "the failed flush's segment is still there: {segments:?}");
     let db = builder().open_on(fault, DIR).unwrap();
-    for k in 0..16u64 {
-        assert_eq!(db.get(k).unwrap(), Some(Bytes::from(fat_value(k))), "key {k}");
+    for k in 0..3u64 {
+        assert_eq!(db.get(k).unwrap(), Some(Bytes::from(value(k))), "key {k}");
     }
 }
 
@@ -740,10 +832,13 @@ fn kill_point_sweep_whole_file_drop() {
         kill += 1;
     }
     // a drop builds no table, so its commit is one manifest append and that
-    // append's barrier: the sweep must have crashed before the edit landed
-    // and between the landed edit and the page retirement
-    assert_eq!(kill, 2, "one crash per window of the drop commit");
-    assert_eq!(names(fired), names_of(&["manifest.append", "manifest.sync_data"]));
+    // append's barrier, and the page retirement behind it unlinks the data
+    // segment the dropped files held alone: the sweep must have crashed
+    // before the edit landed, between the landed edit and the retirement,
+    // and at the unlink
+    assert_eq!(kill, 3, "one crash per window of the drop commit");
+    let expected = ["manifest.append", "manifest.sync_data", "segment.remove"];
+    assert_eq!(names(fired), names_of(&expected));
 }
 
 /// Ids of every page the tree's files reference.
@@ -842,123 +937,6 @@ fn kill_point_sweep_trivial_move() {
     );
 }
 
-/// Builds the template of the segment-roll sweep once: a durable FADE store
-/// whose only data segment a flush has just filled and sealed. Returns its
-/// directory.
-fn sealed_segment_template() -> PathBuf {
-    let dir = unique_dir("rollsweep-template");
-    let mut db = fat_builder().open(&dir).unwrap();
-    for k in 0..16u64 {
-        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-    }
-    db.persist().unwrap();
-    assert_eq!(data_segments(&OsVfs, &dir), [0], "the template is one segment");
-    let len = std::fs::metadata(dir.join("lethe.data")).unwrap().len();
-    assert!(len >= 16 << 20, "and a full one: {len} B");
-    dir
-}
-
-/// One iteration of the segment-roll sweep on a copy of `template`: a few
-/// more fat writes are acknowledged, then the `persist()` that flushes them
-/// is killed at its `kill`-th durable step. Its first page write creates the
-/// sealed segment's successor, the merge rewrites every page of the old
-/// segment into it, and the drops after the manifest commit unlink the old
-/// file; wherever the kill lands, the reopened store serves every
-/// acknowledged key, holds exactly the pages its manifest references, keeps
-/// no dead segment but possibly the newest, and finishes a re-driven
-/// `persist()`. Returns the site that fired, `None` once `kill` is past the
-/// last step.
-fn run_roll_sweep_iteration(template: &Path, kill: u64) -> Option<KillPoint> {
-    let dir = unique_dir("rollsweep");
-    std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(template).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-    }
-    let check_keys = |db: &Lethe, when: &str| {
-        for k in 0..18u64 {
-            let expected = Bytes::from(fat_value(if k < 2 { k + 100 } else { k }));
-            assert!(db.get(k).unwrap() == Some(expected), "key {k} {when}, kill {kill}");
-        }
-    };
-    let fault = FaultVfs::new(OsVfs::shared());
-    {
-        let mut db = fat_builder().open_on(fault.clone(), &dir).unwrap();
-        // overwrites and new keys, acknowledged before the fault is armed
-        for k in (0..2u64).chain(16..18) {
-            db.put(k, delete_key_of(k), fat_value(if k < 2 { k + 100 } else { k })).unwrap();
-        }
-        assert_eq!(data_segments(fault.as_ref(), &dir), [0], "nothing rolled before the persist");
-        fault.arm(kill);
-        let crashed = db.persist().is_err();
-        fault.disarm();
-        assert_eq!(crashed, fault.last_fired().is_some());
-    }
-    let mut db = fat_builder().open(&dir).unwrap();
-    check_keys(&db, "after the reopen");
-    let live: BTreeSet<u64> = db.tree().backend().page_ids().into_iter().collect();
-    assert_eq!(live, referenced_pages(&db), "live pages are not the manifest's, kill {kill}");
-    // page ids are issued in file order, so a segment holds the ids from its
-    // name up to its successor's: every file but the newest holds a live one
-    let segments = data_segments(&OsVfs, &dir);
-    for pair in segments.windows(2) {
-        assert!(
-            live.range(pair[0]..pair[1]).next().is_some(),
-            "dead segment {} of {segments:?} survived the reopen, kill {kill}",
-            pair[0]
-        );
-    }
-    if fault.last_fired().is_none() {
-        // the flush rewrote every page of the old segment; its drops run one
-        // job late, so it is the reopen's unreferenced-page pass that took them
-        assert!(segments.len() == 1 && segments[0] > 0, "the old segment is gone: {segments:?}");
-        assert!(db.io_snapshot().bytes_reclaimed >= 16 << 20);
-    }
-    db.persist().unwrap();
-    check_keys(&db, "after the re-driven persist");
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    fault.last_fired()
-}
-
-#[test]
-fn kill_point_sweep_segment_roll() {
-    let template = sealed_segment_template();
-    let mut fired = BTreeSet::new();
-    // two kills at a time, each on its own copy: the iterations are
-    // independent, and each spends its time checksumming fat pages
-    let mut kill = 0u64;
-    loop {
-        let pair = std::thread::scope(|s| {
-            let next = s.spawn(|| run_roll_sweep_iteration(&template, kill + 1));
-            [run_roll_sweep_iteration(&template, kill), next.join().unwrap()]
-        });
-        fired.extend(pair.iter().flatten());
-        if pair.contains(&None) {
-            break;
-        }
-        kill += 2;
-    }
-    let _ = std::fs::remove_dir_all(&template);
-    let expected = [
-        "segment.create",
-        "segment.append",
-        "segment.sync_all",
-        "manifest.create",
-        "manifest.set_len",
-        "manifest.append",
-        "manifest.sync_all",
-        "manifest.rename",
-        "wal.create",
-        "wal.set_len",
-        "wal.append",
-        "wal.sync_all",
-        "wal.rename",
-        "dir.sync_dir",
-    ];
-    assert_eq!(names(fired), names_of(&expected), "the sweep must die at every roll step");
-}
-
 /// Copies every file of `dir` on `from` into `dir` on a fresh `MemVfs`.
 fn mem_copy(from: &dyn Vfs, dir: &Path) -> Arc<dyn Vfs> {
     let to = MemVfs::shared();
@@ -970,98 +948,133 @@ fn mem_copy(from: &dyn Vfs, dir: &Path) -> Arc<dyn Vfs> {
     to
 }
 
-/// The template of the seal sweep: a [`fat_builder`] store on a `MemVfs`
-/// past one seal: 16 keys flushed, so segment 0 is full, sealed and ends in
-/// its index frame.
-fn past_one_seal_template() -> Arc<dyn Vfs> {
-    let vfs = MemVfs::shared();
-    let dir = Path::new(DIR);
-    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
-    for k in 0..16u64 {
-        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-    }
-    db.persist().unwrap();
-    let frames = frames_of(&vfs.read(&dir.join("lethe.data")).unwrap());
-    assert_eq!(frames.last().map(|f| f.1), Some(u64::MAX), "segment 0 is sealed");
-    vfs
+/// Whether a data segment's bytes end in its index frame.
+fn ends_in_index(bytes: &[u8]) -> bool {
+    frames_of(bytes).last().is_some_and(|f| f.1 == u64::MAX)
 }
 
-/// What one iteration of the seal sweep saw when its kill fired: whether
-/// segment 0's successor was full, and whether it ended in its index frame.
+/// A template of the persist sweeps: a store of [`builder`] on a `MemVfs`
+/// after rounds of 16 puts and a `persist()` each, the first round after
+/// which `done` holds for its newest data segment's bytes, with the model of
+/// what it holds.
+fn persisted_until(done: impl Fn(&[u8]) -> bool) -> (Arc<dyn Vfs>, Model) {
+    let (vfs, dir) = (MemVfs::shared(), Path::new(DIR));
+    let mut db = builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    let mut model = Model::default();
+    for round in 0u64.. {
+        for k in 0..16 {
+            let op = Op::Put((round * 40 + k * 7) % KEY_SPACE, round as u8);
+            db.apply(&op).unwrap();
+            model.apply(&op);
+        }
+        db.persist().unwrap();
+        if round > 0 && done(&vfs.read(&newest_segment(vfs.as_ref(), dir)).unwrap()) {
+            break;
+        }
+    }
+    (vfs, model)
+}
+
+/// What one iteration of a persist sweep saw when its kill fired: whether
+/// the newest data segment had reached the target, and whether it ended in
+/// its index frame.
 type SealState = (bool, bool);
 
-/// One iteration of the seal sweep on a copy of `template`: two more keys
-/// are acknowledged, then flushed with the fault armed at `kill`. The flush's merge
-/// rewrites all 18 keys: its first page write rolls past the sealed
-/// segment 0, and its barrier finds the successor full and seals it (the
-/// index append, then the barrier). Wherever the kill lands, the reopened
-/// store serves every acknowledged key, holds exactly the pages its
-/// manifest references and finishes a re-driven `persist()`. Returns the
-/// site that fired and, if one did, the successor's state at that point.
-fn run_seal_sweep_iteration(template: &dyn Vfs, kill: u64) -> (Option<KillPoint>, Option<SealState>) {
+/// One iteration of a persist sweep on a copy of `template`: 64 puts and a
+/// `persist()`, killed at their `kill`-th durable step. Their flushes and
+/// compactions write pages, seal full segments and roll past them, and
+/// retire the pages they replace, which unlinks every segment left with no
+/// live page. Wherever the kill lands, the reopened store serves every
+/// acknowledged key and the op in flight before or after, holds exactly
+/// the pages its manifest references, keeps no dead segment but possibly
+/// the newest, and finishes a re-driven `persist()`. Returns the site that
+/// fired (`None` once `kill` is past the last step) and, if one did, the
+/// newest segment's state at that point.
+fn run_persist_sweep_iteration(
+    template: &(Arc<dyn Vfs>, Model),
+    kill: u64,
+) -> (Option<KillPoint>, Option<SealState>) {
     let dir = Path::new(DIR);
-    let fault = FaultVfs::new(mem_copy(template, dir));
+    let fault = FaultVfs::new(mem_copy(template.0.as_ref(), dir));
+    let mut model = template.1.clone();
+    let ops = (0..64).map(|k| Op::Put(k * 13 % KEY_SPACE, 200)).chain([Op::Persist]);
+    let mut pending = None;
     {
-        let mut db = fat_builder().open_on(fault.clone(), dir).unwrap();
-        for k in 16..18u64 {
-            db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-        }
+        let mut db = builder().open_on(fault.clone(), dir).unwrap();
         fault.arm(kill);
-        let crashed = db.persist().is_err();
-        fault.disarm();
-        assert_eq!(crashed, fault.last_fired().is_some(), "kill {kill}");
-    }
-    let state = fault.last_fired().and_then(|_| {
-        let successor = *data_segments(fault.as_ref(), dir).get(1)?;
-        let bytes = fault.read(&dir.join(format!("lethe.data.{successor}"))).ok()?;
-        let ends_in_index = frames_of(&bytes).last().is_some_and(|f| f.1 == u64::MAX);
-        Some((bytes.len() >= 16 << 20, ends_in_index))
-    });
-    let check = |db: &Lethe, when: &str| {
-        for k in 0..18u64 {
-            let value = db.get(k).unwrap();
-            assert!(value == Some(Bytes::from(fat_value(k))), "key {k} {when}, kill {kill}");
+        for op in ops {
+            if db.apply(&op).is_err() {
+                pending = Some(op);
+                break;
+            }
+            model.apply(&op);
         }
-    };
-    let mut db = fat_builder().open_on(fault.clone(), dir).unwrap();
-    check(&db, "after the reopen");
+        fault.disarm();
+        assert_eq!(pending.is_some(), fault.last_fired().is_some(), "kill {kill}");
+    }
+    let target = tiny_config().segment_target_bytes() as usize;
+    let state = fault.last_fired().map(|_| {
+        let bytes = fault.read(&newest_segment(fault.as_ref(), dir)).unwrap();
+        (bytes.len() >= target, ends_in_index(&bytes))
+    });
+    let mut db = builder().open_on(fault.clone(), dir).unwrap();
+    let reopened = sim::verify(&db, &mut model, pending.as_ref());
+    reopened.unwrap_or_else(|e| panic!("after the reopen, kill {kill}: {e}"));
+    // the WAL replay's last job left its inputs for the next commit's
+    // garbage pass, which runs here
+    db.tree().versions().collect_garbage(db.tree().backend().as_ref()).unwrap();
     let live: BTreeSet<u64> = db.tree().backend().page_ids().into_iter().collect();
     assert_eq!(live, referenced_pages(&db), "live pages are not the manifest's, kill {kill}");
+    // page ids are issued in file order, so a segment holds the ids from its
+    // name up to its successor's: every file but the newest holds a live one
+    let segments = data_segments(fault.as_ref(), dir);
+    for pair in segments.windows(2) {
+        assert!(
+            live.range(pair[0]..pair[1]).next().is_some(),
+            "dead segment {} of {segments:?} survived the reopen, kill {kill}",
+            pair[0]
+        );
+    }
     db.persist().unwrap();
-    check(&db, "after the re-driven persist");
+    let persisted = sim::verify(&db, &mut model, None);
+    persisted.unwrap_or_else(|e| panic!("after the re-driven persist, kill {kill}: {e}"));
     (fault.last_fired(), state)
 }
 
-#[test]
-fn kill_point_sweep_segment_seal() {
-    let template = past_one_seal_template();
+/// Sweeps a persist of `template`, one kill at a time, until one runs
+/// through; returns the sites it killed at and the states it saw.
+fn run_persist_sweep(template: &(Arc<dyn Vfs>, Model)) -> (BTreeSet<String>, BTreeSet<SealState>) {
     let (mut fired, mut states) = (BTreeSet::new(), BTreeSet::new());
-    // two kills at a time: the iterations are independent
-    let mut kill = 0u64;
-    loop {
-        let pair = std::thread::scope(|s| {
-            let next = s.spawn(|| run_seal_sweep_iteration(template.as_ref(), kill + 1));
-            [run_seal_sweep_iteration(template.as_ref(), kill), next.join().unwrap()]
-        });
-        fired.extend(pair.iter().filter_map(|p| p.0));
-        states.extend(pair.iter().filter_map(|p| p.1));
-        if pair.iter().any(|p| p.0.is_none()) {
-            break;
-        }
-        kill += 2;
+    for kill in 0.. {
+        let (site, state) = run_persist_sweep_iteration(template, kill);
+        let Some(site) = site else { break };
+        fired.insert(site.to_string());
+        states.extend(state);
     }
-    // the sweep killed the index append of the full successor, and the
-    // barrier behind it
-    assert!(states.contains(&(true, false)), "{states:?}");
-    assert!(states.contains(&(true, true)), "{states:?}");
+    (fired, states)
+}
+
+/// The template ends in a sealed segment, which an open does not take for
+/// sealed: the first page write cuts its index away (a `set_len` and its
+/// barrier) and lands in it, and a later sync seals it again. The writes
+/// then roll past it: a roll creates the successor, whose first barrier
+/// syncs the directory, and the compactions unlink the segments they
+/// empty.
+#[test]
+fn kill_point_sweep_segment_roll() {
+    let template = persisted_until(ends_in_index);
+    let (fired, _) = run_persist_sweep(&template);
     let expected = [
         "segment.create",
+        "segment.set_len",
         "segment.append",
         "segment.sync_all",
+        "segment.remove",
         "manifest.create",
         "manifest.set_len",
         "manifest.append",
         "manifest.sync_all",
+        "manifest.sync_data",
         "manifest.rename",
         "wal.create",
         "wal.set_len",
@@ -1070,34 +1083,56 @@ fn kill_point_sweep_segment_seal() {
         "wal.rename",
         "dir.sync_dir",
     ];
-    assert_eq!(names(fired), names_of(&expected), "the sweep must die at every seal step");
+    assert_eq!(fired, names_of(&expected), "the sweep must die at every roll step");
+}
+
+/// The template ends in a segment with no index, which the persist fills:
+/// the sweep kills the index append that seals it and the barrier behind it.
+#[test]
+fn kill_point_sweep_segment_seal() {
+    let template = persisted_until(|bytes| !ends_in_index(bytes));
+    let (fired, states) = run_persist_sweep(&template);
+    assert!(states.contains(&(true, false)), "{states:?}");
+    assert!(states.contains(&(true, true)), "{states:?}");
+    let expected = [
+        "segment.create",
+        "segment.append",
+        "segment.sync_all",
+        "segment.remove",
+        "manifest.create",
+        "manifest.set_len",
+        "manifest.append",
+        "manifest.sync_all",
+        "manifest.sync_data",
+        "manifest.rename",
+        "wal.create",
+        "wal.set_len",
+        "wal.append",
+        "wal.sync_all",
+        "wal.rename",
+        "dir.sync_dir",
+    ];
+    assert_eq!(fired, names_of(&expected), "the sweep must die at every seal step");
 
     // a power loss that tears the index append: the reopen cuts it as a
-    // torn tail, and the segment, sealed without it, later opens by scan
+    // torn tail, the segment takes the next pages, and the next sync seals
+    // it again
     let dir = Path::new(DIR);
-    let vfs = mem_copy(template.as_ref(), dir);
-    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
-    for k in 16..18u64 {
-        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-    }
-    db.persist().unwrap();
-    let newest = *data_segments(vfs.as_ref(), dir).last().unwrap();
-    let path = dir.join(format!("lethe.data.{newest}"));
+    let (vfs, mut model) = persisted_until(ends_in_index);
+    let path = newest_segment(vfs.as_ref(), dir);
     let index = frames_of(&vfs.read(&path).unwrap()).pop().unwrap();
-    assert_eq!(index.1, u64::MAX, "the persist sealed segment {newest}");
-    drop(db);
     let file = vfs.open(&path, false).unwrap();
     file.set_len((index.0 + 20 + index.2 / 2) as u64).unwrap();
-    let mut db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
-    for k in 18..20u64 {
-        db.put(k, delete_key_of(k), fat_value(k)).unwrap();
+    let mut db = builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    for k in 0..16 {
+        let op = Op::Put(k * 13 % KEY_SPACE, 201);
+        db.apply(&op).unwrap();
+        model.apply(&op);
     }
     db.persist().unwrap();
     drop(db);
-    let db = fat_builder().open_on(Arc::clone(&vfs), dir).unwrap();
-    for k in 0..20u64 {
-        assert!(db.get(k).unwrap() == Some(Bytes::from(fat_value(k))), "key {k}");
-    }
+    let db = builder().open_on(Arc::clone(&vfs), dir).unwrap();
+    assert_eq!(sim::contents(&db).unwrap(), model);
 }
 
 /// `sites` as a set of names.
@@ -1106,8 +1141,9 @@ fn names_of(sites: &[&str]) -> BTreeSet<String> {
 }
 
 /// Proves the sweeps can reach every kind of durable step: a traced
-/// (disarmed) fault wrapper records every site a mixed sharded workload, a
-/// whole-file drop and a segment roll reach, and the set must equal the one
+/// (disarmed) fault wrapper records every site a mixed sharded workload
+/// (whose 4 KiB data segments seal, roll and die) and a whole-file drop
+/// reach, and the set must equal the one
 /// written out below, every append, barrier, rename, unlink and directory
 /// sync of every kind of file. A durable step the workload stops reaching,
 /// or a new kind of call it starts making, fails this test.
@@ -1167,22 +1203,6 @@ fn kill_point_trace_covers_the_whole_registry() {
         db.clock().advance_secs(10.0);
         db.maintain().unwrap();
         assert!(db.stats().whole_file_drops >= 1, "coverage workload must drive a drop");
-    }
-    // segment roll: the sixteenth fat put flushes a full data segment, which
-    // its barrier seals; the persist's flush then creates the successor
-    // (segment.create); the merge empties the old one, which the reopen's
-    // unreferenced-page pass unlinks (segment.remove)
-    let fatdir = Path::new("/killtrace-fat");
-    {
-        let mut db = fat_builder().open_on(fault.clone(), fatdir).unwrap();
-        for k in 0..17u64 {
-            db.put(k, delete_key_of(k), fat_value(k)).unwrap();
-        }
-        db.persist().unwrap();
-        assert_eq!(data_segments(fault.as_ref(), fatdir).len(), 2, "rolled once");
-        drop(db);
-        fat_builder().open_on(fault.clone(), fatdir).unwrap();
-        assert_eq!(data_segments(fault.as_ref(), fatdir).len(), 1, "the old segment is gone");
     }
     let registry = names_of(&[
         // segments: a roll's create, a page write, the barrier before a

@@ -768,7 +768,8 @@ fn every_write_surface_leaves_the_same_store() {
     // the tree `lethe` in the in-memory directory `/` on `vfs`, recovered
     let wal_path = Path::new("/lethe.wal");
     let open = |vfs: &Arc<dyn Vfs>| {
-        let backend = FileBackend::open_on(vfs, Path::new("/"), "lethe").unwrap();
+        let target = config.segment_target_bytes();
+        let backend = FileBackend::open_on(vfs, Path::new("/"), "lethe", target).unwrap();
         let wal = FileWal::open_on(vfs, wal_path).unwrap();
         let manifest = Manifest::open_on(vfs, Path::new("/lethe.manifest")).unwrap();
         let clock = LogicalClock::new();

@@ -14,7 +14,8 @@
 //!   or its after state, per key, and a batch all or nothing;
 //! - after a power loss under [`SyncPolicy::OnFlush`] (single shard), the
 //!   store equals the model after some prefix of the acknowledged history,
-//!   no shorter than the last `persist()`.
+//!   no shorter than the last `persist()`;
+//! - a single shard's history unlinks at least one dead data segment.
 //!
 //! A failure is shrunk greedily and reported as one `config · seed · ops`
 //! line. [`replay`] runs such a line's ops again; on a single shard it
@@ -27,7 +28,7 @@
 
 use bytes::Bytes;
 use lethe::lsm::{LsmConfig, SecondaryDeleteMode};
-use lethe::storage::{FaultVfs, MemVfs, Result, SyncPolicy, Vfs};
+use lethe::storage::{FaultVfs, KillPoint, MemVfs, Result, SyncPolicy, Vfs};
 use lethe::{Lethe, LetheBuilder, ShardedLethe, ShardedLetheBuilder, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -259,7 +260,9 @@ pub fn verify(
 
 /// The tiny tree every oracle test runs: `small_for_test` with two-page
 /// delete tiles, KiWi page drops and blind-delete suppression, its WAL
-/// under `sync`.
+/// under `sync`. Its 1 KiB buffer sizes its data segments to 4 KiB
+/// (`LsmConfig::segment_target_bytes`), so a short history fills, seals,
+/// rolls and unlinks them.
 pub fn config(sync: SyncPolicy) -> LsmConfig {
     let mut cfg = LsmConfig::small_for_test();
     cfg.pages_per_delete_tile = 2;
@@ -324,12 +327,26 @@ impl Sim {
     }
 
     /// Plays the seed's `len` ops; on a failure, shrinks them and panics
-    /// with the replay line.
+    /// with the replay line. A single shard's history must also unlink a
+    /// data segment: only a sealed segment can die, so the unlink shows the
+    /// history rolled, sealed and reclaimed segments.
     pub fn run(&self, len: usize) {
         let ops = self.ops(len);
-        if let Err(failure) = replay(self.config, &ops) {
-            let (ops, failure) = shrink(self.config, ops, failure);
-            panic!("sim replay: {:?} · seed {} · ops {ops:?}\n{failure}", self.config, self.seed);
+        match play(self.config, &ops) {
+            Err(failure) => {
+                let (ops, failure) = shrink(self.config, ops, failure);
+                let (config, seed) = (self.config, self.seed);
+                panic!("sim replay: {config:?} · seed {seed} · ops {ops:?}\n{failure}");
+            }
+            Ok(sites) => {
+                let unlinked = sites.iter().any(|site| site.to_string() == "segment.remove");
+                assert!(
+                    unlinked || self.config.shards > 1,
+                    "sim: {:?} · seed {} unlinked no data segment",
+                    self.config,
+                    self.seed
+                );
+            }
         }
     }
 }
@@ -348,12 +365,18 @@ pub type Failure = (usize, String);
 
 /// Plays `ops` on a fresh store of `config`, and returns the first failure.
 pub fn replay(config: Config, ops: &[Op]) -> std::result::Result<(), Failure> {
+    play(config, ops).map(drop)
+}
+
+/// [`replay`], returning every file-system call site the history reached.
+fn play(config: Config, ops: &[Op]) -> std::result::Result<Vec<KillPoint>, Failure> {
     let mut run = Run::open(config)?;
     for (i, op) in ops.iter().enumerate() {
         let played = catch_unwind(AssertUnwindSafe(|| run.play(op)));
         played.unwrap_or_else(|panic| Err(panic_message(panic))).map_err(|e| (i, e))?;
     }
-    run.reopen(None, None).map_err(|e| (ops.len(), e))
+    run.reopen(None, None).map_err(|e| (ops.len(), e))?;
+    Ok(run.fault.traced_sites())
 }
 
 /// Greedily shrinks a failing history: everything after the failing op is
@@ -403,6 +426,7 @@ impl Run {
     fn open(config: Config) -> std::result::Result<Run, Failure> {
         let mem = MemVfs::new();
         let fault = FaultVfs::new(mem.clone());
+        fault.enable_trace();
         let store = config
             .open(fault.clone())
             .map_err(|e| (0, format!("a fresh store fails to open: {e}")))?;
