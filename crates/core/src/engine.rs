@@ -24,6 +24,7 @@ use lethe_lsm::stats::{ContentSnapshot, TreeStats};
 use lethe_lsm::batch::WriteBatch;
 use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::read::{RangeIter, ReadView};
+use crate::snapshot::{Snapshot, ShardViews};
 use lethe_lsm::tree::{LsmTree, MaintenanceMode};
 use lethe_storage::{
     CacheSnapshot, CachedBackend, DeleteKey, Entry, FileBackend, FileWal, IoSnapshot,
@@ -129,7 +130,7 @@ impl LetheBuilder {
     /// a private one: the sharded front-end hands one cache to every shard
     /// so the memory budget is global. Implies caching regardless of
     /// `block_cache_bytes`.
-    pub fn shared_block_cache(mut self, cache: Arc<PageCache>) -> Self {
+    pub(crate) fn shared_block_cache(mut self, cache: Arc<PageCache>) -> Self {
         self.shared_cache = Some(cache);
         self
     }
@@ -317,9 +318,16 @@ impl LetheBuilder {
     /// so every acknowledged write is returned by the reopened store. Every
     /// file the store keeps goes through `vfs`, so a
     /// [`FaultVfs`](lethe_storage::FaultVfs) around it reaches every durable
-    /// step.
+    /// step. A directory holding a sharded store or a checkpoint is refused:
+    /// open those with [`ShardedLetheBuilder::open_on`] or
+    /// [`LetheBuilder::restore_on`].
+    ///
+    /// [`ShardedLetheBuilder::open_on`]: crate::ShardedLetheBuilder::open_on
     pub fn open_on(self, vfs: Arc<dyn Vfs>, dir: impl AsRef<Path>) -> Result<Lethe> {
-        self.assemble(None, &vfs, dir.as_ref(), "lethe", LogicalClock::new())
+        let dir = dir.as_ref();
+        vfs.create_dir_all(dir)?;
+        refuse_other_doors(&vfs.list(dir)?, dir, "LetheBuilder::open_on")?;
+        self.assemble(None, &vfs, dir, "lethe", LogicalClock::new())
     }
 
     /// The one assembly every engine goes through: the store named `name`
@@ -397,6 +405,30 @@ impl LetheBuilder {
         }
         Ok(db)
     }
+}
+
+/// Each kind of store directory, by the prefixes of the files it holds, and
+/// the one door that opens it.
+const DOORS: [(&[&str], &str); 3] = [
+    (&["lethe."], "LetheBuilder::open_on"),
+    (&["SHARDS", "BATCHES", "shard-"], "ShardedLetheBuilder::open_on"),
+    (&["CHECKPOINT", "checkpoint."], "LetheBuilder::restore_on"),
+];
+
+/// Refuses to open `dir`, whose files are `names`, through `door` when it
+/// holds a file another door's store writes: opening it anyway would start
+/// an empty store beside the real one.
+pub(crate) fn refuse_other_doors(names: &[String], dir: &Path, door: &str) -> Result<()> {
+    for name in names {
+        let owner = DOORS.iter().find(|(prefixes, _)| prefixes.iter().any(|p| name.starts_with(p)));
+        if let Some((_, other)) = owner.filter(|(_, other)| *other != door) {
+            return Err(StorageError::InvalidOperation(format!(
+                "{} holds {name}, a file of another kind of store; open it with {other}",
+                dir.display()
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn expected_levels(config: &LsmConfig, entries: u64) -> usize {
@@ -525,25 +557,13 @@ impl Lethe {
         LetheBuilder::new().restore(dir)
     }
 
-    /// Captures a frozen point-in-time view of this engine's tree (a
-    /// [`ReadView`] over state nothing writes: the same read surface,
-    /// answering as of now). The `&mut`
-    /// receiver is the write serialisation the capture requires; the
-    /// returned view reads without any lock. Registering the covering seqnum
-    /// fence with the
-    /// [`snapshot tracker`](Lethe::snapshot_tracker) — so tombstone GC is
-    /// gated while the view is alive — is the caller's responsibility, which
-    /// the sharded front-end's
-    /// [`ShardedLethe::snapshot`](crate::shard::ShardedLethe::snapshot)
-    /// discharges automatically.
-    pub fn capture_snapshot(&mut self) -> ReadView {
-        self.tree.capture_snapshot()
-    }
-
-    /// The engine's live-snapshot tracker (shared with sibling shards in a
-    /// sharded store).
-    pub fn snapshot_tracker(&self) -> &Arc<SnapshotTracker> {
-        self.tree.snapshot_tracker()
+    /// Captures a point-in-time view of this engine at the tree's next
+    /// seqnum; see [`Snapshot`]. The `&mut` receiver is the write
+    /// serialisation the capture requires; the snapshot reads without any
+    /// lock, and its pinned fence defers tombstone GC until it drops.
+    pub fn snapshot(&mut self) -> Snapshot {
+        let pin = self.tree.snapshot_tracker().pin(self.tree.next_seqnum());
+        Snapshot { views: ShardViews(vec![self.tree.capture_snapshot()]), pin }
     }
 
     /// Selects who drives the job cycle of [`lethe_lsm::jobs`]: the writer,
@@ -561,11 +581,6 @@ impl Lethe {
     /// a durable store unlinked because no live page was left in them).
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.tree.io_snapshot()
-    }
-
-    /// The block cache this engine reads through, if one is configured.
-    pub fn block_cache(&self) -> Option<&Arc<PageCache>> {
-        self.cache.as_ref()
     }
 
     /// Counters and occupancy of the block cache, if one is configured.

@@ -12,6 +12,8 @@
 //!   multipliers).
 //! * [`engine`] — [`Lethe`], the engine that combines FADE and KiWi behind a
 //!   single API with the two tuning knobs `D_th` and `h`.
+//! * [`snapshot`] — [`Snapshot`], the point-in-time handle both stores
+//!   hand out: captured views plus a pinned seqnum fence.
 //! * [`compactor`] — the per-shard background maintenance worker that
 //!   drains flushes and FADE compactions off the foreground write path.
 //! * [`baseline`] — the state-of-the-art engines the paper compares against.
@@ -50,12 +52,14 @@ pub mod fade;
 pub mod kiwi;
 pub mod model;
 pub mod shard;
+pub mod snapshot;
 pub mod tuning;
 
 pub use baseline::BaselineKind;
 pub use compactor::Compactor;
 pub use engine::{Lethe, LetheBuilder};
-pub use shard::{BackpressureStats, ShardedLethe, ShardedLetheBuilder, Snapshot};
+pub use shard::{BackpressureStats, ShardedLethe, ShardedLetheBuilder};
+pub use snapshot::Snapshot;
 pub use fade::{level_ttls, FadePolicy};
 pub use kiwi::{
     hash_cost_multiplier, metadata_overhead_bytes, plan_secondary_delete, DropPlan,

@@ -122,27 +122,27 @@
 //! ```
 
 use crate::compactor::Compactor;
-use crate::engine::{Lethe, LetheBuilder};
+use crate::engine::{refuse_other_doors, Lethe, LetheBuilder};
+use crate::snapshot::{ShardViews, Snapshot};
 use bytes::Bytes;
 use lethe_lsm::batch::WriteBatch;
 use lethe_lsm::snapshot::SnapshotTracker;
 use lethe_lsm::jobs::BuildCtx;
 use lethe_lsm::sstable::SecondaryDeleteStats;
 use lethe_lsm::stats::{ContentSnapshot, TreeStats};
-use lethe_lsm::cursor::{EntryCursor, MergeIterator, VecCursor};
 use lethe_lsm::read::{RangeIter, ReadView};
 use lethe_lsm::tree::MaintenanceMode;
 use lethe_storage::{
     write_marker, BatchCommitLog, BatchOp, CacheSnapshot, CheckpointMarker, DeleteKey, Entry,
     FileBackend, IoSnapshot, LogicalClock, Manifest, ManifestState, MemVfs, OsVfs, PageCache,
-    Result, SeqNum, SortKey, StorageBackend, StorageError, Vfs,
+    Result, SortKey, StorageBackend, StorageError, Vfs,
 };
 use lethe_storage::barrier;
 use lethe_sync::{Condvar, LockRank, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Builder for a [`ShardedLethe`] engine.
 ///
@@ -208,7 +208,9 @@ impl ShardedLetheBuilder {
     /// Re-opening with a different shard count than the store was created
     /// with is rejected (routing is a function of the count), as is a store
     /// with committed shard state but no readable `SHARDS` super-manifest —
-    /// both would otherwise silently misroute keys.
+    /// both would otherwise silently misroute keys — and a directory holding
+    /// a single-shard store or a checkpoint (open those with
+    /// [`LetheBuilder::open_on`] or [`LetheBuilder::restore_on`]).
     ///
     /// Every shard gets one logical clock, one block cache (resolved once
     /// and pinned onto the per-shard builder), one seqnum allocator (a
@@ -219,7 +221,9 @@ impl ShardedLetheBuilder {
     pub fn open_on(self, vfs: Arc<dyn Vfs>, dir: impl AsRef<Path>) -> Result<ShardedLethe> {
         let dir = dir.as_ref();
         vfs.create_dir_all(dir)?;
-        validate_shard_manifest(vfs.as_ref(), dir, self.shards)?;
+        let names = vfs.list(dir)?;
+        refuse_other_doors(&names, dir, "ShardedLetheBuilder::open_on")?;
+        validate_shard_manifest(vfs.as_ref(), dir, &names, self.shards)?;
         // the batch-commit log opens first: WAL replay consults the
         // committed-id set to decide which prepared cross-shard slices apply
         let batch_log = BatchCommitLog::open(&vfs, &dir.join("BATCHES"))?;
@@ -275,8 +279,6 @@ impl ShardedLetheBuilder {
             slowdowns: AtomicU64::new(0),
             seqnums,
             snapshots,
-            snapshot_registry: Arc::new(Mutex::new(LockRank::SnapshotRegistry, HashMap::new())),
-            snapshot_ids: AtomicU64::new(1),
             vfs,
         })
     }
@@ -301,7 +303,7 @@ fn write_shard_manifest(vfs: &dyn Vfs, dir: &Path, n: usize, fsyncs: &AtomicU64)
 /// Leftover data/WAL files without manifests are tolerated: they can only
 /// come from a store that never acknowledged a write under a committed shard
 /// count (`SHARDS` is durably written before `open` returns).
-fn validate_shard_manifest(vfs: &dyn Vfs, dir: &Path, shards: usize) -> Result<()> {
+fn validate_shard_manifest(vfs: &dyn Vfs, dir: &Path, names: &[String], shards: usize) -> Result<()> {
     let path = dir.join("SHARDS");
     match vfs.read(&path) {
         Ok(raw) => {
@@ -317,8 +319,11 @@ fn validate_shard_manifest(vfs: &dyn Vfs, dir: &Path, shards: usize) -> Result<(
             Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            let mut orphaned: Vec<String> = vfs.list(dir)?;
-            orphaned.retain(|name| name.starts_with("shard-") && name.ends_with(".manifest"));
+            let mut orphaned: Vec<&str> = names
+                .iter()
+                .map(String::as_str)
+                .filter(|name| name.starts_with("shard-") && name.ends_with(".manifest"))
+                .collect();
             if !orphaned.is_empty() {
                 orphaned.sort();
                 return Err(StorageError::Corruption(format!(
@@ -422,49 +427,9 @@ struct PendingWrite {
 
 /// The shard (out of `n`) owning `key`: multiply-shift hash (Fibonacci
 /// hashing), so dense sequential key ranges spread evenly across shards.
-fn shard_of_key(key: SortKey, n: usize) -> usize {
+pub(crate) fn shard_of_key(key: SortKey, n: usize) -> usize {
     let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % n
-}
-
-/// One [`ReadView`] per shard, by shard index — live views for the store
-/// itself, captured ones behind a [`Snapshot`] — and the one read fan-out both
-/// go through.
-struct ShardViews(Vec<ReadView>);
-
-impl ShardViews {
-    fn get(&self, key: SortKey) -> Result<Option<Bytes>> {
-        self.0[shard_of_key(key, self.0.len())].get(key)
-    }
-
-    /// Heap-merges one sorted stream per shard into global sort-key order.
-    /// Hash partitioning puts every sort key in exactly one shard and each
-    /// stream has already resolved its own versions and tombstones, so the
-    /// merge meets no duplicate key and shadows nothing.
-    fn merged<C: EntryCursor + 'static>(
-        &self,
-        stream: impl Fn(&ReadView) -> Result<C>,
-    ) -> Result<MergeIterator> {
-        let mut cursors: Vec<Box<dyn EntryCursor>> = Vec::with_capacity(self.0.len());
-        for view in &self.0 {
-            cursors.push(Box::new(stream(view)?));
-        }
-        MergeIterator::new(cursors, Vec::new(), false)
-    }
-
-    fn iter_range(&self, lo: SortKey, hi: SortKey) -> RangeIter {
-        RangeIter::new(self.merged(|view| view.range_merge(lo, hi)))
-    }
-
-    fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
-        let mut merge = self
-            .merged(|view| Ok(VecCursor::from_sorted(view.scan_by_delete_key(lo, hi)?)))?;
-        let mut out = Vec::new();
-        while let Some(e) = merge.next_merged()? {
-            out.push(e);
-        }
-        Ok(out)
-    }
 }
 
 /// Whether `ops` contains a secondary range delete — the one batch op that
@@ -561,15 +526,9 @@ pub struct ShardedLethe {
     /// instant, so every seqnum below the fence is fully applied and every
     /// one at or above it is entirely absent.
     seqnums: Arc<AtomicU64>,
-    /// The live-snapshot tracker shared with every shard's tree; registered
-    /// fences gate tombstone GC and page reclamation store-wide.
+    /// The live-snapshot tracker shared with every shard's tree; a
+    /// snapshot's pinned fence gates tombstone GC store-wide.
     snapshots: Arc<SnapshotTracker>,
-    /// Live snapshot state by handle id. Holding the only strong `Arc` here
-    /// (handles hold `Weak`s) lets [`ShardedLethe::expire_snapshots`]
-    /// release pinned pages even when a stale handle is still around — the
-    /// handle then fails closed instead of reading reclaimed pages.
-    snapshot_registry: Arc<Mutex<HashMap<u64, Arc<SnapshotInner>>>>,
-    snapshot_ids: AtomicU64,
     /// The file system the store lives on; [`ShardedLethe::checkpoint`]
     /// writes through it too.
     vfs: Arc<dyn Vfs>,
@@ -946,55 +905,22 @@ impl ShardedLethe {
     /// path. The capture itself is cheap (per shard: one bounded memtable
     /// clone plus three `Arc` bumps), so writers stall only momentarily.
     ///
-    /// The fence is registered with the store's [`SnapshotTracker`]:
-    /// while the handle lives, tombstone drops that would discard history
-    /// the snapshot still reads are deferred (FADE's accounting counts
-    /// them in [`TreeStats::tombstone_gc_delayed`]), and the pinned
-    /// versions defer page reclamation. Dropping the handle releases both.
+    /// The fence is pinned on the store's [`SnapshotTracker`]: while the
+    /// handle lives, tombstone drops that would discard history the
+    /// snapshot still reads are deferred (FADE's accounting counts them in
+    /// [`TreeStats::tombstone_gc_delayed`]), and the captured versions defer
+    /// page reclamation. Dropping the handle releases both.
     pub fn snapshot(&self) -> Snapshot {
         let guards: Vec<_> = self.shards.iter().map(|s| s.engine.lock()).collect();
-        let fence = self.seqnums.load(Ordering::SeqCst);
-        self.snapshots.register(fence);
-        let views = ShardViews(guards.iter().map(|g| g.tree().capture_snapshot()).collect());
+        let pin = self.snapshots.pin(self.seqnums.load(Ordering::SeqCst));
+        let views = guards.iter().map(|g| g.tree().capture_snapshot()).collect();
         drop(guards);
-        let inner = Arc::new(SnapshotInner {
-            fence,
-            views,
-            tracker: Arc::clone(&self.snapshots),
-        });
-        let id = self.snapshot_ids.fetch_add(1, Ordering::Relaxed);
-        let handle = Snapshot {
-            id,
-            fence,
-            inner: Arc::downgrade(&inner),
-            registry: Arc::clone(&self.snapshot_registry),
-        };
-        self.snapshot_registry.lock().insert(id, inner);
-        handle
+        Snapshot { views: ShardViews(views), pin }
     }
 
     /// Number of snapshot handles currently pinning store state.
     pub fn live_snapshots(&self) -> usize {
-        self.snapshot_registry.lock().len()
-    }
-
-    /// Forcibly releases every live snapshot, returning how many were
-    /// expired. Their pinned buffers and versions are dropped (so deferred
-    /// page reclamation and tombstone GC resume) along with their tracker
-    /// registrations. An outstanding [`Snapshot`] handle holds only a weak
-    /// reference to that state, so it fails closed from now on instead of
-    /// ever reading reclaimed pages. An escape hatch for operators when a
-    /// forgotten handle is pinning space — not part of normal snapshot
-    /// lifecycle (dropping the handle is).
-    pub fn expire_snapshots(&self) -> usize {
-        let drained: Vec<Arc<SnapshotInner>> = {
-            let mut registry = self.snapshot_registry.lock();
-            let ids: Vec<u64> = registry.keys().copied().collect();
-            ids.iter().filter_map(|id| registry.remove(id)).collect()
-        };
-        // dropping the last Arcs releases the tracker registrations and the
-        // pinned versions (outside the registry lock)
-        drained.len()
+        self.snapshots.live()
     }
 
     /// Streams a consistent point-in-time image of the whole store into
@@ -1021,16 +947,21 @@ impl ShardedLethe {
     /// Streams an already-held [`Snapshot`]'s view into `dir`; see
     /// [`ShardedLethe::checkpoint`]. Lets a caller read through the same
     /// snapshot it backed up (e.g. to verify the backup against the live
-    /// view it captured).
+    /// view it captured). A snapshot of another store is refused.
     pub fn checkpoint_at(&self, snapshot: &Snapshot, dir: impl AsRef<Path>) -> Result<CheckpointMarker> {
-        let inner = snapshot.pinned()?;
+        if !snapshot.pin.is_on(&self.snapshots) {
+            return Err(StorageError::InvalidOperation(format!(
+                "the snapshot at seqnum fence {} was taken of another store",
+                snapshot.seqnum()
+            )));
+        }
         let dir = dir.as_ref();
         let config = self.shards[0].engine.lock().config().clone();
         let target = config.segment_target_bytes();
         let backend: Arc<dyn StorageBackend> =
             Arc::new(FileBackend::open_on(&self.vfs, dir, "checkpoint", target)?);
-        let views = &inner.views.0;
-        let mut stream = inner.views.merged(ReadView::entry_merge)?;
+        let views = &snapshot.views.0;
+        let mut stream = snapshot.views.merged(ReadView::entry_merge)?;
         // range tombstones live outside the page stream: each joins the file
         // its start falls in, as in a job's output (their shadowing was
         // already applied to the merged entries, so re-applying it on
@@ -1046,13 +977,12 @@ impl ShardedLethe {
         backend.sync()?;
         let state = ManifestState {
             next_file_id: file_ids.load(Ordering::Relaxed),
-            next_seqnum: inner.fence,
+            next_seqnum: snapshot.seqnum(),
             clock_micros: created_at,
             levels: vec![vec![files.iter().map(|t| t.describe()).collect()]],
         };
         Manifest::open_on(&self.vfs, &dir.join("checkpoint.manifest"))?.commit(state)?;
-        let marker =
-            CheckpointMarker { fence: inner.fence, shards: views.len() as u32 };
+        let marker = CheckpointMarker { fence: snapshot.seqnum(), shards: views.len() as u32 };
         write_marker(self.vfs.as_ref(), dir, marker, &self.manifest_fsyncs)?;
         Ok(marker)
     }
@@ -1142,11 +1072,6 @@ impl ShardedLethe {
         snap
     }
 
-    /// The block cache shared by every shard, if one is configured.
-    pub fn block_cache(&self) -> Option<&Arc<PageCache>> {
-        self.cache.as_ref()
-    }
-
     /// Counters and occupancy of the shared block cache, if one is
     /// configured (hit/miss/eviction/invalidation counts plus resident
     /// bytes and pages).
@@ -1162,8 +1087,8 @@ impl ShardedLethe {
         let mut total = ContentSnapshot::default();
         for shard in &self.shards {
             let (view, now) = {
-                let mut engine = shard.engine.lock();
-                (engine.capture_snapshot(), engine.clock().now())
+                let engine = shard.engine.lock();
+                (engine.tree().capture_snapshot(), engine.clock().now())
             };
             total.absorb(&view.contents(now)?);
         }
@@ -1196,97 +1121,6 @@ impl ShardedLethe {
         // the engine lock is still held — a rank inversion
         let mut engine = shard.engine.lock();
         f(&mut engine)
-    }
-}
-
-/// The pinned state behind one [`Snapshot`] handle: the per-shard captured
-/// views plus the tracker registration covering them. Lives in the store's
-/// snapshot registry (the only strong `Arc`); dropping it — via handle drop
-/// or [`ShardedLethe::expire_snapshots`] — releases the tracker fence, the
-/// pinned buffers and the pinned versions, letting tombstone GC and page
-/// reclamation resume.
-struct SnapshotInner {
-    fence: SeqNum,
-    views: ShardViews,
-    tracker: Arc<SnapshotTracker>,
-}
-
-impl Drop for SnapshotInner {
-    fn drop(&mut self) {
-        self.tracker.release(self.fence);
-    }
-}
-
-/// A consistent cross-shard point-in-time view of a [`ShardedLethe`] store,
-/// obtained from [`ShardedLethe::snapshot`].
-///
-/// All reads (`get`/`range`/`iter_range`/`scan_by_delete_key`) answer as of
-/// the snapshot's seqnum fence, no matter how many writes, flushes,
-/// compactions or secondary deletes have happened since — and they take no
-/// shard locks. While the handle lives, tombstone GC that would discard
-/// history it reads is deferred and its disk pages are pinned; dropping it
-/// releases both. A handle invalidated by
-/// [`ShardedLethe::expire_snapshots`] fails every subsequent read with an
-/// explicit error (its pinned state is gone and its pages may have been
-/// reclaimed) instead of returning partial state; iterators obtained
-/// *before* the expiry stay safe, since they hold their own pins.
-pub struct Snapshot {
-    id: u64,
-    fence: SeqNum,
-    inner: Weak<SnapshotInner>,
-    registry: Arc<Mutex<HashMap<u64, Arc<SnapshotInner>>>>,
-}
-
-impl Snapshot {
-    /// The snapshot's seqnum fence: every write with a smaller seqnum is
-    /// visible, every one at or above it is not.
-    pub fn seqnum(&self) -> SeqNum {
-        self.fence
-    }
-
-    /// The pinned state, or the fail-closed error for an expired handle.
-    fn pinned(&self) -> Result<Arc<SnapshotInner>> {
-        self.inner.upgrade().ok_or_else(|| {
-            StorageError::InvalidOperation(format!(
-                "snapshot at seqnum fence {} was expired; take a new snapshot",
-                self.fence
-            ))
-        })
-    }
-
-    /// Point lookup at the snapshot: the value of `key` as of the fence.
-    pub fn get(&self, key: SortKey) -> Result<Option<Bytes>> {
-        self.pinned()?.views.get(key)
-    }
-
-    /// Range lookup over `[lo, hi)` at the snapshot, merged back into
-    /// global sort-key order across shards.
-    pub fn range(&self, lo: SortKey, hi: SortKey) -> Result<Vec<(SortKey, Bytes)>> {
-        self.iter_range(lo, hi)?.collect()
-    }
-
-    /// Streaming range scan over `[lo, hi)` at the snapshot: the frozen
-    /// twin of [`ShardedLethe::iter_range`], over the captured state. The
-    /// returned iterator owns its own pins, so it remains valid even if the
-    /// handle is expired mid-scan.
-    pub fn iter_range(&self, lo: SortKey, hi: SortKey) -> Result<RangeIter> {
-        Ok(self.pinned()?.views.iter_range(lo, hi))
-    }
-
-    /// Secondary range lookup at the snapshot: every entry live at the
-    /// fence whose delete key lies in `[lo, hi)`, across all shards, in
-    /// sort-key order.
-    pub fn scan_by_delete_key(&self, lo: DeleteKey, hi: DeleteKey) -> Result<Vec<Entry>> {
-        self.pinned()?.views.scan_by_delete_key(lo, hi)
-    }
-}
-
-impl Drop for Snapshot {
-    fn drop(&mut self) {
-        // remove the registry's Arc (usually the last one): the inner drop
-        // runs after the registry lock is released
-        let inner = self.registry.lock().remove(&self.id);
-        drop(inner);
     }
 }
 
@@ -1483,13 +1317,20 @@ mod tests {
             .warm_block_cache_on_write(true);
         let expected = builder.config().clone();
         let db = sharded(builder, 3).build().unwrap();
-        let cache = Arc::clone(db.cache.as_ref().expect("a budget creates one cache"));
-        assert_eq!(cache.capacity_bytes(), budget as u64, "the budget is for the whole store");
+        let cache = db.cache_snapshot().expect("a budget creates one cache");
+        assert_eq!(cache.capacity_bytes, budget as u64, "the budget is for the whole store");
+        // written pages warm the cache, so a shard reading through a private
+        // cache would report other numbers than the store's
+        for k in 0..200u64 {
+            db.put(k, k, format!("v{k}")).unwrap();
+        }
+        db.persist().unwrap();
+        let cache = db.cache_snapshot().unwrap();
+        assert!(cache.pages_resident > 0, "{cache:?}");
         for i in 0..db.shard_count() {
             db.with_shard(i, |shard| {
                 assert_eq!(shard.config(), &expected, "shard {i}");
-                let shard_cache = shard.block_cache().expect("every shard reads through the cache");
-                assert!(Arc::ptr_eq(shard_cache, &cache), "shard {i} has a private cache");
+                assert_eq!(shard.cache_snapshot(), Some(cache), "shard {i} has a private cache");
             });
         }
     }
@@ -1632,7 +1473,7 @@ mod tests {
         }
         // streaming scan agrees with the materialised range
         let streamed: Vec<_> =
-            snap.iter_range(0, 300).unwrap().map(|r| r.unwrap()).collect();
+            snap.iter_range(0, 300).map(|r| r.unwrap()).collect();
         assert_eq!(streamed, frozen);
         // secondary scan at the fence still sees delete keys [0, 5)
         assert!(!snap.scan_by_delete_key(0, 5).unwrap().is_empty());
@@ -1651,27 +1492,27 @@ mod tests {
     }
 
     #[test]
-    fn expired_snapshot_handle_fails_closed() {
+    fn snapshots_at_one_fence_release_independently() {
         let db = sharded(small(), 2).build().unwrap();
         for k in 0..100u64 {
             db.put(k, k, format!("v{k}")).unwrap();
         }
-        let snap = db.snapshot();
-        assert_eq!(snap.get(1).unwrap(), Some(Bytes::from("v1")));
-        // an iterator created before the expiry owns its own pins
-        let mut early_iter = snap.iter_range(0, 100).unwrap();
-        assert_eq!(db.expire_snapshots(), 1);
+        let (a, b) = (db.snapshot(), db.snapshot());
+        assert_eq!(a.seqnum(), b.seqnum());
+        assert_eq!(db.live_snapshots(), 2);
+        // an iterator holds its own pins, so it outlives its handle
+        let mut early = a.iter_range(0, 100);
+        drop(a);
+        assert_eq!(db.live_snapshots(), 1);
+        db.put(1, 1, "after").unwrap();
+        assert_eq!(b.get(1).unwrap(), Some(Bytes::from("v1")));
+        assert_eq!(early.by_ref().collect::<Result<Vec<_>>>().unwrap().len(), 100);
+        drop(b);
         assert_eq!(db.live_snapshots(), 0);
-        let err = snap.get(1).unwrap_err();
-        assert!(err.to_string().contains("expired"), "got: {err}");
-        assert!(snap.range(0, 100).is_err());
-        assert!(snap.iter_range(0, 100).is_err());
-        assert!(snap.scan_by_delete_key(0, 100).is_err());
-        let drained: Vec<_> = early_iter.by_ref().collect::<Result<_>>().unwrap();
-        assert_eq!(drained.len(), 100);
-        // a fresh snapshot after the expiry works
-        let fresh = db.snapshot();
-        assert_eq!(fresh.get(1).unwrap(), Some(Bytes::from("v1")));
+        // a checkpoint streams only a snapshot of its own store
+        let other = sharded(small(), 2).build().unwrap().snapshot();
+        let err = db.checkpoint_at(&other, "/ckpt").unwrap_err();
+        assert!(err.to_string().contains("another store"), "got: {err}");
     }
 
     #[test]
@@ -1815,6 +1656,66 @@ mod tests {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// Opens `dir` through `open`, which must refuse it with an error
+    /// naming `door` and create no file there.
+    fn assert_refused<T>(vfs: &Arc<dyn Vfs>, dir: &str, door: &str, open: impl FnOnce() -> Result<T>) {
+        let files = || {
+            let mut names = vfs.list(Path::new(dir)).unwrap();
+            names.sort();
+            names
+        };
+        let before = files();
+        let Err(err) = open() else { panic!("{dir} opened through the wrong door") };
+        assert!(err.to_string().ends_with(door), "got: {err}");
+        assert_eq!(files(), before, "the refused open created files");
+    }
+
+    /// A store of `n` shards on `vfs` at `/store` holding 100 persisted keys.
+    fn store_of(vfs: &Arc<dyn Vfs>, n: usize) -> ShardedLethe {
+        let db = sharded(small(), n).open_on(Arc::clone(vfs), "/store").unwrap();
+        for k in 0..100u64 {
+            db.put(k, k, format!("v{k}")).unwrap();
+        }
+        db.persist().unwrap();
+        db
+    }
+
+    #[test]
+    fn the_single_shard_door_refuses_a_sharded_store() {
+        let vfs = MemVfs::shared();
+        drop(store_of(&vfs, 2));
+        let door = "ShardedLetheBuilder::open_on";
+        assert_refused(&vfs, "/store", door, || small().open_on(Arc::clone(&vfs), "/store"));
+        let db = sharded(small(), 2).open_on(vfs, "/store").unwrap();
+        assert_eq!(db.get(5).unwrap(), Some(Bytes::from("v5")));
+    }
+
+    #[test]
+    fn the_single_shard_door_refuses_a_checkpoint() {
+        let vfs = MemVfs::shared();
+        store_of(&vfs, 1).checkpoint("/ckpt").unwrap();
+        let door = "LetheBuilder::restore_on";
+        assert_refused(&vfs, "/ckpt", door, || small().open_on(Arc::clone(&vfs), "/ckpt"));
+        assert_refused(&vfs, "/ckpt", door, || sharded(small(), 1).open_on(Arc::clone(&vfs), "/ckpt"));
+        let restored = small().restore_on(vfs, "/ckpt").unwrap();
+        assert_eq!(restored.get(5).unwrap(), Some(Bytes::from("v5")));
+    }
+
+    #[test]
+    fn the_sharded_door_refuses_a_single_shard_store() {
+        let vfs = MemVfs::shared();
+        let mut db = small().open_on(Arc::clone(&vfs), "/store").unwrap();
+        for k in 0..100u64 {
+            db.put(k, k, format!("v{k}")).unwrap();
+        }
+        db.persist().unwrap();
+        drop(db);
+        let door = "LetheBuilder::open_on";
+        assert_refused(&vfs, "/store", door, || sharded(small(), 2).open_on(Arc::clone(&vfs), "/store"));
+        let db = small().open_on(vfs, "/store").unwrap();
+        assert_eq!(db.get(5).unwrap(), Some(Bytes::from("v5")));
     }
 
     #[test]

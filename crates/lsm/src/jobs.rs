@@ -1316,10 +1316,9 @@ mod tests {
                     }
                     // a snapshot held over the flush keeps the tombstones
                     // in the deepest level, where only their TTL moves them
-                    let held = t.next_seqnum() - 1;
-                    t.snapshot_tracker().register(held);
+                    let pin = t.snapshot_tracker().pin(t.next_seqnum() - 1);
                     flush_active(&mut t);
-                    t.snapshot_tracker().release(held);
+                    drop(pin);
                     let file = t.levels()[0].all_tables().find(|f| f.has_tombstones()).unwrap().meta.id;
                     t.policy = Box::new(Scripted(vec![CompactionTask::LeveledMulti {
                         level: 0,

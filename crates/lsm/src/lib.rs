@@ -36,8 +36,8 @@
 //!   reads and deferred page reclamation.
 //! * [`reclaim`] — the page-retirement choke point every engine-path
 //!   `drop_page` and `write_page` funnel through (a `clippy.toml` ban).
-//! * [`snapshot`] — the live-snapshot tracker: registered seqnum fences
-//!   gate tombstone GC.
+//! * [`snapshot`] — the live-snapshot tracker: the seqnum fence a live
+//!   pin holds gates tombstone GC.
 //! * [`stats`] — space/write amplification and tombstone-age accounting.
 //! * [`strategy`] — pluggable compaction strategies: size-tiered run
 //!   bucketing and date-tiered time windows whose wholly-expired windows are
@@ -84,7 +84,7 @@ pub use cursor::{EntryCursor, MergeIterator, SsTableCursor, VecCursor};
 pub use config::{CompactionStrategy, LsmConfig, MergePolicy, SecondaryDeleteMode};
 pub use level::{Level, Run};
 pub use read::{RangeIter, ReadView};
-pub use snapshot::SnapshotTracker;
+pub use snapshot::{SnapshotPin, SnapshotTracker};
 pub use sstable::{DeleteTile, PageHandle, SecondaryDeleteStats, SsTable, SsTableMeta};
 pub use stats::{ContentSnapshot, TreeStats};
 pub use strategy::{DateTieredPolicy, SizeTieredPolicy};

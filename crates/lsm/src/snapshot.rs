@@ -2,8 +2,8 @@
 //! readers coexist with FADE's delete-persistence compactions and the
 //! deferred page reclamation of the version layer.
 //!
-//! A [`SnapshotTracker`] records the seqnum fence of every live snapshot
-//! handle, and tombstone GC consults it: a compaction may only drop
+//! A [`SnapshotTracker`] records the seqnum fence of every live
+//! [`SnapshotPin`], and tombstone GC consults it: a compaction may only drop
 //! persistent tombstones if no live snapshot could still observe the
 //! deleted data, i.e. if the oldest live snapshot seqnum is at or above the
 //! compaction's view of the data. While a snapshot pins old history, FADE's
@@ -11,19 +11,21 @@
 //! delete-persistence accounting never claims a tombstone persisted while
 //! it was still snapshot-visible).
 //!
-//! Page reclamation needs no help from the tracker: a snapshot's pinned
-//! `Arc<Version>`s defer it structurally, and a forcibly expired handle
-//! fails closed because the state it pinned is gone (the sharded store's
-//! handles hold only a `Weak` to it).
+//! A fence is registered only through [`SnapshotTracker::pin`] and released
+//! only by dropping the pin it returns, so a registration can be neither
+//! forgotten nor released twice. Page reclamation needs no help from the
+//! tracker: a snapshot's captured views pin their `Arc<Version>`s, which
+//! defers it structurally for exactly as long as the snapshot lives.
 //!
-//! The seqnum map itself is a ranked mutex locked only on snapshot
-//! register/release — never on read or compaction hot paths. The values
-//! hot paths need (`has_live`, `oldest_live`) are mirrored into atomics
+//! The seqnum map itself is a ranked mutex locked only when a pin is taken
+//! or dropped — never on read or compaction hot paths. The values
+//! hot paths need (`live`, `oldest_live`) are mirrored into atomics
 //! under that mutex, so GC-gating checks inside compaction planning are
 //! plain atomic loads with no lock-rank footprint.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use lethe_storage::SeqNum;
 use lethe_sync::{LockRank, Mutex};
@@ -62,25 +64,18 @@ impl SnapshotTracker {
         }
     }
 
-    /// Registers a live snapshot at `seq`. Counted: each `register` must be
-    /// paired with exactly one [`release`](Self::release).
-    pub fn register(&self, seq: SeqNum) {
+    /// Registers a live snapshot at `fence` for as long as the returned pin
+    /// lives. Pins at one fence are counted: each releases only itself.
+    pub fn pin(self: &Arc<Self>, fence: SeqNum) -> SnapshotPin {
         let mut live = self.live.lock();
-        *live.entry(seq).or_insert(0) += 1;
+        *live.entry(fence).or_insert(0) += 1;
         self.refresh_mirrors(&live);
+        SnapshotPin { tracker: Arc::clone(self), fence }
     }
 
-    /// Releases one registration at `seq`. Unmatched releases are ignored
-    /// (the map is authoritative; a double-release cannot underflow it).
-    pub fn release(&self, seq: SeqNum) {
-        let mut live = self.live.lock();
-        if let Some(count) = live.get_mut(&seq) {
-            *count -= 1;
-            if *count == 0 {
-                live.remove(&seq);
-            }
-        }
-        self.refresh_mirrors(&live);
+    /// The number of live pins.
+    pub fn live(&self) -> usize {
+        self.live_count.load(Ordering::Acquire) as usize
     }
 
     /// The oldest live snapshot seqnum, if any. Lock-free.
@@ -89,11 +84,6 @@ impl SnapshotTracker {
             NO_LIVE => None,
             seq => Some(seq),
         }
-    }
-
-    /// Whether any snapshot is live. Lock-free.
-    pub fn has_live(&self) -> bool {
-        self.live_count.load(Ordering::Acquire) != 0
     }
 
     /// True if a compaction whose inputs were written before `fence` may
@@ -117,59 +107,83 @@ impl SnapshotTracker {
     }
 }
 
+/// One live registration of a snapshot fence with a [`SnapshotTracker`],
+/// released when the pin drops.
+#[derive(Debug)]
+pub struct SnapshotPin {
+    tracker: Arc<SnapshotTracker>,
+    fence: SeqNum,
+}
+
+impl SnapshotPin {
+    /// The pinned fence: every write with a smaller seqnum is visible to the
+    /// snapshot, every one at or above it is not.
+    pub fn fence(&self) -> SeqNum {
+        self.fence
+    }
+
+    /// Whether this pin is registered with `tracker`.
+    pub fn is_on(&self, tracker: &Arc<SnapshotTracker>) -> bool {
+        Arc::ptr_eq(&self.tracker, tracker)
+    }
+}
+
+impl Drop for SnapshotPin {
+    fn drop(&mut self) {
+        let mut live = self.tracker.live.lock();
+        if let Some(count) = live.get_mut(&self.fence) {
+            *count -= 1;
+            if *count == 0 {
+                live.remove(&self.fence);
+            }
+        }
+        self.tracker.refresh_mirrors(&live);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn register_release_tracks_oldest() {
-        let t = SnapshotTracker::new();
-        assert!(!t.has_live());
-        assert_eq!(t.oldest_live(), None);
+        let t = Arc::new(SnapshotTracker::new());
+        assert_eq!((t.live(), t.oldest_live()), (0, None));
         assert!(t.may_drop_tombstones(1_000_000));
 
-        t.register(50);
-        t.register(10);
-        t.register(90);
-        assert!(t.has_live());
-        assert_eq!(t.oldest_live(), Some(10));
+        let (fifty, ten, ninety) = (t.pin(50), t.pin(10), t.pin(90));
+        assert_eq!((t.live(), t.oldest_live()), (3, Some(10)));
         assert!(!t.may_drop_tombstones(11));
         assert!(t.may_drop_tombstones(10));
 
-        t.release(10);
+        drop(ten);
         assert_eq!(t.oldest_live(), Some(50));
-        t.release(90);
-        t.release(50);
-        assert!(!t.has_live());
-        assert_eq!(t.oldest_live(), None);
+        drop((ninety, fifty));
+        assert_eq!((t.live(), t.oldest_live()), (0, None));
     }
 
     #[test]
     fn registrations_are_refcounted() {
-        let t = SnapshotTracker::new();
-        t.register(7);
-        t.register(7);
-        t.release(7);
-        assert_eq!(t.oldest_live(), Some(7));
-        t.release(7);
-        assert_eq!(t.oldest_live(), None);
-        // unmatched release must not underflow or re-create the entry
-        t.release(7);
-        assert_eq!(t.oldest_live(), None);
-        assert!(!t.has_live());
+        let t = Arc::new(SnapshotTracker::new());
+        let (a, b) = (t.pin(7), t.pin(7));
+        assert_eq!((t.live(), t.oldest_live(), a.fence()), (2, Some(7), 7));
+        assert!(a.is_on(&t) && !a.is_on(&Arc::new(SnapshotTracker::new())));
+        drop(a);
+        assert_eq!((t.live(), t.oldest_live()), (1, Some(7)));
+        drop(b);
+        assert_eq!((t.live(), t.oldest_live()), (0, None));
     }
 
     #[test]
     fn gating_uses_oldest_not_count() {
-        let t = SnapshotTracker::new();
-        t.register(100);
-        t.register(5);
+        let t = Arc::new(SnapshotTracker::new());
+        let (_newer, older) = (t.pin(100), t.pin(5));
         // a compaction at fence 50 is blocked by the snapshot at 5 ...
         assert!(!t.may_drop_tombstones(50));
-        t.release(5);
+        drop(older);
         // ... and unblocked the moment the old snapshot releases, even
         // though a newer one is still live.
         assert!(t.may_drop_tombstones(50));
-        assert!(t.has_live());
+        assert_eq!(t.live(), 1);
     }
 }

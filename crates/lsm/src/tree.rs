@@ -223,9 +223,9 @@ impl LsmTree {
     /// or version install can interleave, so the three captured sources
     /// (active copy, pinned frozen buffer, pinned version) describe one
     /// instant. The returned [`ReadView`] has the live view's shape over
-    /// state nothing writes, and reads without any tree lock. The caller is
-    /// responsible for registering the covering seqnum fence with the
-    /// [`SnapshotTracker`] so tombstone GC is gated while the view is alive.
+    /// state nothing writes, and reads without any tree lock. The view is
+    /// unpinned: a caller that holds it across writes pins its fence with
+    /// [`SnapshotTracker::pin`] so tombstone GC is gated while it lives.
     pub fn capture_snapshot(&self) -> ReadView {
         self.reader.capture()
     }

@@ -67,14 +67,11 @@ pub enum LockRank {
     /// shard index as its order index: cross-shard two-phase commit holds
     /// several at once and must take them in ascending shard order.
     Engine,
-    /// The store-wide live-snapshot registry (`lethe_core::shard`): locked
-    /// while every engine lock is held when a snapshot is created, and with
-    /// no locks held when a handle is dropped or expired.
-    SnapshotRegistry,
     /// A snapshot tracker's live-seqnum map (`lethe_lsm::snapshot`): locked
-    /// only on snapshot register/release/expire. Hot-path queries (GC
-    /// gating inside compaction planning) read its atomic mirrors and take
-    /// no lock at all.
+    /// only when a pin is taken (under every engine lock of a sharded
+    /// store, or under one engine's `&mut`) or dropped (with no lock held).
+    /// Hot-path queries (GC gating inside compaction planning) read its
+    /// atomic mirrors and take no lock at all.
     SnapshotTracker,
     /// A shard's group-commit queue state (`lethe_core::shard`): the leader
     /// re-locks it under the engine lock to drain convoys.

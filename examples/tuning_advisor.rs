@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     db.write_batch(batch)?;
                 }
                 SnapshotRead { key } => {
-                    db.capture_snapshot().get(key)?;
+                    db.snapshot().get(key)?;
                 }
             }
             ops_run += 1;

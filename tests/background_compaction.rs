@@ -728,7 +728,6 @@ fn snapshot_churn_under_background_compaction() {
                     }
                     let rescan: Vec<(u64, Vec<u8>)> = snap
                         .iter_range(a, b)
-                        .unwrap()
                         .map(|item| item.map(|(k, v)| (k, v.to_vec())))
                         .collect::<Result<_, _>>()
                         .unwrap();

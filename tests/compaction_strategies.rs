@@ -232,11 +232,15 @@ struct Replayed {
 
 /// One append-only time-series history (each value derived from its key,
 /// interleaved windowed scans) replayed into leveled, size-tiered and
-/// date-tiered engines that differ only in their strategy. Every assertion
-/// is a count or a byte comparison, so it holds on any machine: the tiered
-/// layouts write strictly less than leveling, only the date-tiered engine
-/// (the one with a TTL) retires windows, it retires them whole, and all
-/// three answer a recent scan byte for byte alike.
+/// date-tiered engines that differ only in their strategy, and into two
+/// more that keep the same retention the paper's way: leveled FADE and
+/// size-tiered, each purging `[0, tick − TTL)` by a KiWi secondary range
+/// delete at every maintenance pass. Every assertion is a count or a byte
+/// comparison, so it holds on any machine: the tiered layouts write
+/// strictly less than leveling, only the date-tiered engine retires
+/// windows, it retires them whole and writes less than either KiWi
+/// retention, every retention empties the first window, and all five
+/// answer a recent scan byte for byte alike.
 #[test]
 fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
     use lethe::workload::timeseries::{encode_key, TimeSeriesGenerator, TimeSeriesSpec};
@@ -260,7 +264,7 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
         ..TimeSeriesSpec::default()
     })
     .operations();
-    let replay = |strategy: Option<CompactionStrategy>| {
+    let replay = |strategy: Option<CompactionStrategy>, purge: bool| {
         let mut builder = LetheBuilder::new()
             .buffer(32, 8, 64)
             .size_ratio(4)
@@ -273,17 +277,25 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
         }
         let mut db = builder.build().unwrap();
         let mut appends = 0u64;
+        let maintain = |db: &mut lethe::Lethe, tick: u64| {
+            if purge {
+                db.delete_where_delete_key_in(0, tick.saturating_sub(TTL)).unwrap();
+            }
+            db.maintain().unwrap();
+        };
+        let mut now = 0;
         for op in &history {
             match op {
                 Operation::Put { key, delete_key: tick } => {
                     db.put(*key, *tick, key.to_le_bytes().to_vec()).unwrap();
                     db.clock().advance_to(tick + SAMPLES);
+                    now = *tick;
                     appends += 1;
                     if appends.is_multiple_of(64) {
                         db.persist().unwrap();
                     }
                     if appends.is_multiple_of(256) {
-                        db.maintain().unwrap();
+                        maintain(&mut db, now);
                     }
                 }
                 Operation::RangeLookup { start, end } => {
@@ -293,7 +305,7 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
             }
         }
         db.persist().unwrap();
-        db.maintain().unwrap();
+        maintain(&mut db, now);
         let recent = db
             .range(encode_key(MAX_TICK - 12_288, 0), encode_key(MAX_TICK, 0))
             .unwrap()
@@ -309,13 +321,18 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
         }
     };
 
-    let leveled = replay(None);
-    let tiered = replay(Some(CompactionStrategy::SizeTiered { fan_in: 4 }));
-    let dated = replay(Some(CompactionStrategy::DateTiered {
-        base_window_micros: BASE_WINDOW,
-        fan_in: 4,
-        ttl_micros: Some(TTL),
-    }));
+    let size_tiered = Some(CompactionStrategy::SizeTiered { fan_in: 4 });
+    let leveled = replay(None, false);
+    let tiered = replay(size_tiered, false);
+    let dated = replay(
+        Some(CompactionStrategy::DateTiered {
+            base_window_micros: BASE_WINDOW,
+            fan_in: 4,
+            ttl_micros: Some(TTL),
+        }),
+        false,
+    );
+    let purged = [("leveled FADE", replay(None, true)), ("size-tiered", replay(size_tiered, true))];
 
     assert!(
         tiered.write_amp < leveled.write_amp,
@@ -340,4 +357,16 @@ fn tiered_strategies_write_less_than_leveled_on_one_time_series_history() {
     assert!(!leveled.recent.is_empty(), "the recent window must hold data");
     assert!(leveled.recent == tiered.recent, "size-tiered diverged on the recent window");
     assert!(leveled.recent == dated.recent, "date-tiered diverged on the recent window");
+    // retention by secondary range deletes empties the same window, and
+    // rewriting the pages it cuts writes more than retiring whole windows
+    for (name, purged) in &purged {
+        assert!(
+            dated.write_amp < purged.write_amp,
+            "date-tiered write amp {:.2} must be below {name} with secondary deletes {:.2}",
+            dated.write_amp,
+            purged.write_amp
+        );
+        assert!(purged.db.range(first_window.0, first_window.1).unwrap().is_empty(), "{name}");
+        assert!(leveled.recent == purged.recent, "{name} diverged on the recent window");
+    }
 }

@@ -8,7 +8,7 @@ use lethe::lsm::LsmTree;
 use lethe::storage::{FileBackend, FileWal, LogicalClock, Manifest, MemVfs, Vfs, Wal, WalRecord};
 use lethe::workload::{BatchWriteOp, Operation, WorkloadGenerator, WorkloadSpec};
 use lethe::{
-    level_ttls, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ReadView, ShardedLethe,
+    level_ttls, BaselineKind, Lethe, LetheBuilder, LsmConfig, RangeIter, ShardedLethe,
     ShardedLetheBuilder, Snapshot, WriteBatch,
 };
 use std::collections::BTreeMap;
@@ -50,9 +50,8 @@ macro_rules! read_surface {
     };
 }
 read_surface!(Lethe, |s, lo, hi| s.iter_range(lo, hi).unwrap());
-read_surface!(ReadView, |s, lo, hi| s.iter_range(lo, hi).unwrap());
 read_surface!(ShardedLethe, |s, lo, hi| s.iter_range(lo, hi));
-read_surface!(Snapshot, |s, lo, hi| s.iter_range(lo, hi).unwrap());
+read_surface!(Snapshot, |s, lo, hi| s.iter_range(lo, hi));
 
 /// Checks `get`, `range`, `iter_range` (drained and paged) and
 /// `scan_by_delete_key` of `surface` against `oracle` on the given probes.
@@ -214,7 +213,7 @@ fn run_against_oracle(spec: WorkloadSpec, h: usize) {
             Operation::SnapshotRead { key } => {
                 // a snapshot taken now must agree with the oracle frozen now,
                 // on the whole read surface around the key
-                let snapshot = lethe.capture_snapshot();
+                let snapshot = lethe.snapshot();
                 let delete_keys = oracle.get(key).map_or((0, 1), |(d, _)| (*d, d + 1));
                 assert_reads_match(
                     "snapshot",
@@ -470,6 +469,47 @@ fn held_snapshot_defers_tombstone_gc_but_never_fakes_persistence() {
     assert!(db.get(1).unwrap().is_some());
 }
 
+/// A snapshot of a single-shard store pins its fence like a sharded one:
+/// held across deletes and the flush that would drop their tombstones, it
+/// keeps them (the deferral counted) and still reads the state it froze;
+/// once it drops, the next maintenance pass drops them.
+#[test]
+fn a_single_shard_snapshot_defers_tombstone_gc_until_it_drops() {
+    let dth_secs = 1.0;
+    let mut db = LetheBuilder::new()
+        .buffer(8, 4, 64)
+        .size_ratio(4)
+        .delete_tile_pages(2)
+        .delete_persistence_threshold_secs(dth_secs)
+        .build()
+        .unwrap();
+    for k in 0..600u64 {
+        db.put(k, k, vec![1u8; 24]).unwrap();
+    }
+    db.persist().unwrap();
+    let tombstones = |db: &Lethe| db.snapshot_contents().unwrap().tombstones;
+    let delayed = db.stats().tombstone_gc_delayed;
+
+    let snapshot = db.snapshot();
+    for k in (0..600u64).step_by(3) {
+        db.delete(k).unwrap();
+    }
+    db.persist().unwrap();
+    db.clock().advance_secs(dth_secs * 5.0);
+    db.maintain().unwrap();
+    assert!(db.stats().tombstone_gc_delayed > delayed, "no deferral was counted");
+    assert_eq!(tombstones(&db), 200, "the pinned tombstones were dropped");
+    assert_eq!(snapshot.get(3).unwrap(), Some(Bytes::from(vec![1u8; 24])));
+    assert_eq!(snapshot.range(0, 600).unwrap().len(), 600);
+    assert_eq!(db.get(3).unwrap(), None);
+
+    drop(snapshot);
+    db.maintain().unwrap();
+    assert_eq!(tombstones(&db), 0, "the released tombstones outlived the next maintenance");
+    assert_eq!(db.get(3).unwrap(), None);
+    assert_eq!(db.range(0, 600).unwrap().len(), 400);
+}
+
 #[test]
 fn baseline_without_threshold_retains_old_tombstones() {
     // the state of the art gives no guarantee: with a mostly-static tree the
@@ -580,10 +620,10 @@ fn apply_to_sharded(db: &ShardedLethe, steps: &[Step]) {
     }
 }
 
-/// Every way of reading a store — `Lethe`, its captured view, `ShardedLethe`
-/// with one and three shards, and a `Snapshot` of each — must give the
-/// oracle's answer for the same history, and the point-in-time views must
-/// keep giving it after the store has moved on.
+/// Every way of reading a store — `Lethe`, `ShardedLethe` with one and three
+/// shards, and a `Snapshot` of each — must give the oracle's answer for the
+/// same history, and the point-in-time views must keep giving it after the
+/// store has moved on.
 #[test]
 fn every_read_surface_agrees_with_the_oracle() {
     const MAX: u64 = u64::MAX;
@@ -635,11 +675,11 @@ fn every_read_surface_agrees_with_the_oracle() {
     assert!(lethe.tree().has_frozen());
     assert!(lethe.tree().buffered_entries() > frozen_entries);
     check("Lethe", &lethe, &then);
-    let captured = lethe.capture_snapshot();
-    check("Lethe::capture_snapshot", &captured, &then);
+    let snapshot = lethe.snapshot();
+    check("Lethe::snapshot", &snapshot, &then);
     apply_to_lethe(&mut lethe, &later);
     check("Lethe, later", &lethe, &now);
-    check("Lethe::capture_snapshot, later", &captured, &then);
+    check("Lethe::snapshot, later", &snapshot, &then);
 
     for shards in [1, 3] {
         let db = ShardedLetheBuilder::from_builder(

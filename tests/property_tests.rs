@@ -798,7 +798,6 @@ fn check_snapshot_freezes_the_view(shards: usize, pre: &[SnapOp], post: &[SnapOp
     assert_eq!(ranged, expected, "snapshot range scan diverged from the frozen oracle");
     let streamed: Vec<(u64, Vec<u8>)> = snapshot
         .iter_range(0, key_space)
-        .unwrap()
         .map(|item| item.map(|(k, v)| (k, v.to_vec())).unwrap())
         .collect();
     assert_eq!(streamed, expected, "snapshot streamed scan diverged from the materialised one");

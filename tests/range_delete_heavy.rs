@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use lethe::lsm::{EntryCursor, ReadView, SsTableCursor};
 use lethe::storage::{MemVfs, Vfs};
-use lethe::{Lethe, LetheBuilder, MergePolicy};
+use lethe::{Lethe, LetheBuilder, MergePolicy, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -83,24 +83,48 @@ fn churn(db: &mut Lethe, oracle: &mut BTreeMap<u64, Bytes>, rng: &mut StdRng, op
     range_deletes
 }
 
+/// The reads [`assert_matches`] checks, on the live view and a snapshot.
+trait Reads {
+    fn get(&self, key: u64) -> Option<Bytes>;
+    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Bytes)>;
+}
+
+impl Reads for ReadView {
+    fn get(&self, key: u64) -> Option<Bytes> {
+        ReadView::get(self, key).unwrap()
+    }
+    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Bytes)> {
+        ReadView::range(self, lo, hi).unwrap()
+    }
+}
+
+impl Reads for Snapshot {
+    fn get(&self, key: u64) -> Option<Bytes> {
+        Snapshot::get(self, key).unwrap()
+    }
+    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Bytes)> {
+        Snapshot::range(self, lo, hi).unwrap()
+    }
+}
+
 /// Every point lookup, the full scan and a spread of windows of `view`
 /// match `oracle`.
-fn assert_matches(what: &str, view: &ReadView, oracle: &BTreeMap<u64, Bytes>, rng: &mut StdRng) {
+fn assert_matches(what: &str, view: &dyn Reads, oracle: &BTreeMap<u64, Bytes>, rng: &mut StdRng) {
     for key in 0..KEYS + 300 {
         assert_eq!(
-            view.get(key).unwrap(),
+            view.get(key),
             oracle.get(&key).cloned(),
             "{what}: get({key})"
         );
     }
     let all: Vec<(u64, Bytes)> = oracle.iter().map(|(&k, v)| (k, v.clone())).collect();
-    assert_eq!(view.range(0, u64::MAX).unwrap(), all, "{what}: full range");
+    assert_eq!(view.range(0, u64::MAX), all, "{what}: full range");
     for _ in 0..64 {
         let lo = rng.gen_range(0..KEYS);
         let hi = lo + rng.gen_range(0..400);
         let want: Vec<(u64, Bytes)> = oracle.range(lo..hi).map(|(&k, v)| (k, v.clone())).collect();
         assert_eq!(
-            view.range(lo, hi).unwrap(),
+            view.range(lo, hi),
             want,
             "{what}: range({lo}, {hi})"
         );
@@ -118,16 +142,13 @@ fn overlapping_range_deletes_match_the_oracle() {
     assert_matches("live, before the snapshot", &db.reader(), &oracle, &mut rng);
 
     // a snapshot held across the rest of the churn keeps reading this state
-    let fence = db.tree().next_seqnum();
-    db.snapshot_tracker().register(fence);
-    let snapshot = db.capture_snapshot();
+    let snapshot = db.snapshot();
     let frozen = oracle.clone();
 
     range_deletes += churn(&mut db, &mut oracle, &mut rng, 5000);
     assert_matches("live", &db.reader(), &oracle, &mut rng);
     assert_matches("snapshot", &snapshot, &frozen, &mut rng);
     drop(snapshot);
-    db.snapshot_tracker().release(fence);
 
     let stats = db.stats();
     assert!(range_deletes > 2500, "only {range_deletes} range deletes");
