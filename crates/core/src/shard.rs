@@ -1844,6 +1844,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Takes every lock nesting of the write, flush, compaction and
+    /// two-phase-commit paths, so the debug rank check runs on each, and
+    /// asserts each was seen. The record is process-wide: run alone (as CI's
+    /// lock-order step runs it), the test shows what it drives itself.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
+    fn witnesses_the_engine_lock_nestings() {
+        use lethe_sync::nested;
+        let db = sharded(small(), 2).open_on(MemVfs::shared(), "/store").unwrap();
+        for k in 0..200u64 {
+            db.put(k, k, format!("v{k}")).unwrap();
+        }
+        let mut batch = WriteBatch::new();
+        for k in 200..210u64 {
+            batch.put(k, k, format!("b{k}"));
+        }
+        db.write(batch).unwrap();
+        db.persist().unwrap();
+        db.with_shard(1, |engine| engine.tree_mut().force_full_compaction()).unwrap();
+
+        // a follower: the test thread joins the queue first and so leads,
+        // and commits only once the writer's request waits behind its own.
+        // The follower checks its slot under the queue state at least once,
+        // filled or not.
+        let shard = &db.shards[0];
+        let mut on_shard0 = (1000..).filter(|&k| shard_of_key(k, 2) == 0);
+        let (leader_key, follower_key) = (on_shard0.next().unwrap(), on_shard0.next().unwrap());
+        let op = BatchOp::Put { sort_key: leader_key, delete_key: 0, value: Bytes::from("leader") };
+        let (slot, lead) = shard.queue.join(vec![op]);
+        assert!(lead, "the first to join leads");
+        std::thread::scope(|s| {
+            let follower = s.spawn(|| db.put(follower_key, 0, "follower"));
+            while shard.queue.state.lock().pending.len() < 2 {
+                std::thread::yield_now();
+            }
+            db.lead_commits(shard);
+            follower.join().unwrap().unwrap();
+        });
+        slot.lock().take().unwrap().unwrap();
+        assert_eq!(db.get(leader_key).unwrap(), Some(Bytes::from("leader")));
+        assert_eq!(db.get(follower_key).unwrap(), Some(Bytes::from("follower")));
+        assert_eq!(db.get(205).unwrap(), Some(Bytes::from("b205")));
+
+        for (outer, inner) in [
+            (LockRank::BackendFile, LockRank::BackendIndex),
+            (LockRank::BatchLogFile, LockRank::BatchLogIds),
+            (LockRank::CommitQueueState, LockRank::CommitSlot),
+            (LockRank::Engine, LockRank::CommitQueueState),
+            (LockRank::Engine, LockRank::CommitSlot),
+            (LockRank::MemtableActive, LockRank::MemtableFrozen),
+            (LockRank::VersionGarbage, LockRank::PageRefs),
+        ] {
+            assert!(nested(outer, inner), "{inner:?} was never taken under {outer:?}");
+        }
+    }
+
     #[test]
     fn concurrent_writers_land_all_entries() {
         let db = sharded(small(), 4).build().unwrap();

@@ -594,11 +594,10 @@ impl ReadView {
     /// [`LsmTree::write_stalled`](crate::tree::LsmTree::write_stalled).
     /// Exposed on the view so backpressure checks need no shard lock.
     pub fn write_stalled(&self) -> bool {
-        // active before frozen: the `&&` keeps its first operand's guard
-        // alive across the second, so this order must match the lock ranks
-        // (MemtableActive < MemtableFrozen) — the reverse order was a real
-        // rank inversion against the freeze path. A capture's unbounded
-        // capacity keeps it false: nothing writes into a capture.
+        // each `&&` operand is a temporary scope: the first guard drops
+        // before the second lock is taken, so the two are never held
+        // together. A capture's unbounded capacity keeps it false: nothing
+        // writes into a capture.
         self.mem.active.read().table.size_bytes() >= self.buffer_capacity_bytes
             && self.mem.frozen.read().is_some()
     }

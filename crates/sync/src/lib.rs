@@ -21,6 +21,12 @@
 //! while holding the guard — is a bug in its own right, not a reason to
 //! wedge every other thread, so guards are recovered, never propagated).
 //!
+//! Debug builds also record, process-wide, every pair of ranks some thread
+//! has nested (in the manner of the Linux kernel's lockdep dependency
+//! record): [`nested`] tells a test whether an acquisition of one rank has
+//! been seen under another, so a test can show that it drives a nesting the
+//! detector is meant to check.
+//!
 //! The workspace `clippy.toml` bans the `std::sync` lock types everywhere
 //! outside this crate (`disallowed-types`), so the rank table below is, by
 //! construction, the complete lock inventory of the engine. See
@@ -36,6 +42,8 @@
 #[cfg(debug_assertions)]
 use std::cell::RefCell;
 use std::fmt;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The static acquisition order of every lock in the Lethe workspace,
 /// lowest rank acquired first.
@@ -53,10 +61,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum LockRank {
-    /// Test-harness oracle state (`lethe-workload` concurrent drivers):
-    /// held around whole engine calls, so it must sort below every engine
-    /// lock.
-    OracleState,
     /// A shard maintenance worker's coordination state
     /// (`lethe_core::compactor`). Never held across an engine-lock
     /// acquisition — the worker drops it before running a job — but ranked
@@ -149,6 +153,22 @@ thread_local! {
     static NEXT_TOKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// The number of ranks: `FaultVfs` is the highest.
+#[cfg(debug_assertions)]
+const RANKS: usize = LockRank::FaultVfs as usize + 1;
+
+/// `NESTED[outer * RANKS + inner]` is set once any thread has acquired a
+/// lock of rank `inner` while holding one of rank `outer` (debug builds
+/// only; read through [`nested`]).
+#[cfg(debug_assertions)]
+static NESTED: [AtomicBool; RANKS * RANKS] = [const { AtomicBool::new(false) }; RANKS * RANKS];
+
+/// The flag of the nesting `outer → inner`.
+#[cfg(debug_assertions)]
+fn nesting(outer: LockRank, inner: LockRank) -> &'static AtomicBool {
+    &NESTED[outer as usize * RANKS + inner as usize]
+}
+
 /// Validates an acquisition of `(rank, order)` against the calling thread's
 /// held stack and records it. Returns the token to release with.
 #[cfg(debug_assertions)]
@@ -174,6 +194,10 @@ fn track_acquire(rank: LockRank, order: u64, ordered: bool) -> u64 {
                     chain = chain.join(" -> "),
                 );
             }
+        }
+        // same-rank (ordered) nestings are the order index's business
+        for h in held.iter().filter(|h| h.rank != rank) {
+            nesting(h.rank, rank).store(true, Ordering::Relaxed);
         }
         let token = NEXT_TOKEN.with(|t| {
             let v = t.get();
@@ -240,6 +264,22 @@ pub fn held_lock_count() -> usize {
     #[cfg(not(debug_assertions))]
     {
         0
+    }
+}
+
+/// Whether any thread of the process has acquired a lock of rank `inner`
+/// while holding one of rank `outer` (always `false` in release builds,
+/// where tracking is compiled away). Same-rank nestings are not recorded.
+/// Lets a test show that it drives the nestings the rank check guards.
+pub fn nested(outer: LockRank, inner: LockRank) -> bool {
+    #[cfg(debug_assertions)]
+    {
+        nesting(outer, inner).load(Ordering::Relaxed)
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        let _ = (outer, inner);
+        false
     }
 }
 
@@ -640,6 +680,32 @@ mod tests {
         drop(g);
         t.join().unwrap();
         assert_eq!(held_lock_count(), 0);
+    }
+
+    /// The ranks below are nested by no other test of this crate, which
+    /// shares the process-wide record.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
+    fn nestings_are_recorded_process_wide() {
+        use LockRank::{BackendFile, BackendIndex, BatchLogFile, BatchLogIds, MemVfs};
+        assert!(!nested(BatchLogFile, BatchLogIds));
+        std::thread::spawn(|| {
+            let file = Mutex::new(BatchLogFile, ());
+            let ids = Mutex::new(BatchLogIds, ());
+            let _f = file.lock();
+            drop(ids.lock());
+        })
+        .join()
+        .unwrap();
+        assert!(nested(BatchLogFile, BatchLogIds), "a nesting on another thread is recorded");
+        assert!(!nested(BatchLogIds, BatchLogFile), "the record has a direction");
+        assert!(!nested(BackendFile, BackendIndex), "a pair never nested reads false");
+
+        let a = RwLock::with_order(MemVfs, 0, ());
+        let b = RwLock::with_order(MemVfs, 1, ());
+        let _a = a.read();
+        let _b = b.write();
+        assert!(!nested(MemVfs, MemVfs), "same-rank ordered nestings record nothing");
     }
 
     #[test]

@@ -91,16 +91,18 @@ fn worker_state_under_engine_lock_is_an_inversion() {
 
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "rank tracking is debug-only")]
-fn full_write_path_nesting_is_legal() {
-    // the deepest real nesting on the write path: engine → commit queue
-    // drain → outcome slot → WAL, all strictly ascending
+fn garbage_pass_nesting_is_legal() {
+    // a job's garbage pass, the deepest nesting a test drives: under the
+    // engine lock, the retired-table list, then the page refcounts, then the
+    // device's page index as each unreferenced page is dropped, all
+    // strictly ascending
     let engine = Mutex::with_order(LockRank::Engine, 0, ());
-    let queue_state = Mutex::new(LockRank::CommitQueueState, ());
-    let slot = Mutex::new(LockRank::CommitSlot, ());
-    let wal = Mutex::new(LockRank::Wal, ());
+    let garbage = Mutex::new(LockRank::VersionGarbage, ());
+    let page_refs = Mutex::new(LockRank::PageRefs, ());
+    let index = Mutex::new(LockRank::BackendIndex, ());
     let _a = engine.lock();
-    let _b = queue_state.lock();
-    let _c = slot.lock();
-    let _d = wal.lock();
+    let _b = garbage.lock();
+    let _c = page_refs.lock();
+    let _d = index.lock();
     assert_eq!(held_lock_count(), 4);
 }
