@@ -441,9 +441,9 @@ impl SsTable {
             desc.max_seqnum,
         );
         // the fence just derived from the pages is exact, and it is the one
-        // kept in memory. The durable bounds need only contain it: an older
-        // manifest holds wider ones (tombstone-inclusive, or the version-1
-        // full domain), which stay on disk until the file is next rewritten
+        // kept in memory. The durable bounds need only contain it: an earlier
+        // build's tombstone-inclusive bounds, also record version 2, are
+        // wider and stay on disk until the file is next rewritten
         let durable = DeleteFence { min: desc.min_delete, max: desc.max_delete };
         debug_assert!(
             durable.contains(table.meta.delete_fence),

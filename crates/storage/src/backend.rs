@@ -20,7 +20,7 @@
 use crate::barrier;
 use crate::error::{Result, StorageError};
 use crate::iostats::IoStats;
-use crate::log::{self, be, Format, Kind, Sum};
+use crate::log::{self, be, Format, Sum};
 use crate::page::Page;
 use crate::vfs::{OsVfs, Vfs, VfsFile};
 use bytes::Bytes;
@@ -87,16 +87,10 @@ pub trait StorageBackend: Send + Sync {
 }
 
 /// A segment file's layout: no file magic, and page frames whose header
-/// extension is a tag and the page id (see [`log`]). New frames are `LEFX`
-/// and carry the low 32 bits of XXH64; `LEFR` frames, written before, carry
-/// CRC-32.
-pub(crate) const PAGES: Format = Format {
-    magic: b"",
-    ext_len: 12,
-    kind: Kind { tag: b"LEFX", sum: Sum::Xxh64 },
-    older: &[Kind { tag: b"LEFR", sum: Sum::Crc32 }],
-    max_tail: u64::MAX,
-};
+/// extension is the tag `LEFX` and the page id (see [`log`]), summed by the
+/// low 32 bits of XXH64.
+pub(crate) const PAGES: Format =
+    Format { magic: b"", ext_len: 12, tag: b"LEFX", sum: Sum::Xxh64, max_tail: u64::MAX };
 
 /// Size of a page-frame header: tag, page id, payload length, payload sum.
 const FRAME_HEADER: usize = PAGES.header_len();
@@ -115,8 +109,7 @@ const INDEX_ID: PageId = PageId::MAX;
 
 /// A durable device: pages are appended as self-describing [`log`] frames
 /// (`LEFX · page id · length · sum · payload`, where the sum is the low 32
-/// bits of XXH64; frames written before it are `LEFR` with a CRC-32, and
-/// still read) to a sequence of **append-only segment files**, and an
+/// bits of XXH64) to a sequence of **append-only segment files**, and an
 /// in-memory index maps each page id to its `(segment, offset, length)`. The
 /// frames make the files their own recovery log, and a sealed segment ends
 /// in an **index frame** that lists them (see *Open*). Dropped pages leave
@@ -128,8 +121,8 @@ const INDEX_ID: PageId = PageId::MAX;
 /// pages: its part of the page index follows from the frame. It scans, frame
 /// by frame and checking every sum, only the newest segment (the one a crash
 /// can tear) and any sealed segment whose index is missing, damaged or does
-/// not cover exactly the file's bytes: a segment written before index frames
-/// were, or one whose index a crash tore. A torn trailing frame of the
+/// not cover exactly the file's bytes, so a damaged index costs a scan, not
+/// the store. A torn trailing frame of the
 /// newest segment is found, and the first `write_page` cuts it away, so an
 /// open that fails later (say, on a manifest naming a page no segment holds)
 /// leaves every byte as it was. Reopen time therefore follows the live
@@ -145,9 +138,9 @@ const INDEX_ID: PageId = PageId::MAX;
 /// verified where they are read. A get or a scan that fills the cache checks
 /// the header only.
 ///
-/// **Files.** Segment 0 is `<name>.data`, the only file an older store has;
-/// a later segment is `<name>.data.<id>`, where `<id>` is the next unissued
-/// page id at its creation. All are direct children of the store directory.
+/// **Files.** Segment 0 is `<name>.data`; a later segment is
+/// `<name>.data.<id>`, where `<id>` is the next unissued page id at its
+/// creation. All are direct children of the store directory.
 ///
 /// **Roll.** Pages go to the newest segment only. [`StorageBackend::sync`]
 /// makes that file durable and *seals* it if it has reached the device's
@@ -342,7 +335,7 @@ fn index_frame(frames: &[(PageId, u32)]) -> Vec<u8> {
 /// Whether `header`, a frame header, is an index frame's.
 fn is_index_header(header: &[u8]) -> bool {
     header.len() >= PAGES.ext_len
-        && header[..4] == *PAGES.kind.tag
+        && header[..4] == *PAGES.tag
         && header[4..PAGES.ext_len] == INDEX_ID.to_be_bytes()
 }
 
@@ -368,7 +361,7 @@ fn read_index(file: &dyn VfsFile) -> Result<Option<Frames>> {
     let ext = PAGES.ext_len;
     if !is_index_header(header)
         || be(&header[ext..ext + 4]) != body_len
-        || be(&header[ext + 4..]) != u64::from(PAGES.kind.sum.of(body))
+        || be(&header[ext + 4..]) != u64::from(PAGES.sum.of(body))
     {
         return Ok(None);
     }
@@ -612,19 +605,18 @@ impl FileBackend {
             let from = (offset - start) as usize;
             let header = &buf[from - FRAME_HEADER..from];
             let payload = buf.slice(from..from + len as usize);
-            let ext = PAGES.ext_len;
-            let kind = PAGES
-                .kind_of(header)
-                .filter(|kind| header[kind.tag.len()..ext] == id.to_be_bytes())
-                .filter(|_| be(&header[ext..ext + 4]) == u64::from(len));
+            let (tag, ext) = (PAGES.tag.len(), PAGES.ext_len);
             let frame_at = offset - FRAME_HEADER as u64;
-            let Some(kind) = kind else {
+            if header[..tag] != *PAGES.tag
+                || header[tag..ext] != id.to_be_bytes()
+                || be(&header[ext..ext + 4]) != u64::from(len)
+            {
                 return Err(StorageError::Corruption(format!(
                     "segment {}: the frame at offset {frame_at} is not page {id} of {len} bytes",
                     segment.id
                 )));
-            };
-            if verify && be(&header[ext + 4..]) != u64::from(kind.sum.of(&payload)) {
+            }
+            if verify && be(&header[ext + 4..]) != u64::from(PAGES.sum.of(&payload)) {
                 return Err(StorageError::Corruption(format!(
                     "segment {}: page {id}, the frame at offset {frame_at}, fails its checksum",
                     segment.id
@@ -1033,43 +1025,34 @@ pub(crate) mod tests {
     }
 
     /// The frame of page 1 holding `page(&[1, 2])`, as the commit before the
-    /// common log rule wrote it.
+    /// common log rule wrote it: an `LEFR` frame, summed by CRC-32.
     const PARENT_SEGMENT_HEX: &str = "\
         4c454652000000000000000100000052914f6ed84c45504700000002000000000000000100000000\
         00000001000000000000000100000000080000000000000000000000000000000200000000000000\
         02000000000000000200000000080000000000000000";
 
-    /// The same page as a `LEFX` frame, as a device writes it now: the tag
-    /// and the sum (the low 32 bits of the payload's XXH64) differ.
+    /// The same page as an `LEFX` frame, as a device writes it: the tag and
+    /// the sum (the low 32 bits of the payload's XXH64) differ.
     const LEFX_SEGMENT_HEX: &str = "\
         4c454658000000000000000100000052e768dd414c45504700000002000000000000000100000000\
         00000001000000000000000100000000080000000000000000000000000000000200000000000000\
         02000000000000000200000000080000000000000000";
 
     #[test]
-    fn segments_written_before_this_change_still_open() {
+    fn an_lefr_segment_is_refused_and_a_fresh_segment_writes_the_known_answer() {
         let bytes = crate::log::tests::hex(PARENT_SEGMENT_HEX);
         let dir = fresh_dir("parent");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("lethe.data"), &bytes).unwrap();
-        let b = open(&dir).unwrap();
-        assert_eq!((b.page_ids(), b.torn_frames_recovered()), (vec![1], 0));
-        assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
-        // the segment takes new frames behind the old ones, and reopens
-        // with every page readable, one at a time and as one run
-        let id = b.write_page(&page(&[3, 4])).unwrap();
-        b.sync().unwrap();
-        drop(b);
-        let mixed = std::fs::read(dir.join("lethe.data")).unwrap();
-        assert_eq!((&mixed[..bytes.len()], &mixed[bytes.len()..][..4]), (&bytes[..], &b"LEFX"[..]));
-        let b = open(&dir).unwrap();
-        assert_eq!(b.torn_frames_recovered(), 0);
-        assert_eq!(*b.read_page(1).unwrap(), page(&[1, 2]));
-        assert_eq!(*b.read_page(id).unwrap(), page(&[3, 4]));
-        let both = batch(&b, &[1, id], false).unwrap();
-        assert_eq!((&*both[0], &*both[1]), (&page(&[1, 2]), &page(&[3, 4])));
-        drop(b);
-        // and a fresh device writes the pinned `LEFX` frame for the first page
+        let segment = dir.join("lethe.data");
+        std::fs::write(&segment, &bytes).unwrap();
+        match open(&dir) {
+            Err(StorageError::Corruption(what)) => {
+                assert!(what.contains("lethe.data"), "the error names the file: {what}")
+            }
+            other => panic!("an LEFR segment opened: {other:?}"),
+        }
+        assert_eq!(std::fs::read(&segment).unwrap(), bytes, "a refused open cuts nothing");
+        // a fresh device writes the pinned `LEFX` frame for the first page
         let dir = fresh_dir("parent");
         let b = open(&dir).unwrap();
         assert_eq!(b.write_page(&page(&[1, 2])).unwrap(), 1);
@@ -1794,10 +1777,10 @@ pub(crate) mod tests {
         assert_eq!(frames.iter().map(|f| f.0).collect::<Vec<_>>(), fat);
         assert_eq!(index_frame(&frames), good[at..], "the index a seal wrote");
 
-        // a segment written before index frames were, with a successor
-        let dir = Path::new("/pre-index");
+        // a sealed segment of one frame and no index, with a successor
+        let dir = Path::new("/no-index");
         vfs.create_dir_all(dir).unwrap();
-        let segment = crate::log::tests::hex(PARENT_SEGMENT_HEX);
+        let segment = crate::log::tests::hex(LEFX_SEGMENT_HEX);
         vfs.open(&dir.join("lethe.data"), true).unwrap().append(&segment).unwrap();
         vfs.open(&dir.join("lethe.data.2"), true).unwrap();
         let b = device(&vfs, dir).unwrap();

@@ -17,13 +17,11 @@
 //! it is corruption. `commit` writes and syncs one 16-byte record at a time
 //! under the file lock, so no crash leaves more than one bad record: a bad
 //! tail longer than that (a damaged length that runs past end-of-file from
-//! mid-log) is corruption too, never a cut. A log written before
-//! the common frame (fixed `id · crc32(id)` records, no magic) is re-framed
-//! once when it is opened.
+//! mid-log) is corruption too, never a cut. A file without the magic does
+//! not open.
 
-use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
-use crate::log::{self, Format, LogFile};
+use crate::log::{self, Format, LogFile, Sum};
 use crate::vfs::Vfs;
 use lethe_sync::{LockRank, Mutex};
 use std::collections::HashSet;
@@ -31,32 +29,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A batch log's layout: the magic `LETHEBAT`, then [`log`] frames with no
-/// header extension, one per committed id; a crash tears at most one frame
-/// (8 bytes of header, 8 of id).
+/// A batch log's layout: the magic `LETHEBAT`, then CRC-32 [`log`] frames
+/// with no header extension, one per committed id; a crash tears at most
+/// one frame (8 bytes of header, 8 of id).
 const FORMAT: Format =
-    Format { magic: b"LETHEBAT", ext_len: 0, kind: log::UNTAGGED, older: &[], max_tail: 16 };
-
-/// Re-frames a log written before the common frame: fixed 12-byte
-/// `id (u64 BE) · crc32(id)` records with no file magic. A bad last record
-/// is a torn tail and is dropped; a bad record with bytes behind it is
-/// corruption, as it was then.
-fn v1_frames(bytes: &[u8]) -> Result<Vec<u8>> {
-    let mut frames = Vec::new();
-    for (i, rec) in bytes.chunks(12).enumerate() {
-        if rec.len() < 12 || rec[8..] != crc32(&rec[..8]).to_be_bytes() {
-            if (i + 1) * 12 >= bytes.len() {
-                break;
-            }
-            return Err(StorageError::Corruption(format!(
-                "batch log record at offset {} failed its checksum with records behind it",
-                i * 12
-            )));
-        }
-        frames.extend(log::frame(&FORMAT, &[], &rec[..8]));
-    }
-    Ok(frames)
-}
+    Format { magic: b"LETHEBAT", ext_len: 0, tag: b"", sum: Sum::Crc32, max_tail: 16 };
 
 /// Durable append-only set of committed cross-shard batch ids.
 #[derive(Debug)]
@@ -71,7 +48,7 @@ impl BatchCommitLog {
     /// committed-id set and cutting away a torn tail left by a crash
     /// mid-commit.
     pub fn open(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
-        let mut log = LogFile::open_versioned(vfs, path, &FORMAT, "batches.tmp", v1_frames)?;
+        let mut log = LogFile::open_versioned(vfs, path, &FORMAT)?;
         let mut ids = HashSet::new();
         log.recover(&FORMAT, |_, _, body| {
             let id = body.try_into().map_err(|_| {
@@ -306,49 +283,56 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Two records as the commit before the common log rule wrote them.
+    /// Two records as the commit before the common log rule wrote them:
+    /// fixed `id · crc32(id)` records with no magic.
     const PARENT_LOG_HEX: &str = "00000000000000011225efff01020304050607083fca88c5";
 
-    /// The same two records in the common frame, behind the magic.
+    /// The same two records as a batch log writes them: common frames
+    /// behind the magic.
     const FRAMED_LOG_HEX: &str = "\
         4c45544845424154000000081225efff0000000000000001000000083fca88c50102030405060708";
 
+    /// The open of `path` fails with `Corruption` naming the file, and
+    /// leaves its bytes as they were.
+    fn assert_refused(path: &Path) {
+        let before = std::fs::read(path).unwrap();
+        match open(path) {
+            Err(StorageError::Corruption(what)) => {
+                assert!(what.contains("lethe-batchlog"), "the error names the file: {what}")
+            }
+            other => panic!("a log without the magic opened: {other:?}"),
+        }
+        assert_eq!(std::fs::read(path).unwrap(), before);
+    }
+
     #[test]
-    fn logs_written_before_this_change_still_load() {
-        let bytes = hex(PARENT_LOG_HEX);
+    fn a_pre_frame_log_is_refused_and_a_fresh_log_writes_the_known_answer() {
         let path = tmp("parent");
-        std::fs::write(&path, &bytes).unwrap();
-        let ids = [1, 0x0102_0304_0506_0708];
-        let log = open(&path).unwrap();
-        assert_eq!(log.committed(), HashSet::from(ids));
-        // the open republished the log in the common frame, before any append
-        assert_eq!(std::fs::read(&path).unwrap(), hex(FRAMED_LOG_HEX));
-        log.commit(9).unwrap();
-        let framed = [hex(FRAMED_LOG_HEX), record(9)].concat();
-        assert_eq!(std::fs::read(&path).unwrap(), framed, "only the magic and framed records");
-        drop(log);
-        assert_eq!(open(&path).unwrap().committed(), HashSet::from([1, 9, 0x0102_0304_0506_0708]));
-        // and a fresh log writes the framed bytes for the same commits
+        std::fs::write(&path, hex(PARENT_LOG_HEX)).unwrap();
+        assert_refused(&path);
+        // a fresh log writes the framed bytes for the same commits
         std::fs::remove_file(&path).unwrap();
+        let ids = [1, 0x0102_0304_0506_0708];
         let log = open(&path).unwrap();
         ids.iter().for_each(|&id| log.commit(id).unwrap());
         assert_eq!(std::fs::read(&path).unwrap(), hex(FRAMED_LOG_HEX));
+        drop(log);
+        assert_eq!(open(&path).unwrap().committed(), HashSet::from(ids));
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A version-1 log whose middle record is damaged does not open, and
-    /// is left as it was; a damaged last record is a torn tail.
+    /// A pre-frame log is refused whatever its records hold: a damaged
+    /// record with a good one behind it, or a damaged last record.
     #[test]
-    fn a_version_1_log_keeps_its_recovery_rule() {
+    fn a_pre_frame_log_is_refused_damaged_or_not() {
         let path = tmp("v1rule");
         let mut bytes = hex(PARENT_LOG_HEX);
         bytes.extend_from_within(..12);
         bytes[14] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(open(&path), Err(StorageError::Corruption(_))));
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_refused(&path);
         std::fs::write(&path, &bytes[..bytes.len() - 12]).unwrap();
-        assert_eq!(open(&path).unwrap().committed(), HashSet::from([1]));
+        assert_refused(&path);
         let _ = std::fs::remove_file(&path);
     }
 

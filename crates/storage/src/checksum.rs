@@ -5,22 +5,23 @@
 //! [`log::frame`](crate::log::frame)) and checkpoint markers — each carry a
 //! 32-bit checksum so that recovery can distinguish a torn tail (the normal
 //! result of a crash mid-append, recoverable by truncating to the last valid
-//! prefix) from silent corruption of committed data (an error). A frame's
-//! kind, one of those its file's [`log::Format`](crate::log::Format) lists,
-//! names the kernel that sums it.
+//! prefix) from silent corruption of committed data (an error). Each file
+//! kind's [`log::Format`](crate::log::Format) names the kernel that sums its
+//! frames.
 //!
 //! [`crc32`] is the standard reflected CRC-32 (IEEE 802.3, the one used by
 //! zlib): reflected polynomial `0xEDB88320`, initial value and final XOR
-//! `0xFFFFFFFF`. The WAL, the manifest, the batch log, checkpoint markers and
-//! the page frames written before [`xxh64`] (tag `LEFR`) carry it. The
-//! kernel is table-driven *slicing-by-16* (Kounavis & Berry, ISCC 2005):
-//! each step folds 16 input bytes into the running CRC with 16 independent
-//! lookups into sixteen 256-entry tables, computed by a `const fn` at
-//! compile time.
+//! `0xFFFFFFFF`. The WAL, the manifest, the batch log and checkpoint markers
+//! carry it. The kernel is table-driven *slicing-by-16* (Kounavis & Berry,
+//! ISCC 2005): each step folds 16 input bytes into the running CRC with 16
+//! independent lookups into sixteen 256-entry tables, computed by a
+//! `const fn` at compile time.
 //!
-//! [`xxh64`] is XXH64 (seed 0), and the page frames written now (tag `LEFX`)
-//! carry its low 32 bits, as zstd's frame checksum does. Every open checks
-//! every frame of every segment, so this loop bounds a reopen: four
+//! [`xxh64`] is XXH64 (seed 0), and the page frames (tag `LEFX`) carry its
+//! low 32 bits, as zstd's frame checksum does. An open checks every frame of
+//! the newest segment and of any sealed one it cannot index, recovery checks
+//! every live page it rebuilds a table from, and a compaction every page it
+//! rewrites, so this loop lies on the reopen and job paths: four
 //! independent 64-bit multiply-rotate lanes over 32-byte stripes run about
 //! six times faster than the table-driven CRC, in safe Rust with no
 //! architecture gate. **The trade:** a random corruption goes undetected

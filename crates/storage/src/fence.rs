@@ -110,10 +110,6 @@ impl DeleteFence {
     /// The fence of no put at all.
     pub const EMPTY: DeleteFence = DeleteFence { min: DeleteKey::MAX, max: 0 };
 
-    /// The full-domain bounds a version-1 manifest decodes to: nothing is
-    /// known, so every range overlaps.
-    pub const UNKNOWN: DeleteFence = DeleteFence { min: 0, max: DeleteKey::MAX };
-
     /// The bounds of `keys`, the delete keys of a set of puts.
     pub fn of_keys(keys: impl IntoIterator<Item = DeleteKey>) -> Self {
         keys.into_iter().fold(DeleteFence::EMPTY, |f, d| f.union(DeleteFence { min: d, max: d }))
@@ -135,8 +131,7 @@ impl DeleteFence {
     }
 
     /// `true` if every key `other` bounds is inside `self`. Every fence
-    /// contains [`DeleteFence::EMPTY`], and [`DeleteFence::UNKNOWN`]
-    /// contains every fence.
+    /// contains [`DeleteFence::EMPTY`].
     pub fn contains(&self, other: DeleteFence) -> bool {
         other.is_empty() || (self.min <= other.min && other.max <= self.max)
     }
@@ -247,11 +242,10 @@ mod tests {
 
     #[test]
     fn containment_accepts_wider_durable_bounds() {
-        // the wider, tombstone-inclusive bounds of an older store contain
-        // the exact ones, and the version-1 sentinel contains everything
+        // the wider, tombstone-inclusive bounds of an earlier build contain
+        // the exact ones
         assert!(fence(0, 50).contains(fence(10, 50)));
         assert!(fence(0, 0).contains(DeleteFence::EMPTY));
-        assert!(DeleteFence::UNKNOWN.contains(fence(3, u64::MAX)));
         assert!(DeleteFence::EMPTY.contains(DeleteFence::EMPTY));
         assert!(!fence(10, 50).contains(fence(0, 50)));
         assert!(!fence(10, 50).contains(fence(10, 51)));

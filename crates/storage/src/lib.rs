@@ -35,8 +35,8 @@
 //!   (`magic · frame*`, `frame := ext · len · sum(body) · body`), one
 //!   encoder ([`log::frame`]), one recovery rule ([`log::scan`]), one tail
 //!   cut, and the handle the logs go through. Each file kind declares its
-//!   magic, header extension and kinds of frame (each a tag and the checksum
-//!   it names) as a [`log::Format`] value.
+//!   one format (magic, header extension, frame tag and checksum) as a
+//!   [`log::Format`] value.
 //! * [`wal`] — write-ahead logging in checksummed frames behind the magic
 //!   `LETHEWAL`, with prefix truncation behind a manifest commit, torn-tail
 //!   recovery, the [`SyncPolicy`] durability knob and the group-commit

@@ -10,22 +10,20 @@
 //! ext   := tag · fields
 //! ```
 //!
-//! `ext` is a fixed-length header extension: the tag of the frame's [`Kind`],
-//! which names the checksum `sum`, then the fields the file kind gives every
-//! frame. Each file kind declares its magic, its extension and its kinds of
-//! frame as a [`Format`] value:
+//! `ext` is a fixed-length header extension: the file kind's frame tag, then
+//! the fields it gives every frame. Each file kind declares its magic, its
+//! extension, its tag and the checksum `sum` as a [`Format`] value:
 //!
-//! | kind         | magic      | ext                    | sum                   |
-//! |--------------|------------|------------------------|-----------------------|
-//! | WAL          | `LETHEWAL` | none                   | CRC-32                |
-//! | manifest     | `LETHEMAN` | none                   | CRC-32                |
-//! | batch log    | `LETHEBAT` | none                   | CRC-32                |
-//! | page segment | none       | `LEFX` · page id (u64) | XXH64, low 32 bits    |
-//! |              |            | `LEFR` · page id (u64) | CRC-32 (older frames) |
+//! | kind         | magic      | ext                    | sum                |
+//! |--------------|------------|------------------------|--------------------|
+//! | WAL          | `LETHEWAL` | none                   | CRC-32             |
+//! | manifest     | `LETHEMAN` | none                   | CRC-32             |
+//! | batch log    | `LETHEBAT` | none                   | CRC-32             |
+//! | page segment | none       | `LEFX` · page id (u64) | XXH64, low 32 bits |
 //!
-//! New page frames are `LEFX`; a segment written before them holds `LEFR`
-//! frames, and a store's newest segment may hold both, the older first. See
-//! [`checksum`](crate::checksum) for the two kernels and their trade. A
+//! Each kind has this one format, named by its magic or its tag (and the
+//! manifest's by its record version); a file in any other is `Corruption`.
+//! See [`checksum`](crate::checksum) for the two kernels and their trade. A
 //! sealed segment ends in its index frame, an `LEFX` frame under the page id
 //! `u64::MAX` that no page has; to [`scan`] it is one more frame (see
 //! [`FileBackend`](crate::FileBackend)).
@@ -34,9 +32,9 @@
 //! crash mid-append only damages the end of a file, so [`scan`] holds one
 //! rule for all four: a short header, a body past end-of-file, or a frame
 //! that fails its checksum and ends exactly at end-of-file is a **torn
-//! tail**; a bad frame with bytes behind it, a full header without one of
-//! its kind's tags, or a tail longer than its kind's [`Format::max_tail`],
-//! is `Corruption`.
+//! tail**; a bad frame with bytes behind it, a full header without its
+//! kind's tag, or a tail longer than its kind's [`Format::max_tail`], is
+//! `Corruption`.
 
 use crate::barrier;
 use crate::checksum::{crc32, xxh64};
@@ -48,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The checksum a kind of frame carries over its body.
+/// The checksum a file kind's frames carry over their bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sum {
     /// [`crc32`].
@@ -67,34 +65,20 @@ impl Sum {
     }
 }
 
-/// One kind of frame: the tag its header extension starts with, and the
-/// checksum it carries.
-#[derive(Debug)]
-pub struct Kind {
-    /// The bytes the extension starts with. A torn append of a whole header
-    /// still wrote them, so a full header without a known tag is not a torn
-    /// tail.
-    pub tag: &'static [u8],
-    /// The checksum over the body.
-    pub sum: Sum,
-}
-
-/// The one kind of frame of the WAL, the manifest and the batch log: no
-/// tag, CRC-32.
-pub(crate) const UNTAGGED: Kind = Kind { tag: b"", sum: Sum::Crc32 };
-
 /// One file kind's layout.
 #[derive(Debug)]
 pub struct Format {
     /// The bytes every file of the kind starts with.
     pub magic: &'static [u8],
-    /// Length of the extension every frame's header starts with: its kind's
-    /// tag, then its fields.
+    /// Length of the extension every frame's header starts with: `tag`,
+    /// then the kind's fields.
     pub ext_len: usize,
-    /// The kind of frame [`frame`] writes.
-    pub kind: Kind,
-    /// Kinds of frame written before `kind`, which [`scan`] still reads.
-    pub older: &'static [Kind],
+    /// The bytes every frame's extension starts with. A torn append of a
+    /// whole header still wrote them, so a full header without them is not
+    /// a torn tail.
+    pub tag: &'static [u8],
+    /// The checksum over every frame's body.
+    pub sum: Sum,
     /// The most bytes a crash can leave behind the last intact frame: a
     /// kind that appends and syncs one fixed-length frame at a time tears
     /// at most one frame, so a longer bad tail is damage (say, a flipped
@@ -108,20 +92,13 @@ impl Format {
     pub const fn header_len(&self) -> usize {
         self.ext_len + 8
     }
-
-    /// The kind of the frame whose header starts `header`, if its tag is
-    /// one of this format's.
-    pub(crate) fn kind_of(&self, header: &[u8]) -> Option<&Kind> {
-        std::iter::once(&self.kind).chain(self.older).find(|kind| header.starts_with(kind.tag))
-    }
 }
 
-/// One frame of a `format` file, of the kind it writes:
+/// One frame of a `format` file:
 /// `tag · fields · len (u32 BE) · sum(body) (u32 BE) · body`.
 pub fn frame(format: &Format, fields: &[u8], body: &[u8]) -> Vec<u8> {
-    let Kind { tag, sum } = &format.kind;
-    let (len, sum) = ((body.len() as u32).to_be_bytes(), sum.of(body).to_be_bytes());
-    [tag, fields, &len, &sum, body].concat()
+    let (len, sum) = ((body.len() as u32).to_be_bytes(), format.sum.of(body).to_be_bytes());
+    [format.tag, fields, &len, &sum, body].concat()
 }
 
 /// Sequential reads of the first `len` bytes of a file, one positional read
@@ -174,16 +151,16 @@ pub fn scan(
     let mut body = Vec::new();
     while end + header.len() as u64 <= len {
         reader.read_exact(&mut header)?;
-        let Some(kind) = format.kind_of(&header) else {
+        if !header.starts_with(format.tag) {
             return Err(corrupt(path, format_args!("no frame starts at offset {end}")));
-        };
+        }
         let frame_end = end + (header.len() as u64 + be(&header[ext_len..ext_len + 4]));
         if frame_end > len {
             break; // torn tail: the header promises more bytes than exist
         }
         body.resize((frame_end - end) as usize - header.len(), 0);
         reader.read_exact(&mut body)?;
-        if be(&header[ext_len + 4..]) != u64::from(kind.sum.of(&body)) {
+        if be(&header[ext_len + 4..]) != u64::from(format.sum.of(&body)) {
             if frame_end == len {
                 break; // torn tail: the last frame was damaged mid-append
             }
@@ -196,7 +173,7 @@ pub fn scan(
                 ),
             ));
         }
-        visit(end, &header[kind.tag.len()..ext_len], &body).map_err(|e| match e {
+        visit(end, &header[format.tag.len()..ext_len], &body).map_err(|e| match e {
             StorageError::Corruption(what) => {
                 corrupt(path, format_args!("frame at offset {end}: {what}"))
             }
@@ -311,47 +288,26 @@ impl LogFile {
     }
 
     /// Opens (or creates) the log at `path` on `vfs` as a `format` file,
-    /// before anything is appended to it:
-    /// - a file that starts with the magic is opened as it is;
+    /// before anything is appended to it. The magic is the file's version:
+    /// - a file that starts with it is opened as it is;
     /// - an empty file, or one whose magic tore, is cut to empty and gets
     ///   the magic as a plain append, with no barrier of its own: the log's
     ///   first barrier covers it;
-    /// - any other file was written before `format`: `v1` turns its bytes
-    ///   into `format`'s frames, and they replace it. A file at least as
-    ///   long as the magic of which `v1` keeps no frame is `Corruption` and
-    ///   is left as it is: it is far likelier a `format` file with a
-    ///   damaged magic than a version-1 file whose only record tore, which
-    ///   held nothing acknowledged.
-    ///
-    /// So no file ever mixes versions.
-    pub fn open_versioned(
-        vfs: &Arc<dyn Vfs>,
-        path: &Path,
-        format: &Format,
-        tmp_extension: &str,
-        v1: impl FnOnce(&[u8]) -> Result<Vec<u8>>,
-    ) -> Result<LogFile> {
+    /// - any other file is `Corruption` and is left as it is: a file of
+    ///   another format and a `format` file whose magic was damaged are
+    ///   both refused, never opened as an empty log.
+    pub fn open_versioned(vfs: &Arc<dyn Vfs>, path: &Path, format: &Format) -> Result<LogFile> {
         let mut log = LogFile::open(vfs, path, true)?;
         let len = log.file.len()?;
         let mut head = vec![0u8; format.magic.len().min(len as usize)];
         log.file.read_at(&mut head, 0)?;
-        if format.magic.starts_with(&head) {
-            if head.len() < format.magic.len() {
-                log.torn_tails += u64::from(cut_tail(log.file.as_ref(), 0, &log.fsyncs)?);
-                log.append(format.magic)?;
-            }
-            return Ok(log);
+        if !format.magic.starts_with(&head) {
+            return Err(corrupt(path, "bad file magic"));
         }
-        let mut bytes = vec![0u8; len as usize];
-        log.file.read_at(&mut bytes, 0)?;
-        let frames = v1(&bytes).map_err(|e| match e {
-            StorageError::Corruption(what) => corrupt(path, what),
-            e => e,
-        })?;
-        if frames.is_empty() && len >= format.magic.len() as u64 {
-            return Err(corrupt(path, "bad file magic, and no version-1 record either"));
+        if head.len() < format.magic.len() {
+            log.torn_tails += u64::from(cut_tail(log.file.as_ref(), 0, &log.fsyncs)?);
+            log.append(format.magic)?;
         }
-        log.replace(format, tmp_extension, &frames)?;
         Ok(log)
     }
 
@@ -461,10 +417,9 @@ pub(crate) mod tests {
         (0..digits.len()).step_by(2).map(byte).collect()
     }
 
-    /// The page layout as segments were written before `LEFX` frames:
-    /// `LEFR` frames, with CRC-32.
-    const PAGES_V1: Format =
-        Format { kind: Kind { tag: b"LEFR", sum: Sum::Crc32 }, older: &[], ..PAGES };
+    /// The page frame segments held before `LEFX` frames, `LEFR` with
+    /// CRC-32, which [`scan`] refuses.
+    const PAGES_V1: Format = Format { tag: b"LEFR", sum: Sum::Crc32, ..PAGES };
 
     /// A `format` page frame holding `body` as page 7.
     fn good(format: &Format, body: &[u8]) -> Vec<u8> {
@@ -494,62 +449,49 @@ pub(crate) mod tests {
     fn one_rule_for_every_branch() {
         let cat = |parts: &[Vec<u8>]| parts.concat();
         let header = PAGES.header_len();
-        let mut rows: Vec<(String, Vec<u8>, Expect)> = Vec::new();
-        // every row on both kinds of page frame, each scanned by the one
-        // page format that reads both
-        for format in [&PAGES, &PAGES_V1] {
-            let (good, bad) = (|body| good(format, body), |body| bad(format, body));
-            let mut wrong_tag = good(b"");
-            wrong_tag[0] = b'X';
-            let kind_rows = [
-                ("empty file", vec![], Expect::Recovers { bodies: &[], end: 0 }),
-                (
-                    "clean log",
-                    cat(&[good(b"ab"), good(b""), good(b"cde")]),
-                    Expect::Recovers { bodies: &[b"ab", b"", b"cde"], end: 3 * header + 5 },
-                ),
-                (
-                    "short header",
-                    cat(&[good(b"ab"), good(b"cdefg")[..header - 1].to_vec()]),
-                    Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
-                ),
-                (
-                    "body past end of file",
-                    cat(&[good(b"ab"), good(b"cdefg")[..header + 2].to_vec()]),
-                    Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
-                ),
-                (
-                    "flipped body bit in the last frame",
-                    cat(&[good(b"ab"), bad(b"cd")]),
-                    Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
-                ),
-                (
-                    "flipped body bit with a good frame behind it",
-                    cat(&[good(b"ab"), bad(b"cd"), good(b"ef")]),
-                    Expect::Corrupt,
-                ),
-                (
-                    "full header with a wrong page tag",
-                    cat(&[good(b"ab"), wrong_tag]),
-                    Expect::Corrupt,
-                ),
-                (
-                    "visitor error",
-                    cat(&[good(b"ab"), good(b"no"), vec![b'L']]),
-                    Expect::VisitorError,
-                ),
-            ];
-            let tag = String::from_utf8_lossy(format.kind.tag).into_owned();
-            rows.extend(kind_rows.into_iter().map(|(name, bytes, expect)| {
-                (format!("{tag}: {name}"), bytes, expect)
-            }));
-        }
-        // a segment written before `LEFX` frames and appended to since
-        rows.push((
-            "LEFR frames, then LEFX frames".into(),
-            cat(&[good(&PAGES_V1, b"ab"), good(&PAGES, b"cd"), bad(&PAGES, b"ef")]),
-            Expect::Recovers { bodies: &[b"ab", b"cd"], end: 2 * header + 4 },
-        ));
+        let (good, bad) = (|body| good(&PAGES, body), |body| bad(&PAGES, body));
+        let mut wrong_tag = good(b"");
+        wrong_tag[0] = b'X';
+        let rows = [
+            ("empty file", vec![], Expect::Recovers { bodies: &[], end: 0 }),
+            (
+                "clean log",
+                cat(&[good(b"ab"), good(b""), good(b"cde")]),
+                Expect::Recovers { bodies: &[b"ab", b"", b"cde"], end: 3 * header + 5 },
+            ),
+            (
+                "short header",
+                cat(&[good(b"ab"), good(b"cdefg")[..header - 1].to_vec()]),
+                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
+            ),
+            (
+                "body past end of file",
+                cat(&[good(b"ab"), good(b"cdefg")[..header + 2].to_vec()]),
+                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
+            ),
+            (
+                "flipped body bit in the last frame",
+                cat(&[good(b"ab"), bad(b"cd")]),
+                Expect::Recovers { bodies: &[b"ab"], end: header + 2 },
+            ),
+            (
+                "flipped body bit with a good frame behind it",
+                cat(&[good(b"ab"), bad(b"cd"), good(b"ef")]),
+                Expect::Corrupt,
+            ),
+            ("full header with a wrong page tag", cat(&[good(b"ab"), wrong_tag]), Expect::Corrupt),
+            (
+                "visitor error",
+                cat(&[good(b"ab"), good(b"no"), vec![b'L']]),
+                Expect::VisitorError,
+            ),
+            // a segment of `LEFR` frames, appended to
+            (
+                "LEFR frames, then LEFX frames",
+                cat(&[self::good(&PAGES_V1, b"ab"), good(b"cd"), bad(b"ef")]),
+                Expect::Corrupt,
+            ),
+        ];
         let path = std::env::temp_dir().join(format!("lethe-log-{}.bin", std::process::id()));
         for (name, bytes, expect) in rows {
             std::fs::write(&path, &bytes).unwrap();
@@ -637,24 +579,28 @@ pub(crate) mod tests {
     fn a_fresh_or_torn_magic_log_gets_its_magic_with_no_barrier_of_its_own() {
         let vfs = crate::vfs::MemVfs::shared();
         let path = Path::new("/fresh.log");
-        let refuse = |_: &[u8]| -> Result<Vec<u8>> { panic!("not a v1 file") };
-        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", refuse).unwrap();
+        let log = LogFile::open_versioned(&vfs, path, &HEADED).unwrap();
         assert_eq!((log.fsync_count(), log.torn_tails_recovered()), (0, 0));
         assert_eq!(vfs.read(path).unwrap(), HEADED.magic);
         // reopening leaves a whole magic alone
-        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", refuse).unwrap();
+        let log = LogFile::open_versioned(&vfs, path, &HEADED).unwrap();
         assert_eq!(log.fsync_count(), 0);
         // a torn magic is cut (one barrier) and written again (none)
         vfs.open(path, false).unwrap().set_len(3).unwrap();
-        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", refuse).unwrap();
+        let log = LogFile::open_versioned(&vfs, path, &HEADED).unwrap();
         assert_eq!((log.fsync_count(), log.torn_tails_recovered()), (1, 1));
         assert_eq!(vfs.read(path).unwrap(), HEADED.magic);
-        // anything else is a v1 file, republished behind the magic
-        vfs.open(path, false).unwrap().set_len(0).unwrap();
-        vfs.open(path, false).unwrap().append(b"old!").unwrap();
-        let upgrade = |old: &[u8]| Ok(frame(&HEADED, &[], old));
-        let log = LogFile::open_versioned(&vfs, path, &HEADED, "tmp", upgrade).unwrap();
-        assert_eq!(vfs.read(path).unwrap(), [HEADED.magic, &frame(&HEADED, &[], b"old!")].concat());
-        assert_eq!(log.fsync_count(), 2, "the publish's file and directory barriers");
+        // anything else is refused, naming the file, and left as it is: a
+        // file shorter than the magic as much as a log of magic-less frames
+        for old in [b"old!".to_vec(), [&[0, 0, 0, 4], &b"old!"[..]].concat()] {
+            let file = vfs.open(path, false).unwrap();
+            file.set_len(0).unwrap();
+            file.append(&old).unwrap();
+            match LogFile::open_versioned(&vfs, path, &HEADED) {
+                Err(StorageError::Corruption(what)) => assert!(what.contains("fresh.log"), "{what}"),
+                other => panic!("{old:?}: {other:?}"),
+            }
+            assert_eq!(vfs.read(path).unwrap(), old);
+        }
     }
 }

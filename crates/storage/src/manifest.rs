@@ -32,24 +32,20 @@
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, Entry, SeqNum};
 use crate::error::{Result, StorageError};
-use crate::fence::DeleteFence;
-use crate::log::{self, read_list, read_u64, read_u8, Format, LogFile};
+use crate::log::{self, read_list, read_u64, read_u8, Format, LogFile, Sum};
 use crate::vfs::{OsVfs, Vfs};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A manifest file's layout: the magic `LETHEMAN`, then [`log`] frames with
-/// no header extension, one per record.
+/// A manifest file's layout: the magic `LETHEMAN`, then CRC-32 [`log`]
+/// frames with no header extension, one per record.
 const FORMAT: Format =
-    Format { magic: b"LETHEMAN", ext_len: 0, kind: log::UNTAGGED, older: &[], max_tail: u64::MAX };
+    Format { magic: b"LETHEMAN", ext_len: 0, tag: b"", sum: Sum::Crc32, max_tail: u64::MAX };
 
-/// On-disk format version of manifest records. Version 2 added the
-/// per-file delete-key bounds (`min_delete`/`max_delete`) to [`FileDesc`];
-/// version-1 records are still decoded (with conservative full-domain
-/// bounds, so secondary-scan pruning is merely disabled until recovery
-/// re-derives the exact bounds), keeping pre-existing stores openable.
+/// On-disk format version of manifest records, the only one read: a record
+/// of any other version is `Corruption`.
 const MANIFEST_VERSION: u8 = 2;
 
 /// Record kinds.
@@ -78,14 +74,14 @@ pub struct FileDesc {
     /// Largest sequence number stored in the file.
     pub max_seqnum: SeqNum,
     /// Smallest put delete key stored in the file; with `max_delete`, the
-    /// file's [`DeleteFence`], the paper's file-granularity KiWi fence:
-    /// secondary scans and deletes skip files whose fence cannot intersect
-    /// the queried range. A file of tombstones only stores
-    /// [`DeleteFence::EMPTY`] (`min > max`). Recovery re-derives the exact
-    /// fence from the pages and only checks that these bounds contain it,
-    /// so the wider bounds an older manifest holds (tombstone-inclusive from
-    /// version-2 stores, the full domain from version 1) are safe: they
-    /// prune less, never wrongly.
+    /// file's [`DeleteFence`](crate::fence::DeleteFence), the paper's
+    /// file-granularity KiWi fence: secondary scans and deletes skip files
+    /// whose fence cannot intersect the queried range. A file of tombstones
+    /// only stores [`DeleteFence::EMPTY`](crate::fence::DeleteFence::EMPTY)
+    /// (`min > max`). Recovery re-derives the exact fence from the pages and
+    /// only checks that these bounds contain it, so wider bounds (the
+    /// tombstone-inclusive ones of an earlier build, also record version 2)
+    /// are safe: they prune less, never wrongly.
     pub min_delete: DeleteKey,
     /// Largest put delete key stored in the file (see `min_delete`).
     pub max_delete: DeleteKey,
@@ -415,7 +411,7 @@ fn encode_record(record: &ManifestRecord) -> Bytes {
 fn decode_record(mut body: Bytes) -> Result<ManifestRecord> {
     let body = &mut body;
     let version = read_u8(body)?;
-    if version == 0 || version > MANIFEST_VERSION {
+    if version != MANIFEST_VERSION {
         return Err(StorageError::Corruption(format!("unknown manifest version {version}")));
     }
     let kind = read_u8(body)?;
@@ -423,7 +419,7 @@ fn decode_record(mut body: Bytes) -> Result<ManifestRecord> {
         (read_u64(body)?, read_u64(body)?, read_u64(body)?);
     match kind {
         KIND_SNAPSHOT => {
-            let files = read_list(body, |body| decode_file(body, version))?;
+            let files = read_list(body, decode_file)?;
             let files = files.into_iter().map(|f| (f.id, Arc::new(f))).collect();
             let levels = levels(decode_structure(body)?, &files);
             let state = ManifestState { next_file_id, next_seqnum, clock_micros, levels };
@@ -434,7 +430,7 @@ fn decode_record(mut body: Bytes) -> Result<ManifestRecord> {
             next_seqnum,
             clock_micros,
             removed: read_list(body, read_u64)?,
-            upserted: read_list(body, |body| decode_file(body, version).map(Arc::new))?,
+            upserted: read_list(body, |body| decode_file(body).map(Arc::new))?,
             structure: decode_structure(body)?,
         }),
         k => Err(StorageError::Corruption(format!("unknown manifest record kind {k}"))),
@@ -476,7 +472,7 @@ fn encode_file(f: &FileDesc, buf: &mut BytesMut) {
     }
 }
 
-fn decode_file(body: &mut Bytes, version: u8) -> Result<FileDesc> {
+fn decode_file(body: &mut Bytes) -> Result<FileDesc> {
     let (id, created_at) = (read_u64(body)?, read_u64(body)?);
     let oldest_tombstone_ts = match read_u8(body)? {
         0 => None,
@@ -486,15 +482,7 @@ fn decode_file(body: &mut Bytes, version: u8) -> Result<FileDesc> {
         }
     };
     let max_seqnum = read_u64(body)?;
-    // v1 records predate the per-file delete-key bounds; decode them with
-    // the conservative full-domain bounds (pruning never fires, so scans
-    // stay exact) — recovery re-derives the exact bounds from page
-    // contents, and the next manifest edit persists them as v2
-    let (min_delete, max_delete) = if version >= 2 {
-        (read_u64(body)?, read_u64(body)?)
-    } else {
-        (DeleteFence::UNKNOWN.min, DeleteFence::UNKNOWN.max)
-    };
+    let (min_delete, max_delete) = (read_u64(body)?, read_u64(body)?);
     Ok(FileDesc {
         id,
         created_at,
@@ -553,54 +541,60 @@ mod tests {
         std::env::temp_dir().join(format!("lethe-manifest-{tag}-{}.manifest", std::process::id()))
     }
 
-    /// Version-1 records (no per-file delete-key bounds) must keep
-    /// decoding: old stores stay openable, with the conservative
-    /// full-domain bounds that disable pruning but never exclude a file.
+    /// A record of any version but [`MANIFEST_VERSION`] is refused: version
+    /// 1 (no per-file delete-key bounds), which an earlier build wrote, as
+    /// much as version 3, which none did. The open names the file and
+    /// leaves its bytes as they were.
     #[test]
-    fn decodes_version_1_records_with_conservative_delete_bounds() {
-        // hand-build a v1 delta body: one file, one tile of two pages
-        let mut body = BytesMut::new();
-        body.put_u8(1); // version 1
-        body.put_u8(KIND_DELTA);
-        body.put_u64(9); // next_file_id
-        body.put_u64(90); // next_seqnum
-        body.put_u64(900); // clock
-        body.put_u32(0); // removed
-        body.put_u32(1); // upserted
-        body.put_u64(7); // file id
-        body.put_u64(107); // created_at
-        body.put_u8(0); // no oldest tombstone
-        body.put_u64(70); // max_seqnum
+    fn records_of_any_other_version_are_refused() {
+        // a v1 delta body: one file, one tile of two pages
+        let mut v1 = BytesMut::new();
+        v1.put_u8(1); // version 1
+        v1.put_u8(KIND_DELTA);
+        v1.put_u64(9); // next_file_id
+        v1.put_u64(90); // next_seqnum
+        v1.put_u64(900); // clock
+        v1.put_u32(0); // removed
+        v1.put_u32(1); // upserted
+        v1.put_u64(7); // file id
+        v1.put_u64(107); // created_at
+        v1.put_u8(0); // no oldest tombstone
+        v1.put_u64(70); // max_seqnum
         // v1 layout continues straight into the tiles
-        body.put_u32(1);
-        body.put_u32(2);
-        body.put_u64(41);
-        body.put_u64(42);
-        body.put_u32(0); // range tombstones
+        v1.put_u32(1);
+        v1.put_u32(2);
+        v1.put_u64(41);
+        v1.put_u64(42);
+        v1.put_u32(0); // range tombstones
         // structure: one level, one run, the one file
-        body.put_u32(1);
-        body.put_u32(1);
-        body.put_u32(1);
-        body.put_u64(7);
-        let record = decode_record(body.freeze()).expect("v1 record must decode");
-        match record {
-            ManifestRecord::Delta { upserted, .. } => {
-                assert_eq!(upserted.len(), 1);
-                let f = &upserted[0];
-                assert_eq!(f.id, 7);
-                assert_eq!(f.tiles, vec![vec![41, 42]]);
-                assert_eq!((f.min_delete, f.max_delete), (0, u64::MAX));
+        v1.put_u32(1);
+        v1.put_u32(1);
+        v1.put_u32(1);
+        v1.put_u64(7);
+        // a record of a version no build wrote
+        let mut v3 = BytesMut::new();
+        v3.put_u8(MANIFEST_VERSION + 1);
+        v3.put_u8(KIND_DELTA);
+        v3.put_u64(0);
+        v3.put_u64(0);
+        v3.put_u64(0);
+        let vfs = MemVfs::shared();
+        let path = Path::new("/lethe.manifest");
+        for (version, body) in [(1, v1), (3, v3)] {
+            let bytes = [FORMAT.magic, &log::frame(&FORMAT, &[], &body)].concat();
+            let file = vfs.open(path, true).unwrap();
+            file.set_len(0).unwrap();
+            file.append(&bytes).unwrap();
+            match Manifest::open_on(&vfs, path) {
+                Err(StorageError::Corruption(what)) => {
+                    let named = what.contains("lethe.manifest");
+                    let unknown = what.contains(&format!("unknown manifest version {version}"));
+                    assert!(named && unknown, "version {version}: {what}");
+                }
+                other => panic!("version {version} opened: {other:?}"),
             }
-            other => panic!("expected a delta, got {other:?}"),
+            assert_eq!(vfs.read(path).unwrap(), bytes, "version {version}");
         }
-        // future versions stay rejected
-        let mut bad = BytesMut::new();
-        bad.put_u8(MANIFEST_VERSION + 1);
-        bad.put_u8(KIND_DELTA);
-        bad.put_u64(0);
-        bad.put_u64(0);
-        bad.put_u64(0);
-        assert!(decode_record(bad.freeze()).is_err());
     }
 
     fn file_desc(id: u64, pages: &[u64]) -> FileDesc {

@@ -10,8 +10,7 @@
 //! The file is the magic `LETHEWAL`, then one [`log`] frame per record, with
 //! no header extension: `len · crc32(body) · body`. The checksum is what
 //! tells a record damaged mid-log (`Corruption`, named by the file and the
-//! frame's offset) from a torn tail. A log written before the checksum
-//! (`len · body` frames, no magic) is re-framed once when it is opened.
+//! frame's offset) from a torn tail; a file without the magic does not open.
 //!
 //! The engine removes records only through [`Wal::truncate_prefix`], after
 //! the manifest commit that covers them is durable (the
@@ -24,7 +23,7 @@
 use crate::clock::Timestamp;
 use crate::entry::{DeleteKey, SortKey};
 use crate::error::{Result, StorageError};
-use crate::log::{self, read_bytes, read_list, read_u32, read_u64, read_u8, Format, LogFile};
+use crate::log::{self, read_bytes, read_list, read_u32, read_u64, read_u8, Format, LogFile, Sum};
 use crate::manifest::ManifestCommitted;
 use bytes::{BufMut, Bytes, BytesMut};
 use crate::vfs::{OsVfs, Vfs};
@@ -368,23 +367,10 @@ pub struct FileWal {
 /// Sentinel for "record count not derived yet".
 const COUNT_UNKNOWN: u64 = u64::MAX;
 
-/// A WAL file's layout: the magic `LETHEWAL`, then [`log`] frames with no
-/// header extension, one per record.
+/// A WAL file's layout: the magic `LETHEWAL`, then CRC-32 [`log`] frames
+/// with no header extension, one per record.
 pub(crate) const FORMAT: Format =
-    Format { magic: b"LETHEWAL", ext_len: 0, kind: log::UNTAGGED, older: &[], max_tail: u64::MAX };
-
-/// Re-frames a log written before the WAL had a checksum: `len (u32 BE) ·
-/// body` frames with no file magic. A short length or a body past
-/// end-of-file is a torn tail and is dropped, as it was then.
-fn v1_frames(mut bytes: &[u8]) -> Result<Vec<u8>> {
-    let mut frames = Vec::new();
-    while let Some((len, rest)) = bytes.split_first_chunk::<4>() {
-        let Some(body) = rest.get(..u32::from_be_bytes(*len) as usize) else { break };
-        frames.extend(log::frame(&FORMAT, &[], body));
-        bytes = &rest[body.len()..];
-    }
-    Ok(frames)
-}
+    Format { magic: b"LETHEWAL", ext_len: 0, tag: b"", sum: Sum::Crc32, max_tail: u64::MAX };
 
 impl FileWal {
     /// Opens (or creates) the WAL file at `path` on the host file system
@@ -397,10 +383,7 @@ impl FileWal {
     /// [`SyncPolicy::Always`].
     pub fn open_on(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Self> {
         Ok(FileWal {
-            log: Mutex::new(
-                LockRank::Wal,
-                LogFile::open_versioned(vfs, path, &FORMAT, "wal.tmp", v1_frames)?,
-            ),
+            log: Mutex::new(LockRank::Wal, LogFile::open_versioned(vfs, path, &FORMAT)?),
             sync_policy: SyncPolicy::Always,
             appends_since_sync: AtomicU64::new(0),
             record_count: AtomicU64::new(COUNT_UNKNOWN),
@@ -784,8 +767,9 @@ mod tests {
     }
 
     /// Every frame kind the commit before `BatchOp::DeleteRange` could write,
-    /// as the bytes its `FileWal` wrote for them (230 of them), including the
-    /// one-op `Batch` a sharded put logged and a prepared cross-shard slice.
+    /// as the bytes its `FileWal` wrote for them (230 of them, `len · body`
+    /// frames with no magic and no checksum), including the one-op `Batch` a
+    /// sharded put logged and a prepared cross-shard slice.
     const PARENT_LOG_HEX: &str = "\
         0000001f000000000000000001000000000000000b00000000000000640000000276310000001101\
         000000000000000200000000000000c8000000190200000000000000030000000000000009000000\
@@ -794,7 +778,8 @@ mod tests {
         01000000000000000700000000000002580000000300000000000000000500000000000000370000\
         000276350100000000000000010200000000000000280000000000000032";
 
-    /// The same six records in the checksummed frame, behind the magic.
+    /// The same six records as a `FileWal` writes them: checksummed frames
+    /// behind the magic.
     const FRAMED_LOG_HEX: &str = "\
         4c4554484557414c0000001f78488248000000000000000001000000000000000b00000000000000\
         6400000002763100000011f50058fa01000000000000000200000000000000c800000019ad5398af\
@@ -805,50 +790,45 @@ mod tests {
         00000000010200000000000000280000000000000032";
 
     #[test]
-    fn logs_written_before_this_change_still_replay() {
+    fn a_pre_checksum_log_is_refused_and_a_fresh_log_writes_the_known_answer() {
         let v = |s: &'static str| Bytes::from_static(s.as_bytes());
-        let bytes = hex(PARENT_LOG_HEX);
-        assert_eq!(bytes.len(), 230);
-        let path = std::env::temp_dir().join(format!("lethe-wal-old-{}.wal", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let wal = FileWal::open(&path).unwrap();
-        let records = wal.replay().unwrap();
-        // the open republished the log in the checksummed frame, before any
-        // append, and an append extends it in that frame: 8 bytes of magic
-        // and 4 of checksum per record more than the parent's
-        let framed = hex(FRAMED_LOG_HEX);
-        assert_eq!(framed.len(), 230 + 8 + 6 * 4);
-        assert_eq!(std::fs::read(&path).unwrap(), framed);
-        let late = WalRecord::Delete { sort_key: 8, ts: 700 };
-        wal.append(late.clone()).unwrap();
-        let appended = [framed.clone(), log::frame(&FORMAT, &[], &late.encode())].concat();
-        assert_eq!(std::fs::read(&path).unwrap(), appended);
-        drop(wal);
-        let reopened = FileWal::open(&path).unwrap().replay().unwrap();
-        assert_eq!(reopened, [records.clone(), vec![late]].concat());
-        // and a fresh log writes the framed bytes for the same records
-        std::fs::remove_file(&path).unwrap();
-        let fresh = FileWal::open(&path).unwrap();
-        records.iter().for_each(|r| fresh.append(r.clone()).unwrap());
-        assert_eq!(std::fs::read(&path).unwrap(), framed);
-        let _ = std::fs::remove_file(&path);
         let lone_put = BatchOp::Put { sort_key: 4, delete_key: 44, value: v("v4") };
         let slice = vec![
             BatchOp::Put { sort_key: 5, delete_key: 55, value: v("v5") },
             BatchOp::Delete { sort_key: 1 },
             BatchOp::SecondaryDelete { d_lo: 40, d_hi: 50 },
         ];
-        assert_eq!(
-            records,
-            vec![
-                WalRecord::Put { sort_key: 1, delete_key: 11, value: v("v1"), ts: 100 },
-                WalRecord::Delete { sort_key: 2, ts: 200 },
-                WalRecord::DeleteRange { start: 3, end: 9, ts: 300 },
-                WalRecord::SecondaryDelete { d_lo: 10, d_hi: 12, ts: 400 },
-                WalRecord::Batch { id: None, ops: vec![lone_put.clone()], ts: 500 },
-                WalRecord::Batch { id: Some(7), ops: slice.clone(), ts: 600 },
-            ]
-        );
+        let records = vec![
+            WalRecord::Put { sort_key: 1, delete_key: 11, value: v("v1"), ts: 100 },
+            WalRecord::Delete { sort_key: 2, ts: 200 },
+            WalRecord::DeleteRange { start: 3, end: 9, ts: 300 },
+            WalRecord::SecondaryDelete { d_lo: 10, d_hi: 12, ts: 400 },
+            WalRecord::Batch { id: None, ops: vec![lone_put.clone()], ts: 500 },
+            WalRecord::Batch { id: Some(7), ops: slice, ts: 600 },
+        ];
+        // the pre-checksum log does not open, and is left as it was
+        let old = hex(PARENT_LOG_HEX);
+        assert_eq!(old.len(), 230);
+        let path = std::env::temp_dir().join(format!("lethe-wal-old-{}.wal", std::process::id()));
+        std::fs::write(&path, &old).unwrap();
+        match FileWal::open(&path) {
+            Err(StorageError::Corruption(what)) => {
+                assert!(what.contains("lethe-wal-old"), "the error names the file: {what}")
+            }
+            other => panic!("a log without the magic opened: {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        // a fresh log writes the framed bytes for the same records: 8 bytes
+        // of magic and 4 of checksum per record more than the parent's
+        std::fs::remove_file(&path).unwrap();
+        let fresh = FileWal::open(&path).unwrap();
+        records.iter().for_each(|r| fresh.append(r.clone()).unwrap());
+        let framed = hex(FRAMED_LOG_HEX);
+        assert_eq!(framed.len(), 230 + 8 + 6 * 4);
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
+        drop(fresh);
+        assert_eq!(FileWal::open(&path).unwrap().replay().unwrap(), records);
+        let _ = std::fs::remove_file(&path);
         // and ops → record → ops is the identity on every record but the
         // one-op batch, whose op now takes the compact frame
         for (i, record) in records.into_iter().enumerate() {
@@ -982,8 +962,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A log whose magic has one bit flipped is not taken for a version-1
-    /// log (whose reading would keep none of its records): the open fails
+    /// A log whose magic has one bit flipped does not open: the open fails
     /// with `Corruption` and leaves the file as it is.
     #[test]
     fn a_damaged_magic_is_corruption_not_an_empty_log() {

@@ -392,6 +392,59 @@ fn a_failed_open_cuts_nothing() {
     assert_eq!(vfs.read(&segment).unwrap(), bytes, "a failed open cuts nothing");
 }
 
+/// A WAL or a batch log without its file magic is a file of another
+/// format, or one whose magic was damaged: the store's open fails with
+/// `Corruption` naming the file, and leaves it byte for byte as it was,
+/// never reading it as an empty log.
+#[test]
+fn a_log_without_its_magic_fails_the_open_and_is_left_as_it_is() {
+    let vfs = MemVfs::shared();
+    // overwrites the log at `path` with its frames alone, and returns them
+    let strip_magic = |path: &Path| {
+        let bytes = vfs.read(path).unwrap();
+        assert!(bytes.len() > 8, "{path:?} holds frames behind its magic");
+        let file = vfs.open(path, false).unwrap();
+        file.set_len(0).unwrap();
+        file.append(&bytes[8..]).unwrap();
+        bytes[8..].to_vec()
+    };
+    let refused = |opened: Result<(), lethe::storage::StorageError>, path: &Path, bytes: &[u8]| {
+        let name = path.file_name().unwrap().to_str().unwrap();
+        match opened {
+            Err(lethe::storage::StorageError::Corruption(msg)) => {
+                assert!(msg.contains(name), "the error names {name}: {msg}")
+            }
+            other => panic!("{name} without its magic opened: {other:?}"),
+        }
+        assert_eq!(vfs.read(path).unwrap(), bytes, "a refused open leaves {name} as it is");
+    };
+
+    let single = Path::new("/single");
+    {
+        let mut db = builder().open_on(Arc::clone(&vfs), single).unwrap();
+        for k in 0..8u64 {
+            db.put(k, delete_key_of(k), vec![1u8; 9]).unwrap();
+        }
+    }
+    let wal = single.join("lethe.wal");
+    let bytes = strip_magic(&wal);
+    refused(builder().open_on(Arc::clone(&vfs), single).map(|_| ()), &wal, &bytes);
+
+    let sharded = Path::new("/sharded");
+    let two_shards = || ShardedLetheBuilder::from_builder(builder()).shards(2);
+    {
+        let db = two_shards().open_on(Arc::clone(&vfs), sharded).unwrap();
+        let mut batch = WriteBatch::new();
+        for k in 0..8u64 {
+            batch.put(k, delete_key_of(k), vec![2u8; 9]);
+        }
+        db.write(batch).unwrap();
+    }
+    let batches = sharded.join("BATCHES");
+    let bytes = strip_magic(&batches);
+    refused(two_shards().open_on(Arc::clone(&vfs), sharded).map(|_| ()), &batches, &bytes);
+}
+
 /// Keys of [`sealed_store_with_dead_frames`]: `[0, 96)`.
 const SEALED_KEYS: u64 = 96;
 
